@@ -52,9 +52,10 @@ func BenchmarkTreeBuild(b *testing.B) {
 }
 
 // BenchmarkIncrementalStep measures one warm incremental step (persistent
-// builder + flat SoA kernels) against the cold path (BuildKeyed + pointer
-// traversal) at a small per-step displacement — the temporal-coherence
-// hot path CI tracks for regressions.
+// builder, Flatten, and the 8-lane packet sweep tree.Sweep under
+// FlatTree.AccelAll) against the cold path (BuildKeyed + pointer
+// recursion, one particle at a time) at a small per-step displacement —
+// the temporal-coherence hot path CI tracks for regressions.
 func BenchmarkIncrementalStep(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
 		s := dist.MustNamed("g", n, 1994)

@@ -8,9 +8,9 @@
 // columns beside a flat linearization of its replicated tree and then
 // traverses purely locally, host-parallel within the rank.
 //
-// Correctness contract (the two-clock rule): the traversal kernels in
-// flat.go replay the function-shipping engine's floating-point reduction
-// order exactly — same MAC arithmetic, same accumulator-stack
+// Correctness contract (the two-clock rule): the traversals — tree.Sweep
+// under Flat.ForceAll, the potential kernels in flat.go — replay the
+// function-shipping engine's floating-point reduction order exactly — same MAC arithmetic, same accumulator-stack
 // open/close structure, same signed-zero adds at deferred branches — so
 // accelerations, potentials, interaction Stats, and per-node Load
 // counters are bit-identical to function shipping. The essential-set

@@ -1,0 +1,452 @@
+package let
+
+import (
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"repro/internal/dist"
+	"repro/internal/phys"
+	"repro/internal/tree"
+	"repro/internal/vec"
+)
+
+// realMAC is the acceptance test a receiver replays (tree.Accepts'
+// arithmetic over a shipped summary).
+func realMAC(com vec.V3, side float64, pos vec.V3, alpha float64) bool {
+	d := pos.Dist(com)
+	return d != 0 && side/d < alpha
+}
+
+// TestBuildSectionEssentialClosure is the essential-set property: for
+// random receiver bounds and α, no node shipped closed ever fails the
+// receiver's real MAC from any point of the bounds — probed at the box's
+// corners, at random interior points and at the box point nearest the
+// node (the worst case) — and the serialization is a faithful DFS of the
+// owner's subtree down to the closed frontier.
+func TestBuildSectionEssentialClosure(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	s := dist.MustNamed("plummer", 1500, 5)
+	tr := tree.BuildKeyed(s.Particles, s.Domain, 8)
+	size := s.Domain.Size()
+	closedSeen, nilSeen := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		alpha := 0.2 + 1.3*rng.Float64()
+		// Receiver boxes from far outside to overlapping the owner's
+		// domain, from a single point to half the domain wide.
+		var lo, hi vec.V3
+		for k := 0; k < 3; k++ {
+			c := s.Domain.Min.Component(k) + size.Component(k)*(3*rng.Float64()-1)
+			w := size.Component(k) * 0.5 * rng.Float64() * float64(rng.Intn(2))
+			lo, hi = lo.WithComponent(k, c), hi.WithComponent(k, c+w)
+		}
+		bb := Bounds{Has: true, Min: lo, Max: hi}
+		sec, nodes, visited := BuildSection(tr.Root, bb, alpha, false, false)
+		if sec == nil {
+			nilSeen++
+			if !bb.Closed(tr.Root.COM, tr.Root.Box.LongestSide(), alpha) {
+				t.Fatalf("trial %d: nothing shipped for a root the bounds do not close", trial)
+			}
+			// Leaf-cap branches are deferred without a MAC test: they
+			// always ship.
+			if forced, _, _ := BuildSection(tr.Root, bb, alpha, false, true); forced == nil || forced.NumNodes() == 0 {
+				t.Fatalf("trial %d: alwaysShip shipped nothing", trial)
+			}
+			continue
+		}
+		if len(nodes) != sec.NumNodes() || visited < sec.NumNodes() {
+			t.Fatalf("trial %d: %d nodes, %d owner refs, %d visited", trial, sec.NumNodes(), len(nodes), visited)
+		}
+		probes := []vec.V3{}
+		for c := 0; c < 8; c++ {
+			probes = append(probes, vec.V3{
+				X: pick(c&1 != 0, lo.X, hi.X), Y: pick(c&2 != 0, lo.Y, hi.Y), Z: pick(c&4 != 0, lo.Z, hi.Z)})
+		}
+		for i := 0; i < 8; i++ {
+			probes = append(probes, vec.V3{
+				X: lo.X + (hi.X-lo.X)*rng.Float64(), Y: lo.Y + (hi.Y-lo.Y)*rng.Float64(), Z: lo.Z + (hi.Z-lo.Z)*rng.Float64()})
+		}
+		nextParticle := int32(0)
+		for j, k := range sec.Kind {
+			n := nodes[j]
+			switch k {
+			case NodeLeaf:
+				if sec.LeafLo[j] != nextParticle || int(sec.LeafHi[j]-sec.LeafLo[j]) != len(n.Particles) || sec.Skip[j] != int32(j+1) {
+					t.Fatalf("trial %d: leaf %d range [%d,%d) skip %d", trial, j, sec.LeafLo[j], sec.LeafHi[j], sec.Skip[j])
+				}
+				for i, p := range n.Particles {
+					at := int(nextParticle) + i
+					if sec.PID[at] != int32(p.ID) || sec.PX[at] != p.Pos.X || sec.PY[at] != p.Pos.Y || sec.PZ[at] != p.Pos.Z || sec.PM[at] != p.Mass {
+						t.Fatalf("trial %d: leaf %d particle %d differs from the owner's", trial, j, i)
+					}
+				}
+				nextParticle = sec.LeafHi[j]
+			case NodeClosed:
+				closedSeen++
+				com := vec.V3{X: sec.ComX[j], Y: sec.ComY[j], Z: sec.ComZ[j]}
+				nearest := com.Max(lo).Min(hi)
+				for _, q := range append(probes, nearest) {
+					if !realMAC(com, sec.Side[j], q, alpha) {
+						t.Fatalf("trial %d α=%v: closed node %d (com %v side %v) fails the MAC from %v in %v..%v",
+							trial, alpha, j, com, sec.Side[j], q, lo, hi)
+					}
+				}
+				if sec.Skip[j] != int32(j+1) {
+					t.Fatalf("trial %d: closed node %d has children", trial, j)
+				}
+			case NodeOpen:
+				// Every non-nil child follows, in order, as the next
+				// subtree; the skip pointer closes over all of them.
+				at := int32(j + 1)
+				for _, c := range n.Children {
+					if c == nil {
+						continue
+					}
+					if at >= int32(len(nodes)) || nodes[at] != c {
+						t.Fatalf("trial %d: open node %d is missing a child", trial, j)
+					}
+					at = sec.Skip[at]
+				}
+				if sec.Skip[j] != at {
+					t.Fatalf("trial %d: open node %d skip %d, children end at %d", trial, j, sec.Skip[j], at)
+				}
+			}
+			if k != NodeLeaf && (sec.ComX[j] != n.COM.X || sec.Mass[j] != n.Mass || sec.Side[j] != n.Box.LongestSide()) {
+				t.Fatalf("trial %d: node %d summary differs from the owner's", trial, j)
+			}
+		}
+		if int(nextParticle) != len(sec.PID) {
+			t.Fatalf("trial %d: %d particle columns, leaves cover %d", trial, len(sec.PID), nextParticle)
+		}
+	}
+	if closedSeen == 0 || nilSeen == 0 {
+		t.Fatalf("trials too tame: %d closed nodes, %d unshipped roots", closedSeen, nilSeen)
+	}
+	if sec, _, _ := BuildSection(tr.Root, Bounds{}, 0.67, false, true); sec != nil {
+		t.Fatal("shipped to a receiver with no particles")
+	}
+}
+
+func pick(hi bool, a, b float64) float64 {
+	if hi {
+		return b
+	}
+	return a
+}
+
+// A miniature LET world without parbh: the domain's eight octants are the
+// branch cells. cell.trees holds one subtree per owner — a cell split
+// between two owners is the degenerate multi-owner branch whose replies
+// function shipping folds in owner order.
+type cell struct {
+	owners []int
+	trees  []*tree.Tree
+	count  int
+	com    vec.V3
+	mass   float64
+	box    vec.Box
+}
+
+type world struct {
+	domain  vec.Box
+	cells   [8]cell
+	topCom  vec.V3
+	topMass float64
+	parts   map[int][]dist.Particle // by owner
+}
+
+const (
+	testLeafCap = 4
+	testExAdd   = 3.25
+)
+
+// newWorld deals the particles to owners: octant o to owner o, except
+// octant 0 (kept to ≤ leafCap particles: a leaf-cell branch), octant 1
+// (emptied: a zero-count child) and octant 7 (split between owners 7 and
+// 8). Building twice gives two identical worlds whose Load counters the
+// oracle and the flat kernel charge separately.
+func newWorld(ps []dist.Particle, domain vec.Box) *world {
+	w := &world{domain: domain, parts: map[int][]dist.Particle{}}
+	for i, p := range ps {
+		oct := domain.OctantOf(p.Pos)
+		owner := oct
+		switch {
+		case oct == 1, oct == 0 && len(w.parts[0]) == testLeafCap:
+			continue
+		case oct == 7 && i%2 == 0:
+			owner = 8
+		}
+		w.parts[owner] = append(w.parts[owner], p)
+	}
+	for oct := range w.cells {
+		c := &w.cells[oct]
+		c.box = domain.Octant(oct)
+		for _, owner := range []int{oct, oct + 1} {
+			if owner != oct && oct != 7 || len(w.parts[owner]) == 0 {
+				continue
+			}
+			tr := tree.BuildKeyed(w.parts[owner], c.box, testLeafCap)
+			c.owners, c.trees = append(c.owners, owner), append(c.trees, tr)
+			c.count += tr.Root.Count
+			c.com = c.com.Add(tr.Root.COM.Scale(tr.Root.Mass))
+			c.mass += tr.Root.Mass
+		}
+		if c.count > 0 {
+			w.topCom = w.topCom.Add(c.com)
+			w.topMass += c.mass
+			c.com = c.com.Scale(1 / c.mass)
+		}
+	}
+	w.topCom = w.topCom.Scale(1 / w.topMass)
+	return w
+}
+
+func (c *cell) localTo(me int) *tree.Tree {
+	if len(c.owners) == 1 && c.owners[0] == me {
+		return c.trees[0]
+	}
+	return nil
+}
+
+// oracle is function shipping's traversal (parbh traverseForce +
+// serveForce) for one particle of owner me, on the pointer trees.
+func (w *world) oracle(me int, q dist.Particle, alpha, eps float64, st *tree.Stats) (vec.V3, float64) {
+	var extra float64
+	st.MACTests++
+	if realMAC(w.topCom, w.domain.LongestSide(), q.Pos, alpha) {
+		st.PC++
+		return phys.Accel(q.Pos, w.topCom, w.topMass, eps), extra + testExAdd
+	}
+	var a vec.V3
+	var shipped []*cell
+	for oct := range w.cells {
+		c := &w.cells[oct]
+		switch {
+		case c.count == 0:
+			a = a.Add(vec.V3{})
+		case c.localTo(me) != nil:
+			a = a.Add(tree.AccelFrom(c.localTo(me).Root, q.Pos, q.ID, alpha, eps, st))
+		case c.count <= testLeafCap:
+			shipped = append(shipped, c)
+			a = a.Add(vec.V3{})
+		default:
+			st.MACTests++
+			if realMAC(c.com, c.box.LongestSide(), q.Pos, alpha) {
+				st.PC++
+				extra += testExAdd
+				a = a.Add(phys.Accel(q.Pos, c.com, c.mass, eps))
+			} else {
+				shipped = append(shipped, c)
+				a = a.Add(vec.V3{})
+			}
+		}
+	}
+	for _, c := range shipped {
+		for _, tr := range c.trees {
+			branch := tr.Root
+			if branch.IsLeaf() {
+				a = a.Add(tree.AccelFrom(branch, q.Pos, q.ID, alpha, eps, st))
+				continue
+			}
+			var r vec.V3
+			for _, ch := range branch.Children {
+				if ch != nil {
+					r = r.Add(tree.AccelFrom(ch, q.Pos, q.ID, alpha, eps, st))
+				}
+			}
+			branch.Load++
+			a = a.Add(r)
+		}
+	}
+	return a, extra
+}
+
+// flat builds owner me's locally essential tree the way parbh's
+// letExchange does and runs ForceAll, writing every Load charge (local
+// nodes directly, section nodes through their deltas) back to w's trees.
+func (w *world) flat(t *testing.T, me int, query []dist.Particle, alpha, eps float64) ([]vec.V3, []float64, tree.Stats) {
+	bb := BoundsOf(w.parts[me])
+	fl := &Flat{}
+	fl.Reset()
+	var sent [][]*tree.Node
+	grafts := map[*cell][]int32{}
+	for oct := range w.cells {
+		c := &w.cells[oct]
+		if c.count == 0 || c.localTo(me) != nil {
+			continue
+		}
+		for i, tr := range c.trees {
+			// A shared cell's owners each see only their own summary, so
+			// (as for a leaf cell) they ship unconditionally.
+			sec, nodes, _ := BuildSection(tr.Root, bb, alpha, false, c.count <= testLeafCap || len(c.trees) > 1)
+			if sec == nil {
+				grafts[c] = append(grafts[c], -1)
+				continue
+			}
+			grafts[c] = append(grafts[c], int32(fl.AddSection(c.owners[i], sec, nil)))
+			sent = append(sent, nodes)
+		}
+	}
+	fl.BeginMain()
+	top := fl.AddTop(w.topCom, w.topMass, w.domain.LongestSide(), nil)
+	for oct := range w.cells {
+		c := &w.cells[oct]
+		switch {
+		case c.count == 0:
+			fl.AddZero()
+		case c.localTo(me) != nil:
+			fl.AddLocalSubtree(c.localTo(me).Root)
+		default:
+			fl.AddBranch(c.count <= testLeafCap, c.com, c.mass, c.box.LongestSide(), nil, grafts[c])
+		}
+	}
+	fl.CloseInternal(top)
+	fl.Seal()
+	out, extra := make([]vec.V3, len(query)), make([]float64, len(query))
+	st := fl.ForceAll(query, alpha, eps, testExAdd, out, extra)
+	fl.ApplyLocalLoads()
+	if fl.NumSections() != len(sent) {
+		t.Fatalf("owner %d: %d sections, %d shipped", me, fl.NumSections(), len(sent))
+	}
+	for si := range sent {
+		ords, deltas := fl.SectionDeltas(si, nil, nil)
+		for j, ord := range ords {
+			sent[si][ord].Load += deltas[j]
+		}
+	}
+	return out, extra, st
+}
+
+func (w *world) loads() []int64 {
+	var ls []int64
+	for oct := range w.cells {
+		for _, tr := range w.cells[oct].trees {
+			tr.Walk(func(n *tree.Node) bool {
+				ls = append(ls, n.Load)
+				return true
+			})
+		}
+	}
+	return ls
+}
+
+func sameBits(a, b vec.V3) bool {
+	return math.Float64bits(a.X) == math.Float64bits(b.X) &&
+		math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
+		math.Float64bits(a.Z) == math.Float64bits(b.Z)
+}
+
+// TestFlatForceAllMatchesFunctionShippingOracle drives let.Flat.ForceAll
+// directly — no parbh — against the pointer recursion arranged as
+// function shipping arranges it, and demands bit-identical accelerations
+// and extra charges, equal Stats, and equal Load on every node of every
+// owner's tree (local charges and returned section deltas alike).
+func TestFlatForceAllMatchesFunctionShippingOracle(t *testing.T) {
+	s := dist.MustNamed("g", 2400, 77)
+	summaries := false
+	for _, procs := range []int{1, 2, 7} {
+		for _, alpha := range []float64{0.4, 0.67, 2.5} {
+			old := runtime.GOMAXPROCS(procs)
+			want, got := newWorld(s.Particles, s.Domain), newWorld(s.Particles, s.Domain)
+			deferred := false
+			for me := range got.parts {
+				var wantSt tree.Stats
+				acc, extra, gotSt := got.flat(t, me, got.parts[me], alpha, 0.01)
+				for i, q := range want.parts[me] {
+					a, ex := want.oracle(me, q, alpha, 0.01, &wantSt)
+					if !sameBits(acc[i], a) {
+						t.Fatalf("procs %d α=%v owner %d particle %d: flat %v oracle %v", procs, alpha, me, q.ID, acc[i], a)
+					}
+					if math.Float64bits(extra[i]) != math.Float64bits(ex) {
+						t.Fatalf("procs %d α=%v owner %d particle %d: extra %v oracle %v", procs, alpha, me, q.ID, extra[i], ex)
+					}
+					summaries = summaries || ex > testExAdd
+				}
+				if gotSt != wantSt {
+					t.Fatalf("procs %d α=%v owner %d: stats %+v oracle %+v", procs, alpha, me, gotSt, wantSt)
+				}
+			}
+			wl, gl := want.loads(), got.loads()
+			for i := range wl {
+				if gl[i] != wl[i] {
+					t.Fatalf("procs %d α=%v: load %d is %d, oracle %d", procs, alpha, i, gl[i], wl[i])
+				}
+				deferred = deferred || wl[i] != 0
+			}
+			if !deferred {
+				t.Fatal("no load was charged anywhere")
+			}
+			runtime.GOMAXPROCS(old)
+		}
+	}
+	if !summaries {
+		t.Fatal("no particle accepted two replicated summaries")
+	}
+}
+
+// TestFlatRootIsRemoteBranch covers the traversal whose root is itself a
+// deferred branch: the main sweep contributes an exact +0 and the result
+// is the fold of the sections alone, for query points that belong to no
+// tree (packed in the order given).
+func TestFlatRootIsRemoteBranch(t *testing.T) {
+	s := dist.MustNamed("uniform", 300, 3)
+	rng := rand.New(rand.NewSource(9))
+	for _, leafCell := range []bool{false, true} {
+		owner := tree.BuildKeyed(s.Particles, s.Domain, testLeafCap)
+		oracle := tree.BuildKeyed(s.Particles, s.Domain, testLeafCap)
+		var query []dist.Particle
+		for i := 0; i < 21; i++ {
+			query = append(query, dist.Particle{ID: 1000 + i, Mass: 1, Pos: s.Domain.Min.Add(s.Domain.Size().Scale(rng.Float64()))})
+		}
+		sec, nodes, _ := BuildSection(owner.Root, BoundsOf(query), 0.67, false, true)
+		fl := &Flat{}
+		fl.Reset()
+		si := fl.AddSection(1, sec, nil)
+		fl.BeginMain()
+		fl.AddBranch(leafCell, owner.Root.COM, owner.Root.Mass, s.Domain.LongestSide(), nil, []int32{int32(si)})
+		fl.Seal()
+		out, extra := make([]vec.V3, len(query)), make([]float64, len(query))
+		gotSt := fl.ForceAll(query, 0.67, 0.01, testExAdd, out, extra)
+		ords, deltas := fl.SectionDeltas(si, nil, nil)
+		for j, ord := range ords {
+			nodes[ord].Load += deltas[j]
+		}
+		var wantSt tree.Stats
+		for i, q := range query {
+			var want vec.V3
+			wantEx := 0.0
+			if !leafCell {
+				wantSt.MACTests++
+			}
+			if !leafCell && realMAC(oracle.Root.COM, s.Domain.LongestSide(), q.Pos, 0.67) {
+				wantSt.PC++
+				wantEx = testExAdd
+				want = phys.Accel(q.Pos, oracle.Root.COM, oracle.Root.Mass, 0.01)
+			} else {
+				var r vec.V3
+				for _, ch := range oracle.Root.Children {
+					if ch != nil {
+						r = r.Add(tree.AccelFrom(ch, q.Pos, q.ID, 0.67, 0.01, &wantSt))
+					}
+				}
+				oracle.Root.Load++
+				want = vec.V3{}.Add(r)
+			}
+			if !sameBits(out[i], want) || extra[i] != wantEx {
+				t.Fatalf("leafCell=%v query %d: flat %v (extra %v) oracle %v (extra %v)", leafCell, i, out[i], extra[i], want, wantEx)
+			}
+		}
+		if gotSt != wantSt {
+			t.Fatalf("leafCell=%v: stats %+v oracle %+v", leafCell, gotSt, wantSt)
+		}
+		var wl, gl []int64
+		oracle.Walk(func(n *tree.Node) bool { wl = append(wl, n.Load); return true })
+		owner.Walk(func(n *tree.Node) bool { gl = append(gl, n.Load); return true })
+		for i := range wl {
+			if gl[i] != wl[i] {
+				t.Fatalf("leafCell=%v: load %d is %d, oracle %d", leafCell, i, gl[i], wl[i])
+			}
+		}
+	}
+}

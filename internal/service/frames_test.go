@@ -350,6 +350,77 @@ func TestFramesEndpoint(t *testing.T) {
 	}
 }
 
+// TestFramesTailFollowRightAfterSubmit is the regression test for the
+// /frames open race: a client that tail-follows a job the instant it was
+// accepted — before a worker has created the chain file, or between the
+// file's creation and its magic — must get the stream, never 404 or 500.
+// The second job of each round is still queued behind the first when its
+// follower connects. A job that records no frames is refused at once.
+func TestFramesTailFollowRightAfterSubmit(t *testing.T) {
+	svc := startService(t, Options{Workers: 1, QueueDepth: 4, SpoolDir: t.TempDir()})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	follow := func(id string, steps int) {
+		resp, err := http.Get(ts.URL + "/api/v1/jobs/" + id + "/frames?fields=meta")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/x-ndjson" {
+			t.Errorf("job %s: tail-follow answered %d %q", id, resp.StatusCode, resp.Header.Get("Content-Type"))
+			return
+		}
+		next := int64(1)
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			var ev frameEvent
+			if err := json.Unmarshal(sc.Bytes(), &ev); err != nil || ev.Step != next {
+				t.Errorf("job %s: line %q (err %v), want step %d", id, sc.Bytes(), err, next)
+				return
+			}
+			next++
+		}
+		if next != int64(steps)+1 {
+			t.Errorf("job %s: stream delivered %d frames, want %d", id, next-1, steps)
+		}
+	}
+	for round := 0; round < 25; round++ {
+		var wg sync.WaitGroup
+		for k := 0; k < 2; k++ {
+			spec := shortSpec(6)
+			spec.Seed = int64(10*round + k)
+			resp, st := postJob(t, ts, spec)
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("round %d: submit answered %d", round, resp.StatusCode)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				follow(st.ID, spec.Steps)
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+
+	spec := longSpec()
+	spec.FramesKeyEvery = -1
+	_, st := postJob(t, ts, spec)
+	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + st.ID + "/frames")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("frameless running job: tail-follow answered %d, want 404", resp.StatusCode)
+	}
+	svc.Cancel(st.ID)
+}
+
 // TestFramesCompactionBudget submits a job whose chain overflows a tiny
 // byte budget and asserts the worker compacts it back under the budget
 // while the metrics surface both the compaction count and the gauge.

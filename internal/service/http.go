@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -251,7 +252,10 @@ func queryInt(r *http.Request, key string, def int64) (int64, error) {
 // frame, decodable with frames.DecodeKeyframe. Running jobs are
 // followed: the stream tails the chain as the worker appends and ends
 // when the job reaches a terminal state (finished jobs replay whatever
-// their chain retains after compaction).
+// their chain retains after compaction). A job that records frames but
+// has not created its chain yet — still queued, or its worker is between
+// creating the file and writing the magic — is waited for, not refused:
+// 404 "no frames" is for a job that never records, or ended without.
 func (s *Service) handleFrames(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, err := s.Get(id); err != nil {
@@ -273,7 +277,16 @@ func (s *Service) handleFrames(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("stride must be a positive integer"))
 		return
 	}
-	rd, err := frames.Open(path)
+	// Progress events wake the tail-follow loop; the channel closes at
+	// the job's terminal transition. Subscribing before the chain is
+	// opened means no edge between the two can be missed.
+	progress, unsub, err := s.Subscribe(id)
+	if err != nil {
+		writeErr(w, http.StatusNotFound, err)
+		return
+	}
+	defer unsub()
+	rd, err := s.awaitFrames(r.Context(), id, path, progress)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			writeErr(w, http.StatusNotFound, errors.New("service: job has no frames"))
@@ -291,15 +304,6 @@ func (s *Service) handleFrames(w http.ResponseWriter, r *http.Request) {
 	}
 	metaOnly := r.URL.Query().Get("fields") == "meta"
 	raw := strings.Contains(r.Header.Get("Accept"), "application/octet-stream")
-
-	// Progress events wake the tail-follow loop; the channel closes at
-	// the job's terminal transition.
-	progress, unsub, err := s.Subscribe(id)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	defer unsub()
 
 	flusher, _ := w.(http.Flusher)
 	var enc *json.Encoder
@@ -388,6 +392,34 @@ func (s *Service) handleFrames(w http.ResponseWriter, r *http.Request) {
 			// Corrupt mid-chain record: the valid prefix has been served;
 			// there is nothing safe after it.
 			return
+		}
+	}
+}
+
+// awaitFrames opens the job's frame chain for reading. While a job that
+// records frames is not terminal, a chain that is missing or has no magic
+// yet is about to be created by its worker: wait for progress (or a short
+// tick) and retry. The job's state is read before each attempt, so the
+// attempt that follows a terminal state sees the chain's final form.
+func (s *Service) awaitFrames(ctx context.Context, id, path string, progress <-chan Progress) (*frames.Reader, error) {
+	for {
+		st, gerr := s.Get(id)
+		rd, err := frames.Open(path)
+		if err == nil {
+			return rd, nil
+		}
+		pending := errors.Is(err, fs.ErrNotExist) || errors.Is(err, frames.ErrCorrupt)
+		if !pending || gerr != nil || st.State.Terminal() || !s.framesEnabled(st.Spec) {
+			return nil, err
+		}
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case _, ok := <-progress:
+			if !ok {
+				progress = nil // terminal: the next attempt is the last
+			}
+		case <-time.After(20 * time.Millisecond):
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package tree
 
 import (
-	"math"
-
 	"repro/internal/compute"
 	"repro/internal/dist"
 	"repro/internal/phys"
@@ -11,18 +9,18 @@ import (
 
 // FlatTree is a structure-of-arrays linearization of a Tree in DFS
 // (Morton) order: one column per per-node quantity plus skip pointers,
-// and the leaf particles transposed into dist.Particles columns in leaf
-// order. Traversals walk contiguous arrays instead of chasing ~200-byte
+// and the leaf particles transposed into columns in leaf order (see
+// Cols). Traversals walk contiguous arrays instead of chasing ~200-byte
 // Node records, and the box side length is hoisted out of every MAC
 // test.
 //
 // The kernels produce results bit-identical to the pointer traversals
-// (Tree.AccelAll / Tree.PotentialAll): each particle's interaction list
-// is gathered in exactly the DFS visit order, and subtree open/close
-// markers in the list replay the recursion's hierarchical summation
-// order, because floating-point addition is not associative — a flat
-// left-to-right accumulation over the same contributions would round
-// differently.
+// (Tree.AccelAll / Tree.PotentialAll): each particle's interactions
+// arrive in exactly the DFS visit order and opened subtrees accumulate
+// into nested partial sums that replay the recursion's hierarchical
+// summation order, because floating-point addition is not associative —
+// a flat left-to-right accumulation over the same contributions would
+// round differently.
 //
 // A FlatTree snapshots the Tree at Flatten time; rebuild or refresh the
 // tree and Flatten again before the next sweep. Load counters are
@@ -31,17 +29,11 @@ import (
 type FlatTree struct {
 	t     *Tree
 	nodes []*Node
+	exps  []*phys.Expansion
+	sw    Sweep // the columns, and the force sweep's reusable state
 
-	comX, comY, comZ []float64
-	mass             []float64
-	side             []float64 // precomputed Box.LongestSide per node
-	skip             []int32   // index just past node i's subtree
-	leafLo, leafHi   []int32   // leaf particle range in cols; -1 for internal
-	exps             []*phys.Expansion
-
-	cols dist.Particles // leaf particles, transposed, DFS leaf order
-
-	scratch []flatScratch // per-worker sweep state, reused across sweeps
+	scratch []flatScratch // per-worker potential-sweep state, reused across sweeps
+	loads   []int64       // merged per-node Load charges of one force sweep
 }
 
 // listEntry is one step of a gathered interaction list. b >= 0 encodes a
@@ -67,16 +59,6 @@ type flatScratch struct {
 	loads []int64
 	list  []listEntry
 	ends  []int32
-	acc   []vec.V3
-}
-
-func (sc *flatScratch) resetLoads(n int) {
-	if cap(sc.loads) < n {
-		sc.loads = make([]int64, n)
-		return
-	}
-	sc.loads = sc.loads[:n]
-	clear(sc.loads)
 }
 
 // Flatten linearizes t, reusing reuse's buffers when non-nil (pass the
@@ -88,13 +70,8 @@ func Flatten(t *Tree, reuse *FlatTree) *FlatTree {
 	}
 	f.t = t
 	f.nodes = f.nodes[:0]
-	f.comX, f.comY, f.comZ = f.comX[:0], f.comY[:0], f.comZ[:0]
-	f.mass = f.mass[:0]
-	f.side = f.side[:0]
-	f.skip = f.skip[:0]
-	f.leafLo, f.leafHi = f.leafLo[:0], f.leafHi[:0]
 	f.exps = f.exps[:0]
-	f.cols.Reset()
+	f.sw.Reset()
 	f.flatten(t.Root)
 	return f
 }
@@ -106,40 +83,30 @@ func (f *FlatTree) Tree() *Tree { return f.t }
 func (f *FlatTree) NumNodes() int { return len(f.nodes) }
 
 func (f *FlatTree) flatten(n *Node) {
-	idx := len(f.nodes)
 	f.nodes = append(f.nodes, n)
-	f.comX = append(f.comX, n.COM.X)
-	f.comY = append(f.comY, n.COM.Y)
-	f.comZ = append(f.comZ, n.COM.Z)
-	f.mass = append(f.mass, n.Mass)
-	f.side = append(f.side, n.Box.LongestSide())
 	f.exps = append(f.exps, n.Exp)
-	f.skip = append(f.skip, 0)
 	if n.IsLeaf() {
-		lo := int32(f.cols.Len())
-		f.cols.Append(n.Particles)
-		f.leafLo = append(f.leafLo, lo)
-		f.leafHi = append(f.leafHi, int32(f.cols.Len()))
-	} else {
-		f.leafLo = append(f.leafLo, -1)
-		f.leafHi = append(f.leafHi, -1)
-		for _, c := range n.Children {
-			if c != nil {
-				f.flatten(c)
-			}
+		lo, hi := f.sw.AddParticles(n.Particles)
+		f.sw.AddNode(KindLeaf, n.COM, n.Mass, n.Box.LongestSide(), lo, hi)
+		return
+	}
+	idx := f.sw.AddNode(KindInternal, n.COM, n.Mass, n.Box.LongestSide(), -1, -1)
+	for _, c := range n.Children {
+		if c != nil {
+			f.flatten(c)
 		}
 	}
-	f.skip[idx] = int32(len(f.nodes))
+	f.sw.Skip[idx] = int32(len(f.nodes))
 }
 
 // accepts is Accepts over the flat columns — the same vec arithmetic on
 // the same values, with the box side precomputed.
 func (f *FlatTree) accepts(i int32, pos vec.V3, alpha float64) bool {
-	d := pos.Dist(vec.V3{X: f.comX[i], Y: f.comY[i], Z: f.comZ[i]})
+	d := pos.Dist(vec.V3{X: f.sw.ComX[i], Y: f.sw.ComY[i], Z: f.sw.ComZ[i]})
 	if d == 0 {
 		return false
 	}
-	return f.side[i]/d < alpha
+	return f.sw.Side[i]/d < alpha
 }
 
 // gather walks the flat tree once for pos, recording the interaction
@@ -150,8 +117,8 @@ func (f *FlatTree) accepts(i int32, pos vec.V3, alpha float64) bool {
 func (f *FlatTree) gather(sc *flatScratch, pos vec.V3, alpha float64, s *Stats) int8 {
 	list := sc.list[:0]
 	loads := sc.loads
-	if lo := f.leafLo[0]; lo >= 0 {
-		hi := f.leafHi[0]
+	if lo := f.sw.Lo[0]; lo >= 0 {
+		hi := f.sw.Hi[0]
 		loads[0] += int64(hi - lo)
 		sc.list = append(list, listEntry{lo, hi})
 		return rootLeaf
@@ -170,11 +137,11 @@ func (f *FlatTree) gather(sc *flatScratch, pos vec.V3, alpha float64, s *Stats) 
 			ends = ends[:len(ends)-1]
 			list = append(list, listEntry{0, entryPop})
 		}
-		if lo := f.leafLo[i]; lo >= 0 {
-			hi := f.leafHi[i]
+		if lo := f.sw.Lo[i]; lo >= 0 {
+			hi := f.sw.Hi[i]
 			loads[i] += int64(hi - lo)
 			list = append(list, listEntry{lo, hi})
-			i = f.skip[i]
+			i = f.sw.Skip[i]
 			continue
 		}
 		s.MACTests++
@@ -182,11 +149,11 @@ func (f *FlatTree) gather(sc *flatScratch, pos vec.V3, alpha float64, s *Stats) 
 			s.PC++
 			loads[i]++
 			list = append(list, listEntry{i, entryPC})
-			i = f.skip[i]
+			i = f.sw.Skip[i]
 			continue
 		}
 		list = append(list, listEntry{i, entryPush})
-		ends = append(ends, f.skip[i])
+		ends = append(ends, f.sw.Skip[i])
 		i++
 	}
 	for range ends {
@@ -196,121 +163,11 @@ func (f *FlatTree) gather(sc *flatScratch, pos vec.V3, alpha float64, s *Stats) 
 	return rootOpen
 }
 
-// accelOne walks the flat tree once for one particle, evaluating
-// accepted clusters and leaf ranges inline as the traversal discovers
-// them. The visit order, MAC tests, per-node Load charges, and — because
-// floating-point addition is not associative — the hierarchical
-// partial-sum structure are exactly those of gather followed by a list
-// replay: opening a node pushes the running sum and starts a fresh
-// accumulator, closing it folds the child sum into the parent, so the
-// reduction tree is unchanged. Fusing the two passes eliminates the
-// interaction-list write and re-read, which is pure memory traffic.
-//
-// The MAC arithmetic and phys.Accel are hand-inlined with one shared
-// difference vector: Accepts computes ‖pos−com‖ while phys.Accel uses
-// com−pos, but squaring erases the sign bit-exactly, so the squared norm
-// (and its summation order, matching vec.V3.Norm2) serves both, and the
-// accepted-cluster kernel reuses it as phys.Accel's d.Norm2() term.
-func (f *FlatTree) accelOne(sc *flatScratch, pos vec.V3, selfID int, alpha, eps float64, s *Stats) vec.V3 {
-	self := int32(selfID)
-	loads := sc.loads
-	e2 := eps * eps
-	comX, comY, comZ := f.comX, f.comY, f.comZ
-	mass, side, skip := f.mass, f.side, f.skip
-	leafLo, leafHi := f.leafLo, f.leafHi
-	ids, px, py, pz, ms := f.cols.ID, f.cols.PosX, f.cols.PosY, f.cols.PosZ, f.cols.Mass
-
-	// leaf folds cols[lo:hi) from a zero accumulator in column order —
-	// the recursion's per-leaf partial sum, phys.Accel term by term.
-	leaf := func(lo, hi int32) vec.V3 {
-		var ax, ay, az float64
-		for j := lo; j < hi; j++ {
-			if ids[j] == self {
-				continue
-			}
-			dx, dy, dz := px[j]-pos.X, py[j]-pos.Y, pz[j]-pos.Z
-			r2 := dx*dx + dy*dy + dz*dz + e2
-			if r2 != 0 {
-				inv := 1 / math.Sqrt(r2)
-				g := phys.G * ms[j] * inv * inv * inv
-				ax += g * dx
-				ay += g * dy
-				az += g * dz
-			} else {
-				// phys.Accel returns a zero vector here; adding it is
-				// not a no-op for signed zeros, so add explicitly.
-				ax += 0
-				ay += 0
-				az += 0
-			}
-			s.PP++
-		}
-		return vec.V3{X: ax, Y: ay, Z: az}
-	}
-
-	if lo := leafLo[0]; lo >= 0 {
-		hi := leafHi[0]
-		loads[0] += int64(hi - lo)
-		return leaf(lo, hi)
-	}
-	s.MACTests++
-	{
-		dx, dy, dz := comX[0]-pos.X, comY[0]-pos.Y, comZ[0]-pos.Z
-		n2 := dx*dx + dy*dy + dz*dz
-		if d := math.Sqrt(n2); d != 0 && side[0]/d < alpha {
-			s.PC++
-			loads[0]++
-			inv := 1 / math.Sqrt(n2+e2) // n2 > 0, so never a zero divide
-			g := phys.G * mass[0] * inv * inv * inv
-			return vec.V3{X: g * dx, Y: g * dy, Z: g * dz}
-		}
-	}
-	var top vec.V3
-	stack := sc.acc[:0]
-	ends := sc.ends[:0]
-	n := int32(len(f.nodes))
-	for i := int32(1); i < n; {
-		for len(ends) > 0 && ends[len(ends)-1] == i {
-			ends = ends[:len(ends)-1]
-			top = stack[len(stack)-1].Add(top)
-			stack = stack[:len(stack)-1]
-		}
-		if lo := leafLo[i]; lo >= 0 {
-			hi := leafHi[i]
-			loads[i] += int64(hi - lo)
-			top = top.Add(leaf(lo, hi))
-			i = skip[i]
-			continue
-		}
-		s.MACTests++
-		dx, dy, dz := comX[i]-pos.X, comY[i]-pos.Y, comZ[i]-pos.Z
-		n2 := dx*dx + dy*dy + dz*dz
-		if d := math.Sqrt(n2); d != 0 && side[i]/d < alpha {
-			s.PC++
-			loads[i]++
-			inv := 1 / math.Sqrt(n2+e2)
-			g := phys.G * mass[i] * inv * inv * inv
-			top = vec.V3{X: top.X + g*dx, Y: top.Y + g*dy, Z: top.Z + g*dz}
-			i = skip[i]
-			continue
-		}
-		stack = append(stack, top)
-		top = vec.V3{}
-		ends = append(ends, skip[i])
-		i++
-	}
-	for j := len(ends) - 1; j >= 0; j-- {
-		top = stack[j].Add(top)
-	}
-	sc.acc, sc.ends = stack[:0], ends[:0]
-	return top
-}
-
 // leafPot mirrors leafAccel for potentials (near-field softening is 0,
 // as in the pointer traversal).
 func (f *FlatTree) leafPot(lo, hi int32, pos vec.V3, self int32, s *Stats) float64 {
 	var phi float64
-	ids, px, py, pz, ms := f.cols.ID, f.cols.PosX, f.cols.PosY, f.cols.PosZ, f.cols.Mass
+	ids, px, py, pz, ms := f.sw.ID, f.sw.PX, f.sw.PY, f.sw.PZ, f.sw.PM
 	for j := lo; j < hi; j++ {
 		if ids[j] == self {
 			continue
@@ -361,34 +218,16 @@ func (f *FlatTree) ensureWorkers(w int) {
 }
 
 // AccelAll computes accelerations for every particle against the flat
-// tree. Results — accelerations, Stats, and per-node Load counters — are
-// bit-identical to Tree.AccelAll on the tree this FlatTree linearizes.
+// tree: a thin driver over the packet Sweep. Results — accelerations,
+// Stats, and per-node Load counters — are bit-identical to Tree.AccelAll
+// on the tree this FlatTree linearizes.
 func (f *FlatTree) AccelAll(ps []dist.Particle, alpha, eps float64) ([]vec.V3, Stats) {
 	out := make([]vec.V3, len(ps))
-	if len(ps) == 0 {
-		return out, Stats{}
-	}
-	workers := compute.Workers(len(ps))
-	if workers < 1 {
-		workers = 1
-	}
-	f.ensureWorkers(workers)
-	shardStats := make([]Stats, workers)
-	compute.ParallelBlocks(len(ps), func(w, lo, hi int) {
-		sc := &f.scratch[w]
-		sc.resetLoads(len(f.nodes))
-		s := &shardStats[w]
-		for i := lo; i < hi; i++ {
-			out[i] = f.accelOne(sc, ps[i].Pos, ps[i].ID, alpha, eps, s)
-		}
-	})
-	var s Stats
-	for w := 0; w < workers; w++ {
-		s.Add(shardStats[w])
-		for j, v := range f.scratch[w].loads {
-			if v != 0 {
-				f.nodes[j].Load += v
-			}
+	f.loads = append(f.loads[:0], make([]int64, len(f.nodes))...)
+	s := f.sw.ForceAll(ps, 0, alpha, eps, 0, out, nil, f.loads)
+	for j, v := range f.loads {
+		if v != 0 {
+			f.nodes[j].Load += v
 		}
 	}
 	return out, s
@@ -406,14 +245,11 @@ func (f *FlatTree) PotentialAll(ps []dist.Particle, alpha float64) ([]float64, S
 		return out, Stats{}
 	}
 	workers := compute.Workers(len(ps))
-	if workers < 1 {
-		workers = 1
-	}
 	f.ensureWorkers(workers)
 	shardStats := make([]Stats, workers)
 	compute.ParallelBlocks(len(ps), func(w, lo, hi int) {
 		sc := &f.scratch[w]
-		sc.resetLoads(len(f.nodes))
+		sc.loads = append(sc.loads[:0], make([]int64, len(f.nodes))...)
 		s := &shardStats[w]
 		for i := lo; i < hi; i++ {
 			kind := f.gather(sc, ps[i].Pos, alpha, s)

@@ -17,13 +17,20 @@ import (
 
 func flatVsPointerAccel(t *testing.T, ps []dist.Particle, domain vec.Box, alpha, eps float64, leafCap int) {
 	t.Helper()
+	flatVsPointerQuery(t, ps, ps, domain, alpha, eps, leafCap)
+}
+
+// flatVsPointerQuery builds the tree over ps and sweeps query (which need
+// not be the tree's own particles) through both traversals.
+func flatVsPointerQuery(t *testing.T, ps, query []dist.Particle, domain vec.Box, alpha, eps float64, leafCap int) {
+	t.Helper()
 	ptrTree := BuildKeyed(ps, domain, leafCap)
-	wantAcc, wantStats := ptrTree.AccelAll(ps, alpha, eps)
+	wantAcc, wantStats := ptrTree.AccelAll(query, alpha, eps)
 	wantLoads := collectLoads(ptrTree)
 
 	flatTree := BuildKeyed(ps, domain, leafCap)
 	f := Flatten(flatTree, nil)
-	gotAcc, gotStats := f.AccelAll(ps, alpha, eps)
+	gotAcc, gotStats := f.AccelAll(query, alpha, eps)
 	gotLoads := collectLoads(flatTree)
 
 	if gotStats != wantStats {

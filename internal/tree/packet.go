@@ -1,0 +1,442 @@
+package tree
+
+import (
+	"math"
+	"sync/atomic"
+
+	"repro/internal/compute"
+	"repro/internal/dist"
+	"repro/internal/phys"
+	"repro/internal/vec"
+)
+
+// Node kinds of the force sweep's kind column. A serial FlatTree uses the
+// first two; the rest describe a locally essential tree (internal/let).
+const (
+	KindInternal   uint8 = iota // MAC; accept charges the node's Load, reject descends
+	KindLeaf                    // particle range [Lo, Hi) of the particle columns
+	KindTop                     // replicated summary: accept charges the lane's extra account
+	KindBranch                  // remote branch cell: as KindTop, but reject defers its grafts
+	KindBranchLeaf              // remote leaf cell: always defers, no MAC
+	KindClosed                  // summary-only section node: the MAC must accept
+)
+
+// Cols is the structure-of-arrays storage the flat kernels walk: node
+// columns in DFS order with skip pointers, and the leaf particle columns.
+// Lo/Hi is a node's range: of the particle columns for a KindLeaf, of
+// Graft for a branch kind (-1 otherwise). Graft (LET only) names the root
+// node of each section grafted under a branch, or -1 where the owner
+// proved the branch is never opened.
+type Cols struct {
+	Kind             []uint8
+	ComX, ComY, ComZ []float64
+	Mass, Side       []float64 // Side is the precomputed Box.LongestSide
+	Skip, Lo, Hi     []int32   // Skip is the index just past the node's subtree
+	ID               []int32
+	PX, PY, PZ, PM   []float64
+	Graft            []int32
+}
+
+// Reset truncates every column, keeping capacity.
+func (c *Cols) Reset() {
+	c.Kind = c.Kind[:0]
+	c.ComX, c.ComY, c.ComZ = c.ComX[:0], c.ComY[:0], c.ComZ[:0]
+	c.Mass, c.Side = c.Mass[:0], c.Side[:0]
+	c.Skip, c.Lo, c.Hi = c.Skip[:0], c.Lo[:0], c.Hi[:0]
+	c.ID = c.ID[:0]
+	c.PX, c.PY, c.PZ, c.PM = c.PX[:0], c.PY[:0], c.PZ[:0], c.PM[:0]
+	c.Graft = c.Graft[:0]
+}
+
+// AddNode appends a childless node and returns its index; the caller
+// patches Skip once an internal node's subtree is complete.
+func (c *Cols) AddNode(kind uint8, com vec.V3, mass, side float64, lo, hi int32) int32 {
+	idx := int32(len(c.Kind))
+	c.Kind = append(c.Kind, kind)
+	c.ComX = append(c.ComX, com.X)
+	c.ComY = append(c.ComY, com.Y)
+	c.ComZ = append(c.ComZ, com.Z)
+	c.Mass = append(c.Mass, mass)
+	c.Side = append(c.Side, side)
+	c.Skip = append(c.Skip, idx+1)
+	c.Lo = append(c.Lo, lo)
+	c.Hi = append(c.Hi, hi)
+	return idx
+}
+
+// AddParticles transposes ps onto the particle columns and returns the
+// range they occupy.
+func (c *Cols) AddParticles(ps []dist.Particle) (lo, hi int32) {
+	lo = int32(len(c.ID))
+	for i := range ps {
+		p := &ps[i]
+		c.ID = append(c.ID, int32(p.ID))
+		c.PX = append(c.PX, p.Pos.X)
+		c.PY = append(c.PY, p.Pos.Y)
+		c.PZ = append(c.PZ, p.Pos.Z)
+		c.PM = append(c.PM, p.Mass)
+	}
+	return lo, int32(len(c.ID))
+}
+
+const lanes = 8
+
+// frame is one open node of a packet's descent: the lanes that rejected
+// it and, per lane, the partial sum of what lies below it. Closing the
+// frame folds each lane's sum into the enclosing frame, so every lane
+// sees exactly the push/fold reduction tree of a lone traversal.
+type frame struct {
+	laneSet
+	end     int32
+	x, y, z [lanes]float64
+}
+
+// laneSet is a compact list of the packet lanes taking part in something.
+type laneSet struct {
+	n    int
+	lane [lanes]uint8
+}
+
+// deferral records that the listed lanes opened remote branch node.
+type deferral struct {
+	laneSet
+	node int32
+}
+
+func (f *frame) open(end int32, init float64) {
+	f.end = end
+	for _, l := range f.lane[:f.n] {
+		f.x[l], f.y[l], f.z[l] = init, init, init
+	}
+}
+
+type sweepWorker struct {
+	loads  []int64
+	stats  Stats
+	frames []frame
+	// The packet: up to eight query particles descending together.
+	id         [lanes]int32
+	px, py, pz [lanes]float64
+	extra      [lanes]float64
+	defers     []deferral
+}
+
+// Sweep is the force-mode traversal of its Cols, shared by FlatTree and
+// let.Flat: particles descend in packets of up to eight neighbours in
+// leaf order, so node columns are read once per packet and the lanes'
+// sqrt/div chains are independent work the core overlaps. Each lane's
+// contributions still arrive in its own DFS order and fold through its own
+// per-depth accumulators, which is why accelerations, Stats, Load and
+// extra charges are bit-identical to one-particle-at-a-time recursion.
+type Sweep struct {
+	Cols
+	workers []sweepWorker
+	order   []int32         // ps indices in sweep order: packet k is order[8k:8k+8]
+	index   map[int32]int32 // particle ID → ps index, while planning
+	// Parameters of the sweep in progress.
+	alpha, a2, e2, exAdd float64
+}
+
+// The MAC prefilter decides side/√n2 < α from side² ≶ α²·n2 without the
+// sqrt and divide. Each side of that comparison carries at most a few
+// 2⁻⁵³ relative roundings while the exact test's quotient carries two, so
+// a 1e-12 margin cannot flip the outcome; only the sliver in between pays
+// for the exact test. macA2 and macS2 poison (NaN) operands outside the
+// range where those relative bounds hold, which sends every comparison to
+// the exact test.
+const (
+	macLo = 1 - 1e-12
+	macHi = 1 + 1e-12
+)
+
+func macA2(alpha float64) float64 {
+	if alpha >= 0x1p-250 && alpha <= 0x1p250 {
+		return alpha * alpha
+	}
+	return math.NaN()
+}
+
+func macS2(side float64) float64 {
+	if side >= 0x1p-300 && side <= 0x1p300 {
+		return side * side
+	}
+	return math.NaN()
+}
+
+// macAccepts is Accepts over precomputed operands: n2 = ‖pos−com‖².
+func macAccepts(s2, side, n2, a2, alpha float64) bool {
+	t := a2 * n2
+	if s2 < t*macLo {
+		return true
+	}
+	if s2 > t*macHi {
+		return false
+	}
+	d := math.Sqrt(n2)
+	return d != 0 && side/d < alpha
+}
+
+// ForceAll computes the acceleration of every particle of ps against the
+// subtree at root, host-parallel over packets. out (and extra, when
+// non-nil: the per-particle sum of exAdd over accepted KindTop/KindBranch
+// summaries) are indexed like ps; per-node Load charges are added to
+// loads. Results do not depend on GOMAXPROCS or on how ps is ordered.
+func (s *Sweep) ForceAll(ps []dist.Particle, root int32, alpha, eps, exAdd float64, out []vec.V3, extra []float64, loads []int64) Stats {
+	if len(ps) == 0 {
+		return Stats{}
+	}
+	s.plan(ps, root)
+	packets := (len(ps) + lanes - 1) / lanes
+	workers := compute.Workers(packets)
+	for len(s.workers) < workers {
+		s.workers = append(s.workers, sweepWorker{frames: make([]frame, 1, MaxDepth+2)})
+	}
+	for w := range s.workers[:workers] {
+		wk := &s.workers[w]
+		wk.loads = append(wk.loads[:0], make([]int64, len(s.Kind))...)
+		wk.stats = Stats{}
+	}
+	s.alpha, s.a2, s.e2, s.exAdd = alpha, macA2(alpha), eps*eps, exAdd
+	// Workers pull batches of packets: leaf order is spatial, so equal
+	// contiguous shares would not be equal work.
+	const batch = 16
+	var next atomic.Int64
+	compute.ParallelBlocks(workers, func(w, _, _ int) {
+		wk := &s.workers[w]
+		for {
+			hi := int(next.Add(batch))
+			for k := hi - batch; k < min(hi, packets); k++ {
+				s.packet(wk, ps, s.order[k*lanes:min((k+1)*lanes, len(ps))], root, out, extra)
+			}
+			if hi >= packets {
+				return
+			}
+		}
+	})
+	var stats Stats
+	for w := range s.workers[:workers] {
+		stats.Add(s.workers[w].stats)
+		for j, v := range s.workers[w].loads {
+			if v != 0 {
+				loads[j] += v
+			}
+		}
+	}
+	return stats
+}
+
+// plan fills s.order with the sweep order of ps: leaf order below root
+// when ps is the tree's own particle set (matched by ID), so a packet's
+// lanes share most of their path; the order given otherwise.
+func (s *Sweep) plan(ps []dist.Particle, root int32) {
+	n := len(ps)
+	if s.index == nil {
+		s.index = make(map[int32]int32, n)
+	}
+	clear(s.index)
+	for i := range ps {
+		s.index[int32(ps[i].ID)] = int32(i)
+	}
+	s.order = s.order[:0]
+	for i := root; i < s.Skip[root] && len(s.index)+len(s.order) == n; i++ {
+		if s.Kind[i] != KindLeaf {
+			continue
+		}
+		for _, id := range s.ID[s.Lo[i]:s.Hi[i]] {
+			if j, ok := s.index[id]; ok {
+				delete(s.index, id)
+				s.order = append(s.order, j)
+			}
+		}
+	}
+	if len(s.order) == n {
+		return
+	}
+	s.order = s.order[:0]
+	for i := range ps {
+		s.order = append(s.order, int32(i))
+	}
+}
+
+// packet sweeps one packet: the main tree from root, then — lanes that
+// deferred the same branch together — the sections grafted under each
+// deferred branch. Branches are deferred in DFS order and their grafts
+// are in owner order, so every lane folds its sections in its own defer
+// order: the slot order in which function shipping folds its replies.
+func (s *Sweep) packet(w *sweepWorker, ps []dist.Particle, idx []int32, root int32, out []vec.V3, extra []float64) {
+	f := &w.frames[0]
+	f.n = len(idx)
+	for l, i := range idx {
+		q := &ps[i]
+		w.id[l] = int32(q.ID)
+		w.px[l], w.py[l], w.pz[l] = q.Pos.X, q.Pos.Y, q.Pos.Z
+		w.extra[l] = 0
+		f.lane[l] = uint8(l)
+	}
+	w.defers = w.defers[:0]
+	// −0 is the additive identity, so the root's own contribution lands
+	// unchanged: the traversal result is never folded into anything.
+	s.sweep(w, root, s.Skip[root], math.Copysign(0, -1))
+	ax, ay, az := w.frames[0].x, w.frames[0].y, w.frames[0].z
+	for _, df := range w.defers {
+		for _, base := range s.Graft[s.Lo[df.node]:s.Hi[df.node]] {
+			if base < 0 {
+				panic("tree: essential section missing for deferred branch")
+			}
+			// The owner-side service of a deferred branch starts below its
+			// (already rejected) root, charging the root one visit per lane.
+			first := base
+			if s.Kind[base] != KindLeaf {
+				w.loads[base] += int64(df.n)
+				first++
+			}
+			w.frames[0].laneSet = df.laneSet
+			s.sweep(w, first, s.Skip[base], 0)
+			f = &w.frames[0]
+			for _, l := range f.lane[:f.n] {
+				ax[l] += f.x[l]
+				ay[l] += f.y[l]
+				az[l] += f.z[l]
+			}
+		}
+	}
+	for l, i := range idx {
+		out[i] = vec.V3{X: ax[l], Y: ay[l], Z: az[l]}
+		if extra != nil {
+			extra[i] = w.extra[l]
+		}
+	}
+}
+
+// sweep walks nodes [first, end) for the lanes of w.frames[0], leaving
+// each lane's sum — accumulated from init — in that frame.
+func (s *Sweep) sweep(w *sweepWorker, first, end int32, init float64) {
+	d := 0
+	f := &w.frames[0]
+	f.open(end, init)
+	for i := first; ; {
+		for i == f.end {
+			if d == 0 {
+				return
+			}
+			d--
+			up := &w.frames[d]
+			for _, l := range f.lane[:f.n] {
+				up.x[l] += f.x[l]
+				up.y[l] += f.y[l]
+				up.z[l] += f.z[l]
+			}
+			f = up
+		}
+		kind := s.Kind[i]
+		if kind == KindLeaf {
+			lo, hi := s.Lo[i], s.Hi[i]
+			w.loads[i] += int64(f.n) * int64(hi-lo)
+			s.leaf(w, f, lo, hi)
+			i = s.Skip[i]
+			continue
+		}
+		if d+2 > len(w.frames) {
+			w.frames = append(w.frames, frame{})
+			f = &w.frames[d]
+		}
+		sub := &w.frames[d+1]
+		sub.n = 0
+		if kind == KindBranchLeaf {
+			sub.n = copy(sub.lane[:], f.lane[:f.n])
+		} else {
+			s.mac(w, f, sub, i, kind == KindTop || kind == KindBranch)
+		}
+		switch {
+		case sub.n == 0:
+			i = s.Skip[i]
+		case kind == KindInternal || kind == KindTop:
+			d++
+			f = sub
+			f.open(s.Skip[i], 0)
+			i++
+		case kind == KindClosed:
+			panic("tree: essential-set criterion violated (closed node rejected by MAC)")
+		default:
+			// A deferred branch contributes an explicit zero here (not a
+			// no-op under signed zeros); its sections fold in later.
+			for _, l := range sub.lane[:sub.n] {
+				f.x[l] += 0
+				f.y[l] += 0
+				f.z[l] += 0
+			}
+			w.defers = append(w.defers, deferral{sub.laneSet, i})
+			i = s.Skip[i]
+		}
+	}
+}
+
+// mac runs node i's acceptance test for the lanes of f: accepted lanes add
+// the cluster term — sharing the MAC's difference vector, whose squares
+// are sign-invariant — and are charged; rejected lanes are listed in sub.
+func (s *Sweep) mac(w *sweepWorker, f, sub *frame, i int32, summary bool) {
+	cx, cy, cz, side := s.ComX[i], s.ComY[i], s.ComZ[i], s.Side[i]
+	s2, gm := macS2(side), phys.G*s.Mass[i]
+	ex := 0.0
+	if summary {
+		ex = s.exAdd
+	}
+	for _, l := range f.lane[:f.n] {
+		dx, dy, dz := cx-w.px[l], cy-w.py[l], cz-w.pz[l]
+		n2 := dx*dx + dy*dy + dz*dz
+		if !macAccepts(s2, side, n2, s.a2, s.alpha) {
+			sub.lane[sub.n] = l
+			sub.n++
+			continue
+		}
+		inv := 1 / math.Sqrt(n2+s.e2) // n2 > 0, so never a zero divide
+		g := gm * inv * inv * inv
+		f.x[l] += g * dx
+		f.y[l] += g * dy
+		f.z[l] += g * dz
+		w.extra[l] += ex
+	}
+	pc := int64(f.n - sub.n)
+	w.stats.MACTests += int64(f.n)
+	w.stats.PC += pc
+	if !summary {
+		w.loads[i] += pc
+	}
+}
+
+// leaf adds, for every lane of f, the direct sum over particle columns
+// [lo, hi) — folded from a zero accumulator in column order, phys.Accel
+// term by term — to the lane's partial sum.
+func (s *Sweep) leaf(w *sweepWorker, f *frame, lo, hi int32) {
+	ids, px, py, pz, pm := s.ID[lo:hi], s.PX[lo:hi], s.PY[lo:hi], s.PZ[lo:hi], s.PM[lo:hi]
+	e2 := s.e2
+	act := f.lane[:f.n]
+	var ax, ay, az [lanes]float64
+	pp := 0
+	for j, id := range ids {
+		x, y, z, gm := px[j], py[j], pz[j], phys.G*pm[j]
+		for _, l := range act {
+			if id == w.id[l] {
+				continue
+			}
+			dx, dy, dz := x-w.px[l], y-w.py[l], z-w.pz[l]
+			r2 := dx*dx + dy*dy + dz*dz + e2
+			// phys.Accel's zero vector at r2 == 0 adds nothing: a sum
+			// begun at +0 is never −0, so x+0 is x.
+			if r2 != 0 {
+				inv := 1 / math.Sqrt(r2)
+				g := gm * inv * inv * inv
+				ax[l] += g * dx
+				ay[l] += g * dy
+				az[l] += g * dz
+			}
+			pp++
+		}
+	}
+	w.stats.PP += int64(pp)
+	for _, l := range act {
+		f.x[l] += ax[l]
+		f.y[l] += ay[l]
+		f.z[l] += az[l]
+	}
+}

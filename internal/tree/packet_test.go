@@ -1,0 +1,195 @@
+package tree
+
+import (
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"repro/internal/dist"
+	"repro/internal/vec"
+)
+
+// Edge cases of the packet sweep, each against the pointer recursion
+// (flatVsPointerQuery compares accelerations by Float64bits, Stats and
+// every node's Load).
+
+var unitBox = vec.Box{Min: vec.V3{X: -1, Y: -1, Z: -1}, Max: vec.V3{X: 1, Y: 1, Z: 1}}
+
+func TestPacketBucketsWiderThanAPacket(t *testing.T) {
+	// Buckets of more than eight particles are split over several packets
+	// and each lane still meets its whole bucket in the leaf tile.
+	s := dist.MustNamed("g", 2500, 3)
+	for _, leafCap := range []int{9, 20, 64} {
+		flatVsPointerAccel(t, s.Particles, s.Domain, 0.67, 0.01, leafCap)
+	}
+	// 19 coincident particles drive the build to a MaxDepth leaf that no
+	// leaf capacity can split; the rest of the set keeps the tree deep.
+	ps := append([]dist.Particle(nil), s.Particles[:300]...)
+	for i := 0; i < 19; i++ {
+		ps = append(ps, dist.Particle{ID: len(ps), Mass: 0.5, Pos: s.Particles[7].Pos})
+	}
+	for _, eps := range []float64{0.01, 0} {
+		flatVsPointerAccel(t, ps, s.Domain, 0.67, eps, 4)
+	}
+}
+
+func TestPacketSignedZeros(t *testing.T) {
+	// eps == 0 with coincident particles takes phys.Accel's r2 == 0 branch
+	// (an explicit zero add), a probe exactly on a cell's centre of mass
+	// takes the MAC's d == 0 reject, −0 coordinates and negative masses
+	// produce −0 products: the sums must keep every sign bit.
+	nz := math.Copysign(0, -1)
+	ps := []dist.Particle{
+		{ID: 0, Mass: 1, Pos: vec.V3{X: 0.5, Y: 0.25, Z: nz}},
+		{ID: 1, Mass: 1, Pos: vec.V3{X: -0.5, Y: -0.25, Z: 0}},
+		{ID: 2, Mass: 3, Pos: vec.V3{X: nz, Y: 0, Z: nz}}, // on the root's centre of mass
+		{ID: 3, Mass: 2, Pos: vec.V3{X: 0.5, Y: 0.25, Z: nz}},
+		{ID: 4, Mass: -2, Pos: vec.V3{X: 0.5, Y: nz, Z: 0.75}},
+		{ID: 5, Mass: -1, Pos: vec.V3{X: -0.75, Y: nz, Z: 0.75}},
+	}
+	for _, leafCap := range []int{1, 2, 8} {
+		for _, alpha := range []float64{0, 0.67, 3} {
+			flatVsPointerAccel(t, ps, unitBox, alpha, 0, leafCap)
+			flatVsPointerAccel(t, ps, unitBox, alpha, 0.01, leafCap)
+		}
+	}
+}
+
+func TestPacketRootAcceptedKeepsNegativeZero(t *testing.T) {
+	// A negative-mass cluster on the x axis seen from far along it: the
+	// root is accepted outright and g·dy = (−)·(+0) = −0. The root's term
+	// is the result itself, never 0 + term, so the −0 must survive.
+	var ps []dist.Particle
+	for i := 0; i < 12; i++ {
+		ps = append(ps, dist.Particle{ID: i, Mass: -1, Pos: vec.V3{X: -0.9 + 0.001*float64(i)}})
+	}
+	probe := []dist.Particle{{ID: 99, Mass: 1, Pos: vec.V3{X: 0.9}}}
+	flatVsPointerQuery(t, ps, probe, unitBox, 5, 0.01, 4)
+	tr := BuildKeyed(ps, unitBox, 4)
+	acc, st := Flatten(tr, nil).AccelAll(probe, 5, 0.01)
+	if st.PC != 1 || st.MACTests != 1 {
+		t.Fatalf("root not accepted outright: %+v", st)
+	}
+	if !math.Signbit(acc[0].Y) || acc[0].Y != 0 {
+		t.Fatalf("acc.Y = %v, want -0", acc[0].Y)
+	}
+}
+
+func TestPacketForeignQuerySet(t *testing.T) {
+	s := dist.MustNamed("plummer", 1200, 9)
+	rng := rand.New(rand.NewSource(5))
+	// Field points that are not in the tree at all.
+	var field []dist.Particle
+	for i := 0; i < 333; i++ {
+		p := s.Particles[rng.Intn(len(s.Particles))]
+		p.ID = 5000 + i
+		p.Pos.X += 0.01 * rng.NormFloat64()
+		field = append(field, p)
+	}
+	// A shuffled subset, and a set with a duplicated ID.
+	subset := append([]dist.Particle(nil), s.Particles[100:700]...)
+	rng.Shuffle(len(subset), func(i, j int) { subset[i], subset[j] = subset[j], subset[i] })
+	dup := append([]dist.Particle(nil), s.Particles...)
+	dup[3] = dup[4]
+	// The tree's own IDs at positions the tree has not seen.
+	moved := append([]dist.Particle(nil), s.Particles...)
+	for i := range moved {
+		moved[i].Pos.Y += 1e-3
+	}
+	for name, q := range map[string][]dist.Particle{"field": field, "subset": subset, "dup": dup, "moved": moved} {
+		t.Run(name, func(t *testing.T) {
+			flatVsPointerQuery(t, s.Particles, q, s.Domain, 0.67, 0.01, 8)
+		})
+	}
+}
+
+func TestPacketInvariantUnderGOMAXPROCS(t *testing.T) {
+	s := dist.MustNamed("g", 3000, 11)
+	for _, procs := range []int{1, 2, 7} {
+		old := runtime.GOMAXPROCS(procs)
+		flatVsPointerAccel(t, s.Particles, s.Domain, 0.67, 0.01, 8)
+		runtime.GOMAXPROCS(old)
+	}
+}
+
+// macExact is the MAC as Accepts computes it.
+func macExact(side, n2, alpha float64) bool {
+	d := math.Sqrt(n2)
+	return d != 0 && side/d < alpha
+}
+
+func TestMACPrefilterExact(t *testing.T) {
+	check := func(side, n2, alpha float64) {
+		t.Helper()
+		if got, want := macAccepts(macS2(side), side, n2, macA2(alpha), alpha), macExact(side, n2, alpha); got != want {
+			t.Fatalf("side=%b n2=%b alpha=%b: prefilter %v, exact %v", side, n2, alpha, got, want)
+		}
+	}
+	// around walks a few ulps either side of x.
+	around := func(x float64, visit func(float64)) {
+		lo, hi := x, x
+		visit(x)
+		for i := 0; i < 4; i++ {
+			lo, hi = math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))
+			visit(lo)
+			visit(hi)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	logUniform := func(lo, hi float64) float64 { return math.Exp2(lo + (hi-lo)*rng.Float64()) }
+	for i := 0; i < 20000; i++ {
+		alpha := logUniform(-4, 3)
+		side := logUniform(-30, 10)
+		n2 := logUniform(-70, 30)
+		check(side, n2, alpha)
+		// Adversarial: distances within ulps of the acceptance boundary
+		// side/√n2 = α, and of the prefilter's own two thresholds.
+		d := side / alpha
+		for _, b := range []float64{d * d, d * d * macLo, d * d * macHi, d * d / macLo, d * d / macHi} {
+			around(b, func(n2 float64) {
+				around(side, func(side float64) { check(side, n2, alpha) })
+			})
+		}
+	}
+	// Degenerate and out-of-range operands: zero and subnormal distances,
+	// subnormal and huge sides, α that is zero, negative, tiny, huge, NaN.
+	sides := []float64{0, 5e-324, 1e-310, 0x1p-301, 0x1p-300, 1e-160, 1e-20, 1, 1e20, 0x1p300, 0x1p301, 1e300, math.MaxFloat64}
+	n2s := []float64{0, 5e-324, 1e-320, 2.2e-308, 1e-300, 1e-40, 1, 1e40, 1e300, math.MaxFloat64, math.Inf(1), math.NaN()}
+	alphas := []float64{0, -0.67, 5e-324, 1e-300, 0x1p-251, 0x1p-250, 1e-160, 0.67, 1, 1e160, 0x1p250, 0x1p251, 1e300, math.Inf(1), math.NaN()}
+	for _, side := range sides {
+		for _, n2 := range n2s {
+			for _, alpha := range alphas {
+				around(n2, func(n2 float64) {
+					if n2 >= 0 || n2 != n2 {
+						check(side, n2, alpha)
+					}
+				})
+			}
+		}
+	}
+	// Subnormal products straddling a rounding tie: n2 = K and α²·n2 ≈
+	// side² ≈ T+½ units of 2⁻¹⁰⁷⁴, where side² and α²·n2 round to
+	// different integers although the true ratio is within an ulp of α.
+	// An unguarded prefilter decides these wrongly.
+	for i := 0; i < 20000; i++ {
+		k, tie := float64(1+rng.Intn(4000)), float64(1+rng.Intn(4000))+0.5
+		n2 := k * 0x1p-1074
+		around(math.Sqrt(tie/k), func(alpha float64) {
+			around(math.Sqrt(tie)*0x1p-537, func(side float64) { check(side, n2, alpha) })
+		})
+	}
+	// Subnormal n2 right at the boundary: side = α·√n2.
+	for i := 0; i < 20000; i++ {
+		alpha := logUniform(-4, 3)
+		n2 := math.Float64frombits(uint64(rng.Int63n(1 << 52))) // subnormal
+		side := alpha * math.Sqrt(n2)
+		around(side, func(side float64) {
+			around(n2, func(n2 float64) {
+				if n2 >= 0 {
+					check(side, n2, alpha)
+				}
+			})
+		})
+	}
+}
