@@ -208,23 +208,34 @@ func BenchmarkCollectives(b *testing.B) {
 }
 
 // BenchmarkEngineStep measures the real wall time of one parallel step
-// per scheme (goroutine-parallel on the host).
+// per scheme (goroutine-parallel on the host), and of the performance
+// ledger's dpda_func_p16 / dpda_let_p16 configuration (go run ./benchmark)
+// under both of its shipping strategies.
 func BenchmarkEngineStep(b *testing.B) {
-	s := dist.MustNamed("g", 20000, 2)
-	for _, scheme := range []parbh.Scheme{parbh.SPSA, parbh.SPDA, parbh.DPDA} {
-		b.Run(scheme.String(), func(b *testing.B) {
-			m := msg.NewMachine(8, msg.Ideal())
-			e, err := parbh.New(m, s, parbh.Config{
-				Scheme: scheme, Mode: parbh.ForceMode, Alpha: 0.67, Eps: 0.01, GridLog2: 4,
-			})
+	run := func(name string, s *dist.Set, m *msg.Machine, cfg parbh.Config) {
+		b.Run(name, func(b *testing.B) {
+			e, err := parbh.New(m, s, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
 			e.Step()
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e.Step()
 			}
+		})
+	}
+	s := dist.MustNamed("g", 20000, 2)
+	for _, scheme := range []parbh.Scheme{parbh.SPSA, parbh.SPDA, parbh.DPDA} {
+		run(scheme.String(), s, msg.NewMachine(8, msg.Ideal()), parbh.Config{
+			Scheme: scheme, Mode: parbh.ForceMode, Alpha: 0.67, Eps: 0.01, GridLog2: 4,
+		})
+	}
+	ledger := dist.MustNamed("g", 20000, 1994)
+	for _, ship := range []parbh.Shipping{parbh.FunctionShipping, parbh.LETShipping} {
+		run("DPDA/p16/cm5/"+ship.String(), ledger, msg.NewMachine(16, msg.CM5()), parbh.Config{
+			Scheme: parbh.DPDA, Mode: parbh.ForceMode, Alpha: 0.67, Eps: 0.01, LeafCap: 8, Shipping: ship,
 		})
 	}
 }

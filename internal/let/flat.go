@@ -122,10 +122,12 @@ func (f *Flat) AddTop(com vec.V3, mass, side float64, exp *phys.Expansion) int32
 	return f.push(tree.KindTop, com, mass, side, exp, nil, -1, -1)
 }
 
-// AddBranch appends a remote branch cell. grafts lists the section index
-// per owner, in owner order (-1 when that owner shipped nothing: the MAC
-// provably accepts, and the kernels panic if it ever rejects).
-func (f *Flat) AddBranch(leafCell bool, com vec.V3, mass, side float64, exp *phys.Expansion, grafts []int32) {
+// AddBranch appends a remote branch cell and returns its node index. grafts
+// lists the section index per owner, in owner order (-1 when that owner
+// shipped nothing: the MAC provably accepts, and the kernels panic if it
+// ever rejects); function shipping, which resolves an opened branch by
+// message instead, passes none.
+func (f *Flat) AddBranch(leafCell bool, com vec.V3, mass, side float64, exp *phys.Expansion, grafts []int32) int32 {
 	k := tree.KindBranch
 	if leafCell {
 		k = tree.KindBranchLeaf
@@ -139,6 +141,7 @@ func (f *Flat) AddBranch(leafCell bool, com vec.V3, mass, side float64, exp *phy
 		f.c.Graft = append(f.c.Graft, si)
 	}
 	f.c.Hi[idx] = int32(len(f.c.Graft))
+	return idx
 }
 
 // AddZero appends an empty local leaf standing in for a non-nil
@@ -154,12 +157,11 @@ func (f *Flat) AddZero() {
 func (f *Flat) CloseInternal(idx int32) { f.c.Skip[idx] = int32(len(f.c.Kind)) }
 
 // AddLocalSubtree inlines a locally-owned subtree, recording node
-// references for Load write-back.
-func (f *Flat) AddLocalSubtree(n *tree.Node) {
+// references for Load write-back, and returns its root's node index.
+func (f *Flat) AddLocalSubtree(n *tree.Node) int32 {
 	if n.IsLeaf() {
 		lo, hi := f.c.AddParticles(n.Particles)
-		f.push(tree.KindLeaf, vec.V3{}, 0, 0, nil, n, lo, hi)
-		return
+		return f.push(tree.KindLeaf, vec.V3{}, 0, 0, nil, n, lo, hi)
 	}
 	idx := f.push(tree.KindInternal, n.COM, n.Mass, n.Box.LongestSide(), n.Exp, n, -1, -1)
 	for _, c := range n.Children {
@@ -168,6 +170,7 @@ func (f *Flat) AddLocalSubtree(n *tree.Node) {
 		}
 	}
 	f.c.Skip[idx] = int32(len(f.c.Kind))
+	return idx
 }
 
 // Seal finalizes construction: sizes the merged Load array.
@@ -185,6 +188,18 @@ func (f *Flat) Seal() {
 func (f *Flat) ForceAll(ps []dist.Particle, alpha, eps, exAdd float64, out []vec.V3, extra []float64) tree.Stats {
 	return f.c.ForceAll(ps, f.mainRoot, alpha, eps, exAdd, out, extra, f.loads)
 }
+
+// Begin, Defer and Below are force mode one packet at a time, for function
+// shipping, which must interleave sweeping with its message protocol: Defer
+// sweeps the main region for the first n lanes of p and leaves the remote
+// branches they opened to the caller; Below is the owner-side service of
+// requests against the local branch subtree AddLocalSubtree placed at base.
+// Both charge the merged Load counters directly.
+func (f *Flat) Begin(alpha, eps, exAdd float64) { f.c.Begin(alpha, eps, exAdd) }
+
+func (f *Flat) Defer(p *tree.Packet, n int) { f.c.Defer(p, n, f.mainRoot, f.loads) }
+
+func (f *Flat) Below(p *tree.Packet, n int, base int32) { f.c.Below(p, n, base, f.loads) }
 
 // PotentialAll is ForceAll for potential mode (leaf softening 0,
 // accepted summaries evaluate their multipole expansions), one particle

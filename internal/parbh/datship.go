@@ -249,13 +249,8 @@ func (e *Engine) dataShipPhase(pr *msg.Proc, st *localState, res *Result) {
 						}
 						continue
 					}
-					child := &pnode{
-						cell:  ck,
-						box:   keys.CellBox(e.domain, ck),
-						mass:  fc.Sum.Mass,
-						com:   fc.Sum.COM,
-						count: int(fc.Sum.Count),
-					}
+					child := newPnode(ck, keys.CellBox(e.domain, ck))
+					child.mass, child.com, child.count = fc.Sum.Mass, fc.Sum.COM, int(fc.Sum.Count)
 					if cfg.Mode == PotentialMode && fc.Sum.Exp != nil {
 						if ex, err := phys.ExpansionFromFloats(cfg.Degree, fc.Sum.Exp); err == nil {
 							child.exp = ex

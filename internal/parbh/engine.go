@@ -51,10 +51,14 @@ type Engine struct {
 	// LET cross-step caches, indexed by rank (LETShipping only; lazily
 	// created). letOwn is the owner side (sections as last shipped per
 	// peer), letReq the receiver mirror, letFlats the reusable flat
-	// essential trees.
+	// essential trees (function shipping's force mode flattens into them
+	// too, with no sections).
 	letOwn   []map[letPair]*letOwnEntry
 	letReq   []map[letPair]*letReqEntry
 	letFlats []*let.Flat
+
+	// ship[i] is rank i's function-shipping scratch kept across steps.
+	ship []shipScratch
 
 	step int
 }
@@ -71,6 +75,7 @@ func New(machine *msg.Machine, set *dist.Set, cfg Config) (*Engine, error) {
 	e.letOwn = make([]map[letPair]*letOwnEntry, p)
 	e.letReq = make([]map[letPair]*letReqEntry, p)
 	e.letFlats = make([]*let.Flat, p)
+	e.ship = make([]shipScratch, p)
 
 	switch cfg.Scheme {
 	case SPSA, SPDA:

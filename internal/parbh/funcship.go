@@ -1,6 +1,7 @@
 package parbh
 
 import (
+	"repro/internal/let"
 	"repro/internal/msg"
 	"repro/internal/phys"
 	"repro/internal/tree"
@@ -57,7 +58,7 @@ func (e *Engine) forcePhase(pr *msg.Proc, st *localState, res *Result) {
 		e.letForcePhase(pr, st, res)
 		return
 	}
-	r := &shipRun{e: e, pr: pr, st: st}
+	r := &shipRun{e: e, pr: pr, st: st, sh: &e.ship[st.me]}
 	r.init()
 	t0 := pr.Stats().ComputeTime
 	st.extraLoad = make(map[int]float64, len(st.parts))
@@ -67,17 +68,19 @@ func (e *Engine) forcePhase(pr *msg.Proc, st *localState, res *Result) {
 	localF := make([]vec.V3, n)
 	localP := make([]float64, n)
 
-	for i := range st.parts {
-		q := &st.parts[i]
-		r.curID = q.ID
-		if e.cfg.Mode == ForceMode {
-			localF[i] = r.traverseForce(st.top, q.Pos, q.ID, i)
-		} else {
-			localP[i] = r.traversePot(st.top, q.Pos, q.ID, i)
+	if e.cfg.Mode == ForceMode {
+		r.flatten()
+		r.sweepOwn(localF)
+	} else {
+		for i := range st.parts {
+			q := &st.parts[i]
+			r.curID = q.ID
+			localP[i] = r.traversePot(st.top, q.Pos, q.ID)
+			r.slotEnd[i] = len(r.slotP)
+			// Poll for incoming work between particles ("processors must
+			// periodically process remote work requests").
+			r.serviceAll(false)
 		}
-		// Poll for incoming work between particles ("processors must
-		// periodically process remote work requests").
-		r.serviceAll(false)
 	}
 	r.flush()
 	r.terminate()
@@ -85,22 +88,50 @@ func (e *Engine) forcePhase(pr *msg.Proc, st *localState, res *Result) {
 	// Deterministic reduction: remote contributions are added in slot
 	// order, which is the traversal order and independent of message
 	// timing.
+	s := 0
 	if e.cfg.Mode == ForceMode {
-		for s, pi := range r.slotPart {
-			localF[pi] = localF[pi].Add(r.slotF[s])
-		}
 		for i := range st.parts {
+			for ; s < r.slotEnd[i]; s++ {
+				localF[i] = localF[i].Add(r.slotF[s])
+			}
 			res.Accels[st.parts[i].ID] = localF[i]
 		}
+		r.fl.ApplyLocalLoads()
 	} else {
-		for s, pi := range r.slotPart {
-			localP[pi] += r.slotP[s]
-		}
 		for i := range st.parts {
+			for ; s < r.slotEnd[i]; s++ {
+				localP[i] += r.slotP[s]
+			}
 			res.Potentials[st.parts[i].ID] = localP[i]
 		}
 	}
+	r.sh.slots = s
 	st.forceT = pr.Stats().ComputeTime - t0
+}
+
+// shipScratch is what a rank's function-shipping phase keeps from one step
+// to the next: host-side buffers only, nothing the simulation can observe.
+type shipScratch struct {
+	// slots is last step's slot count (≈43 per particle): the next step
+	// sizes its slot arrays with it instead of regrowing them from empty.
+	slots int
+
+	// Force mode: where the branch cells landed in the rank's flat tree.
+	branchAt []*pnode         // node index → remote branch cell
+	localAt  map[uint64]int32 // packed branch key → node index of the local subtree root
+
+	// own sweeps this rank's particles; served sweeps the requests it
+	// serves. They are two because serve re-enters from sendBin's flow
+	// control while own's lanes are still being replayed.
+	own, served tree.Packet
+	deferred    []int32 // one lane's opened branches
+
+	// Grouping of one served bin by branch.
+	base    []int32   // per entry: node index of its branch, -1 if unknown here
+	fill    []int32   // per node: entries counted, then the group's write cursor
+	touched []int32   // branches of the bin, in first-request order
+	order   []int32   // entry indices, grouped
+	flops   []float64 // per entry: the service's charge
 }
 
 // shipRun is the per-processor state of one function-shipping phase.
@@ -108,17 +139,21 @@ type shipRun struct {
 	e  *Engine
 	pr *msg.Proc
 	st *localState
+	sh *shipScratch
+	fl *let.Flat // force mode: the rank's replicated tree in packet-kernel form
 
 	bins        []reqBin // one per destination
 	outstanding []bool   // one unacked bin per destination allowed
 	pendingReps int      // bins sent, replies not yet received
 
-	slotPart []int    // slot -> local particle index
-	slotF    []vec.V3 // force-mode reply values
-	slotP    []float64
+	// Reply values by slot. Slots are handed out in traversal order, so
+	// local particle i's are [slotEnd[i-1], slotEnd[i]).
+	slotEnd []int
+	slotF   []vec.V3 // force mode
+	slotP   []float64
 
-	// curID is the particle whose traversal is running; summary-level
-	// interactions are attributed to it for load balancing.
+	// curID is the particle whose potential-mode traversal is running;
+	// summary-level interactions are attributed to it for load balancing.
 	curID int
 
 	// Tree-based termination detection.
@@ -131,18 +166,38 @@ type shipRun struct {
 func (r *shipRun) init() {
 	p := r.pr.NumProcs()
 	r.bins = make([]reqBin, p)
+	for dst := range r.bins {
+		r.bins[dst] = r.newBin()
+	}
 	r.outstanding = make([]bool, p)
+	// Last step's slot count plus an eighth: a rebalanced rank's count
+	// drifts by a few percent, and outgrowing the estimate doubles it.
+	slots := r.sh.slots + r.sh.slots/8
+	r.slotEnd = make([]int, len(r.st.parts))
+	if r.e.cfg.Mode == ForceMode {
+		r.slotF = make([]vec.V3, 0, slots)
+	} else {
+		r.slotP = make([]float64, 0, slots)
+	}
+}
+
+// maxBinPrealloc bounds the capacity a bin is given up front: BinSize may
+// be set far above what a rank ever ships (to disable mid-phase flushes).
+const maxBinPrealloc = 1 << 10
+
+// newBin returns an empty bin that fills to BinSize without regrowing.
+func (r *shipRun) newBin() reqBin {
+	return reqBin{Entries: reqEntryPool.get(min(r.e.cfg.BinSize, maxBinPrealloc))[:0]}
 }
 
 // ship places a particle in the bin of every owner of a remote branch.
-func (r *shipRun) ship(n *pnode, pos vec.V3, self int, localIdx int) {
+func (r *shipRun) ship(n *pnode, pos vec.V3, self int) {
 	for _, o := range n.owners {
-		slot := len(r.slotPart)
-		r.slotPart = append(r.slotPart, localIdx)
+		var slot int
 		if r.e.cfg.Mode == ForceMode {
-			r.slotF = append(r.slotF, vec.V3{})
+			slot, r.slotF = len(r.slotF), append(r.slotF, vec.V3{})
 		} else {
-			r.slotP = append(r.slotP, 0)
+			slot, r.slotP = len(r.slotP), append(r.slotP, 0)
 		}
 		r.bins[o].Entries = append(r.bins[o].Entries, reqEntry{
 			Key: n.cell.Uint64(), Pos: pos, Self: int32(self), Slot: int32(slot),
@@ -163,16 +218,18 @@ func (r *shipRun) sendBin(dst int) {
 		r.serviceOne(true)
 	}
 	bin := r.bins[dst]
-	r.bins[dst] = reqBin{Entries: reqEntryPool.get(0)}
+	r.bins[dst] = r.newBin()
 	r.pr.Send(dst, tagRequest, bin, reqEntryWords*len(bin.Entries)+1)
 	r.outstanding[dst] = true
 	r.pendingReps++
 }
 
-// flush sends every non-empty partial bin.
+// flush sends every non-empty partial bin and recycles the empty ones.
 func (r *shipRun) flush() {
 	for dst := range r.bins {
 		r.sendBin(dst)
+		reqEntryPool.put(r.bins[dst].Entries)
+		r.bins[dst] = reqBin{}
 	}
 	r.flushed = true
 }
@@ -228,64 +285,111 @@ func (r *shipRun) serviceOne(block bool) bool {
 // results back: the essence of function shipping — the computation runs
 // where the data is.
 func (r *shipRun) serve(bin reqBin, from int) {
-	cfg := r.e.cfg
-	rep := repBin{Slots: slotPool.get(len(bin.Entries))}
-	if cfg.Mode == ForceMode {
-		rep.F = vec3Pool.get(len(bin.Entries))
+	n := len(bin.Entries)
+	rep := repBin{Slots: slotPool.get(n)}
+	for i := range bin.Entries {
+		rep.Slots[i] = bin.Entries[i].Slot
+	}
+	words := n + 1
+	if r.e.cfg.Mode == ForceMode {
+		rep.F = vec3Pool.get(n)
+		r.servePackets(bin.Entries, rep.F)
+		words = 3*n + 1
 	} else {
-		rep.P = f64Pool.get(len(bin.Entries))
-	}
-	for i, en := range bin.Entries {
-		rep.Slots[i] = en.Slot
-		node := r.st.lookup.find(en.Key)
-		r.pr.Compute(r.st.lookup.cost())
-		if node == nil {
-			// Empty branch (race with zero-count summaries). Pooled reply
-			// buffers carry stale values, so zero the slot explicitly.
-			if cfg.Mode == ForceMode {
-				rep.F[i] = vec.V3{}
-			} else {
+		rep.P = f64Pool.get(n)
+		for i, en := range bin.Entries {
+			node := r.st.lookup.find(en.Key)
+			r.pr.Compute(r.st.lookup.cost())
+			if node == nil {
+				// Empty branch (race with zero-count summaries). Pooled
+				// reply buffers carry stale values, so zero the slot.
 				rep.P[i] = 0
+				continue
 			}
-			continue
+			var s tree.Stats
+			rep.P[i] = servePot(node, en.Pos, int(en.Self), r.e.cfg.Alpha, &s)
+			r.st.stats.Add(s)
+			r.pr.Compute(s.Flops(r.e.cfg.Degree))
 		}
-		var s tree.Stats
-		if cfg.Mode == ForceMode {
-			rep.F[i] = serveForce(node, en.Pos, int(en.Self), cfg.Alpha, cfg.Eps, &s)
-		} else {
-			rep.P[i] = servePot(node, en.Pos, int(en.Self), cfg.Alpha, &s)
-		}
-		r.st.stats.Add(s)
-		r.pr.Compute(s.Flops(cfg.degreeOrMonopole()))
-	}
-	words := len(bin.Entries) + 1
-	if cfg.Mode == ForceMode {
-		words = 3*len(bin.Entries) + 1
 	}
 	reqEntryPool.put(bin.Entries)
 	r.pr.Send(from, tagReply, rep, words)
 }
 
-// serveForce computes the contribution of the subtree rooted at branch to
-// a shipped particle. The requester already rejected the branch cell
-// under the MAC, so evaluation starts at its children (or at the
-// particles for a leaf branch), mirroring exactly what a serial traversal
-// does after rejecting the node.
-func serveForce(branch *tree.Node, pos vec.V3, self int, alpha, eps float64, stats *tree.Stats) vec.V3 {
-	if branch.IsLeaf() {
-		return tree.AccelFrom(branch, pos, self, alpha, eps, stats)
+// servePackets answers one force-mode bin on the packet kernel. The
+// requesters already rejected each branch cell under the MAC, so service
+// starts at the branch's children (or at the particles of a leaf branch),
+// mirroring what a serial traversal does after rejecting the node. Entries
+// asking for the same branch are swept together, up to eight to a packet,
+// from the branch's node in this rank's flat tree; every lane is still its
+// entry's lone traversal, and the clock is then charged entry by entry in
+// request order — lookup, then that entry's interactions.
+func (r *shipRun) servePackets(entries []reqEntry, out []vec.V3) {
+	sh := r.sh
+	sh.base, sh.touched = sh.base[:0], sh.touched[:0]
+	for i := range entries {
+		b, ok := sh.localAt[entries[i].Key]
+		if !ok {
+			b = -1
+		} else {
+			if sh.fill[b] == 0 {
+				sh.touched = append(sh.touched, b)
+			}
+			sh.fill[b]++
+		}
+		sh.base = append(sh.base, b)
 	}
-	var a vec.V3
-	for _, c := range branch.Children {
-		if c != nil {
-			a = a.Add(tree.AccelFrom(c, pos, self, alpha, eps, stats))
+	// Counting sort by branch: fill turns from counts into write cursors,
+	// which end up at each group's end.
+	var off int32
+	for _, b := range sh.touched {
+		off, sh.fill[b] = off+sh.fill[b], off
+	}
+	if len(sh.order) < len(entries) {
+		sh.order = make([]int32, len(entries))
+		sh.flops = make([]float64, len(entries))
+	}
+	for i, b := range sh.base {
+		if b >= 0 {
+			sh.order[sh.fill[b]] = int32(i)
+			sh.fill[b]++
 		}
 	}
-	branch.Load++
-	return a
+	pk := &sh.served
+	lo := int32(0)
+	for _, b := range sh.touched {
+		hi := sh.fill[b]
+		sh.fill[b] = 0
+		for ; lo < hi; lo += 8 {
+			group := sh.order[lo:min(lo+8, hi)]
+			for l, i := range group {
+				pk.SetLane(l, entries[i].Self, entries[i].Pos)
+			}
+			r.fl.Below(pk, len(group), b)
+			for l, i := range group {
+				s := pk.Stats(l)
+				r.st.stats.Add(s)
+				out[i], sh.flops[i] = pk.Sum(l), s.Flops(0)
+			}
+		}
+		lo = hi
+	}
+	lookup := r.st.lookup.cost()
+	for i, b := range sh.base {
+		r.pr.Compute(lookup)
+		if b < 0 {
+			// Empty branch (race with zero-count summaries). Pooled reply
+			// buffers carry stale values, so zero the slot explicitly.
+			out[i] = vec.V3{}
+			continue
+		}
+		r.pr.Compute(sh.flops[i])
+	}
 }
 
-// servePot is serveForce for potential mode.
+// servePot computes the contribution of the subtree rooted at branch to
+// a shipped particle in potential mode, on the pointer tree: as in force
+// mode, evaluation starts below the already rejected branch cell.
 func servePot(branch *tree.Node, pos vec.V3, self int, alpha float64, stats *tree.Stats) float64 {
 	if branch.IsLeaf() {
 		return tree.PotentialFrom(branch, pos, self, alpha, stats)
@@ -300,50 +404,83 @@ func servePot(branch *tree.Node, pos vec.V3, self int, alpha float64, stats *tre
 	return phi
 }
 
-// traverseForce walks the replicated tree for one particle, accumulating
-// local contributions and binning remote ones.
-func (r *shipRun) traverseForce(n *pnode, pos vec.V3, self, localIdx int) vec.V3 {
-	if n == nil || n.count == 0 {
-		return vec.V3{}
+// flatten puts the rank's replicated tree in packet-kernel form: the same
+// main region a LET rank sweeps, its remote branch cells carrying no
+// grafts — an opened branch is shipped, not resolved locally.
+func (r *shipRun) flatten() {
+	sh := r.sh
+	if sh.localAt == nil {
+		sh.localAt = make(map[uint64]int32)
 	}
-	if n.local != nil {
-		var s tree.Stats
-		a := tree.AccelFrom(n.local, pos, self, r.e.cfg.Alpha, r.e.cfg.Eps, &s)
-		r.st.stats.Add(s)
-		r.pr.Compute(s.Flops(0))
-		return a
-	}
-	if n.isBranch {
-		// Remote branch: leaf cells always ship (a serial traversal would
-		// do particle–particle sums there); internal cells MAC-test the
-		// replicated summary first.
-		if n.leafCell {
-			r.ship(n, pos, self, localIdx)
-			return vec.V3{}
+	clear(sh.localAt)
+	fl := r.e.letFlat(r.st.me) // the rank's reusable flat tree; a run ships one way only
+	fl.Reset()
+	fl.BeginMain()
+	sh.branchAt = sh.branchAt[:0]
+	flattenTop(fl, r.st.top, func(n *pnode) {
+		if n.local != nil {
+			sh.localAt[n.cell.Uint64()] = fl.AddLocalSubtree(n.local)
+			return
 		}
-		if r.chargeMAC() && acceptsSummary(n, pos, r.e.cfg.Alpha) {
-			r.chargePC()
-			return phys.Accel(pos, n.com, n.mass, r.e.cfg.Eps)
+		idx := fl.AddBranch(n.leafCell, n.com, n.mass, n.side, nil, nil)
+		for len(sh.branchAt) <= int(idx) {
+			sh.branchAt = append(sh.branchAt, nil)
 		}
-		r.ship(n, pos, self, localIdx)
-		return vec.V3{}
+		sh.branchAt[idx] = n
+	})
+	fl.Seal()
+	// fill is all zero between bins, so resizing it is all it needs.
+	if cap(sh.fill) < fl.NumNodes() {
+		sh.fill = make([]int32, fl.NumNodes())
 	}
-	// Replicated top node.
-	if r.chargeMAC() && acceptsSummary(n, pos, r.e.cfg.Alpha) {
-		r.chargePC()
-		return phys.Accel(pos, n.com, n.mass, r.e.cfg.Eps)
-	}
-	var a vec.V3
-	for _, c := range n.children {
-		if c != nil {
-			a = a.Add(r.traverseForce(c, pos, self, localIdx))
-		}
-	}
-	return a
+	sh.fill = sh.fill[:fl.NumNodes()]
+	cfg := r.e.cfg
+	// The per-interaction extra-load addend: interactions against
+	// replicated summaries have no local tree node to charge.
+	fl.Begin(cfg.Alpha, cfg.Eps, phys.InteractionFlops(0)+phys.MACFlops)
+	r.fl = fl
 }
 
-// traversePot is traverseForce for potential mode.
-func (r *shipRun) traversePot(n *pnode, pos vec.V3, self, localIdx int) float64 {
+// sweepOwn runs the force traversal of the rank's own particles, eight at
+// a time in particle order, then replays the packet one lane — one
+// particle — at a time on the simulated clock: the particle's interactions
+// are charged, the branches it opened are shipped in the order its lone
+// traversal would have met them, and incoming work is polled ("processors
+// must periodically process remote work requests"). Slots, bins, flow
+// control and termination therefore see exactly a one-particle-at-a-time
+// traversal.
+func (r *shipRun) sweepOwn(localF []vec.V3) {
+	sh, st := r.sh, r.st
+	pk := &sh.own
+	for k := 0; k < len(st.parts); k += 8 {
+		n := min(8, len(st.parts)-k)
+		for l, q := range st.parts[k : k+n] {
+			pk.SetLane(l, int32(q.ID), q.Pos)
+		}
+		r.fl.Defer(pk, n)
+		for l := 0; l < n; l++ {
+			i := k + l
+			q := &st.parts[i]
+			s := pk.Stats(l)
+			st.stats.Add(s)
+			r.pr.Compute(s.Flops(0))
+			if ex := pk.Extra(l); ex != 0 {
+				st.extraLoad[q.ID] = ex
+			}
+			localF[i] = pk.Sum(l)
+			sh.deferred = pk.Deferred(l, sh.deferred[:0])
+			for _, node := range sh.deferred {
+				r.ship(sh.branchAt[node], q.Pos, q.ID)
+			}
+			r.slotEnd[i] = len(r.slotF)
+			r.serviceAll(false)
+		}
+	}
+}
+
+// traversePot walks the replicated tree for one particle in potential
+// mode, accumulating local contributions and binning remote ones.
+func (r *shipRun) traversePot(n *pnode, pos vec.V3, self int) float64 {
 	if n == nil || n.count == 0 {
 		return 0
 	}
@@ -356,14 +493,14 @@ func (r *shipRun) traversePot(n *pnode, pos vec.V3, self, localIdx int) float64 
 	}
 	if n.isBranch {
 		if n.leafCell {
-			r.ship(n, pos, self, localIdx)
+			r.ship(n, pos, self)
 			return 0
 		}
 		if r.chargeMAC() && acceptsSummary(n, pos, r.e.cfg.Alpha) {
 			r.chargePC()
 			return n.exp.EvalPotential(pos)
 		}
-		r.ship(n, pos, self, localIdx)
+		r.ship(n, pos, self)
 		return 0
 	}
 	if r.chargeMAC() && acceptsSummary(n, pos, r.e.cfg.Alpha) {
@@ -373,7 +510,7 @@ func (r *shipRun) traversePot(n *pnode, pos vec.V3, self, localIdx int) float64 
 	var phi float64
 	for _, c := range n.children {
 		if c != nil {
-			phi += r.traversePot(c, pos, self, localIdx)
+			phi += r.traversePot(c, pos, self)
 		}
 	}
 	return phi
@@ -403,7 +540,7 @@ func acceptsSummary(n *pnode, pos vec.V3, alpha float64) bool {
 	if d == 0 {
 		return false
 	}
-	return n.box.LongestSide()/d < alpha
+	return n.side/d < alpha
 }
 
 // terminate runs the tree-based distributed termination protocol: a

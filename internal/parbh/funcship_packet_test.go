@@ -1,0 +1,500 @@
+package parbh
+
+import (
+	"fmt"
+	"math"
+	"runtime"
+	"testing"
+
+	"repro/internal/dist"
+	"repro/internal/keys"
+	"repro/internal/let"
+	"repro/internal/msg"
+	"repro/internal/phys"
+	"repro/internal/tree"
+	"repro/internal/vec"
+)
+
+// Force-mode function shipping runs on the packet kernel on both sides.
+// These tests hold it to the pointer recursion it replaced — traverseForce
+// and serveForce below are that code, kept verbatim as the oracle — bit for
+// bit: accelerations, per-rank Stats, every tree node's Load, the
+// extra-load account, and the words and messages of the protocol.
+
+// serveForce computes the contribution of the subtree rooted at branch to
+// a shipped particle. The requester already rejected the branch cell
+// under the MAC, so evaluation starts at its children (or at the
+// particles for a leaf branch), mirroring exactly what a serial traversal
+// does after rejecting the node.
+func serveForce(branch *tree.Node, pos vec.V3, self int, alpha, eps float64, stats *tree.Stats) vec.V3 {
+	if branch.IsLeaf() {
+		return tree.AccelFrom(branch, pos, self, alpha, eps, stats)
+	}
+	var a vec.V3
+	for _, c := range branch.Children {
+		if c != nil {
+			a = a.Add(tree.AccelFrom(c, pos, self, alpha, eps, stats))
+		}
+	}
+	branch.Load++
+	return a
+}
+
+// shipOracle is one rank's pointer-recursion traversal state: what the
+// retired shipRun kept, with ship reduced to recording the slot.
+type shipOracle struct {
+	cfg       Config
+	stats     tree.Stats
+	extraLoad map[int]float64
+	curID     int
+	slots     []oracleSlot
+}
+
+// oracleSlot is one shipped (particle, branch, owner) request.
+type oracleSlot struct {
+	owner    int
+	key      uint64
+	pos      vec.V3
+	self     int
+	localIdx int
+}
+
+func (r *shipOracle) ship(n *pnode, pos vec.V3, self, localIdx int) {
+	for _, o := range n.owners {
+		r.slots = append(r.slots, oracleSlot{owner: o, key: n.cell.Uint64(), pos: pos, self: self, localIdx: localIdx})
+	}
+}
+
+func (r *shipOracle) chargeMAC() bool {
+	r.stats.MACTests++
+	return true
+}
+
+func (r *shipOracle) chargePC() {
+	r.stats.PC++
+	r.extraLoad[r.curID] += phys.InteractionFlops(r.cfg.degreeOrMonopole()) + phys.MACFlops
+}
+
+// traverseForce walks the replicated tree for one particle, accumulating
+// local contributions and binning remote ones.
+func (r *shipOracle) traverseForce(n *pnode, pos vec.V3, self, localIdx int) vec.V3 {
+	if n == nil || n.count == 0 {
+		return vec.V3{}
+	}
+	if n.local != nil {
+		var s tree.Stats
+		a := tree.AccelFrom(n.local, pos, self, r.cfg.Alpha, r.cfg.Eps, &s)
+		r.stats.Add(s)
+		return a
+	}
+	if n.isBranch {
+		// Remote branch: leaf cells always ship (a serial traversal would
+		// do particle–particle sums there); internal cells MAC-test the
+		// replicated summary first.
+		if n.leafCell {
+			r.ship(n, pos, self, localIdx)
+			return vec.V3{}
+		}
+		if r.chargeMAC() && acceptsSummary(n, pos, r.cfg.Alpha) {
+			r.chargePC()
+			return phys.Accel(pos, n.com, n.mass, r.cfg.Eps)
+		}
+		r.ship(n, pos, self, localIdx)
+		return vec.V3{}
+	}
+	// Replicated top node.
+	if r.chargeMAC() && acceptsSummary(n, pos, r.cfg.Alpha) {
+		r.chargePC()
+		return phys.Accel(pos, n.com, n.mass, r.cfg.Eps)
+	}
+	var a vec.V3
+	for _, c := range n.children {
+		if c != nil {
+			a = a.Add(r.traverseForce(c, pos, self, localIdx))
+		}
+	}
+	return a
+}
+
+// shipWorld is every rank's state after tree merging, and — once a force
+// phase or the oracle has run over it — what that left behind.
+type shipWorld struct {
+	cfg    Config
+	states []*localState
+	accels []vec.V3
+	words  int64 // force-phase communication, all ranks
+	msgs   int64
+}
+
+// phases runs one step's phases through tree merging on every rank of e,
+// then the engine's force phase if force is set. The engine is not
+// advanced.
+func phases(t *testing.T, e *Engine, force bool) *shipWorld {
+	t.Helper()
+	p := e.machine.P
+	w := &shipWorld{cfg: e.cfg, states: make([]*localState, p), accels: make([]vec.V3, e.n)}
+	res := &Result{Accels: w.accels}
+	words, msgs := make([]int64, p), make([]int64, p)
+	_, err := e.machine.RunErr(func(pr *msg.Proc) {
+		st := &localState{me: pr.ID(), parts: e.parts[pr.ID()]}
+		e.migrate(pr, st)
+		e.buildLocal(pr, st)
+		e.buildTopPhase(pr, st, e.exchangeBranches(pr, st))
+		before := pr.Stats()
+		if force {
+			e.forcePhase(pr, st, res)
+		} else {
+			st.extraLoad = map[int]float64{}
+		}
+		after := pr.Stats()
+		words[st.me], msgs[st.me] = after.Words-before.Words, after.Messages-before.Messages
+		w.states[st.me] = st
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range words {
+		w.words += words[i]
+		w.msgs += msgs[i]
+	}
+	return w
+}
+
+// runOracle evaluates the force phase over w the way the pointer recursion
+// did — every particle alone, requests served one at a time on the owners'
+// pointer trees, replies folded in slot order — and returns the number of
+// entries each (requester, owner) pair exchanged.
+func (w *shipWorld) runOracle() [][]int {
+	p := len(w.states)
+	entries := make([][]int, p)
+	for me, st := range w.states {
+		entries[me] = make([]int, p)
+		r := &shipOracle{cfg: w.cfg, extraLoad: st.extraLoad}
+		local := make([]vec.V3, len(st.parts))
+		for i := range st.parts {
+			q := &st.parts[i]
+			r.curID = q.ID
+			local[i] = r.traverseForce(st.top, q.Pos, q.ID, i)
+		}
+		st.stats.Add(r.stats)
+		for _, sl := range r.slots {
+			entries[me][sl.owner]++
+			owner := w.states[sl.owner]
+			var reply vec.V3
+			if node := owner.lookup.find(sl.key); node != nil {
+				var s tree.Stats
+				reply = serveForce(node, sl.pos, sl.self, w.cfg.Alpha, w.cfg.Eps, &s)
+				owner.stats.Add(s)
+			}
+			local[sl.localIdx] = local[sl.localIdx].Add(reply)
+		}
+		for i := range st.parts {
+			w.accels[st.parts[i].ID] = local[i]
+		}
+	}
+	return entries
+}
+
+// protocolVolume is the words and messages the bin protocol moves for the
+// given per-pair entry counts: request bins of 4 words an entry plus one,
+// replies of 3 plus one, and the two termination waves.
+func protocolVolume(entries [][]int, binSize int) (words, msgs int64) {
+	p := len(entries)
+	for _, row := range entries {
+		for _, n := range row {
+			bins := int64((n + binSize - 1) / binSize)
+			words += 7*int64(n) + 2*bins
+			msgs += 2 * bins
+		}
+	}
+	return words + 2*int64(p-1), msgs + 2*int64(p-1)
+}
+
+func bitsEqual(a, b vec.V3) bool {
+	return math.Float64bits(a.X) == math.Float64bits(b.X) &&
+		math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
+		math.Float64bits(a.Z) == math.Float64bits(b.Z)
+}
+
+// compareWorlds demands that got (the engine) left exactly what want (the
+// oracle) did.
+func compareWorlds(t *testing.T, want, got *shipWorld) {
+	t.Helper()
+	for i := range want.accels {
+		if !bitsEqual(got.accels[i], want.accels[i]) {
+			t.Fatalf("accel %d = %v, oracle %v", i, got.accels[i], want.accels[i])
+		}
+	}
+	for me := range want.states {
+		ws, gs := want.states[me], got.states[me]
+		if gs.stats != ws.stats {
+			t.Errorf("rank %d: stats %+v, oracle %+v", me, gs.stats, ws.stats)
+		}
+		if len(gs.extraLoad) != len(ws.extraLoad) {
+			t.Errorf("rank %d: %d extra-load entries, oracle %d", me, len(gs.extraLoad), len(ws.extraLoad))
+		}
+		for id, v := range ws.extraLoad {
+			if gv, ok := gs.extraLoad[id]; !ok || gv != v {
+				t.Fatalf("rank %d: extraLoad[%d] = %v (present %v), oracle %v", me, id, gv, ok, v)
+			}
+		}
+		if len(gs.branches) != len(ws.branches) {
+			t.Fatalf("rank %d: %d branches, oracle %d", me, len(gs.branches), len(ws.branches))
+		}
+		for b := range ws.branches {
+			wl, gl := nodeLoads(ws.branches[b]), nodeLoads(gs.branches[b])
+			for j := range wl {
+				if gl[j] != wl[j] {
+					t.Fatalf("rank %d branch %d node %d: load %d, oracle %d", me, b, j, gl[j], wl[j])
+				}
+			}
+		}
+	}
+}
+
+func nodeLoads(n *tree.Node) []int64 {
+	if n == nil {
+		return nil
+	}
+	ls := []int64{n.Load}
+	for _, c := range n.Children {
+		ls = append(ls, nodeLoads(c)...)
+	}
+	return ls
+}
+
+func newShipEngine(t *testing.T, set *dist.Set, p int, cfg Config) *Engine {
+	t.Helper()
+	e, err := New(msg.NewMachine(p, msg.CM5()), set, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// TestFuncShipPacketMatchesPointerOracle is the engine-level contract: on
+// the second step of a run (so SPDA and DPDA have rebalanced from the first
+// step's packet-charged loads) the force phase must leave exactly what the
+// pointer oracle leaves, for every bin size — one entry per message, a
+// size that splits key groups, the paper's 100, and never flushing early —
+// and every host parallelism.
+func TestFuncShipPacketMatchesPointerOracle(t *testing.T) {
+	set := dist.MustNamed("g", 1500, 41)
+	const p = 8
+	for _, scheme := range []Scheme{SPSA, SPDA, DPDA} {
+		cfg := Config{Scheme: scheme, Mode: ForceMode, Alpha: 0.67, Eps: 0.01, GridLog2: 2, LeafCap: 4}
+		ref := newShipEngine(t, set, p, cfg)
+		ref.Step()
+		want := phases(t, ref, false)
+		entries := want.runOracle()
+		shortTail, leafCells, shipped := false, 0, 0
+		for me, st := range want.states {
+			shortTail = shortTail || len(st.parts)%8 != 0
+			for _, n := range entries[me] {
+				shipped += n
+			}
+			leafCells += countLeafCells(st.top)
+		}
+		if !shortTail || leafCells == 0 || shipped == 0 {
+			t.Fatalf("%v: weak case: short last packet %v, remote leaf cells %d, entries %d", scheme, shortTail, leafCells, shipped)
+		}
+		for _, binSize := range []int{1, 7, 100, 1 << 20} {
+			for _, procs := range []int{1, 2, 7} {
+				t.Run(fmt.Sprintf("%v/bin%d/procs%d", scheme, binSize, procs), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					cfg.BinSize = binSize
+					e := newShipEngine(t, set, p, cfg)
+					e.Step()
+					got := phases(t, e, true)
+					compareWorlds(t, want, got)
+					words, msgs := protocolVolume(entries, binSize)
+					if got.words != words || got.msgs != msgs {
+						t.Errorf("force phase moved %d words in %d messages, protocol says %d in %d", got.words, got.msgs, words, msgs)
+					}
+				})
+			}
+		}
+	}
+}
+
+// countLeafCells counts the remote leaf-cell branches (always shipped, no
+// MAC) of a replicated tree.
+func countLeafCells(n *pnode) int {
+	if n == nil {
+		return 0
+	}
+	c := 0
+	if n.isBranch && n.leafCell && n.local == nil {
+		c++
+	}
+	for _, ch := range n.children {
+		c += countLeafCells(ch)
+	}
+	return c
+}
+
+// handWorld builds rank states by hand so a branch cell can have what the
+// engine's decompositions never produce: two owners. The root's octants
+// are the branch cells; octant o belongs to rank o%p, except octant 7,
+// whose particles are dealt alternately to ranks 1 and 2, and octant 0,
+// which keeps at most LeafCap particles (a leaf-cell branch).
+func handWorld(t *testing.T, set *dist.Set, p int, cfg Config) (*Engine, []*localState) {
+	t.Helper()
+	cfg = cfg.withDefaults()
+	domain := set.Domain.Cube()
+	owned := make([]map[int][]dist.Particle, p) // rank → octant → particles
+	for r := range owned {
+		owned[r] = map[int][]dist.Particle{}
+	}
+	inZero := 0
+	for i, q := range set.Particles {
+		oct := domain.OctantOf(q.Pos)
+		r := oct % p
+		switch {
+		case oct == 0 && inZero == cfg.LeafCap:
+			continue
+		case oct == 0:
+			inZero++
+		case oct == 7 && p > 2:
+			r = 1 + i%2
+		}
+		owned[r][oct] = append(owned[r][oct], q)
+	}
+	states := make([]*localState, p)
+	var all []BranchSummary
+	for r := range states {
+		st := &localState{me: r, rootsMap: map[uint64]*tree.Node{}}
+		for oct := 0; oct < 8; oct++ {
+			ps := owned[r][oct]
+			if len(ps) == 0 {
+				continue
+			}
+			ck := keys.CellKey{}.Child(oct)
+			n := tree.BuildSubtree(ps, domain.Octant(oct), ck, cfg.LeafCap)
+			st.parts = append(st.parts, ps...)
+			st.branches = append(st.branches, n)
+			st.rootsMap[ck.Uint64()] = n
+			all = append(all, summaryOf(n, r, false))
+		}
+		st.lookup = hashLookup(st.rootsMap)
+		states[r] = st
+	}
+	for r, st := range states {
+		top, err := buildTop(domain, all, r, st.rootsMap, -1, cfg.LeafCap, func(float64) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.top = top
+	}
+	e := &Engine{cfg: cfg, machine: msg.NewMachine(p, msg.CM5()), n: set.N(), ship: make([]shipScratch, p), letFlats: make([]*let.Flat, p)}
+	return e, states
+}
+
+// TestFuncShipMultiOwnerAndLeafCellBranches drives the force phase over a
+// hand-built world with a two-owner branch cell (every other rank ships to
+// both owners, in owner order), a leaf-cell branch, and ranks whose
+// particle counts leave a short last packet.
+func TestFuncShipMultiOwnerAndLeafCellBranches(t *testing.T) {
+	set := dist.MustNamed("uniform", 900, 12)
+	cfg := Config{Scheme: SPSA, Mode: ForceMode, Alpha: 0.67, Eps: 0.01, LeafCap: 4}
+	for _, binSize := range []int{3, 100} {
+		cfg.BinSize = binSize
+		_, oracleStates := handWorld(t, set, 4, cfg)
+		want := &shipWorld{cfg: cfg.withDefaults(), states: oracleStates, accels: make([]vec.V3, set.N())}
+		for _, st := range want.states {
+			st.extraLoad = map[int]float64{}
+		}
+		entries := want.runOracle()
+		if entries[0][1] == 0 || entries[0][2] == 0 || entries[3][1] == 0 || entries[3][2] == 0 {
+			t.Fatalf("two-owner cell not shipped to both owners: %v", entries)
+		}
+		if countLeafCells(want.states[1].top) == 0 {
+			t.Fatal("no leaf-cell branch in the world")
+		}
+
+		e, states := handWorld(t, set, 4, cfg)
+		got := &shipWorld{cfg: e.cfg, states: states, accels: make([]vec.V3, set.N())}
+		res := &Result{Accels: got.accels}
+		if _, err := e.machine.RunErr(func(pr *msg.Proc) { e.forcePhase(pr, states[pr.ID()], res) }); err != nil {
+			t.Fatal(err)
+		}
+		compareWorlds(t, want, got)
+	}
+}
+
+// TestFuncShipServeGroupsAndEmptyBranch calls the owner-side service
+// directly with one bin whose entries — interleaved, as a requester's
+// particles interleave them — form key groups of 1, 8 and 9 (a lone lane,
+// exactly one full packet, a full packet plus one), plus requests for a
+// branch this rank does not have, into a reply buffer full of stale
+// values.
+func TestFuncShipServeGroupsAndEmptyBranch(t *testing.T) {
+	set := dist.MustNamed("uniform", 600, 5)
+	cfg := Config{Scheme: SPSA, Mode: ForceMode, Alpha: 0.67, Eps: 0.01, LeafCap: 4}
+	e, states := handWorld(t, set, 1, cfg)
+	_, oracleStates := handWorld(t, set, 1, cfg)
+	st, ost := states[0], oracleStates[0]
+	if len(st.branches) < 3 {
+		t.Fatalf("only %d branches", len(st.branches))
+	}
+	var entries []reqEntry
+	add := func(key uint64, i int) {
+		q := set.Particles[(37*i+11)%set.N()]
+		entries = append(entries, reqEntry{Key: key, Pos: q.Pos, Self: int32(q.ID), Slot: int32(len(entries))})
+	}
+	const missing = ^uint64(0)
+	ka, kb, kc := st.branches[0].Key.Uint64(), st.branches[1].Key.Uint64(), st.branches[2].Key.Uint64()
+	for i := 0; i < 9; i++ {
+		add(kc, i)
+		if i < 8 {
+			add(kb, 100+i)
+		}
+		if i == 4 {
+			add(ka, 200)
+			add(missing, 300)
+		}
+	}
+	add(missing, 301)
+
+	out := make([]vec.V3, len(entries))
+	for i := range out {
+		out[i] = vec.V3{X: math.NaN(), Y: 1e300, Z: -7}
+	}
+	var charged float64
+	if _, err := e.machine.RunErr(func(pr *msg.Proc) {
+		r := &shipRun{e: e, pr: pr, st: st, sh: &e.ship[0]}
+		r.flatten()
+		before := pr.Stats().Flops
+		r.servePackets(entries, out)
+		charged = pr.Stats().Flops - before
+		r.fl.ApplyLocalLoads()
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	var wantFlops float64
+	for i, en := range entries {
+		wantFlops += ost.lookup.cost()
+		var want vec.V3
+		if node := ost.lookup.find(en.Key); node != nil {
+			var s tree.Stats
+			want = serveForce(node, en.Pos, int(en.Self), e.cfg.Alpha, e.cfg.Eps, &s)
+			ost.stats.Add(s)
+			wantFlops += s.Flops(0)
+		}
+		if !bitsEqual(out[i], want) {
+			t.Fatalf("entry %d (key %x): reply %v, oracle %v", i, en.Key, out[i], want)
+		}
+	}
+	if st.stats != ost.stats || charged != wantFlops {
+		t.Errorf("stats %+v flops %v, oracle %+v flops %v", st.stats, charged, ost.stats, wantFlops)
+	}
+	for b := range ost.branches {
+		wl, gl := nodeLoads(ost.branches[b]), nodeLoads(st.branches[b])
+		for j := range wl {
+			if gl[j] != wl[j] {
+				t.Fatalf("branch %d node %d: load %d, oracle %d", b, j, gl[j], wl[j])
+			}
+		}
+	}
+}

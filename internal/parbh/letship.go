@@ -191,40 +191,21 @@ func (e *Engine) letExchange(pr *msg.Proc, st *localState) {
 	// carry graft references in owner order (the function-shipping slot
 	// order).
 	fl.BeginMain()
-	var flatten func(n *pnode)
-	flatten = func(n *pnode) {
+	flattenTop(fl, st.top, func(n *pnode) {
 		if n.local != nil {
 			fl.AddLocalSubtree(n.local)
 			return
 		}
-		if n.isBranch {
-			grafts := make([]int32, len(n.owners))
-			for i, o := range n.owners {
-				if si, ok := secIdx[letPair{peer: o, key: n.cell.Uint64()}]; ok {
-					grafts[i] = si
-				} else {
-					grafts[i] = -1 // owner proved the MAC accepts: defer would be a bug
-				}
+		grafts := make([]int32, len(n.owners))
+		for i, o := range n.owners {
+			if si, ok := secIdx[letPair{peer: o, key: n.cell.Uint64()}]; ok {
+				grafts[i] = si
+			} else {
+				grafts[i] = -1 // owner proved the MAC accepts: defer would be a bug
 			}
-			fl.AddBranch(n.leafCell, n.com, n.mass, n.box.LongestSide(), n.exp, grafts)
-			return
 		}
-		idx := fl.AddTop(n.com, n.mass, n.box.LongestSide(), n.exp)
-		for _, c := range n.children {
-			if c == nil {
-				continue
-			}
-			if c.count == 0 {
-				// The pointer traversal folds an exact zero for an empty
-				// child; an empty leaf replays that (and charges nothing).
-				fl.AddZero()
-				continue
-			}
-			flatten(c)
-		}
-		fl.CloseInternal(idx)
-	}
-	flatten(st.top)
+		fl.AddBranch(n.leafCell, n.com, n.mass, n.side, n.exp, grafts)
+	})
 	fl.Seal()
 	st.letFlat = fl
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/keys"
+	"repro/internal/let"
 	"repro/internal/phys"
 	"repro/internal/tree"
 	"repro/internal/vec"
@@ -48,6 +49,7 @@ func summaryOf(n *tree.Node, owner int, withExp bool) BranchSummary {
 type pnode struct {
 	cell  keys.CellKey
 	box   vec.Box
+	side  float64 // box.LongestSide(), the MAC's numerator
 	mass  float64
 	com   vec.V3
 	count int
@@ -58,6 +60,10 @@ type pnode struct {
 	local    *tree.Node // non-nil when this branch is owned locally
 	owners   []int      // remote owners of this branch (usually one)
 	leafCell bool       // branch cell with Count ≤ leafCap: a global-tree leaf
+}
+
+func newPnode(cell keys.CellKey, box vec.Box) *pnode {
+	return &pnode{cell: cell, box: box, side: box.LongestSide()}
 }
 
 // hasChildren reports whether traversal can expand this node locally.
@@ -78,7 +84,7 @@ func (n *pnode) hasChildren() bool {
 func buildTop(rootBox vec.Box, summaries []BranchSummary, me int,
 	localRoots map[uint64]*tree.Node, degree, leafCap int, charge func(float64)) (*pnode, error) {
 
-	root := &pnode{cell: keys.CellKey{}, box: rootBox}
+	root := newPnode(keys.CellKey{}, rootBox)
 	// Insert branch cells, creating intermediate top nodes.
 	for _, s := range summaries {
 		if s.Count == 0 {
@@ -92,7 +98,7 @@ func buildTop(rootBox vec.Box, summaries []BranchSummary, me int,
 				return nil, fmt.Errorf("parbh: branch cell %v is an ancestor of %v", n.cell, ck)
 			}
 			if n.children[oct] == nil {
-				n.children[oct] = &pnode{cell: n.cell.Child(oct), box: n.box.Octant(oct)}
+				n.children[oct] = newPnode(n.cell.Child(oct), n.box.Octant(oct))
 			}
 			n = n.children[oct]
 		}
@@ -176,6 +182,31 @@ func buildTop(rootBox vec.Box, summaries []BranchSummary, me int,
 		return nil, err
 	}
 	return root, nil
+}
+
+// flattenTop linearizes the replicated tree under n into fl's main region
+// for the packet kernel: top nodes here, each branch cell — owned locally
+// or not — by branch, which appends it the way its strategy needs (LET
+// with the sections it grafted, function shipping with none).
+func flattenTop(fl *let.Flat, n *pnode, branch func(*pnode)) {
+	if n.isBranch {
+		branch(n)
+		return
+	}
+	idx := fl.AddTop(n.com, n.mass, n.side, n.exp)
+	for _, c := range n.children {
+		if c == nil {
+			continue
+		}
+		if c.count == 0 {
+			// The pointer traversal folds an exact zero for an empty
+			// child; an empty leaf replays that (and charges nothing).
+			fl.AddZero()
+			continue
+		}
+		flattenTop(fl, c, branch)
+	}
+	fl.CloseInternal(idx)
 }
 
 // branchLookup resolves a packed branch key to the local subtree root —

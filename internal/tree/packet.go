@@ -97,10 +97,10 @@ type laneSet struct {
 	lane [lanes]uint8
 }
 
-// deferral records that the listed lanes opened remote branch node.
+// deferral records that the lanes of the mask opened remote branch node.
 type deferral struct {
-	laneSet
-	node int32
+	node  int32
+	lanes uint8
 }
 
 func (f *frame) open(end int32, init float64) {
@@ -110,15 +110,49 @@ func (f *frame) open(end int32, init float64) {
 	}
 }
 
-type sweepWorker struct {
-	loads  []int64
-	stats  Stats
-	frames []frame
-	// The packet: up to eight query particles descending together.
-	id         [lanes]int32
-	px, py, pz [lanes]float64
-	extra      [lanes]float64
-	defers     []deferral
+// Packet is the scratch and the outcome of one packet: up to eight query
+// particles descending together. ForceAll keeps one per worker; function
+// shipping drives two by hand (SetLane, then Sweep.Defer or Sweep.Below) —
+// one for a rank's own particles and one for the requests it serves,
+// which arrive while the first one's lanes are still being read.
+type Packet struct {
+	loads       []int64
+	stats       Stats // ForceAll's running total over the worker's packets
+	frames      []frame
+	id          [lanes]int32
+	px, py, pz  [lanes]float64
+	extra       [lanes]float64
+	mac, pc, pp [lanes]int64 // per-lane interaction counts
+	defers      []deferral
+}
+
+// SetLane places query particle (id, pos) in lane l of the next sweep.
+func (p *Packet) SetLane(l int, id int32, pos vec.V3) {
+	p.id[l] = id
+	p.px[l], p.py[l], p.pz[l] = pos.X, pos.Y, pos.Z
+}
+
+// Sum is lane l's accumulated acceleration.
+func (p *Packet) Sum(l int) vec.V3 {
+	f := &p.frames[0]
+	return vec.V3{X: f.x[l], Y: f.y[l], Z: f.z[l]}
+}
+
+// Extra is lane l's sum of exAdd over accepted KindTop/KindBranch summaries.
+func (p *Packet) Extra(l int) float64 { return p.extra[l] }
+
+// Stats is lane l's own interaction counts.
+func (p *Packet) Stats(l int) Stats { return Stats{MACTests: p.mac[l], PC: p.pc[l], PP: p.pp[l]} }
+
+// Deferred appends to nodes the remote branch nodes lane l opened during
+// Sweep.Defer, in the order its lone traversal would have met them.
+func (p *Packet) Deferred(l int, nodes []int32) []int32 {
+	for _, df := range p.defers {
+		if df.lanes>>l&1 != 0 {
+			nodes = append(nodes, df.node)
+		}
+	}
+	return nodes
 }
 
 // Sweep is the force-mode traversal of its Cols, shared by FlatTree and
@@ -130,7 +164,7 @@ type sweepWorker struct {
 // extra charges are bit-identical to one-particle-at-a-time recursion.
 type Sweep struct {
 	Cols
-	workers []sweepWorker
+	workers []Packet
 	order   []int32         // ps indices in sweep order: packet k is order[8k:8k+8]
 	index   map[int32]int32 // particle ID → ps index, while planning
 	// Parameters of the sweep in progress.
@@ -189,14 +223,14 @@ func (s *Sweep) ForceAll(ps []dist.Particle, root int32, alpha, eps, exAdd float
 	packets := (len(ps) + lanes - 1) / lanes
 	workers := compute.Workers(packets)
 	for len(s.workers) < workers {
-		s.workers = append(s.workers, sweepWorker{frames: make([]frame, 1, MaxDepth+2)})
+		s.workers = append(s.workers, Packet{})
 	}
 	for w := range s.workers[:workers] {
 		wk := &s.workers[w]
 		wk.loads = append(wk.loads[:0], make([]int64, len(s.Kind))...)
 		wk.stats = Stats{}
 	}
-	s.alpha, s.a2, s.e2, s.exAdd = alpha, macA2(alpha), eps*eps, exAdd
+	s.Begin(alpha, eps, exAdd)
 	// Workers pull batches of packets: leaf order is spatial, so equal
 	// contiguous shares would not be equal work.
 	const batch = 16
@@ -258,40 +292,36 @@ func (s *Sweep) plan(ps []dist.Particle, root int32) {
 	}
 }
 
+// Begin fixes the parameters of the Defer and Below sweeps that follow.
+func (s *Sweep) Begin(alpha, eps, exAdd float64) {
+	s.alpha, s.a2, s.e2, s.exAdd = alpha, macA2(alpha), eps*eps, exAdd
+}
+
 // packet sweeps one packet: the main tree from root, then — lanes that
 // deferred the same branch together — the sections grafted under each
 // deferred branch. Branches are deferred in DFS order and their grafts
 // are in owner order, so every lane folds its sections in its own defer
 // order: the slot order in which function shipping folds its replies.
-func (s *Sweep) packet(w *sweepWorker, ps []dist.Particle, idx []int32, root int32, out []vec.V3, extra []float64) {
-	f := &w.frames[0]
-	f.n = len(idx)
+func (s *Sweep) packet(w *Packet, ps []dist.Particle, idx []int32, root int32, out []vec.V3, extra []float64) {
 	for l, i := range idx {
-		q := &ps[i]
-		w.id[l] = int32(q.ID)
-		w.px[l], w.py[l], w.pz[l] = q.Pos.X, q.Pos.Y, q.Pos.Z
-		w.extra[l] = 0
-		f.lane[l] = uint8(l)
+		w.SetLane(l, int32(ps[i].ID), ps[i].Pos)
 	}
-	w.defers = w.defers[:0]
-	// −0 is the additive identity, so the root's own contribution lands
-	// unchanged: the traversal result is never folded into anything.
-	s.sweep(w, root, s.Skip[root], math.Copysign(0, -1))
+	s.Defer(w, len(idx), root, w.loads)
 	ax, ay, az := w.frames[0].x, w.frames[0].y, w.frames[0].z
 	for _, df := range w.defers {
 		for _, base := range s.Graft[s.Lo[df.node]:s.Hi[df.node]] {
 			if base < 0 {
 				panic("tree: essential section missing for deferred branch")
 			}
-			// The owner-side service of a deferred branch starts below its
-			// (already rejected) root, charging the root one visit per lane.
-			first := base
-			if s.Kind[base] != KindLeaf {
-				w.loads[base] += int64(df.n)
-				first++
+			f := &w.frames[0]
+			f.n = 0
+			for l := uint8(0); l < lanes; l++ {
+				if df.lanes>>l&1 != 0 {
+					f.lane[f.n] = l
+					f.n++
+				}
 			}
-			w.frames[0].laneSet = df.laneSet
-			s.sweep(w, first, s.Skip[base], 0)
+			s.below(w, base)
 			f = &w.frames[0]
 			for _, l := range f.lane[:f.n] {
 				ax[l] += f.x[l]
@@ -305,12 +335,61 @@ func (s *Sweep) packet(w *sweepWorker, ps []dist.Particle, idx []int32, root int
 		if extra != nil {
 			extra[i] = w.extra[l]
 		}
+		w.stats.Add(w.Stats(l))
 	}
+}
+
+// lanesOf readies p for a sweep of its first n lanes, charging loads.
+func (p *Packet) lanesOf(n int, loads []int64) {
+	if p.frames == nil {
+		p.frames = make([]frame, 1, MaxDepth+2)
+	}
+	p.loads = loads
+	f := &p.frames[0]
+	f.n = n
+	for l := 0; l < n; l++ {
+		f.lane[l] = uint8(l)
+		p.extra[l] = 0
+		p.mac[l], p.pc[l], p.pp[l] = 0, 0, 0
+	}
+	p.defers = p.defers[:0]
+}
+
+// Defer sweeps the subtree at root for the first n lanes of p as one
+// packet and leaves the remote branches they opened unresolved: each
+// lane's Sum, Extra and Stats cover the main tree alone, and Deferred lists
+// what the lane's owner must still add, in order. Node Load charges are
+// added to loads. Function shipping's requester side.
+func (s *Sweep) Defer(p *Packet, n int, root int32, loads []int64) {
+	p.lanesOf(n, loads)
+	// −0 is the additive identity, so the root's own contribution lands
+	// unchanged: the traversal result is never folded into anything.
+	s.sweep(p, root, s.Skip[root], math.Copysign(0, -1))
+}
+
+// Below sweeps what lies under node base for the first n lanes of p: the
+// service of a branch whose cell the lanes' requesters already rejected.
+// Function shipping's owner side.
+func (s *Sweep) Below(p *Packet, n int, base int32, loads []int64) {
+	p.lanesOf(n, loads)
+	s.below(p, base)
+}
+
+// below sweeps the lanes of w.frames[0] through base's children — or its
+// particles, when base is a leaf — charging base one visit per lane, and
+// leaves each lane's sum, accumulated from +0, in that frame.
+func (s *Sweep) below(w *Packet, base int32) {
+	first := base
+	if s.Kind[base] != KindLeaf {
+		w.loads[base] += int64(w.frames[0].n)
+		first++
+	}
+	s.sweep(w, first, s.Skip[base], 0)
 }
 
 // sweep walks nodes [first, end) for the lanes of w.frames[0], leaving
 // each lane's sum — accumulated from init — in that frame.
-func (s *Sweep) sweep(w *sweepWorker, first, end int32, init float64) {
+func (s *Sweep) sweep(w *Packet, first, end int32, init float64) {
 	d := 0
 	f := &w.frames[0]
 	f.open(end, init)
@@ -360,12 +439,14 @@ func (s *Sweep) sweep(w *sweepWorker, first, end int32, init float64) {
 		default:
 			// A deferred branch contributes an explicit zero here (not a
 			// no-op under signed zeros); its sections fold in later.
+			df := deferral{node: i}
 			for _, l := range sub.lane[:sub.n] {
 				f.x[l] += 0
 				f.y[l] += 0
 				f.z[l] += 0
+				df.lanes |= 1 << l
 			}
-			w.defers = append(w.defers, deferral{sub.laneSet, i})
+			w.defers = append(w.defers, df)
 			i = s.Skip[i]
 		}
 	}
@@ -374,7 +455,7 @@ func (s *Sweep) sweep(w *sweepWorker, first, end int32, init float64) {
 // mac runs node i's acceptance test for the lanes of f: accepted lanes add
 // the cluster term — sharing the MAC's difference vector, whose squares
 // are sign-invariant — and are charged; rejected lanes are listed in sub.
-func (s *Sweep) mac(w *sweepWorker, f, sub *frame, i int32, summary bool) {
+func (s *Sweep) mac(w *Packet, f, sub *frame, i int32, summary bool) {
 	cx, cy, cz, side := s.ComX[i], s.ComY[i], s.ComZ[i], s.Side[i]
 	s2, gm := macS2(side), phys.G*s.Mass[i]
 	ex := 0.0
@@ -384,6 +465,7 @@ func (s *Sweep) mac(w *sweepWorker, f, sub *frame, i int32, summary bool) {
 	for _, l := range f.lane[:f.n] {
 		dx, dy, dz := cx-w.px[l], cy-w.py[l], cz-w.pz[l]
 		n2 := dx*dx + dy*dy + dz*dz
+		w.mac[l]++
 		if !macAccepts(s2, side, n2, s.a2, s.alpha) {
 			sub.lane[sub.n] = l
 			sub.n++
@@ -395,28 +477,26 @@ func (s *Sweep) mac(w *sweepWorker, f, sub *frame, i int32, summary bool) {
 		f.y[l] += g * dy
 		f.z[l] += g * dz
 		w.extra[l] += ex
+		w.pc[l]++
 	}
-	pc := int64(f.n - sub.n)
-	w.stats.MACTests += int64(f.n)
-	w.stats.PC += pc
 	if !summary {
-		w.loads[i] += pc
+		w.loads[i] += int64(f.n - sub.n)
 	}
 }
 
 // leaf adds, for every lane of f, the direct sum over particle columns
 // [lo, hi) — folded from a zero accumulator in column order, phys.Accel
 // term by term — to the lane's partial sum.
-func (s *Sweep) leaf(w *sweepWorker, f *frame, lo, hi int32) {
+func (s *Sweep) leaf(w *Packet, f *frame, lo, hi int32) {
 	ids, px, py, pz, pm := s.ID[lo:hi], s.PX[lo:hi], s.PY[lo:hi], s.PZ[lo:hi], s.PM[lo:hi]
 	e2 := s.e2
 	act := f.lane[:f.n]
 	var ax, ay, az [lanes]float64
-	pp := 0
 	for j, id := range ids {
 		x, y, z, gm := px[j], py[j], pz[j], phys.G*pm[j]
 		for _, l := range act {
 			if id == w.id[l] {
+				w.pp[l]--
 				continue
 			}
 			dx, dy, dz := x-w.px[l], y-w.py[l], z-w.pz[l]
@@ -430,11 +510,10 @@ func (s *Sweep) leaf(w *sweepWorker, f *frame, lo, hi int32) {
 				ay[l] += g * dy
 				az[l] += g * dz
 			}
-			pp++
 		}
 	}
-	w.stats.PP += int64(pp)
 	for _, l := range act {
+		w.pp[l] += int64(hi - lo)
 		f.x[l] += ax[l]
 		f.y[l] += ay[l]
 		f.z[l] += az[l]

@@ -193,3 +193,115 @@ func TestMACPrefilterExact(t *testing.T) {
 		})
 	}
 }
+
+// addSubtree appends the subtree at n to c as internal and leaf nodes and
+// returns its root's index.
+func addSubtree(c *Cols, n *Node) int32 {
+	if n.IsLeaf() {
+		lo, hi := c.AddParticles(n.Particles)
+		return c.AddNode(KindLeaf, n.COM, n.Mass, n.Box.LongestSide(), lo, hi)
+	}
+	idx := c.AddNode(KindInternal, n.COM, n.Mass, n.Box.LongestSide(), -1, -1)
+	for _, ch := range n.Children {
+		if ch != nil {
+			addSubtree(c, ch)
+		}
+	}
+	c.Skip[idx] = int32(len(c.Kind))
+	return idx
+}
+
+// TestPacketDeferMatchesForceAllOnLET builds a small locally essential
+// tree by hand — the root's octants as branch cells, one local, one a
+// remote leaf cell, one remote with two grafted sections, the rest remote
+// with one — and checks the packet-at-a-time entry points against ForceAll:
+// Defer's lane sums plus, for every branch a lane reports deferred, Below
+// over each of its grafts in order must rebuild ForceAll's accelerations
+// bit for bit, with the same extra charges, Stats and per-node Load.
+func TestPacketDeferMatchesForceAllOnLET(t *testing.T) {
+	s := dist.MustNamed("uniform", 1300, 21)
+	const leafCap, alpha, eps, exAdd = 4, 0.67, 0.01, 2.5
+	var byOct [8][]dist.Particle
+	for _, p := range s.Particles {
+		o := s.Domain.OctantOf(p.Pos)
+		byOct[o] = append(byOct[o], p)
+	}
+	byOct[1] = byOct[1][:leafCap] // the leaf-cell branch
+	var sw Sweep
+	// Sections first: every remote octant's subtree, octant 2's dealt to
+	// two owners.
+	grafts := map[int][]int32{}
+	for o := 1; o < 8; o++ {
+		shares := [][]dist.Particle{byOct[o]}
+		if o == 2 {
+			h := len(byOct[o]) / 2
+			shares = [][]dist.Particle{byOct[o][:h], byOct[o][h:]}
+		}
+		for _, ps := range shares {
+			grafts[o] = append(grafts[o], addSubtree(&sw.Cols, BuildKeyed(ps, s.Domain.Octant(o), leafCap).Root))
+		}
+	}
+	root := BuildKeyed(s.Particles, s.Domain, leafCap).Root
+	main := sw.AddNode(KindTop, root.COM, root.Mass, s.Domain.LongestSide(), -1, -1)
+	addSubtree(&sw.Cols, BuildKeyed(byOct[0], s.Domain.Octant(0), leafCap).Root)
+	for o := 1; o < 8; o++ {
+		cell := BuildKeyed(byOct[o], s.Domain.Octant(o), leafCap).Root
+		kind := KindBranch
+		if o == 1 {
+			kind = KindBranchLeaf
+		}
+		lo := int32(len(sw.Graft))
+		sw.Graft = append(sw.Graft, grafts[o]...)
+		sw.AddNode(kind, cell.COM, cell.Mass, s.Domain.Octant(o).LongestSide(), lo, int32(len(sw.Graft)))
+	}
+	sw.Skip[main] = int32(len(sw.Kind))
+
+	query := byOct[0][:len(byOct[0])/8*8+3] // the last packet is short
+	want, wantExtra := make([]vec.V3, len(query)), make([]float64, len(query))
+	wantLoads := make([]int64, len(sw.Kind))
+	wantStats := sw.ForceAll(query, main, alpha, eps, exAdd, want, wantExtra, wantLoads)
+
+	var own, served Packet
+	var gotStats Stats
+	gotLoads := make([]int64, len(sw.Kind))
+	sw.Begin(alpha, eps, exAdd)
+	deferred := 0
+	for k := 0; k < len(query); k += 8 {
+		n := min(8, len(query)-k)
+		for l, q := range query[k : k+n] {
+			own.SetLane(l, int32(q.ID), q.Pos)
+		}
+		sw.Defer(&own, n, main, gotLoads)
+		for l, q := range query[k : k+n] {
+			// served is swept while own's lanes are still being read, as
+			// function shipping's owner side is.
+			acc := own.Sum(l)
+			gotStats.Add(own.Stats(l))
+			for _, node := range own.Deferred(l, nil) {
+				deferred++
+				for _, base := range sw.Graft[sw.Lo[node]:sw.Hi[node]] {
+					served.SetLane(0, int32(q.ID), q.Pos)
+					sw.Below(&served, 1, base, gotLoads)
+					acc = acc.Add(served.Sum(0))
+					gotStats.Add(served.Stats(0))
+				}
+			}
+			if i := k + l; math.Float64bits(acc.X) != math.Float64bits(want[i].X) ||
+				math.Float64bits(acc.Y) != math.Float64bits(want[i].Y) ||
+				math.Float64bits(acc.Z) != math.Float64bits(want[i].Z) || own.Extra(l) != wantExtra[i] {
+				t.Fatalf("particle %d: Defer+Below %v (extra %v), ForceAll %v (extra %v)", q.ID, acc, own.Extra(l), want[i], wantExtra[i])
+			}
+		}
+	}
+	if deferred < 2*len(query) {
+		t.Fatalf("only %d deferrals for %d particles", deferred, len(query))
+	}
+	if gotStats != wantStats {
+		t.Fatalf("stats %+v, ForceAll %+v", gotStats, wantStats)
+	}
+	for i := range wantLoads {
+		if gotLoads[i] != wantLoads[i] {
+			t.Fatalf("node %d: load %d, ForceAll %d", i, gotLoads[i], wantLoads[i])
+		}
+	}
+}
