@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/dist"
@@ -145,14 +146,20 @@ type cell struct {
 	count  int
 	com    vec.V3
 	mass   float64
+	exp    *phys.Expansion
 	box    vec.Box
 }
 
+// world runs in force mode when degree < 0 and in potential mode at that
+// multipole degree otherwise; a potential travels as the X of a vec.V3, so
+// one oracle and one comparison serve both.
 type world struct {
 	domain  vec.Box
+	degree  int
 	cells   [8]cell
 	topCom  vec.V3
 	topMass float64
+	topExp  *phys.Expansion
 	parts   map[int][]dist.Particle // by owner
 }
 
@@ -166,8 +173,8 @@ const (
 // (emptied: a zero-count child) and octant 7 (split between owners 7 and
 // 8). Building twice gives two identical worlds whose Load counters the
 // oracle and the flat kernel charge separately.
-func newWorld(ps []dist.Particle, domain vec.Box) *world {
-	w := &world{domain: domain, parts: map[int][]dist.Particle{}}
+func newWorld(ps []dist.Particle, domain vec.Box, degree int) *world {
+	w := &world{domain: domain, degree: degree, parts: map[int][]dist.Particle{}}
 	for i, p := range ps {
 		oct := domain.OctantOf(p.Pos)
 		owner := oct
@@ -199,7 +206,40 @@ func newWorld(ps []dist.Particle, domain vec.Box) *world {
 		}
 	}
 	w.topCom = w.topCom.Scale(1 / w.topMass)
+	if degree < 0 {
+		return w
+	}
+	// Summaries evaluate an expansion of everything below them; sections
+	// and local subtrees carry their trees' own.
+	w.topExp = phys.NewExpansion(degree, w.topCom)
+	for oct := range w.cells {
+		c := &w.cells[oct]
+		c.exp = phys.NewExpansion(degree, c.com)
+		for i, tr := range c.trees {
+			tr.BuildExpansions(degree)
+			for _, p := range w.parts[c.owners[i]] {
+				c.exp.AddParticle(p.Mass, p.Pos)
+				w.topExp.AddParticle(p.Mass, p.Pos)
+			}
+		}
+	}
 	return w
+}
+
+// cluster is an accepted summary's term; subtree is what the pointer
+// recursion computes for q from node n down.
+func (w *world) cluster(q dist.Particle, com vec.V3, mass float64, exp *phys.Expansion, eps float64) vec.V3 {
+	if w.degree >= 0 {
+		return vec.V3{X: exp.EvalPotential(q.Pos)}
+	}
+	return phys.Accel(q.Pos, com, mass, eps)
+}
+
+func (w *world) subtree(n *tree.Node, q dist.Particle, alpha, eps float64, st *tree.Stats) vec.V3 {
+	if w.degree >= 0 {
+		return vec.V3{X: tree.PotentialFrom(n, q.Pos, q.ID, alpha, st)}
+	}
+	return tree.AccelFrom(n, q.Pos, q.ID, alpha, eps, st)
 }
 
 func (c *cell) localTo(me int) *tree.Tree {
@@ -209,14 +249,15 @@ func (c *cell) localTo(me int) *tree.Tree {
 	return nil
 }
 
-// oracle is function shipping's traversal (parbh traverseForce +
-// serveForce) for one particle of owner me, on the pointer trees.
+// oracle is function shipping's traversal (the pointer recursion parbh's
+// tests keep: traverseForce + serveForce, traversePot + servePot) for one
+// particle of owner me, on the pointer trees.
 func (w *world) oracle(me int, q dist.Particle, alpha, eps float64, st *tree.Stats) (vec.V3, float64) {
 	var extra float64
 	st.MACTests++
 	if realMAC(w.topCom, w.domain.LongestSide(), q.Pos, alpha) {
 		st.PC++
-		return phys.Accel(q.Pos, w.topCom, w.topMass, eps), extra + testExAdd
+		return w.cluster(q, w.topCom, w.topMass, w.topExp, eps), extra + testExAdd
 	}
 	var a vec.V3
 	var shipped []*cell
@@ -226,7 +267,7 @@ func (w *world) oracle(me int, q dist.Particle, alpha, eps float64, st *tree.Sta
 		case c.count == 0:
 			a = a.Add(vec.V3{})
 		case c.localTo(me) != nil:
-			a = a.Add(tree.AccelFrom(c.localTo(me).Root, q.Pos, q.ID, alpha, eps, st))
+			a = a.Add(w.subtree(c.localTo(me).Root, q, alpha, eps, st))
 		case c.count <= testLeafCap:
 			shipped = append(shipped, c)
 			a = a.Add(vec.V3{})
@@ -235,7 +276,7 @@ func (w *world) oracle(me int, q dist.Particle, alpha, eps float64, st *tree.Sta
 			if realMAC(c.com, c.box.LongestSide(), q.Pos, alpha) {
 				st.PC++
 				extra += testExAdd
-				a = a.Add(phys.Accel(q.Pos, c.com, c.mass, eps))
+				a = a.Add(w.cluster(q, c.com, c.mass, c.exp, eps))
 			} else {
 				shipped = append(shipped, c)
 				a = a.Add(vec.V3{})
@@ -246,13 +287,13 @@ func (w *world) oracle(me int, q dist.Particle, alpha, eps float64, st *tree.Sta
 		for _, tr := range c.trees {
 			branch := tr.Root
 			if branch.IsLeaf() {
-				a = a.Add(tree.AccelFrom(branch, q.Pos, q.ID, alpha, eps, st))
+				a = a.Add(w.subtree(branch, q, alpha, eps, st))
 				continue
 			}
 			var r vec.V3
 			for _, ch := range branch.Children {
 				if ch != nil {
-					r = r.Add(tree.AccelFrom(ch, q.Pos, q.ID, alpha, eps, st))
+					r = r.Add(w.subtree(ch, q, alpha, eps, st))
 				}
 			}
 			branch.Load++
@@ -263,8 +304,9 @@ func (w *world) oracle(me int, q dist.Particle, alpha, eps float64, st *tree.Sta
 }
 
 // flat builds owner me's locally essential tree the way parbh's
-// letExchange does and runs ForceAll, writing every Load charge (local
-// nodes directly, section nodes through their deltas) back to w's trees.
+// letExchange does and runs ForceAll or PotentialAll, writing every Load
+// charge (local nodes directly, section nodes through their deltas) back to
+// w's trees.
 func (w *world) flat(t *testing.T, me int, query []dist.Particle, alpha, eps float64) ([]vec.V3, []float64, tree.Stats) {
 	bb := BoundsOf(w.parts[me])
 	fl := &Flat{}
@@ -279,17 +321,17 @@ func (w *world) flat(t *testing.T, me int, query []dist.Particle, alpha, eps flo
 		for i, tr := range c.trees {
 			// A shared cell's owners each see only their own summary, so
 			// (as for a leaf cell) they ship unconditionally.
-			sec, nodes, _ := BuildSection(tr.Root, bb, alpha, false, c.count <= testLeafCap || len(c.trees) > 1)
+			sec, nodes, _ := BuildSection(tr.Root, bb, alpha, w.degree >= 0, c.count <= testLeafCap || len(c.trees) > 1)
 			if sec == nil {
 				grafts[c] = append(grafts[c], -1)
 				continue
 			}
-			grafts[c] = append(grafts[c], int32(fl.AddSection(c.owners[i], sec, nil)))
+			grafts[c] = append(grafts[c], int32(fl.AddSection(c.owners[i], sec, sectionExps(nodes))))
 			sent = append(sent, nodes)
 		}
 	}
 	fl.BeginMain()
-	top := fl.AddTop(w.topCom, w.topMass, w.domain.LongestSide(), nil)
+	top := fl.AddTop(w.topCom, w.topMass, w.domain.LongestSide(), w.topExp)
 	for oct := range w.cells {
 		c := &w.cells[oct]
 		switch {
@@ -298,13 +340,13 @@ func (w *world) flat(t *testing.T, me int, query []dist.Particle, alpha, eps flo
 		case c.localTo(me) != nil:
 			fl.AddLocalSubtree(c.localTo(me).Root)
 		default:
-			fl.AddBranch(c.count <= testLeafCap, c.com, c.mass, c.box.LongestSide(), nil, grafts[c])
+			fl.AddBranch(c.count <= testLeafCap, c.com, c.mass, c.box.LongestSide(), c.exp, grafts[c])
 		}
 	}
 	fl.CloseInternal(top)
 	fl.Seal()
 	out, extra := make([]vec.V3, len(query)), make([]float64, len(query))
-	st := fl.ForceAll(query, alpha, eps, testExAdd, out, extra)
+	st := sweepAll(fl, w.degree >= 0, query, alpha, eps, out, extra)
 	fl.ApplyLocalLoads()
 	if fl.NumSections() != len(sent) {
 		t.Fatalf("owner %d: %d sections, %d shipped", me, fl.NumSections(), len(sent))
@@ -316,6 +358,29 @@ func (w *world) flat(t *testing.T, me int, query []dist.Particle, alpha, eps flo
 		}
 	}
 	return out, extra, st
+}
+
+// sectionExps is what decoding a section shipped withExp yields: the
+// owner's expansions, node for node.
+func sectionExps(nodes []*tree.Node) []*phys.Expansion {
+	exps := make([]*phys.Expansion, len(nodes))
+	for j, n := range nodes {
+		exps[j] = n.Exp
+	}
+	return exps
+}
+
+// sweepAll runs fl's driver for the mode, a potential landing in out's X.
+func sweepAll(fl *Flat, potential bool, query []dist.Particle, alpha, eps float64, out []vec.V3, extra []float64) tree.Stats {
+	if !potential {
+		return fl.ForceAll(query, alpha, eps, testExAdd, out, extra)
+	}
+	pot := make([]float64, len(query))
+	st := fl.PotentialAll(query, alpha, testExAdd, pot, extra)
+	for i, v := range pot {
+		out[i] = vec.V3{X: v}
+	}
+	return st
 }
 
 func (w *world) loads() []int64 {
@@ -338,115 +403,166 @@ func sameBits(a, b vec.V3) bool {
 }
 
 // TestFlatForceAllMatchesFunctionShippingOracle drives let.Flat.ForceAll
-// directly — no parbh — against the pointer recursion arranged as
-// function shipping arranges it, and demands bit-identical accelerations
-// and extra charges, equal Stats, and equal Load on every node of every
-// owner's tree (local charges and returned section deltas alike).
+// and PotentialAll directly — no parbh — against the pointer recursion
+// arranged as function shipping arranges it, and demands bit-identical
+// accelerations (potentials) and extra charges, equal Stats, and equal Load
+// on every node of every owner's tree (local charges and returned section
+// deltas alike).
 func TestFlatForceAllMatchesFunctionShippingOracle(t *testing.T) {
 	s := dist.MustNamed("g", 2400, 77)
-	summaries := false
-	for _, procs := range []int{1, 2, 7} {
-		for _, alpha := range []float64{0.4, 0.67, 2.5} {
-			old := runtime.GOMAXPROCS(procs)
-			want, got := newWorld(s.Particles, s.Domain), newWorld(s.Particles, s.Domain)
-			deferred := false
-			for me := range got.parts {
-				var wantSt tree.Stats
-				acc, extra, gotSt := got.flat(t, me, got.parts[me], alpha, 0.01)
-				for i, q := range want.parts[me] {
-					a, ex := want.oracle(me, q, alpha, 0.01, &wantSt)
-					if !sameBits(acc[i], a) {
-						t.Fatalf("procs %d α=%v owner %d particle %d: flat %v oracle %v", procs, alpha, me, q.ID, acc[i], a)
+	for _, degree := range []int{-1, 0, 3} {
+		summaries := false
+		for _, procs := range []int{1, 2, 7} {
+			for _, alpha := range []float64{0.4, 0.67, 2.5} {
+				old := runtime.GOMAXPROCS(procs)
+				want, got := newWorld(s.Particles, s.Domain, degree), newWorld(s.Particles, s.Domain, degree)
+				deferred := false
+				for me := range got.parts {
+					var wantSt tree.Stats
+					acc, extra, gotSt := got.flat(t, me, got.parts[me], alpha, 0.01)
+					for i, q := range want.parts[me] {
+						a, ex := want.oracle(me, q, alpha, 0.01, &wantSt)
+						if !sameBits(acc[i], a) {
+							t.Fatalf("degree %d procs %d α=%v owner %d particle %d: flat %v oracle %v", degree, procs, alpha, me, q.ID, acc[i], a)
+						}
+						if math.Float64bits(extra[i]) != math.Float64bits(ex) {
+							t.Fatalf("degree %d procs %d α=%v owner %d particle %d: extra %v oracle %v", degree, procs, alpha, me, q.ID, extra[i], ex)
+						}
+						summaries = summaries || ex > testExAdd
 					}
-					if math.Float64bits(extra[i]) != math.Float64bits(ex) {
-						t.Fatalf("procs %d α=%v owner %d particle %d: extra %v oracle %v", procs, alpha, me, q.ID, extra[i], ex)
+					if gotSt != wantSt {
+						t.Fatalf("degree %d procs %d α=%v owner %d: stats %+v oracle %+v", degree, procs, alpha, me, gotSt, wantSt)
 					}
-					summaries = summaries || ex > testExAdd
 				}
-				if gotSt != wantSt {
-					t.Fatalf("procs %d α=%v owner %d: stats %+v oracle %+v", procs, alpha, me, gotSt, wantSt)
+				wl, gl := want.loads(), got.loads()
+				for i := range wl {
+					if gl[i] != wl[i] {
+						t.Fatalf("degree %d procs %d α=%v: load %d is %d, oracle %d", degree, procs, alpha, i, gl[i], wl[i])
+					}
+					deferred = deferred || wl[i] != 0
 				}
-			}
-			wl, gl := want.loads(), got.loads()
-			for i := range wl {
-				if gl[i] != wl[i] {
-					t.Fatalf("procs %d α=%v: load %d is %d, oracle %d", procs, alpha, i, gl[i], wl[i])
+				if !deferred {
+					t.Fatal("no load was charged anywhere")
 				}
-				deferred = deferred || wl[i] != 0
+				runtime.GOMAXPROCS(old)
 			}
-			if !deferred {
-				t.Fatal("no load was charged anywhere")
-			}
-			runtime.GOMAXPROCS(old)
 		}
-	}
-	if !summaries {
-		t.Fatal("no particle accepted two replicated summaries")
+		if !summaries {
+			t.Fatalf("degree %d: no particle accepted two replicated summaries", degree)
+		}
 	}
 }
 
 // TestFlatRootIsRemoteBranch covers the traversal whose root is itself a
 // deferred branch: the main sweep contributes an exact +0 and the result
 // is the fold of the sections alone, for query points that belong to no
-// tree (packed in the order given).
+// tree (packed in the order given), in force mode and in potential mode.
 func TestFlatRootIsRemoteBranch(t *testing.T) {
 	s := dist.MustNamed("uniform", 300, 3)
 	rng := rand.New(rand.NewSource(9))
-	for _, leafCell := range []bool{false, true} {
-		owner := tree.BuildKeyed(s.Particles, s.Domain, testLeafCap)
-		oracle := tree.BuildKeyed(s.Particles, s.Domain, testLeafCap)
-		var query []dist.Particle
-		for i := 0; i < 21; i++ {
-			query = append(query, dist.Particle{ID: 1000 + i, Mass: 1, Pos: s.Domain.Min.Add(s.Domain.Size().Scale(rng.Float64()))})
-		}
-		sec, nodes, _ := BuildSection(owner.Root, BoundsOf(query), 0.67, false, true)
-		fl := &Flat{}
-		fl.Reset()
-		si := fl.AddSection(1, sec, nil)
-		fl.BeginMain()
-		fl.AddBranch(leafCell, owner.Root.COM, owner.Root.Mass, s.Domain.LongestSide(), nil, []int32{int32(si)})
-		fl.Seal()
-		out, extra := make([]vec.V3, len(query)), make([]float64, len(query))
-		gotSt := fl.ForceAll(query, 0.67, 0.01, testExAdd, out, extra)
-		ords, deltas := fl.SectionDeltas(si, nil, nil)
-		for j, ord := range ords {
-			nodes[ord].Load += deltas[j]
-		}
-		var wantSt tree.Stats
-		for i, q := range query {
-			var want vec.V3
-			wantEx := 0.0
-			if !leafCell {
-				wantSt.MACTests++
+	for _, degree := range []int{-1, 2} {
+		for _, leafCell := range []bool{false, true} {
+			w := &world{degree: degree}
+			owner := tree.BuildKeyed(s.Particles, s.Domain, testLeafCap)
+			oracle := tree.BuildKeyed(s.Particles, s.Domain, testLeafCap)
+			if degree >= 0 {
+				owner.BuildExpansions(degree)
+				oracle.BuildExpansions(degree)
 			}
-			if !leafCell && realMAC(oracle.Root.COM, s.Domain.LongestSide(), q.Pos, 0.67) {
-				wantSt.PC++
-				wantEx = testExAdd
-				want = phys.Accel(q.Pos, oracle.Root.COM, oracle.Root.Mass, 0.01)
-			} else {
-				var r vec.V3
-				for _, ch := range oracle.Root.Children {
-					if ch != nil {
-						r = r.Add(tree.AccelFrom(ch, q.Pos, q.ID, 0.67, 0.01, &wantSt))
-					}
+			var query []dist.Particle
+			for i := 0; i < 21; i++ {
+				query = append(query, dist.Particle{ID: 1000 + i, Mass: 1, Pos: s.Domain.Min.Add(s.Domain.Size().Scale(rng.Float64()))})
+			}
+			sec, nodes, _ := BuildSection(owner.Root, BoundsOf(query), 0.67, degree >= 0, true)
+			fl := &Flat{}
+			fl.Reset()
+			si := fl.AddSection(1, sec, sectionExps(nodes))
+			fl.BeginMain()
+			fl.AddBranch(leafCell, owner.Root.COM, owner.Root.Mass, s.Domain.LongestSide(), owner.Root.Exp, []int32{int32(si)})
+			fl.Seal()
+			out, extra := make([]vec.V3, len(query)), make([]float64, len(query))
+			gotSt := sweepAll(fl, degree >= 0, query, 0.67, 0.01, out, extra)
+			ords, deltas := fl.SectionDeltas(si, nil, nil)
+			for j, ord := range ords {
+				nodes[ord].Load += deltas[j]
+			}
+			var wantSt tree.Stats
+			for i, q := range query {
+				var want vec.V3
+				wantEx := 0.0
+				if !leafCell {
+					wantSt.MACTests++
 				}
-				oracle.Root.Load++
-				want = vec.V3{}.Add(r)
+				if !leafCell && realMAC(oracle.Root.COM, s.Domain.LongestSide(), q.Pos, 0.67) {
+					wantSt.PC++
+					wantEx = testExAdd
+					want = w.cluster(q, oracle.Root.COM, oracle.Root.Mass, oracle.Root.Exp, 0.01)
+				} else {
+					var r vec.V3
+					for _, ch := range oracle.Root.Children {
+						if ch != nil {
+							r = r.Add(w.subtree(ch, q, 0.67, 0.01, &wantSt))
+						}
+					}
+					oracle.Root.Load++
+					want = vec.V3{}.Add(r)
+				}
+				if !sameBits(out[i], want) || extra[i] != wantEx {
+					t.Fatalf("degree %d leafCell=%v query %d: flat %v (extra %v) oracle %v (extra %v)", degree, leafCell, i, out[i], extra[i], want, wantEx)
+				}
 			}
-			if !sameBits(out[i], want) || extra[i] != wantEx {
-				t.Fatalf("leafCell=%v query %d: flat %v (extra %v) oracle %v (extra %v)", leafCell, i, out[i], extra[i], want, wantEx)
+			if gotSt != wantSt {
+				t.Fatalf("degree %d leafCell=%v: stats %+v oracle %+v", degree, leafCell, gotSt, wantSt)
 			}
-		}
-		if gotSt != wantSt {
-			t.Fatalf("leafCell=%v: stats %+v oracle %+v", leafCell, gotSt, wantSt)
-		}
-		var wl, gl []int64
-		oracle.Walk(func(n *tree.Node) bool { wl = append(wl, n.Load); return true })
-		owner.Walk(func(n *tree.Node) bool { gl = append(gl, n.Load); return true })
-		for i := range wl {
-			if gl[i] != wl[i] {
-				t.Fatalf("leafCell=%v: load %d is %d, oracle %d", leafCell, i, gl[i], wl[i])
+			var wl, gl []int64
+			oracle.Walk(func(n *tree.Node) bool { wl = append(wl, n.Load); return true })
+			owner.Walk(func(n *tree.Node) bool { gl = append(gl, n.Load); return true })
+			for i := range wl {
+				if gl[i] != wl[i] {
+					t.Fatalf("degree %d leafCell=%v: load %d is %d, oracle %d", degree, leafCell, i, gl[i], wl[i])
+				}
 			}
 		}
 	}
+}
+
+// TestFlatPotentialAllDriver: the potential driver takes a nil extra as
+// ForceAll does, and an accepted summary that was given no expansion is
+// reported by name, not as a nil dereference.
+func TestFlatPotentialAllDriver(t *testing.T) {
+	s := dist.MustNamed("plummer", 500, 4)
+	tr := tree.BuildKeyed(s.Particles, s.Domain, testLeafCap)
+	tr.BuildExpansions(2)
+	flatten := func(top *phys.Expansion) *Flat {
+		fl := &Flat{}
+		fl.Reset()
+		fl.BeginMain()
+		idx := fl.AddTop(tr.Root.COM, tr.Root.Mass, s.Domain.LongestSide(), top)
+		for _, c := range tr.Root.Children {
+			if c != nil {
+				fl.AddLocalSubtree(c)
+			}
+		}
+		fl.CloseInternal(idx)
+		fl.Seal()
+		return fl
+	}
+	want, wantSt := tr.PotentialAll(s.Particles, 0.67)
+	got := make([]float64, len(s.Particles))
+	if gotSt := flatten(tr.Root.Exp).PotentialAll(s.Particles, 0.67, testExAdd, got, nil); gotSt != wantSt {
+		t.Fatalf("stats %+v, pointer %+v", gotSt, wantSt)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("potential %d: %v, pointer %v", i, got[i], want[i])
+		}
+	}
+
+	far := []dist.Particle{{ID: -1, Pos: s.Domain.Max.Add(s.Domain.Size().Scale(50))}}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "withExp") {
+			t.Fatalf("panic %q does not name withExp", msg)
+		}
+	}()
+	flatten(nil).PotentialAll(far, 0.67, testExAdd, got, nil)
 }

@@ -126,7 +126,7 @@ func (e *Engine) dataShipPhase(pr *msg.Proc, st *localState, res *Result) {
 			}
 			st.stats.MACTests++
 			pr.Compute(phys.MACFlops)
-			if acceptsSummary(n, q.Pos, cfg.Alpha) {
+			if d := q.Pos.Dist(n.com); d != 0 && n.side/d < cfg.Alpha {
 				st.stats.PC++
 				pr.Compute(phys.InteractionFlops(deg))
 				if cfg.Mode == ForceMode {

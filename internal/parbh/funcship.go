@@ -63,25 +63,8 @@ func (e *Engine) forcePhase(pr *msg.Proc, st *localState, res *Result) {
 	t0 := pr.Stats().ComputeTime
 	st.extraLoad = make(map[int]float64, len(st.parts))
 
-	// Accumulators for local contributions, by local particle index.
-	n := len(st.parts)
-	localF := make([]vec.V3, n)
-	localP := make([]float64, n)
-
-	if e.cfg.Mode == ForceMode {
-		r.flatten()
-		r.sweepOwn(localF)
-	} else {
-		for i := range st.parts {
-			q := &st.parts[i]
-			r.curID = q.ID
-			localP[i] = r.traversePot(st.top, q.Pos, q.ID)
-			r.slotEnd[i] = len(r.slotP)
-			// Poll for incoming work between particles ("processors must
-			// periodically process remote work requests").
-			r.serviceAll(false)
-		}
-	}
+	r.flatten()
+	r.sweepOwn()
 	r.flush()
 	r.terminate()
 
@@ -89,22 +72,21 @@ func (e *Engine) forcePhase(pr *msg.Proc, st *localState, res *Result) {
 	// order, which is the traversal order and independent of message
 	// timing.
 	s := 0
-	if e.cfg.Mode == ForceMode {
-		for i := range st.parts {
+	for i := range st.parts {
+		id := st.parts[i].ID
+		if e.cfg.Mode == ForceMode {
 			for ; s < r.slotEnd[i]; s++ {
-				localF[i] = localF[i].Add(r.slotF[s])
+				r.localF[i] = r.localF[i].Add(r.slotF[s])
 			}
-			res.Accels[st.parts[i].ID] = localF[i]
-		}
-		r.fl.ApplyLocalLoads()
-	} else {
-		for i := range st.parts {
+			res.Accels[id] = r.localF[i]
+		} else {
 			for ; s < r.slotEnd[i]; s++ {
-				localP[i] += r.slotP[s]
+				r.localP[i] += r.slotP[s]
 			}
-			res.Potentials[st.parts[i].ID] = localP[i]
+			res.Potentials[id] = r.localP[i]
 		}
 	}
+	r.fl.ApplyLocalLoads()
 	r.sh.slots = s
 	st.forceT = pr.Stats().ComputeTime - t0
 }
@@ -116,7 +98,7 @@ type shipScratch struct {
 	// sizes its slot arrays with it instead of regrowing them from empty.
 	slots int
 
-	// Force mode: where the branch cells landed in the rank's flat tree.
+	// Where the branch cells landed in the rank's flat tree.
 	branchAt []*pnode         // node index → remote branch cell
 	localAt  map[uint64]int32 // packed branch key → node index of the local subtree root
 
@@ -140,21 +122,19 @@ type shipRun struct {
 	pr *msg.Proc
 	st *localState
 	sh *shipScratch
-	fl *let.Flat // force mode: the rank's replicated tree in packet-kernel form
+	fl *let.Flat // the rank's replicated tree in packet-kernel form
 
 	bins        []reqBin // one per destination
 	outstanding []bool   // one unacked bin per destination allowed
 	pendingReps int      // bins sent, replies not yet received
 
-	// Reply values by slot. Slots are handed out in traversal order, so
-	// local particle i's are [slotEnd[i-1], slotEnd[i]).
-	slotEnd []int
-	slotF   []vec.V3 // force mode
-	slotP   []float64
-
-	// curID is the particle whose potential-mode traversal is running;
-	// summary-level interactions are attributed to it for load balancing.
-	curID int
+	// What the rank's own sweep summed, by local particle index, and the
+	// reply values by slot: F in force mode, P in potential mode. Slots are
+	// handed out in traversal order, so local particle i's are
+	// [slotEnd[i-1], slotEnd[i]).
+	localF, slotF []vec.V3
+	localP, slotP []float64
+	slotEnd       []int
 
 	// Tree-based termination detection.
 	doneKids int
@@ -173,11 +153,12 @@ func (r *shipRun) init() {
 	// Last step's slot count plus an eighth: a rebalanced rank's count
 	// drifts by a few percent, and outgrowing the estimate doubles it.
 	slots := r.sh.slots + r.sh.slots/8
-	r.slotEnd = make([]int, len(r.st.parts))
+	n := len(r.st.parts)
+	r.slotEnd = make([]int, n)
 	if r.e.cfg.Mode == ForceMode {
-		r.slotF = make([]vec.V3, 0, slots)
+		r.localF, r.slotF = make([]vec.V3, n), make([]vec.V3, 0, slots)
 	} else {
-		r.slotP = make([]float64, 0, slots)
+		r.localP, r.slotP = make([]float64, n), make([]float64, 0, slots)
 	}
 }
 
@@ -293,38 +274,24 @@ func (r *shipRun) serve(bin reqBin, from int) {
 	words := n + 1
 	if r.e.cfg.Mode == ForceMode {
 		rep.F = vec3Pool.get(n)
-		r.servePackets(bin.Entries, rep.F)
 		words = 3*n + 1
 	} else {
 		rep.P = f64Pool.get(n)
-		for i, en := range bin.Entries {
-			node := r.st.lookup.find(en.Key)
-			r.pr.Compute(r.st.lookup.cost())
-			if node == nil {
-				// Empty branch (race with zero-count summaries). Pooled
-				// reply buffers carry stale values, so zero the slot.
-				rep.P[i] = 0
-				continue
-			}
-			var s tree.Stats
-			rep.P[i] = servePot(node, en.Pos, int(en.Self), r.e.cfg.Alpha, &s)
-			r.st.stats.Add(s)
-			r.pr.Compute(s.Flops(r.e.cfg.Degree))
-		}
 	}
+	r.servePackets(bin.Entries, &rep)
 	reqEntryPool.put(bin.Entries)
 	r.pr.Send(from, tagReply, rep, words)
 }
 
-// servePackets answers one force-mode bin on the packet kernel. The
-// requesters already rejected each branch cell under the MAC, so service
-// starts at the branch's children (or at the particles of a leaf branch),
-// mirroring what a serial traversal does after rejecting the node. Entries
-// asking for the same branch are swept together, up to eight to a packet,
-// from the branch's node in this rank's flat tree; every lane is still its
-// entry's lone traversal, and the clock is then charged entry by entry in
-// request order — lookup, then that entry's interactions.
-func (r *shipRun) servePackets(entries []reqEntry, out []vec.V3) {
+// servePackets answers one bin on the packet kernel. The requesters already
+// rejected each branch cell under the MAC, so service starts at the branch's
+// children (or at the particles of a leaf branch), mirroring what a serial
+// traversal does after rejecting the node. Entries asking for the same
+// branch are swept together, up to eight to a packet, from the branch's
+// node in this rank's flat tree; every lane is still its entry's lone
+// traversal, and the clock is then charged entry by entry in request order —
+// lookup, then that entry's interactions.
+func (r *shipRun) servePackets(entries []reqEntry, rep *repBin) {
 	sh := r.sh
 	sh.base, sh.touched = sh.base[:0], sh.touched[:0]
 	for i := range entries {
@@ -355,6 +322,7 @@ func (r *shipRun) servePackets(entries []reqEntry, out []vec.V3) {
 			sh.fill[b]++
 		}
 	}
+	force, deg := r.e.cfg.Mode == ForceMode, r.e.cfg.degreeOrMonopole()
 	pk := &sh.served
 	lo := int32(0)
 	for _, b := range sh.touched {
@@ -369,7 +337,12 @@ func (r *shipRun) servePackets(entries []reqEntry, out []vec.V3) {
 			for l, i := range group {
 				s := pk.Stats(l)
 				r.st.stats.Add(s)
-				out[i], sh.flops[i] = pk.Sum(l), s.Flops(0)
+				sh.flops[i] = s.Flops(deg)
+				if force {
+					rep.F[i] = pk.Sum(l)
+				} else {
+					rep.P[i] = pk.Pot(l)
+				}
 			}
 		}
 		lo = hi
@@ -377,31 +350,18 @@ func (r *shipRun) servePackets(entries []reqEntry, out []vec.V3) {
 	lookup := r.st.lookup.cost()
 	for i, b := range sh.base {
 		r.pr.Compute(lookup)
-		if b < 0 {
-			// Empty branch (race with zero-count summaries). Pooled reply
-			// buffers carry stale values, so zero the slot explicitly.
-			out[i] = vec.V3{}
+		if b >= 0 {
+			r.pr.Compute(sh.flops[i])
 			continue
 		}
-		r.pr.Compute(sh.flops[i])
-	}
-}
-
-// servePot computes the contribution of the subtree rooted at branch to
-// a shipped particle in potential mode, on the pointer tree: as in force
-// mode, evaluation starts below the already rejected branch cell.
-func servePot(branch *tree.Node, pos vec.V3, self int, alpha float64, stats *tree.Stats) float64 {
-	if branch.IsLeaf() {
-		return tree.PotentialFrom(branch, pos, self, alpha, stats)
-	}
-	var phi float64
-	for _, c := range branch.Children {
-		if c != nil {
-			phi += tree.PotentialFrom(c, pos, self, alpha, stats)
+		// Empty branch (race with zero-count summaries). Pooled reply
+		// buffers carry stale values, so zero the slot explicitly.
+		if force {
+			rep.F[i] = vec.V3{}
+		} else {
+			rep.P[i] = 0
 		}
 	}
-	branch.Load++
-	return phi
 }
 
 // flatten puts the rank's replicated tree in packet-kernel form: the same
@@ -422,7 +382,7 @@ func (r *shipRun) flatten() {
 			sh.localAt[n.cell.Uint64()] = fl.AddLocalSubtree(n.local)
 			return
 		}
-		idx := fl.AddBranch(n.leafCell, n.com, n.mass, n.side, nil, nil)
+		idx := fl.AddBranch(n.leafCell, n.com, n.mass, n.side, n.exp, nil)
 		for len(sh.branchAt) <= int(idx) {
 			sh.branchAt = append(sh.branchAt, nil)
 		}
@@ -437,20 +397,20 @@ func (r *shipRun) flatten() {
 	cfg := r.e.cfg
 	// The per-interaction extra-load addend: interactions against
 	// replicated summaries have no local tree node to charge.
-	fl.Begin(cfg.Alpha, cfg.Eps, phys.InteractionFlops(0)+phys.MACFlops)
+	fl.Begin(cfg.Alpha, cfg.Eps, phys.InteractionFlops(cfg.degreeOrMonopole())+phys.MACFlops, cfg.Mode == PotentialMode)
 	r.fl = fl
 }
 
-// sweepOwn runs the force traversal of the rank's own particles, eight at
-// a time in particle order, then replays the packet one lane — one
-// particle — at a time on the simulated clock: the particle's interactions
-// are charged, the branches it opened are shipped in the order its lone
-// traversal would have met them, and incoming work is polled ("processors
-// must periodically process remote work requests"). Slots, bins, flow
-// control and termination therefore see exactly a one-particle-at-a-time
-// traversal.
-func (r *shipRun) sweepOwn(localF []vec.V3) {
+// sweepOwn runs the traversal of the rank's own particles, eight at a time
+// in particle order, then replays the packet one lane — one particle — at a
+// time on the simulated clock: the particle's interactions are charged, the
+// branches it opened are shipped in the order its lone traversal would have
+// met them, and incoming work is polled ("processors must periodically
+// process remote work requests"). Slots, bins, flow control and termination
+// therefore see exactly a one-particle-at-a-time traversal.
+func (r *shipRun) sweepOwn() {
 	sh, st := r.sh, r.st
+	force, deg := r.e.cfg.Mode == ForceMode, r.e.cfg.degreeOrMonopole()
 	pk := &sh.own
 	for k := 0; k < len(st.parts); k += 8 {
 		n := min(8, len(st.parts)-k)
@@ -463,84 +423,23 @@ func (r *shipRun) sweepOwn(localF []vec.V3) {
 			q := &st.parts[i]
 			s := pk.Stats(l)
 			st.stats.Add(s)
-			r.pr.Compute(s.Flops(0))
+			r.pr.Compute(s.Flops(deg))
 			if ex := pk.Extra(l); ex != 0 {
 				st.extraLoad[q.ID] = ex
 			}
-			localF[i] = pk.Sum(l)
+			if force {
+				r.localF[i] = pk.Sum(l)
+			} else {
+				r.localP[i] = pk.Pot(l)
+			}
 			sh.deferred = pk.Deferred(l, sh.deferred[:0])
 			for _, node := range sh.deferred {
 				r.ship(sh.branchAt[node], q.Pos, q.ID)
 			}
-			r.slotEnd[i] = len(r.slotF)
+			r.slotEnd[i] = len(r.slotF) + len(r.slotP) // the mode's; the other stays empty
 			r.serviceAll(false)
 		}
 	}
-}
-
-// traversePot walks the replicated tree for one particle in potential
-// mode, accumulating local contributions and binning remote ones.
-func (r *shipRun) traversePot(n *pnode, pos vec.V3, self int) float64 {
-	if n == nil || n.count == 0 {
-		return 0
-	}
-	if n.local != nil {
-		var s tree.Stats
-		phi := tree.PotentialFrom(n.local, pos, self, r.e.cfg.Alpha, &s)
-		r.st.stats.Add(s)
-		r.pr.Compute(s.Flops(r.e.cfg.Degree))
-		return phi
-	}
-	if n.isBranch {
-		if n.leafCell {
-			r.ship(n, pos, self)
-			return 0
-		}
-		if r.chargeMAC() && acceptsSummary(n, pos, r.e.cfg.Alpha) {
-			r.chargePC()
-			return n.exp.EvalPotential(pos)
-		}
-		r.ship(n, pos, self)
-		return 0
-	}
-	if r.chargeMAC() && acceptsSummary(n, pos, r.e.cfg.Alpha) {
-		r.chargePC()
-		return n.exp.EvalPotential(pos)
-	}
-	var phi float64
-	for _, c := range n.children {
-		if c != nil {
-			phi += r.traversePot(c, pos, self)
-		}
-	}
-	return phi
-}
-
-// chargeMAC records one MAC test; it always returns true so it can gate
-// the acceptance check in a short-circuit expression.
-func (r *shipRun) chargeMAC() bool {
-	r.st.stats.MACTests++
-	r.pr.Compute(phys.MACFlops)
-	return true
-}
-
-// chargePC records one particle–cluster interaction against a replicated
-// summary; the load is attributed to the traversing particle because no
-// local tree node represents the summary.
-func (r *shipRun) chargePC() {
-	r.st.stats.PC++
-	flops := phys.InteractionFlops(r.e.cfg.degreeOrMonopole())
-	r.st.extraLoad[r.curID] += flops + phys.MACFlops
-	r.pr.Compute(flops)
-}
-
-// acceptsSummary applies the Barnes–Hut MAC to a replicated node summary.
-func acceptsSummary(n *pnode, pos vec.V3, alpha float64) bool {
-	d := pos.Dist(n.com)
-	if d == 0 {
-		return false
-	}
-	return n.side/d < alpha
 }
 
 // terminate runs the tree-based distributed termination protocol: a

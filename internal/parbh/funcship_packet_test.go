@@ -15,11 +15,12 @@ import (
 	"repro/internal/vec"
 )
 
-// Force-mode function shipping runs on the packet kernel on both sides.
-// These tests hold it to the pointer recursion it replaced — traverseForce
-// and serveForce below are that code, kept verbatim as the oracle — bit for
-// bit: accelerations, per-rank Stats, every tree node's Load, the
-// extra-load account, and the words and messages of the protocol.
+// Function shipping runs on the packet kernel on both sides, in force mode
+// and in potential mode. These tests hold it to the pointer recursion it
+// replaced — traverseForce/serveForce and traversePot/servePot below are
+// that code, kept verbatim as the oracle — bit for bit: accelerations,
+// potentials, per-rank Stats, every tree node's Load, the extra-load
+// account, and the words and messages of the protocol.
 
 // serveForce computes the contribution of the subtree rooted at branch to
 // a shipped particle. The requester already rejected the branch cell
@@ -38,6 +39,32 @@ func serveForce(branch *tree.Node, pos vec.V3, self int, alpha, eps float64, sta
 	}
 	branch.Load++
 	return a
+}
+
+// servePot computes the contribution of the subtree rooted at branch to
+// a shipped particle in potential mode, on the pointer tree: as in force
+// mode, evaluation starts below the already rejected branch cell.
+func servePot(branch *tree.Node, pos vec.V3, self int, alpha float64, stats *tree.Stats) float64 {
+	if branch.IsLeaf() {
+		return tree.PotentialFrom(branch, pos, self, alpha, stats)
+	}
+	var phi float64
+	for _, c := range branch.Children {
+		if c != nil {
+			phi += tree.PotentialFrom(c, pos, self, alpha, stats)
+		}
+	}
+	branch.Load++
+	return phi
+}
+
+// acceptsSummary applies the Barnes–Hut MAC to a replicated node summary.
+func acceptsSummary(n *pnode, pos vec.V3, alpha float64) bool {
+	d := pos.Dist(n.com)
+	if d == 0 {
+		return false
+	}
+	return n.side/d < alpha
 }
 
 // shipOracle is one rank's pointer-recursion traversal state: what the
@@ -116,13 +143,51 @@ func (r *shipOracle) traverseForce(n *pnode, pos vec.V3, self, localIdx int) vec
 	return a
 }
 
+// traversePot walks the replicated tree for one particle in potential
+// mode, accumulating local contributions and binning remote ones.
+func (r *shipOracle) traversePot(n *pnode, pos vec.V3, self, localIdx int) float64 {
+	if n == nil || n.count == 0 {
+		return 0
+	}
+	if n.local != nil {
+		var s tree.Stats
+		phi := tree.PotentialFrom(n.local, pos, self, r.cfg.Alpha, &s)
+		r.stats.Add(s)
+		return phi
+	}
+	if n.isBranch {
+		if n.leafCell {
+			r.ship(n, pos, self, localIdx)
+			return 0
+		}
+		if r.chargeMAC() && acceptsSummary(n, pos, r.cfg.Alpha) {
+			r.chargePC()
+			return n.exp.EvalPotential(pos)
+		}
+		r.ship(n, pos, self, localIdx)
+		return 0
+	}
+	if r.chargeMAC() && acceptsSummary(n, pos, r.cfg.Alpha) {
+		r.chargePC()
+		return n.exp.EvalPotential(pos)
+	}
+	var phi float64
+	for _, c := range n.children {
+		if c != nil {
+			phi += r.traversePot(c, pos, self, localIdx)
+		}
+	}
+	return phi
+}
+
 // shipWorld is every rank's state after tree merging, and — once a force
 // phase or the oracle has run over it — what that left behind.
 type shipWorld struct {
 	cfg    Config
 	states []*localState
-	accels []vec.V3
-	words  int64 // force-phase communication, all ranks
+	accels []vec.V3  // force mode
+	pots   []float64 // potential mode
+	words  int64     // force-phase communication, all ranks
 	msgs   int64
 }
 
@@ -132,8 +197,8 @@ type shipWorld struct {
 func phases(t *testing.T, e *Engine, force bool) *shipWorld {
 	t.Helper()
 	p := e.machine.P
-	w := &shipWorld{cfg: e.cfg, states: make([]*localState, p), accels: make([]vec.V3, e.n)}
-	res := &Result{Accels: w.accels}
+	w := newShipWorld(e.cfg, make([]*localState, p), e.n)
+	res := &Result{Accels: w.accels, Potentials: w.pots}
 	words, msgs := make([]int64, p), make([]int64, p)
 	_, err := e.machine.RunErr(func(pr *msg.Proc) {
 		st := &localState{me: pr.ID(), parts: e.parts[pr.ID()]}
@@ -160,6 +225,10 @@ func phases(t *testing.T, e *Engine, force bool) *shipWorld {
 	return w
 }
 
+func newShipWorld(cfg Config, states []*localState, n int) *shipWorld {
+	return &shipWorld{cfg: cfg, states: states, accels: make([]vec.V3, n), pots: make([]float64, n)}
+}
+
 // runOracle evaluates the force phase over w the way the pointer recursion
 // did — every particle alone, requests served one at a time on the owners'
 // pointer trees, replies folded in slot order — and returns the number of
@@ -170,26 +239,37 @@ func (w *shipWorld) runOracle() [][]int {
 	for me, st := range w.states {
 		entries[me] = make([]int, p)
 		r := &shipOracle{cfg: w.cfg, extraLoad: st.extraLoad}
-		local := make([]vec.V3, len(st.parts))
+		pot := w.cfg.Mode == PotentialMode
+		localF, localP := make([]vec.V3, len(st.parts)), make([]float64, len(st.parts))
 		for i := range st.parts {
 			q := &st.parts[i]
 			r.curID = q.ID
-			local[i] = r.traverseForce(st.top, q.Pos, q.ID, i)
+			if pot {
+				localP[i] = r.traversePot(st.top, q.Pos, q.ID, i)
+			} else {
+				localF[i] = r.traverseForce(st.top, q.Pos, q.ID, i)
+			}
 		}
 		st.stats.Add(r.stats)
 		for _, sl := range r.slots {
 			entries[me][sl.owner]++
 			owner := w.states[sl.owner]
-			var reply vec.V3
+			var replyF vec.V3
+			var replyP float64
 			if node := owner.lookup.find(sl.key); node != nil {
 				var s tree.Stats
-				reply = serveForce(node, sl.pos, sl.self, w.cfg.Alpha, w.cfg.Eps, &s)
+				if pot {
+					replyP = servePot(node, sl.pos, sl.self, w.cfg.Alpha, &s)
+				} else {
+					replyF = serveForce(node, sl.pos, sl.self, w.cfg.Alpha, w.cfg.Eps, &s)
+				}
 				owner.stats.Add(s)
 			}
-			local[sl.localIdx] = local[sl.localIdx].Add(reply)
+			localF[sl.localIdx] = localF[sl.localIdx].Add(replyF)
+			localP[sl.localIdx] += replyP
 		}
 		for i := range st.parts {
-			w.accels[st.parts[i].ID] = local[i]
+			w.accels[st.parts[i].ID], w.pots[st.parts[i].ID] = localF[i], localP[i]
 		}
 	}
 	return entries
@@ -197,13 +277,17 @@ func (w *shipWorld) runOracle() [][]int {
 
 // protocolVolume is the words and messages the bin protocol moves for the
 // given per-pair entry counts: request bins of 4 words an entry plus one,
-// replies of 3 plus one, and the two termination waves.
-func protocolVolume(entries [][]int, binSize int) (words, msgs int64) {
+// replies of 3 (a potential: 1) plus one, and the two termination waves.
+func protocolVolume(entries [][]int, binSize int, mode Mode) (words, msgs int64) {
 	p := len(entries)
+	perEntry := int64(4 + 3)
+	if mode == PotentialMode {
+		perEntry = 4 + 1
+	}
 	for _, row := range entries {
 		for _, n := range row {
 			bins := int64((n + binSize - 1) / binSize)
-			words += 7*int64(n) + 2*bins
+			words += perEntry*int64(n) + 2*bins
 			msgs += 2 * bins
 		}
 	}
@@ -223,6 +307,9 @@ func compareWorlds(t *testing.T, want, got *shipWorld) {
 	for i := range want.accels {
 		if !bitsEqual(got.accels[i], want.accels[i]) {
 			t.Fatalf("accel %d = %v, oracle %v", i, got.accels[i], want.accels[i])
+		}
+		if math.Float64bits(got.pots[i]) != math.Float64bits(want.pots[i]) {
+			t.Fatalf("potential %d = %v, oracle %v", i, got.pots[i], want.pots[i])
 		}
 	}
 	for me := range want.states {
@@ -272,6 +359,16 @@ func newShipEngine(t *testing.T, set *dist.Set, p int, cfg Config) *Engine {
 	return e
 }
 
+// shipModes are the rows every function-shipping test runs: force mode, and
+// potential mode at three degrees (Config reads degree 0 as "the default, 4",
+// so the smallest here is 1; degree 0 is swept in internal/tree and
+// internal/let).
+var shipModes = []struct {
+	name   string
+	mode   Mode
+	degree int
+}{{"force", ForceMode, 0}, {"pot1", PotentialMode, 1}, {"pot2", PotentialMode, 2}, {"pot4", PotentialMode, 4}}
+
 // TestFuncShipPacketMatchesPointerOracle is the engine-level contract: on
 // the second step of a run (so SPDA and DPDA have rebalanced from the first
 // step's packet-charged loads) the force phase must leave exactly what the
@@ -281,37 +378,43 @@ func newShipEngine(t *testing.T, set *dist.Set, p int, cfg Config) *Engine {
 func TestFuncShipPacketMatchesPointerOracle(t *testing.T) {
 	set := dist.MustNamed("g", 1500, 41)
 	const p = 8
-	for _, scheme := range []Scheme{SPSA, SPDA, DPDA} {
-		cfg := Config{Scheme: scheme, Mode: ForceMode, Alpha: 0.67, Eps: 0.01, GridLog2: 2, LeafCap: 4}
-		ref := newShipEngine(t, set, p, cfg)
-		ref.Step()
-		want := phases(t, ref, false)
-		entries := want.runOracle()
-		shortTail, leafCells, shipped := false, 0, 0
-		for me, st := range want.states {
-			shortTail = shortTail || len(st.parts)%8 != 0
-			for _, n := range entries[me] {
-				shipped += n
+	for _, m := range shipModes {
+		for _, scheme := range []Scheme{SPSA, SPDA, DPDA} {
+			cfg := Config{Scheme: scheme, Mode: m.mode, Degree: m.degree, Alpha: 0.67, Eps: 0.01, GridLog2: 2, LeafCap: 4}
+			ref := newShipEngine(t, set, p, cfg)
+			ref.Step()
+			want := phases(t, ref, false)
+			entries := want.runOracle()
+			shortTail, leafCells, shipped := false, 0, 0
+			for me, st := range want.states {
+				shortTail = shortTail || len(st.parts)%8 != 0
+				for _, n := range entries[me] {
+					shipped += n
+				}
+				leafCells += countLeafCells(st.top)
 			}
-			leafCells += countLeafCells(st.top)
-		}
-		if !shortTail || leafCells == 0 || shipped == 0 {
-			t.Fatalf("%v: weak case: short last packet %v, remote leaf cells %d, entries %d", scheme, shortTail, leafCells, shipped)
-		}
-		for _, binSize := range []int{1, 7, 100, 1 << 20} {
-			for _, procs := range []int{1, 2, 7} {
-				t.Run(fmt.Sprintf("%v/bin%d/procs%d", scheme, binSize, procs), func(t *testing.T) {
-					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-					cfg.BinSize = binSize
-					e := newShipEngine(t, set, p, cfg)
-					e.Step()
-					got := phases(t, e, true)
-					compareWorlds(t, want, got)
-					words, msgs := protocolVolume(entries, binSize)
-					if got.words != words || got.msgs != msgs {
-						t.Errorf("force phase moved %d words in %d messages, protocol says %d in %d", got.words, got.msgs, words, msgs)
+			if !shortTail || leafCells == 0 || shipped == 0 {
+				t.Fatalf("%s/%v: weak case: short last packet %v, remote leaf cells %d, entries %d", m.name, scheme, shortTail, leafCells, shipped)
+			}
+			for _, binSize := range []int{1, 7, 100, 1 << 20} {
+				for _, procs := range []int{1, 2, 7} {
+					name := fmt.Sprintf("%v/bin%d/procs%d", scheme, binSize, procs)
+					if m.mode == PotentialMode {
+						name = fmt.Sprintf("%v/%s/bin%d/procs%d", scheme, m.name, binSize, procs)
 					}
-				})
+					t.Run(name, func(t *testing.T) {
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+						cfg.BinSize = binSize
+						e := newShipEngine(t, set, p, cfg)
+						e.Step()
+						got := phases(t, e, true)
+						compareWorlds(t, want, got)
+						words, msgs := protocolVolume(entries, binSize, m.mode)
+						if got.words != words || got.msgs != msgs {
+							t.Errorf("force phase moved %d words in %d messages, protocol says %d in %d", got.words, got.msgs, words, msgs)
+						}
+					})
+				}
 			}
 		}
 	}
@@ -360,6 +463,10 @@ func handWorld(t *testing.T, set *dist.Set, p int, cfg Config) (*Engine, []*loca
 		}
 		owned[r][oct] = append(owned[r][oct], q)
 	}
+	degree := -1
+	if cfg.Mode == PotentialMode {
+		degree = cfg.Degree
+	}
 	states := make([]*localState, p)
 	var all []BranchSummary
 	for r := range states {
@@ -371,16 +478,19 @@ func handWorld(t *testing.T, set *dist.Set, p int, cfg Config) (*Engine, []*loca
 			}
 			ck := keys.CellKey{}.Child(oct)
 			n := tree.BuildSubtree(ps, domain.Octant(oct), ck, cfg.LeafCap)
+			if degree >= 0 {
+				tree.BuildNodeExpansions(n, degree)
+			}
 			st.parts = append(st.parts, ps...)
 			st.branches = append(st.branches, n)
 			st.rootsMap[ck.Uint64()] = n
-			all = append(all, summaryOf(n, r, false))
+			all = append(all, summaryOf(n, r, degree >= 0))
 		}
 		st.lookup = hashLookup(st.rootsMap)
 		states[r] = st
 	}
 	for r, st := range states {
-		top, err := buildTop(domain, all, r, st.rootsMap, -1, cfg.LeafCap, func(float64) {})
+		top, err := buildTop(domain, all, r, st.rootsMap, degree, cfg.LeafCap, func(float64) {})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,29 +506,31 @@ func handWorld(t *testing.T, set *dist.Set, p int, cfg Config) (*Engine, []*loca
 // particle counts leave a short last packet.
 func TestFuncShipMultiOwnerAndLeafCellBranches(t *testing.T) {
 	set := dist.MustNamed("uniform", 900, 12)
-	cfg := Config{Scheme: SPSA, Mode: ForceMode, Alpha: 0.67, Eps: 0.01, LeafCap: 4}
-	for _, binSize := range []int{3, 100} {
-		cfg.BinSize = binSize
-		_, oracleStates := handWorld(t, set, 4, cfg)
-		want := &shipWorld{cfg: cfg.withDefaults(), states: oracleStates, accels: make([]vec.V3, set.N())}
-		for _, st := range want.states {
-			st.extraLoad = map[int]float64{}
-		}
-		entries := want.runOracle()
-		if entries[0][1] == 0 || entries[0][2] == 0 || entries[3][1] == 0 || entries[3][2] == 0 {
-			t.Fatalf("two-owner cell not shipped to both owners: %v", entries)
-		}
-		if countLeafCells(want.states[1].top) == 0 {
-			t.Fatal("no leaf-cell branch in the world")
-		}
+	for _, m := range shipModes {
+		cfg := Config{Scheme: SPSA, Mode: m.mode, Degree: m.degree, Alpha: 0.67, Eps: 0.01, LeafCap: 4}
+		for _, binSize := range []int{3, 100} {
+			cfg.BinSize = binSize
+			_, oracleStates := handWorld(t, set, 4, cfg)
+			want := newShipWorld(cfg.withDefaults(), oracleStates, set.N())
+			for _, st := range want.states {
+				st.extraLoad = map[int]float64{}
+			}
+			entries := want.runOracle()
+			if entries[0][1] == 0 || entries[0][2] == 0 || entries[3][1] == 0 || entries[3][2] == 0 {
+				t.Fatalf("two-owner cell not shipped to both owners: %v", entries)
+			}
+			if countLeafCells(want.states[1].top) == 0 {
+				t.Fatal("no leaf-cell branch in the world")
+			}
 
-		e, states := handWorld(t, set, 4, cfg)
-		got := &shipWorld{cfg: e.cfg, states: states, accels: make([]vec.V3, set.N())}
-		res := &Result{Accels: got.accels}
-		if _, err := e.machine.RunErr(func(pr *msg.Proc) { e.forcePhase(pr, states[pr.ID()], res) }); err != nil {
-			t.Fatal(err)
+			e, states := handWorld(t, set, 4, cfg)
+			got := newShipWorld(e.cfg, states, set.N())
+			res := &Result{Accels: got.accels, Potentials: got.pots}
+			if _, err := e.machine.RunErr(func(pr *msg.Proc) { e.forcePhase(pr, states[pr.ID()], res) }); err != nil {
+				t.Fatal(err)
+			}
+			compareWorlds(t, want, got)
 		}
-		compareWorlds(t, want, got)
 	}
 }
 
@@ -430,70 +542,90 @@ func TestFuncShipMultiOwnerAndLeafCellBranches(t *testing.T) {
 // values.
 func TestFuncShipServeGroupsAndEmptyBranch(t *testing.T) {
 	set := dist.MustNamed("uniform", 600, 5)
-	cfg := Config{Scheme: SPSA, Mode: ForceMode, Alpha: 0.67, Eps: 0.01, LeafCap: 4}
-	e, states := handWorld(t, set, 1, cfg)
-	_, oracleStates := handWorld(t, set, 1, cfg)
-	st, ost := states[0], oracleStates[0]
-	if len(st.branches) < 3 {
-		t.Fatalf("only %d branches", len(st.branches))
-	}
-	var entries []reqEntry
-	add := func(key uint64, i int) {
-		q := set.Particles[(37*i+11)%set.N()]
-		entries = append(entries, reqEntry{Key: key, Pos: q.Pos, Self: int32(q.ID), Slot: int32(len(entries))})
-	}
-	const missing = ^uint64(0)
-	ka, kb, kc := st.branches[0].Key.Uint64(), st.branches[1].Key.Uint64(), st.branches[2].Key.Uint64()
-	for i := 0; i < 9; i++ {
-		add(kc, i)
-		if i < 8 {
-			add(kb, 100+i)
+	for _, m := range shipModes {
+		cfg := Config{Scheme: SPSA, Mode: m.mode, Degree: m.degree, Alpha: 0.67, Eps: 0.01, LeafCap: 4}
+		e, states := handWorld(t, set, 1, cfg)
+		_, oracleStates := handWorld(t, set, 1, cfg)
+		st, ost := states[0], oracleStates[0]
+		if len(st.branches) < 3 {
+			t.Fatalf("only %d branches", len(st.branches))
 		}
-		if i == 4 {
-			add(ka, 200)
-			add(missing, 300)
+		var entries []reqEntry
+		add := func(key uint64, i int) {
+			q := set.Particles[(37*i+11)%set.N()]
+			entries = append(entries, reqEntry{Key: key, Pos: q.Pos, Self: int32(q.ID), Slot: int32(len(entries))})
 		}
-	}
-	add(missing, 301)
+		const missing = ^uint64(0)
+		ka, kb, kc := st.branches[0].Key.Uint64(), st.branches[1].Key.Uint64(), st.branches[2].Key.Uint64()
+		for i := 0; i < 9; i++ {
+			add(kc, i)
+			if i < 8 {
+				add(kb, 100+i)
+			}
+			if i == 4 {
+				add(ka, 200)
+				add(missing, 300)
+			}
+		}
+		add(missing, 301)
 
-	out := make([]vec.V3, len(entries))
-	for i := range out {
-		out[i] = vec.V3{X: math.NaN(), Y: 1e300, Z: -7}
-	}
-	var charged float64
-	if _, err := e.machine.RunErr(func(pr *msg.Proc) {
-		r := &shipRun{e: e, pr: pr, st: st, sh: &e.ship[0]}
-		r.flatten()
-		before := pr.Stats().Flops
-		r.servePackets(entries, out)
-		charged = pr.Stats().Flops - before
-		r.fl.ApplyLocalLoads()
-	}); err != nil {
-		t.Fatal(err)
-	}
+		pot := m.mode == PotentialMode
+		var rep repBin
+		if pot {
+			rep.P = make([]float64, len(entries))
+			for i := range rep.P {
+				rep.P[i] = math.NaN()
+			}
+		} else {
+			rep.F = make([]vec.V3, len(entries))
+			for i := range rep.F {
+				rep.F[i] = vec.V3{X: math.NaN(), Y: 1e300, Z: -7}
+			}
+		}
+		var charged float64
+		if _, err := e.machine.RunErr(func(pr *msg.Proc) {
+			r := &shipRun{e: e, pr: pr, st: st, sh: &e.ship[0]}
+			r.flatten()
+			before := pr.Stats().Flops
+			r.servePackets(entries, &rep)
+			charged = pr.Stats().Flops - before
+			r.fl.ApplyLocalLoads()
+		}); err != nil {
+			t.Fatal(err)
+		}
 
-	var wantFlops float64
-	for i, en := range entries {
-		wantFlops += ost.lookup.cost()
-		var want vec.V3
-		if node := ost.lookup.find(en.Key); node != nil {
+		var wantFlops float64
+		for i, en := range entries {
+			wantFlops += ost.lookup.cost()
+			var want, got vec.V3 // a potential rides in X
 			var s tree.Stats
-			want = serveForce(node, en.Pos, int(en.Self), e.cfg.Alpha, e.cfg.Eps, &s)
+			switch node := ost.lookup.find(en.Key); {
+			case node == nil:
+			case pot:
+				want.X = servePot(node, en.Pos, int(en.Self), e.cfg.Alpha, &s)
+			default:
+				want = serveForce(node, en.Pos, int(en.Self), e.cfg.Alpha, e.cfg.Eps, &s)
+			}
 			ost.stats.Add(s)
-			wantFlops += s.Flops(0)
+			wantFlops += s.Flops(e.cfg.degreeOrMonopole())
+			if pot {
+				got.X = rep.P[i]
+			} else {
+				got = rep.F[i]
+			}
+			if !bitsEqual(got, want) {
+				t.Fatalf("%s: entry %d (key %x): reply %v, oracle %v", m.name, i, en.Key, got, want)
+			}
 		}
-		if !bitsEqual(out[i], want) {
-			t.Fatalf("entry %d (key %x): reply %v, oracle %v", i, en.Key, out[i], want)
+		if st.stats != ost.stats || charged != wantFlops {
+			t.Errorf("%s: stats %+v flops %v, oracle %+v flops %v", m.name, st.stats, charged, ost.stats, wantFlops)
 		}
-	}
-	if st.stats != ost.stats || charged != wantFlops {
-		t.Errorf("stats %+v flops %v, oracle %+v flops %v", st.stats, charged, ost.stats, wantFlops)
-	}
-	for b := range ost.branches {
-		wl, gl := nodeLoads(ost.branches[b]), nodeLoads(st.branches[b])
-		for j := range wl {
-			if gl[j] != wl[j] {
-				t.Fatalf("branch %d node %d: load %d, oracle %d", b, j, gl[j], wl[j])
+		for b := range ost.branches {
+			wl, gl := nodeLoads(ost.branches[b]), nodeLoads(st.branches[b])
+			for j := range wl {
+				if gl[j] != wl[j] {
+					t.Fatalf("%s: branch %d node %d: load %d, oracle %d", m.name, b, j, gl[j], wl[j])
+				}
 			}
 		}
 	}

@@ -248,8 +248,8 @@ func (e *Engine) letForcePhase(pr *msg.Proc, st *localState, res *Result) {
 	deg := cfg.degreeOrMonopole()
 	fl := st.letFlat
 	n := len(st.parts)
-	// The per-interaction extra-load addend of chargePC: interactions
-	// against replicated summaries have no local tree node to charge.
+	// The per-interaction extra-load addend: interactions against
+	// replicated summaries have no local tree node to charge.
 	exAdd := phys.InteractionFlops(deg) + phys.MACFlops
 	extra := make([]float64, n)
 	st.extraLoad = make(map[int]float64, n)

@@ -228,14 +228,14 @@ func (e *Expansion) TranslateTo(newCenter vec.V3) *Expansion {
 // pos must lie outside the cluster for the series to converge; callers
 // enforce that through the multipole acceptance criterion.
 func (e *Expansion) EvalPotential(pos vec.V3) float64 {
-	d := pos.Sub(e.Center)
-	irr := make([]complex128, len(e.C))
-	irregular(d, e.Degree, irr)
-	return e.evalWith(irr)
+	return e.EvalPotentialScratch(pos, make([]complex128, len(e.C)))
 }
 
-// evalWith contracts the moments against precomputed irregular harmonics.
-func (e *Expansion) evalWith(irr []complex128) float64 {
+// EvalPotentialScratch is EvalPotential without the allocation: irr, the
+// caller's buffer of at least len(e.C) values, is overwritten with the
+// irregular harmonics at pos and the moments are contracted against it.
+func (e *Expansion) EvalPotentialScratch(pos vec.V3, irr []complex128) float64 {
+	irregular(pos.Sub(e.Center), e.Degree, irr)
 	var phi float64
 	for l := 0; l <= e.Degree; l++ {
 		phi += real(e.C[idx(l, 0)] * cmplx.Conj(irr[idx(l, 0)]))
@@ -251,8 +251,7 @@ func (e *Expansion) evalWith(irr []complex128) float64 {
 func (e *Expansion) EvalPotentialInto(dst []float64, pos []vec.V3) []float64 {
 	irr := make([]complex128, len(e.C))
 	for _, p := range pos {
-		irregular(p.Sub(e.Center), e.Degree, irr)
-		dst = append(dst, e.evalWith(irr))
+		dst = append(dst, e.EvalPotentialScratch(p, irr))
 	}
 	return dst
 }

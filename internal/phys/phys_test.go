@@ -303,10 +303,20 @@ func TestEvalPotentialIntoMatchesScalar(t *testing.T) {
 	e.AddParticles(ms, ps)
 	targets := []vec.V3{{X: 2}, {Y: -3}, {X: 1, Y: 1, Z: 1.5}}
 	got := e.EvalPotentialInto(nil, targets)
+	// A caller's scratch may be longer than the expansion needs and hold
+	// another evaluation's harmonics.
+	irr := make([]complex128, 2*len(e.C))
 	for i, p := range targets {
-		if want := e.EvalPotential(p); got[i] != want {
+		want := e.EvalPotential(p)
+		if got[i] != want {
 			t.Fatalf("target %d: %v vs %v", i, got[i], want)
 		}
+		if with := e.EvalPotentialScratch(p, irr); with != want {
+			t.Fatalf("target %d with scratch: %v vs %v", i, with, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { e.EvalPotentialScratch(targets[0], irr) }); allocs != 0 {
+		t.Fatalf("EvalPotentialScratch allocates %v times", allocs)
 	}
 }
 

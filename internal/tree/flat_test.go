@@ -3,6 +3,7 @@ package tree
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/compute"
@@ -10,29 +11,25 @@ import (
 	"repro/internal/vec"
 )
 
-// The flat SoA kernels replay the recursive traversal's exact reduction
-// tree (PUSH/POP interaction-list markers), so their accelerations,
-// potentials, Stats, and per-node Load counters must be bit-identical to
-// the pointer-chasing AccelAll/PotentialAll — not approximately equal.
+// The flat SoA kernel replays the recursive traversal's exact reduction
+// tree, so its accelerations, potentials, Stats, and per-node Load counters
+// must be bit-identical to the pointer-chasing AccelAll/PotentialAll — not
+// approximately equal.
 
-func flatVsPointerAccel(t *testing.T, ps []dist.Particle, domain vec.Box, alpha, eps float64, leafCap int) {
+func flatVsPointer(t *testing.T, ps []dist.Particle, domain vec.Box, alpha, eps float64, leafCap int) {
 	t.Helper()
 	flatVsPointerQuery(t, ps, ps, domain, alpha, eps, leafCap)
 }
 
 // flatVsPointerQuery builds the tree over ps and sweeps query (which need
-// not be the tree's own particles) through both traversals.
+// not be the tree's own particles) through both traversals: in force mode,
+// then in potential mode at two degrees.
 func flatVsPointerQuery(t *testing.T, ps, query []dist.Particle, domain vec.Box, alpha, eps float64, leafCap int) {
 	t.Helper()
 	ptrTree := BuildKeyed(ps, domain, leafCap)
-	wantAcc, wantStats := ptrTree.AccelAll(query, alpha, eps)
-	wantLoads := collectLoads(ptrTree)
-
 	flatTree := BuildKeyed(ps, domain, leafCap)
-	f := Flatten(flatTree, nil)
-	gotAcc, gotStats := f.AccelAll(query, alpha, eps)
-	gotLoads := collectLoads(flatTree)
-
+	wantAcc, wantStats := ptrTree.AccelAll(query, alpha, eps)
+	gotAcc, gotStats := Flatten(flatTree, nil).AccelAll(query, alpha, eps)
 	if gotStats != wantStats {
 		t.Fatalf("stats differ: flat %+v pointer %+v", gotStats, wantStats)
 	}
@@ -43,12 +40,42 @@ func flatVsPointerQuery(t *testing.T, ps, query []dist.Particle, domain vec.Box,
 			t.Fatalf("accel %d differs: flat %v pointer %v", i, gotAcc[i], wantAcc[i])
 		}
 	}
+	sameLoads(t, "force", flatTree, ptrTree)
+	for _, degree := range []int{0, 3} {
+		flatVsPointerPotential(t, flatTree, ptrTree, query, alpha, degree)
+	}
+}
+
+// flatVsPointerPotential sweeps query through two equal trees in potential
+// mode, one flattened and one by pointer recursion.
+func flatVsPointerPotential(t *testing.T, flatTree, ptrTree *Tree, query []dist.Particle, alpha float64, degree int) {
+	t.Helper()
+	for _, tr := range []*Tree{flatTree, ptrTree} {
+		tr.ResetLoads()
+		tr.BuildExpansions(degree)
+	}
+	wantPot, wantStats := ptrTree.PotentialAll(query, alpha)
+	gotPot, gotStats := Flatten(flatTree, nil).PotentialAll(query, alpha)
+	if gotStats != wantStats {
+		t.Fatalf("degree %d: stats differ: flat %+v pointer %+v", degree, gotStats, wantStats)
+	}
+	for i := range wantPot {
+		if math.Float64bits(gotPot[i]) != math.Float64bits(wantPot[i]) {
+			t.Fatalf("degree %d: potential %d differs: flat %v pointer %v", degree, i, gotPot[i], wantPot[i])
+		}
+	}
+	sameLoads(t, "potential", flatTree, ptrTree)
+}
+
+func sameLoads(t *testing.T, mode string, flatTree, ptrTree *Tree) {
+	t.Helper()
+	gotLoads, wantLoads := collectLoads(flatTree), collectLoads(ptrTree)
 	if len(gotLoads) != len(wantLoads) {
-		t.Fatalf("load vector length: %d vs %d", len(gotLoads), len(wantLoads))
+		t.Fatalf("%s: load vector length: %d vs %d", mode, len(gotLoads), len(wantLoads))
 	}
 	for i := range wantLoads {
 		if gotLoads[i] != wantLoads[i] {
-			t.Fatalf("load %d differs: flat %d pointer %d", i, gotLoads[i], wantLoads[i])
+			t.Fatalf("%s: load %d differs: flat %d pointer %d", mode, i, gotLoads[i], wantLoads[i])
 		}
 	}
 }
@@ -58,7 +85,7 @@ func TestFlatAccelMatchesPointer(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s := dist.MustNamed(name, 3000, 61)
 			for _, alpha := range []float64{0.3, 0.67, 1.2} {
-				flatVsPointerAccel(t, s.Particles, s.Domain, alpha, 0.01, 8)
+				flatVsPointer(t, s.Particles, s.Domain, alpha, 0.01, 8)
 			}
 		})
 	}
@@ -68,7 +95,7 @@ func TestFlatAccelSmallAndDegenerate(t *testing.T) {
 	domain := vec.Box{Min: vec.V3{X: -1, Y: -1, Z: -1}, Max: vec.V3{X: 1, Y: 1, Z: 1}}
 	t.Run("single", func(t *testing.T) {
 		ps := []dist.Particle{{ID: 0, Mass: 2, Pos: vec.V3{X: 0.25}}}
-		flatVsPointerAccel(t, ps, domain, 0.67, 0.01, 8)
+		flatVsPointer(t, ps, domain, 0.67, 0.01, 8)
 	})
 	t.Run("root-leaf", func(t *testing.T) {
 		// n ≤ leafCap: the whole tree is one leaf, the rootLeaf kernel path.
@@ -76,14 +103,14 @@ func TestFlatAccelSmallAndDegenerate(t *testing.T) {
 		for i := range ps {
 			ps[i] = dist.Particle{ID: i, Mass: 1, Pos: vec.V3{X: float64(i) * 0.1, Y: -0.3}}
 		}
-		flatVsPointerAccel(t, ps, domain, 0.67, 0.01, 8)
+		flatVsPointer(t, ps, domain, 0.67, 0.01, 8)
 	})
 	t.Run("coincident", func(t *testing.T) {
 		ps := make([]dist.Particle, 20)
 		for i := range ps {
 			ps[i] = dist.Particle{ID: i, Mass: 1, Pos: vec.V3{X: 0.5, Y: 0.5, Z: 0.5}}
 		}
-		flatVsPointerAccel(t, ps, domain, 0.67, 0.01, 4)
+		flatVsPointer(t, ps, domain, 0.67, 0.01, 4)
 	})
 }
 
@@ -97,37 +124,27 @@ func TestFlatAccelRootPC(t *testing.T) {
 			X: -90 + 0.01*float64(i%5), Y: -90 + 0.01*float64(i/5), Z: -90}})
 	}
 	ps = append(ps, dist.Particle{ID: 30, Mass: 1, Pos: vec.V3{X: 95, Y: 95, Z: 95}})
-	flatVsPointerAccel(t, ps, domain, 5.0, 0.01, 4)
+	flatVsPointer(t, ps, domain, 5.0, 0.01, 4)
 }
 
 func TestFlatPotentialMatchesPointer(t *testing.T) {
 	s := dist.MustNamed("plummer", 2500, 23)
 	for _, degree := range []int{0, 2, 4} {
-		ptrTree := BuildKeyed(s.Particles, s.Domain, 8)
-		ptrTree.BuildExpansions(degree)
-		wantPot, wantStats := ptrTree.PotentialAll(s.Particles, 0.67)
-		wantLoads := collectLoads(ptrTree)
-
-		flatTree := BuildKeyed(s.Particles, s.Domain, 8)
-		flatTree.BuildExpansions(degree)
-		f := Flatten(flatTree, nil)
-		gotPot, gotStats := f.PotentialAll(s.Particles, 0.67)
-		gotLoads := collectLoads(flatTree)
-
-		if gotStats != wantStats {
-			t.Fatalf("degree %d: stats differ: flat %+v pointer %+v", degree, gotStats, wantStats)
-		}
-		for i := range wantPot {
-			if math.Float64bits(gotPot[i]) != math.Float64bits(wantPot[i]) {
-				t.Fatalf("degree %d: potential %d differs: flat %v pointer %v", degree, i, gotPot[i], wantPot[i])
-			}
-		}
-		for i := range wantLoads {
-			if gotLoads[i] != wantLoads[i] {
-				t.Fatalf("degree %d: load %d differs", degree, i)
-			}
-		}
+		flatVsPointerPotential(t, BuildKeyed(s.Particles, s.Domain, 8), BuildKeyed(s.Particles, s.Domain, 8), s.Particles, 0.67, degree)
 	}
+}
+
+// TestFlatPotentialWithoutExpansions: a potential sweep that accepts a node
+// the tree gave no expansion says which step was skipped.
+func TestFlatPotentialWithoutExpansions(t *testing.T) {
+	s := dist.MustNamed("plummer", 200, 23)
+	f := Flatten(BuildKeyed(s.Particles, s.Domain, 8), nil)
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "BuildExpansions") {
+			t.Fatalf("panic %q does not name BuildExpansions", msg)
+		}
+	}()
+	f.PotentialAll(s.Particles[:8], 0.67) // one packet: swept on this goroutine
 }
 
 func TestFlatParallelMatchesSerial(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 	"repro/internal/vec"
 )
 
-// Node kinds of the force sweep's kind column. A serial FlatTree uses the
+// Node kinds of the sweep's kind column. A serial FlatTree uses the
 // first two; the rest describe a locally essential tree (internal/let).
 const (
 	KindInternal   uint8 = iota // MAC; accept charges the node's Load, reject descends
@@ -21,7 +21,7 @@ const (
 	KindClosed                  // summary-only section node: the MAC must accept
 )
 
-// Cols is the structure-of-arrays storage the flat kernels walk: node
+// Cols is the structure-of-arrays storage the flat kernel walks: node
 // columns in DFS order with skip pointers, and the leaf particle columns.
 // Lo/Hi is a node's range: of the particle columns for a KindLeaf, of
 // Graft for a branch kind (-1 otherwise). Graft (LET only) names the root
@@ -30,8 +30,9 @@ const (
 type Cols struct {
 	Kind             []uint8
 	ComX, ComY, ComZ []float64
-	Mass, Side       []float64 // Side is the precomputed Box.LongestSide
-	Skip, Lo, Hi     []int32   // Skip is the index just past the node's subtree
+	Mass, Side       []float64         // Side is the precomputed Box.LongestSide
+	Exp              []*phys.Expansion // what potential mode evaluates at an accepted node; nil in force mode
+	Skip, Lo, Hi     []int32           // Skip is the index just past the node's subtree
 	ID               []int32
 	PX, PY, PZ, PM   []float64
 	Graft            []int32
@@ -42,6 +43,7 @@ func (c *Cols) Reset() {
 	c.Kind = c.Kind[:0]
 	c.ComX, c.ComY, c.ComZ = c.ComX[:0], c.ComY[:0], c.ComZ[:0]
 	c.Mass, c.Side = c.Mass[:0], c.Side[:0]
+	c.Exp = c.Exp[:0]
 	c.Skip, c.Lo, c.Hi = c.Skip[:0], c.Lo[:0], c.Hi[:0]
 	c.ID = c.ID[:0]
 	c.PX, c.PY, c.PZ, c.PM = c.PX[:0], c.PY[:0], c.PZ[:0], c.PM[:0]
@@ -50,7 +52,7 @@ func (c *Cols) Reset() {
 
 // AddNode appends a childless node and returns its index; the caller
 // patches Skip once an internal node's subtree is complete.
-func (c *Cols) AddNode(kind uint8, com vec.V3, mass, side float64, lo, hi int32) int32 {
+func (c *Cols) AddNode(kind uint8, com vec.V3, mass, side float64, exp *phys.Expansion, lo, hi int32) int32 {
 	idx := int32(len(c.Kind))
 	c.Kind = append(c.Kind, kind)
 	c.ComX = append(c.ComX, com.X)
@@ -58,6 +60,7 @@ func (c *Cols) AddNode(kind uint8, com vec.V3, mass, side float64, lo, hi int32)
 	c.ComZ = append(c.ComZ, com.Z)
 	c.Mass = append(c.Mass, mass)
 	c.Side = append(c.Side, side)
+	c.Exp = append(c.Exp, exp)
 	c.Skip = append(c.Skip, idx+1)
 	c.Lo = append(c.Lo, lo)
 	c.Hi = append(c.Hi, hi)
@@ -82,9 +85,10 @@ func (c *Cols) AddParticles(ps []dist.Particle) (lo, hi int32) {
 const lanes = 8
 
 // frame is one open node of a packet's descent: the lanes that rejected
-// it and, per lane, the partial sum of what lies below it. Closing the
-// frame folds each lane's sum into the enclosing frame, so every lane
-// sees exactly the push/fold reduction tree of a lone traversal.
+// it and, per lane, the partial sum of what lies below it (potential mode
+// sums in x alone). Closing the frame folds each lane's sum into the
+// enclosing frame, so every lane sees exactly the push/fold reduction tree
+// of a lone traversal.
 type frame struct {
 	laneSet
 	end     int32
@@ -111,19 +115,20 @@ func (f *frame) open(end int32, init float64) {
 }
 
 // Packet is the scratch and the outcome of one packet: up to eight query
-// particles descending together. ForceAll keeps one per worker; function
+// particles descending together. The drivers keep one per worker; function
 // shipping drives two by hand (SetLane, then Sweep.Defer or Sweep.Below) —
 // one for a rank's own particles and one for the requests it serves,
 // which arrive while the first one's lanes are still being read.
 type Packet struct {
 	loads       []int64
-	stats       Stats // ForceAll's running total over the worker's packets
+	stats       Stats // the driver's running total over the worker's packets
 	frames      []frame
 	id          [lanes]int32
 	px, py, pz  [lanes]float64
 	extra       [lanes]float64
 	mac, pc, pp [lanes]int64 // per-lane interaction counts
 	defers      []deferral
+	irr         []complex128 // potential mode: the harmonics of one expansion evaluation
 }
 
 // SetLane places query particle (id, pos) in lane l of the next sweep.
@@ -137,6 +142,9 @@ func (p *Packet) Sum(l int) vec.V3 {
 	f := &p.frames[0]
 	return vec.V3{X: f.x[l], Y: f.y[l], Z: f.z[l]}
 }
+
+// Pot is lane l's accumulated potential.
+func (p *Packet) Pot(l int) float64 { return p.frames[0].x[l] }
 
 // Extra is lane l's sum of exAdd over accepted KindTop/KindBranch summaries.
 func (p *Packet) Extra(l int) float64 { return p.extra[l] }
@@ -155,13 +163,16 @@ func (p *Packet) Deferred(l int, nodes []int32) []int32 {
 	return nodes
 }
 
-// Sweep is the force-mode traversal of its Cols, shared by FlatTree and
-// let.Flat: particles descend in packets of up to eight neighbours in
-// leaf order, so node columns are read once per packet and the lanes'
-// sqrt/div chains are independent work the core overlaps. Each lane's
-// contributions still arrive in its own DFS order and fold through its own
-// per-depth accumulators, which is why accelerations, Stats, Load and
-// extra charges are bit-identical to one-particle-at-a-time recursion.
+// Sweep is the traversal of its Cols, in force mode and in potential mode,
+// shared by FlatTree and let.Flat: particles descend in packets of up to
+// eight neighbours in leaf order, so node columns are read once per packet
+// and the lanes' sqrt/div chains are independent work the core overlaps.
+// Each lane's contributions still arrive in its own DFS order and fold
+// through its own per-depth accumulators, which is why accelerations,
+// potentials, Stats, Load and extra charges are bit-identical to
+// one-particle-at-a-time recursion. The two modes differ in the two term
+// routines alone: what an accepted node adds (mac, macPot) and what a leaf
+// adds (leaf, leafPot).
 type Sweep struct {
 	Cols
 	workers []Packet
@@ -169,6 +180,7 @@ type Sweep struct {
 	index   map[int32]int32 // particle ID → ps index, while planning
 	// Parameters of the sweep in progress.
 	alpha, a2, e2, exAdd float64
+	potential            bool
 }
 
 // The MAC prefilter decides side/√n2 < α from side² ≶ α²·n2 without the
@@ -216,6 +228,21 @@ func macAccepts(s2, side, n2, a2, alpha float64) bool {
 // summaries) are indexed like ps; per-node Load charges are added to
 // loads. Results do not depend on GOMAXPROCS or on how ps is ordered.
 func (s *Sweep) ForceAll(ps []dist.Particle, root int32, alpha, eps, exAdd float64, out []vec.V3, extra []float64, loads []int64) Stats {
+	s.Begin(alpha, eps, exAdd, false)
+	return s.all(ps, root, out, nil, extra, loads)
+}
+
+// PotentialAll is ForceAll for potentials: accepted nodes evaluate their
+// expansion (the Exp column), leaves sum unsoftened point potentials.
+func (s *Sweep) PotentialAll(ps []dist.Particle, root int32, alpha, exAdd float64, out []float64, extra []float64, loads []int64) Stats {
+	s.Begin(alpha, 0, exAdd, true)
+	return s.all(ps, root, nil, out, extra, loads)
+}
+
+// all is the driver under ForceAll and PotentialAll: it sweeps ps in
+// packets from root under the parameters Begin fixed and writes acc or
+// pot, whichever the mode produces.
+func (s *Sweep) all(ps []dist.Particle, root int32, acc []vec.V3, pot, extra []float64, loads []int64) Stats {
 	if len(ps) == 0 {
 		return Stats{}
 	}
@@ -230,7 +257,6 @@ func (s *Sweep) ForceAll(ps []dist.Particle, root int32, alpha, eps, exAdd float
 		wk.loads = append(wk.loads[:0], make([]int64, len(s.Kind))...)
 		wk.stats = Stats{}
 	}
-	s.Begin(alpha, eps, exAdd)
 	// Workers pull batches of packets: leaf order is spatial, so equal
 	// contiguous shares would not be equal work.
 	const batch = 16
@@ -240,7 +266,7 @@ func (s *Sweep) ForceAll(ps []dist.Particle, root int32, alpha, eps, exAdd float
 		for {
 			hi := int(next.Add(batch))
 			for k := hi - batch; k < min(hi, packets); k++ {
-				s.packet(wk, ps, s.order[k*lanes:min((k+1)*lanes, len(ps))], root, out, extra)
+				s.packet(wk, ps, s.order[k*lanes:min((k+1)*lanes, len(ps))], root, acc, pot, extra)
 			}
 			if hi >= packets {
 				return
@@ -292,9 +318,13 @@ func (s *Sweep) plan(ps []dist.Particle, root int32) {
 	}
 }
 
-// Begin fixes the parameters of the Defer and Below sweeps that follow.
-func (s *Sweep) Begin(alpha, eps, exAdd float64) {
-	s.alpha, s.a2, s.e2, s.exAdd = alpha, macA2(alpha), eps*eps, exAdd
+// Begin fixes the mode and parameters of the Defer and Below sweeps that
+// follow. Potential mode is unsoftened: it does not use eps.
+func (s *Sweep) Begin(alpha, eps, exAdd float64, potential bool) {
+	if potential {
+		eps = 0
+	}
+	s.alpha, s.a2, s.e2, s.exAdd, s.potential = alpha, macA2(alpha), eps*eps, exAdd, potential
 }
 
 // packet sweeps one packet: the main tree from root, then — lanes that
@@ -302,7 +332,7 @@ func (s *Sweep) Begin(alpha, eps, exAdd float64) {
 // deferred branch. Branches are deferred in DFS order and their grafts
 // are in owner order, so every lane folds its sections in its own defer
 // order: the slot order in which function shipping folds its replies.
-func (s *Sweep) packet(w *Packet, ps []dist.Particle, idx []int32, root int32, out []vec.V3, extra []float64) {
+func (s *Sweep) packet(w *Packet, ps []dist.Particle, idx []int32, root int32, acc []vec.V3, pot, extra []float64) {
 	for l, i := range idx {
 		w.SetLane(l, int32(ps[i].ID), ps[i].Pos)
 	}
@@ -331,11 +361,19 @@ func (s *Sweep) packet(w *Packet, ps []dist.Particle, idx []int32, root int32, o
 		}
 	}
 	for l, i := range idx {
-		out[i] = vec.V3{X: ax[l], Y: ay[l], Z: az[l]}
 		if extra != nil {
 			extra[i] = w.extra[l]
 		}
 		w.stats.Add(w.Stats(l))
+	}
+	if s.potential {
+		for l, i := range idx {
+			pot[i] = ax[l]
+		}
+		return
+	}
+	for l, i := range idx {
+		acc[i] = vec.V3{X: ax[l], Y: ay[l], Z: az[l]}
 	}
 }
 
@@ -411,7 +449,11 @@ func (s *Sweep) sweep(w *Packet, first, end int32, init float64) {
 		if kind == KindLeaf {
 			lo, hi := s.Lo[i], s.Hi[i]
 			w.loads[i] += int64(f.n) * int64(hi-lo)
-			s.leaf(w, f, lo, hi)
+			if s.potential {
+				s.leafPot(w, f, lo, hi)
+			} else {
+				s.leaf(w, f, lo, hi)
+			}
 			i = s.Skip[i]
 			continue
 		}
@@ -423,8 +465,10 @@ func (s *Sweep) sweep(w *Packet, first, end int32, init float64) {
 		sub.n = 0
 		if kind == KindBranchLeaf {
 			sub.n = copy(sub.lane[:], f.lane[:f.n])
+		} else if summary := kind == KindTop || kind == KindBranch; s.potential {
+			s.macPot(w, f, sub, i, summary)
 		} else {
-			s.mac(w, f, sub, i, kind == KindTop || kind == KindBranch)
+			s.mac(w, f, sub, i, summary)
 		}
 		switch {
 		case sub.n == 0:
@@ -484,6 +528,39 @@ func (s *Sweep) mac(w *Packet, f, sub *frame, i int32, summary bool) {
 	}
 }
 
+// macPot is mac in potential mode: an accepted lane adds the node's
+// expansion evaluated at its position.
+func (s *Sweep) macPot(w *Packet, f, sub *frame, i int32, summary bool) {
+	cx, cy, cz, side := s.ComX[i], s.ComY[i], s.ComZ[i], s.Side[i]
+	s2, e := macS2(side), s.Exp[i]
+	if e != nil && len(w.irr) < len(e.C) {
+		w.irr = make([]complex128, len(e.C))
+	}
+	ex := 0.0
+	if summary {
+		ex = s.exAdd
+	}
+	for _, l := range f.lane[:f.n] {
+		dx, dy, dz := cx-w.px[l], cy-w.py[l], cz-w.pz[l]
+		n2 := dx*dx + dy*dy + dz*dz
+		w.mac[l]++
+		if !macAccepts(s2, side, n2, s.a2, s.alpha) {
+			sub.lane[sub.n] = l
+			sub.n++
+			continue
+		}
+		if e == nil {
+			panic("tree: potential sweep accepted a node that has no expansion: Tree.BuildExpansions (a LET section: BuildSection's withExp) must run before the tree is flattened")
+		}
+		f.x[l] += e.EvalPotentialScratch(vec.V3{X: w.px[l], Y: w.py[l], Z: w.pz[l]}, w.irr)
+		w.extra[l] += ex
+		w.pc[l]++
+	}
+	if !summary {
+		w.loads[i] += int64(f.n - sub.n)
+	}
+}
+
 // leaf adds, for every lane of f, the direct sum over particle columns
 // [lo, hi) — folded from a zero accumulator in column order, phys.Accel
 // term by term — to the lane's partial sum.
@@ -517,5 +594,31 @@ func (s *Sweep) leaf(w *Packet, f *frame, lo, hi int32) {
 		f.x[l] += ax[l]
 		f.y[l] += ay[l]
 		f.z[l] += az[l]
+	}
+}
+
+// leafPot is leaf in potential mode: phys.Potential, unsoftened, term by
+// term.
+func (s *Sweep) leafPot(w *Packet, f *frame, lo, hi int32) {
+	ids, px, py, pz, pm := s.ID[lo:hi], s.PX[lo:hi], s.PY[lo:hi], s.PZ[lo:hi], s.PM[lo:hi]
+	act := f.lane[:f.n]
+	var phi [lanes]float64
+	for j, id := range ids {
+		x, y, z, gm := px[j], py[j], pz[j], -phys.G*pm[j]
+		for _, l := range act {
+			if id == w.id[l] {
+				w.pp[l]--
+				continue
+			}
+			dx, dy, dz := x-w.px[l], y-w.py[l], z-w.pz[l]
+			// phys.Potential's zero at r2 == 0 adds nothing, as in leaf.
+			if r2 := dx*dx + dy*dy + dz*dz; r2 != 0 {
+				phi[l] += gm / math.Sqrt(r2)
+			}
+		}
+	}
+	for _, l := range act {
+		w.pp[l] += int64(hi - lo)
+		f.x[l] += phi[l]
 	}
 }

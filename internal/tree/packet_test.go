@@ -10,9 +10,9 @@ import (
 	"repro/internal/vec"
 )
 
-// Edge cases of the packet sweep, each against the pointer recursion
-// (flatVsPointerQuery compares accelerations by Float64bits, Stats and
-// every node's Load).
+// Edge cases of the packet sweep, each against the pointer recursion in
+// force mode and in potential mode (flatVsPointerQuery compares
+// accelerations and potentials by Float64bits, Stats and every node's Load).
 
 var unitBox = vec.Box{Min: vec.V3{X: -1, Y: -1, Z: -1}, Max: vec.V3{X: 1, Y: 1, Z: 1}}
 
@@ -21,7 +21,7 @@ func TestPacketBucketsWiderThanAPacket(t *testing.T) {
 	// and each lane still meets its whole bucket in the leaf tile.
 	s := dist.MustNamed("g", 2500, 3)
 	for _, leafCap := range []int{9, 20, 64} {
-		flatVsPointerAccel(t, s.Particles, s.Domain, 0.67, 0.01, leafCap)
+		flatVsPointer(t, s.Particles, s.Domain, 0.67, 0.01, leafCap)
 	}
 	// 19 coincident particles drive the build to a MaxDepth leaf that no
 	// leaf capacity can split; the rest of the set keeps the tree deep.
@@ -30,7 +30,7 @@ func TestPacketBucketsWiderThanAPacket(t *testing.T) {
 		ps = append(ps, dist.Particle{ID: len(ps), Mass: 0.5, Pos: s.Particles[7].Pos})
 	}
 	for _, eps := range []float64{0.01, 0} {
-		flatVsPointerAccel(t, ps, s.Domain, 0.67, eps, 4)
+		flatVsPointer(t, ps, s.Domain, 0.67, eps, 4)
 	}
 }
 
@@ -50,8 +50,8 @@ func TestPacketSignedZeros(t *testing.T) {
 	}
 	for _, leafCap := range []int{1, 2, 8} {
 		for _, alpha := range []float64{0, 0.67, 3} {
-			flatVsPointerAccel(t, ps, unitBox, alpha, 0, leafCap)
-			flatVsPointerAccel(t, ps, unitBox, alpha, 0.01, leafCap)
+			flatVsPointer(t, ps, unitBox, alpha, 0, leafCap)
+			flatVsPointer(t, ps, unitBox, alpha, 0.01, leafCap)
 		}
 	}
 }
@@ -73,6 +73,20 @@ func TestPacketRootAcceptedKeepsNegativeZero(t *testing.T) {
 	}
 	if !math.Signbit(acc[0].Y) || acc[0].Y != 0 {
 		t.Fatalf("acc.Y = %v, want -0", acc[0].Y)
+	}
+	// Potential mode: a massless cluster's expansion evaluates to −G·(+0).
+	for i := range ps {
+		ps[i].Mass = 0
+	}
+	flatVsPointerQuery(t, ps, probe, unitBox, 5, 0.01, 4)
+	tr = BuildKeyed(ps, unitBox, 4)
+	tr.BuildExpansions(0)
+	pot, st := Flatten(tr, nil).PotentialAll(probe, 5)
+	if st.PC != 1 || st.MACTests != 1 {
+		t.Fatalf("potential mode: root not accepted outright: %+v", st)
+	}
+	if !math.Signbit(pot[0]) || pot[0] != 0 {
+		t.Fatalf("potential = %v, want -0", pot[0])
 	}
 }
 
@@ -108,7 +122,7 @@ func TestPacketInvariantUnderGOMAXPROCS(t *testing.T) {
 	s := dist.MustNamed("g", 3000, 11)
 	for _, procs := range []int{1, 2, 7} {
 		old := runtime.GOMAXPROCS(procs)
-		flatVsPointerAccel(t, s.Particles, s.Domain, 0.67, 0.01, 8)
+		flatVsPointer(t, s.Particles, s.Domain, 0.67, 0.01, 8)
 		runtime.GOMAXPROCS(old)
 	}
 }
@@ -199,9 +213,9 @@ func TestMACPrefilterExact(t *testing.T) {
 func addSubtree(c *Cols, n *Node) int32 {
 	if n.IsLeaf() {
 		lo, hi := c.AddParticles(n.Particles)
-		return c.AddNode(KindLeaf, n.COM, n.Mass, n.Box.LongestSide(), lo, hi)
+		return c.AddNode(KindLeaf, n.COM, n.Mass, n.Box.LongestSide(), n.Exp, lo, hi)
 	}
-	idx := c.AddNode(KindInternal, n.COM, n.Mass, n.Box.LongestSide(), -1, -1)
+	idx := c.AddNode(KindInternal, n.COM, n.Mass, n.Box.LongestSide(), n.Exp, -1, -1)
 	for _, ch := range n.Children {
 		if ch != nil {
 			addSubtree(c, ch)
@@ -214,19 +228,25 @@ func addSubtree(c *Cols, n *Node) int32 {
 // TestPacketDeferMatchesForceAllOnLET builds a small locally essential
 // tree by hand — the root's octants as branch cells, one local, one a
 // remote leaf cell, one remote with two grafted sections, the rest remote
-// with one — and checks the packet-at-a-time entry points against ForceAll:
-// Defer's lane sums plus, for every branch a lane reports deferred, Below
-// over each of its grafts in order must rebuild ForceAll's accelerations
-// bit for bit, with the same extra charges, Stats and per-node Load.
+// with one — and checks the packet-at-a-time entry points against the
+// drivers, ForceAll and PotentialAll: Defer's lane sums plus, for every
+// branch a lane reports deferred, Below over each of its grafts in order
+// must rebuild the driver's result bit for bit, with the same extra
+// charges, Stats and per-node Load. A potential rides in X.
 func TestPacketDeferMatchesForceAllOnLET(t *testing.T) {
 	s := dist.MustNamed("uniform", 1300, 21)
-	const leafCap, alpha, eps, exAdd = 4, 0.67, 0.01, 2.5
+	const leafCap, alpha, eps, exAdd, degree = 4, 0.67, 0.01, 2.5, 2
 	var byOct [8][]dist.Particle
 	for _, p := range s.Particles {
 		o := s.Domain.OctantOf(p.Pos)
 		byOct[o] = append(byOct[o], p)
 	}
 	byOct[1] = byOct[1][:leafCap] // the leaf-cell branch
+	build := func(ps []dist.Particle, box vec.Box) *Node {
+		tr := BuildKeyed(ps, box, leafCap)
+		tr.BuildExpansions(degree)
+		return tr.Root
+	}
 	var sw Sweep
 	// Sections first: every remote octant's subtree, octant 2's dealt to
 	// two owners.
@@ -238,70 +258,113 @@ func TestPacketDeferMatchesForceAllOnLET(t *testing.T) {
 			shares = [][]dist.Particle{byOct[o][:h], byOct[o][h:]}
 		}
 		for _, ps := range shares {
-			grafts[o] = append(grafts[o], addSubtree(&sw.Cols, BuildKeyed(ps, s.Domain.Octant(o), leafCap).Root))
+			grafts[o] = append(grafts[o], addSubtree(&sw.Cols, build(ps, s.Domain.Octant(o))))
 		}
 	}
-	root := BuildKeyed(s.Particles, s.Domain, leafCap).Root
-	main := sw.AddNode(KindTop, root.COM, root.Mass, s.Domain.LongestSide(), -1, -1)
-	addSubtree(&sw.Cols, BuildKeyed(byOct[0], s.Domain.Octant(0), leafCap).Root)
+	root := build(s.Particles, s.Domain)
+	main := sw.AddNode(KindTop, root.COM, root.Mass, s.Domain.LongestSide(), root.Exp, -1, -1)
+	addSubtree(&sw.Cols, build(byOct[0], s.Domain.Octant(0)))
 	for o := 1; o < 8; o++ {
-		cell := BuildKeyed(byOct[o], s.Domain.Octant(o), leafCap).Root
+		cell := build(byOct[o], s.Domain.Octant(o))
 		kind := KindBranch
 		if o == 1 {
 			kind = KindBranchLeaf
 		}
 		lo := int32(len(sw.Graft))
 		sw.Graft = append(sw.Graft, grafts[o]...)
-		sw.AddNode(kind, cell.COM, cell.Mass, s.Domain.Octant(o).LongestSide(), lo, int32(len(sw.Graft)))
+		sw.AddNode(kind, cell.COM, cell.Mass, s.Domain.Octant(o).LongestSide(), cell.Exp, lo, int32(len(sw.Graft)))
 	}
 	sw.Skip[main] = int32(len(sw.Kind))
 
 	query := byOct[0][:len(byOct[0])/8*8+3] // the last packet is short
-	want, wantExtra := make([]vec.V3, len(query)), make([]float64, len(query))
-	wantLoads := make([]int64, len(sw.Kind))
-	wantStats := sw.ForceAll(query, main, alpha, eps, exAdd, want, wantExtra, wantLoads)
-
-	var own, served Packet
-	var gotStats Stats
-	gotLoads := make([]int64, len(sw.Kind))
-	sw.Begin(alpha, eps, exAdd)
-	deferred := 0
-	for k := 0; k < len(query); k += 8 {
-		n := min(8, len(query)-k)
-		for l, q := range query[k : k+n] {
-			own.SetLane(l, int32(q.ID), q.Pos)
+	for _, potential := range []bool{false, true} {
+		want, wantExtra := make([]vec.V3, len(query)), make([]float64, len(query))
+		wantLoads := make([]int64, len(sw.Kind))
+		var wantStats Stats
+		lane := (*Packet).Sum
+		if potential {
+			pot := make([]float64, len(query))
+			wantStats = sw.PotentialAll(query, main, alpha, exAdd, pot, wantExtra, wantLoads)
+			for i, v := range pot {
+				want[i].X = v
+			}
+			lane = func(p *Packet, l int) vec.V3 { return vec.V3{X: p.Pot(l)} }
+		} else {
+			wantStats = sw.ForceAll(query, main, alpha, eps, exAdd, want, wantExtra, wantLoads)
 		}
-		sw.Defer(&own, n, main, gotLoads)
-		for l, q := range query[k : k+n] {
-			// served is swept while own's lanes are still being read, as
-			// function shipping's owner side is.
-			acc := own.Sum(l)
-			gotStats.Add(own.Stats(l))
-			for _, node := range own.Deferred(l, nil) {
-				deferred++
-				for _, base := range sw.Graft[sw.Lo[node]:sw.Hi[node]] {
-					served.SetLane(0, int32(q.ID), q.Pos)
-					sw.Below(&served, 1, base, gotLoads)
-					acc = acc.Add(served.Sum(0))
-					gotStats.Add(served.Stats(0))
+
+		var own, served Packet
+		var gotStats Stats
+		gotLoads := make([]int64, len(sw.Kind))
+		sw.Begin(alpha, eps, exAdd, potential)
+		deferred := 0
+		for k := 0; k < len(query); k += 8 {
+			n := min(8, len(query)-k)
+			for l, q := range query[k : k+n] {
+				own.SetLane(l, int32(q.ID), q.Pos)
+			}
+			sw.Defer(&own, n, main, gotLoads)
+			for l, q := range query[k : k+n] {
+				// served is swept while own's lanes are still being read, as
+				// function shipping's owner side is.
+				acc := lane(&own, l)
+				gotStats.Add(own.Stats(l))
+				for _, node := range own.Deferred(l, nil) {
+					deferred++
+					for _, base := range sw.Graft[sw.Lo[node]:sw.Hi[node]] {
+						served.SetLane(0, int32(q.ID), q.Pos)
+						sw.Below(&served, 1, base, gotLoads)
+						acc = acc.Add(lane(&served, 0))
+						gotStats.Add(served.Stats(0))
+					}
+				}
+				if i := k + l; math.Float64bits(acc.X) != math.Float64bits(want[i].X) ||
+					math.Float64bits(acc.Y) != math.Float64bits(want[i].Y) ||
+					math.Float64bits(acc.Z) != math.Float64bits(want[i].Z) || own.Extra(l) != wantExtra[i] {
+					t.Fatalf("potential=%v particle %d: Defer+Below %v (extra %v), driver %v (extra %v)", potential, q.ID, acc, own.Extra(l), want[i], wantExtra[i])
 				}
 			}
-			if i := k + l; math.Float64bits(acc.X) != math.Float64bits(want[i].X) ||
-				math.Float64bits(acc.Y) != math.Float64bits(want[i].Y) ||
-				math.Float64bits(acc.Z) != math.Float64bits(want[i].Z) || own.Extra(l) != wantExtra[i] {
-				t.Fatalf("particle %d: Defer+Below %v (extra %v), ForceAll %v (extra %v)", q.ID, acc, own.Extra(l), want[i], wantExtra[i])
+		}
+		if deferred < 2*len(query) {
+			t.Fatalf("potential=%v: only %d deferrals for %d particles", potential, deferred, len(query))
+		}
+		if gotStats != wantStats || gotStats.PC == 0 {
+			t.Fatalf("potential=%v: stats %+v, driver %+v", potential, gotStats, wantStats)
+		}
+		for i := range wantLoads {
+			if gotLoads[i] != wantLoads[i] {
+				t.Fatalf("potential=%v node %d: load %d, driver %d", potential, i, gotLoads[i], wantLoads[i])
 			}
 		}
 	}
-	if deferred < 2*len(query) {
-		t.Fatalf("only %d deferrals for %d particles", deferred, len(query))
+}
+
+// TestPotentialSweepAllocations: the expansion evaluations of a potential
+// sweep share the packet's one harmonics buffer, so a warmed-up packet
+// sweeps without allocating however many clusters its lanes accept.
+func TestPotentialSweepAllocations(t *testing.T) {
+	s := dist.MustNamed("plummer", 4000, 2)
+	tr := BuildKeyed(s.Particles, s.Domain, 8)
+	tr.BuildExpansions(4)
+	f := Flatten(tr, nil)
+	var pk Packet
+	for l, q := range s.Particles[:8] {
+		pk.SetLane(l, int32(q.ID), q.Pos)
 	}
-	if gotStats != wantStats {
-		t.Fatalf("stats %+v, ForceAll %+v", gotStats, wantStats)
-	}
-	for i := range wantLoads {
-		if gotLoads[i] != wantLoads[i] {
-			t.Fatalf("node %d: load %d, ForceAll %d", i, gotLoads[i], wantLoads[i])
+	loads := make([]int64, f.NumNodes())
+	var accepted [2]int64
+	for k, alpha := range []float64{4, 0.7} {
+		f.sw.Begin(alpha, 0, 0, true)
+		sweep := func() { f.sw.Defer(&pk, 8, 0, loads) }
+		sweep()
+		if allocs := testing.AllocsPerRun(10, sweep); allocs != 0 {
+			t.Errorf("α=%v: %v allocations per potential sweep", alpha, allocs)
 		}
+		for l := 0; l < 8; l++ {
+			accepted[k] += pk.Stats(l).PC
+		}
+	}
+	if accepted[0] == 0 || accepted[1] < 4*accepted[0] {
+		t.Fatalf("accepted clusters %v: the second sweep should accept several times more", accepted)
 	}
 }
