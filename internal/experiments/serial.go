@@ -23,10 +23,11 @@ func SerialTable(opt Options) (Table, error) {
 	tab := Table{
 		ID:    "serial",
 		Title: "host wall-clock of serial kernels (real seconds, not simulated)",
-		Columns: []string{"n", "gomaxprocs", "build_ms", "keyed_build_ms", "force_ms", "interactions",
+		Columns: []string{"n", "gomaxprocs", "build_ms", "force_ms", "interactions",
 			"step_ms", "step_build_ms", "step_sort_ms", "step_force_ms", "step_int_ms"},
 		Notes: []string{
 			"build/force are best-of-3 wall times on this host; all other tables report simulated machine times",
+			"build_ms is the cold tree.Builder entry every one-shot build takes (key sort + range build)",
 			"step_* columns break one incremental SerialSim time-step (warm, after a cold first build) into phases",
 		},
 	}
@@ -42,13 +43,10 @@ func SerialTable(opt Options) (Table, error) {
 			return Table{}, err
 		}
 
+		var tr *tree.Tree
 		build := bestOf(3, func() {
-			tree.Build(s.Particles, tree.Options{LeafCap: 8, Domain: s.Domain})
+			tr = tree.Build(s.Particles, tree.Options{LeafCap: 8, Domain: s.Domain})
 		})
-		keyed := bestOf(3, func() {
-			tree.BuildKeyed(s.Particles, s.Domain, 8)
-		})
-		tr := tree.Build(s.Particles, tree.Options{LeafCap: 8, Domain: s.Domain})
 		var stats tree.Stats
 		force := bestOf(3, func() {
 			_, stats = tr.AccelAll(s.Particles, 0.67, 0.01)
@@ -65,7 +63,6 @@ func SerialTable(opt Options) (Table, error) {
 			fmt.Sprint(len(s.Particles)),
 			fmt.Sprint(runtime.GOMAXPROCS(0)),
 			f2(build.Seconds() * 1e3),
-			f2(keyed.Seconds() * 1e3),
 			f2(force.Seconds() * 1e3),
 			fmt.Sprint(stats.Interactions()),
 			f2(stepWall.Seconds() * 1e3),
@@ -75,7 +72,6 @@ func SerialTable(opt Options) (Table, error) {
 			f2(phases[3].Seconds() * 1e3),
 		})
 		recordHost("tree-build", len(s.Particles), build)
-		recordHost("tree-build-keyed", len(s.Particles), keyed)
 		recordHost("force-sweep", len(s.Particles), force)
 		recordHost("sim-step", len(s.Particles), stepWall)
 	}

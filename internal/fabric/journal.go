@@ -270,13 +270,28 @@ func replayJournal(data []byte) (*JournalState, int, error) {
 // same mutex guards), so the Journal itself needs no locking.
 type Journal struct {
 	path string
-	f    *os.File
+	f    journalFile
 	size int64
+
+	// tornTail is set when a failed append could not be rolled back: the
+	// file may end in a partial record that replay would take, together
+	// with everything written after it, for a torn tail. Appends stop
+	// until a compaction replaces the file.
+	tornTail bool
 
 	// compactBytes triggers a snapshot+truncate when the file outgrows
 	// it; snapshotting resets the trigger to the snapshot size plus the
 	// same budget, so compaction cost stays proportional to state size.
 	compactBytes int64
+}
+
+// journalFile is the part of *os.File the journal writes through; the
+// fault-injection test substitutes one that fails mid-write.
+type journalFile interface {
+	io.Writer
+	io.Seeker
+	Truncate(size int64) error
+	Close() error
 }
 
 // journalCompactBytes is the default snapshot+truncate threshold.
@@ -347,10 +362,17 @@ func (jl *Journal) Size() int64 {
 }
 
 // append frames and writes one record in a single Write call, so a
-// crash leaves at worst one torn record at the tail.
+// crash leaves at worst one torn record at the tail. A failed or short
+// write (ENOSPC, EIO) is rolled back to the last record boundary:
+// otherwise the partial record's length prefix would make replay swallow
+// the good records appended after it, fail the CRC, and truncate them
+// all away as a torn tail.
 func (jl *Journal) append(kind byte, v any) error {
 	if jl == nil {
 		return nil
+	}
+	if jl.tornTail {
+		return errors.New("fabric: journal tail unrecoverable after a failed append; awaiting compaction")
 	}
 	body, err := json.Marshal(v)
 	if err != nil {
@@ -358,10 +380,24 @@ func (jl *Journal) append(kind byte, v any) error {
 	}
 	rec := appendJournalRecord(nil, kind, body)
 	if _, err := jl.f.Write(rec); err != nil {
-		return err
+		if rerr := jl.rollback(); rerr != nil {
+			jl.tornTail = true
+			return fmt.Errorf("fabric: journal append: %w (rollback: %v)", err, rerr)
+		}
+		return fmt.Errorf("fabric: journal append: %w", err)
 	}
 	jl.size += int64(len(rec))
 	return nil
+}
+
+// rollback drops whatever a failed Write left past the last complete
+// record and repositions the file there.
+func (jl *Journal) rollback() error {
+	if err := jl.f.Truncate(jl.size); err != nil {
+		return err
+	}
+	_, err := jl.f.Seek(jl.size, io.SeekStart)
+	return err
 }
 
 // AppendJob journals one job-state transition.
@@ -373,9 +409,9 @@ func (jl *Journal) AppendKeyframe(id string, step int64, data []byte) error {
 }
 
 // ShouldCompact reports whether the log has outgrown its snapshot
-// budget.
+// budget, or has a tail only a rewrite can repair.
 func (jl *Journal) ShouldCompact() bool {
-	return jl != nil && jl.size > jl.compactBytes
+	return jl != nil && (jl.size > jl.compactBytes || jl.tornTail)
 }
 
 // Compact rewrites the journal as a single snapshot record through a
@@ -423,6 +459,7 @@ func (jl *Journal) Compact(snap *journalSnapshot) error {
 	}
 	old.Close()
 	jl.f = nf
+	jl.tornTail = false
 	jl.size = int64(len(buf))
 	jl.compactBytes = jl.size + journalCompactBytes
 	return nil

@@ -3,9 +3,11 @@ package fabric
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -134,6 +136,117 @@ func TestJournalCrashMidAppendTruncatesTornTail(t *testing.T) {
 		if err := os.WriteFile(path, full, 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// faultyJournalFile passes through to a real file until its failOn-th
+// Write, which lands only partial bytes and reports ENOSPC; with
+// stuck set, Truncate fails too, so the partial record cannot be rolled
+// back.
+type faultyJournalFile struct {
+	*os.File
+	writes, failOn, partial int
+	stuck                   bool
+}
+
+func (f *faultyJournalFile) Write(p []byte) (int, error) {
+	f.writes++
+	if f.writes != f.failOn {
+		return f.File.Write(p)
+	}
+	n, _ := f.File.Write(p[:f.partial])
+	return n, syscall.ENOSPC
+}
+
+func (f *faultyJournalFile) Truncate(size int64) error {
+	if f.stuck {
+		return syscall.EIO
+	}
+	return f.File.Truncate(size)
+}
+
+// A write that fails part-way (ENOSPC, EIO) must not poison the log: the
+// partial record is rolled back, so every record appended before AND
+// after the fault replays. Without the rollback the partial record's
+// length prefix swallows the records behind it and reopen truncates them
+// all away as a torn tail.
+func TestJournalFailedWriteRollsBack(t *testing.T) {
+	for _, partial := range []int{0, 3, 5, 40} {
+		path := filepath.Join(t.TempDir(), "gw.journal")
+		jl, _, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jl.f = &faultyJournalFile{File: jl.f.(*os.File), failOn: 3, partial: partial}
+		appendOK := func(id string) {
+			t.Helper()
+			if err := jl.AppendJob(testJournalJob(id, "queued", 0, "")); err != nil {
+				t.Fatalf("partial %d: append %s: %v", partial, id, err)
+			}
+		}
+		appendOK("g1")
+		appendOK("g2")
+		sizeBefore := jl.Size()
+		if err := jl.AppendJob(testJournalJob("g3", "queued", 0, "")); !errors.Is(err, syscall.ENOSPC) {
+			t.Fatalf("partial %d: faulted append returned %v, want ENOSPC", partial, err)
+		}
+		if jl.Size() != sizeBefore || jl.ShouldCompact() {
+			t.Fatalf("partial %d: size %d (was %d), ShouldCompact %v after a rolled-back append",
+				partial, jl.Size(), sizeBefore, jl.ShouldCompact())
+		}
+		appendOK("g4")
+		appendOK("g5")
+		if err := jl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, st, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{"g1", "g2", "g4", "g5"}; st == nil || !reflect.DeepEqual(st.Order, want) {
+			t.Fatalf("partial %d: replayed %+v, want jobs %v", partial, st, want)
+		}
+	}
+}
+
+// When the rollback fails as well, the journal stops appending (anything
+// written behind the partial record would be lost) and asks for the
+// compaction that replaces the file; records appended after it replay.
+func TestJournalUnrecoverableTailForcesCompaction(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gw.journal")
+	jl, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jl.f = &faultyJournalFile{File: jl.f.(*os.File), failOn: 2, partial: 7, stuck: true}
+	g1, g2 := testJournalJob("g1", "queued", 0, ""), testJournalJob("g2", "queued", 0, "")
+	if err := jl.AppendJob(g1); err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.AppendJob(g2); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("faulted append returned %v, want ENOSPC", err)
+	}
+	if !jl.ShouldCompact() {
+		t.Fatal("an unrecoverable tail must force a compaction")
+	}
+	if err := jl.AppendJob(testJournalJob("g3", "queued", 0, "")); err == nil {
+		t.Fatal("append behind an unrecoverable tail must fail")
+	}
+	// The gateway snapshots its in-memory state, which has every job.
+	snap := &journalSnapshot{Order: []string{"g1", "g2"}, Jobs: []journalJob{*g1, *g2}}
+	if err := jl.Compact(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.AppendJob(testJournalJob("g4", "queued", 0, "")); err != nil {
+		t.Fatal(err)
+	}
+	jl.Close()
+	_, st, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"g1", "g2", "g4"}; st == nil || !reflect.DeepEqual(st.Order, want) {
+		t.Fatalf("replayed %+v, want jobs %v", st, want)
 	}
 }
 

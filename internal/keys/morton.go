@@ -121,6 +121,13 @@ func PointKey3(p vec.V3, box vec.Box, bits uint) Morton {
 	return Encode3(x, y, z)
 }
 
+// FullKey3 returns the full-resolution (MaxBits3D per dimension) Morton
+// key of a point within rootBox as a plain integer — the sort key of the
+// keyed tree build and the ordering key of the DPDA zone boundaries.
+func FullKey3(p vec.V3, rootBox vec.Box) uint64 {
+	return uint64(PointKey3(p, rootBox, MaxBits3D))
+}
+
 // CellKey identifies a cell of the hierarchical domain decomposition: the
 // Morton key of the cell's lattice coordinates at its own level, combined
 // with the level so that cells of different sizes never collide. Level 0
@@ -181,6 +188,14 @@ func (c CellKey) Contains(o CellKey) bool {
 		return false
 	}
 	return o.Key>>(3*uint(o.Level-c.Level)) == c.Key
+}
+
+// Range returns the half-open interval of full-resolution Morton keys
+// (FullKey3) the cell covers.
+func (c CellKey) Range() (lo, hi uint64) {
+	shift := 3 * uint(MaxBits3D-int(c.Level))
+	lo = uint64(c.Key) << shift
+	return lo, lo + 1<<shift
 }
 
 // Uint64 packs the cell key into a single integer using the

@@ -232,7 +232,7 @@ func (e *Engine) dataShipPhase(pr *msg.Proc, st *localState, res *Result) {
 							wirePool.put(fc.Particles)
 							continue
 						}
-						ln := tree.BuildSubtree(fromWire(fc.Particles), parent.box, ck, e.cfg.LeafCap)
+						ln := tree.BuildSubtreeKeyed(fromWire(fc.Particles), e.domain, parent.box, ck, e.cfg.LeafCap)
 						if cfg.Mode == PotentialMode {
 							tree.BuildNodeExpansions(ln, cfg.Degree)
 						}
@@ -259,7 +259,7 @@ func (e *Engine) dataShipPhase(pr *msg.Proc, st *localState, res *Result) {
 					if fc.IsLeaf {
 						// Materialize the leaf locally so near-field sums run
 						// in place.
-						ln := tree.BuildSubtree(fromWire(fc.Particles), child.box, ck, e.cfg.LeafCap)
+						ln := tree.BuildSubtreeKeyed(fromWire(fc.Particles), e.domain, child.box, ck, e.cfg.LeafCap)
 						if cfg.Mode == PotentialMode {
 							tree.BuildNodeExpansions(ln, cfg.Degree)
 						}

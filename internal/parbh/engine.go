@@ -103,35 +103,13 @@ func New(machine *msg.Machine, set *dist.Set, cfg Config) (*Engine, error) {
 			e.parts[o] = append(e.parts[o], q)
 		}
 	case DPDA:
-		// Bootstrap: Morton-sort and split into p equal-count zones,
-		// snapping boundaries to key changes so a full-resolution key is
-		// never owned by two processors. Keys are computed exactly once and
-		// carried through the sort.
-		ps, keysOf := sortByKeyID(set.Particles, e.domain)
+		// Bootstrap: Morton-sort and split into p equal-count zones.
+		ps, ks := tree.SortByKey(set.Particles, e.domain)
+		starts, bounds := partition.EqualCountZones(ks, p)
+		e.boundKeys = bounds
 		e.parts = make([][]dist.Particle, p)
-		e.boundKeys = make([]uint64, p)
-		cut := 0
-		for proc := 0; proc < p; proc++ {
-			end := (proc + 1) * len(ps) / p
-			if proc == p-1 {
-				end = len(ps)
-			}
-			if end < cut {
-				end = cut // earlier snapping consumed this zone
-			}
-			// Snap forward so equal keys stay together.
-			for end > cut && end < len(ps) && keysOf[end] == keysOf[end-1] {
-				end++
-			}
-			e.parts[proc] = ps[cut:end]
-			if proc == 0 {
-				e.boundKeys[proc] = 0
-			} else if cut < len(ps) {
-				e.boundKeys[proc] = keysOf[cut]
-			} else {
-				e.boundKeys[proc] = ^uint64(0)
-			}
-			cut = end
+		for proc := range e.parts {
+			e.parts[proc] = ps[starts[proc]:starts[proc+1]]
 		}
 	default:
 		return nil, fmt.Errorf("parbh: unknown scheme %v", cfg.Scheme)
@@ -166,7 +144,7 @@ func (e *Engine) ownerOfPos(pos vec.V3) int {
 	case SPSA, SPDA:
 		return e.owner[e.grid.ClusterOf(pos)]
 	default:
-		k := fullResKeyOf(pos, e.domain)
+		k := keys.FullKey3(pos, e.domain)
 		// Last boundary ≤ k.
 		i := sort.Search(len(e.boundKeys), func(i int) bool { return e.boundKeys[i] > k })
 		return i - 1
@@ -514,35 +492,10 @@ func (e *Engine) migrate(pr *msg.Proc, st *localState) {
 		// cost is unchanged; only the host-side sort got cheaper. The key
 		// slice rides along to buildLocal so the incremental builder can
 		// diff it against the previous step without recomputing keys.
-		mine, st.sortKeys = sortByKeyID(mine, e.domain)
+		mine, st.sortKeys = tree.SortByKey(mine, e.domain)
 		pr.Compute(float64(len(mine)) * 12)
 	}
 	st.parts = mine
-}
-
-// sortByKeyID returns the particles sorted by (full-resolution Morton
-// key, ID) together with the aligned key slice. Each key is computed
-// exactly once and radix-sorted, replacing the comparison sort whose
-// comparator recomputed both keys on every call. The adaptive pass
-// exploits the migrate-phase input shape — a long already-sorted run of
-// retained particles plus a few immigrants.
-func sortByKeyID(ps []dist.Particle, domain vec.Box) ([]dist.Particle, []uint64) {
-	pairs := make([]keys.KeyIdx, len(ps))
-	for i := range ps {
-		pairs[i] = keys.KeyIdx{
-			Key: fullResKeyOf(ps[i].Pos, domain),
-			ID:  int32(ps[i].ID),
-			Idx: int32(i),
-		}
-	}
-	keys.SortKeyIdxAdaptive(pairs, nil)
-	out := make([]dist.Particle, len(ps))
-	ks := make([]uint64, len(ps))
-	for i := range pairs {
-		out[i] = ps[pairs[i].Idx]
-		ks[i] = pairs[i].Key
-	}
-	return out, ks
 }
 
 // buildLocal constructs this processor's branch subtrees (Section 3.1:
@@ -552,28 +505,19 @@ func (e *Engine) buildLocal(pr *msg.Proc, st *localState) {
 	switch e.cfg.Scheme {
 	case SPSA, SPDA:
 		// One branch cell per owned, non-empty cluster.
-		byCluster := make(map[int][]dist.Particle)
-		for _, q := range st.parts {
-			c := e.grid.ClusterOf(q.Pos)
-			byCluster[c] = append(byCluster[c], q)
-		}
-		clusters := make([]int, 0, len(byCluster))
-		for c := range byCluster {
-			clusters = append(clusters, c)
-		}
-		sort.Ints(clusters)
 		lvl := uint8(e.cfg.GridLog2)
-		for _, c := range clusters {
+		for c, ps := range e.grid.Bucket(st.parts) {
+			if len(ps) == 0 {
+				continue
+			}
 			i, j, k := e.grid.Coords(c)
 			ck := keys.CellKey{Level: lvl, Key: keys.Encode3(uint32(i), uint32(j), uint32(k))}
 			box := keys.CellBox(e.domain, ck)
-			n := tree.BuildSubtree(byCluster[c], box, ck, e.cfg.LeafCap)
+			n := tree.BuildSubtreeKeyed(ps, e.domain, box, ck, e.cfg.LeafCap)
 			st.branches = append(st.branches, n)
 			st.rootsMap[ck.Uint64()] = n
 		}
-		// Branch cells are already in Morton order because cluster indices
-		// were sorted... cluster index order is row-major, not Morton; sort
-		// branches by key for a canonical order.
+		// Cluster index order is row-major; branches go in Morton order.
 		sort.Slice(st.branches, func(a, b int) bool {
 			return st.branches[a].Key.Less(st.branches[b].Key)
 		})
@@ -594,13 +538,11 @@ func (e *Engine) buildLocal(pr *msg.Proc, st *localState) {
 			b = tree.NewBuilder(e.domain, e.cfg.LeafCap)
 			e.builders[st.me] = b
 		}
-		var local *tree.Tree
-		if st.sortKeys != nil {
-			local = b.StepSorted(st.parts, st.sortKeys)
-		} else {
-			local = b.Step(st.parts)
-		}
-		e.extractBranches(local.Root, lo, hi, st)
+		local := b.StepSorted(st.parts, st.sortKeys)
+		tree.MaximalCells(local.Root, lo, hi, e.domain, e.cfg.LeafCap, func(n *tree.Node) {
+			st.branches = append(st.branches, n)
+			st.rootsMap[n.Key.Uint64()] = n
+		})
 	}
 	// Charge construction cost and build expansions.
 	var levels int64
@@ -625,49 +567,6 @@ func (e *Engine) buildLocal(pr *msg.Proc, st *localState) {
 		st.lookup = newSortedLookup(st.rootsMap)
 	} else {
 		st.lookup = hashLookup(st.rootsMap)
-	}
-}
-
-// extractBranches finds the maximal cells fully contained in [lo, hi) —
-// this processor's branch nodes under the DPDA decomposition. A leaf that
-// straddles a zone boundary is pushed down ("we artificially force the
-// particles down", Section 3.1) until its fragments are fully contained.
-func (e *Engine) extractBranches(n *tree.Node, lo, hi uint64, st *localState) {
-	if n == nil || n.Count == 0 {
-		return
-	}
-	cLo, cHi := cellKeyRange(n.Key)
-	if cLo >= lo && cHi <= hi {
-		st.branches = append(st.branches, n)
-		st.rootsMap[n.Key.Uint64()] = n
-		return
-	}
-	if !n.IsLeaf() {
-		for _, c := range n.Children {
-			e.extractBranches(c, lo, hi, st)
-		}
-		return
-	}
-	if int(n.Key.Level) >= tree.MaxDepth {
-		// Cannot push further; claim the cell (boundary snapping makes a
-		// genuine cross-processor conflict impossible).
-		st.branches = append(st.branches, n)
-		st.rootsMap[n.Key.Uint64()] = n
-		return
-	}
-	// Split the leaf by key octant and recurse on the rebuilt fragments.
-	var buckets [8][]dist.Particle
-	for _, q := range n.Particles {
-		k := fullResKeyOf(q.Pos, e.domain)
-		oct := int(k>>(3*uint(keys.MaxBits3D-1-int(n.Key.Level)))) & 7
-		buckets[oct] = append(buckets[oct], q)
-	}
-	for oct := 0; oct < 8; oct++ {
-		if len(buckets[oct]) == 0 {
-			continue
-		}
-		child := tree.BuildSubtreeKeyed(buckets[oct], e.domain, n.Box.Octant(oct), n.Key.Child(oct), e.cfg.LeafCap)
-		e.extractBranches(child, lo, hi, st)
 	}
 }
 
@@ -995,7 +894,7 @@ func (e *Engine) balanceDPDA(pr *msg.Proc, st *localState) []uint64 {
 		if zone >= p {
 			zone = p - 1
 		}
-		k := fullResKeyOf(q.Pos, e.domain)
+		k := keys.FullKey3(q.Pos, e.domain)
 		if prevZone >= 0 && k == prevKey && zone != prevZone {
 			zone = prevZone // keep identical keys together
 		}
@@ -1019,7 +918,7 @@ func (e *Engine) balanceDPDA(pr *msg.Proc, st *localState) []uint64 {
 	// next processor's boundary.
 	first := ^uint64(0)
 	if len(mine) > 0 {
-		first = fullResKeyOf(mine[0].Pos, e.domain)
+		first = keys.FullKey3(mine[0].Pos, e.domain)
 	}
 	gathered := pr.AllGather(first, 1)
 	bounds := make([]uint64, p)

@@ -477,7 +477,7 @@ func handWorld(t *testing.T, set *dist.Set, p int, cfg Config) (*Engine, []*loca
 				continue
 			}
 			ck := keys.CellKey{}.Child(oct)
-			n := tree.BuildSubtree(ps, domain.Octant(oct), ck, cfg.LeafCap)
+			n := tree.BuildSubtreeKeyed(ps, domain, domain.Octant(oct), ck, cfg.LeafCap)
 			if degree >= 0 {
 				tree.BuildNodeExpansions(n, degree)
 			}

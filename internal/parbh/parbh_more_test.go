@@ -157,12 +157,12 @@ func TestWireParticleRoundTrip(t *testing.T) {
 }
 
 func TestCellKeyRangeHelpers(t *testing.T) {
-	lo, hi := cellKeyRange(keyOf(0, 0))
+	lo, hi := keyOf(0, 0).Range()
 	if lo != 0 || hi != 1<<63 {
 		t.Fatalf("root range [%x, %x)", lo, hi)
 	}
 	// A level-1 child covers exactly 1/8 of the root.
-	lo, hi = cellKeyRange(keyOf(1, 3))
+	lo, hi = keyOf(1, 3).Range()
 	if hi-lo != 1<<60 || lo != 3<<60 {
 		t.Fatalf("child range [%x, %x)", lo, hi)
 	}

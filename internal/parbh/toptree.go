@@ -262,18 +262,3 @@ func (s *sortedLookup) cost() float64 {
 	}
 	return c
 }
-
-// fullResKeyOf returns the maximal-depth Morton key of a position within
-// the root box — the ordering key for DPDA zone boundaries.
-func fullResKeyOf(pos vec.V3, rootBox vec.Box) uint64 {
-	return uint64(keys.PointKey3(pos, rootBox, keys.MaxBits3D))
-}
-
-// cellKeyRange returns the half-open interval of full-resolution Morton
-// keys covered by a cell.
-func cellKeyRange(c keys.CellKey) (lo, hi uint64) {
-	shift := 3 * uint(keys.MaxBits3D-int(c.Level))
-	lo = uint64(c.Key) << shift
-	hi = lo + (1 << shift)
-	return
-}

@@ -20,11 +20,10 @@
 package parfmm
 
 import (
-	"sort"
-
 	"repro/internal/dist"
 	"repro/internal/keys"
 	"repro/internal/msg"
+	"repro/internal/partition"
 	"repro/internal/phys"
 	"repro/internal/tree"
 	"repro/internal/vec"
@@ -140,41 +139,8 @@ func Run(machine *msg.Machine, set *dist.Set, cfg Config) (*Result, error) {
 	domain := set.Domain.Cube()
 
 	// Morton-zone bootstrap (the DPDA initial distribution).
-	ps := append([]dist.Particle(nil), set.Particles...)
-	keyOf := func(q dist.Particle) uint64 {
-		return uint64(keys.PointKey3(q.Pos, domain, keys.MaxBits3D))
-	}
-	sort.SliceStable(ps, func(a, b int) bool {
-		ka, kb := keyOf(ps[a]), keyOf(ps[b])
-		if ka != kb {
-			return ka < kb
-		}
-		return ps[a].ID < ps[b].ID
-	})
-	parts := make([][]dist.Particle, p)
-	bounds := make([]uint64, p)
-	cut := 0
-	for proc := 0; proc < p; proc++ {
-		end := (proc + 1) * len(ps) / p
-		if proc == p-1 {
-			end = len(ps)
-		}
-		if end < cut {
-			end = cut
-		}
-		for end > cut && end < len(ps) && keyOf(ps[end]) == keyOf(ps[end-1]) {
-			end++
-		}
-		parts[proc] = ps[cut:end]
-		if proc == 0 {
-			bounds[proc] = 0
-		} else if cut < len(ps) {
-			bounds[proc] = keyOf(ps[cut])
-		} else {
-			bounds[proc] = ^uint64(0)
-		}
-		cut = end
-	}
+	ps, ks := tree.SortByKey(set.Particles, domain)
+	starts, bounds := partition.EqualCountZones(ks, p)
 
 	res := &Result{Potentials: make([]float64, set.N())}
 	procStats := make([]Stats, p)
@@ -189,7 +155,7 @@ func Run(machine *msg.Machine, set *dist.Set, cfg Config) (*Result, error) {
 		if me+1 < p {
 			hi = bounds[me+1]
 		}
-		st.run(parts[me], lo, hi)
+		st.run(ps[starts[me]:starts[me+1]], lo, hi)
 		procStats[me] = st.stats
 	})
 
@@ -235,7 +201,10 @@ func (st *procRun) run(mine []dist.Particle, lo, hi uint64) {
 	// 1. Local tree and branch extraction (maximal cells in [lo, hi)).
 	local := tree.BuildKeyed(mine, st.domain, cfg.LeafCap)
 	st.lookup = make(map[uint64]*tree.Node)
-	st.extract(local.Root, lo, hi)
+	tree.MaximalCells(local.Root, lo, hi, st.domain, cfg.LeafCap, func(n *tree.Node) {
+		st.branches = append(st.branches, n)
+		st.lookup[n.Key.Uint64()] = n
+	})
 	pr.Compute(float64(tree.ParticleLevels(local.Root)) * phys.TreeInsertFlops)
 
 	// 2. Upward pass: multipoles about cell centres per branch subtree.
@@ -311,46 +280,6 @@ func (st *procRun) run(mine []dist.Particle, lo, hi uint64) {
 		st.downward(b)
 	}
 	pr.Barrier()
-}
-
-// extract collects the maximal cells of the local tree fully inside
-// [lo, hi); straddling leaves are pushed down by key octant.
-func (st *procRun) extract(n *tree.Node, lo, hi uint64) {
-	if n == nil || n.Count == 0 {
-		return
-	}
-	shift := 3 * uint(keys.MaxBits3D-int(n.Key.Level))
-	cLo := uint64(n.Key.Key) << shift
-	cHi := cLo + (1 << shift)
-	if cLo >= lo && cHi <= hi {
-		st.branches = append(st.branches, n)
-		st.lookup[n.Key.Uint64()] = n
-		return
-	}
-	if !n.IsLeaf() {
-		for _, c := range n.Children {
-			st.extract(c, lo, hi)
-		}
-		return
-	}
-	if int(n.Key.Level) >= tree.MaxDepth {
-		st.branches = append(st.branches, n)
-		st.lookup[n.Key.Uint64()] = n
-		return
-	}
-	var buckets [8][]dist.Particle
-	for _, q := range n.Particles {
-		k := uint64(keys.PointKey3(q.Pos, st.domain, keys.MaxBits3D))
-		oct := int(k>>(3*uint(keys.MaxBits3D-1-int(n.Key.Level)))) & 7
-		buckets[oct] = append(buckets[oct], q)
-	}
-	for oct := 0; oct < 8; oct++ {
-		if len(buckets[oct]) == 0 {
-			continue
-		}
-		child := tree.BuildSubtreeKeyed(buckets[oct], st.domain, n.Box.Octant(oct), n.Key.Child(oct), st.cfg.LeafCap)
-		st.extract(child, lo, hi)
-	}
 }
 
 // multipole expansions per node, keyed through the node's Exp field.

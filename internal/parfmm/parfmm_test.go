@@ -1,6 +1,8 @@
 package parfmm
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -114,6 +116,25 @@ func TestParallelFMMDeterministic(t *testing.T) {
 		if a.Potentials[i] != b.Potentials[i] {
 			t.Fatalf("particle %d differs across runs", i)
 		}
+	}
+	// Golden recorded with parfmm's own comparison sort, zone split and
+	// branch extraction, before they moved to tree.SortByKey,
+	// partition.EqualCountZones and tree.MaximalCells: the shared front
+	// end must not move one bit of the result or one simulated metric.
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, v := range a.Potentials {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	if got := h.Sum64(); got != 0x65495551d4999e88 {
+		t.Errorf("potentials hash %#x, want 0x65495551d4999e88", got)
+	}
+	if want := (Stats{M2L: 27792, P2P: 949036, Shipped: 9580}); a.Stats != want {
+		t.Errorf("stats %+v, want %+v", a.Stats, want)
+	}
+	if a.CommWords != 326648 || math.Float64bits(a.SimTime) != 0x3f8620427be1b4ac {
+		t.Errorf("words %d simtime %#x, want 326648 0x3f8620427be1b4ac", a.CommWords, math.Float64bits(a.SimTime))
 	}
 }
 

@@ -236,6 +236,40 @@ func Imbalance(owner []int, loads []float64, p int) float64 {
 	return max / mean
 }
 
+// EqualCountZones splits n particles, given by their key-sorted
+// full-resolution Morton keys, into p contiguous zones of near-equal
+// count — the bootstrap distribution of the DPDA scheme, before any load
+// has been measured. Zone i is the index range [starts[i], starts[i+1])
+// and owns the keys [bounds[i], bounds[i+1]) (the last zone to the end of
+// the key space). Cuts snap forward past runs of equal keys, so a key is
+// never owned by two processors; zones the snapping (or p > n) leaves
+// empty get the next zone's bound, and ^0 past the last particle.
+func EqualCountZones(ks []uint64, p int) (starts []int, bounds []uint64) {
+	n := len(ks)
+	starts = make([]int, p+1)
+	bounds = make([]uint64, p)
+	cut := 0
+	for proc := 0; proc < p; proc++ {
+		end := (proc + 1) * n / p
+		if end < cut {
+			end = cut // earlier snapping consumed this zone
+		}
+		for end > cut && end < n && ks[end] == ks[end-1] {
+			end++
+		}
+		starts[proc] = cut
+		if proc > 0 {
+			bounds[proc] = ^uint64(0)
+			if cut < n {
+				bounds[proc] = ks[cut]
+			}
+		}
+		cut = end
+	}
+	starts[p] = n
+	return starts, bounds
+}
+
 // Costzones partitions the particles of a Barnes–Hut tree into p zones of
 // near-equal interaction load by an in-order (Morton) walk of the tree
 // (Section 3.3.3). Each node's Load counter must hold the number of

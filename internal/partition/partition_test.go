@@ -343,3 +343,71 @@ func TestCostzonesEmptyTree(t *testing.T) {
 		}
 	}
 }
+
+func TestEqualCountZones(t *testing.T) {
+	rep := func(k uint64, n int) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = k
+		}
+		return out
+	}
+	seq := make([]uint64, 100)
+	for i := range seq {
+		seq[i] = uint64(10 * (i + 1))
+	}
+	cases := []struct {
+		name string
+		ks   []uint64
+		p    int
+	}{
+		{"distinct keys", seq, 8},
+		{"runs of equal keys across cuts", append(append(rep(1, 10), rep(5, 60)...), seq...), 4},
+		{"p > n", []uint64{3, 7, 9}, 8},
+		{"all particles on one key", rep(42, 50), 4},
+		{"no particles", nil, 3},
+		{"p = 1", seq, 1},
+	}
+	for _, c := range cases {
+		starts, bounds := EqualCountZones(c.ks, c.p)
+		n := len(c.ks)
+		if len(starts) != c.p+1 || len(bounds) != c.p || starts[0] != 0 || starts[c.p] != n || bounds[0] != 0 {
+			t.Fatalf("%s: starts %v bounds %v", c.name, starts, bounds)
+		}
+		for z := 0; z < c.p; z++ {
+			lo, hi := starts[z], starts[z+1]
+			if hi < lo {
+				t.Fatalf("%s: starts decrease at %d: %v", c.name, z, starts)
+			}
+			if z > 0 && bounds[z] < bounds[z-1] {
+				t.Fatalf("%s: bounds decrease at %d: %x", c.name, z, bounds)
+			}
+			// Equal keys never straddle a cut.
+			if lo > 0 && lo < n && c.ks[lo] == c.ks[lo-1] {
+				t.Fatalf("%s: key %x straddles the cut at %d", c.name, c.ks[lo], lo)
+			}
+			// Every particle's key lies in its zone's key range.
+			upper := ^uint64(0)
+			if z+1 < c.p {
+				upper = bounds[z+1]
+			}
+			for i := lo; i < hi; i++ {
+				if c.ks[i] < bounds[z] || c.ks[i] >= upper {
+					t.Fatalf("%s: key %x of zone %d outside [%x,%x)", c.name, c.ks[i], z, bounds[z], upper)
+				}
+			}
+		}
+	}
+	// Distinct keys split evenly.
+	starts, _ := EqualCountZones(seq, 8)
+	for z := 0; z < 8; z++ {
+		if got := starts[z+1] - starts[z]; got < 12 || got > 13 {
+			t.Fatalf("zone %d has %d of 100 particles", z, got)
+		}
+	}
+	// One key: one zone holds everything, the rest are empty.
+	starts, bounds := EqualCountZones(rep(42, 50), 4)
+	if starts[1] != 50 || bounds[1] != ^uint64(0) {
+		t.Fatalf("one key: starts %v bounds %x", starts, bounds)
+	}
+}

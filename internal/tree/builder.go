@@ -122,7 +122,7 @@ func (b *Builder) Step(particles []dist.Particle) *Tree {
 		if int32(p.ID) != pairs[i].ID {
 			return b.cold(particles)
 		}
-		pairs[i].Key = uint64(keys.PointKey3(p.Pos, b.box, keys.MaxBits3D))
+		pairs[i].Key = keys.FullKey3(p.Pos, b.box)
 	}
 	keyDur := time.Since(t0)
 
@@ -165,7 +165,7 @@ func (b *Builder) StepSorted(sorted []dist.Particle, ks []uint64) *Tree {
 	}
 	b.havePairs = false
 	if !sortedKeyID(sorted, ks) {
-		sorted, ks = resortKeyID(sorted, ks)
+		sorted, ks = SortByKey(sorted, b.box)
 	}
 	if b.t == nil || n != len(b.ps) || n == 0 || b.arenaStale() {
 		return b.coldSorted(sorted, ks)
@@ -204,8 +204,9 @@ func (b *Builder) spareBuffers(n int) ([]dist.Particle, []uint64) {
 	return b.psAlt[:n], b.ksAlt[:n]
 }
 
-// cold runs the from-scratch path — exactly BuildKeyed — while priming
-// the retained state for subsequent warm steps.
+// cold runs the from-scratch path — all that Build and BuildKeyed's
+// one-shot Builder ever runs — while priming the retained state for
+// subsequent warm steps.
 func (b *Builder) cold(particles []dist.Particle) *Tree {
 	n := len(particles)
 	t0 := time.Now()
@@ -216,7 +217,7 @@ func (b *Builder) cold(particles []dist.Particle) *Tree {
 	b.pairs = pairs
 	for i := range particles {
 		pairs[i] = keys.KeyIdx{
-			Key: uint64(keys.PointKey3(particles[i].Pos, b.box, keys.MaxBits3D)),
+			Key: keys.FullKey3(particles[i].Pos, b.box),
 			ID:  int32(particles[i].ID),
 			Idx: int32(i),
 		}
@@ -334,23 +335,8 @@ func (b *Builder) syncNode(old *Node, lo, hi int, box vec.Box, key keys.CellKey,
 	if old == nil || old.IsLeaf() {
 		return b.rebuild(lo, hi, box, key, newPs, newKs)
 	}
-	// Both internal: reconcile children octant by octant. bounds[o] is
-	// the first new index whose octant digit is ≥ o (the same binary
-	// search as buildKeyedRange).
-	var bounds [9]int
-	bounds[0], bounds[8] = lo, hi
-	for o := 7; o >= 1; o-- {
-		blo, bhi := lo, bounds[o+1]
-		for blo < bhi {
-			mid := int(uint(blo+bhi) >> 1)
-			if keyOctant(newKs[mid], level) < o {
-				blo = mid + 1
-			} else {
-				bhi = mid
-			}
-		}
-		bounds[o] = blo
-	}
+	// Both internal: reconcile children octant by octant.
+	bounds := octantBounds(newKs[lo:hi], level)
 	old.Count = n
 	old.Mass = 0
 	old.COM = vec.V3{}
@@ -358,7 +344,7 @@ func (b *Builder) syncNode(old *Node, lo, hi int, box vec.Box, key keys.CellKey,
 	old.Exp = nil
 	b.last.Spine++
 	for o := 0; o < 8; o++ {
-		clo, chi := bounds[o], bounds[o+1]
+		clo, chi := lo+bounds[o], lo+bounds[o+1]
 		if clo == chi {
 			old.Children[o] = nil
 			continue
@@ -407,21 +393,4 @@ func sortedKeyID(ps []dist.Particle, ks []uint64) bool {
 		}
 	}
 	return true
-}
-
-// resortKeyID sorts a (particle, key) snapshot that violated the caller's
-// sortedness contract — the defensive fallback of StepSorted.
-func resortKeyID(ps []dist.Particle, ks []uint64) ([]dist.Particle, []uint64) {
-	pairs := make([]keys.KeyIdx, len(ps))
-	for i := range ps {
-		pairs[i] = keys.KeyIdx{Key: ks[i], ID: int32(ps[i].ID), Idx: int32(i)}
-	}
-	keys.SortKeyIdx(pairs, nil)
-	outPs := make([]dist.Particle, len(ps))
-	outKs := make([]uint64, len(ps))
-	for i := range pairs {
-		outPs[i] = ps[pairs[i].Idx]
-		outKs[i] = pairs[i].Key
-	}
-	return outPs, outKs
 }

@@ -123,7 +123,7 @@ func TestBuilderStepSortedMatchesFromScratch(t *testing.T) {
 	bodies := dist.MustNamed("g", 1800, 19).Particles
 	b := NewBuilder(domain, 8)
 	for step := 0; step < 5; step++ {
-		sorted, ks := sortedByKey(bodies, domain.Cube())
+		sorted, ks := SortByKey(bodies, domain.Cube())
 		got := b.StepSorted(sorted, ks)
 		want := BuildKeyed(bodies, domain, 8)
 		if err := diffNodes(got.Root, want.Root, "root"); err != nil {
@@ -136,7 +136,7 @@ func TestBuilderStepSortedMatchesFromScratch(t *testing.T) {
 func TestBuilderStepSortedUnsortedFallback(t *testing.T) {
 	domain := testDomain()
 	bodies := dist.MustNamed("plummer", 600, 3).Particles
-	sorted, ks := sortedByKey(bodies, domain.Cube())
+	sorted, ks := SortByKey(bodies, domain.Cube())
 	// Violate the sortedness contract on purpose; the defensive scan must
 	// re-sort rather than build a malformed tree.
 	sorted[0], sorted[len(sorted)-1] = sorted[len(sorted)-1], sorted[0]

@@ -1,76 +1,200 @@
 package tree
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/dist"
 	"repro/internal/keys"
-	"repro/internal/phys"
 	"repro/internal/vec"
 )
 
-func TestKeyedBuildMatchesGeometricAggregates(t *testing.T) {
-	s := dist.MustNamed("plummer", 3000, 31)
-	geo := Build(s.Particles, Options{LeafCap: 8, Domain: s.Domain})
-	key := BuildKeyed(s.Particles, s.Domain, 8)
-	if key.Root.Count != geo.Root.Count {
-		t.Fatalf("counts differ: %d vs %d", key.Root.Count, geo.Root.Count)
+// checkMembership asserts the property every build entry point shares:
+// each particle's full-resolution Morton key (against rootBox) lies inside
+// the key range of every cell that holds it, and leaves hold their
+// particles in (key, ID) order.
+func checkMembership(t *testing.T, name string, n *Node, rootBox vec.Box) {
+	t.Helper()
+	if n == nil {
+		return
 	}
-	if math.Abs(key.Root.Mass-geo.Root.Mass) > 1e-12 {
-		t.Fatalf("masses differ")
+	lo, hi := n.Key.Range()
+	for i := range n.Particles {
+		k := keys.FullKey3(n.Particles[i].Pos, rootBox)
+		if k < lo || k >= hi {
+			t.Fatalf("%s: particle %d key %x outside cell %v range [%x,%x)",
+				name, n.Particles[i].ID, k, n.Key, lo, hi)
+		}
+		if i > 0 {
+			pk := keys.FullKey3(n.Particles[i-1].Pos, rootBox)
+			if k < pk || (k == pk && n.Particles[i].ID < n.Particles[i-1].ID) {
+				t.Fatalf("%s: leaf %v not in (key, ID) order at %d", name, n.Key, i)
+			}
+		}
 	}
-	if key.Root.COM.Dist(geo.Root.COM) > 1e-12 {
-		t.Fatalf("COMs differ")
-	}
-}
-
-func TestKeyedBuildForcesMatchGeometric(t *testing.T) {
-	// The two builds may disagree about boundary particles by one cell,
-	// but the forces they produce agree to BH tolerance.
-	s := dist.MustNamed("g", 2000, 32)
-	geo := Build(s.Particles, Options{LeafCap: 8, Domain: s.Domain})
-	key := BuildKeyed(s.Particles, s.Domain, 8)
-	a1, _ := geo.AccelAll(s.Particles, 0.7, 0.01)
-	a2, _ := key.AccelAll(s.Particles, 0.7, 0.01)
-	if e := phys.FractionalErrorV3(a1, a2); e > 1e-3 {
-		t.Fatalf("keyed vs geometric force difference %v", e)
+	for _, c := range n.Children {
+		if c != nil && !n.Key.Contains(c.Key) {
+			t.Fatalf("%s: child %v outside parent %v", name, c.Key, n.Key)
+		}
+		checkMembership(t, name, c, rootBox)
 	}
 }
 
 func TestKeyedCellMembershipConsistentWithKeys(t *testing.T) {
-	// The property that motivates the keyed build: every particle in a
-	// cell has a full-resolution Morton key inside the cell's key range.
+	// The property that motivates the one build arithmetic: whichever
+	// entry point built the tree, cell membership agrees with the keys
+	// that define DPDA zone ownership.
 	s := dist.MustNamed("s_10g_a", 3000, 33)
-	tr := BuildKeyed(s.Particles, s.Domain, 8)
-	rootBox := tr.Root.Box
-	var check func(n *Node) bool
-	check = func(n *Node) bool {
-		if n == nil {
-			return true
+	rootBox := s.Domain.Cube()
+	sorted, ks := SortByKey(s.Particles, rootBox)
+	cell := keys.CellKey{}.Child(keyOctant(ks[0], 0))
+	var inCell []dist.Particle
+	for i := len(sorted) - 1; i >= 0; i-- { // reversed: the entry must sort
+		if lo, hi := cell.Range(); ks[i] >= lo && ks[i] < hi {
+			inCell = append(inCell, sorted[i])
 		}
-		shift := 3 * uint(keys.MaxBits3D-int(n.Key.Level))
-		lo := uint64(n.Key.Key) << shift
-		hi := lo + (1 << shift)
-		if n.IsLeaf() {
-			for i := range n.Particles {
-				k := uint64(keys.PointKey3(n.Particles[i].Pos, rootBox, keys.MaxBits3D))
-				if k < lo || k >= hi {
-					t.Errorf("particle %d key %x outside cell %v range [%x,%x)",
-						n.Particles[i].ID, k, n.Key, lo, hi)
-					return false
-				}
-			}
-			return true
-		}
-		for _, c := range n.Children {
-			if !check(c) {
-				return false
-			}
-		}
-		return true
 	}
-	check(tr.Root)
+	warm := NewBuilder(s.Domain, 8)
+	warm.Step(s.Particles)
+	entries := []struct {
+		name string
+		root *Node
+		n    int
+	}{
+		{"Build", Build(s.Particles, Options{LeafCap: 8, Domain: s.Domain}).Root, s.N()},
+		{"BuildKeyed", BuildKeyed(s.Particles, s.Domain, 8).Root, s.N()},
+		{"BuildSubtreeKeyed", BuildSubtreeKeyed(inCell, rootBox, keys.CellBox(rootBox, cell), cell, 8), len(inCell)},
+		{"Builder.Step", warm.Step(s.Particles).Root, s.N()},
+		{"Builder.StepSorted", NewBuilder(s.Domain, 8).StepSorted(sorted, ks).Root, s.N()},
+	}
+	for _, e := range entries {
+		if e.root.Count != e.n {
+			t.Fatalf("%s: count %d, want %d", e.name, e.root.Count, e.n)
+		}
+		checkMembership(t, e.name, e.root, rootBox)
+		// One arithmetic: every whole-tree entry agrees with Build node
+		// for node.
+		if e.n == s.N() {
+			if err := diffNodes(e.root, entries[0].root, e.name); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// A tree built with no Domain is keyed against its own root cell.
+	auto := Build(s.Particles, Options{LeafCap: 8})
+	checkMembership(t, "Build without Domain", auto.Root, auto.Root.Box)
+}
+
+// maximalCells collects what MaximalCells emits for [lo, hi).
+func maximalCells(root *Node, lo, hi uint64, rootBox vec.Box, leafCap int) []*Node {
+	var cells []*Node
+	MaximalCells(root, lo, hi, rootBox, leafCap, func(n *Node) { cells = append(cells, n) })
+	return cells
+}
+
+func TestMaximalCellsCoverZoneExactly(t *testing.T) {
+	s := dist.MustNamed("g", 3000, 41)
+	rootBox := s.Domain.Cube()
+	sorted, ks := SortByKey(s.Particles, rootBox)
+	// Cut at particle ranks, as the zone split does; with n/3 particles
+	// per zone and 8-particle leaves, leaves straddle both cuts.
+	cuts := []uint64{0, ks[1000], ks[2000], ^uint64(0)}
+	claimed := make(map[int]int) // particle ID -> zone
+	for z := 0; z+1 < len(cuts); z++ {
+		lo, hi := cuts[z], cuts[z+1]
+		var zone []dist.Particle
+		for i := range sorted {
+			if ks[i] >= lo && ks[i] < hi {
+				zone = append(zone, sorted[i])
+			}
+		}
+		local := BuildKeyed(zone, s.Domain, 8)
+		cells := maximalCells(local.Root, lo, hi, rootBox, 8)
+		pushed := 0
+		var prevHi uint64
+		for _, c := range cells {
+			cLo, cHi := c.Key.Range()
+			if cLo < lo || cHi > hi {
+				t.Fatalf("zone %d: cell %v range [%x,%x) outside [%x,%x)", z, c.Key, cLo, cHi, lo, hi)
+			}
+			if cLo < prevHi {
+				t.Fatalf("zone %d: cell %v overlaps or precedes its predecessor", z, c.Key)
+			}
+			prevHi = cHi
+			checkMembership(t, "maximal cell", c, rootBox)
+			var count func(n *Node) int
+			count = func(n *Node) int {
+				if n == nil {
+					return 0
+				}
+				total := len(n.Particles)
+				for i := range n.Particles {
+					if _, dup := claimed[n.Particles[i].ID]; dup {
+						t.Fatalf("zone %d: particle %d claimed twice", z, n.Particles[i].ID)
+					}
+					claimed[n.Particles[i].ID] = z
+				}
+				for _, ch := range n.Children {
+					total += count(ch)
+				}
+				return total
+			}
+			if got := count(c); got != c.Count {
+				t.Fatalf("zone %d: cell %v holds %d particles, Count %d", z, c.Key, got, c.Count)
+			}
+			// A cell that is no node of the local tree came from a
+			// pushed-down straddling leaf.
+			found := false
+			local.Walk(func(n *Node) bool { found = found || n == c; return !found })
+			if !found {
+				pushed++
+			}
+		}
+		if z > 0 && pushed == 0 {
+			t.Fatalf("zone %d: no straddling leaf was pushed down", z)
+		}
+		// Maximal: a cell's parent must not fit in the zone as well.
+		for _, c := range cells {
+			if c.Key.Level == 0 {
+				continue
+			}
+			if pLo, pHi := c.Key.Parent().Range(); pLo >= lo && pHi <= hi {
+				t.Fatalf("zone %d: cell %v is not maximal", z, c.Key)
+			}
+		}
+	}
+	for i := range sorted {
+		z, ok := claimed[sorted[i].ID]
+		if !ok || ks[i] < cuts[z] || ks[i] >= cuts[z+1] {
+			t.Fatalf("particle %d (key %x) claimed by zone %d, ok=%v", sorted[i].ID, ks[i], z, ok)
+		}
+	}
+}
+
+func TestMaximalCellsMaxDepthLeafClaimedWhole(t *testing.T) {
+	// Coincident particles end in one MaxDepth leaf above leafCap; it
+	// covers a single key, so no zone cut can split it.
+	box := vec.NewBox(vec.V3{}, vec.V3{X: 1, Y: 1, Z: 1})
+	ps := make([]dist.Particle, 30)
+	for i := range ps {
+		ps[i] = dist.Particle{ID: i, Mass: 1, Pos: vec.V3{X: 0.3, Y: 0.6, Z: 0.9}}
+	}
+	k := keys.FullKey3(ps[0].Pos, box)
+	tr := BuildKeyed(ps, box, 4)
+	for _, zone := range [][2]uint64{{k, k + 1}, {0, ^uint64(0)}, {k + 1, k + 9}} {
+		cells := maximalCells(tr.Root, zone[0], zone[1], box, 4)
+		if len(cells) != 1 || cells[0].Count != 30 {
+			t.Fatalf("zone [%x,%x): %d cells", zone[0], zone[1], len(cells))
+		}
+		// Only the zone that holds the whole key space claims the root;
+		// the others, the out-of-zone one included, get the single-key cell.
+		wantLevel := MaxDepth
+		if zone[0] == 0 {
+			wantLevel = 0
+		}
+		if int(cells[0].Key.Level) != wantLevel {
+			t.Fatalf("zone [%x,%x): claimed at level %d, want %d", zone[0], zone[1], cells[0].Key.Level, wantLevel)
+		}
+	}
 }
 
 func TestKeyedSubtreeMatchesSubrange(t *testing.T) {
@@ -84,8 +208,7 @@ func TestKeyedSubtreeMatchesSubrange(t *testing.T) {
 		}
 		var sub []dist.Particle
 		for _, q := range s.Particles {
-			k := uint64(keys.PointKey3(q.Pos, rootBox, keys.MaxBits3D))
-			if int(k>>(3*(keys.MaxBits3D-1)))&7 == oct {
+			if keyOctant(keys.FullKey3(q.Pos, rootBox), 0) == oct {
 				sub = append(sub, q)
 			}
 		}
@@ -93,8 +216,8 @@ func TestKeyedSubtreeMatchesSubrange(t *testing.T) {
 		if re.Count != child.Count {
 			t.Fatalf("oct %d: count %d vs %d", oct, re.Count, child.Count)
 		}
-		if re.COM.Dist(child.COM) > 1e-12 {
-			t.Fatalf("oct %d: COM differs", oct)
+		if re.Mass != child.Mass || re.COM != child.COM || re.Key != child.Key {
+			t.Fatalf("oct %d: mass/COM/key differ", oct)
 		}
 		break
 	}

@@ -87,12 +87,10 @@ type Options struct {
 
 // Build constructs the octree for the particles. The root cell is the
 // cube enclosing the domain so that octant subdivision preserves cubic
-// cells (the MAC's size/distance test assumes cubes).
+// cells (the MAC's size/distance test assumes cubes). Without
+// CollapseBoxes this is the cold entry of Builder: a one-shot Builder
+// runs the key sort and the range build with no retained state.
 func Build(particles []dist.Particle, opt Options) *Tree {
-	leafCap := opt.LeafCap
-	if leafCap <= 0 {
-		leafCap = DefaultLeafCap
-	}
 	box := opt.Domain
 	if box == (vec.Box{}) {
 		pts := make([]vec.V3, len(particles))
@@ -101,16 +99,16 @@ func Build(particles []dist.Particle, opt Options) *Tree {
 		}
 		box = vec.BoundingBox(pts).Expand(1e-9)
 	}
-	box = box.Cube()
-	t := &Tree{LeafCap: leafCap, Degree: -1}
-	ps := append([]dist.Particle(nil), particles...)
-	a := newNodeArena(len(ps), leafCap)
-	if opt.CollapseBoxes {
-		t.Root = buildCollapsed(ps, box, keys.CellKey{}, leafCap, a)
-	} else {
-		scratch := make([]dist.Particle, len(ps))
-		t.Root = buildNode(ps, scratch, box, keys.CellKey{}, leafCap, a)
+	if !opt.CollapseBoxes {
+		return NewBuilder(box, opt.LeafCap).Step(particles)
 	}
+	leafCap := opt.LeafCap
+	if leafCap <= 0 {
+		leafCap = DefaultLeafCap
+	}
+	ps := append([]dist.Particle(nil), particles...)
+	t := &Tree{LeafCap: leafCap, Degree: -1}
+	t.Root = buildCollapsed(ps, box.Cube(), keys.CellKey{}, leafCap, newNodeArena(len(ps), leafCap))
 	return t
 }
 
@@ -139,11 +137,14 @@ func fillLeaf(n *Node, ps []dist.Particle) {
 	}
 }
 
-// buildCollapsed is buildNode with box collapsing: the cell first shrinks
-// to the smallest cube enclosing its particles (padded so boundary
-// particles stay strictly inside), then splits by octant as usual. Depth
-// is bounded by the particle count, not the geometry, so no MaxDepth
-// fallback is needed; key levels are still capped to stay meaningful.
+// buildCollapsed builds with box collapsing: the cell first shrinks to
+// the smallest cube enclosing its particles (padded so boundary particles
+// stay strictly inside), then splits by geometric octant — collapsed
+// cells are not cells of the Morton hierarchy, so there are no key digits
+// to split by, which is why this is the one build that does not go
+// through buildKeyedRange. Depth is bounded by the particle count, not
+// the geometry, so no MaxDepth fallback is needed; key levels are still
+// capped to stay meaningful.
 func buildCollapsed(ps []dist.Particle, box vec.Box, key keys.CellKey, leafCap int, a *nodeArena) *Node {
 	n := a.grab()
 	n.Box, n.Key = box, key
@@ -199,139 +200,50 @@ func buildCollapsed(ps []dist.Particle, box vec.Box, key keys.CellKey, leafCap i
 	return n
 }
 
-// BuildSubtree constructs a subtree for the cell identified by key with
-// extent box. Used by the distributed construction, where each processor
-// builds the subtrees under its branch nodes independently.
-func BuildSubtree(particles []dist.Particle, box vec.Box, key keys.CellKey, leafCap int) *Node {
-	if leafCap <= 0 {
-		leafCap = DefaultLeafCap
-	}
-	ps := append([]dist.Particle(nil), particles...)
-	scratch := make([]dist.Particle, len(ps))
-	return buildNode(ps, scratch, box, key, leafCap, newNodeArena(len(ps), leafCap))
-}
-
-// buildNode recursively partitions ps (which it may reorder) into the
-// octants of box. ps and scratch are two same-length buffers ping-ponged
-// across levels: each level scatters ps into octant runs of scratch and
-// the children recurse with the roles swapped, so the whole build uses
-// two n-sized buffers instead of one allocation per internal node.
-// Leaves end up referencing runs of whichever buffer their level landed
-// on; both stay alive through those references.
-func buildNode(ps, scratch []dist.Particle, box vec.Box, key keys.CellKey, leafCap int, a *nodeArena) *Node {
-	n := a.grab()
-	n.Box, n.Key = box, key
-	n.Count = len(ps)
-	if len(ps) == 0 {
-		n.Particles = []dist.Particle{}
-		return n
-	}
-	if len(ps) <= leafCap || int(key.Level) >= MaxDepth {
-		fillLeaf(n, ps)
-		return n
-	}
-	// Partition in place: bucket by octant with a counting pass, then a
-	// stable scatter into the scratch buffer, whose octant runs become
-	// the children's particle storage.
-	var counts [8]int
-	for i := range ps {
-		counts[box.OctantOf(ps[i].Pos)]++
-	}
-	var starts [9]int
-	for o := 0; o < 8; o++ {
-		starts[o+1] = starts[o] + counts[o]
-	}
-	var fill [8]int
-	for i := range ps {
-		o := box.OctantOf(ps[i].Pos)
-		scratch[starts[o]+fill[o]] = ps[i]
-		fill[o]++
-	}
-	if buildParallel(len(ps)) {
-		// The closure takes the per-octant bounds as arguments, not
-		// captures, so counts/starts stay stack-allocated on the (common)
-		// serial path below.
-		var wg sync.WaitGroup
-		for o := 0; o < 8; o++ {
-			if counts[o] == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(o, lo, hi int) {
-				defer wg.Done()
-				ca := newNodeArena(hi-lo, leafCap)
-				n.Children[o] = buildNode(scratch[lo:hi], ps[lo:hi],
-					box.Octant(o), key.Child(o), leafCap, ca)
-			}(o, starts[o], starts[o+1])
-		}
-		wg.Wait()
-		for o := 0; o < 8; o++ {
-			if child := n.Children[o]; child != nil {
-				n.Mass += child.Mass
-				n.COM = n.COM.Add(child.COM.Scale(child.Mass))
-			}
-		}
-	} else {
-		for o := 0; o < 8; o++ {
-			if counts[o] == 0 {
-				continue
-			}
-			child := buildNode(scratch[starts[o]:starts[o+1]], ps[starts[o]:starts[o+1]],
-				box.Octant(o), key.Child(o), leafCap, a)
-			n.Children[o] = child
-			n.Mass += child.Mass
-			n.COM = n.COM.Add(child.COM.Scale(child.Mass))
-		}
-	}
-	if n.Mass > 0 {
-		n.COM = n.COM.Scale(1 / n.Mass)
-	}
-	return n
-}
-
-// BuildKeyed constructs the octree using quantized Morton keys for every
-// octant decision instead of geometric comparisons. The two agree except
-// for particles within a rounding ulp of a cell boundary — but the
-// parallel DPDA decomposition defines ownership by key ranges, so its
-// trees must be built with exactly the same arithmetic or a processor
-// could claim cells inside another's range. domain is the global root
-// cell (it is cubed internally).
+// BuildKeyed is Build over the given domain (it is cubed internally)
+// without box collapsing.
 //
-// Keys are computed once, radix-sorted with the particle ID tie-break,
-// and the tree is then built over contiguous key ranges: child cells are
-// located by binary search on the 3-bit octant digit instead of a
-// counting scatter per level. Particles whose input order already is the
-// (key, ID) order — the invariant the DPDA engine maintains — come out
-// in exactly the same leaf order as before.
-// BuildKeyed is the cold-start path of Builder.Step: a one-shot Builder
-// runs the same sort and range build without any retained state.
+// Every octant decision of the build is a digit of the particle's
+// quantized Morton key, never a geometric comparison. The two agree
+// except for particles within a rounding ulp of a cell boundary — but the
+// parallel DPDA decomposition defines ownership by key ranges, so trees
+// must be built with exactly the arithmetic that defines those ranges or
+// a processor could claim cells inside another's range. Keys are computed
+// once, radix-sorted with the particle ID tie-break, and the tree is
+// built over contiguous key ranges: child cells are located by binary
+// search on the 3-bit octant digit. Leaves hold their particles in
+// (key, ID) order whatever the input order was.
 func BuildKeyed(particles []dist.Particle, domain vec.Box, leafCap int) *Tree {
 	return NewBuilder(domain, leafCap).Step(particles)
 }
 
 // BuildSubtreeKeyed is BuildKeyed for the subtree of cell `key` (with
 // extent box); rootBox is the global root cell the particle keys are
-// quantized against.
+// quantized against. The distributed construction builds the subtrees
+// under a processor's branch nodes with it.
 func BuildSubtreeKeyed(particles []dist.Particle, rootBox vec.Box, box vec.Box, key keys.CellKey, leafCap int) *Node {
 	if leafCap <= 0 {
 		leafCap = DefaultLeafCap
 	}
-	ps, ks := sortedByKey(particles, rootBox)
+	ps, ks := SortByKey(particles, rootBox)
 	return buildKeyedRange(ps, ks, box, key, leafCap, newNodeArena(len(ps), leafCap))
 }
 
-// sortedByKey returns a copy of the particles sorted by (full-resolution
-// Morton key, ID) together with the aligned key slice.
-func sortedByKey(particles []dist.Particle, rootBox vec.Box) ([]dist.Particle, []uint64) {
+// SortByKey returns a copy of the particles sorted by (full-resolution
+// Morton key within rootBox, ID) together with the aligned key slice.
+// Each key is computed once and carried through the sort; the adaptive
+// pass makes input that is already nearly in order — a rank's retained
+// particles plus a few immigrants, a leaf of a keyed tree — cost one scan.
+func SortByKey(particles []dist.Particle, rootBox vec.Box) ([]dist.Particle, []uint64) {
 	pairs := make([]keys.KeyIdx, len(particles))
 	for i := range particles {
 		pairs[i] = keys.KeyIdx{
-			Key: uint64(keys.PointKey3(particles[i].Pos, rootBox, keys.MaxBits3D)),
+			Key: keys.FullKey3(particles[i].Pos, rootBox),
 			ID:  int32(particles[i].ID),
 			Idx: int32(i),
 		}
 	}
-	keys.SortKeyIdx(pairs, nil)
+	keys.SortKeyIdxAdaptive(pairs, nil)
 	ps := make([]dist.Particle, len(particles))
 	ks := make([]uint64, len(particles))
 	for i := range pairs {
@@ -347,27 +259,12 @@ func keyOctant(k uint64, level int) int {
 	return int(k>>(3*uint(keys.MaxBits3D-1-level))) & 7
 }
 
-// buildKeyedRange builds the subtree for a contiguous range of the
-// key-sorted particle array. Child ranges are found by binary search on
-// the octant digit (nondecreasing within a cell's range, because all
-// keys share the cell's prefix), so no per-level scatter or scratch
-// buffers are needed; leaves subslice the shared sorted array.
-func buildKeyedRange(ps []dist.Particle, ks []uint64, box vec.Box, key keys.CellKey, leafCap int, a *nodeArena) *Node {
-	n := a.grab()
-	n.Box, n.Key = box, key
-	n.Count = len(ps)
-	if len(ps) == 0 {
-		n.Particles = []dist.Particle{}
-		return n
-	}
-	if len(ps) <= leafCap || int(key.Level) >= MaxDepth {
-		fillLeaf(n, ps)
-		return n
-	}
-	level := int(key.Level)
-	// bounds[o] is the first index whose octant digit is ≥ o.
-	var bounds [9]int
-	bounds[8] = len(ps)
+// octantBounds splits a key-sorted range of one cell at the given level
+// into its eight child ranges: bounds[o] is the first index whose octant
+// digit is ≥ o. The digit is nondecreasing within the range because all
+// its keys share the cell's prefix, so each bound is a binary search.
+func octantBounds(ks []uint64, level int) (bounds [9]int) {
+	bounds[8] = len(ks)
 	for o := 7; o >= 1; o-- {
 		lo, hi := 0, bounds[o+1]
 		for lo < hi {
@@ -380,6 +277,27 @@ func buildKeyedRange(ps []dist.Particle, ks []uint64, box vec.Box, key keys.Cell
 		}
 		bounds[o] = lo
 	}
+	return bounds
+}
+
+// buildKeyedRange builds the subtree for a contiguous range of the
+// key-sorted particle array — the only octant-splitting code besides
+// buildCollapsed. Child ranges come from octantBounds, so no per-level
+// scatter or scratch buffers are needed; leaves subslice the shared
+// sorted array.
+func buildKeyedRange(ps []dist.Particle, ks []uint64, box vec.Box, key keys.CellKey, leafCap int, a *nodeArena) *Node {
+	n := a.grab()
+	n.Box, n.Key = box, key
+	n.Count = len(ps)
+	if len(ps) == 0 {
+		n.Particles = []dist.Particle{}
+		return n
+	}
+	if len(ps) <= leafCap || int(key.Level) >= MaxDepth {
+		fillLeaf(n, ps)
+		return n
+	}
+	bounds := octantBounds(ks, int(key.Level))
 	if buildParallel(len(ps)) {
 		var wg sync.WaitGroup
 		for o := 0; o < 8; o++ {
@@ -417,6 +335,47 @@ func buildKeyedRange(ps []dist.Particle, ks []uint64, box vec.Box, key keys.Cell
 		n.COM = n.COM.Scale(1 / n.Mass)
 	}
 	return n
+}
+
+// MaximalCells emits, in Morton order, the maximal cells of the keyed
+// subtree under n whose key range lies inside [lo, hi) — a processor's
+// branch nodes under the DPDA decomposition, whose zones are key ranges.
+// A leaf that straddles a zone boundary is pushed down ("we artificially
+// force the particles down", Section 3.1): it is split by key octant into
+// fresh subtrees, not linked into the tree, until the fragments are
+// contained. A MaxDepth leaf covers a single key and cannot be split, so
+// it is emitted whole: particles whose keys lie outside [lo, hi) — there
+// are none when the caller holds exactly its zone, and zone bounds never
+// separate equal keys (partition.EqualCountZones) — come out in such
+// single-key cells instead of being dropped. rootBox is the root cell the
+// keys are quantized against.
+func MaximalCells(n *Node, lo, hi uint64, rootBox vec.Box, leafCap int, emit func(*Node)) {
+	if n == nil || n.Count == 0 {
+		return
+	}
+	if cLo, cHi := n.Key.Range(); cLo >= lo && cHi <= hi {
+		emit(n)
+		return
+	}
+	if !n.IsLeaf() {
+		for _, c := range n.Children {
+			MaximalCells(c, lo, hi, rootBox, leafCap, emit)
+		}
+		return
+	}
+	if int(n.Key.Level) >= MaxDepth {
+		emit(n)
+		return
+	}
+	ps, ks := SortByKey(n.Particles, rootBox)
+	bounds := octantBounds(ks, int(n.Key.Level))
+	a := newNodeArena(len(ps), leafCap)
+	for o := 0; o < 8; o++ {
+		if clo, chi := bounds[o], bounds[o+1]; clo < chi {
+			child := buildKeyedRange(ps[clo:chi], ks[clo:chi], n.Box.Octant(o), n.Key.Child(o), leafCap, a)
+			MaximalCells(child, lo, hi, rootBox, leafCap, emit)
+		}
+	}
 }
 
 // BuildExpansions populates every node's multipole expansion of the given

@@ -267,39 +267,6 @@ func TestStatsFlops(t *testing.T) {
 	}
 }
 
-func TestBuildSubtreeMatchesFullTreeCell(t *testing.T) {
-	// Building a subtree for a cell directly must match the corresponding
-	// subtree of the full build (same counts/mass/keys), which is what the
-	// distributed construction relies on.
-	s := uniformSet(2000, 13)
-	full := Build(s.Particles, Options{LeafCap: 8, Domain: s.Domain})
-	// Pick the first non-empty child of the root.
-	var oct int
-	for o, c := range full.Root.Children {
-		if c != nil && c.Count > 0 {
-			oct = o
-			break
-		}
-	}
-	cell := full.Root.Children[oct]
-	var sub []dist.Particle
-	for _, p := range s.Particles {
-		if cell.Box.Contains(p.Pos) && full.Root.Box.OctantOf(p.Pos) == oct {
-			sub = append(sub, p)
-		}
-	}
-	rebuilt := BuildSubtree(sub, cell.Box, cell.Key, 8)
-	if rebuilt.Count != cell.Count {
-		t.Fatalf("count %d vs %d", rebuilt.Count, cell.Count)
-	}
-	if math.Abs(rebuilt.Mass-cell.Mass) > 1e-12 {
-		t.Fatalf("mass %v vs %v", rebuilt.Mass, cell.Mass)
-	}
-	if rebuilt.COM.Dist(cell.COM) > 1e-12 {
-		t.Fatalf("COM %v vs %v", rebuilt.COM, cell.COM)
-	}
-}
-
 func TestTreeSizeReasonable(t *testing.T) {
 	s := uniformSet(4096, 14)
 	tr := Build(s.Particles, Options{LeafCap: 8, Domain: s.Domain})

@@ -51,6 +51,32 @@ func TestSerialSimIncrementalMatchesCold(t *testing.T) {
 	}
 }
 
+// One build path: the one-shot API builds its tree exactly as SerialSim's
+// first (cold) step does, so SerialForces equals that step's force
+// evaluation bit for bit. Bodies start at rest and one Euler step of
+// dt = 1 leaves v = a, which exposes the evaluation.
+func TestSerialForcesEqualSerialSimFirstEvaluation(t *testing.T) {
+	set := NewPlummer(3000, 1, V3{}, 23)
+	for i := range set.Particles {
+		set.Particles[i].Vel = V3{}
+	}
+	want, wantStats := SerialForces(set, 0.67, 0.01, 8)
+	sim, err := NewSerialSim(set, SerialConfig{Alpha: 0.67, Eps: 0.01, LeafCap: 8, DT: 1, Integrator: "euler"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sim.Step(); got != wantStats {
+		t.Fatalf("stats differ: SerialSim %+v, SerialForces %+v", got, wantStats)
+	}
+	for _, b := range sim.Bodies() {
+		a, w := b.Vel, want[b.ID]
+		if math.Float64bits(a.X) != math.Float64bits(w.X) || math.Float64bits(a.Y) != math.Float64bits(w.Y) ||
+			math.Float64bits(a.Z) != math.Float64bits(w.Z) {
+			t.Fatalf("particle %d: SerialSim %v, SerialForces %v", b.ID, a, w)
+		}
+	}
+}
+
 // Host parallelism must not perturb the incremental path either: the
 // trajectory under multi-worker flat kernels is bit-identical to the
 // single-worker run.
