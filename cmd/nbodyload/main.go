@@ -154,9 +154,8 @@ func run() int {
 	report.ElapsedSecs = time.Since(start).Seconds()
 
 	// Golden determinism check: one fixed spec through the fleet versus
-	// the same computation performed directly in this process. Compared
-	// field-wise (see physicsEqual) so the documented host-scheduling
-	// jitter in the simulated waiting clock cannot fail the drill.
+	// the same computation performed directly in this process, compared
+	// field-wise (see physicsEqual).
 	goldenSpec := loadSpec(*n, *steps, 0)
 	local, err := computeLocal(goldenSpec)
 	if err != nil {
@@ -383,20 +382,14 @@ func computeLocal(spec service.JobSpec) ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// physicsEqual compares two marshaled service.Results on the
-// deterministic fields: steps, integrator time, kinetic energy, and
-// every particle, byte-for-byte after canonical re-marshaling.
-// MachineTime is excluded — per the determinism notes in internal/parbh,
-// per-processor *waiting* time depends on host scheduling of the
-// function-shipping polling loop, so the simulated completion clock
-// carries bounded run-to-run jitter while the flop-charged physics
-// underneath is exact.
+// physicsEqual compares two marshaled service.Results field for field —
+// steps, integrator time, kinetic energy, simulated machine time and
+// every particle — byte-for-byte after canonical re-marshaling.
 func physicsEqual(a, b []byte) bool {
 	var ra, rb service.Result
 	if json.Unmarshal(a, &ra) != nil || json.Unmarshal(b, &rb) != nil {
 		return false
 	}
-	ra.MachineTime, rb.MachineTime = 0, 0
 	ca, errA := json.Marshal(&ra)
 	cb, errB := json.Marshal(&rb)
 	return errA == nil && errB == nil && bytes.Equal(ca, cb)

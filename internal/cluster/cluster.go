@@ -82,6 +82,18 @@ func (rn *RankNet) Ranks() int { return len(rn.owner) }
 // LocalRanks implements msg.Network.
 func (rn *RankNet) LocalRanks() []int { return rn.local }
 
+// Leaders implements msg.Network: assignRanks hands out contiguous runs, so
+// a process's leader is the first rank it owns.
+func (rn *RankNet) Leaders() []int {
+	leaders := make([]int, 0, rn.link.NumProcs())
+	for rk, o := range rn.owner {
+		if int(o) == len(leaders) {
+			leaders = append(leaders, rk)
+		}
+	}
+	return leaders
+}
+
 // ProcID implements msg.Network.
 func (rn *RankNet) ProcID() int { return rn.link.ProcID() }
 

@@ -46,7 +46,18 @@ func inprocResults(t *testing.T, job Job) []*parbh.Result {
 // payloads passing through the codec exactly as TCP would send them.
 func meshResults(t *testing.T, job Job, procs int) []*parbh.Result {
 	t.Helper()
+	return linkResults(t, job, procs, func(_ int, node *transport.MeshNode) transport.Link { return node })
+}
+
+// linkResults runs the job on a procs-process in-memory mesh whose
+// endpoints are wrapped by wrap.
+func linkResults(t *testing.T, job Job, procs int, wrap func(proc int, node *transport.MeshNode) transport.Link) []*parbh.Result {
+	t.Helper()
 	nodes := transport.NewMesh(procs)
+	links := make([]transport.Link, procs)
+	for i, n := range nodes {
+		links[i] = wrap(i, n)
+	}
 	var wg sync.WaitGroup
 	for p := 1; p < procs; p++ {
 		wg.Add(1)
@@ -55,18 +66,17 @@ func meshResults(t *testing.T, job Job, procs int) []*parbh.Result {
 			if err := Serve(link, nil); err != nil {
 				t.Error(err)
 			}
-		}(nodes[p])
+		}(links[p])
 	}
-	coord, err := NewCoordinator(nodes[0])
+	coord, err := NewCoordinator(links[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out []*parbh.Result
-	_, err = coord.Run(job, func(step int, res *parbh.Result) bool {
+	if _, err = coord.Run(job, func(step int, res *parbh.Result) bool {
 		out = append(out, res)
 		return true
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := coord.Shutdown(); err != nil {
@@ -77,12 +87,10 @@ func meshResults(t *testing.T, job Job, procs int) []*parbh.Result {
 }
 
 // compareBitIdentical asserts the distributed result carries exactly
-// the in-proc simulated metrics. simTime selects whether the simulated
-// completion time itself is compared: it is fully deterministic for
-// data shipping's wave-synchronous protocol, while function shipping's
-// polling order jitters SimTime (documented in parbh's host
-// determinism tests) — stats and comm volumes are exact either way.
-func compareBitIdentical(t *testing.T, want, got *parbh.Result, step int, simTime bool) {
+// the in-proc simulated metrics, the simulated clock included, whatever
+// the shipping strategy: function shipping's polls are answered on the
+// ordered machine every process replays from the same logs.
+func compareBitIdentical(t *testing.T, want, got *parbh.Result, step int) {
 	t.Helper()
 	if got.Stats != want.Stats {
 		t.Errorf("step %d: interaction stats = %+v, want %+v", step, got.Stats, want.Stats)
@@ -96,11 +104,16 @@ func compareBitIdentical(t *testing.T, want, got *parbh.Result, step int, simTim
 	if got.BranchNodes != want.BranchNodes {
 		t.Errorf("step %d: branch nodes = %d, want %d", step, got.BranchNodes, want.BranchNodes)
 	}
-	if simTime && got.SimTime != want.SimTime {
+	if got.SimTime != want.SimTime {
 		t.Errorf("step %d: simulated time = %.17g, want %.17g", step, got.SimTime, want.SimTime)
 	}
-	if simTime && got.Imbalance != want.Imbalance {
+	if got.Imbalance != want.Imbalance {
 		t.Errorf("step %d: imbalance = %.17g, want %.17g", step, got.Imbalance, want.Imbalance)
+	}
+	for r := range want.ProcStats {
+		if got.ProcStats[r] != want.ProcStats[r] {
+			t.Errorf("step %d: rank %d stats = %+v, want %+v", step, r, got.ProcStats[r], want.ProcStats[r])
+		}
 	}
 	if len(got.Accels) != len(want.Accels) {
 		t.Fatalf("step %d: %d accels, want %d", step, len(got.Accels), len(want.Accels))
@@ -136,15 +149,13 @@ func TestCrossTransportGoldenDPDADataShipping(t *testing.T) {
 			t.Fatalf("procs=%d: %d steps, want %d", procs, len(got), len(want))
 		}
 		for i := range want {
-			compareBitIdentical(t, want[i], got[i], i, true)
+			compareBitIdentical(t, want[i], got[i], i)
 		}
 	}
 }
 
 // TestCrossTransportGoldenDPDAFunctionShipping pins the
-// function-shipping path: stats, comm volumes, and accelerations are
-// exact (SimTime carries the documented service-order jitter and is
-// not compared).
+// function-shipping path the same way, on two and on three processes.
 func TestCrossTransportGoldenDPDAFunctionShipping(t *testing.T) {
 	cfg := parbh.Config{
 		Scheme: parbh.DPDA,
@@ -154,9 +165,14 @@ func TestCrossTransportGoldenDPDAFunctionShipping(t *testing.T) {
 	}
 	job, _ := testJob(cfg, 2)
 	want := inprocResults(t, job)
-	got := meshResults(t, job, 2)
-	for i := range want {
-		compareBitIdentical(t, want[i], got[i], i, false)
+	for _, procs := range []int{2, 3} {
+		got := meshResults(t, job, procs)
+		if len(got) != len(want) {
+			t.Fatalf("procs=%d: %d steps, want %d", procs, len(got), len(want))
+		}
+		for i := range want {
+			compareBitIdentical(t, want[i], got[i], i)
+		}
 	}
 }
 
@@ -174,7 +190,7 @@ func TestCrossTransportGoldenSPSA(t *testing.T) {
 	job, _ := testJob(cfg, 1)
 	want := inprocResults(t, job)
 	got := meshResults(t, job, 2)
-	compareBitIdentical(t, want[0], got[0], 0, true)
+	compareBitIdentical(t, want[0], got[0], 0)
 }
 
 // TestCrossTransportGoldenSPDA covers the dynamic-assignment scheme

@@ -66,7 +66,7 @@ func TestMultiProcessExecGolden(t *testing.T) {
 	coord := exec.CommandContext(ctx, nbody,
 		"-transport", "tcp", "-transport-listen", addr, "-transport-workers", "2",
 		"-dist", "g", "-n", "1200", "-seed", "99", "-p", "8",
-		"-scheme", "dpda", "-shipping", "data", "-steps", "2",
+		"-scheme", "dpda", "-shipping", "function", "-steps", "2",
 		"-machine", "cm5", "-alpha", "0.67", "-eps", "0.01")
 	out, err := coord.CombinedOutput()
 	if err != nil {
@@ -101,7 +101,7 @@ func TestMultiProcessExecGolden(t *testing.T) {
 	cfg := parbh.Config{
 		Scheme:   parbh.DPDA,
 		Mode:     parbh.ForceMode,
-		Shipping: parbh.DataShipping,
+		Shipping: parbh.FunctionShipping,
 		Alpha:    0.67,
 		Degree:   4,
 		Eps:      0.01,

@@ -66,7 +66,7 @@ func TestWorkerSIGKILLRecoveryGolden(t *testing.T) {
 		"-transport", "tcp", "-transport-listen", addr, "-transport-workers", "1",
 		"-transport-retries", "3",
 		"-dist", "g", "-n", "4000", "-seed", "99", "-p", "8",
-		"-scheme", "dpda", "-shipping", "data", "-steps", fmt.Sprint(steps),
+		"-scheme", "dpda", "-shipping", "function", "-steps", fmt.Sprint(steps),
 		"-machine", "cm5", "-alpha", "0.67", "-eps", "0.01")
 	stdout, err := coord.StdoutPipe()
 	if err != nil {
@@ -146,7 +146,7 @@ func TestWorkerSIGKILLRecoveryGolden(t *testing.T) {
 	cfg := parbh.Config{
 		Scheme:   parbh.DPDA,
 		Mode:     parbh.ForceMode,
-		Shipping: parbh.DataShipping,
+		Shipping: parbh.FunctionShipping,
 		Alpha:    0.67,
 		Degree:   4,
 		Eps:      0.01,

@@ -10,10 +10,8 @@ import (
 // TestCrossTransportGoldenLET pins the full two-clock guarantee for the
 // LET engine: a DPDA LET job split across processes yields bit-identical
 // simulated time, interaction stats, comm volumes, and accelerations to
-// the in-proc run. Unlike function shipping, the LET protocol is pure
-// collectives — no mid-phase polling — so SimTime itself is exact and is
-// compared. Two steps make the warm path (cache markers on the wire)
-// cross the transport too.
+// the in-proc run. Two steps make the warm path (cache markers on the
+// wire) cross the transport too.
 func TestCrossTransportGoldenLET(t *testing.T) {
 	cfg := parbh.Config{
 		Scheme:   parbh.DPDA,
@@ -33,7 +31,7 @@ func TestCrossTransportGoldenLET(t *testing.T) {
 			t.Fatalf("procs=%d: %d steps, want %d", procs, len(got), len(want))
 		}
 		for i := range want {
-			compareBitIdentical(t, want[i], got[i], i, true)
+			compareBitIdentical(t, want[i], got[i], i)
 		}
 	}
 }
@@ -71,6 +69,6 @@ func TestGoldenRecoveryLETCorrupt(t *testing.T) {
 		t.Error("corruption plan injected nothing")
 	}
 	for i := range want {
-		compareBitIdentical(t, want[i], got[i], i, true)
+		compareBitIdentical(t, want[i], got[i], i)
 	}
 }

@@ -146,15 +146,15 @@ func runSupervised(t *testing.T, h *chaosHarness, job Job, onStep func(step int)
 
 // TestGoldenRecoveryDPDAPartition: a full link partition mid-run on a
 // worker demolishes the generation; the rebuilt machine resumes by
-// silent replay and the reported results are bit-identical to a
-// fault-free in-proc run — the headline invariant of the failure model.
+// silent replay and the reported results — function shipping's, the
+// simulated clock included — are bit-identical to a fault-free in-proc
+// run: the headline invariant of the failure model.
 func TestGoldenRecoveryDPDAPartition(t *testing.T) {
 	cfg := parbh.Config{
-		Scheme:   parbh.DPDA,
-		Mode:     parbh.ForceMode,
-		Shipping: parbh.DataShipping,
-		Alpha:    0.67,
-		Eps:      0.01,
+		Scheme: parbh.DPDA,
+		Mode:   parbh.ForceMode,
+		Alpha:  0.67,
+		Eps:    0.01,
 	}
 	job, _ := testJob(cfg, 3)
 	want := inprocResults(t, job)
@@ -172,7 +172,7 @@ func TestGoldenRecoveryDPDAPartition(t *testing.T) {
 		t.Fatal("no recovery events observed")
 	}
 	for i := range want {
-		compareBitIdentical(t, want[i], got[i], i, true)
+		compareBitIdentical(t, want[i], got[i], i)
 	}
 }
 
@@ -211,7 +211,7 @@ func TestGoldenRecoverySPSAWorkerKill(t *testing.T) {
 		t.Errorf("resume step = %d, want 1 (step 0 was already reported)", events[0].ResumeStep)
 	}
 	for i := range want {
-		compareBitIdentical(t, want[i], got[i], i, true)
+		compareBitIdentical(t, want[i], got[i], i)
 	}
 }
 
@@ -247,7 +247,7 @@ func TestGoldenRecoverySPDACorrupt(t *testing.T) {
 		t.Error("corruption plan injected nothing")
 	}
 	for i := range want {
-		compareBitIdentical(t, want[i], got[i], i, true)
+		compareBitIdentical(t, want[i], got[i], i)
 	}
 }
 
@@ -258,11 +258,10 @@ func TestGoldenRecoverySPDACorrupt(t *testing.T) {
 // run, every step reported exactly once.
 func TestGoldenRecoveryFaultGauntlet(t *testing.T) {
 	cfg := parbh.Config{
-		Scheme:   parbh.DPDA,
-		Mode:     parbh.ForceMode,
-		Shipping: parbh.DataShipping,
-		Alpha:    0.67,
-		Eps:      0.01,
+		Scheme: parbh.DPDA,
+		Mode:   parbh.ForceMode,
+		Alpha:  0.67,
+		Eps:    0.01,
 	}
 	job, _ := testJob(cfg, 4)
 	want := inprocResults(t, job)
@@ -298,6 +297,6 @@ func TestGoldenRecoveryFaultGauntlet(t *testing.T) {
 		t.Error("drop plan injected nothing in generation 1")
 	}
 	for i := range want {
-		compareBitIdentical(t, want[i], got[i], i, true)
+		compareBitIdentical(t, want[i], got[i], i)
 	}
 }

@@ -56,24 +56,26 @@ func tcpResults(t *testing.T, job Job, procs int) []*parbh.Result {
 }
 
 // TestCrossTransportGoldenDPDAOverTCP is the mesh golden test on real
-// sockets: a DPDA data-shipping job split over three processes worth of
-// TCP nodes yields bit-identical simulated time, stats, comm volumes,
-// and accelerations to the in-proc machine.
+// sockets: a DPDA job — data shipping, then function shipping — split over
+// three processes worth of TCP nodes yields bit-identical simulated time,
+// stats, comm volumes, and accelerations to the in-proc machine.
 func TestCrossTransportGoldenDPDAOverTCP(t *testing.T) {
-	cfg := parbh.Config{
-		Scheme:   parbh.DPDA,
-		Mode:     parbh.ForceMode,
-		Shipping: parbh.DataShipping,
-		Alpha:    0.67,
-		Eps:      0.01,
-	}
-	job, _ := testJob(cfg, 2)
-	want := inprocResults(t, job)
-	got := tcpResults(t, job, 3)
-	if len(got) != len(want) {
-		t.Fatalf("%d steps over TCP, want %d", len(got), len(want))
-	}
-	for i := range want {
-		compareBitIdentical(t, want[i], got[i], i, true)
+	for _, ship := range []parbh.Shipping{parbh.DataShipping, parbh.FunctionShipping} {
+		cfg := parbh.Config{
+			Scheme:   parbh.DPDA,
+			Mode:     parbh.ForceMode,
+			Shipping: ship,
+			Alpha:    0.67,
+			Eps:      0.01,
+		}
+		job, _ := testJob(cfg, 2)
+		want := inprocResults(t, job)
+		got := tcpResults(t, job, 3)
+		if len(got) != len(want) {
+			t.Fatalf("%v: %d steps over TCP, want %d", ship, len(got), len(want))
+		}
+		for i := range want {
+			compareBitIdentical(t, want[i], got[i], i)
+		}
 	}
 }

@@ -123,19 +123,16 @@ func TestFig9Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Error decreases with degree, runtime increases. The runtime cell is
-	// function shipping's simulated time, which follows host scheduling
-	// (ROADMAP item 3): two runs of one binary differ by up to 11 % under
-	// load, so it is held to the 15 % CI's let gate uses for the same
-	// quantity, not to 5 %.
+	// Error decreases with degree, runtime — function shipping's simulated
+	// time, a function of the input alone — strictly increases.
 	var prevErr, prevTime float64 = 1e18, 0
 	for _, row := range tab.Rows {
 		e, tm := cell(row[1]), cell(row[2])
 		if e > prevErr*1.01 {
 			t.Errorf("error grew with degree: %v -> %v", prevErr, e)
 		}
-		if tm < prevTime*0.85 {
-			t.Errorf("runtime fell with degree: %v -> %v", prevTime, tm)
+		if tm <= prevTime {
+			t.Errorf("runtime did not grow with degree: %v -> %v", prevTime, tm)
 		}
 		prevErr, prevTime = e, tm
 	}

@@ -10,12 +10,9 @@ import "fmt"
 // All timing fields are host seconds — fleet plumbing must never touch
 // the simulated clock, which is exactly what GoldenMatch proves: a job
 // routed through gateway, lease, shard, and result cache returns the
-// same physics (steps, integrator time, kinetic energy, every particle
-// bit-exact) a direct in-process run produces. The simulated machine
-// time is excluded from the comparison: per internal/parbh's
-// host-determinism notes, per-processor waiting time depends on host
-// scheduling of the function-shipping polls, so that one clock carries
-// bounded run-to-run jitter.
+// same result (steps, integrator time, kinetic energy, every particle
+// and the simulated machine time, bit-exact) a direct in-process run
+// produces.
 type FabricReport struct {
 	Gateway     string  `json:"gateway"`
 	Shards      int     `json:"shards"`
@@ -81,7 +78,7 @@ func FabricTable(r FabricReport) Table {
 			row("golden cached", fmt.Sprintf("%v", r.GoldenCached)),
 		},
 		Notes: []string{
-			"Host-clock metrics only; simulated physics is bit-identical by construction (the golden rows check it, excluding the jittery simulated waiting clock).",
+			"Host-clock metrics only; simulated physics and the simulated clock are bit-identical by construction (the golden rows check it).",
 		},
 	}
 }

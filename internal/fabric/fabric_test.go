@@ -201,13 +201,9 @@ func TestFleetGoldenMatchesDirect(t *testing.T) {
 	}
 }
 
-// samePhysics compares two marshaled results on the deterministic
-// fields only. MachineTime is zeroed before comparing: as documented in
-// internal/parbh's host-determinism notes, the function-shipping
-// protocol polls for remote work between particles, so per-processor
-// waiting time — and hence the accumulated simulated completion clock —
-// carries bounded host-scheduling jitter even though the flop-charged
-// physics underneath is bit-exact.
+// samePhysics compares two marshaled results field for field — bodies,
+// energies and the simulated machine time alike — after canonical
+// re-marshaling.
 func samePhysics(t *testing.T, a, b []byte) bool {
 	t.Helper()
 	var ra, rb service.Result
@@ -217,7 +213,6 @@ func samePhysics(t *testing.T, a, b []byte) bool {
 	if err := json.Unmarshal(b, &rb); err != nil {
 		t.Fatalf("unmarshal result B: %v", err)
 	}
-	ra.MachineTime, rb.MachineTime = 0, 0
 	ca, errA := json.Marshal(&ra)
 	cb, errB := json.Marshal(&rb)
 	if errA != nil || errB != nil {

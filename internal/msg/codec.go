@@ -7,12 +7,27 @@ import "repro/internal/transport"
 const (
 	idPack   uint16 = 21
 	idTriple uint16 = 22
+	idReplay uint16 = 23
 )
 
 // The collective envelopes carry nested `any` payloads; those inner
 // values resolve through the registry recursively, so anything a
 // collective can forward must itself be registered.
 func init() {
+	transport.Register(idReplay,
+		func(w *transport.Writer, v Replayed) {
+			w.F64(v.Now)
+			w.F64(v.Stats.ComputeTime)
+			w.F64(v.Stats.CommTime)
+			w.I64(v.Stats.Messages)
+			w.I64(v.Stats.Words)
+			w.F64(v.Stats.Flops)
+		},
+		func(r *transport.Reader) (Replayed, error) {
+			v := Replayed{Now: r.F64()}
+			v.Stats = Stats{ComputeTime: r.F64(), CommTime: r.F64(), Messages: r.I64(), Words: r.I64(), Flops: r.F64()}
+			return v, r.Err()
+		})
 	transport.Register(idPack,
 		func(w *transport.Writer, v pack) {
 			w.Len(len(v.ranks), v.ranks == nil)

@@ -16,6 +16,13 @@
 //     reports parallel runtimes — while the goroutines also give real
 //     parallelism on the host.
 //
+// A blocking receive of a known message is a function of the program. A
+// poll is not, on goroutines: what has arrived "by now" is the host
+// scheduler's. A section that polls therefore runs on the ordered machine
+// (RunOrdered, ordered.go), which resumes the ranks as coroutines in
+// simulated-time order; what such a section computes travels between live
+// ranks off the clock (SendOffClock/RecvOffClock).
+//
 // All sends are logically buffered: a Send never blocks waiting for the
 // receiver (mailboxes grow as needed), matching the paper's one
 // outstanding-bin flow-control discipline being implemented *above* this
@@ -24,6 +31,7 @@ package msg
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -168,23 +176,39 @@ func (mb *mailbox) put(m message) {
 	mb.cond.Broadcast()
 }
 
-// take removes and returns the first message matching (src, tag); src or
-// tag may be AnySource/AnyTag. block selects whether to wait.
-func (mb *mailbox) take(src, tag int, block bool) (message, bool) {
-	return mb.takeWhere(func(m *message) bool {
-		return (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag)
-	}, block)
+// want is what a receive matches: a source (or AnySource), one tag (or
+// AnyTag) or a tag set, and — for a poll — the latest arrival stamp it may
+// see.
+type want struct {
+	src, tag int
+	tags     []int   // non-nil: any of these tags; tag is ignored
+	until    float64 // arrival stamps above this are not yet visible
 }
 
-// takeWhere removes and returns the first message (in arrival order)
-// satisfying pred.
-func (mb *mailbox) takeWhere(pred func(*message) bool, block bool) (message, bool) {
+func (w *want) matches(m *message) bool {
+	if w.src != AnySource && m.src != w.src || m.arrival > w.until {
+		return false
+	}
+	if w.tags == nil {
+		return w.tag == AnyTag || m.tag == w.tag
+	}
+	for _, t := range w.tags {
+		if m.tag == t {
+			return true
+		}
+	}
+	return false
+}
+
+// take removes and returns the first message (in physical arrival order)
+// that w matches. block selects whether to wait for one.
+func (mb *mailbox) take(w *want, block bool) (message, bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for {
 		for i := mb.head; i < len(mb.queue); i++ {
 			e := &mb.queue[i]
-			if !e.live || !pred(&e.msg) {
+			if !e.live || !w.matches(&e.msg) {
 				continue
 			}
 			m := e.msg
@@ -416,7 +440,8 @@ type Proc struct {
 	m       *Machine
 	now     float64 // simulated local clock
 	stats   Stats
-	collSeq int // collective-operation sequence number (see collectives.go)
+	collSeq int      // collective-operation sequence number (see collectives.go)
+	ord     *ordered // non-nil on a virtual processor of RunOrdered
 }
 
 // ID returns the processor's rank in 0..P-1.
@@ -476,44 +501,92 @@ func (p *Proc) Send(dst, tag int, payload any, words int) {
 		// Loopback: deliver without network cost beyond the startup.
 		arrival = p.now
 	}
-	if tr := p.m.tracer; tr != nil {
+	if tr := p.m.tracer; tr != nil && p.m.IsLocal(p.id) {
 		// Collectives dominate message counts; recording them as instants
 		// keeps the trace readable at p=256 (one marker per send, phase
-		// spans carry the durations).
+		// spans carry the durations). An ordered section runs every rank of
+		// a distributed machine; each process records its own ranks'.
 		tr.SimInstant(p.id, "send", "msg", p.now,
 			obsv.Int("dst", dst), obsv.Int("tag", tag), obsv.Int("words", words),
 			obsv.F64("arrival_s", arrival))
 	}
-	if p.m.strictWire && !transport.Registered(payload) {
+	msg := message{src: p.id, tag: tag, payload: payload, words: words, arrival: arrival}
+	if p.ord != nil {
+		p.ord.post(dst, msg)
+		return
+	}
+	p.deliver(dst, msg)
+}
+
+// SendOffClock transmits payload to processor dst without touching the
+// simulated machine: no clock, no Stats, no trace instant, and a stamp no
+// receive ever waits for. It moves what a phase computes when the phase's
+// timing is charged separately (see RunOrdered); RecvOffClock is its
+// receiving end. Wire semantics (strict codecs, copy-on-send, frames to
+// remote ranks) are those of Send.
+func (p *Proc) SendOffClock(dst, tag int, payload any) {
+	if dst < 0 || dst >= p.m.P {
+		panic(fmt.Sprintf("msg: send to invalid processor %d", dst))
+	}
+	p.deliver(dst, message{src: p.id, tag: tag, payload: payload})
+}
+
+// deliver hands a stamped message to dst's mailbox, here or across the
+// network.
+func (p *Proc) deliver(dst int, msg message) {
+	if p.m.strictWire && !transport.Registered(msg.payload) {
 		panic(fmt.Sprintf("msg: payload type %s sent by proc %d (tag %d) has no transport codec",
-			transport.TypeName(payload), p.id, tag))
+			transport.TypeName(msg.payload), p.id, msg.tag))
 	}
 	if p.m.net != nil && !p.m.isLocal[dst] {
 		f := &transport.Frame{
 			Src:     int32(p.id),
 			Dst:     int32(dst),
-			Tag:     int32(tag),
-			Words:   int32(words),
-			Arrival: arrival,
-			Payload: payload,
+			Tag:     int32(msg.tag),
+			Words:   int32(msg.words),
+			Arrival: msg.arrival,
+			Payload: msg.payload,
 		}
 		// The frame is fully encoded before SendFrame returns, so the
 		// caller may reuse its buffers immediately.
 		if err := p.m.net.SendFrame(f); err != nil {
-			err = fmt.Errorf("msg: proc %d send to %d (tag %d): %w", p.id, dst, tag, err)
+			err = fmt.Errorf("msg: proc %d send to %d (tag %d): %w", p.id, dst, msg.tag, err)
 			p.m.fail(err)
 			panic(stopPanic{err})
 		}
 		return
 	}
 	if p.m.copyOnSend {
-		cp, err := transport.RoundTrip(payload)
+		cp, err := transport.RoundTrip(msg.payload)
 		if err != nil {
-			panic(fmt.Sprintf("msg: proc %d send to %d (tag %d): copy-on-send: %v", p.id, dst, tag, err))
+			panic(fmt.Sprintf("msg: proc %d send to %d (tag %d): copy-on-send: %v", p.id, dst, msg.tag, err))
 		}
-		payload = cp
+		msg.payload = cp
 	}
-	p.m.boxes[dst].put(message{src: p.id, tag: tag, payload: payload, words: words, arrival: arrival})
+	p.m.boxes[dst].put(msg)
+}
+
+// receive takes the message w matches — from the ordered section's inbox
+// or the live mailbox — and advances the clock to its arrival stamp;
+// waiting is accounted as communication time. A poll (block false) sees
+// only stamps at or before the clock, so it never advances it.
+func (p *Proc) receive(w want, block bool) (message, bool) {
+	w.until = math.Inf(1)
+	if !block {
+		w.until = p.now
+	}
+	var msg message
+	var ok bool
+	if p.ord != nil {
+		msg, ok = p.ord.receive(p, &w, block)
+	} else if msg, ok = p.m.boxes[p.id].take(&w, block); !ok && block {
+		panic(stopPanic{p.m.stopErr()})
+	}
+	if ok && msg.arrival > p.now {
+		p.stats.CommTime += msg.arrival - p.now
+		p.now = msg.arrival
+	}
+	return msg, ok
 }
 
 // Recv blocks until a message matching (src, tag) arrives; wildcards
@@ -521,28 +594,18 @@ func (p *Proc) Send(dst, tag int, payload any, words int) {
 // message arrival time (waiting is accounted as communication time) and
 // returns the payload with the actual source.
 func (p *Proc) Recv(src, tag int) (payload any, from int) {
-	msg, ok := p.m.boxes[p.id].take(src, tag, true)
-	if !ok {
-		panic(stopPanic{p.m.stopErr()})
-	}
-	if msg.arrival > p.now {
-		p.stats.CommTime += msg.arrival - p.now
-		p.now = msg.arrival
-	}
+	msg, _ := p.receive(want{src: src, tag: tag}, true)
 	return msg.payload, msg.src
 }
 
-// TryRecv is a non-blocking Recv. ok reports whether a message matched.
+// TryRecv is a non-blocking Recv: a poll at the processor's clock t. It
+// matches only messages stamped at or before t, so it never advances the
+// clock. ok reports whether a message matched. On a live machine the
+// message must also have physically arrived, which is host scheduling;
+// inside RunOrdered a poll sees exactly the messages stamped ≤ t.
 func (p *Proc) TryRecv(src, tag int) (payload any, from int, ok bool) {
-	msg, ok := p.m.boxes[p.id].take(src, tag, false)
-	if !ok {
-		return nil, 0, false
-	}
-	if msg.arrival > p.now {
-		p.stats.CommTime += msg.arrival - p.now
-		p.now = msg.arrival
-	}
-	return msg.payload, msg.src, true
+	msg, ok := p.receive(want{src: src, tag: tag}, false)
+	return msg.payload, msg.src, ok
 }
 
 // RecvTags blocks until a message whose tag is one of tags arrives and
@@ -550,40 +613,19 @@ func (p *Proc) TryRecv(src, tag int) (payload any, from int, ok bool) {
 // belonging to other protocols (e.g. in-flight collectives from
 // processors that have raced ahead).
 func (p *Proc) RecvTags(tags ...int) (payload any, from, tag int) {
-	msg, ok := p.m.boxes[p.id].takeWhere(func(m *message) bool {
-		for _, t := range tags {
-			if m.tag == t {
-				return true
-			}
-		}
-		return false
-	}, true)
-	if !ok {
-		panic(stopPanic{p.m.stopErr()})
-	}
-	if msg.arrival > p.now {
-		p.stats.CommTime += msg.arrival - p.now
-		p.now = msg.arrival
-	}
+	msg, _ := p.receive(want{src: AnySource, tags: tags}, true)
 	return msg.payload, msg.src, msg.tag
 }
 
-// TryRecvTags is the non-blocking variant of RecvTags.
+// TryRecvTags is the non-blocking variant of RecvTags, a poll like TryRecv.
 func (p *Proc) TryRecvTags(tags ...int) (payload any, from, tag int, ok bool) {
-	msg, ok := p.m.boxes[p.id].takeWhere(func(m *message) bool {
-		for _, t := range tags {
-			if m.tag == t {
-				return true
-			}
-		}
-		return false
-	}, false)
-	if !ok {
-		return nil, 0, 0, false
-	}
-	if msg.arrival > p.now {
-		p.stats.CommTime += msg.arrival - p.now
-		p.now = msg.arrival
-	}
-	return msg.payload, msg.src, msg.tag, true
+	msg, ok := p.receive(want{src: AnySource, tags: tags}, false)
+	return msg.payload, msg.src, msg.tag, ok
+}
+
+// RecvOffClock blocks for a message sent with SendOffClock under one of
+// tags and returns it. Such a message is stamped zero, so taking it leaves
+// the clock where it is.
+func (p *Proc) RecvOffClock(tags ...int) (payload any, from, tag int) {
+	return p.RecvTags(tags...)
 }

@@ -77,25 +77,27 @@ func TestMessageStorm(t *testing.T) {
 	var received int64
 	m.Run(func(pr *Proc) {
 		rng := rand.New(rand.NewSource(int64(pr.ID())))
-		// Send bursts to random destinations with the receiver's id as tag
-		// payload check.
+		// Send bursts to random destinations, then tell every rank how many
+		// to expect: a barrier would only say the sends were issued.
+		sent := make([]any, p)
+		words := make([]int, p)
+		for i := range sent {
+			sent[i], words[i] = 0, 1
+		}
 		for i := 0; i < perPair*(p-1); i++ {
 			dst := rng.Intn(p - 1)
 			if dst >= pr.ID() {
 				dst++
 			}
-			p := pr
-			p.Send(dst, 99, [2]int{p.ID(), i}, 2)
+			pr.Send(dst, 99, [2]int{pr.ID(), i}, 2)
+			sent[dst] = sent[dst].(int) + 1
 		}
-		// Everyone expects perPair*(p-1) messages on average; to make the
-		// count deterministic, drain until a barrier says all sends done,
-		// then drain the rest.
-		pr.Barrier()
-		for {
-			payload, from, _, ok := pr.TryRecvTags(99)
-			if !ok {
-				break
-			}
+		expect := 0
+		for _, n := range pr.AllToAll(sent, words) {
+			expect += n.(int)
+		}
+		for ; expect > 0; expect-- {
+			payload, from, _ := pr.RecvTags(99)
 			pair := payload.([2]int)
 			if pair[0] != from {
 				t.Errorf("payload source %d but sender %d", pair[0], from)

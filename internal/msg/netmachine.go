@@ -25,6 +25,9 @@ type Network interface {
 	Ranks() int
 	// LocalRanks returns the ranks hosted by this process, ascending.
 	LocalRanks() []int
+	// Leaders returns the lowest rank hosted by each process, indexed by
+	// process.
+	Leaders() []int
 	// ProcID returns this process's index (0 = coordinator).
 	ProcID() int
 	// NumProcs returns the number of processes the ranks span.
@@ -124,6 +127,13 @@ func (m *Machine) Interrupt(err error) {
 	m.fail(err)
 }
 
+// Fail poisons the machine with err from inside the SPMD body and unwinds
+// the calling rank; every other local rank follows, and RunErr returns err.
+func (p *Proc) Fail(err error) {
+	p.m.fail(err)
+	panic(stopPanic{p.m.stopErr()})
+}
+
 // Err returns the failure that poisoned the machine, if any.
 func (m *Machine) Err() error {
 	if c := m.failure.Load(); c != nil {
@@ -206,6 +216,15 @@ func (m *Machine) Leader() int {
 		return m.localRanks[0]
 	}
 	return 0
+}
+
+// Leaders returns every process's Leader, indexed by process: where to
+// send what each process must hold a copy of.
+func (m *Machine) Leaders() []int {
+	if m.net == nil {
+		return []int{0}
+	}
+	return m.net.Leaders()
 }
 
 // SetCopyOnSend makes every local Send deep-copy its payload through

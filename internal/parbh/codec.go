@@ -29,6 +29,7 @@ const (
 	idLETBounds     uint16 = 39
 	idLETShip       uint16 = 40
 	idLETLoad       uint16 = 41
+	idShipLog       uint16 = 42
 )
 
 func putV3(w *transport.Writer, v vec.V3) {
@@ -39,6 +40,14 @@ func putV3(w *transport.Writer, v vec.V3) {
 
 func getV3(r *transport.Reader) vec.V3 {
 	return vec.V3{X: r.F64(), Y: r.F64(), Z: r.F64()}
+}
+
+func putBool(w *transport.Writer, b bool) {
+	if b {
+		w.U8(1)
+	} else {
+		w.U8(0)
+	}
 }
 
 func putF64s(w *transport.Writer, v []float64) {
@@ -204,20 +213,51 @@ func init() {
 				w.I32(e.Self)
 				w.I32(e.Slot)
 			}
+			putBool(w, v.More)
 		},
 		func(r *transport.Reader) (reqBin, error) {
-			n, notNil := r.SliceLen(8 * 5)
-			if !notNil || r.Err() != nil {
-				return reqBin{}, r.Err()
+			var v reqBin
+			if n, notNil := r.SliceLen(8 * 5); notNil && r.Err() == nil {
+				v.Entries = reqEntryPool.get(n)
+				for i := range v.Entries {
+					v.Entries[i].Key = r.U64()
+					v.Entries[i].Pos = getV3(r)
+					v.Entries[i].Self = r.I32()
+					v.Entries[i].Slot = r.I32()
+				}
 			}
-			es := reqEntryPool.get(n)
-			for i := range es {
-				es[i].Key = r.U64()
-				es[i].Pos = getV3(r)
-				es[i].Self = r.I32()
-				es[i].Slot = r.I32()
+			v.More = r.U8() != 0
+			return v, r.Err()
+		})
+	transport.Register(idShipLog,
+		func(w *transport.Writer, v shipLog) {
+			w.F64(v.Start)
+			putF64s(w, v.Flops)
+			putI32s(w, v.Ships)
+			w.Len(len(v.Owners), v.Owners == nil)
+			for _, o := range v.Owners {
+				w.U16(o)
 			}
-			return reqBin{Entries: es}, r.Err()
+			w.Len(len(v.Served), v.Served == nil)
+			for _, bins := range v.Served {
+				putF64s(w, bins)
+			}
+		},
+		func(r *transport.Reader) (shipLog, error) {
+			v := shipLog{Start: r.F64(), Flops: getF64s(r), Ships: getI32s(r)}
+			if n, notNil := r.SliceLen(2); notNil && r.Err() == nil {
+				v.Owners = make([]uint16, n)
+				for i := range v.Owners {
+					v.Owners[i] = r.U16()
+				}
+			}
+			if n, notNil := r.SliceLen(4); notNil && r.Err() == nil {
+				v.Served = make([][]float64, n)
+				for q := range v.Served {
+					v.Served[q] = getF64s(r)
+				}
+			}
+			return v, r.Err()
 		})
 	transport.Register(idRepBin,
 		func(w *transport.Writer, v repBin) {
@@ -283,11 +323,7 @@ func init() {
 				w.Len(len(c.Children), c.Children == nil)
 				for _, fc := range c.Children {
 					putSummary(w, fc.Sum)
-					if fc.IsLeaf {
-						w.U8(1)
-					} else {
-						w.U8(0)
-					}
+					putBool(w, fc.IsLeaf)
 					w.Len(len(fc.Particles), fc.Particles == nil)
 					for _, q := range fc.Particles {
 						w.I32(q.ID)
@@ -389,11 +425,7 @@ func init() {
 		})
 	transport.Register(idLETBounds,
 		func(w *transport.Writer, v let.Bounds) {
-			if v.Has {
-				w.U8(1)
-			} else {
-				w.U8(0)
-			}
+			putBool(w, v.Has)
 			putV3(w, v.Min)
 			putV3(w, v.Max)
 		},

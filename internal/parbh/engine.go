@@ -3,6 +3,7 @@ package parbh
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/dist"
@@ -185,7 +186,9 @@ const (
 	tagDoneDown
 	tagFetchReq
 	tagFetchRep
-	tagBranchUp
+	tagShipLog
+	tagShipClock
+	tagBranchUp // plus the level of the cell a summary is sent up to: keep last
 )
 
 // wireParticle is the particle representation moved between processors.
@@ -609,65 +612,76 @@ func (e *Engine) exchangeNonReplicated(pr *msg.Proc, st *localState) branchExcha
 	}
 	ownerOfCell := func(ck keys.CellKey) int { return int(ck.Uint64() % uint64(p)) }
 
-	// Send each of my branch summaries to the owner of its parent cell.
-	for _, s := range st.summary {
-		ck := keys.CellKeyFromUint64(s.Key)
-		pr.Send(ownerOfCell(ck.Parent()), tagBranchUp, s, s.Words())
-	}
-	// Count, for every level from the branch level up, how many cells I
-	// own and how many children each expects. Every cluster owner sends a
-	// summary only for non-empty clusters, so expected counts must come
-	// from global knowledge: for SPSA/SPDA all branch cells live at one
-	// level, and each processor can enumerate the cells it owns at each
-	// upper level.
+	// Which cells expect how many child summaries. Only non-empty clusters
+	// send one, and a cluster has one owner, so summing every rank's
+	// occupancy bits — one mask of eight per parent of a branch cell — is
+	// their union, and from it every rank derives the child count of every
+	// upper cell. Owners then block for exactly that many summaries: a
+	// barrier says every earlier send was issued, not that it has arrived.
 	g := e.cfg.GridLog2
-	computed := make(map[uint64]BranchSummary)
-	for lvl := g - 1; lvl >= 0; lvl-- {
-		// Enumerate cells of this level that I own.
-		numCells := 1 << (3 * uint(lvl))
-		var mine []keys.CellKey
-		for c := 0; c < numCells; c++ {
-			ck := keys.CellKey{Level: uint8(lvl), Key: keys.Morton(c)}
-			if ownerOfCell(ck) == me {
-				mine = append(mine, ck)
+	kids := make([][]int, g) // level → Morton index → non-empty children
+	if g > 0 {
+		occ := make([]float64, 1<<(3*uint(g-1)))
+		for _, s := range st.summary {
+			ck := keys.CellKeyFromUint64(s.Key)
+			occ[ck.Parent().Key] += float64(uint(1) << ck.Octant())
+		}
+		occ = pr.SumF64(occ)
+		kids[g-1] = make([]int, len(occ))
+		for c, mask := range occ {
+			kids[g-1][c] = bits.OnesCount8(uint8(mask))
+		}
+		for lvl := g - 2; lvl >= 0; lvl-- {
+			kids[lvl] = make([]int, 1<<(3*uint(lvl)))
+			for c, n := range kids[lvl+1] {
+				if n > 0 {
+					kids[lvl][c>>3]++
+				}
 			}
 		}
-		// A barrier guarantees every send targeting this level has been
-		// issued (they all happen before the sender's barrier), so a
-		// non-blocking drain sees exactly this level's messages. A second
-		// barrier after the drain keeps faster processors' next-level
-		// sends out of slower processors' drains.
-		pr.Barrier()
-		children := make(map[uint64][]BranchSummary)
-		for {
-			data, _, _, ok := pr.TryRecvTags(tagBranchUp)
-			if !ok {
-				break
+	}
+	// Send each of my branch summaries to the owner of its parent cell. A
+	// level's summaries travel under that level's tag, so an owner never
+	// takes — and is never advanced to the stamp of — a summary for a cell
+	// it combines later.
+	sendUp := func(s BranchSummary) {
+		parent := keys.CellKeyFromUint64(s.Key).Parent()
+		pr.Send(ownerOfCell(parent), tagBranchUp+int(parent.Level), s, s.Words())
+	}
+	for _, s := range st.summary {
+		sendUp(s)
+	}
+	computed := make(map[uint64]BranchSummary)
+	for lvl := g - 1; lvl >= 0; lvl-- {
+		expect := 0
+		var mine []keys.CellKey
+		for c, n := range kids[lvl] {
+			ck := keys.CellKey{Level: uint8(lvl), Key: keys.Morton(c)}
+			if n > 0 && ownerOfCell(ck) == me {
+				mine = append(mine, ck)
+				expect += n
 			}
+		}
+		children := make(map[uint64][]BranchSummary)
+		for ; expect > 0; expect-- {
+			data, _ := pr.Recv(msg.AnySource, tagBranchUp+lvl)
 			s := data.(BranchSummary)
 			ck := keys.CellKeyFromUint64(s.Key).Parent()
 			children[ck.Uint64()] = append(children[ck.Uint64()], s)
 		}
-		var upSends []BranchSummary
 		for _, ck := range mine {
-			kids := children[ck.Uint64()]
-			if len(kids) == 0 {
-				continue
-			}
-			sum := combineSummaries(ck, kids, deg)
-			pr.Compute(float64(len(kids)) * phys.NodeCombineFlops)
+			// Fold in octant order whatever order the summaries arrived in.
+			sums := children[ck.Uint64()]
+			sort.Slice(sums, func(a, b int) bool { return sums[a].Key < sums[b].Key })
+			sum := combineSummaries(ck, sums, deg)
+			pr.Compute(float64(len(sums)) * phys.NodeCombineFlops)
 			if deg >= 0 {
-				pr.Compute(float64(len(kids)) * phys.M2MFlops(deg))
+				pr.Compute(float64(len(sums)) * phys.M2MFlops(deg))
 			}
 			computed[ck.Uint64()] = sum
 			if lvl > 0 {
-				upSends = append(upSends, sum)
+				sendUp(sum)
 			}
-		}
-		pr.Barrier()
-		for _, sum := range upSends {
-			ck := keys.CellKeyFromUint64(sum.Key)
-			pr.Send(ownerOfCell(ck.Parent()), tagBranchUp, sum, sum.Words())
 		}
 	}
 	// Make everything available everywhere: my computed top cells plus my

@@ -1,6 +1,9 @@
 package parbh
 
 import (
+	"slices"
+
+	"repro/internal/dist"
 	"repro/internal/let"
 	"repro/internal/msg"
 	"repro/internal/phys"
@@ -13,12 +16,21 @@ import (
 // subtrees are descended directly; interactions accepted by the MAC at
 // replicated top or remote-branch nodes are computed from the broadcast
 // summaries; a rejected remote branch node causes the particle's
-// coordinates to be placed in a bin for the branch's owner. Bins are
-// flushed at BinSize particles, with at most one outstanding bin per
-// source–destination pair: a processor that wants to send while a bin is
-// outstanding must first serve incoming work, exactly as the paper
-// prescribes. Shipped-back contributions are accumulated in fixed slot
-// order so results are deterministic regardless of message timing.
+// coordinates to be shipped to the branch's owner, which computes the
+// subtree's contribution and ships it back.
+//
+// The phase runs on two planes. Nothing it *computes* depends on timing:
+// the k-th entry rank q ships to owner o is the same entry whatever the
+// flow control did, and replies, Stats, Loads and extraLoad are per-entry
+// values or integer sums. So the data plane (shipRun, this file's first
+// half) runs off the simulated clock, free on every core, in rounds sized
+// for the kernel rather than the wire, and logs what it charged. The clock
+// plane (shipClock, the second half) then replays the paper's protocol —
+// bins of BinSize particles, one outstanding bin per source–destination
+// pair, a poll for remote work after every particle, tree termination — on
+// msg's ordered machine from those logs, which is the only place *when*
+// is decided, and every live rank adopts the clock and Stats its replayed
+// twin ended with.
 
 // reqEntry asks the owner of branch `Key` for the subtree contribution at
 // Pos; Slot identifies where the reply lands at the requester.
@@ -34,9 +46,12 @@ type reqEntry struct {
 // key/slot overhead.
 const reqEntryWords = 4
 
-// reqBin is a batch of shipped particles for one destination.
+// reqBin is one round's shipped particles for one destination. More is set
+// while the sender has further rounds to come; a destination is done
+// serving a peer once it has answered the bin that clears it.
 type reqBin struct {
 	Entries []reqEntry
+	More    bool
 }
 
 // repBin carries the computed contributions back; Slots mirrors the
@@ -45,6 +60,17 @@ type repBin struct {
 	Slots []int32
 	F     []vec.V3
 	P     []float64
+}
+
+// shipLog is what one rank's data plane tells the clock plane: the charge
+// of everything it computed, in the order the protocol would have met it.
+// All charges are whole flop counts.
+type shipLog struct {
+	Start  float64     // the rank's clock when the phase began
+	Flops  []float64   // per own particle, in particle order: its sweep's charge
+	Ships  []int32     // per own particle: how many entries it shipped
+	Owners []uint16    // every shipped entry's owner, in ship order
+	Served [][]float64 // per requester: lookups + interactions of each BinSize entries served, in the requester's ship order
 }
 
 // forcePhase runs the force-computation phase and writes per-particle
@@ -59,64 +85,59 @@ func (e *Engine) forcePhase(pr *msg.Proc, st *localState, res *Result) {
 		return
 	}
 	r := &shipRun{e: e, pr: pr, st: st, sh: &e.ship[st.me]}
-	r.init()
-	t0 := pr.Stats().ComputeTime
 	st.extraLoad = make(map[int]float64, len(st.parts))
-
 	r.flatten()
-	r.sweepOwn()
-	r.flush()
-	r.terminate()
-
-	// Deterministic reduction: remote contributions are added in slot
-	// order, which is the traversal order and independent of message
-	// timing.
-	s := 0
-	for i := range st.parts {
-		id := st.parts[i].ID
-		if e.cfg.Mode == ForceMode {
-			for ; s < r.slotEnd[i]; s++ {
-				r.localF[i] = r.localF[i].Add(r.slotF[s])
-			}
-			res.Accels[id] = r.localF[i]
-		} else {
-			for ; s < r.slotEnd[i]; s++ {
-				r.localP[i] += r.slotP[s]
-			}
-			res.Potentials[id] = r.localP[i]
-		}
-	}
+	r.exchange(res)
 	r.fl.ApplyLocalLoads()
-	r.sh.slots = s
-	st.forceT = pr.Stats().ComputeTime - t0
+
+	clock := e.shipClock(pr, r.sh.log)
+	pr.Adopt(clock)
+	st.forceT = clock.Stats.ComputeTime
 }
+
+// shipRound is how many of its particles a rank sweeps between exchanges:
+// enough that a round's requests to one owner fill packets (≈40 entries a
+// particle over the owners it reaches), few enough that the requests and
+// replies in flight stay a few hundred kilobytes a rank. A multiple of the
+// packet width, so packets hold the same particles whatever the round.
+const shipRound = 128
 
 // shipScratch is what a rank's function-shipping phase keeps from one step
 // to the next: host-side buffers only, nothing the simulation can observe.
 type shipScratch struct {
-	// slots is last step's slot count (≈43 per particle): the next step
-	// sizes its slot arrays with it instead of regrowing them from empty.
-	slots int
-
 	// Where the branch cells landed in the rank's flat tree.
 	branchAt []*pnode         // node index → remote branch cell
 	localAt  map[uint64]int32 // packed branch key → node index of the local subtree root
 
 	// own sweeps this rank's particles; served sweeps the requests it
-	// serves. They are two because serve re-enters from sendBin's flow
-	// control while own's lanes are still being replayed.
+	// serves.
 	own, served tree.Packet
 	deferred    []int32 // one lane's opened branches
+
+	// One round of the rank's own particles: the request entries by owner,
+	// what its sweep summed, by
+	// index in the round, and the reply values by slot — F in force mode, P
+	// in potential mode. Slots are handed out in traversal order, so the
+	// round's particle i has [slotEnd[i-1], slotEnd[i]).
+	reqs          [][]reqEntry
+	localF, slotF []vec.V3
+	localP, slotP []float64
+	slotEnd       []int
 
 	// Grouping of one served bin by branch.
 	base    []int32   // per entry: node index of its branch, -1 if unknown here
 	fill    []int32   // per node: entries counted, then the group's write cursor
 	touched []int32   // branches of the bin, in first-request order
 	order   []int32   // entry indices, grouped
-	flops   []float64 // per entry: the service's charge
+	flops   []float64 // per entry: the service's charge, lookup included
+
+	// log is this step's account for the clock plane. Every rank's is read
+	// until the replay ends, which is before any rank starts its next
+	// phase, so the next step overwrites it in place.
+	log shipLog
 }
 
-// shipRun is the per-processor state of one function-shipping phase.
+// shipRun is the per-processor state of one function-shipping data plane.
 type shipRun struct {
 	e  *Engine
 	pr *msg.Proc
@@ -124,173 +145,210 @@ type shipRun struct {
 	sh *shipScratch
 	fl *let.Flat // the rank's replicated tree in packet-kernel form
 
-	bins        []reqBin // one per destination
-	outstanding []bool   // one unacked bin per destination allowed
-	pendingReps int      // bins sent, replies not yet received
-
-	// What the rank's own sweep summed, by local particle index, and the
-	// reply values by slot: F in force mode, P in potential mode. Slots are
-	// handed out in traversal order, so local particle i's are
-	// [slotEnd[i-1], slotEnd[i]).
-	localF, slotF []vec.V3
-	localP, slotP []float64
-	slotEnd       []int
-
-	// Tree-based termination detection.
-	doneKids int
-	sentUp   bool
-	gotDown  bool
-	flushed  bool
+	served []int // per requester: entries served so far
 }
 
-func (r *shipRun) init() {
-	p := r.pr.NumProcs()
-	r.bins = make([]reqBin, p)
-	for dst := range r.bins {
-		r.bins[dst] = r.newBin()
+// exchange is the data plane: the rank sweeps its particles a round at a
+// time, ships each round's requests to their owners in one message apiece,
+// serves whatever requests reach it while it waits for the round's replies,
+// folds those in, and after its last round keeps serving until every peer
+// has said it is done. Results land in res; the charges in the rank's log.
+func (r *shipRun) exchange(res *Result) {
+	p, me, parts := r.pr.NumProcs(), r.st.me, r.st.parts
+	log := &r.sh.log
+	log.Start = r.pr.Now()
+	log.Flops, log.Ships, log.Owners = log.Flops[:0], log.Ships[:0], log.Owners[:0]
+	if len(log.Served) != p {
+		log.Served = make([][]float64, p)
 	}
-	r.outstanding = make([]bool, p)
-	// Last step's slot count plus an eighth: a rebalanced rank's count
-	// drifts by a few percent, and outgrowing the estimate doubles it.
-	slots := r.sh.slots + r.sh.slots/8
-	n := len(r.st.parts)
-	r.slotEnd = make([]int, n)
-	if r.e.cfg.Mode == ForceMode {
-		r.localF, r.slotF = make([]vec.V3, n), make([]vec.V3, 0, slots)
-	} else {
-		r.localP, r.slotP = make([]float64, n), make([]float64, 0, slots)
+	for q := range log.Served {
+		log.Served[q] = log.Served[q][:0]
 	}
-}
+	r.served = make([]int, p)
 
-// maxBinPrealloc bounds the capacity a bin is given up front: BinSize may
-// be set far above what a rank ever ships (to disable mid-phase flushes).
-const maxBinPrealloc = 1 << 10
-
-// newBin returns an empty bin that fills to BinSize without regrowing.
-func (r *shipRun) newBin() reqBin {
-	return reqBin{Entries: reqEntryPool.get(min(r.e.cfg.BinSize, maxBinPrealloc))[:0]}
-}
-
-// ship places a particle in the bin of every owner of a remote branch.
-func (r *shipRun) ship(n *pnode, pos vec.V3, self int) {
-	for _, o := range n.owners {
-		var slot int
-		if r.e.cfg.Mode == ForceMode {
-			slot, r.slotF = len(r.slotF), append(r.slotF, vec.V3{})
-		} else {
-			slot, r.slotP = len(r.slotP), append(r.slotP, 0)
+	if len(r.sh.reqs) != p {
+		r.sh.reqs = make([][]reqEntry, p)
+	}
+	reqs := r.sh.reqs
+	serving := p - 1 // peers whose last bin is still to come
+	for lo := 0; ; lo += shipRound {
+		hi := min(lo+shipRound, len(parts))
+		// A bin sent within this process is read in place by its owner,
+		// which is done with it once its reply is back: the round is over.
+		for o := range reqs {
+			reqs[o] = reqs[o][:0]
 		}
-		r.bins[o].Entries = append(r.bins[o].Entries, reqEntry{
-			Key: n.cell.Uint64(), Pos: pos, Self: int32(self), Slot: int32(slot),
-		})
-		if len(r.bins[o].Entries) >= r.e.cfg.BinSize {
-			r.sendBin(o)
-		}
-	}
-}
-
-// sendBin flushes the bin for dst, first serving remote work while a
-// previous bin to dst is still outstanding (the paper's flow control).
-func (r *shipRun) sendBin(dst int) {
-	if len(r.bins[dst].Entries) == 0 {
-		return
-	}
-	for r.outstanding[dst] {
-		r.serviceOne(true)
-	}
-	bin := r.bins[dst]
-	r.bins[dst] = r.newBin()
-	r.pr.Send(dst, tagRequest, bin, reqEntryWords*len(bin.Entries)+1)
-	r.outstanding[dst] = true
-	r.pendingReps++
-}
-
-// flush sends every non-empty partial bin and recycles the empty ones.
-func (r *shipRun) flush() {
-	for dst := range r.bins {
-		r.sendBin(dst)
-		reqEntryPool.put(r.bins[dst].Entries)
-		r.bins[dst] = reqBin{}
-	}
-	r.flushed = true
-}
-
-// serviceAll drains currently available work without blocking.
-func (r *shipRun) serviceAll(block bool) {
-	for r.serviceOne(block) {
-		block = false
-	}
-}
-
-// serviceOne handles one incoming message; returns false if none was
-// available (non-blocking mode).
-func (r *shipRun) serviceOne(block bool) bool {
-	var payload any
-	var from, tag int
-	if block {
-		payload, from, tag = r.pr.RecvTags(tagRequest, tagReply, tagDoneUp, tagDoneDown)
-	} else {
-		var ok bool
-		payload, from, tag, ok = r.pr.TryRecvTags(tagRequest, tagReply, tagDoneUp, tagDoneDown)
-		if !ok {
-			return false
-		}
-	}
-	switch tag {
-	case tagRequest:
-		r.serve(payload.(reqBin), from)
-	case tagReply:
-		rep := payload.(repBin)
-		for i, s := range rep.Slots {
-			if r.e.cfg.Mode == ForceMode {
-				r.slotF[s] = rep.F[i]
-			} else {
-				r.slotP[s] = rep.P[i]
+		r.sweep(parts[lo:hi], reqs)
+		more, replies := hi < len(parts), 0
+		for d := 1; d < p; d++ {
+			o := (me + d) % p
+			if len(reqs[o]) == 0 && more {
+				continue // nothing to ask and nothing to announce
 			}
+			if len(reqs[o]) > 0 {
+				replies++
+			}
+			r.pr.SendOffClock(o, tagRequest, reqBin{Entries: reqs[o], More: more})
 		}
-		slotPool.put(rep.Slots)
-		vec3Pool.put(rep.F)
-		f64Pool.put(rep.P)
-		r.outstanding[from] = false
-		r.pendingReps--
-	case tagDoneUp:
-		r.doneKids++
-	case tagDoneDown:
-		r.gotDown = true
-		r.forwardDown()
+		for replies > 0 {
+			payload, from, tag := r.pr.RecvOffClock(tagRequest, tagReply)
+			if tag == tagRequest {
+				serving -= r.serve(payload.(reqBin), from)
+				continue
+			}
+			r.scatter(payload.(repBin))
+			replies--
+		}
+		r.reduce(parts[lo:hi], res)
+		if !more {
+			break
+		}
 	}
-	return true
+	for serving > 0 {
+		payload, from, _ := r.pr.RecvOffClock(tagRequest)
+		serving -= r.serve(payload.(reqBin), from)
+	}
+}
+
+// sweep runs the traversal of one round of the rank's own particles, eight
+// at a time in particle order, then reads the packet back one lane — one
+// particle — at a time: its charge is logged, and the branches it opened
+// become request entries in the order its lone traversal would have met
+// them. Slots and the ship sequence are therefore exactly those of a
+// one-particle-at-a-time traversal.
+func (r *shipRun) sweep(round []dist.Particle, reqs [][]reqEntry) {
+	sh, st, log := r.sh, r.st, &r.sh.log
+	force, deg := r.e.cfg.Mode == ForceMode, r.e.cfg.degreeOrMonopole()
+	sh.slotEnd = sh.slotEnd[:0]
+	sh.localF, sh.localP = sh.localF[:0], sh.localP[:0]
+	slots := 0
+	pk := &sh.own
+	for k := 0; k < len(round); k += 8 {
+		n := min(8, len(round)-k)
+		for l, q := range round[k : k+n] {
+			pk.SetLane(l, int32(q.ID), q.Pos)
+		}
+		r.fl.Defer(pk, n)
+		for l := 0; l < n; l++ {
+			q := &round[k+l]
+			s := pk.Stats(l)
+			st.stats.Add(s)
+			log.Flops = append(log.Flops, s.Flops(deg))
+			if ex := pk.Extra(l); ex != 0 {
+				st.extraLoad[q.ID] = ex
+			}
+			if force {
+				sh.localF = append(sh.localF, pk.Sum(l))
+			} else {
+				sh.localP = append(sh.localP, pk.Pot(l))
+			}
+			sh.deferred = pk.Deferred(l, sh.deferred[:0])
+			first := slots
+			for _, node := range sh.deferred {
+				n := sh.branchAt[node]
+				for _, o := range n.owners {
+					reqs[o] = append(reqs[o], reqEntry{
+						Key: n.cell.Uint64(), Pos: q.Pos, Self: int32(q.ID), Slot: int32(slots),
+					})
+					log.Owners = append(log.Owners, uint16(o))
+					slots++
+				}
+			}
+			log.Ships = append(log.Ships, int32(slots-first))
+			sh.slotEnd = append(sh.slotEnd, slots)
+		}
+	}
+	// Every slot is written by exactly one reply before reduce reads it.
+	if force {
+		sh.slotF = slices.Grow(sh.slotF[:0], slots)[:slots]
+	} else {
+		sh.slotP = slices.Grow(sh.slotP[:0], slots)[:slots]
+	}
+}
+
+// scatter files one reply's values under their slots and recycles it.
+func (r *shipRun) scatter(rep repBin) {
+	for i, s := range rep.Slots {
+		if rep.F != nil {
+			r.sh.slotF[s] = rep.F[i]
+		} else {
+			r.sh.slotP[s] = rep.P[i]
+		}
+	}
+	slotPool.put(rep.Slots)
+	vec3Pool.put(rep.F)
+	f64Pool.put(rep.P)
+}
+
+// reduce adds a round's remote contributions to its particles' own sums in
+// slot order — the traversal order, independent of which reply came first
+// — and writes the results.
+func (r *shipRun) reduce(round []dist.Particle, res *Result) {
+	sh := r.sh
+	s := 0
+	for i := range round {
+		id := round[i].ID
+		if r.e.cfg.Mode == ForceMode {
+			f := sh.localF[i]
+			for ; s < sh.slotEnd[i]; s++ {
+				f = f.Add(sh.slotF[s])
+			}
+			res.Accels[id] = f
+		} else {
+			phi := sh.localP[i]
+			for ; s < sh.slotEnd[i]; s++ {
+				phi += sh.slotP[s]
+			}
+			res.Potentials[id] = phi
+		}
+	}
 }
 
 // serve computes the requested subtree contributions and ships the
 // results back: the essence of function shipping — the computation runs
-// where the data is.
-func (r *shipRun) serve(bin reqBin, from int) {
-	n := len(bin.Entries)
-	rep := repBin{Slots: slotPool.get(n)}
-	for i := range bin.Entries {
-		rep.Slots[i] = bin.Entries[i].Slot
+// where the data is. It returns 1 if the bin was the requester's last.
+func (r *shipRun) serve(bin reqBin, from int) int {
+	if n := len(bin.Entries); n > 0 {
+		rep := repBin{Slots: slotPool.get(n)}
+		for i := range bin.Entries {
+			rep.Slots[i] = bin.Entries[i].Slot
+		}
+		if r.e.cfg.Mode == ForceMode {
+			rep.F = vec3Pool.get(n)
+		} else {
+			rep.P = f64Pool.get(n)
+		}
+		r.servePackets(bin.Entries, &rep)
+		// Whatever rounds the entries came in, the protocol serves them in
+		// bins: the k-th BinSize of them is one message, charged at once.
+		bins := r.sh.log.Served[from]
+		for _, flops := range r.sh.flops[:n] {
+			if r.served[from]%r.e.cfg.BinSize == 0 {
+				bins = append(bins, 0)
+			}
+			bins[len(bins)-1] += flops
+			r.served[from]++
+		}
+		r.sh.log.Served[from] = bins
+		r.pr.SendOffClock(from, tagReply, rep)
 	}
-	words := n + 1
-	if r.e.cfg.Mode == ForceMode {
-		rep.F = vec3Pool.get(n)
-		words = 3*n + 1
-	} else {
-		rep.P = f64Pool.get(n)
+	if !r.e.machine.IsLocal(from) {
+		reqEntryPool.put(bin.Entries) // the codec's copy, not the requester's buffer
 	}
-	r.servePackets(bin.Entries, &rep)
-	reqEntryPool.put(bin.Entries)
-	r.pr.Send(from, tagReply, rep, words)
+	if bin.More {
+		return 0
+	}
+	return 1
 }
 
-// servePackets answers one bin on the packet kernel. The requesters already
-// rejected each branch cell under the MAC, so service starts at the branch's
-// children (or at the particles of a leaf branch), mirroring what a serial
-// traversal does after rejecting the node. Entries asking for the same
-// branch are swept together, up to eight to a packet, from the branch's
-// node in this rank's flat tree; every lane is still its entry's lone
-// traversal, and the clock is then charged entry by entry in request order —
-// lookup, then that entry's interactions.
+// servePackets answers one bin on the packet kernel and leaves each
+// entry's charge — the branch lookup plus that entry's interactions — in
+// sh.flops, in request order. The requesters already rejected each branch
+// cell under the MAC, so service starts at the branch's children (or at the
+// particles of a leaf branch), mirroring what a serial traversal does after
+// rejecting the node. Entries asking for the same branch are swept
+// together, up to eight to a packet, from the branch's node in this rank's
+// flat tree; every lane is still its entry's lone traversal.
 func (r *shipRun) servePackets(entries []reqEntry, rep *repBin) {
 	sh := r.sh
 	sh.base, sh.touched = sh.base[:0], sh.touched[:0]
@@ -349,13 +407,14 @@ func (r *shipRun) servePackets(entries []reqEntry, rep *repBin) {
 	}
 	lookup := r.st.lookup.cost()
 	for i, b := range sh.base {
-		r.pr.Compute(lookup)
 		if b >= 0 {
-			r.pr.Compute(sh.flops[i])
+			sh.flops[i] += lookup
 			continue
 		}
-		// Empty branch (race with zero-count summaries). Pooled reply
-		// buffers carry stale values, so zero the slot explicitly.
+		// Empty branch (race with zero-count summaries): only the lookup is
+		// charged. Pooled reply buffers carry stale values, so zero the slot
+		// explicitly.
+		sh.flops[i] = lookup
 		if force {
 			rep.F[i] = vec.V3{}
 		} else {
@@ -401,45 +460,177 @@ func (r *shipRun) flatten() {
 	r.fl = fl
 }
 
-// sweepOwn runs the traversal of the rank's own particles, eight at a time
-// in particle order, then replays the packet one lane — one particle — at a
-// time on the simulated clock: the particle's interactions are charged, the
-// branches it opened are shipped in the order its lone traversal would have
-// met them, and incoming work is polled ("processors must periodically
-// process remote work requests"). Slots, bins, flow control and termination
-// therefore see exactly a one-particle-at-a-time traversal.
-func (r *shipRun) sweepOwn() {
-	sh, st := r.sh, r.st
-	force, deg := r.e.cfg.Mode == ForceMode, r.e.cfg.degreeOrMonopole()
-	pk := &sh.own
-	for k := 0; k < len(st.parts); k += 8 {
-		n := min(8, len(st.parts)-k)
-		for l, q := range st.parts[k : k+n] {
-			pk.SetLane(l, int32(q.ID), q.Pos)
-		}
-		r.fl.Defer(pk, n)
-		for l := 0; l < n; l++ {
-			i := k + l
-			q := &st.parts[i]
-			s := pk.Stats(l)
-			st.stats.Add(s)
-			r.pr.Compute(s.Flops(deg))
-			if ex := pk.Extra(l); ex != 0 {
-				st.extraLoad[q.ID] = ex
-			}
-			if force {
-				r.localF[i] = pk.Sum(l)
-			} else {
-				r.localP[i] = pk.Pot(l)
-			}
-			sh.deferred = pk.Deferred(l, sh.deferred[:0])
-			for _, node := range sh.deferred {
-				r.ship(sh.branchAt[node], q.Pos, q.ID)
-			}
-			r.slotEnd[i] = len(r.slotF) + len(r.slotP) // the mode's; the other stays empty
-			r.serviceAll(false)
+// shipClock charges the phase. Every rank sends its log to the leader rank
+// of every process; each leader, holding all P logs, replays the protocol
+// once on the ordered machine — every process the same machine from the
+// same logs, so the clocks agree to the bit across transports — and hands
+// each of its process's ranks where its twin ended. Logs and clocks travel
+// off the clock.
+func (e *Engine) shipClock(pr *msg.Proc, log shipLog) msg.Replayed {
+	m, me := e.machine, pr.ID()
+	for _, l := range m.Leaders() {
+		if l != me {
+			pr.SendOffClock(l, tagShipLog, log)
 		}
 	}
+	if me != m.Leader() {
+		payload, _, _ := pr.RecvOffClock(tagShipClock)
+		return payload.(msg.Replayed)
+	}
+	logs := make([]shipLog, m.P)
+	logs[me] = log
+	for i := 1; i < m.P; i++ {
+		payload, from, _ := pr.RecvOffClock(tagShipLog)
+		logs[from] = payload.(shipLog)
+	}
+	clocks, err := replayShip(m, e.cfg, logs)
+	if err != nil {
+		pr.Fail(err)
+	}
+	for _, rk := range m.LocalRanks() {
+		if rk != me {
+			pr.SendOffClock(rk, tagShipClock, clocks[rk])
+		}
+	}
+	return clocks[me]
+}
+
+// replayShip runs the function-shipping protocol of one step on m's
+// ordered machine, every rank charging what its log says it computed.
+func replayShip(m *msg.Machine, cfg Config, logs []shipLog) ([]msg.Replayed, error) {
+	start := make([]float64, len(logs))
+	for i := range logs {
+		start[i] = logs[i].Start
+	}
+	return m.RunOrdered(start, func(pr *msg.Proc) {
+		p := pr.NumProcs()
+		c := &shipReplay{cfg: cfg, pr: pr, logs: logs,
+			fill: make([]int, p), outstanding: make([]bool, p), served: make([]int, p)}
+		c.run()
+	})
+}
+
+// shipReplay is one virtual rank of the clock plane: the paper's protocol
+// with every kernel replaced by the charge the data plane logged for it. A
+// bin travels as its entry count.
+type shipReplay struct {
+	cfg  Config
+	pr   *msg.Proc
+	logs []shipLog
+
+	fill        []int  // per destination: entries in the open bin
+	outstanding []bool // one unacked bin per destination allowed
+	pendingReps int    // bins sent, replies not yet received
+	served      []int  // per requester: bins of its ship sequence served so far
+
+	// Tree-based termination detection.
+	doneKids int
+	sentUp   bool
+	gotDown  bool
+	flushed  bool
+}
+
+// run is a rank's force phase on the clock: each of its particles is
+// charged, the branches it opened are binned in ship order, and incoming
+// work is polled ("processors must periodically process remote work
+// requests"); then the partial bins go out and termination runs.
+func (c *shipReplay) run() {
+	log := &c.logs[c.pr.ID()]
+	next := 0
+	for i, flops := range log.Flops {
+		c.pr.Compute(flops)
+		end := next + int(log.Ships[i])
+		for _, o := range log.Owners[next:end] {
+			c.ship(int(o))
+		}
+		next = end
+		c.serviceAll(false)
+	}
+	c.flush()
+	c.terminate()
+}
+
+// ship places an entry in the bin of a remote branch's owner. Bins are
+// flushed at BinSize entries.
+func (c *shipReplay) ship(o int) {
+	c.fill[o]++
+	if c.fill[o] >= c.cfg.BinSize {
+		c.sendBin(o)
+	}
+}
+
+// sendBin flushes the bin for dst, first serving remote work while a
+// previous bin to dst is still outstanding (the paper's flow control: at
+// most one outstanding bin per source–destination pair).
+func (c *shipReplay) sendBin(dst int) {
+	n := c.fill[dst]
+	if n == 0 {
+		return
+	}
+	for c.outstanding[dst] {
+		c.serviceOne(true)
+	}
+	c.fill[dst] = 0
+	c.pr.Send(dst, tagRequest, n, reqEntryWords*n+1)
+	c.outstanding[dst] = true
+	c.pendingReps++
+}
+
+// flush sends every non-empty partial bin.
+func (c *shipReplay) flush() {
+	for dst := range c.fill {
+		c.sendBin(dst)
+	}
+	c.flushed = true
+}
+
+// serviceAll drains currently available work without blocking.
+func (c *shipReplay) serviceAll(block bool) {
+	for c.serviceOne(block) {
+		block = false
+	}
+}
+
+// serviceOne handles one incoming message; returns false if none was
+// available (non-blocking mode).
+func (c *shipReplay) serviceOne(block bool) bool {
+	var payload any
+	var from, tag int
+	if block {
+		payload, from, tag = c.pr.RecvTags(tagRequest, tagReply, tagDoneUp, tagDoneDown)
+	} else {
+		var ok bool
+		payload, from, tag, ok = c.pr.TryRecvTags(tagRequest, tagReply, tagDoneUp, tagDoneDown)
+		if !ok {
+			return false
+		}
+	}
+	switch tag {
+	case tagRequest:
+		c.serve(payload.(int), from)
+	case tagReply:
+		c.outstanding[from] = false
+		c.pendingReps--
+	case tagDoneUp:
+		c.doneKids++
+	case tagDoneDown:
+		c.gotDown = true
+		c.forwardDown()
+	}
+	return true
+}
+
+// serve charges a bin of n entries from a requester — its next to this
+// rank — and ships the reply: three words an entry in force mode, one in
+// potential mode.
+func (c *shipReplay) serve(n, from int) {
+	c.pr.Compute(c.logs[c.pr.ID()].Served[from][c.served[from]])
+	c.served[from]++
+	words := n + 1
+	if c.cfg.Mode == ForceMode {
+		words = 3*n + 1
+	}
+	c.pr.Send(from, tagReply, nil, words)
 }
 
 // terminate runs the tree-based distributed termination protocol: a
@@ -447,9 +638,9 @@ func (r *shipRun) sweepOwn() {
 // are flushed and answered and its subtree is done; the root then floods
 // "done" down. Processors keep serving remote work while waiting, so no
 // request ever starves.
-func (r *shipRun) terminate() {
-	me := r.pr.ID()
-	p := r.pr.NumProcs()
+func (c *shipReplay) terminate() {
+	me := c.pr.ID()
+	p := c.pr.NumProcs()
 	kids := 0
 	if 2*me+1 < p {
 		kids++
@@ -457,27 +648,27 @@ func (r *shipRun) terminate() {
 	if 2*me+2 < p {
 		kids++
 	}
-	for !r.gotDown {
-		if !r.sentUp && r.flushed && r.pendingReps == 0 && r.doneKids == kids {
+	for !c.gotDown {
+		if !c.sentUp && c.flushed && c.pendingReps == 0 && c.doneKids == kids {
 			if me == 0 {
-				r.gotDown = true
-				r.forwardDown()
+				c.gotDown = true
+				c.forwardDown()
 				break
 			}
-			r.pr.Send((me-1)/2, tagDoneUp, struct{}{}, 1)
-			r.sentUp = true
+			c.pr.Send((me-1)/2, tagDoneUp, nil, 1)
+			c.sentUp = true
 		}
-		r.serviceOne(true)
+		c.serviceOne(true)
 	}
 }
 
 // forwardDown propagates the termination signal to tree children.
-func (r *shipRun) forwardDown() {
-	me := r.pr.ID()
-	p := r.pr.NumProcs()
-	for _, c := range []int{2*me + 1, 2*me + 2} {
-		if c < p {
-			r.pr.Send(c, tagDoneDown, struct{}{}, 1)
+func (c *shipReplay) forwardDown() {
+	me := c.pr.ID()
+	p := c.pr.NumProcs()
+	for _, k := range []int{2*me + 1, 2*me + 2} {
+		if k < p {
+			c.pr.Send(k, tagDoneDown, nil, 1)
 		}
 	}
 }

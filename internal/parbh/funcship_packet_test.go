@@ -189,6 +189,8 @@ type shipWorld struct {
 	pots   []float64 // potential mode
 	words  int64     // force-phase communication, all ranks
 	msgs   int64
+	comm   float64 // force-phase communication and compute time, summed over ranks
+	comp   float64
 }
 
 // phases runs one step's phases through tree merging on every rank of e,
@@ -199,7 +201,7 @@ func phases(t *testing.T, e *Engine, force bool) *shipWorld {
 	p := e.machine.P
 	w := newShipWorld(e.cfg, make([]*localState, p), e.n)
 	res := &Result{Accels: w.accels, Potentials: w.pots}
-	words, msgs := make([]int64, p), make([]int64, p)
+	spent := make([]msg.Stats, p)
 	_, err := e.machine.RunErr(func(pr *msg.Proc) {
 		st := &localState{me: pr.ID(), parts: e.parts[pr.ID()]}
 		e.migrate(pr, st)
@@ -212,15 +214,18 @@ func phases(t *testing.T, e *Engine, force bool) *shipWorld {
 			st.extraLoad = map[int]float64{}
 		}
 		after := pr.Stats()
-		words[st.me], msgs[st.me] = after.Words-before.Words, after.Messages-before.Messages
+		spent[st.me] = msg.Stats{Words: after.Words - before.Words, Messages: after.Messages - before.Messages,
+			CommTime: after.CommTime - before.CommTime, ComputeTime: after.ComputeTime - before.ComputeTime}
 		w.states[st.me] = st
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range words {
-		w.words += words[i]
-		w.msgs += msgs[i]
+	for _, s := range spent {
+		w.words += s.Words
+		w.msgs += s.Messages
+		w.comm += s.CommTime
+		w.comp += s.ComputeTime
 	}
 	return w
 }
@@ -582,17 +587,14 @@ func TestFuncShipServeGroupsAndEmptyBranch(t *testing.T) {
 				rep.F[i] = vec.V3{X: math.NaN(), Y: 1e300, Z: -7}
 			}
 		}
+		r := &shipRun{e: e, st: st, sh: &e.ship[0]}
+		r.flatten()
+		r.servePackets(entries, &rep)
 		var charged float64
-		if _, err := e.machine.RunErr(func(pr *msg.Proc) {
-			r := &shipRun{e: e, pr: pr, st: st, sh: &e.ship[0]}
-			r.flatten()
-			before := pr.Stats().Flops
-			r.servePackets(entries, &rep)
-			charged = pr.Stats().Flops - before
-			r.fl.ApplyLocalLoads()
-		}); err != nil {
-			t.Fatal(err)
+		for _, c := range r.sh.flops[:len(entries)] {
+			charged += c
 		}
+		r.fl.ApplyLocalLoads()
 
 		var wantFlops float64
 		for i, en := range entries {

@@ -1,6 +1,8 @@
 package parbh
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -11,59 +13,107 @@ import (
 
 // The host-performance layer (multi-core traversals, radix sorts, arenas,
 // buffer pools) must never perturb the paper-facing *simulated* metrics.
-// These tests pin that invariant two ways: the counters that are exact by
-// construction — interaction Stats, communication words/messages, branch
-// counts, and the force results themselves — must be bit-identical across
-// host parallelism levels, and must match golden values recorded before
-// the host optimizations landed.
+// These tests pin that invariant two ways: everything a step reports on the
+// simulated machine — interaction Stats, communication words/messages,
+// branch counts, the force results, and the clock itself: SimTime,
+// Imbalance, every phase, every rank's Stats — must be bit-identical across
+// host parallelism levels, and the counters must match golden values
+// recorded before the host optimizations landed.
 //
-// SimTime and Imbalance are deliberately not compared bit-exactly: the
-// function-shipping protocol polls for remote work between particles, so
-// per-processor *waiting* time depends on host scheduling. That jitter
-// predates the host-performance layer (it is observable run-to-run on a
-// fixed GOMAXPROCS) and is bounded by the polling granularity; the
-// flop-charged compute clock underneath is exact.
+// The clock is included for function shipping too: its protocol polls for
+// remote work between particles, and what a poll finds is decided on msg's
+// ordered machine from the simulated stamps alone (see funcship.go), never
+// by which goroutine the host ran first.
 
 func stepOnce(t *testing.T, scheme Scheme) *Result {
 	t.Helper()
+	return stepsOf(t, Config{Scheme: scheme, Mode: ForceMode, Alpha: 0.67, Eps: 0.01, GridLog2: 4}, 1)
+}
+
+// stepsOf runs steps of cfg on the fixture and returns the last one's result.
+func stepsOf(t *testing.T, cfg Config, steps int) *Result {
+	t.Helper()
 	s := dist.MustNamed("g", 3000, 99)
 	m := msg.NewMachine(8, msg.CM5())
-	e, err := New(m, s, Config{Scheme: scheme, Mode: ForceMode, Alpha: 0.67, Eps: 0.01, GridLog2: 4})
+	e, err := New(m, s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e.Step()
+	var res *Result
+	for i := 0; i < steps; i++ {
+		res = e.Step()
+	}
+	return res
 }
 
+// sameStep demands that two runs of one step agree to the last bit in
+// everything the simulated machine reports.
+func sameStep(t *testing.T, want, got *Result) {
+	t.Helper()
+	if got.Stats != want.Stats {
+		t.Errorf("stats differ: %+v vs %+v", want.Stats, got.Stats)
+	}
+	if got.CommWords != want.CommWords || got.CommMessages != want.CommMessages {
+		t.Errorf("comm differs: %d/%d vs %d/%d", want.CommWords, want.CommMessages, got.CommWords, got.CommMessages)
+	}
+	if got.BranchNodes != want.BranchNodes {
+		t.Errorf("branch nodes differ: %d vs %d", want.BranchNodes, got.BranchNodes)
+	}
+	for i := range want.Accels {
+		if !bitsEqual(got.Accels[i], want.Accels[i]) {
+			t.Fatalf("accel %d differs: %v vs %v", i, want.Accels[i], got.Accels[i])
+		}
+	}
+	for i := range want.Potentials {
+		if math.Float64bits(got.Potentials[i]) != math.Float64bits(want.Potentials[i]) {
+			t.Fatalf("potential %d differs: %v vs %v", i, want.Potentials[i], got.Potentials[i])
+		}
+	}
+	same := func(what string, a, b float64) {
+		t.Helper()
+		if math.Float64bits(a) != math.Float64bits(b) {
+			t.Errorf("%s differs: %.17g vs %.17g", what, a, b)
+		}
+	}
+	same("SimTime", want.SimTime, got.SimTime)
+	same("Imbalance", want.Imbalance, got.Imbalance)
+	if len(got.Phases) != len(want.Phases) {
+		t.Errorf("phase sets differ: %v vs %v", want.Phases, got.Phases)
+	}
+	for name, v := range want.Phases {
+		same("phase "+name, v, got.Phases[name])
+	}
+	for r := range want.RankForce {
+		same(fmt.Sprint("RankForce of rank ", r), want.RankForce[r], got.RankForce[r])
+		if got.ProcStats[r] != want.ProcStats[r] {
+			t.Errorf("rank %d stats differ: %+v vs %+v", r, want.ProcStats[r], got.ProcStats[r])
+		}
+	}
+}
+
+// TestStepInvariantUnderHostParallelism runs the second step (so SPDA and
+// DPDA have rebalanced once) of every scheme, in force and in potential
+// mode, under bins of one entry, a size that splits key groups, the
+// paper's 100 and never flushing early, at GOMAXPROCS 1, 2 and 7.
 func TestStepInvariantUnderHostParallelism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, scheme := range []Scheme{SPSA, SPDA, DPDA} {
 		t.Run(scheme.String(), func(t *testing.T) {
-			old := runtime.GOMAXPROCS(1)
-			seq := stepOnce(t, scheme)
-			runtime.GOMAXPROCS(4)
-			par := stepOnce(t, scheme)
-			runtime.GOMAXPROCS(old)
-
-			if seq.Stats != par.Stats {
-				t.Errorf("stats differ: gomaxprocs=1 %+v gomaxprocs=4 %+v", seq.Stats, par.Stats)
-			}
-			if seq.CommWords != par.CommWords || seq.CommMessages != par.CommMessages {
-				t.Errorf("comm differs: %d/%d vs %d/%d",
-					seq.CommWords, seq.CommMessages, par.CommWords, par.CommMessages)
-			}
-			if seq.BranchNodes != par.BranchNodes {
-				t.Errorf("branch nodes differ: %d vs %d", seq.BranchNodes, par.BranchNodes)
-			}
-			for i := range seq.Accels {
-				if seq.Accels[i] != par.Accels[i] {
-					t.Fatalf("accel %d differs: %v vs %v", i, seq.Accels[i], par.Accels[i])
+			for _, mode := range []Mode{ForceMode, PotentialMode} {
+				for _, binSize := range []int{1, 7, 100, 1 << 20} {
+					t.Run(fmt.Sprintf("%v/bin%d", mode, binSize), func(t *testing.T) {
+						cfg := Config{Scheme: scheme, Mode: mode, Alpha: 0.67, Eps: 0.01, Degree: 2, GridLog2: 3, BinSize: binSize}
+						runtime.GOMAXPROCS(1)
+						want := stepsOf(t, cfg, 2)
+						if want.SimTime <= 0 {
+							t.Fatalf("non-positive sim time %v", want.SimTime)
+						}
+						for _, procs := range []int{2, 7} {
+							runtime.GOMAXPROCS(procs)
+							sameStep(t, want, stepsOf(t, cfg, 2))
+						}
+					})
 				}
-			}
-			if len(seq.Phases) != len(par.Phases) {
-				t.Errorf("phase sets differ: %v vs %v", seq.Phases, par.Phases)
-			}
-			if seq.SimTime <= 0 || par.SimTime <= 0 {
-				t.Errorf("non-positive sim time: %v, %v", seq.SimTime, par.SimTime)
 			}
 		})
 	}

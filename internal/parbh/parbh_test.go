@@ -357,37 +357,31 @@ func TestSimulatedEfficiencyDecreasesWithP(t *testing.T) {
 	}
 }
 
-func TestEfficiencyGrowsWithDegree(t *testing.T) {
-	// Section 4.2.2 / Table 6: function-shipping efficiency increases
-	// with the multipole degree because communication stays constant
-	// while computation grows as Θ(k²). The problem must be large enough
-	// that the force phase dominates the branch-summary broadcast (whose
-	// volume does grow with the degree), as in the paper's runs.
-	if testing.Short() {
-		t.Skip("large problem")
-	}
+func TestCommShareFallsWithDegree(t *testing.T) {
+	// Section 4.2.2 / Table 6: under function shipping the communication
+	// of the force phase does not depend on the multipole degree — what is
+	// shipped is decided by the MAC — while the computation grows as Θ(k²),
+	// so the share of the phase spent communicating (sending and waiting,
+	// summed over ranks) falls as the degree grows. Efficiency itself is
+	// not the witness: once the zones are balanced it sits near 0.9 and
+	// follows the load balance each degree's zones happen to reach, not the
+	// degree. So hold the decomposition fixed — the first step's
+	// equal-count zones are the same for every degree — where the words
+	// must agree to the last one and the share must fall strictly.
 	s := dist.MustNamed("g", 12000, 21)
-	eff := func(deg int) float64 {
-		m := msg.NewMachine(8, msg.CM5())
-		e, err := New(m, s, Config{Scheme: DPDA, Mode: PotentialMode, Alpha: 0.67, Degree: deg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Step() // first step balances by particle counts
-		var sum float64
-		const reps = 3
-		for i := 0; i < reps; i++ {
-			sum += e.Step().Efficiency
-		}
-		return sum / reps
+	var words []int64
+	var share []float64
+	for _, deg := range []int{2, 4, 6} {
+		e := newShipEngine(t, s, 8, Config{Scheme: DPDA, Mode: PotentialMode, Alpha: 0.67, Degree: deg})
+		w := phases(t, e, true)
+		words = append(words, w.words)
+		share = append(share, w.comm/(w.comm+w.comp))
 	}
-	// The paper's per-degree gain is a few percent (Table 6); at this
-	// reduced scale the trend is present but modest, so compare widely
-	// separated degrees and averaged steps to stay clear of simulated
-	// service-order noise.
-	e2, e6 := eff(2), eff(6)
-	if e6 <= e2 {
-		t.Fatalf("efficiency did not grow with degree: deg2 %v, deg6 %v", e2, e6)
+	if words[0] != words[1] || words[1] != words[2] {
+		t.Errorf("force-phase words depend on the degree: %v", words)
+	}
+	if !(share[0] > share[1] && share[1] > share[2]) {
+		t.Errorf("communication share did not fall with degree 2, 4, 6: %v", share)
 	}
 }
 

@@ -145,14 +145,9 @@ func TestFramesResumeGoldenSPSA(t *testing.T) {
 	if res.Steps != spec.Steps {
 		t.Fatalf("resumed job ran %d steps, want %d", res.Steps, spec.Steps)
 	}
-	// Bodies, interaction counts, and comm volumes replay bit-exactly;
-	// machine time does not: per-step SimTime carries bounded host-
-	// scheduling jitter from the function-shipping poll loop (see
-	// internal/parbh/host_determinism_test.go), resume or not. Hold it
-	// to a tight relative band instead.
-	if rel := math.Abs(res.MachineTime-refMachine) / refMachine; rel > 0.02 {
-		t.Fatalf("machine time off by %.2f%% after frame resume: %v vs %v",
-			rel*100, res.MachineTime, refMachine)
+	// Bodies and the simulated clock replay bit-exactly, resume or not.
+	if res.MachineTime != refMachine {
+		t.Fatalf("machine time after frame resume: %.17g, want %.17g", res.MachineTime, refMachine)
 	}
 	for i := range refBodies {
 		if res.Bodies[i] != refBodies[i] {
@@ -544,11 +539,8 @@ func TestSubmitSeededResumesFromKeyframe(t *testing.T) {
 			t.Fatalf("body %d differs between donor and seeded run", i)
 		}
 	}
-	// Machine time matches only to the documented SimTime jitter band;
-	// see the note in TestFramesResumeGoldenSPSA.
-	if rel := math.Abs(res.MachineTime-donorRes.MachineTime) / donorRes.MachineTime; rel > 0.02 {
-		t.Fatalf("seeded machine time off by %.2f%%: %v vs donor %v",
-			rel*100, res.MachineTime, donorRes.MachineTime)
+	if res.MachineTime != donorRes.MachineTime {
+		t.Fatalf("seeded machine time %.17g, donor %.17g", res.MachineTime, donorRes.MachineTime)
 	}
 	if svc.Metrics().FramesSeeded.Load() != 1 {
 		t.Fatalf("seeded counter %d", svc.Metrics().FramesSeeded.Load())
