@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -14,35 +13,44 @@ import (
 // receive — blocking or polling — is answered from stamps alone.
 
 // TestFunctionShippingClockIgnoresHostDelay stalls every rank frame of a
-// function-shipping job by 0, 1 and 5 ms on the host. The stalls reorder
-// which rank reaches which receive first by orders of magnitude more than
-// any scheduler does; the simulated clock — SimTime, Imbalance, every
-// rank's communication time — must equal the plain in-process run bit for
-// bit. (While polls were answered by physical arrival this failed by tens
-// of percent.)
+// job by 0, 1 and 5 ms on the host, three mesh processes exchanging real
+// encoded frames. The stalls reorder which rank reaches which receive
+// first by orders of magnitude more than any scheduler does; the
+// simulated clock — SimTime, Imbalance, every rank's ProcStats — must
+// equal the plain in-process run bit for bit. (While function shipping's
+// polls were answered by physical arrival this failed by tens of
+// percent.) The let and data rows pin the same for the LET exchange and
+// data shipping's fetch waves, whose clocks were always functions of the
+// input but were never held to it under delay.
 func TestFunctionShippingClockIgnoresHostDelay(t *testing.T) {
-	cfg := parbh.Config{Scheme: parbh.DPDA, Mode: parbh.ForceMode, Alpha: 0.67, Eps: 0.01, BinSize: 20}
-	job, _ := testJob(cfg, 2)
-	want := inprocResults(t, job)
-	for _, delay := range []time.Duration{0, time.Millisecond, 5 * time.Millisecond} {
-		got := linkResults(t, job, 3, func(proc int, node *transport.MeshNode) transport.Link {
-			plan := transport.FaultPlan{Seed: int64(proc) + 1 + chaosSeed}
-			if delay > 0 {
-				plan.DelayProb, plan.Delay = 1, delay
-			}
-			return transport.NewFaultLink(node, plan)
-		})
-		if len(got) != len(want) {
-			t.Fatalf("delay %v: %d steps, want %d", delay, len(got), len(want))
-		}
-		for i := range want {
-			compareBitIdentical(t, want[i], got[i], i)
-			for r, w := range want[i].ProcStats {
-				if g := got[i].ProcStats[r]; math.Float64bits(g.CommTime) != math.Float64bits(w.CommTime) {
-					t.Errorf("delay %v step %d rank %d: comm time %.17g, want %.17g", delay, i, r, g.CommTime, w.CommTime)
+	for _, row := range []struct {
+		name     string
+		shipping parbh.Shipping
+	}{
+		{"function", parbh.FunctionShipping},
+		{"let", parbh.LETShipping},
+		{"data", parbh.DataShipping},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := parbh.Config{Scheme: parbh.DPDA, Mode: parbh.ForceMode, Shipping: row.shipping, Alpha: 0.67, Eps: 0.01, BinSize: 20}
+			job, _ := testJob(cfg, 2)
+			want := inprocResults(t, job)
+			for _, delay := range []time.Duration{0, time.Millisecond, 5 * time.Millisecond} {
+				got := linkResults(t, job, 3, func(proc int, node *transport.MeshNode) transport.Link {
+					plan := transport.FaultPlan{Seed: int64(proc) + 1 + chaosSeed}
+					if delay > 0 {
+						plan.DelayProb, plan.Delay = 1, delay
+					}
+					return transport.NewFaultLink(node, plan)
+				})
+				if len(got) != len(want) {
+					t.Fatalf("delay %v: %d steps, want %d", delay, len(got), len(want))
+				}
+				for i := range want {
+					compareBitIdentical(t, want[i], got[i], i)
 				}
 			}
-		}
+		})
 	}
 }
 

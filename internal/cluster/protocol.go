@@ -18,6 +18,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/msg"
 	"repro/internal/parbh"
+	"repro/internal/recio"
 	"repro/internal/transport"
 	"repro/internal/vec"
 )
@@ -78,138 +79,56 @@ type jobReady struct {
 	Err   string
 }
 
-func putProfile(w *transport.Writer, p msg.CostProfile) {
-	w.Str(p.Name)
-	w.F64(p.FlopRate)
-	w.F64(p.TS)
-	w.F64(p.TW)
-	w.F64(p.TH)
-	w.I32(int32(p.Topology))
-	if p.StoreAndForward {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
+func codeProfile(c *recio.Coder, p *msg.CostProfile) {
+	c.Str(&p.Name)
+	c.F64(&p.FlopRate)
+	c.F64(&p.TS)
+	c.F64(&p.TW)
+	c.F64(&p.TH)
+	recio.Int32(c, &p.Topology)
+	c.Bool(&p.StoreAndForward)
 }
 
-func getProfile(r *transport.Reader) msg.CostProfile {
-	var p msg.CostProfile
-	p.Name = r.Str()
-	p.FlopRate = r.F64()
-	p.TS = r.F64()
-	p.TW = r.F64()
-	p.TH = r.F64()
-	p.Topology = msg.Topology(r.I32())
-	p.StoreAndForward = r.U8() != 0
-	return p
-}
-
-func putConfig(w *transport.Writer, c parbh.Config) {
-	w.I32(int32(c.Scheme))
-	w.I32(int32(c.Mode))
-	w.F64(c.Alpha)
-	w.I32(int32(c.Degree))
-	w.F64(c.Eps)
-	w.I32(int32(c.LeafCap))
-	w.I32(int32(c.GridLog2))
-	w.I32(int32(c.BinSize))
-	w.I32(int32(c.Shipping))
-	w.I32(int32(c.BranchLookup))
-	w.I32(int32(c.Ordering))
-	w.I32(int32(c.TreeBuild))
-}
-
-func getConfig(r *transport.Reader) parbh.Config {
-	var c parbh.Config
-	c.Scheme = parbh.Scheme(r.I32())
-	c.Mode = parbh.Mode(r.I32())
-	c.Alpha = r.F64()
-	c.Degree = int(r.I32())
-	c.Eps = r.F64()
-	c.LeafCap = int(r.I32())
-	c.GridLog2 = int(r.I32())
-	c.BinSize = int(r.I32())
-	c.Shipping = parbh.Shipping(r.I32())
-	c.BranchLookup = parbh.Lookup(r.I32())
-	c.Ordering = parbh.Ordering(r.I32())
-	c.TreeBuild = parbh.TreeBuild(r.I32())
-	return c
-}
-
-func putV3(w *transport.Writer, v vec.V3) {
-	w.F64(v.X)
-	w.F64(v.Y)
-	w.F64(v.Z)
-}
-
-func getV3(r *transport.Reader) vec.V3 {
-	return vec.V3{X: r.F64(), Y: r.F64(), Z: r.F64()}
+func codeConfig(c *recio.Coder, cfg *parbh.Config) {
+	recio.Int32(c, &cfg.Scheme)
+	recio.Int32(c, &cfg.Mode)
+	c.F64(&cfg.Alpha)
+	recio.Int32(c, &cfg.Degree)
+	c.F64(&cfg.Eps)
+	recio.Int32(c, &cfg.LeafCap)
+	recio.Int32(c, &cfg.GridLog2)
+	recio.Int32(c, &cfg.BinSize)
+	recio.Int32(c, &cfg.Shipping)
+	recio.Int32(c, &cfg.BranchLookup)
+	recio.Int32(c, &cfg.Ordering)
+	recio.Int32(c, &cfg.TreeBuild)
 }
 
 func init() {
-	transport.Register(idJobStart,
-		func(w *transport.Writer, v jobStart) {
-			w.U32(v.Epoch)
-			w.Str(v.Job.Name)
-			w.I32(int32(v.Job.Ranks))
-			w.I32(int32(v.Job.Steps))
-			putProfile(w, v.Job.Profile)
-			putConfig(w, v.Job.Config)
-			putV3(w, v.Job.Domain.Min)
-			putV3(w, v.Job.Domain.Max)
-			w.Len(len(v.Job.Parts), v.Job.Parts == nil)
-			for _, q := range v.Job.Parts {
-				w.I64(int64(q.ID))
-				w.F64(q.Mass)
-				putV3(w, q.Pos)
-				putV3(w, q.Vel)
-			}
-		},
-		func(r *transport.Reader) (jobStart, error) {
-			var v jobStart
-			v.Epoch = r.U32()
-			v.Job.Name = r.Str()
-			v.Job.Ranks = int(r.I32())
-			v.Job.Steps = int(r.I32())
-			v.Job.Profile = getProfile(r)
-			v.Job.Config = getConfig(r)
-			v.Job.Domain.Min = getV3(r)
-			v.Job.Domain.Max = getV3(r)
-			n, notNil := r.SliceLen(8 * 8)
-			if notNil && r.Err() == nil {
-				v.Job.Parts = make([]dist.Particle, n)
-				for i := range v.Job.Parts {
-					q := &v.Job.Parts[i]
-					q.ID = int(r.I64())
-					q.Mass = r.F64()
-					q.Pos = getV3(r)
-					q.Vel = getV3(r)
-				}
-			}
-			return v, r.Err()
+	transport.Register(idJobStart, func(c *recio.Coder, v *jobStart) {
+		c.U32(&v.Epoch)
+		c.Str(&v.Job.Name)
+		recio.Int32(c, &v.Job.Ranks)
+		recio.Int32(c, &v.Job.Steps)
+		codeProfile(c, &v.Job.Profile)
+		codeConfig(c, &v.Job.Config)
+		c.V3(&v.Job.Domain.Min)
+		c.V3(&v.Job.Domain.Max)
+		recio.Slice(c, &v.Job.Parts, 8*8, nil, func(c *recio.Coder, q *dist.Particle) {
+			recio.Int64(c, &q.ID)
+			c.F64(&q.Mass)
+			c.V3(&q.Pos)
+			c.V3(&q.Vel)
 		})
-	transport.Register(idStepCmd,
-		func(w *transport.Writer, v stepCmd) {
-			w.U32(v.Epoch)
-			w.I32(v.Step)
-		},
-		func(r *transport.Reader) (stepCmd, error) {
-			return stepCmd{Epoch: r.U32(), Step: r.I32()}, r.Err()
-		})
-	transport.Register(idEndJob,
-		func(w *transport.Writer, v endJob) { w.U32(v.Epoch) },
-		func(r *transport.Reader) (endJob, error) {
-			return endJob{Epoch: r.U32()}, r.Err()
-		})
-	transport.Register(idShutdown,
-		func(w *transport.Writer, v shutdown) {},
-		func(r *transport.Reader) (shutdown, error) { return shutdown{}, nil })
-	transport.Register(idJobReady,
-		func(w *transport.Writer, v jobReady) {
-			w.U32(v.Epoch)
-			w.Str(v.Err)
-		},
-		func(r *transport.Reader) (jobReady, error) {
-			return jobReady{Epoch: r.U32(), Err: r.Str()}, r.Err()
-		})
+	})
+	transport.Register(idStepCmd, func(c *recio.Coder, v *stepCmd) {
+		c.U32(&v.Epoch)
+		c.I32(&v.Step)
+	})
+	transport.Register(idEndJob, func(c *recio.Coder, v *endJob) { c.U32(&v.Epoch) })
+	transport.Register(idShutdown, func(*recio.Coder, *shutdown) {})
+	transport.Register(idJobReady, func(c *recio.Coder, v *jobReady) {
+		c.U32(&v.Epoch)
+		c.Str(&v.Err)
+	})
 }

@@ -36,7 +36,8 @@ type Supervisor struct {
 	// the first fault; the service layer re-queues instead).
 	MaxRetries int
 	// BackoffBase is the first inter-attempt delay, doubling up to
-	// BackoffMax. Defaults 200ms and 5s.
+	// BackoffMax, each wait jittered (transport.Backoff). Defaults 200ms
+	// and 5s.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	// SetupTimeout and StepTimeout are applied to every Coordinator the
@@ -166,18 +167,14 @@ func (s *Supervisor) Run(job Job, onStep func(step int, res *parbh.Result) bool)
 // only recur.
 func (s *Supervisor) RunFrom(job Job, from int, onStep func(step int, res *parbh.Result) bool) (*parbh.Result, error) {
 	resume := from
-	backoff := s.BackoffBase
-	if backoff <= 0 {
-		backoff = 200 * time.Millisecond
-	}
+	backoff := transport.NewBackoff(orDefault(s.BackoffBase, 200*time.Millisecond), orDefault(s.BackoffMax, 5*time.Second), "supervisor")
 	for attempt := 0; ; attempt++ {
 		if err := s.Ensure(); err != nil {
 			if attempt >= s.MaxRetries {
 				return nil, fmt.Errorf("cluster: assembling machine: %w", err)
 			}
 			s.logf("cluster: assembly failed (attempt %d/%d): %v", attempt+1, s.MaxRetries, err)
-			time.Sleep(backoff)
-			backoff = nextBackoff(backoff, s.BackoffMax)
+			time.Sleep(backoff.Next())
 			continue
 		}
 		res, err := s.coord.RunFrom(job, resume, func(step int, r *parbh.Result) bool {
@@ -199,8 +196,7 @@ func (s *Supervisor) RunFrom(job Job, from int, onStep func(step int, res *parbh
 		if s.OnRecovery != nil {
 			s.OnRecovery(ev)
 		}
-		time.Sleep(backoff)
-		backoff = nextBackoff(backoff, s.BackoffMax)
+		time.Sleep(backoff.Next())
 	}
 }
 
@@ -214,15 +210,12 @@ func (s *Supervisor) Shutdown() error {
 	return err
 }
 
-func nextBackoff(cur, max time.Duration) time.Duration {
-	if max <= 0 {
-		max = 5 * time.Second
+// orDefault is d, or def when d is unset.
+func orDefault(d, def time.Duration) time.Duration {
+	if d <= 0 {
+		return def
 	}
-	cur *= 2
-	if cur > max {
-		cur = max
-	}
-	return cur
+	return d
 }
 
 // RejoinPolicy tunes a worker's rejoin loop.
@@ -231,8 +224,8 @@ type RejoinPolicy struct {
 	// giving up; negative means retry forever. Successful admission
 	// resets the count.
 	Max int
-	// Base is the first backoff between cycles, doubling up to MaxWait.
-	// Defaults 200ms and 5s.
+	// Base is the first backoff between cycles, doubling up to MaxWait,
+	// each wait jittered (transport.Backoff). Defaults 200ms and 5s.
 	Base    time.Duration
 	MaxWait time.Duration
 }
@@ -247,11 +240,7 @@ func ServeLoop(join func() (transport.Link, error), pol RejoinPolicy, logf func(
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	base := pol.Base
-	if base <= 0 {
-		base = 200 * time.Millisecond
-	}
-	backoff := base
+	backoff := transport.NewBackoff(orDefault(pol.Base, 200*time.Millisecond), orDefault(pol.MaxWait, 5*time.Second), "worker")
 	failures := 0
 	var lastErr error
 	for {
@@ -262,13 +251,13 @@ func ServeLoop(join func() (transport.Link, error), pol RejoinPolicy, logf func(
 			if pol.Max >= 0 && failures > pol.Max {
 				return fmt.Errorf("cluster: worker giving up after %d failed cycle(s): %w", failures, lastErr)
 			}
-			logf("join failed (cycle %d): %v; retrying in %v", failures, err, backoff)
-			time.Sleep(backoff)
-			backoff = nextBackoff(backoff, pol.MaxWait)
+			wait := backoff.Next()
+			logf("join failed (cycle %d): %v; retrying in %v", failures, err, wait)
+			time.Sleep(wait)
 			continue
 		}
 		failures = 0
-		backoff = base
+		backoff.Reset()
 		err = Serve(link, logf)
 		if err == nil {
 			link.Close()
@@ -283,8 +272,8 @@ func ServeLoop(join func() (transport.Link, error), pol RejoinPolicy, logf func(
 		if pol.Max >= 0 && failures > pol.Max {
 			return fmt.Errorf("cluster: worker giving up after %d failed cycle(s): %w", failures, lastErr)
 		}
-		logf("serve failed (cycle %d): %v; rejoining in %v", failures, err, backoff)
-		time.Sleep(backoff)
-		backoff = nextBackoff(backoff, pol.MaxWait)
+		wait := backoff.Next()
+		logf("serve failed (cycle %d): %v; rejoining in %v", failures, err, wait)
+		time.Sleep(wait)
 	}
 }

@@ -53,7 +53,7 @@ type Agent struct {
 	byLease  map[uint64]*agentJob // current lease → same (cancel lookup)
 	sess     *agentSession        // live gateway session, nil during outages
 	park     *parkStore
-	bo       *backoff
+	bo       *transport.Backoff
 }
 
 // agentJob is one gateway-leased job the agent is running locally. It
@@ -96,7 +96,7 @@ func (a *Agent) Run(stop <-chan struct{}) {
 		a.byLease = make(map[uint64]*agentJob)
 	}
 	if a.bo == nil {
-		a.bo = newBackoff(250*time.Millisecond, 5*time.Second, a.Name)
+		a.bo = transport.NewBackoff(250*time.Millisecond, 5*time.Second, a.Name)
 	}
 	if a.park == nil {
 		ps, err := newParkStore(a.ParkDir)
@@ -145,9 +145,9 @@ func (a *Agent) Run(stop <-chan struct{}) {
 		default:
 		}
 		if welcomed {
-			a.bo.reset()
+			a.bo.Reset()
 		}
-		d := a.bo.next()
+		d := a.bo.Next()
 		if err != nil {
 			a.Logf("fabric agent %s: session ended: %v (reconnecting in %v)", a.Name, err, d.Round(time.Millisecond))
 		}
@@ -326,7 +326,7 @@ func (a *Agent) drainParked(s *agentSession, stop <-chan struct{}) {
 				return
 			case <-s.gone:
 				return
-			case <-time.After(a.bo.jitter(5*time.Millisecond, 40*time.Millisecond)):
+			case <-time.After(a.bo.Jitter(5*time.Millisecond, 40*time.Millisecond)):
 			}
 		}
 		if s.send(Parked{JobID: p.JobID, State: p.State, Err: p.Err, ResultJSON: p.Result}) != nil {

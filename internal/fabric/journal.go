@@ -1,26 +1,24 @@
 package fabric
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"time"
+
+	"repro/internal/recio"
 )
 
 // The gateway journal is a durable write-ahead log of every state
 // transition the gateway cannot afford to forget: submissions, tenant
 // admission state, lease assignments, cancels, completions, and
-// replicated keyframes. It shares the frame-store record discipline
-// (internal/frames): a magic prefix, then CRC-framed records
-//
-//	[u32 bodyLen][u8 kind][body][u32 crc32c(kind||body)]
-//
-// so a torn tail from a crash mid-append truncates cleanly on reopen
-// and a flipped bit fails the checksum instead of replaying garbage.
+// replicated keyframes. It is a magic prefix followed by internal/recio
+// records — the frame store's format — so a torn tail from a crash
+// mid-append truncates cleanly on reopen, and a flipped bit anywhere
+// else fails the checksum and refuses the open instead of replaying
+// garbage or silently dropping the acknowledged records behind it.
 // Record bodies are JSON: the journal is a recovery log, not a hot
 // path, and debuggability beats density here. Compaction rewrites the
 // file as one snapshot record through a temp file + rename, so a crash
@@ -37,20 +35,6 @@ const (
 	jrecJob      byte = 2
 	jrecKeyframe byte = 3
 )
-
-const (
-	journalHeaderLen = 5 // u32 body length + u8 kind
-	journalCRCLen    = 4
-	// maxJournalRecord bounds the allocation a corrupt length prefix can
-	// force. Snapshots carry every live result, so the bound is generous.
-	maxJournalRecord = 256 << 20
-)
-
-// errJournalCorrupt marks a record that fails framing or checksum
-// validation; replay stops at the last valid record.
-var errJournalCorrupt = errors.New("fabric: corrupt journal record")
-
-var journalCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // journalJob is the durable form of one GwJob. Every mutation appends
 // the job's full record; replay keeps the last one per ID, so the log
@@ -205,62 +189,28 @@ func (st *JournalState) apply(kind byte, body []byte) error {
 	return nil
 }
 
-// appendJournalRecord frames one record onto buf: header, body, CRC.
-func appendJournalRecord(buf []byte, kind byte, body []byte) []byte {
-	var hdr [journalHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(body)))
-	hdr[4] = kind
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, body...)
-	crc := crc32.Update(0, journalCRC, hdr[4:5])
-	crc = crc32.Update(crc, journalCRC, body)
-	return binary.LittleEndian.AppendUint32(buf, crc)
-}
-
-// readJournalRecord parses one framed record from the front of buf,
-// returning the record and the total bytes it occupies. It never panics
-// and never allocates beyond the validated body length; any framing or
-// checksum violation returns errJournalCorrupt.
-func readJournalRecord(buf []byte) (kind byte, body []byte, n int, err error) {
-	if len(buf) < journalHeaderLen+journalCRCLen {
-		return 0, nil, 0, errJournalCorrupt
-	}
-	bodyLen := binary.LittleEndian.Uint32(buf[:4])
-	kind = buf[4]
-	if bodyLen > maxJournalRecord {
-		return 0, nil, 0, errJournalCorrupt
-	}
-	n = journalHeaderLen + int(bodyLen) + journalCRCLen
-	if len(buf) < n {
-		return 0, nil, 0, errJournalCorrupt
-	}
-	body = buf[journalHeaderLen : journalHeaderLen+int(bodyLen)]
-	crc := crc32.Update(0, journalCRC, buf[4:5])
-	crc = crc32.Update(crc, journalCRC, body)
-	if crc != binary.LittleEndian.Uint32(buf[journalHeaderLen+int(bodyLen):n]) {
-		return 0, nil, 0, errJournalCorrupt
-	}
-	return kind, body, n, nil
-}
-
 // replayJournal scans a journal image (after the magic), applying every
-// valid record and reporting how many bytes of the image are good. A
-// torn or corrupt tail ends the scan without error — that is the
-// crash-mid-append case reopen truncates away.
+// record, and reports how many bytes of the image are good. A torn tail
+// — the crash-mid-append case — ends the scan without error and reopen
+// truncates it away. Anything else that does not read back (a checksum
+// failure with records behind it, an absurd length, a record that frames
+// correctly but does not decode) is corruption: it is returned with the
+// offset of the bad record and nothing may be truncated on its account.
 func replayJournal(data []byte) (*JournalState, int, error) {
 	st := newJournalState()
 	off := 0
 	for off < len(data) {
-		kind, body, n, err := readJournalRecord(data[off:])
+		rec, err := recio.Parse(data[off:])
+		if errors.Is(err, recio.ErrTorn) {
+			break
+		}
+		if err == nil {
+			err = st.apply(rec.Kind, rec.Body)
+		}
 		if err != nil {
-			return st, off, nil // torn tail: valid prefix ends here
+			return nil, off, err
 		}
-		if err := st.apply(kind, body); err != nil {
-			// A record that frames correctly but decodes badly is real
-			// corruption, not a torn append; stop and keep the prefix.
-			return st, off, nil
-		}
-		off += n
+		off += rec.Len
 	}
 	return st, off, nil
 }
@@ -299,7 +249,8 @@ const journalCompactBytes = 4 << 20
 
 // OpenJournal opens (creating if absent) the journal at path, replays
 // it, and truncates any torn tail so the next append lands on a clean
-// record boundary. The returned state is nil for a fresh journal.
+// record boundary. A corrupt record fails the open and leaves the file
+// untouched. The returned state is nil for a fresh journal.
 func OpenJournal(path string) (*Journal, *JournalState, error) {
 	data, err := os.ReadFile(path)
 	fresh := false
@@ -328,8 +279,12 @@ func OpenJournal(path string) (*Journal, *JournalState, error) {
 	if len(data) < len(journalMagic) || string(data[:len(journalMagic)]) != journalMagic {
 		return nil, nil, fmt.Errorf("fabric: %s is not a gateway journal (bad magic)", path)
 	}
-	st, good, _ := replayJournal(data[len(journalMagic):])
+	st, good, err := replayJournal(data[len(journalMagic):])
 	end := int64(len(journalMagic) + good)
+	if err != nil {
+		return nil, nil, fmt.Errorf("fabric: journal %s: bad record at offset %d of %d (file left untouched): %w",
+			path, end, len(data), err)
+	}
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("fabric: opening journal %s: %w", path, err)
@@ -365,8 +320,8 @@ func (jl *Journal) Size() int64 {
 // crash leaves at worst one torn record at the tail. A failed or short
 // write (ENOSPC, EIO) is rolled back to the last record boundary:
 // otherwise the partial record's length prefix would make replay swallow
-// the good records appended after it, fail the CRC, and truncate them
-// all away as a torn tail.
+// the good records appended after it and fail the CRC — a torn tail that
+// truncates them all away, or corruption that refuses the next open.
 func (jl *Journal) append(kind byte, v any) error {
 	if jl == nil {
 		return nil
@@ -378,7 +333,7 @@ func (jl *Journal) append(kind byte, v any) error {
 	if err != nil {
 		return err
 	}
-	rec := appendJournalRecord(nil, kind, body)
+	rec := recio.Append(nil, kind, body)
 	if _, err := jl.f.Write(rec); err != nil {
 		if rerr := jl.rollback(); rerr != nil {
 			jl.tornTail = true
@@ -428,7 +383,7 @@ func (jl *Journal) Compact(snap *journalSnapshot) error {
 	if err != nil {
 		return err
 	}
-	buf := append([]byte(journalMagic), appendJournalRecord(nil, jrecSnapshot, body)...)
+	buf := recio.Append([]byte(journalMagic), jrecSnapshot, body)
 	tmp := jl.path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {

@@ -7,9 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/recio"
 )
 
 func testJournalJob(id, state string, lease uint64, shard string) *journalJob {
@@ -104,7 +107,7 @@ func TestJournalCrashMidAppendTruncatesTornTail(t *testing.T) {
 
 	// Simulate the crash: a second record written only half-way out.
 	body, _ := json.Marshal(testJournalJob("g2", "queued", 0, ""))
-	rec := appendJournalRecord(nil, jrecJob, body)
+	rec := recio.Append(nil, jrecJob, body)
 	for cut := 1; cut < len(rec); cut += 7 {
 		torn := append(append([]byte(nil), full...), rec[:cut]...)
 		if err := os.WriteFile(path, torn, 0o644); err != nil {
@@ -276,6 +279,46 @@ func TestJournalCorruptRecordStopsReplay(t *testing.T) {
 	}
 }
 
+// Corruption that no crash explains must fail the open and leave the
+// file alone: a flipped bit in the first of three records used to be
+// taken for a torn tail, and the truncation behind it silently deleted
+// the two acknowledged jobs that followed. So must a record that frames
+// correctly but does not decode.
+func TestJournalMidFileCorruptionRefusesOpen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gw.journal")
+	jl, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"g1", "g2", "g3"} {
+		if err := jl.AppendJob(testJournalJob(id, "queued", 0, "")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jl.Close()
+	good, _ := os.ReadFile(path)
+
+	flipped := append([]byte(nil), good...)
+	flipped[len(journalMagic)+recio.HeaderLen+10] ^= 0x40 // inside g1's record body
+	undecodable := append(append([]byte(nil), good...), recio.Append(nil, jrecJob, []byte(`{"id":`))...)
+	for name, image := range map[string][]byte{"flipped bit": flipped, "undecodable body": undecodable} {
+		if err := os.WriteFile(path, image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		jl2, st, err := OpenJournal(path)
+		if err == nil {
+			jl2.Close()
+			t.Fatalf("%s: open succeeded with state %+v", name, st)
+		}
+		if !strings.Contains(err.Error(), "offset") {
+			t.Errorf("%s: error %q does not name the offset", name, err)
+		}
+		if after, _ := os.ReadFile(path); !bytes.Equal(after, image) {
+			t.Errorf("%s: failed open changed the file: %d bytes, was %d", name, len(after), len(image))
+		}
+	}
+}
+
 // Compaction must be a lossless round trip: replaying the snapshot file
 // yields the same state the snapshot described, and subsequent appends
 // merge on top of it.
@@ -344,80 +387,30 @@ func TestJournalSnapshotCompactRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzReadJournalRecord hammers the record parser with mutated frames:
-// it must never panic, never over-read, and anything it accepts must
-// re-encode to the identical bytes.
+// FuzzReadJournalRecord hammers journal replay with mutated images: it
+// must never panic, never report more good bytes than it was given, and
+// whatever prefix it accepts must replay again to the same length. (The
+// record framing itself is fuzzed once, in internal/recio.)
 func FuzzReadJournalRecord(f *testing.F) {
 	body, _ := json.Marshal(testJournalJob("g1", "running", 3, "s0"))
-	f.Add(appendJournalRecord(nil, jrecJob, body))
-	f.Add(appendJournalRecord(nil, jrecKeyframe, []byte(`{"id":"g1","step":4,"data":"aGk="}`)))
-	f.Add(appendJournalRecord(nil, jrecSnapshot, []byte(`{"order":[]}`)))
+	f.Add(recio.Append(nil, jrecJob, body))
+	f.Add(recio.Append(nil, jrecKeyframe, []byte(`{"id":"g1","step":4,"data":"aGk="}`)))
+	f.Add(recio.Append(nil, jrecSnapshot, []byte(`{"order":[]}`)))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 2, 0, 0, 0, 0})
-	f.Add(bytes.Repeat([]byte{0}, journalHeaderLen+journalCRCLen))
+	f.Add(bytes.Repeat([]byte{0}, recio.HeaderLen+recio.CRCLen))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		kind, body, n, err := readJournalRecord(data)
+		_, good, err := replayJournal(data)
+		if good > len(data) {
+			t.Fatalf("replay over-reads: good=%d > len=%d", good, len(data))
+		}
 		if err != nil {
 			return
 		}
-		if n > len(data) {
-			t.Fatalf("accepted record over-reads: n=%d > len=%d", n, len(data))
-		}
-		if !bytes.Equal(appendJournalRecord(nil, kind, body), data[:n]) {
-			t.Fatalf("accepted record does not round-trip")
+		if _, again, err := replayJournal(data[:good]); err != nil || again != good {
+			t.Fatalf("accepted prefix replays to %d bytes, %v; want %d", again, err, good)
 		}
 	})
-}
-
-// The jittered backoff must (a) stay inside [d/2, d) while d doubles
-// from base to cap, and (b) decorrelate two agents: satellite-1's
-// thundering-herd regression.
-func TestBackoffJitterSpread(t *testing.T) {
-	base, cap := 100*time.Millisecond, 800*time.Millisecond
-	b := newBackoffSeeded(base, cap, 1)
-	want := base
-	for i := 0; i < 20; i++ {
-		d := b.next()
-		if d < want/2 || d >= want {
-			t.Fatalf("draw %d: delay %v outside [%v, %v)", i, d, want/2, want)
-		}
-		if want < cap {
-			want *= 2
-			if want > cap {
-				want = cap
-			}
-		}
-	}
-	b.reset()
-	if d := b.next(); d < base/2 || d >= base {
-		t.Fatalf("after reset: delay %v outside [%v, %v)", d, base/2, base)
-	}
-
-	// Two seeds must not produce the same schedule, and repeated draws
-	// at the cap must actually spread over the jitter window.
-	b1, b2 := newBackoffSeeded(base, cap, 42), newBackoffSeeded(base, cap, 43)
-	same := true
-	seen := make(map[time.Duration]bool)
-	for i := 0; i < 64; i++ {
-		d1, d2 := b1.next(), b2.next()
-		if d1 != d2 {
-			same = false
-		}
-		seen[d1] = true
-	}
-	if same {
-		t.Fatal("two differently-seeded backoffs produced identical schedules")
-	}
-	if len(seen) < 16 {
-		t.Fatalf("64 draws produced only %d distinct delays; jitter is not spreading", len(seen))
-	}
-
-	// jitter() draws stay inside the half-open interval.
-	for i := 0; i < 100; i++ {
-		if d := b1.jitter(5*time.Millisecond, 40*time.Millisecond); d < 5*time.Millisecond || d >= 40*time.Millisecond {
-			t.Fatalf("jitter draw %v outside [5ms, 40ms)", d)
-		}
-	}
 }
 
 // Parked results must survive an agent restart via the spool directory

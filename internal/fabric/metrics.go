@@ -2,81 +2,12 @@ package fabric
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obsv"
 )
-
-// LabeledCounter is a counter family with one label dimension, rendered
-// in Prometheus text exposition as name{label="value"} rows. Values are
-// created on first use; rendering is sorted so output is diff-stable.
-type LabeledCounter struct {
-	name  string
-	help  string
-	label string
-
-	mu sync.Mutex
-	m  map[string]*atomic.Int64
-}
-
-// NewLabeledCounter builds a counter family keyed by one label.
-func NewLabeledCounter(name, help, label string) *LabeledCounter {
-	return &LabeledCounter{name: name, help: help, label: label, m: make(map[string]*atomic.Int64)}
-}
-
-// Add increments the counter for one label value.
-func (c *LabeledCounter) Add(value string, delta int64) {
-	c.mu.Lock()
-	ctr, ok := c.m[value]
-	if !ok {
-		ctr = &atomic.Int64{}
-		c.m[value] = ctr
-	}
-	c.mu.Unlock()
-	ctr.Add(delta)
-}
-
-// Get returns the count for one label value.
-func (c *LabeledCounter) Get(value string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ctr, ok := c.m[value]; ok {
-		return ctr.Load()
-	}
-	return 0
-}
-
-// Total sums the family.
-func (c *LabeledCounter) Total() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var sum int64
-	for _, ctr := range c.m {
-		sum += ctr.Load()
-	}
-	return sum
-}
-
-// Render appends the family's exposition rows. A family with no
-// observations still emits its TYPE header so scrapers learn the
-// schema.
-func (c *LabeledCounter) Render(b *strings.Builder) {
-	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n", c.name, c.help, c.name)
-	c.mu.Lock()
-	values := make([]string, 0, len(c.m))
-	for v := range c.m {
-		values = append(values, v)
-	}
-	sort.Strings(values)
-	for _, v := range values {
-		fmt.Fprintf(b, "%s{%s=%q} %d\n", c.name, c.label, v, c.m[v].Load())
-	}
-	c.mu.Unlock()
-}
 
 // Metrics aggregates the gateway's counters, gauges, and histograms,
 // rendered under the nbodygw_ prefix in the same Prometheus text
@@ -120,10 +51,10 @@ type Metrics struct {
 	// re-queues of leased jobs by the TransportError fault kind that
 	// killed their shard; Admitted/Rejected count per-tenant admission
 	// decisions.
-	Routed   *LabeledCounter
-	Rerouted *LabeledCounter
-	Admitted *LabeledCounter
-	Rejected *LabeledCounter
+	Routed   *obsv.LabeledCounter
+	Rerouted *obsv.LabeledCounter
+	Admitted *obsv.LabeledCounter
+	Rejected *obsv.LabeledCounter
 
 	// RouteSeconds is the host-clock latency from gateway admission to
 	// lease grant (queueing + routing, not simulation).
@@ -134,13 +65,13 @@ type Metrics struct {
 func NewMetrics(now time.Time) *Metrics {
 	return &Metrics{
 		start: now,
-		Routed: NewLabeledCounter("nbodygw_jobs_routed_total",
+		Routed: obsv.NewLabeledCounter("nbodygw_jobs_routed_total",
 			"Jobs leased to a shard, by shard name.", "shard"),
-		Rerouted: NewLabeledCounter("nbodygw_jobs_rerouted_total",
+		Rerouted: obsv.NewLabeledCounter("nbodygw_jobs_rerouted_total",
 			"Leased jobs re-queued after a shard fault, by fault kind.", "fault"),
-		Admitted: NewLabeledCounter("nbodygw_tenant_admitted_total",
+		Admitted: obsv.NewLabeledCounter("nbodygw_tenant_admitted_total",
 			"Submissions admitted past the tenant quota, by tenant.", "tenant"),
-		Rejected: NewLabeledCounter("nbodygw_tenant_rejected_total",
+		Rejected: obsv.NewLabeledCounter("nbodygw_tenant_rejected_total",
 			"Submissions rejected by the tenant quota or backlog bound, by tenant.", "tenant"),
 		RouteSeconds: obsv.NewHistogram("nbodygw_route_seconds",
 			"Host seconds from gateway admission to lease grant.",
@@ -181,19 +112,8 @@ func (m *Metrics) Render(now time.Time) string {
 		"nbodygw_journal_bytes":                 fmt.Sprintf("%d", m.JournalBytes.Load()),
 		"nbodygw_reconcile_seconds":             fmt.Sprintf("%.6f", m.ReconcileSeconds()),
 	}
-	names := make([]string, 0, len(rows))
-	for name := range rows {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	var b strings.Builder
-	for _, name := range names {
-		kind := "counter"
-		if !strings.HasSuffix(name, "_total") {
-			kind = "gauge"
-		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n%s %s\n", name, kind, name, rows[name])
-	}
+	obsv.RenderRows(&b, rows)
 	m.Routed.Render(&b)
 	m.Rerouted.Render(&b)
 	m.Admitted.Render(&b)

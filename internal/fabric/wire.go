@@ -21,8 +21,7 @@
 package fabric
 
 import (
-	"fmt"
-
+	"repro/internal/recio"
 	"repro/internal/transport"
 )
 
@@ -198,150 +197,95 @@ type Release struct {
 }
 
 func init() {
-	transport.Register(idHello,
-		func(w *transport.Writer, v Hello) {
-			w.Str(v.Name)
-			w.Str(v.HTTPAddr)
-			w.I32(v.Capacity)
-		},
-		func(r *transport.Reader) (Hello, error) {
-			return Hello{Name: r.Str(), HTTPAddr: r.Str(), Capacity: r.I32()}, r.Err()
-		})
-	transport.Register(idWelcome,
-		func(w *transport.Writer, v Welcome) {
-			w.I32(v.ShardID)
-			w.I64(v.LeaseTTLMillis)
-			w.I64(v.HeartbeatMillis)
-		},
-		func(r *transport.Reader) (Welcome, error) {
-			return Welcome{ShardID: r.I32(), LeaseTTLMillis: r.I64(), HeartbeatMillis: r.I64()}, r.Err()
-		})
-	transport.Register(idAssign,
-		func(w *transport.Writer, v Assign) {
-			w.U64(v.Lease)
-			w.Str(v.JobID)
-			w.Raw(v.SpecJSON)
-			w.I64(v.ResumeStep)
-			w.Raw(v.Keyframe)
-		},
-		func(r *transport.Reader) (Assign, error) {
-			return Assign{Lease: r.U64(), JobID: r.Str(), SpecJSON: r.Raw(),
-				ResumeStep: r.I64(), Keyframe: r.Raw()}, r.Err()
-		})
-	transport.Register(idAccept,
-		func(w *transport.Writer, v Accept) {
-			w.U64(v.Lease)
-			w.Str(v.JobID)
-			w.Str(v.LocalID)
-			w.Str(v.Err)
-			w.I64(v.ResumedStep)
-		},
-		func(r *transport.Reader) (Accept, error) {
-			return Accept{Lease: r.U64(), JobID: r.Str(), LocalID: r.Str(), Err: r.Str(),
-				ResumedStep: r.I64()}, r.Err()
-		})
-	transport.Register(idUpdate,
-		func(w *transport.Writer, v Update) {
-			w.U64(v.Lease)
-			w.Str(v.JobID)
-			w.Str(v.State)
-			w.Raw(v.ProgressJSON)
-		},
-		func(r *transport.Reader) (Update, error) {
-			return Update{Lease: r.U64(), JobID: r.Str(), State: r.Str(), ProgressJSON: r.Raw()}, r.Err()
-		})
-	transport.Register(idDone,
-		func(w *transport.Writer, v Done) {
-			w.U64(v.Lease)
-			w.Str(v.JobID)
-			w.Str(v.State)
-			w.Str(v.Err)
-			w.Raw(v.ResultJSON)
-		},
-		func(r *transport.Reader) (Done, error) {
-			return Done{Lease: r.U64(), JobID: r.Str(), State: r.Str(), Err: r.Str(), ResultJSON: r.Raw()}, r.Err()
-		})
-	transport.Register(idPing,
-		func(w *transport.Writer, v Ping) { w.I64(v.Nanos) },
-		func(r *transport.Reader) (Ping, error) { return Ping{Nanos: r.I64()}, r.Err() })
-	transport.Register(idPong,
-		func(w *transport.Writer, v Pong) { w.I64(v.Nanos) },
-		func(r *transport.Reader) (Pong, error) { return Pong{Nanos: r.I64()}, r.Err() })
-	transport.Register(idCancel,
-		func(w *transport.Writer, v Cancel) {
-			w.U64(v.Lease)
-			w.Str(v.JobID)
-		},
-		func(r *transport.Reader) (Cancel, error) {
-			return Cancel{Lease: r.U64(), JobID: r.Str()}, r.Err()
-		})
-	transport.Register(idKeyframe,
-		func(w *transport.Writer, v Keyframe) {
-			w.U64(v.Lease)
-			w.Str(v.JobID)
-			w.I64(v.Step)
-			w.Raw(v.Data)
-		},
-		func(r *transport.Reader) (Keyframe, error) {
-			return Keyframe{Lease: r.U64(), JobID: r.Str(), Step: r.I64(), Data: r.Raw()}, r.Err()
-		})
-	transport.Register(idReport,
-		func(w *transport.Writer, v ReportJobs) {
-			w.U32(uint32(len(v.Jobs)))
-			for _, j := range v.Jobs {
-				w.Str(j.JobID)
-				w.Str(j.LocalID)
-				w.I64(j.Step)
-			}
-		},
-		func(r *transport.Reader) (ReportJobs, error) {
-			n := r.U32()
-			if err := r.Err(); err != nil {
-				return ReportJobs{}, err
-			}
+	transport.Register(idHello, func(c *recio.Coder, v *Hello) {
+		c.Str(&v.Name)
+		c.Str(&v.HTTPAddr)
+		c.I32(&v.Capacity)
+	})
+	transport.Register(idWelcome, func(c *recio.Coder, v *Welcome) {
+		c.I32(&v.ShardID)
+		c.I64(&v.LeaseTTLMillis)
+		c.I64(&v.HeartbeatMillis)
+	})
+	transport.Register(idAssign, func(c *recio.Coder, v *Assign) {
+		c.U64(&v.Lease)
+		c.Str(&v.JobID)
+		c.Bytes(&v.SpecJSON)
+		c.I64(&v.ResumeStep)
+		c.Bytes(&v.Keyframe)
+	})
+	transport.Register(idAccept, func(c *recio.Coder, v *Accept) {
+		c.U64(&v.Lease)
+		c.Str(&v.JobID)
+		c.Str(&v.LocalID)
+		c.Str(&v.Err)
+		c.I64(&v.ResumedStep)
+	})
+	transport.Register(idUpdate, func(c *recio.Coder, v *Update) {
+		c.U64(&v.Lease)
+		c.Str(&v.JobID)
+		c.Str(&v.State)
+		c.Bytes(&v.ProgressJSON)
+	})
+	transport.Register(idDone, func(c *recio.Coder, v *Done) {
+		c.U64(&v.Lease)
+		c.Str(&v.JobID)
+		c.Str(&v.State)
+		c.Str(&v.Err)
+		c.Bytes(&v.ResultJSON)
+	})
+	transport.Register(idPing, func(c *recio.Coder, v *Ping) { c.I64(&v.Nanos) })
+	transport.Register(idPong, func(c *recio.Coder, v *Pong) { c.I64(&v.Nanos) })
+	transport.Register(idCancel, func(c *recio.Coder, v *Cancel) {
+		c.U64(&v.Lease)
+		c.Str(&v.JobID)
+	})
+	transport.Register(idKeyframe, func(c *recio.Coder, v *Keyframe) {
+		c.U64(&v.Lease)
+		c.Str(&v.JobID)
+		c.I64(&v.Step)
+		c.Bytes(&v.Data)
+	})
+	transport.Register(idReport, func(c *recio.Coder, v *ReportJobs) {
+		// The one list on the wire whose count is a plain u32 with no nil
+		// marker: an empty report and a nil one are the same four bytes,
+		// and both decode to nil.
+		n := uint32(len(v.Jobs))
+		c.U32(&n)
+		if c.Decoding {
 			// Each entry is at least 2 length-prefixed strings + an i64;
 			// bound the allocation before trusting the count.
-			if int(n) > r.Remaining()/16+1 {
-				return ReportJobs{}, fmt.Errorf("fabric: report count %d exceeds frame", n)
+			if int(n) > c.R.Remaining()/16 {
+				c.R.Fail("fabric: report count %d exceeds frame", n)
+				return
 			}
-			v := ReportJobs{}
-			for i := uint32(0); i < n; i++ {
-				v.Jobs = append(v.Jobs, ReportedJob{JobID: r.Str(), LocalID: r.Str(), Step: r.I64()})
+			if n > 0 {
+				v.Jobs = make([]ReportedJob, n)
 			}
-			return v, r.Err()
-		})
-	transport.Register(idAdopt,
-		func(w *transport.Writer, v Adopt) {
-			w.U64(v.Lease)
-			w.Str(v.JobID)
-			w.Str(v.LocalID)
-		},
-		func(r *transport.Reader) (Adopt, error) {
-			return Adopt{Lease: r.U64(), JobID: r.Str(), LocalID: r.Str()}, r.Err()
-		})
-	transport.Register(idParked,
-		func(w *transport.Writer, v Parked) {
-			w.Str(v.JobID)
-			w.Str(v.State)
-			w.Str(v.Err)
-			w.Raw(v.ResultJSON)
-		},
-		func(r *transport.Reader) (Parked, error) {
-			return Parked{JobID: r.Str(), State: r.Str(), Err: r.Str(), ResultJSON: r.Raw()}, r.Err()
-		})
-	transport.Register(idParkedAck,
-		func(w *transport.Writer, v ParkedAck) { w.Str(v.JobID) },
-		func(r *transport.Reader) (ParkedAck, error) {
-			return ParkedAck{JobID: r.Str()}, r.Err()
-		})
-	transport.Register(idRelease,
-		func(w *transport.Writer, v Release) {
-			w.Str(v.JobID)
-			w.Str(v.LocalID)
-		},
-		func(r *transport.Reader) (Release, error) {
-			return Release{JobID: r.Str(), LocalID: r.Str()}, r.Err()
-		})
+		}
+		for i := range v.Jobs {
+			j := &v.Jobs[i]
+			c.Str(&j.JobID)
+			c.Str(&j.LocalID)
+			c.I64(&j.Step)
+		}
+	})
+	transport.Register(idAdopt, func(c *recio.Coder, v *Adopt) {
+		c.U64(&v.Lease)
+		c.Str(&v.JobID)
+		c.Str(&v.LocalID)
+	})
+	transport.Register(idParked, func(c *recio.Coder, v *Parked) {
+		c.Str(&v.JobID)
+		c.Str(&v.State)
+		c.Str(&v.Err)
+		c.Bytes(&v.ResultJSON)
+	})
+	transport.Register(idParkedAck, func(c *recio.Coder, v *ParkedAck) { c.Str(&v.JobID) })
+	transport.Register(idRelease, func(c *recio.Coder, v *Release) {
+		c.Str(&v.JobID)
+		c.Str(&v.LocalID)
+	})
 }
 
 // encodeControl frames one fabric control message: a transport host

@@ -1,11 +1,10 @@
 // Package frames is the columnar frame store: the time-series output
 // layer of the simulation service. A frame file is an append-only chain
-// of CRC-framed records — the same length-prefix-then-validate
-// discipline as the transport wire format — holding per-field particle
-// columns (positions, velocities, mass as contiguous []float64, the
-// same structure-of-arrays transposition dist.Particles uses in RAM)
-// plus a per-frame metrics header that is a superset of the root
-// package's HistoryEntry.
+// of internal/recio records — the CRC framing the gateway journal shares
+// — holding per-field particle columns (positions, velocities, mass as
+// contiguous []float64, the same structure-of-arrays transposition
+// dist.Particles uses in RAM) plus a per-frame metrics header that is a
+// superset of the root package's HistoryEntry.
 //
 // Keyframes carry full columns; the frames between two keyframes are
 // delta-encoded as XOR-of-Float64bits against the previous frame.
@@ -18,28 +17,28 @@
 // Layout:
 //
 //	magic "NBF1"
-//	record := [u32 bodyLen][u8 kind][body][u32 crc32c(kind||body)]
+//	record := recio record, by kind:
 //	  kind 1 keyframe: meta | u32 n | id[n]i32 | 7 × col[n]f64
 //	  kind 2 delta:    meta | u32 n | idTag(+ids) | 7 × packed column
 //	  kind 3 index:    u32 count | count × (i64 step, i64 offset)
 //	trailer (after the index record, clean close only):
 //	  [i64 indexOffset][u32 crc32c(indexOffset)][u32 "NBFX"]
 //
-// A torn tail — a record cut short by a crash, or one whose CRC fails
-// at end-of-file — is detected and dropped, never poisoning the chain;
-// everything before it reads clean. The index record plus trailer give
-// clean-close opens an O(log n) seek-to-step; crashed files rebuild the
-// index with one forward scan.
+// A torn tail (recio.ErrTorn: a record cut short by a crash, or one whose
+// CRC fails at end-of-file) is detected and dropped, never poisoning the
+// chain; everything before it reads clean. The index record plus trailer
+// give clean-close opens an O(log n) seek-to-step; crashed files rebuild
+// the index with one forward scan.
 package frames
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 
 	"repro/internal/dist"
+	"repro/internal/recio"
 	"repro/internal/vec"
 )
 
@@ -47,23 +46,16 @@ import (
 const (
 	magic        = "NBF1"
 	trailerMagic = 0x5846424E // "NBFX" little-endian
-	headerLen    = 5          // u32 bodyLen + u8 kind
-	crcLen       = 4
-	trailerLen   = 16 // i64 index offset + u32 crc + u32 magic
+	trailerLen   = 16         // i64 index offset + u32 crc + u32 magic
 
 	recKeyframe = 1
 	recDelta    = 2
 	recIndex    = 3
 
-	// MaxRecord bounds one record body before any allocation, exactly as
-	// transport.MaxFrame bounds a wire frame: a corrupt length prefix
-	// must never become a giant allocation.
-	MaxRecord = 256 << 20
+	// MaxRecord bounds one record body before any allocation: the one
+	// cap of the byte layer.
+	MaxRecord = recio.MaxBody
 )
-
-// crcTable is the Castagnoli polynomial, hardware-accelerated on the
-// platforms this runs on.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Magic returns the file magic, for callers emitting a frame stream
 // over a transport other than a file (the replay API's binary mode).
@@ -117,140 +109,57 @@ func (f *Frame) cols() [numCols]*[]float64 {
 	return [numCols]*[]float64{&p.Mass, &p.PosX, &p.PosY, &p.PosZ, &p.VelX, &p.VelY, &p.VelZ}
 }
 
-func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-func appendF64(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+// codeMeta lists the fixed-size metrics header.
+func codeMeta(c *recio.Coder, m *Meta) {
+	c.I64(&m.Step)
+	c.F64(&m.Time)
+	c.F64(&m.SimTime)
+	c.F64(&m.MachineTime)
+	c.F64(&m.Energy)
+	c.F64(&m.Efficiency)
+	c.F64(&m.Imbalance)
+	c.I64(&m.CommWords)
+	c.I64(&m.MACTests)
+	c.I64(&m.PC)
+	c.I64(&m.PP)
+	c.V3(&m.Domain.Min)
+	c.V3(&m.Domain.Max)
 }
 
-// appendMeta encodes the fixed-size metrics header.
-func appendMeta(b []byte, m *Meta) []byte {
-	b = appendU64(b, uint64(m.Step))
-	b = appendF64(b, m.Time)
-	b = appendF64(b, m.SimTime)
-	b = appendF64(b, m.MachineTime)
-	b = appendF64(b, m.Energy)
-	b = appendF64(b, m.Efficiency)
-	b = appendF64(b, m.Imbalance)
-	b = appendU64(b, uint64(m.CommWords))
-	b = appendU64(b, uint64(m.MACTests))
-	b = appendU64(b, uint64(m.PC))
-	b = appendU64(b, uint64(m.PP))
-	b = appendF64(b, m.Domain.Min.X)
-	b = appendF64(b, m.Domain.Min.Y)
-	b = appendF64(b, m.Domain.Min.Z)
-	b = appendF64(b, m.Domain.Max.X)
-	b = appendF64(b, m.Domain.Max.Y)
-	b = appendF64(b, m.Domain.Max.Z)
-	return b
+// beginFrameRecord starts a keyframe or delta record at the end of b —
+// the reserved header, the metrics header, the particle count — and
+// returns the writer the columns go behind.
+func beginFrameRecord(b []byte, f *Frame) recio.Writer {
+	c := recio.Coder{W: recio.Writer{B: recio.Begin(b)}}
+	codeMeta(&c, &f.Meta)
+	c.W.U32(uint32(f.Parts.Len()))
+	return c.W
 }
 
-// cursor is a bounds-checked little-endian reader over one record body.
-// Every getter reports failure through ok so decode paths cannot read
-// past the body regardless of how mangled the input is.
-type cursor struct {
-	b   []byte
-	off int
-	ok  bool
-}
-
-func newCursor(b []byte) *cursor { return &cursor{b: b, ok: true} }
-
-func (c *cursor) u8() byte {
-	if !c.ok || c.off+1 > len(c.b) {
-		c.ok = false
-		return 0
+// readFrameHeader decodes what beginFrameRecord wrote and returns the
+// reader, positioned at the columns, with the particle count.
+func readFrameHeader(body []byte, f *Frame, what string) (recio.Reader, int, error) {
+	c := *recio.Decoder(body)
+	codeMeta(&c, &f.Meta)
+	n := int(c.R.U32())
+	if c.Err() != nil {
+		return c.R, 0, fmt.Errorf("%w: truncated %s header", ErrCorrupt, what)
 	}
-	v := c.b[c.off]
-	c.off++
-	return v
-}
-
-func (c *cursor) u32() uint32 {
-	if !c.ok || c.off+4 > len(c.b) {
-		c.ok = false
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(c.b[c.off:])
-	c.off += 4
-	return v
-}
-
-func (c *cursor) u64() uint64 {
-	if !c.ok || c.off+8 > len(c.b) {
-		c.ok = false
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(c.b[c.off:])
-	c.off += 8
-	return v
-}
-
-func (c *cursor) f64() float64 { return math.Float64frombits(c.u64()) }
-
-// take returns the next n raw bytes of the body.
-func (c *cursor) take(n int) []byte {
-	if !c.ok || n < 0 || c.off+n > len(c.b) {
-		c.ok = false
-		return nil
-	}
-	v := c.b[c.off : c.off+n]
-	c.off += n
-	return v
-}
-
-// remaining is the unread byte count, for exact-size validation.
-func (c *cursor) remaining() int { return len(c.b) - c.off }
-
-// readMeta decodes the fixed-size metrics header.
-func (c *cursor) readMeta(m *Meta) {
-	m.Step = int64(c.u64())
-	m.Time = c.f64()
-	m.SimTime = c.f64()
-	m.MachineTime = c.f64()
-	m.Energy = c.f64()
-	m.Efficiency = c.f64()
-	m.Imbalance = c.f64()
-	m.CommWords = int64(c.u64())
-	m.MACTests = int64(c.u64())
-	m.PC = int64(c.u64())
-	m.PP = int64(c.u64())
-	m.Domain.Min.X = c.f64()
-	m.Domain.Min.Y = c.f64()
-	m.Domain.Min.Z = c.f64()
-	m.Domain.Max.X = c.f64()
-	m.Domain.Max.Y = c.f64()
-	m.Domain.Max.Z = c.f64()
-}
-
-// finishRecord wraps an encoded body (starting at body[bodyStart:]) into
-// a complete record in place: the caller reserves headerLen bytes, and
-// finishRecord fills the header and appends the CRC. The CRC covers the
-// kind byte and the body, so neither can be flipped undetected.
-func finishRecord(buf []byte, kind byte) []byte {
-	body := buf[headerLen:]
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(body)))
-	buf[4] = kind
-	crc := crc32.Update(0, crcTable, buf[4:])
-	return appendU32(buf, crc)
+	return c.R, n, nil
 }
 
 // appendKeyframe encodes a full-column keyframe record onto b.
 func appendKeyframe(b []byte, f *Frame) []byte {
-	start := len(b)
-	b = append(b, make([]byte, headerLen)...)
-	b = appendMeta(b, &f.Meta)
-	n := f.Parts.Len()
-	b = appendU32(b, uint32(n))
+	w := beginFrameRecord(b, f)
 	for _, id := range f.Parts.ID {
-		b = appendU32(b, uint32(id))
+		w.I32(id)
 	}
 	for _, col := range f.cols() {
 		for _, v := range *col {
-			b = appendF64(b, v)
+			w.F64(v)
 		}
 	}
-	return append(b[:start], finishRecord(b[start:], recKeyframe)...)
+	return recio.Finish(w.B, len(b), recKeyframe)
 }
 
 // Column delta tags.
@@ -266,11 +175,7 @@ const (
 // mantissa bytes, so values are stored as a significant-byte count plus
 // only the low non-zero bytes.
 func appendDelta(b []byte, f, prev *Frame) []byte {
-	start := len(b)
-	b = append(b, make([]byte, headerLen)...)
-	b = appendMeta(b, &f.Meta)
-	n := f.Parts.Len()
-	b = appendU32(b, uint32(n))
+	w := beginFrameRecord(b, f)
 
 	// Particle IDs almost never change between frames; a changed set
 	// falls back to the raw column.
@@ -282,11 +187,11 @@ func appendDelta(b []byte, f, prev *Frame) []byte {
 		}
 	}
 	if same {
-		b = append(b, colSame)
+		w.U8(colSame)
 	} else {
-		b = append(b, colPacked)
+		w.U8(colPacked)
 		for _, id := range f.Parts.ID {
-			b = appendU32(b, uint32(id))
+			w.I32(id)
 		}
 	}
 
@@ -301,20 +206,20 @@ func appendDelta(b []byte, f, prev *Frame) []byte {
 			}
 		}
 		if identical {
-			b = append(b, colSame)
+			w.U8(colSame)
 			continue
 		}
-		b = append(b, colPacked)
+		w.U8(colPacked)
 		for i := range cur {
 			x := math.Float64bits(cur[i]) ^ math.Float64bits(old[i])
 			nb := significantBytes(x)
-			b = append(b, byte(nb))
+			w.U8(byte(nb))
 			for k := 0; k < nb; k++ {
-				b = append(b, byte(x>>(8*k)))
+				w.U8(byte(x >> (8 * k)))
 			}
 		}
 	}
-	return append(b[:start], finishRecord(b[start:], recDelta)...)
+	return recio.Finish(w.B, len(b), recDelta)
 }
 
 // significantBytes is the count of low bytes needed to represent x (0
@@ -333,22 +238,20 @@ func significantBytes(x uint64) int {
 // are sized, so a hostile body cannot force an allocation beyond its
 // own size.
 func decodeKeyframe(body []byte, f *Frame) error {
-	c := newCursor(body)
-	c.readMeta(&f.Meta)
-	n := int(c.u32())
-	if !c.ok || n < 0 {
-		return fmt.Errorf("%w: truncated keyframe header", ErrCorrupt)
+	c, n, err := readFrameHeader(body, f, "keyframe")
+	if err != nil {
+		return err
 	}
-	if want := n * (4 + numCols*8); c.remaining() != want {
-		return fmt.Errorf("%w: keyframe body is %d bytes for %d particles (want %d)", ErrCorrupt, c.remaining(), n, want)
+	if want := n * (4 + numCols*8); c.Remaining() != want {
+		return fmt.Errorf("%w: keyframe body is %d bytes for %d particles (want %d)", ErrCorrupt, c.Remaining(), n, want)
 	}
 	f.Parts.Reset()
-	ids := c.take(n * 4)
+	ids := c.Take(n * 4)
 	for i := 0; i < n; i++ {
 		f.Parts.ID = append(f.Parts.ID, int32(binary.LittleEndian.Uint32(ids[i*4:])))
 	}
 	for _, col := range f.cols() {
-		raw := c.take(n * 8)
+		raw := c.Take(n * 8)
 		for i := 0; i < n; i++ {
 			*col = append(*col, math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:])))
 		}
@@ -359,22 +262,20 @@ func decodeKeyframe(body []byte, f *Frame) error {
 // decodeDelta decodes a delta body into f by applying the XOR image to
 // prev, which must be the immediately preceding frame of the chain.
 func decodeDelta(body []byte, f, prev *Frame) error {
-	c := newCursor(body)
-	c.readMeta(&f.Meta)
-	n := int(c.u32())
-	if !c.ok || n < 0 {
-		return fmt.Errorf("%w: truncated delta header", ErrCorrupt)
+	c, n, err := readFrameHeader(body, f, "delta")
+	if err != nil {
+		return err
 	}
 	if prev == nil || prev.Parts.Len() != n {
 		return fmt.Errorf("%w: delta for %d particles without a matching predecessor", ErrCorrupt, n)
 	}
 	f.Parts.Reset()
-	switch c.u8() {
+	switch c.U8() {
 	case colSame:
 		f.Parts.ID = append(f.Parts.ID, prev.Parts.ID...)
 	case colPacked:
-		ids := c.take(n * 4)
-		if !c.ok {
+		ids := c.Take(n * 4)
+		if c.Err() != nil {
 			return fmt.Errorf("%w: truncated delta id column", ErrCorrupt)
 		}
 		for i := 0; i < n; i++ {
@@ -386,17 +287,17 @@ func decodeDelta(body []byte, f, prev *Frame) error {
 	prevCols := prev.cols()
 	for ci, col := range f.cols() {
 		old := *prevCols[ci]
-		switch c.u8() {
+		switch c.U8() {
 		case colSame:
 			*col = append(*col, old...)
 		case colPacked:
 			for i := 0; i < n; i++ {
-				nb := int(c.u8())
+				nb := int(c.U8())
 				if nb > 8 {
 					return fmt.Errorf("%w: delta byte count %d", ErrCorrupt, nb)
 				}
-				raw := c.take(nb)
-				if !c.ok {
+				raw := c.Take(nb)
+				if c.Err() != nil {
 					return fmt.Errorf("%w: truncated delta column", ErrCorrupt)
 				}
 				var x uint64
@@ -409,11 +310,11 @@ func decodeDelta(body []byte, f, prev *Frame) error {
 			return fmt.Errorf("%w: unknown delta column tag", ErrCorrupt)
 		}
 	}
-	if !c.ok {
+	if c.Err() != nil {
 		return fmt.Errorf("%w: truncated delta body", ErrCorrupt)
 	}
-	if c.remaining() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes in delta body", ErrCorrupt, c.remaining())
+	if c.Remaining() != 0 {
+		return fmt.Errorf("%w: %d trailing bytes in delta body", ErrCorrupt, c.Remaining())
 	}
 	return nil
 }
@@ -427,26 +328,25 @@ type IndexEntry struct {
 
 // appendIndexRecord encodes the sparse keyframe index as a record.
 func appendIndexRecord(b []byte, idx []IndexEntry) []byte {
-	start := len(b)
-	b = append(b, make([]byte, headerLen)...)
-	b = appendU32(b, uint32(len(idx)))
+	w := recio.Writer{B: recio.Begin(b)}
+	w.U32(uint32(len(idx)))
 	for _, e := range idx {
-		b = appendU64(b, uint64(e.Step))
-		b = appendU64(b, uint64(e.Off))
+		w.I64(e.Step)
+		w.I64(e.Off)
 	}
-	return append(b[:start], finishRecord(b[start:], recIndex)...)
+	return recio.Finish(w.B, len(b), recIndex)
 }
 
 // decodeIndex decodes an index record body.
 func decodeIndex(body []byte) ([]IndexEntry, error) {
-	c := newCursor(body)
-	n := int(c.u32())
-	if !c.ok || n < 0 || c.remaining() != n*16 {
+	c := recio.NewReader(body)
+	n := int(c.U32())
+	if c.Err() != nil || c.Remaining() != n*16 {
 		return nil, fmt.Errorf("%w: malformed index record", ErrCorrupt)
 	}
 	idx := make([]IndexEntry, n)
 	for i := range idx {
-		idx[i] = IndexEntry{Step: int64(c.u64()), Off: int64(c.u64())}
+		idx[i] = IndexEntry{Step: c.I64(), Off: c.I64()}
 	}
 	return idx, nil
 }
@@ -475,23 +375,18 @@ func EncodeKeyframe(f *Frame) []byte {
 // DecodeKeyframe validates and decodes one standalone keyframe record
 // produced by EncodeKeyframe (or extracted from a frame file).
 func DecodeKeyframe(rec []byte) (*Frame, error) {
-	if len(rec) < headerLen+crcLen {
-		return nil, fmt.Errorf("%w: record shorter than its framing", ErrCorrupt)
+	r, err := recio.Parse(rec)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	bodyLen := int(binary.LittleEndian.Uint32(rec[0:4]))
-	if bodyLen < 0 || bodyLen > MaxRecord || headerLen+bodyLen+crcLen != len(rec) {
-		return nil, fmt.Errorf("%w: record length %d does not match %d-byte buffer", ErrCorrupt, bodyLen, len(rec))
+	if r.Len != len(rec) {
+		return nil, fmt.Errorf("%w: %d-byte record in a %d-byte buffer", ErrCorrupt, r.Len, len(rec))
 	}
-	if rec[4] != recKeyframe {
-		return nil, fmt.Errorf("%w: record kind %d is not a keyframe", ErrCorrupt, rec[4])
-	}
-	body := rec[headerLen : headerLen+bodyLen]
-	want := binary.LittleEndian.Uint32(rec[headerLen+bodyLen:])
-	if crc32.Update(0, crcTable, rec[4:headerLen+bodyLen]) != want {
-		return nil, fmt.Errorf("%w: keyframe CRC mismatch", ErrCorrupt)
+	if r.Kind != recKeyframe {
+		return nil, fmt.Errorf("%w: record kind %d is not a keyframe", ErrCorrupt, r.Kind)
 	}
 	f := &Frame{}
-	if err := decodeKeyframe(body, f); err != nil {
+	if err := decodeKeyframe(r.Body, f); err != nil {
 		return nil, err
 	}
 	return f, nil

@@ -1,17 +1,14 @@
 package frames
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sort"
-)
 
-func leU32(b []byte) uint32         { return binary.LittleEndian.Uint32(b) }
-func leU64(b []byte) uint64         { return binary.LittleEndian.Uint64(b) }
-func crc32Checksum(p []byte) uint32 { return crc32.Update(0, crcTable, p) }
+	"repro/internal/recio"
+)
 
 // Reader walks a frame file in step order, decoding keyframes and
 // applying deltas. It distinguishes three end states:
@@ -25,9 +22,9 @@ func crc32Checksum(p []byte) uint32 { return crc32.Update(0, crcTable, p) }
 //   - corruption: a record fails its CRC (or is structurally invalid)
 //     with more data after it; Next returns ErrCorrupt.
 //
-// Every length is validated against MaxRecord and the stat'd file size
-// before any allocation, so a corrupt length prefix cannot force an
-// oversized buffer.
+// Which of the last two a bad record is, is recio's one rule; it also
+// validates every length against MaxRecord and the stat'd file size
+// before any allocation.
 type Reader struct {
 	f           *os.File
 	path        string
@@ -89,30 +86,19 @@ func (r *Reader) loadTrailerIndex() {
 	if _, err := r.f.ReadAt(tr[:], r.size-trailerLen); err != nil {
 		return
 	}
-	if leU32(tr[12:]) != trailerMagic || crc32Checksum(tr[:8]) != leU32(tr[8:12]) {
+	t := recio.NewReader(tr[:])
+	indexOff, sum := t.I64(), t.U32()
+	if t.U32() != trailerMagic || recio.Checksum(tr[:8]) != sum || indexOff < int64(len(magic)) {
 		return
 	}
-	indexOff := int64(leU64(tr[:8]))
-	if indexOff < int64(len(magic)) || indexOff >= r.size-trailerLen {
+	// The index record must fill the file exactly from its offset to the
+	// trailer.
+	var buf []byte
+	rec, err := recio.ReadAt(r.f, indexOff, r.size-trailerLen, &buf)
+	if err != nil || rec.Kind != recIndex || indexOff+int64(rec.Len) != r.size-trailerLen {
 		return
 	}
-	var rh [headerLen]byte
-	if _, err := r.f.ReadAt(rh[:], indexOff); err != nil {
-		return
-	}
-	bodyLen := int64(leU32(rh[:4]))
-	if rh[4] != recIndex || bodyLen > MaxRecord ||
-		indexOff+headerLen+bodyLen+crcLen != r.size-trailerLen {
-		return
-	}
-	buf := make([]byte, headerLen+bodyLen+crcLen)
-	if _, err := r.f.ReadAt(buf, indexOff); err != nil {
-		return
-	}
-	if crc32Checksum(buf[4:headerLen+bodyLen]) != leU32(buf[headerLen+bodyLen:]) {
-		return
-	}
-	idx, err := decodeIndex(buf[headerLen : headerLen+bodyLen])
+	idx, err := decodeIndex(rec.Body)
 	if err != nil {
 		return
 	}
@@ -131,47 +117,22 @@ func (r *Reader) Next(f *Frame) error {
 		return err
 	}
 	r.size = st.Size()
-	if r.off >= r.size || r.off+headerLen > r.size {
+	// A record that runs past the current end of file is a writer
+	// mid-append (retry later) or a crash's torn tail (OpenAppend
+	// truncates here), and so is garbage exactly at the tail — under a
+	// live writer that can be a transiently observed partial append,
+	// which the retry reads whole. Retryable in every case.
+	rec, err := recio.ReadAt(r.f, r.off, r.size, &r.buf)
+	switch {
+	case errors.Is(err, recio.ErrTorn):
 		return io.EOF
-	}
-	var hdr [headerLen]byte
-	if _, err := r.f.ReadAt(hdr[:], r.off); err != nil {
+	case errors.Is(err, recio.ErrCorrupt):
+		return fmt.Errorf("%w at offset %d: %v", ErrCorrupt, r.off, err)
+	case err != nil:
 		return err
 	}
-	bodyLen := int64(leU32(hdr[:4]))
-	kind := hdr[4]
-	if bodyLen > MaxRecord {
-		// A torn tail is a prefix of a well-formed record, so its
-		// length field — once fully present — is always plausible. An
-		// absurd length is corruption, and is refused before any
-		// allocation.
-		return fmt.Errorf("%w: record length %d exceeds limit", ErrCorrupt, bodyLen)
-	}
-	recLen := headerLen + bodyLen + crcLen
-	if r.off+recLen > r.size {
-		// Record extends past the current end of file: either the
-		// writer is mid-append (retry later) or a crash tore it off
-		// (OpenAppend truncates here). Retryable in both cases.
-		return io.EOF
-	}
-	if int64(cap(r.buf)) < recLen {
-		r.buf = make([]byte, recLen)
-	}
-	buf := r.buf[:recLen]
-	if _, err := r.f.ReadAt(buf, r.off); err != nil {
-		return err
-	}
-	if crc32Checksum(buf[4:headerLen+bodyLen]) != leU32(buf[headerLen+bodyLen:]) {
-		if r.off+recLen == r.size {
-			// Garbage exactly at the tail: treat like a torn record.
-			// Under a live writer this can also be a transiently
-			// observed partial append; the retry reads it whole.
-			return io.EOF
-		}
-		return fmt.Errorf("%w: CRC mismatch at offset %d", ErrCorrupt, r.off)
-	}
-	body := buf[headerLen : headerLen+bodyLen]
-	switch kind {
+	body, recLen := rec.Body, int64(rec.Len)
+	switch rec.Kind {
 	case recIndex:
 		idx, err := decodeIndex(body)
 		if err != nil {
@@ -195,7 +156,7 @@ func (r *Reader) Next(f *Frame) error {
 		}
 		r.sinceKey++
 	default:
-		return fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, kind)
+		return fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, rec.Kind)
 	}
 	if r.prev == nil {
 		r.prev = &Frame{}
@@ -228,26 +189,22 @@ func (r *Reader) ensureIndex() error {
 	size := st.Size()
 	var idx []IndexEntry
 	off := int64(len(magic))
-	for off+headerLen <= size {
-		var hdr [headerLen]byte
-		if _, err := r.f.ReadAt(hdr[:], off); err != nil {
+	for {
+		kind, n, err := recio.ReadHeader(r.f, off, size)
+		if errors.Is(err, recio.ErrTorn) || errors.Is(err, recio.ErrCorrupt) || kind == recIndex {
+			break // the scan index covers the valid prefix
+		}
+		if err != nil {
 			return err
 		}
-		bodyLen := int64(leU32(hdr[:4]))
-		if bodyLen > MaxRecord || off+headerLen+bodyLen+crcLen > size {
-			break // torn or corrupt tail; the scan index covers the valid prefix
-		}
-		if hdr[4] == recIndex {
-			break
-		}
-		if hdr[4] == recKeyframe && bodyLen >= 8 {
-			var stepb [8]byte
-			if _, err := r.f.ReadAt(stepb[:], off+headerLen); err != nil {
+		if kind == recKeyframe && n >= recio.HeaderLen+8+recio.CRCLen {
+			var step [8]byte
+			if _, err := r.f.ReadAt(step[:], off+recio.HeaderLen); err != nil {
 				return err
 			}
-			idx = append(idx, IndexEntry{Step: int64(leU64(stepb[:])), Off: off})
+			idx = append(idx, IndexEntry{Step: recio.NewReader(step[:]).I64(), Off: off})
 		}
-		off += headerLen + bodyLen + crcLen
+		off += n
 	}
 	r.index = idx
 	r.indexLoaded = true

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"repro/internal/recio"
 )
 
 // WriterOptions tune a frame writer.
@@ -180,15 +182,12 @@ func (w *Writer) Close() error {
 // appendTrailer encodes the 16-byte clean-close trailer pointing at the
 // index record.
 func appendTrailer(b []byte, indexOff int64) []byte {
-	var off [8]byte
-	b = appendU64(b, uint64(indexOff))
-	copy(off[:], b[len(b)-8:])
-	b = appendU32(b, crcUpdate(off[:]))
-	return appendU32(b, trailerMagic)
+	w := recio.Writer{B: b}
+	w.I64(indexOff)
+	w.U32(recio.Checksum(w.B[len(b):]))
+	w.U32(trailerMagic)
+	return w.B
 }
-
-// crcUpdate is a tiny helper so trailer code reads like the record code.
-func crcUpdate(p []byte) uint32 { return crc32Checksum(p) }
 
 // Retention is the compaction policy for a job's frame file.
 type Retention struct {
@@ -337,12 +336,8 @@ func (w *Writer) Compact(pol Retention) (int64, error) {
 // recordEnd reads one record header at off and returns the offset just
 // past that record.
 func (w *Writer) recordEnd(off int64) (int64, error) {
-	var hdr [headerLen]byte
-	if _, err := w.f.ReadAt(hdr[:], off); err != nil {
-		return 0, err
-	}
-	bodyLen := int64(leU32(hdr[:4]))
-	return off + headerLen + bodyLen + crcLen, nil
+	_, n, err := recio.ReadHeader(w.f, off, w.size)
+	return off + n, err
 }
 
 // copyRange copies [start,end) of src to dst using ReadAt, leaving

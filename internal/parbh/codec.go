@@ -1,13 +1,10 @@
 package parbh
 
 import (
-	"fmt"
-
 	"repro/internal/let"
 	"repro/internal/msg"
+	"repro/internal/recio"
 	"repro/internal/transport"
-	"repro/internal/tree"
-	"repro/internal/vec"
 )
 
 // Wire IDs 31–50 are reserved for this package (see the block table in
@@ -32,486 +29,140 @@ const (
 	idShipLog       uint16 = 42
 )
 
-func putV3(w *transport.Writer, v vec.V3) {
-	w.F64(v.X)
-	w.F64(v.Y)
-	w.F64(v.Z)
+func codeParticle(c *recio.Coder, q *wireParticle) {
+	c.I32(&q.ID)
+	c.F64(&q.Mass)
+	c.V3(&q.Pos)
+	c.V3(&q.Vel)
 }
 
-func getV3(r *transport.Reader) vec.V3 {
-	return vec.V3{X: r.F64(), Y: r.F64(), Z: r.F64()}
+// particleSize is one encoded particle: i32 ID + mass + two V3s.
+const particleSize = 60
+
+func codeSummary(c *recio.Coder, s *BranchSummary) {
+	c.U64(&s.Key)
+	c.I32(&s.Owner)
+	c.I32(&s.Count)
+	c.F64(&s.Mass)
+	c.V3(&s.COM)
+	c.F64s(&s.Exp)
 }
 
-func putBool(w *transport.Writer, b bool) {
-	if b {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-}
+// summarySize is the smallest encoded summary (nil Exp).
+const summarySize = 52
 
-func putF64s(w *transport.Writer, v []float64) {
-	w.Len(len(v), v == nil)
-	for _, x := range v {
-		w.F64(x)
+// codeSection lists a LET section; a cache marker ends after its flag.
+func codeSection(c *recio.Coder, p **let.Section) {
+	if c.Decoding {
+		*p = new(let.Section)
 	}
-}
-
-func getF64s(r *transport.Reader) []float64 {
-	n, notNil := r.SliceLen(8)
-	if !notNil || r.Err() != nil {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.F64()
-	}
-	return out
-}
-
-func putI32s(w *transport.Writer, v []int32) {
-	w.Len(len(v), v == nil)
-	for _, x := range v {
-		w.I32(x)
-	}
-}
-
-func getI32s(r *transport.Reader) []int32 {
-	n, notNil := r.SliceLen(4)
-	if !notNil || r.Err() != nil {
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = r.I32()
-	}
-	return out
-}
-
-func putU8s(w *transport.Writer, v []uint8) {
-	w.Len(len(v), v == nil)
-	for _, x := range v {
-		w.U8(x)
-	}
-}
-
-func getU8s(r *transport.Reader) []uint8 {
-	n, notNil := r.SliceLen(1)
-	if !notNil || r.Err() != nil {
-		return nil
-	}
-	out := make([]uint8, n)
-	for i := range out {
-		out[i] = r.U8()
-	}
-	return out
-}
-
-func putSection(w *transport.Writer, s *let.Section) {
-	w.U64(s.BranchKey)
-	w.I64(s.Epoch)
+	s := *p
+	c.U64(&s.BranchKey)
+	c.I64(&s.Epoch)
+	c.Bool(&s.Cached)
 	if s.Cached {
-		w.U8(1)
 		return
 	}
-	w.U8(0)
-	putU8s(w, s.Kind)
-	putI32s(w, s.Skip)
-	putF64s(w, s.ComX)
-	putF64s(w, s.ComY)
-	putF64s(w, s.ComZ)
-	putF64s(w, s.Mass)
-	putF64s(w, s.Side)
-	putI32s(w, s.LeafLo)
-	putI32s(w, s.LeafHi)
-	putF64s(w, s.Exp)
-	w.I32(s.ExpStride)
-	putI32s(w, s.PID)
-	putF64s(w, s.PX)
-	putF64s(w, s.PY)
-	putF64s(w, s.PZ)
-	putF64s(w, s.PM)
-}
-
-func getSection(r *transport.Reader) *let.Section {
-	s := &let.Section{BranchKey: r.U64(), Epoch: r.I64()}
-	if r.U8() != 0 {
-		s.Cached = true
-		return s
-	}
-	s.Kind = getU8s(r)
-	s.Skip = getI32s(r)
-	s.ComX = getF64s(r)
-	s.ComY = getF64s(r)
-	s.ComZ = getF64s(r)
-	s.Mass = getF64s(r)
-	s.Side = getF64s(r)
-	s.LeafLo = getI32s(r)
-	s.LeafHi = getI32s(r)
-	s.Exp = getF64s(r)
-	s.ExpStride = r.I32()
-	s.PID = getI32s(r)
-	s.PX = getF64s(r)
-	s.PY = getF64s(r)
-	s.PZ = getF64s(r)
-	s.PM = getF64s(r)
-	return s
-}
-
-func putSummary(w *transport.Writer, s BranchSummary) {
-	w.U64(s.Key)
-	w.I32(s.Owner)
-	w.I32(s.Count)
-	w.F64(s.Mass)
-	putV3(w, s.COM)
-	putF64s(w, s.Exp)
-}
-
-func getSummary(r *transport.Reader) BranchSummary {
-	var s BranchSummary
-	s.Key = r.U64()
-	s.Owner = r.I32()
-	s.Count = r.I32()
-	s.Mass = r.F64()
-	s.COM = getV3(r)
-	s.Exp = getF64s(r)
-	return s
+	c.U8s(&s.Kind)
+	c.I32s(&s.Skip)
+	c.F64s(&s.ComX)
+	c.F64s(&s.ComY)
+	c.F64s(&s.ComZ)
+	c.F64s(&s.Mass)
+	c.F64s(&s.Side)
+	c.I32s(&s.LeafLo)
+	c.I32s(&s.LeafHi)
+	c.F64s(&s.Exp)
+	c.I32(&s.ExpStride)
+	c.I32s(&s.PID)
+	c.F64s(&s.PX)
+	c.F64s(&s.PY)
+	c.F64s(&s.PZ)
+	c.F64s(&s.PM)
 }
 
 func init() {
-	transport.Register(idWireParticles,
-		func(w *transport.Writer, v []wireParticle) {
-			w.Len(len(v), v == nil)
-			for _, q := range v {
-				w.I32(q.ID)
-				w.F64(q.Mass)
-				putV3(w, q.Pos)
-				putV3(w, q.Vel)
-			}
-		},
-		func(r *transport.Reader) ([]wireParticle, error) {
-			// One encoded particle: i32 ID + mass + two V3s = 60 bytes.
-			n, notNil := r.SliceLen(60)
-			if !notNil || r.Err() != nil {
-				return nil, r.Err()
-			}
-			out := wirePool.get(n)
-			for i := range out {
-				out[i].ID = r.I32()
-				out[i].Mass = r.F64()
-				out[i].Pos = getV3(r)
-				out[i].Vel = getV3(r)
-			}
-			return out, r.Err()
+	transport.Register(idWireParticles, func(c *recio.Coder, v *[]wireParticle) {
+		recio.Slice(c, v, particleSize, wirePool.get, codeParticle)
+	})
+	transport.Register(idReqBin, func(c *recio.Coder, v *reqBin) {
+		recio.Slice(c, &v.Entries, 8*5, reqEntryPool.get, func(c *recio.Coder, e *reqEntry) {
+			c.U64(&e.Key)
+			c.V3(&e.Pos)
+			c.I32(&e.Self)
+			c.I32(&e.Slot)
 		})
-	transport.Register(idReqBin,
-		func(w *transport.Writer, v reqBin) {
-			w.Len(len(v.Entries), v.Entries == nil)
-			for _, e := range v.Entries {
-				w.U64(e.Key)
-				putV3(w, e.Pos)
-				w.I32(e.Self)
-				w.I32(e.Slot)
-			}
-			putBool(w, v.More)
-		},
-		func(r *transport.Reader) (reqBin, error) {
-			var v reqBin
-			if n, notNil := r.SliceLen(8 * 5); notNil && r.Err() == nil {
-				v.Entries = reqEntryPool.get(n)
-				for i := range v.Entries {
-					v.Entries[i].Key = r.U64()
-					v.Entries[i].Pos = getV3(r)
-					v.Entries[i].Self = r.I32()
-					v.Entries[i].Slot = r.I32()
-				}
-			}
-			v.More = r.U8() != 0
-			return v, r.Err()
+		c.Bool(&v.More)
+	})
+	transport.Register(idShipLog, func(c *recio.Coder, v *shipLog) {
+		c.F64(&v.Start)
+		c.F64s(&v.Flops)
+		c.I32s(&v.Ships)
+		recio.Slice(c, &v.Owners, 2, nil, (*recio.Coder).U16)
+		recio.Slice(c, &v.Served, 4, nil, (*recio.Coder).F64s)
+	})
+	transport.Register(idRepBin, func(c *recio.Coder, v *repBin) {
+		recio.Slice(c, &v.Slots, 4, slotPool.get, (*recio.Coder).I32)
+		recio.Slice(c, &v.F, 24, vec3Pool.get, (*recio.Coder).V3)
+		recio.Slice(c, &v.P, 8, f64Pool.get, (*recio.Coder).F64)
+	})
+	transport.Register(idSummary, codeSummary)
+	transport.Register(idSummaries, func(c *recio.Coder, v *[]BranchSummary) {
+		recio.Slice(c, v, summarySize, nil, codeSummary)
+	})
+	transport.Register(idFetchedCells, func(c *recio.Coder, v *[]fetchedCell) {
+		recio.Slice(c, v, 8, nil, func(c *recio.Coder, cell *fetchedCell) {
+			c.U64(&cell.Key)
+			recio.Slice(c, &cell.Children, summarySize, nil, func(c *recio.Coder, fc *fetchedChild) {
+				codeSummary(c, &fc.Sum)
+				c.Bool(&fc.IsLeaf)
+				recio.Slice(c, &fc.Particles, particleSize, nil, codeParticle)
+			})
 		})
-	transport.Register(idShipLog,
-		func(w *transport.Writer, v shipLog) {
-			w.F64(v.Start)
-			putF64s(w, v.Flops)
-			putI32s(w, v.Ships)
-			w.Len(len(v.Owners), v.Owners == nil)
-			for _, o := range v.Owners {
-				w.U16(o)
+	})
+	transport.Register(idRankOut, func(c *recio.Coder, v *rankOut) {
+		c.I32(&v.Rank)
+		msg.CodeStats(c, &v.MsgStats)
+		c.I64(&v.TreeStats.MACTests)
+		c.I64(&v.TreeStats.PC)
+		c.I64(&v.TreeStats.PP)
+		c.F64(&v.ForceT)
+		c.I32(&v.Branches)
+		c.I32s(&v.IDs)
+		recio.Slice(c, &v.F, 24, nil, (*recio.Coder).V3)
+		c.F64s(&v.P)
+	})
+	transport.Register(idLETBounds, func(c *recio.Coder, v *let.Bounds) {
+		c.Bool(&v.Has)
+		c.V3(&v.Min)
+		c.V3(&v.Max)
+	})
+	transport.Register(idLETShip, func(c *recio.Coder, v *letShipMsg) {
+		// Smallest encoded section (a cache marker): key + epoch + flag.
+		recio.Slice(c, &v.Secs, 17, nil, codeSection)
+	})
+	transport.Register(idLETLoad, func(c *recio.Coder, v *letLoadMsg) {
+		recio.Slice(c, &v.Keys, 8, nil, (*recio.Coder).U64)
+		c.I32s(&v.Nodes)
+		recio.Slice(c, &v.Deltas, 8, nil, (*recio.Coder).I64)
+	})
+	transport.Register(idStepOutputs, func(c *recio.Coder, v *stepOutputs) {
+		recio.Int64(c, &v.Step)
+		// Each output travels as a nested payload, wire ID first, which
+		// the two directions reach from different sides of an interface.
+		recio.Slice(c, &v.Outs, 2, nil, func(c *recio.Coder, o *rankOut) {
+			if !c.Decoding {
+				var boxed any = *o
+				transport.Any(c, &boxed)
+				return
 			}
-			w.Len(len(v.Served), v.Served == nil)
-			for _, bins := range v.Served {
-				putF64s(w, bins)
+			var got any
+			transport.Any(c, &got)
+			if ro, ok := got.(rankOut); ok {
+				*o = ro
+			} else if c.Err() == nil {
+				c.R.Fail("parbh: stepOutputs element is %T, want rankOut", got)
 			}
-		},
-		func(r *transport.Reader) (shipLog, error) {
-			v := shipLog{Start: r.F64(), Flops: getF64s(r), Ships: getI32s(r)}
-			if n, notNil := r.SliceLen(2); notNil && r.Err() == nil {
-				v.Owners = make([]uint16, n)
-				for i := range v.Owners {
-					v.Owners[i] = r.U16()
-				}
-			}
-			if n, notNil := r.SliceLen(4); notNil && r.Err() == nil {
-				v.Served = make([][]float64, n)
-				for q := range v.Served {
-					v.Served[q] = getF64s(r)
-				}
-			}
-			return v, r.Err()
 		})
-	transport.Register(idRepBin,
-		func(w *transport.Writer, v repBin) {
-			w.Len(len(v.Slots), v.Slots == nil)
-			for _, s := range v.Slots {
-				w.I32(s)
-			}
-			w.Len(len(v.F), v.F == nil)
-			for _, f := range v.F {
-				putV3(w, f)
-			}
-			putF64s(w, v.P)
-		},
-		func(r *transport.Reader) (repBin, error) {
-			var v repBin
-			if n, notNil := r.SliceLen(4); notNil && r.Err() == nil {
-				v.Slots = slotPool.get(n)
-				for i := range v.Slots {
-					v.Slots[i] = r.I32()
-				}
-			}
-			if n, notNil := r.SliceLen(24); notNil && r.Err() == nil {
-				v.F = vec3Pool.get(n)
-				for i := range v.F {
-					v.F[i] = getV3(r)
-				}
-			}
-			if n, notNil := r.SliceLen(8); notNil && r.Err() == nil {
-				v.P = f64Pool.get(n)
-				for i := range v.P {
-					v.P[i] = r.F64()
-				}
-			}
-			return v, r.Err()
-		})
-	transport.Register(idSummary,
-		func(w *transport.Writer, v BranchSummary) { putSummary(w, v) },
-		func(r *transport.Reader) (BranchSummary, error) { return getSummary(r), r.Err() })
-	transport.Register(idSummaries,
-		func(w *transport.Writer, v []BranchSummary) {
-			w.Len(len(v), v == nil)
-			for _, s := range v {
-				putSummary(w, s)
-			}
-		},
-		func(r *transport.Reader) ([]BranchSummary, error) {
-			// Minimum encoded summary (nil Exp): 52 bytes.
-			n, notNil := r.SliceLen(52)
-			if !notNil || r.Err() != nil {
-				return nil, r.Err()
-			}
-			out := make([]BranchSummary, n)
-			for i := range out {
-				out[i] = getSummary(r)
-			}
-			return out, r.Err()
-		})
-	transport.Register(idFetchedCells,
-		func(w *transport.Writer, v []fetchedCell) {
-			w.Len(len(v), v == nil)
-			for _, c := range v {
-				w.U64(c.Key)
-				w.Len(len(c.Children), c.Children == nil)
-				for _, fc := range c.Children {
-					putSummary(w, fc.Sum)
-					putBool(w, fc.IsLeaf)
-					w.Len(len(fc.Particles), fc.Particles == nil)
-					for _, q := range fc.Particles {
-						w.I32(q.ID)
-						w.F64(q.Mass)
-						putV3(w, q.Pos)
-						putV3(w, q.Vel)
-					}
-				}
-			}
-		},
-		func(r *transport.Reader) ([]fetchedCell, error) {
-			n, notNil := r.SliceLen(8)
-			if !notNil || r.Err() != nil {
-				return nil, r.Err()
-			}
-			out := make([]fetchedCell, n)
-			for i := range out {
-				out[i].Key = r.U64()
-				nc, cNotNil := r.SliceLen(52)
-				if r.Err() != nil {
-					return nil, r.Err()
-				}
-				if !cNotNil {
-					continue
-				}
-				out[i].Children = make([]fetchedChild, nc)
-				for j := range out[i].Children {
-					fc := &out[i].Children[j]
-					fc.Sum = getSummary(r)
-					fc.IsLeaf = r.U8() != 0
-					np, pNotNil := r.SliceLen(60)
-					if r.Err() != nil {
-						return nil, r.Err()
-					}
-					if !pNotNil {
-						continue
-					}
-					fc.Particles = make([]wireParticle, np)
-					for k := range fc.Particles {
-						fc.Particles[k].ID = r.I32()
-						fc.Particles[k].Mass = r.F64()
-						fc.Particles[k].Pos = getV3(r)
-						fc.Particles[k].Vel = getV3(r)
-					}
-				}
-			}
-			return out, r.Err()
-		})
-	transport.Register(idRankOut,
-		func(w *transport.Writer, v rankOut) {
-			w.I32(v.Rank)
-			w.F64(v.MsgStats.ComputeTime)
-			w.F64(v.MsgStats.CommTime)
-			w.I64(v.MsgStats.Messages)
-			w.I64(v.MsgStats.Words)
-			w.F64(v.MsgStats.Flops)
-			w.I64(v.TreeStats.MACTests)
-			w.I64(v.TreeStats.PC)
-			w.I64(v.TreeStats.PP)
-			w.F64(v.ForceT)
-			w.I32(v.Branches)
-			w.Len(len(v.IDs), v.IDs == nil)
-			for _, id := range v.IDs {
-				w.I32(id)
-			}
-			w.Len(len(v.F), v.F == nil)
-			for _, f := range v.F {
-				putV3(w, f)
-			}
-			putF64s(w, v.P)
-		},
-		func(r *transport.Reader) (rankOut, error) {
-			var v rankOut
-			v.Rank = r.I32()
-			v.MsgStats = msg.Stats{
-				ComputeTime: r.F64(),
-				CommTime:    r.F64(),
-				Messages:    r.I64(),
-				Words:       r.I64(),
-				Flops:       r.F64(),
-			}
-			v.TreeStats = tree.Stats{MACTests: r.I64(), PC: r.I64(), PP: r.I64()}
-			v.ForceT = r.F64()
-			v.Branches = r.I32()
-			if n, notNil := r.SliceLen(4); notNil && r.Err() == nil {
-				v.IDs = make([]int32, n)
-				for i := range v.IDs {
-					v.IDs[i] = r.I32()
-				}
-			}
-			if n, notNil := r.SliceLen(24); notNil && r.Err() == nil {
-				v.F = make([]vec.V3, n)
-				for i := range v.F {
-					v.F[i] = getV3(r)
-				}
-			}
-			v.P = getF64s(r)
-			return v, r.Err()
-		})
-	transport.Register(idLETBounds,
-		func(w *transport.Writer, v let.Bounds) {
-			putBool(w, v.Has)
-			putV3(w, v.Min)
-			putV3(w, v.Max)
-		},
-		func(r *transport.Reader) (let.Bounds, error) {
-			var v let.Bounds
-			v.Has = r.U8() != 0
-			v.Min = getV3(r)
-			v.Max = getV3(r)
-			return v, r.Err()
-		})
-	transport.Register(idLETShip,
-		func(w *transport.Writer, v letShipMsg) {
-			w.Len(len(v.Secs), v.Secs == nil)
-			for _, s := range v.Secs {
-				putSection(w, s)
-			}
-		},
-		func(r *transport.Reader) (letShipMsg, error) {
-			// Minimum encoded section (cached marker): key + epoch + flag
-			// = 17 bytes.
-			n, notNil := r.SliceLen(17)
-			if !notNil || r.Err() != nil {
-				return letShipMsg{}, r.Err()
-			}
-			v := letShipMsg{Secs: make([]*let.Section, n)}
-			for i := range v.Secs {
-				v.Secs[i] = getSection(r)
-			}
-			return v, r.Err()
-		})
-	transport.Register(idLETLoad,
-		func(w *transport.Writer, v letLoadMsg) {
-			w.Len(len(v.Keys), v.Keys == nil)
-			for _, k := range v.Keys {
-				w.U64(k)
-			}
-			putI32s(w, v.Nodes)
-			w.Len(len(v.Deltas), v.Deltas == nil)
-			for _, d := range v.Deltas {
-				w.I64(d)
-			}
-		},
-		func(r *transport.Reader) (letLoadMsg, error) {
-			var v letLoadMsg
-			if n, notNil := r.SliceLen(8); notNil && r.Err() == nil {
-				v.Keys = make([]uint64, n)
-				for i := range v.Keys {
-					v.Keys[i] = r.U64()
-				}
-			}
-			v.Nodes = getI32s(r)
-			if n, notNil := r.SliceLen(8); notNil && r.Err() == nil {
-				v.Deltas = make([]int64, n)
-				for i := range v.Deltas {
-					v.Deltas[i] = r.I64()
-				}
-			}
-			return v, r.Err()
-		})
-	transport.Register(idStepOutputs,
-		func(w *transport.Writer, v stepOutputs) {
-			w.I64(int64(v.Step))
-			w.Len(len(v.Outs), v.Outs == nil)
-			for _, o := range v.Outs {
-				transport.MustEncodeAny(w, o)
-			}
-		},
-		func(r *transport.Reader) (stepOutputs, error) {
-			var v stepOutputs
-			v.Step = int(r.I64())
-			n, notNil := r.SliceLen(2)
-			if !notNil || r.Err() != nil {
-				return v, r.Err()
-			}
-			v.Outs = make([]rankOut, n)
-			for i := range v.Outs {
-				o, err := transport.DecodeAny(r)
-				if err != nil {
-					return v, err
-				}
-				ro, ok := o.(rankOut)
-				if !ok {
-					return v, fmt.Errorf("parbh: stepOutputs element %d is %T, want rankOut", i, o)
-				}
-				v.Outs[i] = ro
-			}
-			return v, r.Err()
-		})
+	})
 }

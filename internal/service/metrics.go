@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -194,19 +193,8 @@ func (m *Metrics) Render() string {
 		rows["nbodyd_transport_faults_deduped_total"] = fmt.Sprintf("%d", snap.FaultsDeduped)
 		rows["nbodyd_transport_faults_partitions_total"] = fmt.Sprintf("%d", snap.FaultsPartitions)
 	}
-	names := make([]string, 0, len(rows))
-	for name := range rows {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	var b strings.Builder
-	for _, name := range names {
-		kind := "counter"
-		if !strings.HasSuffix(name, "_total") {
-			kind = "gauge"
-		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n%s %s\n", name, kind, name, rows[name])
-	}
+	obsv.RenderRows(&b, rows)
 	if m.StepSimSeconds != nil {
 		m.StepSimSeconds.Render(&b)
 	}

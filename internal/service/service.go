@@ -16,6 +16,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/frames"
 	"repro/internal/obsv"
+	"repro/internal/transport"
 )
 
 // Errors reported by the service API layer.
@@ -78,7 +79,8 @@ type Options struct {
 	// negative disables retries).
 	MaxRetries int
 	// RetryBackoff is the delay before the first re-queue, doubling per
-	// retry up to RetryBackoffMax (defaults 1s and 30s).
+	// retry up to RetryBackoffMax, each wait jittered (transport.Backoff;
+	// defaults 1s and 30s).
 	RetryBackoff    time.Duration
 	RetryBackoffMax time.Duration
 }
@@ -137,6 +139,10 @@ type Service struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
+	// retryBackoff schedules fault-recovery re-queues: a job's k-th
+	// retry waits Delay(k) of RetryBackoff doubling to RetryBackoffMax.
+	retryBackoff *transport.Backoff
+
 	// clusterMu serializes distributed jobs: the coordinator drives one
 	// job across the worker processes at a time.
 	clusterMu sync.Mutex
@@ -187,6 +193,8 @@ func New(opt Options) (*Service, error) {
 		jobs:     make(map[string]*Job),
 		stopping: make(chan struct{}),
 		resume:   make(map[string]*barneshut.Simulation),
+
+		retryBackoff: transport.NewBackoff(opt.RetryBackoff, opt.RetryBackoffMax, "requeue"),
 	}
 	if spool != nil {
 		s.metrics.SetFramesBytesFunc(spool.FramesBytes)

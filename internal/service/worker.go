@@ -339,7 +339,7 @@ func (s *Service) retryClusterJob(j *Job, step int, machineTime float64, cause e
 	}
 	fault := transport.FaultKindOf(cause)
 	s.clusterCheckpoint(j, step, machineTime)
-	delay := retryDelay(s.opt.RetryBackoff, s.opt.RetryBackoffMax, retries)
+	delay := s.retryBackoff.Delay(retries)
 	j.mu.Lock()
 	j.retries++
 	retries = j.retries
@@ -375,15 +375,6 @@ func (s *Service) retryClusterJob(j *Job, step int, machineTime float64, cause e
 		}
 	}()
 	return true
-}
-
-// retryDelay is base·2^retries capped at max.
-func retryDelay(base, max time.Duration, retries int) time.Duration {
-	d := base << retries
-	if d > max || d <= 0 {
-		d = max
-	}
-	return d
 }
 
 // openFrames opens (or continues) the job's frame chain for appending.

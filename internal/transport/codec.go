@@ -16,11 +16,12 @@
 package transport
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"reflect"
+	"sort"
 	"sync"
+
+	"repro/internal/recio"
 )
 
 // Type IDs are fixed, process-independent, and must never be reused for
@@ -52,182 +53,12 @@ const (
 	idEmpty   uint16 = 14
 )
 
-// Writer is an append-only encode buffer. All integers are
-// little-endian and fixed-width; floats are IEEE-754 bit patterns, so a
-// round trip is bit-exact.
-type Writer struct{ b []byte }
-
-// Bytes returns the encoded contents.
-func (w *Writer) Bytes() []byte { return w.b }
-
-// Reset clears the buffer, keeping capacity.
-func (w *Writer) Reset() { w.b = w.b[:0] }
-
-func (w *Writer) U8(v uint8)   { w.b = append(w.b, v) }
-func (w *Writer) U16(v uint16) { w.b = binary.LittleEndian.AppendUint16(w.b, v) }
-func (w *Writer) U32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
-func (w *Writer) U64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-func (w *Writer) I32(v int32)  { w.U32(uint32(v)) }
-func (w *Writer) I64(v int64)  { w.U64(uint64(v)) }
-func (w *Writer) F64(v float64) {
-	w.U64(math.Float64bits(v))
-}
-
-// Len writes a slice length. Nil and empty slices are distinguished so
-// decoded values compare deep-equal to the originals.
-func (w *Writer) Len(n int, isNil bool) {
-	if isNil {
-		w.U32(nilLen)
-		return
-	}
-	w.U32(uint32(n))
-}
-
-// Str writes a length-prefixed string.
-func (w *Writer) Str(s string) {
-	w.U32(uint32(len(s)))
-	w.b = append(w.b, s...)
-}
-
-// Raw appends raw bytes with a length prefix.
-func (w *Writer) Raw(b []byte) {
-	w.Len(len(b), b == nil)
-	w.b = append(w.b, b...)
-}
-
-// nilLen is the length-prefix sentinel for nil slices.
-const nilLen = 0xFFFFFFFF
-
-// Reader decodes a buffer written by Writer. Errors are sticky: after
-// the first failure every subsequent read returns zero values and Err
-// reports the failure. Length prefixes are validated against the bytes
-// actually remaining, so a corrupt length cannot drive allocation
-// beyond the input size.
-type Reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-// NewReader returns a Reader over b.
-func NewReader(b []byte) *Reader { return &Reader{b: b} }
-
-// Err returns the first decode error, if any.
-func (r *Reader) Err() error { return r.err }
-
-// Remaining returns the number of unread bytes.
-func (r *Reader) Remaining() int { return len(r.b) - r.off }
-
-func (r *Reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (r *Reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if r.Remaining() < n {
-		r.fail("transport: truncated input: need %d bytes, have %d", n, r.Remaining())
-		return nil
-	}
-	b := r.b[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *Reader) U8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *Reader) U16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (r *Reader) U32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *Reader) U64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *Reader) I32() int32   { return int32(r.U32()) }
-func (r *Reader) I64() int64   { return int64(r.U64()) }
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
-// SliceLen reads a slice length written by Writer.Len and validates it
-// against the remaining input at elemSize bytes per element. It returns
-// (-1, false) for nil slices and (n, true) otherwise; on a bogus length
-// the reader fails and (0, true) is returned.
-func (r *Reader) SliceLen(elemSize int) (n int, notNil bool) {
-	v := r.U32()
-	if r.err != nil {
-		return 0, true
-	}
-	if v == nilLen {
-		return -1, false
-	}
-	n = int(v)
-	if elemSize < 1 {
-		elemSize = 1
-	}
-	if n > r.Remaining()/elemSize {
-		r.fail("transport: slice length %d exceeds remaining input (%d bytes, elem size %d)",
-			n, r.Remaining(), elemSize)
-		return 0, true
-	}
-	return n, true
-}
-
-// Str reads a length-prefixed string.
-func (r *Reader) Str() string {
-	n, _ := r.SliceLen(1)
-	if r.err != nil || n <= 0 {
-		return ""
-	}
-	return string(r.take(n))
-}
-
-// Raw reads bytes written by Writer.Raw.
-func (r *Reader) Raw() []byte {
-	n, notNil := r.SliceLen(1)
-	if r.err != nil || !notNil {
-		return nil
-	}
-	b := r.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
-}
-
 // codecEntry binds one concrete Go type to its wire identity.
 type codecEntry struct {
 	id   uint16
 	name string
-	typ  reflect.Type
-	enc  func(*Writer, any)
-	dec  func(*Reader) (any, error)
+	enc  func(*recio.Coder, any)
+	dec  func(*recio.Coder) any
 }
 
 var registry struct {
@@ -242,24 +73,38 @@ func init() {
 	registerBuiltins()
 }
 
-// Register binds type T to a fixed wire ID with explicit encode/decode
-// functions. It panics on a duplicate ID or type: wire identities are
-// global constants, and a collision is a build-time bug, not a runtime
-// condition. Packages register their payload types from init.
-func Register[T any](id uint16, enc func(*Writer, T), dec func(*Reader) (T, error)) {
+// Register binds type T to a fixed wire ID and to the one function that
+// lists its fields, which both directions run (see recio.Coder). It
+// panics on a duplicate ID or type: wire identities are global constants,
+// and a collision is a build-time bug, not a runtime condition. Packages
+// register their payload types from init.
+func Register[T any](id uint16, code func(*recio.Coder, *T)) {
 	var zero T
 	typ := reflect.TypeOf(zero)
 	if typ == nil {
 		panic("transport: cannot register interface type")
 	}
+	// code is an opaque call, so the value it is pointed at lives on the
+	// heap. Recycling those boxes keeps an encode free of allocations and
+	// a decode at the one that boxes the result.
+	scratch := sync.Pool{New: func() any { return new(T) }}
 	e := &codecEntry{
 		id:   id,
 		name: typ.String(),
-		typ:  typ,
-		enc:  func(w *Writer, v any) { enc(w, v.(T)) },
-		dec: func(r *Reader) (any, error) {
-			v, err := dec(r)
-			return v, err
+		enc: func(c *recio.Coder, v any) {
+			p := scratch.Get().(*T)
+			*p = v.(T)
+			code(c, p)
+			*p = zero
+			scratch.Put(p)
+		},
+		dec: func(c *recio.Coder) any {
+			p := scratch.Get().(*T)
+			code(c, p)
+			v := any(*p)
+			*p = zero
+			scratch.Put(p)
+			return v
 		},
 	}
 	registry.Lock()
@@ -289,6 +134,18 @@ func Registered(v any) bool {
 	return ok
 }
 
+// WireIDs returns every registered wire ID in increasing order.
+func WireIDs() []uint16 {
+	registry.RLock()
+	defer registry.RUnlock()
+	ids := make([]uint16, 0, len(registry.byID))
+	for id := range registry.byID {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
 // TypeName returns the registered name for diagnostics, or the
 // reflected type when unregistered.
 func TypeName(v any) string {
@@ -298,12 +155,12 @@ func TypeName(v any) string {
 	return reflect.TypeOf(v).String()
 }
 
-// EncodeAny writes v's wire ID and body. It returns an error for
+// encodeAny writes v's wire ID and body. It returns an error for
 // unregistered types — the caller decides whether that is fatal (a
 // remote send) or fine (an in-process reference pass).
-func EncodeAny(w *Writer, v any) error {
+func encodeAny(c *recio.Coder, v any) error {
 	if v == nil {
-		w.U16(idNil)
+		c.W.U16(idNil)
 		return nil
 	}
 	registry.RLock()
@@ -312,25 +169,15 @@ func EncodeAny(w *Writer, v any) error {
 	if !ok {
 		return fmt.Errorf("transport: no codec registered for %s", reflect.TypeOf(v))
 	}
-	w.U16(e.id)
-	e.enc(w, v)
+	c.W.U16(e.id)
+	e.enc(c, v)
 	return nil
 }
 
-// MustEncodeAny is EncodeAny for use inside codec functions (whose
-// signatures have no error path): an unregistered nested type panics
-// with the offending type name. The codec exhaustiveness tests keep
-// this from firing in production paths.
-func MustEncodeAny(w *Writer, v any) {
-	if err := EncodeAny(w, v); err != nil {
-		panic(err.Error())
-	}
-}
-
-// DecodeAny reads one value written by EncodeAny.
-func DecodeAny(r *Reader) (any, error) {
-	id := r.U16()
-	if err := r.Err(); err != nil {
+// decodeAny reads one value written by encodeAny.
+func decodeAny(c *recio.Coder) (any, error) {
+	id := c.R.U16()
+	if err := c.Err(); err != nil {
 		return nil, err
 	}
 	if id == idNil {
@@ -342,35 +189,50 @@ func DecodeAny(r *Reader) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("transport: unknown wire ID %d", id)
 	}
-	v, err := e.dec(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.Err(); err != nil {
+	v := e.dec(c)
+	if err := c.Err(); err != nil {
 		return nil, err
 	}
 	return v, nil
 }
 
+// Any codes a nested payload of any registered type, wire ID first — the
+// field form of Marshal and Unmarshal, for envelopes that forward what
+// they are handed. A codec function has no error path, so encoding an
+// unregistered type panics with its name (the codec exhaustiveness tests
+// keep that out of production paths); a decode failure sticks to c.
+func Any(c *recio.Coder, v *any) {
+	if !c.Decoding {
+		if err := encodeAny(c, *v); err != nil {
+			panic(err.Error())
+		}
+		return
+	}
+	var err error
+	if *v, err = decodeAny(c); err != nil {
+		c.R.Fail("%w", err)
+	}
+}
+
 // Marshal encodes a single registered value to bytes.
 func Marshal(v any) ([]byte, error) {
-	var w Writer
-	if err := EncodeAny(&w, v); err != nil {
+	c := &recio.Coder{}
+	if err := encodeAny(c, v); err != nil {
 		return nil, err
 	}
-	return w.Bytes(), nil
+	return c.W.B, nil
 }
 
 // Unmarshal decodes a single value from bytes, requiring full
 // consumption of the input.
 func Unmarshal(b []byte) (any, error) {
-	r := NewReader(b)
-	v, err := DecodeAny(r)
+	c := recio.Decoder(b)
+	v, err := decodeAny(c)
 	if err != nil {
 		return nil, err
 	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("transport: %d trailing bytes after payload", r.Remaining())
+	if c.R.Remaining() != 0 {
+		return nil, fmt.Errorf("transport: %d trailing bytes after payload", c.R.Remaining())
 	}
 	return v, nil
 }
@@ -389,114 +251,21 @@ func RoundTrip(v any) (any, error) {
 // registerBuiltins installs codecs for the scalar and plain-slice
 // payloads the collectives exchange.
 func registerBuiltins() {
-	Register(idBool,
-		func(w *Writer, v bool) {
-			if v {
-				w.U8(1)
-			} else {
-				w.U8(0)
-			}
-		},
-		func(r *Reader) (bool, error) { return r.U8() != 0, r.Err() })
-	Register(idInt,
-		func(w *Writer, v int) { w.I64(int64(v)) },
-		func(r *Reader) (int, error) { return int(r.I64()), r.Err() })
-	Register(idInt32,
-		func(w *Writer, v int32) { w.I32(v) },
-		func(r *Reader) (int32, error) { return r.I32(), r.Err() })
-	Register(idInt64,
-		func(w *Writer, v int64) { w.I64(v) },
-		func(r *Reader) (int64, error) { return r.I64(), r.Err() })
-	Register(idUint64,
-		func(w *Writer, v uint64) { w.U64(v) },
-		func(r *Reader) (uint64, error) { return r.U64(), r.Err() })
-	Register(idFloat64,
-		func(w *Writer, v float64) { w.F64(v) },
-		func(r *Reader) (float64, error) { return r.F64(), r.Err() })
-	Register(idString,
-		func(w *Writer, v string) { w.Str(v) },
-		func(r *Reader) (string, error) { return r.Str(), r.Err() })
-	Register(idBytes,
-		func(w *Writer, v []byte) { w.Raw(v) },
-		func(r *Reader) ([]byte, error) { return r.Raw(), r.Err() })
-	Register(idInts,
-		func(w *Writer, v []int) {
-			w.Len(len(v), v == nil)
-			for _, x := range v {
-				w.I64(int64(x))
-			}
-		},
-		func(r *Reader) ([]int, error) {
-			n, notNil := r.SliceLen(8)
-			if !notNil || r.Err() != nil {
-				return nil, r.Err()
-			}
-			out := make([]int, n)
-			for i := range out {
-				out[i] = int(r.I64())
-			}
-			return out, r.Err()
-		})
-	Register(idInt32s,
-		func(w *Writer, v []int32) {
-			w.Len(len(v), v == nil)
-			for _, x := range v {
-				w.I32(x)
-			}
-		},
-		func(r *Reader) ([]int32, error) {
-			n, notNil := r.SliceLen(4)
-			if !notNil || r.Err() != nil {
-				return nil, r.Err()
-			}
-			out := make([]int32, n)
-			for i := range out {
-				out[i] = r.I32()
-			}
-			return out, r.Err()
-		})
-	Register(idUint64s,
-		func(w *Writer, v []uint64) {
-			w.Len(len(v), v == nil)
-			for _, x := range v {
-				w.U64(x)
-			}
-		},
-		func(r *Reader) ([]uint64, error) {
-			n, notNil := r.SliceLen(8)
-			if !notNil || r.Err() != nil {
-				return nil, r.Err()
-			}
-			out := make([]uint64, n)
-			for i := range out {
-				out[i] = r.U64()
-			}
-			return out, r.Err()
-		})
-	Register(idF64s,
-		func(w *Writer, v []float64) {
-			w.Len(len(v), v == nil)
-			for _, x := range v {
-				w.F64(x)
-			}
-		},
-		func(r *Reader) ([]float64, error) {
-			n, notNil := r.SliceLen(8)
-			if !notNil || r.Err() != nil {
-				return nil, r.Err()
-			}
-			out := make([]float64, n)
-			for i := range out {
-				out[i] = r.F64()
-			}
-			return out, r.Err()
-		})
-	Register(idF64x2,
-		func(w *Writer, v [2]float64) { w.F64(v[0]); w.F64(v[1]) },
-		func(r *Reader) ([2]float64, error) {
-			return [2]float64{r.F64(), r.F64()}, r.Err()
-		})
-	Register(idEmpty,
-		func(w *Writer, v struct{}) {},
-		func(r *Reader) (struct{}, error) { return struct{}{}, nil })
+	Register(idBool, (*recio.Coder).Bool)
+	Register(idInt, recio.Int64[int])
+	Register(idInt32, (*recio.Coder).I32)
+	Register(idInt64, (*recio.Coder).I64)
+	Register(idUint64, (*recio.Coder).U64)
+	Register(idFloat64, (*recio.Coder).F64)
+	Register(idString, (*recio.Coder).Str)
+	Register(idBytes, (*recio.Coder).Bytes)
+	Register(idInts, func(c *recio.Coder, v *[]int) { recio.Slice(c, v, 8, nil, recio.Int64[int]) })
+	Register(idInt32s, (*recio.Coder).I32s)
+	Register(idUint64s, func(c *recio.Coder, v *[]uint64) { recio.Slice(c, v, 8, nil, (*recio.Coder).U64) })
+	Register(idF64s, (*recio.Coder).F64s)
+	Register(idF64x2, func(c *recio.Coder, v *[2]float64) {
+		c.F64(&v[0])
+		c.F64(&v[1])
+	})
+	Register(idEmpty, func(*recio.Coder, *struct{}) {})
 }

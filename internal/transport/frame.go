@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"repro/internal/recio"
 )
 
 // Frame kinds. Data frames carry a simulated-machine message between
@@ -21,15 +23,39 @@ const (
 	KindBye     uint8 = 8 // graceful close
 )
 
-// MaxFrame caps the decoded size of a single frame body. A corrupt or
-// hostile length prefix therefore cannot drive an allocation beyond
-// this bound. 256 MiB comfortably covers the largest particle
-// migrations at paper scale.
-const MaxFrame = 256 << 20
+// MaxFrame caps the decoded size of a single frame body: the one record
+// cap of the byte layer, so a corrupt or hostile length prefix cannot
+// drive an allocation beyond it on a socket any more than in a file.
+const MaxFrame = recio.MaxBody
 
 // frameHeaderLen is the wire overhead per frame: u32 body length plus
-// u8 kind.
+// u8 kind. Sockets carry no checksum (TCP has its own), which is why this
+// header is not a recio record.
 const frameHeaderLen = 5
+
+// beginFrame starts a frame of the given kind at the end of buf; the
+// caller encodes any fixed fields and hands the coder to finishFrame.
+func beginFrame(buf []byte, kind uint8) *recio.Coder {
+	c := &recio.Coder{W: recio.Writer{B: buf}}
+	c.W.U32(0) // body length, patched by finishFrame
+	c.W.U8(kind)
+	return c
+}
+
+// finishFrame encodes payload behind what c already holds of the frame
+// begun at the end of buf, patches the body length, and returns the
+// finished buffer — or buf untouched and the reason.
+func finishFrame(c *recio.Coder, buf []byte, payload any) ([]byte, error) {
+	if err := encodeAny(c, payload); err != nil {
+		return buf, err
+	}
+	body := len(c.W.B) - len(buf) - frameHeaderLen
+	if body > MaxFrame {
+		return buf, fmt.Errorf("transport: frame body %d exceeds MaxFrame %d", body, MaxFrame)
+	}
+	binary.LittleEndian.PutUint32(c.W.B[len(buf):], uint32(body))
+	return c.W.B, nil
+}
 
 // Frame is one simulated-machine message in flight between processes.
 // Src/Dst are machine ranks; Arrival is the simulated-clock delivery
@@ -50,28 +76,23 @@ type Frame struct {
 	Payload any
 }
 
+// codeFrameHeader lists the fixed fields that precede a data frame's
+// payload.
+func codeFrameHeader(c *recio.Coder, f *Frame) {
+	c.U32(&f.Epoch)
+	c.U32(&f.Seq)
+	c.I32(&f.Src)
+	c.I32(&f.Dst)
+	c.I32(&f.Tag)
+	c.I32(&f.Words)
+	c.F64(&f.Arrival)
+}
+
 // AppendFrame encodes f as a length-prefixed data frame onto buf.
 func AppendFrame(buf []byte, f *Frame) ([]byte, error) {
-	w := Writer{b: buf}
-	w.U32(0) // body length, patched below
-	w.U8(KindData)
-	start := len(w.b)
-	w.U32(f.Epoch)
-	w.U32(f.Seq)
-	w.I32(f.Src)
-	w.I32(f.Dst)
-	w.I32(f.Tag)
-	w.I32(f.Words)
-	w.F64(f.Arrival)
-	if err := EncodeAny(&w, f.Payload); err != nil {
-		return buf, err
-	}
-	body := len(w.b) - start
-	if body > MaxFrame {
-		return buf, fmt.Errorf("transport: frame body %d exceeds MaxFrame %d", body, MaxFrame)
-	}
-	binary.LittleEndian.PutUint32(w.b[start-frameHeaderLen:], uint32(body))
-	return w.b, nil
+	c := beginFrame(buf, KindData)
+	codeFrameHeader(c, f)
+	return finishFrame(c, buf, f.Payload)
 }
 
 // DecodeFrame parses a data-frame body produced by AppendFrame (the
@@ -81,25 +102,18 @@ func DecodeFrame(body []byte) (*Frame, error) {
 	if len(body) > MaxFrame {
 		return nil, fmt.Errorf("transport: frame body %d exceeds MaxFrame %d", len(body), MaxFrame)
 	}
-	r := NewReader(body)
-	f := &Frame{
-		Epoch:   r.U32(),
-		Seq:     r.U32(),
-		Src:     r.I32(),
-		Dst:     r.I32(),
-		Tag:     r.I32(),
-		Words:   r.I32(),
-		Arrival: r.F64(),
-	}
-	if err := r.Err(); err != nil {
+	c := recio.Decoder(body)
+	f := &Frame{}
+	codeFrameHeader(c, f)
+	if err := c.Err(); err != nil {
 		return nil, err
 	}
-	p, err := DecodeAny(r)
+	p, err := decodeAny(c)
 	if err != nil {
 		return nil, err
 	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("transport: %d trailing bytes after frame payload", r.Remaining())
+	if c.R.Remaining() != 0 {
+		return nil, fmt.Errorf("transport: %d trailing bytes after frame payload", c.R.Remaining())
 	}
 	f.Payload = p
 	return f, nil
@@ -109,19 +123,7 @@ func DecodeFrame(body []byte) (*Frame, error) {
 // registered payload (host messages, hello/welcome bodies) or raw bytes
 // (ping/pong timestamps).
 func AppendControl(buf []byte, kind uint8, payload any) ([]byte, error) {
-	w := Writer{b: buf}
-	w.U32(0)
-	w.U8(kind)
-	start := len(w.b)
-	if err := EncodeAny(&w, payload); err != nil {
-		return buf, err
-	}
-	body := len(w.b) - start
-	if body > MaxFrame {
-		return buf, fmt.Errorf("transport: frame body %d exceeds MaxFrame %d", body, MaxFrame)
-	}
-	binary.LittleEndian.PutUint32(w.b[start-frameHeaderLen:], uint32(body))
-	return w.b, nil
+	return finishFrame(beginFrame(buf, kind), buf, payload)
 }
 
 // ReadRaw reads one length-prefixed frame from r, returning its kind

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/recio"
 )
 
 // seedFrames returns valid encoded data frames (header included)
@@ -60,7 +62,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(huge)
 	// A plausible-looking body with a hostile slice length.
 	bogus := make([]byte, 0, 64)
-	w := Writer{b: bogus}
+	w := recio.Writer{B: bogus}
 	w.U32(1)       // epoch
 	w.I32(0)       // src
 	w.I32(1)       // dst
@@ -69,7 +71,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	w.F64(0.5)     // arrival
 	w.U16(idF64s)  // []float64
 	w.U32(1 << 30) // claimed length far beyond the input
-	f.Add(w.Bytes())
+	f.Add(w.B)
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		frame, err := DecodeFrame(body)
@@ -166,7 +168,7 @@ func TestDecodeFrameTrailingBytes(t *testing.T) {
 // TestDecodeFrameUnknownWireID: a payload ID nothing registered decodes
 // to a clear error.
 func TestDecodeFrameUnknownWireID(t *testing.T) {
-	var w Writer
+	var w recio.Writer
 	w.U32(0) // epoch
 	w.U32(0) // seq
 	w.I32(0)
@@ -175,7 +177,7 @@ func TestDecodeFrameUnknownWireID(t *testing.T) {
 	w.I32(0)
 	w.F64(0)
 	w.U16(0xFFFE)
-	if _, err := DecodeFrame(w.Bytes()); err == nil || !strings.Contains(err.Error(), "unknown wire ID") {
+	if _, err := DecodeFrame(w.B); err == nil || !strings.Contains(err.Error(), "unknown wire ID") {
 		t.Fatalf("err = %v, want unknown-wire-ID error", err)
 	}
 }
@@ -195,10 +197,10 @@ func TestReadRawRejectsOversizedLength(t *testing.T) {
 // TestHostileSliceLengthBounded: a corrupt slice length cannot drive
 // allocation beyond the input size (the SliceLen guard).
 func TestHostileSliceLengthBounded(t *testing.T) {
-	var w Writer
+	var w recio.Writer
 	w.U16(idF64s)
 	w.U32(1 << 30) // claims 8 GiB of floats in a 6-byte input
-	if _, err := Unmarshal(w.Bytes()); err == nil {
+	if _, err := Unmarshal(w.B); err == nil {
 		t.Fatal("hostile slice length decoded without error")
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/recio"
 )
 
 // Handshake and liveness payloads live in the transport built-in ID
@@ -38,54 +40,17 @@ type identBody struct{ Src int32 }
 type pingBody struct{ Nanos int64 }
 
 func init() {
-	Register(idStrings,
-		func(w *Writer, v []string) {
-			w.Len(len(v), v == nil)
-			for _, s := range v {
-				w.Str(s)
-			}
-		},
-		func(r *Reader) ([]string, error) {
-			n, notNil := r.SliceLen(4)
-			if !notNil || r.Err() != nil {
-				return nil, r.Err()
-			}
-			out := make([]string, n)
-			for i := range out {
-				out[i] = r.Str()
-			}
-			return out, r.Err()
-		})
-	Register(idHello,
-		func(w *Writer, v helloBody) { w.Str(v.Addr) },
-		func(r *Reader) (helloBody, error) { return helloBody{Addr: r.Str()}, r.Err() })
-	Register(idWelcome,
-		func(w *Writer, v welcomeBody) {
-			w.I32(v.ProcID)
-			w.Len(len(v.Addrs), v.Addrs == nil)
-			for _, s := range v.Addrs {
-				w.Str(s)
-			}
-		},
-		func(r *Reader) (welcomeBody, error) {
-			var v welcomeBody
-			v.ProcID = r.I32()
-			n, notNil := r.SliceLen(4)
-			if notNil && r.Err() == nil {
-				v.Addrs = make([]string, n)
-				for i := range v.Addrs {
-					v.Addrs[i] = r.Str()
-				}
-			}
-			return v, r.Err()
-		})
-	Register(idIdent,
-		func(w *Writer, v identBody) { w.I32(v.Src) },
-		func(r *Reader) (identBody, error) { return identBody{Src: r.I32()}, r.Err() })
-	Register(idPing,
-		func(w *Writer, v pingBody) { w.I64(v.Nanos) },
-		func(r *Reader) (pingBody, error) { return pingBody{Nanos: r.I64()}, r.Err() })
+	Register(idStrings, codeStrings)
+	Register(idHello, func(c *recio.Coder, v *helloBody) { c.Str(&v.Addr) })
+	Register(idWelcome, func(c *recio.Coder, v *welcomeBody) {
+		c.I32(&v.ProcID)
+		codeStrings(c, &v.Addrs)
+	})
+	Register(idIdent, func(c *recio.Coder, v *identBody) { c.I32(&v.Src) })
+	Register(idPing, func(c *recio.Coder, v *pingBody) { c.I64(&v.Nanos) })
 }
+
+func codeStrings(c *recio.Coder, v *[]string) { recio.Slice(c, v, 4, nil, (*recio.Coder).Str) }
 
 // Config tunes a TCP node. Zero values select the defaults noted on
 // each field.
@@ -103,7 +68,8 @@ type Config struct {
 	// Default 8.
 	DialRetries int
 	// RetryBase is the first backoff interval; it doubles per retry
-	// up to RetryMax. Defaults 50ms and 2s.
+	// up to RetryMax, each wait jittered (see Backoff). Defaults 50ms
+	// and 2s.
 	RetryBase time.Duration
 	RetryMax  time.Duration
 	// HeartbeatInterval spaces ping probes on idle peer connections.
@@ -428,7 +394,7 @@ func Join(coordAddr string, cfg Config) (*Node, error) {
 
 // dialRetry connects to addr under the node's retry/backoff policy.
 func (n *Node) dialRetry(addr string) (net.Conn, error) {
-	backoff := n.cfg.RetryBase
+	backoff := NewBackoff(n.cfg.RetryBase, n.cfg.RetryMax, addr)
 	var lastErr error
 	attempts := 1 + n.cfg.DialRetries
 	if n.cfg.DialRetries < 0 {
@@ -441,13 +407,9 @@ func (n *Node) dialRetry(addr string) (net.Conn, error) {
 		if i > 0 {
 			n.metrics.DialRetries.Add(1)
 			select {
-			case <-time.After(backoff):
+			case <-time.After(backoff.Next()):
 			case <-n.closeCh:
 				return nil, fmt.Errorf("node closed")
-			}
-			backoff *= 2
-			if backoff > n.cfg.RetryMax {
-				backoff = n.cfg.RetryMax
 			}
 		}
 		n.metrics.Dials.Add(1)
@@ -499,19 +461,12 @@ func (n *Node) SendData(dst int, f *Frame) error {
 
 // HostSend implements Link.
 func (n *Node) HostSend(dst int, payload any) error {
-	w := Writer{}
-	w.U32(0)
-	w.U8(KindHost)
-	w.I32(int32(n.procID))
-	if err := EncodeAny(&w, payload); err != nil {
+	c := beginFrame(nil, KindHost)
+	c.W.I32(int32(n.procID))
+	buf, err := finishFrame(c, nil, payload)
+	if err != nil {
 		return err
 	}
-	buf := w.Bytes()
-	body := len(buf) - frameHeaderLen
-	if body > MaxFrame {
-		return fmt.Errorf("transport: host frame body %d exceeds MaxFrame %d", body, MaxFrame)
-	}
-	putU32(buf, uint32(body))
 	pc, err := n.connFor(dst)
 	if err != nil {
 		return err
@@ -671,9 +626,9 @@ func (n *Node) pump(pc *peerConn) {
 			}
 			(*fn)(f)
 		case KindHost:
-			r := NewReader(body)
-			src := int(r.I32())
-			v, err := DecodeAny(r)
+			c := recio.Decoder(body)
+			src := int(c.R.I32())
+			v, err := decodeAny(c)
 			if err != nil {
 				n.fail(faultErr(FaultCorrupt, pc.peer, "bad host frame from proc %d: %w", pc.peer, err))
 				return
@@ -874,12 +829,4 @@ func (n *Node) Abort(err error) {
 	}
 	n.host.fail(err)
 	n.wg.Wait()
-}
-
-// putU32 patches a little-endian u32 at the front of buf.
-func putU32(buf []byte, v uint32) {
-	buf[0] = byte(v)
-	buf[1] = byte(v >> 8)
-	buf[2] = byte(v >> 16)
-	buf[3] = byte(v >> 24)
 }
