@@ -18,16 +18,13 @@ type checkpoint struct {
 	Steps   int
 	Domain  Box
 	Bodies  []Particle
-	// FrameStep (v2) is the frame-store step this state corresponds to:
-	// a frames-aware restorer can seek the job's frame chain to this
-	// step instead of replaying from zero. Zero-valued in v1 streams.
-	FrameStep int64
 }
 
-// Checkpoint stream versions. v1 predates the frame store; v2 adds
-// FrameStep. Decoding accepts the whole [checkpointMinVersion,
-// checkpointVersion] range — gob fills absent fields with zero values,
-// which is exactly v1's meaning — and anything outside it fails with a
+// Checkpoint stream versions. v2 streams written while the job service
+// kept gob checkpoints carry one more field, FrameStep; nothing reads it
+// any more and gob drops a stream field the struct lacks, so v1 and
+// either kind of v2 decode alike. Anything outside
+// [checkpointMinVersion, checkpointVersion] fails with a
 // version-specific error.
 const (
 	checkpointVersion    = 2
@@ -38,13 +35,12 @@ const (
 // later with ReadCheckpoint. The stream is a stdlib gob encoding.
 func (s *Simulation) WriteCheckpoint(w io.Writer) error {
 	cp := checkpoint{
-		Version:   checkpointVersion,
-		Config:    s.cfg,
-		Time:      s.time,
-		Steps:     s.steps,
-		Domain:    s.Domain(),
-		Bodies:    s.Bodies(),
-		FrameStep: s.frameMark,
+		Version: checkpointVersion,
+		Config:  s.cfg,
+		Time:    s.time,
+		Steps:   s.steps,
+		Domain:  s.Domain(),
+		Bodies:  s.Bodies(),
 	}
 	if err := gob.NewEncoder(w).Encode(cp); err != nil {
 		return fmt.Errorf("barneshut: writing checkpoint: %w", err)
@@ -77,19 +73,14 @@ func ReadCheckpoint(r io.Reader) (*Simulation, error) {
 			cp.Version, checkpointMinVersion)
 	}
 	set := &ParticleSet{Particles: cp.Bodies, Domain: cp.Domain}
-	sim, err := RestoreSimulation(set, cp.Config, cp.Time, cp.Steps)
-	if err != nil {
-		return nil, err
-	}
-	sim.frameMark = cp.FrameStep
-	return sim, nil
+	return RestoreSimulation(set, cp.Config, cp.Time, cp.Steps)
 }
 
 // RestoreSimulation rebuilds a mid-run Simulation from authoritative
 // particle state: the engine re-derives its decomposition from the
 // bodies, and the clocks restart at tm/steps. This is the shared core
-// of ReadCheckpoint and the frame-store resume path (a decoded keyframe
-// is exactly such a particle set).
+// of ReadCheckpoint and the job service's resume from a frame (a
+// decoded keyframe is exactly such a particle set).
 func RestoreSimulation(set *ParticleSet, cfg Config, tm float64, steps int) (*Simulation, error) {
 	if len(set.Particles) == 0 {
 		return nil, errors.New("barneshut: restore from state with no particles")
@@ -102,11 +93,3 @@ func RestoreSimulation(set *ParticleSet, cfg Config, tm float64, steps int) (*Si
 	sim.steps = steps
 	return sim, nil
 }
-
-// SetFrameMark records the frame-store step this simulation state is
-// aligned with; it rides along in v2 checkpoints so a restorer can
-// cross-reference the gob state against the job's frame chain.
-func (s *Simulation) SetFrameMark(step int64) { s.frameMark = step }
-
-// FrameMark returns the last recorded frame-store step.
-func (s *Simulation) FrameMark() int64 { return s.frameMark }

@@ -3,6 +3,7 @@ package barneshut
 import (
 	"bytes"
 	"encoding/gob"
+	"os"
 	"strings"
 	"testing"
 )
@@ -117,8 +118,7 @@ func TestCheckpointRejectsAncientVersion(t *testing.T) {
 }
 
 func TestCheckpointAcceptsV1(t *testing.T) {
-	// v1 streams (no FrameStep field) must keep decoding: gob leaves the
-	// absent field zero, which is v1's meaning.
+	// v1 streams must keep decoding.
 	cp := checkpoint{
 		Version: 1,
 		Config:  Config{Processors: 2, Profile: IdealMachine(), DT: 0.01},
@@ -135,29 +135,43 @@ func TestCheckpointAcceptsV1(t *testing.T) {
 	if err != nil {
 		t.Fatalf("v1 checkpoint rejected: %v", err)
 	}
-	if sim.Steps() != 5 || sim.FrameMark() != 0 {
-		t.Fatalf("v1 restore: steps=%d frameMark=%d", sim.Steps(), sim.FrameMark())
+	if sim.Steps() != 5 {
+		t.Fatalf("v1 restore: steps=%d", sim.Steps())
 	}
 }
 
-func TestCheckpointFrameMarkRoundTrip(t *testing.T) {
-	set := NewPlummer(60, 1, V3{}, 25)
-	sim, err := NewSimulation(set, Config{Profile: IdealMachine()})
+// TestCheckpointAcceptsV2WithFrameStep decodes a stream recorded at the
+// last commit whose checkpoints carried FrameStep (set to 17 there): the
+// field is dropped and everything else restores as the same run
+// recomputed here.
+func TestCheckpointAcceptsV2WithFrameStep(t *testing.T) {
+	data, err := os.ReadFile("testdata/checkpoint_v2.gob")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.Run(2)
-	sim.SetFrameMark(17)
-	var buf bytes.Buffer
-	if err := sim.WriteCheckpoint(&buf); err != nil {
-		t.Fatal(err)
+	if !bytes.Contains(data, []byte("FrameStep")) {
+		t.Fatal("fixture is not a v2 stream with FrameStep")
 	}
-	restored, err := ReadCheckpoint(&buf)
+	restored, err := ReadCheckpoint(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("v2 checkpoint rejected: %v", err)
+	}
+	want, err := NewSimulation(NewPlummer(12, 1, V3{}, 25), Config{Processors: 2, Profile: IdealMachine(), Eps: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.FrameMark() != 17 {
-		t.Fatalf("FrameMark = %d after round trip, want 17", restored.FrameMark())
+	want.Run(3)
+	if restored.Steps() != 3 || restored.Time() != want.Time() || restored.Config() != want.Config() {
+		t.Fatalf("v2 restore: steps=%d time=%v config=%+v", restored.Steps(), restored.Time(), restored.Config())
+	}
+	got, ref := restored.Bodies(), want.Bodies()
+	if len(got) != len(ref) {
+		t.Fatalf("v2 restore: %d bodies, want %d", len(got), len(ref))
+	}
+	for i := range ref {
+		if got[i] != ref[i] {
+			t.Fatalf("body %d: restored %+v, recomputed %+v", i, got[i], ref[i])
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Command nbodyd is the simulation job daemon: an HTTP service that
 // queues n-body simulation jobs, runs them on a bounded worker pool,
-// streams progress as NDJSON, and checkpoints running jobs to a spool
+// streams progress as NDJSON, and keeps running jobs' state in a spool
 // directory so they resume after a restart.
 //
 // Usage:
@@ -25,9 +25,9 @@
 // (default: the worker count) alongside its own HTTP submissions. The
 // agent reconnects with backoff if the gateway restarts.
 //
-// On SIGINT/SIGTERM the daemon stops accepting work, checkpoints every
-// running job to the spool, and exits; a daemon started later on the
-// same spool resumes the interrupted jobs from their last checkpoint.
+// On SIGINT/SIGTERM the daemon stops accepting work, leaves every
+// running job's resume point in the spool, and exits; a daemon started
+// later on the same spool resumes the interrupted jobs from there.
 package main
 
 import (
@@ -56,8 +56,8 @@ func main() {
 		logJSON   = flag.Bool("log-json", false, "emit logs as JSON records instead of text")
 		workers   = flag.Int("workers", 2, "worker pool size")
 		queue     = flag.Int("queue", 16, "queued-job bound beyond running jobs (beyond it: 429)")
-		spool     = flag.String("spool", "", "spool directory for checkpoint-backed resume (empty disables)")
-		ckptEvery = flag.Int("checkpoint-every", 10, "steps between periodic job checkpoints")
+		spool     = flag.String("spool", "", "spool directory for resume across restarts (empty disables)")
+		ckptEvery = flag.Int("checkpoint-every", 10, "steps between checkpoints of jobs without a frame chain: resume.nbf (frames off), meta.json (cluster, potential mode); a framed job's chain is its checkpoint")
 		frKey     = flag.Int("frames-key-every", 16, "keyframe cadence of per-job frame chains (needs -spool; negative disables frame capture)")
 		frBytes   = flag.Int64("frames-max-bytes", 64<<20, "per-job frame chain byte budget before compaction thins old deltas (0 = unbounded)")
 		drain     = flag.Duration("drain", 30*time.Second, "max time to wait for workers on shutdown")

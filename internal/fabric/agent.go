@@ -390,16 +390,11 @@ func (s *agentSession) handleAssign(msg Assign) {
 		s.send(Accept{Lease: msg.Lease, JobID: msg.JobID, Err: fmt.Sprintf("decoding spec: %v", err)})
 		return
 	}
-	var st service.Status
-	var err error
-	if len(msg.Keyframe) > 0 {
-		// A re-routed job with a replicated keyframe: resume from it.
-		// SubmitSeeded degrades to a from-scratch run on any problem with
-		// the seed, so the assignment never bounces over a stale frame.
-		st, err = a.Svc.SubmitSeeded(spec, msg.Keyframe)
-	} else {
-		st, err = a.Svc.Submit(spec)
-	}
+	// A re-routed job carries the victim shard's last replicated keyframe
+	// and resumes from it. SubmitSeeded degrades to a from-scratch run on
+	// an empty seed or any problem with it, so the assignment never
+	// bounces over a stale frame.
+	st, err := a.Svc.SubmitSeeded(spec, msg.Keyframe)
 	if err != nil {
 		s.send(Accept{Lease: msg.Lease, JobID: msg.JobID, Err: err.Error()})
 		return

@@ -457,35 +457,31 @@ func (g *Gateway) Close() error {
 	return err
 }
 
-// journalJobLocked appends j's full current state to the journal and
-// compacts the log when it outgrows its snapshot budget. Requires g.mu.
-// Journal write errors are logged, not fatal: the gateway stays
-// available and degrades to pre-HA (in-memory) behavior for the record
-// it could not write.
+// journalJobLocked appends j's full current state to the journal.
+// Requires g.mu.
 func (g *Gateway) journalJobLocked(j *GwJob) {
-	if g.journal == nil {
-		return
+	if g.journal != nil {
+		g.journaledLocked("job", j.ID, g.journal.AppendJob(g.jobRecordLocked(j)))
 	}
-	if err := g.journal.AppendJob(g.jobRecordLocked(j)); err != nil {
-		g.opt.Logf("nbodygw: journal append (job %s): %v", j.ID, err)
-	}
-	if g.journal.ShouldCompact() {
-		if err := g.journal.Compact(g.snapshotLocked()); err != nil {
-			g.opt.Logf("nbodygw: journal compaction: %v", err)
-		}
-	}
-	g.metrics.JournalBytes.Store(g.journal.Size())
 }
 
 // journalKeyframeLocked appends a job's latest replicated keyframe as
 // its own record so the (large) frame bytes are not re-written with
 // every job-state transition. Requires g.mu.
 func (g *Gateway) journalKeyframeLocked(j *GwJob) {
-	if g.journal == nil {
-		return
+	if g.journal != nil {
+		g.journaledLocked("keyframe", j.ID, g.journal.AppendKeyframe(j.ID, j.keyframeStep, j.keyframe))
 	}
-	if err := g.journal.AppendKeyframe(j.ID, j.keyframeStep, j.keyframe); err != nil {
-		g.opt.Logf("nbodygw: journal append (keyframe %s): %v", j.ID, err)
+}
+
+// journaledLocked is the tail of every journal append: it compacts the
+// log when it outgrows its snapshot budget and refreshes the size gauge.
+// Journal write errors are logged, not fatal: the gateway stays
+// available and degrades to pre-HA (in-memory) behavior for the record
+// it could not write.
+func (g *Gateway) journaledLocked(what, id string, err error) {
+	if err != nil {
+		g.opt.Logf("nbodygw: journal append (%s %s): %v", what, id, err)
 	}
 	if g.journal.ShouldCompact() {
 		if err := g.journal.Compact(g.snapshotLocked()); err != nil {
@@ -843,18 +839,24 @@ func (g *Gateway) handleDone(sc *shardConn, msg Done) {
 	}
 	j.lease, j.shard = 0, nil
 
-	state := service.State(msg.State)
-	switch state {
+	g.settleLocked(j, msg.State, msg.ResultJSON, msg.Err)
+	g.dispatchLocked()
+}
+
+// settleLocked lands a shard's terminal report on j and its followers: a
+// done result is cached first; anything but done or canceled is a
+// failure.
+func (g *Gateway) settleLocked(j *GwJob, state string, resultJSON []byte, errMsg string) {
+	switch service.State(state) {
 	case service.StateDone:
-		res := append(json.RawMessage(nil), msg.ResultJSON...)
+		res := append(json.RawMessage(nil), resultJSON...)
 		g.cache.Put(j.Key, res, j.ID)
 		g.finishLocked(j, service.StateDone, res, "")
 	case service.StateCanceled:
 		g.finishLocked(j, service.StateCanceled, nil, "")
 	default:
-		g.finishLocked(j, service.StateFailed, nil, msg.Err)
+		g.finishLocked(j, service.StateFailed, nil, errMsg)
 	}
-	g.dispatchLocked()
 }
 
 // handleReport reconciles a shard's in-flight leases after it (or the
@@ -941,16 +943,7 @@ func (g *Gateway) handleParked(sc *shardConn, msg Parked) {
 		if g.inflight[j.Key] == j {
 			delete(g.inflight, j.Key)
 		}
-		switch service.State(msg.State) {
-		case service.StateDone:
-			res := append(json.RawMessage(nil), msg.ResultJSON...)
-			g.cache.Put(j.Key, res, j.ID)
-			g.finishLocked(j, service.StateDone, res, "")
-		case service.StateCanceled:
-			g.finishLocked(j, service.StateCanceled, nil, "")
-		default:
-			g.finishLocked(j, service.StateFailed, nil, msg.Err)
-		}
+		g.settleLocked(j, msg.State, msg.ResultJSON, msg.Err)
 		g.metrics.ParkedResults.Add(1)
 		g.finishReconcileLocked(g.opt.Now())
 		g.dispatchLocked()

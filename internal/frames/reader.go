@@ -283,8 +283,8 @@ func scanChain(r *Reader) (scanState, error) {
 
 // Tail opens path, walks the chain past any torn tail, and returns the
 // last intact frame (nil if the file holds none). This is the resume
-// probe: the service compares it against the gob checkpoint and resumes
-// from whichever is fresher.
+// probe: the service reads a job's chain and its one-record resume.nbf
+// with it and restarts the job from whichever frame is further along.
 func Tail(path string) (*Frame, error) {
 	r, err := Open(path)
 	if err != nil {

@@ -39,10 +39,10 @@ func referenceRun(t *testing.T, spec JobSpec) ([]barneshut.Particle, float64) {
 	return sim.Bodies(), machine
 }
 
-// killAndLoseGob shuts the service down mid-job and then deletes the
-// job's gob checkpoint and meta record, leaving only the spec and the
-// frame chain — the post-crash state the frame store exists to survive.
-func killAndLoseGob(t *testing.T, svc *Service, spool, id string) int {
+// killMidJob shuts the service down mid-job and returns the step the job
+// had reached. A framed job's chain is its checkpoint: nothing but the
+// spec may be in its spool directory, before or after the shutdown.
+func killMidJob(t *testing.T, svc *Service, spool, id string) int {
 	t.Helper()
 	shutdownService(t, svc)
 	st, err := svc.Get(id)
@@ -52,17 +52,29 @@ func killAndLoseGob(t *testing.T, svc *Service, spool, id string) int {
 	if st.Progress.Step == 0 {
 		t.Fatal("job made no progress before the kill")
 	}
-	for _, f := range []string{"checkpoint.gob", "meta.json"} {
-		if err := os.Remove(filepath.Join(spool, id, f)); err != nil {
-			t.Fatal(err)
-		}
+	if got := spoolFiles(t, spool, id); !st.State.Terminal() && (len(got) != 1 || got[0] != "spec.json") {
+		t.Fatalf("framed job's spool directory holds %v, want only spec.json", got)
 	}
 	return st.Progress.Step
 }
 
-// TestFramesResumeGoldenSPSA is the tentpole acceptance test: a job
-// killed mid-run — with its gob checkpoint lost — resumes from the last
-// intact frame of its chain and replays to a final state bit-identical
+// spoolFiles lists a job's spool directory.
+func spoolFiles(t *testing.T, spool, id string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Join(spool, id))
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestFramesResumeGoldenSPSA is the frame store's acceptance test: a job
+// killed mid-run resumes from the last intact frame of its chain — the
+// only state it left behind — and replays to a final state bit-identical
 // to an uninterrupted run, including the machine-time accumulator.
 //
 // SPSA is the bitwise scheme: its decomposition is a pure function of
@@ -90,7 +102,7 @@ func TestFramesResumeGoldenSPSA(t *testing.T) {
 		s, err := svcA.Get(st.ID)
 		return err == nil && s.Progress.Step >= 30
 	})
-	killed := killAndLoseGob(t, svcA, spool, st.ID)
+	killed := killMidJob(t, svcA, spool, st.ID)
 	if killed >= spec.Steps {
 		t.Fatalf("job finished (step %d) before the kill", killed)
 	}
@@ -103,12 +115,9 @@ func TestFramesResumeGoldenSPSA(t *testing.T) {
 	if err != nil {
 		t.Fatalf("job not recovered: %v", err)
 	}
-	if rec.ResumedFrom < 1 {
-		t.Fatalf("job did not resume from the frame chain: %+v", rec)
-	}
-	j, ok := svcB.job(st.ID)
-	if !ok || !j.fromFrame {
-		t.Fatalf("resume did not come from the frame chain (fromFrame=%v)", j.fromFrame)
+	// The chain holds every completed step, so nothing is re-run.
+	if rec.ResumedFrom != killed || rec.Progress.Step != killed {
+		t.Fatalf("job resumed from step %d (progress %d), want the chain's last step %d", rec.ResumedFrom, rec.Progress.Step, killed)
 	}
 
 	// The worker must announce the resume point before its first step.
@@ -159,7 +168,7 @@ func TestFramesResumeGoldenSPSA(t *testing.T) {
 // TestFramesResumePhysical covers SPDA and DPDA: their decompositions
 // adapt to measured loads, so a resume is physically continuous (same
 // particles, same clocks) but not bitwise. The contract here is that
-// the kill-and-lose-gob flow still completes from the frame chain.
+// the kill-and-restart flow still completes from the frame chain.
 func TestFramesResumePhysical(t *testing.T) {
 	for _, scheme := range []string{"spda", "dpda"} {
 		t.Run(scheme, func(t *testing.T) {
@@ -182,7 +191,7 @@ func TestFramesResumePhysical(t *testing.T) {
 				s, err := svcA.Get(st.ID)
 				return err == nil && s.Progress.Step >= 10
 			})
-			killed := killAndLoseGob(t, svcA, spool, st.ID)
+			killed := killMidJob(t, svcA, spool, st.ID)
 			if killed >= spec.Steps {
 				t.Skip("job finished before the kill; nothing to resume")
 			}
@@ -192,8 +201,8 @@ func TestFramesResumePhysical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rec.ResumedFrom < 1 {
-				t.Fatalf("no frame resume: %+v", rec)
+			if rec.ResumedFrom != killed {
+				t.Fatalf("resumed from step %d, want the chain's last step %d: %+v", rec.ResumedFrom, killed, rec)
 			}
 			waitUntil(t, "resumed job done", func() bool {
 				s, err := svc.Get(st.ID)

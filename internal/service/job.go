@@ -16,6 +16,7 @@ import (
 	"time"
 
 	barneshut "repro"
+	"repro/internal/frames"
 	"repro/internal/obsv"
 )
 
@@ -62,7 +63,9 @@ type JobSpec struct {
 	// essential trees).
 	Shipping string `json:"shipping,omitempty"`
 	// CheckpointEvery overrides the service's checkpoint interval in
-	// steps for this job (0 = service default).
+	// steps for this job (0 = service default). It paces resume.nbf and
+	// meta.json; a job recording frames checkpoints every step through
+	// its chain and ignores it.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 	// FramesKeyEvery overrides the service's frame-store keyframe
 	// cadence for this job (0 = service default, negative = no frame
@@ -204,10 +207,16 @@ func (s JobSpec) distributed() bool {
 }
 
 // potentialMode reports whether the spec asks for potential-only
-// evaluations (no integrated dynamics, so no frame capture).
+// evaluations (no integrated dynamics).
 func (s JobSpec) potentialMode() bool {
 	return strings.ToLower(s.Mode) == "potential"
 }
+
+// stateless reports whether the job's particles never move: a cluster
+// job only evaluates forces, a potential-mode job only potentials. Such a
+// job records no frames, cannot be seeded from one, and its whole resume
+// point is a step count and the machine time (meta.json).
+func (s JobSpec) stateless() bool { return s.distributed() || s.potentialMode() }
 
 // SimConfig translates the spec into a barneshut.Config. The spec must
 // have been validated.
@@ -257,6 +266,39 @@ func (s JobSpec) NewSimulation() (*barneshut.Simulation, error) {
 	return barneshut.NewSimulation(set, cfg)
 }
 
+// resumePoint is where a job's next run starts; the zero value is step
+// zero of a fresh simulation.
+type resumePoint struct {
+	// sim is the restored simulation. Nil makes the worker build a fresh
+	// one from the spec — always for a stateless job. The worker that
+	// claims the job takes it.
+	sim *barneshut.Simulation
+	// step is the number of steps already completed; machineTime the
+	// simulated machine seconds accumulated over them, so the resumed
+	// run's final MachineTime matches an uninterrupted run bit for bit.
+	step        int
+	machineTime float64
+}
+
+// resumeFrom is the one frame-to-simulation restore: f's particles under
+// the spec's configuration, with both clocks and the machine-time
+// accumulator read off f's header. Spool recovery hands it the last
+// intact frame on disk, SubmitSeeded a replicated keyframe.
+func (s JobSpec) resumeFrom(f *frames.Frame) (resumePoint, error) {
+	cfg, err := s.SimConfig()
+	if err != nil {
+		return resumePoint{}, err
+	}
+	bodies := make([]barneshut.Particle, f.Parts.Len())
+	f.Parts.Scatter(bodies)
+	set := &barneshut.ParticleSet{Particles: bodies, Domain: f.Meta.Domain}
+	sim, err := barneshut.RestoreSimulation(set, cfg, f.Meta.Time, int(f.Meta.Step))
+	if err != nil {
+		return resumePoint{}, err
+	}
+	return resumePoint{sim: sim, step: int(f.Meta.Step), machineTime: f.Meta.MachineTime}, nil
+}
+
 // State is a job's lifecycle state.
 type State string
 
@@ -302,15 +344,15 @@ type Progress struct {
 	// Event marks out-of-band lifecycle moments on the progress stream;
 	// "recovery" is published when a cluster job survives a transport
 	// fault and is re-queued to resume from Step, and when a worker
-	// picks up a job restored from a checkpoint, frame chain, or
-	// replicated keyframe.
+	// picks up a job restored from a frame (its chain's last, its
+	// resume.nbf, or a replicated keyframe).
 	Event string `json:"event,omitempty"`
 	// Fault names the transport fault kind behind a recovery event.
 	Fault string `json:"fault,omitempty"`
 	// Retries is the number of fault recoveries this job has undergone.
 	Retries int `json:"retries,omitempty"`
 	// ResumedStep, on a recovery event, is the completed-step count the
-	// job restarted from (the frame-store or checkpoint resume point).
+	// job restarted from.
 	ResumedStep int `json:"resumed_step,omitempty"`
 }
 
@@ -366,20 +408,12 @@ type Job struct {
 	created  time.Time
 	started  time.Time
 	finished time.Time
-	resumed  int // step count restored from a spool checkpoint
 	retries  int // transport-fault recoveries so far
-	// resumeMachine seeds the worker's machine-time accumulator on
-	// resume; fromFrame records that the resume state came from the
-	// frame chain (or a replicated keyframe) rather than a gob
-	// checkpoint.
-	resumeMachine float64
-	fromFrame     bool
-	progress      Progress
-	result        *Result
-	// Cluster jobs resume by deterministic replay from a step index; the
-	// pair below is the in-memory mirror of the cluster checkpoint.
-	clusterStep    int
-	clusterMachine float64
+	// resume is where the job's next run starts: set at admission (spool
+	// recovery, a seeded submit) and again by each fault retry.
+	resume   resumePoint
+	progress Progress
+	result   *Result
 	// trace holds the job's tracer when the spec asked for one; it
 	// accumulates across retries and resumes and is served after the job
 	// ends (and, read-only, while it runs).
@@ -414,6 +448,17 @@ func newJob(id string, spec JobSpec, now time.Time) *Job {
 	}
 }
 
+// startFrom makes rp the resume point of a job not yet shared with a
+// worker and shows it as the job's progress so far.
+func (j *Job) startFrom(rp resumePoint) {
+	j.resume = rp
+	j.progress.Step = rp.step
+	j.progress.MachineTime = rp.machineTime
+	if rp.sim != nil {
+		j.progress.SimTime = rp.sim.Time()
+	}
+}
+
 // Status is the JSON form of a job's current state.
 type Status struct {
 	ID          string    `json:"id"`
@@ -440,7 +485,7 @@ func (j *Job) Status() Status {
 		Created:     j.created,
 		Started:     j.started,
 		Finished:    j.finished,
-		ResumedFrom: j.resumed,
+		ResumedFrom: j.resume.step,
 		Retries:     j.retries,
 		Progress:    j.progress,
 	}

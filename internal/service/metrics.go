@@ -35,8 +35,8 @@ type Metrics struct {
 	JobsRetried    atomic.Int64 // fault-recovery re-queues
 	Workers        atomic.Int64 // gauge (pool size)
 	StepsTotal     atomic.Int64
-	Checkpoints    atomic.Int64
-	CheckpointByte atomic.Int64
+	Checkpoints    atomic.Int64 // resume.nbf and meta.json writes; a frame chain is not counted
+	CheckpointByte atomic.Int64 // resume.nbf bytes
 	machineMicros  atomic.Int64 // simulated machine time, microseconds
 
 	// Frame-store counters: frames appended to chains, in-place chain

@@ -6,13 +6,11 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io/fs"
 	"log"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	barneshut "repro"
 	"repro/internal/cluster"
 	"repro/internal/frames"
 	"repro/internal/obsv"
@@ -46,11 +44,14 @@ type Options struct {
 	// running ones (default 16). Submissions beyond the bound fail with
 	// ErrQueueFull.
 	QueueDepth int
-	// SpoolDir enables checkpoint-backed resume when non-empty.
+	// SpoolDir enables resume across restarts when non-empty.
 	SpoolDir string
 	// CheckpointEvery is the default checkpoint interval in completed
 	// steps (default 10; 0 keeps the default, negative disables periodic
-	// checkpoints — shutdown still writes one).
+	// checkpoints — shutdown still writes one). It paces resume.nbf, for
+	// force-mode jobs without a frame chain, and meta.json, for cluster
+	// and potential-mode jobs; a job recording frames checkpoints every
+	// step through its chain and writes nothing else.
 	CheckpointEvery int
 	// Clock substitutes a fake clock in tests (default wall clock).
 	Clock Clock
@@ -147,9 +148,6 @@ type Service struct {
 	// job across the worker processes at a time.
 	clusterMu sync.Mutex
 
-	// resume maps job ID to the simulation restored from the spool.
-	resume map[string]*barneshut.Simulation
-
 	// frameHook, when set, observes every keyframe the workers append:
 	// the fabric agent replicates the record to its gateway so a
 	// re-routed job can resume on another shard. The record is a copy the
@@ -192,7 +190,6 @@ func New(opt Options) (*Service, error) {
 		metrics:  newMetrics(opt.Clock),
 		jobs:     make(map[string]*Job),
 		stopping: make(chan struct{}),
-		resume:   make(map[string]*barneshut.Simulation),
 
 		retryBackoff: transport.NewBackoff(opt.RetryBackoff, opt.RetryBackoffMax, "requeue"),
 	}
@@ -207,88 +204,24 @@ func New(opt Options) (*Service, error) {
 	// submissions; recovery happens before Submit can be called.
 	s.queue = make(chan *Job, opt.QueueDepth+len(recovered))
 	for _, rec := range recovered {
-		s.preferFrameResume(&rec)
 		j := newJob(rec.ID, rec.Spec, opt.Clock.Now())
-		j.resumed = rec.Step
-		j.resumeMachine = rec.MachineTime
-		j.fromFrame = rec.FromFrame
-		j.progress.Step = rec.Step
-		j.progress.MachineTime = rec.MachineTime
-		if rec.Sim != nil {
-			j.progress.SimTime = rec.Sim.Time()
-			s.resume[rec.ID] = rec.Sim
-		}
-		if rec.Spec.distributed() {
-			// Cluster jobs resume by deterministic replay: the meta record
-			// alone pins the step index and the machine-time accumulator.
-			j.clusterStep = rec.Step
-			j.clusterMachine = rec.MachineTime
-		}
+		j.startFrom(rec.resume)
 		s.jobs[j.ID] = j
 		s.order = append(s.order, j.ID)
 		s.queue <- j
 		s.metrics.JobsQueued.Add(1)
 		s.metrics.JobsResumed.Add(1)
-		src := "spool"
-		if rec.FromFrame {
-			src = "frame chain"
-		}
-		opt.Logf("nbodyd: recovered job %s from %s at step %d/%d", j.ID, src, rec.Step, rec.Spec.Steps)
+		opt.Logf("nbodyd: recovered job %s from spool at step %d/%d", j.ID, rec.resume.step, rec.Spec.Steps)
 	}
 	return s, nil
 }
 
-// preferFrameResume upgrades a recovered job to resume from its frame
-// chain when the chain's last intact frame is at least as fresh as the
-// gob checkpoint. Frames win ties because they carry the machine-time
-// accumulator and round-trip the particle state bit-identically, so the
-// resumed run replays to the same simulated metrics as an uninterrupted
-// one. Failures fall back silently to whatever the spool scan found.
-func (s *Service) preferFrameResume(rec *Recovered) {
-	if rec.Spec.distributed() || rec.Spec.potentialMode() || !s.framesEnabled(rec.Spec) {
-		return
-	}
-	path := s.spool.FramesPath(rec.ID)
-	if path == "" {
-		return
-	}
-	tail, err := frames.Tail(path)
-	if err != nil || tail == nil {
-		if err != nil && !errors.Is(err, fs.ErrNotExist) {
-			s.opt.Logf("nbodyd: job %s frame chain unusable for resume: %v", rec.ID, err)
-		}
-		return
-	}
-	step := int(tail.Meta.Step)
-	if step < rec.Step || (step == rec.Step && rec.Sim != nil && rec.MachineTime > 0) {
-		return // the gob checkpoint is strictly better informed
-	}
-	cfg, err := rec.Spec.SimConfig()
-	if err != nil {
-		return
-	}
-	bodies := make([]barneshut.Particle, tail.Parts.Len())
-	tail.Parts.Scatter(bodies)
-	set := &barneshut.ParticleSet{Particles: bodies, Domain: tail.Meta.Domain}
-	sim, err := barneshut.RestoreSimulation(set, cfg, tail.Meta.Time, step)
-	if err != nil {
-		s.opt.Logf("nbodyd: job %s frame-tail restore failed: %v", rec.ID, err)
-		return
-	}
-	sim.SetFrameMark(tail.Meta.Step)
-	rec.Sim = sim
-	rec.Step = step
-	rec.MachineTime = tail.Meta.MachineTime
-	rec.FromFrame = true
-}
-
 // framesEnabled reports whether the service records frame chains for
 // this spec: a spool must exist and the effective keyframe cadence must
-// be positive. Distributed and potential-mode jobs never record frames
-// (no integrated particle dynamics to snapshot).
+// be positive. Stateless jobs never record frames (no integrated
+// particle dynamics to snapshot).
 func (s *Service) framesEnabled(spec JobSpec) bool {
-	return s.spool != nil && s.frameKeyEvery(spec) > 0 &&
-		!spec.distributed() && !spec.potentialMode()
+	return s.spool != nil && s.frameKeyEvery(spec) > 0 && !spec.stateless()
 }
 
 // frameKeyEvery resolves the job's keyframe cadence: the spec override
@@ -298,6 +231,18 @@ func (s *Service) frameKeyEvery(spec JobSpec) int {
 		return spec.FramesKeyEvery
 	}
 	return s.opt.FramesKeyEvery
+}
+
+// checkpointDue reports whether a job without a frame chain checkpoints
+// after step completed steps: every CheckpointEvery steps (the spec's
+// override when non-zero, else the service default; negative disables),
+// except after the last, when the job is about to leave the spool.
+func (s *Service) checkpointDue(spec JobSpec, step int) bool {
+	every := spec.CheckpointEvery
+	if every == 0 {
+		every = s.opt.CheckpointEvery
+	}
+	return every > 0 && step%every == 0 && step < spec.Steps
 }
 
 // Metrics exposes the service counters (for the HTTP layer and tests).
@@ -313,9 +258,10 @@ func (s *Service) Start() {
 }
 
 // Shutdown stops admission, lets each worker finish (at most) its
-// current step, checkpoints running jobs to the spool, and waits for
-// the pool to drain or ctx to expire. Queued jobs stay in the spool and
-// are recovered by the next daemon.
+// current step and leave the job's resume point in the spool (a closed
+// frame chain, or resume.nbf/meta.json), and waits for the pool to drain
+// or ctx to expire. Queued jobs stay in the spool and are recovered by
+// the next daemon.
 func (s *Service) Shutdown(ctx context.Context) error {
 	s.stopOnce.Do(func() { close(s.stopping) })
 	done := make(chan struct{})
@@ -334,6 +280,16 @@ func (s *Service) Shutdown(ctx context.Context) error {
 // Submit validates and admits a job. It returns ErrQueueFull when the
 // queue bound is reached and ErrShuttingDown after Shutdown begins.
 func (s *Service) Submit(spec JobSpec) (Status, error) {
+	return s.SubmitSeeded(spec, nil)
+}
+
+// SubmitSeeded is Submit for a job that resumes from a replicated
+// keyframe record (see frames.EncodeKeyframe) instead of starting at step
+// zero: the fabric gateway hands the victim shard's last keyframe to the
+// shard a re-routed job lands on. An empty or unusable record — or a
+// stateless job, which has no integrated particle state to seed —
+// degrades to a run from scratch, never to a rejected job.
+func (s *Service) SubmitSeeded(spec JobSpec, keyframe []byte) (Status, error) {
 	select {
 	case <-s.stopping:
 		return Status{}, ErrShuttingDown
@@ -347,86 +303,26 @@ func (s *Service) Submit(spec JobSpec) (Status, error) {
 		s.metrics.JobsInvalid.Add(1)
 		return Status{}, fmt.Errorf("invalid job: transport tcp requires the daemon to run a cluster coordinator (-cluster-workers)")
 	}
-	j := newJob(s.newJobID(), spec, s.opt.Clock.Now())
-	if err := s.spool.PutSpec(j.ID, spec); err != nil {
-		return Status{}, fmt.Errorf("service: spooling job: %w", err)
-	}
-	s.mu.Lock()
-	select {
-	case s.queue <- j:
-		s.jobs[j.ID] = j
-		s.order = append(s.order, j.ID)
-		s.mu.Unlock()
-		s.metrics.JobsSubmitted.Add(1)
-		s.metrics.JobsQueued.Add(1)
-		return j.Status(), nil
-	default:
-		s.mu.Unlock()
-		s.metrics.JobsRejected.Add(1)
-		if err := s.spool.Remove(j.ID); err != nil {
-			s.opt.Logf("nbodyd: removing rejected job %s from spool: %v", j.ID, err)
+	var rp resumePoint
+	if len(keyframe) > 0 && !spec.stateless() {
+		frame, err := frames.DecodeKeyframe(keyframe)
+		if err == nil {
+			rp, err = spec.resumeFrom(frame)
 		}
-		return Status{}, ErrQueueFull
+		if err != nil {
+			s.opt.Logf("nbodyd: seeded submit: keyframe unusable, starting from scratch: %v", err)
+		}
 	}
-}
-
-// SubmitSeeded admits a job that resumes from a replicated keyframe
-// record (see frames.EncodeKeyframe) instead of starting at step zero:
-// the fabric gateway hands the victim shard's last keyframe to the
-// shard a re-routed job lands on. The keyframe is validated and decoded
-// up front; an empty or unusable record degrades to a plain Submit (the
-// job still runs, from scratch), never to a rejected job.
-func (s *Service) SubmitSeeded(spec JobSpec, keyframe []byte) (Status, error) {
-	if len(keyframe) == 0 {
-		return s.Submit(spec)
-	}
-	select {
-	case <-s.stopping:
-		return Status{}, ErrShuttingDown
-	default:
-	}
-	if err := spec.Validate(); err != nil {
-		s.metrics.JobsInvalid.Add(1)
-		return Status{}, fmt.Errorf("invalid job: %w", err)
-	}
-	if spec.distributed() || spec.potentialMode() {
-		// Neither carries integrated particle state; the keyframe cannot
-		// seed them.
-		return s.Submit(spec)
-	}
-	frame, err := frames.DecodeKeyframe(keyframe)
-	if err != nil {
-		s.opt.Logf("nbodyd: seeded submit: keyframe rejected, starting from scratch: %v", err)
-		return s.Submit(spec)
-	}
-	cfg, err := spec.SimConfig()
-	if err != nil {
-		return Status{}, fmt.Errorf("invalid job: %w", err)
-	}
-	bodies := make([]barneshut.Particle, frame.Parts.Len())
-	frame.Parts.Scatter(bodies)
-	set := &barneshut.ParticleSet{Particles: bodies, Domain: frame.Meta.Domain}
-	sim, err := barneshut.RestoreSimulation(set, cfg, frame.Meta.Time, int(frame.Meta.Step))
-	if err != nil {
-		s.opt.Logf("nbodyd: seeded submit: keyframe unusable, starting from scratch: %v", err)
-		return s.Submit(spec)
-	}
-	sim.SetFrameMark(frame.Meta.Step)
-
+	seeded := rp.sim != nil
 	j := newJob(s.newJobID(), spec, s.opt.Clock.Now())
-	j.resumed = int(frame.Meta.Step)
-	j.resumeMachine = frame.Meta.MachineTime
-	j.fromFrame = true
-	j.progress.Step = j.resumed
-	j.progress.SimTime = frame.Meta.Time
-	j.progress.MachineTime = frame.Meta.MachineTime
+	j.startFrom(rp)
 	if err := s.spool.PutSpec(j.ID, spec); err != nil {
 		return Status{}, fmt.Errorf("service: spooling job: %w", err)
 	}
 	// Seed the job's frame chain with the keyframe so the resumed run's
 	// replay stream is continuous from the resume point even before its
 	// first local append.
-	if s.framesEnabled(spec) {
+	if seeded && s.framesEnabled(spec) {
 		if path := s.spool.FramesPath(j.ID); path != "" {
 			if err := frames.WriteSeed(path, keyframe); err != nil {
 				s.opt.Logf("nbodyd: seeding frame chain for job %s: %v", j.ID, err)
@@ -438,20 +334,21 @@ func (s *Service) SubmitSeeded(spec JobSpec, keyframe []byte) (Status, error) {
 	case s.queue <- j:
 		s.jobs[j.ID] = j
 		s.order = append(s.order, j.ID)
-		s.resume[j.ID] = sim
 		s.mu.Unlock()
 		s.metrics.JobsSubmitted.Add(1)
 		s.metrics.JobsQueued.Add(1)
-		s.metrics.FramesSeeded.Add(1)
-		s.opt.Logf("nbodyd: job %s seeded from keyframe at step %d/%d", j.ID, j.resumed, spec.Steps)
+		if seeded {
+			s.metrics.FramesSeeded.Add(1)
+			s.opt.Logf("nbodyd: job %s seeded from keyframe at step %d/%d", j.ID, rp.step, spec.Steps)
+		}
 		return j.Status(), nil
 	default:
 		s.mu.Unlock()
 		s.metrics.JobsRejected.Add(1)
-		if err := s.spool.Remove(j.ID); err != nil {
-			s.opt.Logf("nbodyd: removing rejected job %s from spool: %v", j.ID, err)
+		s.removeSpool(j.ID)
+		if seeded {
+			s.spool.RemoveFrames(j.ID) // drop the orphaned seed, if one was written
 		}
-		s.spool.RemoveFrames(j.ID) // drop the orphaned seed
 		return Status{}, ErrQueueFull
 	}
 }

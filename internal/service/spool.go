@@ -1,32 +1,45 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 
-	barneshut "repro"
+	"repro/internal/frames"
 )
 
 // Spool persists job state so the daemon can resume in-flight work
 // after a restart. Each job owns one directory under the spool root:
 //
-//	<root>/<jobID>/spec.json       the submitted JobSpec (written once)
-//	<root>/<jobID>/meta.json       last durable progress (step count)
-//	<root>/<jobID>/checkpoint.gob  latest simulation checkpoint
+//	<root>/<jobID>/spec.json   the submitted JobSpec (written once)
+//	<root>/<jobID>/resume.nbf  one keyframe record: the resume point of a
+//	                           force-mode job that has no frame chain to
+//	                           resume from
+//	<root>/<jobID>/meta.json   step count and machine time of a stateless
+//	                           (cluster or potential-mode) job, which has
+//	                           no particle state to save
 //
 // Frame chains live beside the job directories, under a reserved name:
 //
-//	<root>/frames/<jobID>.nbf      columnar frame chain (see internal/frames)
+//	<root>/frames/<jobID>.nbf  columnar frame chain (see internal/frames)
+//
+// A job that records frames writes nothing but its spec into its
+// directory: the chain holds every step's positions, velocities, clocks
+// and machine-time accumulator bit-exactly, and the formulations derive
+// tree and partition from those each step, so the chain's last intact
+// frame is the job's checkpoint. resume.nbf is the same record for a job
+// without a chain. A legacy gob checkpoint left by an older daemon is
+// not read.
 //
 // Entries are removed when a job reaches a terminal state; whatever is
 // left in the spool at startup is, by construction, work interrupted by
 // a crash or shutdown. Frame chains deliberately outlive the job
 // directory: a finished job's replay stream stays servable until its
-// frames are compacted or pruned. All writes go through a temp file and
-// rename so a crash mid-write never corrupts the previous checkpoint.
+// frames are compacted or pruned. Whole-file writes go through a temp
+// file and rename so a crash mid-write never corrupts the previous one.
 type Spool struct {
 	root string
 }
@@ -50,10 +63,10 @@ func ParkedDir(root string) string {
 	return filepath.Join(root, parkedDirName)
 }
 
-// spoolMeta is the durable progress record accompanying a checkpoint.
-// For distributed (cluster) jobs it is the whole checkpoint: particles
+// spoolMeta is the whole checkpoint of a stateless job: its particles
 // never change, so a step index plus the accumulated simulated machine
-// time is enough to resume bit-identically by deterministic replay.
+// time is enough to resume (a cluster job bit-identically, by
+// deterministic replay).
 type spoolMeta struct {
 	// Step is the number of completed steps at the last checkpoint.
 	Step int `json:"step"`
@@ -77,6 +90,12 @@ func NewSpool(dir string) (*Spool, error) {
 
 func (sp *Spool) jobDir(id string) string { return filepath.Join(sp.root, id) }
 
+func (sp *Spool) framesFile(id string) string {
+	return filepath.Join(sp.root, framesDirName, id+".nbf")
+}
+
+func (sp *Spool) resumeFile(id string) string { return filepath.Join(sp.jobDir(id), "resume.nbf") }
+
 // FramesPath returns the frame-chain path for a job, creating the
 // frames directory on first use. It returns "" (frames disabled) on a
 // nil spool or when the directory cannot be created.
@@ -84,11 +103,10 @@ func (sp *Spool) FramesPath(id string) string {
 	if sp == nil {
 		return ""
 	}
-	dir := filepath.Join(sp.root, framesDirName)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(sp.root, framesDirName), 0o755); err != nil {
 		return ""
 	}
-	return filepath.Join(dir, id+".nbf")
+	return sp.framesFile(id)
 }
 
 // RemoveFrames deletes a job's frame chain (retention pruning; terminal
@@ -97,7 +115,7 @@ func (sp *Spool) RemoveFrames(id string) error {
 	if sp == nil {
 		return nil
 	}
-	return os.Remove(filepath.Join(sp.root, framesDirName, id+".nbf"))
+	return os.Remove(sp.framesFile(id))
 }
 
 // FramesBytes sums the on-disk size of every frame chain in the spool;
@@ -122,61 +140,38 @@ func (sp *Spool) FramesBytes() int64 {
 // PutSpec records a newly admitted job. Called before the job is
 // enqueued so a crash between admission and execution loses nothing.
 func (sp *Spool) PutSpec(id string, spec JobSpec) error {
+	return sp.putJSON(id, "spec.json", spec)
+}
+
+// PutMeta records the resume point of a stateless job: its particles
+// are constant, so the step index and the machine time are all of it.
+func (sp *Spool) PutMeta(id string, step int, machineTime float64) error {
+	return sp.putJSON(id, "meta.json", spoolMeta{Step: step, MachineTime: machineTime})
+}
+
+func (sp *Spool) putJSON(id, name string, v any) error {
 	if sp == nil {
 		return nil
 	}
 	if err := os.MkdirAll(sp.jobDir(id), 0o755); err != nil {
 		return err
 	}
-	data, err := json.MarshalIndent(spec, "", "  ")
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	return atomicWrite(filepath.Join(sp.jobDir(id), "spec.json"), data)
+	return atomicWrite(filepath.Join(sp.jobDir(id), name), data)
 }
 
-// PutCheckpoint durably records the simulation state at the given step,
-// along with the cumulative simulated machine time so a resumed job's
-// accumulator picks up bit-identically. It returns the checkpoint size
-// in bytes for metrics.
-func (sp *Spool) PutCheckpoint(id string, sim *barneshut.Simulation, step int, machineTime float64) (int, error) {
+// PutResume records f as the job's resume point, replacing the previous
+// one: a frame file of one keyframe record (fsynced, like any seed). It
+// returns the record size in bytes for metrics.
+func (sp *Spool) PutResume(id string, f *frames.Frame) (int, error) {
 	if sp == nil {
 		return 0, nil
 	}
-	var buf bytes.Buffer
-	if err := sim.WriteCheckpoint(&buf); err != nil {
-		return 0, err
-	}
-	n := buf.Len()
-	if err := atomicWrite(filepath.Join(sp.jobDir(id), "checkpoint.gob"), buf.Bytes()); err != nil {
-		return 0, err
-	}
-	meta, err := json.Marshal(spoolMeta{Step: step, MachineTime: machineTime})
-	if err != nil {
-		return 0, err
-	}
-	if err := atomicWrite(filepath.Join(sp.jobDir(id), "meta.json"), meta); err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-// PutClusterCheckpoint durably records a distributed job's resume point.
-// Cluster jobs carry no simulation state (particles are constant; every
-// step is a deterministic function of the job and the step index), so
-// the checkpoint is just the meta record.
-func (sp *Spool) PutClusterCheckpoint(id string, step int, machineTime float64) error {
-	if sp == nil {
-		return nil
-	}
-	if err := os.MkdirAll(sp.jobDir(id), 0o755); err != nil {
-		return err
-	}
-	meta, err := json.Marshal(spoolMeta{Step: step, MachineTime: machineTime})
-	if err != nil {
-		return err
-	}
-	return atomicWrite(filepath.Join(sp.jobDir(id), "meta.json"), meta)
+	rec := frames.EncodeKeyframe(f)
+	return len(rec), frames.WriteSeed(sp.resumeFile(id), rec)
 }
 
 // Remove deletes a job's spool entry (terminal state reached).
@@ -191,23 +186,14 @@ func (sp *Spool) Remove(id string) error {
 type Recovered struct {
 	ID   string
 	Spec JobSpec
-	// Sim is the simulation restored from the latest checkpoint, or nil
-	// if the job never checkpointed (it restarts from step zero).
-	Sim *barneshut.Simulation
-	// Step is the durable completed-step count at the checkpoint.
-	Step int
-	// MachineTime is the simulated machine seconds accumulated over
-	// those steps; the worker resumes the accumulator from here so the
-	// final MachineTime matches an uninterrupted run bit for bit.
-	MachineTime float64
-	// FromFrame reports that Sim was rebuilt from the job's frame chain
-	// rather than (or in preference to) the gob checkpoint.
-	FromFrame bool
+	// resume is where the job picks up; zero when the spool holds no
+	// usable state and the job restarts from step zero.
+	resume resumePoint
 }
 
 // Scan returns every resumable job left in the spool, in directory
 // order. Entries whose spec is unreadable are skipped (and reported in
-// errs) rather than wedging startup; a corrupt checkpoint demotes the
+// errs) rather than wedging startup; unusable resume state demotes the
 // job to a from-scratch restart.
 func (sp *Spool) Scan() (jobs []Recovered, errs []error) {
 	if sp == nil {
@@ -236,29 +222,45 @@ func (sp *Spool) Scan() (jobs []Recovered, errs []error) {
 			errs = append(errs, fmt.Errorf("spool job %s: invalid spec: %w", id, err))
 			continue
 		}
-		rec := Recovered{ID: id, Spec: spec}
-		if ckpt, err := os.ReadFile(filepath.Join(sp.jobDir(id), "checkpoint.gob")); err == nil {
-			sim, err := barneshut.ReadCheckpoint(bytes.NewReader(ckpt))
-			if err != nil {
-				errs = append(errs, fmt.Errorf("spool job %s: checkpoint unusable, restarting from scratch: %w", id, err))
-			} else {
-				rec.Sim = sim
-				rec.Step = sim.Steps()
-			}
+		if _, err := os.Stat(filepath.Join(sp.jobDir(id), "checkpoint.gob")); err == nil {
+			errs = append(errs, fmt.Errorf("spool job %s: ignoring legacy gob checkpoint", id))
 		}
-		// The meta record stands on its own: cluster jobs have no gob
-		// (their checkpoint is the step index), and potential-mode
-		// evaluations don't advance the simulation clock.
-		if meta, err := os.ReadFile(filepath.Join(sp.jobDir(id), "meta.json")); err == nil {
-			var m spoolMeta
-			if json.Unmarshal(meta, &m) == nil && m.Step >= rec.Step {
-				rec.Step = m.Step
-				rec.MachineTime = m.MachineTime
+		rec := Recovered{ID: id, Spec: spec}
+		if spec.stateless() {
+			if meta, err := os.ReadFile(filepath.Join(sp.jobDir(id), "meta.json")); err == nil {
+				var m spoolMeta
+				if json.Unmarshal(meta, &m) == nil {
+					rec.resume = resumePoint{step: m.Step, machineTime: m.MachineTime}
+				}
+			}
+		} else {
+			f, ferrs := sp.newestFrame(id)
+			errs = append(errs, ferrs...)
+			if f != nil {
+				if rec.resume, err = spec.resumeFrom(f); err != nil {
+					errs = append(errs, fmt.Errorf("spool job %s: frame at step %d unusable, restarting from scratch: %w", id, f.Meta.Step, err))
+				}
 			}
 		}
 		jobs = append(jobs, rec)
 	}
 	return jobs, errs
+}
+
+// newestFrame returns the later of the job's two resume candidates — the
+// last intact frame of its chain and its resume.nbf — or nil when it has
+// neither. An unreadable candidate is reported in errs and skipped.
+func (sp *Spool) newestFrame(id string) (newest *frames.Frame, errs []error) {
+	for _, path := range []string{sp.framesFile(id), sp.resumeFile(id)} {
+		f, err := frames.Tail(path)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			errs = append(errs, fmt.Errorf("spool job %s: %s unusable for resume: %w", id, filepath.Base(path), err))
+		}
+		if f != nil && (newest == nil || f.Meta.Step > newest.Meta.Step) {
+			newest = f
+		}
+	}
+	return newest, errs
 }
 
 // atomicWrite writes data to path through a temp file + rename so

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/frames"
 )
 
 func TestNilSpoolIsNoOp(t *testing.T) {
@@ -19,7 +21,10 @@ func TestNilSpoolIsNoOp(t *testing.T) {
 	if err := sp.PutSpec("x", JobSpec{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sp.PutCheckpoint("x", nil, 0, 0); err != nil {
+	if _, err := sp.PutResume("x", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.PutMeta("x", 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := sp.Remove("x"); err != nil {
@@ -47,12 +52,14 @@ func TestSpoolRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Run(4)
-	n, err := sp.PutCheckpoint("j1", sim, 4, 1.25)
+	var f frames.Frame
+	fillFrame(&f, sim, 4, 1.25)
+	n, err := sp.PutResume("j1", &f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n <= 0 {
-		t.Fatalf("checkpoint size %d", n)
+		t.Fatalf("resume record size %d", n)
 	}
 
 	jobs, errs := sp.Scan()
@@ -63,8 +70,16 @@ func TestSpoolRoundTrip(t *testing.T) {
 		t.Fatalf("want 1 recovered job, got %d", len(jobs))
 	}
 	rec := jobs[0]
-	if rec.ID != "j1" || rec.Step != 4 || rec.Sim == nil {
+	if rec.ID != "j1" || rec.resume.step != 4 || rec.resume.machineTime != 1.25 || rec.resume.sim == nil {
 		t.Fatalf("bad recovery: %+v", rec)
+	}
+	if got := rec.resume.sim; got.Steps() != 4 || got.Time() != sim.Time() {
+		t.Fatalf("restored clocks: steps=%d time=%v, want 4 and %v", got.Steps(), got.Time(), sim.Time())
+	}
+	for i, b := range sim.Bodies() {
+		if got := rec.resume.sim.Bodies()[i]; got != b {
+			t.Fatalf("body %d: restored %+v, saved %+v", i, got, b)
+		}
 	}
 	if rec.Spec.N != 64 || rec.Spec.Steps != 9 {
 		t.Fatalf("spec not preserved: %+v", rec.Spec)
@@ -89,23 +104,46 @@ func TestSpoolScanSkipsCorruptEntries(t *testing.T) {
 	// A bad spec.
 	os.MkdirAll(filepath.Join(dir, "badspec"), 0o755)
 	os.WriteFile(filepath.Join(dir, "badspec", "spec.json"), []byte("{nope"), 0o644)
-	// A good spec with a corrupt checkpoint: recovered, from scratch.
-	spec := JobSpec{Dist: "uniform", N: 64, Machine: "ideal", Steps: 3}
+	// Good specs whose saved state is unusable or absent: each recovered,
+	// each from step zero — a step count with no particles behind it
+	// (meta.json beside a force-mode spec) is not a resume point.
+	spec := JobSpec{Dist: "uniform", N: 64, Machine: "ideal", Steps: 50}
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sp.PutSpec("j1", spec); err != nil {
+	for id, file := range map[string]string{"jbadresume": "resume.nbf", "jmetaonly": "meta.json"} {
+		if err := sp.PutSpec(id, spec); err != nil {
+			t.Fatal(err)
+		}
+		data := []byte(`{"step":40,"machine_time":2.5}`)
+		if file == "resume.nbf" {
+			data = append(frames.Magic(), "garbage"...)
+		}
+		os.WriteFile(filepath.Join(dir, id, file), data, 0o644)
+	}
+	// Potential mode has no particle state to save: there the same
+	// meta.json is the whole resume point.
+	pot := spec
+	pot.Mode = "potential"
+	if err := sp.PutSpec("jpot", pot); err != nil {
 		t.Fatal(err)
 	}
-	os.WriteFile(filepath.Join(dir, "j1", "checkpoint.gob"), []byte("garbage"), 0o644)
+	if err := sp.PutMeta("jpot", 40, 2.5); err != nil {
+		t.Fatal(err)
+	}
 
 	jobs, errs := sp.Scan()
-	if len(jobs) != 1 || jobs[0].ID != "j1" {
-		t.Fatalf("want only j1 recovered, got %+v", jobs)
+	steps := map[string]int{}
+	for _, rec := range jobs {
+		steps[rec.ID] = rec.resume.step
+		if rec.resume.sim != nil {
+			t.Errorf("job %s: restored a simulation from nothing", rec.ID)
+		}
 	}
-	if jobs[0].Sim != nil || jobs[0].Step != 0 {
-		t.Fatal("corrupt checkpoint should demote to a from-scratch restart")
+	if len(jobs) != 3 || steps["jbadresume"] != 0 || steps["jmetaonly"] != 0 || steps["jpot"] != 40 {
+		t.Fatalf("recovered steps %v, want jbadresume:0 jmetaonly:0 jpot:40", steps)
 	}
+	// empty, badspec, and the unreadable resume.nbf.
 	if len(errs) != 3 {
 		t.Fatalf("want 3 scan diagnostics, got %v", errs)
 	}

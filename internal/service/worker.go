@@ -28,8 +28,8 @@ func jobTracer(j *Job) *obsv.Tracer {
 }
 
 // worker drains the queue until Shutdown. Each dequeued job runs to a
-// terminal state unless shutdown interrupts it, in which case the job is
-// checkpointed to the spool and left for the next daemon.
+// terminal state unless shutdown interrupts it, in which case its resume
+// point is in the spool and the job is left for the next daemon.
 func (s *Service) worker() {
 	defer s.wg.Done()
 	for {
@@ -67,7 +67,7 @@ func (s *Service) claim(j *Job) bool {
 }
 
 // runJob executes one job to completion, cancellation, failure, or
-// shutdown-checkpoint.
+// shutdown.
 func (s *Service) runJob(j *Job) {
 	if !s.claim(j) {
 		return
@@ -79,24 +79,16 @@ func (s *Service) runJob(j *Job) {
 	}
 	potential := spec.potentialMode()
 
-	// Resume from the spool-restored simulation when one exists.
-	s.mu.Lock()
-	sim := s.resume[j.ID]
-	delete(s.resume, j.ID)
-	s.mu.Unlock()
-	step := j.resumed
-	machineTime := j.resumeMachine
+	j.mu.Lock()
+	sim, step, machineTime := j.resume.sim, j.resume.step, j.resume.machineTime
+	j.resume.sim = nil // this run owns it now
+	j.mu.Unlock()
 	if sim == nil {
 		var err error
 		sim, err = spec.NewSimulation()
 		if err != nil {
 			s.fail(j, err)
 			return
-		}
-		if step > 0 && !potential {
-			// Recovered without a usable checkpoint: restart from zero.
-			step = 0
-			machineTime = 0
 		}
 	} else if step > 0 {
 		// Announce the resume point on the progress stream before the
@@ -113,14 +105,12 @@ func (s *Service) runJob(j *Job) {
 
 	sim.SetTracer(jobTracer(j))
 
-	ckptEvery := spec.CheckpointEvery
-	if ckptEvery == 0 {
-		ckptEvery = s.opt.CheckpointEvery
-	}
-
 	// Open the job's frame chain. Every completed step is appended; the
 	// columnar record is built from the same Bodies() snapshot the result
-	// reports, so frame capture never perturbs a simulated metric.
+	// reports, so frame capture never perturbs a simulated metric. While
+	// the chain is being written it is the job's checkpoint; a job without
+	// one (frames off, potential mode, capture failed) checkpoints at the
+	// CheckpointEvery cadence and at shutdown instead.
 	var fw *frames.Writer
 	if s.framesEnabled(spec) {
 		fw = s.openFrames(j, int64(step))
@@ -137,10 +127,12 @@ func (s *Service) runJob(j *Job) {
 	for step < spec.Steps {
 		select {
 		case <-s.stopping:
-			// Graceful shutdown: persist a resume point and walk away
+			// Graceful shutdown: leave a resume point and walk away
 			// without a terminal transition — the job is still live, just
 			// not in this process.
-			s.checkpoint(j, sim, step, machineTime)
+			if fw == nil {
+				s.checkpoint(j, sim, step, machineTime)
+			}
 			s.metrics.JobsRunning.Add(-1)
 			return
 		default:
@@ -158,25 +150,9 @@ func (s *Service) runJob(j *Job) {
 		step++
 		machineTime += res.SimTime
 		if fw != nil {
-			frame.Meta = frames.Meta{
-				Step:        int64(step),
-				Time:        sim.Time(),
-				SimTime:     res.SimTime,
-				MachineTime: machineTime,
-				Energy:      sim.KineticEnergy(),
-				Efficiency:  res.Efficiency,
-				Imbalance:   res.Imbalance,
-				CommWords:   res.CommWords,
-				MACTests:    res.Stats.MACTests,
-				PC:          res.Stats.PC,
-				PP:          res.Stats.PP,
-				Domain:      sim.Domain(),
-			}
-			frame.Parts.Gather(sim.Bodies())
+			fillFrame(&frame, sim, step, machineTime)
 			if !s.appendFrame(j, fw, &frame) {
 				fw = nil // chain unusable; the job itself keeps running
-			} else {
-				sim.SetFrameMark(int64(step))
 			}
 		}
 		s.metrics.StepsTotal.Add(1)
@@ -193,7 +169,7 @@ func (s *Service) runJob(j *Job) {
 			CommWords:   res.CommWords,
 			Load:        loadSnapshot(res.RankForce),
 		})
-		if ckptEvery > 0 && step%ckptEvery == 0 && step < spec.Steps {
+		if fw == nil && s.checkpointDue(spec, step) {
 			s.checkpoint(j, sim, step, machineTime)
 		}
 	}
@@ -251,15 +227,10 @@ func (s *Service) runClusterJob(j *Job) {
 		Parts:  set.Particles,
 	}
 	j.mu.Lock()
-	from := j.clusterStep
-	machineTime := j.clusterMachine
+	from := j.resume.step
+	machineTime := j.resume.machineTime
 	retries := j.retries
 	j.mu.Unlock()
-
-	ckptEvery := spec.CheckpointEvery
-	if ckptEvery == 0 {
-		ckptEvery = s.opt.CheckpointEvery
-	}
 
 	s.clusterMu.Lock()
 	defer s.clusterMu.Unlock()
@@ -297,8 +268,8 @@ func (s *Service) runClusterJob(j *Job) {
 			Load:        loadSnapshot(res.RankForce),
 			Retries:     retries,
 		})
-		if ckptEvery > 0 && step%ckptEvery == 0 && step < spec.Steps {
-			s.clusterCheckpoint(j, step, machineTime)
+		if s.checkpointDue(spec, step) {
+			s.checkpoint(j, nil, step, machineTime)
 		}
 		return true
 	})
@@ -312,7 +283,7 @@ func (s *Service) runClusterJob(j *Job) {
 		// Shutdown mid-job: persist the resume point without a terminal
 		// transition; the spooled spec + meta re-queue the job at this
 		// step in the next daemon.
-		s.clusterCheckpoint(j, step, machineTime)
+		s.checkpoint(j, nil, step, machineTime)
 		s.metrics.JobsRunning.Add(-1)
 	case j.canceled():
 		s.finish(j, StateCanceled, nil, "")
@@ -338,13 +309,12 @@ func (s *Service) retryClusterJob(j *Job, step int, machineTime float64, cause e
 		return false
 	}
 	fault := transport.FaultKindOf(cause)
-	s.clusterCheckpoint(j, step, machineTime)
+	s.checkpoint(j, nil, step, machineTime)
 	delay := s.retryBackoff.Delay(retries)
 	j.mu.Lock()
 	j.retries++
 	retries = j.retries
-	j.clusterStep = step
-	j.clusterMachine = machineTime
+	j.resume = resumePoint{step: step, machineTime: machineTime}
 	j.state = StateQueued
 	j.mu.Unlock()
 	s.metrics.JobsRunning.Add(-1)
@@ -434,29 +404,51 @@ func (s *Service) appendFrame(j *Job, fw *frames.Writer, f *frames.Frame) bool {
 	return true
 }
 
-// clusterCheckpoint persists a distributed job's resume point.
-func (s *Service) clusterCheckpoint(j *Job, step int, machineTime float64) {
+// fillFrame makes f the job's state after step completed steps: clocks,
+// the last step's simulated-machine measurements (none yet on a restored
+// simulation that has not stepped) and the particle columns.
+func fillFrame(f *frames.Frame, sim *barneshut.Simulation, step int, machineTime float64) {
+	f.Meta = frames.Meta{
+		Step:        int64(step),
+		Time:        sim.Time(),
+		MachineTime: machineTime,
+		Energy:      sim.KineticEnergy(),
+		Domain:      sim.Domain(),
+	}
+	if res := sim.LastResult(); res != nil {
+		f.Meta.SimTime = res.SimTime
+		f.Meta.Efficiency = res.Efficiency
+		f.Meta.Imbalance = res.Imbalance
+		f.Meta.CommWords = res.CommWords
+		f.Meta.MACTests = res.Stats.MACTests
+		f.Meta.PC = res.Stats.PC
+		f.Meta.PP = res.Stats.PP
+	}
+	f.Parts.Gather(sim.Bodies())
+}
+
+// checkpoint persists the resume point of a job that is not writing a
+// frame chain: the meta record for a stateless job (sim is not read), one
+// keyframe record (resume.nbf) otherwise.
+func (s *Service) checkpoint(j *Job, sim *barneshut.Simulation, step int, machineTime float64) {
 	if s.spool == nil {
 		return
 	}
-	if err := s.spool.PutClusterCheckpoint(j.ID, step, machineTime); err != nil {
-		s.opt.Logf("nbodyd: checkpointing cluster job %s: %v", j.ID, err)
-		return
+	var n int
+	var err error
+	if j.Spec.stateless() {
+		err = s.spool.PutMeta(j.ID, step, machineTime)
+	} else {
+		var f frames.Frame
+		fillFrame(&f, sim, step, machineTime)
+		n, err = s.spool.PutResume(j.ID, &f)
 	}
-	s.metrics.Checkpoints.Add(1)
-}
-
-// checkpoint persists the job's current simulation state to the spool.
-func (s *Service) checkpoint(j *Job, sim *barneshut.Simulation, step int, machineTime float64) {
-	n, err := s.spool.PutCheckpoint(j.ID, sim, step, machineTime)
 	if err != nil {
 		s.opt.Logf("nbodyd: checkpointing job %s: %v", j.ID, err)
 		return
 	}
-	if n > 0 {
-		s.metrics.Checkpoints.Add(1)
-		s.metrics.CheckpointByte.Add(int64(n))
-	}
+	s.metrics.Checkpoints.Add(1)
+	s.metrics.CheckpointByte.Add(int64(n))
 }
 
 // fail finalizes a job with an error.

@@ -63,10 +63,6 @@ type Simulation struct {
 	time   float64
 	steps  int
 	last   *StepResult
-
-	// frameMark is the frame-store step this state is aligned with; see
-	// SetFrameMark. Serialized in v2 checkpoints.
-	frameMark int64
 }
 
 // NewSimulation builds a simulation over a copy of the particle set.
