@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -89,8 +90,6 @@ type Options struct {
 	Chaos *transport.FaultPlan
 	// Logf receives operational log lines (default log.Printf).
 	Logf func(format string, args ...any)
-	// Now substitutes a fake clock in tests (default time.Now).
-	Now func() time.Time
 }
 
 func (o Options) withDefaults() Options {
@@ -124,66 +123,49 @@ func (o Options) withDefaults() Options {
 	if o.Logf == nil {
 		o.Logf = log.Printf
 	}
-	if o.Now == nil {
-		o.Now = time.Now
-	}
 	return o
 }
+
+// place is where a live gateway job sits. A job is in exactly one
+// place, and only detachLocked and the place's attach function write the
+// index and the gauge the place owns.
+type place uint8
+
+const (
+	placeNone      place = iota // terminal, or not admitted yet: in no index
+	placeQueued                 // a slot in GwJob.queue's backlog; g.pending, JobsPending
+	placeLeased                 // GwJob.shard's leases[Lease]; JobsLeased
+	placeHeld                   // g.recovering until GwJob.recoverBy
+	placeFollowing              // GwJob.leader's followers
+)
 
 // GwJob is one job tracked by the gateway. Guarded by the gateway
 // mutex; external packages read Status snapshots.
 type GwJob struct {
-	ID      string
-	Tenant  string
-	Spec    service.JobSpec
-	Key     string // canonical cache key
-	created time.Time
+	// journalJob is the durable record, journaled as it stands. Shard,
+	// LeaderID and Recovering are zero on a live job: record fills them
+	// from the place.
+	journalJob
+	Spec service.JobSpec // SpecJSON, decoded
 
-	specJSON  []byte
-	state     service.State
-	errMsg    string
-	cached    bool
-	coalesced bool
-	retries   int
-
-	// cancelRequested marks a leased job whose Cancel was forwarded to
-	// its shard: if that shard dies before acknowledging, the job is
-	// finished canceled instead of re-routed, and new submissions must
-	// not coalesce onto it.
-	cancelRequested bool
-
-	// Lease bookkeeping: which shard holds the job under which lease,
-	// and the shard-local job ID (for Cancel).
-	lease   uint64
-	shard   *shardConn
-	localID string
-
-	// Keyframe replication: the latest frame-store keyframe streamed back
-	// by the job's shard, carried out with the next Assign after a
-	// re-route so the replacement shard resumes mid-run. resumedStep is
-	// what the current shard reported actually restoring (0 = scratch).
-	// framesAddr is the HTTP address of the shard that ran (or runs) the
-	// job — unlike the lease it survives completion, so the frames
-	// replay proxy still has a target after Done clears the shard.
-	keyframe     []byte
-	keyframeStep int64
-	resumedStep  int
-	framesAddr   string
-
-	finishTag float64 // WFQ virtual finish time
-	progress  json.RawMessage
-	result    json.RawMessage
-
-	// recoverBy, when non-zero, marks a job in the reconciliation set:
-	// it held a lease when the gateway (or its shard session) went away,
-	// it is NOT in any dispatch queue, and it waits for its shard to
-	// reconnect and report it. Past the deadline the watchdog re-queues
-	// it, seeded from its journaled keyframe.
+	// place, and the one field that belongs to it: the tenant whose
+	// backlog holds the slot (a promoted follower keeps its canceled
+	// leader's), the shard holding Lease, the deadline for the shard to
+	// reconnect and report the job before the watchdog re-queues it, or
+	// the identical in-flight submission this one completes with.
+	place     place
+	queue     *tenant
+	shard     *shardConn
 	recoverBy time.Time
+	leader    *GwJob
 
-	// followers are identical in-flight submissions coalesced onto this
-	// job; they complete when it does.
+	// followers are the jobs whose leader this is.
 	followers []*GwJob
+	// keyframe is the latest frame-store keyframe streamed back by the
+	// job's shard (KeyframeStep), carried out with the next Assign after
+	// a re-route so the replacement shard resumes mid-run.
+	keyframe []byte
+	progress json.RawMessage
 }
 
 // GwStatus is the JSON form of a gateway job.
@@ -273,7 +255,7 @@ func NewGateway(opt Options) (*Gateway, error) {
 	g := &Gateway{
 		opt:        opt,
 		ln:         ln,
-		metrics:    NewMetrics(opt.Now()),
+		metrics:    NewMetrics(time.Now()),
 		shards:     make(map[int]*shardConn),
 		ring:       NewRing(nil),
 		jobs:       make(map[string]*GwJob),
@@ -281,7 +263,7 @@ func NewGateway(opt Options) (*Gateway, error) {
 		inflight:   make(map[string]*GwJob),
 		cache:      NewCache(opt.CacheEntries),
 		recovering: make(map[string]*GwJob),
-		started:    opt.Now(),
+		started:    time.Now(),
 		reconciled: true, // restore() reopens the window if leases replay
 		stopping:   make(chan struct{}),
 	}
@@ -304,12 +286,13 @@ func NewGateway(opt Options) (*Gateway, error) {
 }
 
 // restore rebuilds gateway state from a replayed journal: every job is
-// re-registered, done results repopulate the cache, pending jobs rejoin
-// their tenants' WFQ queues, and jobs that held a lease at the crash
-// enter the reconciliation set — held out of dispatch until their shard
-// reconnects and reports them or the reconcile window expires.
+// re-registered, done results repopulate the cache, and each live job is
+// attached to the place its last record implies — a follower to its
+// leader, a job that held a lease at the crash to the reconciliation set
+// (held out of dispatch until its shard reconnects and reports it or the
+// reconcile window expires), anything else to its tenant's backlog.
 func (g *Gateway) restore(st *JournalState) {
-	now := g.opt.Now()
+	now := time.Now()
 	g.vtime = st.VTime
 	g.nextLease.Store(st.NextLease)
 	for _, jt := range st.Tenants {
@@ -335,94 +318,73 @@ func (g *Gateway) restore(st *JournalState) {
 			b.tokens = 0
 		}
 	}
-	var leased, queued, terminal int
+	// One pass in submission order: a follower's leader was submitted
+	// before it (a promoted heir is its leader's oldest follower), so it
+	// is registered by the time the follower looks it up. Live jobs replay
+	// cannot carry on with are set aside, their Error saying why, and
+	// failed only once every job is registered: the journal append may
+	// compact, and the snapshot must not be of half a gateway.
+	var lost []*GwJob
+	var held, queued, terminal int
 	for _, id := range st.Order {
 		rec := st.Jobs[id]
-		j := &GwJob{
-			ID:              rec.ID,
-			Tenant:          rec.Tenant,
-			Key:             rec.Key,
-			created:         rec.Created,
-			specJSON:        append([]byte(nil), rec.SpecJSON...),
-			state:           service.State(rec.State),
-			errMsg:          rec.Error,
-			cached:          rec.Cached,
-			coalesced:       rec.Coalesced,
-			retries:         rec.Retries,
-			cancelRequested: rec.CancelRequested,
-			localID:         rec.LocalID,
-			keyframeStep:    rec.KeyframeStep,
-			resumedStep:     rec.ResumedStep,
-			framesAddr:      rec.FramesAddr,
-			finishTag:       rec.FinishTag,
-			result:          append(json.RawMessage(nil), rec.Result...),
-		}
-		if len(rec.SpecJSON) > 0 {
-			json.Unmarshal(rec.SpecJSON, &j.Spec)
+		j := &GwJob{journalJob: *rec}
+		j.Lease, j.Shard, j.LeaderID, j.Recovering = 0, "", "", false // restated by the place
+		var specErr error
+		if len(j.SpecJSON) > 0 {
+			specErr = json.Unmarshal(j.SpecJSON, &j.Spec)
 		}
 		if kf, ok := st.Keyframes[id]; ok {
-			j.keyframe = append([]byte(nil), kf.Data...)
-			if kf.Step > j.keyframeStep {
-				j.keyframeStep = kf.Step
+			j.keyframe = kf.Data
+			if kf.Step > j.KeyframeStep {
+				j.KeyframeStep = kf.Step
 			}
 		}
 		g.jobs[id] = j
 		g.order = append(g.order, id)
-		if j.state.Terminal() {
+		leader := g.jobs[rec.LeaderID]
+		switch {
+		case j.State.Terminal():
 			terminal++
-			if j.state == service.StateDone && len(j.result) > 0 && !j.cached {
-				g.cache.Put(j.Key, j.result, j.ID)
+			if j.State == service.StateDone && len(j.Result) > 0 && !j.Cached {
+				g.cache.Put(j.Key, j.Result, j.ID)
 			}
-			continue
-		}
-	}
-	// Second pass (jobs map complete): re-link coalesced followers, then
-	// sort live leaders into the reconciliation set or the WFQ queues.
-	for _, id := range st.Order {
-		j := g.jobs[id]
-		rec := st.Jobs[id]
-		if j.state.Terminal() {
-			continue
-		}
-		if j.coalesced {
-			if leader, ok := g.jobs[rec.LeaderID]; ok && !leader.state.Terminal() {
-				leader.followers = append(leader.followers, j)
-				j.state = leader.state
-				continue
-			}
-			// Leader gone or terminal without us: treat as failed rather
-			// than resurrect a duplicate run.
-			j.state = service.StateFailed
-			j.errMsg = "journal replay: coalesced leader lost"
-			continue
-		}
-		g.inflight[j.Key] = j
-		if (rec.Lease != 0 && rec.Shard != "") || rec.Recovering {
+		case specErr != nil:
+			j.Error = fmt.Sprintf("journal replay: decoding spec: %v", specErr)
+			lost = append(lost, j)
+		case j.Coalesced && (leader == nil || leader.State.Terminal()):
+			// Failed rather than resurrected as a duplicate run.
+			j.Error = "journal replay: coalesced leader lost"
+			lost = append(lost, j)
+		case j.Coalesced:
+			g.followLocked(j, leader)
+		case (rec.Lease != 0 && rec.Shard != "") || rec.Recovering:
 			// Held a lease at the crash (or already sat in the previous
 			// incarnation's reconciliation set): its shard may still be
-			// running it. Hold it for reconciliation instead of
-			// re-dispatching — re-routing now would double-execute the job.
-			j.state = service.StateRunning
-			j.recoverBy = now.Add(g.opt.ReconcileWindow)
-			g.recovering[id] = j
-			leased++
-			continue
+			// running it, and re-routing now would double-execute the job.
+			g.inflight[j.Key] = j
+			j.State = service.StateRunning
+			g.holdLocked(j, now.Add(g.opt.ReconcileWindow))
+			held++
+		default:
+			// Admitted but never leased: back to its tenant's queue under
+			// its journaled finish tag.
+			g.inflight[j.Key] = j
+			j.State = service.StateQueued
+			g.enqueueLocked(j, g.tenantFor(j.Tenant), false)
+			queued++
 		}
-		// Admitted but never leased: straight back to its tenant's queue
-		// with its journaled finish tag.
-		j.state = service.StateQueued
-		g.tenantFor(j.Tenant).queue = append(g.tenantFor(j.Tenant).queue, j)
-		g.pending++
-		g.metrics.JobsPending.Add(1)
-		queued++
 	}
 	for _, t := range g.tenants {
 		q := t.queue
-		sort.Slice(q, func(i, k int) bool { return q[i].finishTag < q[k].finishTag })
+		sort.Slice(q, func(i, k int) bool { return q[i].FinishTag < q[k].FinishTag })
+	}
+	for _, j := range lost {
+		g.finishLocked(j, service.StateFailed, nil, j.Error)
 	}
 	g.reconciled = len(g.recovering) == 0 // gauge stays 0 when nothing to reconcile
 	g.opt.Logf("nbodygw: journal replayed %d job(s): %d awaiting shard reconciliation, %d re-queued, %d terminal",
-		len(g.order), leased, queued, terminal)
+		len(g.order), held, queued, terminal)
 }
 
 // ControlAddr returns the address shards register on.
@@ -461,7 +423,7 @@ func (g *Gateway) Close() error {
 // Requires g.mu.
 func (g *Gateway) journalJobLocked(j *GwJob) {
 	if g.journal != nil {
-		g.journaledLocked("job", j.ID, g.journal.AppendJob(g.jobRecordLocked(j)))
+		g.journaledLocked("job", j.ID, g.journal.AppendJob(j.record()))
 	}
 }
 
@@ -470,7 +432,7 @@ func (g *Gateway) journalJobLocked(j *GwJob) {
 // every job-state transition. Requires g.mu.
 func (g *Gateway) journalKeyframeLocked(j *GwJob) {
 	if g.journal != nil {
-		g.journaledLocked("keyframe", j.ID, g.journal.AppendKeyframe(j.ID, j.keyframeStep, j.keyframe))
+		g.journaledLocked("keyframe", j.ID, g.journal.AppendKeyframe(j.ID, j.KeyframeStep, j.keyframe))
 	}
 }
 
@@ -491,41 +453,21 @@ func (g *Gateway) journaledLocked(what, id string, err error) {
 	g.metrics.JournalBytes.Store(g.journal.Size())
 }
 
-// jobRecordLocked builds the durable form of one job.
-func (g *Gateway) jobRecordLocked(j *GwJob) *journalJob {
-	rec := &journalJob{
-		ID:              j.ID,
-		Tenant:          j.Tenant,
-		Key:             j.Key,
-		SpecJSON:        j.specJSON,
-		Created:         j.created,
-		State:           string(j.state),
-		Error:           j.errMsg,
-		Cached:          j.cached,
-		Coalesced:       j.coalesced,
-		Retries:         j.retries,
-		CancelRequested: j.cancelRequested,
-		Lease:           j.lease,
-		LocalID:         j.localID,
-		KeyframeStep:    j.keyframeStep,
-		ResumedStep:     j.resumedStep,
-		FramesAddr:      j.framesAddr,
-		FinishTag:       j.finishTag,
-		Result:          j.result,
-		Recovering:      !j.recoverBy.IsZero(),
+// record builds the durable form of the job: the embedded record with
+// the three fields that restate its place.
+func (j *GwJob) record() *journalJob {
+	rec := j.journalJob
+	rec.Recovering = j.place == placeHeld
+	if j.shard != nil {
+		rec.Shard = j.shard.name
+	}
+	if j.leader != nil {
+		rec.LeaderID = j.leader.ID
 	}
 	if len(rec.SpecJSON) == 0 {
 		rec.SpecJSON, _ = json.Marshal(j.Spec)
 	}
-	if j.shard != nil {
-		rec.Shard = j.shard.name
-	}
-	if j.coalesced {
-		if leader, ok := g.inflight[j.Key]; ok && leader != j {
-			rec.LeaderID = leader.ID
-		}
-	}
-	return rec
+	return &rec
 }
 
 // snapshotLocked captures the full replayable state for compaction.
@@ -537,10 +479,10 @@ func (g *Gateway) snapshotLocked() *journalSnapshot {
 	}
 	for _, id := range g.order {
 		j := g.jobs[id]
-		snap.Jobs = append(snap.Jobs, *g.jobRecordLocked(j))
-		if len(j.keyframe) > 0 && !j.state.Terminal() {
+		snap.Jobs = append(snap.Jobs, *j.record())
+		if len(j.keyframe) > 0 && !j.State.Terminal() {
 			snap.Keyframes = append(snap.Keyframes,
-				journalKeyframe{ID: j.ID, Step: j.keyframeStep, Data: j.keyframe})
+				journalKeyframe{ID: j.ID, Step: j.KeyframeStep, Data: j.keyframe})
 		}
 	}
 	for name, t := range g.tenants {
@@ -612,21 +554,14 @@ func (g *Gateway) serveShard(c net.Conn) {
 	// and is still running them, so they move to the reconciliation set
 	// and the fresh session's ReportJobs re-binds them in place. Only if
 	// the report never mentions them does the window expiry re-queue.
-	var stale *shardConn
 	for _, prev := range g.shards {
 		if prev.name == sc.name {
-			stale = prev
+			if g.retireShardLocked(prev, nil) {
+				g.opt.Logf("nbodygw: shard %s re-registered; awaiting lease report from fresh session", sc.name)
+			}
 			break
 		}
 	}
-	if stale != nil {
-		if g.shardSupersededLocked(stale) {
-			g.opt.Logf("nbodygw: shard %s re-registered; awaiting lease report from fresh session", sc.name)
-		}
-	}
-	g.mu.Unlock()
-
-	g.mu.Lock()
 	sc.id = g.nextShard
 	g.nextShard++
 	g.shards[sc.id] = sc
@@ -765,13 +700,13 @@ func (g *Gateway) handleAccept(sc *shardConn, msg Accept) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	j := sc.leases[msg.Lease]
-	if j == nil || j.lease != msg.Lease {
+	if j == nil {
 		return // stale: the job was re-routed already
 	}
 	if msg.Err == "" {
-		j.localID = msg.LocalID
-		j.framesAddr = sc.httpAddr
-		j.resumedStep = int(msg.ResumedStep)
+		j.LocalID = msg.LocalID
+		j.FramesAddr = sc.httpAddr
+		j.ResumedStep = int(msg.ResumedStep)
 		if msg.ResumedStep > 0 {
 			g.metrics.JobsResumedFromFrame.Add(1)
 			g.opt.Logf("nbodygw: shard %s resumed job %s from keyframe step %d", sc.name, j.ID, msg.ResumedStep)
@@ -791,14 +726,14 @@ func (g *Gateway) handleKeyframe(sc *shardConn, msg Keyframe) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	j := sc.leases[msg.Lease]
-	if j == nil || j.lease != msg.Lease {
+	if j == nil {
 		return // stale: the job was re-routed already
 	}
-	if msg.Step <= j.keyframeStep && j.keyframe != nil {
+	if msg.Step <= j.KeyframeStep && j.keyframe != nil {
 		return // out-of-order replication; keep the newer frame
 	}
 	j.keyframe = append([]byte(nil), msg.Data...)
-	j.keyframeStep = msg.Step
+	j.KeyframeStep = msg.Step
 	g.metrics.KeyframesReplicated.Add(1)
 	g.journalKeyframeLocked(j)
 }
@@ -808,15 +743,15 @@ func (g *Gateway) handleUpdate(sc *shardConn, msg Update) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	j := sc.leases[msg.Lease]
-	if j == nil || j.lease != msg.Lease {
+	if j == nil {
 		return
 	}
 	if s := service.State(msg.State); s == service.StateQueued || s == service.StateRunning {
-		j.state = s
+		j.State = s
 	}
 	j.progress = append(json.RawMessage(nil), msg.ProgressJSON...)
 	for _, f := range j.followers {
-		f.state = j.state
+		f.State = j.State
 		f.progress = j.progress
 	}
 }
@@ -827,18 +762,9 @@ func (g *Gateway) handleDone(sc *shardConn, msg Done) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	j := sc.leases[msg.Lease]
-	if j == nil || j.lease != msg.Lease {
+	if j == nil {
 		return
 	}
-	delete(sc.leases, msg.Lease)
-	g.metrics.JobsLeased.Add(-1)
-	// A cancel-requested leader may have been replaced in the inflight
-	// index by a fresh leader for the same key; only clear our own entry.
-	if g.inflight[j.Key] == j {
-		delete(g.inflight, j.Key)
-	}
-	j.lease, j.shard = 0, nil
-
 	g.settleLocked(j, msg.State, msg.ResultJSON, msg.Err)
 	g.dispatchLocked()
 }
@@ -871,7 +797,7 @@ func (g *Gateway) handleReport(sc *shardConn, msg ReportJobs) {
 	for _, item := range msg.Jobs {
 		j := g.jobs[item.JobID]
 		switch {
-		case j == nil || j.state.Terminal():
+		case j == nil || j.State.Terminal():
 			g.enqueue(sc, Release{JobID: item.JobID, LocalID: item.LocalID})
 		case j.shard == sc:
 			// Duplicate report on the live session; the lease stands.
@@ -879,38 +805,23 @@ func (g *Gateway) handleReport(sc *shardConn, msg ReportJobs) {
 			// Already re-routed to another live shard; that copy wins and
 			// this one stops burning cycles.
 			g.enqueue(sc, Release{JobID: j.ID, LocalID: item.LocalID})
-		case j.cancelRequested:
+		case j.CancelRequested:
 			// A cancel raced the outage; honor it instead of adopting.
 			g.enqueue(sc, Release{JobID: j.ID, LocalID: item.LocalID})
-			delete(g.recovering, j.ID)
-			j.recoverBy = time.Time{}
-			if g.inflight[j.Key] == j {
-				delete(g.inflight, j.Key)
-			}
 			g.finishLocked(j, service.StateCanceled, nil, "")
 		default:
-			// Recovering (journaled lease) or re-queued but not yet
-			// dispatched: adopt in place.
-			if _, ok := g.recovering[j.ID]; ok {
-				delete(g.recovering, j.ID)
-				j.recoverBy = time.Time{}
-			} else if g.tenantFor(j.Tenant).removeQueued(j) {
-				g.pending--
-				g.metrics.JobsPending.Add(-1)
-			}
-			lease := g.nextLease.Add(1)
-			j.lease, j.shard, j.localID = lease, sc, item.LocalID
-			j.state = service.StateRunning
-			j.framesAddr = sc.httpAddr
-			sc.leases[lease] = j
-			g.metrics.JobsLeased.Add(1)
+			// Held (journaled lease) or re-queued but not yet dispatched:
+			// adopt in place.
+			g.leaseLocked(j, sc, g.nextLease.Add(1))
+			j.LocalID, j.FramesAddr = item.LocalID, sc.httpAddr
+			j.State = service.StateRunning
 			g.metrics.JobsAdopted.Add(1)
 			g.journalJobLocked(j)
-			g.enqueue(sc, Adopt{Lease: lease, JobID: j.ID, LocalID: item.LocalID})
+			g.enqueue(sc, Adopt{Lease: j.Lease, JobID: j.ID, LocalID: item.LocalID})
 			adopted++
 		}
 	}
-	g.finishReconcileLocked(g.opt.Now())
+	g.finishReconcileLocked()
 	g.mu.Unlock()
 	if len(msg.Jobs) > 0 {
 		g.opt.Logf("nbodygw: shard %s reported %d in-flight job(s), adopted %d", sc.name, len(msg.Jobs), adopted)
@@ -924,28 +835,14 @@ func (g *Gateway) handleReport(sc *shardConn, msg ReportJobs) {
 func (g *Gateway) handleParked(sc *shardConn, msg Parked) {
 	g.mu.Lock()
 	j := g.jobs[msg.JobID]
-	if j != nil && !j.state.Terminal() {
-		// Free whatever slot the job occupies: a reconciliation entry, a
-		// re-queued backlog slot, or a duplicate lease on another shard
-		// (which is canceled — this result already won).
-		delete(g.recovering, j.ID)
-		j.recoverBy = time.Time{}
-		if g.tenantFor(j.Tenant).removeQueued(j) {
-			g.pending--
-			g.metrics.JobsPending.Add(-1)
-		}
+	if j != nil && !j.State.Terminal() {
 		if j.shard != nil {
-			g.enqueue(j.shard, Cancel{Lease: j.lease, JobID: j.ID})
-			delete(j.shard.leases, j.lease)
-			g.metrics.JobsLeased.Add(-1)
-			j.lease, j.shard = 0, nil
-		}
-		if g.inflight[j.Key] == j {
-			delete(g.inflight, j.Key)
+			// A duplicate lease on another shard: this result already won.
+			g.enqueue(j.shard, Cancel{Lease: j.Lease, JobID: j.ID})
 		}
 		g.settleLocked(j, msg.State, msg.ResultJSON, msg.Err)
 		g.metrics.ParkedResults.Add(1)
-		g.finishReconcileLocked(g.opt.Now())
+		g.finishReconcileLocked()
 		g.dispatchLocked()
 	}
 	g.enqueue(sc, ParkedAck{JobID: msg.JobID})
@@ -955,26 +852,124 @@ func (g *Gateway) handleParked(sc *shardConn, msg Parked) {
 // finishReconcileLocked records the reconcile_seconds gauge once the
 // restart reconciliation set drains — by adoption, parked delivery, or
 // timeout re-queue.
-func (g *Gateway) finishReconcileLocked(now time.Time) {
+func (g *Gateway) finishReconcileLocked() {
 	if g.reconciled || len(g.recovering) > 0 {
 		return
 	}
 	g.reconciled = true
-	g.metrics.SetReconcileSeconds(now.Sub(g.started).Seconds())
-	g.opt.Logf("nbodygw: restart reconciliation complete in %v", now.Sub(g.started).Round(time.Millisecond))
+	took := time.Since(g.started)
+	g.metrics.SetReconcileSeconds(took.Seconds())
+	g.opt.Logf("nbodygw: restart reconciliation complete in %v", took.Round(time.Millisecond))
 }
 
-// finishLocked moves a job and its followers to a terminal state.
-func (g *Gateway) finishLocked(j *GwJob, state service.State, result json.RawMessage, errMsg string) {
-	all := append([]*GwJob{j}, j.followers...)
-	j.followers = nil
-	for _, job := range all {
-		if job.state.Terminal() {
-			continue
+// detachLocked takes j out of the place it is in, leaving it nowhere.
+func (g *Gateway) detachLocked(j *GwJob) {
+	switch j.place {
+	case placeQueued:
+		j.queue.removeQueued(j)
+		j.queue = nil
+		g.pending--
+		g.metrics.JobsPending.Add(-1)
+	case placeLeased:
+		delete(j.shard.leases, j.Lease)
+		j.Lease, j.shard = 0, nil
+		g.metrics.JobsLeased.Add(-1)
+	case placeHeld:
+		delete(g.recovering, j.ID)
+		j.recoverBy = time.Time{}
+	case placeFollowing:
+		if i := slices.Index(j.leader.followers, j); i >= 0 {
+			j.leader.followers = slices.Delete(j.leader.followers, i, i+1)
 		}
-		job.state = state
-		job.result = result
-		job.errMsg = errMsg
+		j.leader = nil
+	}
+	j.place = placeNone
+}
+
+// enqueueLocked moves j into t's backlog: at the back for an admission,
+// at the front for a job that lost its shard and keeps its finish tag.
+func (g *Gateway) enqueueLocked(j *GwJob, t *tenant, front bool) {
+	g.detachLocked(j)
+	if front {
+		t.requeueFront(j)
+	} else {
+		t.queue = append(t.queue, j)
+	}
+	j.place, j.queue = placeQueued, t
+	g.pending++
+	g.metrics.JobsPending.Add(1)
+}
+
+// leaseLocked moves j onto shard sc under lease.
+func (g *Gateway) leaseLocked(j *GwJob, sc *shardConn, lease uint64) {
+	g.detachLocked(j)
+	j.place, j.shard, j.Lease = placeLeased, sc, lease
+	sc.leases[lease] = j
+	g.metrics.JobsLeased.Add(1)
+}
+
+// holdLocked moves j into the reconciliation set: out of every dispatch
+// queue, waiting until the deadline for its shard to report it.
+func (g *Gateway) holdLocked(j *GwJob, until time.Time) {
+	g.detachLocked(j)
+	j.place, j.recoverBy = placeHeld, until
+	g.recovering[j.ID] = j
+	g.reconciled = false
+}
+
+// followLocked coalesces j onto leader: it completes when leader does.
+func (g *Gateway) followLocked(j, leader *GwJob) {
+	g.detachLocked(j)
+	j.place, j.leader = placeFollowing, leader
+	j.Coalesced = true
+	j.State, j.progress = leader.State, leader.progress
+	leader.followers = append(leader.followers, j)
+}
+
+// promoteLocked makes j's first follower the leader in j's stead, so the
+// other submissions riding on j survive its cancel. The heir takes over
+// everything that describes the run and j's exact place — the queue slot
+// (in the backlog that was charged for it), the lease (the shard's Done
+// lands on the heir) or the hold (same deadline) — and j is left nowhere
+// for the caller to finish.
+func (g *Gateway) promoteLocked(j *GwJob) {
+	heir := j.followers[0]
+	g.detachLocked(heir)
+	heir.followers, j.followers = j.followers, nil
+	for _, f := range heir.followers {
+		f.leader = heir
+	}
+	heir.Coalesced = false
+	heir.State, heir.SpecJSON, heir.FinishTag = j.State, j.SpecJSON, j.FinishTag
+	heir.LocalID, heir.ResumedStep, heir.FramesAddr = j.LocalID, j.ResumedStep, j.FramesAddr
+	heir.keyframe, heir.KeyframeStep = j.keyframe, j.KeyframeStep
+	g.inflight[j.Key] = heir
+	switch sc, lease, until := j.shard, j.Lease, j.recoverBy; j.place {
+	case placeQueued:
+		j.queue.replaceQueued(j, heir)
+		heir.place, heir.queue = placeQueued, j.queue
+		j.place, j.queue = placeNone, nil
+	case placeLeased:
+		g.detachLocked(j)
+		g.leaseLocked(heir, sc, lease)
+	case placeHeld:
+		g.detachLocked(j)
+		g.holdLocked(heir, until)
+	}
+	g.journalJobLocked(heir)
+}
+
+// finishLocked moves a job and its followers to a terminal state: out of
+// their places and the in-flight index, then journaled.
+func (g *Gateway) finishLocked(j *GwJob, state service.State, result json.RawMessage, errMsg string) {
+	for _, job := range append([]*GwJob{j}, j.followers...) {
+		g.detachLocked(job)
+		// A cancel-requested leader may have been replaced in the index by
+		// a fresh leader for the same key; only clear our own entry.
+		if g.inflight[job.Key] == job {
+			delete(g.inflight, job.Key)
+		}
+		job.State, job.Result, job.Error = state, result, errMsg
 		switch state {
 		case service.StateDone:
 			g.metrics.JobsDone.Add(1)
@@ -987,68 +982,61 @@ func (g *Gateway) finishLocked(j *GwJob, state service.State, result json.RawMes
 	}
 }
 
-// requeueLocked puts a leased (or about-to-be-leased) job back at the
-// front of its tenant's backlog after a routing failure, preserving its
-// WFQ tag. Beyond the route-retry budget the job fails instead.
+// requeueLocked puts a job that lost its shard — or never got one — back
+// at the front of its tenant's backlog, preserving its WFQ tag. Beyond
+// the route-retry budget the job fails instead.
 func (g *Gateway) requeueLocked(j *GwJob, fault string) {
-	if j.shard != nil {
-		delete(j.shard.leases, j.lease)
-		g.metrics.JobsLeased.Add(-1)
-	}
-	j.lease, j.shard, j.localID = 0, nil, ""
-	if j.cancelRequested {
-		// The caller asked for a cancel the dead shard never
+	j.LocalID = ""
+	if j.CancelRequested {
+		// The caller asked for a cancel the lost shard never
 		// acknowledged; honor it now instead of resurrecting the job.
-		if g.inflight[j.Key] == j {
-			delete(g.inflight, j.Key)
-		}
 		g.finishLocked(j, service.StateCanceled, nil, "")
 		return
 	}
-	j.retries++
+	j.Retries++
 	g.metrics.Rerouted.Add(fault, 1)
-	if j.retries > g.opt.RouteRetries {
-		if g.inflight[j.Key] == j {
-			delete(g.inflight, j.Key)
-		}
+	if j.Retries > g.opt.RouteRetries {
 		g.finishLocked(j, service.StateFailed,
-			nil, fmt.Sprintf("re-routed %d times without completing (last fault: %s)", j.retries, fault))
+			nil, fmt.Sprintf("re-routed %d times without completing (last fault: %s)", j.Retries, fault))
 		return
 	}
-	j.state = service.StateQueued
-	j.progress = nil
-	g.tenantFor(j.Tenant).requeueFront(j)
-	g.pending++
-	g.metrics.JobsPending.Add(1)
+	j.State, j.progress = service.StateQueued, nil
+	g.enqueueLocked(j, g.tenantFor(j.Tenant), true)
 	g.journalJobLocked(j)
 }
 
 // shardFailed removes a shard from the fleet and re-routes every job it
 // held a lease on. Must be called WITHOUT g.mu held; dispatchLocked
-// reaches the same teardown via shardFailedLocked.
+// reaches the same teardown via retireShardLocked.
 func (g *Gateway) shardFailed(sc *shardConn, terr *transport.TransportError) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.shardFailedLocked(sc, terr) {
+	if g.retireShardLocked(sc, terr) {
 		g.dispatchLocked()
 	}
 }
 
-// shardFailedLocked is the core of shardFailed: it requires g.mu, does
-// not dispatch (callers do, so a failure inside dispatchLocked cannot
-// recurse), and reports whether this call retired the session. The
-// fault kind — the same taxonomy the cluster supervisor keys on — is
-// what the re-route metric records. Idempotent per session.
-func (g *Gateway) shardFailedLocked(sc *shardConn, terr *transport.TransportError) bool {
-	select {
-	case <-g.stopping:
-		// The conn errors racing Close are the gateway's own teardown,
-		// not shard faults. Re-routing here would journal the leases as
-		// queued — a dying gateway must leave them leased on disk so
-		// the restarted process holds them for reconciliation instead
-		// of re-executing them.
-		return false
-	default:
+// retireShardLocked takes a session out of the fleet and disposes of its
+// leases. A lost shard's are re-routed, the re-route metric recording
+// the fault kind — the taxonomy the cluster supervisor keys on. A stale
+// session's, whose shard just dialed a replacement (lost == nil), are
+// held instead: the shard is alive and still running them, so the fresh
+// session's ReportJobs adopts them in place, and only jobs it never
+// mentions are re-queued when the window expires. Requires g.mu; does not
+// dispatch (callers do, so a failure inside dispatchLocked cannot
+// recurse); idempotent per session; reports whether this call retired it.
+func (g *Gateway) retireShardLocked(sc *shardConn, lost *transport.TransportError) bool {
+	if lost != nil {
+		select {
+		case <-g.stopping:
+			// The conn errors racing Close are the gateway's own teardown,
+			// not shard faults. Re-routing here would journal the leases as
+			// queued — a dying gateway must leave them leased on disk so
+			// the restarted process holds them for reconciliation instead
+			// of re-executing them.
+			return false
+		default:
+		}
 	}
 	if !sc.failed.CompareAndSwap(false, true) {
 		return false
@@ -1061,57 +1049,26 @@ func (g *Gateway) shardFailedLocked(sc *shardConn, terr *transport.TransportErro
 	for _, j := range sc.leases {
 		orphans = append(orphans, j)
 	}
-	// Deterministic re-queue order: oldest lease first.
-	sort.Slice(orphans, func(i, k int) bool { return orphans[i].lease < orphans[k].lease })
-	for i := len(orphans) - 1; i >= 0; i-- { // requeueFront reverses: push newest first
-		j := orphans[i]
-		delete(sc.leases, j.lease)
-		g.metrics.JobsLeased.Add(-1)
-		j.shard = nil
-		g.requeueLocked(j, terr.Kind.String())
-	}
-	select {
-	case <-g.stopping:
-	default:
-		g.opt.Logf("nbodygw: shard %d (%s) lost (%s): %d job(s) re-routed",
-			sc.id, sc.name, terr.Kind, len(orphans))
-	}
-	return true
-}
-
-// shardSupersededLocked retires a stale session whose shard just dialed
-// a replacement connection. Unlike shardFailedLocked it does NOT
-// re-route the leases: the shard is demonstrably alive and still
-// running them, so re-dispatching now would double-execute. The jobs
-// move to the reconciliation set; the fresh session's ReportJobs adopts
-// them in place, and only a report that never mentions them lets the
-// window expiry re-queue. Idempotent per session.
-func (g *Gateway) shardSupersededLocked(sc *shardConn) bool {
-	if !sc.failed.CompareAndSwap(false, true) {
-		return false
-	}
-	sc.conn.Close()
-	delete(g.shards, sc.id)
-	g.rebuildRingLocked()
-	g.metrics.Shards.Store(int64(len(g.shards)))
-	now := g.opt.Now()
-	for lease, j := range sc.leases {
-		delete(sc.leases, lease)
-		g.metrics.JobsLeased.Add(-1)
-		j.lease, j.shard, j.localID = 0, nil, ""
-		if j.cancelRequested {
+	// Deterministic order, oldest lease first — pushed newest first,
+	// because re-queueing at the front reverses.
+	sort.Slice(orphans, func(i, k int) bool { return orphans[i].Lease > orphans[k].Lease })
+	until := time.Now().Add(g.opt.ReconcileWindow)
+	for _, j := range orphans {
+		switch {
+		case lost != nil:
+			g.requeueLocked(j, lost.Kind.String())
+		case j.CancelRequested:
 			// The cancel the stale session never acknowledged wins; the
 			// fresh session's report gets a Release for it.
-			if g.inflight[j.Key] == j {
-				delete(g.inflight, j.Key)
-			}
 			g.finishLocked(j, service.StateCanceled, nil, "")
-			continue
+		default:
+			g.holdLocked(j, until)
+			g.journalJobLocked(j)
 		}
-		j.recoverBy = now.Add(g.opt.ReconcileWindow)
-		g.recovering[j.ID] = j
-		g.reconciled = false
-		g.journalJobLocked(j)
+	}
+	if lost != nil {
+		g.opt.Logf("nbodygw: shard %d (%s) lost (%s): %d job(s) re-routed",
+			sc.id, sc.name, lost.Kind, len(orphans))
 	}
 	return true
 }
@@ -1159,7 +1116,7 @@ func (g *Gateway) watchdog() {
 			g.shardFailed(sc, &transport.TransportError{Kind: transport.FaultHeartbeat, Proc: sc.id,
 				Err: fmt.Errorf("shard %s silent for %v (lease TTL %v)", sc.name, idle, g.opt.LeaseTTL)})
 		}
-		g.sweepRecovering(g.opt.Now())
+		g.sweepRecovering(now)
 	}
 }
 
@@ -1170,9 +1127,6 @@ func (g *Gateway) watchdog() {
 func (g *Gateway) sweepRecovering(now time.Time) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if len(g.recovering) == 0 {
-		return
-	}
 	var due []*GwJob
 	for _, j := range g.recovering {
 		if now.After(j.recoverBy) {
@@ -1184,12 +1138,10 @@ func (g *Gateway) sweepRecovering(now time.Time) {
 	}
 	sort.Slice(due, func(i, k int) bool { return due[i].ID < due[k].ID })
 	for _, j := range due {
-		delete(g.recovering, j.ID)
-		j.recoverBy = time.Time{}
-		g.opt.Logf("nbodygw: reconcile window expired for job %s; re-queueing (keyframe step %d)", j.ID, j.keyframeStep)
+		g.opt.Logf("nbodygw: reconcile window expired for job %s; re-queueing (keyframe step %d)", j.ID, j.KeyframeStep)
 		g.requeueLocked(j, "reconcile")
 	}
-	g.finishReconcileLocked(now)
+	g.finishReconcileLocked()
 	g.dispatchLocked()
 }
 
@@ -1211,7 +1163,7 @@ func (g *Gateway) tenantFor(name string) *tenant {
 	t := &tenant{
 		name:   name,
 		weight: cfg.Weight,
-		bucket: NewTokenBucket(cfg.Rate, cfg.Burst, g.opt.Now()),
+		bucket: NewTokenBucket(cfg.Rate, cfg.Burst, time.Now()),
 	}
 	g.tenants[name] = t
 	return t
@@ -1239,7 +1191,7 @@ func (g *Gateway) Submit(tenantName string, spec service.JobSpec) (GwStatus, err
 		g.metrics.JobsInvalid.Add(1)
 		return GwStatus{}, fmt.Errorf("invalid job: transport %q cannot be routed through the gateway (shards run jobs in-process)", spec.Transport)
 	}
-	now := g.opt.Now()
+	now := time.Now()
 
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -1256,76 +1208,53 @@ func (g *Gateway) Submit(tenantName string, spec service.JobSpec) (GwStatus, err
 	}
 
 	key := spec.CacheKey()
-	j := &GwJob{
-		ID:      g.newJobID(),
-		Tenant:  tenantName,
-		Spec:    spec,
-		Key:     key,
-		created: now,
-		state:   service.StateQueued,
-	}
+	j := &GwJob{Spec: spec, journalJob: journalJob{
+		ID: g.newJobID(), Tenant: tenantName, Key: key, Created: now, State: service.StateQueued,
+	}}
 
-	// Cache hit: the canonical spec already ran somewhere; serve the
-	// byte-identical result without spending any shard capacity.
-	if res, ok := g.cache.Get(key); ok {
-		j.cached = true
-		j.state = service.StateDone
-		j.result = res
-		g.registerLocked(j)
+	res, hit := g.cache.Get(key)
+	leader := g.inflight[key]
+	switch {
+	case hit:
+		// The canonical spec already ran somewhere; serve the
+		// byte-identical result without spending any shard capacity.
+		j.Cached, j.State, j.Result = true, service.StateDone, res
 		g.metrics.CacheHits.Add(1)
 		g.metrics.JobsDone.Add(1)
-		g.metrics.Admitted.Add(tenantName, 1)
-		g.journalJobLocked(j)
-		return g.statusLocked(j), nil
-	}
-
-	// In-flight coalescing: an identical job is already pending or
-	// running; this submission rides along and completes with it. A
-	// leader whose cancel is already in flight to its shard is skipped —
-	// riding along would cancel this fresh submission too.
-	if leader, ok := g.inflight[key]; ok && !leader.state.Terminal() && !leader.cancelRequested {
-		j.coalesced = true
-		j.state = leader.state
-		j.progress = leader.progress
-		leader.followers = append(leader.followers, j)
-		g.registerLocked(j)
+	case leader != nil && !leader.CancelRequested:
+		// In-flight coalescing: an identical job is already pending or
+		// running; this submission rides along and completes with it. A
+		// leader whose cancel is already in flight to its shard is skipped
+		// — riding along would cancel this fresh submission too.
+		g.followLocked(j, leader)
 		g.metrics.Coalesced.Add(1)
-		g.metrics.Admitted.Add(tenantName, 1)
-		g.journalJobLocked(j)
-		return g.statusLocked(j), nil
-	}
-
-	if g.pending >= g.opt.MaxPending {
+	case g.pending >= g.opt.MaxPending:
 		// The backlog, not the tenant, refused this job: give the quota
 		// token back so a full fleet does not also drain buckets.
 		t.bucket.Refund()
 		g.metrics.JobsRejected.Add(1)
 		g.metrics.Rejected.Add(tenantName, 1)
 		return GwStatus{}, &RejectedError{Tenant: tenantName, Reason: "dispatch backlog full", RetryAfter: time.Second}
+	default:
+		specJSON, err := json.Marshal(spec)
+		if err != nil {
+			g.metrics.JobsInvalid.Add(1)
+			return GwStatus{}, fmt.Errorf("fabric: encoding spec: %w", err)
+		}
+		j.SpecJSON = specJSON
+		g.inflight[key] = j
+		t.tagJob(j, g.vtime)
+		g.enqueueLocked(j, t, false)
 	}
-
-	specJSON, err := json.Marshal(spec)
-	if err != nil {
-		g.metrics.JobsInvalid.Add(1)
-		return GwStatus{}, fmt.Errorf("fabric: encoding spec: %w", err)
-	}
-	j.specJSON = specJSON
-	g.registerLocked(j)
-	g.inflight[key] = j
-	t.tagJob(j, g.vtime)
-	g.pending++
-	g.metrics.JobsPending.Add(1)
-	g.metrics.Admitted.Add(tenantName, 1)
-	g.journalJobLocked(j)
-	g.dispatchLocked()
-	return g.statusLocked(j), nil
-}
-
-// registerLocked indexes a new job.
-func (g *Gateway) registerLocked(j *GwJob) {
 	g.jobs[j.ID] = j
 	g.order = append(g.order, j.ID)
 	g.metrics.JobsSubmitted.Add(1)
+	g.metrics.Admitted.Add(tenantName, 1)
+	g.journalJobLocked(j)
+	if j.place == placeQueued {
+		g.dispatchLocked()
+	}
+	return g.statusLocked(j), nil
 }
 
 // dispatchLocked drains the WFQ backlog onto shards with free lease
@@ -1341,7 +1270,7 @@ func (g *Gateway) dispatchLocked() {
 			if len(t.queue) == 0 {
 				continue
 			}
-			if best == nil || t.queue[0].finishTag < best.queue[0].finishTag {
+			if best == nil || t.queue[0].FinishTag < best.queue[0].FinishTag {
 				best = t
 			}
 		}
@@ -1349,51 +1278,30 @@ func (g *Gateway) dispatchLocked() {
 			return
 		}
 		j := best.queue[0]
-		if j.state.Terminal() {
-			// Canceled or failed while queued: drop it from the backlog.
-			best.queue = best.queue[1:]
-			g.pending--
-			g.metrics.JobsPending.Add(-1)
-			continue
-		}
 		sc := g.routeLocked(j.Key)
 		if sc == nil {
 			return // no shard has a free lease slot (or fleet is empty)
 		}
-		best.queue = best.queue[1:]
-		g.pending--
-		g.metrics.JobsPending.Add(-1)
-		if j.finishTag > g.vtime {
-			g.vtime = j.finishTag
+		if j.FinishTag > g.vtime {
+			g.vtime = j.FinishTag
 		}
-
-		lease := g.nextLease.Add(1)
-		j.lease = lease
-		j.shard = sc
-		sc.leases[lease] = j
-		g.metrics.JobsLeased.Add(1)
+		g.leaseLocked(j, sc, g.nextLease.Add(1))
 		g.metrics.Routed.Add(sc.name, 1)
-		g.metrics.RouteSeconds.Observe(g.opt.Now().Sub(j.created).Seconds())
-		if err := g.enqueue(sc, Assign{Lease: lease, JobID: j.ID, SpecJSON: j.specJSON,
-			ResumeStep: j.keyframeStep, Keyframe: j.keyframe}); err != nil {
+		g.metrics.RouteSeconds.Observe(time.Since(j.Created).Seconds())
+		if err := g.enqueue(sc, Assign{Lease: j.Lease, JobID: j.ID, SpecJSON: j.SpecJSON,
+			ResumeStep: j.KeyframeStep, Keyframe: j.keyframe}); err != nil {
 			if errors.Is(err, errSendQueueFull) {
 				// A stalled shard is failed in place (g.mu is held, so
 				// the unlocked shardFailed wrapper would self-deadlock);
 				// its leases — this job included — re-queue and the loop
 				// re-routes them across the survivors.
-				g.shardFailedLocked(sc, &transport.TransportError{Kind: transport.FaultStall, Proc: sc.id,
+				g.retireShardLocked(sc, &transport.TransportError{Kind: transport.FaultStall, Proc: sc.id,
 					Err: fmt.Errorf("shard %s send queue full", sc.name)})
 				continue
 			}
 			// Encoding failures are deterministic: fail the job rather
 			// than leave a phantom lease the heartbeat keeps alive or
 			// burn the re-route budget retrying a hopeless frame.
-			delete(sc.leases, lease)
-			g.metrics.JobsLeased.Add(-1)
-			j.lease, j.shard = 0, nil
-			if g.inflight[j.Key] == j {
-				delete(g.inflight, j.Key)
-			}
 			g.finishLocked(j, service.StateFailed, nil, fmt.Sprintf("encoding assign frame: %v", err))
 			continue
 		}
@@ -1443,15 +1351,15 @@ func (g *Gateway) Result(id string) (json.RawMessage, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	if j.state != service.StateDone || j.result == nil {
+	if j.State != service.StateDone || j.Result == nil {
 		return nil, ErrNotDone
 	}
-	return j.result, nil
+	return j.Result, nil
 }
 
-// Cancel cancels a pending or leased gateway job. A leased leader with
-// followers keeps its shard job running — the followers still want the
-// result — and only the caller's job is detached.
+// Cancel cancels a gateway job wherever it is. A leader with followers
+// hands them its place first — they still want the result — so only the
+// caller's job ends; a leased job alone is canceled on its shard.
 func (g *Gateway) Cancel(id string) (GwStatus, error) {
 	g.mu.Lock()
 	j, ok := g.jobs[id]
@@ -1459,84 +1367,26 @@ func (g *Gateway) Cancel(id string) (GwStatus, error) {
 		g.mu.Unlock()
 		return GwStatus{}, ErrNotFound
 	}
-	if j.state.Terminal() {
+	if j.State.Terminal() {
 		st := g.statusLocked(j)
 		g.mu.Unlock()
 		return st, ErrTerminal
 	}
 	var notify *shardConn
 	var cancelMsg Cancel
-	switch {
-	case j.coalesced:
-		// Detach from the leader; the leader keeps running.
-		if leader, ok := g.inflight[j.Key]; ok {
-			for i, f := range leader.followers {
-				if f == j {
-					leader.followers = append(leader.followers[:i], leader.followers[i+1:]...)
-					break
-				}
-			}
-		}
-		j.state = service.StateCanceled
-		g.metrics.JobsCanceled.Add(1)
+	if j.place == placeLeased && len(j.followers) == 0 {
+		notify = j.shard
+		cancelMsg = Cancel{Lease: j.Lease, JobID: j.ID}
+		// Terminal state arrives via Done(canceled) from the shard; if
+		// the shard dies first, the flag makes requeueLocked finish the
+		// job canceled instead of re-routing it.
+		j.CancelRequested = true
 		g.journalJobLocked(j)
-	case j.shard != nil:
+	} else {
 		if len(j.followers) > 0 {
-			// Promote the first follower to leader so the shard job's
-			// eventual result still lands somewhere.
-			leader := j.followers[0]
-			leader.followers = append(leader.followers, j.followers[1:]...)
-			leader.coalesced = false
-			leader.lease, leader.shard, leader.localID = j.lease, j.shard, j.localID
-			leader.specJSON = j.specJSON
-			leader.keyframe, leader.keyframeStep = j.keyframe, j.keyframeStep
-			leader.resumedStep, leader.framesAddr = j.resumedStep, j.framesAddr
-			j.shard.leases[j.lease] = leader
-			g.inflight[j.Key] = leader
-			j.followers = nil
-			j.lease, j.shard = 0, nil
-			j.state = service.StateCanceled
-			g.metrics.JobsCanceled.Add(1)
-			g.journalJobLocked(leader)
-			g.journalJobLocked(j)
-		} else {
-			notify = j.shard
-			cancelMsg = Cancel{Lease: j.lease, JobID: j.ID}
-			// Terminal state arrives via Done(canceled) from the shard;
-			// if the shard dies first, the flag makes requeueLocked
-			// finish the job canceled instead of re-routing it.
-			j.cancelRequested = true
-			g.journalJobLocked(j)
-		}
-	case len(j.followers) > 0:
-		// Pending leader with coalesced followers: hand the queue slot
-		// to the first follower so other tenants' identical submissions
-		// survive this caller's cancel, mirroring the leased promotion.
-		leader := j.followers[0]
-		leader.followers = append(leader.followers, j.followers[1:]...)
-		leader.coalesced = false
-		leader.state = service.StateQueued
-		leader.specJSON = j.specJSON
-		leader.keyframe, leader.keyframeStep = j.keyframe, j.keyframeStep
-		leader.finishTag = j.finishTag
-		g.inflight[j.Key] = leader
-		g.tenantFor(j.Tenant).replaceQueued(j, leader)
-		j.followers = nil
-		j.state = service.StateCanceled
-		g.metrics.JobsCanceled.Add(1)
-		g.journalJobLocked(leader)
-		g.journalJobLocked(j)
-	default:
-		// Pending, alone: mark terminal and free the backlog slot
-		// eagerly so canceled jobs cannot pin g.pending at the bound.
-		if g.inflight[j.Key] == j {
-			delete(g.inflight, j.Key)
+			g.promoteLocked(j)
 		}
 		g.finishLocked(j, service.StateCanceled, nil, "")
-		if g.tenantFor(j.Tenant).removeQueued(j) {
-			g.pending--
-			g.metrics.JobsPending.Add(-1)
-		}
 	}
 	st := g.statusLocked(j)
 	g.mu.Unlock()
@@ -1570,15 +1420,15 @@ func (g *Gateway) statusLocked(j *GwJob) GwStatus {
 		ID:          j.ID,
 		Tenant:      j.Tenant,
 		Key:         j.Key,
-		State:       j.state,
-		Error:       j.errMsg,
-		Cached:      j.cached,
-		Coalesced:   j.coalesced,
-		Retries:     j.retries,
-		Created:     j.created,
+		State:       j.State,
+		Error:       j.Error,
+		Cached:      j.Cached,
+		Coalesced:   j.Coalesced,
+		Retries:     j.Retries,
+		Created:     j.Created,
 		Spec:        j.Spec,
 		Progress:    j.progress,
-		ResumedStep: j.resumedStep,
+		ResumedStep: j.ResumedStep,
 	}
 	if j.shard != nil {
 		st.Shard = j.shard.name
@@ -1591,7 +1441,7 @@ func (g *Gateway) statusLocked(j *GwJob) GwStatus {
 func (g *Gateway) newJobID() string {
 	var b [6]byte
 	if _, err := rand.Read(b[:]); err != nil {
-		v := uint64(g.opt.Now().UnixNano())*0x9E3779B97F4A7C15 + g.nextLease.Add(1)
+		v := uint64(time.Now().UnixNano())*0x9E3779B97F4A7C15 + g.nextLease.Add(1)
 		for i := range b {
 			b[i] = byte(v >> (8 * i))
 		}

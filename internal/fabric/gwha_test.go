@@ -304,6 +304,21 @@ func TestReconcileWindowHoldsJournaledLeases(t *testing.T) {
 	waitUntil(t, "keyframe journaled", func() bool {
 		return gw1.Metrics().KeyframesReplicated.Load() >= 1
 	})
+	// Two submissions of one spec share the shard's second slot: a leader
+	// and another tenant's follower coalesced onto it. Both are canceled
+	// inside the restarted gateway's reconcile window, below.
+	lead, err := gw1.Submit("tenant-a", slowSpec(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	foll, err := gw1.Submit("tenant-b", slowSpec(6))
+	if err != nil || !foll.Coalesced {
+		t.Fatalf("second submission did not coalesce: %+v err=%v", foll, err)
+	}
+	waitUntil(t, "second lease journaled", func() bool {
+		shards := gw1.Shards()
+		return len(shards) == 1 && shards[0].Leases == 2
+	})
 	if err := gw1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -336,12 +351,65 @@ func TestReconcileWindowHoldsJournaledLeases(t *testing.T) {
 		t.Fatalf("journaled lease fault-classified before the window expired (rerouted=%d)", n)
 	}
 
+	// Cancels inside the window. A held leader hands its hold to its
+	// follower: the promoted job is neither queued nor finished, it waits
+	// for the shard like the job it replaced.
+	if cst, err := gw2.Cancel(lead.ID); err != nil || cst.State != service.StateCanceled {
+		t.Fatalf("cancel of held leader: %+v err=%v", cst, err)
+	}
+	if fst, _ := gw2.Get(foll.ID); fst.State != service.StateRunning || fst.Coalesced {
+		t.Fatalf("follower of a canceled held leader is %s (coalesced=%v); want it promoted into the hold, running", fst.State, fst.Coalesced)
+	}
+	if n := gw2.Metrics().JobsPending.Load(); n != 0 {
+		t.Fatalf("promotion inside the reconciliation set moved the gauge (pending=%d)", n)
+	}
+	// The promoted job is now a held job alone; its cancel must stick. A
+	// shard reporting either job afterwards is told to release it.
+	if cst, err := gw2.Cancel(foll.ID); err != nil || cst.State != service.StateCanceled {
+		t.Fatalf("cancel of held job: %+v err=%v", cst, err)
+	}
+	conn, err := dialControl(gw2.ControlAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello, _ := encodeControl(Hello{Name: "w0", Capacity: 1})
+	report, _ := encodeControl(ReportJobs{Jobs: []ReportedJob{{JobID: lead.ID, LocalID: "l"}, {JobID: foll.ID, LocalID: "f"}}})
+	if _, err := conn.Write(append(hello, report...)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	for released := map[string]bool{}; len(released) < 2; {
+		kind, body, err := transport.ReadRaw(conn)
+		if err != nil {
+			t.Fatalf("reading the report's answers (released so far %v): %v", released, err)
+		}
+		if v, _ := transport.Unmarshal(body); kind == transport.KindHost {
+			if a, ok := v.(Adopt); ok {
+				t.Fatalf("canceled job %s adopted from a shard report", a.JobID)
+			}
+			if r, ok := v.(Release); ok {
+				released[r.JobID] = true
+			}
+		}
+	}
+	conn.Close()
+	waitUntil(t, "reporting session gone", func() bool { return len(gw2.Shards()) == 0 })
+
 	waitUntil(t, "reconcile window expiry re-queues the job", func() bool {
 		s, _ := gw2.Get(st.ID)
 		return s.State == service.StateQueued
 	})
 	if n := gw2.Metrics().Rerouted.Get("reconcile"); n != 1 {
 		t.Fatalf("nbodygw_jobs_rerouted_total{fault=\"reconcile\"} = %d, want 1", n)
+	}
+	for _, id := range []string{lead.ID, foll.ID} {
+		if s, _ := gw2.Get(id); s.State != service.StateCanceled || s.Retries != 0 {
+			t.Fatalf("job %s, canceled inside the reconcile window, is %s (retries=%d) past it", id, s.State, s.Retries)
+		}
+	}
+	if n := gw2.Metrics().JobsPending.Load(); n != 1 {
+		t.Fatalf("pending=%d after the window; want only the one re-queued job", n)
 	}
 
 	// Phase 3: a fresh shard joins; the re-queued job must dispatch

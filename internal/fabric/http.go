@@ -44,7 +44,7 @@ func (g *Gateway) Handler() http.Handler {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", service.ExpositionContentType)
-		fmt.Fprint(w, g.metrics.Render(g.opt.Now()))
+		fmt.Fprint(w, g.metrics.Render(time.Now()))
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{
@@ -162,7 +162,7 @@ func (g *Gateway) proxyFrames(w http.ResponseWriter, r *http.Request, id string)
 		writeErr(w, http.StatusNotFound, ErrNotFound)
 		return
 	}
-	addr, localID := j.framesAddr, j.localID
+	addr, localID := j.FramesAddr, j.LocalID
 	g.mu.Unlock()
 	if addr == "" || localID == "" {
 		writeErr(w, http.StatusConflict,

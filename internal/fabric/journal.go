@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/recio"
+	"repro/internal/service"
 )
 
 // The gateway journal is a durable write-ahead log of every state
@@ -36,35 +37,45 @@ const (
 	jrecKeyframe byte = 3
 )
 
-// journalJob is the durable form of one GwJob. Every mutation appends
-// the job's full record; replay keeps the last one per ID, so the log
-// needs no per-field delta encoding.
+// journalJob is the durable form of one GwJob, which embeds it. Every
+// mutation appends the job's full record; replay keeps the last one per
+// ID, so the log needs no per-field delta encoding.
 type journalJob struct {
-	ID              string          `json:"id"`
-	Tenant          string          `json:"tenant"`
-	Key             string          `json:"key"`
-	SpecJSON        json.RawMessage `json:"spec,omitempty"`
-	Created         time.Time       `json:"created"`
-	State           string          `json:"state"`
-	Error           string          `json:"error,omitempty"`
-	Cached          bool            `json:"cached,omitempty"`
-	Coalesced       bool            `json:"coalesced,omitempty"`
-	LeaderID        string          `json:"leader_id,omitempty"`
-	Retries         int             `json:"retries,omitempty"`
-	CancelRequested bool            `json:"cancel_requested,omitempty"`
+	ID        string          `json:"id"`
+	Tenant    string          `json:"tenant"`
+	Key       string          `json:"key"` // canonical cache key
+	SpecJSON  json.RawMessage `json:"spec,omitempty"`
+	Created   time.Time       `json:"created"`
+	State     service.State   `json:"state"`
+	Error     string          `json:"error,omitempty"`
+	Cached    bool            `json:"cached,omitempty"`
+	Coalesced bool            `json:"coalesced,omitempty"`
+	LeaderID  string          `json:"leader_id,omitempty"`
+	Retries   int             `json:"retries,omitempty"`
+	// CancelRequested marks a leased job whose Cancel was forwarded to
+	// its shard: if that shard goes away before acknowledging, the job is
+	// finished canceled instead of re-routed, and new submissions must
+	// not coalesce onto it.
+	CancelRequested bool `json:"cancel_requested,omitempty"`
 	// Recovering marks a job whose lease was superseded (its shard
 	// re-registered) and which sat in the reconciliation set when this
 	// record was written: it carries no lease, but replay must NOT
 	// re-queue it — its shard may still be running it.
-	Recovering   bool            `json:"recovering,omitempty"`
-	Lease        uint64          `json:"lease,omitempty"`
-	Shard        string          `json:"shard,omitempty"`
-	LocalID      string          `json:"local_id,omitempty"`
-	KeyframeStep int64           `json:"keyframe_step,omitempty"`
-	ResumedStep  int             `json:"resumed_step,omitempty"`
-	FramesAddr   string          `json:"frames_addr,omitempty"`
-	FinishTag    float64         `json:"finish_tag,omitempty"`
-	Result       json.RawMessage `json:"result,omitempty"`
+	Recovering bool `json:"recovering,omitempty"`
+	// Lease and Shard say which shard holds the job under which lease;
+	// LocalID is the shard-local job ID.
+	Lease        uint64 `json:"lease,omitempty"`
+	Shard        string `json:"shard,omitempty"`
+	LocalID      string `json:"local_id,omitempty"`
+	KeyframeStep int64  `json:"keyframe_step,omitempty"`
+	// ResumedStep is what the current shard reported restoring from the
+	// replicated keyframe (0 = scratch). FramesAddr is the HTTP address
+	// of the shard that ran (or runs) the job — unlike the lease it
+	// survives completion, so the frames replay proxy keeps its target.
+	ResumedStep int             `json:"resumed_step,omitempty"`
+	FramesAddr  string          `json:"frames_addr,omitempty"`
+	FinishTag   float64         `json:"finish_tag,omitempty"` // WFQ virtual finish time
+	Result      json.RawMessage `json:"result,omitempty"`
 }
 
 // journalKeyframe carries one replicated frame-store keyframe. Keyframes

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/recio"
+	"repro/internal/service"
 )
 
 func testJournalJob(id, state string, lease uint64, shard string) *journalJob {
@@ -20,7 +21,7 @@ func testJournalJob(id, state string, lease uint64, shard string) *journalJob {
 		ID: id, Tenant: "t", Key: "k-" + id,
 		SpecJSON: json.RawMessage(`{"n":96}`),
 		Created:  time.Unix(1700000000, 0).UTC(),
-		State:    state, Lease: lease, Shard: shard,
+		State:    service.State(state), Lease: lease, Shard: shard,
 		FinishTag: 1.5,
 	}
 }

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"math"
+	"slices"
 	"time"
 )
 
@@ -88,8 +89,8 @@ type tenant struct {
 	lastFinish float64
 }
 
-// tagJob stamps j with its weighted-fair virtual finish time and
-// appends it to the tenant's backlog. vtime is the scheduler's current
+// tagJob stamps j with its weighted-fair virtual finish time ahead of
+// its admission to the backlog. vtime is the scheduler's current
 // virtual time; the finish tag is the classic start-time-fair
 // approximation: max(vtime, previous finish) + 1/weight, so a
 // high-weight tenant's jobs accrue smaller tags and drain
@@ -99,9 +100,8 @@ func (t *tenant) tagJob(j *GwJob, vtime float64) {
 	if t.lastFinish > start {
 		start = t.lastFinish
 	}
-	j.finishTag = start + 1/t.weight
-	t.lastFinish = j.finishTag
-	t.queue = append(t.queue, j)
+	j.FinishTag = start + 1/t.weight
+	t.lastFinish = j.FinishTag
 }
 
 // requeueFront puts a re-routed job back at the head of its tenant's
@@ -116,24 +116,15 @@ func (t *tenant) requeueFront(j *GwJob) {
 // promoted job keeps this tenant's slot even if it belongs to another
 // tenant: its admission was already counted, and the slot's fair-share
 // cost stays with the tenant that queued it.
-func (t *tenant) replaceQueued(old, repl *GwJob) bool {
-	for i, q := range t.queue {
-		if q == old {
-			t.queue[i] = repl
-			return true
-		}
+func (t *tenant) replaceQueued(old, repl *GwJob) {
+	if i := slices.Index(t.queue, old); i >= 0 {
+		t.queue[i] = repl
 	}
-	return false
 }
 
-// removeQueued deletes a backlog entry, reporting whether it was
-// present so the caller can release the gateway's pending slot.
-func (t *tenant) removeQueued(j *GwJob) bool {
-	for i, q := range t.queue {
-		if q == j {
-			t.queue = append(t.queue[:i], t.queue[i+1:]...)
-			return true
-		}
+// removeQueued deletes a backlog entry.
+func (t *tenant) removeQueued(j *GwJob) {
+	if i := slices.Index(t.queue, j); i >= 0 {
+		t.queue = slices.Delete(t.queue, i, i+1)
 	}
-	return false
 }

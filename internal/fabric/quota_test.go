@@ -66,8 +66,10 @@ func TestWFQTagsFavorWeight(t *testing.T) {
 	light := &tenant{name: "light", weight: 1}
 	const each = 4
 	for i := 0; i < each; i++ {
-		heavy.tagJob(&GwJob{ID: "h"}, 0)
-		light.tagJob(&GwJob{ID: "l"}, 0)
+		h, l := &GwJob{}, &GwJob{}
+		heavy.tagJob(h, 0)
+		light.tagJob(l, 0)
+		heavy.queue, light.queue = append(heavy.queue, h), append(light.queue, l)
 	}
 	// Drain in global finish-tag order, the way dispatchLocked does.
 	var order []string
@@ -80,7 +82,7 @@ func TestWFQTagsFavorWeight(t *testing.T) {
 		case len(lq) == 0:
 			order = append(order, "h")
 			hq = hq[1:]
-		case hq[0].finishTag <= lq[0].finishTag:
+		case hq[0].FinishTag <= lq[0].FinishTag:
 			order = append(order, "h")
 			hq = hq[1:]
 		default:
@@ -103,16 +105,16 @@ func TestWFQTagsFavorWeight(t *testing.T) {
 
 func TestRequeueFrontKeepsTag(t *testing.T) {
 	tn := &tenant{name: "t", weight: 1}
-	a, b := &GwJob{ID: "a"}, &GwJob{ID: "b"}
+	a, b := &GwJob{}, &GwJob{}
 	tn.tagJob(a, 0)
 	tn.tagJob(b, 0)
-	tn.queue = tn.queue[1:] // a leased
-	tag := a.finishTag
+	tn.queue = []*GwJob{b} // a leased
+	tag := a.FinishTag
 	tn.requeueFront(a)
 	if tn.queue[0] != a {
 		t.Fatal("re-routed job not at the head of its tenant queue")
 	}
-	if a.finishTag != tag {
-		t.Fatalf("re-queue changed finish tag %v → %v; a faulted job must not pay twice", tag, a.finishTag)
+	if a.FinishTag != tag {
+		t.Fatalf("re-queue changed finish tag %v → %v; a faulted job must not pay twice", tag, a.FinishTag)
 	}
 }
