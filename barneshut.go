@@ -101,8 +101,8 @@ const (
 	// argues against.
 	DataShippingNaive = parbh.DataShippingNaive
 	// LETShipping assembles a locally essential tree per rank with one
-	// bulk exchange and a cross-step section cache, then evaluates forces
-	// entirely locally. Bit-identical to FunctionShipping.
+	// bulk exchange per step, then evaluates forces entirely locally.
+	// Bit-identical to FunctionShipping.
 	LETShipping = parbh.LETShipping
 )
 

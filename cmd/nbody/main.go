@@ -253,22 +253,9 @@ func runTCP(set *barneshut.ParticleSet, cfg barneshut.Config, distName string, s
 		Ranks:   cfg.Processors,
 		Steps:   steps,
 		Profile: cfg.Profile,
-		Config: parbh.Config{
-			Scheme:       cfg.Scheme,
-			Mode:         cfg.Mode,
-			Alpha:        cfg.Alpha,
-			Degree:       cfg.Degree,
-			Eps:          cfg.Eps,
-			LeafCap:      cfg.LeafCap,
-			GridLog2:     cfg.GridLog2,
-			BinSize:      cfg.BinSize,
-			Shipping:     cfg.Shipping,
-			BranchLookup: cfg.BranchLookup,
-			Ordering:     cfg.Ordering,
-			TreeBuild:    cfg.TreeBuild,
-		},
-		Domain: set.Domain,
-		Parts:  set.Particles,
+		Config:  cfg.Engine(),
+		Domain:  set.Domain,
+		Parts:   set.Particles,
 	}
 	fmt.Printf("nbody: %s n=%d p=%d scheme=%v mode=%v machine=%s over %d processes\n",
 		distName, set.N(), cfg.Processors, cfg.Scheme, cfg.Mode, cfg.Profile.Name, workers+1)

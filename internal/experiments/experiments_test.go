@@ -179,11 +179,8 @@ func TestLETTableShape(t *testing.T) {
 	}
 	// Index rows by (scheme, p, strategy).
 	words := map[string]float64{}
-	hits := map[string]float64{}
 	for _, row := range tab.Rows {
-		k := row[0] + "/" + row[1] + "/" + row[2]
-		words[k] = cell(row[3])
-		hits[k] = cell(row[6])
+		words[row[0]+"/"+row[1]+"/"+row[2]] = cell(row[3])
 	}
 	for _, sc := range []string{"SPSA", "SPDA", "DPDA"} {
 		for _, p := range []string{"4", "8"} {
@@ -191,9 +188,6 @@ func TestLETTableShape(t *testing.T) {
 			if words[base+"let"] >= words[base+"data-naive"] {
 				t.Errorf("%s p=%s: LET words %v not below naive %v",
 					sc, p, words[base+"let"], words[base+"data-naive"])
-			}
-			if hits[base+"let"] <= 0 {
-				t.Errorf("%s p=%s: no LET cache hits on the warm measured step", sc, p)
 			}
 		}
 	}

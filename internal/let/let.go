@@ -115,13 +115,6 @@ type Section struct {
 	// BranchKey is the packed CellKey of the branch root this section
 	// describes.
 	BranchKey uint64
-	// Epoch is the step at which this section's content last changed —
-	// the cross-step cache key.
-	Epoch int64
-	// Cached marks a marker section: content is byte-identical to what
-	// the peer already holds under (owner, BranchKey, Epoch); no columns
-	// follow.
-	Cached bool
 
 	Kind             []uint8
 	Skip             []int32 // index one past the node's subtree, section-relative
@@ -144,15 +137,12 @@ type Section struct {
 func (s *Section) NumNodes() int { return len(s.Kind) }
 
 // WireWords returns the modelled wire size in 8-byte words: two words of
-// header (key + epoch/flags); per internal node six words of summary
+// header (key + node count); per internal node six words of summary
 // (com, mass, side, kind/skip) plus the expansion floats; per leaf two
 // words of framing plus four words per particle (id, mass packed with
 // the three coordinates — the same per-particle model the data-shipping
 // engine uses).
 func (s *Section) WireWords() int {
-	if s.Cached {
-		return 2
-	}
 	w := 2
 	for i, k := range s.Kind {
 		if k == NodeLeaf {
@@ -269,58 +259,4 @@ func BuildSection(root *tree.Node, bb Bounds, alpha float64, withExp bool, alway
 	}
 	sec.Skip[idx] = int32(len(sec.Kind))
 	return sec, nodes, visited
-}
-
-// Equal reports whether two sections carry bit-identical content
-// (ignoring Epoch and Cached). Floats compare by bit pattern: a +0/−0
-// flip changes downstream signed-zero arithmetic and must miss the
-// cache.
-func (s *Section) Equal(o *Section) bool {
-	if s.BranchKey != o.BranchKey || s.ExpStride != o.ExpStride {
-		return false
-	}
-	if !bytesEq(s.Kind, o.Kind) || !i32Eq(s.Skip, o.Skip) ||
-		!i32Eq(s.LeafLo, o.LeafLo) || !i32Eq(s.LeafHi, o.LeafHi) ||
-		!i32Eq(s.PID, o.PID) {
-		return false
-	}
-	return f64Eq(s.ComX, o.ComX) && f64Eq(s.ComY, o.ComY) && f64Eq(s.ComZ, o.ComZ) &&
-		f64Eq(s.Mass, o.Mass) && f64Eq(s.Side, o.Side) && f64Eq(s.Exp, o.Exp) &&
-		f64Eq(s.PX, o.PX) && f64Eq(s.PY, o.PY) && f64Eq(s.PZ, o.PZ) && f64Eq(s.PM, o.PM)
-}
-
-func bytesEq(a, b []uint8) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func i32Eq(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func f64Eq(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
 }

@@ -31,7 +31,6 @@ package msg
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -176,17 +175,15 @@ func (mb *mailbox) put(m message) {
 	mb.cond.Broadcast()
 }
 
-// want is what a receive matches: a source (or AnySource), one tag (or
-// AnyTag) or a tag set, and — for a poll — the latest arrival stamp it may
-// see.
+// want is what a receive matches: a source (or AnySource) and one tag (or
+// AnyTag) or a tag set.
 type want struct {
 	src, tag int
-	tags     []int   // non-nil: any of these tags; tag is ignored
-	until    float64 // arrival stamps above this are not yet visible
+	tags     []int // non-nil: any of these tags; tag is ignored
 }
 
 func (w *want) matches(m *message) bool {
-	if w.src != AnySource && m.src != w.src || m.arrival > w.until {
+	if w.src != AnySource && m.src != w.src {
 		return false
 	}
 	if w.tags == nil {
@@ -200,9 +197,9 @@ func (w *want) matches(m *message) bool {
 	return false
 }
 
-// take removes and returns the first message (in physical arrival order)
-// that w matches. block selects whether to wait for one.
-func (mb *mailbox) take(w *want, block bool) (message, bool) {
+// take waits for, removes and returns the first message (in physical
+// arrival order) that w matches; false once the machine has stopped.
+func (mb *mailbox) take(w *want) (message, bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for {
@@ -218,7 +215,7 @@ func (mb *mailbox) take(w *want, block bool) (message, bool) {
 			mb.collect()
 			return m, true
 		}
-		if !block || mb.stopped {
+		if mb.stopped {
 			return message{}, false
 		}
 		mb.cond.Wait()
@@ -569,17 +566,17 @@ func (p *Proc) deliver(dst int, msg message) {
 // receive takes the message w matches — from the ordered section's inbox
 // or the live mailbox — and advances the clock to its arrival stamp;
 // waiting is accounted as communication time. A poll (block false) sees
-// only stamps at or before the clock, so it never advances it.
+// only stamps at or before the clock, so it never advances it; whether a
+// message has physically arrived by then is host scheduling, so only the
+// ordered section answers one.
 func (p *Proc) receive(w want, block bool) (message, bool) {
-	w.until = math.Inf(1)
-	if !block {
-		w.until = p.now
-	}
 	var msg message
 	var ok bool
 	if p.ord != nil {
 		msg, ok = p.ord.receive(p, &w, block)
-	} else if msg, ok = p.m.boxes[p.id].take(&w, block); !ok && block {
+	} else if !block {
+		panic("msg: polls run on the ordered machine")
+	} else if msg, ok = p.m.boxes[p.id].take(&w); !ok {
 		panic(stopPanic{p.m.stopErr()})
 	}
 	if ok && msg.arrival > p.now {
@@ -598,16 +595,6 @@ func (p *Proc) Recv(src, tag int) (payload any, from int) {
 	return msg.payload, msg.src
 }
 
-// TryRecv is a non-blocking Recv: a poll at the processor's clock t. It
-// matches only messages stamped at or before t, so it never advances the
-// clock. ok reports whether a message matched. On a live machine the
-// message must also have physically arrived, which is host scheduling;
-// inside RunOrdered a poll sees exactly the messages stamped ≤ t.
-func (p *Proc) TryRecv(src, tag int) (payload any, from int, ok bool) {
-	msg, ok := p.receive(want{src: src, tag: tag}, false)
-	return msg.payload, msg.src, ok
-}
-
 // RecvTags blocks until a message whose tag is one of tags arrives and
 // returns it. Unlike Recv(AnySource, AnyTag) it will not consume messages
 // belonging to other protocols (e.g. in-flight collectives from
@@ -617,7 +604,10 @@ func (p *Proc) RecvTags(tags ...int) (payload any, from, tag int) {
 	return msg.payload, msg.src, msg.tag
 }
 
-// TryRecvTags is the non-blocking variant of RecvTags, a poll like TryRecv.
+// TryRecvTags is the non-blocking variant of RecvTags: a poll at the
+// processor's clock t. It sees exactly the messages stamped at or before
+// t, so it never advances the clock; ok reports whether one matched. It
+// panics outside RunOrdered.
 func (p *Proc) TryRecvTags(tags ...int) (payload any, from, tag int, ok bool) {
 	msg, ok := p.receive(want{src: AnySource, tags: tags}, false)
 	return msg.payload, msg.src, msg.tag, ok

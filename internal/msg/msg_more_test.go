@@ -55,8 +55,7 @@ func TestRecvTagsMultiple(t *testing.T) {
 }
 
 func TestTryRecvTagsNonBlocking(t *testing.T) {
-	m := NewMachine(1, Ideal())
-	m.Run(func(p *Proc) {
+	runOrdered(t, 1, Ideal(), func(p *Proc) {
 		if _, _, _, ok := p.TryRecvTags(1, 2, 3); ok {
 			t.Error("matched on empty mailbox")
 		}
@@ -64,6 +63,9 @@ func TestTryRecvTagsNonBlocking(t *testing.T) {
 		payload, _, tag, ok := p.TryRecvTags(1, 2, 3)
 		if !ok || tag != 2 || payload.(int) != 42 {
 			t.Errorf("TryRecvTags: %v/%d/%v", payload, tag, ok)
+		}
+		if _, _, _, ok := p.TryRecvTags(1, 2, 3); ok {
+			t.Error("a taken message was delivered twice")
 		}
 	})
 }
@@ -150,12 +152,8 @@ func TestClockMonotonic(t *testing.T) {
 			}
 			prev = p.Now()
 		}
-		// Drain the last unreceived message per ring neighbour.
-		for {
-			if _, _, ok := p.TryRecv(AnySource, 2); !ok {
-				break
-			}
-		}
+		// Drain the last unreceived message from the ring neighbour.
+		p.Recv((p.ID()+3)%4, 2)
 	})
 }
 

@@ -66,26 +66,6 @@ func TestAnySourceRecv(t *testing.T) {
 	})
 }
 
-func TestTryRecv(t *testing.T) {
-	run(t, 2, func(p *Proc) {
-		if p.ID() == 0 {
-			if _, _, ok := p.TryRecv(AnySource, 9); ok {
-				t.Error("TryRecv matched nothing")
-			}
-			p.Send(1, 3, 42, 1)
-		} else {
-			data, _ := p.Recv(0, 3)
-			if data.(int) != 42 {
-				t.Errorf("got %v", data)
-			}
-			// Now the queue is empty again.
-			if _, _, ok := p.TryRecv(AnySource, AnyTag); ok {
-				t.Error("TryRecv found residue")
-			}
-		}
-	})
-}
-
 func TestSelfSend(t *testing.T) {
 	run(t, 1, func(p *Proc) {
 		p.Send(0, 1, "loop", 2)

@@ -74,7 +74,8 @@ type vrank struct {
 	proc  Proc
 	inbox []stamped
 
-	parked want // what the rank's pending receive matches (tags copied)
+	parked want    // what the rank's pending receive matches (tags copied)
+	until  float64 // a poll's clock: later stamps are not yet visible to it
 	block  bool
 	tags   []int
 
@@ -200,13 +201,13 @@ func (o *ordered) post(dst int, msg message) {
 func (o *ordered) receive(p *Proc, w *want, block bool) (message, bool) {
 	v := &o.ranks[p.id]
 	v.tags = append(v.tags[:0], w.tags...)
-	v.parked, v.block = want{src: w.src, tag: w.tag, until: w.until}, block
+	v.parked, v.until, v.block = want{src: w.src, tag: w.tag}, p.now, block
 	if w.tags != nil {
 		v.parked.tags = v.tags
 	}
 	key := p.now
 	if block {
-		key = math.Inf(1)
+		key, v.until = math.Inf(1), math.Inf(1)
 		if i := v.match(); i >= 0 {
 			key = math.Max(p.now, v.inbox[i].arrival)
 		}
@@ -240,7 +241,7 @@ func (o *ordered) receive(p *Proc, w *want, block bool) (message, bool) {
 // receive matches, or -1.
 func (v *vrank) match() int {
 	for i := range v.inbox {
-		if v.inbox[i].arrival > v.parked.until {
+		if v.inbox[i].arrival > v.until {
 			break
 		}
 		if v.parked.matches(&v.inbox[i].message) {

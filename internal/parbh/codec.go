@@ -51,18 +51,12 @@ func codeSummary(c *recio.Coder, s *BranchSummary) {
 // summarySize is the smallest encoded summary (nil Exp).
 const summarySize = 52
 
-// codeSection lists a LET section; a cache marker ends after its flag.
 func codeSection(c *recio.Coder, p **let.Section) {
 	if c.Decoding {
 		*p = new(let.Section)
 	}
 	s := *p
 	c.U64(&s.BranchKey)
-	c.I64(&s.Epoch)
-	c.Bool(&s.Cached)
-	if s.Cached {
-		return
-	}
 	c.U8s(&s.Kind)
 	c.I32s(&s.Skip)
 	c.F64s(&s.ComX)
@@ -80,6 +74,10 @@ func codeSection(c *recio.Coder, p **let.Section) {
 	c.F64s(&s.PZ)
 	c.F64s(&s.PM)
 }
+
+// sectionSize is the smallest encoded section: key + stride + fifteen
+// empty columns.
+const sectionSize = 72
 
 func init() {
 	transport.Register(idWireParticles, func(c *recio.Coder, v *[]wireParticle) {
@@ -138,8 +136,7 @@ func init() {
 		c.V3(&v.Max)
 	})
 	transport.Register(idLETShip, func(c *recio.Coder, v *letShipMsg) {
-		// Smallest encoded section (a cache marker): key + epoch + flag.
-		recio.Slice(c, &v.Secs, 17, nil, codeSection)
+		recio.Slice(c, &v.Secs, sectionSize, nil, codeSection)
 	})
 	transport.Register(idLETLoad, func(c *recio.Coder, v *letLoadMsg) {
 		recio.Slice(c, &v.Keys, 8, nil, (*recio.Coder).U64)

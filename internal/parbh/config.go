@@ -248,8 +248,8 @@ type Result struct {
 	RankForce []float64
 	// BranchNodes is the total number of branch nodes across processors.
 	BranchNodes int
-	// LETCacheHits counts remote sections served from the cross-step LET
-	// cache this step (LETShipping only; locally simulated ranks).
+	// LETCacheHits is always 0; it leaves with the ledger's
+	// let.cache_hits_per_step column (ROADMAP item 1's benchmark/ PR).
 	LETCacheHits int64
 }
 

@@ -49,13 +49,9 @@ type Engine struct {
 	// and every simulated metric derived from them, are bit-identical.
 	builders []*tree.Builder
 
-	// LET cross-step caches, indexed by rank (LETShipping only; lazily
-	// created). letOwn is the owner side (sections as last shipped per
-	// peer), letReq the receiver mirror, letFlats the reusable flat
-	// essential trees (function shipping's force mode flattens into them
-	// too, with no sections).
-	letOwn   []map[letPair]*letOwnEntry
-	letReq   []map[letPair]*letReqEntry
+	// letFlats[i] is rank i's reusable flat essential tree (lazily
+	// created; function shipping's force mode flattens into it too, with
+	// no sections).
 	letFlats []*let.Flat
 
 	// ship[i] is rank i's function-shipping scratch kept across steps.
@@ -73,8 +69,6 @@ func New(machine *msg.Machine, set *dist.Set, cfg Config) (*Engine, error) {
 	e := &Engine{cfg: cfg, machine: machine, n: set.N()}
 	e.domain = set.Domain.Cube()
 	e.builders = make([]*tree.Builder, p)
-	e.letOwn = make([]map[letPair]*letOwnEntry, p)
-	e.letReq = make([]map[letPair]*letReqEntry, p)
 	e.letFlats = make([]*let.Flat, p)
 	e.ship = make([]shipScratch, p)
 
@@ -175,7 +169,6 @@ type localState struct {
 	// LET-shipping per-step state (LETShipping only).
 	letFlat *let.Flat                // grafted flat essential tree
 	letSent map[letPair][]*tree.Node // shipped nodes by (peer, branch), ordinal-aligned
-	letHits int                      // sections served from the cross-step cache
 }
 
 // message tags of the engine protocols (collectives use their own space).
@@ -269,7 +262,6 @@ func (e *Engine) StepErr() (*Result, error) {
 	procStats := make([]tree.Stats, p)
 	forceTimes := make([]float64, p)
 	branchCounts := make([]int, p)
-	letHits := make([]int64, p)
 	phaseTimes := make([][]float64, p)
 	ownedIDs := make([][]int32, p) // distributed: IDs owned at force time
 	var newOwner []int             // SPDA: next step's cluster assignment
@@ -349,7 +341,6 @@ func (e *Engine) StepErr() (*Result, error) {
 		procStats[st.me] = st.stats
 		forceTimes[st.me] = st.forceT
 		branchCounts[st.me] = len(st.branches)
-		letHits[st.me] = int64(st.letHits)
 		phaseTimes[st.me] = marks
 		if st.me == leader {
 			newOwner = no
@@ -399,9 +390,6 @@ func (e *Engine) StepErr() (*Result, error) {
 	}
 	for _, b := range branchCounts {
 		res.BranchNodes += b
-	}
-	for _, h := range letHits {
-		res.LETCacheHits += h
 	}
 	res.ProcStats = machineStats
 	res.SimTime = msg.MaxTime(machineStats)

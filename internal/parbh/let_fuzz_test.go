@@ -10,13 +10,11 @@ import (
 )
 
 // fuzzLETSeeds returns valid encodings of every LET wire kind: peer
-// bounds, a bulk ship message with one full and one cached-marker
-// section, and a load-return message.
+// bounds, a bulk ship message and a load-return message.
 func fuzzLETSeeds(t testing.TB) [][]byte {
 	t.Helper()
 	full := &let.Section{
 		BranchKey: 0x51,
-		Epoch:     3,
 		Kind:      []uint8{let.NodeOpen, let.NodeClosed, let.NodeLeaf},
 		Skip:      []int32{3, 2, 3},
 		ComX:      []float64{0.5, 0.25, 0},
@@ -32,12 +30,11 @@ func fuzzLETSeeds(t testing.TB) [][]byte {
 		PZ:        []float64{0.5, 0.6},
 		PM:        []float64{1, 1},
 	}
-	marker := &let.Section{BranchKey: 0x52, Epoch: 1, Cached: true}
 	var out [][]byte
 	for _, v := range []any{
 		let.Bounds{Has: true, Min: vec.V3{X: -1, Y: -1, Z: -1}, Max: vec.V3{X: 1, Y: 1, Z: 1}},
 		let.Bounds{},
-		letShipMsg{Secs: []*let.Section{full, marker}},
+		letShipMsg{Secs: []*let.Section{full}},
 		letShipMsg{},
 		letLoadMsg{Keys: []uint64{0x51, 0x51}, Nodes: []int32{0, 2}, Deltas: []int64{7, 2}},
 		letLoadMsg{},
@@ -74,7 +71,7 @@ func FuzzDecodeLETWire(f *testing.F) {
 }
 
 // TestLETWireRoundTrip pins lossless round trips for the LET wire kinds,
-// including the signed-zero bit patterns the cache comparison keys on.
+// including the signed-zero bit patterns the kernels' sums depend on.
 func TestLETWireRoundTrip(t *testing.T) {
 	for _, b := range fuzzLETSeeds(t) {
 		v, err := transport.Unmarshal(b)
@@ -90,7 +87,7 @@ func TestLETWireRoundTrip(t *testing.T) {
 		}
 	}
 	// Sections with ±0 coordinates must round-trip bit-exactly: the
-	// receiver-side cache replays them into signed-zero-sensitive sums.
+	// receiver grafts them into signed-zero-sensitive sums.
 	s := &let.Section{
 		BranchKey: 1,
 		Kind:      []uint8{let.NodeLeaf},
@@ -111,7 +108,7 @@ func TestLETWireRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := v.(letShipMsg).Secs[0]
-	if !got.Equal(s) {
+	if !math.Signbit(got.PX[0]) || math.Signbit(got.PY[0]) {
 		t.Error("section with -0.0 coordinate did not round-trip bit-exactly")
 	}
 }

@@ -21,13 +21,10 @@ import (
 // force phase becomes a purely local, host-parallel traversal — no
 // mid-phase communication, no request/reply latency to hide.
 //
-// A cross-step cache rides the exchange: the owner remembers the last
-// section shipped per (peer, branch) and replaces an unchanged section
-// with a two-word marker carrying the epoch (step) of last change; the
-// receiver replays its cached copy after checking the epoch. After the
-// traversal, one all-to-all returns per-node Load deltas so the owner's
-// subtree sees exactly the counters a function-shipping step would have
-// produced — the load-balancing schemes evolve identically.
+// After the traversal, one all-to-all returns per-node Load deltas so the
+// owner's subtree sees exactly the counters a function-shipping step
+// would have produced — the load-balancing schemes evolve identically.
+// Sections are rebuilt and shipped whole every step: the bodies moved.
 //
 // Simulated accelerations, potentials, and aggregate Stats are
 // bit-identical to function shipping: the kernels in internal/let replay
@@ -35,27 +32,11 @@ import (
 // and comm volume differ by construction — that difference is the
 // measurement.
 
-// letPair keys the per-rank LET caches: the remote rank and the packed
+// letPair names one shipped section: the remote rank and the packed
 // branch cell key (the Morton path).
 type letPair struct {
 	peer int
 	key  uint64
-}
-
-// letOwnEntry is the owner-side cache record: the section as last
-// shipped to one peer, and the step it last changed.
-type letOwnEntry struct {
-	sec     *let.Section
-	epoch   int64
-	touched bool // shipped this step; untouched entries are pruned
-}
-
-// letReqEntry is the receiver-side mirror: the decoded section under
-// which grafts replay, keyed by the same epoch the owner advertises.
-type letReqEntry struct {
-	sec   *let.Section
-	exps  []*phys.Expansion
-	epoch int64
 }
 
 // letShipMsg is one peer's bulk essential-set delivery.
@@ -71,14 +52,6 @@ type letLoadMsg struct {
 	Deltas []int64
 }
 
-// letOwnCache returns rank's persistent owner-side cache.
-func (e *Engine) letOwnCache(rank int) map[letPair]*letOwnEntry {
-	if e.letOwn[rank] == nil {
-		e.letOwn[rank] = make(map[letPair]*letOwnEntry)
-	}
-	return e.letOwn[rank]
-}
-
 // letFlat returns rank's reusable flat essential tree.
 func (e *Engine) letFlat(rank int) *let.Flat {
 	if e.letFlats[rank] == nil {
@@ -88,8 +61,8 @@ func (e *Engine) letFlat(rank int) *let.Flat {
 }
 
 // letExchange runs the LET exchange phase: bounds all-gather, essential
-// walks, bulk section exchange with cache diffing, and construction of
-// the rank's flat essential tree.
+// walks, bulk section exchange, and construction of the rank's flat
+// essential tree.
 func (e *Engine) letExchange(pr *msg.Proc, st *localState) {
 	p := pr.NumProcs()
 	cfg := e.cfg
@@ -102,8 +75,7 @@ func (e *Engine) letExchange(pr *msg.Proc, st *localState) {
 	pr.Compute(2 * float64(len(st.parts)))
 	gathered := pr.AllGather(b, let.BoundsWords)
 
-	// Essential walk per peer, diffed against the owner cache.
-	own := e.letOwnCache(st.me)
+	// Essential walk per peer.
 	st.letSent = make(map[letPair][]*tree.Node)
 	payloads := make([]any, p)
 	words := make([]int, p)
@@ -129,62 +101,31 @@ func (e *Engine) letExchange(pr *msg.Proc, st *localState) {
 			pair := letPair{peer: peer, key: br.Key.Uint64()}
 			sec.BranchKey = pair.key
 			st.letSent[pair] = nodes
-			if prev, ok := own[pair]; ok && prev.sec.Equal(sec) {
-				prev.touched = true
-				secs = append(secs, &let.Section{BranchKey: pair.key, Epoch: prev.epoch, Cached: true})
-				w += 2
-			} else {
-				sec.Epoch = int64(e.step)
-				own[pair] = &letOwnEntry{sec: sec, epoch: sec.Epoch, touched: true}
-				secs = append(secs, sec)
-				w += sec.WireWords()
-			}
+			secs = append(secs, sec)
+			w += sec.WireWords()
 		}
 		payloads[peer] = letShipMsg{Secs: secs}
 		words[peer] = w
 	}
-	// Drop cache entries no longer shipped (peer bounds moved away).
-	for k, ent := range own {
-		if !ent.touched {
-			delete(own, k)
-		} else {
-			ent.touched = false
-		}
-	}
 	pr.Compute(phys.MACFlops * float64(visited))
 	replies := pr.AllToAll(payloads, words)
 
-	// Decode sections (or replay them from the receiver cache) and graft.
+	// Decode sections and graft.
 	fl := e.letFlat(st.me)
 	fl.Reset()
-	newReq := make(map[letPair]*letReqEntry)
 	secIdx := make(map[letPair]int32)
 	grafted := 0
-	st.letHits = 0
 	for owner := 0; owner < p; owner++ {
 		if owner == st.me {
 			continue
 		}
 		ship := replies[owner].(letShipMsg)
 		for _, sec := range ship.Secs {
-			pair := letPair{peer: owner, key: sec.BranchKey}
-			var ent *letReqEntry
-			if sec.Cached {
-				prev, ok := e.letReq[st.me][pair]
-				if !ok || prev.epoch != sec.Epoch {
-					panic(fmt.Sprintf("parbh: LET cache marker for branch %x epoch %d has no matching entry", sec.BranchKey, sec.Epoch))
-				}
-				ent = prev
-				st.letHits++
-			} else {
-				ent = &letReqEntry{sec: sec, exps: decodeSectionExps(sec, cfg.Degree, withExp), epoch: sec.Epoch}
-			}
-			newReq[pair] = ent
-			secIdx[pair] = int32(fl.AddSection(owner, ent.sec, ent.exps))
-			grafted += ent.sec.NumNodes()
+			exps := decodeSectionExps(sec, cfg.Degree, withExp)
+			secIdx[letPair{peer: owner, key: sec.BranchKey}] = int32(fl.AddSection(owner, sec, exps))
+			grafted += sec.NumNodes()
 		}
 	}
-	e.letReq[st.me] = newReq
 	pr.Compute(2 * float64(grafted))
 
 	// Flatten the replicated tree: local subtrees inline, remote branches

@@ -43,8 +43,6 @@ func TestWireCodecExhaustive(t *testing.T) {
 		{"spsa/force/data-naive", Config{
 			Scheme: SPSA, Mode: ForceMode, Shipping: DataShippingNaive, Alpha: 0.67, Eps: 0.01, GridLog2: 2,
 		}, 1},
-		// LET runs two steps so the cache-marker wire path (Cached sections)
-		// crosses the codec too, not just full sections.
 		{"spsa/force/let", Config{
 			Scheme: SPSA, Mode: ForceMode, Shipping: LETShipping, Alpha: 0.67, Eps: 0.01, GridLog2: 2,
 		}, 2},

@@ -20,10 +20,10 @@ func TestWireGolden(t *testing.T) {
 	sumForce := BranchSummary{Key: 0x51, Owner: 2, Count: 40, Mass: 1.5, COM: vec.V3{X: 0.5, Y: 0.25, Z: 0.125}}
 	sumPot := BranchSummary{Key: 0x52, Owner: 3, Count: 7, Mass: 0.75, COM: vec.V3{X: 1, Y: 2, Z: 3}, Exp: []float64{1, 0.5, -0.5}}
 	full := &let.Section{
-		BranchKey: 0x51, Epoch: 3,
-		Kind: []uint8{let.NodeOpen, let.NodeClosed, let.NodeLeaf},
-		Skip: []int32{3, 2, 3},
-		ComX: []float64{0.5, 0.25, 0}, ComY: []float64{0.5, 0.25, 0}, ComZ: []float64{0.5, 0.25, 0},
+		BranchKey: 0x51,
+		Kind:      []uint8{let.NodeOpen, let.NodeClosed, let.NodeLeaf},
+		Skip:      []int32{3, 2, 3},
+		ComX:      []float64{0.5, 0.25, 0}, ComY: []float64{0.5, 0.25, 0}, ComZ: []float64{0.5, 0.25, 0},
 		Mass: []float64{2, 1, 0}, Side: []float64{1, 0.5, 0},
 		LeafLo: []int32{-1, -1, 0}, LeafHi: []int32{-1, -1, 2},
 		Exp: []float64{1, 2, 3, 4, 5, 6}, ExpStride: 2,
@@ -57,7 +57,7 @@ func TestWireGolden(t *testing.T) {
 		out, outPot, rankOut{},
 		stepOutputs{Step: 7, Outs: []rankOut{out, outPot}}, stepOutputs{}, stepOutputs{Outs: []rankOut{}},
 		let.Bounds{Has: true, Min: vec.V3{X: -1, Y: -1, Z: -1}, Max: vec.V3{X: 1, Y: 1, Z: 1}}, let.Bounds{},
-		letShipMsg{Secs: []*let.Section{full, {BranchKey: 0x52, Epoch: 1, Cached: true}}}, letShipMsg{Secs: []*let.Section{}},
+		letShipMsg{Secs: []*let.Section{full, {BranchKey: 0x52}}}, letShipMsg{Secs: []*let.Section{}},
 		letLoadMsg{Keys: []uint64{0x51, 0x51}, Nodes: []int32{0, 2}, Deltas: []int64{7, -2}}, letLoadMsg{},
 		letLoadMsg{Keys: []uint64{}, Nodes: []int32{}, Deltas: []int64{}},
 		shipLog{Start: 1.5, Flops: []float64{10, 20}, Ships: []int32{1, 0}, Owners: []uint16{3},

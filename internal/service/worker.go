@@ -8,7 +8,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/frames"
 	"repro/internal/obsv"
-	"repro/internal/parbh"
 	"repro/internal/transport"
 )
 
@@ -209,22 +208,9 @@ func (s *Service) runClusterJob(j *Job) {
 		Ranks:   cfg.Processors,
 		Steps:   spec.Steps,
 		Profile: cfg.Profile,
-		Config: parbh.Config{
-			Scheme:       cfg.Scheme,
-			Mode:         cfg.Mode,
-			Alpha:        cfg.Alpha,
-			Degree:       cfg.Degree,
-			Eps:          cfg.Eps,
-			LeafCap:      cfg.LeafCap,
-			GridLog2:     cfg.GridLog2,
-			BinSize:      cfg.BinSize,
-			Shipping:     cfg.Shipping,
-			BranchLookup: cfg.BranchLookup,
-			Ordering:     cfg.Ordering,
-			TreeBuild:    cfg.TreeBuild,
-		},
-		Domain: set.Domain,
-		Parts:  set.Particles,
+		Config:  cfg.Engine(),
+		Domain:  set.Domain,
+		Parts:   set.Particles,
 	}
 	j.mu.Lock()
 	from := j.resume.step

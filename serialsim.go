@@ -23,20 +23,14 @@ type SerialConfig struct {
 	DT float64
 	// Integrator selects the time integrator (default "leapfrog").
 	Integrator string
-	// Cold disables all cross-step reuse: every force evaluation runs the
-	// from-scratch BuildKeyed plus the pointer-chasing traversal — the
-	// pre-incremental step path, kept as the reference the incremental
-	// path is benchmarked and golden-tested against. Results are
-	// bit-identical either way; only the host clock differs.
-	Cold bool
 }
 
 // StepPhases is the cumulative host-clock breakdown of the hot step
 // path. Host time only — no simulated metric is derived from it.
 type StepPhases struct {
-	Build     time.Duration // octree construction (key recompute + diff/refresh/rebuild, or cold build)
-	Sort      time.Duration // adaptive Morton re-sort (zero in cold mode, where it is part of Build)
-	Force     time.Duration // force sweep (flatten + kernels, or pointer traversal)
+	Build     time.Duration // octree construction (key recompute + diff/refresh/rebuild)
+	Sort      time.Duration // adaptive Morton re-sort
+	Force     time.Duration // force sweep (flatten + kernels)
 	Integrate time.Duration // integrator arithmetic and bookkeeping
 }
 
@@ -126,40 +120,24 @@ func (s *SerialSim) Evals() int { return s.evals }
 func (s *SerialSim) LastStats() InteractionStats { return s.stats }
 
 // LastBuild returns the tree builder's report for the most recent force
-// evaluation (zero value in cold mode).
-func (s *SerialSim) LastBuild() tree.BuildReport {
-	if s.cfg.Cold {
-		return tree.BuildReport{}
-	}
-	return s.builder.Last()
-}
+// evaluation.
+func (s *SerialSim) LastBuild() tree.BuildReport { return s.builder.Last() }
 
 // Phases returns the cumulative host-clock phase breakdown.
 func (s *SerialSim) Phases() StepPhases { return s.phases }
 
-// evalForces is the integrator's acceleration callback: build (cold or
-// incremental), then sweep (pointer or flat kernels). The two paths
-// return bit-identical accelerations and statistics.
+// evalForces is the integrator's acceleration callback: incremental
+// build, then the flat kernels' sweep.
 func (s *SerialSim) evalForces(ps []dist.Particle, buildDur, sortDur, forceDur *time.Duration) []vec.V3 {
 	tb := time.Now()
-	var accls []vec.V3
-	var stats tree.Stats
-	if s.cfg.Cold {
-		tr := tree.BuildKeyed(ps, s.domain, s.cfg.LeafCap)
-		*buildDur += time.Since(tb)
-		tf := time.Now()
-		accls, stats = tr.AccelAll(ps, s.cfg.Alpha, s.cfg.Eps)
-		*forceDur += time.Since(tf)
-	} else {
-		tr := s.builder.Step(ps)
-		rep := s.builder.Last()
-		*sortDur += rep.KeyDur + rep.SortDur
-		*buildDur += time.Since(tb) - rep.KeyDur - rep.SortDur
-		tf := time.Now()
-		s.flat = tree.Flatten(tr, s.flat)
-		accls, stats = s.flat.AccelAll(ps, s.cfg.Alpha, s.cfg.Eps)
-		*forceDur += time.Since(tf)
-	}
+	tr := s.builder.Step(ps)
+	rep := s.builder.Last()
+	*sortDur += rep.KeyDur + rep.SortDur
+	*buildDur += time.Since(tb) - rep.KeyDur - rep.SortDur
+	tf := time.Now()
+	s.flat = tree.Flatten(tr, s.flat)
+	accls, stats := s.flat.AccelAll(ps, s.cfg.Alpha, s.cfg.Eps)
+	*forceDur += time.Since(tf)
 	s.stats = stats
 	s.evals++
 	return accls

@@ -6,13 +6,15 @@ import (
 	"testing"
 
 	"repro/internal/compute"
+	"repro/internal/integrate"
+	"repro/internal/tree"
 )
 
-// The incremental step path (tree.Builder + flat SoA kernels) and the
-// cold path (from-scratch BuildKeyed + pointer traversal, the pre-
-// incremental code) must produce bit-identical trajectories and
-// simulated metrics: the two-clock rule says host optimizations may only
-// change the wall clock.
+// The incremental step path (tree.Builder + flat SoA kernels) must
+// produce trajectories and interaction statistics bit-identical to the
+// reference kept here: the same integrator over a from-scratch
+// BuildKeyed and the pointer traversal every evaluation. The two-clock
+// rule says host optimizations may only change the wall clock.
 func TestSerialSimIncrementalMatchesCold(t *testing.T) {
 	for _, integ := range []string{"leapfrog", "euler", "yoshida4"} {
 		t.Run(integ, func(t *testing.T) {
@@ -22,30 +24,31 @@ func TestSerialSimIncrementalMatchesCold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			coldCfg := cfg
-			coldCfg.Cold = true
-			cold, err := NewSerialSim(set, coldCfg)
+			method, err := integrate.New(integ)
 			if err != nil {
 				t.Fatal(err)
 			}
+			cold := append([]Particle(nil), set.Particles...)
+			var cs InteractionStats
+			coldForces := func(ps []Particle) []V3 {
+				accls, stats := tree.BuildKeyed(ps, warm.domain, warm.cfg.LeafCap).AccelAll(ps, cfg.Alpha, cfg.Eps)
+				cs = stats
+				return accls
+			}
 			for step := 0; step < 6; step++ {
 				ws := warm.Step()
-				cs := cold.Step()
+				method.Step(cold, cfg.DT, coldForces)
 				if ws != cs {
 					t.Fatalf("step %d: stats differ: warm %+v cold %+v", step, ws, cs)
 				}
-				wb, cb := warm.Bodies(), cold.Bodies()
-				for i := range wb {
-					if wb[i] != cb[i] {
-						t.Fatalf("step %d: body %d differs:\nwarm %+v\ncold %+v", step, i, wb[i], cb[i])
+				for i, wb := range warm.Bodies() {
+					if wb != cold[i] {
+						t.Fatalf("step %d: body %d differs:\nwarm %+v\ncold %+v", step, i, wb, cold[i])
 					}
 				}
 			}
 			if warm.LastBuild().Cold {
 				t.Fatal("warm sim still building cold after 6 steps")
-			}
-			if math.Float64bits(warm.KineticEnergy()) != math.Float64bits(cold.KineticEnergy()) {
-				t.Fatal("kinetic energies diverged")
 			}
 		})
 	}

@@ -49,6 +49,24 @@ type Config struct {
 	TreeBuild    TreeBuild
 }
 
+// Engine returns the force engine's share of the configuration.
+func (c Config) Engine() parbh.Config {
+	return parbh.Config{
+		Scheme:       c.Scheme,
+		Mode:         c.Mode,
+		Alpha:        c.Alpha,
+		Degree:       c.Degree,
+		Eps:          c.Eps,
+		LeafCap:      c.LeafCap,
+		GridLog2:     c.GridLog2,
+		BinSize:      c.BinSize,
+		Shipping:     c.Shipping,
+		BranchLookup: c.BranchLookup,
+		Ordering:     c.Ordering,
+		TreeBuild:    c.TreeBuild,
+	}
+}
+
 // Simulation advances a particle system through time using one of the
 // parallel Barnes–Hut formulations for the force computation and a
 // kick-drift-kick leapfrog integrator for the dynamics.
@@ -87,20 +105,7 @@ func NewSimulation(set *ParticleSet, cfg Config) (*Simulation, error) {
 		return nil, err
 	}
 	machine := msg.NewMachine(cfg.Processors, cfg.Profile)
-	engine, err := parbh.New(machine, set, parbh.Config{
-		Scheme:       cfg.Scheme,
-		Mode:         cfg.Mode,
-		Alpha:        cfg.Alpha,
-		Degree:       cfg.Degree,
-		Eps:          cfg.Eps,
-		LeafCap:      cfg.LeafCap,
-		GridLog2:     cfg.GridLog2,
-		BinSize:      cfg.BinSize,
-		Shipping:     cfg.Shipping,
-		BranchLookup: cfg.BranchLookup,
-		Ordering:     cfg.Ordering,
-		TreeBuild:    cfg.TreeBuild,
-	})
+	engine, err := parbh.New(machine, set, cfg.Engine())
 	if err != nil {
 		return nil, err
 	}
