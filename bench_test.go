@@ -210,7 +210,9 @@ func BenchmarkCollectives(b *testing.B) {
 // BenchmarkEngineStep measures the real wall time of one parallel step
 // per scheme (goroutine-parallel on the host), and of the performance
 // ledger's dpda_func_p16 / dpda_let_p16 configuration (go run ./benchmark)
-// under both of its shipping strategies.
+// under both of its shipping strategies, and of a step where the ranks are
+// many and the particles few — 64 ranks, degree-4 potentials, where the
+// replicated top tree and the request buffers are most of the memory.
 func BenchmarkEngineStep(b *testing.B) {
 	run := func(name string, s *dist.Set, m *msg.Machine, cfg parbh.Config) {
 		b.Run(name, func(b *testing.B) {
@@ -238,6 +240,9 @@ func BenchmarkEngineStep(b *testing.B) {
 			Scheme: parbh.DPDA, Mode: parbh.ForceMode, Alpha: 0.67, Eps: 0.01, LeafCap: 8, Shipping: ship,
 		})
 	}
+	run("DPDA/p64/cm5/potential-deg4", dist.MustNamed("g", 5000, 7), msg.NewMachine(64, msg.CM5()), parbh.Config{
+		Scheme: parbh.DPDA, Mode: parbh.PotentialMode, Degree: 4, Alpha: 0.67,
+	})
 }
 
 // benchTable runs one experiment per iteration and fails the benchmark on

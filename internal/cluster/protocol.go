@@ -114,7 +114,7 @@ func init() {
 		codeConfig(c, &v.Job.Config)
 		c.V3(&v.Job.Domain.Min)
 		c.V3(&v.Job.Domain.Max)
-		recio.Slice(c, &v.Job.Parts, 8*8, nil, func(c *recio.Coder, q *dist.Particle) {
+		recio.Slice(c, &v.Job.Parts, 8*8, func(c *recio.Coder, q *dist.Particle) {
 			recio.Int64(c, &q.ID)
 			c.F64(&q.Mass)
 			c.V3(&q.Pos)

@@ -32,9 +32,9 @@ func init() {
 		CodeStats(c, &v.Stats)
 	})
 	transport.Register(idPack, func(c *recio.Coder, v *pack) {
-		recio.Slice(c, &v.ranks, 4, nil, recio.Int32[int])
-		recio.Slice(c, &v.items, 2, nil, transport.Any)
-		recio.Slice(c, &v.words, 8, nil, recio.Int64[int])
+		recio.Slice(c, &v.ranks, 4, recio.Int32[int])
+		recio.Slice(c, &v.items, 2, transport.Any)
+		recio.Slice(c, &v.words, 8, recio.Int64[int])
 	})
 	transport.Register(idTriple, func(c *recio.Coder, v *[3]any) {
 		for i := range v {

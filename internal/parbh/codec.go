@@ -81,10 +81,10 @@ const sectionSize = 72
 
 func init() {
 	transport.Register(idWireParticles, func(c *recio.Coder, v *[]wireParticle) {
-		recio.Slice(c, v, particleSize, wirePool.get, codeParticle)
+		recio.Slice(c, v, particleSize, codeParticle)
 	})
 	transport.Register(idReqBin, func(c *recio.Coder, v *reqBin) {
-		recio.Slice(c, &v.Entries, 8*5, reqEntryPool.get, func(c *recio.Coder, e *reqEntry) {
+		recio.Slice(c, &v.Entries, 8*5, func(c *recio.Coder, e *reqEntry) {
 			c.U64(&e.Key)
 			c.V3(&e.Pos)
 			c.I32(&e.Self)
@@ -96,25 +96,25 @@ func init() {
 		c.F64(&v.Start)
 		c.F64s(&v.Flops)
 		c.I32s(&v.Ships)
-		recio.Slice(c, &v.Owners, 2, nil, (*recio.Coder).U16)
-		recio.Slice(c, &v.Served, 4, nil, (*recio.Coder).F64s)
+		recio.Slice(c, &v.Owners, 2, (*recio.Coder).U16)
+		recio.Slice(c, &v.Served, 4, (*recio.Coder).F64s)
 	})
 	transport.Register(idRepBin, func(c *recio.Coder, v *repBin) {
-		recio.Slice(c, &v.Slots, 4, slotPool.get, (*recio.Coder).I32)
-		recio.Slice(c, &v.F, 24, vec3Pool.get, (*recio.Coder).V3)
-		recio.Slice(c, &v.P, 8, f64Pool.get, (*recio.Coder).F64)
+		recio.Slice(c, &v.Slots, 4, (*recio.Coder).I32)
+		recio.Slice(c, &v.F, 24, (*recio.Coder).V3)
+		recio.Slice(c, &v.P, 8, (*recio.Coder).F64)
 	})
 	transport.Register(idSummary, codeSummary)
 	transport.Register(idSummaries, func(c *recio.Coder, v *[]BranchSummary) {
-		recio.Slice(c, v, summarySize, nil, codeSummary)
+		recio.Slice(c, v, summarySize, codeSummary)
 	})
 	transport.Register(idFetchedCells, func(c *recio.Coder, v *[]fetchedCell) {
-		recio.Slice(c, v, 8, nil, func(c *recio.Coder, cell *fetchedCell) {
+		recio.Slice(c, v, 8, func(c *recio.Coder, cell *fetchedCell) {
 			c.U64(&cell.Key)
-			recio.Slice(c, &cell.Children, summarySize, nil, func(c *recio.Coder, fc *fetchedChild) {
+			recio.Slice(c, &cell.Children, summarySize, func(c *recio.Coder, fc *fetchedChild) {
 				codeSummary(c, &fc.Sum)
 				c.Bool(&fc.IsLeaf)
-				recio.Slice(c, &fc.Particles, particleSize, nil, codeParticle)
+				recio.Slice(c, &fc.Particles, particleSize, codeParticle)
 			})
 		})
 	})
@@ -127,7 +127,7 @@ func init() {
 		c.F64(&v.ForceT)
 		c.I32(&v.Branches)
 		c.I32s(&v.IDs)
-		recio.Slice(c, &v.F, 24, nil, (*recio.Coder).V3)
+		recio.Slice(c, &v.F, 24, (*recio.Coder).V3)
 		c.F64s(&v.P)
 	})
 	transport.Register(idLETBounds, func(c *recio.Coder, v *let.Bounds) {
@@ -136,18 +136,18 @@ func init() {
 		c.V3(&v.Max)
 	})
 	transport.Register(idLETShip, func(c *recio.Coder, v *letShipMsg) {
-		recio.Slice(c, &v.Secs, sectionSize, nil, codeSection)
+		recio.Slice(c, &v.Secs, sectionSize, codeSection)
 	})
 	transport.Register(idLETLoad, func(c *recio.Coder, v *letLoadMsg) {
-		recio.Slice(c, &v.Keys, 8, nil, (*recio.Coder).U64)
+		recio.Slice(c, &v.Keys, 8, (*recio.Coder).U64)
 		c.I32s(&v.Nodes)
-		recio.Slice(c, &v.Deltas, 8, nil, (*recio.Coder).I64)
+		recio.Slice(c, &v.Deltas, 8, (*recio.Coder).I64)
 	})
 	transport.Register(idStepOutputs, func(c *recio.Coder, v *stepOutputs) {
 		recio.Int64(c, &v.Step)
 		// Each output travels as a nested payload, wire ID first, which
 		// the two directions reach from different sides of an interface.
-		recio.Slice(c, &v.Outs, 2, nil, func(c *recio.Coder, o *rankOut) {
+		recio.Slice(c, &v.Outs, 2, func(c *recio.Coder, o *rankOut) {
 			if !c.Decoding {
 				var boxed any = *o
 				transport.Any(c, &boxed)

@@ -3,6 +3,7 @@ package parbh
 import (
 	"sort"
 
+	"repro/internal/dist"
 	"repro/internal/keys"
 	"repro/internal/msg"
 	"repro/internal/phys"
@@ -48,10 +49,40 @@ type fetchedCell struct {
 	Children []fetchedChild
 }
 
+// dsNode is one cell of a rank's image of the global tree. The cell's
+// summary is a node of the replicated tree, which every rank of the process
+// shares and none writes, or a private node made from a fetched summary;
+// what the rank learns by fetching — children, a leaf's particles — it
+// grafts onto its own dsNode.
+type dsNode struct {
+	*pnode
+	kids  *[8]*dsNode // nil until the cell can be expanded here
+	local *tree.Node  // the subtree here: this rank's own, or a fetched leaf's
+}
+
+// image copies the skeleton of the replicated tree under n for st's rank
+// and enters every cell in index.
+func (st *localState) image(n *pnode, index map[uint64]*dsNode) *dsNode {
+	if n == nil {
+		return nil
+	}
+	d := &dsNode{pnode: n}
+	index[n.cell.Uint64()] = d
+	if n.isBranch {
+		d.local = st.ownRoot(n)
+		return d
+	}
+	d.kids = new([8]*dsNode)
+	for oct, c := range n.children {
+		d.kids[oct] = st.image(c, index)
+	}
+	return d
+}
+
 // dsWork is one particle's suspended traversal.
 type dsWork struct {
 	idx   int // local particle index
-	stack []*pnode
+	stack []*dsNode
 	accF  vec.V3
 	accP  float64
 }
@@ -71,30 +102,20 @@ func (e *Engine) dataShipPhase(pr *msg.Proc, st *localState, res *Result) {
 	p := pr.NumProcs()
 	naive := cfg.Shipping == DataShippingNaive
 
-	// Index every cell of the replicated image for cache insertion.
-	index := make(map[uint64]*pnode)
-	var walk func(n *pnode)
-	walk = func(n *pnode) {
-		if n == nil {
-			return
-		}
-		index[n.cell.Uint64()] = n
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(st.top)
+	// The rank's image of the tree, every cell indexed for cache insertion.
+	index := make(map[uint64]*dsNode)
+	root := st.image(st.top, index)
 
 	// Seed one work item per particle.
 	work := make([]*dsWork, len(st.parts))
 	for i := range st.parts {
-		work[i] = &dsWork{idx: i, stack: []*pnode{st.top}}
+		work[i] = &dsWork{idx: i, stack: []*dsNode{root}}
 	}
 	active := work
 
 	processStack := func(w *dsWork, needed map[uint64]int, visits *[]dsVisit) {
-		var blocked []*pnode
-		block := func(n *pnode) {
+		var blocked []*dsNode
+		block := func(n *dsNode) {
 			needed[n.cell.Uint64()] = n.owners[0]
 			*visits = append(*visits, dsVisit{key: n.cell.Uint64(), owner: n.owners[0]})
 			blocked = append(blocked, n)
@@ -117,7 +138,7 @@ func (e *Engine) dataShipPhase(pr *msg.Proc, st *localState, res *Result) {
 				pr.Compute(s.Flops(deg))
 				continue
 			}
-			if n.isBranch && n.leafCell && !n.hasChildren() {
+			if n.leafCell && n.kids == nil {
 				// Remote leaf: must fetch the particles.
 				if len(n.owners) > 0 {
 					block(n)
@@ -136,11 +157,11 @@ func (e *Engine) dataShipPhase(pr *msg.Proc, st *localState, res *Result) {
 				}
 				continue
 			}
-			if n.hasChildren() {
+			if n.kids != nil {
 				// Push in reverse so children pop in Morton order.
 				for oct := 7; oct >= 0; oct-- {
-					if n.children[oct] != nil {
-						w.stack = append(w.stack, n.children[oct])
+					if n.kids[oct] != nil {
+						w.stack = append(w.stack, n.kids[oct])
 					}
 				}
 				continue
@@ -228,52 +249,40 @@ func (e *Engine) dataShipPhase(pr *msg.Proc, st *localState, res *Result) {
 						// the particles into the placeholder node. A duplicate
 						// reply (naive mode fetches once per visit) must leave
 						// the first materialization alone.
-						if parent.local != nil {
-							wirePool.put(fc.Particles)
-							continue
+						if parent.local == nil {
+							parent.local = e.fetchedLeaf(fc, parent.box, ck)
 						}
-						ln := tree.BuildSubtreeKeyed(fromWire(fc.Particles), e.domain, parent.box, ck, e.cfg.LeafCap)
-						if cfg.Mode == PotentialMode {
-							tree.BuildNodeExpansions(ln, cfg.Degree)
-						}
-						parent.local = ln
-						parent.isBranch = false
 						continue
 					}
-					if parent.children[ck.Octant()] != nil {
+					if parent.kids == nil {
+						parent.kids = new([8]*dsNode)
+					}
+					if parent.kids[ck.Octant()] != nil {
 						// Duplicate reply for an already-inserted child (naive
 						// mode): keep the existing node — parked traversal
 						// stacks may already reference it.
-						if fc.IsLeaf {
-							wirePool.put(fc.Particles)
-						}
 						continue
 					}
-					child := newPnode(ck, keys.CellBox(e.domain, ck))
-					child.mass, child.com, child.count = fc.Sum.Mass, fc.Sum.COM, int(fc.Sum.Count)
+					sum := newPnode(ck, keys.CellBox(e.domain, ck))
+					sum.mass, sum.com, sum.count = fc.Sum.Mass, fc.Sum.COM, int(fc.Sum.Count)
 					if cfg.Mode == PotentialMode && fc.Sum.Exp != nil {
 						if ex, err := phys.ExpansionFromFloats(cfg.Degree, fc.Sum.Exp); err == nil {
-							child.exp = ex
+							sum.exp = ex
 						}
 					}
+					child := &dsNode{pnode: sum}
 					if fc.IsLeaf {
 						// Materialize the leaf locally so near-field sums run
 						// in place.
-						ln := tree.BuildSubtreeKeyed(fromWire(fc.Particles), e.domain, child.box, ck, e.cfg.LeafCap)
-						if cfg.Mode == PotentialMode {
-							tree.BuildNodeExpansions(ln, cfg.Degree)
-						}
-						child.local = ln
+						child.local = e.fetchedLeaf(fc, sum.box, ck)
 					} else {
-						child.isBranch = true
-						child.owners = []int{int(fc.Sum.Owner)}
-						child.leafCell = int(fc.Sum.Count) <= e.cfg.LeafCap
+						sum.owners = []int{int(fc.Sum.Owner)}
+						sum.leafCell = int(fc.Sum.Count) <= e.cfg.LeafCap
 					}
-					parent.children[ck.Octant()] = child
-					index[fc.Sum.Key] = child
 					// The parent placeholder now has children and is no
 					// longer fetchable.
-					parent.isBranch = false
+					parent.kids[ck.Octant()] = child
+					index[fc.Sum.Key] = child
 				}
 			}
 		}
@@ -291,6 +300,16 @@ func (e *Engine) dataShipPhase(pr *msg.Proc, st *localState, res *Result) {
 		}
 	}
 	st.forceT = pr.Stats().ComputeTime - t0
+}
+
+// fetchedLeaf builds the subtree of a leaf cell shipped with its particles.
+func (e *Engine) fetchedLeaf(fc fetchedChild, box vec.Box, ck keys.CellKey) *tree.Node {
+	ps := fromWire(make([]dist.Particle, 0, len(fc.Particles)), fc.Particles)
+	ln := tree.BuildSubtreeKeyed(ps, e.domain, box, ck, e.cfg.LeafCap)
+	if e.cfg.Mode == PotentialMode {
+		tree.BuildNodeExpansions(ln, e.cfg.Degree)
+	}
+	return ln
 }
 
 // serveFetch builds the reply for one requested cell: summaries of its

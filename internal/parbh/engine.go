@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/dist"
 	"repro/internal/keys"
@@ -54,8 +56,10 @@ type Engine struct {
 	// no sections).
 	letFlats []*let.Flat
 
-	// ship[i] is rank i's function-shipping scratch kept across steps.
-	ship []shipScratch
+	// ship[i] is rank i's function-shipping scratch kept across steps, and
+	// scratch[i] what its particle exchanges keep.
+	ship    []shipScratch
+	scratch []rankScratch
 
 	step int
 }
@@ -71,6 +75,11 @@ func New(machine *msg.Machine, set *dist.Set, cfg Config) (*Engine, error) {
 	e.builders = make([]*tree.Builder, p)
 	e.letFlats = make([]*let.Flat, p)
 	e.ship = make([]shipScratch, p)
+	e.scratch = make([]rankScratch, p)
+	for _, rk := range machine.LocalRanks() {
+		e.scratch[rk] = rankScratch{buckets: make([][]dist.Particle, p), payloads: make([]any, p),
+			words: make([]int, p), extraLoad: make(map[int]float64)}
+	}
 
 	switch cfg.Scheme {
 	case SPSA, SPDA:
@@ -155,7 +164,7 @@ type localState struct {
 	branches []*tree.Node          // local branch subtree roots, Morton order
 	rootsMap map[uint64]*tree.Node // packed key -> branch root
 	lookup   branchLookup          // request-serving lookup structure
-	top      *pnode                // replicated global tree
+	top      *pnode                // replicated global tree, shared with this process's other ranks: read-only
 	summary  []BranchSummary       // this proc's branch summaries
 	stats    tree.Stats            // interaction counts charged here
 	forceT   float64               // compute-seconds spent in the force phase
@@ -169,6 +178,32 @@ type localState struct {
 	// LET-shipping per-step state (LETShipping only).
 	letFlat *let.Flat                // grafted flat essential tree
 	letSent map[letPair][]*tree.Node // shipped nodes by (peer, branch), ordinal-aligned
+}
+
+// ownRoot returns this rank's subtree under branch cell n of the shared
+// replicated tree, nil when the cell is none of its own. The other owners
+// of a cell it shares are not asked: its own subtree stands for the cell.
+func (st *localState) ownRoot(n *pnode) *tree.Node {
+	if !slices.Contains(n.owners, st.me) {
+		return nil
+	}
+	root := st.rootsMap[n.cell.Uint64()]
+	if root == nil {
+		panic(fmt.Sprintf("parbh: missing local subtree for branch %v", n.cell))
+	}
+	return root
+}
+
+// rankScratch is what a rank's particle exchanges and force phase keep from
+// one step to the next: host-side buffers only, each read and rewritten by
+// its own rank's goroutine.
+type rankScratch struct {
+	buckets   [][]dist.Particle // per destination: the particles leaving for it; empty between exchanges
+	payloads  []any             // per destination, for AllToAll
+	words     []int
+	arrived   []dist.Particle // DPDA migrate's arrivals, copied out by its sort
+	shares    []float64       // balanceDPDA: per-particle load, local Morton order
+	extraLoad map[int]float64 // behind localState.extraLoad, cleared by the force phase
 }
 
 // message tags of the engine protocols (collectives use their own space).
@@ -194,25 +229,50 @@ type wireParticle struct {
 
 const wireParticleWords = 8
 
-// toWire packs particles into a pooled wire buffer; the caller sends the
-// buffer and must not touch it afterwards (fromWire at the receiver
-// returns it to the pool).
+// toWire packs particles into a wire buffer.
 func toWire(ps []dist.Particle) []wireParticle {
-	out := wirePool.get(len(ps))
+	out := make([]wireParticle, len(ps))
 	for i, q := range ps {
 		out[i] = wireParticle{ID: int32(q.ID), Mass: q.Mass, Pos: q.Pos, Vel: q.Vel}
 	}
 	return out
 }
 
-// fromWire unpacks a received wire buffer and recycles it.
-func fromWire(ws []wireParticle) []dist.Particle {
-	out := make([]dist.Particle, len(ws))
-	for i, w := range ws {
-		out[i] = dist.Particle{ID: int(w.ID), Mass: w.Mass, Pos: w.Pos, Vel: w.Vel}
+// fromWire appends a received wire buffer's particles to dst.
+func fromWire(dst []dist.Particle, ws []wireParticle) []dist.Particle {
+	for _, w := range ws {
+		dst = append(dst, dist.Particle{ID: int(w.ID), Mass: w.Mass, Pos: w.Pos, Vel: w.Vel})
 	}
-	wirePool.put(ws)
-	return out
+	return dst
+}
+
+// exchangeParticles sends the rank's bucket i to processor i with one
+// all-to-all personalized communication and appends what arrives to dst,
+// grown once to hold it: this rank's own bucket first when ownFirst is set,
+// then every rank's in rank order.
+func (e *Engine) exchangeParticles(pr *msg.Proc, dst []dist.Particle, ownFirst bool) []dist.Particle {
+	sc := &e.scratch[pr.ID()]
+	for i, b := range sc.buckets {
+		sc.payloads[i] = toWire(b)
+		sc.words[i] = wireParticleWords * len(b)
+		sc.buckets[i] = b[:0]
+	}
+	recv := pr.AllToAll(sc.payloads, sc.words)
+	clear(sc.payloads) // the buffers are their receivers' now
+	total := 0
+	for _, r := range recv {
+		total += len(r.([]wireParticle))
+	}
+	dst = slices.Grow(dst, total)
+	if ownFirst {
+		dst = fromWire(dst, recv[pr.ID()].([]wireParticle))
+	}
+	for src, r := range recv {
+		if !ownFirst || src != pr.ID() {
+			dst = fromWire(dst, r.([]wireParticle))
+		}
+	}
+	return dst
 }
 
 // Step runs one parallel time-step and returns its results and timings.
@@ -274,6 +334,7 @@ func (e *Engine) StepErr() (*Result, error) {
 
 	tracer := e.machine.Tracer()
 	step := e.step
+	merge := new(topMerge)
 
 	machineStats, runErr := e.machine.RunErr(func(pr *msg.Proc) {
 		st := &localState{me: pr.ID(), parts: e.parts[pr.ID()]}
@@ -306,10 +367,10 @@ func (e *Engine) StepErr() (*Result, error) {
 		e.buildLocal(pr, st)
 		mark(PhaseLocalTree)
 
-		all := e.exchangeBranches(pr, st)
+		gathered := e.exchangeBranches(pr, st)
 		mark(PhaseBroadcast)
 
-		e.buildTopPhase(pr, st, all)
+		e.buildTopPhase(pr, st, gathered, merge)
 		mark(PhaseTreeMerge)
 
 		if letMode {
@@ -436,56 +497,39 @@ func (e *Engine) StepErr() (*Result, error) {
 // processor's region since the last step are shipped to their current
 // owner with one all-to-all personalized exchange.
 func (e *Engine) migrate(pr *msg.Proc, st *localState) {
-	p := pr.NumProcs()
-	buckets := make([][]dist.Particle, p)
+	sc := &e.scratch[st.me]
+	buckets := sc.buckets
 	for _, q := range st.parts {
 		o := e.ownerOfPos(q.Pos)
 		buckets[o] = append(buckets[o], q)
 	}
 	pr.Compute(float64(len(st.parts)) * 6) // bucketing cost
-	payloads := make([]any, p)
-	words := make([]int, p)
-	for i := range buckets {
-		payloads[i] = toWire(buckets[i])
-		words[i] = wireParticleWords * len(buckets[i])
-	}
-	recv := pr.AllToAll(payloads, words)
-	var mine []dist.Particle
 	if e.cfg.Scheme == DPDA {
 		// Assemble the retained (already sorted) run first and the
 		// immigrant runs after it, so the adaptive re-sort sees one long
 		// kept prefix plus a few displaced newcomers. The order feeds a
 		// strict-total-order sort, so it cannot affect the result; other
 		// schemes keep source order because theirs is never re-sorted.
-		mine = append(mine, fromWire(recv[st.me].([]wireParticle))...)
-		for src := 0; src < p; src++ {
-			if src != st.me {
-				mine = append(mine, fromWire(recv[src].([]wireParticle))...)
-			}
-		}
-	} else {
-		for src := 0; src < p; src++ {
-			mine = append(mine, fromWire(recv[src].([]wireParticle))...)
-		}
-		// Canonicalize to ID order. SPSA/SPDA need no particular order, but
-		// leaving migrated particles appended in arrival order makes every
-		// float accumulation (leaf summation, per-rank clock) a function of
-		// migration history — a simulation restored from a checkpoint or
-		// keyframe rebuilds in ID order and would drift from the original
-		// by ulps after the first migration. Host-side only, so no
-		// simulated cost is charged: the algorithm itself never consumes
-		// the order.
-		sort.Slice(mine, func(a, b int) bool { return mine[a].ID < mine[b].ID })
-	}
-	if e.cfg.Scheme == DPDA {
+		sc.arrived = e.exchangeParticles(pr, sc.arrived[:0], true)
 		// Keep the local set Morton-sorted: the DPDA load balance relies
 		// on rank-concatenation being the global Morton order. The charged
 		// cost is unchanged; only the host-side sort got cheaper. The key
 		// slice rides along to buildLocal so the incremental builder can
 		// diff it against the previous step without recomputing keys.
-		mine, st.sortKeys = tree.SortByKey(mine, e.domain)
-		pr.Compute(float64(len(mine)) * 12)
+		st.parts, st.sortKeys = tree.SortByKey(sc.arrived, e.domain)
+		pr.Compute(float64(len(st.parts)) * 12)
+		return
 	}
+	mine := e.exchangeParticles(pr, nil, false)
+	// Canonicalize to ID order. SPSA/SPDA need no particular order, but
+	// leaving migrated particles appended in arrival order makes every
+	// float accumulation (leaf summation, per-rank clock) a function of
+	// migration history — a simulation restored from a checkpoint or
+	// keyframe rebuilds in ID order and would drift from the original
+	// by ulps after the first migration. Host-side only, so no
+	// simulated cost is charged: the algorithm itself never consumes
+	// the order.
+	sort.Slice(mine, func(a, b int) bool { return mine[a].ID < mine[b].ID })
 	st.parts = mine
 }
 
@@ -561,37 +605,36 @@ func (e *Engine) buildLocal(pr *msg.Proc, st *localState) {
 	}
 }
 
+// nonReplicated reports whether the step builds its top tree the
+// non-replicated way, which needs the fixed-depth branch cells of the
+// static clusters.
+func (e *Engine) nonReplicated() bool {
+	return e.cfg.TreeBuild == NonReplicatedBuild && (e.cfg.Scheme == SPSA || e.cfg.Scheme == SPDA)
+}
+
 // exchangeBranches distributes branch summaries to every processor, via
 // either the broadcast-based construction (Section 3.1.1) or the
-// non-replicated construction (Section 3.1.2). It returns the full
-// summary list plus, for the non-replicated variant, precomputed
-// top-cell summaries keyed by packed cell key.
-type branchExchange struct {
-	all []BranchSummary
-	top map[uint64]BranchSummary // non-nil only for NonReplicatedBuild
-}
-
-func (e *Engine) exchangeBranches(pr *msg.Proc, st *localState) branchExchange {
+// non-replicated construction (Section 3.1.2). It returns every rank's
+// []BranchSummary, by rank: its branch cells and, for the non-replicated
+// variant, the top cells it computed.
+func (e *Engine) exchangeBranches(pr *msg.Proc, st *localState) []any {
+	payload := st.summary
+	if e.nonReplicated() {
+		payload = e.combineNonReplicated(pr, st)
+	}
 	words := 0
-	for _, s := range st.summary {
+	for _, s := range payload {
 		words += s.Words()
 	}
-	if e.cfg.TreeBuild == NonReplicatedBuild && (e.cfg.Scheme == SPSA || e.cfg.Scheme == SPDA) {
-		return e.exchangeNonReplicated(pr, st)
-	}
-	gathered := pr.AllGather(st.summary, words)
-	var all []BranchSummary
-	for _, g := range gathered {
-		all = append(all, g.([]BranchSummary)...)
-	}
-	return branchExchange{all: all}
+	return pr.AllGather(payload, words)
 }
 
-// exchangeNonReplicated implements Section 3.1.2: each top cell has a
+// combineNonReplicated implements Section 3.1.2: each top cell has a
 // designated owner which computes it exactly once from its children's
-// summaries; the finished top levels are then made available to all
-// processors with one all-to-all broadcast.
-func (e *Engine) exchangeNonReplicated(pr *msg.Proc, st *localState) branchExchange {
+// summaries. It returns what this rank makes available to all processors
+// in the all-to-all broadcast that follows: its branch summaries plus the
+// top cells it computed.
+func (e *Engine) combineNonReplicated(pr *msg.Proc, st *localState) []BranchSummary {
 	p := pr.NumProcs()
 	me := st.me
 	deg := -1
@@ -672,30 +715,11 @@ func (e *Engine) exchangeNonReplicated(pr *msg.Proc, st *localState) branchExcha
 			}
 		}
 	}
-	// Make everything available everywhere: my computed top cells plus my
-	// branch summaries.
 	payload := append([]BranchSummary(nil), st.summary...)
 	for _, s := range computed {
 		payload = append(payload, s)
 	}
-	words := 0
-	for _, s := range payload {
-		words += s.Words()
-	}
-	gathered := pr.AllGather(payload, words)
-	var all []BranchSummary
-	top := make(map[uint64]BranchSummary)
-	branchLevel := uint8(g)
-	for _, gth := range gathered {
-		for _, s := range gth.([]BranchSummary) {
-			if keys.CellKeyFromUint64(s.Key).Level == branchLevel {
-				all = append(all, s)
-			} else {
-				top[s.Key] = s
-			}
-		}
-	}
-	return branchExchange{all: all, top: top}
+	return payload
 }
 
 // combineSummaries folds child summaries into a parent cell summary.
@@ -725,49 +749,67 @@ func combineSummaries(ck keys.CellKey, kids []BranchSummary, degree int) BranchS
 	return out
 }
 
+// topMerge is one step's replicated global tree on this host. The machine
+// merges the summaries on every processor (the redundant computation of the
+// broadcast-based construction) and every rank is charged for it; the host
+// merges them once per process, on whichever of its ranks gets there first,
+// into a tree all of them read and none writes.
+type topMerge struct {
+	once  sync.Once
+	root  *pnode
+	flops float64 // the merge's modelled cost: a function of the summaries alone
+	err   error
+}
+
 // buildTopPhase merges the exchanged branch summaries into the replicated
 // global tree (the paper's "tree merging").
-func (e *Engine) buildTopPhase(pr *msg.Proc, st *localState, ex branchExchange) {
+func (e *Engine) buildTopPhase(pr *msg.Proc, st *localState, gathered []any, m *topMerge) {
+	m.once.Do(func() { m.root, m.flops, m.err = e.mergeTop(gathered) })
+	if m.err != nil {
+		panic(m.err)
+	}
+	pr.Compute(m.flops)
+	st.top = m.root
+}
+
+// mergeTop builds the replicated tree from every rank's summaries and
+// returns it with the modelled flop cost of the merge. Under the
+// non-replicated construction the internal top cells take the summaries
+// their designated owners computed, and nothing is charged: that work
+// happened once, at those owners.
+func (e *Engine) mergeTop(gathered []any) (*pnode, float64, error) {
 	deg := -1
 	if e.cfg.Mode == PotentialMode {
 		deg = e.cfg.Degree
 	}
-	var flops float64
-	top, err := buildTopWithPrecomputed(e.domain, ex, st.me, st.rootsMap, deg, e.cfg.LeafCap,
-		func(f float64) { flops += f })
-	if err != nil {
-		panic(err)
+	var all []BranchSummary
+	precomputed := make(map[uint64]BranchSummary)
+	branchLevel := -1 // of the static clusters; every cell above one was precomputed
+	if e.nonReplicated() {
+		branchLevel = e.cfg.GridLog2
 	}
-	pr.Compute(flops)
-	st.top = top
-}
-
-// buildTopWithPrecomputed wraps buildTop and, for the non-replicated
-// construction, overwrites internal top cells with their precomputed
-// summaries instead of charging the redundant merge.
-func buildTopWithPrecomputed(rootBox vec.Box, ex branchExchange, me int,
-	localRoots map[uint64]*tree.Node, degree, leafCap int, charge func(float64)) (*pnode, error) {
-
-	if ex.top == nil {
-		return buildTop(rootBox, ex.all, me, localRoots, degree, leafCap, charge)
+	for _, g := range gathered {
+		for _, s := range g.([]BranchSummary) {
+			if lvl := int(keys.CellKeyFromUint64(s.Key).Level); lvl < branchLevel {
+				precomputed[s.Key] = s
+			} else {
+				all = append(all, s)
+			}
+		}
 	}
-	// Build structure without charging (the combine work happened once,
-	// at the designated owners), then overwrite with precomputed values.
-	top, err := buildTop(rootBox, ex.all, me, localRoots, degree, leafCap, func(float64) {})
-	if err != nil {
-		return nil, err
+	top, flops, err := buildTop(e.domain, all, deg, e.cfg.LeafCap)
+	if err != nil || branchLevel < 0 {
+		return top, flops, err
 	}
 	var apply func(n *pnode)
 	apply = func(n *pnode) {
 		if n == nil {
 			return
 		}
-		if s, ok := ex.top[n.cell.Uint64()]; ok {
-			n.mass = s.Mass
-			n.com = s.COM
-			n.count = int(s.Count)
-			if degree >= 0 && s.Exp != nil {
-				if e, err2 := phys.ExpansionFromFloats(degree, s.Exp); err2 == nil {
+		if s, ok := precomputed[n.cell.Uint64()]; ok {
+			n.mass, n.com, n.count = s.Mass, s.COM, int(s.Count)
+			if deg >= 0 && s.Exp != nil {
+				if e, err2 := phys.ExpansionFromFloats(deg, s.Exp); err2 == nil {
 					n.exp = e
 				}
 			}
@@ -777,7 +819,7 @@ func buildTopWithPrecomputed(rootBox vec.Box, ex branchExchange, me int,
 		}
 	}
 	apply(top)
-	return top, nil
+	return top, 0, nil
 }
 
 // loadBalance performs the scheme's end-of-step rebalancing and particle
@@ -819,22 +861,12 @@ func (e *Engine) balanceSPDA(pr *msg.Proc, st *localState) []int {
 
 	// Move particles to their new owners now so the next step's migrate
 	// is a no-op.
-	buckets := make([][]dist.Particle, p)
+	buckets := e.scratch[st.me].buckets
 	for _, q := range st.parts {
-		buckets[newOwner[e.grid.ClusterOf(q.Pos)]] = append(buckets[newOwner[e.grid.ClusterOf(q.Pos)]], q)
+		o := newOwner[e.grid.ClusterOf(q.Pos)]
+		buckets[o] = append(buckets[o], q)
 	}
-	payloads := make([]any, p)
-	words := make([]int, p)
-	for i := range buckets {
-		payloads[i] = toWire(buckets[i])
-		words[i] = wireParticleWords * len(buckets[i])
-	}
-	recv := pr.AllToAll(payloads, words)
-	var mine []dist.Particle
-	for src := 0; src < p; src++ {
-		mine = append(mine, fromWire(recv[src].([]wireParticle))...)
-	}
-	st.parts = mine
+	st.parts = e.exchangeParticles(pr, nil, false)
 	return newOwner
 }
 
@@ -846,12 +878,18 @@ func (e *Engine) balanceSPDA(pr *msg.Proc, st *localState) []int {
 func (e *Engine) balanceDPDA(pr *msg.Proc, st *localState) []uint64 {
 	p := pr.NumProcs()
 	// Per-particle shares in local Morton order: each branch subtree is
-	// walked with ancestors' own loads spread over their particles.
+	// walked with ancestors' own loads spread over their particles. The
+	// branches' leaves hold, end to end, the (key, ID)-sorted particles
+	// migrate left in st.parts, so share i is st.parts[i]'s.
 	deg := e.cfg.degreeOrMonopole()
-	shares := make([]float64, 0, len(st.parts))
-	order := make([]dist.Particle, 0, len(st.parts))
+	sc := &e.scratch[st.me]
+	sc.shares = sc.shares[:0]
 	for _, b := range st.branches {
-		collectShares(b, deg, 0, &shares, &order)
+		sc.shares = collectShares(b, deg, 0, sc.shares)
+	}
+	shares, order := sc.shares, st.parts
+	if len(shares) != len(order) {
+		panic(fmt.Sprintf("parbh: rank %d: %d load shares for %d particles", st.me, len(shares), len(order)))
 	}
 	for i := range order {
 		shares[i] += st.extraLoad[order[i].ID]
@@ -883,7 +921,7 @@ func (e *Engine) balanceDPDA(pr *msg.Proc, st *localState) []uint64 {
 		w = 1 // empty system; zones stay as they are
 	}
 	// New zone per particle (midpoint rule), with same-key snapping.
-	buckets := make([][]dist.Particle, p)
+	buckets := sc.buckets
 	acc := offset
 	prevZone := -1
 	var prevKey uint64
@@ -904,17 +942,7 @@ func (e *Engine) balanceDPDA(pr *msg.Proc, st *localState) []uint64 {
 		acc += share
 		prevZone, prevKey = zone, k
 	}
-	payloads := make([]any, p)
-	words := make([]int, p)
-	for i := range buckets {
-		payloads[i] = toWire(buckets[i])
-		words[i] = wireParticleWords * len(buckets[i])
-	}
-	recv := pr.AllToAll(payloads, words)
-	var mine []dist.Particle
-	for src := 0; src < p; src++ {
-		mine = append(mine, fromWire(recv[src].([]wireParticle))...)
-	}
+	mine := e.exchangeParticles(pr, nil, false)
 	st.parts = mine
 	// New boundary keys: first key per processor; empty zones inherit the
 	// next processor's boundary.
@@ -940,30 +968,30 @@ func (e *Engine) balanceDPDA(pr *msg.Proc, st *localState) []uint64 {
 	return bounds
 }
 
-// collectShares walks a branch subtree in Morton order producing one load
+// collectShares walks a branch subtree in Morton order appending one load
 // share per particle in flop units, spreading internal nodes' own
 // interaction counts over their subtrees (as in partition.Costzones, but
 // local). Loads are converted to flops — leaf counters record
 // particle–particle work, internal counters particle–cluster work — so
 // that balancing the shares balances modelled compute time.
-func collectShares(n *tree.Node, deg int, extraPerParticle float64, shares *[]float64, order *[]dist.Particle) {
+func collectShares(n *tree.Node, deg int, extraPerParticle float64, shares []float64) []float64 {
 	if n == nil || n.Count == 0 {
-		return
+		return shares
 	}
 	if n.IsLeaf() {
 		leafLoad := float64(n.Load)*phys.PPFlops + extraPerParticle*float64(n.Count)
 		per := leafLoad / float64(len(n.Particles))
-		for i := range n.Particles {
-			*shares = append(*shares, per)
-			*order = append(*order, n.Particles[i])
+		for range n.Particles {
+			shares = append(shares, per)
 		}
-		return
+		return shares
 	}
 	nodeFlops := float64(n.Load) * (phys.InteractionFlops(deg) + phys.MACFlops)
 	childExtra := extraPerParticle + nodeFlops/float64(n.Count)
 	for _, c := range n.Children {
-		collectShares(c, deg, childExtra, shares, order)
+		shares = collectShares(c, deg, childExtra, shares)
 	}
+	return shares
 }
 
 // flopLoad converts a subtree's raw interaction counters into modelled

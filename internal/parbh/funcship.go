@@ -85,7 +85,8 @@ func (e *Engine) forcePhase(pr *msg.Proc, st *localState, res *Result) {
 		return
 	}
 	r := &shipRun{e: e, pr: pr, st: st, sh: &e.ship[st.me]}
-	st.extraLoad = make(map[int]float64, len(st.parts))
+	st.extraLoad = e.scratch[st.me].extraLoad
+	clear(st.extraLoad)
 	r.flatten()
 	r.exchange(res)
 	r.fl.ApplyLocalLoads()
@@ -114,15 +115,20 @@ type shipScratch struct {
 	own, served tree.Packet
 	deferred    []int32 // one lane's opened branches
 
-	// One round of the rank's own particles: the request entries by owner,
-	// what its sweep summed, by
-	// index in the round, and the reply values by slot — F in force mode, P
-	// in potential mode. Slots are handed out in traversal order, so the
-	// round's particle i has [slotEnd[i-1], slotEnd[i]).
-	reqs          [][]reqEntry
+	// One round of the rank's own particles: what it ships, in ship order;
+	// the request entries those become, owner o's at [cut[o], cut[o+1]);
+	// what its sweep summed, by index in the round; and the reply values by
+	// slot — F in force mode, P in potential mode. Slots are handed out in
+	// traversal order, so the round's particle i has [slotEnd[i-1],
+	// slotEnd[i]).
+	shipped       []shipRef
+	entries       []reqEntry
+	cut           []int32
 	localF, slotF []vec.V3
 	localP, slotP []float64
 	slotEnd       []int
+
+	servedFrom []int // per requester: entries served so far this step
 
 	// Grouping of one served bin by branch.
 	base    []int32   // per entry: node index of its branch, -1 if unknown here
@@ -137,6 +143,10 @@ type shipScratch struct {
 	log shipLog
 }
 
+// shipRef is one shipped entry before it is addressed: the remote branch
+// cell's node in the flat tree and the particle's index in the round.
+type shipRef struct{ node, part int32 }
+
 // shipRun is the per-processor state of one function-shipping data plane.
 type shipRun struct {
 	e  *Engine
@@ -144,8 +154,6 @@ type shipRun struct {
 	st *localState
 	sh *shipScratch
 	fl *let.Flat // the rank's replicated tree in packet-kernel form
-
-	served []int // per requester: entries served so far
 }
 
 // exchange is the data plane: the rank sweeps its particles a round at a
@@ -160,35 +168,32 @@ func (r *shipRun) exchange(res *Result) {
 	log.Flops, log.Ships, log.Owners = log.Flops[:0], log.Ships[:0], log.Owners[:0]
 	if len(log.Served) != p {
 		log.Served = make([][]float64, p)
+		r.sh.servedFrom = make([]int, p)
+		r.sh.cut = make([]int32, p+2)
 	}
 	for q := range log.Served {
 		log.Served[q] = log.Served[q][:0]
 	}
-	r.served = make([]int, p)
+	clear(r.sh.servedFrom)
 
-	if len(r.sh.reqs) != p {
-		r.sh.reqs = make([][]reqEntry, p)
-	}
-	reqs := r.sh.reqs
 	serving := p - 1 // peers whose last bin is still to come
 	for lo := 0; ; lo += shipRound {
 		hi := min(lo+shipRound, len(parts))
 		// A bin sent within this process is read in place by its owner,
-		// which is done with it once its reply is back: the round is over.
-		for o := range reqs {
-			reqs[o] = reqs[o][:0]
-		}
-		r.sweep(parts[lo:hi], reqs)
+		// which is done with it once its reply is back: the round is over,
+		// and the next one's sweep may overwrite the entries.
+		r.sweep(parts[lo:hi])
 		more, replies := hi < len(parts), 0
 		for d := 1; d < p; d++ {
 			o := (me + d) % p
-			if len(reqs[o]) == 0 && more {
+			bin := r.sh.entries[r.sh.cut[o]:r.sh.cut[o+1]]
+			if len(bin) == 0 && more {
 				continue // nothing to ask and nothing to announce
 			}
-			if len(reqs[o]) > 0 {
+			if len(bin) > 0 {
 				replies++
 			}
-			r.pr.SendOffClock(o, tagRequest, reqBin{Entries: reqs[o], More: more})
+			r.pr.SendOffClock(o, tagRequest, reqBin{Entries: bin, More: more})
 		}
 		for replies > 0 {
 			payload, from, tag := r.pr.RecvOffClock(tagRequest, tagReply)
@@ -213,14 +218,18 @@ func (r *shipRun) exchange(res *Result) {
 // sweep runs the traversal of one round of the rank's own particles, eight
 // at a time in particle order, then reads the packet back one lane — one
 // particle — at a time: its charge is logged, and the branches it opened
-// become request entries in the order its lone traversal would have met
-// them. Slots and the ship sequence are therefore exactly those of a
-// one-particle-at-a-time traversal.
-func (r *shipRun) sweep(round []dist.Particle, reqs [][]reqEntry) {
+// are shipped in the order its lone traversal would have met them. Slots
+// and the ship sequence are therefore exactly those of a
+// one-particle-at-a-time traversal. The round's shipments then become
+// request entries in one buffer cut per owner (a counting sort, as
+// servePackets groups a bin by branch), each owner's in ship order.
+func (r *shipRun) sweep(round []dist.Particle) {
 	sh, st, log := r.sh, r.st, &r.sh.log
 	force, deg := r.e.cfg.Mode == ForceMode, r.e.cfg.degreeOrMonopole()
 	sh.slotEnd = sh.slotEnd[:0]
 	sh.localF, sh.localP = sh.localF[:0], sh.localP[:0]
+	sh.shipped = sh.shipped[:0]
+	clear(sh.cut) // owner o's entries are counted in cut[o+2]
 	slots := 0
 	pk := &sh.own
 	for k := 0; k < len(round); k += 8 {
@@ -245,18 +254,30 @@ func (r *shipRun) sweep(round []dist.Particle, reqs [][]reqEntry) {
 			sh.deferred = pk.Deferred(l, sh.deferred[:0])
 			first := slots
 			for _, node := range sh.deferred {
-				n := sh.branchAt[node]
-				for _, o := range n.owners {
-					reqs[o] = append(reqs[o], reqEntry{
-						Key: n.cell.Uint64(), Pos: q.Pos, Self: int32(q.ID), Slot: int32(slots),
-					})
+				for _, o := range sh.branchAt[node].owners {
+					sh.shipped = append(sh.shipped, shipRef{node: node, part: int32(k + l)})
 					log.Owners = append(log.Owners, uint16(o))
+					sh.cut[o+2]++
 					slots++
 				}
 			}
 			log.Ships = append(log.Ships, int32(slots-first))
 			sh.slotEnd = append(sh.slotEnd, slots)
 		}
+	}
+	// Summed, cut[o+1] is where owner o's entries start; it is their write
+	// cursor, so it ends where owner o+1's start, and cut[o] where o's do.
+	for o := 2; o < len(sh.cut); o++ {
+		sh.cut[o] += sh.cut[o-1]
+	}
+	sh.entries = slices.Grow(sh.entries[:0], slots)[:slots]
+	owners := log.Owners[len(log.Owners)-slots:]
+	for slot, ref := range sh.shipped {
+		q, o := &round[ref.part], owners[slot]
+		sh.entries[sh.cut[o+1]] = reqEntry{
+			Key: sh.branchAt[ref.node].cell.Uint64(), Pos: q.Pos, Self: int32(q.ID), Slot: int32(slot),
+		}
+		sh.cut[o+1]++
 	}
 	// Every slot is written by exactly one reply before reduce reads it.
 	if force {
@@ -266,7 +287,7 @@ func (r *shipRun) sweep(round []dist.Particle, reqs [][]reqEntry) {
 	}
 }
 
-// scatter files one reply's values under their slots and recycles it.
+// scatter files one reply's values under their slots.
 func (r *shipRun) scatter(rep repBin) {
 	for i, s := range rep.Slots {
 		if rep.F != nil {
@@ -275,9 +296,6 @@ func (r *shipRun) scatter(rep repBin) {
 			r.sh.slotP[s] = rep.P[i]
 		}
 	}
-	slotPool.put(rep.Slots)
-	vec3Pool.put(rep.F)
-	f64Pool.put(rep.P)
 }
 
 // reduce adds a round's remote contributions to its particles' own sums in
@@ -309,31 +327,28 @@ func (r *shipRun) reduce(round []dist.Particle, res *Result) {
 // where the data is. It returns 1 if the bin was the requester's last.
 func (r *shipRun) serve(bin reqBin, from int) int {
 	if n := len(bin.Entries); n > 0 {
-		rep := repBin{Slots: slotPool.get(n)}
+		rep := repBin{Slots: make([]int32, n)}
 		for i := range bin.Entries {
 			rep.Slots[i] = bin.Entries[i].Slot
 		}
 		if r.e.cfg.Mode == ForceMode {
-			rep.F = vec3Pool.get(n)
+			rep.F = make([]vec.V3, n)
 		} else {
-			rep.P = f64Pool.get(n)
+			rep.P = make([]float64, n)
 		}
 		r.servePackets(bin.Entries, &rep)
 		// Whatever rounds the entries came in, the protocol serves them in
 		// bins: the k-th BinSize of them is one message, charged at once.
 		bins := r.sh.log.Served[from]
 		for _, flops := range r.sh.flops[:n] {
-			if r.served[from]%r.e.cfg.BinSize == 0 {
+			if r.sh.servedFrom[from]%r.e.cfg.BinSize == 0 {
 				bins = append(bins, 0)
 			}
 			bins[len(bins)-1] += flops
-			r.served[from]++
+			r.sh.servedFrom[from]++
 		}
 		r.sh.log.Served[from] = bins
 		r.pr.SendOffClock(from, tagReply, rep)
-	}
-	if !r.e.machine.IsLocal(from) {
-		reqEntryPool.put(bin.Entries) // the codec's copy, not the requester's buffer
 	}
 	if bin.More {
 		return 0
@@ -412,8 +427,7 @@ func (r *shipRun) servePackets(entries []reqEntry, rep *repBin) {
 			continue
 		}
 		// Empty branch (race with zero-count summaries): only the lookup is
-		// charged. Pooled reply buffers carry stale values, so zero the slot
-		// explicitly.
+		// charged, and the reply is an explicit zero whatever rep held.
 		sh.flops[i] = lookup
 		if force {
 			rep.F[i] = vec.V3{}
@@ -436,9 +450,9 @@ func (r *shipRun) flatten() {
 	fl.Reset()
 	fl.BeginMain()
 	sh.branchAt = sh.branchAt[:0]
-	flattenTop(fl, r.st.top, func(n *pnode) {
-		if n.local != nil {
-			sh.localAt[n.cell.Uint64()] = fl.AddLocalSubtree(n.local)
+	flattenTop(fl, r.st, r.st.top, func(n *pnode, own *tree.Node) {
+		if own != nil {
+			sh.localAt[n.cell.Uint64()] = fl.AddLocalSubtree(own)
 			return
 		}
 		idx := fl.AddBranch(n.leafCell, n.com, n.mass, n.side, n.exp, nil)

@@ -71,6 +71,7 @@ func acceptsSummary(n *pnode, pos vec.V3, alpha float64) bool {
 // retired shipRun kept, with ship reduced to recording the slot.
 type shipOracle struct {
 	cfg       Config
+	st        *localState // resolves the rank's own branch cells
 	stats     tree.Stats
 	extraLoad map[int]float64
 	curID     int
@@ -108,9 +109,9 @@ func (r *shipOracle) traverseForce(n *pnode, pos vec.V3, self, localIdx int) vec
 	if n == nil || n.count == 0 {
 		return vec.V3{}
 	}
-	if n.local != nil {
+	if n.isBranch && r.st.ownRoot(n) != nil {
 		var s tree.Stats
-		a := tree.AccelFrom(n.local, pos, self, r.cfg.Alpha, r.cfg.Eps, &s)
+		a := tree.AccelFrom(r.st.ownRoot(n), pos, self, r.cfg.Alpha, r.cfg.Eps, &s)
 		r.stats.Add(s)
 		return a
 	}
@@ -149,9 +150,9 @@ func (r *shipOracle) traversePot(n *pnode, pos vec.V3, self, localIdx int) float
 	if n == nil || n.count == 0 {
 		return 0
 	}
-	if n.local != nil {
+	if n.isBranch && r.st.ownRoot(n) != nil {
 		var s tree.Stats
-		phi := tree.PotentialFrom(n.local, pos, self, r.cfg.Alpha, &s)
+		phi := tree.PotentialFrom(r.st.ownRoot(n), pos, self, r.cfg.Alpha, &s)
 		r.stats.Add(s)
 		return phi
 	}
@@ -198,15 +199,26 @@ type shipWorld struct {
 // advanced.
 func phases(t *testing.T, e *Engine, force bool) *shipWorld {
 	t.Helper()
+	w, err := runPhases(e, force)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// runPhases is phases for callers off the test's goroutine; on a
+// distributed machine it leaves the states of other processes' ranks nil.
+func runPhases(e *Engine, force bool) (*shipWorld, error) {
 	p := e.machine.P
 	w := newShipWorld(e.cfg, make([]*localState, p), e.n)
 	res := &Result{Accels: w.accels, Potentials: w.pots}
 	spent := make([]msg.Stats, p)
+	merge := new(topMerge)
 	_, err := e.machine.RunErr(func(pr *msg.Proc) {
 		st := &localState{me: pr.ID(), parts: e.parts[pr.ID()]}
 		e.migrate(pr, st)
 		e.buildLocal(pr, st)
-		e.buildTopPhase(pr, st, e.exchangeBranches(pr, st))
+		e.buildTopPhase(pr, st, e.exchangeBranches(pr, st), merge)
 		before := pr.Stats()
 		if force {
 			e.forcePhase(pr, st, res)
@@ -218,16 +230,13 @@ func phases(t *testing.T, e *Engine, force bool) *shipWorld {
 			CommTime: after.CommTime - before.CommTime, ComputeTime: after.ComputeTime - before.ComputeTime}
 		w.states[st.me] = st
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, s := range spent {
 		w.words += s.Words
 		w.msgs += s.Messages
 		w.comm += s.CommTime
 		w.comp += s.ComputeTime
 	}
-	return w
+	return w, err
 }
 
 func newShipWorld(cfg Config, states []*localState, n int) *shipWorld {
@@ -243,7 +252,7 @@ func (w *shipWorld) runOracle() [][]int {
 	entries := make([][]int, p)
 	for me, st := range w.states {
 		entries[me] = make([]int, p)
-		r := &shipOracle{cfg: w.cfg, extraLoad: st.extraLoad}
+		r := &shipOracle{cfg: w.cfg, st: st, extraLoad: st.extraLoad}
 		pot := w.cfg.Mode == PotentialMode
 		localF, localP := make([]vec.V3, len(st.parts)), make([]float64, len(st.parts))
 		for i := range st.parts {
@@ -396,7 +405,7 @@ func TestFuncShipPacketMatchesPointerOracle(t *testing.T) {
 				for _, n := range entries[me] {
 					shipped += n
 				}
-				leafCells += countLeafCells(st.top)
+				leafCells += countLeafCells(st, st.top)
 			}
 			if !shortTail || leafCells == 0 || shipped == 0 {
 				t.Fatalf("%s/%v: weak case: short last packet %v, remote leaf cells %d, entries %d", m.name, scheme, shortTail, leafCells, shipped)
@@ -427,16 +436,16 @@ func TestFuncShipPacketMatchesPointerOracle(t *testing.T) {
 
 // countLeafCells counts the remote leaf-cell branches (always shipped, no
 // MAC) of a replicated tree.
-func countLeafCells(n *pnode) int {
+func countLeafCells(st *localState, n *pnode) int {
 	if n == nil {
 		return 0
 	}
 	c := 0
-	if n.isBranch && n.leafCell && n.local == nil {
+	if n.isBranch && n.leafCell && st.ownRoot(n) == nil {
 		c++
 	}
 	for _, ch := range n.children {
-		c += countLeafCells(ch)
+		c += countLeafCells(st, ch)
 	}
 	return c
 }
@@ -494,14 +503,18 @@ func handWorld(t *testing.T, set *dist.Set, p int, cfg Config) (*Engine, []*loca
 		st.lookup = hashLookup(st.rootsMap)
 		states[r] = st
 	}
-	for r, st := range states {
-		top, err := buildTop(domain, all, r, st.rootsMap, degree, cfg.LeafCap, func(float64) {})
-		if err != nil {
-			t.Fatal(err)
-		}
+	top, _, err := buildTop(domain, all, degree, cfg.LeafCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range states {
 		st.top = top
 	}
-	e := &Engine{cfg: cfg, machine: msg.NewMachine(p, msg.CM5()), n: set.N(), ship: make([]shipScratch, p), letFlats: make([]*let.Flat, p)}
+	e := &Engine{cfg: cfg, machine: msg.NewMachine(p, msg.CM5()), domain: domain, n: set.N(),
+		ship: make([]shipScratch, p), scratch: make([]rankScratch, p), letFlats: make([]*let.Flat, p)}
+	for i := range e.scratch {
+		e.scratch[i].extraLoad = map[int]float64{}
+	}
 	return e, states
 }
 
@@ -524,7 +537,7 @@ func TestFuncShipMultiOwnerAndLeafCellBranches(t *testing.T) {
 			if entries[0][1] == 0 || entries[0][2] == 0 || entries[3][1] == 0 || entries[3][2] == 0 {
 				t.Fatalf("two-owner cell not shipped to both owners: %v", entries)
 			}
-			if countLeafCells(want.states[1].top) == 0 {
+			if countLeafCells(want.states[1], want.states[1].top) == 0 {
 				t.Fatal("no leaf-cell branch in the world")
 			}
 

@@ -132,9 +132,9 @@ func (e *Engine) letExchange(pr *msg.Proc, st *localState) {
 	// carry graft references in owner order (the function-shipping slot
 	// order).
 	fl.BeginMain()
-	flattenTop(fl, st.top, func(n *pnode) {
-		if n.local != nil {
-			fl.AddLocalSubtree(n.local)
+	flattenTop(fl, st, st.top, func(n *pnode, own *tree.Node) {
+		if own != nil {
+			fl.AddLocalSubtree(own)
 			return
 		}
 		grafts := make([]int32, len(n.owners))
@@ -193,7 +193,8 @@ func (e *Engine) letForcePhase(pr *msg.Proc, st *localState, res *Result) {
 	// replicated summaries have no local tree node to charge.
 	exAdd := phys.InteractionFlops(deg) + phys.MACFlops
 	extra := make([]float64, n)
-	st.extraLoad = make(map[int]float64, n)
+	st.extraLoad = e.scratch[st.me].extraLoad
+	clear(st.extraLoad)
 
 	if cfg.Mode == ForceMode {
 		out := make([]vec.V3, n)

@@ -148,7 +148,7 @@ func TestSummaryWireFormat(t *testing.T) {
 
 func TestWireParticleRoundTrip(t *testing.T) {
 	ps := dist.MustNamed("uniform", 50, 50).Particles
-	back := fromWire(toWire(ps))
+	back := fromWire(nil, toWire(ps))
 	for i := range ps {
 		if ps[i] != back[i] {
 			t.Fatalf("particle %d corrupted in wire round trip", i)

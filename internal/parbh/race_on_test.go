@@ -2,6 +2,6 @@
 
 package parbh
 
-// raceEnabled: under the race detector sync.Pool drops a share of what it
-// is handed, so allocation counts are not a property of the code.
+// raceEnabled: the race detector's instrumentation allocates, so allocation
+// counts are not a property of the code under it.
 const raceEnabled = true

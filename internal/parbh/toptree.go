@@ -44,8 +44,9 @@ func summaryOf(n *tree.Node, owner int, withExp bool) BranchSummary {
 }
 
 // pnode is a node of the processor-replicated global tree: the top tree
-// plus one node per branch cell. A branch cell either points at the local
-// subtree (owned here) or records its remote owners.
+// plus one node per branch cell, which records its owners. One tree serves
+// every rank of a process and is immutable once built; a rank finds the
+// subtree under a branch cell of its own with localState.ownRoot.
 type pnode struct {
 	cell  keys.CellKey
 	box   vec.Box
@@ -57,33 +58,20 @@ type pnode struct {
 
 	children [8]*pnode
 	isBranch bool
-	local    *tree.Node // non-nil when this branch is owned locally
-	owners   []int      // remote owners of this branch (usually one)
-	leafCell bool       // branch cell with Count ≤ leafCap: a global-tree leaf
+	owners   []int // owners of this branch (usually one)
+	leafCell bool  // branch cell with Count ≤ leafCap: a global-tree leaf
 }
 
 func newPnode(cell keys.CellKey, box vec.Box) *pnode {
 	return &pnode{cell: cell, box: box, side: box.LongestSide()}
 }
 
-// hasChildren reports whether traversal can expand this node locally.
-func (n *pnode) hasChildren() bool {
-	for _, c := range n.children {
-		if c != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// buildTop assembles the replicated global tree for one processor from
-// the full set of branch summaries. localRoots maps packed cell keys of
-// locally-owned branch cells to their subtree roots. charge is called
-// with the modelled flop cost of the merge (the redundant computation of
-// the broadcast-based construction). degree < 0 disables expansions.
-func buildTop(rootBox vec.Box, summaries []BranchSummary, me int,
-	localRoots map[uint64]*tree.Node, degree, leafCap int, charge func(float64)) (*pnode, error) {
-
+// buildTop assembles the replicated global tree from the full set of
+// branch summaries and returns it with the modelled flop cost of the merge
+// (the redundant computation of the broadcast-based construction).
+// degree < 0 disables expansions.
+func buildTop(rootBox vec.Box, summaries []BranchSummary, degree, leafCap int) (*pnode, float64, error) {
+	var flops float64
 	root := newPnode(keys.CellKey{}, rootBox)
 	// Insert branch cells, creating intermediate top nodes.
 	for _, s := range summaries {
@@ -95,15 +83,15 @@ func buildTop(rootBox vec.Box, summaries []BranchSummary, me int,
 		for lvl := 0; lvl < int(ck.Level); lvl++ {
 			oct := int(ck.Key>>(3*uint(int(ck.Level)-lvl-1))) & 7
 			if n.isBranch {
-				return nil, fmt.Errorf("parbh: branch cell %v is an ancestor of %v", n.cell, ck)
+				return nil, 0, fmt.Errorf("parbh: branch cell %v is an ancestor of %v", n.cell, ck)
 			}
 			if n.children[oct] == nil {
 				n.children[oct] = newPnode(n.cell.Child(oct), n.box.Octant(oct))
 			}
 			n = n.children[oct]
 		}
-		if n.hasChildren() {
-			return nil, fmt.Errorf("parbh: branch cell %v is an ancestor of another branch", ck)
+		if n.children != ([8]*pnode{}) {
+			return nil, 0, fmt.Errorf("parbh: branch cell %v is an ancestor of another branch", ck)
 		}
 		n.isBranch = true
 		n.count += int(s.Count)
@@ -115,19 +103,11 @@ func buildTop(rootBox vec.Box, summaries []BranchSummary, me int,
 			n.com = n.com.Scale(n.mass / newMass).Add(s.COM.Scale(s.Mass / newMass))
 		}
 		n.mass = newMass
-		if int(s.Owner) == me {
-			ln, ok := localRoots[s.Key]
-			if !ok {
-				return nil, fmt.Errorf("parbh: missing local subtree for branch %v", ck)
-			}
-			n.local = ln
-		} else {
-			n.owners = append(n.owners, int(s.Owner))
-		}
+		n.owners = append(n.owners, int(s.Owner))
 		if degree >= 0 && s.Exp != nil {
 			e, err := phys.ExpansionFromFloats(degree, s.Exp)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			if n.exp == nil {
 				n.exp = e
@@ -137,7 +117,7 @@ func buildTop(rootBox vec.Box, summaries []BranchSummary, me int,
 				sum := n.exp.TranslateTo(at)
 				sum.Add(e.TranslateTo(at))
 				n.exp = sum
-				charge(2 * phys.M2MFlops(degree))
+				flops += 2 * phys.M2MFlops(degree)
 			}
 		}
 	}
@@ -163,7 +143,7 @@ func buildTop(rootBox vec.Box, summaries []BranchSummary, me int,
 			}
 			n.mass = newMass
 			n.count += c.count
-			charge(phys.NodeCombineFlops)
+			flops += phys.NodeCombineFlops
 		}
 		if degree >= 0 {
 			e := phys.NewExpansion(degree, n.com)
@@ -172,25 +152,26 @@ func buildTop(rootBox vec.Box, summaries []BranchSummary, me int,
 					continue
 				}
 				e.Add(c.exp.TranslateTo(n.com))
-				charge(phys.M2MFlops(degree))
+				flops += phys.M2MFlops(degree)
 			}
 			n.exp = e
 		}
 		return nil
 	}
 	if err := up(root); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return root, nil
+	return root, flops, nil
 }
 
 // flattenTop linearizes the replicated tree under n into fl's main region
-// for the packet kernel: top nodes here, each branch cell — owned locally
-// or not — by branch, which appends it the way its strategy needs (LET
-// with the sections it grafted, function shipping with none).
-func flattenTop(fl *let.Flat, n *pnode, branch func(*pnode)) {
+// for the packet kernel: top nodes here, each branch cell by branch, which
+// is handed the subtree under a cell of st's rank's own (nil for any other)
+// and appends the cell the way its strategy needs (LET with the sections it
+// grafted, function shipping with none).
+func flattenTop(fl *let.Flat, st *localState, n *pnode, branch func(n *pnode, own *tree.Node)) {
 	if n.isBranch {
-		branch(n)
+		branch(n, st.ownRoot(n))
 		return
 	}
 	idx := fl.AddTop(n.com, n.mass, n.side, n.exp)
@@ -204,7 +185,7 @@ func flattenTop(fl *let.Flat, n *pnode, branch func(*pnode)) {
 			fl.AddZero()
 			continue
 		}
-		flattenTop(fl, c, branch)
+		flattenTop(fl, st, c, branch)
 	}
 	fl.CloseInternal(idx)
 }

@@ -1,0 +1,140 @@
+package parbh
+
+import (
+	"math"
+	"sync"
+	"testing"
+
+	"repro/internal/dist"
+	"repro/internal/msg"
+	"repro/internal/transport"
+)
+
+// meshNet spreads ranks over the nodes of an in-memory mesh in contiguous
+// runs, the way internal/cluster does, without its job control.
+type meshNet struct {
+	*transport.MeshNode
+	owner []int // rank → process
+}
+
+func (n meshNet) Ranks() int { return len(n.owner) }
+
+func (n meshNet) LocalRanks() (local []int) {
+	for rk, o := range n.owner {
+		if o == n.ProcID() {
+			local = append(local, rk)
+		}
+	}
+	return local
+}
+
+func (n meshNet) Leaders() []int {
+	leaders := make([]int, 0, n.NumProcs())
+	for rk, o := range n.owner {
+		if o == len(leaders) {
+			leaders = append(leaders, rk)
+		}
+	}
+	return leaders
+}
+
+func (n meshNet) SendFrame(f *transport.Frame) error { return n.SendData(n.owner[f.Dst], f) }
+
+func (n meshNet) SetHandler(fn func(*transport.Frame)) { n.SetDataHandler(fn) }
+
+// TestTopSharedAcrossLocalRanks checks that the host merges the replicated
+// tree once per process: every rank of an in-process machine reads one
+// tree, and on three processes each process's ranks read their process's.
+func TestTopSharedAcrossLocalRanks(t *testing.T) {
+	set := dist.MustNamed("g", 1200, 24)
+	cfg := Config{Scheme: DPDA, Mode: PotentialMode, Degree: 2, Alpha: 0.67}
+	const p = 8
+
+	w := phases(t, newShipEngine(t, set, p, cfg), false)
+	for _, st := range w.states {
+		if st.top == nil || st.top != w.states[0].top {
+			t.Fatalf("rank %d reads tree %p, rank 0 reads %p", st.me, st.top, w.states[0].top)
+		}
+	}
+
+	owner := []int{0, 0, 0, 1, 1, 1, 2, 2}
+	tops := make([]*pnode, p)
+	var wg sync.WaitGroup
+	for _, node := range transport.NewMesh(3) {
+		e, err := New(msg.NewNetworkMachine(meshNet{node, owner}, msg.CM5()), set, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w, err := runPhases(e, false)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, rk := range e.machine.LocalRanks() {
+				tops[rk] = w.states[rk].top
+			}
+		}()
+	}
+	wg.Wait()
+	for rk, top := range tops {
+		if top == nil {
+			t.Fatalf("rank %d has no tree", rk)
+		}
+		leader := tops[3*owner[rk]]
+		if top != leader {
+			t.Errorf("rank %d reads tree %p, its process's leader reads %p", rk, top, leader)
+		}
+		if rk > 0 && owner[rk] != owner[rk-1] && top == tops[rk-1] {
+			t.Errorf("processes %d and %d share tree %p", owner[rk-1], owner[rk], top)
+		}
+		if top.count != set.N() || math.Float64bits(top.mass) != math.Float64bits(tops[0].mass) {
+			t.Errorf("rank %d: tree of %d particles, mass %v; rank 0's has %d, %v", rk, top.count, top.mass, tops[0].count, tops[0].mass)
+		}
+	}
+}
+
+// TestDataShippingGraftsStayPrivate runs the data-shipping force phase over
+// a hand-built world whose ranks read one replicated tree, and again with a
+// tree apiece. Octant 0 is a leaf-cell branch of rank 0, which every other
+// rank fetches without a MAC test, so three ranks graft its particles under
+// the same remote branch; each must pay for its own fetch and leave the
+// shared tree as it found it.
+func TestDataShippingGraftsStayPrivate(t *testing.T) {
+	set := dist.MustNamed("uniform", 900, 12)
+	for _, ship := range []Shipping{DataShipping, DataShippingNaive} {
+		for _, m := range shipModes {
+			cfg := Config{Scheme: SPSA, Shipping: ship, Mode: m.mode, Degree: m.degree, Alpha: 0.67, Eps: 0.01, LeafCap: 4}
+			run := func(private bool) (*shipWorld, []msg.Stats) {
+				e, states := handWorld(t, set, 4, cfg)
+				if private {
+					for _, st := range states[1:] {
+						_, own := handWorld(t, set, 4, cfg)
+						st.top = own[0].top
+					}
+				}
+				w := newShipWorld(e.cfg, states, set.N())
+				res := &Result{Accels: w.accels, Potentials: w.pots}
+				stats, err := e.machine.RunErr(func(pr *msg.Proc) { e.dataShipPhase(pr, states[pr.ID()], res) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				return w, stats
+			}
+			want, wantStats := run(true)
+			got, gotStats := run(false)
+			compareWorlds(t, want, got)
+			for rk := range wantStats {
+				if gotStats[rk] != wantStats[rk] {
+					t.Errorf("%v/%s: rank %d spent %+v on a shared tree, %+v on its own", ship, m.name, rk, gotStats[rk], wantStats[rk])
+				}
+			}
+			leaf := got.states[0].top.children[0]
+			if leaf == nil || !leaf.isBranch || !leaf.leafCell || leaf.children != ([8]*pnode{}) || len(leaf.owners) != 1 || leaf.owners[0] != 0 {
+				t.Fatalf("%v/%s: octant 0 of the shared tree is not rank 0's untouched leaf-cell branch: %+v", ship, m.name, leaf)
+			}
+		}
+	}
+}

@@ -292,16 +292,12 @@ func (c *Coder) V3(v *vec.V3) {
 // Slice codes a length-prefixed slice, nil distinguished from empty, by
 // calling elem on every element in order. minSize is the smallest
 // encoding of one element: a decoded length is refused unless that many
-// bytes per element remain, before anything is allocated. alloc, when
-// not nil, supplies the decoded slice (a receive pool); its elements may
-// be stale, which is harmless because elem overwrites every field.
-func Slice[T any](c *Coder, s *[]T, minSize int, alloc func(n int) []T, elem func(*Coder, *T)) {
+// bytes per element remain, before anything is allocated.
+func Slice[T any](c *Coder, s *[]T, minSize int, elem func(*Coder, *T)) {
 	if !c.Decoding {
 		c.W.Len(len(*s), *s == nil)
 	} else if n, notNil := c.R.SliceLen(minSize); !notNil {
 		*s = nil
-	} else if alloc != nil {
-		*s = alloc(n)
 	} else {
 		*s = make([]T, n)
 	}
@@ -310,6 +306,6 @@ func Slice[T any](c *Coder, s *[]T, minSize int, alloc func(n int) []T, elem fun
 	}
 }
 
-func (c *Coder) U8s(s *[]uint8)    { Slice(c, s, 1, nil, (*Coder).U8) }
-func (c *Coder) I32s(s *[]int32)   { Slice(c, s, 4, nil, (*Coder).I32) }
-func (c *Coder) F64s(s *[]float64) { Slice(c, s, 8, nil, (*Coder).F64) }
+func (c *Coder) U8s(s *[]uint8)    { Slice(c, s, 1, (*Coder).U8) }
+func (c *Coder) I32s(s *[]int32)   { Slice(c, s, 4, (*Coder).I32) }
+func (c *Coder) F64s(s *[]float64) { Slice(c, s, 8, (*Coder).F64) }

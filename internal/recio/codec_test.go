@@ -51,7 +51,7 @@ func codeSample(c *Coder, v *sample) {
 	c.Str(&v.Name)
 	c.Bytes(&v.Raw)
 	c.V3(&v.Pos)
-	Slice(c, &v.Items, 12, nil, func(c *Coder, it *item) {
+	Slice(c, &v.Items, 12, func(c *Coder, it *item) {
 		c.I64(&it.ID)
 		c.Str(&it.Tag)
 	})
@@ -111,18 +111,5 @@ func TestCoderBounds(t *testing.T) {
 	dec.F64s(&f)
 	if dec.Err() == nil || f != nil || !strings.Contains(dec.Err().Error(), "exceeds remaining input") {
 		t.Fatalf("hostile slice length: err %v, %d elements", dec.Err(), len(f))
-	}
-}
-
-// A Slice allocator serves the decode and sees the decoded length.
-func TestSliceAllocator(t *testing.T) {
-	enc := &Coder{}
-	in := []int64{3, 4, 5}
-	Slice(enc, &in, 8, nil, (*Coder).I64)
-	pooled := make([]int64, 8)
-	var out []int64
-	Slice(Decoder(enc.W.B), &out, 8, func(n int) []int64 { return pooled[:n] }, (*Coder).I64)
-	if !reflect.DeepEqual(out, in) || &out[0] != &pooled[0] {
-		t.Fatalf("decoded %v into a fresh buffer = %v", out, &out[0] != &pooled[0])
 	}
 }

@@ -259,9 +259,9 @@ func registerBuiltins() {
 	Register(idFloat64, (*recio.Coder).F64)
 	Register(idString, (*recio.Coder).Str)
 	Register(idBytes, (*recio.Coder).Bytes)
-	Register(idInts, func(c *recio.Coder, v *[]int) { recio.Slice(c, v, 8, nil, recio.Int64[int]) })
+	Register(idInts, func(c *recio.Coder, v *[]int) { recio.Slice(c, v, 8, recio.Int64[int]) })
 	Register(idInt32s, (*recio.Coder).I32s)
-	Register(idUint64s, func(c *recio.Coder, v *[]uint64) { recio.Slice(c, v, 8, nil, (*recio.Coder).U64) })
+	Register(idUint64s, func(c *recio.Coder, v *[]uint64) { recio.Slice(c, v, 8, (*recio.Coder).U64) })
 	Register(idF64s, (*recio.Coder).F64s)
 	Register(idF64x2, func(c *recio.Coder, v *[2]float64) {
 		c.F64(&v[0])

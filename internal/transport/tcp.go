@@ -50,7 +50,7 @@ func init() {
 	Register(idPing, func(c *recio.Coder, v *pingBody) { c.I64(&v.Nanos) })
 }
 
-func codeStrings(c *recio.Coder, v *[]string) { recio.Slice(c, v, 4, nil, (*recio.Coder).Str) }
+func codeStrings(c *recio.Coder, v *[]string) { recio.Slice(c, v, 4, (*recio.Coder).Str) }
 
 // Config tunes a TCP node. Zero values select the defaults noted on
 // each field.
