@@ -60,9 +60,10 @@ func LETTable(opt Options) (Table, error) {
 		"data = cached data shipping (each node fetched once per step); data-naive = the paper's",
 		"§4.2 per-visit model (every traversal miss is a fetch); let = one bulk essential-set",
 		"exchange per peer pair, rebuilt and shipped whole every step;",
-		"expected shape: let undercuts data-naive 40-120x at every p and ships 1.4-3.2x the",
+		"expected shape: let undercuts data-naive 60-220x at every p and ships 0.8-1.6x the",
 		"words of cached data shipping in about half its messages (a section holds what any",
-		"point of the peer's bounding box could open, a fetch only what a particle did open);",
-		"let's step is longer than function shipping's in every cell")
+		"point of the peer's branch cells, clipped to its bounding box, could open; a fetch",
+		"only what a particle did open); let's step is longer than function shipping's in",
+		"every cell")
 	return t, nil
 }

@@ -217,5 +217,17 @@ func (f *Flat) SectionDeltas(si int, nodes []int32, deltas []int64) ([]int32, []
 	return nodes, deltas
 }
 
+// NumSectionDeltas returns how many deltas SectionDeltas appends for
+// section si.
+func (f *Flat) NumSectionDeltas(si int) int {
+	m, n := f.sections[si], 0
+	for _, v := range f.loads[m.Base:f.c.Skip[m.Base]] {
+		if v != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // Section returns the metadata of section si.
 func (f *Flat) Section(si int) SecMeta { return f.sections[si] }

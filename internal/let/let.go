@@ -13,13 +13,23 @@
 // function-shipping engine's floating-point reduction order exactly — same MAC arithmetic, same accumulator-stack
 // open/close structure, same signed-zero adds at deferred branches — so
 // accelerations, potentials, interaction Stats, and per-node Load
-// counters are bit-identical to function shipping. The essential-set
-// criterion below is conservative: a node is only summarized (closed)
-// when the MAC provably accepts it from every point of the peer's
-// bounding box; the kernels panic if that guarantee is ever violated.
+// counters are bit-identical to function shipping.
+//
+// The essential-set criterion is conservative: a node is only summarized
+// (closed) when the MAC provably accepts it from every particle of the
+// peer. An owner knows two things about where those particles are: their
+// bounding box, which the ranks all-gather, and the branch cells they are
+// keyed into, which every rank holds in the replicated top tree (Cells).
+// A node is closed when the MAC accepts it from everywhere in the bounding
+// box, or else from everywhere in each of the peer's branch cells, each
+// clipped to that box. Under SPDA and DPDA a peer's domain is a run of
+// Morton-ordered cells and under SPSA a scatter of clusters; the bounding
+// box spans every gap between them, the cells do not. The kernels panic if
+// the guarantee is ever violated.
 package let
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/dist"
@@ -28,9 +38,9 @@ import (
 )
 
 // Bounds is the axis-aligned bounding box of one rank's particles — the
-// domain against which owners evaluate the essential-set criterion. The
-// min/max corners are exact copies of particle coordinates (no
-// arithmetic), so a particle on a face has axis distance exactly zero.
+// part of its Domain that travels. The min/max corners are exact copies
+// of particle coordinates (no arithmetic), so a particle on a face has
+// axis distance exactly zero.
 type Bounds struct {
 	Has      bool // false when the rank currently owns no particles
 	Min, Max vec.V3
@@ -83,8 +93,7 @@ func axisDist(lo, hi, x float64) float64 {
 const OpenMargin = 1e-12
 
 // Closed reports whether the MAC provably accepts a node with the given
-// centre of mass and box side from every point of the peer bounds: the
-// node can be shipped as a summary with no children.
+// centre of mass and box side from every point of the box.
 func (b Bounds) Closed(com vec.V3, side float64, alpha float64) bool {
 	if !b.Has {
 		return true
@@ -96,12 +105,12 @@ func (b Bounds) Closed(com vec.V3, side float64, alpha float64) bool {
 // Node kinds of a serialized essential set.
 const (
 	// NodeOpen is an internal node shipped with its children: the MAC can
-	// fail for some point of the peer bounds, so the peer must be able to
+	// fail for some particle of the peer, so the peer must be able to
 	// descend it. Its summary is still shipped — individual particles may
 	// accept it.
 	NodeOpen uint8 = iota
 	// NodeClosed is an internal node shipped as a bare summary: the MAC
-	// provably accepts it from everywhere in the peer bounds.
+	// provably accepts it from every particle of the peer.
 	NodeClosed
 	// NodeLeaf carries a particle range (possibly empty, standing in for
 	// a zero-count node that contributes an exact zero vector).
@@ -154,109 +163,148 @@ func (s *Section) WireWords() int {
 	return w
 }
 
+// Scratch is one rank's working columns for BuildSection, reused from one
+// call to the next: a section is built here and copied out at its exact
+// size. Not safe for concurrent use.
+type Scratch struct {
+	sec   Section
+	nodes []*tree.Node
+}
+
 // BuildSection walks the subtree rooted at root and serializes its
-// essential set for a peer with the given bounds. alwaysShip forces
-// shipping even when the root is provably closed — set for leaf-cell
-// branches (count ≤ leafCap), which peers defer unconditionally without
-// a MAC test. withExp ships per-node expansion floats (potential mode).
+// essential set for the peer whose particle domain is dom (see Domain for
+// why the peer's sections share it). alwaysShip forces shipping even when
+// the root is provably closed — set for leaf-cell branches (count ≤
+// leafCap), which peers defer unconditionally without a MAC test. withExp
+// ships per-node expansion floats (potential mode). sc holds the walk's
+// columns.
 //
-// Returns the section, the owner-side nodes aligned with its ordinals
-// (for Load write-back), and the number of nodes examined (for flop
-// accounting). A nil section means nothing is essential: the peer's MAC
-// provably accepts the root summary everywhere.
-func BuildSection(root *tree.Node, bb Bounds, alpha float64, withExp bool, alwaysShip bool) (*Section, []*tree.Node, int) {
-	if !bb.Has || root == nil || root.Count == 0 {
+// Returns the section, the owner-side nodes aligned with its ordinals (for
+// Load write-back), and the number of box tests run (for flop accounting:
+// one per node examined, as a bounding-box walk runs, plus the cell tests
+// beyond each node's first). A nil section means nothing is essential: the
+// peer's MAC provably accepts the root summary everywhere.
+func BuildSection(root *tree.Node, dom *Domain, alpha float64, withExp, alwaysShip bool, sc *Scratch) (*Section, []*tree.Node, int) {
+	if !dom.Has || root == nil || root.Count == 0 {
 		return nil, nil, 0
 	}
-	visited := 1
+	if !dom.Cells.owns(0, dom.Rank) {
+		panic(fmt.Sprintf("let: peer %d has particles but no branch cell", dom.Rank))
+	}
+	w := sectionWalk{essential: essential{dom: dom, alpha: alpha}, sc: sc, withExp: withExp, visited: 1}
 	rootSide := root.Box.LongestSide()
-	if !alwaysShip && !root.IsLeaf() && bb.Closed(root.COM, rootSide, alpha) {
-		return nil, nil, visited
+	// An oversized max-depth leaf the peer will MAC-test and provably accept
+	// ships nothing, as an internal root does.
+	if !alwaysShip && w.closed(root.COM, rootSide) {
+		return nil, nil, w.visited + w.extra
 	}
-	if root.IsLeaf() && !alwaysShip && bb.Closed(root.COM, rootSide, alpha) {
-		// Oversized max-depth leaf the peer will MAC-test and provably
-		// accept: nothing to ship.
-		return nil, nil, visited
+	s := &sc.sec
+	*s = Section{
+		Kind: s.Kind[:0], Skip: s.Skip[:0], ComX: s.ComX[:0], ComY: s.ComY[:0], ComZ: s.ComZ[:0],
+		Mass: s.Mass[:0], Side: s.Side[:0], LeafLo: s.LeafLo[:0], LeafHi: s.LeafHi[:0], Exp: s.Exp[:0],
+		PID: s.PID[:0], PX: s.PX[:0], PY: s.PY[:0], PZ: s.PZ[:0], PM: s.PM[:0],
 	}
-	sec := &Section{}
-	var nodes []*tree.Node
-
-	appendLeaf := func(n *tree.Node) {
-		lo := int32(len(sec.PID))
-		for i := range n.Particles {
-			p := &n.Particles[i]
-			sec.PID = append(sec.PID, int32(p.ID))
-			sec.PX = append(sec.PX, p.Pos.X)
-			sec.PY = append(sec.PY, p.Pos.Y)
-			sec.PZ = append(sec.PZ, p.Pos.Z)
-			sec.PM = append(sec.PM, p.Mass)
-		}
-		sec.Kind = append(sec.Kind, NodeLeaf)
-		sec.Skip = append(sec.Skip, int32(len(sec.Kind)))
-		sec.ComX = append(sec.ComX, 0)
-		sec.ComY = append(sec.ComY, 0)
-		sec.ComZ = append(sec.ComZ, 0)
-		sec.Mass = append(sec.Mass, 0)
-		sec.Side = append(sec.Side, 0)
-		sec.LeafLo = append(sec.LeafLo, lo)
-		sec.LeafHi = append(sec.LeafHi, int32(len(sec.PID)))
-		nodes = append(nodes, n)
-	}
-	appendInternal := func(n *tree.Node, kind uint8, side float64) int {
-		sec.Kind = append(sec.Kind, kind)
-		sec.Skip = append(sec.Skip, int32(len(sec.Kind))) // patched for NodeOpen
-		sec.ComX = append(sec.ComX, n.COM.X)
-		sec.ComY = append(sec.ComY, n.COM.Y)
-		sec.ComZ = append(sec.ComZ, n.COM.Z)
-		sec.Mass = append(sec.Mass, n.Mass)
-		sec.Side = append(sec.Side, side)
-		sec.LeafLo = append(sec.LeafLo, -1)
-		sec.LeafHi = append(sec.LeafHi, -1)
-		if withExp && n.Exp != nil {
-			fs := n.Exp.Floats()
-			if sec.ExpStride == 0 {
-				sec.ExpStride = int32(len(fs))
-			}
-			sec.Exp = append(sec.Exp, fs...)
-		}
-		nodes = append(nodes, n)
-		return len(sec.Kind) - 1
-	}
-
-	var add func(n *tree.Node)
-	add = func(n *tree.Node) {
-		visited++
-		if n.Count == 0 || n.IsLeaf() {
-			// Zero-count nodes serialize as empty leaves: the peer folds an
-			// exact zero vector, matching the pointer traversal's early
-			// return, and charges no load.
-			appendLeaf(n)
-			return
-		}
-		side := n.Box.LongestSide()
-		if bb.Closed(n.COM, side, alpha) {
-			appendInternal(n, NodeClosed, side)
-			return
-		}
-		idx := appendInternal(n, NodeOpen, side)
-		for _, c := range n.Children {
-			if c != nil {
-				add(c)
-			}
-		}
-		sec.Skip[idx] = int32(len(sec.Kind))
-	}
-
+	sc.nodes = sc.nodes[:0]
 	if root.IsLeaf() {
-		appendLeaf(root)
-		return sec, nodes, visited
+		w.leaf(root)
+	} else {
+		idx := w.internal(root, NodeOpen, rootSide)
+		w.children(root)
+		s.Skip[idx] = int32(len(s.Kind))
 	}
-	idx := appendInternal(root, NodeOpen, rootSide)
-	for _, c := range root.Children {
+	out := &Section{
+		Kind: exact(s.Kind), Skip: exact(s.Skip), ComX: exact(s.ComX), ComY: exact(s.ComY), ComZ: exact(s.ComZ),
+		Mass: exact(s.Mass), Side: exact(s.Side), LeafLo: exact(s.LeafLo), LeafHi: exact(s.LeafHi),
+		Exp: exact(s.Exp), ExpStride: s.ExpStride,
+		PID: exact(s.PID), PX: exact(s.PX), PY: exact(s.PY), PZ: exact(s.PZ), PM: exact(s.PM),
+	}
+	return out, exact(sc.nodes), w.visited + w.extra
+}
+
+// exact copies s into a slice of exactly its length (nil when empty).
+func exact[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return append(make([]T, 0, len(s)), s...)
+}
+
+// sectionWalk serializes one essential set into its Scratch.
+type sectionWalk struct {
+	essential
+	sc      *Scratch
+	withExp bool
+	visited int
+}
+
+func (w *sectionWalk) children(n *tree.Node) {
+	for _, c := range n.Children {
 		if c != nil {
-			add(c)
+			w.add(c)
 		}
 	}
-	sec.Skip[idx] = int32(len(sec.Kind))
-	return sec, nodes, visited
+}
+
+func (w *sectionWalk) add(n *tree.Node) {
+	w.visited++
+	if n.Count == 0 || n.IsLeaf() {
+		// Zero-count nodes serialize as empty leaves: the peer folds an
+		// exact zero vector, matching the pointer traversal's early return,
+		// and charges no load.
+		w.leaf(n)
+		return
+	}
+	side := n.Box.LongestSide()
+	if w.closed(n.COM, side) {
+		w.internal(n, NodeClosed, side)
+		return
+	}
+	idx := w.internal(n, NodeOpen, side)
+	w.children(n)
+	w.sc.sec.Skip[idx] = int32(len(w.sc.sec.Kind))
+}
+
+func (w *sectionWalk) leaf(n *tree.Node) {
+	s := &w.sc.sec
+	lo := int32(len(s.PID))
+	for i := range n.Particles {
+		p := &n.Particles[i]
+		s.PID = append(s.PID, int32(p.ID))
+		s.PX = append(s.PX, p.Pos.X)
+		s.PY = append(s.PY, p.Pos.Y)
+		s.PZ = append(s.PZ, p.Pos.Z)
+		s.PM = append(s.PM, p.Mass)
+	}
+	s.Kind = append(s.Kind, NodeLeaf)
+	s.Skip = append(s.Skip, int32(len(s.Kind)))
+	s.ComX = append(s.ComX, 0)
+	s.ComY = append(s.ComY, 0)
+	s.ComZ = append(s.ComZ, 0)
+	s.Mass = append(s.Mass, 0)
+	s.Side = append(s.Side, 0)
+	s.LeafLo = append(s.LeafLo, lo)
+	s.LeafHi = append(s.LeafHi, int32(len(s.PID)))
+	w.sc.nodes = append(w.sc.nodes, n)
+}
+
+func (w *sectionWalk) internal(n *tree.Node, kind uint8, side float64) int {
+	s := &w.sc.sec
+	s.Kind = append(s.Kind, kind)
+	s.Skip = append(s.Skip, int32(len(s.Kind))) // patched for NodeOpen
+	s.ComX = append(s.ComX, n.COM.X)
+	s.ComY = append(s.ComY, n.COM.Y)
+	s.ComZ = append(s.ComZ, n.COM.Z)
+	s.Mass = append(s.Mass, n.Mass)
+	s.Side = append(s.Side, side)
+	s.LeafLo = append(s.LeafLo, -1)
+	s.LeafHi = append(s.LeafHi, -1)
+	if w.withExp && n.Exp != nil {
+		fs := n.Exp.Floats()
+		if s.ExpStride == 0 {
+			s.ExpStride = int32(len(fs))
+		}
+		s.Exp = append(s.Exp, fs...)
+	}
+	w.sc.nodes = append(w.sc.nodes, n)
+	return len(s.Kind) - 1
 }

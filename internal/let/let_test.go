@@ -20,122 +20,6 @@ func realMAC(com vec.V3, side float64, pos vec.V3, alpha float64) bool {
 	return d != 0 && side/d < alpha
 }
 
-// TestBuildSectionEssentialClosure is the essential-set property: for
-// random receiver bounds and α, no node shipped closed ever fails the
-// receiver's real MAC from any point of the bounds — probed at the box's
-// corners, at random interior points and at the box point nearest the
-// node (the worst case) — and the serialization is a faithful DFS of the
-// owner's subtree down to the closed frontier.
-func TestBuildSectionEssentialClosure(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	s := dist.MustNamed("plummer", 1500, 5)
-	tr := tree.BuildKeyed(s.Particles, s.Domain, 8)
-	size := s.Domain.Size()
-	closedSeen, nilSeen := 0, 0
-	for trial := 0; trial < 300; trial++ {
-		alpha := 0.2 + 1.3*rng.Float64()
-		// Receiver boxes from far outside to overlapping the owner's
-		// domain, from a single point to half the domain wide.
-		var lo, hi vec.V3
-		for k := 0; k < 3; k++ {
-			c := s.Domain.Min.Component(k) + size.Component(k)*(3*rng.Float64()-1)
-			w := size.Component(k) * 0.5 * rng.Float64() * float64(rng.Intn(2))
-			lo, hi = lo.WithComponent(k, c), hi.WithComponent(k, c+w)
-		}
-		bb := Bounds{Has: true, Min: lo, Max: hi}
-		sec, nodes, visited := BuildSection(tr.Root, bb, alpha, false, false)
-		if sec == nil {
-			nilSeen++
-			if !bb.Closed(tr.Root.COM, tr.Root.Box.LongestSide(), alpha) {
-				t.Fatalf("trial %d: nothing shipped for a root the bounds do not close", trial)
-			}
-			// Leaf-cap branches are deferred without a MAC test: they
-			// always ship.
-			if forced, _, _ := BuildSection(tr.Root, bb, alpha, false, true); forced == nil || forced.NumNodes() == 0 {
-				t.Fatalf("trial %d: alwaysShip shipped nothing", trial)
-			}
-			continue
-		}
-		if len(nodes) != sec.NumNodes() || visited < sec.NumNodes() {
-			t.Fatalf("trial %d: %d nodes, %d owner refs, %d visited", trial, sec.NumNodes(), len(nodes), visited)
-		}
-		probes := []vec.V3{}
-		for c := 0; c < 8; c++ {
-			probes = append(probes, vec.V3{
-				X: pick(c&1 != 0, lo.X, hi.X), Y: pick(c&2 != 0, lo.Y, hi.Y), Z: pick(c&4 != 0, lo.Z, hi.Z)})
-		}
-		for i := 0; i < 8; i++ {
-			probes = append(probes, vec.V3{
-				X: lo.X + (hi.X-lo.X)*rng.Float64(), Y: lo.Y + (hi.Y-lo.Y)*rng.Float64(), Z: lo.Z + (hi.Z-lo.Z)*rng.Float64()})
-		}
-		nextParticle := int32(0)
-		for j, k := range sec.Kind {
-			n := nodes[j]
-			switch k {
-			case NodeLeaf:
-				if sec.LeafLo[j] != nextParticle || int(sec.LeafHi[j]-sec.LeafLo[j]) != len(n.Particles) || sec.Skip[j] != int32(j+1) {
-					t.Fatalf("trial %d: leaf %d range [%d,%d) skip %d", trial, j, sec.LeafLo[j], sec.LeafHi[j], sec.Skip[j])
-				}
-				for i, p := range n.Particles {
-					at := int(nextParticle) + i
-					if sec.PID[at] != int32(p.ID) || sec.PX[at] != p.Pos.X || sec.PY[at] != p.Pos.Y || sec.PZ[at] != p.Pos.Z || sec.PM[at] != p.Mass {
-						t.Fatalf("trial %d: leaf %d particle %d differs from the owner's", trial, j, i)
-					}
-				}
-				nextParticle = sec.LeafHi[j]
-			case NodeClosed:
-				closedSeen++
-				com := vec.V3{X: sec.ComX[j], Y: sec.ComY[j], Z: sec.ComZ[j]}
-				nearest := com.Max(lo).Min(hi)
-				for _, q := range append(probes, nearest) {
-					if !realMAC(com, sec.Side[j], q, alpha) {
-						t.Fatalf("trial %d α=%v: closed node %d (com %v side %v) fails the MAC from %v in %v..%v",
-							trial, alpha, j, com, sec.Side[j], q, lo, hi)
-					}
-				}
-				if sec.Skip[j] != int32(j+1) {
-					t.Fatalf("trial %d: closed node %d has children", trial, j)
-				}
-			case NodeOpen:
-				// Every non-nil child follows, in order, as the next
-				// subtree; the skip pointer closes over all of them.
-				at := int32(j + 1)
-				for _, c := range n.Children {
-					if c == nil {
-						continue
-					}
-					if at >= int32(len(nodes)) || nodes[at] != c {
-						t.Fatalf("trial %d: open node %d is missing a child", trial, j)
-					}
-					at = sec.Skip[at]
-				}
-				if sec.Skip[j] != at {
-					t.Fatalf("trial %d: open node %d skip %d, children end at %d", trial, j, sec.Skip[j], at)
-				}
-			}
-			if k != NodeLeaf && (sec.ComX[j] != n.COM.X || sec.Mass[j] != n.Mass || sec.Side[j] != n.Box.LongestSide()) {
-				t.Fatalf("trial %d: node %d summary differs from the owner's", trial, j)
-			}
-		}
-		if int(nextParticle) != len(sec.PID) {
-			t.Fatalf("trial %d: %d particle columns, leaves cover %d", trial, len(sec.PID), nextParticle)
-		}
-	}
-	if closedSeen == 0 || nilSeen == 0 {
-		t.Fatalf("trials too tame: %d closed nodes, %d unshipped roots", closedSeen, nilSeen)
-	}
-	if sec, _, _ := BuildSection(tr.Root, Bounds{}, 0.67, false, true); sec != nil {
-		t.Fatal("shipped to a receiver with no particles")
-	}
-}
-
-func pick(hi bool, a, b float64) float64 {
-	if hi {
-		return b
-	}
-	return a
-}
-
 // A miniature LET world without parbh: the domain's eight octants are the
 // branch cells. cell.trees holds one subtree per owner — a cell split
 // between two owners is the degenerate multi-owner branch whose replies
@@ -308,7 +192,15 @@ func (w *world) oracle(me int, q dist.Particle, alpha, eps float64, st *tree.Sta
 // charge (local nodes directly, section nodes through their deltas) back to
 // w's trees.
 func (w *world) flat(t *testing.T, me int, query []dist.Particle, alpha, eps float64) ([]vec.V3, []float64, tree.Stats) {
-	bb := BoundsOf(w.parts[me])
+	cells := NewCells(w.domain, 9)
+	root := cells.AddTop(w.domain)
+	for oct := range w.cells {
+		if c := &w.cells[oct]; c.count > 0 {
+			cells.AddBranch(c.box, c.owners)
+		}
+	}
+	cells.Close(root)
+	dom := Domain{Bounds: BoundsOf(w.parts[me]), Cells: cells, Rank: me}
 	fl := &Flat{}
 	fl.Reset()
 	var sent [][]*tree.Node
@@ -321,7 +213,7 @@ func (w *world) flat(t *testing.T, me int, query []dist.Particle, alpha, eps flo
 		for i, tr := range c.trees {
 			// A shared cell's owners each see only their own summary, so
 			// (as for a leaf cell) they ship unconditionally.
-			sec, nodes, _ := BuildSection(tr.Root, bb, alpha, w.degree >= 0, c.count <= testLeafCap || len(c.trees) > 1)
+			sec, nodes, _ := BuildSection(tr.Root, &dom, alpha, w.degree >= 0, c.count <= testLeafCap || len(c.trees) > 1, new(Scratch))
 			if sec == nil {
 				grafts[c] = append(grafts[c], -1)
 				continue
@@ -473,7 +365,7 @@ func TestFlatRootIsRemoteBranch(t *testing.T) {
 			for i := 0; i < 21; i++ {
 				query = append(query, dist.Particle{ID: 1000 + i, Mass: 1, Pos: s.Domain.Min.Add(s.Domain.Size().Scale(rng.Float64()))})
 			}
-			sec, nodes, _ := BuildSection(owner.Root, BoundsOf(query), 0.67, degree >= 0, true)
+			sec, nodes, _ := BuildSection(owner.Root, wholeDomain(s.Domain, BoundsOf(query)), 0.67, degree >= 0, true, new(Scratch))
 			fl := &Flat{}
 			fl.Reset()
 			si := fl.AddSection(1, sec, sectionExps(nodes))

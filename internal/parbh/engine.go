@@ -165,6 +165,7 @@ type localState struct {
 	rootsMap map[uint64]*tree.Node // packed key -> branch root
 	lookup   branchLookup          // request-serving lookup structure
 	top      *pnode                // replicated global tree, shared with this process's other ranks: read-only
+	cells    *let.Cells            // top's geometry for LET's essential-set test, shared and read-only like it
 	summary  []BranchSummary       // this proc's branch summaries
 	stats    tree.Stats            // interaction counts charged here
 	forceT   float64               // compute-seconds spent in the force phase
@@ -204,6 +205,7 @@ type rankScratch struct {
 	arrived   []dist.Particle // DPDA migrate's arrivals, copied out by its sort
 	shares    []float64       // balanceDPDA: per-particle load, local Morton order
 	extraLoad map[int]float64 // behind localState.extraLoad, cleared by the force phase
+	section   let.Scratch     // LET: the columns every section is built in, then copied out
 }
 
 // message tags of the engine protocols (collectives use their own space).
@@ -757,19 +759,26 @@ func combineSummaries(ck keys.CellKey, kids []BranchSummary, degree int) BranchS
 type topMerge struct {
 	once  sync.Once
 	root  *pnode
-	flops float64 // the merge's modelled cost: a function of the summaries alone
+	cells *let.Cells // root's boxes and owner sets (LET only)
+	flops float64    // the merge's modelled cost: a function of the summaries alone
 	err   error
 }
 
 // buildTopPhase merges the exchanged branch summaries into the replicated
 // global tree (the paper's "tree merging").
 func (e *Engine) buildTopPhase(pr *msg.Proc, st *localState, gathered []any, m *topMerge) {
-	m.once.Do(func() { m.root, m.flops, m.err = e.mergeTop(gathered) })
+	m.once.Do(func() {
+		m.root, m.flops, m.err = e.mergeTop(gathered)
+		if m.err == nil && e.cfg.Shipping == LETShipping {
+			m.cells = let.NewCells(e.domain, pr.NumProcs())
+			topCells(m.cells, m.root)
+		}
+	})
 	if m.err != nil {
 		panic(m.err)
 	}
 	pr.Compute(m.flops)
-	st.top = m.root
+	st.top, st.cells = m.root, m.cells
 }
 
 // mergeTop builds the replicated tree from every rank's summaries and

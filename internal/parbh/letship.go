@@ -10,16 +10,21 @@ import (
 	"repro/internal/vec"
 )
 
-// Locally-essential-tree force engine (Dubinski; ROADMAP item 3). The
-// step gains one phase between tree merging and force computation: every
-// rank broadcasts the bounding box of its particles, walks each of its
-// local branch subtrees against every peer's box to serialize the
-// essential set (internal nodes are summarized the moment the MAC
-// provably accepts them from anywhere in the box — the domain-opening
-// criterion), and ships one bulk message per peer. Receivers graft the
-// sections beside a flat linearization of the replicated tree and the
-// force phase becomes a purely local, host-parallel traversal — no
-// mid-phase communication, no request/reply latency to hide.
+// Locally-essential-tree force engine (Dubinski). The step gains one
+// phase between tree merging and force computation: every rank broadcasts
+// the bounding box of its particles, walks each of its local branch
+// subtrees against every peer's domain to serialize the essential set, and
+// ships one bulk message per peer. A peer's domain is its bounding box plus
+// its branch cells, which the replicated top tree already lists with their
+// owners (topMerge builds their boxes and per-node owner sets once per
+// process, as let.Cells). An internal node is summarized the moment the MAC
+// provably accepts it from anywhere in the box, or else from anywhere in
+// each of the peer's cells clipped to the box — the domain-opening
+// criterion; every cell test beyond a node's first is charged as a MAC.
+// Receivers graft the sections beside a flat linearization of the
+// replicated tree and the force phase becomes a purely local,
+// host-parallel traversal — no mid-phase communication, no request/reply
+// latency to hide.
 //
 // After the traversal, one all-to-all returns per-node Load deltas so the
 // owner's subtree sees exactly the counters a function-shipping step
@@ -79,13 +84,14 @@ func (e *Engine) letExchange(pr *msg.Proc, st *localState) {
 	st.letSent = make(map[letPair][]*tree.Node)
 	payloads := make([]any, p)
 	words := make([]int, p)
-	visited := 0
+	scratch := &e.scratch[st.me].section
+	tests := 0
 	for peer := 0; peer < p; peer++ {
 		if peer == st.me {
 			payloads[peer] = letShipMsg{}
 			continue
 		}
-		bb := gathered[peer].(let.Bounds)
+		dom := let.Domain{Bounds: gathered[peer].(let.Bounds), Cells: st.cells, Rank: peer}
 		var secs []*let.Section
 		w := 1
 		for _, br := range st.branches {
@@ -93,8 +99,8 @@ func (e *Engine) letExchange(pr *msg.Proc, st *localState) {
 				continue
 			}
 			alwaysShip := br.Count <= cfg.LeafCap // leaf cells are deferred without a MAC test
-			sec, nodes, nv := let.BuildSection(br, bb, cfg.Alpha, withExp, alwaysShip)
-			visited += nv
+			sec, nodes, nt := let.BuildSection(br, &dom, cfg.Alpha, withExp, alwaysShip, scratch)
+			tests += nt
 			if sec == nil {
 				continue
 			}
@@ -107,7 +113,7 @@ func (e *Engine) letExchange(pr *msg.Proc, st *localState) {
 		payloads[peer] = letShipMsg{Secs: secs}
 		words[peer] = w
 	}
-	pr.Compute(phys.MACFlops * float64(visited))
+	pr.Compute(phys.MACFlops * float64(tests))
 	replies := pr.AllToAll(payloads, words)
 
 	// Decode sections and graft.
@@ -228,15 +234,22 @@ func (e *Engine) letForcePhase(pr *msg.Proc, st *localState, res *Result) {
 // ends the step with exactly the Load a function-shipping step charges.
 func (e *Engine) letReturnLoads(pr *msg.Proc, st *localState, fl *let.Flat) {
 	p := pr.NumProcs()
+	counts := make([]int, p)
+	for si := 0; si < fl.NumSections(); si++ {
+		counts[fl.Section(si).Owner] += fl.NumSectionDeltas(si)
+	}
 	msgs := make([]letLoadMsg, p)
+	for owner, n := range counts {
+		if n > 0 {
+			msgs[owner] = letLoadMsg{Keys: make([]uint64, 0, n), Nodes: make([]int32, 0, n), Deltas: make([]int64, 0, n)}
+		}
+	}
 	for si := 0; si < fl.NumSections(); si++ {
 		m := fl.Section(si)
-		nodes, deltas := fl.SectionDeltas(si, nil, nil)
 		lm := &msgs[m.Owner]
-		for j := range nodes {
+		lm.Nodes, lm.Deltas = fl.SectionDeltas(si, lm.Nodes, lm.Deltas)
+		for len(lm.Keys) < len(lm.Nodes) {
 			lm.Keys = append(lm.Keys, m.Key)
-			lm.Nodes = append(lm.Nodes, nodes[j])
-			lm.Deltas = append(lm.Deltas, deltas[j])
 		}
 	}
 	payloads := make([]any, p)

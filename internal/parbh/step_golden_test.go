@@ -17,11 +17,16 @@ import (
 // strategy, in force and in degree-4 potential mode, plus the
 // non-replicated construction, on 64 ranks: the clock, the interaction
 // counts, the communication volume, the imbalance, every rank's machine
-// Stats and every particle's result. The file was recorded at the commit
-// before the replicated top tree became one per process and the wire
-// pools were deleted; it is not regenerated for a host-side change.
-// Particles contract towards the domain's centre between steps, so the
-// migration and both balancers move some every step.
+// Stats and every particle's result. The file is not regenerated for a
+// host-side change: its non-LET lines were recorded before the replicated
+// top tree became one per process and the wire pools were deleted, its LET
+// lines when the essential-set test learned the peer's branch cells — a
+// change to the simulated algorithm, which moved their clock and words and
+// nothing else. LET is function shipping's physics: the test asserts each
+// LET line's interaction counts, branches and results against the
+// function-shipping line of its scheme, mode and step. Particles contract
+// towards the domain's centre between steps, so the migration and both
+// balancers move some every step.
 func TestStepGoldenP64(t *testing.T) {
 	const p, n, steps = 64, 2000, 3
 	type variant struct {
@@ -48,6 +53,13 @@ func TestStepGoldenP64(t *testing.T) {
 		}
 	}
 
+	// What LET must reproduce of function shipping, by scheme, mode and step.
+	type physics struct {
+		mac, pc, pp int64
+		branches    int
+		results     uint32
+	}
+	funcLines := map[string]physics{}
 	var out strings.Builder
 	for _, v := range variants {
 		// An irregular set for the dynamic partition; a uniform one for the
@@ -64,6 +76,18 @@ func TestStepGoldenP64(t *testing.T) {
 		cur := append([]dist.Particle(nil), set.Particles...)
 		for step := 0; step < steps; step++ {
 			res := e.Step()
+			got := physics{res.Stats.MACTests, res.Stats.PC, res.Stats.PP, res.BranchNodes, resultsSum(res)}
+			at := fmt.Sprintf("%v/%v step %d", v.cfg.Scheme, v.cfg.Mode, step)
+			switch v.cfg.Shipping {
+			case FunctionShipping:
+				if v.cfg.TreeBuild != NonReplicatedBuild {
+					funcLines[at] = got
+				}
+			case LETShipping:
+				if want := funcLines[at]; got != want {
+					t.Errorf("%s: LET %+v, function shipping %+v", at, got, want)
+				}
+			}
 			fmt.Fprintf(&out, "%s step %d: sim %016x imbalance %016x mac %d pc %d pp %d words %d msgs %d branches %d procstats %08x results %08x\n",
 				v.name, step, math.Float64bits(res.SimTime), math.Float64bits(res.Imbalance),
 				res.Stats.MACTests, res.Stats.PC, res.Stats.PP, res.CommWords, res.CommMessages, res.BranchNodes,

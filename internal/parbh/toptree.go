@@ -190,6 +190,22 @@ func flattenTop(fl *let.Flat, st *localState, n *pnode, branch func(n *pnode, ow
 	fl.CloseInternal(idx)
 }
 
+// topCells appends the replicated tree under n to c: the boxes and owners
+// LET's essential-set test reads.
+func topCells(c *let.Cells, n *pnode) {
+	if n.isBranch {
+		c.AddBranch(n.box, n.owners)
+		return
+	}
+	idx := c.AddTop(n.box)
+	for _, ch := range n.children {
+		if ch != nil {
+			topCells(c, ch)
+		}
+	}
+	c.Close(idx)
+}
+
 // branchLookup resolves a packed branch key to the local subtree root —
 // the structure a processor uses to locate the target of an incoming
 // function-shipping request (Section 4.2.3). Two implementations exist:
