@@ -3,7 +3,8 @@
 // each job to a shard under a heartbeat lease (re-routing on shard
 // death), enforces per-tenant admission quotas with weighted fair
 // queueing, and serves repeated submissions of the same canonical spec
-// from a deterministic result cache.
+// from its result log, where every terminal result is kept once per
+// canonical spec (beside the journal, at <journal>.results).
 //
 // Usage:
 //
@@ -45,7 +46,6 @@ func main() {
 		logJSON   = flag.Bool("log-json", false, "emit logs as JSON records instead of text")
 		leaseTTL  = flag.Duration("lease-ttl", 10*time.Second, "silence window before a shard is declared dead")
 		pending   = flag.Int("max-pending", 1024, "admitted-but-unleased job bound (beyond it: 429)")
-		cacheCap  = flag.Int("cache-entries", 4096, "result cache capacity (canonical specs)")
 		rate      = flag.Float64("tenant-rate", 50, "default tenant token-bucket refill rate (jobs/s)")
 		burst     = flag.Float64("tenant-burst", 100, "default tenant token-bucket capacity")
 		tenantStr = flag.String("tenants", "", "per-tenant overrides: name=rate:burst:weight[,name=...]")
@@ -69,7 +69,6 @@ func main() {
 		ControlAddr:     *control,
 		LeaseTTL:        *leaseTTL,
 		MaxPending:      *pending,
-		CacheEntries:    *cacheCap,
 		TenantRate:      *rate,
 		TenantBurst:     *burst,
 		Tenants:         tenants,

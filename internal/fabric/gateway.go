@@ -57,8 +57,6 @@ type Options struct {
 	// MaxPending bounds jobs admitted but not yet leased; beyond it
 	// submissions are rejected 429 (default 1024).
 	MaxPending int
-	// CacheEntries bounds the result cache (default 4096).
-	CacheEntries int
 	// RouteRetries caps how many times one job may be re-routed after
 	// shard faults before it fails (default 8).
 	RouteRetries int
@@ -74,7 +72,9 @@ type Options struct {
 	// journal at this path, and a gateway restarted on the same path
 	// replays it — re-queueing pending jobs and reconciling leased ones
 	// with their shards instead of losing them. Empty disables
-	// journaling (the pre-HA behavior).
+	// journaling (the pre-HA behavior). Terminal results go to a result
+	// log at JournalPath + ".results" (an unlinked temporary file when
+	// JournalPath is empty).
 	JournalPath string
 	// ReconcileWindow is how long a restarted gateway holds journaled
 	// leases out of the dispatch queue waiting for their shards to
@@ -104,9 +104,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxPending <= 0 {
 		o.MaxPending = 1024
-	}
-	if o.CacheEntries <= 0 {
-		o.CacheEntries = 4096
 	}
 	if o.RouteRetries <= 0 {
 		o.RouteRetries = 8
@@ -163,9 +160,20 @@ type GwJob struct {
 	followers []*GwJob
 	// keyframe is the latest frame-store keyframe streamed back by the
 	// job's shard (KeyframeStep), carried out with the next Assign after
-	// a re-route so the replacement shard resumes mid-run.
+	// a re-route so the replacement shard resumes mid-run. A terminal job
+	// drops it.
 	keyframe []byte
 	progress json.RawMessage
+	// result is where a done job's result bytes are.
+	result resultRef
+}
+
+// resultRef locates a done job's result: a record of the result log, or
+// memory when the log refused the append (the journal's own degrade
+// rule, for that one result).
+type resultRef struct {
+	span resultSpan
+	mem  json.RawMessage
 }
 
 // GwStatus is the JSON form of a gateway job.
@@ -225,9 +233,13 @@ type Gateway struct {
 	order    []string
 	tenants  map[string]*tenant
 	inflight map[string]*GwJob // cache key → live leader job
-	cache    *Cache
 	pending  int
 	vtime    float64
+
+	// results holds every terminal result once per key; its index is the
+	// result cache. Set for the gateway's lifetime (Result reads it
+	// without g.mu).
+	results *ResultLog
 
 	// Crash safety: the write-ahead journal (nil when disabled) and the
 	// reconciliation set — journaled leases awaiting their shard's
@@ -261,15 +273,24 @@ func NewGateway(opt Options) (*Gateway, error) {
 		jobs:       make(map[string]*GwJob),
 		tenants:    make(map[string]*tenant),
 		inflight:   make(map[string]*GwJob),
-		cache:      NewCache(opt.CacheEntries),
 		recovering: make(map[string]*GwJob),
 		started:    time.Now(),
 		reconciled: true, // restore() reopens the window if leases replay
 		stopping:   make(chan struct{}),
 	}
+	resultsPath := ""
+	if opt.JournalPath != "" {
+		resultsPath = opt.JournalPath + ".results"
+	}
+	if g.results, err = OpenResultLog(resultsPath); err != nil {
+		ln.Close()
+		return nil, err
+	}
+	g.metrics.ResultLogBytes.Store(g.results.Size())
 	if opt.JournalPath != "" {
 		jl, st, err := OpenJournal(opt.JournalPath)
 		if err != nil {
+			g.results.Close()
 			ln.Close()
 			return nil, err
 		}
@@ -286,7 +307,9 @@ func NewGateway(opt Options) (*Gateway, error) {
 }
 
 // restore rebuilds gateway state from a replayed journal: every job is
-// re-registered, done results repopulate the cache, and each live job is
+// re-registered, each done job finds its result in the result log (a
+// legacy inline result is migrated there first; a done job whose result
+// the log lacks runs again), and each live job is
 // attached to the place its last record implies — a follower to its
 // leader, a job that held a lease at the crash to the reconciliation set
 // (held out of dispatch until its shard reconnects and reports it or the
@@ -324,7 +347,7 @@ func (g *Gateway) restore(st *JournalState) {
 	// cannot carry on with are set aside, their Error saying why, and
 	// failed only once every job is registered: the journal append may
 	// compact, and the snapshot must not be of half a gateway.
-	var lost []*GwJob
+	var lost, rerun []*GwJob
 	var held, queued, terminal int
 	for _, id := range st.Order {
 		rec := st.Jobs[id]
@@ -343,15 +366,19 @@ func (g *Gateway) restore(st *JournalState) {
 		g.jobs[id] = j
 		g.order = append(g.order, id)
 		leader := g.jobs[rec.LeaderID]
+		resultLost := j.State == service.StateDone && !g.restoreResultLocked(j)
+		if resultLost {
+			j.State = service.StateQueued
+		}
 		switch {
 		case j.State.Terminal():
 			terminal++
-			if j.State == service.StateDone && len(j.Result) > 0 && !j.Cached {
-				g.cache.Put(j.Key, j.Result, j.ID)
-			}
+			j.keyframe = nil
 		case specErr != nil:
 			j.Error = fmt.Sprintf("journal replay: decoding spec: %v", specErr)
 			lost = append(lost, j)
+		case resultLost:
+			rerun = append(rerun, j)
 		case j.Coalesced && (leader == nil || leader.State.Terminal()):
 			// Failed rather than resurrected as a duplicate run.
 			j.Error = "journal replay: coalesced leader lost"
@@ -375,16 +402,60 @@ func (g *Gateway) restore(st *JournalState) {
 			queued++
 		}
 	}
+	// A done record whose result the log lacks (a crash between the two
+	// writes, or a log removed by hand) runs again under its old finish
+	// tag: results are deterministic in the key, so a re-run is correct
+	// where serving nothing is not. Jobs sharing a key share the one run.
+	for _, j := range rerun {
+		g.opt.Logf("nbodygw: job %s is done in the journal but the result log has no result for it; re-running", j.ID)
+		j.Cached, j.Coalesced = false, false
+		if leader := g.inflight[j.Key]; leader != nil && !leader.CancelRequested {
+			g.followLocked(j, leader)
+		} else {
+			g.inflight[j.Key] = j
+			g.enqueueLocked(j, g.tenantFor(j.Tenant), false)
+		}
+		g.journalJobLocked(j)
+	}
 	for _, t := range g.tenants {
 		q := t.queue
 		sort.Slice(q, func(i, k int) bool { return q[i].FinishTag < q[k].FinishTag })
 	}
 	for _, j := range lost {
-		g.finishLocked(j, service.StateFailed, nil, j.Error)
+		g.finishLocked(j, service.StateFailed, j.Error)
 	}
 	g.reconciled = len(g.recovering) == 0 // gauge stays 0 when nothing to reconcile
-	g.opt.Logf("nbodygw: journal replayed %d job(s): %d awaiting shard reconciliation, %d re-queued, %d terminal",
-		len(g.order), held, queued, terminal)
+	g.opt.Logf("nbodygw: journal replayed %d job(s): %d awaiting shard reconciliation, %d re-queued, %d re-run, %d terminal",
+		len(g.order), held, queued, len(rerun), terminal)
+}
+
+// restoreResultLocked points a replayed done job at its result in the
+// result log, first moving a legacy inline result there. It reports
+// whether the job has a result.
+func (g *Gateway) restoreResultLocked(j *GwJob) bool {
+	inline := j.Result
+	j.Result = nil
+	if len(inline) > 0 {
+		j.result = g.logResultLocked(j, inline)
+		return true
+	}
+	sp, ok := g.results.Lookup(j.Key)
+	j.result = resultRef{span: sp}
+	return ok
+}
+
+// logResultLocked writes a done job's result to the result log — once per
+// key — and returns where it is. An append the log refuses is logged and
+// the result kept in memory, so the job is still served; a restart finds
+// no result for it and runs it again.
+func (g *Gateway) logResultLocked(j *GwJob, result []byte) resultRef {
+	sp, err := g.results.Put(j.Key, result)
+	g.metrics.ResultLogBytes.Store(g.results.Size())
+	if err != nil {
+		g.opt.Logf("nbodygw: job %s: %v; result kept in memory", j.ID, err)
+		return resultRef{mem: append(json.RawMessage(nil), result...)}
+	}
+	return resultRef{span: sp}
 }
 
 // ControlAddr returns the address shards register on.
@@ -415,6 +486,9 @@ func (g *Gateway) Close() error {
 	g.mu.Lock()
 	err := g.journal.Close()
 	g.journal = nil
+	if rerr := g.results.Close(); err == nil {
+		err = rerr
+	}
 	g.mu.Unlock()
 	return err
 }
@@ -440,13 +514,19 @@ func (g *Gateway) journalKeyframeLocked(j *GwJob) {
 // log when it outgrows its snapshot budget and refreshes the size gauge.
 // Journal write errors are logged, not fatal: the gateway stays
 // available and degrades to pre-HA (in-memory) behavior for the record
-// it could not write.
+// it could not write. The result log is synced before a snapshot is
+// renamed into place: the snapshot's done jobs name results by key, and
+// it must not outlive them on disk.
 func (g *Gateway) journaledLocked(what, id string, err error) {
 	if err != nil {
 		g.opt.Logf("nbodygw: journal append (%s %s): %v", what, id, err)
 	}
 	if g.journal.ShouldCompact() {
-		if err := g.journal.Compact(g.snapshotLocked()); err != nil {
+		err := g.results.Sync()
+		if err == nil {
+			err = g.journal.Compact(g.snapshotLocked())
+		}
+		if err != nil {
 			g.opt.Logf("nbodygw: journal compaction: %v", err)
 		}
 	}
@@ -756,7 +836,7 @@ func (g *Gateway) handleUpdate(sc *shardConn, msg Update) {
 	}
 }
 
-// handleDone finalizes a leased job: cache the result, complete the
+// handleDone finalizes a leased job: log the result, complete the
 // leader and every coalesced follower, release the lease.
 func (g *Gateway) handleDone(sc *shardConn, msg Done) {
 	g.mu.Lock()
@@ -770,18 +850,17 @@ func (g *Gateway) handleDone(sc *shardConn, msg Done) {
 }
 
 // settleLocked lands a shard's terminal report on j and its followers: a
-// done result is cached first; anything but done or canceled is a
-// failure.
+// done result goes to the result log before the done records are
+// journaled; anything but done or canceled is a failure.
 func (g *Gateway) settleLocked(j *GwJob, state string, resultJSON []byte, errMsg string) {
 	switch service.State(state) {
 	case service.StateDone:
-		res := append(json.RawMessage(nil), resultJSON...)
-		g.cache.Put(j.Key, res, j.ID)
-		g.finishLocked(j, service.StateDone, res, "")
+		j.result = g.logResultLocked(j, resultJSON)
+		g.finishLocked(j, service.StateDone, "")
 	case service.StateCanceled:
-		g.finishLocked(j, service.StateCanceled, nil, "")
+		g.finishLocked(j, service.StateCanceled, "")
 	default:
-		g.finishLocked(j, service.StateFailed, nil, errMsg)
+		g.finishLocked(j, service.StateFailed, errMsg)
 	}
 }
 
@@ -808,7 +887,7 @@ func (g *Gateway) handleReport(sc *shardConn, msg ReportJobs) {
 		case j.CancelRequested:
 			// A cancel raced the outage; honor it instead of adopting.
 			g.enqueue(sc, Release{JobID: j.ID, LocalID: item.LocalID})
-			g.finishLocked(j, service.StateCanceled, nil, "")
+			g.finishLocked(j, service.StateCanceled, "")
 		default:
 			// Held (journaled lease) or re-queued but not yet dispatched:
 			// adopt in place.
@@ -960,8 +1039,9 @@ func (g *Gateway) promoteLocked(j *GwJob) {
 }
 
 // finishLocked moves a job and its followers to a terminal state: out of
-// their places and the in-flight index, then journaled.
-func (g *Gateway) finishLocked(j *GwJob, state service.State, result json.RawMessage, errMsg string) {
+// their places and the in-flight index, sharing j's result, keyframe
+// dropped, then journaled.
+func (g *Gateway) finishLocked(j *GwJob, state service.State, errMsg string) {
 	for _, job := range append([]*GwJob{j}, j.followers...) {
 		g.detachLocked(job)
 		// A cancel-requested leader may have been replaced in the index by
@@ -969,7 +1049,8 @@ func (g *Gateway) finishLocked(j *GwJob, state service.State, result json.RawMes
 		if g.inflight[job.Key] == job {
 			delete(g.inflight, job.Key)
 		}
-		job.State, job.Result, job.Error = state, result, errMsg
+		job.State, job.result, job.Error = state, j.result, errMsg
+		job.keyframe = nil
 		switch state {
 		case service.StateDone:
 			g.metrics.JobsDone.Add(1)
@@ -990,14 +1071,14 @@ func (g *Gateway) requeueLocked(j *GwJob, fault string) {
 	if j.CancelRequested {
 		// The caller asked for a cancel the lost shard never
 		// acknowledged; honor it now instead of resurrecting the job.
-		g.finishLocked(j, service.StateCanceled, nil, "")
+		g.finishLocked(j, service.StateCanceled, "")
 		return
 	}
 	j.Retries++
 	g.metrics.Rerouted.Add(fault, 1)
 	if j.Retries > g.opt.RouteRetries {
 		g.finishLocked(j, service.StateFailed,
-			nil, fmt.Sprintf("re-routed %d times without completing (last fault: %s)", j.Retries, fault))
+			fmt.Sprintf("re-routed %d times without completing (last fault: %s)", j.Retries, fault))
 		return
 	}
 	j.State, j.progress = service.StateQueued, nil
@@ -1060,7 +1141,7 @@ func (g *Gateway) retireShardLocked(sc *shardConn, lost *transport.TransportErro
 		case j.CancelRequested:
 			// The cancel the stale session never acknowledged wins; the
 			// fresh session's report gets a Release for it.
-			g.finishLocked(j, service.StateCanceled, nil, "")
+			g.finishLocked(j, service.StateCanceled, "")
 		default:
 			g.holdLocked(j, until)
 			g.journalJobLocked(j)
@@ -1212,13 +1293,13 @@ func (g *Gateway) Submit(tenantName string, spec service.JobSpec) (GwStatus, err
 		ID: g.newJobID(), Tenant: tenantName, Key: key, Created: now, State: service.StateQueued,
 	}}
 
-	res, hit := g.cache.Get(key)
+	sp, hit := g.results.Lookup(key)
 	leader := g.inflight[key]
 	switch {
 	case hit:
 		// The canonical spec already ran somewhere; serve the
 		// byte-identical result without spending any shard capacity.
-		j.Cached, j.State, j.Result = true, service.StateDone, res
+		j.Cached, j.State, j.result = true, service.StateDone, resultRef{span: sp}
 		g.metrics.CacheHits.Add(1)
 		g.metrics.JobsDone.Add(1)
 	case leader != nil && !leader.CancelRequested:
@@ -1302,7 +1383,7 @@ func (g *Gateway) dispatchLocked() {
 			// Encoding failures are deterministic: fail the job rather
 			// than leave a phantom lease the heartbeat keeps alive or
 			// burn the re-route budget retrying a hopeless frame.
-			g.finishLocked(j, service.StateFailed, nil, fmt.Sprintf("encoding assign frame: %v", err))
+			g.finishLocked(j, service.StateFailed, fmt.Sprintf("encoding assign frame: %v", err))
 			continue
 		}
 		g.journalJobLocked(j)
@@ -1343,18 +1424,26 @@ func (g *Gateway) Jobs() []GwStatus {
 	return out
 }
 
-// Result returns the result JSON of a completed gateway job.
+// Result returns the result JSON of a completed gateway job, read from
+// the result log outside the gateway mutex.
 func (g *Gateway) Result(id string) (json.RawMessage, error) {
 	g.mu.Lock()
-	defer g.mu.Unlock()
 	j, ok := g.jobs[id]
-	if !ok {
+	done := ok && j.State == service.StateDone
+	var ref resultRef
+	if done {
+		ref = j.result
+	}
+	g.mu.Unlock()
+	switch {
+	case !ok:
 		return nil, ErrNotFound
-	}
-	if j.State != service.StateDone || j.Result == nil {
+	case !done:
 		return nil, ErrNotDone
+	case ref.mem != nil:
+		return ref.mem, nil
 	}
-	return j.Result, nil
+	return g.results.Read(ref.span)
 }
 
 // Cancel cancels a gateway job wherever it is. A leader with followers
@@ -1386,7 +1475,7 @@ func (g *Gateway) Cancel(id string) (GwStatus, error) {
 		if len(j.followers) > 0 {
 			g.promoteLocked(j)
 		}
-		g.finishLocked(j, service.StateCanceled, nil, "")
+		g.finishLocked(j, service.StateCanceled, "")
 	}
 	st := g.statusLocked(j)
 	g.mu.Unlock()

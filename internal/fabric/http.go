@@ -117,6 +117,8 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusNotFound, err)
 		case errors.Is(err, ErrNotDone):
 			writeErr(w, http.StatusConflict, err)
+		case err != nil:
+			writeErr(w, http.StatusInternalServerError, err)
 		default:
 			w.Header().Set("Content-Type", "application/json")
 			w.Write(res)

@@ -15,7 +15,9 @@ import (
 // The gateway journal is a durable write-ahead log of every state
 // transition the gateway cannot afford to forget: submissions, tenant
 // admission state, lease assignments, cancels, completions, and
-// replicated keyframes. It is a magic prefix followed by internal/recio
+// replicated keyframes. Terminal results are not in it: they go once
+// into the result log beside it (resultlog.go), which every compaction
+// syncs before its rename. It is a magic prefix followed by internal/recio
 // records — the frame store's format — so a torn tail from a crash
 // mid-append truncates cleanly on reopen, and a flipped bit anywhere
 // else fails the checksum and refuses the open instead of replaying
@@ -72,10 +74,14 @@ type journalJob struct {
 	// replicated keyframe (0 = scratch). FramesAddr is the HTTP address
 	// of the shard that ran (or runs) the job — unlike the lease it
 	// survives completion, so the frames replay proxy keeps its target.
-	ResumedStep int             `json:"resumed_step,omitempty"`
-	FramesAddr  string          `json:"frames_addr,omitempty"`
-	FinishTag   float64         `json:"finish_tag,omitempty"` // WFQ virtual finish time
-	Result      json.RawMessage `json:"result,omitempty"`
+	ResumedStep int     `json:"resumed_step,omitempty"`
+	FramesAddr  string  `json:"frames_addr,omitempty"`
+	FinishTag   float64 `json:"finish_tag,omitempty"` // WFQ virtual finish time
+	// Result is only ever decoded: journals written before results moved
+	// to the result log carry done jobs' results inline, and restore
+	// migrates them there. No record written since carries one — a done
+	// job finds its result in the log by Key.
+	Result json.RawMessage `json:"result,omitempty"`
 }
 
 // journalKeyframe carries one replicated frame-store keyframe. Keyframes
@@ -230,15 +236,8 @@ func replayJournal(data []byte) (*JournalState, int, error) {
 // with the gateway mutex held (appends record transitions of state that
 // same mutex guards), so the Journal itself needs no locking.
 type Journal struct {
+	recordFile
 	path string
-	f    journalFile
-	size int64
-
-	// tornTail is set when a failed append could not be rolled back: the
-	// file may end in a partial record that replay would take, together
-	// with everything written after it, for a torn tail. Appends stop
-	// until a compaction replaces the file.
-	tornTail bool
 
 	// compactBytes triggers a snapshot+truncate when the file outgrows
 	// it; snapshotting resets the trigger to the snapshot size plus the
@@ -246,13 +245,64 @@ type Journal struct {
 	compactBytes int64
 }
 
-// journalFile is the part of *os.File the journal writes through; the
-// fault-injection test substitutes one that fails mid-write.
+// journalFile is the part of *os.File the journal and the result log
+// write through; the fault-injection tests substitute one that fails
+// mid-write.
 type journalFile interface {
 	io.Writer
+	io.ReaderAt
 	io.Seeker
 	Truncate(size int64) error
+	Sync() error
 	Close() error
+}
+
+// recordFile is an append-only file of recio records, the write half the
+// journal and the result log share. Each record goes out in a single
+// Write call, so a crash leaves at worst one torn record at the tail. A
+// failed or short write (ENOSPC, EIO) is rolled back to the last record
+// boundary: otherwise the partial record's length prefix would make
+// replay swallow the good records appended after it and fail the CRC — a
+// torn tail that truncates them all away, or corruption that refuses the
+// next open.
+type recordFile struct {
+	f    journalFile
+	size int64
+
+	// tornTail is set when a failed append could not be rolled back: the
+	// file may end in a partial record that replay would take, together
+	// with everything written after it, for a torn tail. Appends stop
+	// until the file is replaced.
+	tornTail bool
+}
+
+// errTornTail refuses appends behind a partial record.
+var errTornTail = errors.New("tail unrecoverable after a failed append")
+
+// write appends one framed record.
+func (rf *recordFile) write(rec []byte) error {
+	if rf.tornTail {
+		return errTornTail
+	}
+	if _, err := rf.f.Write(rec); err != nil {
+		if rerr := rf.rollback(); rerr != nil {
+			rf.tornTail = true
+			return fmt.Errorf("%w (rollback: %v)", err, rerr)
+		}
+		return err
+	}
+	rf.size += int64(len(rec))
+	return nil
+}
+
+// rollback drops whatever a failed Write left past the last complete
+// record and repositions the file there.
+func (rf *recordFile) rollback() error {
+	if err := rf.f.Truncate(rf.size); err != nil {
+		return err
+	}
+	_, err := rf.f.Seek(rf.size, io.SeekStart)
+	return err
 }
 
 // journalCompactBytes is the default snapshot+truncate threshold.
@@ -327,43 +377,20 @@ func (jl *Journal) Size() int64 {
 	return jl.size
 }
 
-// append frames and writes one record in a single Write call, so a
-// crash leaves at worst one torn record at the tail. A failed or short
-// write (ENOSPC, EIO) is rolled back to the last record boundary:
-// otherwise the partial record's length prefix would make replay swallow
-// the good records appended after it and fail the CRC — a torn tail that
-// truncates them all away, or corruption that refuses the next open.
+// append frames one JSON record and writes it; a torn tail waits for the
+// compaction that replaces the file.
 func (jl *Journal) append(kind byte, v any) error {
 	if jl == nil {
 		return nil
-	}
-	if jl.tornTail {
-		return errors.New("fabric: journal tail unrecoverable after a failed append; awaiting compaction")
 	}
 	body, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	rec := recio.Append(nil, kind, body)
-	if _, err := jl.f.Write(rec); err != nil {
-		if rerr := jl.rollback(); rerr != nil {
-			jl.tornTail = true
-			return fmt.Errorf("fabric: journal append: %w (rollback: %v)", err, rerr)
-		}
+	if err := jl.write(recio.Append(nil, kind, body)); err != nil {
 		return fmt.Errorf("fabric: journal append: %w", err)
 	}
-	jl.size += int64(len(rec))
 	return nil
-}
-
-// rollback drops whatever a failed Write left past the last complete
-// record and repositions the file there.
-func (jl *Journal) rollback() error {
-	if err := jl.f.Truncate(jl.size); err != nil {
-		return err
-	}
-	_, err := jl.f.Seek(jl.size, io.SeekStart)
-	return err
 }
 
 // AppendJob journals one job-state transition.

@@ -42,9 +42,12 @@ type Metrics struct {
 	// host time from gateway start until the reconciliation window
 	// emptied (adoption, drain, or timeout re-queue of every journaled
 	// lease), 0 while reconciliation is still open or was never needed.
+	// ResultLogBytes is the on-disk result log size: terminal results
+	// live there, not in the journal.
 	JobsAdopted     atomic.Int64
 	ParkedResults   atomic.Int64
 	JournalBytes    atomic.Int64
+	ResultLogBytes  atomic.Int64
 	reconcileMicros atomic.Int64
 
 	// Routed counts lease grants by shard name; Rerouted counts
@@ -110,6 +113,7 @@ func (m *Metrics) Render(now time.Time) string {
 		"nbodygw_jobs_adopted_total":            fmt.Sprintf("%d", m.JobsAdopted.Load()),
 		"nbodygw_parked_results_total":          fmt.Sprintf("%d", m.ParkedResults.Load()),
 		"nbodygw_journal_bytes":                 fmt.Sprintf("%d", m.JournalBytes.Load()),
+		"nbodygw_result_log_bytes":              fmt.Sprintf("%d", m.ResultLogBytes.Load()),
 		"nbodygw_reconcile_seconds":             fmt.Sprintf("%.6f", m.ReconcileSeconds()),
 	}
 	var b strings.Builder

@@ -2,9 +2,10 @@
 // consistent-hashes submitted jobs across N shard daemons, with
 // heartbeat-leased work assignment instead of static addressing,
 // per-tenant admission control (token-bucket quotas + weighted fair
-// queueing) ahead of each shard's bounded queue, and a deterministic
-// result cache keyed by the canonical (scenario, seed, params) hash so
-// identical requests from a million users cost one simulation.
+// queueing) ahead of each shard's bounded queue, and a result log that
+// keeps each terminal result once under the canonical (scenario, seed,
+// params) hash so identical requests from a million users cost one
+// simulation.
 //
 // The control plane rides the transport wire layer: every message is a
 // registered codec type inside a transport host frame, and every
