@@ -15,7 +15,7 @@ import (
 // octree construction and full force sweeps over every particle. Unlike
 // every other experiment it reports *real* seconds, not simulated ones —
 // the simulated machine clock is flop-charged and cannot see host-side
-// optimizations (arenas, radix sorts, multi-core traversals), which is
+// optimizations (exact node allocation, radix sorts, multi-core traversals), which is
 // exactly why CI tracks these numbers across commits (BENCH_serial.json)
 // to catch regressions in the compute layer.
 func SerialTable(opt Options) (Table, error) {

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"time"
+	"unsafe"
 
 	"repro/internal/dist"
 	"repro/internal/keys"
@@ -16,8 +17,9 @@ import (
 // nearly-sorted pass, then walks the retained tree against the new key
 // array: cells whose shape survives (leaves that still fit a leaf,
 // internal nodes that stay internal) are refreshed in place, only cells
-// whose structure changed are rebuilt on the persistent slab arena, and
-// Count/Mass/COM are re-accumulated along the spine between them.
+// whose structure changed are rebuilt, each range into its own exactly
+// sized node slice, and Count/Mass/COM are re-accumulated along the spine
+// between them.
 //
 // The result is pinned to the from-scratch build: every tree returned by
 // Step or StepSorted is bit-identical — node for node, field for field —
@@ -26,16 +28,16 @@ import (
 // very same buildKeyedRange. This is the two-clock rule: only the host
 // clock changes.
 //
-// The returned *Tree and its leaves alias buffers owned by the Builder
-// and are overwritten by the next Step; callers must finish traversing a
-// step's tree before starting the next. A Builder is not safe for
-// concurrent use.
+// The Builder keeps one sorted particle/key snapshot, and the returned
+// *Tree's leaves alias it. The next Step overwrites it in place — the
+// reconciliation reads only the retained nodes' shape, never their
+// particles — so callers must finish traversing a step's tree before
+// starting the next. A Builder is not safe for concurrent use.
 type Builder struct {
 	box     vec.Box // cubed root cell; keys quantize against it
 	leafCap int
 
-	t     *Tree
-	arena *nodeArena
+	t *Tree
 
 	// pairs is the retained (key, ID, input-index) permutation from the
 	// previous Step; valid only when havePairs (StepSorted bypasses it).
@@ -43,19 +45,17 @@ type Builder struct {
 	scratch   []keys.KeyIdx
 	havePairs bool
 
-	// ps/ks hold the current tree's sorted particles and keys; psAlt/ksAlt
-	// are the ping-pong buffers the next step gathers into, so the live
-	// tree's leaf slices are never scribbled on mid-sync.
-	ps, psAlt []dist.Particle
-	ks, ksAlt []uint64
+	// ps/ks are the one sorted snapshot: the current tree's particles and
+	// keys. Warm steps gather the next snapshot into them in place.
+	ps []dist.Particle
+	ks []uint64
 
-	// Arena-growth bookkeeping: rebuilt subtrees allocate fresh nodes
-	// while the nodes they replace stay pinned in the slabs. Once the
-	// accumulated garbage rivals the live tree, a cold rebuild on a fresh
-	// arena lets the old slabs go to the GC.
-	coldNodes       int
-	rebuiltNodes    int
-	rebuiltParallel bool
+	// Garbage bookkeeping: a rebuilt range takes its own node slice while
+	// the nodes it replaces stay pinned in the slices they were built in.
+	// Once the accumulated garbage rivals the live tree, a cold rebuild
+	// lets the old slices go to the GC.
+	coldNodes    int
+	rebuiltNodes int
 
 	last BuildReport
 }
@@ -63,7 +63,7 @@ type Builder struct {
 // BuildReport describes what the most recent Step did — host-side
 // diagnostics only; nothing here feeds back into the simulation.
 type BuildReport struct {
-	Cold      bool // full from-scratch build (first step, shape change, or arena recycle)
+	Cold      bool // full from-scratch build (first step, shape change, garbage recycle, or aliased input)
 	N         int
 	Displaced int // elements the adaptive re-sort had to move
 	Refreshed int // leaves kept and refreshed in place
@@ -98,7 +98,6 @@ func (b *Builder) Reset() {
 	b.t = nil
 	b.havePairs = false
 	b.ps, b.ks = nil, nil
-	b.arena = nil
 }
 
 // Step builds the octree for the particles, incrementally when the
@@ -106,8 +105,12 @@ func (b *Builder) Reset() {
 // ID) in the same input order as the previous Step — the invariant of a
 // stepped simulation whose authoritative body slice is indexed by ID.
 // Any mismatch (length change, reordering, first call) falls back to a
-// cold build identical to BuildKeyed.
+// cold build identical to BuildKeyed, and so, from a copy, does input
+// that shares memory with the snapshot the gather overwrites.
 func (b *Builder) Step(particles []dist.Particle) *Tree {
+	if overlaps(particles, b.ps) {
+		return b.cold(append([]dist.Particle(nil), particles...))
+	}
 	n := len(particles)
 	if b.t == nil || !b.havePairs || n != len(b.ps) || n == 0 || b.arenaStale() {
 		return b.cold(particles)
@@ -131,12 +134,11 @@ func (b *Builder) Step(particles []dist.Particle) *Tree {
 	sortDur := time.Since(t0)
 
 	t0 = time.Now()
-	newPs, newKs := b.spareBuffers(n)
 	for i := range pairs {
-		newPs[i] = particles[pairs[i].Idx]
-		newKs[i] = pairs[i].Key
+		b.ps[i] = particles[pairs[i].Idx]
+		b.ks[i] = pairs[i].Key
 	}
-	b.sync(newPs, newKs)
+	b.sync()
 	b.last = BuildReport{
 		N:         n,
 		Displaced: displaced,
@@ -156,8 +158,8 @@ func (b *Builder) Step(particles []dist.Particle) *Tree {
 // given order is diffed directly against the previous step's. ks[i] must
 // be the full-resolution Morton key of sorted[i] quantized against this
 // builder's domain; a defensive scan falls back to sorting internally if
-// the order does not hold. The input slices are copied; the caller keeps
-// ownership.
+// the order does not hold. The input slices are copied into the
+// snapshot; the caller keeps ownership.
 func (b *Builder) StepSorted(sorted []dist.Particle, ks []uint64) *Tree {
 	n := len(sorted)
 	if len(ks) != n {
@@ -171,10 +173,9 @@ func (b *Builder) StepSorted(sorted []dist.Particle, ks []uint64) *Tree {
 		return b.coldSorted(sorted, ks)
 	}
 	t0 := time.Now()
-	newPs, newKs := b.spareBuffers(n)
-	copy(newPs, sorted)
-	copy(newKs, ks)
-	b.sync(newPs, newKs)
+	copy(b.ps, sorted)
+	copy(b.ks, ks)
+	b.sync()
 	b.last = BuildReport{
 		N:         n,
 		Refreshed: b.last.Refreshed,
@@ -186,22 +187,28 @@ func (b *Builder) StepSorted(sorted []dist.Particle, ks []uint64) *Tree {
 }
 
 // arenaStale reports whether rebuild garbage has outgrown the live tree,
-// the signal to recycle everything with a cold build on a fresh arena.
+// the signal to recycle everything with a cold build.
 func (b *Builder) arenaStale() bool {
 	return b.rebuiltNodes > b.coldNodes+64
 }
 
-// spareBuffers returns the ping-pong particle/key buffers for the next
-// sorted snapshot, allocating them on the first warm step (one-shot cold
-// builds never pay for the second copy).
-func (b *Builder) spareBuffers(n int) ([]dist.Particle, []uint64) {
-	if cap(b.psAlt) < n {
-		b.psAlt = make([]dist.Particle, n)
+// overlaps reports whether the input shares memory with the snapshot.
+func overlaps(in, snap []dist.Particle) bool {
+	size := unsafe.Sizeof(dist.Particle{})
+	a, s := uintptr(unsafe.Pointer(unsafe.SliceData(in))), uintptr(unsafe.Pointer(unsafe.SliceData(snap)))
+	return len(in) > 0 && cap(snap) > 0 && a < s+uintptr(cap(snap))*size && s < a+uintptr(len(in))*size
+}
+
+// resize sets the snapshot's length to n, reusing its storage when it is
+// large enough.
+func (b *Builder) resize(n int) {
+	if cap(b.ps) < n {
+		b.ps = make([]dist.Particle, n)
 	}
-	if cap(b.ksAlt) < n {
-		b.ksAlt = make([]uint64, n)
+	if cap(b.ks) < n {
+		b.ks = make([]uint64, n)
 	}
-	return b.psAlt[:n], b.ksAlt[:n]
+	b.ps, b.ks = b.ps[:n], b.ks[:n]
 }
 
 // cold runs the from-scratch path — all that Build and BuildKeyed's
@@ -230,22 +237,13 @@ func (b *Builder) cold(particles []dist.Particle) *Tree {
 	keys.SortKeyIdx(pairs, b.scratch)
 	sortDur := time.Since(t0)
 	t0 = time.Now()
-	ps := b.ps
-	if cap(ps) < n {
-		ps = make([]dist.Particle, n)
-	}
-	ps = ps[:n]
-	ks := b.ks
-	if cap(ks) < n {
-		ks = make([]uint64, n)
-	}
-	ks = ks[:n]
+	b.resize(n)
 	for i := range pairs {
-		ps[i] = particles[pairs[i].Idx]
-		ks[i] = pairs[i].Key
+		b.ps[i] = particles[pairs[i].Idx]
+		b.ks[i] = pairs[i].Key
 	}
 	b.havePairs = true
-	t := b.coldBuild(ps, ks)
+	t := b.coldBuild()
 	b.last = BuildReport{Cold: true, N: n, KeyDur: keyDur, SortDur: sortDur, TreeDur: time.Since(t0)}
 	return t
 }
@@ -254,50 +252,33 @@ func (b *Builder) cold(particles []dist.Particle) *Tree {
 func (b *Builder) coldSorted(sorted []dist.Particle, ks []uint64) *Tree {
 	n := len(sorted)
 	t0 := time.Now()
-	ps := b.ps
-	if cap(ps) < n {
-		ps = make([]dist.Particle, n)
-	}
-	ps = ps[:n]
-	kk := b.ks
-	if cap(kk) < n {
-		kk = make([]uint64, n)
-	}
-	kk = kk[:n]
-	copy(ps, sorted)
-	copy(kk, ks)
-	t := b.coldBuild(ps, kk)
+	b.resize(n)
+	copy(b.ps, sorted)
+	copy(b.ks, ks)
+	t := b.coldBuild()
 	b.last = BuildReport{Cold: true, N: n, TreeDur: time.Since(t0)}
 	return t
 }
 
-// coldBuild installs ps/ks as the current snapshot and builds the whole
-// tree over a fresh arena.
-func (b *Builder) coldBuild(ps []dist.Particle, ks []uint64) *Tree {
-	b.ps, b.ks = ps, ks
-	b.arena = newNodeArena(len(ps), b.leafCap)
-	b.t = &Tree{LeafCap: b.leafCap, Degree: -1}
-	b.t.Root = buildKeyedRange(ps, ks, b.box, keys.CellKey{}, b.leafCap, b.arena)
-	b.coldNodes = countNodes(b.t.Root)
+// coldBuild builds the whole tree over the snapshot into one node slice.
+func (b *Builder) coldBuild() *Tree {
+	nodes := keyedNodes(b.ps, b.ks, b.box, keys.CellKey{}, b.leafCap)
+	b.t = &Tree{Root: &nodes[0], LeafCap: b.leafCap, Degree: -1}
+	b.coldNodes = len(nodes)
 	b.rebuiltNodes = 0
 	return b.t
 }
 
-// sync reconciles the retained tree with the new sorted snapshot and
-// swaps the ping-pong buffers. On return b.ps/b.ks hold the new snapshot
-// and every leaf of b.t aliases it.
-func (b *Builder) sync(newPs []dist.Particle, newKs []uint64) {
+// sync reconciles the retained tree with the snapshot the step has just
+// written. On return every leaf of b.t aliases it.
+func (b *Builder) sync() {
 	b.last.Refreshed, b.last.Rebuilt, b.last.Spine = 0, 0, 0
-	b.rebuiltParallel = false
-	root := b.syncNode(b.t.Root, 0, len(newPs), b.box, keys.CellKey{}, newPs, newKs)
-	b.t.Root = root
+	b.t.Root = b.syncNode(b.t.Root, 0, len(b.ps), b.box, keys.CellKey{})
 	b.t.Degree = -1 // expansions, if any were built, were invalidated
-	b.ps, b.psAlt = newPs, b.ps
-	b.ks, b.ksAlt = newKs, b.ks
 }
 
 // syncNode reconciles the cell (box, key), whose new content is
-// newPs[lo:hi), against its previous subtree old. The diff is
+// b.ps[lo:hi), against its previous subtree old. The diff is
 // structural, not positional: which particles land in the cell is fully
 // determined by the parent's octant partition of the new key array, so
 // the only question per cell is whether the retained node's shape (leaf
@@ -310,7 +291,7 @@ func (b *Builder) sync(newPs []dist.Particle, newKs []uint64) {
 // Three outcomes, in order of preference:
 //
 //   - refresh: the new range still fits a leaf and the old node is one.
-//     The node keeps its identity (Box, Key, arena slot); fillLeaf —
+//     The node keeps its identity (Box, Key, node slot); fillLeaf —
 //     the literal cold-path function — re-aliases the particle slice
 //     and replays the moment arithmetic, so the result is bit-identical
 //     to a fresh build no matter how the particles inside moved.
@@ -319,24 +300,24 @@ func (b *Builder) sync(newPs []dist.Particle, newKs []uint64) {
 //     are re-accumulated exactly as buildKeyedRange would.
 //   - rebuild: the shape changed (cell newly occupied, leaf split past
 //     leafCap, or subtree collapsed to leaf size). buildKeyedRange — the
-//     literal cold-path function — runs over the range on the persistent
-//     arena, so conservative dirtying can never change the result, only
-//     the host clock.
-func (b *Builder) syncNode(old *Node, lo, hi int, box vec.Box, key keys.CellKey, newPs []dist.Particle, newKs []uint64) *Node {
+//     literal cold-path function — runs over the range into a node slice
+//     of its own, so conservative dirtying can never change the result,
+//     only the host clock.
+func (b *Builder) syncNode(old *Node, lo, hi int, box vec.Box, key keys.CellKey) *Node {
 	n := hi - lo
 	level := int(key.Level)
 	if n <= b.leafCap || level >= MaxDepth {
 		if old != nil && old.IsLeaf() {
-			b.refreshLeaf(old, newPs[lo:hi])
+			b.refreshLeaf(old, b.ps[lo:hi])
 			return old
 		}
-		return b.rebuild(lo, hi, box, key, newPs, newKs)
+		return b.rebuild(lo, hi, box, key)
 	}
 	if old == nil || old.IsLeaf() {
-		return b.rebuild(lo, hi, box, key, newPs, newKs)
+		return b.rebuild(lo, hi, box, key)
 	}
 	// Both internal: reconcile children octant by octant.
-	bounds := octantBounds(newKs[lo:hi], level)
+	bounds := octantBounds(b.ks[lo:hi], level)
 	old.Count = n
 	old.Mass = 0
 	old.COM = vec.V3{}
@@ -349,7 +330,7 @@ func (b *Builder) syncNode(old *Node, lo, hi int, box vec.Box, key keys.CellKey,
 			old.Children[o] = nil
 			continue
 		}
-		child := b.syncNode(old.Children[o], clo, chi, box.Octant(o), key.Child(o), newPs, newKs)
+		child := b.syncNode(old.Children[o], clo, chi, box.Octant(o), key.Child(o))
 		old.Children[o] = child
 		old.Mass += child.Mass
 		old.COM = old.COM.Add(child.COM.Scale(child.Mass))
@@ -360,14 +341,13 @@ func (b *Builder) syncNode(old *Node, lo, hi int, box vec.Box, key keys.CellKey,
 	return old
 }
 
-// rebuild replaces a dirtied range with a from-scratch subtree on the
-// persistent arena and accounts the garbage this strands.
-func (b *Builder) rebuild(lo, hi int, box vec.Box, key keys.CellKey, newPs []dist.Particle, newKs []uint64) *Node {
-	sub := buildKeyedRange(newPs[lo:hi], newKs[lo:hi], box, key, b.leafCap, b.arena)
-	c := countNodes(sub)
-	b.rebuiltNodes += c
-	b.last.Rebuilt += c
-	return sub
+// rebuild replaces a dirtied range with a from-scratch subtree in a node
+// slice of its own and accounts the garbage this strands.
+func (b *Builder) rebuild(lo, hi int, box vec.Box, key keys.CellKey) *Node {
+	nodes := keyedNodes(b.ps[lo:hi], b.ks[lo:hi], box, key, b.leafCap)
+	b.rebuiltNodes += len(nodes)
+	b.last.Rebuilt += len(nodes)
+	return &nodes[0]
 }
 
 // refreshLeaf rewires a retained leaf onto the new particle snapshot,

@@ -272,3 +272,40 @@ func FuzzBuilderIncremental(f *testing.F) {
 		}
 	})
 }
+
+// TestBuilderAliasedInput passes a tree's own leaves back in. The Builder
+// keeps one snapshot and a step overwrites it in place, so here the step
+// would gather from the slice it is writing; it must copy the input first
+// and still produce BuildKeyed's tree.
+func TestBuilderAliasedInput(t *testing.T) {
+	domain := testDomain()
+	rng := rand.New(rand.NewSource(5))
+	bodies := dist.MustNamed("plummer", 3000, 23).Particles
+	sorted, _ := SortByKey(bodies, domain.Cube())
+	b := NewBuilder(domain, 8)
+	// Sorted input makes the snapshot's order the input order, so passing
+	// the snapshot back satisfies the warm path's ID guard.
+	b.Step(sorted)
+	for step := 0; step < 4; step++ {
+		// The leftmost leaf starts the snapshot; its slice runs to the end.
+		var first *Node
+		b.Tree().WalkLeaves(func(l *Node) bool { first = l; return false })
+		snap := first.Particles[:len(bodies)]
+		jitter(rng, snap, 0.5, 4.0)
+		want := BuildKeyed(append([]dist.Particle(nil), snap...), domain, 8)
+		got := b.Step(snap)
+		if !b.Last().Cold {
+			t.Fatalf("step %d: input aliasing the snapshot took the warm path", step)
+		}
+		if err := diffNodes(got.Root, want.Root, "root"); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	// One leaf's particles alias the snapshot too.
+	var leaf *Node
+	b.Tree().WalkLeaves(func(l *Node) bool { leaf = l; return l.Count < 2 })
+	want := BuildKeyed(append([]dist.Particle(nil), leaf.Particles...), domain, 8)
+	if err := diffNodes(b.Step(leaf.Particles).Root, want.Root, "root"); err != nil {
+		t.Fatalf("one leaf: %v", err)
+	}
+}

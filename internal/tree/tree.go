@@ -108,14 +108,14 @@ func Build(particles []dist.Particle, opt Options) *Tree {
 	}
 	ps := append([]dist.Particle(nil), particles...)
 	t := &Tree{LeafCap: leafCap, Degree: -1}
-	t.Root = buildCollapsed(ps, box.Cube(), keys.CellKey{}, leafCap, newNodeArena(len(ps), leafCap))
+	t.Root = buildCollapsed(ps, box.Cube(), keys.CellKey{}, leafCap)
 	return t
 }
 
 // parallelBuildMin is the subtree size above which octant children are
-// built concurrently. Below it the goroutine and arena overhead exceeds
-// the win; above it each child gets its own goroutine and arena. The
-// resulting tree is identical either way — only wall-clock changes.
+// counted and built concurrently, each child into its own window of the
+// build's node slice. Below it the goroutine overhead exceeds the win. The
+// tree and its layout are identical either way — only wall-clock changes.
 const parallelBuildMin = 8192
 
 // buildParallel reports whether a subtree of this size should fan its
@@ -144,9 +144,9 @@ func fillLeaf(n *Node, ps []dist.Particle) {
 // to split by, which is why this is the one build that does not go
 // through buildKeyedRange. Depth is bounded by the particle count, not
 // the geometry, so no MaxDepth fallback is needed; key levels are still
-// capped to stay meaningful.
-func buildCollapsed(ps []dist.Particle, box vec.Box, key keys.CellKey, leafCap int, a *nodeArena) *Node {
-	n := a.grab()
+// capped to stay meaningful. Ablation-only, it allocates nodes one by one.
+func buildCollapsed(ps []dist.Particle, box vec.Box, key keys.CellKey, leafCap int) *Node {
+	n := &Node{}
 	n.Box, n.Key = box, key
 	n.Count = len(ps)
 	if len(ps) == 0 {
@@ -189,7 +189,7 @@ func buildCollapsed(ps []dist.Particle, box vec.Box, key keys.CellKey, leafCap i
 			continue
 		}
 		ck := keys.CellKey{Level: childLevel, Key: key.Key<<3 | keys.Morton(o)}
-		child := buildCollapsed(buckets[o], box.Octant(o), ck, leafCap, a)
+		child := buildCollapsed(buckets[o], box.Octant(o), ck, leafCap)
 		n.Children[o] = child
 		n.Mass += child.Mass
 		n.COM = n.COM.Add(child.COM.Scale(child.Mass))
@@ -226,7 +226,7 @@ func BuildSubtreeKeyed(particles []dist.Particle, rootBox vec.Box, box vec.Box, 
 		leafCap = DefaultLeafCap
 	}
 	ps, ks := SortByKey(particles, rootBox)
-	return buildKeyedRange(ps, ks, box, key, leafCap, newNodeArena(len(ps), leafCap))
+	return &keyedNodes(ps, ks, box, key, leafCap)[0]
 }
 
 // SortByKey returns a copy of the particles sorted by (full-resolution
@@ -280,13 +280,84 @@ func octantBounds(ks []uint64, level int) (bounds [9]int) {
 	return bounds
 }
 
+// fanout is the count pass's plan for a range it splits across
+// goroutines: octant o's subtree fills slots [at[o], at[o+1]) after the
+// range's root, and sub[o] is that octant's own plan (nil where it is
+// built serially).
+type fanout struct {
+	at  [9]int
+	sub [8]*fanout
+}
+
+// eachOctant runs fn on its own goroutine for every non-empty octant of
+// bounds and waits for them all.
+func eachOctant(bounds [9]int, fn func(o, lo, hi int)) {
+	var wg sync.WaitGroup
+	for o := 0; o < 8; o++ {
+		if lo, hi := bounds[o], bounds[o+1]; lo < hi {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				fn(o, lo, hi)
+			}()
+		}
+	}
+	wg.Wait()
+}
+
+// countKeyedRange returns the number of nodes buildKeyedRange builds over
+// the key range ks of a cell at the given level, by the build's own split
+// rule and octantBounds. It also makes the fan-out decision: a range that
+// buildParallel splits is counted concurrently and planned as a fanout.
+func countKeyedRange(ks []uint64, level, leafCap int) (int, *fanout) {
+	if len(ks) <= leafCap || level >= MaxDepth {
+		return 1, nil
+	}
+	bounds := octantBounds(ks, level)
+	if !buildParallel(len(ks)) {
+		count := 1
+		for o := 0; o < 8; o++ {
+			if lo, hi := bounds[o], bounds[o+1]; lo < hi {
+				c, _ := countKeyedRange(ks[lo:hi], level+1, leafCap)
+				count += c
+			}
+		}
+		return count, nil
+	}
+	f := &fanout{}
+	eachOctant(bounds, func(o, lo, hi int) {
+		f.at[o+1], f.sub[o] = countKeyedRange(ks[lo:hi], level+1, leafCap)
+	})
+	for o := 1; o <= 8; o++ {
+		f.at[o] += f.at[o-1]
+	}
+	return 1 + f.at[8], f
+}
+
+// newNodes allocates the node slice of one build. It is a variable so
+// tests can see every slice a build takes.
+var newNodes = func(n int) []Node { return make([]Node, n) }
+
+// keyedNodes builds the subtree of cell key over a key-sorted range: it
+// counts the subtree, takes one node slice of exactly that length and
+// fills it in DFS pre-order, so the subtree's root is the first element.
+func keyedNodes(ps []dist.Particle, ks []uint64, box vec.Box, key keys.CellKey, leafCap int) []Node {
+	count, f := countKeyedRange(ks, int(key.Level), leafCap)
+	nodes := newNodes(count)
+	rest := nodes
+	buildKeyedRange(ps, ks, box, key, leafCap, &rest, f)
+	return nodes
+}
+
 // buildKeyedRange builds the subtree for a contiguous range of the
 // key-sorted particle array — the only octant-splitting code besides
-// buildCollapsed. Child ranges come from octantBounds, so no per-level
-// scatter or scratch buffers are needed; leaves subslice the shared
-// sorted array.
-func buildKeyedRange(ps []dist.Particle, ks []uint64, box vec.Box, key keys.CellKey, leafCap int, a *nodeArena) *Node {
-	n := a.grab()
+// buildCollapsed — into the front of *nodes in DFS pre-order, advancing
+// *nodes past it. Child ranges come from octantBounds; leaves subslice the
+// shared sorted array. With a fanout the octants build concurrently, each
+// into the window of *nodes the serial build would fill.
+func buildKeyedRange(ps []dist.Particle, ks []uint64, box vec.Box, key keys.CellKey, leafCap int, nodes *[]Node, f *fanout) *Node {
+	n := &(*nodes)[0]
+	*nodes = (*nodes)[1:]
 	n.Box, n.Key = box, key
 	n.Count = len(ps)
 	if len(ps) == 0 {
@@ -298,35 +369,22 @@ func buildKeyedRange(ps []dist.Particle, ks []uint64, box vec.Box, key keys.Cell
 		return n
 	}
 	bounds := octantBounds(ks, int(key.Level))
-	if buildParallel(len(ps)) {
-		var wg sync.WaitGroup
-		for o := 0; o < 8; o++ {
-			lo, hi := bounds[o], bounds[o+1]
-			if lo == hi {
-				continue
-			}
-			wg.Add(1)
-			go func(o, lo, hi int) {
-				defer wg.Done()
-				ca := newNodeArena(hi-lo, leafCap)
-				n.Children[o] = buildKeyedRange(ps[lo:hi], ks[lo:hi], box.Octant(o), key.Child(o), leafCap, ca)
-			}(o, lo, hi)
-		}
-		wg.Wait()
-		for o := 0; o < 8; o++ {
-			if child := n.Children[o]; child != nil {
-				n.Mass += child.Mass
-				n.COM = n.COM.Add(child.COM.Scale(child.Mass))
-			}
-		}
+	if f != nil {
+		rest := *nodes
+		*nodes = rest[f.at[8]:]
+		eachOctant(bounds, func(o, lo, hi int) {
+			window := rest[f.at[o]:f.at[o+1]]
+			n.Children[o] = buildKeyedRange(ps[lo:hi], ks[lo:hi], box.Octant(o), key.Child(o), leafCap, &window, f.sub[o])
+		})
 	} else {
 		for o := 0; o < 8; o++ {
-			lo, hi := bounds[o], bounds[o+1]
-			if lo == hi {
-				continue
+			if lo, hi := bounds[o], bounds[o+1]; lo < hi {
+				n.Children[o] = buildKeyedRange(ps[lo:hi], ks[lo:hi], box.Octant(o), key.Child(o), leafCap, nodes, nil)
 			}
-			child := buildKeyedRange(ps[lo:hi], ks[lo:hi], box.Octant(o), key.Child(o), leafCap, a)
-			n.Children[o] = child
+		}
+	}
+	for _, child := range n.Children {
+		if child != nil {
 			n.Mass += child.Mass
 			n.COM = n.COM.Add(child.COM.Scale(child.Mass))
 		}
@@ -368,11 +426,19 @@ func MaximalCells(n *Node, lo, hi uint64, rootBox vec.Box, leafCap int, emit fun
 		return
 	}
 	ps, ks := SortByKey(n.Particles, rootBox)
-	bounds := octantBounds(ks, int(n.Key.Level))
-	a := newNodeArena(len(ps), leafCap)
+	level := int(n.Key.Level)
+	bounds := octantBounds(ks, level)
+	count := 0
 	for o := 0; o < 8; o++ {
 		if clo, chi := bounds[o], bounds[o+1]; clo < chi {
-			child := buildKeyedRange(ps[clo:chi], ks[clo:chi], n.Box.Octant(o), n.Key.Child(o), leafCap, a)
+			c, _ := countKeyedRange(ks[clo:chi], level+1, leafCap)
+			count += c
+		}
+	}
+	nodes := newNodes(count)
+	for o := 0; o < 8; o++ {
+		if clo, chi := bounds[o], bounds[o+1]; clo < chi {
+			child := buildKeyedRange(ps[clo:chi], ks[clo:chi], n.Box.Octant(o), n.Key.Child(o), leafCap, &nodes, nil)
 			MaximalCells(child, lo, hi, rootBox, leafCap, emit)
 		}
 	}

@@ -147,3 +147,31 @@ func TestSerialSimEmptySetRejected(t *testing.T) {
 		t.Fatal("empty set accepted")
 	}
 }
+
+// TestSerialSimLiveHeap bounds what a serial simulation keeps between
+// steps at the size of the performance ledger's serial_g50k: n = 50 000,
+// leaf cap 8. When trees were built on slab arenas sized by a guess and
+// the builder kept a second sorted snapshot it never read, this read
+// ≈ 34 MB live; one exactly sized node slice per build and one snapshot
+// bring it to ≈ 20 MB.
+func TestSerialSimLiveHeap(t *testing.T) {
+	const boundMB = 26
+	set, err := NewNamed("g", 50000, 1994)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSerialSim(set, SerialConfig{Alpha: 0.67, Eps: 0.01, DT: 0.001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(3)
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(s)
+	mb := float64(ms.HeapAlloc) / 1e6
+	t.Logf("%.1f MB live", mb)
+	if mb > boundMB {
+		t.Errorf("serial simulation holds %.1f MB live after three steps, more than %d MB", mb, boundMB)
+	}
+}
