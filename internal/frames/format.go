@@ -35,6 +35,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 
 	"repro/internal/dist"
@@ -364,12 +365,92 @@ func copyFrame(dst, src *Frame) {
 	}
 }
 
+// keyframeLen is the full size of f's keyframe record, header and
+// checksum included.
+func keyframeLen(f *Frame) int {
+	return recio.HeaderLen + metaLen + 4 + f.Parts.Len()*(4+numCols*8) + recio.CRCLen
+}
+
 // EncodeKeyframe encodes f as one standalone keyframe record — header,
-// body, and CRC, without the file magic. This is the unit the fabric
-// replicates: a gateway holding the latest keyframe record of a leased
-// job can seed a replacement shard with it.
+// body, and CRC, without the file magic — in one allocation of exactly
+// its size. This is the unit the fabric replicates: a gateway holding the
+// latest keyframe record of a leased job can seed a replacement shard
+// with it.
 func EncodeKeyframe(f *Frame) []byte {
-	return appendKeyframe(nil, f)
+	return appendKeyframe(make([]byte, 0, keyframeLen(f)), f)
+}
+
+// WriteKeyframe writes to w the bytes EncodeKeyframe returns for f without
+// building them in one buffer: the length is known up front, the body goes
+// out through a small fixed buffer and the checksum is accumulated as it
+// does. It returns the number of bytes written; a failed or short write
+// ends it with an error.
+func WriteKeyframe(w io.Writer, f *Frame) (int64, error) {
+	s := recordStream{w: w, buf: make([]byte, 0, 32<<10)}
+	// The length field goes out alone: the checksum covers what follows.
+	s.buf = binary.LittleEndian.AppendUint32(s.buf, uint32(keyframeLen(f)-recio.HeaderLen-recio.CRCLen))
+	s.write()
+	c := recio.Coder{W: recio.Writer{B: append(s.buf, recKeyframe)}}
+	codeMeta(&c, &f.Meta)
+	c.W.U32(uint32(f.Parts.Len()))
+	s.buf = c.W.B
+	for _, id := range f.Parts.ID {
+		s.buf = binary.LittleEndian.AppendUint32(s.buf, uint32(id))
+		if !s.room() {
+			return s.n, s.err
+		}
+	}
+	for _, col := range f.cols() {
+		for _, v := range *col {
+			s.buf = binary.LittleEndian.AppendUint64(s.buf, math.Float64bits(v))
+			if !s.room() {
+				return s.n, s.err
+			}
+		}
+	}
+	s.flush()
+	s.buf = binary.LittleEndian.AppendUint32(s.buf, s.sum)
+	s.write()
+	return s.n, s.err
+}
+
+// recordStream writes a record through buf, accumulating the checksum of
+// what it flushes.
+type recordStream struct {
+	w   io.Writer
+	buf []byte
+	sum uint32
+	n   int64
+	err error
+}
+
+// room flushes buf when another 8-byte value might not fit, and reports
+// whether the stream is still good.
+func (s *recordStream) room() bool {
+	if len(s.buf)+8 > cap(s.buf) {
+		s.flush()
+	}
+	return s.err == nil
+}
+
+// flush checksums and writes buf.
+func (s *recordStream) flush() {
+	s.sum = recio.UpdateChecksum(s.sum, s.buf)
+	s.write()
+}
+
+// write writes buf as it is and empties it; after an error it does
+// nothing.
+func (s *recordStream) write() {
+	if s.err == nil {
+		m, err := s.w.Write(s.buf)
+		s.n += int64(m)
+		if err == nil && m < len(s.buf) {
+			err = io.ErrShortWrite
+		}
+		s.err = err
+	}
+	s.buf = s.buf[:0]
 }
 
 // DecodeKeyframe validates and decodes one standalone keyframe record

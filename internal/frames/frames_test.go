@@ -1,6 +1,7 @@
 package frames_test
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"math"
@@ -358,6 +359,124 @@ func TestKeyframeRecordRoundTrip(t *testing.T) {
 	bad[10] ^= 1
 	if err := frames.WriteSeed(filepath.Join(t.TempDir(), "bad.nbf"), bad); err == nil {
 		t.Fatal("corrupt seed accepted")
+	}
+}
+
+// TestWriteKeyframeStreamsEncodeKeyframe checks that the streamed record
+// is EncodeKeyframe's byte for byte — empty, one particle and a
+// service_frames_tail-sized frame, with -0 and NaN payloads among the
+// values — and that EncodeKeyframe allocates exactly once.
+func TestWriteKeyframeStreamsEncodeKeyframe(t *testing.T) {
+	for _, n := range []int{0, 1, 40000} {
+		f := mkFrame(9, n, 3)
+		f.Meta.Energy = math.Copysign(0, -1)
+		f.Meta.Imbalance = math.Float64frombits(0x7ff8_dead_beef_0001)
+		if n > 0 {
+			f.Parts.PosX[0] = math.Copysign(0, -1)
+			f.Parts.VelZ[n-1] = math.Float64frombits(0xfff0_0000_0000_0123) // signalling NaN
+			f.Parts.Mass[n/2] = math.Float64frombits(0x7ff8_0000_0000_0000 | uint64(n))
+		}
+		want := frames.EncodeKeyframe(f)
+		if len(want) != cap(want) {
+			t.Fatalf("n=%d: EncodeKeyframe's buffer has cap %d for %d bytes", n, cap(want), len(want))
+		}
+		var got bytes.Buffer
+		m, err := frames.WriteKeyframe(&got, f)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if m != int64(len(want)) || !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("n=%d: streamed %d bytes differ from the %d-byte encoded record", n, m, len(want))
+		}
+		if allocs := testing.AllocsPerRun(5, func() { frames.EncodeKeyframe(f) }); allocs != 1 {
+			t.Fatalf("n=%d: EncodeKeyframe allocates %v times, want 1", n, allocs)
+		}
+	}
+}
+
+// shortWriter accepts limit bytes, then fails (or, when quiet, writes
+// short without an error).
+type shortWriter struct {
+	limit int
+	quiet bool
+	n     int
+}
+
+func (w *shortWriter) Write(p []byte) (int, error) {
+	if w.n+len(p) <= w.limit {
+		w.n += len(p)
+		return len(p), nil
+	}
+	m := w.limit - w.n
+	w.n = w.limit
+	if w.quiet {
+		return m, nil
+	}
+	return m, errors.New("connection reset")
+}
+
+func TestWriteKeyframeShortWrite(t *testing.T) {
+	f := mkFrame(3, 40000, 5)
+	size := int64(len(frames.EncodeKeyframe(f)))
+	for _, limit := range []int{0, 3, 100, 70000, int(size) - 1} {
+		for _, quiet := range []bool{false, true} {
+			w := &shortWriter{limit: limit, quiet: quiet}
+			m, err := frames.WriteKeyframe(w, f)
+			if err == nil {
+				t.Fatalf("limit %d quiet %v: a cut stream reported success", limit, quiet)
+			}
+			if quiet && !errors.Is(err, io.ErrShortWrite) {
+				t.Fatalf("limit %d: silent short write gave %v", limit, err)
+			}
+			if m != int64(limit) || m >= size {
+				t.Fatalf("limit %d quiet %v: reported %d bytes written", limit, quiet, m)
+			}
+		}
+	}
+}
+
+// TestKeyframeRecordIsLastAppend checks that KeyframeRecord is the record
+// just appended when it was a keyframe, and nil after a delta, after a
+// reopen and after Close.
+func TestKeyframeRecordIsLastAppend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "k.nbf")
+	w, err := frames.Create(path, frames.WriterOptions{KeyEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.KeyframeRecord() != nil {
+		t.Fatal("a fresh writer has a keyframe record")
+	}
+	for step := int64(0); step < 4; step++ {
+		f := mkFrame(step, 50, 1)
+		isKey, err := w.Append(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := w.KeyframeRecord()
+		if !isKey {
+			if rec != nil {
+				t.Fatalf("step %d: a delta left a keyframe record", step)
+			}
+			continue
+		}
+		if !bytes.Equal(rec, frames.EncodeKeyframe(f)) {
+			t.Fatalf("step %d: KeyframeRecord is not the appended keyframe", step)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w.KeyframeRecord() != nil {
+		t.Fatal("a closed writer has a keyframe record")
+	}
+	w, err = frames.OpenAppend(path, frames.WriterOptions{KeyEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if w.KeyframeRecord() != nil {
+		t.Fatal("a reopened writer read a keyframe record back")
 	}
 }
 

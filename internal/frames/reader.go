@@ -35,8 +35,6 @@ type Reader struct {
 	indexLoaded bool
 	clean       bool
 	sinceKey    int
-	lastKeyOff  int64
-	lastKeyLen  int64
 	buf         []byte
 }
 
@@ -148,7 +146,6 @@ func (r *Reader) Next(f *Frame) error {
 		if err := decodeKeyframe(body, f); err != nil {
 			return err
 		}
-		r.lastKeyOff, r.lastKeyLen = r.off, recLen
 		r.sinceKey = 1
 	case recDelta:
 		if err := decodeDelta(body, f, r.prev); err != nil {
@@ -236,13 +233,12 @@ func (r *Reader) SeekStep(step int64) error {
 
 // scanState is what a full forward walk of the chain learns: where the
 // valid prefix ends, the last decoded frame, the keyframe cadence
-// position, and the raw bytes of the last keyframe record.
+// position and the keyframe index.
 type scanState struct {
-	end        int64
-	last       *Frame
-	sinceKey   int
-	index      []IndexEntry
-	lastKeyRec []byte
+	end      int64
+	last     *Frame
+	sinceKey int
+	index    []IndexEntry
 }
 
 // scanChain walks r to its end, ignoring any trailer index so the tail
@@ -272,12 +268,6 @@ func scanChain(r *Reader) (scanState, error) {
 		return st, err
 	}
 	st.index = append(st.index, r.index...)
-	if r.lastKeyLen > 0 {
-		st.lastKeyRec = make([]byte, r.lastKeyLen)
-		if _, err := r.f.ReadAt(st.lastKeyRec, r.lastKeyOff); err != nil {
-			return st, err
-		}
-	}
 	return st, nil
 }
 

@@ -34,8 +34,8 @@ type Writer struct {
 	prev     *Frame // last appended frame, the delta predecessor
 	sinceKey int
 	index    []IndexEntry
-	lastKey  []byte // raw record bytes of the last keyframe, for replication
-	buf      []byte
+	buf      []byte // the last appended record
+	keyLast  bool   // buf is a keyframe record
 	closed   bool
 }
 
@@ -91,7 +91,6 @@ func OpenAppend(path string, opt WriterOptions) (*Writer, error) {
 		prev:     st.last,
 		sinceKey: st.sinceKey,
 		index:    st.index,
-		lastKey:  st.lastKeyRec,
 	}
 	return w, nil
 }
@@ -107,7 +106,7 @@ func (w *Writer) Append(f *Frame) (isKey bool, err error) {
 		return false, fmt.Errorf("frames: append to closed writer")
 	}
 	isKey = w.prev == nil || w.prev.Parts.Len() != f.Parts.Len() || w.sinceKey >= w.opt.KeyEvery
-	w.buf = w.buf[:0]
+	w.buf, w.keyLast = w.buf[:0], false
 	if isKey {
 		w.buf = appendKeyframe(w.buf, f)
 	} else {
@@ -118,7 +117,7 @@ func (w *Writer) Append(f *Frame) (isKey bool, err error) {
 	}
 	if isKey {
 		w.index = append(w.index, IndexEntry{Step: f.Meta.Step, Off: w.size})
-		w.lastKey = append(w.lastKey[:0], w.buf...)
+		w.keyLast = true
 		w.sinceKey = 1
 	} else {
 		w.sinceKey++
@@ -141,10 +140,16 @@ func (w *Writer) Size() int64 { return w.size }
 // Steps is the number of keyframes currently indexed.
 func (w *Writer) Keyframes() int { return len(w.index) }
 
-// KeyframeRecord returns the raw record bytes of the most recent
-// keyframe (header, body, CRC), or nil if none has been written. The
-// slice is owned by the writer; callers must copy before retaining.
-func (w *Writer) KeyframeRecord() []byte { return w.lastKey }
+// KeyframeRecord returns the raw bytes (header, body, CRC) of the record
+// the last Append wrote if it was a keyframe, else nil. The slice is the
+// writer's append buffer, valid until the next Append or Close; callers
+// copy it to retain it.
+func (w *Writer) KeyframeRecord() []byte {
+	if !w.keyLast {
+		return nil
+	}
+	return w.buf
+}
 
 // LastStep returns the step of the last appended (or replayed, after
 // OpenAppend) frame. ok is false on an empty chain. Appending a step at
@@ -164,7 +169,7 @@ func (w *Writer) Close() error {
 	if w.closed {
 		return nil
 	}
-	w.closed = true
+	w.closed, w.keyLast = true, false
 	indexOff := w.size
 	buf := appendIndexRecord(w.buf[:0], w.index)
 	buf = appendTrailer(buf, indexOff)
@@ -315,8 +320,8 @@ func (w *Writer) Compact(pol Retention) (int64, error) {
 		os.Remove(tmpPath)
 		return 0, err
 	}
-	// Swap the writer onto the new file. prev/sinceKey/lastKey are
-	// still valid: the tail groups were copied verbatim.
+	// Swap the writer onto the new file. prev and sinceKey are still
+	// valid: the tail groups were copied verbatim.
 	nf, err := os.OpenFile(w.path, os.O_RDWR, 0o644)
 	if err != nil {
 		return 0, err

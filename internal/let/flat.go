@@ -194,13 +194,17 @@ func (f *Flat) Defer(p *tree.Packet, n int) { f.c.Defer(p, n, f.mainRoot, f.load
 func (f *Flat) Below(p *tree.Packet, n int, base int32) { f.c.Below(p, n, base, f.loads) }
 
 // ApplyLocalLoads adds the merged Load counters of local nodes back to
-// their tree nodes.
+// their tree nodes, then forgets the nodes: cleared over the whole backing
+// array, the references cannot keep this step's tree reachable while the
+// Flat waits for the next.
 func (f *Flat) ApplyLocalLoads() {
 	for i, n := range f.nodeRefs {
 		if n != nil && f.loads[i] != 0 {
 			n.Load += f.loads[i]
 		}
 	}
+	clear(f.nodeRefs[:cap(f.nodeRefs)])
+	f.nodeRefs = f.nodeRefs[:0]
 }
 
 // SectionDeltas appends section si's non-zero Load deltas (ordinals are

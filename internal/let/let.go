@@ -218,7 +218,9 @@ func BuildSection(root *tree.Node, dom *Domain, alpha float64, withExp, alwaysSh
 		Exp: exact(s.Exp), ExpStride: s.ExpStride,
 		PID: exact(s.PID), PX: exact(s.PX), PY: exact(s.PY), PZ: exact(s.PZ), PM: exact(s.PM),
 	}
-	return out, exact(sc.nodes), w.visited + w.extra
+	nodes := exact(sc.nodes)
+	clear(sc.nodes) // the scratch must not keep this step's tree reachable
+	return out, nodes, w.visited + w.extra
 }
 
 // exact copies s into a slice of exactly its length (nil when empty).

@@ -43,12 +43,12 @@ type Engine struct {
 	// owned by processor i (boundKeys[0] = 0).
 	boundKeys []uint64
 
-	// builders[i] is rank i's persistent incremental tree builder (DPDA
-	// only; lazily created, nil for ranks hosted by other processes).
-	// Migration keeps each rank's particles Morton-sorted, so the keyed
-	// local build diffs against the previous step's tree instead of
-	// starting cold — a host-clock optimization only: the built trees,
-	// and every simulated metric derived from them, are bit-identical.
+	// builders[i] is rank i's persistent tree builder (DPDA only; lazily
+	// created, nil for ranks hosted by other processes). It owns the
+	// rank's one (key, ID)-sorted particle snapshot and the sort's
+	// permutation buffers from one step to the next. A rank's particle
+	// count changes every step, so its builds are cold: the builder is
+	// kept for its buffers, not for its warm path.
 	builders []*tree.Builder
 
 	// letFlats[i] is rank i's reusable flat essential tree (lazily
@@ -108,12 +108,15 @@ func New(machine *msg.Machine, set *dist.Set, cfg Config) (*Engine, error) {
 		}
 	case DPDA:
 		// Bootstrap: Morton-sort and split into p equal-count zones.
+		// The zones share one array; each is clipped to its own length so
+		// that migration's appends reallocate instead of running into the
+		// next rank's particles.
 		ps, ks := tree.SortByKey(set.Particles, e.domain)
 		starts, bounds := partition.EqualCountZones(ks, p)
 		e.boundKeys = bounds
 		e.parts = make([][]dist.Particle, p)
 		for proc := range e.parts {
-			e.parts[proc] = ps[starts[proc]:starts[proc+1]]
+			e.parts[proc] = ps[starts[proc]:starts[proc+1]:starts[proc+1]]
 		}
 	default:
 		return nil, fmt.Errorf("parbh: unknown scheme %v", cfg.Scheme)
@@ -160,7 +163,7 @@ func (e *Engine) ownerOfPos(pos vec.V3) int {
 type localState struct {
 	me       int
 	parts    []dist.Particle
-	sortKeys []uint64              // DPDA: full-res Morton keys aligned with parts, set by migrate
+	spare    []dist.Particle       // DPDA: the array migrate assembled, dead once the builder has sorted it
 	branches []*tree.Node          // local branch subtree roots, Morton order
 	rootsMap map[uint64]*tree.Node // packed key -> branch root
 	lookup   branchLookup          // request-serving lookup structure
@@ -202,7 +205,6 @@ type rankScratch struct {
 	buckets   [][]dist.Particle // per destination: the particles leaving for it; empty between exchanges
 	payloads  []any             // per destination, for AllToAll
 	words     []int
-	arrived   []dist.Particle // DPDA migrate's arrivals, copied out by its sort
 	shares    []float64       // balanceDPDA: per-particle load, local Morton order
 	extraLoad map[int]float64 // behind localState.extraLoad, cleared by the force phase
 	section   let.Scratch     // LET: the columns every section is built in, then copied out
@@ -248,33 +250,52 @@ func fromWire(dst []dist.Particle, ws []wireParticle) []dist.Particle {
 	return dst
 }
 
-// exchangeParticles sends the rank's bucket i to processor i with one
-// all-to-all personalized communication and appends what arrives to dst,
-// grown once to hold it: this rank's own bucket first when ownFirst is set,
-// then every rank's in rank order.
-func (e *Engine) exchangeParticles(pr *msg.Proc, dst []dist.Particle, ownFirst bool) []dist.Particle {
-	sc := &e.scratch[pr.ID()]
+// exchangeParticles sends the rank's bucket i to every other processor i
+// with one all-to-all personalized communication and appends what arrives
+// to dst, grown once to hold it, in rank order. The rank's own bucket is
+// never sent (the machine charges no self payload either): callers keep
+// their stayers in dst and bucket only the particles that leave.
+func (e *Engine) exchangeParticles(pr *msg.Proc, dst []dist.Particle) []dist.Particle {
+	me := pr.ID()
+	sc := &e.scratch[me]
 	for i, b := range sc.buckets {
-		sc.payloads[i] = toWire(b)
-		sc.words[i] = wireParticleWords * len(b)
-		sc.buckets[i] = b[:0]
+		if i != me {
+			sc.payloads[i] = toWire(b)
+			sc.words[i] = wireParticleWords * len(b)
+			sc.buckets[i] = b[:0]
+		}
 	}
 	recv := pr.AllToAll(sc.payloads, sc.words)
 	clear(sc.payloads) // the buffers are their receivers' now
 	total := 0
-	for _, r := range recv {
-		total += len(r.([]wireParticle))
+	for src, r := range recv {
+		if src != me {
+			total += len(r.([]wireParticle))
+		}
 	}
 	dst = slices.Grow(dst, total)
-	if ownFirst {
-		dst = fromWire(dst, recv[pr.ID()].([]wireParticle))
-	}
 	for src, r := range recv {
-		if !ownFirst || src != pr.ID() {
+		if src != me {
 			dst = fromWire(dst, r.([]wireParticle))
 		}
 	}
 	return dst
+}
+
+// keepOwn leaves in ps, in order, the particles dest assigns to this rank
+// and puts every other one into its destination's bucket. It returns the
+// kept prefix of ps.
+func (e *Engine) keepOwn(me int, ps []dist.Particle, dest func(q dist.Particle) int) []dist.Particle {
+	buckets := e.scratch[me].buckets
+	kept := ps[:0]
+	for _, q := range ps {
+		if o := dest(q); o == me {
+			kept = append(kept, q)
+		} else {
+			buckets[o] = append(buckets[o], q)
+		}
+	}
+	return kept
 }
 
 // Step runs one parallel time-step and returns its results and timings.
@@ -497,32 +518,23 @@ func (e *Engine) StepErr() (*Result, error) {
 
 // migrate enforces ownership: particles that drifted out of their
 // processor's region since the last step are shipped to their current
-// owner with one all-to-all personalized exchange.
+// owner with one all-to-all personalized exchange. Only they move: the
+// stayers are kept in place in the rank's array and the arrivals appended
+// after them.
 func (e *Engine) migrate(pr *msg.Proc, st *localState) {
-	sc := &e.scratch[st.me]
-	buckets := sc.buckets
-	for _, q := range st.parts {
-		o := e.ownerOfPos(q.Pos)
-		buckets[o] = append(buckets[o], q)
-	}
 	pr.Compute(float64(len(st.parts)) * 6) // bucketing cost
+	st.parts = e.exchangeParticles(pr, e.keepOwn(st.me, st.parts, func(q dist.Particle) int {
+		return e.ownerOfPos(q.Pos)
+	}))
 	if e.cfg.Scheme == DPDA {
-		// Assemble the retained (already sorted) run first and the
-		// immigrant runs after it, so the adaptive re-sort sees one long
-		// kept prefix plus a few displaced newcomers. The order feeds a
-		// strict-total-order sort, so it cannot affect the result; other
-		// schemes keep source order because theirs is never re-sorted.
-		sc.arrived = e.exchangeParticles(pr, sc.arrived[:0], true)
-		// Keep the local set Morton-sorted: the DPDA load balance relies
-		// on rank-concatenation being the global Morton order. The charged
-		// cost is unchanged; only the host-side sort got cheaper. The key
-		// slice rides along to buildLocal so the incremental builder can
-		// diff it against the previous step without recomputing keys.
-		st.parts, st.sortKeys = tree.SortByKey(sc.arrived, e.domain)
+		// The DPDA load balance relies on rank-concatenation being the
+		// global Morton order, so the local set is sorted by (key, ID): on
+		// the host in buildLocal, where the builder sorts it into its
+		// snapshot, on the simulated clock here, where it always was.
 		pr.Compute(float64(len(st.parts)) * 12)
 		return
 	}
-	mine := e.exchangeParticles(pr, nil, false)
+	mine := st.parts
 	// Canonicalize to ID order. SPSA/SPDA need no particular order, but
 	// leaving migrated particles appended in arrival order makes every
 	// float accumulation (leaf summation, per-rank clock) a function of
@@ -532,7 +544,6 @@ func (e *Engine) migrate(pr *msg.Proc, st *localState) {
 	// simulated cost is charged: the algorithm itself never consumes
 	// the order.
 	sort.Slice(mine, func(a, b int) bool { return mine[a].ID < mine[b].ID })
-	st.parts = mine
 }
 
 // buildLocal constructs this processor's branch subtrees (Section 3.1:
@@ -566,16 +577,17 @@ func (e *Engine) buildLocal(pr *msg.Proc, st *localState) {
 		}
 		// The keyed build guarantees cell membership agrees with the
 		// quantized Morton keys that define zone ownership. The rank's
-		// persistent builder reconciles against its previous tree using
-		// the sorted snapshot migrate produced; the tree (and every
-		// simulated metric) is bit-identical to a from-scratch BuildKeyed.
-		// Branch nodes extracted from it are valid for this step only.
+		// builder sorts the particles by (key, ID) into its snapshot, and
+		// from here on that snapshot is the rank's particle set; the array
+		// migrate assembled is dead until balanceDPDA refills it. Branch
+		// nodes extracted from the tree are valid for this step only.
 		b := e.builders[st.me]
 		if b == nil {
 			b = tree.NewBuilder(e.domain, e.cfg.LeafCap)
 			e.builders[st.me] = b
 		}
-		local := b.StepSorted(st.parts, st.sortKeys)
+		local := b.Step(st.parts)
+		st.spare, st.parts = st.parts, b.Particles()
 		tree.MaximalCells(local.Root, lo, hi, e.domain, e.cfg.LeafCap, func(n *tree.Node) {
 			st.branches = append(st.branches, n)
 			st.rootsMap[n.Key.Uint64()] = n
@@ -870,12 +882,9 @@ func (e *Engine) balanceSPDA(pr *msg.Proc, st *localState) []int {
 
 	// Move particles to their new owners now so the next step's migrate
 	// is a no-op.
-	buckets := e.scratch[st.me].buckets
-	for _, q := range st.parts {
-		o := newOwner[e.grid.ClusterOf(q.Pos)]
-		buckets[o] = append(buckets[o], q)
-	}
-	st.parts = e.exchangeParticles(pr, nil, false)
+	st.parts = e.exchangeParticles(pr, e.keepOwn(st.me, st.parts, func(q dist.Particle) int {
+		return newOwner[e.grid.ClusterOf(q.Pos)]
+	}))
 	return newOwner
 }
 
@@ -929,8 +938,11 @@ func (e *Engine) balanceDPDA(pr *msg.Proc, st *localState) []uint64 {
 	if w == 0 {
 		w = 1 // empty system; zones stay as they are
 	}
-	// New zone per particle (midpoint rule), with same-key snapping.
+	// New zone per particle (midpoint rule), with same-key snapping. The
+	// stayers go straight into the array migrate assembled, dead since the
+	// builder sorted it, and the arrivals after them.
 	buckets := sc.buckets
+	stay := st.spare[:0]
 	acc := offset
 	prevZone := -1
 	var prevKey uint64
@@ -947,17 +959,23 @@ func (e *Engine) balanceDPDA(pr *msg.Proc, st *localState) []uint64 {
 		if prevZone >= 0 && k == prevKey && zone != prevZone {
 			zone = prevZone // keep identical keys together
 		}
-		buckets[zone] = append(buckets[zone], q)
+		if zone == st.me {
+			stay = append(stay, q)
+		} else {
+			buckets[zone] = append(buckets[zone], q)
+		}
 		acc += share
 		prevZone, prevKey = zone, k
 	}
-	mine := e.exchangeParticles(pr, nil, false)
-	st.parts = mine
-	// New boundary keys: first key per processor; empty zones inherit the
-	// next processor's boundary.
+	mine := e.exchangeParticles(pr, stay)
+	st.parts, st.spare = mine, nil
+	// New boundary keys: the smallest key per processor; empty zones
+	// inherit the next processor's boundary. The stayers and each sender's
+	// arrivals are runs in key order, but the stayers come first, so
+	// mine[0] need not hold the smallest key.
 	first := ^uint64(0)
-	if len(mine) > 0 {
-		first = keys.FullKey3(mine[0].Pos, e.domain)
+	for _, q := range mine {
+		first = min(first, keys.FullKey3(q.Pos, e.domain))
 	}
 	gathered := pr.AllGather(first, 1)
 	bounds := make([]uint64, p)

@@ -8,15 +8,20 @@ import (
 	"repro/internal/msg"
 )
 
-// The DPDA local-tree phase reuses a persistent incremental builder per
-// rank. The two-clock rule requires that reuse to be invisible in every
-// simulated quantity: a multi-step run with warm builders must be
-// bit-identical — accelerations, interaction Stats, communication
-// volume, branch counts — to the same run with the builders discarded
-// before every step (the from-scratch path). SPSA/SPDA never retain
-// build state, so for them the comparison doubles as a determinism
-// check. Bodies are advanced between steps so the retained sorted order
-// and tree are genuinely stale each time.
+// The DPDA local-tree phase reuses a persistent builder per rank. The
+// two-clock rule requires that reuse to be invisible in every simulated
+// quantity: a multi-step run with retained builders must be bit-identical
+// — accelerations, interaction Stats, communication volume, branch counts
+// — to the same run with the builders discarded before every step (the
+// from-scratch path). SPSA/SPDA never retain build state, so for them the
+// comparison doubles as a determinism check. Bodies are advanced between
+// steps so the retained sorted order and tree are genuinely stale each
+// time.
+//
+// The test also reports how many DPDA rank-steps built cold. A rank's
+// particle count changes whenever particles migrate or the zones move, so
+// in practice every one does: DPDA keeps its builders for their buffers,
+// not for the warm path.
 func TestStepIncrementalBuildersMatchCold(t *testing.T) {
 	for _, scheme := range []Scheme{SPSA, SPDA, DPDA} {
 		t.Run(scheme.String(), func(t *testing.T) {
@@ -36,8 +41,17 @@ func TestStepIncrementalBuildersMatchCold(t *testing.T) {
 			rng := rand.New(rand.NewSource(99))
 			const dt = 0.05 // large enough to force migration between ranks
 
+			coldSteps, rankSteps := 0, 0
 			for step := 0; step < 4; step++ {
 				wr := warm.Step()
+				for _, b := range warm.builders {
+					if b != nil {
+						rankSteps++
+						if b.Last().Cold {
+							coldSteps++
+						}
+					}
+				}
 				for i := range cold.builders {
 					cold.builders[i] = nil // discard retained state: next build is from scratch
 				}
@@ -73,15 +87,10 @@ func TestStepIncrementalBuildersMatchCold(t *testing.T) {
 			}
 
 			if scheme == DPDA {
-				active := 0
-				for _, b := range warm.builders {
-					if b != nil && b.Tree() != nil {
-						active++
-					}
+				if rankSteps == 0 {
+					t.Fatal("DPDA run never engaged the builders")
 				}
-				if active == 0 {
-					t.Fatal("DPDA run never engaged the incremental builders")
-				}
+				t.Logf("%d of %d rank-steps built cold", coldSteps, rankSteps)
 			}
 		})
 	}

@@ -50,6 +50,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // trailer guards its index offset with the same sum.
 func Checksum(p []byte) uint32 { return crc32.Update(0, castagnoli, p) }
 
+// UpdateChecksum extends sum, the Checksum of some bytes, with p: a record
+// streamed in pieces is summed piece by piece.
+func UpdateChecksum(sum uint32, p []byte) uint32 { return crc32.Update(sum, castagnoli, p) }
+
 // Record is one parsed record. Body aliases the buffer it was parsed
 // from; Len is the record's full size, header and checksum included.
 type Record struct {

@@ -571,6 +571,47 @@ func TestSubmitSeededResumesFromKeyframe(t *testing.T) {
 	})
 }
 
+// TestFrameHookRecordsAreCopies keeps every record the frame hook receives
+// until the job is done. The writer appends every frame into one reused
+// buffer, so a record handed over without a copy would by then hold a
+// later frame.
+func TestFrameHookRecordsAreCopies(t *testing.T) {
+	svc := startService(t, Options{Workers: 1, SpoolDir: t.TempDir()})
+	var mu sync.Mutex
+	recs := map[int64][]byte{}
+	svc.SetFrameHook(func(jobID string, step int64, rec []byte) {
+		mu.Lock()
+		recs[step] = rec
+		mu.Unlock()
+	})
+	st, err := svc.Submit(JobSpec{
+		Dist: "plummer", N: 120, Processors: 4, Scheme: "spsa",
+		Machine: "ideal", Steps: 12, Eps: 0.05, DT: 0.01, Seed: 4,
+		FramesKeyEvery: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "job done", func() bool {
+		s, err := svc.Get(st.ID)
+		return err == nil && s.State == StateDone
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	if len(recs) < 4 {
+		t.Fatalf("frame hook saw %d keyframes of a 12-step job keyframed every 3", len(recs))
+	}
+	for step, rec := range recs {
+		f, err := frames.DecodeKeyframe(rec)
+		if err != nil {
+			t.Fatalf("step %d: retained record: %v", step, err)
+		}
+		if f.Meta.Step != step {
+			t.Fatalf("record retained for step %d now holds step %d", step, f.Meta.Step)
+		}
+	}
+}
+
 // shutdownService drains the pool like a daemon exit (workers write
 // their resume points and stop).
 func shutdownService(t *testing.T, svc *Service) {

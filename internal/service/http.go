@@ -320,7 +320,7 @@ func (s *Service) handleFrames(w http.ResponseWriter, r *http.Request) {
 	}
 	emit := func(f *frames.Frame) bool {
 		if raw {
-			if _, err := w.Write(frames.EncodeKeyframe(f)); err != nil {
+			if _, err := frames.WriteKeyframe(w, f); err != nil {
 				return false
 			}
 		} else {

@@ -105,8 +105,8 @@ func (s *Service) runJob(j *Job) {
 	sim.SetTracer(jobTracer(j))
 
 	// Open the job's frame chain. Every completed step is appended; the
-	// columnar record is built from the same Bodies() snapshot the result
-	// reports, so frame capture never perturbs a simulated metric. While
+	// columnar record is gathered from the same bodies the result reports,
+	// so frame capture never perturbs a simulated metric. While
 	// the chain is being written it is the job's checkpoint; a job without
 	// one (frames off, potential mode, capture failed) checkpoints at the
 	// CheckpointEvery cadence and at shutdown instead.
@@ -410,7 +410,7 @@ func fillFrame(f *frames.Frame, sim *barneshut.Simulation, step int, machineTime
 		f.Meta.PC = res.Stats.PC
 		f.Meta.PP = res.Stats.PP
 	}
-	f.Parts.Gather(sim.Bodies())
+	f.Parts.Gather(sim.BodiesView())
 }
 
 // checkpoint persists the resume point of a job that is not writing a

@@ -22,17 +22,20 @@ import (
 // between them.
 //
 // The result is pinned to the from-scratch build: every tree returned by
-// Step or StepSorted is bit-identical — node for node, field for field —
-// to BuildKeyed over the same particles, because refreshed nodes replay
-// exactly the moment arithmetic of the builder and rebuilt ranges run the
-// very same buildKeyedRange. This is the two-clock rule: only the host
-// clock changes.
+// Step is bit-identical — node for node, field for field — to BuildKeyed
+// over the same particles, because refreshed nodes replay exactly the
+// moment arithmetic of the builder and rebuilt ranges run the very same
+// buildKeyedRange. This is the two-clock rule: only the host clock
+// changes.
 //
 // The Builder keeps one sorted particle/key snapshot, and the returned
 // *Tree's leaves alias it. The next Step overwrites it in place — the
 // reconciliation reads only the retained nodes' shape, never their
 // particles — so callers must finish traversing a step's tree before
-// starting the next. A Builder is not safe for concurrent use.
+// starting the next. Particles returns the snapshot itself, so a caller
+// that needs its particles in (key, ID) order takes them from there
+// instead of sorting a copy of its own. A Builder is not safe for
+// concurrent use.
 type Builder struct {
 	box     vec.Box // cubed root cell; keys quantize against it
 	leafCap int
@@ -40,10 +43,9 @@ type Builder struct {
 	t *Tree
 
 	// pairs is the retained (key, ID, input-index) permutation from the
-	// previous Step; valid only when havePairs (StepSorted bypasses it).
-	pairs     []keys.KeyIdx
-	scratch   []keys.KeyIdx
-	havePairs bool
+	// previous Step; valid whenever t is.
+	pairs   []keys.KeyIdx
+	scratch []keys.KeyIdx
 
 	// ps/ks are the one sorted snapshot: the current tree's particles and
 	// keys. Warm steps gather the next snapshot into them in place.
@@ -90,13 +92,16 @@ func NewBuilder(domain vec.Box, leafCap int) *Builder {
 // first).
 func (b *Builder) Tree() *Tree { return b.t }
 
+// Particles returns the most recent Step's particles in (key, ID) order:
+// the snapshot the tree's leaves alias, valid until the next Step.
+func (b *Builder) Particles() []dist.Particle { return b.ps }
+
 // Last returns the report for the most recent Step.
 func (b *Builder) Last() BuildReport { return b.last }
 
 // Reset drops all retained state; the next Step is a cold build.
 func (b *Builder) Reset() {
 	b.t = nil
-	b.havePairs = false
 	b.ps, b.ks = nil, nil
 }
 
@@ -112,7 +117,7 @@ func (b *Builder) Step(particles []dist.Particle) *Tree {
 		return b.cold(append([]dist.Particle(nil), particles...))
 	}
 	n := len(particles)
-	if b.t == nil || !b.havePairs || n != len(b.ps) || n == 0 || b.arenaStale() {
+	if b.t == nil || n != len(b.ps) || n == 0 || b.arenaStale() {
 		return b.cold(particles)
 	}
 	t0 := time.Now()
@@ -147,40 +152,6 @@ func (b *Builder) Step(particles []dist.Particle) *Tree {
 		Spine:     b.last.Spine,
 		KeyDur:    keyDur,
 		SortDur:   sortDur,
-		TreeDur:   time.Since(t0),
-	}
-	return b.t
-}
-
-// StepSorted is Step for callers that already hold the particles in
-// (key, ID)-sorted order alongside the key slice — the invariant the
-// DPDA migration phase maintains. No retained permutation is needed: the
-// given order is diffed directly against the previous step's. ks[i] must
-// be the full-resolution Morton key of sorted[i] quantized against this
-// builder's domain; a defensive scan falls back to sorting internally if
-// the order does not hold. The input slices are copied into the
-// snapshot; the caller keeps ownership.
-func (b *Builder) StepSorted(sorted []dist.Particle, ks []uint64) *Tree {
-	n := len(sorted)
-	if len(ks) != n {
-		panic("tree: StepSorted key slice length mismatch")
-	}
-	b.havePairs = false
-	if !sortedKeyID(sorted, ks) {
-		sorted, ks = SortByKey(sorted, b.box)
-	}
-	if b.t == nil || n != len(b.ps) || n == 0 || b.arenaStale() {
-		return b.coldSorted(sorted, ks)
-	}
-	t0 := time.Now()
-	copy(b.ps, sorted)
-	copy(b.ks, ks)
-	b.sync()
-	b.last = BuildReport{
-		N:         n,
-		Refreshed: b.last.Refreshed,
-		Rebuilt:   b.last.Rebuilt,
-		Spine:     b.last.Spine,
 		TreeDur:   time.Since(t0),
 	}
 	return b.t
@@ -242,26 +213,16 @@ func (b *Builder) cold(particles []dist.Particle) *Tree {
 		b.ps[i] = particles[pairs[i].Idx]
 		b.ks[i] = pairs[i].Key
 	}
-	b.havePairs = true
 	t := b.coldBuild()
 	b.last = BuildReport{Cold: true, N: n, KeyDur: keyDur, SortDur: sortDur, TreeDur: time.Since(t0)}
 	return t
 }
 
-// coldSorted is the cold path over an already-sorted snapshot.
-func (b *Builder) coldSorted(sorted []dist.Particle, ks []uint64) *Tree {
-	n := len(sorted)
-	t0 := time.Now()
-	b.resize(n)
-	copy(b.ps, sorted)
-	copy(b.ks, ks)
-	t := b.coldBuild()
-	b.last = BuildReport{Cold: true, N: n, TreeDur: time.Since(t0)}
-	return t
-}
-
-// coldBuild builds the whole tree over the snapshot into one node slice.
+// coldBuild builds the whole tree over the snapshot into one node slice,
+// letting the previous tree go first: its nodes are garbage before the new
+// ones are allocated, not after.
 func (b *Builder) coldBuild() *Tree {
+	b.t = nil
 	nodes := keyedNodes(b.ps, b.ks, b.box, keys.CellKey{}, b.leafCap)
 	b.t = &Tree{Root: &nodes[0], LeafCap: b.leafCap, Degree: -1}
 	b.coldNodes = len(nodes)
@@ -363,14 +324,4 @@ func (b *Builder) refreshLeaf(n *Node, ps []dist.Particle) {
 	n.Exp = nil
 	n.Particles = nil
 	fillLeaf(n, ps)
-}
-
-// sortedKeyID reports whether ps is in (ks, ID) order.
-func sortedKeyID(ps []dist.Particle, ks []uint64) bool {
-	for i := 1; i < len(ps); i++ {
-		if ks[i] < ks[i-1] || (ks[i] == ks[i-1] && ps[i].ID < ps[i-1].ID) {
-			return false
-		}
-	}
-	return true
 }

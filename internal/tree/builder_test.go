@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/keys"
 	"repro/internal/vec"
 )
 
@@ -117,33 +119,81 @@ func TestBuilderIncrementalMatchesFromScratch(t *testing.T) {
 	}
 }
 
+// migrateFeed assembles what a DPDA rank hands its builder: the particles
+// of the previous snapshot whose keys stay in [lo, hi), in snapshot order
+// with their current state, then the newcomers to the range in ID order.
+// It writes into dst's storage, as the rank reuses the array it assembled
+// the step before. bodies is indexed by ID.
+func migrateFeed(dst, snap, bodies []dist.Particle, box vec.Box, lo, hi uint64) []dist.Particle {
+	in := func(q dist.Particle) bool {
+		k := keys.FullKey3(q.Pos, box)
+		return k >= lo && k < hi
+	}
+	held := make([]bool, len(bodies))
+	for _, q := range snap {
+		held[q.ID] = true
+		if q = bodies[q.ID]; in(q) {
+			dst = append(dst, q)
+		}
+	}
+	for _, q := range bodies {
+		if !held[q.ID] && in(q) {
+			dst = append(dst, q)
+		}
+	}
+	return dst
+}
+
+// TestBuilderStepSortedMatchesFromScratch feeds Builder.Step the way a DPDA
+// rank does: a zone that drifts every step, so the count changes, with the
+// stayers in their previous sorted order and the immigrants appended. The
+// tree must be BuildKeyed's and the snapshot the (key, ID) sort of the
+// input.
 func TestBuilderStepSortedMatchesFromScratch(t *testing.T) {
 	domain := testDomain()
+	box := domain.Cube()
 	rng := rand.New(rand.NewSource(7))
 	bodies := dist.MustNamed("g", 1800, 19).Particles
 	b := NewBuilder(domain, 8)
+	_, ks := SortByKey(bodies, box)
+	var in []dist.Particle
+	counts := map[int]bool{}
 	for step := 0; step < 5; step++ {
-		sorted, ks := SortByKey(bodies, domain.Cube())
-		got := b.StepSorted(sorted, ks)
-		want := BuildKeyed(bodies, domain, 8)
+		lo, hi := ks[len(ks)/4+40*step], ks[3*len(ks)/4+10*step]
+		in = migrateFeed(in[:0], b.Particles(), bodies, box, lo, hi)
+		counts[len(in)] = true
+		got := b.Step(in)
+		want := BuildKeyed(in, domain, 8)
 		if err := diffNodes(got.Root, want.Root, "root"); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
+		if sorted, _ := SortByKey(in, box); !slices.Equal(b.Particles(), sorted) {
+			t.Fatalf("step %d: snapshot is not the input in (key, ID) order", step)
+		}
 		jitter(rng, bodies, 0.1, 0.2)
+	}
+	if len(counts) < 2 {
+		t.Fatalf("the zone's particle count never changed: %v", counts)
 	}
 }
 
+// TestBuilderStepSortedUnsortedFallback trades one particle for another at
+// an unchanged count, the one DPDA input the length check cannot catch: the
+// warm path's ID guard must see that the input is no longer the order it
+// retained and sort it cold.
 func TestBuilderStepSortedUnsortedFallback(t *testing.T) {
 	domain := testDomain()
 	bodies := dist.MustNamed("plummer", 600, 3).Particles
-	sorted, ks := SortByKey(bodies, domain.Cube())
-	// Violate the sortedness contract on purpose; the defensive scan must
-	// re-sort rather than build a malformed tree.
-	sorted[0], sorted[len(sorted)-1] = sorted[len(sorted)-1], sorted[0]
-	ks[0], ks[len(ks)-1] = ks[len(ks)-1], ks[0]
-	got := NewBuilder(domain, 8).StepSorted(sorted, ks)
-	want := BuildKeyed(bodies, domain, 8)
-	if err := diffNodes(got.Root, want.Root, "root"); err != nil {
+	b := NewBuilder(domain, 8)
+	in := append([]dist.Particle(nil), bodies[:599]...)
+	b.Step(in)
+	next := append(in[:0], b.Particles()[1:]...) // one emigrant leaves
+	next = append(next, bodies[599])             // one immigrant arrives
+	got := b.Step(next)
+	if !b.Last().Cold {
+		t.Fatal("a traded particle took the warm path")
+	}
+	if err := diffNodes(got.Root, BuildKeyed(next, domain, 8).Root, "root"); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/dist"
@@ -55,6 +56,12 @@ func TestKeyedCellMembershipConsistentWithKeys(t *testing.T) {
 	}
 	warm := NewBuilder(s.Domain, 8)
 	warm.Step(s.Particles)
+	// A DPDA rank's builder: one step over the first half of the key
+	// order, then the whole set, the earlier snapshot first.
+	migrated := NewBuilder(s.Domain, 8)
+	migrated.Step(sorted[:len(sorted)/2])
+	grown := append(append([]dist.Particle(nil), migrated.Particles()...), sorted[len(sorted)/2:]...)
+	slices.Reverse(grown[len(sorted)/2:])
 	entries := []struct {
 		name string
 		root *Node
@@ -64,7 +71,7 @@ func TestKeyedCellMembershipConsistentWithKeys(t *testing.T) {
 		{"BuildKeyed", BuildKeyed(s.Particles, s.Domain, 8).Root, s.N()},
 		{"BuildSubtreeKeyed", BuildSubtreeKeyed(inCell, rootBox, keys.CellBox(rootBox, cell), cell, 8), len(inCell)},
 		{"Builder.Step", warm.Step(s.Particles).Root, s.N()},
-		{"Builder.StepSorted", NewBuilder(s.Domain, 8).StepSorted(sorted, ks).Root, s.N()},
+		{"Builder.Step, migrated", migrated.Step(grown).Root, s.N()},
 	}
 	for _, e := range entries {
 		if e.root.Count != e.n {

@@ -136,6 +136,11 @@ func (s *Simulation) Bodies() []Particle {
 	return out
 }
 
+// BodiesView returns the current particle states indexed by ID without
+// copying them. The slice is the simulation's own: read-only, and valid
+// until the next Step, which advances it in place.
+func (s *Simulation) BodiesView() []Particle { return s.bodies }
+
 // Time returns the current simulation time.
 func (s *Simulation) Time() float64 { return s.time }
 
