@@ -52,10 +52,10 @@ func BenchmarkTreeBuild(b *testing.B) {
 }
 
 // BenchmarkIncrementalStep measures one warm incremental step (persistent
-// builder, Flatten, and the 8-lane packet sweep tree.Sweep under
-// FlatTree.AccelAll) against the cold path (BuildKeyed + pointer
-// recursion, one particle at a time) at a small per-step displacement —
-// the temporal-coherence hot path CI tracks for regressions.
+// builder and the 8-lane packet sweep under Tree.AccelSweep) against the
+// cold path (BuildKeyed + the recursive traversal, one particle at a time)
+// at a small per-step displacement — the temporal-coherence hot path CI
+// tracks for regressions.
 func BenchmarkIncrementalStep(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
 		s := dist.MustNamed("g", n, 1994)
@@ -71,11 +71,8 @@ func BenchmarkIncrementalStep(b *testing.B) {
 		b.Run(fmt.Sprintf("incr/n=%d", n), func(b *testing.B) {
 			bodies := append([]dist.Particle(nil), s.Particles...)
 			bld := tree.NewBuilder(s.Domain, 8)
-			var flat *tree.FlatTree
 			step := func() {
-				tr := bld.Step(bodies)
-				flat = tree.Flatten(tr, flat)
-				flat.AccelAll(bodies, 0.67, 0.01)
+				bld.Step(bodies).AccelSweep(bodies, 0.67, 0.01)
 			}
 			step() // cold first build
 			b.ReportAllocs()

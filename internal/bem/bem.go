@@ -135,37 +135,35 @@ func (e *Evaluator) MatVec(strengths []complex128) ([]complex128, Stats) {
 	// Upward pass: aggregate strengths per node. Oscillatory kernels have
 	// no useful single "centre" for the phase unless the cluster is small
 	// relative to the wavelength; the κ criterion enforces that.
-	agg := make(map[*tree.Node]cluster)
-	var up func(n *tree.Node) cluster
-	up = func(n *tree.Node) cluster {
+	t := e.tr
+	agg := make([]cluster, t.NumNodes())
+	var up func(n int32) cluster
+	up = func(n int32) cluster {
 		var cl cluster
-		if n == nil || n.Count == 0 {
+		if t.Count(n) == 0 {
 			return cl
 		}
-		if n.IsLeaf() {
+		if t.IsLeaf(n) {
 			var wsum vec.V3
 			var wnorm float64
-			for i := range n.Particles {
-				q := strengths[n.Particles[i].ID]
+			for _, p := range t.Particles(n) {
+				q := strengths[p.ID]
 				cl.q += q
 				w := cmplx.Abs(q)
-				wsum = wsum.Add(n.Particles[i].Pos.Scale(w))
+				wsum = wsum.Add(p.Pos.Scale(w))
 				wnorm += w
 			}
 			if wnorm > 0 {
 				cl.c = wsum.Scale(1 / wnorm)
 			} else {
-				cl.c = n.Box.Center()
+				cl.c = t.Box(n).Center()
 			}
 			agg[n] = cl
 			return cl
 		}
 		var wsum vec.V3
 		var wnorm float64
-		for _, ch := range n.Children {
-			if ch == nil || ch.Count == 0 {
-				continue
-			}
+		for ch := n + 1; ch < t.Skip[n]; ch = t.Skip[ch] {
 			sub := up(ch)
 			cl.q += sub.q
 			w := cmplx.Abs(sub.q)
@@ -175,47 +173,43 @@ func (e *Evaluator) MatVec(strengths []complex128) ([]complex128, Stats) {
 		if wnorm > 0 {
 			cl.c = wsum.Scale(1 / wnorm)
 		} else {
-			cl.c = n.Box.Center()
+			cl.c = t.Box(n).Center()
 		}
 		agg[n] = cl
 		return cl
 	}
-	up(e.tr.Root)
+	up(0)
 
 	out := make([]complex128, len(strengths))
 	var st Stats
-	var walk func(n *tree.Node, at vec.V3, self int) complex128
-	walk = func(n *tree.Node, at vec.V3, self int) complex128 {
-		if n == nil || n.Count == 0 {
-			return 0
-		}
-		if n.IsLeaf() {
+	var walk func(n int32, at vec.V3, self int) complex128
+	walk = func(n int32, at vec.V3, self int) complex128 {
+		if t.IsLeaf(n) {
 			var u complex128
-			for i := range n.Particles {
-				id := n.Particles[i].ID
-				if id == self {
+			for _, p := range t.Particles(n) {
+				if p.ID == self {
 					continue
 				}
-				u += strengths[id] * Green(at, n.Particles[i].Pos, e.k)
+				u += strengths[p.ID] * Green(at, p.Pos, e.k)
 				st.Direct++
 			}
 			return u
 		}
 		cl := agg[n]
-		size := n.Box.LongestSide()
+		size := t.Side[n]
 		d := at.Dist(cl.c)
 		if d > 0 && size/d < e.cfg.Alpha && e.k*size < e.cfg.Kappa {
 			st.Accepted++
 			return cl.q * Green(at, cl.c, e.k)
 		}
 		var u complex128
-		for _, ch := range n.Children {
+		for ch := n + 1; ch < t.Skip[n]; ch = t.Skip[ch] {
 			u += walk(ch, at, self)
 		}
 		return u
 	}
 	for _, s := range e.src {
-		out[s.ID] = walk(e.tr.Root, s.Pos, s.ID)
+		out[s.ID] = walk(0, s.Pos, s.ID)
 	}
 	return out, st
 }

@@ -11,8 +11,8 @@ import (
 
 // IncrementalTable measures the payoff of temporal coherence on the hot
 // step path: per-step host wall-clock of the cold path (from-scratch
-// BuildKeyed + pointer-chasing AccelAll, the pre-incremental code)
-// against the incremental path (tree.Builder + flat SoA kernels), across
+// BuildKeyed + the recursive AccelAll, the pre-incremental code)
+// against the incremental path (tree.Builder + packet sweep), across
 // particle counts and per-step displacement fractions. Both paths are
 // bit-identical in every simulated quantity (the golden tests pin this);
 // only the host clock below may differ. CI tracks the speedup column
@@ -25,7 +25,7 @@ func IncrementalTable(opt Options) (Table, error) {
 		Title:   "cold vs incremental step path, host wall-clock (real seconds, not simulated)",
 		Columns: []string{"n", "moved_frac", "cold_step_ms", "incr_step_ms", "speedup", "displaced", "refreshed", "rebuilt"},
 		Notes: []string{
-			"cold = BuildKeyed + pointer AccelAll each step; incr = Builder.Step + flat SoA kernels",
+			"cold = BuildKeyed + recursive AccelAll each step; incr = Builder.Step + packet sweep",
 			"moved_frac particles get a small random displacement between steps; results are bit-identical either way",
 		},
 	}
@@ -72,7 +72,6 @@ func stepTimes(s *dist.Set, frac, scale float64, seed int64, cold bool, rep *tre
 	bodies := append([]dist.Particle(nil), s.Particles...)
 	rng := rand.New(rand.NewSource(seed + int64(frac*1e6)))
 	builder := tree.NewBuilder(s.Domain, 8)
-	var flat *tree.FlatTree
 
 	step := func() {
 		if cold {
@@ -80,9 +79,7 @@ func stepTimes(s *dist.Set, frac, scale float64, seed int64, cold bool, rep *tre
 			tr.AccelAll(bodies, 0.67, 0.01)
 			return
 		}
-		tr := builder.Step(bodies)
-		flat = tree.Flatten(tr, flat)
-		flat.AccelAll(bodies, 0.67, 0.01)
+		builder.Step(bodies).AccelSweep(bodies, 0.67, 0.01)
 	}
 
 	step() // warmup: first build is cold on both paths

@@ -79,7 +79,7 @@ func SerialTable(opt Options) (Table, error) {
 }
 
 // stepPhaseBreakdown drives the incremental hot path (tree.Builder +
-// flat SoA kernels under a leapfrog integrator — the same loop as the
+// packet sweep under a leapfrog integrator — the same loop as the
 // root package's SerialSim) for one cold warmup step plus `steps` warm
 // steps, and returns the per-step wall time and the per-step averages of
 // the build/sort/force/integrate phases.
@@ -90,7 +90,6 @@ func stepPhaseBreakdown(s *dist.Set, steps int) (time.Duration, [4]time.Duration
 	}
 	bodies := append([]dist.Particle(nil), s.Particles...)
 	builder := tree.NewBuilder(s.Domain, 8)
-	var flat *tree.FlatTree
 	var buildD, sortD, forceD time.Duration
 	accel := func(ps []dist.Particle) []vec.V3 {
 		t0 := time.Now()
@@ -99,8 +98,7 @@ func stepPhaseBreakdown(s *dist.Set, steps int) (time.Duration, [4]time.Duration
 		sortD += rep.KeyDur + rep.SortDur
 		buildD += time.Since(t0) - rep.KeyDur - rep.SortDur
 		tf := time.Now()
-		flat = tree.Flatten(tr, flat)
-		a, _ := flat.AccelAll(ps, 0.67, 0.01)
+		a, _ := tr.AccelSweep(ps, 0.67, 0.01)
 		forceD += time.Since(tf)
 		return a
 	}

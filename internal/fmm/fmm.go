@@ -57,7 +57,7 @@ type Stats struct {
 
 // cell augments a tree node with FMM expansions about the box centre.
 type cell struct {
-	n      *tree.Node
+	n      int32 // the cell's node in the evaluator's tree
 	m      *phys.Expansion
 	l      *phys.Local
 	kids   []*cell
@@ -78,26 +78,29 @@ func New(particles []dist.Particle, domain vec.Box, cfg Config) *Evaluator {
 	cfg = cfg.withDefaults()
 	e := &Evaluator{cfg: cfg}
 	e.tr = tree.Build(particles, tree.Options{LeafCap: cfg.LeafCap, Domain: domain})
-	e.root = e.upward(e.tr.Root)
+	e.root = e.upward(0)
 	return e
 }
 
 // upward builds the cell wrapper and its multipole expansion.
-func (e *Evaluator) upward(n *tree.Node) *cell {
-	if n == nil || n.Count == 0 {
+func (e *Evaluator) upward(n int32) *cell {
+	t := e.tr
+	if t.Count(n) == 0 {
 		return nil
 	}
-	c := &cell{n: n, radius: n.Box.Size().Norm() / 2}
-	c.m = phys.NewExpansion(e.cfg.Degree, n.Box.Center())
-	c.l = phys.NewLocal(e.cfg.Degree, n.Box.Center())
-	if n.IsLeaf() {
-		for i := range n.Particles {
-			c.m.AddParticle(n.Particles[i].Mass, n.Particles[i].Pos)
+	box := t.Box(n)
+	c := &cell{n: n, radius: box.Size().Norm() / 2}
+	c.m = phys.NewExpansion(e.cfg.Degree, box.Center())
+	c.l = phys.NewLocal(e.cfg.Degree, box.Center())
+	if t.IsLeaf(n) {
+		ps := t.Particles(n)
+		for i := range ps {
+			c.m.AddParticle(ps[i].Mass, ps[i].Pos)
 		}
-		e.stats.P2M += int64(len(n.Particles))
+		e.stats.P2M += int64(len(ps))
 		return c
 	}
-	for _, ch := range n.Children {
+	for ch := n + 1; ch < t.Skip[n]; ch = t.Skip[ch] {
 		if k := e.upward(ch); k != nil {
 			c.kids = append(c.kids, k)
 			c.m.Add(k.m.TranslateTo(c.m.Center))
@@ -134,14 +137,9 @@ func (e *Evaluator) Evaluate() ([]float64, []vec.V3, Stats) {
 
 func (e *Evaluator) evaluate(withAccel bool) ([]float64, []vec.V3, Stats) {
 	maxID := 0
-	e.tr.WalkLeaves(func(n *tree.Node) bool {
-		for i := range n.Particles {
-			if n.Particles[i].ID > maxID {
-				maxID = n.Particles[i].ID
-			}
-		}
-		return true
-	})
+	for _, q := range e.tr.Particles(0) {
+		maxID = max(maxID, q.ID)
+	}
 	out := make([]float64, maxID+1)
 	var acc []vec.V3
 	if withAccel {
@@ -165,8 +163,8 @@ func (e *Evaluator) interact(a, b *cell, out []float64, acc []vec.V3) {
 		e.stats.M2L++
 		return
 	}
-	aLeaf := a.n.IsLeaf()
-	bLeaf := b.n.IsLeaf()
+	aLeaf := e.tr.IsLeaf(a.n)
+	bLeaf := e.tr.IsLeaf(b.n)
 	if aLeaf && bLeaf {
 		e.p2p(a.n, b.n, out, acc)
 		return
@@ -185,13 +183,14 @@ func (e *Evaluator) interact(a, b *cell, out []float64, acc []vec.V3) {
 
 // p2p accumulates near-field particle–particle potentials (and forces)
 // of source leaf b onto target leaf a.
-func (e *Evaluator) p2p(a, b *tree.Node, out []float64, acc []vec.V3) {
-	for i := range a.Particles {
-		ti := &a.Particles[i]
+func (e *Evaluator) p2p(a, b int32, out []float64, acc []vec.V3) {
+	as, bs := e.tr.Particles(a), e.tr.Particles(b)
+	for i := range as {
+		ti := &as[i]
 		var phi float64
 		var f vec.V3
-		for j := range b.Particles {
-			sj := &b.Particles[j]
+		for j := range bs {
+			sj := &bs[j]
 			if sj.ID == ti.ID {
 				continue
 			}
@@ -213,14 +212,15 @@ func (e *Evaluator) downward(c *cell, out []float64, acc []vec.V3) {
 	if c == nil {
 		return
 	}
-	if c.n.IsLeaf() {
-		for i := range c.n.Particles {
-			out[c.n.Particles[i].ID] += c.l.EvalPotential(c.n.Particles[i].Pos)
+	if e.tr.IsLeaf(c.n) {
+		ps := e.tr.Particles(c.n)
+		for i := range ps {
+			out[ps[i].ID] += c.l.EvalPotential(ps[i].Pos)
 			if acc != nil {
-				acc[c.n.Particles[i].ID] = acc[c.n.Particles[i].ID].Add(c.l.EvalAccel(c.n.Particles[i].Pos))
+				acc[ps[i].ID] = acc[ps[i].ID].Add(c.l.EvalAccel(ps[i].Pos))
 			}
 		}
-		e.stats.L2P += int64(len(c.n.Particles))
+		e.stats.L2P += int64(len(ps))
 		return
 	}
 	for _, k := range c.kids {

@@ -21,15 +21,21 @@ const closureLeafCap = 8
 // Cells over all of them.
 type decomposition struct {
 	parts    [][]dist.Particle
-	branches [][]*tree.Node
+	branches [][]branch
 	cells    *Cells
+}
+
+// branch is node n of tree t: one of a rank's branch subtrees.
+type branch struct {
+	t *tree.Tree
+	n int32
 }
 
 // clustered deals the clusters of grid to ranks by owner and builds each
 // cluster's subtree as parbh's buildLocal does for SPSA and SPDA.
 func clustered(ps []dist.Particle, domain vec.Box, p int, grid *partition.Grid, owner []int) decomposition {
 	level := uint8(bits.Len(uint(grid.RX)) - 1)
-	d := decomposition{parts: make([][]dist.Particle, p), branches: make([][]*tree.Node, p)}
+	d := decomposition{parts: make([][]dist.Particle, p), branches: make([][]branch, p)}
 	for c, cps := range grid.Bucket(ps) {
 		if len(cps) == 0 {
 			continue
@@ -38,7 +44,7 @@ func clustered(ps []dist.Particle, domain vec.Box, p int, grid *partition.Grid, 
 		ck := keys.CellKey{Level: level, Key: keys.Encode3(uint32(i), uint32(j), uint32(k))}
 		r := owner[c]
 		d.parts[r] = append(d.parts[r], cps...)
-		d.branches[r] = append(d.branches[r], tree.BuildSubtreeKeyed(cps, domain, keys.CellBox(domain, ck), ck, closureLeafCap))
+		d.branches[r] = append(d.branches[r], branch{tree.BuildSubtreeKeyed(cps, domain, ck, closureLeafCap), 0})
 	}
 	d.cells = replicatedCells(domain, p, d.branches)
 	return d
@@ -47,7 +53,7 @@ func clustered(ps []dist.Particle, domain vec.Box, p int, grid *partition.Grid, 
 // segmented splits the Morton-ordered particles into p equal-count key
 // segments and takes each rank's maximal cells, as parbh does for DPDA.
 func segmented(ps []dist.Particle, domain vec.Box, p int) decomposition {
-	d := decomposition{parts: make([][]dist.Particle, p), branches: make([][]*tree.Node, p)}
+	d := decomposition{parts: make([][]dist.Particle, p), branches: make([][]branch, p)}
 	sorted, ks := tree.SortByKey(ps, domain)
 	starts, bounds := partition.EqualCountZones(ks, p)
 	for r := range p {
@@ -57,8 +63,8 @@ func segmented(ps []dist.Particle, domain vec.Box, p int) decomposition {
 			hi = bounds[r+1]
 		}
 		tr := tree.BuildKeyed(d.parts[r], domain, closureLeafCap)
-		tree.MaximalCells(tr.Root, bounds[r], hi, domain, closureLeafCap, func(n *tree.Node) {
-			d.branches[r] = append(d.branches[r], n)
+		tr.MaximalCells(0, bounds[r], hi, func(n int32) {
+			d.branches[r] = append(d.branches[r], branch{tr, n})
 		})
 	}
 	d.cells = replicatedCells(domain, p, d.branches)
@@ -67,13 +73,14 @@ func segmented(ps []dist.Particle, domain vec.Box, p int) decomposition {
 
 // replicatedCells is the top tree over the ranks' branch cells, appended in
 // the order parbh's topCells walks its replicated tree.
-func replicatedCells(domain vec.Box, p int, branches [][]*tree.Node) *Cells {
+func replicatedCells(domain vec.Box, p int, branches [][]branch) *Cells {
 	owners := map[keys.CellKey][]int{}
 	above := map[keys.CellKey]bool{}
 	for r, bs := range branches {
 		for _, b := range bs {
-			owners[b.Key] = append(owners[b.Key], r)
-			for ck := b.Key; ck.Level > 0; {
+			key := b.t.Cell(b.n)
+			owners[key] = append(owners[key], r)
+			for ck := key; ck.Level > 0; {
 				ck = ck.Parent()
 				above[ck] = true
 			}
@@ -259,15 +266,15 @@ func randomBoxClosure(t *testing.T) {
 			probes = append(probes, dist.Particle{ID: -1 - c, Pos: q})
 		}
 		dom := wholeDomain(s.Domain.Cube(), Bounds{Has: true, Min: lo, Max: hi})
-		sec, nodes, _ := BuildSection(tr.Root, dom, alpha, false, false, &sc)
+		sec, nodes, _ := BuildSection(tr, 0, dom, alpha, false, false, &sc)
 		if sec == nil {
 			unshipped++
-			if forced, _, _ := BuildSection(tr.Root, dom, alpha, false, true, &sc); forced == nil || forced.NumNodes() == 0 {
+			if forced, _, _ := BuildSection(tr, 0, dom, alpha, false, true, &sc); forced == nil || forced.NumNodes() == 0 {
 				t.Fatalf("%s: alwaysShip shipped nothing", where)
 			}
 		}
-		closed += checkSerialization(t, where, sec, nodes)
-		checkOpens(t, where, tr.Root, sec, nodes, probes, alpha)
+		closed += checkSerialization(t, where, tr, sec, nodes)
+		checkOpens(t, where, branch{tr, 0}, sec, nodes, probes, alpha)
 		for j := range nodes {
 			com := vec.V3{X: sec.ComX[j], Y: sec.ComY[j], Z: sec.ComZ[j]}
 			if nearest := com.Max(lo).Min(hi); sec.Kind[j] == NodeClosed && !realMAC(com, sec.Side[j], nearest, alpha) {
@@ -321,17 +328,17 @@ func essentialClosure(t *testing.T, dataset string, r int) {
 					// as parbh's letExchange builds them.
 					dom := &Domain{Bounds: BoundsOf(peer), Cells: tc.d.cells, Rank: r}
 					for _, br := range brs {
-						where := fmt.Sprintf("%s α=%v owner %d branch %v peer %d", tc.name, alpha, o, br.Key, r)
-						sec, nodes, tests := BuildSection(br, dom, alpha, false, false, &sc)
+						where := fmt.Sprintf("%s α=%v owner %d branch %v peer %d", tc.name, alpha, o, br.t.Cell(br.n), r)
+						sec, nodes, tests := BuildSection(br.t, br.n, dom, alpha, false, false, &sc)
 						if sec == nil {
 							unshipped++
-							if forced, _, _ := BuildSection(br, dom, alpha, false, true, &sc); forced == nil || forced.NumNodes() == 0 {
+							if forced, _, _ := BuildSection(br.t, br.n, dom, alpha, false, true, &sc); forced == nil || forced.NumNodes() == 0 {
 								t.Fatalf("%s: alwaysShip shipped nothing", where)
 							}
 						} else if len(nodes) != sec.NumNodes() || tests < sec.NumNodes() {
 							t.Fatalf("%s: %d nodes, %d owner refs, %d tests", where, sec.NumNodes(), len(nodes), tests)
 						}
-						closed += checkSerialization(t, where, sec, nodes)
+						closed += checkSerialization(t, where, br.t, sec, nodes)
 						checkOpens(t, where, br, sec, nodes, peer, alpha)
 						spared += checkWithinBounds(t, where, br, dom.Bounds, alpha, sec, nodes)
 						sweepGraft(t, where, br, sec, peer, alpha)
@@ -343,14 +350,15 @@ func essentialClosure(t *testing.T, dataset string, r int) {
 			t.Errorf("%s: too tame — the cells spared %d nodes, %d shipped closed, %d sections empty", tc.name, spared, closed, unshipped)
 		}
 	}
-	if sec, _, _ := BuildSection(tree.BuildKeyed(ps, domain, closureLeafCap).Root, &Domain{}, 0.67, false, true, new(Scratch)); sec != nil {
+	if sec, _, _ := BuildSection(tree.BuildKeyed(ps, domain, closureLeafCap), 0, &Domain{}, 0.67, false, true, new(Scratch)); sec != nil {
 		t.Fatal("shipped to a receiver with no particles")
 	}
 }
 
 // checkSerialization checks that sec is a faithful DFS of the owner's
-// subtree down to its closed frontier and returns its closed node count.
-func checkSerialization(t *testing.T, where string, sec *Section, nodes []*tree.Node) int {
+// subtree in tr down to its closed frontier and returns its closed node
+// count.
+func checkSerialization(t *testing.T, where string, tr *tree.Tree, sec *Section, nodes []int32) int {
 	t.Helper()
 	if sec == nil {
 		return 0
@@ -361,10 +369,11 @@ func checkSerialization(t *testing.T, where string, sec *Section, nodes []*tree.
 		n := nodes[j]
 		switch k {
 		case NodeLeaf:
-			if sec.LeafLo[j] != nextParticle || int(sec.LeafHi[j]-sec.LeafLo[j]) != len(n.Particles) || sec.Skip[j] != int32(j+1) {
+			ps := tr.Particles(n)
+			if sec.LeafLo[j] != nextParticle || int(sec.LeafHi[j]-sec.LeafLo[j]) != len(ps) || sec.Skip[j] != int32(j+1) {
 				t.Fatalf("%s: leaf %d range [%d,%d) skip %d", where, j, sec.LeafLo[j], sec.LeafHi[j], sec.Skip[j])
 			}
-			for i, p := range n.Particles {
+			for i, p := range ps {
 				at := int(nextParticle) + i
 				if sec.PID[at] != int32(p.ID) || sec.PX[at] != p.Pos.X || sec.PY[at] != p.Pos.Y || sec.PZ[at] != p.Pos.Z || sec.PM[at] != p.Mass {
 					t.Fatalf("%s: leaf %d particle %d differs from the owner's", where, j, i)
@@ -377,13 +386,10 @@ func checkSerialization(t *testing.T, where string, sec *Section, nodes []*tree.
 				t.Fatalf("%s: closed node %d has children", where, j)
 			}
 		case NodeOpen:
-			// Every non-nil child follows, in order, as the next subtree;
-			// the skip pointer closes over all of them.
+			// Every child follows, in order, as the next subtree; the skip
+			// pointer closes over all of them.
 			at := int32(j + 1)
-			for _, c := range n.Children {
-				if c == nil {
-					continue
-				}
+			for c := n + 1; c < tr.Skip[n]; c = tr.Skip[c] {
 				if at >= int32(len(nodes)) || nodes[at] != c {
 					t.Fatalf("%s: open node %d is missing a child", where, j)
 				}
@@ -393,7 +399,7 @@ func checkSerialization(t *testing.T, where string, sec *Section, nodes []*tree.
 				t.Fatalf("%s: open node %d skip %d, children end at %d", where, j, sec.Skip[j], at)
 			}
 		}
-		if k != NodeLeaf && (sec.ComX[j] != n.COM.X || sec.Mass[j] != n.Mass || sec.Side[j] != n.Box.LongestSide()) {
+		if k != NodeLeaf && (sec.ComX[j] != tr.ComX[n] || sec.Mass[j] != tr.Mass[n] || sec.Side[j] != tr.Box(n).LongestSide()) {
 			t.Fatalf("%s: node %d summary differs from the owner's", where, j)
 		}
 	}
@@ -406,67 +412,65 @@ func checkSerialization(t *testing.T, where string, sec *Section, nodes []*tree.
 // checkOpens replays the receiver's MAC for every particle of the peer down
 // the owner's subtree: every node a particle reaches is shipped, and every
 // internal node one rejects is shipped open.
-func checkOpens(t *testing.T, where string, br *tree.Node, sec *Section, nodes []*tree.Node, peer []dist.Particle, alpha float64) {
+func checkOpens(t *testing.T, where string, br branch, sec *Section, nodes []int32, peer []dist.Particle, alpha float64) {
 	t.Helper()
-	kind := make(map[*tree.Node]uint8, len(nodes))
+	tr := br.t
+	kind := make(map[int32]uint8, len(nodes))
 	for j, n := range nodes {
 		kind[n] = sec.Kind[j]
 	}
 	for _, q := range peer {
 		if sec == nil {
-			if !realMAC(br.COM, br.Box.LongestSide(), q.Pos, alpha) {
+			if !realMAC(tr.COM(br.n), tr.Box(br.n).LongestSide(), q.Pos, alpha) {
 				t.Fatalf("%s: nothing shipped, yet particle %d at %v rejects the branch", where, q.ID, q.Pos)
 			}
 			continue
 		}
-		var visit func(n *tree.Node)
-		visit = func(n *tree.Node) {
+		var visit func(n int32)
+		visit = func(n int32) {
 			k, ok := kind[n]
 			if !ok {
 				t.Fatalf("%s: particle %d at %v reaches a node not shipped", where, q.ID, q.Pos)
 			}
-			if n.Count == 0 || n.IsLeaf() || realMAC(n.COM, n.Box.LongestSide(), q.Pos, alpha) {
+			if tr.IsLeaf(n) || realMAC(tr.COM(n), tr.Box(n).LongestSide(), q.Pos, alpha) {
 				return
 			}
 			if k != NodeOpen {
-				t.Fatalf("%s: particle %d at %v opens node %v, shipped closed", where, q.ID, q.Pos, n.Key)
+				t.Fatalf("%s: particle %d at %v opens node %v, shipped closed", where, q.ID, q.Pos, tr.Cell(n))
 			}
-			for _, c := range n.Children {
-				if c != nil {
-					visit(c)
-				}
+			for c := n + 1; c < tr.Skip[n]; c = tr.Skip[c] {
+				visit(c)
 			}
 		}
-		visit(br)
+		visit(br.n)
 	}
 }
 
 // checkWithinBounds checks the section against the walk the peer's
 // bounding box alone gives and returns how many nodes that walk ships and
 // the section does not.
-func checkWithinBounds(t *testing.T, where string, br *tree.Node, b Bounds, alpha float64, sec *Section, nodes []*tree.Node) int {
+func checkWithinBounds(t *testing.T, where string, br branch, b Bounds, alpha float64, sec *Section, nodes []int32) int {
 	t.Helper()
-	var ref []*tree.Node
+	tr := br.t
+	var ref []int32
 	var refKind []uint8
-	var add func(n *tree.Node)
-	add = func(n *tree.Node) {
+	var add func(n int32)
+	add = func(n int32) {
 		ref = append(ref, n)
 		switch {
-		case n.Count == 0 || n.IsLeaf():
+		case tr.IsLeaf(n):
 			refKind = append(refKind, NodeLeaf)
-		case n != br && b.Closed(n.COM, n.Box.LongestSide(), alpha):
+		case n != br.n && b.Closed(tr.COM(n), tr.Box(n).LongestSide(), alpha):
 			refKind = append(refKind, NodeClosed)
 		default:
 			refKind = append(refKind, NodeOpen)
-			for _, c := range n.Children {
-				if c != nil {
-					add(c)
-				}
+			for c := n + 1; c < tr.Skip[n]; c = tr.Skip[c] {
+				add(c)
 			}
 		}
 	}
-	if !b.Closed(br.COM, br.Box.LongestSide(), alpha) {
-		add(br)
+	if !b.Closed(tr.COM(br.n), tr.Box(br.n).LongestSide(), alpha) {
+		add(br.n)
 	}
 	j := 0
 	for i, n := range nodes {
@@ -486,7 +490,7 @@ func checkWithinBounds(t *testing.T, where string, br *tree.Node, b Bounds, alph
 
 // sweepGraft grafts the section under a branch cell the way a receiver
 // does and sweeps the peer's particles over it.
-func sweepGraft(t *testing.T, where string, br *tree.Node, sec *Section, peer []dist.Particle, alpha float64) {
+func sweepGraft(t *testing.T, where string, br branch, sec *Section, peer []dist.Particle, alpha float64) {
 	t.Helper()
 	fl := &Flat{}
 	fl.Reset()
@@ -495,7 +499,7 @@ func sweepGraft(t *testing.T, where string, br *tree.Node, sec *Section, peer []
 		graft = int32(fl.AddSection(1, sec, nil))
 	}
 	fl.BeginMain()
-	fl.AddBranch(false, br.COM, br.Mass, br.Box.LongestSide(), nil, []int32{graft})
+	fl.AddBranch(false, br.t.COM(br.n), br.t.Mass[br.n], br.t.Box(br.n).LongestSide(), nil, []int32{graft})
 	fl.Seal()
 	defer func() {
 		if r := recover(); r != nil {

@@ -33,17 +33,24 @@ type Flat struct {
 	// c is the node and particle columns (local and grafted section leaves
 	// interleaved in append order) with the sweep's reusable state.
 	c        tree.Sweep
-	nodeRefs []*tree.Node // local nodes for Load write-back
+	locals   []localSpan // local subtrees, for Load write-back
 	sections []SecMeta
 	mainRoot int32
 
 	loads []int64 // merged per-node Load charges
 }
 
+// localSpan records that nodes [at, at+n) of the Flat are a copy of nodes
+// [from, from+n) of t.
+type localSpan struct {
+	t           *tree.Tree
+	at, from, n int32
+}
+
 // Reset clears the structure for a new step, keeping capacity.
 func (f *Flat) Reset() {
 	f.c.Reset()
-	f.nodeRefs = f.nodeRefs[:0]
+	f.locals = f.locals[:0]
 	f.sections = f.sections[:0]
 	f.mainRoot = 0
 }
@@ -53,12 +60,6 @@ func (f *Flat) NumNodes() int { return len(f.c.Kind) }
 
 // NumSections returns the number of grafted sections.
 func (f *Flat) NumSections() int { return len(f.sections) }
-
-func (f *Flat) push(kind uint8, com vec.V3, mass, side float64, exp *phys.Expansion,
-	ref *tree.Node, lo, hi int32) int32 {
-	f.nodeRefs = append(f.nodeRefs, ref)
-	return f.c.AddNode(kind, com, mass, side, exp, lo, hi)
-}
 
 // AddSection grafts a decoded section's node columns; exps carries the
 // per-node decoded expansions (nil entries for leaves; nil slice in
@@ -82,8 +83,8 @@ func (f *Flat) AddSection(owner int, sec *Section, exps []*phys.Expansion) int {
 		if exps != nil {
 			e = exps[j]
 		}
-		idx := f.push(k, vec.V3{X: sec.ComX[j], Y: sec.ComY[j], Z: sec.ComZ[j]},
-			sec.Mass[j], sec.Side[j], e, nil, lo, hi)
+		idx := f.c.AddNode(k, vec.V3{X: sec.ComX[j], Y: sec.ComY[j], Z: sec.ComZ[j]},
+			sec.Mass[j], sec.Side[j], e, lo, hi)
 		f.c.Skip[idx] = base + sec.Skip[j]
 	}
 	f.c.ID = append(f.c.ID, sec.PID...)
@@ -102,7 +103,7 @@ func (f *Flat) BeginMain() { f.mainRoot = int32(len(f.c.Kind)) }
 // AddTop appends a replicated top node; close with CloseInternal after
 // its children.
 func (f *Flat) AddTop(com vec.V3, mass, side float64, exp *phys.Expansion) int32 {
-	return f.push(tree.KindTop, com, mass, side, exp, nil, -1, -1)
+	return f.c.AddNode(tree.KindTop, com, mass, side, exp, -1, -1)
 }
 
 // AddBranch appends a remote branch cell and returns its node index. grafts
@@ -115,7 +116,7 @@ func (f *Flat) AddBranch(leafCell bool, com vec.V3, mass, side float64, exp *phy
 	if leafCell {
 		k = tree.KindBranchLeaf
 	}
-	idx := f.push(k, com, mass, side, exp, nil, -1, -1)
+	idx := f.c.AddNode(k, com, mass, side, exp, -1, -1)
 	f.c.Lo[idx] = int32(len(f.c.Graft))
 	for _, si := range grafts {
 		if si >= 0 {
@@ -129,31 +130,44 @@ func (f *Flat) AddBranch(leafCell bool, com vec.V3, mass, side float64, exp *phy
 
 // AddZero appends an empty local leaf standing in for a non-nil
 // zero-count child: the traversal folds an exact zero vector and charges
-// nothing, replaying the pointer walk's early return for such nodes.
+// nothing, replaying the recursion's early return for such nodes.
 func (f *Flat) AddZero() {
 	lo := int32(len(f.c.ID))
-	f.push(tree.KindLeaf, vec.V3{}, 0, 0, nil, nil, lo, lo)
+	f.c.AddNode(tree.KindLeaf, vec.V3{}, 0, 0, nil, lo, lo)
 }
 
 // CloseInternal patches an internal node's skip pointer past its
 // completed subtree.
 func (f *Flat) CloseInternal(idx int32) { f.c.Skip[idx] = int32(len(f.c.Kind)) }
 
-// AddLocalSubtree inlines a locally-owned subtree, recording node
-// references for Load write-back, and returns its root's node index.
-func (f *Flat) AddLocalSubtree(n *tree.Node) int32 {
-	if n.IsLeaf() {
-		lo, hi := f.c.AddParticles(n.Particles)
-		return f.push(tree.KindLeaf, vec.V3{}, 0, 0, nil, n, lo, hi)
+// AddLocalSubtree inlines the locally-owned subtree under node i of t — a
+// block copy of its node columns [i, Skip[i]) and of its particles, with
+// skip pointers and ranges rebased — records the span for Load write-back,
+// and returns its root's node index.
+func (f *Flat) AddLocalSubtree(t *tree.Tree, i int32) int32 {
+	c := &f.c
+	at, end := int32(len(c.Kind)), t.Skip[i]
+	dn, dp := at-i, int32(len(c.ID))-t.Lo[i]
+	c.Kind = append(c.Kind, t.Kind[i:end]...)
+	c.ComX = append(c.ComX, t.ComX[i:end]...)
+	c.ComY = append(c.ComY, t.ComY[i:end]...)
+	c.ComZ = append(c.ComZ, t.ComZ[i:end]...)
+	c.Mass = append(c.Mass, t.Mass[i:end]...)
+	c.Side = append(c.Side, t.Side[i:end]...)
+	c.Exp = append(c.Exp, t.Exp[i:end]...)
+	for j := i; j < end; j++ {
+		c.Skip = append(c.Skip, t.Skip[j]+dn)
+		c.Lo = append(c.Lo, t.Lo[j]+dp)
+		c.Hi = append(c.Hi, t.Hi[j]+dp)
 	}
-	idx := f.push(tree.KindInternal, n.COM, n.Mass, n.Box.LongestSide(), n.Exp, n, -1, -1)
-	for _, c := range n.Children {
-		if c != nil {
-			f.AddLocalSubtree(c)
-		}
-	}
-	f.c.Skip[idx] = int32(len(f.c.Kind))
-	return idx
+	lo, hi := t.Lo[i], t.Hi[i]
+	c.ID = append(c.ID, t.ID[lo:hi]...)
+	c.PX = append(c.PX, t.PX[lo:hi]...)
+	c.PY = append(c.PY, t.PY[lo:hi]...)
+	c.PZ = append(c.PZ, t.PZ[lo:hi]...)
+	c.PM = append(c.PM, t.PM[lo:hi]...)
+	f.locals = append(f.locals, localSpan{t: t, at: at, from: i, n: end - i})
+	return at
 }
 
 // Seal finalizes construction: sizes the merged Load array.
@@ -194,17 +208,17 @@ func (f *Flat) Defer(p *tree.Packet, n int) { f.c.Defer(p, n, f.mainRoot, f.load
 func (f *Flat) Below(p *tree.Packet, n int, base int32) { f.c.Below(p, n, base, f.loads) }
 
 // ApplyLocalLoads adds the merged Load counters of local nodes back to
-// their tree nodes, then forgets the nodes: cleared over the whole backing
-// array, the references cannot keep this step's tree reachable while the
-// Flat waits for the next.
+// their tree nodes, then forgets the trees: cleared over the whole backing
+// array, the spans cannot keep this step's trees reachable while the Flat
+// waits for the next.
 func (f *Flat) ApplyLocalLoads() {
-	for i, n := range f.nodeRefs {
-		if n != nil && f.loads[i] != 0 {
-			n.Load += f.loads[i]
+	for _, sp := range f.locals {
+		for k, v := range f.loads[sp.at : sp.at+sp.n] {
+			sp.t.Load[sp.from+int32(k)] += v
 		}
 	}
-	clear(f.nodeRefs[:cap(f.nodeRefs)])
-	f.nodeRefs = f.nodeRefs[:0]
+	clear(f.locals[:cap(f.locals)])
+	f.locals = f.locals[:0]
 }
 
 // SectionDeltas appends section si's non-zero Load deltas (ordinals are

@@ -168,10 +168,10 @@ func (s *Section) WireWords() int {
 // size. Not safe for concurrent use.
 type Scratch struct {
 	sec   Section
-	nodes []*tree.Node
+	nodes []int32
 }
 
-// BuildSection walks the subtree rooted at root and serializes its
+// BuildSection walks the subtree under node root of t and serializes its
 // essential set for the peer whose particle domain is dom (see Domain for
 // why the peer's sections share it). alwaysShip forces shipping even when
 // the root is provably closed — set for leaf-cell branches (count ≤
@@ -179,23 +179,22 @@ type Scratch struct {
 // ships per-node expansion floats (potential mode). sc holds the walk's
 // columns.
 //
-// Returns the section, the owner-side nodes aligned with its ordinals (for
-// Load write-back), and the number of box tests run (for flop accounting:
+// Returns the section, the owner-side node indices aligned with its
+// ordinals (for Load write-back), and the number of box tests run (for flop accounting:
 // one per node examined, as a bounding-box walk runs, plus the cell tests
 // beyond each node's first). A nil section means nothing is essential: the
 // peer's MAC provably accepts the root summary everywhere.
-func BuildSection(root *tree.Node, dom *Domain, alpha float64, withExp, alwaysShip bool, sc *Scratch) (*Section, []*tree.Node, int) {
-	if !dom.Has || root == nil || root.Count == 0 {
+func BuildSection(t *tree.Tree, root int32, dom *Domain, alpha float64, withExp, alwaysShip bool, sc *Scratch) (*Section, []int32, int) {
+	if !dom.Has || t.Count(root) == 0 {
 		return nil, nil, 0
 	}
 	if !dom.Cells.owns(0, dom.Rank) {
 		panic(fmt.Sprintf("let: peer %d has particles but no branch cell", dom.Rank))
 	}
-	w := sectionWalk{essential: essential{dom: dom, alpha: alpha}, sc: sc, withExp: withExp, visited: 1}
-	rootSide := root.Box.LongestSide()
+	w := sectionWalk{essential: essential{dom: dom, alpha: alpha}, t: t, sc: sc, withExp: withExp, visited: 1}
 	// An oversized max-depth leaf the peer will MAC-test and provably accept
 	// ships nothing, as an internal root does.
-	if !alwaysShip && w.closed(root.COM, rootSide) {
+	if !alwaysShip && w.closed(t.COM(root), t.Side[root]) {
 		return nil, nil, w.visited + w.extra
 	}
 	s := &sc.sec
@@ -205,10 +204,10 @@ func BuildSection(root *tree.Node, dom *Domain, alpha float64, withExp, alwaysSh
 		PID: s.PID[:0], PX: s.PX[:0], PY: s.PY[:0], PZ: s.PZ[:0], PM: s.PM[:0],
 	}
 	sc.nodes = sc.nodes[:0]
-	if root.IsLeaf() {
+	if t.IsLeaf(root) {
 		w.leaf(root)
 	} else {
-		idx := w.internal(root, NodeOpen, rootSide)
+		idx := w.internal(root, NodeOpen)
 		w.children(root)
 		s.Skip[idx] = int32(len(s.Kind))
 	}
@@ -218,9 +217,7 @@ func BuildSection(root *tree.Node, dom *Domain, alpha float64, withExp, alwaysSh
 		Exp: exact(s.Exp), ExpStride: s.ExpStride,
 		PID: exact(s.PID), PX: exact(s.PX), PY: exact(s.PY), PZ: exact(s.PZ), PM: exact(s.PM),
 	}
-	nodes := exact(sc.nodes)
-	clear(sc.nodes) // the scratch must not keep this step's tree reachable
-	return out, nodes, w.visited + w.extra
+	return out, exact(sc.nodes), w.visited + w.extra
 }
 
 // exact copies s into a slice of exactly its length (nil when empty).
@@ -234,49 +231,41 @@ func exact[T any](s []T) []T {
 // sectionWalk serializes one essential set into its Scratch.
 type sectionWalk struct {
 	essential
+	t       *tree.Tree
 	sc      *Scratch
 	withExp bool
 	visited int
 }
 
-func (w *sectionWalk) children(n *tree.Node) {
-	for _, c := range n.Children {
-		if c != nil {
-			w.add(c)
-		}
+func (w *sectionWalk) children(n int32) {
+	for c := n + 1; c < w.t.Skip[n]; c = w.t.Skip[c] {
+		w.add(c)
 	}
 }
 
-func (w *sectionWalk) add(n *tree.Node) {
+func (w *sectionWalk) add(n int32) {
 	w.visited++
-	if n.Count == 0 || n.IsLeaf() {
-		// Zero-count nodes serialize as empty leaves: the peer folds an
-		// exact zero vector, matching the pointer traversal's early return,
-		// and charges no load.
+	if w.t.IsLeaf(n) {
 		w.leaf(n)
 		return
 	}
-	side := n.Box.LongestSide()
-	if w.closed(n.COM, side) {
-		w.internal(n, NodeClosed, side)
+	if w.closed(w.t.COM(n), w.t.Side[n]) {
+		w.internal(n, NodeClosed)
 		return
 	}
-	idx := w.internal(n, NodeOpen, side)
+	idx := w.internal(n, NodeOpen)
 	w.children(n)
 	w.sc.sec.Skip[idx] = int32(len(w.sc.sec.Kind))
 }
 
-func (w *sectionWalk) leaf(n *tree.Node) {
-	s := &w.sc.sec
+func (w *sectionWalk) leaf(n int32) {
+	s, t := &w.sc.sec, w.t
 	lo := int32(len(s.PID))
-	for i := range n.Particles {
-		p := &n.Particles[i]
-		s.PID = append(s.PID, int32(p.ID))
-		s.PX = append(s.PX, p.Pos.X)
-		s.PY = append(s.PY, p.Pos.Y)
-		s.PZ = append(s.PZ, p.Pos.Z)
-		s.PM = append(s.PM, p.Mass)
-	}
+	s.PID = append(s.PID, t.ID[t.Lo[n]:t.Hi[n]]...)
+	s.PX = append(s.PX, t.PX[t.Lo[n]:t.Hi[n]]...)
+	s.PY = append(s.PY, t.PY[t.Lo[n]:t.Hi[n]]...)
+	s.PZ = append(s.PZ, t.PZ[t.Lo[n]:t.Hi[n]]...)
+	s.PM = append(s.PM, t.PM[t.Lo[n]:t.Hi[n]]...)
 	s.Kind = append(s.Kind, NodeLeaf)
 	s.Skip = append(s.Skip, int32(len(s.Kind)))
 	s.ComX = append(s.ComX, 0)
@@ -289,19 +278,19 @@ func (w *sectionWalk) leaf(n *tree.Node) {
 	w.sc.nodes = append(w.sc.nodes, n)
 }
 
-func (w *sectionWalk) internal(n *tree.Node, kind uint8, side float64) int {
-	s := &w.sc.sec
+func (w *sectionWalk) internal(n int32, kind uint8) int {
+	s, t := &w.sc.sec, w.t
 	s.Kind = append(s.Kind, kind)
 	s.Skip = append(s.Skip, int32(len(s.Kind))) // patched for NodeOpen
-	s.ComX = append(s.ComX, n.COM.X)
-	s.ComY = append(s.ComY, n.COM.Y)
-	s.ComZ = append(s.ComZ, n.COM.Z)
-	s.Mass = append(s.Mass, n.Mass)
-	s.Side = append(s.Side, side)
+	s.ComX = append(s.ComX, t.ComX[n])
+	s.ComY = append(s.ComY, t.ComY[n])
+	s.ComZ = append(s.ComZ, t.ComZ[n])
+	s.Mass = append(s.Mass, t.Mass[n])
+	s.Side = append(s.Side, t.Side[n])
 	s.LeafLo = append(s.LeafLo, -1)
 	s.LeafHi = append(s.LeafHi, -1)
-	if w.withExp && n.Exp != nil {
-		fs := n.Exp.Floats()
+	if w.withExp && t.Exp[n] != nil {
+		fs := t.Exp[n].Floats()
 		if s.ExpStride == 0 {
 			s.ExpStride = int32(len(fs))
 		}

@@ -79,9 +79,9 @@ func newWorld(ps []dist.Particle, domain vec.Box, degree int) *world {
 			}
 			tr := tree.BuildKeyed(w.parts[owner], c.box, testLeafCap)
 			c.owners, c.trees = append(c.owners, owner), append(c.trees, tr)
-			c.count += tr.Root.Count
-			c.com = c.com.Add(tr.Root.COM.Scale(tr.Root.Mass))
-			c.mass += tr.Root.Mass
+			c.count += tr.Count(0)
+			c.com = c.com.Add(tr.COM(0).Scale(tr.Mass[0]))
+			c.mass += tr.Mass[0]
 		}
 		if c.count > 0 {
 			w.topCom = w.topCom.Add(c.com)
@@ -110,8 +110,8 @@ func newWorld(ps []dist.Particle, domain vec.Box, degree int) *world {
 	return w
 }
 
-// cluster is an accepted summary's term; subtree is what the pointer
-// recursion computes for q from node n down.
+// cluster is an accepted summary's term; subtree is what the recursive
+// traversal computes for q from node n of tr down.
 func (w *world) cluster(q dist.Particle, com vec.V3, mass float64, exp *phys.Expansion, eps float64) vec.V3 {
 	if w.degree >= 0 {
 		return vec.V3{X: exp.EvalPotential(q.Pos)}
@@ -119,11 +119,11 @@ func (w *world) cluster(q dist.Particle, com vec.V3, mass float64, exp *phys.Exp
 	return phys.Accel(q.Pos, com, mass, eps)
 }
 
-func (w *world) subtree(n *tree.Node, q dist.Particle, alpha, eps float64, st *tree.Stats) vec.V3 {
+func (w *world) subtree(tr *tree.Tree, n int32, q dist.Particle, alpha, eps float64, st *tree.Stats) vec.V3 {
 	if w.degree >= 0 {
-		return vec.V3{X: tree.PotentialFrom(n, q.Pos, q.ID, alpha, st)}
+		return vec.V3{X: tr.PotentialFrom(n, q.Pos, q.ID, alpha, st)}
 	}
-	return tree.AccelFrom(n, q.Pos, q.ID, alpha, eps, st)
+	return tr.AccelFrom(n, q.Pos, q.ID, alpha, eps, st)
 }
 
 func (c *cell) localTo(me int) *tree.Tree {
@@ -133,9 +133,9 @@ func (c *cell) localTo(me int) *tree.Tree {
 	return nil
 }
 
-// oracle is function shipping's traversal (the pointer recursion parbh's
-// tests keep: traverseForce + serveForce, traversePot + servePot) for one
-// particle of owner me, on the pointer trees.
+// oracle is function shipping's traversal (the recursion parbh's tests
+// keep: traverseForce + serveForce, traversePot + servePot) for one
+// particle of owner me, on the trees.
 func (w *world) oracle(me int, q dist.Particle, alpha, eps float64, st *tree.Stats) (vec.V3, float64) {
 	var extra float64
 	st.MACTests++
@@ -151,7 +151,7 @@ func (w *world) oracle(me int, q dist.Particle, alpha, eps float64, st *tree.Sta
 		case c.count == 0:
 			a = a.Add(vec.V3{})
 		case c.localTo(me) != nil:
-			a = a.Add(w.subtree(c.localTo(me).Root, q, alpha, eps, st))
+			a = a.Add(w.subtree(c.localTo(me), 0, q, alpha, eps, st))
 		case c.count <= testLeafCap:
 			shipped = append(shipped, c)
 			a = a.Add(vec.V3{})
@@ -169,18 +169,15 @@ func (w *world) oracle(me int, q dist.Particle, alpha, eps float64, st *tree.Sta
 	}
 	for _, c := range shipped {
 		for _, tr := range c.trees {
-			branch := tr.Root
-			if branch.IsLeaf() {
-				a = a.Add(w.subtree(branch, q, alpha, eps, st))
+			if tr.IsLeaf(0) {
+				a = a.Add(w.subtree(tr, 0, q, alpha, eps, st))
 				continue
 			}
 			var r vec.V3
-			for _, ch := range branch.Children {
-				if ch != nil {
-					r = r.Add(w.subtree(ch, q, alpha, eps, st))
-				}
+			for ch := int32(1); ch < tr.Skip[0]; ch = tr.Skip[ch] {
+				r = r.Add(w.subtree(tr, ch, q, alpha, eps, st))
 			}
-			branch.Load++
+			tr.Load[0]++
 			a = a.Add(r)
 		}
 	}
@@ -203,7 +200,8 @@ func (w *world) flat(t *testing.T, me int, query []dist.Particle, alpha, eps flo
 	dom := Domain{Bounds: BoundsOf(w.parts[me]), Cells: cells, Rank: me}
 	fl := &Flat{}
 	fl.Reset()
-	var sent [][]*tree.Node
+	var sent []*tree.Tree
+	var sentNodes [][]int32
 	grafts := map[*cell][]int32{}
 	for oct := range w.cells {
 		c := &w.cells[oct]
@@ -213,13 +211,13 @@ func (w *world) flat(t *testing.T, me int, query []dist.Particle, alpha, eps flo
 		for i, tr := range c.trees {
 			// A shared cell's owners each see only their own summary, so
 			// (as for a leaf cell) they ship unconditionally.
-			sec, nodes, _ := BuildSection(tr.Root, &dom, alpha, w.degree >= 0, c.count <= testLeafCap || len(c.trees) > 1, new(Scratch))
+			sec, nodes, _ := BuildSection(tr, 0, &dom, alpha, w.degree >= 0, c.count <= testLeafCap || len(c.trees) > 1, new(Scratch))
 			if sec == nil {
 				grafts[c] = append(grafts[c], -1)
 				continue
 			}
-			grafts[c] = append(grafts[c], int32(fl.AddSection(c.owners[i], sec, sectionExps(nodes))))
-			sent = append(sent, nodes)
+			grafts[c] = append(grafts[c], int32(fl.AddSection(c.owners[i], sec, sectionExps(tr, nodes))))
+			sent, sentNodes = append(sent, tr), append(sentNodes, nodes)
 		}
 	}
 	fl.BeginMain()
@@ -230,7 +228,7 @@ func (w *world) flat(t *testing.T, me int, query []dist.Particle, alpha, eps flo
 		case c.count == 0:
 			fl.AddZero()
 		case c.localTo(me) != nil:
-			fl.AddLocalSubtree(c.localTo(me).Root)
+			fl.AddLocalSubtree(c.localTo(me), 0)
 		default:
 			fl.AddBranch(c.count <= testLeafCap, c.com, c.mass, c.box.LongestSide(), c.exp, grafts[c])
 		}
@@ -246,7 +244,7 @@ func (w *world) flat(t *testing.T, me int, query []dist.Particle, alpha, eps flo
 	for si := range sent {
 		ords, deltas := fl.SectionDeltas(si, nil, nil)
 		for j, ord := range ords {
-			sent[si][ord].Load += deltas[j]
+			sent[si].Load[sentNodes[si][ord]] += deltas[j]
 		}
 	}
 	return out, extra, st
@@ -254,10 +252,10 @@ func (w *world) flat(t *testing.T, me int, query []dist.Particle, alpha, eps flo
 
 // sectionExps is what decoding a section shipped withExp yields: the
 // owner's expansions, node for node.
-func sectionExps(nodes []*tree.Node) []*phys.Expansion {
+func sectionExps(tr *tree.Tree, nodes []int32) []*phys.Expansion {
 	exps := make([]*phys.Expansion, len(nodes))
 	for j, n := range nodes {
-		exps[j] = n.Exp
+		exps[j] = tr.Exp[n]
 	}
 	return exps
 }
@@ -279,10 +277,7 @@ func (w *world) loads() []int64 {
 	var ls []int64
 	for oct := range w.cells {
 		for _, tr := range w.cells[oct].trees {
-			tr.Walk(func(n *tree.Node) bool {
-				ls = append(ls, n.Load)
-				return true
-			})
+			ls = append(ls, tr.Load...)
 		}
 	}
 	return ls
@@ -295,7 +290,7 @@ func sameBits(a, b vec.V3) bool {
 }
 
 // TestFlatForceAllMatchesFunctionShippingOracle drives let.Flat.ForceAll
-// and PotentialAll directly — no parbh — against the pointer recursion
+// and PotentialAll directly — no parbh — against the recursion
 // arranged as function shipping arranges it, and demands bit-identical
 // accelerations (potentials) and extra charges, equal Stats, and equal Load
 // on every node of every owner's tree (local charges and returned section
@@ -365,18 +360,18 @@ func TestFlatRootIsRemoteBranch(t *testing.T) {
 			for i := 0; i < 21; i++ {
 				query = append(query, dist.Particle{ID: 1000 + i, Mass: 1, Pos: s.Domain.Min.Add(s.Domain.Size().Scale(rng.Float64()))})
 			}
-			sec, nodes, _ := BuildSection(owner.Root, wholeDomain(s.Domain, BoundsOf(query)), 0.67, degree >= 0, true, new(Scratch))
+			sec, nodes, _ := BuildSection(owner, 0, wholeDomain(s.Domain, BoundsOf(query)), 0.67, degree >= 0, true, new(Scratch))
 			fl := &Flat{}
 			fl.Reset()
-			si := fl.AddSection(1, sec, sectionExps(nodes))
+			si := fl.AddSection(1, sec, sectionExps(owner, nodes))
 			fl.BeginMain()
-			fl.AddBranch(leafCell, owner.Root.COM, owner.Root.Mass, s.Domain.LongestSide(), owner.Root.Exp, []int32{int32(si)})
+			fl.AddBranch(leafCell, owner.COM(0), owner.Mass[0], s.Domain.LongestSide(), owner.Exp[0], []int32{int32(si)})
 			fl.Seal()
 			out, extra := make([]vec.V3, len(query)), make([]float64, len(query))
 			gotSt := sweepAll(fl, degree >= 0, query, 0.67, 0.01, out, extra)
 			ords, deltas := fl.SectionDeltas(si, nil, nil)
 			for j, ord := range ords {
-				nodes[ord].Load += deltas[j]
+				owner.Load[nodes[ord]] += deltas[j]
 			}
 			var wantSt tree.Stats
 			for i, q := range query {
@@ -385,18 +380,16 @@ func TestFlatRootIsRemoteBranch(t *testing.T) {
 				if !leafCell {
 					wantSt.MACTests++
 				}
-				if !leafCell && realMAC(oracle.Root.COM, s.Domain.LongestSide(), q.Pos, 0.67) {
+				if !leafCell && realMAC(oracle.COM(0), s.Domain.LongestSide(), q.Pos, 0.67) {
 					wantSt.PC++
 					wantEx = testExAdd
-					want = w.cluster(q, oracle.Root.COM, oracle.Root.Mass, oracle.Root.Exp, 0.01)
+					want = w.cluster(q, oracle.COM(0), oracle.Mass[0], oracle.Exp[0], 0.01)
 				} else {
 					var r vec.V3
-					for _, ch := range oracle.Root.Children {
-						if ch != nil {
-							r = r.Add(w.subtree(ch, q, 0.67, 0.01, &wantSt))
-						}
+					for ch := int32(1); ch < oracle.Skip[0]; ch = oracle.Skip[ch] {
+						r = r.Add(w.subtree(oracle, ch, q, 0.67, 0.01, &wantSt))
 					}
-					oracle.Root.Load++
+					oracle.Load[0]++
 					want = vec.V3{}.Add(r)
 				}
 				if !sameBits(out[i], want) || extra[i] != wantEx {
@@ -406,9 +399,7 @@ func TestFlatRootIsRemoteBranch(t *testing.T) {
 			if gotSt != wantSt {
 				t.Fatalf("degree %d leafCell=%v: stats %+v oracle %+v", degree, leafCell, gotSt, wantSt)
 			}
-			var wl, gl []int64
-			oracle.Walk(func(n *tree.Node) bool { wl = append(wl, n.Load); return true })
-			owner.Walk(func(n *tree.Node) bool { gl = append(gl, n.Load); return true })
+			wl, gl := oracle.Load, owner.Load
 			for i := range wl {
 				if gl[i] != wl[i] {
 					t.Fatalf("degree %d leafCell=%v: load %d is %d, oracle %d", degree, leafCell, i, gl[i], wl[i])
@@ -429,11 +420,9 @@ func TestFlatPotentialAllDriver(t *testing.T) {
 		fl := &Flat{}
 		fl.Reset()
 		fl.BeginMain()
-		idx := fl.AddTop(tr.Root.COM, tr.Root.Mass, s.Domain.LongestSide(), top)
-		for _, c := range tr.Root.Children {
-			if c != nil {
-				fl.AddLocalSubtree(c)
-			}
+		idx := fl.AddTop(tr.COM(0), tr.Mass[0], s.Domain.LongestSide(), top)
+		for c := int32(1); c < tr.Skip[0]; c = tr.Skip[c] {
+			fl.AddLocalSubtree(tr, c)
 		}
 		fl.CloseInternal(idx)
 		fl.Seal()
@@ -441,12 +430,12 @@ func TestFlatPotentialAllDriver(t *testing.T) {
 	}
 	want, wantSt := tr.PotentialAll(s.Particles, 0.67)
 	got := make([]float64, len(s.Particles))
-	if gotSt := flatten(tr.Root.Exp).PotentialAll(s.Particles, 0.67, testExAdd, got, nil); gotSt != wantSt {
-		t.Fatalf("stats %+v, pointer %+v", gotSt, wantSt)
+	if gotSt := flatten(tr.Exp[0]).PotentialAll(s.Particles, 0.67, testExAdd, got, nil); gotSt != wantSt {
+		t.Fatalf("stats %+v, recursion %+v", gotSt, wantSt)
 	}
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("potential %d: %v, pointer %v", i, got[i], want[i])
+			t.Fatalf("potential %d: %v, recursion %v", i, got[i], want[i])
 		}
 	}
 

@@ -57,7 +57,8 @@ type fetchedCell struct {
 type dsNode struct {
 	*pnode
 	kids  *[8]*dsNode // nil until the cell can be expanded here
-	local *tree.Node  // the subtree here: this rank's own, or a fetched leaf's
+	local *tree.Tree  // the tree of the subtree here: this rank's own, or a fetched leaf's; nil when neither
+	at    int32       // the subtree's root in local
 }
 
 // image copies the skeleton of the replicated tree under n for st's rank
@@ -69,7 +70,9 @@ func (st *localState) image(n *pnode, index map[uint64]*dsNode) *dsNode {
 	d := &dsNode{pnode: n}
 	index[n.cell.Uint64()] = d
 	if n.isBranch {
-		d.local = st.ownRoot(n)
+		if root := st.ownRoot(n); root >= 0 {
+			d.local, d.at = st.tree, root
+		}
 		return d
 	}
 	d.kids = new([8]*dsNode)
@@ -130,9 +133,9 @@ func (e *Engine) dataShipPhase(pr *msg.Proc, st *localState, res *Result) {
 			if n.local != nil {
 				var s tree.Stats
 				if cfg.Mode == ForceMode {
-					w.accF = w.accF.Add(tree.AccelFrom(n.local, q.Pos, q.ID, cfg.Alpha, cfg.Eps, &s))
+					w.accF = w.accF.Add(n.local.AccelFrom(n.at, q.Pos, q.ID, cfg.Alpha, cfg.Eps, &s))
 				} else {
-					w.accP += tree.PotentialFrom(n.local, q.Pos, q.ID, cfg.Alpha, &s)
+					w.accP += n.local.PotentialFrom(n.at, q.Pos, q.ID, cfg.Alpha, &s)
 				}
 				st.stats.Add(s)
 				pr.Compute(s.Flops(deg))
@@ -250,7 +253,7 @@ func (e *Engine) dataShipPhase(pr *msg.Proc, st *localState, res *Result) {
 						// reply (naive mode fetches once per visit) must leave
 						// the first materialization alone.
 						if parent.local == nil {
-							parent.local = e.fetchedLeaf(fc, parent.box, ck)
+							parent.local = e.fetchedLeaf(fc, ck)
 						}
 						continue
 					}
@@ -274,7 +277,7 @@ func (e *Engine) dataShipPhase(pr *msg.Proc, st *localState, res *Result) {
 					if fc.IsLeaf {
 						// Materialize the leaf locally so near-field sums run
 						// in place.
-						child.local = e.fetchedLeaf(fc, sum.box, ck)
+						child.local = e.fetchedLeaf(fc, ck)
 					} else {
 						sum.owners = []int{int(fc.Sum.Owner)}
 						sum.leafCell = int(fc.Sum.Count) <= e.cfg.LeafCap
@@ -302,12 +305,13 @@ func (e *Engine) dataShipPhase(pr *msg.Proc, st *localState, res *Result) {
 	st.forceT = pr.Stats().ComputeTime - t0
 }
 
-// fetchedLeaf builds the subtree of a leaf cell shipped with its particles.
-func (e *Engine) fetchedLeaf(fc fetchedChild, box vec.Box, ck keys.CellKey) *tree.Node {
+// fetchedLeaf builds the subtree of a leaf cell shipped with its
+// particles; its root is node 0.
+func (e *Engine) fetchedLeaf(fc fetchedChild, ck keys.CellKey) *tree.Tree {
 	ps := fromWire(make([]dist.Particle, 0, len(fc.Particles)), fc.Particles)
-	ln := tree.BuildSubtreeKeyed(ps, e.domain, box, ck, e.cfg.LeafCap)
+	ln := tree.BuildSubtreeKeyed(ps, e.domain, ck, e.cfg.LeafCap)
 	if e.cfg.Mode == PotentialMode {
-		tree.BuildNodeExpansions(ln, e.cfg.Degree)
+		ln.BuildExpansionsAt(0, e.cfg.Degree)
 	}
 	return ln
 }
@@ -316,12 +320,12 @@ func (e *Engine) fetchedLeaf(fc fetchedChild, box vec.Box, ck keys.CellKey) *tre
 // children (or its particles, for a leaf asked to materialize).
 func (e *Engine) serveFetch(st *localState, key uint64) fetchedCell {
 	out := fetchedCell{Key: key}
-	node := e.findLocalCell(st, key)
-	if node == nil {
+	t, node := st.tree, e.findLocalCell(st, key)
+	if node < 0 {
 		return out
 	}
 	withExp := e.cfg.Mode == PotentialMode
-	if node.IsLeaf() {
+	if t.IsLeaf(node) {
 		// The requester asked for a leaf's contents: return the leaf
 		// itself as a single "child" carrying particles. The requester
 		// replaces the placeholder cell (keyed by the leaf) — but since a
@@ -329,18 +333,15 @@ func (e *Engine) serveFetch(st *localState, key uint64) fetchedCell {
 		// child of itself is wrong; instead leaves are always shipped as
 		// children of their parent (below), so this path only triggers for
 		// a branch node that is itself a leaf cell.
-		s := summaryOf(node, st.me, withExp)
-		out.Children = []fetchedChild{{Sum: s, IsLeaf: true, Particles: toWire(node.Particles)}}
+		s := summaryOf(t, node, st.me, withExp)
+		out.Children = []fetchedChild{{Sum: s, IsLeaf: true, Particles: toWire(t.Particles(node))}}
 		return out
 	}
-	for _, c := range node.Children {
-		if c == nil || c.Count == 0 {
-			continue
-		}
-		fc := fetchedChild{Sum: summaryOf(c, st.me, withExp)}
-		if c.IsLeaf() {
+	for c := node + 1; c < t.Skip[node]; c = t.Skip[c] {
+		fc := fetchedChild{Sum: summaryOf(t, c, st.me, withExp)}
+		if t.IsLeaf(c) {
 			fc.IsLeaf = true
-			fc.Particles = toWire(c.Particles)
+			fc.Particles = toWire(t.Particles(c))
 		}
 		out.Children = append(out.Children, fc)
 	}
@@ -348,29 +349,30 @@ func (e *Engine) serveFetch(st *localState, key uint64) fetchedCell {
 }
 
 // findLocalCell resolves a packed cell key to a node of this processor's
-// local subtrees: the nearest branch ancestor is located through the
-// lookup structure and the remaining path is walked down.
-func (e *Engine) findLocalCell(st *localState, key uint64) *tree.Node {
+// local subtrees (-1 for none): the nearest branch ancestor is located
+// through the lookup structure and the remaining path is walked down.
+func (e *Engine) findLocalCell(st *localState, key uint64) int32 {
+	t := st.tree
 	ck := keys.CellKeyFromUint64(key)
 	anc := ck
 	for {
-		if n := st.lookup.find(anc.Uint64()); n != nil {
+		if n := st.lookup.find(anc.Uint64()); n >= 0 {
 			// Walk down from the branch root to the requested cell.
 			cur := n
-			for lvl := int(anc.Level); lvl < int(ck.Level); lvl++ {
+			for lvl := int(anc.Level); lvl < int(ck.Level) && cur >= 0; lvl++ {
 				oct := int(ck.Key>>(3*uint(int(ck.Level)-lvl-1))) & 7
-				if cur.IsLeaf() {
-					return nil
+				next := int32(-1)
+				for c := cur + 1; c < t.Skip[cur]; c = t.Skip[c] {
+					if t.Cell(c).Octant() == oct {
+						next = c
+					}
 				}
-				cur = cur.Children[oct]
-				if cur == nil {
-					return nil
-				}
+				cur = next
 			}
 			return cur
 		}
 		if anc.Level == 0 {
-			return nil
+			return -1
 		}
 		anc = anc.Parent()
 	}

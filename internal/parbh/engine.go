@@ -45,11 +45,15 @@ type Engine struct {
 
 	// builders[i] is rank i's persistent tree builder (DPDA only; lazily
 	// created, nil for ranks hosted by other processes). It owns the
-	// rank's one (key, ID)-sorted particle snapshot and the sort's
-	// permutation buffers from one step to the next. A rank's particle
-	// count changes every step, so its builds are cold: the builder is
-	// kept for its buffers, not for its warm path.
+	// rank's tree columns, its one (key, ID)-sorted particle snapshot and
+	// the sort's permutation buffers from one step to the next. A rank's
+	// particle count changes every step, so its builds are cold: the
+	// builder is kept for its storage, not for its warm path.
 	builders []*tree.Builder
+
+	// forests[i] is rank i's tree of cluster subtrees (SPSA/SPDA only;
+	// lazily created), emptied and refilled every step.
+	forests []*tree.Tree
 
 	// letFlats[i] is rank i's reusable flat essential tree (lazily
 	// created; function shipping's force mode flattens into it too, with
@@ -73,6 +77,7 @@ func New(machine *msg.Machine, set *dist.Set, cfg Config) (*Engine, error) {
 	e := &Engine{cfg: cfg, machine: machine, n: set.N()}
 	e.domain = set.Domain.Cube()
 	e.builders = make([]*tree.Builder, p)
+	e.forests = make([]*tree.Tree, p)
 	e.letFlats = make([]*let.Flat, p)
 	e.ship = make([]shipScratch, p)
 	e.scratch = make([]rankScratch, p)
@@ -163,15 +168,16 @@ func (e *Engine) ownerOfPos(pos vec.V3) int {
 type localState struct {
 	me       int
 	parts    []dist.Particle
-	spare    []dist.Particle       // DPDA: the array migrate assembled, dead once the builder has sorted it
-	branches []*tree.Node          // local branch subtree roots, Morton order
-	rootsMap map[uint64]*tree.Node // packed key -> branch root
-	lookup   branchLookup          // request-serving lookup structure
-	top      *pnode                // replicated global tree, shared with this process's other ranks: read-only
-	cells    *let.Cells            // top's geometry for LET's essential-set test, shared and read-only like it
-	summary  []BranchSummary       // this proc's branch summaries
-	stats    tree.Stats            // interaction counts charged here
-	forceT   float64               // compute-seconds spent in the force phase
+	spare    []dist.Particle  // DPDA: the array migrate assembled, dead once the builder has sorted it
+	tree     *tree.Tree       // the rank's subtrees: its builder's tree or its forest
+	branches []int32          // local branch subtree roots in tree, Morton order
+	rootsMap map[uint64]int32 // packed key -> branch root
+	lookup   branchLookup     // request-serving lookup structure
+	top      *pnode           // replicated global tree, shared with this process's other ranks: read-only
+	cells    *let.Cells       // top's geometry for LET's essential-set test, shared and read-only like it
+	summary  []BranchSummary  // this proc's branch summaries
+	stats    tree.Stats       // interaction counts charged here
+	forceT   float64          // compute-seconds spent in the force phase
 
 	// extraLoad attributes interactions computed against replicated top
 	// and remote summaries (which no tree node records) to the traversing
@@ -180,19 +186,20 @@ type localState struct {
 	extraLoad map[int]float64
 
 	// LET-shipping per-step state (LETShipping only).
-	letFlat *let.Flat                // grafted flat essential tree
-	letSent map[letPair][]*tree.Node // shipped nodes by (peer, branch), ordinal-aligned
+	letFlat *let.Flat           // grafted flat essential tree
+	letSent map[letPair][]int32 // shipped nodes of tree by (peer, branch), ordinal-aligned
 }
 
-// ownRoot returns this rank's subtree under branch cell n of the shared
-// replicated tree, nil when the cell is none of its own. The other owners
-// of a cell it shares are not asked: its own subtree stands for the cell.
-func (st *localState) ownRoot(n *pnode) *tree.Node {
+// ownRoot returns the root in st.tree of this rank's subtree under branch
+// cell n of the shared replicated tree, -1 when the cell is none of its
+// own. The other owners of a cell it shares are not asked: its own subtree
+// stands for the cell.
+func (st *localState) ownRoot(n *pnode) int32 {
 	if !slices.Contains(n.owners, st.me) {
-		return nil
+		return -1
 	}
-	root := st.rootsMap[n.cell.Uint64()]
-	if root == nil {
+	root, ok := st.rootsMap[n.cell.Uint64()]
+	if !ok {
 		panic(fmt.Sprintf("parbh: missing local subtree for branch %v", n.cell))
 	}
 	return root
@@ -549,10 +556,17 @@ func (e *Engine) migrate(pr *msg.Proc, st *localState) {
 // buildLocal constructs this processor's branch subtrees (Section 3.1:
 // "each processor can independently construct their trees").
 func (e *Engine) buildLocal(pr *msg.Proc, st *localState) {
-	st.rootsMap = make(map[uint64]*tree.Node)
+	st.rootsMap = make(map[uint64]int32)
 	switch e.cfg.Scheme {
 	case SPSA, SPDA:
 		// One branch cell per owned, non-empty cluster.
+		t := e.forests[st.me]
+		if t == nil {
+			t = tree.NewForest(e.domain, e.cfg.LeafCap)
+			e.forests[st.me] = t
+		}
+		t.Reset()
+		st.tree = t
 		lvl := uint8(e.cfg.GridLog2)
 		for c, ps := range e.grid.Bucket(st.parts) {
 			if len(ps) == 0 {
@@ -560,14 +574,13 @@ func (e *Engine) buildLocal(pr *msg.Proc, st *localState) {
 			}
 			i, j, k := e.grid.Coords(c)
 			ck := keys.CellKey{Level: lvl, Key: keys.Encode3(uint32(i), uint32(j), uint32(k))}
-			box := keys.CellBox(e.domain, ck)
-			n := tree.BuildSubtreeKeyed(ps, e.domain, box, ck, e.cfg.LeafCap)
+			n := t.AddSubtreeKeyed(ps, ck)
 			st.branches = append(st.branches, n)
 			st.rootsMap[ck.Uint64()] = n
 		}
 		// Cluster index order is row-major; branches go in Morton order.
 		sort.Slice(st.branches, func(a, b int) bool {
-			return st.branches[a].Key.Less(st.branches[b].Key)
+			return t.Cell(st.branches[a]).Less(t.Cell(st.branches[b]))
 		})
 	case DPDA:
 		lo := e.boundKeys[st.me]
@@ -580,36 +593,38 @@ func (e *Engine) buildLocal(pr *msg.Proc, st *localState) {
 		// builder sorts the particles by (key, ID) into its snapshot, and
 		// from here on that snapshot is the rank's particle set; the array
 		// migrate assembled is dead until balanceDPDA refills it. Branch
-		// nodes extracted from the tree are valid for this step only.
+		// nodes of the tree, pushed-down fragments included, are valid for
+		// this step only.
 		b := e.builders[st.me]
 		if b == nil {
 			b = tree.NewBuilder(e.domain, e.cfg.LeafCap)
 			e.builders[st.me] = b
 		}
-		local := b.Step(st.parts)
+		st.tree = b.Step(st.parts)
 		st.spare, st.parts = st.parts, b.Particles()
-		tree.MaximalCells(local.Root, lo, hi, e.domain, e.cfg.LeafCap, func(n *tree.Node) {
+		st.tree.MaximalCells(0, lo, hi, func(n int32) {
 			st.branches = append(st.branches, n)
-			st.rootsMap[n.Key.Uint64()] = n
+			st.rootsMap[st.tree.Key[n]] = n
 		})
 	}
 	// Charge construction cost and build expansions.
+	t := st.tree
 	var levels int64
 	for _, b := range st.branches {
-		levels += tree.ParticleLevels(b)
+		levels += t.ParticleLevels(b)
 	}
 	pr.Compute(float64(levels) * phys.TreeInsertFlops)
 	if e.cfg.Mode == PotentialMode {
 		for _, b := range st.branches {
-			tree.BuildNodeExpansions(b, e.cfg.Degree)
-			pr.Compute(float64(b.Count)*phys.P2MFlops(e.cfg.Degree) +
-				float64(tree.CountNodes(b))*phys.M2MFlops(e.cfg.Degree))
+			t.BuildExpansionsAt(b, e.cfg.Degree)
+			pr.Compute(float64(t.Count(b))*phys.P2MFlops(e.cfg.Degree) +
+				float64(t.CountNodes(b))*phys.M2MFlops(e.cfg.Degree))
 		}
 	}
 	// Branch summaries.
 	withExp := e.cfg.Mode == PotentialMode
 	for _, b := range st.branches {
-		st.summary = append(st.summary, summaryOf(b, st.me, withExp))
+		st.summary = append(st.summary, summaryOf(t, b, st.me, withExp))
 	}
 	// Lookup structure for serving requests.
 	if e.cfg.BranchLookup == SortedLookup {
@@ -867,9 +882,9 @@ func (e *Engine) balanceSPDA(pr *msg.Proc, st *localState) []int {
 	deg := e.cfg.degreeOrMonopole()
 	loads := make([]float64, r)
 	for _, b := range st.branches {
-		x, y, z := keys.Decode3(keys.Morton(b.Key.Key))
+		x, y, z := keys.Decode3(st.tree.Cell(b).Key)
 		c := e.grid.Index(int(x), int(y), int(z))
-		loads[c] = flopLoad(b, deg)
+		loads[c] = flopLoad(st.tree, b, deg)
 	}
 	for _, q := range st.parts {
 		loads[e.grid.ClusterOf(q.Pos)] += st.extraLoad[q.ID]
@@ -903,7 +918,7 @@ func (e *Engine) balanceDPDA(pr *msg.Proc, st *localState) []uint64 {
 	sc := &e.scratch[st.me]
 	sc.shares = sc.shares[:0]
 	for _, b := range st.branches {
-		sc.shares = collectShares(b, deg, 0, sc.shares)
+		sc.shares = collectShares(st.tree, b, deg, 0, sc.shares)
 	}
 	shares, order := sc.shares, st.parts
 	if len(shares) != len(order) {
@@ -995,47 +1010,46 @@ func (e *Engine) balanceDPDA(pr *msg.Proc, st *localState) []uint64 {
 	return bounds
 }
 
-// collectShares walks a branch subtree in Morton order appending one load
-// share per particle in flop units, spreading internal nodes' own
-// interaction counts over their subtrees (as in partition.Costzones, but
-// local). Loads are converted to flops — leaf counters record
-// particle–particle work, internal counters particle–cluster work — so
-// that balancing the shares balances modelled compute time.
-func collectShares(n *tree.Node, deg int, extraPerParticle float64, shares []float64) []float64 {
-	if n == nil || n.Count == 0 {
+// collectShares walks the subtree under node n of t in Morton order
+// appending one load share per particle in flop units, spreading internal
+// nodes' own interaction counts over their subtrees (as in
+// partition.Costzones, but local). Loads are converted to flops — leaf
+// counters record particle–particle work, internal counters
+// particle–cluster work — so that balancing the shares balances modelled
+// compute time.
+func collectShares(t *tree.Tree, n int32, deg int, extraPerParticle float64, shares []float64) []float64 {
+	count := t.Count(n)
+	if count == 0 {
 		return shares
 	}
-	if n.IsLeaf() {
-		leafLoad := float64(n.Load)*phys.PPFlops + extraPerParticle*float64(n.Count)
-		per := leafLoad / float64(len(n.Particles))
-		for range n.Particles {
+	if t.IsLeaf(n) {
+		leafLoad := float64(t.Load[n])*phys.PPFlops + extraPerParticle*float64(count)
+		per := leafLoad / float64(count)
+		for range count {
 			shares = append(shares, per)
 		}
 		return shares
 	}
-	nodeFlops := float64(n.Load) * (phys.InteractionFlops(deg) + phys.MACFlops)
-	childExtra := extraPerParticle + nodeFlops/float64(n.Count)
-	for _, c := range n.Children {
-		shares = collectShares(c, deg, childExtra, shares)
+	nodeFlops := float64(t.Load[n]) * (phys.InteractionFlops(deg) + phys.MACFlops)
+	childExtra := extraPerParticle + nodeFlops/float64(count)
+	for c := n + 1; c < t.Skip[n]; c = t.Skip[c] {
+		shares = collectShares(t, c, deg, childExtra, shares)
 	}
 	return shares
 }
 
-// flopLoad converts a subtree's raw interaction counters into modelled
-// flops: leaves hold particle–particle counts, internal nodes
-// particle–cluster (plus MAC) counts.
-func flopLoad(n *tree.Node, deg int) float64 {
-	if n == nil {
-		return 0
-	}
+// flopLoad converts the raw interaction counters of the subtree under node
+// n of t into modelled flops: leaves hold particle–particle counts,
+// internal nodes particle–cluster (plus MAC) counts.
+func flopLoad(t *tree.Tree, n int32, deg int) float64 {
 	var f float64
-	if n.IsLeaf() {
-		f = float64(n.Load) * phys.PPFlops
+	if t.IsLeaf(n) {
+		f = float64(t.Load[n]) * phys.PPFlops
 	} else {
-		f = float64(n.Load) * (phys.InteractionFlops(deg) + phys.MACFlops)
+		f = float64(t.Load[n]) * (phys.InteractionFlops(deg) + phys.MACFlops)
 	}
-	for _, c := range n.Children {
-		f += flopLoad(c, deg)
+	for c := n + 1; c < t.Skip[n]; c = t.Skip[c] {
+		f += flopLoad(t, c, deg)
 	}
 	return f
 }

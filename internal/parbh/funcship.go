@@ -450,9 +450,9 @@ func (r *shipRun) flatten() {
 	fl.Reset()
 	fl.BeginMain()
 	sh.branchAt = sh.branchAt[:0]
-	flattenTop(fl, r.st, r.st.top, func(n *pnode, own *tree.Node) {
-		if own != nil {
-			sh.localAt[n.cell.Uint64()] = fl.AddLocalSubtree(own)
+	flattenTop(fl, r.st, r.st.top, func(n *pnode, own int32) {
+		if own >= 0 {
+			sh.localAt[n.cell.Uint64()] = fl.AddLocalSubtree(r.st.tree, own)
 			return
 		}
 		idx := fl.AddBranch(n.leafCell, n.com, n.mass, n.side, n.exp, nil)

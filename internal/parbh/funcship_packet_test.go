@@ -16,9 +16,9 @@ import (
 )
 
 // Function shipping runs on the packet kernel on both sides, in force mode
-// and in potential mode. These tests hold it to the pointer recursion it
-// replaced — traverseForce/serveForce and traversePot/servePot below are
-// that code, kept verbatim as the oracle — bit for bit: accelerations,
+// and in potential mode. These tests hold it to the recursion it replaced
+// — traverseForce/serveForce and traversePot/servePot below are that code,
+// kept as the oracle — bit for bit: accelerations,
 // potentials, per-rank Stats, every tree node's Load, the extra-load
 // account, and the words and messages of the protocol.
 
@@ -27,34 +27,30 @@ import (
 // under the MAC, so evaluation starts at its children (or at the
 // particles for a leaf branch), mirroring exactly what a serial traversal
 // does after rejecting the node.
-func serveForce(branch *tree.Node, pos vec.V3, self int, alpha, eps float64, stats *tree.Stats) vec.V3 {
-	if branch.IsLeaf() {
-		return tree.AccelFrom(branch, pos, self, alpha, eps, stats)
+func serveForce(t *tree.Tree, branch int32, pos vec.V3, self int, alpha, eps float64, stats *tree.Stats) vec.V3 {
+	if t.IsLeaf(branch) {
+		return t.AccelFrom(branch, pos, self, alpha, eps, stats)
 	}
 	var a vec.V3
-	for _, c := range branch.Children {
-		if c != nil {
-			a = a.Add(tree.AccelFrom(c, pos, self, alpha, eps, stats))
-		}
+	for c := branch + 1; c < t.Skip[branch]; c = t.Skip[c] {
+		a = a.Add(t.AccelFrom(c, pos, self, alpha, eps, stats))
 	}
-	branch.Load++
+	t.Load[branch]++
 	return a
 }
 
 // servePot computes the contribution of the subtree rooted at branch to
-// a shipped particle in potential mode, on the pointer tree: as in force
-// mode, evaluation starts below the already rejected branch cell.
-func servePot(branch *tree.Node, pos vec.V3, self int, alpha float64, stats *tree.Stats) float64 {
-	if branch.IsLeaf() {
-		return tree.PotentialFrom(branch, pos, self, alpha, stats)
+// a shipped particle in potential mode, by recursion: as in force mode,
+// evaluation starts below the already rejected branch cell.
+func servePot(t *tree.Tree, branch int32, pos vec.V3, self int, alpha float64, stats *tree.Stats) float64 {
+	if t.IsLeaf(branch) {
+		return t.PotentialFrom(branch, pos, self, alpha, stats)
 	}
 	var phi float64
-	for _, c := range branch.Children {
-		if c != nil {
-			phi += tree.PotentialFrom(c, pos, self, alpha, stats)
-		}
+	for c := branch + 1; c < t.Skip[branch]; c = t.Skip[c] {
+		phi += t.PotentialFrom(c, pos, self, alpha, stats)
 	}
-	branch.Load++
+	t.Load[branch]++
 	return phi
 }
 
@@ -109,9 +105,9 @@ func (r *shipOracle) traverseForce(n *pnode, pos vec.V3, self, localIdx int) vec
 	if n == nil || n.count == 0 {
 		return vec.V3{}
 	}
-	if n.isBranch && r.st.ownRoot(n) != nil {
+	if n.isBranch && r.st.ownRoot(n) >= 0 {
 		var s tree.Stats
-		a := tree.AccelFrom(r.st.ownRoot(n), pos, self, r.cfg.Alpha, r.cfg.Eps, &s)
+		a := r.st.tree.AccelFrom(r.st.ownRoot(n), pos, self, r.cfg.Alpha, r.cfg.Eps, &s)
 		r.stats.Add(s)
 		return a
 	}
@@ -150,9 +146,9 @@ func (r *shipOracle) traversePot(n *pnode, pos vec.V3, self, localIdx int) float
 	if n == nil || n.count == 0 {
 		return 0
 	}
-	if n.isBranch && r.st.ownRoot(n) != nil {
+	if n.isBranch && r.st.ownRoot(n) >= 0 {
 		var s tree.Stats
-		phi := tree.PotentialFrom(r.st.ownRoot(n), pos, self, r.cfg.Alpha, &s)
+		phi := r.st.tree.PotentialFrom(r.st.ownRoot(n), pos, self, r.cfg.Alpha, &s)
 		r.stats.Add(s)
 		return phi
 	}
@@ -243,9 +239,9 @@ func newShipWorld(cfg Config, states []*localState, n int) *shipWorld {
 	return &shipWorld{cfg: cfg, states: states, accels: make([]vec.V3, n), pots: make([]float64, n)}
 }
 
-// runOracle evaluates the force phase over w the way the pointer recursion
-// did — every particle alone, requests served one at a time on the owners'
-// pointer trees, replies folded in slot order — and returns the number of
+// runOracle evaluates the force phase over w the way the recursion did —
+// every particle alone, requests served one at a time on the owners'
+// trees, replies folded in slot order — and returns the number of
 // entries each (requester, owner) pair exchanged.
 func (w *shipWorld) runOracle() [][]int {
 	p := len(w.states)
@@ -270,12 +266,12 @@ func (w *shipWorld) runOracle() [][]int {
 			owner := w.states[sl.owner]
 			var replyF vec.V3
 			var replyP float64
-			if node := owner.lookup.find(sl.key); node != nil {
+			if node := owner.lookup.find(sl.key); node >= 0 {
 				var s tree.Stats
 				if pot {
-					replyP = servePot(node, sl.pos, sl.self, w.cfg.Alpha, &s)
+					replyP = servePot(owner.tree, node, sl.pos, sl.self, w.cfg.Alpha, &s)
 				} else {
-					replyF = serveForce(node, sl.pos, sl.self, w.cfg.Alpha, w.cfg.Eps, &s)
+					replyF = serveForce(owner.tree, node, sl.pos, sl.self, w.cfg.Alpha, w.cfg.Eps, &s)
 				}
 				owner.stats.Add(s)
 			}
@@ -343,7 +339,7 @@ func compareWorlds(t *testing.T, want, got *shipWorld) {
 			t.Fatalf("rank %d: %d branches, oracle %d", me, len(gs.branches), len(ws.branches))
 		}
 		for b := range ws.branches {
-			wl, gl := nodeLoads(ws.branches[b]), nodeLoads(gs.branches[b])
+			wl, gl := nodeLoads(ws, ws.branches[b]), nodeLoads(gs, gs.branches[b])
 			for j := range wl {
 				if gl[j] != wl[j] {
 					t.Fatalf("rank %d branch %d node %d: load %d, oracle %d", me, b, j, gl[j], wl[j])
@@ -353,15 +349,9 @@ func compareWorlds(t *testing.T, want, got *shipWorld) {
 	}
 }
 
-func nodeLoads(n *tree.Node) []int64 {
-	if n == nil {
-		return nil
-	}
-	ls := []int64{n.Load}
-	for _, c := range n.Children {
-		ls = append(ls, nodeLoads(c)...)
-	}
-	return ls
+// nodeLoads returns the Load of every node under n of st's tree.
+func nodeLoads(st *localState, n int32) []int64 {
+	return st.tree.Load[n:st.tree.Skip[n]]
 }
 
 func newShipEngine(t *testing.T, set *dist.Set, p int, cfg Config) *Engine {
@@ -441,7 +431,7 @@ func countLeafCells(st *localState, n *pnode) int {
 		return 0
 	}
 	c := 0
-	if n.isBranch && n.leafCell && st.ownRoot(n) == nil {
+	if n.isBranch && n.leafCell && st.ownRoot(n) < 0 {
 		c++
 	}
 	for _, ch := range n.children {
@@ -484,21 +474,21 @@ func handWorld(t *testing.T, set *dist.Set, p int, cfg Config) (*Engine, []*loca
 	states := make([]*localState, p)
 	var all []BranchSummary
 	for r := range states {
-		st := &localState{me: r, rootsMap: map[uint64]*tree.Node{}}
+		st := &localState{me: r, tree: tree.NewForest(domain, cfg.LeafCap), rootsMap: map[uint64]int32{}}
 		for oct := 0; oct < 8; oct++ {
 			ps := owned[r][oct]
 			if len(ps) == 0 {
 				continue
 			}
 			ck := keys.CellKey{}.Child(oct)
-			n := tree.BuildSubtreeKeyed(ps, domain, domain.Octant(oct), ck, cfg.LeafCap)
+			n := st.tree.AddSubtreeKeyed(ps, ck)
 			if degree >= 0 {
-				tree.BuildNodeExpansions(n, degree)
+				st.tree.BuildExpansionsAt(n, degree)
 			}
 			st.parts = append(st.parts, ps...)
 			st.branches = append(st.branches, n)
 			st.rootsMap[ck.Uint64()] = n
-			all = append(all, summaryOf(n, r, degree >= 0))
+			all = append(all, summaryOf(st.tree, n, r, degree >= 0))
 		}
 		st.lookup = hashLookup(st.rootsMap)
 		states[r] = st
@@ -574,7 +564,7 @@ func TestFuncShipServeGroupsAndEmptyBranch(t *testing.T) {
 			entries = append(entries, reqEntry{Key: key, Pos: q.Pos, Self: int32(q.ID), Slot: int32(len(entries))})
 		}
 		const missing = ^uint64(0)
-		ka, kb, kc := st.branches[0].Key.Uint64(), st.branches[1].Key.Uint64(), st.branches[2].Key.Uint64()
+		ka, kb, kc := st.tree.Key[st.branches[0]], st.tree.Key[st.branches[1]], st.tree.Key[st.branches[2]]
 		for i := 0; i < 9; i++ {
 			add(kc, i)
 			if i < 8 {
@@ -615,11 +605,11 @@ func TestFuncShipServeGroupsAndEmptyBranch(t *testing.T) {
 			var want, got vec.V3 // a potential rides in X
 			var s tree.Stats
 			switch node := ost.lookup.find(en.Key); {
-			case node == nil:
+			case node < 0:
 			case pot:
-				want.X = servePot(node, en.Pos, int(en.Self), e.cfg.Alpha, &s)
+				want.X = servePot(ost.tree, node, en.Pos, int(en.Self), e.cfg.Alpha, &s)
 			default:
-				want = serveForce(node, en.Pos, int(en.Self), e.cfg.Alpha, e.cfg.Eps, &s)
+				want = serveForce(ost.tree, node, en.Pos, int(en.Self), e.cfg.Alpha, e.cfg.Eps, &s)
 			}
 			ost.stats.Add(s)
 			wantFlops += s.Flops(e.cfg.degreeOrMonopole())
@@ -636,7 +626,7 @@ func TestFuncShipServeGroupsAndEmptyBranch(t *testing.T) {
 			t.Errorf("%s: stats %+v flops %v, oracle %+v flops %v", m.name, st.stats, charged, ost.stats, wantFlops)
 		}
 		for b := range ost.branches {
-			wl, gl := nodeLoads(ost.branches[b]), nodeLoads(st.branches[b])
+			wl, gl := nodeLoads(ost, ost.branches[b]), nodeLoads(st, st.branches[b])
 			for j := range wl {
 				if gl[j] != wl[j] {
 					t.Fatalf("%s: branch %d node %d: load %d, oracle %d", m.name, b, j, gl[j], wl[j])

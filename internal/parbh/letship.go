@@ -6,7 +6,6 @@ import (
 	"repro/internal/let"
 	"repro/internal/msg"
 	"repro/internal/phys"
-	"repro/internal/tree"
 	"repro/internal/vec"
 )
 
@@ -81,7 +80,7 @@ func (e *Engine) letExchange(pr *msg.Proc, st *localState) {
 	gathered := pr.AllGather(b, let.BoundsWords)
 
 	// Essential walk per peer.
-	st.letSent = make(map[letPair][]*tree.Node)
+	st.letSent = make(map[letPair][]int32)
 	payloads := make([]any, p)
 	words := make([]int, p)
 	scratch := &e.scratch[st.me].section
@@ -95,16 +94,16 @@ func (e *Engine) letExchange(pr *msg.Proc, st *localState) {
 		var secs []*let.Section
 		w := 1
 		for _, br := range st.branches {
-			if br.Count == 0 {
+			if st.tree.Count(br) == 0 {
 				continue
 			}
-			alwaysShip := br.Count <= cfg.LeafCap // leaf cells are deferred without a MAC test
-			sec, nodes, nt := let.BuildSection(br, &dom, cfg.Alpha, withExp, alwaysShip, scratch)
+			alwaysShip := st.tree.Count(br) <= cfg.LeafCap // leaf cells are deferred without a MAC test
+			sec, nodes, nt := let.BuildSection(st.tree, br, &dom, cfg.Alpha, withExp, alwaysShip, scratch)
 			tests += nt
 			if sec == nil {
 				continue
 			}
-			pair := letPair{peer: peer, key: br.Key.Uint64()}
+			pair := letPair{peer: peer, key: st.tree.Key[br]}
 			sec.BranchKey = pair.key
 			st.letSent[pair] = nodes
 			secs = append(secs, sec)
@@ -138,9 +137,9 @@ func (e *Engine) letExchange(pr *msg.Proc, st *localState) {
 	// carry graft references in owner order (the function-shipping slot
 	// order).
 	fl.BeginMain()
-	flattenTop(fl, st, st.top, func(n *pnode, own *tree.Node) {
-		if own != nil {
-			fl.AddLocalSubtree(own)
+	flattenTop(fl, st, st.top, func(n *pnode, own int32) {
+		if own >= 0 {
+			fl.AddLocalSubtree(st.tree, own)
 			return
 		}
 		grafts := make([]int32, len(n.owners))
@@ -263,7 +262,7 @@ func (e *Engine) letReturnLoads(pr *msg.Proc, st *localState, fl *let.Flat) {
 		lm := got[src].(letLoadMsg)
 		for j := range lm.Nodes {
 			sent := st.letSent[letPair{peer: src, key: lm.Keys[j]}]
-			sent[lm.Nodes[j]].Load += lm.Deltas[j]
+			st.tree.Load[sent[lm.Nodes[j]]] += lm.Deltas[j]
 		}
 	}
 }

@@ -5,11 +5,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-	"unsafe"
 
 	"repro/internal/dist"
 	"repro/internal/msg"
-	"repro/internal/tree"
 )
 
 // TestEngineLiveHeap bounds what an engine keeps between steps.
@@ -59,7 +57,7 @@ func TestEngineLiveHeap(t *testing.T) {
 			runtime.ReadMemStats(&ms)
 			runtime.KeepAlive(e)
 			mb := float64(ms.HeapAlloc) / 1e6
-			t.Logf("%.1f MB live", mb)
+			t.Logf("%.1f MB live, %.0f B per particle", mb, float64(ms.HeapAlloc)/float64(tc.set.N()))
 			if mb > tc.boundMB {
 				t.Errorf("engine holds %.1f MB live after three steps, more than %.1f MB", mb, tc.boundMB)
 			}
@@ -69,22 +67,16 @@ func TestEngineLiveHeap(t *testing.T) {
 
 // TestStepLeavesNoDeadTree checks that nothing an engine keeps between
 // steps reaches the previous step's trees: DPDA on 16 ranks under LET and
-// under function shipping. A finalizer goes on every rank's local tree
-// after step k; after step k+1 and a GC all of them must have run. Scratch
-// that keeps node pointers across steps (a section's node list, a flat
-// tree's Load write-back references, a builder holding its old tree while
-// it builds the new one) pins a whole generation of trees and shows up here.
-//
-// A tree is one node slice whose nodes point into it. The collector scans
-// an object over 128 KiB in pieces and does not recognize a pointer from
-// one piece into another as the object's own, so such a tree marks itself
-// and its finalizer never runs. The particle count keeps every rank's
-// tree under that size; the test says so if it does not.
+// under function shipping. A rank's builder keeps its tree's columns from
+// one step to the next; here every builder is Reset after step k, so step
+// k+1 gives up every column, and a finalizer on each must have run after
+// it and a GC. Scratch that keeps a tree across steps (a flat tree's Load
+// write-back spans, a section's node list, a per-rank state) pins a whole
+// generation of columns and shows up here.
 func TestStepLeavesNoDeadTree(t *testing.T) {
-	const oblet = 128 << 10
 	for _, ship := range []Shipping{LETShipping, FunctionShipping} {
 		t.Run(ship.String(), func(t *testing.T) {
-			e, err := New(msg.NewMachine(16, msg.CM5()), dist.MustNamed("g", 8000, 1994),
+			e, err := New(msg.NewMachine(16, msg.CM5()), dist.MustNamed("g", 20000, 1994),
 				Config{Scheme: DPDA, Mode: ForceMode, Alpha: 0.67, Eps: 0.01, Shipping: ship})
 			if err != nil {
 				t.Fatal(err)
@@ -93,25 +85,50 @@ func TestStepLeavesNoDeadTree(t *testing.T) {
 				e.Step()
 			}
 			var freed atomic.Int32
-			for rank, b := range e.builders {
-				root := b.Tree().Root
-				if size := tree.CountNodes(root) * int(unsafe.Sizeof(*root)); size >= oblet {
-					t.Fatalf("rank %d: %d-byte tree cannot be finalized", rank, size)
-				}
-				runtime.SetFinalizer(root, func(*tree.Node) { freed.Add(1) })
+			var want atomic.Int32
+			for _, b := range e.builders {
+				tr := b.Tree()
+				watch(&freed, &want, tr.Kind)
+				watch(&freed, &want, tr.ComX)
+				watch(&freed, &want, tr.ComY)
+				watch(&freed, &want, tr.ComZ)
+				watch(&freed, &want, tr.Mass)
+				watch(&freed, &want, tr.Side)
+				watch(&freed, &want, tr.Exp)
+				watch(&freed, &want, tr.Skip)
+				watch(&freed, &want, tr.Lo)
+				watch(&freed, &want, tr.Hi)
+				watch(&freed, &want, tr.Key)
+				watch(&freed, &want, tr.Load)
+				watch(&freed, &want, tr.ID)
+				watch(&freed, &want, tr.PX)
+				watch(&freed, &want, tr.PY)
+				watch(&freed, &want, tr.PZ)
+				watch(&freed, &want, tr.PM)
+				watch(&freed, &want, b.Particles())
+				b.Reset()
 			}
 			e.Step()
-			want := int32(len(e.builders))
 			// Finalizers run on their own goroutine after the GC that finds
 			// their objects unreachable.
-			for i := 0; i < 50 && freed.Load() < want; i++ {
+			for i := 0; i < 50 && freed.Load() < want.Load(); i++ {
 				runtime.GC()
 				time.Sleep(10 * time.Millisecond)
 			}
 			runtime.KeepAlive(e)
-			if got := freed.Load(); got != want {
-				t.Errorf("%d of %d ranks' previous trees were collected after the next step", got, want)
+			if got := freed.Load(); got != want.Load() {
+				t.Errorf("%d of %d columns of the ranks' previous trees were collected after the next step", got, want.Load())
 			}
 		})
 	}
+}
+
+// watch counts col's backing array in want and sets a finalizer on it
+// that counts it in freed.
+func watch[T any](freed, want *atomic.Int32, col []T) {
+	if cap(col) == 0 {
+		return
+	}
+	want.Add(1)
+	runtime.SetFinalizer(&col[:1][0], func(*T) { freed.Add(1) })
 }

@@ -28,17 +28,17 @@ type BranchSummary struct {
 // Words returns the modelled wire size in 8-byte words.
 func (b BranchSummary) Words() int { return 7 + len(b.Exp) }
 
-// summaryOf builds the summary of a local subtree root.
-func summaryOf(n *tree.Node, owner int, withExp bool) BranchSummary {
+// summaryOf builds the summary of local subtree root n of t.
+func summaryOf(t *tree.Tree, n int32, owner int, withExp bool) BranchSummary {
 	s := BranchSummary{
-		Key:   n.Key.Uint64(),
+		Key:   t.Key[n],
 		Owner: int32(owner),
-		Count: int32(n.Count),
-		Mass:  n.Mass,
-		COM:   n.COM,
+		Count: int32(t.Count(n)),
+		Mass:  t.Mass[n],
+		COM:   t.COM(n),
 	}
-	if withExp && n.Exp != nil {
-		s.Exp = n.Exp.Floats()
+	if withExp && t.Exp[n] != nil {
+		s.Exp = t.Exp[n].Floats()
 	}
 	return s
 }
@@ -166,10 +166,10 @@ func buildTop(rootBox vec.Box, summaries []BranchSummary, degree, leafCap int) (
 
 // flattenTop linearizes the replicated tree under n into fl's main region
 // for the packet kernel: top nodes here, each branch cell by branch, which
-// is handed the subtree under a cell of st's rank's own (nil for any other)
-// and appends the cell the way its strategy needs (LET with the sections it
-// grafted, function shipping with none).
-func flattenTop(fl *let.Flat, st *localState, n *pnode, branch func(n *pnode, own *tree.Node)) {
+// is handed the root in st.tree of the subtree under a cell of st's rank's
+// own (-1 for any other) and appends the cell the way its strategy needs
+// (LET with the sections it grafted, function shipping with none).
+func flattenTop(fl *let.Flat, st *localState, n *pnode, branch func(n *pnode, own int32)) {
 	if n.isBranch {
 		branch(n, st.ownRoot(n))
 		return
@@ -180,7 +180,7 @@ func flattenTop(fl *let.Flat, st *localState, n *pnode, branch func(n *pnode, ow
 			continue
 		}
 		if c.count == 0 {
-			// The pointer traversal folds an exact zero for an empty
+			// The recursion folds an exact zero for an empty
 			// child; an empty leaf replays that (and charges nothing).
 			fl.AddZero()
 			continue
@@ -206,48 +206,54 @@ func topCells(c *let.Cells, n *pnode) {
 	c.Close(idx)
 }
 
-// branchLookup resolves a packed branch key to the local subtree root —
-// the structure a processor uses to locate the target of an incoming
+// branchLookup resolves a packed branch key to the local subtree root (-1
+// for none) — the structure a processor uses to locate the target of an incoming
 // function-shipping request (Section 4.2.3). Two implementations exist:
 // a hash table and a sorted table with binary search; the paper measured
 // both and found the difference masked by computation.
 type branchLookup interface {
-	find(key uint64) *tree.Node
+	find(key uint64) int32
 	// cost returns the modelled flop cost of one lookup.
 	cost() float64
 }
 
 // hashLookup is the hash-table variant.
-type hashLookup map[uint64]*tree.Node
+type hashLookup map[uint64]int32
 
-func (h hashLookup) find(key uint64) *tree.Node { return h[key] }
-func (h hashLookup) cost() float64              { return 6 }
+func (h hashLookup) find(key uint64) int32 {
+	if n, ok := h[key]; ok {
+		return n
+	}
+	return -1
+}
+
+func (h hashLookup) cost() float64 { return 6 }
 
 // sortedLookup is the sorted-key-table variant.
 type sortedLookup struct {
 	keys  []uint64
-	nodes []*tree.Node
+	nodes []int32
 }
 
-func newSortedLookup(m map[uint64]*tree.Node) *sortedLookup {
+func newSortedLookup(m map[uint64]int32) *sortedLookup {
 	s := &sortedLookup{}
 	for k := range m {
 		s.keys = append(s.keys, k)
 	}
 	sort.Slice(s.keys, func(i, j int) bool { return s.keys[i] < s.keys[j] })
-	s.nodes = make([]*tree.Node, len(s.keys))
+	s.nodes = make([]int32, len(s.keys))
 	for i, k := range s.keys {
 		s.nodes[i] = m[k]
 	}
 	return s
 }
 
-func (s *sortedLookup) find(key uint64) *tree.Node {
+func (s *sortedLookup) find(key uint64) int32 {
 	i := sort.Search(len(s.keys), func(i int) bool { return s.keys[i] >= key })
 	if i < len(s.keys) && s.keys[i] == key {
 		return s.nodes[i]
 	}
-	return nil
+	return -1
 }
 
 func (s *sortedLookup) cost() float64 {

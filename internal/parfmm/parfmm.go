@@ -101,7 +101,7 @@ type fnode struct {
 	exp      *phys.Expansion
 	children [8]*fnode
 	owners   []int
-	local    *tree.Node // local branch subtree root
+	local    int32 // local branch subtree root in procRun.tree, -1 for none
 }
 
 func (n *fnode) hasChildren() bool {
@@ -186,9 +186,11 @@ type procRun struct {
 	out    []float64 // shared result array (distinct IDs per proc)
 	stats  Stats
 
-	branches []*tree.Node
-	locals   map[*tree.Node]*phys.Local
-	lookup   map[uint64]*tree.Node
+	tree     *tree.Tree       // the local tree, pushed-down fragments included
+	boxes    []vec.Box        // per node of tree
+	branches []int32          // its branch subtree roots
+	locals   []*phys.Local    // per node of tree
+	lookup   map[uint64]int32 // packed key -> branch root
 	top      *fnode
 	reqs     [][]ghostEntry // per destination
 }
@@ -200,24 +202,26 @@ func (st *procRun) run(mine []dist.Particle, lo, hi uint64) {
 
 	// 1. Local tree and branch extraction (maximal cells in [lo, hi)).
 	local := tree.BuildKeyed(mine, st.domain, cfg.LeafCap)
-	st.lookup = make(map[uint64]*tree.Node)
-	tree.MaximalCells(local.Root, lo, hi, st.domain, cfg.LeafCap, func(n *tree.Node) {
+	st.tree = local
+	st.lookup = make(map[uint64]int32)
+	local.MaximalCells(0, lo, hi, func(n int32) {
 		st.branches = append(st.branches, n)
-		st.lookup[n.Key.Uint64()] = n
+		st.lookup[local.Key[n]] = n
 	})
-	pr.Compute(float64(tree.ParticleLevels(local.Root)) * phys.TreeInsertFlops)
+	st.boxes = local.Boxes(nil)
+	pr.Compute(float64(local.ParticleLevels(0)) * phys.TreeInsertFlops)
 
 	// 2. Upward pass: multipoles about cell centres per branch subtree.
-	st.locals = make(map[*tree.Node]*phys.Local)
+	st.locals = make([]*phys.Local, local.NumNodes())
 	var summaries []branchSummary
 	words := 0
 	for _, b := range st.branches {
-		buildMultipoles(b, cfg.Degree, st.locals)
-		pr.Compute(float64(b.Count)*phys.P2MFlops(cfg.Degree) +
-			float64(tree.CountNodes(b))*phys.M2MFlops(cfg.Degree))
+		st.buildMultipoles(b)
+		pr.Compute(float64(local.Count(b))*phys.P2MFlops(cfg.Degree) +
+			float64(local.CountNodes(b))*phys.M2MFlops(cfg.Degree))
 		sum := branchSummary{
-			Key: b.Key.Uint64(), Owner: int32(pr.ID()), Count: int32(b.Count),
-			Exp: b.Exp.Floats(),
+			Key: local.Key[b], Owner: int32(pr.ID()), Count: int32(local.Count(b)),
+			Exp: local.Exp[b].Floats(),
 		}
 		summaries = append(summaries, sum)
 		words += sum.words()
@@ -282,32 +286,33 @@ func (st *procRun) run(mine []dist.Particle, lo, hi uint64) {
 	pr.Barrier()
 }
 
-// multipole expansions per node, keyed through the node's Exp field.
-func buildMultipoles(n *tree.Node, degree int, locals map[*tree.Node]*phys.Local) {
-	if n == nil || n.Count == 0 {
+// buildMultipoles builds the multipole expansion about the cell centre of
+// every node under n, in the tree's Exp column, and an empty local
+// expansion beside each.
+func (st *procRun) buildMultipoles(n int32) {
+	t, degree := st.tree, st.cfg.Degree
+	if t.Count(n) == 0 {
 		return
 	}
-	e := phys.NewExpansion(degree, n.Box.Center())
-	if n.IsLeaf() {
-		for i := range n.Particles {
-			e.AddParticle(n.Particles[i].Mass, n.Particles[i].Pos)
+	center := st.boxes[n].Center()
+	e := phys.NewExpansion(degree, center)
+	if t.IsLeaf(n) {
+		for _, q := range t.Particles(n) {
+			e.AddParticle(q.Mass, q.Pos)
 		}
 	} else {
-		for _, c := range n.Children {
-			if c == nil || c.Count == 0 {
-				continue
-			}
-			buildMultipoles(c, degree, locals)
-			e.Add(c.Exp.TranslateTo(e.Center))
+		for c := n + 1; c < t.Skip[n]; c = t.Skip[c] {
+			st.buildMultipoles(c)
+			e.Add(t.Exp[c].TranslateTo(e.Center))
 		}
 	}
-	n.Exp = e
-	locals[n] = phys.NewLocal(degree, n.Box.Center())
+	t.Exp[n] = e
+	st.locals[n] = phys.NewLocal(degree, center)
 }
 
 // buildTop assembles the replicated tree with expansions at every node.
 func (st *procRun) buildTop(all []branchSummary) *fnode {
-	root := &fnode{cell: keys.CellKey{}, box: st.domain}
+	root := &fnode{cell: keys.CellKey{}, box: st.domain, local: -1}
 	for _, s := range all {
 		if s.Count == 0 {
 			continue
@@ -317,7 +322,7 @@ func (st *procRun) buildTop(all []branchSummary) *fnode {
 		for lvl := 0; lvl < int(ck.Level); lvl++ {
 			oct := int(ck.Key>>(3*uint(int(ck.Level)-lvl-1))) & 7
 			if n.children[oct] == nil {
-				n.children[oct] = &fnode{cell: n.cell.Child(oct), box: n.box.Octant(oct)}
+				n.children[oct] = &fnode{cell: n.cell.Child(oct), box: n.box.Octant(oct), local: -1}
 			}
 			n = n.children[oct]
 		}
@@ -330,7 +335,9 @@ func (st *procRun) buildTop(all []branchSummary) *fnode {
 			}
 		}
 		if int(s.Owner) == st.pr.ID() {
-			n.local = st.lookup[s.Key]
+			if b, ok := st.lookup[s.Key]; ok {
+				n.local = b
+			}
 		} else {
 			n.owners = append(n.owners, int(s.Owner))
 		}
@@ -362,9 +369,10 @@ func (st *procRun) buildTop(all []branchSummary) *fnode {
 }
 
 // accepted is the cell–cell acceptance criterion.
-func (st *procRun) accepted(tc *tree.Node, sc *fnode) bool {
-	tr := tc.Box.Size().Norm() / 2
-	d := tc.Box.Center().Dist(sc.box.Center())
+func (st *procRun) accepted(tc int32, sc *fnode) bool {
+	box := st.boxes[tc]
+	tr := box.Size().Norm() / 2
+	d := box.Center().Dist(sc.box.Center())
 	if d == 0 {
 		return false
 	}
@@ -372,10 +380,11 @@ func (st *procRun) accepted(tc *tree.Node, sc *fnode) bool {
 }
 
 // acceptedLocal is accepted for two local tree nodes.
-func (st *procRun) acceptedLocal(tc, sc *tree.Node) bool {
-	tr := tc.Box.Size().Norm() / 2
-	sr := sc.Box.Size().Norm() / 2
-	d := tc.Box.Center().Dist(sc.Box.Center())
+func (st *procRun) acceptedLocal(tc, sc int32) bool {
+	tbox, sbox := st.boxes[tc], st.boxes[sc]
+	tr := tbox.Size().Norm() / 2
+	sr := sbox.Size().Norm() / 2
+	d := tbox.Center().Dist(sbox.Center())
 	if d == 0 {
 		return false
 	}
@@ -384,8 +393,9 @@ func (st *procRun) acceptedLocal(tc, sc *tree.Node) bool {
 
 // interact runs the dual traversal of a local target subtree against the
 // replicated source tree.
-func (st *procRun) interact(tc *tree.Node, sc *fnode) {
-	if tc == nil || tc.Count == 0 || sc == nil || sc.count == 0 {
+func (st *procRun) interact(tc int32, sc *fnode) {
+	t := st.tree
+	if t.Count(tc) == 0 || sc == nil || sc.count == 0 {
 		return
 	}
 	// Identical cell (my own branch within the replicated tree): descend
@@ -400,18 +410,16 @@ func (st *procRun) interact(tc *tree.Node, sc *fnode) {
 		st.pr.Compute(phys.M2LFlops(st.cfg.Degree))
 		return
 	}
-	if sc.local != nil {
+	if sc.local >= 0 {
 		// Source is one of my own branch subtrees: pure local pairing.
 		st.interactLocal(tc, sc.local)
 		return
 	}
 	if sc.hasChildren() {
 		// Prefer splitting the larger side when both can split.
-		if !tc.IsLeaf() && tc.Box.Size().Norm()/2 >= sc.radius {
-			for _, c := range tc.Children {
-				if c != nil {
-					st.interact(c, sc)
-				}
+		if !t.IsLeaf(tc) && st.boxes[tc].Size().Norm()/2 >= sc.radius {
+			for c := tc + 1; c < t.Skip[tc]; c = t.Skip[c] {
+				st.interact(c, sc)
 			}
 			return
 		}
@@ -423,68 +431,65 @@ func (st *procRun) interact(tc *tree.Node, sc *fnode) {
 		return
 	}
 	// Source is an unexpandable remote branch cell.
-	if !tc.IsLeaf() {
-		for _, c := range tc.Children {
-			if c != nil {
-				st.interact(c, sc)
-			}
+	if !t.IsLeaf(tc) {
+		for c := tc + 1; c < t.Skip[tc]; c = t.Skip[c] {
+			st.interact(c, sc)
 		}
 		return
 	}
 	// Ship the target leaf to every owner of the source cell.
+	box := st.boxes[tc]
 	for _, o := range sc.owners {
 		g := ghostEntry{
 			SrcKey: sc.cell.Uint64(),
-			Center: tc.Box.Center(),
-			Radius: tc.Box.Size().Norm() / 2,
+			Center: box.Center(),
+			Radius: box.Size().Norm() / 2,
 		}
-		for i := range tc.Particles {
-			g.IDs = append(g.IDs, int32(tc.Particles[i].ID))
-			g.Pos = append(g.Pos, tc.Particles[i].Pos)
+		for _, q := range t.Particles(tc) {
+			g.IDs = append(g.IDs, int32(q.ID))
+			g.Pos = append(g.Pos, q.Pos)
 		}
 		st.reqs[o] = append(st.reqs[o], g)
 	}
 }
 
 // interactLocal is the dual traversal between two local subtrees.
-func (st *procRun) interactLocal(tc, sc *tree.Node) {
-	if tc == nil || tc.Count == 0 || sc == nil || sc.Count == 0 {
+func (st *procRun) interactLocal(tc, sc int32) {
+	t := st.tree
+	if t.Count(tc) == 0 || t.Count(sc) == 0 {
 		return
 	}
 	if tc != sc && st.acceptedLocal(tc, sc) {
-		st.locals[tc].AddMultipole(sc.Exp)
+		st.locals[tc].AddMultipole(t.Exp[sc])
 		st.stats.M2L++
 		st.pr.Compute(phys.M2LFlops(st.cfg.Degree))
 		return
 	}
-	tLeaf, sLeaf := tc.IsLeaf(), sc.IsLeaf()
+	tLeaf, sLeaf := t.IsLeaf(tc), t.IsLeaf(sc)
 	if tLeaf && sLeaf {
 		st.p2p(tc, sc)
 		return
 	}
-	if sLeaf || (!tLeaf && tc.Box.Size().Norm() >= sc.Box.Size().Norm()) {
-		for _, c := range tc.Children {
-			if c != nil {
-				st.interactLocal(c, sc)
-			}
+	if sLeaf || (!tLeaf && st.boxes[tc].Size().Norm() >= st.boxes[sc].Size().Norm()) {
+		for c := tc + 1; c < t.Skip[tc]; c = t.Skip[c] {
+			st.interactLocal(c, sc)
 		}
 		return
 	}
-	for _, c := range sc.Children {
-		if c != nil {
-			st.interactLocal(tc, c)
-		}
+	for c := sc + 1; c < t.Skip[sc]; c = t.Skip[c] {
+		st.interactLocal(tc, c)
 	}
 }
 
 // p2p accumulates near-field potentials of source leaf sc onto target
 // leaf tc's particles.
-func (st *procRun) p2p(tc, sc *tree.Node) {
-	for i := range tc.Particles {
-		ti := &tc.Particles[i]
+func (st *procRun) p2p(tc, sc int32) {
+	tps, sps := st.tree.Particles(tc), st.tree.Particles(sc)
+	for i := range tps {
+		ti := &tps[i]
 		var phi float64
-		for j := range sc.Particles {
-			sj := &sc.Particles[j]
+		for j := range sps {
+			sj := &sps[j]
 			if sj.ID == ti.ID {
 				continue
 			}
@@ -493,7 +498,7 @@ func (st *procRun) p2p(tc, sc *tree.Node) {
 		}
 		st.out[ti.ID] += phi
 	}
-	st.pr.Compute(float64(len(tc.Particles)*len(sc.Particles)) * 8)
+	st.pr.Compute(float64(len(tps)*len(sps)) * 8)
 }
 
 // serveGhost refines this processor's subtree under the requested cell
@@ -502,27 +507,30 @@ func (st *procRun) p2p(tc, sc *tree.Node) {
 // evaluated per-particle potential.
 func (st *procRun) serveGhost(g ghostEntry) ghostReply {
 	rep := ghostReply{Pots: make([]float64, len(g.IDs))}
-	root := st.lookup[g.SrcKey]
-	if root == nil {
+	t := st.tree
+	root, ok := st.lookup[g.SrcKey]
+	if !ok {
 		return rep
 	}
 	ghost := phys.NewLocal(st.cfg.Degree, g.Center)
-	var rec func(sc *tree.Node)
-	rec = func(sc *tree.Node) {
-		if sc == nil || sc.Count == 0 {
+	var rec func(sc int32)
+	rec = func(sc int32) {
+		if t.Count(sc) == 0 {
 			return
 		}
-		sr := sc.Box.Size().Norm() / 2
-		d := g.Center.Dist(sc.Box.Center())
+		box := st.boxes[sc]
+		sr := box.Size().Norm() / 2
+		d := g.Center.Dist(box.Center())
 		if d > 0 && (g.Radius+sr)/d < st.cfg.Theta {
-			ghost.AddMultipole(sc.Exp)
+			ghost.AddMultipole(t.Exp[sc])
 			st.stats.M2L++
 			st.pr.Compute(phys.M2LFlops(st.cfg.Degree))
 			return
 		}
-		if sc.IsLeaf() {
-			for j := range sc.Particles {
-				sj := &sc.Particles[j]
+		if t.IsLeaf(sc) {
+			sps := t.Particles(sc)
+			for j := range sps {
+				sj := &sps[j]
 				for i := range g.IDs {
 					if int(g.IDs[i]) == sj.ID {
 						continue
@@ -531,10 +539,10 @@ func (st *procRun) serveGhost(g ghostEntry) ghostReply {
 					st.stats.P2P++
 				}
 			}
-			st.pr.Compute(float64(len(sc.Particles)*len(g.IDs)) * 8)
+			st.pr.Compute(float64(len(sps)*len(g.IDs)) * 8)
 			return
 		}
-		for _, c := range sc.Children {
+		for c := sc + 1; c < t.Skip[sc]; c = t.Skip[c] {
 			rec(c)
 		}
 	}
@@ -547,22 +555,21 @@ func (st *procRun) serveGhost(g ghostEntry) ghostReply {
 }
 
 // downward pushes locals to the leaves and evaluates.
-func (st *procRun) downward(n *tree.Node) {
-	if n == nil || n.Count == 0 {
+func (st *procRun) downward(n int32) {
+	t := st.tree
+	if t.Count(n) == 0 {
 		return
 	}
 	lo := st.locals[n]
-	if n.IsLeaf() {
-		for i := range n.Particles {
-			st.out[n.Particles[i].ID] += lo.EvalPotential(n.Particles[i].Pos)
+	if t.IsLeaf(n) {
+		ps := t.Particles(n)
+		for i := range ps {
+			st.out[ps[i].ID] += lo.EvalPotential(ps[i].Pos)
 		}
-		st.pr.Compute(float64(len(n.Particles)) * phys.L2PFlops(st.cfg.Degree))
+		st.pr.Compute(float64(len(ps)) * phys.L2PFlops(st.cfg.Degree))
 		return
 	}
-	for _, c := range n.Children {
-		if c == nil || c.Count == 0 {
-			continue
-		}
+	for c := n + 1; c < t.Skip[n]; c = t.Skip[c] {
 		st.locals[c].Add(lo.TranslateTo(st.locals[c].Center))
 		st.pr.Compute(phys.L2LFlops(st.cfg.Degree))
 		st.downward(c)

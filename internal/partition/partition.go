@@ -282,48 +282,51 @@ func EqualCountZones(ks []uint64, p int) (starts []int, bounds []uint64) {
 // follow the leaves' Morton order, so zones are spatially contiguous.
 func Costzones(t *tree.Tree, p int) [][]dist.Particle {
 	var w float64
-	t.Walk(func(n *tree.Node) bool { w += float64(n.Load); return true })
+	for _, l := range t.Load {
+		w += float64(l)
+	}
 	zones := make([][]dist.Particle, p)
 	useCounts := w <= 0
 	if useCounts {
-		w = float64(t.Root.Count)
+		w = float64(t.Count(0))
 	}
 	if w == 0 {
 		return zones
 	}
 	acc := 0.0
-	var rec func(n *tree.Node, extraPerParticle float64)
-	rec = func(n *tree.Node, extraPerParticle float64) {
-		if n == nil || n.Count == 0 {
+	var rec func(n int32, extraPerParticle float64)
+	rec = func(n int32, extraPerParticle float64) {
+		count := t.Count(n)
+		if count == 0 {
 			return
 		}
-		if n.IsLeaf() {
+		if t.IsLeaf(n) {
 			var leafLoad float64
 			if useCounts {
-				leafLoad = float64(n.Count)
+				leafLoad = float64(count)
 			} else {
-				leafLoad = float64(n.Load) + extraPerParticle*float64(n.Count)
+				leafLoad = float64(t.Load[n]) + extraPerParticle*float64(count)
 			}
-			share := leafLoad / float64(len(n.Particles))
-			for i := range n.Particles {
+			share := leafLoad / float64(count)
+			for _, q := range t.Particles(n) {
 				// Zone of the load midpoint of this particle's share.
 				zone := int((acc + share/2) / w * float64(p))
 				if zone >= p {
 					zone = p - 1
 				}
-				zones[zone] = append(zones[zone], n.Particles[i])
+				zones[zone] = append(zones[zone], q)
 				acc += share
 			}
 			return
 		}
 		childExtra := extraPerParticle
 		if !useCounts {
-			childExtra += float64(n.Load) / float64(n.Count)
+			childExtra += float64(t.Load[n]) / float64(count)
 		}
-		for _, c := range n.Children {
+		for c := n + 1; c < t.Skip[n]; c = t.Skip[c] {
 			rec(c, childExtra)
 		}
 	}
-	rec(t.Root, 0)
+	rec(0, 0)
 	return zones
 }

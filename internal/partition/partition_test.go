@@ -316,9 +316,9 @@ func TestCostzonesZonesAreSpatiallyContiguous(t *testing.T) {
 	// Build the walk order of particle IDs.
 	pos := make(map[int]int)
 	i := 0
-	tr.WalkLeaves(func(n *tree.Node) bool {
-		for j := range n.Particles {
-			pos[n.Particles[j].ID] = i
+	tr.WalkLeaves(func(n int32) bool {
+		for _, q := range tr.Particles(n) {
+			pos[q.ID] = i
 			i++
 		}
 		return true

@@ -12,54 +12,57 @@ import (
 	"repro/internal/vec"
 )
 
-// diffNodes compares two trees node for node, field for field, with
-// bitwise float comparison — the two-clock rule demands the incremental
-// build be indistinguishable from the from-scratch build, not merely
-// numerically close.
-func diffNodes(a, b *Node, path string) error {
-	if (a == nil) != (b == nil) {
-		return fmt.Errorf("%s: nil mismatch (got %v, want %v)", path, a != nil, b != nil)
+// diffTrees compares two whole trees column for column with bitwise float
+// comparison — the two-clock rule demands the incremental build be
+// indistinguishable from the from-scratch build, not merely numerically
+// close.
+func diffTrees(a, b *Tree) error {
+	if a.NumNodes() != b.NumNodes() || len(a.ps) != len(b.ps) {
+		return fmt.Errorf("%d nodes over %d particles vs %d over %d", a.NumNodes(), len(a.ps), b.NumNodes(), len(b.ps))
 	}
-	if a == nil {
-		return nil
+	return diffSubtrees(a, 0, b, 0)
+}
+
+// diffSubtrees compares the subtree under node ai of a with the one under
+// node bi of b: every node column, with skip pointers and particle ranges
+// relative to the subtree roots, and the particles (snapshot, keys and
+// columns) the ranges hold.
+func diffSubtrees(a *Tree, ai int32, b *Tree, bi int32) error {
+	if a.CountNodes(ai) != b.CountNodes(bi) || a.Count(ai) != b.Count(bi) {
+		return fmt.Errorf("subtree of %d nodes over %d particles vs %d over %d", a.CountNodes(ai), a.Count(ai), b.CountNodes(bi), b.Count(bi))
 	}
-	if a.Box != b.Box {
-		return fmt.Errorf("%s: box %+v vs %+v", path, a.Box, b.Box)
-	}
-	if a.Key != b.Key {
-		return fmt.Errorf("%s: key %+v vs %+v", path, a.Key, b.Key)
-	}
-	if a.Count != b.Count {
-		return fmt.Errorf("%s: count %d vs %d", path, a.Count, b.Count)
-	}
-	if math.Float64bits(a.Mass) != math.Float64bits(b.Mass) {
-		return fmt.Errorf("%s: mass %x vs %x", path, math.Float64bits(a.Mass), math.Float64bits(b.Mass))
-	}
-	if math.Float64bits(a.COM.X) != math.Float64bits(b.COM.X) ||
-		math.Float64bits(a.COM.Y) != math.Float64bits(b.COM.Y) ||
-		math.Float64bits(a.COM.Z) != math.Float64bits(b.COM.Z) {
-		return fmt.Errorf("%s: COM %v vs %v", path, a.COM, b.COM)
-	}
-	if a.Load != b.Load {
-		return fmt.Errorf("%s: load %d vs %d", path, a.Load, b.Load)
-	}
-	if (a.Exp == nil) != (b.Exp == nil) {
-		return fmt.Errorf("%s: expansion presence mismatch", path)
-	}
-	if a.IsLeaf() != b.IsLeaf() {
-		return fmt.Errorf("%s: leafness %v vs %v", path, a.IsLeaf(), b.IsLeaf())
-	}
-	if len(a.Particles) != len(b.Particles) {
-		return fmt.Errorf("%s: leaf size %d vs %d", path, len(a.Particles), len(b.Particles))
-	}
-	for i := range a.Particles {
-		if a.Particles[i] != b.Particles[i] {
-			return fmt.Errorf("%s: leaf particle %d: %+v vs %+v", path, i, a.Particles[i], b.Particles[i])
+	bits := math.Float64bits
+	for k := int32(0); k < int32(a.CountNodes(ai)); k++ {
+		i, j := ai+k, bi+k
+		where := fmt.Sprintf("node %d (%v)", k, a.Cell(i))
+		switch {
+		case a.Kind[i] != b.Kind[j]:
+			return fmt.Errorf("%s: kind %d vs %d", where, a.Kind[i], b.Kind[j])
+		case a.Key[i] != b.Key[j]:
+			return fmt.Errorf("%s: key %v vs %v", where, a.Cell(i), b.Cell(j))
+		case a.Skip[i]-ai != b.Skip[j]-bi:
+			return fmt.Errorf("%s: skip %d vs %d", where, a.Skip[i]-ai, b.Skip[j]-bi)
+		case a.Lo[i]-a.Lo[ai] != b.Lo[j]-b.Lo[bi] || a.Hi[i]-a.Lo[ai] != b.Hi[j]-b.Lo[bi]:
+			return fmt.Errorf("%s: range [%d, %d) vs [%d, %d)", where, a.Lo[i]-a.Lo[ai], a.Hi[i]-a.Lo[ai], b.Lo[j]-b.Lo[bi], b.Hi[j]-b.Lo[bi])
+		case bits(a.Mass[i]) != bits(b.Mass[j]):
+			return fmt.Errorf("%s: mass %x vs %x", where, bits(a.Mass[i]), bits(b.Mass[j]))
+		case bits(a.ComX[i]) != bits(b.ComX[j]) || bits(a.ComY[i]) != bits(b.ComY[j]) || bits(a.ComZ[i]) != bits(b.ComZ[j]):
+			return fmt.Errorf("%s: COM %v vs %v", where, a.COM(i), b.COM(j))
+		case bits(a.Side[i]) != bits(b.Side[j]):
+			return fmt.Errorf("%s: side %v vs %v", where, a.Side[i], b.Side[j])
+		case a.Box(i) != b.Box(j):
+			return fmt.Errorf("%s: box %+v vs %+v", where, a.Box(i), b.Box(j))
+		case a.Load[i] != b.Load[j]:
+			return fmt.Errorf("%s: load %d vs %d", where, a.Load[i], b.Load[j])
+		case (a.Exp[i] == nil) != (b.Exp[j] == nil):
+			return fmt.Errorf("%s: expansion presence mismatch", where)
 		}
 	}
-	for o := 0; o < 8; o++ {
-		if err := diffNodes(a.Children[o], b.Children[o], fmt.Sprintf("%s/%d", path, o)); err != nil {
-			return err
+	for k := int32(0); k < int32(a.Count(ai)); k++ {
+		i, j := a.Lo[ai]+k, b.Lo[bi]+k
+		if a.ps[i] != b.ps[j] || a.ks[i] != b.ks[j] || a.ID[i] != b.ID[j] || bits(a.PX[i]) != bits(b.PX[j]) ||
+			bits(a.PY[i]) != bits(b.PY[j]) || bits(a.PZ[i]) != bits(b.PZ[j]) || bits(a.PM[i]) != bits(b.PM[j]) {
+			return fmt.Errorf("particle %d: %+v vs %+v", k, a.ps[i], b.ps[j])
 		}
 	}
 	return nil
@@ -103,15 +106,21 @@ func TestBuilderIncrementalMatchesFromScratch(t *testing.T) {
 			for step := 0; step < 6; step++ {
 				got := b.Step(bodies)
 				want := BuildKeyed(bodies, domain, 8)
-				if err := diffNodes(got.Root, want.Root, "root"); err != nil {
+				if err := diffTrees(got, want); err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
 				rep := b.Last()
 				if step == 0 && !rep.Cold {
 					t.Fatal("first step must be cold")
 				}
-				if step > 0 && rep.Cold && tc.frac < 0.5 {
-					t.Fatalf("step %d unexpectedly cold under light drift: %+v", step, rep)
+				if step > 0 && (rep.Cold || rep.Refreshed+rep.Spine+rep.Rebuilt != got.NumNodes()) {
+					t.Fatalf("step %d: %+v over %d nodes", step, rep, got.NumNodes())
+				}
+				if step > 0 && tc.frac == 0 && rep.Rebuilt != 0 {
+					t.Fatalf("step %d: nothing moved but %+v", step, rep)
+				}
+				if step > 0 && tc.frac > 0 && tc.frac < 0.5 && rep.Rebuilt*10 > got.NumNodes() {
+					t.Fatalf("step %d: light drift rebuilt %d of %d nodes", step, rep.Rebuilt, got.NumNodes())
 				}
 				jitter(rng, bodies, tc.frac, tc.scale)
 			}
@@ -164,7 +173,7 @@ func TestBuilderStepSortedMatchesFromScratch(t *testing.T) {
 		counts[len(in)] = true
 		got := b.Step(in)
 		want := BuildKeyed(in, domain, 8)
-		if err := diffNodes(got.Root, want.Root, "root"); err != nil {
+		if err := diffTrees(got, want); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		if sorted, _ := SortByKey(in, box); !slices.Equal(b.Particles(), sorted) {
@@ -193,7 +202,7 @@ func TestBuilderStepSortedUnsortedFallback(t *testing.T) {
 	if !b.Last().Cold {
 		t.Fatal("a traded particle took the warm path")
 	}
-	if err := diffNodes(got.Root, BuildKeyed(next, domain, 8).Root, "root"); err != nil {
+	if err := diffTrees(got, BuildKeyed(next, domain, 8)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -212,7 +221,7 @@ func TestBuilderColdFallbacks(t *testing.T) {
 	if !b.Last().Cold {
 		t.Fatal("reordered input did not force a cold build")
 	}
-	if err := diffNodes(got.Root, BuildKeyed(reordered, domain, 8).Root, "root"); err != nil {
+	if err := diffTrees(got, BuildKeyed(reordered, domain, 8)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -222,7 +231,7 @@ func TestBuilderColdFallbacks(t *testing.T) {
 	if !b.Last().Cold {
 		t.Fatal("length change did not force a cold build")
 	}
-	if err := diffNodes(got.Root, BuildKeyed(shrunk, domain, 8).Root, "root"); err != nil {
+	if err := diffTrees(got, BuildKeyed(shrunk, domain, 8)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -232,33 +241,55 @@ func TestBuilderColdFallbacks(t *testing.T) {
 	if !b.Last().Cold {
 		t.Fatal("step after Reset was not cold")
 	}
-	if err := diffNodes(got.Root, BuildKeyed(shrunk, domain, 8).Root, "root"); err != nil {
+	if err := diffTrees(got, BuildKeyed(shrunk, domain, 8)); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestBuilderArenaRecycle(t *testing.T) {
-	// Heavy motion every step accumulates rebuild garbage until the
-	// arena-stale check forces a cold rebuild; correctness must hold
-	// through the recycle.
+// TestBuilderShapeChangeRewrites moves every particle far each step, so
+// cells change shape: the warm step must rebuild those cells alone, splice
+// them into its retained columns and still produce BuildKeyed's tree — and
+// refresh everything in place again once nothing moves.
+func TestBuilderShapeChangeRewrites(t *testing.T) {
 	domain := testDomain()
 	rng := rand.New(rand.NewSource(13))
 	bodies := dist.MustNamed("plummer", 800, 31).Particles
 	b := NewBuilder(domain, 8)
-	recycled := false
-	for step := 0; step < 30; step++ {
-		got := b.Step(bodies)
-		if step > 0 && b.Last().Cold {
-			recycled = true
+	resized := false
+	for step := 0; step < 12; step++ {
+		still := step >= 10
+		if !still {
+			jitter(rng, bodies, 1.0, 10.0)
 		}
+		before := 0
+		if b.Tree() != nil {
+			before = b.Tree().NumNodes()
+		}
+		got := b.Step(bodies)
+		rep := b.Last()
 		want := BuildKeyed(bodies, domain, 8)
-		if err := diffNodes(got.Root, want.Root, "root"); err != nil {
+		if err := diffTrees(got, want); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		jitter(rng, bodies, 1.0, 10.0)
+		if step == 0 {
+			continue
+		}
+		if rep.Cold {
+			t.Fatalf("step %d: the same particles sorted cold", step)
+		}
+		if rep.Refreshed+rep.Spine+rep.Rebuilt != got.NumNodes() {
+			t.Fatalf("step %d: %+v does not account for %d nodes", step, rep, got.NumNodes())
+		}
+		if still && rep.Rebuilt != 0 {
+			t.Fatalf("step %d: nothing moved but %+v", step, rep)
+		}
+		if !still && (rep.Rebuilt == 0 || rep.Spine == 0) {
+			t.Fatalf("step %d: everything moved but %+v: no splice", step, rep)
+		}
+		resized = resized || got.NumNodes() != before
 	}
-	if !recycled {
-		t.Fatal("30 all-moved steps never triggered an arena recycle")
+	if !resized {
+		t.Fatal("no step changed the node count: the splice never moved a run")
 	}
 }
 
@@ -274,7 +305,7 @@ func TestBuilderCoincidentParticles(t *testing.T) {
 	for step := 0; step < 3; step++ {
 		got := b.Step(bodies)
 		want := BuildKeyed(bodies, domain, 4)
-		if err := diffNodes(got.Root, want.Root, "root"); err != nil {
+		if err := diffTrees(got, want); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		// Move one particle away and back to dirty the deep chain.
@@ -315,7 +346,7 @@ func FuzzBuilderIncremental(f *testing.F) {
 		for step := 0; step < nsteps; step++ {
 			got := b.Step(bodies)
 			want := BuildKeyed(bodies, domain, b.leafCap)
-			if err := diffNodes(got.Root, want.Root, "root"); err != nil {
+			if err := diffTrees(got, want); err != nil {
 				t.Fatalf("seed=%d step=%d frac=%g scale=%g: %v", seed, step, frac, scale, err)
 			}
 			jitter(rng, bodies, frac, scale)
@@ -338,24 +369,26 @@ func TestBuilderAliasedInput(t *testing.T) {
 	b.Step(sorted)
 	for step := 0; step < 4; step++ {
 		// The leftmost leaf starts the snapshot; its slice runs to the end.
-		var first *Node
-		b.Tree().WalkLeaves(func(l *Node) bool { first = l; return false })
-		snap := first.Particles[:len(bodies)]
+		var first int32
+		b.Tree().WalkLeaves(func(l int32) bool { first = l; return false })
+		snap := b.Tree().Particles(first)[:len(bodies)]
 		jitter(rng, snap, 0.5, 4.0)
 		want := BuildKeyed(append([]dist.Particle(nil), snap...), domain, 8)
 		got := b.Step(snap)
 		if !b.Last().Cold {
 			t.Fatalf("step %d: input aliasing the snapshot took the warm path", step)
 		}
-		if err := diffNodes(got.Root, want.Root, "root"); err != nil {
+		if err := diffTrees(got, want); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 	}
 	// One leaf's particles alias the snapshot too.
-	var leaf *Node
-	b.Tree().WalkLeaves(func(l *Node) bool { leaf = l; return l.Count < 2 })
-	want := BuildKeyed(append([]dist.Particle(nil), leaf.Particles...), domain, 8)
-	if err := diffNodes(b.Step(leaf.Particles).Root, want.Root, "root"); err != nil {
+	tr := b.Tree()
+	var leaf int32
+	tr.WalkLeaves(func(l int32) bool { leaf = l; return tr.Count(l) < 2 })
+	in := tr.Particles(leaf)
+	want := BuildKeyed(append([]dist.Particle(nil), in...), domain, 8)
+	if err := diffTrees(b.Step(in), want); err != nil {
 		t.Fatalf("one leaf: %v", err)
 	}
 }

@@ -40,9 +40,9 @@ func TestCollapseReducesNodeCount(t *testing.T) {
 		t.Fatalf("collapse did not reduce nodes: %d vs %d", collapsed.NumNodes(), plain.NumNodes())
 	}
 	// Collapsed tree actually separates every pair into singleton leaves.
-	collapsed.WalkLeaves(func(n *Node) bool {
-		if len(n.Particles) > 1 {
-			t.Errorf("collapsed leaf still holds %d particles", len(n.Particles))
+	collapsed.WalkLeaves(func(n int32) bool {
+		if collapsed.Count(n) > 1 {
+			t.Errorf("collapsed leaf still holds %d particles", collapsed.Count(n))
 		}
 		return true
 	})
@@ -56,8 +56,8 @@ func TestCollapseSeparatesArbitrarilyTightPairs(t *testing.T) {
 	ps := degeneratePairs(3, 1e-12)
 	collapsed := Build(ps, Options{LeafCap: 1, CollapseBoxes: true})
 	single := 0
-	collapsed.WalkLeaves(func(n *Node) bool {
-		if len(n.Particles) == 1 {
+	collapsed.WalkLeaves(func(n int32) bool {
+		if collapsed.Count(n) == 1 {
 			single++
 		}
 		return true
@@ -73,8 +73,8 @@ func TestCollapseCoincidentParticlesTerminate(t *testing.T) {
 		ps[i] = dist.Particle{ID: i, Mass: 1, Pos: vec.V3{X: 5, Y: 5, Z: 5}}
 	}
 	tr := Build(ps, Options{LeafCap: 2, CollapseBoxes: true})
-	if tr.Root.Count != 10 {
-		t.Fatalf("count = %d", tr.Root.Count)
+	if tr.Count(0) != 10 {
+		t.Fatalf("count = %d", tr.Count(0))
 	}
 }
 
@@ -92,10 +92,10 @@ func TestCollapseKeepsAggregates(t *testing.T) {
 	s := dist.MustNamed("s_1g_a", 2000, 52)
 	plain := Build(s.Particles, Options{LeafCap: 8, Domain: s.Domain})
 	collapsed := Build(s.Particles, Options{LeafCap: 8, CollapseBoxes: true, Domain: s.Domain})
-	if collapsed.Root.Count != plain.Root.Count {
+	if collapsed.Count(0) != plain.Count(0) {
 		t.Fatal("counts differ")
 	}
-	if collapsed.Root.COM.Dist(plain.Root.COM) > 1e-9 {
+	if collapsed.COM(0).Dist(plain.COM(0)) > 1e-9 {
 		t.Fatal("COM differs")
 	}
 	// On a concentrated distribution collapsing prunes the empty upper

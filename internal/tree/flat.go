@@ -5,98 +5,68 @@ import (
 	"repro/internal/vec"
 )
 
-// FlatTree is a structure-of-arrays linearization of a Tree in DFS
-// (Morton) order: one column per per-node quantity plus skip pointers,
-// and the leaf particles transposed into columns in leaf order (see
-// Cols). Traversals walk contiguous arrays instead of chasing ~200-byte
-// Node records, and the box side length is hoisted out of every MAC
-// test.
+// AccelSweep computes accelerations for every particle in ps against the
+// tree by the packet sweep, the one kernel every production traversal
+// runs. A Tree already is the structure-of-arrays form the sweep walks —
+// node columns in DFS order with skip pointers and the box side hoisted
+// out of every MAC test, leaf particles transposed into columns — so
+// nothing is copied first.
 //
-// AccelAll and PotentialAll are thin drivers over the one packet Sweep and
-// produce results bit-identical to the pointer traversals (Tree.AccelAll /
-// Tree.PotentialAll): each particle's interactions arrive in exactly the
-// DFS visit order and opened subtrees accumulate into nested partial sums
-// that replay the recursion's hierarchical summation order, because
-// floating-point addition is not associative — a flat left-to-right
-// accumulation over the same contributions would round differently.
-//
-// A FlatTree snapshots the Tree at Flatten time; rebuild or refresh the
-// tree and Flatten again before the next sweep. Load counters are
-// written back to the underlying *Node records. At most one sweep may
-// run at a time (matching the Tree traversals, which share Load state).
-type FlatTree struct {
-	t     *Tree
-	nodes []*Node
-	sw    Sweep   // the columns, and the sweep's reusable state
-	loads []int64 // merged per-node Load charges of one sweep
+// Results — accelerations, Stats, and per-node Load counters — are
+// bit-identical to the recursive Tree.AccelAll: each particle's
+// interactions arrive in exactly the DFS visit order and opened subtrees
+// accumulate into nested partial sums that replay the recursion's
+// hierarchical summation order, because floating-point addition is not
+// associative — a flat left-to-right accumulation over the same
+// contributions would round differently. At most one sweep may run on a
+// tree at a time.
+func (t *Tree) AccelSweep(ps []dist.Particle, alpha, eps float64) ([]vec.V3, Stats) {
+	out := make([]vec.V3, len(ps))
+	s := t.sweep().ForceAll(ps, 0, alpha, eps, 0, out, nil, t.Load)
+	t.sw.Cols = Cols{}
+	return out, s
 }
 
-// Flatten linearizes t, reusing reuse's buffers when non-nil (pass the
-// previous step's FlatTree to amortize the column allocations).
+// PotentialSweep is AccelSweep for potentials, bit-identical to
+// Tree.PotentialAll. The tree's expansions must have been built.
+func (t *Tree) PotentialSweep(ps []dist.Particle, alpha float64) ([]float64, Stats) {
+	out := make([]float64, len(ps))
+	s := t.sweep().PotentialAll(ps, 0, alpha, 0, out, nil, t.Load)
+	t.sw.Cols = Cols{}
+	return out, s
+}
+
+// sweep points the tree's packet sweep at its columns; the caller drops
+// them again when the sweep is done, so the sweep never pins columns a
+// later build gives up.
+func (t *Tree) sweep() *Sweep {
+	t.sw.Cols = t.Cols
+	return &t.sw
+}
+
+// FlatTree is the packet sweep's view of a Tree: it holds nothing but the
+// tree, whose columns the sweep reads in place.
+type FlatTree struct {
+	t *Tree
+}
+
+// Flatten returns t as a FlatTree, reusing reuse when non-nil. It copies
+// nothing.
 func Flatten(t *Tree, reuse *FlatTree) *FlatTree {
 	f := reuse
 	if f == nil {
 		f = &FlatTree{}
 	}
 	f.t = t
-	f.nodes = f.nodes[:0]
-	f.sw.Reset()
-	f.flatten(t.Root)
 	return f
 }
 
-// Tree returns the tree this FlatTree linearizes.
-func (f *FlatTree) Tree() *Tree { return f.t }
-
-// NumNodes returns the number of linearized nodes.
-func (f *FlatTree) NumNodes() int { return len(f.nodes) }
-
-func (f *FlatTree) flatten(n *Node) {
-	f.nodes = append(f.nodes, n)
-	if n.IsLeaf() {
-		lo, hi := f.sw.AddParticles(n.Particles)
-		f.sw.AddNode(KindLeaf, n.COM, n.Mass, n.Box.LongestSide(), n.Exp, lo, hi)
-		return
-	}
-	idx := f.sw.AddNode(KindInternal, n.COM, n.Mass, n.Box.LongestSide(), n.Exp, -1, -1)
-	for _, c := range n.Children {
-		if c != nil {
-			f.flatten(c)
-		}
-	}
-	f.sw.Skip[idx] = int32(len(f.nodes))
-}
-
-// AccelAll computes accelerations for every particle against the flat
-// tree. Results — accelerations, Stats, and per-node Load counters — are
-// bit-identical to Tree.AccelAll on the tree this FlatTree linearizes.
+// AccelAll is Tree.AccelSweep.
 func (f *FlatTree) AccelAll(ps []dist.Particle, alpha, eps float64) ([]vec.V3, Stats) {
-	out := make([]vec.V3, len(ps))
-	s := f.sw.ForceAll(ps, 0, alpha, eps, 0, out, nil, f.zeroLoads())
-	f.applyLoads()
-	return out, s
+	return f.t.AccelSweep(ps, alpha, eps)
 }
 
-// PotentialAll computes potentials for every particle against the flat
-// tree, bit-identical to Tree.PotentialAll. The tree's expansions must
-// have been built before Flatten.
+// PotentialAll is Tree.PotentialSweep.
 func (f *FlatTree) PotentialAll(ps []dist.Particle, alpha float64) ([]float64, Stats) {
-	out := make([]float64, len(ps))
-	s := f.sw.PotentialAll(ps, 0, alpha, 0, out, nil, f.zeroLoads())
-	f.applyLoads()
-	return out, s
-}
-
-func (f *FlatTree) zeroLoads() []int64 {
-	f.loads = append(f.loads[:0], make([]int64, len(f.nodes))...)
-	return f.loads
-}
-
-// applyLoads adds the sweep's merged Load charges to the tree's nodes.
-func (f *FlatTree) applyLoads() {
-	for j, v := range f.loads {
-		if v != 0 {
-			f.nodes[j].Load += v
-		}
-	}
+	return f.t.PotentialSweep(ps, alpha)
 }

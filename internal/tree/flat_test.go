@@ -11,9 +11,9 @@ import (
 	"repro/internal/vec"
 )
 
-// The flat SoA kernel replays the recursive traversal's exact reduction
-// tree, so its accelerations, potentials, Stats, and per-node Load counters
-// must be bit-identical to the pointer-chasing AccelAll/PotentialAll — not
+// The packet sweep replays the recursive traversal's exact reduction tree,
+// so its accelerations, potentials, Stats, and per-node Load counters must
+// be bit-identical to the recursive AccelAll/PotentialAll — not
 // approximately equal.
 
 func flatVsPointer(t *testing.T, ps []dist.Particle, domain vec.Box, alpha, eps float64, leafCap int) {
@@ -29,7 +29,7 @@ func flatVsPointerQuery(t *testing.T, ps, query []dist.Particle, domain vec.Box,
 	ptrTree := BuildKeyed(ps, domain, leafCap)
 	flatTree := BuildKeyed(ps, domain, leafCap)
 	wantAcc, wantStats := ptrTree.AccelAll(query, alpha, eps)
-	gotAcc, gotStats := Flatten(flatTree, nil).AccelAll(query, alpha, eps)
+	gotAcc, gotStats := flatTree.AccelSweep(query, alpha, eps)
 	if gotStats != wantStats {
 		t.Fatalf("stats differ: flat %+v pointer %+v", gotStats, wantStats)
 	}
@@ -47,7 +47,7 @@ func flatVsPointerQuery(t *testing.T, ps, query []dist.Particle, domain vec.Box,
 }
 
 // flatVsPointerPotential sweeps query through two equal trees in potential
-// mode, one flattened and one by pointer recursion.
+// mode, one by the packet sweep and one by recursion.
 func flatVsPointerPotential(t *testing.T, flatTree, ptrTree *Tree, query []dist.Particle, alpha float64, degree int) {
 	t.Helper()
 	for _, tr := range []*Tree{flatTree, ptrTree} {
@@ -55,7 +55,7 @@ func flatVsPointerPotential(t *testing.T, flatTree, ptrTree *Tree, query []dist.
 		tr.BuildExpansions(degree)
 	}
 	wantPot, wantStats := ptrTree.PotentialAll(query, alpha)
-	gotPot, gotStats := Flatten(flatTree, nil).PotentialAll(query, alpha)
+	gotPot, gotStats := flatTree.PotentialSweep(query, alpha)
 	if gotStats != wantStats {
 		t.Fatalf("degree %d: stats differ: flat %+v pointer %+v", degree, gotStats, wantStats)
 	}
@@ -138,13 +138,13 @@ func TestFlatPotentialMatchesPointer(t *testing.T) {
 // the tree gave no expansion says which step was skipped.
 func TestFlatPotentialWithoutExpansions(t *testing.T) {
 	s := dist.MustNamed("plummer", 200, 23)
-	f := Flatten(BuildKeyed(s.Particles, s.Domain, 8), nil)
+	tr := BuildKeyed(s.Particles, s.Domain, 8)
 	defer func() {
 		if msg, _ := recover().(string); !strings.Contains(msg, "BuildExpansions") {
 			t.Fatalf("panic %q does not name BuildExpansions", msg)
 		}
 	}()
-	f.PotentialAll(s.Particles[:8], 0.67) // one packet: swept on this goroutine
+	tr.PotentialSweep(s.Particles[:8], 0.67) // one packet: swept on this goroutine
 }
 
 func TestFlatParallelMatchesSerial(t *testing.T) {
@@ -154,18 +154,16 @@ func TestFlatParallelMatchesSerial(t *testing.T) {
 	s := dist.MustNamed("plummer", 4000, 61)
 
 	serialTree := BuildKeyed(s.Particles, s.Domain, 8)
-	fs := Flatten(serialTree, nil)
 	prev := compute.SetMaxWorkers(1)
-	wantAcc, wantStats := fs.AccelAll(s.Particles, 0.67, 0.01)
+	wantAcc, wantStats := serialTree.AccelSweep(s.Particles, 0.67, 0.01)
 	compute.SetMaxWorkers(prev)
 	wantLoads := collectLoads(serialTree)
 
 	parTree := BuildKeyed(s.Particles, s.Domain, 8)
-	fp := Flatten(parTree, nil)
 	if w := compute.Workers(len(s.Particles)); w < 2 {
 		t.Fatalf("expected multiple workers, got %d", w)
 	}
-	gotAcc, gotStats := fp.AccelAll(s.Particles, 0.67, 0.01)
+	gotAcc, gotStats := parTree.AccelSweep(s.Particles, 0.67, 0.01)
 	gotLoads := collectLoads(parTree)
 
 	if gotStats != wantStats {
@@ -184,8 +182,8 @@ func TestFlatParallelMatchesSerial(t *testing.T) {
 }
 
 func TestFlattenReuse(t *testing.T) {
-	// Reusing a FlatTree across rebuilds (the per-step pattern in
-	// SerialSim) must give the same answers as a fresh flatten.
+	// Flatten over a reused FlatTree (benchmark/serial.go's per-step
+	// pattern) must give the same answers as the tree's own sweep.
 	s := dist.MustNamed("g", 1500, 7)
 	tr := BuildKeyed(s.Particles, s.Domain, 8)
 	f := Flatten(tr, nil)
@@ -197,7 +195,7 @@ func TestFlattenReuse(t *testing.T) {
 	gotAcc, gotStats := f.AccelAll(small, 0.67, 0.01)
 
 	ref := BuildKeyed(small, s.Domain, 8)
-	wantAcc, wantStats := Flatten(ref, nil).AccelAll(small, 0.67, 0.01)
+	wantAcc, wantStats := ref.AccelSweep(small, 0.67, 0.01)
 	if gotStats != wantStats {
 		t.Fatalf("stats differ after reuse: %+v vs %+v", gotStats, wantStats)
 	}

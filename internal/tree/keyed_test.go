@@ -13,30 +13,29 @@ import (
 // each particle's full-resolution Morton key (against rootBox) lies inside
 // the key range of every cell that holds it, and leaves hold their
 // particles in (key, ID) order.
-func checkMembership(t *testing.T, name string, n *Node, rootBox vec.Box) {
+func checkMembership(t *testing.T, name string, tr *Tree, n int32, rootBox vec.Box) {
 	t.Helper()
-	if n == nil {
-		return
-	}
-	lo, hi := n.Key.Range()
-	for i := range n.Particles {
-		k := keys.FullKey3(n.Particles[i].Pos, rootBox)
+	key := tr.Cell(n)
+	lo, hi := key.Range()
+	ps := tr.Particles(n)
+	for i := range ps {
+		k := keys.FullKey3(ps[i].Pos, rootBox)
 		if k < lo || k >= hi {
 			t.Fatalf("%s: particle %d key %x outside cell %v range [%x,%x)",
-				name, n.Particles[i].ID, k, n.Key, lo, hi)
+				name, ps[i].ID, k, key, lo, hi)
 		}
 		if i > 0 {
-			pk := keys.FullKey3(n.Particles[i-1].Pos, rootBox)
-			if k < pk || (k == pk && n.Particles[i].ID < n.Particles[i-1].ID) {
-				t.Fatalf("%s: leaf %v not in (key, ID) order at %d", name, n.Key, i)
+			pk := keys.FullKey3(ps[i-1].Pos, rootBox)
+			if k < pk || (k == pk && ps[i].ID < ps[i-1].ID) {
+				t.Fatalf("%s: cell %v not in (key, ID) order at %d", name, key, i)
 			}
 		}
 	}
-	for _, c := range n.Children {
-		if c != nil && !n.Key.Contains(c.Key) {
-			t.Fatalf("%s: child %v outside parent %v", name, c.Key, n.Key)
+	for c := n + 1; c < tr.Skip[n]; c = tr.Skip[c] {
+		if !key.Contains(tr.Cell(c)) {
+			t.Fatalf("%s: child %v outside parent %v", name, tr.Cell(c), key)
 		}
-		checkMembership(t, name, c, rootBox)
+		checkMembership(t, name, tr, c, rootBox)
 	}
 }
 
@@ -64,37 +63,38 @@ func TestKeyedCellMembershipConsistentWithKeys(t *testing.T) {
 	slices.Reverse(grown[len(sorted)/2:])
 	entries := []struct {
 		name string
-		root *Node
+		tree *Tree
 		n    int
 	}{
-		{"Build", Build(s.Particles, Options{LeafCap: 8, Domain: s.Domain}).Root, s.N()},
-		{"BuildKeyed", BuildKeyed(s.Particles, s.Domain, 8).Root, s.N()},
-		{"BuildSubtreeKeyed", BuildSubtreeKeyed(inCell, rootBox, keys.CellBox(rootBox, cell), cell, 8), len(inCell)},
-		{"Builder.Step", warm.Step(s.Particles).Root, s.N()},
-		{"Builder.Step, migrated", migrated.Step(grown).Root, s.N()},
+		{"Build", Build(s.Particles, Options{LeafCap: 8, Domain: s.Domain}), s.N()},
+		{"BuildKeyed", BuildKeyed(s.Particles, s.Domain, 8), s.N()},
+		{"BuildSubtreeKeyed", BuildSubtreeKeyed(inCell, rootBox, cell, 8), len(inCell)},
+		{"Builder.Step", warm.Step(s.Particles), s.N()},
+		{"Builder.Step, migrated", migrated.Step(grown), s.N()},
 	}
 	for _, e := range entries {
-		if e.root.Count != e.n {
-			t.Fatalf("%s: count %d, want %d", e.name, e.root.Count, e.n)
+		if e.tree.Count(0) != e.n {
+			t.Fatalf("%s: count %d, want %d", e.name, e.tree.Count(0), e.n)
 		}
-		checkMembership(t, e.name, e.root, rootBox)
-		// One arithmetic: every whole-tree entry agrees with Build node
-		// for node.
+		checkMembership(t, e.name, e.tree, 0, rootBox)
+		// One arithmetic: every whole-tree entry agrees with Build column
+		// for column.
 		if e.n == s.N() {
-			if err := diffNodes(e.root, entries[0].root, e.name); err != nil {
-				t.Fatal(err)
+			if err := diffTrees(e.tree, entries[0].tree); err != nil {
+				t.Fatalf("%s: %v", e.name, err)
 			}
 		}
 	}
 	// A tree built with no Domain is keyed against its own root cell.
 	auto := Build(s.Particles, Options{LeafCap: 8})
-	checkMembership(t, "Build without Domain", auto.Root, auto.Root.Box)
+	checkMembership(t, "Build without Domain", auto, 0, auto.Box(0))
 }
 
-// maximalCells collects what MaximalCells emits for [lo, hi).
-func maximalCells(root *Node, lo, hi uint64, rootBox vec.Box, leafCap int) []*Node {
-	var cells []*Node
-	MaximalCells(root, lo, hi, rootBox, leafCap, func(n *Node) { cells = append(cells, n) })
+// maximalCells collects what MaximalCells emits for [lo, hi) from the
+// root of tr.
+func maximalCells(tr *Tree, lo, hi uint64) []int32 {
+	var cells []int32
+	tr.MaximalCells(0, lo, hi, func(n int32) { cells = append(cells, n) })
 	return cells
 }
 
@@ -115,44 +115,40 @@ func TestMaximalCellsCoverZoneExactly(t *testing.T) {
 			}
 		}
 		local := BuildKeyed(zone, s.Domain, 8)
-		cells := maximalCells(local.Root, lo, hi, rootBox, 8)
+		main := local.Skip[0]
+		cells := maximalCells(local, lo, hi)
 		pushed := 0
 		var prevHi uint64
 		for _, c := range cells {
-			cLo, cHi := c.Key.Range()
+			key := local.Cell(c)
+			cLo, cHi := key.Range()
 			if cLo < lo || cHi > hi {
-				t.Fatalf("zone %d: cell %v range [%x,%x) outside [%x,%x)", z, c.Key, cLo, cHi, lo, hi)
+				t.Fatalf("zone %d: cell %v range [%x,%x) outside [%x,%x)", z, key, cLo, cHi, lo, hi)
 			}
 			if cLo < prevHi {
-				t.Fatalf("zone %d: cell %v overlaps or precedes its predecessor", z, c.Key)
+				t.Fatalf("zone %d: cell %v overlaps or precedes its predecessor", z, key)
 			}
 			prevHi = cHi
-			checkMembership(t, "maximal cell", c, rootBox)
-			var count func(n *Node) int
-			count = func(n *Node) int {
-				if n == nil {
-					return 0
+			checkMembership(t, "maximal cell", local, c, rootBox)
+			got := 0
+			for l := c; l < local.Skip[c]; l++ {
+				if !local.IsLeaf(l) {
+					continue
 				}
-				total := len(n.Particles)
-				for i := range n.Particles {
-					if _, dup := claimed[n.Particles[i].ID]; dup {
-						t.Fatalf("zone %d: particle %d claimed twice", z, n.Particles[i].ID)
+				for _, q := range local.Particles(l) {
+					if _, dup := claimed[q.ID]; dup {
+						t.Fatalf("zone %d: particle %d claimed twice", z, q.ID)
 					}
-					claimed[n.Particles[i].ID] = z
+					claimed[q.ID] = z
+					got++
 				}
-				for _, ch := range n.Children {
-					total += count(ch)
-				}
-				return total
 			}
-			if got := count(c); got != c.Count {
-				t.Fatalf("zone %d: cell %v holds %d particles, Count %d", z, c.Key, got, c.Count)
+			if got != local.Count(c) {
+				t.Fatalf("zone %d: cell %v holds %d particles, Count %d", z, key, got, local.Count(c))
 			}
-			// A cell that is no node of the local tree came from a
-			// pushed-down straddling leaf.
-			found := false
-			local.Walk(func(n *Node) bool { found = found || n == c; return !found })
-			if !found {
+			// A cell past the tree's own nodes came from a pushed-down
+			// straddling leaf.
+			if c >= main {
 				pushed++
 			}
 		}
@@ -161,11 +157,12 @@ func TestMaximalCellsCoverZoneExactly(t *testing.T) {
 		}
 		// Maximal: a cell's parent must not fit in the zone as well.
 		for _, c := range cells {
-			if c.Key.Level == 0 {
+			key := local.Cell(c)
+			if key.Level == 0 {
 				continue
 			}
-			if pLo, pHi := c.Key.Parent().Range(); pLo >= lo && pHi <= hi {
-				t.Fatalf("zone %d: cell %v is not maximal", z, c.Key)
+			if pLo, pHi := key.Parent().Range(); pLo >= lo && pHi <= hi {
+				t.Fatalf("zone %d: cell %v is not maximal", z, key)
 			}
 		}
 	}
@@ -188,8 +185,8 @@ func TestMaximalCellsMaxDepthLeafClaimedWhole(t *testing.T) {
 	k := keys.FullKey3(ps[0].Pos, box)
 	tr := BuildKeyed(ps, box, 4)
 	for _, zone := range [][2]uint64{{k, k + 1}, {0, ^uint64(0)}, {k + 1, k + 9}} {
-		cells := maximalCells(tr.Root, zone[0], zone[1], box, 4)
-		if len(cells) != 1 || cells[0].Count != 30 {
+		cells := maximalCells(tr, zone[0], zone[1])
+		if len(cells) != 1 || tr.Count(cells[0]) != 30 {
 			t.Fatalf("zone [%x,%x): %d cells", zone[0], zone[1], len(cells))
 		}
 		// Only the zone that holds the whole key space claims the root;
@@ -198,8 +195,8 @@ func TestMaximalCellsMaxDepthLeafClaimedWhole(t *testing.T) {
 		if zone[0] == 0 {
 			wantLevel = 0
 		}
-		if int(cells[0].Key.Level) != wantLevel {
-			t.Fatalf("zone [%x,%x): claimed at level %d, want %d", zone[0], zone[1], cells[0].Key.Level, wantLevel)
+		if lvl := int(tr.Cell(cells[0]).Level); lvl != wantLevel {
+			t.Fatalf("zone [%x,%x): claimed at level %d, want %d", zone[0], zone[1], lvl, wantLevel)
 		}
 	}
 }
@@ -207,26 +204,19 @@ func TestMaximalCellsMaxDepthLeafClaimedWhole(t *testing.T) {
 func TestKeyedSubtreeMatchesSubrange(t *testing.T) {
 	s := dist.MustNamed("uniform", 2000, 34)
 	full := BuildKeyed(s.Particles, s.Domain, 8)
-	rootBox := full.Root.Box
+	rootBox := full.Box(0)
 	// Rebuild one child cell from the particles whose keys land in it.
-	for oct, child := range full.Root.Children {
-		if child == nil || child.Count == 0 {
-			continue
+	child := int32(1)
+	oct := full.Cell(child).Octant()
+	var sub []dist.Particle
+	for _, q := range s.Particles {
+		if keyOctant(keys.FullKey3(q.Pos, rootBox), 0) == oct {
+			sub = append(sub, q)
 		}
-		var sub []dist.Particle
-		for _, q := range s.Particles {
-			if keyOctant(keys.FullKey3(q.Pos, rootBox), 0) == oct {
-				sub = append(sub, q)
-			}
-		}
-		re := BuildSubtreeKeyed(sub, rootBox, child.Box, child.Key, 8)
-		if re.Count != child.Count {
-			t.Fatalf("oct %d: count %d vs %d", oct, re.Count, child.Count)
-		}
-		if re.Mass != child.Mass || re.COM != child.COM || re.Key != child.Key {
-			t.Fatalf("oct %d: mass/COM/key differ", oct)
-		}
-		break
+	}
+	re := BuildSubtreeKeyed(sub, rootBox, full.Cell(child), 8)
+	if err := diffSubtrees(re, 0, full, child); err != nil {
+		t.Fatalf("oct %d: %v", oct, err)
 	}
 }
 
@@ -236,8 +226,8 @@ func TestKeyedBuildCoincidentParticles(t *testing.T) {
 		ps[i] = dist.Particle{ID: i, Mass: 1, Pos: vec.V3{X: 0.25, Y: 0.25, Z: 0.25}}
 	}
 	tr := BuildKeyed(ps, vec.NewBox(vec.V3{}, vec.V3{X: 1, Y: 1, Z: 1}), 4)
-	if tr.Root.Count != 30 {
-		t.Fatalf("count = %d", tr.Root.Count)
+	if tr.Count(0) != 30 {
+		t.Fatalf("count = %d", tr.Count(0))
 	}
 	if tr.Depth() > MaxDepth {
 		t.Fatalf("depth = %d", tr.Depth())
@@ -247,13 +237,13 @@ func TestKeyedBuildCoincidentParticles(t *testing.T) {
 func TestParticleLevelsAndCountNodes(t *testing.T) {
 	s := dist.MustNamed("uniform", 500, 35)
 	tr := Build(s.Particles, Options{LeafCap: 8, Domain: s.Domain})
-	pl := ParticleLevels(tr.Root)
+	pl := tr.ParticleLevels(0)
 	// Every particle contributes at least the root level and at most
 	// MaxDepth levels.
-	if pl < int64(tr.Root.Count) || pl > int64(tr.Root.Count)*int64(MaxDepth+1) {
-		t.Fatalf("ParticleLevels = %d for %d particles", pl, tr.Root.Count)
+	if n := int64(tr.Count(0)); pl < n || pl > n*int64(MaxDepth+1) {
+		t.Fatalf("ParticleLevels = %d for %d particles", pl, n)
 	}
-	if CountNodes(tr.Root) != tr.NumNodes() {
+	if tr.CountNodes(0) != tr.NumNodes() {
 		t.Fatal("CountNodes disagrees with NumNodes")
 	}
 }
@@ -266,7 +256,7 @@ func TestAccelFromEqualsSubtreeTraversal(t *testing.T) {
 		q := s.Particles[i]
 		var s1, s2 Stats
 		a1 := tr.AccelAt(q.Pos, q.ID, 0.7, 0.01, &s1)
-		a2 := AccelFrom(tr.Root, q.Pos, q.ID, 0.7, 0.01, &s2)
+		a2 := tr.AccelFrom(0, q.Pos, q.ID, 0.7, 0.01, &s2)
 		if a1 != a2 {
 			t.Fatalf("particle %d: %v vs %v", i, a1, a2)
 		}
@@ -282,19 +272,17 @@ func TestSumLoadsNode(t *testing.T) {
 	for _, q := range s.Particles {
 		tr.AccelAt(q.Pos, q.ID, 0.7, 0.01, nil)
 	}
-	// SumLoadsNode aggregates destructively: after one call, each child's
+	// SumLoadsAt aggregates destructively: after one call, each child's
 	// Load holds its subtree total and the root total is its own load
 	// plus the children's totals.
-	rootOwn := tr.Root.Load
-	total := SumLoadsNode(tr.Root)
+	rootOwn := tr.Load[0]
+	total := tr.SumLoadsAt(0)
 	var childSum int64
-	for _, c := range tr.Root.Children {
-		if c != nil {
-			childSum += c.Load
-		}
+	for c := int32(1); c < tr.Skip[0]; c = tr.Skip[c] {
+		childSum += tr.Load[c]
 	}
 	if total != rootOwn+childSum {
-		t.Fatalf("SumLoadsNode inconsistent: %d vs %d+%d", total, rootOwn, childSum)
+		t.Fatalf("SumLoadsAt inconsistent: %d vs %d+%d", total, rootOwn, childSum)
 	}
 	if total <= 0 {
 		t.Fatal("no load recorded")

@@ -10,8 +10,8 @@ import (
 	"repro/internal/vec"
 )
 
-// Node kinds of the sweep's kind column. A serial FlatTree uses the
-// first two; the rest describe a locally essential tree (internal/let).
+// Node kinds of the sweep's kind column. A Tree uses the first two; the
+// rest describe a locally essential tree (internal/let).
 const (
 	KindInternal   uint8 = iota // MAC; accept charges the node's Load, reject descends
 	KindLeaf                    // particle range [Lo, Hi) of the particle columns
@@ -23,10 +23,11 @@ const (
 
 // Cols is the structure-of-arrays storage the flat kernel walks: node
 // columns in DFS order with skip pointers, and the leaf particle columns.
-// Lo/Hi is a node's range: of the particle columns for a KindLeaf, of
-// Graft for a branch kind (-1 otherwise). Graft (LET only) names the root
-// node of each section grafted under a branch, or -1 where the owner
-// proved the branch is never opened.
+// Lo/Hi is a node's range: of the particle columns for a KindLeaf and for
+// an internal node built by (or copied from) a Tree, of Graft for a branch
+// kind, -1 otherwise. Graft (LET only) names the root node of each section
+// grafted under a branch, or -1 where the owner proved the branch is never
+// opened.
 type Cols struct {
 	Kind             []uint8
 	ComX, ComY, ComZ []float64
@@ -48,38 +49,6 @@ func (c *Cols) Reset() {
 	c.ID = c.ID[:0]
 	c.PX, c.PY, c.PZ, c.PM = c.PX[:0], c.PY[:0], c.PZ[:0], c.PM[:0]
 	c.Graft = c.Graft[:0]
-}
-
-// AddNode appends a childless node and returns its index; the caller
-// patches Skip once an internal node's subtree is complete.
-func (c *Cols) AddNode(kind uint8, com vec.V3, mass, side float64, exp *phys.Expansion, lo, hi int32) int32 {
-	idx := int32(len(c.Kind))
-	c.Kind = append(c.Kind, kind)
-	c.ComX = append(c.ComX, com.X)
-	c.ComY = append(c.ComY, com.Y)
-	c.ComZ = append(c.ComZ, com.Z)
-	c.Mass = append(c.Mass, mass)
-	c.Side = append(c.Side, side)
-	c.Exp = append(c.Exp, exp)
-	c.Skip = append(c.Skip, idx+1)
-	c.Lo = append(c.Lo, lo)
-	c.Hi = append(c.Hi, hi)
-	return idx
-}
-
-// AddParticles transposes ps onto the particle columns and returns the
-// range they occupy.
-func (c *Cols) AddParticles(ps []dist.Particle) (lo, hi int32) {
-	lo = int32(len(c.ID))
-	for i := range ps {
-		p := &ps[i]
-		c.ID = append(c.ID, int32(p.ID))
-		c.PX = append(c.PX, p.Pos.X)
-		c.PY = append(c.PY, p.Pos.Y)
-		c.PZ = append(c.PZ, p.Pos.Z)
-		c.PM = append(c.PM, p.Mass)
-	}
-	return lo, int32(len(c.ID))
 }
 
 const lanes = 8
@@ -164,15 +133,15 @@ func (p *Packet) Deferred(l int, nodes []int32) []int32 {
 }
 
 // Sweep is the traversal of its Cols, in force mode and in potential mode,
-// shared by FlatTree and let.Flat: particles descend in packets of up to
-// eight neighbours in leaf order, so node columns are read once per packet
-// and the lanes' sqrt/div chains are independent work the core overlaps.
-// Each lane's contributions still arrive in its own DFS order and fold
-// through its own per-depth accumulators, which is why accelerations,
-// potentials, Stats, Load and extra charges are bit-identical to
-// one-particle-at-a-time recursion. The two modes differ in the two term
-// routines alone: what an accepted node adds (mac, macPot) and what a leaf
-// adds (leaf, leafPot).
+// shared by Tree (AccelSweep, PotentialSweep) and let.Flat: particles
+// descend in packets of up to eight neighbours in leaf order, so node
+// columns are read once per packet and the lanes' sqrt/div chains are
+// independent work the core overlaps. Each lane's contributions still
+// arrive in its own DFS order and fold through its own per-depth
+// accumulators, which is why accelerations, potentials, Stats, Load and
+// extra charges are bit-identical to one-particle-at-a-time recursion.
+// The two modes differ in the two term routines alone: what an accepted
+// node adds (mac, macPot) and what a leaf adds (leaf, leafPot).
 type Sweep struct {
 	Cols
 	workers []Packet
@@ -181,6 +150,23 @@ type Sweep struct {
 	// Parameters of the sweep in progress.
 	alpha, a2, e2, exAdd float64
 	potential            bool
+}
+
+// AddNode appends a childless node and returns its index; the caller
+// patches Skip once an internal node's subtree is complete.
+func (s *Sweep) AddNode(kind uint8, com vec.V3, mass, side float64, exp *phys.Expansion, lo, hi int32) int32 {
+	idx := int32(len(s.Kind))
+	s.Kind = append(s.Kind, kind)
+	s.ComX = append(s.ComX, com.X)
+	s.ComY = append(s.ComY, com.Y)
+	s.ComZ = append(s.ComZ, com.Z)
+	s.Mass = append(s.Mass, mass)
+	s.Side = append(s.Side, side)
+	s.Exp = append(s.Exp, exp)
+	s.Skip = append(s.Skip, idx+1)
+	s.Lo = append(s.Lo, lo)
+	s.Hi = append(s.Hi, hi)
+	return idx
 }
 
 // The MAC prefilter decides side/√n2 < α from side² ≶ α²·n2 without the
@@ -550,7 +536,7 @@ func (s *Sweep) macPot(w *Packet, f, sub *frame, i int32, summary bool) {
 			continue
 		}
 		if e == nil {
-			panic("tree: potential sweep accepted a node that has no expansion: Tree.BuildExpansions (a LET section: BuildSection's withExp) must run before the tree is flattened")
+			panic("tree: potential sweep accepted a node that has no expansion: Tree.BuildExpansions (a LET section: BuildSection's withExp) must run before the sweep")
 		}
 		f.x[l] += e.EvalPotentialScratch(vec.V3{X: w.px[l], Y: w.py[l], Z: w.pz[l]}, w.irr)
 		w.extra[l] += ex

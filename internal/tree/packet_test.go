@@ -10,7 +10,7 @@ import (
 	"repro/internal/vec"
 )
 
-// Edge cases of the packet sweep, each against the pointer recursion in
+// Edge cases of the packet sweep, each against the recursive traversal in
 // force mode and in potential mode (flatVsPointerQuery compares
 // accelerations and potentials by Float64bits, Stats and every node's Load).
 
@@ -208,18 +208,31 @@ func TestMACPrefilterExact(t *testing.T) {
 	}
 }
 
-// addSubtree appends the subtree at n to c as internal and leaf nodes and
-// returns its root's index.
-func addSubtree(c *Cols, n *Node) int32 {
-	if n.IsLeaf() {
-		lo, hi := c.AddParticles(n.Particles)
-		return c.AddNode(KindLeaf, n.COM, n.Mass, n.Box.LongestSide(), n.Exp, lo, hi)
+// addParticles transposes ps onto the particle columns of c and returns
+// the range they occupy.
+func addParticles(c *Sweep, ps []dist.Particle) (lo, hi int32) {
+	lo = int32(len(c.ID))
+	for i := range ps {
+		p := &ps[i]
+		c.ID = append(c.ID, int32(p.ID))
+		c.PX = append(c.PX, p.Pos.X)
+		c.PY = append(c.PY, p.Pos.Y)
+		c.PZ = append(c.PZ, p.Pos.Z)
+		c.PM = append(c.PM, p.Mass)
 	}
-	idx := c.AddNode(KindInternal, n.COM, n.Mass, n.Box.LongestSide(), n.Exp, -1, -1)
-	for _, ch := range n.Children {
-		if ch != nil {
-			addSubtree(c, ch)
-		}
+	return lo, int32(len(c.ID))
+}
+
+// addSubtree appends the subtree under node n of tr to c as internal and
+// leaf nodes and returns its root's index.
+func addSubtree(c *Sweep, tr *Tree, n int32) int32 {
+	if tr.IsLeaf(n) {
+		lo, hi := addParticles(c, tr.Particles(n))
+		return c.AddNode(KindLeaf, tr.COM(n), tr.Mass[n], tr.Side[n], tr.Exp[n], lo, hi)
+	}
+	idx := c.AddNode(KindInternal, tr.COM(n), tr.Mass[n], tr.Side[n], tr.Exp[n], -1, -1)
+	for ch := n + 1; ch < tr.Skip[n]; ch = tr.Skip[ch] {
+		addSubtree(c, tr, ch)
 	}
 	c.Skip[idx] = int32(len(c.Kind))
 	return idx
@@ -242,10 +255,10 @@ func TestPacketDeferMatchesForceAllOnLET(t *testing.T) {
 		byOct[o] = append(byOct[o], p)
 	}
 	byOct[1] = byOct[1][:leafCap] // the leaf-cell branch
-	build := func(ps []dist.Particle, box vec.Box) *Node {
+	build := func(ps []dist.Particle, box vec.Box) *Tree {
 		tr := BuildKeyed(ps, box, leafCap)
 		tr.BuildExpansions(degree)
-		return tr.Root
+		return tr
 	}
 	var sw Sweep
 	// Sections first: every remote octant's subtree, octant 2's dealt to
@@ -258,12 +271,12 @@ func TestPacketDeferMatchesForceAllOnLET(t *testing.T) {
 			shares = [][]dist.Particle{byOct[o][:h], byOct[o][h:]}
 		}
 		for _, ps := range shares {
-			grafts[o] = append(grafts[o], addSubtree(&sw.Cols, build(ps, s.Domain.Octant(o))))
+			grafts[o] = append(grafts[o], addSubtree(&sw, build(ps, s.Domain.Octant(o)), 0))
 		}
 	}
 	root := build(s.Particles, s.Domain)
-	main := sw.AddNode(KindTop, root.COM, root.Mass, s.Domain.LongestSide(), root.Exp, -1, -1)
-	addSubtree(&sw.Cols, build(byOct[0], s.Domain.Octant(0)))
+	main := sw.AddNode(KindTop, root.COM(0), root.Mass[0], s.Domain.LongestSide(), root.Exp[0], -1, -1)
+	addSubtree(&sw, build(byOct[0], s.Domain.Octant(0)), 0)
 	for o := 1; o < 8; o++ {
 		cell := build(byOct[o], s.Domain.Octant(o))
 		kind := KindBranch
@@ -272,7 +285,7 @@ func TestPacketDeferMatchesForceAllOnLET(t *testing.T) {
 		}
 		lo := int32(len(sw.Graft))
 		sw.Graft = append(sw.Graft, grafts[o]...)
-		sw.AddNode(kind, cell.COM, cell.Mass, s.Domain.Octant(o).LongestSide(), cell.Exp, lo, int32(len(sw.Graft)))
+		sw.AddNode(kind, cell.COM(0), cell.Mass[0], s.Domain.Octant(o).LongestSide(), cell.Exp[0], lo, int32(len(sw.Graft)))
 	}
 	sw.Skip[main] = int32(len(sw.Kind))
 
@@ -346,16 +359,16 @@ func TestPotentialSweepAllocations(t *testing.T) {
 	s := dist.MustNamed("plummer", 4000, 2)
 	tr := BuildKeyed(s.Particles, s.Domain, 8)
 	tr.BuildExpansions(4)
-	f := Flatten(tr, nil)
 	var pk Packet
 	for l, q := range s.Particles[:8] {
 		pk.SetLane(l, int32(q.ID), q.Pos)
 	}
-	loads := make([]int64, f.NumNodes())
+	loads := make([]int64, tr.NumNodes())
 	var accepted [2]int64
 	for k, alpha := range []float64{4, 0.7} {
-		f.sw.Begin(alpha, 0, 0, true)
-		sweep := func() { f.sw.Defer(&pk, 8, 0, loads) }
+		sw := tr.sweep()
+		sw.Begin(alpha, 0, 0, true)
+		sweep := func() { sw.Defer(&pk, 8, 0, loads) }
 		sweep()
 		if allocs := testing.AllocsPerRun(10, sweep); allocs != 0 {
 			t.Errorf("α=%v: %v allocations per potential sweep", alpha, allocs)

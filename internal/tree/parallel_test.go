@@ -15,14 +15,7 @@ import (
 // single-core host by raising GOMAXPROCS.
 
 // collectLoads returns every node's Load in depth-first order.
-func collectLoads(t *Tree) []int64 {
-	var loads []int64
-	t.Walk(func(n *Node) bool {
-		loads = append(loads, n.Load)
-		return true
-	})
-	return loads
-}
+func collectLoads(t *Tree) []int64 { return append([]int64(nil), t.Load...) }
 
 func TestAccelAllParallelMatchesSerial(t *testing.T) {
 	oldProcs := runtime.GOMAXPROCS(4)
@@ -114,40 +107,8 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 	compute.SetMaxWorkers(prev)
 	par := Build(s.Particles, Options{LeafCap: 8, Domain: s.Domain})
 
-	var mismatch string
-	var walk func(a, b *Node)
-	walk = func(a, b *Node) {
-		if mismatch != "" {
-			return
-		}
-		if (a == nil) != (b == nil) {
-			mismatch = "structure differs"
-			return
-		}
-		if a == nil {
-			return
-		}
-		if a.Key != b.Key || a.Count != b.Count || a.Mass != b.Mass || a.COM != b.COM {
-			mismatch = "node fields differ"
-			return
-		}
-		if len(a.Particles) != len(b.Particles) {
-			mismatch = "leaf sizes differ"
-			return
-		}
-		for i := range a.Particles {
-			if a.Particles[i].ID != b.Particles[i].ID {
-				mismatch = "leaf particle order differs"
-				return
-			}
-		}
-		for o := range a.Children {
-			walk(a.Children[o], b.Children[o])
-		}
-	}
-	walk(serial.Root, par.Root)
-	if mismatch != "" {
-		t.Fatal(mismatch)
+	if err := diffTrees(par, serial); err != nil {
+		t.Fatal(err)
 	}
 	if err := par.Validate(); err != nil {
 		t.Fatal(err)
@@ -172,18 +133,17 @@ func TestBuildKeyedUnsortedInput(t *testing.T) {
 		t.Fatalf("shape differs: %d/%d nodes, %d/%d depth",
 			a.NumNodes(), b.NumNodes(), a.Depth(), b.Depth())
 	}
-	var ids func(n *Node) []int
-	ids = func(n *Node) []int {
+	ids := func(tr *Tree) []int {
 		var out []int
-		walkLeaves(n, func(l *Node) bool {
-			for i := range l.Particles {
-				out = append(out, l.Particles[i].ID)
+		tr.WalkLeaves(func(l int32) bool {
+			for _, q := range tr.Particles(l) {
+				out = append(out, q.ID)
 			}
 			return true
 		})
 		return out
 	}
-	ia, ib := ids(a.Root), ids(b.Root)
+	ia, ib := ids(a), ids(b)
 	for i := range ia {
 		if ia[i] != ib[i] {
 			t.Fatalf("leaf order differs at %d: %d vs %d", i, ia[i], ib[i])

@@ -3,6 +3,7 @@ package tree
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -11,65 +12,34 @@ import (
 	"repro/internal/vec"
 )
 
-// A tree costs its nodes: every build counts its cells first and takes one
-// node slice of exactly that length, filled in DFS pre-order, whether or
-// not the build fans out to goroutines. These tests watch every slice a
-// build takes.
+// A tree is its columns: every build writes its nodes in DFS pre-order
+// straight into the columns the sweep reads, whether or not it fans out to
+// goroutines, and a Builder keeps those columns from one step to the next.
+// These tests watch the columns.
 
-// recordNodes makes every node slice a build takes visible to the test:
-// the returned function hands over the slices taken since its last call.
-func recordNodes(t *testing.T) func() [][]Node {
+// checkColumns asserts tr's storage is whole: every node column as long as
+// the tree, every particle column as long as the snapshot, nothing past
+// the root's subtree, and a DFS pre-order layout whose particle ranges
+// nest (Validate).
+func checkColumns(t *testing.T, what string, tr *Tree) {
 	t.Helper()
-	var got [][]Node
-	prev := newNodes
-	newNodes = func(n int) []Node {
-		s := prev(n)
-		got = append(got, s)
-		return s
-	}
-	t.Cleanup(func() { newNodes = prev })
-	return func() [][]Node {
-		s := got
-		got = nil
-		return s
-	}
-}
-
-// checkExact reports whether s holds exactly whole subtrees, root after
-// root, each in DFS pre-order, with no slot and no capacity left over. It
-// returns the number of roots.
-func checkExact(s []Node) (int, error) {
-	if len(s) != cap(s) {
-		return 0, fmt.Errorf("node slice len %d, cap %d", len(s), cap(s))
-	}
-	roots := 0
-	for i := 0; i < len(s); roots++ {
-		var err error
-		walkAll(&s[i], func(n *Node) bool {
-			if i >= len(s) || n != &s[i] {
-				err = fmt.Errorf("node %v of root %d is not at slot %d of %d", n.Key, roots, i, len(s))
-				return false
-			}
-			i++
-			return true
-		})
-		if err != nil {
-			return roots, err
+	n, m := tr.NumNodes(), len(tr.ps)
+	for _, l := range []int{len(tr.ComX), len(tr.ComY), len(tr.ComZ), len(tr.Mass), len(tr.Side), len(tr.Exp),
+		len(tr.Skip), len(tr.Lo), len(tr.Hi), len(tr.Key), len(tr.Load)} {
+		if l != n {
+			t.Fatalf("%s: a node column of %d for %d nodes", what, l, n)
 		}
 	}
-	return roots, nil
-}
-
-// checkOneTree asserts s is exactly the tree under root: len == cap ==
-// CountNodes(root), root first.
-func checkOneTree(t *testing.T, what string, s []Node, root *Node) {
-	t.Helper()
-	roots, err := checkExact(s)
-	if err != nil {
-		t.Fatalf("%s: %v", what, err)
+	for _, l := range []int{len(tr.ks), len(tr.ID), len(tr.PX), len(tr.PY), len(tr.PZ), len(tr.PM)} {
+		if l != m {
+			t.Fatalf("%s: a particle column of %d for %d particles", what, l, m)
+		}
 	}
-	if roots != 1 || root != &s[0] || len(s) != CountNodes(root) {
-		t.Fatalf("%s: %d roots, root first %v, len %d, CountNodes %d", what, roots, root == &s[0], len(s), CountNodes(root))
+	if int(tr.Skip[0]) != n || tr.Lo[0] != 0 || int(tr.Hi[0]) != m {
+		t.Fatalf("%s: root spans %d nodes and particles [%d, %d) of %d and %d", what, tr.Skip[0], tr.Lo[0], tr.Hi[0], n, m)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("%s: %v", what, err)
 	}
 }
 
@@ -133,7 +103,6 @@ func TestNodeStorageExactColdBuilds(t *testing.T) {
 	for _, n := range []int{40, 20000} {
 		inputs = append(inputs, input{fmt.Sprintf("coincident/n=%d", n), coincident(n), testDomain()})
 	}
-	taken := recordNodes(t)
 	for _, in := range inputs {
 		for _, leafCap := range []int{1, 8, 64} {
 			what := fmt.Sprintf("%s/s=%d", in.name, leafCap)
@@ -141,18 +110,15 @@ func TestNodeStorageExactColdBuilds(t *testing.T) {
 			for r := range workerRegimes {
 				inRegime(t, r, func() {
 					trees[r] = BuildKeyed(in.ps, in.domain, leafCap)
-					got := taken()
-					if len(got) != 1 {
-						t.Fatalf("%s %s: %d node slices", what, workerRegimes[r].name, len(got))
+					count, _ := countKeyedRange(trees[r].ks, 0, leafCap)
+					if trees[r].NumNodes() != count {
+						t.Fatalf("%s %s: %d nodes, the count pass says %d", what, workerRegimes[r].name, trees[r].NumNodes(), count)
 					}
-					checkOneTree(t, what+" "+workerRegimes[r].name, got[0], trees[r].Root)
+					checkColumns(t, what+" "+workerRegimes[r].name, trees[r])
 				})
-				if err := diffNodes(trees[r].Root, trees[0].Root, "root"); err != nil {
+				if err := diffTrees(trees[r], trees[0]); err != nil {
 					t.Fatalf("%s: %s differs from fanned-out build: %v", what, workerRegimes[r].name, err)
 				}
-			}
-			if err := trees[0].Validate(); err != nil {
-				t.Fatalf("%s: %v", what, err)
 			}
 		}
 	}
@@ -162,50 +128,39 @@ func TestNodeStorageExactSubtreeAndPushDown(t *testing.T) {
 	s := dist.MustNamed("g", 30000, 41)
 	rootBox := s.Domain.Cube()
 	whole := BuildKeyed(s.Particles, s.Domain, 8)
-	sorted, ks := SortByKey(s.Particles, rootBox)
+	ks := whole.ks
 	// Zone cuts at particle ranks straddle leaves, which MaximalCells
 	// pushes down.
 	cuts := []uint64{0, ks[7001], ks[15003], ks[22999], ^uint64(0)}
-	taken := recordNodes(t)
+	main, parts := whole.NumNodes(), len(whole.ps)
 	for r := range workerRegimes {
 		inRegime(t, r, func() {
 			reg := workerRegimes[r].name
-			for o, c := range whole.Root.Children {
-				if c == nil {
-					continue
-				}
-				var in []dist.Particle
-				for i := range sorted {
-					if lo, hi := c.Key.Range(); ks[i] >= lo && ks[i] < hi {
-						in = append(in, sorted[i])
-					}
-				}
-				taken()
-				sub := BuildSubtreeKeyed(in, rootBox, c.Box, c.Key, 8)
-				got := taken()
-				if len(got) != 1 {
-					t.Fatalf("%s octant %d: %d node slices", reg, o, len(got))
-				}
-				checkOneTree(t, fmt.Sprintf("%s BuildSubtreeKeyed octant %d", reg, o), got[0], sub)
-				if err := diffNodes(sub, c, "root"); err != nil {
-					t.Fatalf("%s octant %d: %v", reg, o, err)
+			for c := int32(1); c < whole.Skip[0]; c = whole.Skip[c] {
+				sub := BuildSubtreeKeyed(whole.Particles(c), rootBox, whole.Cell(c), 8)
+				checkColumns(t, fmt.Sprintf("%s BuildSubtreeKeyed %v", reg, whole.Cell(c)), sub)
+				if err := diffSubtrees(sub, 0, whole, c); err != nil {
+					t.Fatalf("%s %v: %v", reg, whole.Cell(c), err)
 				}
 			}
 			pushDowns := 0
 			for z := 0; z+1 < len(cuts); z++ {
-				taken()
-				maximalCells(whole.Root, cuts[z], cuts[z+1], rootBox, 8)
-				got := taken()
-				for i, nodes := range got {
-					roots, err := checkExact(nodes)
-					if err != nil {
-						t.Fatalf("%s zone %d push-down %d: %v", reg, z, i, err)
-					}
-					if roots < 1 || roots > 8 {
-						t.Fatalf("%s zone %d push-down %d: %d octant subtrees", reg, z, i, roots)
-					}
+				whole.truncate(main, parts)
+				covered := 0
+				for _, c := range maximalCells(whole, cuts[z], cuts[z+1]) {
+					covered += whole.Count(c)
 				}
-				pushDowns += len(got)
+				// Push-down appends whole subtrees, root after root, over
+				// ranges of the leaves they split: no particle is copied.
+				for c := int32(main); c < int32(whole.NumNodes()); c = whole.Skip[c] {
+					if err := whole.validate(c); err != nil {
+						t.Fatalf("%s zone %d push-down %d: %v", reg, z, c, err)
+					}
+					pushDowns++
+				}
+				if len(whole.ps) != parts || covered == 0 {
+					t.Fatalf("%s zone %d: %d particles after push-down (%d before), %d covered", reg, z, len(whole.ps), parts, covered)
+				}
 			}
 			if pushDowns == 0 {
 				t.Fatalf("%s: no zone cut pushed a leaf down", reg)
@@ -216,51 +171,120 @@ func TestNodeStorageExactSubtreeAndPushDown(t *testing.T) {
 
 func TestNodeStorageExactBuilderSteps(t *testing.T) {
 	domain := testDomain()
-	taken := recordNodes(t)
 	for r := range workerRegimes {
 		inRegime(t, r, func() {
 			reg := workerRegimes[r].name
 			rng := rand.New(rand.NewSource(13))
 			bodies := dist.MustNamed("plummer", 2*parallelBuildMin, 31).Particles
 			b := NewBuilder(domain, 8)
-			recycled, rebuilt := false, false
-			var snapshot *dist.Particle
+			var first *Tree
+			refreshed, rebuilt := false, false
 			for step := 0; step < 30; step++ {
-				taken()
+				var kind *uint8
+				var snapshot *dist.Particle
+				capacity := 0
+				if tr := b.Tree(); tr != nil {
+					// A zone cut appends push-down fragments; the next
+					// step drops them.
+					tr.MaximalCells(0, tr.ks[len(tr.ks)/3], ^uint64(0), func(int32) {})
+					kind, snapshot, capacity = &tr.Kind[:1][0], &tr.ps[0], cap(tr.Kind)
+				}
 				tr := b.Step(bodies)
-				got := taken()
 				rep := b.Last()
-				if rep.Cold {
-					if len(got) != 1 {
-						t.Fatalf("%s step %d: cold build took %d node slices", reg, step, len(got))
-					}
-					checkOneTree(t, fmt.Sprintf("%s step %d cold", reg, step), got[0], tr.Root)
-					recycled = recycled || step > 0
-					snapshot = &b.ps[0]
+				if step == 0 {
+					first = tr
 				} else {
-					total := 0
-					for i, nodes := range got {
-						checkOneTree(t, fmt.Sprintf("%s step %d rebuild %d", reg, step, i), nodes, &nodes[0])
-						total += len(nodes)
+					if tr != first || &tr.ps[0] != snapshot {
+						t.Fatalf("%s step %d: a step moved the tree or its snapshot", reg, step)
 					}
-					if total != rep.Rebuilt {
-						t.Fatalf("%s step %d: rebuilt %d nodes into slices of %d", reg, step, rep.Rebuilt, total)
-					}
-					rebuilt = rebuilt || total > 0
-					if &b.ps[0] != snapshot {
-						t.Fatalf("%s step %d: a warm step moved the snapshot", reg, step)
+					if tr.NumNodes() <= capacity && &tr.Kind[:1][0] != kind {
+						t.Fatalf("%s step %d: %d nodes fit %d but the columns moved", reg, step, tr.NumNodes(), capacity)
 					}
 				}
-				if err := diffNodes(tr.Root, BuildKeyed(bodies, domain, 8).Root, "root"); err != nil {
+				checkColumns(t, fmt.Sprintf("%s step %d", reg, step), tr)
+				refreshed = refreshed || (!rep.Cold && rep.Rebuilt == 0)
+				rebuilt = rebuilt || rep.Rebuilt > 0
+				if err := diffTrees(tr, BuildKeyed(bodies, domain, 8)); err != nil {
 					t.Fatalf("%s step %d: %v", reg, step, err)
 				}
-				// Heavy motion: rebuild garbage piles up until arenaStale
-				// recycles it with a cold build.
-				jitter(rng, bodies, 0.3, 6.0)
+				// Motion that changes the shape on some steps and not on
+				// others.
+				if step%3 == 0 {
+					jitter(rng, bodies, 0.3, 6.0)
+				}
 			}
-			if !recycled || !rebuilt {
-				t.Fatalf("%s: recycled %v, rebuilt %v in 30 steps", reg, recycled, rebuilt)
+			if !refreshed || !rebuilt {
+				t.Fatalf("%s: refreshed %v, rebuilt %v in 30 steps", reg, refreshed, rebuilt)
 			}
 		})
+	}
+}
+
+// TestNodeStorageColumnsPointerFree: the collector scans nothing but Exp in
+// a tree. Every other column's element type holds no pointer.
+func TestNodeStorageColumnsPointerFree(t *testing.T) {
+	var hasPointers func(reflect.Type) bool
+	hasPointers = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Chan, reflect.Func, reflect.Interface, reflect.String, reflect.UnsafePointer:
+			return true
+		case reflect.Array:
+			return hasPointers(ty.Elem())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if hasPointers(ty.Field(i).Type) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	columns := 0
+	for _, ty := range []reflect.Type{reflect.TypeOf(Tree{}), reflect.TypeOf(Cols{})} {
+		for i := 0; i < ty.NumField(); i++ {
+			f := ty.Field(i)
+			if f.Type.Kind() != reflect.Slice {
+				continue
+			}
+			columns++
+			if pointers := hasPointers(f.Type.Elem()); pointers != (f.Name == "Exp") {
+				t.Errorf("column %s.%s of %v: pointers %v", ty.Name(), f.Name, f.Type.Elem(), pointers)
+			}
+		}
+	}
+	if columns < 20 {
+		t.Fatalf("only %d columns found", columns)
+	}
+}
+
+// TestNodeStorageBuilderAllocs: in steady state a Builder allocates
+// nothing. A warm step on particles whose cells kept their shape refreshes
+// in place, and a cold build of a set no larger than the last one — every
+// DPDA rank-step is cold — reuses the columns and the sort's buffers.
+func TestNodeStorageBuilderAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	domain := testDomain()
+	bodies := dist.MustNamed("plummer", 4000, 3).Particles // below the build fan-out
+	b := NewBuilder(domain, 8)
+	b.Step(bodies)
+	if allocs := testing.AllocsPerRun(20, func() { b.Step(bodies) }); allocs != 0 || b.Last().Cold || b.Last().Rebuilt != 0 {
+		t.Errorf("warm step: %v allocations, report %+v", allocs, b.Last())
+	}
+	// Shuffled input defeats the warm path's ID guard: every step is cold,
+	// over ever fewer particles — a subset's tree is never larger.
+	rng := rand.New(rand.NewSource(1))
+	in := append([]dist.Particle(nil), bodies...)
+	allocs := testing.AllocsPerRun(20, func() {
+		rng.Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
+		in = in[:len(in)-50]
+		b.Step(in)
+	})
+	if allocs != 0 || !b.Last().Cold {
+		t.Errorf("cold step: %v allocations, report %+v", allocs, b.Last())
+	}
+	if err := diffTrees(b.Tree(), BuildKeyed(in, domain, 8)); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -25,15 +25,38 @@ func TestBuildInvariants(t *testing.T) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if tr.Root.Count != 3000 {
-			t.Fatalf("%s: root count %d", name, tr.Root.Count)
+		if tr.Count(0) != 3000 {
+			t.Fatalf("%s: root count %d", name, tr.Count(0))
 		}
-		if math.Abs(tr.Root.Mass-1) > 1e-9 {
-			t.Fatalf("%s: root mass %v", name, tr.Root.Mass)
+		if math.Abs(tr.Mass[0]-1) > 1e-9 {
+			t.Fatalf("%s: root mass %v", name, tr.Mass[0])
 		}
 		com := s.CenterOfMass()
-		if tr.Root.COM.Dist(com) > 1e-9 {
-			t.Fatalf("%s: COM %v vs %v", name, tr.Root.COM, com)
+		if tr.COM(0).Dist(com) > 1e-9 {
+			t.Fatalf("%s: COM %v vs %v", name, tr.COM(0), com)
+		}
+	}
+}
+
+// TestBoxesMatchBox: the one-pass box column equals Box node by node,
+// push-down fragments and collapsed trees included.
+func TestBoxesMatchBox(t *testing.T) {
+	s := dist.MustNamed("plummer", 3000, 4)
+	keyed := BuildKeyed(s.Particles, s.Domain, 8)
+	keyed.MaximalCells(0, keyed.ks[1000], keyed.ks[2000], func(int32) {})
+	if keyed.NumNodes() == int(keyed.Skip[0]) {
+		t.Fatal("the zone cut pushed no leaf down")
+	}
+	collapsed := Build(s.Particles, Options{LeafCap: 8, CollapseBoxes: true})
+	for _, tr := range []*Tree{keyed, collapsed} {
+		boxes := tr.Boxes(nil)
+		if len(boxes) != tr.NumNodes() {
+			t.Fatalf("%d boxes for %d nodes", len(boxes), tr.NumNodes())
+		}
+		for i := range boxes {
+			if boxes[i] != tr.Box(int32(i)) {
+				t.Fatalf("node %d: box %v, Box %v", i, boxes[i], tr.Box(int32(i)))
+			}
 		}
 	}
 }
@@ -42,9 +65,9 @@ func TestLeafCapacityRespected(t *testing.T) {
 	s := uniformSet(2000, 2)
 	for _, cap := range []int{1, 4, 16, 100} {
 		tr := Build(s.Particles, Options{LeafCap: cap})
-		tr.WalkLeaves(func(n *Node) bool {
-			if len(n.Particles) > cap && int(n.Key.Level) < MaxDepth {
-				t.Fatalf("leafCap %d: leaf with %d particles at level %d", cap, len(n.Particles), n.Key.Level)
+		tr.WalkLeaves(func(n int32) bool {
+			if lvl := int(tr.Cell(n).Level); tr.Count(n) > cap && lvl < MaxDepth {
+				t.Fatalf("leafCap %d: leaf with %d particles at level %d", cap, tr.Count(n), lvl)
 			}
 			return true
 		})
@@ -62,8 +85,8 @@ func TestBuildHandlesCoincidentParticles(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Root.Count != 20 {
-		t.Fatalf("count = %d", tr.Root.Count)
+	if tr.Count(0) != 20 {
+		t.Fatalf("count = %d", tr.Count(0))
 	}
 	if tr.Depth() > MaxDepth {
 		t.Fatalf("depth = %d", tr.Depth())
@@ -72,16 +95,16 @@ func TestBuildHandlesCoincidentParticles(t *testing.T) {
 
 func TestEmptyAndSingleton(t *testing.T) {
 	tr := Build(nil, Options{Domain: vec.NewBox(vec.V3{}, vec.V3{X: 1, Y: 1, Z: 1})})
-	if tr.Root.Count != 0 {
-		t.Fatalf("empty tree count = %d", tr.Root.Count)
+	if tr.Count(0) != 0 {
+		t.Fatalf("empty tree count = %d", tr.Count(0))
 	}
 	if a := tr.AccelAt(vec.V3{X: 0.5}, -1, 0.7, 0, nil); a != (vec.V3{}) {
 		t.Fatalf("empty tree accel = %v", a)
 	}
 	one := []dist.Particle{{ID: 0, Mass: 2, Pos: vec.V3{X: 0.25, Y: 0.25, Z: 0.25}}}
 	tr = Build(one, Options{Domain: vec.NewBox(vec.V3{}, vec.V3{X: 1, Y: 1, Z: 1})})
-	if tr.Root.Mass != 2 {
-		t.Fatalf("singleton mass = %v", tr.Root.Mass)
+	if tr.Mass[0] != 2 {
+		t.Fatalf("singleton mass = %v", tr.Mass[0])
 	}
 	// Self-interaction excluded.
 	if a := tr.AccelAt(one[0].Pos, 0, 0.7, 0, nil); a != (vec.V3{}) {
@@ -94,11 +117,11 @@ func TestWalkLeavesIsMortonOrder(t *testing.T) {
 	tr := Build(s.Particles, Options{LeafCap: 4, Domain: s.Domain})
 	var prev keys.CellKey
 	first := true
-	tr.WalkLeaves(func(n *Node) bool {
-		if !first && !prev.Less(n.Key) {
-			t.Fatalf("leaf order violated: %v then %v", prev, n.Key)
+	tr.WalkLeaves(func(n int32) bool {
+		if !first && !prev.Less(tr.Cell(n)) {
+			t.Fatalf("leaf order violated: %v then %v", prev, tr.Cell(n))
 		}
-		prev = n.Key
+		prev = tr.Cell(n)
 		first = false
 		return true
 	})
@@ -108,7 +131,7 @@ func TestWalkLeavesEarlyStop(t *testing.T) {
 	s := uniformSet(500, 4)
 	tr := Build(s.Particles, Options{LeafCap: 4})
 	count := 0
-	tr.WalkLeaves(func(n *Node) bool {
+	tr.WalkLeaves(func(int32) bool {
 		count++
 		return count < 3
 	})
@@ -296,8 +319,8 @@ func TestMassConservationProperty(t *testing.T) {
 		n := 50 + int(uint(seed)%200)
 		s := uniformSet(n, seed)
 		tr := Build(s.Particles, Options{LeafCap: 1 + int(uint(seed)%8), Domain: s.Domain})
-		return tr.Validate() == nil && tr.Root.Count == n &&
-			math.Abs(tr.Root.Mass-s.TotalMass()) < 1e-9
+		return tr.Validate() == nil && tr.Count(0) == n &&
+			math.Abs(tr.Mass[0]-s.TotalMass()) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -308,9 +331,9 @@ func TestLeavesPartitionParticles(t *testing.T) {
 	s := uniformSet(1000, 16)
 	tr := Build(s.Particles, Options{LeafCap: 8, Domain: s.Domain})
 	var ids []int
-	tr.WalkLeaves(func(n *Node) bool {
-		for i := range n.Particles {
-			ids = append(ids, n.Particles[i].ID)
+	tr.WalkLeaves(func(n int32) bool {
+		for _, q := range tr.Particles(n) {
+			ids = append(ids, q.ID)
 		}
 		return true
 	})
@@ -326,21 +349,19 @@ func TestLeavesPartitionParticles(t *testing.T) {
 }
 
 func TestAcceptsCriterion(t *testing.T) {
-	n := &Node{
-		Box:  vec.NewBox(vec.V3{}, vec.V3{X: 1, Y: 1, Z: 1}),
-		COM:  vec.V3{X: 0.5, Y: 0.5, Z: 0.5},
-		Mass: 1,
-	}
+	// One unit-cube cell with its mass at the centre.
+	com := vec.V3{X: 0.5, Y: 0.5, Z: 0.5}
+	tr := Build([]dist.Particle{{Mass: 1, Pos: com}}, Options{Domain: vec.NewBox(vec.V3{}, vec.V3{X: 1, Y: 1, Z: 1})})
 	// size/dist = 1/10 < 0.5 ⇒ accept.
-	if !Accepts(n, vec.V3{X: 10.5, Y: 0.5, Z: 0.5}, 0.5) {
+	if !tr.Accepts(0, vec.V3{X: 10.5, Y: 0.5, Z: 0.5}, 0.5) {
 		t.Fatal("distant node not accepted")
 	}
 	// size/dist = 1/1 ⇒ reject at α = 0.5.
-	if Accepts(n, vec.V3{X: 1.5, Y: 0.5, Z: 0.5}, 0.5) {
+	if tr.Accepts(0, vec.V3{X: 1.5, Y: 0.5, Z: 0.5}, 0.5) {
 		t.Fatal("near node accepted")
 	}
 	// At the COM itself never accept.
-	if Accepts(n, n.COM, 10) {
+	if tr.Accepts(0, com, 10) {
 		t.Fatal("accepted at zero distance")
 	}
 }

@@ -18,9 +18,9 @@ type InteractionStats = tree.Stats
 // together with the interaction statistics.
 func SerialForces(set *ParticleSet, alpha, eps float64, leafCap int) ([]V3, InteractionStats) {
 	tr := tree.Build(set.Particles, tree.Options{LeafCap: leafCap, Domain: set.Domain})
-	// The flat SoA kernels are bit-identical to the pointer traversal and
-	// faster; one-shot evaluations use them too.
-	accls, stats := tree.Flatten(tr, nil).AccelAll(set.Particles, alpha, eps)
+	// The packet sweep is bit-identical to the recursive traversal and
+	// faster; one-shot evaluations use it too.
+	accls, stats := tr.AccelSweep(set.Particles, alpha, eps)
 	out := make([]V3, set.N())
 	for i, q := range set.Particles {
 		out[q.ID] = accls[i]
@@ -33,7 +33,7 @@ func SerialForces(set *ParticleSet, alpha, eps float64, leafCap int) ([]V3, Inte
 func SerialPotentials(set *ParticleSet, alpha float64, degree, leafCap int) ([]float64, InteractionStats) {
 	tr := tree.Build(set.Particles, tree.Options{LeafCap: leafCap, Domain: set.Domain})
 	tr.BuildExpansions(degree)
-	pots, stats := tree.Flatten(tr, nil).PotentialAll(set.Particles, alpha)
+	pots, stats := tr.PotentialSweep(set.Particles, alpha)
 	out := make([]float64, set.N())
 	for i, q := range set.Particles {
 		out[q.ID] = pots[i]

@@ -30,13 +30,13 @@ type SerialConfig struct {
 type StepPhases struct {
 	Build     time.Duration // octree construction (key recompute + diff/refresh/rebuild)
 	Sort      time.Duration // adaptive Morton re-sort
-	Force     time.Duration // force sweep (flatten + kernels)
+	Force     time.Duration // force sweep
 	Integrate time.Duration // integrator arithmetic and bookkeeping
 }
 
 // SerialSim advances a particle system with the serial Barnes–Hut method
 // on the host: incremental octree rebuilds (tree.Builder) feeding the
-// flat structure-of-arrays force kernels (tree.FlatTree), under a
+// packet sweep over the tree's columns (Tree.AccelSweep), under a
 // symplectic integrator. It is the single-machine hot path: the same
 // physics as Simulation with Processors=1, without the simulated-machine
 // scaffolding.
@@ -46,7 +46,6 @@ type SerialSim struct {
 	bodies []Particle
 
 	builder *tree.Builder
-	flat    *tree.FlatTree
 	method  integrate.Integrator
 
 	stats  InteractionStats // stats of the most recent force evaluation
@@ -127,7 +126,7 @@ func (s *SerialSim) LastBuild() tree.BuildReport { return s.builder.Last() }
 func (s *SerialSim) Phases() StepPhases { return s.phases }
 
 // evalForces is the integrator's acceleration callback: incremental
-// build, then the flat kernels' sweep.
+// build, then the packet sweep.
 func (s *SerialSim) evalForces(ps []dist.Particle, buildDur, sortDur, forceDur *time.Duration) []vec.V3 {
 	tb := time.Now()
 	tr := s.builder.Step(ps)
@@ -135,8 +134,7 @@ func (s *SerialSim) evalForces(ps []dist.Particle, buildDur, sortDur, forceDur *
 	*sortDur += rep.KeyDur + rep.SortDur
 	*buildDur += time.Since(tb) - rep.KeyDur - rep.SortDur
 	tf := time.Now()
-	s.flat = tree.Flatten(tr, s.flat)
-	accls, stats := s.flat.AccelAll(ps, s.cfg.Alpha, s.cfg.Eps)
+	accls, stats := tr.AccelSweep(ps, s.cfg.Alpha, s.cfg.Eps)
 	*forceDur += time.Since(tf)
 	s.stats = stats
 	s.evals++

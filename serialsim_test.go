@@ -10,10 +10,10 @@ import (
 	"repro/internal/tree"
 )
 
-// The incremental step path (tree.Builder + flat SoA kernels) must
-// produce trajectories and interaction statistics bit-identical to the
-// reference kept here: the same integrator over a from-scratch
-// BuildKeyed and the pointer traversal every evaluation. The two-clock
+// The incremental step path (tree.Builder + packet sweep) must produce
+// trajectories and interaction statistics bit-identical to the reference
+// kept here: the same integrator over a from-scratch BuildKeyed and the
+// recursive traversal every evaluation. The two-clock
 // rule says host optimizations may only change the wall clock.
 func TestSerialSimIncrementalMatchesCold(t *testing.T) {
 	for _, integ := range []string{"leapfrog", "euler", "yoshida4"} {
@@ -81,7 +81,7 @@ func TestSerialForcesEqualSerialSimFirstEvaluation(t *testing.T) {
 }
 
 // Host parallelism must not perturb the incremental path either: the
-// trajectory under multi-worker flat kernels is bit-identical to the
+// trajectory under a multi-worker sweep is bit-identical to the
 // single-worker run.
 func TestSerialSimInvariantUnderHostParallelism(t *testing.T) {
 	oldProcs := runtime.GOMAXPROCS(4)
@@ -150,12 +150,13 @@ func TestSerialSimEmptySetRejected(t *testing.T) {
 
 // TestSerialSimLiveHeap bounds what a serial simulation keeps between
 // steps at the size of the performance ledger's serial_g50k: n = 50 000,
-// leaf cap 8. When trees were built on slab arenas sized by a guess and
-// the builder kept a second sorted snapshot it never read, this read
-// ≈ 34 MB live; one exactly sized node slice per build and one snapshot
-// bring it to ≈ 20 MB.
+// leaf cap 8. It read ≈ 34 MB live when trees were built on slab arenas
+// sized by a guess beside a second sorted snapshot, ≈ 20 MB with one
+// exactly sized 216-byte node per cell and a flattened copy of the tree,
+// and ≈ 15 MB (≈ 300 B per particle) now that the tree is the sweep's
+// columns.
 func TestSerialSimLiveHeap(t *testing.T) {
-	const boundMB = 26
+	const boundMB = 17
 	set, err := NewNamed("g", 50000, 1994)
 	if err != nil {
 		t.Fatal(err)
@@ -164,13 +165,14 @@ func TestSerialSimLiveHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := set.N() // the simulation holds its own copy: set must be dead at the GC
 	s.Run(3)
 	var ms runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
 	runtime.KeepAlive(s)
 	mb := float64(ms.HeapAlloc) / 1e6
-	t.Logf("%.1f MB live", mb)
+	t.Logf("%.1f MB live, %.0f B per particle", mb, float64(ms.HeapAlloc)/float64(n))
 	if mb > boundMB {
 		t.Errorf("serial simulation holds %.1f MB live after three steps, more than %d MB", mb, boundMB)
 	}
