@@ -277,7 +277,7 @@ func randomBoxClosure(t *testing.T) {
 		checkOpens(t, where, branch{tr, 0}, sec, nodes, probes, alpha)
 		for j := range nodes {
 			com := vec.V3{X: sec.ComX[j], Y: sec.ComY[j], Z: sec.ComZ[j]}
-			if nearest := com.Max(lo).Min(hi); sec.Kind[j] == NodeClosed && !realMAC(com, sec.Side[j], nearest, alpha) {
+			if nearest := com.Max(lo).Min(hi); sec.Kind[j] == tree.KindClosed && !realMAC(com, sec.Side[j], nearest, alpha) {
 				t.Fatalf("%s: closed node %d fails the MAC from %v", where, j, nearest)
 			}
 		}
@@ -368,24 +368,24 @@ func checkSerialization(t *testing.T, where string, tr *tree.Tree, sec *Section,
 	for j, k := range sec.Kind {
 		n := nodes[j]
 		switch k {
-		case NodeLeaf:
+		case tree.KindLeaf:
 			ps := tr.Particles(n)
-			if sec.LeafLo[j] != nextParticle || int(sec.LeafHi[j]-sec.LeafLo[j]) != len(ps) || sec.Skip[j] != int32(j+1) {
-				t.Fatalf("%s: leaf %d range [%d,%d) skip %d", where, j, sec.LeafLo[j], sec.LeafHi[j], sec.Skip[j])
+			if sec.Lo[j] != nextParticle || int(sec.Hi[j]-sec.Lo[j]) != len(ps) || sec.Skip[j] != int32(j+1) {
+				t.Fatalf("%s: leaf %d range [%d,%d) skip %d", where, j, sec.Lo[j], sec.Hi[j], sec.Skip[j])
 			}
 			for i, p := range ps {
 				at := int(nextParticle) + i
-				if sec.PID[at] != int32(p.ID) || sec.PX[at] != p.Pos.X || sec.PY[at] != p.Pos.Y || sec.PZ[at] != p.Pos.Z || sec.PM[at] != p.Mass {
+				if sec.ID[at] != int32(p.ID) || sec.PX[at] != p.Pos.X || sec.PY[at] != p.Pos.Y || sec.PZ[at] != p.Pos.Z || sec.PM[at] != p.Mass {
 					t.Fatalf("%s: leaf %d particle %d differs from the owner's", where, j, i)
 				}
 			}
-			nextParticle = sec.LeafHi[j]
-		case NodeClosed:
+			nextParticle = sec.Hi[j]
+		case tree.KindClosed:
 			closed++
 			if sec.Skip[j] != int32(j+1) {
 				t.Fatalf("%s: closed node %d has children", where, j)
 			}
-		case NodeOpen:
+		case tree.KindInternal:
 			// Every child follows, in order, as the next subtree; the skip
 			// pointer closes over all of them.
 			at := int32(j + 1)
@@ -399,12 +399,12 @@ func checkSerialization(t *testing.T, where string, tr *tree.Tree, sec *Section,
 				t.Fatalf("%s: open node %d skip %d, children end at %d", where, j, sec.Skip[j], at)
 			}
 		}
-		if k != NodeLeaf && (sec.ComX[j] != tr.ComX[n] || sec.Mass[j] != tr.Mass[n] || sec.Side[j] != tr.Box(n).LongestSide()) {
+		if k != tree.KindLeaf && (sec.ComX[j] != tr.ComX[n] || sec.Mass[j] != tr.Mass[n] || sec.Side[j] != tr.Box(n).LongestSide()) {
 			t.Fatalf("%s: node %d summary differs from the owner's", where, j)
 		}
 	}
-	if int(nextParticle) != len(sec.PID) {
-		t.Fatalf("%s: %d particle columns, leaves cover %d", where, len(sec.PID), nextParticle)
+	if int(nextParticle) != len(sec.ID) {
+		t.Fatalf("%s: %d particle columns, leaves cover %d", where, len(sec.ID), nextParticle)
 	}
 	return closed
 }
@@ -435,7 +435,7 @@ func checkOpens(t *testing.T, where string, br branch, sec *Section, nodes []int
 			if tr.IsLeaf(n) || realMAC(tr.COM(n), tr.Box(n).LongestSide(), q.Pos, alpha) {
 				return
 			}
-			if k != NodeOpen {
+			if k != tree.KindInternal {
 				t.Fatalf("%s: particle %d at %v opens node %v, shipped closed", where, q.ID, q.Pos, tr.Cell(n))
 			}
 			for c := n + 1; c < tr.Skip[n]; c = tr.Skip[c] {
@@ -459,11 +459,11 @@ func checkWithinBounds(t *testing.T, where string, br branch, b Bounds, alpha fl
 		ref = append(ref, n)
 		switch {
 		case tr.IsLeaf(n):
-			refKind = append(refKind, NodeLeaf)
+			refKind = append(refKind, tree.KindLeaf)
 		case n != br.n && b.Closed(tr.COM(n), tr.Box(n).LongestSide(), alpha):
-			refKind = append(refKind, NodeClosed)
+			refKind = append(refKind, tree.KindClosed)
 		default:
-			refKind = append(refKind, NodeOpen)
+			refKind = append(refKind, tree.KindInternal)
 			for c := n + 1; c < tr.Skip[n]; c = tr.Skip[c] {
 				add(c)
 			}
@@ -480,7 +480,7 @@ func checkWithinBounds(t *testing.T, where string, br branch, b Bounds, alpha fl
 		if j == len(ref) {
 			t.Fatalf("%s: node %d is shipped where the bounding box ships no such node", where, i)
 		}
-		if (sec.Kind[i] == NodeOpen && refKind[j] != NodeOpen) || (sec.Kind[i] == NodeLeaf) != (refKind[j] == NodeLeaf) {
+		if (sec.Kind[i] == tree.KindInternal && refKind[j] != tree.KindInternal) || (sec.Kind[i] == tree.KindLeaf) != (refKind[j] == tree.KindLeaf) {
 			t.Fatalf("%s: node %d ships as kind %d, the bounding box's as %d", where, i, sec.Kind[i], refKind[j])
 		}
 		j++
@@ -492,14 +492,13 @@ func checkWithinBounds(t *testing.T, where string, br branch, b Bounds, alpha fl
 // does and sweeps the peer's particles over it.
 func sweepGraft(t *testing.T, where string, br branch, sec *Section, peer []dist.Particle, alpha float64) {
 	t.Helper()
+	main := &Main{}
+	b := main.AddBranch(false, br.t.COM(br.n), br.t.Mass[br.n], br.t.Box(br.n).LongestSide(), nil, 1)
 	fl := &Flat{}
-	fl.Reset()
-	graft := int32(-1)
+	fl.Reset(main, nil)
 	if sec != nil {
-		graft = int32(fl.AddSection(1, sec, nil))
+		fl.AddSection(1, sec, b, 0)
 	}
-	fl.BeginMain()
-	fl.AddBranch(false, br.t.COM(br.n), br.t.Mass[br.n], br.t.Box(br.n).LongestSide(), nil, []int32{graft})
 	fl.Seal()
 	defer func() {
 		if r := recover(); r != nil {

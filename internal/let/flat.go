@@ -7,172 +7,177 @@ import (
 	"repro/internal/vec"
 )
 
-// Flat is the locally essential tree in structure-of-arrays form: the
-// grafted peer sections first, then a DFS linearization of the rank's
-// replicated tree (top nodes, local subtrees inlined, remote branch
-// cells carrying graft references). Force mode and potential mode both run
-// tree.Sweep over these columns: remote branches are deferred and their
-// sections then swept and folded in defer order — exactly the slot order
-// function shipping folds its replies in.
-//
-// Node kinds are tree.Kind*. Top and branch summaries have no owner-side
-// tree node, so accepted interactions there charge the traversing
-// particle's extra-load account (as function shipping does); local and
-// section nodes charge per-node Load counters, the section ones flowing
-// back to the owner as deltas.
-
-// SecMeta locates one grafted section in the flat arrays.
-type SecMeta struct {
-	Owner int
-	Key   uint64
-	Base  int32 // the section's root node; its skip pointer ends the section
+// Main is the main region of a locally essential tree: the replicated top
+// tree linearized for tree.Sweep — top nodes, an empty leaf for each empty
+// child, and one node per branch cell whose Lo is its branch ordinal. It
+// holds nothing of any rank's, so one Main serves every rank of a process:
+// each rank's Flat reads its columns in place and never writes them.
+type Main struct {
+	c       tree.Cols
+	graftLo []int32 // per branch ordinal, and one past the last: its owners' slots in a Flat's grafts
 }
-
-// Flat is rebuilt (or reused via Reset) every step.
-type Flat struct {
-	// c is the node and particle columns (local and grafted section leaves
-	// interleaved in append order) with the sweep's reusable state.
-	c        tree.Sweep
-	locals   []localSpan // local subtrees, for Load write-back
-	sections []SecMeta
-	mainRoot int32
-
-	loads []int64 // merged per-node Load charges
-}
-
-// localSpan records that nodes [at, at+n) of the Flat are a copy of nodes
-// [from, from+n) of t.
-type localSpan struct {
-	t           *tree.Tree
-	at, from, n int32
-}
-
-// Reset clears the structure for a new step, keeping capacity.
-func (f *Flat) Reset() {
-	f.c.Reset()
-	f.locals = f.locals[:0]
-	f.sections = f.sections[:0]
-	f.mainRoot = 0
-}
-
-// NumNodes returns the total linearized node count (sections + main).
-func (f *Flat) NumNodes() int { return len(f.c.Kind) }
-
-// NumSections returns the number of grafted sections.
-func (f *Flat) NumSections() int { return len(f.sections) }
-
-// AddSection grafts a decoded section's node columns; exps carries the
-// per-node decoded expansions (nil entries for leaves; nil slice in
-// force mode). Returns the section index branch nodes reference.
-func (f *Flat) AddSection(owner int, sec *Section, exps []*phys.Expansion) int {
-	base := int32(len(f.c.Kind))
-	pbase := int32(len(f.c.ID))
-	for j := range sec.Kind {
-		var k uint8
-		lo, hi := int32(-1), int32(-1)
-		switch sec.Kind[j] {
-		case NodeLeaf:
-			k = tree.KindLeaf
-			lo, hi = pbase+sec.LeafLo[j], pbase+sec.LeafHi[j]
-		case NodeClosed:
-			k = tree.KindClosed
-		default:
-			k = tree.KindInternal
-		}
-		var e *phys.Expansion
-		if exps != nil {
-			e = exps[j]
-		}
-		idx := f.c.AddNode(k, vec.V3{X: sec.ComX[j], Y: sec.ComY[j], Z: sec.ComZ[j]},
-			sec.Mass[j], sec.Side[j], e, lo, hi)
-		f.c.Skip[idx] = base + sec.Skip[j]
-	}
-	f.c.ID = append(f.c.ID, sec.PID...)
-	f.c.PX = append(f.c.PX, sec.PX...)
-	f.c.PY = append(f.c.PY, sec.PY...)
-	f.c.PZ = append(f.c.PZ, sec.PZ...)
-	f.c.PM = append(f.c.PM, sec.PM...)
-	f.sections = append(f.sections, SecMeta{Owner: owner, Key: sec.BranchKey, Base: base})
-	return len(f.sections) - 1
-}
-
-// BeginMain marks the start of the main sweep region; call after all
-// sections are grafted, before flattening the replicated tree.
-func (f *Flat) BeginMain() { f.mainRoot = int32(len(f.c.Kind)) }
 
 // AddTop appends a replicated top node; close with CloseInternal after
 // its children.
-func (f *Flat) AddTop(com vec.V3, mass, side float64, exp *phys.Expansion) int32 {
-	return f.c.AddNode(tree.KindTop, com, mass, side, exp, -1, -1)
+func (m *Main) AddTop(com vec.V3, mass, side float64, exp *phys.Expansion) int32 {
+	return tree.AppendNode(&m.c, tree.KindTop, com, mass, side, exp, -1, -1)
 }
 
-// AddBranch appends a remote branch cell and returns its node index. grafts
-// lists the section index per owner, in owner order (-1 when that owner
-// shipped nothing: the MAC provably accepts, and the kernels panic if it
-// ever rejects); function shipping, which resolves an opened branch by
-// message instead, passes none.
-func (f *Flat) AddBranch(leafCell bool, com vec.V3, mass, side float64, exp *phys.Expansion, grafts []int32) int32 {
+// AddBranch appends a branch cell with the given number of owners and
+// returns its branch ordinal. A rank that owns the cell sweeps its own
+// subtree there (Flat.SetOwn); for any other rank the cell is a summary
+// that defers its grafts when opened — a leaf cell (leafCell) always,
+// without a MAC test.
+func (m *Main) AddBranch(leafCell bool, com vec.V3, mass, side float64, exp *phys.Expansion, owners int) int32 {
+	if len(m.graftLo) == 0 {
+		m.graftLo = append(m.graftLo, 0)
+	}
 	k := tree.KindBranch
 	if leafCell {
 		k = tree.KindBranchLeaf
 	}
-	idx := f.c.AddNode(k, com, mass, side, exp, -1, -1)
-	f.c.Lo[idx] = int32(len(f.c.Graft))
-	for _, si := range grafts {
-		if si >= 0 {
-			si = f.sections[si].Base
-		}
-		f.c.Graft = append(f.c.Graft, si)
-	}
-	f.c.Hi[idx] = int32(len(f.c.Graft))
-	return idx
+	b := int32(len(m.graftLo) - 1)
+	tree.AppendNode(&m.c, k, com, mass, side, exp, b, -1)
+	m.graftLo = append(m.graftLo, m.graftLo[b]+int32(owners))
+	return b
 }
 
-// AddZero appends an empty local leaf standing in for a non-nil
-// zero-count child: the traversal folds an exact zero vector and charges
-// nothing, replaying the recursion's early return for such nodes.
-func (f *Flat) AddZero() {
-	lo := int32(len(f.c.ID))
-	f.c.AddNode(tree.KindLeaf, vec.V3{}, 0, 0, nil, lo, lo)
-}
+// AddZero appends an empty leaf standing in for a non-nil zero-count
+// child: the traversal folds an exact zero vector and charges nothing,
+// replaying the recursion's early return for such nodes.
+func (m *Main) AddZero() { tree.AppendNode(&m.c, tree.KindLeaf, vec.V3{}, 0, 0, nil, 0, 0) }
 
 // CloseInternal patches an internal node's skip pointer past its
 // completed subtree.
-func (f *Flat) CloseInternal(idx int32) { f.c.Skip[idx] = int32(len(f.c.Kind)) }
+func (m *Main) CloseInternal(idx int32) { m.c.Skip[idx] = int32(len(m.c.Kind)) }
 
-// AddLocalSubtree inlines the locally-owned subtree under node i of t — a
-// block copy of its node columns [i, Skip[i]) and of its particles, with
-// skip pointers and ranges rebased — records the span for Load write-back,
-// and returns its root's node index.
-func (f *Flat) AddLocalSubtree(t *tree.Tree, i int32) int32 {
-	c := &f.c
-	at, end := int32(len(c.Kind)), t.Skip[i]
-	dn, dp := at-i, int32(len(c.ID))-t.Lo[i]
-	c.Kind = append(c.Kind, t.Kind[i:end]...)
-	c.ComX = append(c.ComX, t.ComX[i:end]...)
-	c.ComY = append(c.ComY, t.ComY[i:end]...)
-	c.ComZ = append(c.ComZ, t.ComZ[i:end]...)
-	c.Mass = append(c.Mass, t.Mass[i:end]...)
-	c.Side = append(c.Side, t.Side[i:end]...)
-	c.Exp = append(c.Exp, t.Exp[i:end]...)
-	for j := i; j < end; j++ {
-		c.Skip = append(c.Skip, t.Skip[j]+dn)
-		c.Lo = append(c.Lo, t.Lo[j]+dp)
-		c.Hi = append(c.Hi, t.Hi[j]+dp)
-	}
-	lo, hi := t.Lo[i], t.Hi[i]
-	c.ID = append(c.ID, t.ID[lo:hi]...)
-	c.PX = append(c.PX, t.PX[lo:hi]...)
-	c.PY = append(c.PY, t.PY[lo:hi]...)
-	c.PZ = append(c.PZ, t.PZ[lo:hi]...)
-	c.PM = append(c.PM, t.PM[lo:hi]...)
-	f.locals = append(f.locals, localSpan{t: t, at: at, from: i, n: end - i})
-	return at
+// NumNodes returns the region's node count.
+func (m *Main) NumNodes() int { return len(m.c.Kind) }
+
+// Branch returns the branch ordinal of branch node idx (as Packet.Deferred
+// reports it).
+func (m *Main) Branch(idx int32) int32 { return m.c.Lo[idx] }
+
+// NumBranches returns the number of branch cells.
+func (m *Main) NumBranches() int { return max(len(m.graftLo)-1, 0) }
+
+// NumParticles returns how many particles the region's own columns hold:
+// none, since leaves live in sections and in the ranks' trees.
+func (m *Main) NumParticles() int { return len(m.c.ID) }
+
+// Flat is one rank's locally essential tree for one step: a table of
+// references that tree.Sweep reads in place. The main region is the
+// process's Main; under a branch cell of its own the rank's sweep walks its
+// own tree, charging Load straight into the tree's Load column; under any
+// other it defers, and the sections grafted for the cell are swept and
+// folded in defer order — exactly the slot order function shipping folds
+// its replies in. Force mode and potential mode both run the one sweep.
+//
+// Top and branch summaries have no owner-side tree node, so accepted
+// interactions there charge the traversing particle's extra-load account
+// (as function shipping does); section nodes charge the Flat's per-section
+// Load counters, which flow back to the owner as deltas.
+type Flat struct {
+	s        tree.Sweep
+	main     *Main
+	own      *tree.Tree
+	sections []SecMeta
+	loads    []int64 // section Load charges, section si's from sections[si].off
+	mainLds  []int64 // the main region's charges: zeros from its empty leaves
 }
 
-// Seal finalizes construction: sizes the merged Load array.
+// SecMeta locates one grafted section.
+type SecMeta struct {
+	Owner int
+	Key   uint64
+	sec   *Section
+	off   int32
+}
+
+// Reset readies the Flat for a step over main, with own (nil for none)
+// the rank's tree: every branch cell starts as another rank's, nothing
+// grafted under it.
+func (f *Flat) Reset(main *Main, own *tree.Tree) {
+	f.main, f.own = main, own
+	f.s.Cols = main.c
+	f.s.Own = nil
+	if own != nil {
+		f.s.Own = &own.Cols
+	}
+	nb, slots := main.NumBranches(), 0
+	if nb > 0 {
+		slots = int(main.graftLo[nb])
+	}
+	f.s.OwnRoot = fill(f.s.OwnRoot, nb, -1)
+	f.s.GraftLo = main.graftLo
+	f.s.Grafts = fill(f.s.Grafts, slots, -1)
+	f.s.Secs = f.s.Secs[:0]
+	f.sections = f.sections[:0]
+}
+
+// fill returns s at length n, every element v.
+func fill(s []int32, n int, v int32) []int32 {
+	s = append(s[:0], make([]int32, n)...)
+	for i := range s {
+		s[i] = v
+	}
+	return s
+}
+
+// Main returns the main region the Flat reads.
+func (f *Flat) Main() *Main { return f.main }
+
+// SetOwn makes branch ordinal b the rank's own cell, whose subtree is
+// node root's of the own tree.
+func (f *Flat) SetOwn(b, root int32) { f.s.OwnRoot[b] = root }
+
+// AddSection grafts sec, which owner shipped for branch ordinal b, the
+// slot-th of the cell's owners, and returns its section index. In
+// potential mode sec.Exp must hold its expansions. The Flat reads sec in
+// place until Release.
+func (f *Flat) AddSection(owner int, sec *Section, b int32, slot int) int {
+	si := len(f.sections)
+	f.s.Grafts[f.s.GraftLo[b]+int32(slot)] = int32(si)
+	f.s.Secs = append(f.s.Secs, &sec.Cols)
+	f.sections = append(f.sections, SecMeta{Owner: owner, Key: sec.BranchKey, sec: sec})
+	return si
+}
+
+// NumSections returns the number of grafted sections.
+func (f *Flat) NumSections() int { return len(f.sections) }
+
+// Seal finalizes construction: sizes the per-section Load counters and
+// points every segment's charges at their columns.
 func (f *Flat) Seal() {
-	f.loads = append(f.loads[:0], make([]int64, len(f.c.Kind))...)
+	n := int32(0)
+	for i := range f.sections {
+		f.sections[i].off = n
+		n += int32(f.sections[i].sec.NumNodes())
+	}
+	f.loads = append(f.loads[:0], make([]int64, n)...)
+	f.mainLds = append(f.mainLds[:0], make([]int64, f.main.NumNodes())...)
+	var ownLoad []int64
+	if f.own != nil {
+		ownLoad = f.own.Load
+	}
+	f.s.Loads = append(f.s.Loads[:0], f.mainLds, ownLoad)
+	for _, m := range f.sections {
+		f.s.Loads = append(f.s.Loads, f.loads[m.off:m.off+int32(m.sec.NumNodes())])
+	}
+}
+
+// Release drops every reference the Flat holds — the main region, the
+// rank's tree, the sections — so nothing it keeps until the next step
+// pins this one's.
+func (f *Flat) Release() {
+	f.main, f.own = nil, nil
+	f.s.Cols, f.s.Own, f.s.GraftLo = tree.Cols{}, nil, nil
+	clear(f.s.Secs[:cap(f.s.Secs)])
+	f.s.Secs = f.s.Secs[:0]
+	clear(f.s.Loads[:cap(f.s.Loads)])
+	f.s.Loads = f.s.Loads[:0]
+	clear(f.sections[:cap(f.sections)])
+	f.sections = f.sections[:0]
 }
 
 // ForceAll runs the force traversal for every particle: a thin driver
@@ -180,55 +185,39 @@ func (f *Flat) Seal() {
 // extra (which may be nil) are indexed like ps; extra receives each
 // particle's summary-interaction flop charge accumulated with addend exAdd
 // per accepted top/branch summary (the function-shipping extra-load
-// account). Merged Load counters are left in the Flat for ApplyLocalLoads /
-// SectionDeltas.
+// account). Own-tree Load lands in the tree; section Load stays in the
+// Flat for SectionDeltas.
 func (f *Flat) ForceAll(ps []dist.Particle, alpha, eps, exAdd float64, out []vec.V3, extra []float64) tree.Stats {
-	return f.c.ForceAll(ps, f.mainRoot, alpha, eps, exAdd, out, extra, f.loads)
+	return f.s.ForceAll(ps, 0, alpha, eps, exAdd, out, extra)
 }
 
 // PotentialAll is ForceAll for potential mode (leaf softening 0, accepted
 // nodes evaluate the expansions the tree was given).
 func (f *Flat) PotentialAll(ps []dist.Particle, alpha, exAdd float64, out []float64, extra []float64) tree.Stats {
-	return f.c.PotentialAll(ps, f.mainRoot, alpha, exAdd, out, extra, f.loads)
+	return f.s.PotentialAll(ps, 0, alpha, exAdd, out, extra)
 }
 
 // Begin, Defer and Below are the sweep one packet at a time, for function
 // shipping, which must interleave sweeping with its message protocol: Begin
 // fixes the mode, Defer sweeps the main region for the first n lanes of p
 // and leaves the remote branches they opened to the caller; Below is the
-// owner-side service of requests against the local branch subtree
-// AddLocalSubtree placed at base. Both charge the merged Load counters
-// directly.
+// owner-side service of requests against the subtree at node base of the
+// rank's own tree. Both charge Load as ForceAll does.
 func (f *Flat) Begin(alpha, eps, exAdd float64, potential bool) {
-	f.c.Begin(alpha, eps, exAdd, potential)
+	f.s.Begin(alpha, eps, exAdd, potential)
 }
 
-func (f *Flat) Defer(p *tree.Packet, n int) { f.c.Defer(p, n, f.mainRoot, f.loads) }
+func (f *Flat) Defer(p *tree.Packet, n int) { f.s.Defer(p, n, 0) }
 
-func (f *Flat) Below(p *tree.Packet, n int, base int32) { f.c.Below(p, n, base, f.loads) }
-
-// ApplyLocalLoads adds the merged Load counters of local nodes back to
-// their tree nodes, then forgets the trees: cleared over the whole backing
-// array, the spans cannot keep this step's trees reachable while the Flat
-// waits for the next.
-func (f *Flat) ApplyLocalLoads() {
-	for _, sp := range f.locals {
-		for k, v := range f.loads[sp.at : sp.at+sp.n] {
-			sp.t.Load[sp.from+int32(k)] += v
-		}
-	}
-	clear(f.locals[:cap(f.locals)])
-	f.locals = f.locals[:0]
-}
+func (f *Flat) Below(p *tree.Packet, n int, base int32) { f.s.Below(p, n, tree.SegOwn, base) }
 
 // SectionDeltas appends section si's non-zero Load deltas (ordinals are
 // section-relative, matching the owner's BuildSection node order) to the
 // given slices and returns them.
 func (f *Flat) SectionDeltas(si int, nodes []int32, deltas []int64) ([]int32, []int64) {
-	m := f.sections[si]
-	for i := m.Base; i < f.c.Skip[m.Base]; i++ {
-		if v := f.loads[i]; v != 0 {
-			nodes = append(nodes, i-m.Base)
+	for i, v := range f.sectionLoads(si) {
+		if v != 0 {
+			nodes = append(nodes, int32(i))
 			deltas = append(deltas, v)
 		}
 	}
@@ -238,13 +227,18 @@ func (f *Flat) SectionDeltas(si int, nodes []int32, deltas []int64) ([]int32, []
 // NumSectionDeltas returns how many deltas SectionDeltas appends for
 // section si.
 func (f *Flat) NumSectionDeltas(si int) int {
-	m, n := f.sections[si], 0
-	for _, v := range f.loads[m.Base:f.c.Skip[m.Base]] {
+	n := 0
+	for _, v := range f.sectionLoads(si) {
 		if v != 0 {
 			n++
 		}
 	}
 	return n
+}
+
+func (f *Flat) sectionLoads(si int) []int64 {
+	m := f.sections[si]
+	return f.loads[m.off : m.off+int32(m.sec.NumNodes())]
 }
 
 // Section returns the metadata of section si.

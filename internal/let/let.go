@@ -4,16 +4,19 @@
 // shipping) or fetching cells on demand (data shipping), each rank
 // computes, per peer, the exact subset of its local subtrees the peer's
 // particles can possibly open — the *essential set* — and ships it in
-// one bulk message per step. The receiving rank grafts the returned node
-// columns beside a flat linearization of its replicated tree and then
-// traverses purely locally, host-parallel within the rank.
+// one bulk message per step. The receiving rank grafts the sections it
+// receives under the branch cells of the replicated tree's linearization,
+// which every rank of a process shares, and then traverses purely locally,
+// host-parallel within the rank, reading sections where they arrived and
+// its own subtrees in its own tree.
 //
-// Correctness contract (the two-clock rule): the traversals — tree.Sweep
-// under Flat.ForceAll, the potential kernels in flat.go — replay the
-// function-shipping engine's floating-point reduction order exactly — same MAC arithmetic, same accumulator-stack
-// open/close structure, same signed-zero adds at deferred branches — so
-// accelerations, potentials, interaction Stats, and per-node Load
-// counters are bit-identical to function shipping.
+// Correctness contract (the two-clock rule): the traversal — tree.Sweep
+// under Flat.ForceAll and Flat.PotentialAll — replays the
+// function-shipping engine's floating-point reduction order exactly — same
+// MAC arithmetic, same accumulator-stack open/close structure, same
+// signed-zero adds at deferred branches — so accelerations, potentials,
+// interaction Stats, and per-node Load counters are bit-identical to
+// function shipping.
 //
 // The essential-set criterion is conservative: a node is only summarized
 // (closed) when the MAC provably accepts it from every particle of the
@@ -33,6 +36,7 @@ import (
 	"math"
 
 	"repro/internal/dist"
+	"repro/internal/phys"
 	"repro/internal/tree"
 	"repro/internal/vec"
 )
@@ -102,44 +106,28 @@ func (b Bounds) Closed(com vec.V3, side float64, alpha float64) bool {
 	return d*(1-OpenMargin) > side/alpha
 }
 
-// Node kinds of a serialized essential set.
-const (
-	// NodeOpen is an internal node shipped with its children: the MAC can
-	// fail for some particle of the peer, so the peer must be able to
-	// descend it. Its summary is still shipped — individual particles may
-	// accept it.
-	NodeOpen uint8 = iota
-	// NodeClosed is an internal node shipped as a bare summary: the MAC
-	// provably accepts it from every particle of the peer.
-	NodeClosed
-	// NodeLeaf carries a particle range (possibly empty, standing in for
-	// a zero-count node that contributes an exact zero vector).
-	NodeLeaf
-)
-
-// Section is the serialized essential set of one branch subtree for one
-// peer: node columns in DFS (Morton) order. Node index within the
+// Section is the essential set of one branch subtree for one peer, in the
+// columns the peer's sweep reads where they arrive (tree.Cols): nodes in
+// DFS (Morton) order, Skip section-relative, the root at node 0. Its kinds
+// are three. tree.KindInternal is an open node, shipped with its children:
+// the MAC can fail for some particle of the peer, so the peer must be able
+// to descend it; its summary is still shipped, since particles may accept
+// it. tree.KindClosed is a bare summary: the MAC provably accepts it from
+// every particle of the peer. tree.KindLeaf holds the particle range
+// [Lo, Hi) (possibly empty: a zero-count node that contributes an exact
+// zero vector); Lo/Hi is -1 for the other two. Node index within the
 // section is the ordinal the peer uses to return per-node Load deltas.
 type Section struct {
 	// BranchKey is the packed CellKey of the branch root this section
 	// describes.
 	BranchKey uint64
 
-	Kind             []uint8
-	Skip             []int32 // index one past the node's subtree, section-relative
-	ComX, ComY, ComZ []float64
-	Mass             []float64
-	Side             []float64 // precomputed Box.LongestSide()
-	LeafLo, LeafHi   []int32   // particle range for NodeLeaf; -1 otherwise
+	tree.Cols // Exp is filled by the receiver (DecodeExp), nil in force mode
 
-	// Exp holds ExpStride floats per non-leaf node, in node order
-	// (potential mode only).
-	Exp       []float64
+	// ExpFloats holds ExpStride floats per non-leaf node, in node order: the
+	// expansions as shipped (potential mode only).
+	ExpFloats []float64
 	ExpStride int32
-
-	// Leaf particle columns, indexed by LeafLo/LeafHi.
-	PID            []int32
-	PX, PY, PZ, PM []float64
 }
 
 // NumNodes returns the number of serialized nodes.
@@ -154,13 +142,40 @@ func (s *Section) NumNodes() int { return len(s.Kind) }
 func (s *Section) WireWords() int {
 	w := 2
 	for i, k := range s.Kind {
-		if k == NodeLeaf {
-			w += 2 + 4*int(s.LeafHi[i]-s.LeafLo[i])
+		if k == tree.KindLeaf {
+			w += 2 + 4*int(s.Hi[i]-s.Lo[i])
 		} else {
 			w += 6 + int(s.ExpStride)
 		}
 	}
 	return w
+}
+
+// DecodeExp rebuilds the Exp column — one expansion of the given degree
+// per non-leaf node, nil at leaves — from the shipped floats.
+func (s *Section) DecodeExp(degree int) error {
+	exps := make([]*phys.Expansion, len(s.Kind))
+	stride := int(s.ExpStride)
+	off := 0
+	for i, k := range s.Kind {
+		if k == tree.KindLeaf {
+			continue
+		}
+		if off+stride > len(s.ExpFloats) {
+			return fmt.Errorf("let: section expansion columns truncated")
+		}
+		e, err := phys.ExpansionFromFloats(degree, s.ExpFloats[off:off+stride])
+		if err != nil {
+			return fmt.Errorf("let: section expansion decode: %w", err)
+		}
+		exps[i] = e
+		off += stride
+	}
+	if off != len(s.ExpFloats) {
+		return fmt.Errorf("let: section expansion columns misaligned")
+	}
+	s.Exp = exps
+	return nil
 }
 
 // Scratch is one rank's working columns for BuildSection, reused from one
@@ -198,24 +213,23 @@ func BuildSection(t *tree.Tree, root int32, dom *Domain, alpha float64, withExp,
 		return nil, nil, w.visited + w.extra
 	}
 	s := &sc.sec
-	*s = Section{
-		Kind: s.Kind[:0], Skip: s.Skip[:0], ComX: s.ComX[:0], ComY: s.ComY[:0], ComZ: s.ComZ[:0],
-		Mass: s.Mass[:0], Side: s.Side[:0], LeafLo: s.LeafLo[:0], LeafHi: s.LeafHi[:0], Exp: s.Exp[:0],
-		PID: s.PID[:0], PX: s.PX[:0], PY: s.PY[:0], PZ: s.PZ[:0], PM: s.PM[:0],
-	}
+	s.Reset()
+	s.ExpFloats, s.ExpStride = s.ExpFloats[:0], 0
 	sc.nodes = sc.nodes[:0]
 	if t.IsLeaf(root) {
 		w.leaf(root)
 	} else {
-		idx := w.internal(root, NodeOpen)
+		idx := w.internal(root, tree.KindInternal)
 		w.children(root)
 		s.Skip[idx] = int32(len(s.Kind))
 	}
 	out := &Section{
-		Kind: exact(s.Kind), Skip: exact(s.Skip), ComX: exact(s.ComX), ComY: exact(s.ComY), ComZ: exact(s.ComZ),
-		Mass: exact(s.Mass), Side: exact(s.Side), LeafLo: exact(s.LeafLo), LeafHi: exact(s.LeafHi),
-		Exp: exact(s.Exp), ExpStride: s.ExpStride,
-		PID: exact(s.PID), PX: exact(s.PX), PY: exact(s.PY), PZ: exact(s.PZ), PM: exact(s.PM),
+		Cols: tree.Cols{
+			Kind: exact(s.Kind), Skip: exact(s.Skip), ComX: exact(s.ComX), ComY: exact(s.ComY), ComZ: exact(s.ComZ),
+			Mass: exact(s.Mass), Side: exact(s.Side), Lo: exact(s.Lo), Hi: exact(s.Hi),
+			ID: exact(s.ID), PX: exact(s.PX), PY: exact(s.PY), PZ: exact(s.PZ), PM: exact(s.PM),
+		},
+		ExpFloats: exact(s.ExpFloats), ExpStride: s.ExpStride,
 	}
 	return out, exact(sc.nodes), w.visited + w.extra
 }
@@ -250,31 +264,31 @@ func (w *sectionWalk) add(n int32) {
 		return
 	}
 	if w.closed(w.t.COM(n), w.t.Side[n]) {
-		w.internal(n, NodeClosed)
+		w.internal(n, tree.KindClosed)
 		return
 	}
-	idx := w.internal(n, NodeOpen)
+	idx := w.internal(n, tree.KindInternal)
 	w.children(n)
 	w.sc.sec.Skip[idx] = int32(len(w.sc.sec.Kind))
 }
 
 func (w *sectionWalk) leaf(n int32) {
 	s, t := &w.sc.sec, w.t
-	lo := int32(len(s.PID))
-	s.PID = append(s.PID, t.ID[t.Lo[n]:t.Hi[n]]...)
+	lo := int32(len(s.ID))
+	s.ID = append(s.ID, t.ID[t.Lo[n]:t.Hi[n]]...)
 	s.PX = append(s.PX, t.PX[t.Lo[n]:t.Hi[n]]...)
 	s.PY = append(s.PY, t.PY[t.Lo[n]:t.Hi[n]]...)
 	s.PZ = append(s.PZ, t.PZ[t.Lo[n]:t.Hi[n]]...)
 	s.PM = append(s.PM, t.PM[t.Lo[n]:t.Hi[n]]...)
-	s.Kind = append(s.Kind, NodeLeaf)
+	s.Kind = append(s.Kind, tree.KindLeaf)
 	s.Skip = append(s.Skip, int32(len(s.Kind)))
 	s.ComX = append(s.ComX, 0)
 	s.ComY = append(s.ComY, 0)
 	s.ComZ = append(s.ComZ, 0)
 	s.Mass = append(s.Mass, 0)
 	s.Side = append(s.Side, 0)
-	s.LeafLo = append(s.LeafLo, lo)
-	s.LeafHi = append(s.LeafHi, int32(len(s.PID)))
+	s.Lo = append(s.Lo, lo)
+	s.Hi = append(s.Hi, int32(len(s.ID)))
 	w.sc.nodes = append(w.sc.nodes, n)
 }
 
@@ -287,14 +301,14 @@ func (w *sectionWalk) internal(n int32, kind uint8) int {
 	s.ComZ = append(s.ComZ, t.ComZ[n])
 	s.Mass = append(s.Mass, t.Mass[n])
 	s.Side = append(s.Side, t.Side[n])
-	s.LeafLo = append(s.LeafLo, -1)
-	s.LeafHi = append(s.LeafHi, -1)
+	s.Lo = append(s.Lo, -1)
+	s.Hi = append(s.Hi, -1)
 	if w.withExp && t.Exp[n] != nil {
 		fs := t.Exp[n].Floats()
 		if s.ExpStride == 0 {
 			s.ExpStride = int32(len(fs))
 		}
-		s.Exp = append(s.Exp, fs...)
+		s.ExpFloats = append(s.ExpFloats, fs...)
 	}
 	w.sc.nodes = append(w.sc.nodes, n)
 	return len(s.Kind) - 1

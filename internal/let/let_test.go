@@ -185,9 +185,10 @@ func (w *world) oracle(me int, q dist.Particle, alpha, eps float64, st *tree.Sta
 }
 
 // flat builds owner me's locally essential tree the way parbh's
-// letExchange does and runs ForceAll or PotentialAll, writing every Load
-// charge (local nodes directly, section nodes through their deltas) back to
-// w's trees.
+// letExchange does — a main region, the owner's tree under its own cell,
+// sections under the others — and runs ForceAll or PotentialAll: local
+// nodes take their Load charges in their tree, section nodes through the
+// deltas written back here to w's trees.
 func (w *world) flat(t *testing.T, me int, query []dist.Particle, alpha, eps float64) ([]vec.V3, []float64, tree.Stats) {
 	cells := NewCells(w.domain, 9)
 	root := cells.AddTop(w.domain)
@@ -198,46 +199,50 @@ func (w *world) flat(t *testing.T, me int, query []dist.Particle, alpha, eps flo
 	}
 	cells.Close(root)
 	dom := Domain{Bounds: BoundsOf(w.parts[me]), Cells: cells, Rank: me}
-	fl := &Flat{}
-	fl.Reset()
-	var sent []*tree.Tree
-	var sentNodes [][]int32
-	grafts := map[*cell][]int32{}
+	main := &Main{}
+	top := main.AddTop(w.topCom, w.topMass, w.domain.LongestSide(), w.topExp)
+	var branch [8]int32
 	for oct := range w.cells {
-		c := &w.cells[oct]
-		if c.count == 0 || c.localTo(me) != nil {
-			continue
-		}
-		for i, tr := range c.trees {
-			// A shared cell's owners each see only their own summary, so
-			// (as for a leaf cell) they ship unconditionally.
-			sec, nodes, _ := BuildSection(tr, 0, &dom, alpha, w.degree >= 0, c.count <= testLeafCap || len(c.trees) > 1, new(Scratch))
-			if sec == nil {
-				grafts[c] = append(grafts[c], -1)
-				continue
-			}
-			grafts[c] = append(grafts[c], int32(fl.AddSection(c.owners[i], sec, sectionExps(tr, nodes))))
-			sent, sentNodes = append(sent, tr), append(sentNodes, nodes)
+		if c := &w.cells[oct]; c.count == 0 {
+			main.AddZero()
+		} else {
+			branch[oct] = main.AddBranch(c.count <= testLeafCap, c.com, c.mass, c.box.LongestSide(), c.exp, len(c.owners))
 		}
 	}
-	fl.BeginMain()
-	top := fl.AddTop(w.topCom, w.topMass, w.domain.LongestSide(), w.topExp)
+	main.CloseInternal(top)
+	var own *tree.Tree
+	for oct := range w.cells {
+		if tr := w.cells[oct].localTo(me); tr != nil {
+			own = tr
+		}
+	}
+	fl := &Flat{}
+	fl.Reset(main, own)
+	var sent []*tree.Tree
+	var sentNodes [][]int32
 	for oct := range w.cells {
 		c := &w.cells[oct]
 		switch {
 		case c.count == 0:
-			fl.AddZero()
 		case c.localTo(me) != nil:
-			fl.AddLocalSubtree(c.localTo(me), 0)
+			fl.SetOwn(branch[oct], 0)
 		default:
-			fl.AddBranch(c.count <= testLeafCap, c.com, c.mass, c.box.LongestSide(), c.exp, grafts[c])
+			for i, tr := range c.trees {
+				// A shared cell's owners each see only their own summary, so
+				// (as for a leaf cell) they ship unconditionally.
+				sec, nodes, _ := BuildSection(tr, 0, &dom, alpha, w.degree >= 0, c.count <= testLeafCap || len(c.trees) > 1, new(Scratch))
+				if sec == nil {
+					continue
+				}
+				sec.Exp = sectionExps(tr, nodes)
+				fl.AddSection(c.owners[i], sec, branch[oct], i)
+				sent, sentNodes = append(sent, tr), append(sentNodes, nodes)
+			}
 		}
 	}
-	fl.CloseInternal(top)
 	fl.Seal()
 	out, extra := make([]vec.V3, len(query)), make([]float64, len(query))
 	st := sweepAll(fl, w.degree >= 0, query, alpha, eps, out, extra)
-	fl.ApplyLocalLoads()
 	if fl.NumSections() != len(sent) {
 		t.Fatalf("owner %d: %d sections, %d shipped", me, fl.NumSections(), len(sent))
 	}
@@ -247,6 +252,7 @@ func (w *world) flat(t *testing.T, me int, query []dist.Particle, alpha, eps flo
 			sent[si].Load[sentNodes[si][ord]] += deltas[j]
 		}
 	}
+	fl.Release()
 	return out, extra, st
 }
 
@@ -361,11 +367,12 @@ func TestFlatRootIsRemoteBranch(t *testing.T) {
 				query = append(query, dist.Particle{ID: 1000 + i, Mass: 1, Pos: s.Domain.Min.Add(s.Domain.Size().Scale(rng.Float64()))})
 			}
 			sec, nodes, _ := BuildSection(owner, 0, wholeDomain(s.Domain, BoundsOf(query)), 0.67, degree >= 0, true, new(Scratch))
+			main := &Main{}
+			b := main.AddBranch(leafCell, owner.COM(0), owner.Mass[0], s.Domain.LongestSide(), owner.Exp[0], 1)
 			fl := &Flat{}
-			fl.Reset()
-			si := fl.AddSection(1, sec, sectionExps(owner, nodes))
-			fl.BeginMain()
-			fl.AddBranch(leafCell, owner.COM(0), owner.Mass[0], s.Domain.LongestSide(), owner.Exp[0], []int32{int32(si)})
+			fl.Reset(main, nil)
+			sec.Exp = sectionExps(owner, nodes)
+			si := fl.AddSection(1, sec, b, 0)
 			fl.Seal()
 			out, extra := make([]vec.V3, len(query)), make([]float64, len(query))
 			gotSt := sweepAll(fl, degree >= 0, query, 0.67, 0.01, out, extra)
@@ -417,14 +424,19 @@ func TestFlatPotentialAllDriver(t *testing.T) {
 	tr := tree.BuildKeyed(s.Particles, s.Domain, testLeafCap)
 	tr.BuildExpansions(2)
 	flatten := func(top *phys.Expansion) *Flat {
-		fl := &Flat{}
-		fl.Reset()
-		fl.BeginMain()
-		idx := fl.AddTop(tr.COM(0), tr.Mass[0], s.Domain.LongestSide(), top)
+		main := &Main{}
+		idx := main.AddTop(tr.COM(0), tr.Mass[0], s.Domain.LongestSide(), top)
+		var own []int32
 		for c := int32(1); c < tr.Skip[0]; c = tr.Skip[c] {
-			fl.AddLocalSubtree(tr, c)
+			main.AddBranch(tr.IsLeaf(c), tr.COM(c), tr.Mass[c], tr.Side[c], tr.Exp[c], 1)
+			own = append(own, c)
 		}
-		fl.CloseInternal(idx)
+		main.CloseInternal(idx)
+		fl := &Flat{}
+		fl.Reset(main, tr)
+		for b, c := range own {
+			fl.SetOwn(int32(b), c)
+		}
 		fl.Seal()
 		return fl
 	}

@@ -1,10 +1,13 @@
 package parbh
 
 import (
+	"slices"
+
 	"repro/internal/let"
 	"repro/internal/msg"
 	"repro/internal/recio"
 	"repro/internal/transport"
+	"repro/internal/tree"
 )
 
 // Wire IDs 31–50 are reserved for this package (see the block table in
@@ -57,22 +60,39 @@ func codeSection(c *recio.Coder, p **let.Section) {
 	}
 	s := *p
 	c.U64(&s.BranchKey)
-	c.U8s(&s.Kind)
+	recio.Slice(c, &s.Kind, 1, codeSectionKind)
 	c.I32s(&s.Skip)
 	c.F64s(&s.ComX)
 	c.F64s(&s.ComY)
 	c.F64s(&s.ComZ)
 	c.F64s(&s.Mass)
 	c.F64s(&s.Side)
-	c.I32s(&s.LeafLo)
-	c.I32s(&s.LeafHi)
-	c.F64s(&s.Exp)
+	c.I32s(&s.Lo)
+	c.I32s(&s.Hi)
+	c.F64s(&s.ExpFloats)
 	c.I32(&s.ExpStride)
-	c.I32s(&s.PID)
+	c.I32s(&s.ID)
 	c.F64s(&s.PX)
 	c.F64s(&s.PY)
 	c.F64s(&s.PZ)
 	c.F64s(&s.PM)
+}
+
+// A section node's kind travels as the code the wire has always carried:
+// 0 open (tree.KindInternal), 1 closed (tree.KindClosed), 2 leaf
+// (tree.KindLeaf). Any other code fails the decode.
+var sectionKinds = [...]uint8{tree.KindInternal, tree.KindClosed, tree.KindLeaf}
+
+func codeSectionKind(c *recio.Coder, k *uint8) {
+	w := uint8(slices.Index(sectionKinds[:], *k)) // 0xff for a kind no section holds
+	c.U8(&w)
+	if c.Decoding {
+		if int(w) >= len(sectionKinds) {
+			c.R.Fail("parbh: section node kind %d", w)
+			return
+		}
+		*k = sectionKinds[w]
+	}
 }
 
 // sectionSize is the smallest encoded section: key + stride + fifteen

@@ -56,14 +56,18 @@ type Engine struct {
 	forests []*tree.Tree
 
 	// letFlats[i] is rank i's reusable flat essential tree (lazily
-	// created; function shipping's force mode flattens into it too, with
-	// no sections).
+	// created; function shipping sweeps one too, with no sections). It
+	// holds references for one force phase and nothing between steps.
 	letFlats []*let.Flat
 
 	// ship[i] is rank i's function-shipping scratch kept across steps, and
 	// scratch[i] what its particle exchanges keep.
 	ship    []shipScratch
 	scratch []rankScratch
+
+	// onGraft, when set, sees every section a rank grafts (tests use it to
+	// follow sections past the step that received them).
+	onGraft func(*let.Section)
 
 	step int
 }
@@ -175,6 +179,7 @@ type localState struct {
 	lookup   branchLookup     // request-serving lookup structure
 	top      *pnode           // replicated global tree, shared with this process's other ranks: read-only
 	cells    *let.Cells       // top's geometry for LET's essential-set test, shared and read-only like it
+	flat     *topFlat         // top's main region for LET and function shipping, shared and read-only like it
 	summary  []BranchSummary  // this proc's branch summaries
 	stats    tree.Stats       // interaction counts charged here
 	forceT   float64          // compute-seconds spent in the force phase
@@ -787,6 +792,7 @@ type topMerge struct {
 	once  sync.Once
 	root  *pnode
 	cells *let.Cells // root's boxes and owner sets (LET only)
+	flat  *topFlat   // root's main region (LET and function shipping)
 	flops float64    // the merge's modelled cost: a function of the summaries alone
 	err   error
 }
@@ -796,16 +802,22 @@ type topMerge struct {
 func (e *Engine) buildTopPhase(pr *msg.Proc, st *localState, gathered []any, m *topMerge) {
 	m.once.Do(func() {
 		m.root, m.flops, m.err = e.mergeTop(gathered)
-		if m.err == nil && e.cfg.Shipping == LETShipping {
+		if m.err != nil {
+			return
+		}
+		if e.cfg.Shipping == LETShipping {
 			m.cells = let.NewCells(e.domain, pr.NumProcs())
 			topCells(m.cells, m.root)
+		}
+		if e.cfg.Shipping == LETShipping || e.cfg.Shipping == FunctionShipping {
+			m.flat = flattenTop(m.root)
 		}
 	})
 	if m.err != nil {
 		panic(m.err)
 	}
 	pr.Compute(m.flops)
-	st.top, st.cells = m.root, m.cells
+	st.top, st.cells, st.flat = m.root, m.cells, m.flat
 }
 
 // mergeTop builds the replicated tree from every rank's summaries and

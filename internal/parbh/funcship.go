@@ -89,7 +89,7 @@ func (e *Engine) forcePhase(pr *msg.Proc, st *localState, res *Result) {
 	clear(st.extraLoad)
 	r.flatten()
 	r.exchange(res)
-	r.fl.ApplyLocalLoads()
+	r.fl.Release()
 
 	clock := e.shipClock(pr, r.sh.log)
 	pr.Adopt(clock)
@@ -106,10 +106,6 @@ const shipRound = 128
 // shipScratch is what a rank's function-shipping phase keeps from one step
 // to the next: host-side buffers only, nothing the simulation can observe.
 type shipScratch struct {
-	// Where the branch cells landed in the rank's flat tree.
-	branchAt []*pnode         // node index → remote branch cell
-	localAt  map[uint64]int32 // packed branch key → node index of the local subtree root
-
 	// own sweeps this rank's particles; served sweeps the requests it
 	// serves.
 	own, served tree.Packet
@@ -131,8 +127,8 @@ type shipScratch struct {
 	servedFrom []int // per requester: entries served so far this step
 
 	// Grouping of one served bin by branch.
-	base    []int32   // per entry: node index of its branch, -1 if unknown here
-	fill    []int32   // per node: entries counted, then the group's write cursor
+	base    []int32   // per entry: its branch's root in the rank's tree, -1 if unknown here
+	fill    []int32   // per tree node: entries counted, then the group's write cursor
 	touched []int32   // branches of the bin, in first-request order
 	order   []int32   // entry indices, grouped
 	flops   []float64 // per entry: the service's charge, lookup included
@@ -144,8 +140,8 @@ type shipScratch struct {
 }
 
 // shipRef is one shipped entry before it is addressed: the remote branch
-// cell's node in the flat tree and the particle's index in the round.
-type shipRef struct{ node, part int32 }
+// cell (its ordinal) and the particle's index in the round.
+type shipRef struct{ branch, part int32 }
 
 // shipRun is the per-processor state of one function-shipping data plane.
 type shipRun struct {
@@ -254,8 +250,9 @@ func (r *shipRun) sweep(round []dist.Particle) {
 			sh.deferred = pk.Deferred(l, sh.deferred[:0])
 			first := slots
 			for _, node := range sh.deferred {
-				for _, o := range sh.branchAt[node].owners {
-					sh.shipped = append(sh.shipped, shipRef{node: node, part: int32(k + l)})
+				b := st.flat.main.Branch(node)
+				for _, o := range st.flat.branches[b].owners {
+					sh.shipped = append(sh.shipped, shipRef{branch: b, part: int32(k + l)})
 					log.Owners = append(log.Owners, uint16(o))
 					sh.cut[o+2]++
 					slots++
@@ -275,7 +272,7 @@ func (r *shipRun) sweep(round []dist.Particle) {
 	for slot, ref := range sh.shipped {
 		q, o := &round[ref.part], owners[slot]
 		sh.entries[sh.cut[o+1]] = reqEntry{
-			Key: sh.branchAt[ref.node].cell.Uint64(), Pos: q.Pos, Self: int32(q.ID), Slot: int32(slot),
+			Key: r.st.flat.branches[ref.branch].cell.Uint64(), Pos: q.Pos, Self: int32(q.ID), Slot: int32(slot),
 		}
 		sh.cut[o+1]++
 	}
@@ -362,13 +359,13 @@ func (r *shipRun) serve(bin reqBin, from int) int {
 // cell under the MAC, so service starts at the branch's children (or at the
 // particles of a leaf branch), mirroring what a serial traversal does after
 // rejecting the node. Entries asking for the same branch are swept
-// together, up to eight to a packet, from the branch's node in this rank's
-// flat tree; every lane is still its entry's lone traversal.
+// together, up to eight to a packet, from the branch's root in this rank's
+// tree; every lane is still its entry's lone traversal.
 func (r *shipRun) servePackets(entries []reqEntry, rep *repBin) {
 	sh := r.sh
 	sh.base, sh.touched = sh.base[:0], sh.touched[:0]
 	for i := range entries {
-		b, ok := sh.localAt[entries[i].Key]
+		b, ok := r.st.rootsMap[entries[i].Key]
 		if !ok {
 			b = -1
 		} else {
@@ -437,36 +434,21 @@ func (r *shipRun) servePackets(entries []reqEntry, rep *repBin) {
 	}
 }
 
-// flatten puts the rank's replicated tree in packet-kernel form: the same
-// main region a LET rank sweeps, its remote branch cells carrying no
-// grafts — an opened branch is shipped, not resolved locally.
+// flatten readies the rank's flat tree for the sweep: the process's main
+// region, the rank's own branch cells resolved to its tree, the other
+// cells carrying no grafts — an opened branch is shipped, not resolved
+// locally.
 func (r *shipRun) flatten() {
-	sh := r.sh
-	if sh.localAt == nil {
-		sh.localAt = make(map[uint64]int32)
-	}
-	clear(sh.localAt)
 	fl := r.e.letFlat(r.st.me) // the rank's reusable flat tree; a run ships one way only
-	fl.Reset()
-	fl.BeginMain()
-	sh.branchAt = sh.branchAt[:0]
-	flattenTop(fl, r.st, r.st.top, func(n *pnode, own int32) {
-		if own >= 0 {
-			sh.localAt[n.cell.Uint64()] = fl.AddLocalSubtree(r.st.tree, own)
-			return
-		}
-		idx := fl.AddBranch(n.leafCell, n.com, n.mass, n.side, n.exp, nil)
-		for len(sh.branchAt) <= int(idx) {
-			sh.branchAt = append(sh.branchAt, nil)
-		}
-		sh.branchAt[idx] = n
-	})
+	r.st.flat.reset(fl, r.st)
 	fl.Seal()
 	// fill is all zero between bins, so resizing it is all it needs.
-	if cap(sh.fill) < fl.NumNodes() {
-		sh.fill = make([]int32, fl.NumNodes())
+	sh := r.sh
+	if n := r.st.tree.NumNodes(); cap(sh.fill) < n {
+		sh.fill = make([]int32, n)
+	} else {
+		sh.fill = sh.fill[:n]
 	}
-	sh.fill = sh.fill[:fl.NumNodes()]
 	cfg := r.e.cfg
 	// The per-interaction extra-load addend: interactions against
 	// replicated summaries have no local tree node to charge.

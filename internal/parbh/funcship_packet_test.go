@@ -190,9 +190,9 @@ type shipWorld struct {
 	comp   float64
 }
 
-// phases runs one step's phases through tree merging on every rank of e,
-// then the engine's force phase if force is set. The engine is not
-// advanced.
+// phases runs one step's phases through tree merging (and, under LET, the
+// section exchange) on every rank of e, then the engine's force phase if
+// force is set. The engine is not advanced.
 func phases(t *testing.T, e *Engine, force bool) *shipWorld {
 	t.Helper()
 	w, err := runPhases(e, force)
@@ -215,6 +215,9 @@ func runPhases(e *Engine, force bool) (*shipWorld, error) {
 		e.migrate(pr, st)
 		e.buildLocal(pr, st)
 		e.buildTopPhase(pr, st, e.exchangeBranches(pr, st), merge)
+		if e.cfg.Shipping == LETShipping {
+			e.letExchange(pr, st)
+		}
 		before := pr.Stats()
 		if force {
 			e.forcePhase(pr, st, res)
@@ -497,8 +500,9 @@ func handWorld(t *testing.T, set *dist.Set, p int, cfg Config) (*Engine, []*loca
 	if err != nil {
 		t.Fatal(err)
 	}
+	flat := flattenTop(top)
 	for _, st := range states {
-		st.top = top
+		st.top, st.flat = top, flat
 	}
 	e := &Engine{cfg: cfg, machine: msg.NewMachine(p, msg.CM5()), domain: domain, n: set.N(),
 		ship: make([]shipScratch, p), scratch: make([]rankScratch, p), letFlats: make([]*let.Flat, p)}
@@ -597,7 +601,7 @@ func TestFuncShipServeGroupsAndEmptyBranch(t *testing.T) {
 		for _, c := range r.sh.flops[:len(entries)] {
 			charged += c
 		}
-		r.fl.ApplyLocalLoads()
+		r.fl.Release()
 
 		var wantFlops float64
 		for i, en := range entries {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/let"
 	"repro/internal/transport"
+	"repro/internal/tree"
 	"repro/internal/vec"
 )
 
@@ -15,20 +16,22 @@ func fuzzLETSeeds(t testing.TB) [][]byte {
 	t.Helper()
 	full := &let.Section{
 		BranchKey: 0x51,
-		Kind:      []uint8{let.NodeOpen, let.NodeClosed, let.NodeLeaf},
-		Skip:      []int32{3, 2, 3},
-		ComX:      []float64{0.5, 0.25, 0},
-		ComY:      []float64{0.5, 0.25, 0},
-		ComZ:      []float64{0.5, 0.25, 0},
-		Mass:      []float64{2, 1, 0},
-		Side:      []float64{1, 0.5, 0},
-		LeafLo:    []int32{-1, -1, 0},
-		LeafHi:    []int32{-1, -1, 2},
-		PID:       []int32{4, 9},
-		PX:        []float64{0.1, 0.2},
-		PY:        []float64{0.3, 0.4},
-		PZ:        []float64{0.5, 0.6},
-		PM:        []float64{1, 1},
+		Cols: tree.Cols{
+			Kind: []uint8{tree.KindInternal, tree.KindClosed, tree.KindLeaf},
+			Skip: []int32{3, 2, 3},
+			ComX: []float64{0.5, 0.25, 0},
+			ComY: []float64{0.5, 0.25, 0},
+			ComZ: []float64{0.5, 0.25, 0},
+			Mass: []float64{2, 1, 0},
+			Side: []float64{1, 0.5, 0},
+			Lo:   []int32{-1, -1, 0},
+			Hi:   []int32{-1, -1, 2},
+			ID:   []int32{4, 9},
+			PX:   []float64{0.1, 0.2},
+			PY:   []float64{0.3, 0.4},
+			PZ:   []float64{0.5, 0.6},
+			PM:   []float64{1, 1},
+		},
 	}
 	var out [][]byte
 	for _, v := range []any{
@@ -90,14 +93,16 @@ func TestLETWireRoundTrip(t *testing.T) {
 	// receiver grafts them into signed-zero-sensitive sums.
 	s := &let.Section{
 		BranchKey: 1,
-		Kind:      []uint8{let.NodeLeaf},
-		Skip:      []int32{1},
-		ComX:      []float64{0}, ComY: []float64{0}, ComZ: []float64{0},
-		Mass: []float64{0}, Side: []float64{0},
-		LeafLo: []int32{0}, LeafHi: []int32{1},
-		PID: []int32{3},
-		PX:  []float64{negZero()}, PY: []float64{0}, PZ: []float64{0},
-		PM: []float64{1},
+		Cols: tree.Cols{
+			Kind: []uint8{tree.KindLeaf},
+			Skip: []int32{1},
+			ComX: []float64{0}, ComY: []float64{0}, ComZ: []float64{0},
+			Mass: []float64{0}, Side: []float64{0},
+			Lo: []int32{0}, Hi: []int32{1},
+			ID: []int32{3},
+			PX: []float64{negZero()}, PY: []float64{0}, PZ: []float64{0},
+			PM: []float64{1},
+		},
 	}
 	b, err := transport.Marshal(letShipMsg{Secs: []*let.Section{s}})
 	if err != nil {
@@ -110,6 +115,14 @@ func TestLETWireRoundTrip(t *testing.T) {
 	got := v.(letShipMsg).Secs[0]
 	if !math.Signbit(got.PX[0]) || math.Signbit(got.PY[0]) {
 		t.Error("section with -0.0 coordinate did not round-trip bit-exactly")
+	}
+	// A node kind no section holds travels as a code no decoder accepts.
+	b, err = transport.Marshal(letShipMsg{Secs: []*let.Section{{Cols: tree.Cols{Kind: []uint8{tree.KindTop}}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := transport.Unmarshal(b); err == nil {
+		t.Error("a section node of kind KindTop decoded")
 	}
 }
 

@@ -2,6 +2,7 @@ package parbh
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/let"
 	"repro/internal/msg"
@@ -20,10 +21,10 @@ import (
 // provably accepts it from anywhere in the box, or else from anywhere in
 // each of the peer's cells clipped to the box — the domain-opening
 // criterion; every cell test beyond a node's first is charged as a MAC.
-// Receivers graft the sections beside a flat linearization of the
-// replicated tree and the force phase becomes a purely local,
-// host-parallel traversal — no mid-phase communication, no request/reply
-// latency to hide.
+// Receivers graft the sections, where they arrived, under the branch cells
+// of the process's linearization of the replicated tree (topFlat) and the
+// force phase becomes a purely local, host-parallel traversal — no
+// mid-phase communication, no request/reply latency to hide.
 //
 // After the traversal, one all-to-all returns per-node Load deltas so the
 // owner's subtree sees exactly the counters a function-shipping step
@@ -31,8 +32,8 @@ import (
 // Sections are rebuilt and shipped whole every step: the bodies moved.
 //
 // Simulated accelerations, potentials, and aggregate Stats are
-// bit-identical to function shipping: the kernels in internal/let replay
-// its floating-point reduction order (see let.Flat). Per-rank SimTime
+// bit-identical to function shipping: one tree.Sweep over a let.Flat
+// replays its floating-point reduction order. Per-rank SimTime
 // and comm volume differ by construction — that difference is the
 // measurement.
 
@@ -115,74 +116,40 @@ func (e *Engine) letExchange(pr *msg.Proc, st *localState) {
 	pr.Compute(phys.MACFlops * float64(tests))
 	replies := pr.AllToAll(payloads, words)
 
-	// Decode sections and graft.
+	// Graft the sections where they arrived, each under its branch cell in
+	// the owner's slot (the function-shipping slot order); the rank's own
+	// cells resolve to its tree.
 	fl := e.letFlat(st.me)
-	fl.Reset()
-	secIdx := make(map[letPair]int32)
+	st.flat.reset(fl, st)
 	grafted := 0
 	for owner := 0; owner < p; owner++ {
 		if owner == st.me {
 			continue
 		}
-		ship := replies[owner].(letShipMsg)
-		for _, sec := range ship.Secs {
-			exps := decodeSectionExps(sec, cfg.Degree, withExp)
-			secIdx[letPair{peer: owner, key: sec.BranchKey}] = int32(fl.AddSection(owner, sec, exps))
+		for _, sec := range replies[owner].(letShipMsg).Secs {
+			if withExp {
+				if err := sec.DecodeExp(cfg.Degree); err != nil {
+					panic(fmt.Sprintf("parbh: LET section from rank %d: %v", owner, err))
+				}
+			}
+			b, ok := st.flat.ordOf[sec.BranchKey]
+			slot := -1
+			if ok {
+				slot = slices.Index(st.flat.branches[b].owners, owner)
+			}
+			if slot < 0 {
+				panic(fmt.Sprintf("parbh: LET section from rank %d for branch %x, which it does not own", owner, sec.BranchKey))
+			}
+			fl.AddSection(owner, sec, b, slot)
 			grafted += sec.NumNodes()
+			if e.onGraft != nil {
+				e.onGraft(sec)
+			}
 		}
 	}
 	pr.Compute(2 * float64(grafted))
-
-	// Flatten the replicated tree: local subtrees inline, remote branches
-	// carry graft references in owner order (the function-shipping slot
-	// order).
-	fl.BeginMain()
-	flattenTop(fl, st, st.top, func(n *pnode, own int32) {
-		if own >= 0 {
-			fl.AddLocalSubtree(st.tree, own)
-			return
-		}
-		grafts := make([]int32, len(n.owners))
-		for i, o := range n.owners {
-			if si, ok := secIdx[letPair{peer: o, key: n.cell.Uint64()}]; ok {
-				grafts[i] = si
-			} else {
-				grafts[i] = -1 // owner proved the MAC accepts: defer would be a bug
-			}
-		}
-		fl.AddBranch(n.leafCell, n.com, n.mass, n.side, n.exp, grafts)
-	})
 	fl.Seal()
 	st.letFlat = fl
-}
-
-// decodeSectionExps rebuilds the per-node multipole expansions of a
-// section (potential mode); nil in force mode.
-func decodeSectionExps(sec *let.Section, degree int, withExp bool) []*phys.Expansion {
-	if !withExp {
-		return nil
-	}
-	exps := make([]*phys.Expansion, sec.NumNodes())
-	stride := int(sec.ExpStride)
-	off := 0
-	for i, k := range sec.Kind {
-		if k == let.NodeLeaf {
-			continue
-		}
-		if off+stride > len(sec.Exp) {
-			panic("parbh: LET section expansion columns truncated")
-		}
-		ex, err := phys.ExpansionFromFloats(degree, sec.Exp[off:off+stride])
-		if err != nil {
-			panic(fmt.Sprintf("parbh: LET section expansion decode: %v", err))
-		}
-		exps[i] = ex
-		off += stride
-	}
-	if off != len(sec.Exp) {
-		panic("parbh: LET section expansion columns misaligned")
-	}
-	return exps
 }
 
 // letForcePhase runs the purely local traversal over the flat essential
@@ -223,8 +190,8 @@ func (e *Engine) letForcePhase(pr *msg.Proc, st *localState, res *Result) {
 			st.extraLoad[st.parts[i].ID] = extra[i]
 		}
 	}
-	fl.ApplyLocalLoads()
 	e.letReturnLoads(pr, st, fl)
+	fl.Release()
 	st.forceT = pr.Stats().ComputeTime - t0
 }
 

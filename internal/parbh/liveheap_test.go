@@ -7,30 +7,30 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/let"
 	"repro/internal/msg"
+	"repro/internal/tree"
 )
 
-// TestEngineLiveHeap bounds what an engine keeps between steps.
+// TestEngineLiveHeap bounds what an engine keeps between steps, and logs
+// it per particle.
 //
-// p64-potential is where the ranks are many and the particles few: DPDA
-// on 64 ranks, 5000 particles, degree-4 potentials, function shipping. At
-// the commit before the replicated top tree became one per process this
-// read ≈ 126 MB live — 40 % of it under buildTop (every rank's
-// shipScratch.branchAt kept its own copy of the branch cells and their
-// expansions reachable), 41 % under shipRun.sweep (a request buffer per
-// destination per rank, each at its own high-water mark) — for 0.3 MB of
-// particles. The bound is half of that; what is left (≈ 58 MB) is mostly
-// one round of request entries and one flat tree per rank.
+// p64-potential is where the ranks are many and the particles few: DPDA on
+// 64 ranks, 5000 particles, degree-4 potentials, function shipping. At the
+// commit before the replicated top tree became one per process this read
+// ≈ 126 MB live: every rank's copy of the branch cells and their
+// expansions, and a request buffer per destination per rank, each at its
+// own high-water mark. With one top tree per process it read ≈ 58 MB, of
+// which ≈ 9 MB were every rank's own flattened copy of that tree. With one
+// flattened main region per process, which every rank's flat tree only
+// references, it reads ≈ 46.7 MB; the bound is that plus 10 %.
 //
 // p8-let is the shape of the ledger's service_frames_tail: DPDA with LET
 // on 8 ranks, 40 000 particles, α = 1, force mode, where each rank's
-// local tree and particle arrays are most of the memory. It read ≈ 40.6 MB
-// live while every rank kept, besides its builder's sorted snapshot, an
-// array of arrivals, a sorted copy of them with their keys, and a fresh
-// array from every rebalancing exchange, and while scratch node lists
-// kept earlier steps' trees reachable. With one particle array besides
-// the snapshot, filled in place by migration and rebalancing, and no dead
-// tree reachable, it reads ≈ 32 MB.
+// local tree and particle arrays are most of the memory. It read ≈ 32 MB
+// while every rank's flat tree held a copy of its own subtrees and of
+// every section it received; read where they live, it reads 23.3–24.9 MB
+// (GOMAXPROCS 1 to 4); the bound is that plus 10 %.
 func TestEngineLiveHeap(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -40,9 +40,9 @@ func TestEngineLiveHeap(t *testing.T) {
 		boundMB float64
 	}{
 		{"p64-potential", dist.MustNamed("g", 5000, 7), 64,
-			Config{Scheme: DPDA, Mode: PotentialMode, Degree: 4, Alpha: 0.67}, 126.0 / 2},
+			Config{Scheme: DPDA, Mode: PotentialMode, Degree: 4, Alpha: 0.67}, 51.5},
 		{"p8-let", dist.MustNamed("g", 40000, 1994), 8,
-			Config{Scheme: DPDA, Mode: ForceMode, Alpha: 1, Eps: 0.01, Shipping: LETShipping}, 35},
+			Config{Scheme: DPDA, Mode: ForceMode, Alpha: 1, Eps: 0.01, Shipping: LETShipping}, 27.5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e, err := New(msg.NewMachine(tc.p, msg.CM5()), tc.set, tc.cfg)
@@ -66,13 +66,15 @@ func TestEngineLiveHeap(t *testing.T) {
 }
 
 // TestStepLeavesNoDeadTree checks that nothing an engine keeps between
-// steps reaches the previous step's trees: DPDA on 16 ranks under LET and
-// under function shipping. A rank's builder keeps its tree's columns from
-// one step to the next; here every builder is Reset after step k, so step
-// k+1 gives up every column, and a finalizer on each must have run after
-// it and a GC. Scratch that keeps a tree across steps (a flat tree's Load
-// write-back spans, a section's node list, a per-rank state) pins a whole
-// generation of columns and shows up here.
+// steps reaches the previous step's trees or sections: DPDA on 16 ranks
+// under LET and under function shipping. A rank's builder keeps its tree's
+// columns from one step to the next; here every builder is Reset after
+// step k, so step k+1 gives up every column, and a finalizer on each must
+// have run after it and a GC. So must one on every column of every section
+// a rank grafted in step k. Scratch that keeps a tree or a section across
+// steps (a flat tree's reference to the rank's tree or to what it grafted,
+// a section's node list, a per-rank state) pins a whole generation of
+// columns and shows up here.
 func TestStepLeavesNoDeadTree(t *testing.T) {
 	for _, ship := range []Shipping{LETShipping, FunctionShipping} {
 		t.Run(ship.String(), func(t *testing.T) {
@@ -81,30 +83,23 @@ func TestStepLeavesNoDeadTree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 2; i++ {
-				e.Step()
+			var freed, want, sections atomic.Int32
+			e.Step()
+			e.onGraft = func(sec *let.Section) {
+				sections.Add(1)
+				watchCols(&freed, &want, &sec.Cols)
+				watch(&freed, &want, sec.ExpFloats)
 			}
-			var freed atomic.Int32
-			var want atomic.Int32
+			e.Step()
+			e.onGraft = nil
+			if ship == LETShipping && sections.Load() == 0 {
+				t.Fatal("no rank grafted a section")
+			}
 			for _, b := range e.builders {
 				tr := b.Tree()
-				watch(&freed, &want, tr.Kind)
-				watch(&freed, &want, tr.ComX)
-				watch(&freed, &want, tr.ComY)
-				watch(&freed, &want, tr.ComZ)
-				watch(&freed, &want, tr.Mass)
-				watch(&freed, &want, tr.Side)
-				watch(&freed, &want, tr.Exp)
-				watch(&freed, &want, tr.Skip)
-				watch(&freed, &want, tr.Lo)
-				watch(&freed, &want, tr.Hi)
+				watchCols(&freed, &want, &tr.Cols)
 				watch(&freed, &want, tr.Key)
 				watch(&freed, &want, tr.Load)
-				watch(&freed, &want, tr.ID)
-				watch(&freed, &want, tr.PX)
-				watch(&freed, &want, tr.PY)
-				watch(&freed, &want, tr.PZ)
-				watch(&freed, &want, tr.PM)
 				watch(&freed, &want, b.Particles())
 				b.Reset()
 			}
@@ -117,10 +112,30 @@ func TestStepLeavesNoDeadTree(t *testing.T) {
 			}
 			runtime.KeepAlive(e)
 			if got := freed.Load(); got != want.Load() {
-				t.Errorf("%d of %d columns of the ranks' previous trees were collected after the next step", got, want.Load())
+				t.Errorf("%d of %d columns of the ranks' previous trees and of the %d sections they grafted were collected after the next step",
+					got, want.Load(), sections.Load())
 			}
 		})
 	}
+}
+
+// watchCols watches every column of c.
+func watchCols(freed, want *atomic.Int32, c *tree.Cols) {
+	watch(freed, want, c.Kind)
+	watch(freed, want, c.ComX)
+	watch(freed, want, c.ComY)
+	watch(freed, want, c.ComZ)
+	watch(freed, want, c.Mass)
+	watch(freed, want, c.Side)
+	watch(freed, want, c.Exp)
+	watch(freed, want, c.Skip)
+	watch(freed, want, c.Lo)
+	watch(freed, want, c.Hi)
+	watch(freed, want, c.ID)
+	watch(freed, want, c.PX)
+	watch(freed, want, c.PY)
+	watch(freed, want, c.PZ)
+	watch(freed, want, c.PM)
 }
 
 // watch counts col's backing array in want and sets a finalizer on it

@@ -164,17 +164,31 @@ func buildTop(rootBox vec.Box, summaries []BranchSummary, degree, leafCap int) (
 	return root, flops, nil
 }
 
-// flattenTop linearizes the replicated tree under n into fl's main region
-// for the packet kernel: top nodes here, each branch cell by branch, which
-// is handed the root in st.tree of the subtree under a cell of st's rank's
-// own (-1 for any other) and appends the cell the way its strategy needs
-// (LET with the sections it grafted, function shipping with none).
-func flattenTop(fl *let.Flat, st *localState, n *pnode, branch func(n *pnode, own int32)) {
+// topFlat is the replicated tree in packet-kernel form: the main region
+// every rank's let.Flat reads, built once per process per step beside the
+// tree it linearizes and read-only like it. branches lists the branch
+// cells by ordinal, ordOf their ordinals by packed key.
+type topFlat struct {
+	main     *let.Main
+	branches []*pnode
+	ordOf    map[uint64]int32
+}
+
+// flattenTop linearizes the replicated tree under root: top nodes, an
+// empty leaf for each empty child, one branch node per branch cell.
+func flattenTop(root *pnode) *topFlat {
+	tf := &topFlat{main: &let.Main{}, ordOf: make(map[uint64]int32)}
+	tf.add(root)
+	return tf
+}
+
+func (tf *topFlat) add(n *pnode) {
 	if n.isBranch {
-		branch(n, st.ownRoot(n))
+		tf.ordOf[n.cell.Uint64()] = tf.main.AddBranch(n.leafCell, n.com, n.mass, n.side, n.exp, len(n.owners))
+		tf.branches = append(tf.branches, n)
 		return
 	}
-	idx := fl.AddTop(n.com, n.mass, n.side, n.exp)
+	idx := tf.main.AddTop(n.com, n.mass, n.side, n.exp)
 	for _, c := range n.children {
 		if c == nil {
 			continue
@@ -182,12 +196,23 @@ func flattenTop(fl *let.Flat, st *localState, n *pnode, branch func(n *pnode, ow
 		if c.count == 0 {
 			// The recursion folds an exact zero for an empty
 			// child; an empty leaf replays that (and charges nothing).
-			fl.AddZero()
+			tf.main.AddZero()
 			continue
 		}
-		flattenTop(fl, st, c, branch)
+		tf.add(c)
 	}
-	fl.CloseInternal(idx)
+	tf.main.CloseInternal(idx)
+}
+
+// reset readies fl to sweep the main region for st's rank: each branch
+// cell of its own resolves to its subtree in st.tree.
+func (tf *topFlat) reset(fl *let.Flat, st *localState) {
+	fl.Reset(tf.main, st.tree)
+	for _, root := range st.branches {
+		if b, ok := tf.ordOf[st.tree.Key[root]]; ok && st.tree.Count(root) > 0 {
+			fl.SetOwn(b, root)
+		}
+	}
 }
 
 // topCells appends the replicated tree under n to c: the boxes and owners

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/let"
 	"repro/internal/msg"
 	"repro/internal/transport"
 )
@@ -42,6 +43,37 @@ func (n meshNet) SendFrame(f *transport.Frame) error { return n.SendData(n.owner
 
 func (n meshNet) SetHandler(fn func(*transport.Frame)) { n.SetDataHandler(fn) }
 
+// meshPhases runs phases on one engine per process of a three-process
+// in-memory mesh, ranks dealt to processes by owner, and hands each
+// process's engine and states to check on that process's goroutine. Every
+// process's machine is set up before any of them sends: a frame that
+// reaches a process with no handler installed fails the run.
+func meshPhases(t *testing.T, set *dist.Set, cfg Config, owner []int, check func(*Engine, *shipWorld)) {
+	t.Helper()
+	var engines []*Engine
+	for _, node := range transport.NewMesh(3) {
+		e, err := New(msg.NewNetworkMachine(meshNet{node, owner}, msg.CM5()), set, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines = append(engines, e)
+	}
+	var wg sync.WaitGroup
+	for _, e := range engines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w, err := runPhases(e, false)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			check(e, w)
+		}()
+	}
+	wg.Wait()
+}
+
 // TestTopSharedAcrossLocalRanks checks that the host merges the replicated
 // tree once per process: every rank of an in-process machine reads one
 // tree, and on three processes each process's ranks read their process's.
@@ -59,26 +91,11 @@ func TestTopSharedAcrossLocalRanks(t *testing.T) {
 
 	owner := []int{0, 0, 0, 1, 1, 1, 2, 2}
 	tops := make([]*pnode, p)
-	var wg sync.WaitGroup
-	for _, node := range transport.NewMesh(3) {
-		e, err := New(msg.NewNetworkMachine(meshNet{node, owner}, msg.CM5()), set, cfg)
-		if err != nil {
-			t.Fatal(err)
+	meshPhases(t, set, cfg, owner, func(e *Engine, w *shipWorld) {
+		for _, rk := range e.machine.LocalRanks() {
+			tops[rk] = w.states[rk].top
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w, err := runPhases(e, false)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			for _, rk := range e.machine.LocalRanks() {
-				tops[rk] = w.states[rk].top
-			}
-		}()
-	}
-	wg.Wait()
+	})
 	for rk, top := range tops {
 		if top == nil {
 			t.Fatalf("rank %d has no tree", rk)
@@ -92,6 +109,74 @@ func TestTopSharedAcrossLocalRanks(t *testing.T) {
 		}
 		if top.count != set.N() || math.Float64bits(top.mass) != math.Float64bits(tops[0].mass) {
 			t.Errorf("rank %d: tree of %d particles, mass %v; rank 0's has %d, %v", rk, top.count, top.mass, tops[0].count, tops[0].mass)
+		}
+	}
+}
+
+// TestFlatHoldsNoCopies checks that a rank's flat essential tree is a
+// table of references, under LET and under function shipping: every rank's
+// Flat reads its process's one main region — one for an in-process
+// machine, one per process on three — whose columns hold no particle;
+// leaves are read where they live, in the sections as they arrived and in
+// the rank's own tree.
+func TestFlatHoldsNoCopies(t *testing.T) {
+	set := dist.MustNamed("g", 1200, 24)
+	const p = 8
+	owner := []int{0, 0, 0, 1, 1, 1, 2, 2}
+	for _, ship := range []Shipping{LETShipping, FunctionShipping} {
+		cfg := Config{Scheme: DPDA, Mode: PotentialMode, Degree: 2, Alpha: 0.67, Shipping: ship}
+		// mains returns the main region each local rank's Flat reads.
+		mains := func(e *Engine, w *shipWorld) map[int]*let.Main {
+			got := map[int]*let.Main{}
+			sections := 0
+			for _, rk := range e.machine.LocalRanks() {
+				st := w.states[rk]
+				fl := st.letFlat
+				if ship == FunctionShipping {
+					r := &shipRun{e: e, st: st, sh: &e.ship[rk]}
+					r.flatten()
+					fl = r.fl
+				}
+				if fl.Main() != st.flat.main {
+					t.Errorf("%v: rank %d's Flat reads main region %p, its process's is %p", ship, rk, fl.Main(), st.flat.main)
+				}
+				if n := fl.Main().NumParticles(); n != 0 {
+					t.Errorf("%v: rank %d's main region holds %d particles", ship, rk, n)
+				}
+				sections += fl.NumSections()
+				got[rk] = fl.Main()
+			}
+			if ship == LETShipping && sections == 0 {
+				t.Errorf("%v: no rank of process %v grafted a section", ship, e.machine.LocalRanks())
+			}
+			return got
+		}
+
+		e := newShipEngine(t, set, p, cfg)
+		for rk, m := range mains(e, phases(t, e, false)) {
+			if m == nil || m != e.letFlats[0].Main() {
+				t.Errorf("%v: rank %d reads main region %p, rank 0 reads %p", ship, rk, m, e.letFlats[0].Main())
+			}
+		}
+
+		var mu sync.Mutex
+		all := map[int]*let.Main{}
+		meshPhases(t, set, cfg, owner, func(e *Engine, w *shipWorld) {
+			got := mains(e, w)
+			mu.Lock()
+			defer mu.Unlock()
+			for rk, m := range got {
+				all[rk] = m
+			}
+		})
+		for rk := 0; rk < p; rk++ {
+			m, leader := all[rk], all[3*owner[rk]]
+			if m == nil || m != leader {
+				t.Errorf("%v: rank %d reads main region %p, its process's leader reads %p", ship, rk, m, leader)
+			}
+			if rk > 0 && owner[rk] != owner[rk-1] && m == all[rk-1] {
+				t.Errorf("%v: processes %d and %d share main region %p", ship, owner[rk-1], owner[rk], m)
+			}
 		}
 	}
 }

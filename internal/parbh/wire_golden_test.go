@@ -21,14 +21,16 @@ func TestWireGolden(t *testing.T) {
 	sumPot := BranchSummary{Key: 0x52, Owner: 3, Count: 7, Mass: 0.75, COM: vec.V3{X: 1, Y: 2, Z: 3}, Exp: []float64{1, 0.5, -0.5}}
 	full := &let.Section{
 		BranchKey: 0x51,
-		Kind:      []uint8{let.NodeOpen, let.NodeClosed, let.NodeLeaf},
-		Skip:      []int32{3, 2, 3},
-		ComX:      []float64{0.5, 0.25, 0}, ComY: []float64{0.5, 0.25, 0}, ComZ: []float64{0.5, 0.25, 0},
-		Mass: []float64{2, 1, 0}, Side: []float64{1, 0.5, 0},
-		LeafLo: []int32{-1, -1, 0}, LeafHi: []int32{-1, -1, 2},
-		Exp: []float64{1, 2, 3, 4, 5, 6}, ExpStride: 2,
-		PID: []int32{4, 9},
-		PX:  []float64{0.1, 0.2}, PY: []float64{0.3, 0.4}, PZ: []float64{0.5, 0.6}, PM: []float64{1, 1},
+		Cols: tree.Cols{
+			Kind: []uint8{tree.KindInternal, tree.KindClosed, tree.KindLeaf},
+			Skip: []int32{3, 2, 3},
+			ComX: []float64{0.5, 0.25, 0}, ComY: []float64{0.5, 0.25, 0}, ComZ: []float64{0.5, 0.25, 0},
+			Mass: []float64{2, 1, 0}, Side: []float64{1, 0.5, 0},
+			Lo: []int32{-1, -1, 0}, Hi: []int32{-1, -1, 2},
+			ID: []int32{4, 9},
+			PX: []float64{0.1, 0.2}, PY: []float64{0.3, 0.4}, PZ: []float64{0.5, 0.6}, PM: []float64{1, 1},
+		},
+		ExpFloats: []float64{1, 2, 3, 4, 5, 6}, ExpStride: 2,
 	}
 	out := rankOut{
 		Rank:      1,

@@ -22,8 +22,8 @@ import (
 // tree at a time.
 func (t *Tree) AccelSweep(ps []dist.Particle, alpha, eps float64) ([]vec.V3, Stats) {
 	out := make([]vec.V3, len(ps))
-	s := t.sweep().ForceAll(ps, 0, alpha, eps, 0, out, nil, t.Load)
-	t.sw.Cols = Cols{}
+	s := t.sweep().ForceAll(ps, 0, alpha, eps, 0, out, nil)
+	t.release()
 	return out, s
 }
 
@@ -31,17 +31,23 @@ func (t *Tree) AccelSweep(ps []dist.Particle, alpha, eps float64) ([]vec.V3, Sta
 // Tree.PotentialAll. The tree's expansions must have been built.
 func (t *Tree) PotentialSweep(ps []dist.Particle, alpha float64) ([]float64, Stats) {
 	out := make([]float64, len(ps))
-	s := t.sweep().PotentialAll(ps, 0, alpha, 0, out, nil, t.Load)
-	t.sw.Cols = Cols{}
+	s := t.sweep().PotentialAll(ps, 0, alpha, 0, out, nil)
+	t.release()
 	return out, s
 }
 
-// sweep points the tree's packet sweep at its columns; the caller drops
-// them again when the sweep is done, so the sweep never pins columns a
-// later build gives up.
+// sweep points the tree's packet sweep at its columns, its Load column
+// taking the charges; the caller drops them again with release when the
+// sweep is done, so the sweep never pins columns a later build gives up.
 func (t *Tree) sweep() *Sweep {
 	t.sw.Cols = t.Cols
+	t.sw.Loads = append(t.sw.Loads[:0], t.Load)
 	return &t.sw
+}
+
+func (t *Tree) release() {
+	t.sw.Cols = Cols{}
+	clear(t.sw.Loads)
 }
 
 // FlatTree is the packet sweep's view of a Tree: it holds nothing but the

@@ -16,18 +16,16 @@ const (
 	KindInternal   uint8 = iota // MAC; accept charges the node's Load, reject descends
 	KindLeaf                    // particle range [Lo, Hi) of the particle columns
 	KindTop                     // replicated summary: accept charges the lane's extra account
-	KindBranch                  // remote branch cell: as KindTop, but reject defers its grafts
-	KindBranchLeaf              // remote leaf cell: always defers, no MAC
+	KindBranch                  // branch cell: the rank's own subtree under it, or as KindTop with reject deferring its grafts
+	KindBranchLeaf              // branch leaf cell: the rank's own subtree under it, or always deferred, no MAC
 	KindClosed                  // summary-only section node: the MAC must accept
 )
 
 // Cols is the structure-of-arrays storage the flat kernel walks: node
 // columns in DFS order with skip pointers, and the leaf particle columns.
 // Lo/Hi is a node's range: of the particle columns for a KindLeaf and for
-// an internal node built by (or copied from) a Tree, of Graft for a branch
-// kind, -1 otherwise. Graft (LET only) names the root node of each section
-// grafted under a branch, or -1 where the owner proved the branch is never
-// opened.
+// an internal node of a Tree, -1 otherwise; a branch kind's Lo is its
+// branch ordinal, which Sweep.OwnRoot and Sweep.GraftLo are indexed by.
 type Cols struct {
 	Kind             []uint8
 	ComX, ComY, ComZ []float64
@@ -36,7 +34,23 @@ type Cols struct {
 	Skip, Lo, Hi     []int32           // Skip is the index just past the node's subtree
 	ID               []int32
 	PX, PY, PZ, PM   []float64
-	Graft            []int32
+}
+
+// AppendNode appends a childless node to c and returns its index; the
+// caller patches Skip once an internal node's subtree is complete.
+func AppendNode(c *Cols, kind uint8, com vec.V3, mass, side float64, exp *phys.Expansion, lo, hi int32) int32 {
+	idx := int32(len(c.Kind))
+	c.Kind = append(c.Kind, kind)
+	c.ComX = append(c.ComX, com.X)
+	c.ComY = append(c.ComY, com.Y)
+	c.ComZ = append(c.ComZ, com.Z)
+	c.Mass = append(c.Mass, mass)
+	c.Side = append(c.Side, side)
+	c.Exp = append(c.Exp, exp)
+	c.Skip = append(c.Skip, idx+1)
+	c.Lo = append(c.Lo, lo)
+	c.Hi = append(c.Hi, hi)
+	return idx
 }
 
 // Reset truncates every column, keeping capacity.
@@ -48,7 +62,6 @@ func (c *Cols) Reset() {
 	c.Skip, c.Lo, c.Hi = c.Skip[:0], c.Lo[:0], c.Hi[:0]
 	c.ID = c.ID[:0]
 	c.PX, c.PY, c.PZ, c.PM = c.PX[:0], c.PY[:0], c.PZ[:0], c.PM[:0]
-	c.Graft = c.Graft[:0]
 }
 
 const lanes = 8
@@ -89,8 +102,9 @@ func (f *frame) open(end int32, init float64) {
 // one for a rank's own particles and one for the requests it serves,
 // which arrive while the first one's lanes are still being read.
 type Packet struct {
-	loads       []int64
-	stats       Stats // the driver's running total over the worker's packets
+	loads       [][]int64 // per segment: where node Load charges land
+	ld          []int64   // the segment being swept's
+	stats       Stats     // the driver's running total over the worker's packets
 	frames      []frame
 	id          [lanes]int32
 	px, py, pz  [lanes]float64
@@ -98,6 +112,7 @@ type Packet struct {
 	mac, pc, pp [lanes]int64 // per-lane interaction counts
 	defers      []deferral
 	irr         []complex128 // potential mode: the harmonics of one expansion evaluation
+	buf         []int64      // a driver worker's loads, one window per segment
 }
 
 // SetLane places query particle (id, pos) in lane l of the next sweep.
@@ -132,6 +147,18 @@ func (p *Packet) Deferred(l int, nodes []int32) []int32 {
 	return nodes
 }
 
+// Seg names one of a sweep's node-index spaces: the main region, the
+// rank's own tree, or a grafted section (SecSeg).
+type Seg int
+
+const (
+	SegMain Seg = iota // the Sweep's own Cols, swept from a root
+	SegOwn             // Sweep.Own
+)
+
+// SecSeg is grafted section k, Sweep.Secs[k].
+func SecSeg(k int) Seg { return Seg(2 + k) }
+
 // Sweep is the traversal of its Cols, in force mode and in potential mode,
 // shared by Tree (AccelSweep, PotentialSweep) and let.Flat: particles
 // descend in packets of up to eight neighbours in leaf order, so node
@@ -142,8 +169,22 @@ func (p *Packet) Deferred(l int, nodes []int32) []int32 {
 // extra charges are bit-identical to one-particle-at-a-time recursion.
 // The two modes differ in the two term routines alone: what an accepted
 // node adds (mac, macPot) and what a leaf adds (leaf, leafPot).
+//
+// A locally essential tree is read where its parts live, not copied into
+// one set of columns. The main region (Cols) may be shared by every rank
+// of a process; its branch cells resolve through the rank's tables. A
+// cell the rank owns is swept in Own, from OwnRoot[b] to its Skip, inline
+// in the frame stack — exactly as if the subtree sat in the main region.
+// Any other cell is a summary whose reject defers the sections
+// Grafts[GraftLo[b]:GraftLo[b+1]] name, each swept from its node 0.
 type Sweep struct {
 	Cols
+	Own     *Cols     // the rank's own tree
+	Secs    []*Cols   // grafted sections
+	OwnRoot []int32   // per branch ordinal: its root in Own, -1 for another rank's cell
+	GraftLo []int32   // per branch ordinal (and one past the last): its range of Grafts
+	Grafts  []int32   // a section index per owner of a cell, in owner order; -1 where nothing was shipped
+	Loads   [][]int64 // per Seg: where node Load charges land; each as long as its segment
 	workers []Packet
 	order   []int32         // ps indices in sweep order: packet k is order[8k:8k+8]
 	index   map[int32]int32 // particle ID → ps index, while planning
@@ -152,21 +193,15 @@ type Sweep struct {
 	potential            bool
 }
 
-// AddNode appends a childless node and returns its index; the caller
-// patches Skip once an internal node's subtree is complete.
-func (s *Sweep) AddNode(kind uint8, com vec.V3, mass, side float64, exp *phys.Expansion, lo, hi int32) int32 {
-	idx := int32(len(s.Kind))
-	s.Kind = append(s.Kind, kind)
-	s.ComX = append(s.ComX, com.X)
-	s.ComY = append(s.ComY, com.Y)
-	s.ComZ = append(s.ComZ, com.Z)
-	s.Mass = append(s.Mass, mass)
-	s.Side = append(s.Side, side)
-	s.Exp = append(s.Exp, exp)
-	s.Skip = append(s.Skip, idx+1)
-	s.Lo = append(s.Lo, lo)
-	s.Hi = append(s.Hi, hi)
-	return idx
+// seg returns the columns of segment g.
+func (s *Sweep) seg(g Seg) *Cols {
+	switch g {
+	case SegMain:
+		return &s.Cols
+	case SegOwn:
+		return s.Own
+	}
+	return s.Secs[g-2]
 }
 
 // The MAC prefilter decides side/√n2 < α from side² ≶ α²·n2 without the
@@ -209,26 +244,28 @@ func macAccepts(s2, side, n2, a2, alpha float64) bool {
 }
 
 // ForceAll computes the acceleration of every particle of ps against the
-// subtree at root, host-parallel over packets. out (and extra, when
-// non-nil: the per-particle sum of exAdd over accepted KindTop/KindBranch
-// summaries) are indexed like ps; per-node Load charges are added to
-// loads. Results do not depend on GOMAXPROCS or on how ps is ordered.
-func (s *Sweep) ForceAll(ps []dist.Particle, root int32, alpha, eps, exAdd float64, out []vec.V3, extra []float64, loads []int64) Stats {
+// subtree at main-region node root, host-parallel over packets. out (and
+// extra, when non-nil: the per-particle sum of exAdd over accepted
+// KindTop/KindBranch summaries) are indexed like ps; per-node Load charges
+// are added to Loads. Results do not depend on GOMAXPROCS or on how ps is
+// ordered.
+func (s *Sweep) ForceAll(ps []dist.Particle, root int32, alpha, eps, exAdd float64, out []vec.V3, extra []float64) Stats {
 	s.Begin(alpha, eps, exAdd, false)
-	return s.all(ps, root, out, nil, extra, loads)
+	return s.all(ps, root, out, nil, extra)
 }
 
 // PotentialAll is ForceAll for potentials: accepted nodes evaluate their
 // expansion (the Exp column), leaves sum unsoftened point potentials.
-func (s *Sweep) PotentialAll(ps []dist.Particle, root int32, alpha, exAdd float64, out []float64, extra []float64, loads []int64) Stats {
+func (s *Sweep) PotentialAll(ps []dist.Particle, root int32, alpha, exAdd float64, out []float64, extra []float64) Stats {
 	s.Begin(alpha, 0, exAdd, true)
-	return s.all(ps, root, nil, out, extra, loads)
+	return s.all(ps, root, nil, out, extra)
 }
 
 // all is the driver under ForceAll and PotentialAll: it sweeps ps in
 // packets from root under the parameters Begin fixed and writes acc or
-// pot, whichever the mode produces.
-func (s *Sweep) all(ps []dist.Particle, root int32, acc []vec.V3, pot, extra []float64, loads []int64) Stats {
+// pot, whichever the mode produces. Each worker charges its own window of
+// every segment's loads; the windows are added to Loads at the end.
+func (s *Sweep) all(ps []dist.Particle, root int32, acc []vec.V3, pot, extra []float64) Stats {
 	if len(ps) == 0 {
 		return Stats{}
 	}
@@ -238,9 +275,19 @@ func (s *Sweep) all(ps []dist.Particle, root int32, acc []vec.V3, pot, extra []f
 	for len(s.workers) < workers {
 		s.workers = append(s.workers, Packet{})
 	}
+	total := 0
+	for _, ld := range s.Loads {
+		total += len(ld)
+	}
 	for w := range s.workers[:workers] {
 		wk := &s.workers[w]
-		wk.loads = append(wk.loads[:0], make([]int64, len(s.Kind))...)
+		wk.buf = append(wk.buf[:0], make([]int64, total)...)
+		wk.loads = wk.loads[:0]
+		off := 0
+		for _, ld := range s.Loads {
+			wk.loads = append(wk.loads, wk.buf[off:off+len(ld)])
+			off += len(ld)
+		}
 		wk.stats = Stats{}
 	}
 	// Workers pull batches of packets: leaf order is spatial, so equal
@@ -262,9 +309,12 @@ func (s *Sweep) all(ps []dist.Particle, root int32, acc []vec.V3, pot, extra []f
 	var stats Stats
 	for w := range s.workers[:workers] {
 		stats.Add(s.workers[w].stats)
-		for j, v := range s.workers[w].loads {
-			if v != 0 {
-				loads[j] += v
+		for g, ld := range s.workers[w].loads {
+			to := s.Loads[g]
+			for j, v := range ld {
+				if v != 0 {
+					to[j] += v
+				}
 			}
 		}
 	}
@@ -272,7 +322,8 @@ func (s *Sweep) all(ps []dist.Particle, root int32, acc []vec.V3, pot, extra []f
 }
 
 // plan fills s.order with the sweep order of ps: leaf order below root
-// when ps is the tree's own particle set (matched by ID), so a packet's
+// (the main region's leaves and, under an own branch cell, Own's) when ps
+// is the particle set those leaves hold (matched by ID), so a packet's
 // lanes share most of their path; the order given otherwise.
 func (s *Sweep) plan(ps []dist.Particle, root int32) {
 	n := len(ps)
@@ -284,23 +335,34 @@ func (s *Sweep) plan(ps []dist.Particle, root int32) {
 		s.index[int32(ps[i].ID)] = int32(i)
 	}
 	s.order = s.order[:0]
-	for i := root; i < s.Skip[root] && len(s.index)+len(s.order) == n; i++ {
-		if s.Kind[i] != KindLeaf {
-			continue
-		}
-		for _, id := range s.ID[s.Lo[i]:s.Hi[i]] {
-			if j, ok := s.index[id]; ok {
-				delete(s.index, id)
-				s.order = append(s.order, j)
-			}
-		}
-	}
+	s.planLeaves(&s.Cols, root, s.Skip[root])
 	if len(s.order) == n {
 		return
 	}
 	s.order = s.order[:0]
 	for i := range ps {
 		s.order = append(s.order, int32(i))
+	}
+}
+
+// planLeaves appends to s.order, in leaf order, the ps index of every
+// particle of ps held by the leaves among nodes [first, end) of c,
+// descending into Own under the rank's own branch cells.
+func (s *Sweep) planLeaves(c *Cols, first, end int32) {
+	for i := first; i < end; i++ {
+		switch c.Kind[i] {
+		case KindLeaf:
+			for _, id := range c.ID[c.Lo[i]:c.Hi[i]] {
+				if j, ok := s.index[id]; ok {
+					delete(s.index, id)
+					s.order = append(s.order, j)
+				}
+			}
+		case KindBranch, KindBranchLeaf:
+			if own := s.OwnRoot[c.Lo[i]]; own >= 0 {
+				s.planLeaves(s.Own, own, s.Own.Skip[own])
+			}
+		}
 	}
 }
 
@@ -313,7 +375,7 @@ func (s *Sweep) Begin(alpha, eps, exAdd float64, potential bool) {
 	s.alpha, s.a2, s.e2, s.exAdd, s.potential = alpha, macA2(alpha), eps*eps, exAdd, potential
 }
 
-// packet sweeps one packet: the main tree from root, then — lanes that
+// packet sweeps one packet: the main region from root, then — lanes that
 // deferred the same branch together — the sections grafted under each
 // deferred branch. Branches are deferred in DFS order and their grafts
 // are in owner order, so every lane folds its sections in its own defer
@@ -322,11 +384,13 @@ func (s *Sweep) packet(w *Packet, ps []dist.Particle, idx []int32, root int32, a
 	for l, i := range idx {
 		w.SetLane(l, int32(ps[i].ID), ps[i].Pos)
 	}
-	s.Defer(w, len(idx), root, w.loads)
+	w.lanesOf(len(idx), w.loads)
+	s.sweep(w, SegMain, root, s.Skip[root], negZero)
 	ax, ay, az := w.frames[0].x, w.frames[0].y, w.frames[0].z
 	for _, df := range w.defers {
-		for _, base := range s.Graft[s.Lo[df.node]:s.Hi[df.node]] {
-			if base < 0 {
+		b := s.Lo[df.node]
+		for _, k := range s.Grafts[s.GraftLo[b]:s.GraftLo[b+1]] {
+			if k < 0 {
 				panic("tree: essential section missing for deferred branch")
 			}
 			f := &w.frames[0]
@@ -337,7 +401,7 @@ func (s *Sweep) packet(w *Packet, ps []dist.Particle, idx []int32, root int32, a
 					f.n++
 				}
 			}
-			s.below(w, base)
+			s.below(w, SecSeg(int(k)), 0)
 			f = &w.frames[0]
 			for _, l := range f.lane[:f.n] {
 				ax[l] += f.x[l]
@@ -363,8 +427,12 @@ func (s *Sweep) packet(w *Packet, ps []dist.Particle, idx []int32, root int32, a
 	}
 }
 
+// negZero is −0, the additive identity: a traversal's result begun from it
+// is the root's contribution unchanged, never folded into anything.
+var negZero = math.Copysign(0, -1)
+
 // lanesOf readies p for a sweep of its first n lanes, charging loads.
-func (p *Packet) lanesOf(n int, loads []int64) {
+func (p *Packet) lanesOf(n int, loads [][]int64) {
 	if p.frames == nil {
 		p.frames = make([]frame, 1, MaxDepth+2)
 	}
@@ -379,46 +447,55 @@ func (p *Packet) lanesOf(n int, loads []int64) {
 	p.defers = p.defers[:0]
 }
 
-// Defer sweeps the subtree at root for the first n lanes of p as one
-// packet and leaves the remote branches they opened unresolved: each
-// lane's Sum, Extra and Stats cover the main tree alone, and Deferred lists
-// what the lane's owner must still add, in order. Node Load charges are
-// added to loads. Function shipping's requester side.
-func (s *Sweep) Defer(p *Packet, n int, root int32, loads []int64) {
-	p.lanesOf(n, loads)
-	// −0 is the additive identity, so the root's own contribution lands
-	// unchanged: the traversal result is never folded into anything.
-	s.sweep(p, root, s.Skip[root], math.Copysign(0, -1))
+// Defer sweeps the main region from root for the first n lanes of p as
+// one packet and leaves the remote branches they opened unresolved: each
+// lane's Sum, Extra and Stats cover the main region (and the rank's own
+// subtrees) alone, and Deferred lists what the lane's owner must still
+// add, in order. Node Load charges are added to Loads. Function shipping's
+// requester side.
+func (s *Sweep) Defer(p *Packet, n int, root int32) {
+	p.lanesOf(n, s.Loads)
+	s.sweep(p, SegMain, root, s.Skip[root], negZero)
+	p.loads, p.ld = nil, nil
 }
 
-// Below sweeps what lies under node base for the first n lanes of p: the
-// service of a branch whose cell the lanes' requesters already rejected.
-// Function shipping's owner side.
-func (s *Sweep) Below(p *Packet, n int, base int32, loads []int64) {
-	p.lanesOf(n, loads)
-	s.below(p, base)
+// Below sweeps what lies under node base of segment g for the first n
+// lanes of p: the service of a branch whose cell the lanes' requesters
+// already rejected. Function shipping's owner side.
+func (s *Sweep) Below(p *Packet, n int, g Seg, base int32) {
+	p.lanesOf(n, s.Loads)
+	s.below(p, g, base)
+	p.loads, p.ld = nil, nil
 }
 
 // below sweeps the lanes of w.frames[0] through base's children — or its
 // particles, when base is a leaf — charging base one visit per lane, and
 // leaves each lane's sum, accumulated from +0, in that frame.
-func (s *Sweep) below(w *Packet, base int32) {
+func (s *Sweep) below(w *Packet, g Seg, base int32) {
+	c := s.seg(g)
 	first := base
-	if s.Kind[base] != KindLeaf {
-		w.loads[base] += int64(w.frames[0].n)
+	if c.Kind[base] != KindLeaf {
+		w.loads[g][base] += int64(w.frames[0].n)
 		first++
 	}
-	s.sweep(w, first, s.Skip[base], 0)
+	s.sweep(w, g, first, c.Skip[base], 0)
 }
 
-// sweep walks nodes [first, end) for the lanes of w.frames[0], leaving
-// each lane's sum — accumulated from init — in that frame.
-func (s *Sweep) sweep(w *Packet, first, end int32, init float64) {
+// sweep walks nodes [first, end) of segment g for the lanes of
+// w.frames[0], leaving each lane's sum — accumulated from init — in that
+// frame. A branch cell of the rank's own is walked in Own from its root,
+// in the same frame stack: the frames opened there close at that
+// subtree's end (ownEnd) when the stack is back at the depth it was
+// entered at (ownD), and the walk resumes in the main region.
+func (s *Sweep) sweep(w *Packet, g Seg, first, end int32, init float64) {
+	c := s.seg(g)
+	w.ld = w.loads[g]
 	d := 0
+	ownD, ownEnd, resume := -1, int32(-1), int32(0)
 	f := &w.frames[0]
 	f.open(end, init)
 	for i := first; ; {
-		for i == f.end {
+		for i == f.end && d > ownD {
 			if d == 0 {
 				return
 			}
@@ -431,17 +508,29 @@ func (s *Sweep) sweep(w *Packet, first, end int32, init float64) {
 			}
 			f = up
 		}
-		kind := s.Kind[i]
-		if kind == KindLeaf {
-			lo, hi := s.Lo[i], s.Hi[i]
-			w.loads[i] += int64(f.n) * int64(hi-lo)
-			if s.potential {
-				s.leafPot(w, f, lo, hi)
-			} else {
-				s.leaf(w, f, lo, hi)
-			}
-			i = s.Skip[i]
+		if i == ownEnd && d == ownD {
+			c, w.ld, i = &s.Cols, w.loads[SegMain], resume
+			ownD, ownEnd = -1, -1
 			continue
+		}
+		kind := c.Kind[i]
+		if kind == KindLeaf {
+			lo, hi := c.Lo[i], c.Hi[i]
+			w.ld[i] += int64(f.n) * int64(hi-lo)
+			if s.potential {
+				s.leafPot(w, c, f, lo, hi)
+			} else {
+				s.leaf(w, c, f, lo, hi)
+			}
+			i = c.Skip[i]
+			continue
+		}
+		if kind == KindBranch || kind == KindBranchLeaf {
+			if own := s.OwnRoot[c.Lo[i]]; own >= 0 {
+				ownD, ownEnd, resume = d, s.Own.Skip[own], c.Skip[i]
+				c, w.ld, i = s.Own, w.loads[SegOwn], own
+				continue
+			}
 		}
 		if d+2 > len(w.frames) {
 			w.frames = append(w.frames, frame{})
@@ -452,17 +541,17 @@ func (s *Sweep) sweep(w *Packet, first, end int32, init float64) {
 		if kind == KindBranchLeaf {
 			sub.n = copy(sub.lane[:], f.lane[:f.n])
 		} else if summary := kind == KindTop || kind == KindBranch; s.potential {
-			s.macPot(w, f, sub, i, summary)
+			s.macPot(w, c, f, sub, i, summary)
 		} else {
-			s.mac(w, f, sub, i, summary)
+			s.mac(w, c, f, sub, i, summary)
 		}
 		switch {
 		case sub.n == 0:
-			i = s.Skip[i]
+			i = c.Skip[i]
 		case kind == KindInternal || kind == KindTop:
 			d++
 			f = sub
-			f.open(s.Skip[i], 0)
+			f.open(c.Skip[i], 0)
 			i++
 		case kind == KindClosed:
 			panic("tree: essential-set criterion violated (closed node rejected by MAC)")
@@ -477,7 +566,7 @@ func (s *Sweep) sweep(w *Packet, first, end int32, init float64) {
 				df.lanes |= 1 << l
 			}
 			w.defers = append(w.defers, df)
-			i = s.Skip[i]
+			i = c.Skip[i]
 		}
 	}
 }
@@ -485,9 +574,9 @@ func (s *Sweep) sweep(w *Packet, first, end int32, init float64) {
 // mac runs node i's acceptance test for the lanes of f: accepted lanes add
 // the cluster term — sharing the MAC's difference vector, whose squares
 // are sign-invariant — and are charged; rejected lanes are listed in sub.
-func (s *Sweep) mac(w *Packet, f, sub *frame, i int32, summary bool) {
-	cx, cy, cz, side := s.ComX[i], s.ComY[i], s.ComZ[i], s.Side[i]
-	s2, gm := macS2(side), phys.G*s.Mass[i]
+func (s *Sweep) mac(w *Packet, c *Cols, f, sub *frame, i int32, summary bool) {
+	cx, cy, cz, side := c.ComX[i], c.ComY[i], c.ComZ[i], c.Side[i]
+	s2, gm := macS2(side), phys.G*c.Mass[i]
 	ex := 0.0
 	if summary {
 		ex = s.exAdd
@@ -510,15 +599,15 @@ func (s *Sweep) mac(w *Packet, f, sub *frame, i int32, summary bool) {
 		w.pc[l]++
 	}
 	if !summary {
-		w.loads[i] += int64(f.n - sub.n)
+		w.ld[i] += int64(f.n - sub.n)
 	}
 }
 
 // macPot is mac in potential mode: an accepted lane adds the node's
 // expansion evaluated at its position.
-func (s *Sweep) macPot(w *Packet, f, sub *frame, i int32, summary bool) {
-	cx, cy, cz, side := s.ComX[i], s.ComY[i], s.ComZ[i], s.Side[i]
-	s2, e := macS2(side), s.Exp[i]
+func (s *Sweep) macPot(w *Packet, c *Cols, f, sub *frame, i int32, summary bool) {
+	cx, cy, cz, side := c.ComX[i], c.ComY[i], c.ComZ[i], c.Side[i]
+	s2, e := macS2(side), c.Exp[i]
 	if e != nil && len(w.irr) < len(e.C) {
 		w.irr = make([]complex128, len(e.C))
 	}
@@ -543,15 +632,15 @@ func (s *Sweep) macPot(w *Packet, f, sub *frame, i int32, summary bool) {
 		w.pc[l]++
 	}
 	if !summary {
-		w.loads[i] += int64(f.n - sub.n)
+		w.ld[i] += int64(f.n - sub.n)
 	}
 }
 
 // leaf adds, for every lane of f, the direct sum over particle columns
 // [lo, hi) — folded from a zero accumulator in column order, phys.Accel
 // term by term — to the lane's partial sum.
-func (s *Sweep) leaf(w *Packet, f *frame, lo, hi int32) {
-	ids, px, py, pz, pm := s.ID[lo:hi], s.PX[lo:hi], s.PY[lo:hi], s.PZ[lo:hi], s.PM[lo:hi]
+func (s *Sweep) leaf(w *Packet, c *Cols, f *frame, lo, hi int32) {
+	ids, px, py, pz, pm := c.ID[lo:hi], c.PX[lo:hi], c.PY[lo:hi], c.PZ[lo:hi], c.PM[lo:hi]
 	e2 := s.e2
 	act := f.lane[:f.n]
 	var ax, ay, az [lanes]float64
@@ -585,8 +674,8 @@ func (s *Sweep) leaf(w *Packet, f *frame, lo, hi int32) {
 
 // leafPot is leaf in potential mode: phys.Potential, unsoftened, term by
 // term.
-func (s *Sweep) leafPot(w *Packet, f *frame, lo, hi int32) {
-	ids, px, py, pz, pm := s.ID[lo:hi], s.PX[lo:hi], s.PY[lo:hi], s.PZ[lo:hi], s.PM[lo:hi]
+func (s *Sweep) leafPot(w *Packet, c *Cols, f *frame, lo, hi int32) {
+	ids, px, py, pz, pm := c.ID[lo:hi], c.PX[lo:hi], c.PY[lo:hi], c.PZ[lo:hi], c.PM[lo:hi]
 	act := f.lane[:f.n]
 	var phi [lanes]float64
 	for j, id := range ids {

@@ -210,7 +210,7 @@ func TestMACPrefilterExact(t *testing.T) {
 
 // addParticles transposes ps onto the particle columns of c and returns
 // the range they occupy.
-func addParticles(c *Sweep, ps []dist.Particle) (lo, hi int32) {
+func addParticles(c *Cols, ps []dist.Particle) (lo, hi int32) {
 	lo = int32(len(c.ID))
 	for i := range ps {
 		p := &ps[i]
@@ -225,12 +225,12 @@ func addParticles(c *Sweep, ps []dist.Particle) (lo, hi int32) {
 
 // addSubtree appends the subtree under node n of tr to c as internal and
 // leaf nodes and returns its root's index.
-func addSubtree(c *Sweep, tr *Tree, n int32) int32 {
+func addSubtree(c *Cols, tr *Tree, n int32) int32 {
 	if tr.IsLeaf(n) {
 		lo, hi := addParticles(c, tr.Particles(n))
-		return c.AddNode(KindLeaf, tr.COM(n), tr.Mass[n], tr.Side[n], tr.Exp[n], lo, hi)
+		return AppendNode(c, KindLeaf, tr.COM(n), tr.Mass[n], tr.Side[n], tr.Exp[n], lo, hi)
 	}
-	idx := c.AddNode(KindInternal, tr.COM(n), tr.Mass[n], tr.Side[n], tr.Exp[n], -1, -1)
+	idx := AppendNode(c, KindInternal, tr.COM(n), tr.Mass[n], tr.Side[n], tr.Exp[n], -1, -1)
 	for ch := n + 1; ch < tr.Skip[n]; ch = tr.Skip[ch] {
 		addSubtree(c, tr, ch)
 	}
@@ -238,14 +238,24 @@ func addSubtree(c *Sweep, tr *Tree, n int32) int32 {
 	return idx
 }
 
+// segLoads returns zeroed load columns for every segment of sw.
+func segLoads(sw *Sweep) [][]int64 {
+	loads := [][]int64{make([]int64, len(sw.Kind)), make([]int64, len(sw.Own.Kind))}
+	for _, c := range sw.Secs {
+		loads = append(loads, make([]int64, len(c.Kind)))
+	}
+	return loads
+}
+
 // TestPacketDeferMatchesForceAllOnLET builds a small locally essential
-// tree by hand — the root's octants as branch cells, one local, one a
-// remote leaf cell, one remote with two grafted sections, the rest remote
-// with one — and checks the packet-at-a-time entry points against the
-// drivers, ForceAll and PotentialAll: Defer's lane sums plus, for every
-// branch a lane reports deferred, Below over each of its grafts in order
-// must rebuild the driver's result bit for bit, with the same extra
-// charges, Stats and per-node Load. A potential rides in X.
+// tree by hand — the root's octants as branch cells, one the rank's own
+// (swept in its tree), one a remote leaf cell, one remote with two grafted
+// sections, the rest remote with one — and checks the packet-at-a-time
+// entry points against the drivers, ForceAll and PotentialAll: Defer's
+// lane sums plus, for every branch a lane reports deferred, Below over
+// each of its grafts in order must rebuild the driver's result bit for
+// bit, with the same extra charges, Stats and per-node Load in every
+// segment. A potential rides in X.
 func TestPacketDeferMatchesForceAllOnLET(t *testing.T) {
 	s := dist.MustNamed("uniform", 1300, 21)
 	const leafCap, alpha, eps, exAdd, degree = 4, 0.67, 0.01, 2.5, 2
@@ -261,9 +271,10 @@ func TestPacketDeferMatchesForceAllOnLET(t *testing.T) {
 		return tr
 	}
 	var sw Sweep
-	// Sections first: every remote octant's subtree, octant 2's dealt to
-	// two owners.
-	grafts := map[int][]int32{}
+	// Sections: every remote octant's subtree, octant 2's dealt to two
+	// owners, each in columns of its own.
+	sw.GraftLo = []int32{0, 0}
+	sw.OwnRoot = []int32{0}
 	for o := 1; o < 8; o++ {
 		shares := [][]dist.Particle{byOct[o]}
 		if o == 2 {
@@ -271,44 +282,50 @@ func TestPacketDeferMatchesForceAllOnLET(t *testing.T) {
 			shares = [][]dist.Particle{byOct[o][:h], byOct[o][h:]}
 		}
 		for _, ps := range shares {
-			grafts[o] = append(grafts[o], addSubtree(&sw, build(ps, s.Domain.Octant(o)), 0))
+			sec := new(Cols)
+			addSubtree(sec, build(ps, s.Domain.Octant(o)), 0)
+			sw.Grafts = append(sw.Grafts, int32(len(sw.Secs)))
+			sw.Secs = append(sw.Secs, sec)
 		}
+		sw.GraftLo = append(sw.GraftLo, int32(len(sw.Grafts)))
+		sw.OwnRoot = append(sw.OwnRoot, -1)
 	}
+	own := build(byOct[0], s.Domain.Octant(0))
+	sw.Own = &own.Cols
 	root := build(s.Particles, s.Domain)
-	main := sw.AddNode(KindTop, root.COM(0), root.Mass[0], s.Domain.LongestSide(), root.Exp[0], -1, -1)
-	addSubtree(&sw, build(byOct[0], s.Domain.Octant(0)), 0)
-	for o := 1; o < 8; o++ {
+	main := AppendNode(&sw.Cols, KindTop, root.COM(0), root.Mass[0], s.Domain.LongestSide(), root.Exp[0], -1, -1)
+	for o := 0; o < 8; o++ {
 		cell := build(byOct[o], s.Domain.Octant(o))
 		kind := KindBranch
 		if o == 1 {
 			kind = KindBranchLeaf
 		}
-		lo := int32(len(sw.Graft))
-		sw.Graft = append(sw.Graft, grafts[o]...)
-		sw.AddNode(kind, cell.COM(0), cell.Mass[0], s.Domain.Octant(o).LongestSide(), cell.Exp[0], lo, int32(len(sw.Graft)))
+		AppendNode(&sw.Cols, kind, cell.COM(0), cell.Mass[0], s.Domain.Octant(o).LongestSide(), cell.Exp[0], int32(o), -1)
 	}
 	sw.Skip[main] = int32(len(sw.Kind))
 
 	query := byOct[0][:len(byOct[0])/8*8+3] // the last packet is short
 	for _, potential := range []bool{false, true} {
 		want, wantExtra := make([]vec.V3, len(query)), make([]float64, len(query))
-		wantLoads := make([]int64, len(sw.Kind))
+		wantLoads := segLoads(&sw)
+		sw.Loads = wantLoads
 		var wantStats Stats
 		lane := (*Packet).Sum
 		if potential {
 			pot := make([]float64, len(query))
-			wantStats = sw.PotentialAll(query, main, alpha, exAdd, pot, wantExtra, wantLoads)
+			wantStats = sw.PotentialAll(query, main, alpha, exAdd, pot, wantExtra)
 			for i, v := range pot {
 				want[i].X = v
 			}
 			lane = func(p *Packet, l int) vec.V3 { return vec.V3{X: p.Pot(l)} }
 		} else {
-			wantStats = sw.ForceAll(query, main, alpha, eps, exAdd, want, wantExtra, wantLoads)
+			wantStats = sw.ForceAll(query, main, alpha, eps, exAdd, want, wantExtra)
 		}
 
 		var own, served Packet
 		var gotStats Stats
-		gotLoads := make([]int64, len(sw.Kind))
+		gotLoads := segLoads(&sw)
+		sw.Loads = gotLoads
 		sw.Begin(alpha, eps, exAdd, potential)
 		deferred := 0
 		for k := 0; k < len(query); k += 8 {
@@ -316,7 +333,7 @@ func TestPacketDeferMatchesForceAllOnLET(t *testing.T) {
 			for l, q := range query[k : k+n] {
 				own.SetLane(l, int32(q.ID), q.Pos)
 			}
-			sw.Defer(&own, n, main, gotLoads)
+			sw.Defer(&own, n, main)
 			for l, q := range query[k : k+n] {
 				// served is swept while own's lanes are still being read, as
 				// function shipping's owner side is.
@@ -324,9 +341,10 @@ func TestPacketDeferMatchesForceAllOnLET(t *testing.T) {
 				gotStats.Add(own.Stats(l))
 				for _, node := range own.Deferred(l, nil) {
 					deferred++
-					for _, base := range sw.Graft[sw.Lo[node]:sw.Hi[node]] {
+					b := sw.Lo[node]
+					for _, sec := range sw.Grafts[sw.GraftLo[b]:sw.GraftLo[b+1]] {
 						served.SetLane(0, int32(q.ID), q.Pos)
-						sw.Below(&served, 1, base, gotLoads)
+						sw.Below(&served, 1, SecSeg(int(sec)), 0)
 						acc = acc.Add(lane(&served, 0))
 						gotStats.Add(served.Stats(0))
 					}
@@ -344,10 +362,17 @@ func TestPacketDeferMatchesForceAllOnLET(t *testing.T) {
 		if gotStats != wantStats || gotStats.PC == 0 {
 			t.Fatalf("potential=%v: stats %+v, driver %+v", potential, gotStats, wantStats)
 		}
-		for i := range wantLoads {
-			if gotLoads[i] != wantLoads[i] {
-				t.Fatalf("potential=%v node %d: load %d, driver %d", potential, i, gotLoads[i], wantLoads[i])
+		charged := false
+		for g := range wantLoads {
+			for i := range wantLoads[g] {
+				if gotLoads[g][i] != wantLoads[g][i] {
+					t.Fatalf("potential=%v segment %d node %d: load %d, driver %d", potential, g, i, gotLoads[g][i], wantLoads[g][i])
+				}
+				charged = charged || (g == int(SegOwn) && wantLoads[g][i] != 0)
 			}
+		}
+		if !charged {
+			t.Fatalf("potential=%v: nothing charged in the own tree", potential)
 		}
 	}
 }
@@ -363,12 +388,11 @@ func TestPotentialSweepAllocations(t *testing.T) {
 	for l, q := range s.Particles[:8] {
 		pk.SetLane(l, int32(q.ID), q.Pos)
 	}
-	loads := make([]int64, tr.NumNodes())
 	var accepted [2]int64
 	for k, alpha := range []float64{4, 0.7} {
 		sw := tr.sweep()
 		sw.Begin(alpha, 0, 0, true)
-		sweep := func() { sw.Defer(&pk, 8, 0, loads) }
+		sweep := func() { sw.Defer(&pk, 8, 0) }
 		sweep()
 		if allocs := testing.AllocsPerRun(10, sweep); allocs != 0 {
 			t.Errorf("α=%v: %v allocations per potential sweep", alpha, allocs)
