@@ -94,11 +94,13 @@ const (
 const (
 	// FunctionShipping ships particles to the data (the paper's schemes).
 	FunctionShipping = parbh.FunctionShipping
-	// DataShipping fetches tree nodes to the computation (the baseline).
+	// DataShipping fetches tree nodes to the computation (the baseline),
+	// each remote cell at most once per step. Bit-identical to
+	// FunctionShipping.
 	DataShipping = parbh.DataShipping
-	// DataShippingNaive is data shipping without the per-step node cache:
-	// every traversal miss is a fetch, as in the naive baseline the paper
-	// argues against.
+	// DataShippingNaive is data shipping without request coalescing: every
+	// blocked visit is a fetch, as in the naive baseline the paper argues
+	// against. Bit-identical to FunctionShipping.
 	DataShippingNaive = parbh.DataShippingNaive
 	// LETShipping assembles a locally essential tree per rank with one
 	// bulk exchange per step, then evaluates forces entirely locally.

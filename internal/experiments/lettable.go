@@ -11,12 +11,11 @@ import (
 // formulation: function shipping (the paper's paradigm), cached data
 // shipping (the repo's original baseline), naive per-visit data shipping
 // (the paper's §4.2 model of data shipping), and the locally-essential-
-// tree engine. LET is bit-identical to function shipping, and naive to
-// cached data shipping, in accelerations and interaction statistics (the
-// golden tests pin both pairs); across the pairs accelerations agree to
-// 1e-9 (TestDataShippingMatchesFunctionShipping) and MAC-test counts
-// differ. The table shows what each pays in words, messages, and
-// balance on the third step (two steps settle the load balancing first).
+// tree engine. All four are bit-identical in accelerations, interaction
+// statistics and per-node loads, hence in partitions (TestStepGoldenP64
+// pins every strategy's line against function shipping's). The table
+// shows what each pays in words, messages, and balance on the third step
+// (two steps settle the load balancing first).
 // CI gates BENCH_let.json on exact equality and on LET words staying
 // strictly below naive data shipping at p ≥ 4.
 func LETTable(opt Options) (Table, error) {
@@ -54,16 +53,15 @@ func LETTable(opt Options) (Table, error) {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"let = function and data = data-naive, bit for bit, in accelerations and Stats (golden-tested);",
-		"across the two pairs accelerations agree to 1e-9, not bitwise, MAC-test counts differ, and",
-		"under DPDA the partitions, hence PC/PP counts, differ from the second step on;",
-		"data = cached data shipping (each node fetched once per step); data-naive = the paper's",
-		"§4.2 per-visit model (every traversal miss is a fetch); let = one bulk essential-set",
-		"exchange per peer pair, rebuilt and shipped whole every step;",
-		"expected shape: let undercuts data-naive 60-220x at every p and ships 0.8-1.6x the",
+		"all four strategies are one physics, bit for bit: accelerations, Stats and per-node loads,",
+		"hence partitions, agree (golden-tested); only words, messages and time differ;",
+		"data = cached data shipping (each node fetched once per step, evaluated on the requester,",
+		"loads returned as under let); data-naive = the paper's §4.2 per-visit model (every",
+		"traversal miss is a fetch); let = one bulk essential-set exchange per peer pair, rebuilt",
+		"and shipped whole every step;",
+		"expected shape: let undercuts data-naive 60-200x at every p and ships 1.2-1.3x the",
 		"words of cached data shipping in about half its messages (a section holds what any",
 		"point of the peer's branch cells, clipped to its bounding box, could open; a fetch",
-		"only what a particle did open); let's step is longer than function shipping's in",
-		"every cell")
+		"only what a particle did open); function shipping's step is the shortest in every cell")
 	return t, nil
 }

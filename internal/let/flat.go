@@ -146,8 +146,9 @@ func (f *Flat) AddSection(owner int, sec *Section, b int32, slot int) int {
 // NumSections returns the number of grafted sections.
 func (f *Flat) NumSections() int { return len(f.sections) }
 
-// Seal finalizes construction: sizes the per-section Load counters and
-// points every segment's charges at their columns.
+// Seal finalizes construction, or a section's growth: sizes the
+// per-section Load counters, zero, and points every segment's charges at
+// their columns.
 func (f *Flat) Seal() {
 	n := int32(0)
 	for i := range f.sections {
@@ -198,11 +199,11 @@ func (f *Flat) PotentialAll(ps []dist.Particle, alpha, exAdd float64, out []floa
 }
 
 // Begin, Defer and Below are the sweep one packet at a time, for function
-// shipping, which must interleave sweeping with its message protocol: Begin
-// fixes the mode, Defer sweeps the main region for the first n lanes of p
-// and leaves the remote branches they opened to the caller; Below is the
-// owner-side service of requests against the subtree at node base of the
-// rank's own tree. Both charge Load as ForceAll does.
+// and data shipping, which interleave sweeping with messages: Begin fixes
+// the mode, Defer sweeps the main region for the first n lanes of p and
+// leaves the remote branches they opened to the caller; Below serves
+// requests against the subtree at node base of the rank's own tree, and
+// BelowSection against section si. All charge Load as ForceAll does.
 func (f *Flat) Begin(alpha, eps, exAdd float64, potential bool) {
 	f.s.Begin(alpha, eps, exAdd, potential)
 }
@@ -210,35 +211,20 @@ func (f *Flat) Begin(alpha, eps, exAdd float64, potential bool) {
 func (f *Flat) Defer(p *tree.Packet, n int) { f.s.Defer(p, n, 0) }
 
 func (f *Flat) Below(p *tree.Packet, n int, base int32) { f.s.Below(p, n, tree.SegOwn, base) }
+func (f *Flat) BelowSection(p *tree.Packet, n, si int)  { f.s.Below(p, n, tree.SecSeg(si), 0) }
 
 // SectionDeltas appends section si's non-zero Load deltas (ordinals are
 // section-relative, matching the owner's BuildSection node order) to the
 // given slices and returns them.
 func (f *Flat) SectionDeltas(si int, nodes []int32, deltas []int64) ([]int32, []int64) {
-	for i, v := range f.sectionLoads(si) {
+	m := f.sections[si]
+	for i, v := range f.loads[m.off : m.off+int32(m.sec.NumNodes())] {
 		if v != 0 {
 			nodes = append(nodes, int32(i))
 			deltas = append(deltas, v)
 		}
 	}
 	return nodes, deltas
-}
-
-// NumSectionDeltas returns how many deltas SectionDeltas appends for
-// section si.
-func (f *Flat) NumSectionDeltas(si int) int {
-	n := 0
-	for _, v := range f.sectionLoads(si) {
-		if v != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-func (f *Flat) sectionLoads(si int) []int64 {
-	m := f.sections[si]
-	return f.loads[m.off : m.off+int32(m.sec.NumNodes())]
 }
 
 // Section returns the metadata of section si.

@@ -1,33 +1,37 @@
 package parbh
 
 import (
-	"sort"
+	"fmt"
+	"slices"
 
-	"repro/internal/dist"
 	"repro/internal/keys"
+	"repro/internal/let"
 	"repro/internal/msg"
 	"repro/internal/phys"
 	"repro/internal/tree"
 	"repro/internal/vec"
 )
 
-// Data-shipping force phase: the owner-computes baseline of Section 4.2.
-// When a traversal rejects a remote cell, the cell's children are fetched
-// from the owner (monopole summary or full degree-k multipole series,
-// particle coordinates for leaves) and cached in the local image of the
-// tree; the requesting processor then continues the traversal itself.
+// Data-shipping force phase (Section 4.2): function shipping's requester
+// side, with each slot function shipping would ship — (particle, branch,
+// owner) — resolved where it arose by the owner's own service, Sweep.Below
+// from the branch root, over a section of the cells fetched from the owner
+// so far. Sections hold the owner's node values in its DFS order, so a pass
+// that meets no missing cell is the owner's service to the bit.
 //
-// Two request disciplines share this engine. DataShipping batches fetches
-// per wave and deduplicates them, so each remote cell is transferred at
-// most once per processor — a best-case rendering of data shipping; even
-// so its communication volume scales as Θ(k²) per cell while function
-// shipping stays at 3 words per particle (Section 4.2.1).
-// DataShippingNaive is the literal per-visit baseline the paper argues
-// against: every blocked particle-visit issues its own fetch, with no
-// request coalescing — the owner serves (and the wire carries) one reply
-// per visit. The fetched cells still land in the shared cache, so the
-// physics, traversal structure, and Stats are identical; only the
-// communication accounting differs, strictly upward.
+// Fetching runs in waves. A slot whose branch root has not arrived asks
+// for it; the other blocked slots are swept again, and a lane that rejects
+// a stub (a cell whose children have not arrived) asks its owner for them.
+// A wave's requests travel in one all-to-all, the replies in another, and
+// the waves end when no rank asks for anything. DataShipping asks an owner
+// for a cell once a wave — a best case whose volume still grows as Θ(k²)
+// per cell (Section 4.2.1); DataShippingNaive is the per-visit baseline
+// the paper argues against, one request per blocked visit.
+//
+// Each wave charges the flops its passes added over each slot's previous
+// pass: sections only grow, so an interaction is charged once, in the wave
+// it first became possible. A last pass over every slot yields the values,
+// Stats and section Loads, which letReturnLoads returns as under LET.
 
 // fetchedChild is one child cell shipped to a requester.
 type fetchedChild struct {
@@ -49,293 +53,307 @@ type fetchedCell struct {
 	Children []fetchedChild
 }
 
-// dsNode is one cell of a rank's image of the global tree. The cell's
-// summary is a node of the replicated tree, which every rank of the process
-// shares and none writes, or a private node made from a fetched summary;
-// what the rank learns by fetching — children, a leaf's particles — it
-// grafts onto its own dsNode.
-type dsNode struct {
-	*pnode
-	kids  *[8]*dsNode // nil until the cell can be expanded here
-	local *tree.Tree  // the tree of the subtree here: this rank's own, or a fetched leaf's; nil when neither
-	at    int32       // the subtree's root in local
+// fetchSection is the section of one (branch, owner) slot group, emitted
+// again from the replies whenever a wave adds cells to it.
+type fetchSection struct {
+	let.Section             // BranchKey names the branch
+	owner          int      // the rank it is fetched from
+	branch         int32    // the branch's ordinal in the replicated tree
+	cells          []uint64 // per node: its cell key, which names a stub to its owner
+	slots, blocked []int32  // its slots, in slot order; those still to resolve
+	si             int      // its index in the rank's Flat; -1 until its root arrives
+	grown          bool     // a reply arrived for it since it was last emitted
 }
 
-// image copies the skeleton of the replicated tree under n for st's rank
-// and enters every cell in index.
-func (st *localState) image(n *pnode, index map[uint64]*dsNode) *dsNode {
-	if n == nil {
-		return nil
-	}
-	d := &dsNode{pnode: n}
-	index[n.cell.Uint64()] = d
-	if n.isBranch {
-		if root := st.ownRoot(n); root >= 0 {
-			d.local, d.at = st.tree, root
-		}
-		return d
-	}
-	d.kids = new([8]*dsNode)
-	for oct, c := range n.children {
-		d.kids[oct] = st.image(c, index)
-	}
-	return d
-}
-
-// dsWork is one particle's suspended traversal.
-type dsWork struct {
-	idx   int // local particle index
-	stack []*dsNode
-	accF  vec.V3
-	accP  float64
-}
-
-// dsVisit records one blocked particle-visit in discovery order (the
-// naive per-visit request stream).
-type dsVisit struct {
-	key   uint64
-	owner int
+// dataRun is one rank's data-shipping phase.
+type dataRun struct {
+	*shipRun
+	naive  bool
+	secs   []*fetchSection             // in order of their first slot
+	prev   []tree.Stats                // per slot: what its last pass counted
+	got    map[letPair][]fetchedChild  // replies by (owner, cell key)
+	exps   map[letPair]*phys.Expansion // potential mode: the fetched cells' expansions
+	asked  map[letPair]bool            // DataShipping: this wave's requests
+	asks   [][]uint64                  // per owner: this wave's requests
+	askSec [][]*fetchSection           // per owner: the section each request grows
 }
 
 // dataShipPhase runs the wave-synchronous data-shipping computation.
 func (e *Engine) dataShipPhase(pr *msg.Proc, st *localState, res *Result) {
 	t0 := pr.Stats().ComputeTime
-	cfg := e.cfg
-	deg := cfg.degreeOrMonopole()
+	r := &shipRun{e: e, pr: pr, st: st, sh: &e.ship[st.me]}
+	st.extraLoad = e.scratch[st.me].extraLoad
+	clear(st.extraLoad)
+	st.letSent = make(map[letPair][]int32)
+	r.flatten()
+	log := r.start()
+	r.sweep(st.parts)
+	var flops float64
+	for _, f := range log.Flops {
+		flops += f
+	}
+	pr.Compute(flops)
+
 	p := pr.NumProcs()
-	naive := cfg.Shipping == DataShippingNaive
-
-	// The rank's image of the tree, every cell indexed for cache insertion.
-	index := make(map[uint64]*dsNode)
-	root := st.image(st.top, index)
-
-	// Seed one work item per particle.
-	work := make([]*dsWork, len(st.parts))
-	for i := range st.parts {
-		work[i] = &dsWork{idx: i, stack: []*dsNode{root}}
+	d := &dataRun{shipRun: r, naive: e.cfg.Shipping == DataShippingNaive, prev: make([]tree.Stats, len(r.sh.shipped)),
+		got: make(map[letPair][]fetchedChild), exps: make(map[letPair]*phys.Expansion), asked: make(map[letPair]bool),
+		asks: make([][]uint64, p), askSec: make([][]*fetchSection, p)}
+	of := make(map[letPair]*fetchSection)
+	for slot, ref := range r.sh.shipped {
+		pair := letPair{peer: int(log.Owners[slot]), key: st.flat.branches[ref.branch].cell.Uint64()}
+		s := of[pair]
+		if s == nil {
+			s = &fetchSection{owner: pair.peer, branch: ref.branch, si: -1}
+			s.BranchKey = pair.key
+			of[pair] = s
+			d.secs = append(d.secs, s)
+		}
+		s.slots, s.blocked = append(s.slots, int32(slot)), append(s.blocked, int32(slot))
 	}
-	active := work
-
-	processStack := func(w *dsWork, needed map[uint64]int, visits *[]dsVisit) {
-		var blocked []*dsNode
-		block := func(n *dsNode) {
-			needed[n.cell.Uint64()] = n.owners[0]
-			*visits = append(*visits, dsVisit{key: n.cell.Uint64(), owner: n.owners[0]})
-			blocked = append(blocked, n)
-		}
-		for len(w.stack) > 0 {
-			n := w.stack[len(w.stack)-1]
-			w.stack = w.stack[:len(w.stack)-1]
-			if n == nil || n.count == 0 {
-				continue
-			}
-			q := &st.parts[w.idx]
-			if n.local != nil {
-				var s tree.Stats
-				if cfg.Mode == ForceMode {
-					w.accF = w.accF.Add(n.local.AccelFrom(n.at, q.Pos, q.ID, cfg.Alpha, cfg.Eps, &s))
-				} else {
-					w.accP += n.local.PotentialFrom(n.at, q.Pos, q.ID, cfg.Alpha, &s)
-				}
-				st.stats.Add(s)
-				pr.Compute(s.Flops(deg))
-				continue
-			}
-			if n.leafCell && n.kids == nil {
-				// Remote leaf: must fetch the particles.
-				if len(n.owners) > 0 {
-					block(n)
-				}
-				continue
-			}
-			st.stats.MACTests++
-			pr.Compute(phys.MACFlops)
-			if d := q.Pos.Dist(n.com); d != 0 && n.side/d < cfg.Alpha {
-				st.stats.PC++
-				pr.Compute(phys.InteractionFlops(deg))
-				if cfg.Mode == ForceMode {
-					w.accF = w.accF.Add(phys.Accel(q.Pos, n.com, n.mass, cfg.Eps))
-				} else {
-					w.accP += n.exp.EvalPotential(q.Pos)
-				}
-				continue
-			}
-			if n.kids != nil {
-				// Push in reverse so children pop in Morton order.
-				for oct := 7; oct >= 0; oct-- {
-					if n.kids[oct] != nil {
-						w.stack = append(w.stack, n.kids[oct])
-					}
-				}
-				continue
-			}
-			// Remote internal cell with unfetched children.
-			if len(n.owners) > 0 {
-				block(n)
-			}
-		}
-		w.stack = blocked
+	for d.wave() {
 	}
-
-	for {
-		needed := make(map[uint64]int)
-		var visits []dsVisit
-		var parked []*dsWork
-		for _, w := range active {
-			processStack(w, needed, &visits)
-			if len(w.stack) > 0 {
-				parked = append(parked, w)
-			}
-		}
-		// Global agreement on another wave.
-		pending := len(needed)
-		if naive {
-			pending = len(visits)
-		}
-		global := pr.SumF64([]float64{float64(pending)})
-		if global[0] == 0 {
-			break
-		}
-		// Batch requests per owner: one entry per distinct cell, or — for
-		// the naive baseline — one per blocked visit in discovery order.
-		reqs := make([][]uint64, p)
-		if naive {
-			for _, v := range visits {
-				reqs[v.owner] = append(reqs[v.owner], v.key)
-			}
-		} else {
-			for key, owner := range needed {
-				reqs[owner] = append(reqs[owner], key)
-			}
-			for i := range reqs {
-				sort.Slice(reqs[i], func(a, b int) bool { return reqs[i][a] < reqs[i][b] })
-			}
-		}
-		payloads := make([]any, p)
-		words := make([]int, p)
-		for i := range reqs {
-			payloads[i] = reqs[i]
-			words[i] = len(reqs[i])
-		}
-		recvReq := pr.AllToAll(payloads, words)
-		// Serve.
-		repPayloads := make([]any, p)
-		repWords := make([]int, p)
-		for src := 0; src < p; src++ {
-			ks := recvReq[src].([]uint64)
-			var cells []fetchedCell
-			w := 0
-			for _, key := range ks {
-				pr.Compute(st.lookup.cost())
-				cell := e.serveFetch(st, key)
-				for _, c := range cell.Children {
-					w += c.words()
-				}
-				pr.Compute(float64(len(cell.Children)) * 4)
-				cells = append(cells, cell)
-			}
-			repPayloads[src] = cells
-			repWords[src] = w + 1
-		}
-		recvRep := pr.AllToAll(repPayloads, repWords)
-		// Insert fetched children into the cache.
-		for src := 0; src < p; src++ {
-			for _, cell := range recvRep[src].([]fetchedCell) {
-				parent := index[cell.Key]
-				if parent == nil {
-					continue
-				}
-				for _, fc := range cell.Children {
-					ck := keys.CellKeyFromUint64(fc.Sum.Key)
-					if fc.Sum.Key == cell.Key {
-						// A leaf branch cell answered for itself: materialize
-						// the particles into the placeholder node. A duplicate
-						// reply (naive mode fetches once per visit) must leave
-						// the first materialization alone.
-						if parent.local == nil {
-							parent.local = e.fetchedLeaf(fc, ck)
-						}
-						continue
-					}
-					if parent.kids == nil {
-						parent.kids = new([8]*dsNode)
-					}
-					if parent.kids[ck.Octant()] != nil {
-						// Duplicate reply for an already-inserted child (naive
-						// mode): keep the existing node — parked traversal
-						// stacks may already reference it.
-						continue
-					}
-					sum := newPnode(ck, keys.CellBox(e.domain, ck))
-					sum.mass, sum.com, sum.count = fc.Sum.Mass, fc.Sum.COM, int(fc.Sum.Count)
-					if cfg.Mode == PotentialMode && fc.Sum.Exp != nil {
-						if ex, err := phys.ExpansionFromFloats(cfg.Degree, fc.Sum.Exp); err == nil {
-							sum.exp = ex
-						}
-					}
-					child := &dsNode{pnode: sum}
-					if fc.IsLeaf {
-						// Materialize the leaf locally so near-field sums run
-						// in place.
-						child.local = e.fetchedLeaf(fc, ck)
-					} else {
-						sum.owners = []int{int(fc.Sum.Owner)}
-						sum.leafCell = int(fc.Sum.Count) <= e.cfg.LeafCap
-					}
-					// The parent placeholder now has children and is no
-					// longer fetchable.
-					parent.kids[ck.Octant()] = child
-					index[fc.Sum.Key] = child
-				}
-			}
-		}
-		active = parked
+	for pair, sent := range st.letSent {
+		slices.Sort(sent)
+		st.letSent[pair] = slices.Compact(sent) // naive: cells asked for more than once
 	}
-
-	// Write results.
-	if cfg.Mode == ForceMode {
-		for _, w := range work {
-			res.Accels[st.parts[w.idx].ID] = w.accF
-		}
-	} else {
-		for _, w := range work {
-			res.Potentials[st.parts[w.idx].ID] = w.accP
-		}
-	}
+	d.final()
+	r.reduce(st.parts, res)
+	e.letReturnLoads(pr, st, r.fl)
+	r.fl.Release()
 	st.forceT = pr.Stats().ComputeTime - t0
 }
 
-// fetchedLeaf builds the subtree of a leaf cell shipped with its
-// particles; its root is node 0.
-func (e *Engine) fetchedLeaf(fc fetchedChild, ck keys.CellKey) *tree.Tree {
-	ps := fromWire(make([]dist.Particle, 0, len(fc.Particles)), fc.Particles)
-	ln := tree.BuildSubtreeKeyed(ps, e.domain, ck, e.cfg.LeafCap)
-	if e.cfg.Mode == PotentialMode {
-		ln.BuildExpansionsAt(0, e.cfg.Degree)
+// wave sweeps the blocked slots over their sections as they stand and
+// charges what the passes added; then, unless no rank asks for anything,
+// it fetches what the blocked lanes asked for and reports true.
+func (d *dataRun) wave() bool {
+	d.emitGrown()
+	var added tree.Stats
+	pending := 0
+	for _, s := range d.secs {
+		if s.si < 0 {
+			for range s.blocked {
+				pending += d.ask(s, s.BranchKey)
+			}
+			continue
+		}
+		still := s.blocked[:0] // filtered in place: a slot is read before it can be overwritten
+		d.pass(s, s.blocked, func(slot int32, pk *tree.Packet, l int) {
+			now, was := pk.Stats(l), &d.prev[slot]
+			added.Add(tree.Stats{MACTests: now.MACTests - was.MACTests, PC: now.PC - was.PC, PP: now.PP - was.PP})
+			*was = now
+			d.sh.deferred = pk.Deferred(l, d.sh.deferred[:0])
+			for _, node := range d.sh.deferred {
+				pending += d.ask(s, s.cells[node])
+			}
+			if len(d.sh.deferred) > 0 {
+				still = append(still, slot)
+			}
+		})
+		s.blocked = still
 	}
-	return ln
+	d.pr.Compute(added.Flops(d.e.cfg.degreeOrMonopole()))
+	if d.pr.SumF64([]float64{float64(pending)})[0] == 0 {
+		return false
+	}
+	d.fetch()
+	return true
 }
 
-// serveFetch builds the reply for one requested cell: summaries of its
-// children (or its particles, for a leaf asked to materialize).
-func (e *Engine) serveFetch(st *localState, key uint64) fetchedCell {
+// ask requests cell key of section s's owner — once a wave under
+// DataShipping, once a visit under DataShippingNaive — and returns how
+// many requests it added.
+func (d *dataRun) ask(s *fetchSection, key uint64) int {
+	if pair := (letPair{peer: s.owner, key: key}); !d.naive {
+		if d.asked[pair] {
+			return 0
+		}
+		d.asked[pair] = true
+	}
+	d.asks[s.owner] = append(d.asks[s.owner], key)
+	d.askSec[s.owner] = append(d.askSec[s.owner], s)
+	return 1
+}
+
+// fetch ships the wave's requests, serves the ones that reach this rank,
+// and files the replies by (owner, cell key), marking their sections grown.
+func (d *dataRun) fetch() {
+	pr, st, e := d.pr, d.st, d.e
+	p := pr.NumProcs()
+	payloads, words := make([]any, p), make([]int, p)
+	for o, ks := range d.asks {
+		payloads[o], words[o] = ks, len(ks)
+	}
+	recvReq := pr.AllToAll(payloads, words)
+	for src := 0; src < p; src++ {
+		var cells []fetchedCell
+		w := 0
+		for _, key := range recvReq[src].([]uint64) {
+			pr.Compute(st.lookup.cost())
+			cell := e.serveFetch(st, src, key)
+			for _, c := range cell.Children {
+				w += c.words()
+			}
+			pr.Compute(float64(len(cell.Children)) * 4)
+			cells = append(cells, cell)
+		}
+		payloads[src], words[src] = cells, w+1
+	}
+	recvRep := pr.AllToAll(payloads, words)
+	for src := 0; src < p; src++ {
+		for i, cell := range recvRep[src].([]fetchedCell) {
+			if _, dup := d.got[letPair{peer: src, key: cell.Key}]; dup {
+				continue // naive asks for a cell once a visit
+			}
+			d.got[letPair{peer: src, key: cell.Key}] = cell.Children
+			d.askSec[src][i].grown = true
+			for _, c := range cell.Children {
+				if e.cfg.Mode == PotentialMode && !c.IsLeaf {
+					ex, err := phys.ExpansionFromFloats(e.cfg.Degree, c.Sum.Exp)
+					if err != nil {
+						panic(fmt.Sprintf("parbh: fetched cell %x: %v", c.Sum.Key, err))
+					}
+					d.exps[letPair{peer: src, key: c.Sum.Key}] = ex
+				}
+			}
+		}
+		d.asks[src], d.askSec[src] = nil, d.askSec[src][:0] // src may still read its request
+	}
+	clear(d.asked)
+}
+
+// emitGrown emits every section a reply arrived for, grafting it into the
+// rank's Flat once its root is there, and reseals the Flat: the section
+// Load counters are sized afresh, zero.
+func (d *dataRun) emitGrown() {
+	for _, s := range d.secs {
+		if !s.grown {
+			continue
+		}
+		s.grown = false
+		d.emit(s)
+		if s.si < 0 {
+			slot := slices.Index(d.st.flat.branches[s.branch].owners, s.owner)
+			s.si = d.fl.AddSection(s.owner, &s.Section, s.branch, slot)
+		}
+	}
+	d.fl.Seal()
+}
+
+// emit writes section s from the replies: the branch root, whose summary
+// is never tested and left zero, then in the owner's DFS order every child
+// of each fetched cell — a leaf with its particles in the owner's order, a
+// fetched cell with its children, any other as a stub. An owner holding
+// nothing under the branch makes it an empty leaf: an exact zero, as
+// function shipping's reply is.
+func (d *dataRun) emit(s *fetchSection) {
+	s.Reset()
+	s.cells = s.cells[:0]
+	root := d.got[letPair{peer: s.owner, key: s.BranchKey}]
+	switch {
+	case len(root) == 0:
+		d.leaf(s, fetchedChild{Sum: BranchSummary{Key: s.BranchKey}})
+	case root[0].Sum.Key == s.BranchKey:
+		d.leaf(s, root[0]) // a leaf branch answers for itself
+	default:
+		s.cells = append(s.cells, s.BranchKey)
+		tree.AppendNode(&s.Cols, tree.KindInternal, vec.V3{}, 0, 0, nil, -1, -1)
+		d.children(s, root)
+		s.Skip[0] = int32(len(s.Kind))
+	}
+}
+
+func (d *dataRun) children(s *fetchSection, kids []fetchedChild) {
+	for _, c := range kids {
+		if c.IsLeaf {
+			d.leaf(s, c)
+			continue
+		}
+		pair := letPair{peer: s.owner, key: c.Sum.Key}
+		sub, open := d.got[pair]
+		kind := tree.KindStub
+		if open {
+			kind = tree.KindInternal
+		}
+		// The side is the box's, halved from the domain as the owner's
+		// tree halves it.
+		side := keys.CellBox(d.e.domain, keys.CellKeyFromUint64(c.Sum.Key)).LongestSide()
+		s.cells = append(s.cells, c.Sum.Key)
+		idx := tree.AppendNode(&s.Cols, kind, c.Sum.COM, c.Sum.Mass, side, d.exps[pair], -1, -1)
+		if open {
+			d.children(s, sub)
+			s.Skip[idx] = int32(len(s.Kind))
+		}
+	}
+}
+
+func (d *dataRun) leaf(s *fetchSection, c fetchedChild) {
+	lo := int32(len(s.ID))
+	for _, q := range c.Particles {
+		s.ID = append(s.ID, q.ID)
+		s.PX, s.PY, s.PZ = append(s.PX, q.Pos.X), append(s.PY, q.Pos.Y), append(s.PZ, q.Pos.Z)
+		s.PM = append(s.PM, q.Mass)
+	}
+	s.cells = append(s.cells, c.Sum.Key)
+	tree.AppendNode(&s.Cols, tree.KindLeaf, vec.V3{}, 0, 0, nil, lo, int32(len(s.ID)))
+}
+
+// pass sweeps slots of section s over it, eight to a packet, and calls
+// lane for every slot with the packet and its lane there.
+func (d *dataRun) pass(s *fetchSection, slots []int32, lane func(slot int32, pk *tree.Packet, l int)) {
+	pk := &d.sh.served
+	for lo := 0; lo < len(slots); lo += 8 {
+		group := slots[lo:min(lo+8, len(slots))]
+		for l, slot := range group {
+			q := &d.st.parts[d.sh.shipped[slot].part]
+			pk.SetLane(l, int32(q.ID), q.Pos)
+		}
+		d.fl.BelowSection(pk, len(group), s.si)
+		for l, slot := range group {
+			lane(slot, pk, l)
+		}
+	}
+}
+
+// final sweeps every slot once more over the complete sections, whose Load
+// counters Seal clears of the waves' charges, and files each slot's value
+// and counts: exactly its owner's service.
+func (d *dataRun) final() {
+	d.fl.Seal()
+	for _, s := range d.secs {
+		d.pass(s, s.slots, func(slot int32, pk *tree.Packet, l int) {
+			d.st.stats.Add(pk.Stats(l))
+			if d.e.cfg.Mode == ForceMode {
+				d.sh.slotF[slot] = pk.Sum(l)
+			} else {
+				d.sh.slotP[slot] = pk.Pot(l)
+			}
+		})
+	}
+}
+
+// serveFetch builds the reply for one cell requester src asked for:
+// summaries of its children (or the particles of a leaf branch). It
+// records what src holds of the cell's branch — its root and every child
+// shipped, put in node order after the waves — for letReturnLoads.
+func (e *Engine) serveFetch(st *localState, src int, key uint64) fetchedCell {
 	out := fetchedCell{Key: key}
-	t, node := st.tree, e.findLocalCell(st, key)
+	t := st.tree
+	root, node := e.findLocalCell(st, key)
 	if node < 0 {
 		return out
 	}
 	withExp := e.cfg.Mode == PotentialMode
+	pair := letPair{peer: src, key: t.Key[root]}
+	sent, ok := st.letSent[pair]
+	if !ok {
+		sent = append(sent, root)
+	}
 	if t.IsLeaf(node) {
-		// The requester asked for a leaf's contents: return the leaf
-		// itself as a single "child" carrying particles. The requester
-		// replaces the placeholder cell (keyed by the leaf) — but since a
-		// parent pointer is keyed by the child's octant, we return it as a
-		// child of itself is wrong; instead leaves are always shipped as
-		// children of their parent (below), so this path only triggers for
-		// a branch node that is itself a leaf cell.
+		// Only a leaf branch cell is asked for its own contents: any
+		// other leaf ships with its parent's children.
 		s := summaryOf(t, node, st.me, withExp)
 		out.Children = []fetchedChild{{Sum: s, IsLeaf: true, Particles: toWire(t.Particles(node))}}
-		return out
 	}
 	for c := node + 1; c < t.Skip[node]; c = t.Skip[c] {
 		fc := fetchedChild{Sum: summaryOf(t, c, st.me, withExp)}
@@ -344,14 +362,17 @@ func (e *Engine) serveFetch(st *localState, key uint64) fetchedCell {
 			fc.Particles = toWire(t.Particles(c))
 		}
 		out.Children = append(out.Children, fc)
+		sent = append(sent, c)
 	}
+	st.letSent[pair] = sent
 	return out
 }
 
 // findLocalCell resolves a packed cell key to a node of this processor's
-// local subtrees (-1 for none): the nearest branch ancestor is located
-// through the lookup structure and the remaining path is walked down.
-func (e *Engine) findLocalCell(st *localState, key uint64) int32 {
+// local subtrees (-1 for none) and the root of the branch it lies under:
+// the nearest branch ancestor is located through the lookup structure and
+// the remaining path is walked down.
+func (e *Engine) findLocalCell(st *localState, key uint64) (root, node int32) {
 	t := st.tree
 	ck := keys.CellKeyFromUint64(key)
 	anc := ck
@@ -369,10 +390,10 @@ func (e *Engine) findLocalCell(st *localState, key uint64) int32 {
 				}
 				cur = next
 			}
-			return cur
+			return n, cur
 		}
 		if anc.Level == 0 {
-			return -1
+			return -1, -1
 		}
 		anc = anc.Parent()
 	}

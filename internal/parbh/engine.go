@@ -179,7 +179,7 @@ type localState struct {
 	lookup   branchLookup     // request-serving lookup structure
 	top      *pnode           // replicated global tree, shared with this process's other ranks: read-only
 	cells    *let.Cells       // top's geometry for LET's essential-set test, shared and read-only like it
-	flat     *topFlat         // top's main region for LET and function shipping, shared and read-only like it
+	flat     *topFlat         // top's main region for the sweep, shared and read-only like it
 	summary  []BranchSummary  // this proc's branch summaries
 	stats    tree.Stats       // interaction counts charged here
 	forceT   float64          // compute-seconds spent in the force phase
@@ -190,24 +190,9 @@ type localState struct {
 	// a region, not just its subtree-resident share.
 	extraLoad map[int]float64
 
-	// LET-shipping per-step state (LETShipping only).
+	// LET's per-step state; data shipping fills letSent as it serves.
 	letFlat *let.Flat           // grafted flat essential tree
 	letSent map[letPair][]int32 // shipped nodes of tree by (peer, branch), ordinal-aligned
-}
-
-// ownRoot returns the root in st.tree of this rank's subtree under branch
-// cell n of the shared replicated tree, -1 when the cell is none of its
-// own. The other owners of a cell it shares are not asked: its own subtree
-// stands for the cell.
-func (st *localState) ownRoot(n *pnode) int32 {
-	if !slices.Contains(n.owners, st.me) {
-		return -1
-	}
-	root, ok := st.rootsMap[n.cell.Uint64()]
-	if !ok {
-		panic(fmt.Sprintf("parbh: missing local subtree for branch %v", n.cell))
-	}
-	return root
 }
 
 // rankScratch is what a rank's particle exchanges and force phase keep from
@@ -792,7 +777,7 @@ type topMerge struct {
 	once  sync.Once
 	root  *pnode
 	cells *let.Cells // root's boxes and owner sets (LET only)
-	flat  *topFlat   // root's main region (LET and function shipping)
+	flat  *topFlat   // root's main region, which every strategy's sweep reads
 	flops float64    // the merge's modelled cost: a function of the summaries alone
 	err   error
 }
@@ -809,9 +794,7 @@ func (e *Engine) buildTopPhase(pr *msg.Proc, st *localState, gathered []any, m *
 			m.cells = let.NewCells(e.domain, pr.NumProcs())
 			topCells(m.cells, m.root)
 		}
-		if e.cfg.Shipping == LETShipping || e.cfg.Shipping == FunctionShipping {
-			m.flat = flattenTop(m.root)
-		}
+		m.flat = flattenTop(m.root)
 	})
 	if m.err != nil {
 		panic(m.err)

@@ -159,13 +159,10 @@ type shipRun struct {
 // has said it is done. Results land in res; the charges in the rank's log.
 func (r *shipRun) exchange(res *Result) {
 	p, me, parts := r.pr.NumProcs(), r.st.me, r.st.parts
-	log := &r.sh.log
-	log.Start = r.pr.Now()
-	log.Flops, log.Ships, log.Owners = log.Flops[:0], log.Ships[:0], log.Owners[:0]
+	log := r.start()
 	if len(log.Served) != p {
 		log.Served = make([][]float64, p)
 		r.sh.servedFrom = make([]int, p)
-		r.sh.cut = make([]int32, p+2)
 	}
 	for q := range log.Served {
 		log.Served[q] = log.Served[q][:0]
@@ -209,6 +206,18 @@ func (r *shipRun) exchange(res *Result) {
 		payload, from, _ := r.pr.RecvOffClock(tagRequest)
 		serving -= r.serve(payload.(reqBin), from)
 	}
+}
+
+// start readies the rank's log and owner cuts for a step's sweeps and
+// returns the log.
+func (r *shipRun) start() *shipLog {
+	log := &r.sh.log
+	log.Start = r.pr.Now()
+	log.Flops, log.Ships, log.Owners = log.Flops[:0], log.Ships[:0], log.Owners[:0]
+	if p := r.pr.NumProcs(); len(r.sh.cut) != p+2 {
+		r.sh.cut = make([]int32, p+2)
+	}
+	return log
 }
 
 // sweep runs the traversal of one round of the rank's own particles, eight

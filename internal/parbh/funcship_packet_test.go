@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/dist"
@@ -314,7 +315,9 @@ func bitsEqual(a, b vec.V3) bool {
 }
 
 // compareWorlds demands that got (the engine) left exactly what want (the
-// oracle) did.
+// oracle) did. Data shipping counts a remote subtree's interactions on the
+// rank that evaluates them, the requester, where function shipping counts
+// them on the owner: between the two only the ranks' total must agree.
 func compareWorlds(t *testing.T, want, got *shipWorld) {
 	t.Helper()
 	for i := range want.accels {
@@ -325,9 +328,13 @@ func compareWorlds(t *testing.T, want, got *shipWorld) {
 			t.Fatalf("potential %d = %v, oracle %v", i, got.pots[i], want.pots[i])
 		}
 	}
+	var wantTotal, gotTotal tree.Stats
+	perRank := isData(want.cfg.Shipping) == isData(got.cfg.Shipping)
 	for me := range want.states {
 		ws, gs := want.states[me], got.states[me]
-		if gs.stats != ws.stats {
+		wantTotal.Add(ws.stats)
+		gotTotal.Add(gs.stats)
+		if perRank && gs.stats != ws.stats {
 			t.Errorf("rank %d: stats %+v, oracle %+v", me, gs.stats, ws.stats)
 		}
 		if len(gs.extraLoad) != len(ws.extraLoad) {
@@ -350,7 +357,12 @@ func compareWorlds(t *testing.T, want, got *shipWorld) {
 			}
 		}
 	}
+	if gotTotal != wantTotal {
+		t.Errorf("stats %+v over all ranks, oracle %+v", gotTotal, wantTotal)
+	}
 }
+
+func isData(s Shipping) bool { return s == DataShipping || s == DataShippingNaive }
 
 // nodeLoads returns the Load of every node under n of st's tree.
 func nodeLoads(st *localState, n int32) []int64 {
@@ -425,6 +437,21 @@ func TestFuncShipPacketMatchesPointerOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ownRoot returns the root in st.tree of this rank's subtree under branch
+// cell n of the shared replicated tree, -1 when the cell is none of its
+// own. The other owners of a cell it shares are not asked: its own subtree
+// stands for the cell.
+func (st *localState) ownRoot(n *pnode) int32 {
+	if !slices.Contains(n.owners, st.me) {
+		return -1
+	}
+	root, ok := st.rootsMap[n.cell.Uint64()]
+	if !ok {
+		panic(fmt.Sprintf("parbh: missing local subtree for branch %v", n.cell))
+	}
+	return root
 }
 
 // countLeafCells counts the remote leaf-cell branches (always shipped, no

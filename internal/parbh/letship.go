@@ -200,16 +200,7 @@ func (e *Engine) letForcePhase(pr *msg.Proc, st *localState, res *Result) {
 // ends the step with exactly the Load a function-shipping step charges.
 func (e *Engine) letReturnLoads(pr *msg.Proc, st *localState, fl *let.Flat) {
 	p := pr.NumProcs()
-	counts := make([]int, p)
-	for si := 0; si < fl.NumSections(); si++ {
-		counts[fl.Section(si).Owner] += fl.NumSectionDeltas(si)
-	}
 	msgs := make([]letLoadMsg, p)
-	for owner, n := range counts {
-		if n > 0 {
-			msgs[owner] = letLoadMsg{Keys: make([]uint64, 0, n), Nodes: make([]int32, 0, n), Deltas: make([]int64, 0, n)}
-		}
-	}
 	for si := 0; si < fl.NumSections(); si++ {
 		m := fl.Section(si)
 		lm := &msgs[m.Owner]

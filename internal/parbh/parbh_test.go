@@ -1,6 +1,7 @@
 package parbh
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -123,12 +124,36 @@ func TestSmallBinsStressFlowControl(t *testing.T) {
 	}
 }
 
+// TestDataShippingMatchesFunctionShipping pins data shipping to function
+// shipping bit for bit over three steps of every scheme in force and in
+// potential mode: results and Stats each step, and before each step's
+// load balance every rank's extra loads and every tree node's Load — so
+// SPDA's and DPDA's partitions agree step after step.
 func TestDataShippingMatchesFunctionShipping(t *testing.T) {
 	s := dist.MustNamed("plummer", 1500, 7)
-	fn := runStep(t, s, 8, Config{Scheme: SPSA, Mode: ForceMode, Alpha: 0.7, Eps: 0.01})
-	dt := runStep(t, s, 8, Config{Scheme: SPSA, Mode: ForceMode, Alpha: 0.7, Eps: 0.01, Shipping: DataShipping})
-	if e := phys.FractionalErrorV3(fn.Accels, dt.Accels); e > 1e-9 {
-		t.Fatalf("paradigms disagree by %v", e)
+	for _, scheme := range []Scheme{SPSA, SPDA, DPDA} {
+		for _, mode := range []Mode{ForceMode, PotentialMode} {
+			t.Run(fmt.Sprintf("%v/%v", scheme, mode), func(t *testing.T) {
+				dataMatchesFunction(t, s, 8, Config{Scheme: scheme, Mode: mode, Degree: 4, Alpha: 0.7, Eps: 0.01}, 3)
+			})
+		}
+	}
+}
+
+// dataMatchesFunction runs steps steps of cfg under function shipping and
+// under data shipping and demands every step's results and Stats agree bit
+// for bit, as do the force phase's extra loads and tree Loads at each step
+// (from a fresh engine advanced to it).
+func dataMatchesFunction(t *testing.T, set *dist.Set, p int, cfg Config, steps int) {
+	t.Helper()
+	data := cfg
+	data.Shipping = DataShipping
+	for step := 0; step < steps; step++ {
+		fn, dt := newShipEngine(t, set, p, cfg), newShipEngine(t, set, p, data)
+		for i := 0; i < step; i++ {
+			compareResults(t, fn.Step(), dt.Step(), i)
+		}
+		compareWorlds(t, phases(t, fn, true), phases(t, dt, true))
 	}
 }
 

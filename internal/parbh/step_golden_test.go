@@ -18,12 +18,15 @@ import (
 // non-replicated construction, on 64 ranks: the clock, the interaction
 // counts, the communication volume, the imbalance, every rank's machine
 // Stats and every particle's result. The file is not regenerated for a
-// host-side change: its non-LET lines were recorded before the replicated
-// top tree became one per process and the wire pools were deleted, its LET
-// lines when the essential-set test learned the peer's branch cells — a
-// change to the simulated algorithm, which moved their clock and words and
-// nothing else. LET is function shipping's physics: the test asserts each
-// LET line's interaction counts, branches and results against the
+// host-side change: its function-shipping and non-replicated lines were
+// recorded before the replicated top tree became one per process and the
+// wire pools were deleted, its LET lines when the essential-set test
+// learned the peer's branch cells, and its data-shipping lines when data
+// shipping began evaluating fetched cells with function shipping's sweep
+// and returning their Load — changes to the simulated algorithm, which
+// moved those lines and nothing else. Every strategy is function
+// shipping's physics: the test asserts each LET, data and data-naive
+// line's interaction counts, branches and results against the
 // function-shipping line of its scheme, mode and step. Particles contract
 // towards the domain's centre between steps, so the migration and both
 // balancers move some every step.
@@ -53,7 +56,8 @@ func TestStepGoldenP64(t *testing.T) {
 		}
 	}
 
-	// What LET must reproduce of function shipping, by scheme, mode and step.
+	// What every other strategy must reproduce of function shipping, by
+	// scheme, mode and step.
 	type physics struct {
 		mac, pc, pp int64
 		branches    int
@@ -83,9 +87,9 @@ func TestStepGoldenP64(t *testing.T) {
 				if v.cfg.TreeBuild != NonReplicatedBuild {
 					funcLines[at] = got
 				}
-			case LETShipping:
+			default:
 				if want := funcLines[at]; got != want {
-					t.Errorf("%s: LET %+v, function shipping %+v", at, got, want)
+					t.Errorf("%s: %v %+v, function shipping %+v", at, v.cfg.Shipping, got, want)
 				}
 			}
 			fmt.Fprintf(&out, "%s step %d: sim %016x imbalance %016x mac %d pc %d pp %d words %d msgs %d branches %d procstats %08x results %08x\n",

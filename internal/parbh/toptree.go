@@ -46,7 +46,7 @@ func summaryOf(t *tree.Tree, n int32, owner int, withExp bool) BranchSummary {
 // pnode is a node of the processor-replicated global tree: the top tree
 // plus one node per branch cell, which records its owners. One tree serves
 // every rank of a process and is immutable once built; a rank finds the
-// subtree under a branch cell of its own with localState.ownRoot.
+// subtree under a branch cell of its own by key, in localState.rootsMap.
 type pnode struct {
 	cell  keys.CellKey
 	box   vec.Box

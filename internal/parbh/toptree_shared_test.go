@@ -184,9 +184,9 @@ func TestFlatHoldsNoCopies(t *testing.T) {
 // TestDataShippingGraftsStayPrivate runs the data-shipping force phase over
 // a hand-built world whose ranks read one replicated tree, and again with a
 // tree apiece. Octant 0 is a leaf-cell branch of rank 0, which every other
-// rank fetches without a MAC test, so three ranks graft its particles under
-// the same remote branch; each must pay for its own fetch and leave the
-// shared tree as it found it.
+// rank fetches without a MAC test, so three ranks hold its particles under
+// the same remote branch, each in a section of its own; each must pay for
+// its own fetch and leave the shared tree as it found it.
 func TestDataShippingGraftsStayPrivate(t *testing.T) {
 	set := dist.MustNamed("uniform", 900, 12)
 	for _, ship := range []Shipping{DataShipping, DataShippingNaive} {

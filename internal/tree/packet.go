@@ -19,6 +19,7 @@ const (
 	KindBranch                  // branch cell: the rank's own subtree under it, or as KindTop with reject deferring its grafts
 	KindBranchLeaf              // branch leaf cell: the rank's own subtree under it, or always deferred, no MAC
 	KindClosed                  // summary-only section node: the MAC must accept
+	KindStub                    // internal node whose children have not arrived: as KindInternal, but reject defers the node
 )
 
 // Cols is the structure-of-arrays storage the flat kernel walks: node
@@ -136,8 +137,8 @@ func (p *Packet) Extra(l int) float64 { return p.extra[l] }
 // Stats is lane l's own interaction counts.
 func (p *Packet) Stats(l int) Stats { return Stats{MACTests: p.mac[l], PC: p.pc[l], PP: p.pp[l]} }
 
-// Deferred appends to nodes the remote branch nodes lane l opened during
-// Sweep.Defer, in the order its lone traversal would have met them.
+// Deferred appends to nodes the remote branches (Sweep.Defer) or stubs
+// (Sweep.Below) lane l opened, in the order its lone traversal met them.
 func (p *Packet) Deferred(l int, nodes []int32) []int32 {
 	for _, df := range p.defers {
 		if df.lanes>>l&1 != 0 {
@@ -461,7 +462,8 @@ func (s *Sweep) Defer(p *Packet, n int, root int32) {
 
 // Below sweeps what lies under node base of segment g for the first n
 // lanes of p: the service of a branch whose cell the lanes' requesters
-// already rejected. Function shipping's owner side.
+// already rejected. Function shipping's owner side, and data shipping's
+// over a fetched section, whose stubs Deferred lists.
 func (s *Sweep) Below(p *Packet, n int, g Seg, base int32) {
 	p.lanesOf(n, s.Loads)
 	s.below(p, g, base)
@@ -557,7 +559,8 @@ func (s *Sweep) sweep(w *Packet, g Seg, first, end int32, init float64) {
 			panic("tree: essential-set criterion violated (closed node rejected by MAC)")
 		default:
 			// A deferred branch contributes an explicit zero here (not a
-			// no-op under signed zeros); its sections fold in later.
+			// no-op under signed zeros); its sections fold in later. A
+			// stub's lanes are swept again once its children arrive.
 			df := deferral{node: i}
 			for _, l := range sub.lane[:sub.n] {
 				f.x[l] += 0

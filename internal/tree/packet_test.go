@@ -377,6 +377,99 @@ func TestPacketDeferMatchesForceAllOnLET(t *testing.T) {
 	}
 }
 
+// TestPacketStub sweeps a section whose first internal child is a stub
+// against the same section with that child's subtree in place, one lane
+// at a time, in force mode and in potential mode. A lane that accepts the
+// stub must leave what the whole section leaves — its sum to the bit, its
+// Stats, and every node's Load, the stub charged as the internal node is —
+// and a lane that rejects it must report it, and only it, as deferred.
+func TestPacketStub(t *testing.T) {
+	s := dist.MustNamed("uniform", 400, 4)
+	const leafCap, alpha, eps, degree = 4, 0.67, 0.01, 2
+	tr := BuildKeyed(s.Particles, s.Domain, leafCap)
+	tr.BuildExpansions(degree)
+	x := int32(1)
+	for tr.IsLeaf(x) {
+		x = tr.Skip[x]
+	}
+	var whole, cut Cols
+	addSubtree(&whole, tr, 0)
+	root := AppendNode(&cut, KindInternal, tr.COM(0), tr.Mass[0], tr.Side[0], tr.Exp[0], -1, -1)
+	for ch := int32(1); ch < tr.Skip[0]; ch = tr.Skip[ch] {
+		if ch == x {
+			AppendNode(&cut, KindStub, tr.COM(ch), tr.Mass[ch], tr.Side[ch], tr.Exp[ch], -1, -1)
+			continue
+		}
+		addSubtree(&cut, tr, ch)
+	}
+	cut.Skip[root] = int32(len(cut.Kind))
+	shift := tr.Skip[x] - x - 1 // the stub's missing descendants
+
+	// The set's own particles, and field points far enough out to accept it.
+	query := append([]dist.Particle(nil), s.Particles...)
+	for i := 0; i < 40; i++ {
+		q := s.Particles[i]
+		q.ID, q.Pos = 1000+i, q.Pos.Scale(8)
+		query = append(query, q)
+	}
+	for _, potential := range []bool{false, true} {
+		accepted, deferred := 0, 0
+		var p Packet
+		for _, q := range query {
+			sweep := func(c *Cols) (vec.V3, Stats, []int64, []int32) {
+				sw := Sweep{Secs: []*Cols{c}, Loads: [][]int64{nil, nil, make([]int64, len(c.Kind))}}
+				sw.Begin(alpha, eps, 0, potential)
+				p.SetLane(0, int32(q.ID), q.Pos)
+				sw.Below(&p, 1, SecSeg(0), 0)
+				sum := p.Sum(0)
+				if potential {
+					sum = vec.V3{X: p.Pot(0)}
+				}
+				return sum, p.Stats(0), sw.Loads[2], p.Deferred(0, nil)
+			}
+			want, wantStats, wantLoads, none := sweep(&whole)
+			got, gotStats, gotLoads, stubs := sweep(&cut)
+			if len(none) != 0 {
+				t.Fatalf("the whole section deferred %v", none)
+			}
+			if len(stubs) > 0 {
+				deferred++
+				if len(stubs) != 1 || stubs[0] != x {
+					t.Fatalf("potential=%v particle %d: deferred %v, want [%d]", potential, q.ID, stubs, x)
+				}
+				continue
+			}
+			accepted++
+			same := math.Float64bits(got.X) == math.Float64bits(want.X) &&
+				math.Float64bits(got.Y) == math.Float64bits(want.Y) && math.Float64bits(got.Z) == math.Float64bits(want.Z)
+			if !same || gotStats != wantStats {
+				t.Fatalf("potential=%v particle %d: %v %+v over the stub, %v %+v over the whole", potential, q.ID, got, gotStats, want, wantStats)
+			}
+			for i, v := range wantLoads {
+				j := int32(i)
+				switch {
+				case j > x && j < tr.Skip[x]:
+					if v != 0 {
+						t.Fatalf("potential=%v particle %d: accepted the stub but node %d below it has load %d", potential, q.ID, j, v)
+					}
+					continue
+				case j >= tr.Skip[x]:
+					j -= shift
+				}
+				if gotLoads[j] != v {
+					t.Fatalf("potential=%v particle %d node %d: load %d over the stub, %d over the whole", potential, q.ID, i, gotLoads[j], v)
+				}
+			}
+			if gotLoads[x] == 0 {
+				t.Fatalf("potential=%v particle %d: accepted stub not charged", potential, q.ID)
+			}
+		}
+		if accepted == 0 || deferred == 0 {
+			t.Fatalf("potential=%v: %d lanes accepted the stub, %d deferred it", potential, accepted, deferred)
+		}
+	}
+}
+
 // TestPotentialSweepAllocations: the expansion evaluations of a potential
 // sweep share the packet's one harmonics buffer, so a warmed-up packet
 // sweeps without allocating however many clusters its lanes accept.

@@ -372,8 +372,8 @@ func BuildKeyed(particles []dist.Particle, domain vec.Box, leafCap int) *Tree {
 
 // BuildSubtreeKeyed is BuildKeyed for the subtree of cell key alone, whose
 // root is node 0; rootBox is the global root cell the particle keys are
-// quantized against and the cell boxes halved from. Data shipping builds
-// the leaves it fetches with it.
+// quantized against and the cell boxes halved from. Tests build single
+// subtrees with it.
 func BuildSubtreeKeyed(particles []dist.Particle, rootBox vec.Box, key keys.CellKey, leafCap int) *Tree {
 	t := newTree(rootBox, leafCap)
 	t.AddSubtreeKeyed(particles, key)
@@ -685,8 +685,7 @@ func (t *Tree) Accepts(i int32, pos vec.V3, alpha float64) bool {
 
 // The recursive traversals below are the reference kernel: one particle
 // at a time, children in Morton order. AccelAll and PotentialAll drive
-// them as the tests' oracle for the packet sweep, and data shipping serves
-// its grafted subtrees with AccelFrom and PotentialFrom.
+// them as the tests' oracle for the packet sweep.
 
 // accel descends the subtree under node i accumulating the acceleration
 // at pos and charging each node's Load in loads (the tree's own column,
@@ -773,9 +772,7 @@ func (t *Tree) PotentialAt(pos vec.V3, selfID int, alpha float64, stats *Stats) 
 
 // AccelFrom computes the monopole-approximation acceleration at pos due
 // to the subtree under node i, applying the MAC at every internal node
-// (including i itself). Used by the parallel engines, where a processor
-// serves a shipped particle against the subtree under one of its branch
-// nodes.
+// (including i itself): the oracle of a subtree's service.
 func (t *Tree) AccelFrom(i int32, pos vec.V3, selfID int, alpha, eps float64, stats *Stats) vec.V3 {
 	var s Stats
 	a := t.accel(i, pos, int32(selfID), alpha, eps, &s, t.Load)
