@@ -99,18 +99,42 @@ func codeSectionKind(c *recio.Coder, k *uint8) {
 // empty columns.
 const sectionSize = 72
 
+// reqPartSize is one encoded request particle: a V3, its ID and its
+// entry count.
+const reqPartSize = 32
+
+// checkReqBin fails the decode of a request bin whose particles do not
+// account for its keys exactly: the owner's service would index past
+// them.
+func checkReqBin(c *recio.Coder, v *reqBin) {
+	var sum int64
+	for i, q := range v.Parts {
+		if q.N < 0 {
+			c.R.Fail("parbh: request particle %d has %d entries", i, q.N)
+			return
+		}
+		sum += int64(q.N)
+	}
+	if sum != int64(len(v.Keys)) {
+		c.R.Fail("parbh: request particles hold %d entries, the bin %d keys", sum, len(v.Keys))
+	}
+}
+
 func init() {
 	transport.Register(idWireParticles, func(c *recio.Coder, v *[]wireParticle) {
 		recio.Slice(c, v, particleSize, codeParticle)
 	})
 	transport.Register(idReqBin, func(c *recio.Coder, v *reqBin) {
-		recio.Slice(c, &v.Entries, 8*5, func(c *recio.Coder, e *reqEntry) {
-			c.U64(&e.Key)
-			c.V3(&e.Pos)
-			c.I32(&e.Self)
-			c.I32(&e.Slot)
+		recio.Slice(c, &v.Parts, reqPartSize, func(c *recio.Coder, q *reqPart) {
+			c.V3(&q.Pos)
+			c.I32(&q.Self)
+			c.I32(&q.N)
 		})
+		recio.Slice(c, &v.Keys, 8, (*recio.Coder).U64)
 		c.Bool(&v.More)
+		if c.Decoding {
+			checkReqBin(c, v)
+		}
 	})
 	transport.Register(idShipLog, func(c *recio.Coder, v *shipLog) {
 		c.F64(&v.Start)
@@ -120,7 +144,6 @@ func init() {
 		recio.Slice(c, &v.Served, 4, (*recio.Coder).F64s)
 	})
 	transport.Register(idRepBin, func(c *recio.Coder, v *repBin) {
-		recio.Slice(c, &v.Slots, 4, (*recio.Coder).I32)
 		recio.Slice(c, &v.F, 24, (*recio.Coder).V3)
 		recio.Slice(c, &v.P, 8, (*recio.Coder).F64)
 	})

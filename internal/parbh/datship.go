@@ -56,21 +56,26 @@ type fetchedCell struct {
 // fetchSection is the section of one (branch, owner) slot group, emitted
 // again from the replies whenever a wave adds cells to it.
 type fetchSection struct {
-	let.Section             // BranchKey names the branch
-	owner          int      // the rank it is fetched from
-	branch         int32    // the branch's ordinal in the replicated tree
-	cells          []uint64 // per node: its cell key, which names a stub to its owner
-	slots, blocked []int32  // its slots, in slot order; those still to resolve
-	si             int      // its index in the rank's Flat; -1 until its root arrives
-	grown          bool     // a reply arrived for it since it was last emitted
+	let.Section               // BranchKey names the branch
+	owner          int        // the rank it is fetched from
+	branch         int32      // the branch's ordinal in the replicated tree
+	cells          []uint64   // per node: its cell key, which names a stub to its owner
+	slots, blocked []dataSlot // its slots, in slot order; those still to resolve
+	si             int        // its index in the rank's Flat; -1 until its root arrives
+	grown          bool       // a reply arrived for it since it was last emitted
 }
+
+// dataSlot is one (particle, branch, owner) slot: the particle's index
+// among the rank's, and the entry's in its owner's request — where its
+// value goes for the fold.
+type dataSlot struct{ part, at int32 }
 
 // dataRun is one rank's data-shipping phase.
 type dataRun struct {
 	*shipRun
 	naive  bool
 	secs   []*fetchSection             // in order of their first slot
-	prev   []tree.Stats                // per slot: what its last pass counted
+	prev   [][]tree.Stats              // per owner and entry: what its slot's last pass counted
 	got    map[letPair][]fetchedChild  // replies by (owner, cell key)
 	exps   map[letPair]*phys.Expansion // potential mode: the fetched cells' expansions
 	asked  map[letPair]bool            // DataShipping: this wave's requests
@@ -95,20 +100,32 @@ func (e *Engine) dataShipPhase(pr *msg.Proc, st *localState, res *Result) {
 	pr.Compute(flops)
 
 	p := pr.NumProcs()
-	d := &dataRun{shipRun: r, naive: e.cfg.Shipping == DataShippingNaive, prev: make([]tree.Stats, len(r.sh.shipped)),
+	d := &dataRun{shipRun: r, naive: e.cfg.Shipping == DataShippingNaive, prev: make([][]tree.Stats, p),
 		got: make(map[letPair][]fetchedChild), exps: make(map[letPair]*phys.Expansion), asked: make(map[letPair]bool),
 		asks: make([][]uint64, p), askSec: make([][]*fetchSection, p)}
+	for o, bin := range r.sh.bins {
+		d.prev[o] = make([]tree.Stats, len(bin.Keys))
+	}
+	// The slots in slot order, read with one cursor per owner as fold
+	// reads the replies.
 	of := make(map[letPair]*fetchSection)
-	for slot, ref := range r.sh.shipped {
-		pair := letPair{peer: int(log.Owners[slot]), key: st.flat.branches[ref.branch].cell.Uint64()}
-		s := of[pair]
-		if s == nil {
-			s = &fetchSection{owner: pair.peer, branch: ref.branch, si: -1}
-			s.BranchKey = pair.key
-			of[pair] = s
-			d.secs = append(d.secs, s)
+	clear(r.sh.at)
+	owners := log.Owners
+	for i, n := range log.Ships {
+		for _, o := range owners[:n] {
+			sl := dataSlot{part: int32(i), at: r.sh.at[o]}
+			r.sh.at[o]++
+			pair := letPair{peer: int(o), key: r.sh.bins[o].Keys[sl.at]}
+			s := of[pair]
+			if s == nil {
+				s = &fetchSection{owner: pair.peer, branch: st.flat.ordOf[pair.key], si: -1}
+				s.BranchKey = pair.key
+				of[pair] = s
+				d.secs = append(d.secs, s)
+			}
+			s.slots, s.blocked = append(s.slots, sl), append(s.blocked, sl)
 		}
-		s.slots, s.blocked = append(s.slots, int32(slot)), append(s.blocked, int32(slot))
+		owners = owners[n:]
 	}
 	for d.wave() {
 	}
@@ -117,7 +134,7 @@ func (e *Engine) dataShipPhase(pr *msg.Proc, st *localState, res *Result) {
 		st.letSent[pair] = slices.Compact(sent) // naive: cells asked for more than once
 	}
 	d.final()
-	r.reduce(st.parts, res)
+	r.fold(st.parts, log.Ships, log.Owners, res)
 	e.letReturnLoads(pr, st, r.fl)
 	r.fl.Release()
 	st.forceT = pr.Stats().ComputeTime - t0
@@ -138,8 +155,8 @@ func (d *dataRun) wave() bool {
 			continue
 		}
 		still := s.blocked[:0] // filtered in place: a slot is read before it can be overwritten
-		d.pass(s, s.blocked, func(slot int32, pk *tree.Packet, l int) {
-			now, was := pk.Stats(l), &d.prev[slot]
+		d.pass(s, s.blocked, func(sl dataSlot, pk *tree.Packet, l int) {
+			now, was := pk.Stats(l), &d.prev[s.owner][sl.at]
 			added.Add(tree.Stats{MACTests: now.MACTests - was.MACTests, PC: now.PC - was.PC, PP: now.PP - was.PP})
 			*was = now
 			d.sh.deferred = pk.Deferred(l, d.sh.deferred[:0])
@@ -147,7 +164,7 @@ func (d *dataRun) wave() bool {
 				pending += d.ask(s, s.cells[node])
 			}
 			if len(d.sh.deferred) > 0 {
-				still = append(still, slot)
+				still = append(still, sl)
 			}
 		})
 		s.blocked = still
@@ -300,33 +317,43 @@ func (d *dataRun) leaf(s *fetchSection, c fetchedChild) {
 
 // pass sweeps slots of section s over it, eight to a packet, and calls
 // lane for every slot with the packet and its lane there.
-func (d *dataRun) pass(s *fetchSection, slots []int32, lane func(slot int32, pk *tree.Packet, l int)) {
+func (d *dataRun) pass(s *fetchSection, slots []dataSlot, lane func(sl dataSlot, pk *tree.Packet, l int)) {
 	pk := &d.sh.served
 	for lo := 0; lo < len(slots); lo += 8 {
 		group := slots[lo:min(lo+8, len(slots))]
-		for l, slot := range group {
-			q := &d.st.parts[d.sh.shipped[slot].part]
+		for l, sl := range group {
+			q := &d.st.parts[sl.part]
 			pk.SetLane(l, int32(q.ID), q.Pos)
 		}
 		d.fl.BelowSection(pk, len(group), s.si)
-		for l, slot := range group {
-			lane(slot, pk, l)
+		for l, sl := range group {
+			lane(sl, pk, l)
 		}
 	}
 }
 
 // final sweeps every slot once more over the complete sections, whose Load
-// counters Seal clears of the waves' charges, and files each slot's value
-// and counts: exactly its owner's service.
+// counters Seal clears of the waves' charges, and files each slot's counts
+// and its value — exactly its owner's service — where the owner's reply
+// would have held it.
 func (d *dataRun) final() {
 	d.fl.Seal()
+	force := d.e.cfg.Mode == ForceMode
+	for o, bin := range d.sh.bins {
+		if force {
+			d.sh.reps[o].F = make([]vec.V3, len(bin.Keys))
+		} else {
+			d.sh.reps[o].P = make([]float64, len(bin.Keys))
+		}
+	}
 	for _, s := range d.secs {
-		d.pass(s, s.slots, func(slot int32, pk *tree.Packet, l int) {
+		rep := &d.sh.reps[s.owner]
+		d.pass(s, s.slots, func(sl dataSlot, pk *tree.Packet, l int) {
 			d.st.stats.Add(pk.Stats(l))
-			if d.e.cfg.Mode == ForceMode {
-				d.sh.slotF[slot] = pk.Sum(l)
+			if force {
+				rep.F[sl.at] = pk.Sum(l)
 			} else {
-				d.sh.slotP[slot] = pk.Pot(l)
+				rep.P[sl.at] = pk.Pot(l)
 			}
 		})
 	}

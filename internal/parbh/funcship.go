@@ -1,8 +1,6 @@
 package parbh
 
 import (
-	"slices"
-
 	"repro/internal/dist"
 	"repro/internal/let"
 	"repro/internal/msg"
@@ -32,34 +30,37 @@ import (
 // is decided, and every live rank adopts the clock and Stats its replayed
 // twin ended with.
 
-// reqEntry asks the owner of branch `Key` for the subtree contribution at
-// Pos; Slot identifies where the reply lands at the requester.
-type reqEntry struct {
-	Key  uint64
+// reqPart is one particle of a request bin: its coordinates and ID, and
+// how many of the bin's keys are its entries.
+type reqPart struct {
 	Pos  vec.V3
 	Self int32
-	Slot int32
+	N    int32
 }
 
-// reqEntryWords is the modelled wire size of one entry: three coordinate
-// words (the paper's "three floating point numbers") plus one word of
-// key/slot overhead.
+// reqEntryWords is the modelled wire size of one (particle, branch) entry
+// in the paper's protocol: three coordinate words (the paper's "three
+// floating point numbers") plus one word of key overhead. It is the
+// simulated bin's size, not the host layout, which sends a particle once
+// per owner.
 const reqEntryWords = 4
 
-// reqBin is one round's shipped particles for one destination. More is set
-// while the sender has further rounds to come; a destination is done
-// serving a peer once it has answered the bin that clears it.
+// reqBin is one round's shipped particles for one destination: each
+// particle once, in particle order, followed in Keys by the branch keys of
+// its N entries in ship order. More is set while the sender has further
+// rounds to come; a destination is done serving a peer once it has
+// answered the bin that clears it.
 type reqBin struct {
-	Entries []reqEntry
-	More    bool
+	Parts []reqPart
+	Keys  []uint64
+	More  bool
 }
 
-// repBin carries the computed contributions back; Slots mirrors the
-// request order. Exactly one of F or P is set depending on the mode.
+// repBin carries the computed contributions back, one per key in request
+// order. Exactly one of F or P is set depending on the mode.
 type repBin struct {
-	Slots []int32
-	F     []vec.V3
-	P     []float64
+	F []vec.V3
+	P []float64
 }
 
 // shipLog is what one rank's data plane tells the clock plane: the charge
@@ -97,10 +98,13 @@ func (e *Engine) forcePhase(pr *msg.Proc, st *localState, res *Result) {
 }
 
 // shipRound is how many of its particles a rank sweeps between exchanges:
-// enough that a round's requests to one owner fill packets (≈40 entries a
-// particle over the owners it reaches), few enough that the requests and
-// replies in flight stay a few hundred kilobytes a rank. A multiple of the
-// packet width, so packets hold the same particles whatever the round.
+// enough that a round's requests to one owner fill packets (at
+// dpda_func_p16, 44 entries a particle over the 13 owners it reaches), few
+// enough that the requests and replies in flight stay a few hundred
+// kilobytes a rank (there, 220 KB a round on average and 290 KB at most:
+// 32 B a particle per owner, 8 B a key and 24 B a reply value). A multiple
+// of the packet width, so packets hold the same particles whatever the
+// round.
 const shipRound = 128
 
 // shipScratch is what a rank's function-shipping phase keeps from one step
@@ -111,22 +115,20 @@ type shipScratch struct {
 	own, served tree.Packet
 	deferred    []int32 // one lane's opened branches
 
-	// One round of the rank's own particles: what it ships, in ship order;
-	// the request entries those become, owner o's at [cut[o], cut[o+1]);
-	// what its sweep summed, by index in the round; and the reply values by
-	// slot — F in force mode, P in potential mode. Slots are handed out in
-	// traversal order, so the round's particle i has [slotEnd[i-1],
-	// slotEnd[i]).
-	shipped       []shipRef
-	entries       []reqEntry
-	cut           []int32
-	localF, slotF []vec.V3
-	localP, slotP []float64
-	slotEnd       []int
+	// One round of the rank's own particles: its request to each owner,
+	// each in ship order; what its sweep summed, by index in the round; and
+	// each owner's reply — F in force mode, P in potential mode — with the
+	// fold's cursor into it.
+	bins   []reqBin
+	localF []vec.V3
+	localP []float64
+	reps   []repBin
+	at     []int32
 
 	servedFrom []int // per requester: entries served so far this step
 
 	// Grouping of one served bin by branch.
+	part    []int32   // per entry: its particle's index in the bin's Parts
 	base    []int32   // per entry: its branch's root in the rank's tree, -1 if unknown here
 	fill    []int32   // per tree node: entries counted, then the group's write cursor
 	touched []int32   // branches of the bin, in first-request order
@@ -138,10 +140,6 @@ type shipScratch struct {
 	// phase, so the next step overwrites it in place.
 	log shipLog
 }
-
-// shipRef is one shipped entry before it is addressed: the remote branch
-// cell (its ordinal) and the particle's index in the round.
-type shipRef struct{ branch, part int32 }
 
 // shipRun is the per-processor state of one function-shipping data plane.
 type shipRun struct {
@@ -174,19 +172,21 @@ func (r *shipRun) exchange(res *Result) {
 		hi := min(lo+shipRound, len(parts))
 		// A bin sent within this process is read in place by its owner,
 		// which is done with it once its reply is back: the round is over,
-		// and the next one's sweep may overwrite the entries.
+		// and the next one's sweep may overwrite the bin.
+		ships, owners := len(log.Ships), len(log.Owners)
 		r.sweep(parts[lo:hi])
 		more, replies := hi < len(parts), 0
 		for d := 1; d < p; d++ {
 			o := (me + d) % p
-			bin := r.sh.entries[r.sh.cut[o]:r.sh.cut[o+1]]
-			if len(bin) == 0 && more {
+			bin := r.sh.bins[o]
+			if len(bin.Keys) == 0 && more {
 				continue // nothing to ask and nothing to announce
 			}
-			if len(bin) > 0 {
+			if len(bin.Keys) > 0 {
 				replies++
 			}
-			r.pr.SendOffClock(o, tagRequest, reqBin{Entries: bin, More: more})
+			bin.More = more
+			r.pr.SendOffClock(o, tagRequest, bin)
 		}
 		for replies > 0 {
 			payload, from, tag := r.pr.RecvOffClock(tagRequest, tagReply)
@@ -194,10 +194,10 @@ func (r *shipRun) exchange(res *Result) {
 				serving -= r.serve(payload.(reqBin), from)
 				continue
 			}
-			r.scatter(payload.(repBin))
+			r.sh.reps[from] = payload.(repBin)
 			replies--
 		}
-		r.reduce(parts[lo:hi], res)
+		r.fold(parts[lo:hi], log.Ships[ships:], log.Owners[owners:], res)
 		if !more {
 			break
 		}
@@ -208,14 +208,14 @@ func (r *shipRun) exchange(res *Result) {
 	}
 }
 
-// start readies the rank's log and owner cuts for a step's sweeps and
-// returns the log.
+// start readies the rank's log and per-owner buffers for a step's sweeps
+// and returns the log.
 func (r *shipRun) start() *shipLog {
 	log := &r.sh.log
 	log.Start = r.pr.Now()
 	log.Flops, log.Ships, log.Owners = log.Flops[:0], log.Ships[:0], log.Owners[:0]
-	if p := r.pr.NumProcs(); len(r.sh.cut) != p+2 {
-		r.sh.cut = make([]int32, p+2)
+	if p := r.pr.NumProcs(); len(r.sh.bins) != p {
+		r.sh.bins, r.sh.reps, r.sh.at = make([]reqBin, p), make([]repBin, p), make([]int32, p)
 	}
 	return log
 }
@@ -223,19 +223,17 @@ func (r *shipRun) start() *shipLog {
 // sweep runs the traversal of one round of the rank's own particles, eight
 // at a time in particle order, then reads the packet back one lane — one
 // particle — at a time: its charge is logged, and the branches it opened
-// are shipped in the order its lone traversal would have met them. Slots
-// and the ship sequence are therefore exactly those of a
-// one-particle-at-a-time traversal. The round's shipments then become
-// request entries in one buffer cut per owner (a counting sort, as
-// servePackets groups a bin by branch), each owner's in ship order.
+// are shipped in the order its lone traversal would have met them. The
+// ship sequence is therefore exactly that of a one-particle-at-a-time
+// traversal. Each shipment goes to its owner's request, which takes the
+// particle once and then the branch keys of its entries, in ship order.
 func (r *shipRun) sweep(round []dist.Particle) {
 	sh, st, log := r.sh, r.st, &r.sh.log
 	force, deg := r.e.cfg.Mode == ForceMode, r.e.cfg.degreeOrMonopole()
-	sh.slotEnd = sh.slotEnd[:0]
 	sh.localF, sh.localP = sh.localF[:0], sh.localP[:0]
-	sh.shipped = sh.shipped[:0]
-	clear(sh.cut) // owner o's entries are counted in cut[o+2]
-	slots := 0
+	for o := range sh.bins {
+		sh.bins[o].Parts, sh.bins[o].Keys = sh.bins[o].Parts[:0], sh.bins[o].Keys[:0]
+	}
 	pk := &sh.own
 	for k := 0; k < len(round); k += 8 {
 		n := min(8, len(round)-k)
@@ -257,92 +255,70 @@ func (r *shipRun) sweep(round []dist.Particle) {
 				sh.localP = append(sh.localP, pk.Pot(l))
 			}
 			sh.deferred = pk.Deferred(l, sh.deferred[:0])
-			first := slots
+			ships := 0
 			for _, node := range sh.deferred {
-				b := st.flat.main.Branch(node)
-				for _, o := range st.flat.branches[b].owners {
-					sh.shipped = append(sh.shipped, shipRef{branch: b, part: int32(k + l)})
+				b := st.flat.branches[st.flat.main.Branch(node)]
+				key := b.cell.Uint64()
+				for _, o := range b.owners {
+					bin := &sh.bins[o]
+					if last := len(bin.Parts) - 1; last < 0 || bin.Parts[last].Self != int32(q.ID) {
+						bin.Parts = append(bin.Parts, reqPart{Pos: q.Pos, Self: int32(q.ID)})
+					}
+					bin.Parts[len(bin.Parts)-1].N++
+					bin.Keys = append(bin.Keys, key)
 					log.Owners = append(log.Owners, uint16(o))
-					sh.cut[o+2]++
-					slots++
+					ships++
 				}
 			}
-			log.Ships = append(log.Ships, int32(slots-first))
-			sh.slotEnd = append(sh.slotEnd, slots)
-		}
-	}
-	// Summed, cut[o+1] is where owner o's entries start; it is their write
-	// cursor, so it ends where owner o+1's start, and cut[o] where o's do.
-	for o := 2; o < len(sh.cut); o++ {
-		sh.cut[o] += sh.cut[o-1]
-	}
-	sh.entries = slices.Grow(sh.entries[:0], slots)[:slots]
-	owners := log.Owners[len(log.Owners)-slots:]
-	for slot, ref := range sh.shipped {
-		q, o := &round[ref.part], owners[slot]
-		sh.entries[sh.cut[o+1]] = reqEntry{
-			Key: r.st.flat.branches[ref.branch].cell.Uint64(), Pos: q.Pos, Self: int32(q.ID), Slot: int32(slot),
-		}
-		sh.cut[o+1]++
-	}
-	// Every slot is written by exactly one reply before reduce reads it.
-	if force {
-		sh.slotF = slices.Grow(sh.slotF[:0], slots)[:slots]
-	} else {
-		sh.slotP = slices.Grow(sh.slotP[:0], slots)[:slots]
-	}
-}
-
-// scatter files one reply's values under their slots.
-func (r *shipRun) scatter(rep repBin) {
-	for i, s := range rep.Slots {
-		if rep.F != nil {
-			r.sh.slotF[s] = rep.F[i]
-		} else {
-			r.sh.slotP[s] = rep.P[i]
+			log.Ships = append(log.Ships, int32(ships))
 		}
 	}
 }
 
-// reduce adds a round's remote contributions to its particles' own sums in
+// fold adds a round's remote contributions to its particles' own sums in
 // slot order — the traversal order, independent of which reply came first
-// — and writes the results.
-func (r *shipRun) reduce(round []dist.Particle, res *Result) {
+// — and writes the results. ships and owners are the round's part of the
+// log: a particle's slots name their owners, and each owner's reply holds
+// its values in that owner's ship order, so one cursor per owner reads
+// them. The replies are dropped once read.
+func (r *shipRun) fold(round []dist.Particle, ships []int32, owners []uint16, res *Result) {
 	sh := r.sh
-	s := 0
+	clear(sh.at)
 	for i := range round {
+		slots := owners[:ships[i]]
+		owners = owners[ships[i]:]
 		id := round[i].ID
 		if r.e.cfg.Mode == ForceMode {
 			f := sh.localF[i]
-			for ; s < sh.slotEnd[i]; s++ {
-				f = f.Add(sh.slotF[s])
+			for _, o := range slots {
+				f = f.Add(sh.reps[o].F[sh.at[o]])
+				sh.at[o]++
 			}
 			res.Accels[id] = f
 		} else {
 			phi := sh.localP[i]
-			for ; s < sh.slotEnd[i]; s++ {
-				phi += sh.slotP[s]
+			for _, o := range slots {
+				phi += sh.reps[o].P[sh.at[o]]
+				sh.at[o]++
 			}
 			res.Potentials[id] = phi
 		}
 	}
+	clear(sh.reps)
 }
 
 // serve computes the requested subtree contributions and ships the
 // results back: the essence of function shipping — the computation runs
 // where the data is. It returns 1 if the bin was the requester's last.
 func (r *shipRun) serve(bin reqBin, from int) int {
-	if n := len(bin.Entries); n > 0 {
-		rep := repBin{Slots: make([]int32, n)}
-		for i := range bin.Entries {
-			rep.Slots[i] = bin.Entries[i].Slot
-		}
+	if n := len(bin.Keys); n > 0 {
+		var rep repBin
 		if r.e.cfg.Mode == ForceMode {
 			rep.F = make([]vec.V3, n)
 		} else {
 			rep.P = make([]float64, n)
 		}
-		r.servePackets(bin.Entries, &rep)
+		r.servePackets(bin, &rep)
 		// Whatever rounds the entries came in, the protocol serves them in
 		// bins: the k-th BinSize of them is one message, charged at once.
 		bins := r.sh.log.Served[from]
@@ -370,20 +346,25 @@ func (r *shipRun) serve(bin reqBin, from int) int {
 // rejecting the node. Entries asking for the same branch are swept
 // together, up to eight to a packet, from the branch's root in this rank's
 // tree; every lane is still its entry's lone traversal.
-func (r *shipRun) servePackets(entries []reqEntry, rep *repBin) {
+func (r *shipRun) servePackets(bin reqBin, rep *repBin) {
 	sh := r.sh
-	sh.base, sh.touched = sh.base[:0], sh.touched[:0]
-	for i := range entries {
-		b, ok := r.st.rootsMap[entries[i].Key]
-		if !ok {
-			b = -1
-		} else {
-			if sh.fill[b] == 0 {
-				sh.touched = append(sh.touched, b)
+	sh.part, sh.base, sh.touched = sh.part[:0], sh.base[:0], sh.touched[:0]
+	keys := bin.Keys
+	for j, q := range bin.Parts {
+		for _, key := range keys[:q.N] {
+			b, ok := r.st.rootsMap[key]
+			if !ok {
+				b = -1
+			} else {
+				if sh.fill[b] == 0 {
+					sh.touched = append(sh.touched, b)
+				}
+				sh.fill[b]++
 			}
-			sh.fill[b]++
+			sh.part = append(sh.part, int32(j))
+			sh.base = append(sh.base, b)
 		}
-		sh.base = append(sh.base, b)
+		keys = keys[q.N:]
 	}
 	// Counting sort by branch: fill turns from counts into write cursors,
 	// which end up at each group's end.
@@ -391,9 +372,9 @@ func (r *shipRun) servePackets(entries []reqEntry, rep *repBin) {
 	for _, b := range sh.touched {
 		off, sh.fill[b] = off+sh.fill[b], off
 	}
-	if len(sh.order) < len(entries) {
-		sh.order = make([]int32, len(entries))
-		sh.flops = make([]float64, len(entries))
+	if n := len(bin.Keys); len(sh.order) < n {
+		sh.order = make([]int32, n)
+		sh.flops = make([]float64, n)
 	}
 	for i, b := range sh.base {
 		if b >= 0 {
@@ -410,7 +391,8 @@ func (r *shipRun) servePackets(entries []reqEntry, rep *repBin) {
 		for ; lo < hi; lo += 8 {
 			group := sh.order[lo:min(lo+8, hi)]
 			for l, i := range group {
-				pk.SetLane(l, entries[i].Self, entries[i].Pos)
+				q := &bin.Parts[sh.part[i]]
+				pk.SetLane(l, q.Self, q.Pos)
 			}
 			r.fl.Below(pk, len(group), b)
 			for l, i := range group {

@@ -549,36 +549,83 @@ func TestFuncShipMultiOwnerAndLeafCellBranches(t *testing.T) {
 		cfg := Config{Scheme: SPSA, Mode: m.mode, Degree: m.degree, Alpha: 0.67, Eps: 0.01, LeafCap: 4}
 		for _, binSize := range []int{3, 100} {
 			cfg.BinSize = binSize
-			_, oracleStates := handWorld(t, set, 4, cfg)
-			want := newShipWorld(cfg.withDefaults(), oracleStates, set.N())
-			for _, st := range want.states {
-				st.extraLoad = map[int]float64{}
-			}
-			entries := want.runOracle()
+			want, got, entries, _ := handForcePhase(t, set, 4, cfg)
 			if entries[0][1] == 0 || entries[0][2] == 0 || entries[3][1] == 0 || entries[3][2] == 0 {
 				t.Fatalf("two-owner cell not shipped to both owners: %v", entries)
 			}
 			if countLeafCells(want.states[1], want.states[1].top) == 0 {
 				t.Fatal("no leaf-cell branch in the world")
 			}
-
-			e, states := handWorld(t, set, 4, cfg)
-			got := newShipWorld(e.cfg, states, set.N())
-			res := &Result{Accels: got.accels, Potentials: got.pots}
-			if _, err := e.machine.RunErr(func(pr *msg.Proc) { e.forcePhase(pr, states[pr.ID()], res) }); err != nil {
-				t.Fatal(err)
-			}
 			compareWorlds(t, want, got)
 		}
 	}
 }
 
+// handForcePhase runs the pointer oracle over one handWorld and the
+// engine's force phase over another built alike, and returns what each
+// left, the entries each (requester, owner) pair exchanged, and the
+// engine.
+func handForcePhase(t *testing.T, set *dist.Set, p int, cfg Config) (want, got *shipWorld, entries [][]int, e *Engine) {
+	t.Helper()
+	_, oracleStates := handWorld(t, set, p, cfg)
+	want = newShipWorld(cfg.withDefaults(), oracleStates, set.N())
+	for _, st := range want.states {
+		st.extraLoad = map[int]float64{}
+	}
+	entries = want.runOracle()
+	e, states := handWorld(t, set, p, cfg)
+	got = newShipWorld(e.cfg, states, set.N())
+	res := &Result{Accels: got.accels, Potentials: got.pots}
+	if _, err := e.machine.RunErr(func(pr *msg.Proc) { e.forcePhase(pr, states[pr.ID()], res) }); err != nil {
+		t.Fatal(err)
+	}
+	return want, got, entries, e
+}
+
+// TestFuncShipInterleavedOwnersFoldInSlotOrder holds the requester's fold
+// to slot order when a particle's slots alternate between owners. In
+// handWorld on four ranks, octants 1 and 5 belong to rank 1 and octant 2
+// to rank 2, so a rank-0 particle that opens all three ships to owners
+// 1, 2, 1 — and each owner's reply holds that particle's values
+// contiguously. Adding them owner by owner instead of slot by slot rounds
+// differently, and the accelerations and potentials must be the oracle's
+// to the bit.
+func TestFuncShipInterleavedOwnersFoldInSlotOrder(t *testing.T) {
+	set := dist.MustNamed("uniform", 900, 12)
+	for _, m := range shipModes {
+		cfg := Config{Scheme: SPSA, Mode: m.mode, Degree: m.degree, Alpha: 0.67, Eps: 0.01, LeafCap: 4}
+		want, got, _, e := handForcePhase(t, set, 4, cfg)
+		if interleavedParticles(&e.ship[0].log) == 0 {
+			t.Fatalf("%s: no rank-0 particle ships to one owner, then another, then the first again", m.name)
+		}
+		compareWorlds(t, want, got)
+	}
+}
+
+// interleavedParticles counts the particles of log whose slots go to some
+// owner A, then another owner, then A again.
+func interleavedParticles(log *shipLog) int {
+	n, owners := 0, log.Owners
+	for _, ships := range log.Ships {
+		slots := owners[:ships]
+		owners = owners[ships:]
+		for i, a := range slots {
+			if j := slices.IndexFunc(slots[i+1:], func(o uint16) bool { return o != a }); j >= 0 &&
+				slices.Contains(slots[i+1+j:], a) {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
 // TestFuncShipServeGroupsAndEmptyBranch calls the owner-side service
 // directly with one bin whose entries — interleaved, as a requester's
-// particles interleave them — form key groups of 1, 8 and 9 (a lone lane,
-// exactly one full packet, a full packet plus one), plus requests for a
-// branch this rank does not have, into a reply buffer full of stale
-// values.
+// particles interleave them, one to four of them a particle — form key
+// groups of 1, 8 and 9 (a lone lane, exactly one full packet, a full packet
+// plus one), plus requests for a branch this rank does not have, into a
+// reply buffer full of stale values.
 func TestFuncShipServeGroupsAndEmptyBranch(t *testing.T) {
 	set := dist.MustNamed("uniform", 600, 5)
 	for _, m := range shipModes {
@@ -589,24 +636,37 @@ func TestFuncShipServeGroupsAndEmptyBranch(t *testing.T) {
 		if len(st.branches) < 3 {
 			t.Fatalf("only %d branches", len(st.branches))
 		}
-		var entries []reqEntry
+		type entry struct {
+			key uint64
+			q   dist.Particle
+		}
+		var entries []entry
+		var bin reqBin
 		add := func(key uint64, i int) {
 			q := set.Particles[(37*i+11)%set.N()]
-			entries = append(entries, reqEntry{Key: key, Pos: q.Pos, Self: int32(q.ID), Slot: int32(len(entries))})
+			entries = append(entries, entry{key, q})
+			if last := len(bin.Parts) - 1; last < 0 || bin.Parts[last].Self != int32(q.ID) {
+				bin.Parts = append(bin.Parts, reqPart{Pos: q.Pos, Self: int32(q.ID)})
+			}
+			bin.Parts[len(bin.Parts)-1].N++
+			bin.Keys = append(bin.Keys, key)
 		}
 		const missing = ^uint64(0)
 		ka, kb, kc := st.tree.Key[st.branches[0]], st.tree.Key[st.branches[1]], st.tree.Key[st.branches[2]]
 		for i := 0; i < 9; i++ {
 			add(kc, i)
 			if i < 8 {
-				add(kb, 100+i)
+				add(kb, i)
 			}
 			if i == 4 {
-				add(ka, 200)
-				add(missing, 300)
+				add(ka, i)
+				add(missing, i)
 			}
 		}
 		add(missing, 301)
+		if len(bin.Parts) != 10 {
+			t.Fatalf("%d request particles, want 10", len(bin.Parts))
+		}
 
 		pot := m.mode == PotentialMode
 		var rep repBin
@@ -623,7 +683,7 @@ func TestFuncShipServeGroupsAndEmptyBranch(t *testing.T) {
 		}
 		r := &shipRun{e: e, st: st, sh: &e.ship[0]}
 		r.flatten()
-		r.servePackets(entries, &rep)
+		r.servePackets(bin, &rep)
 		var charged float64
 		for _, c := range r.sh.flops[:len(entries)] {
 			charged += c
@@ -635,12 +695,12 @@ func TestFuncShipServeGroupsAndEmptyBranch(t *testing.T) {
 			wantFlops += ost.lookup.cost()
 			var want, got vec.V3 // a potential rides in X
 			var s tree.Stats
-			switch node := ost.lookup.find(en.Key); {
+			switch node := ost.lookup.find(en.key); {
 			case node < 0:
 			case pot:
-				want.X = servePot(ost.tree, node, en.Pos, int(en.Self), e.cfg.Alpha, &s)
+				want.X = servePot(ost.tree, node, en.q.Pos, en.q.ID, e.cfg.Alpha, &s)
 			default:
-				want = serveForce(ost.tree, node, en.Pos, int(en.Self), e.cfg.Alpha, e.cfg.Eps, &s)
+				want = serveForce(ost.tree, node, en.q.Pos, en.q.ID, e.cfg.Alpha, e.cfg.Eps, &s)
 			}
 			ost.stats.Add(s)
 			wantFlops += s.Flops(e.cfg.degreeOrMonopole())
@@ -650,7 +710,7 @@ func TestFuncShipServeGroupsAndEmptyBranch(t *testing.T) {
 				got = rep.F[i]
 			}
 			if !bitsEqual(got, want) {
-				t.Fatalf("%s: entry %d (key %x): reply %v, oracle %v", m.name, i, en.Key, got, want)
+				t.Fatalf("%s: entry %d (key %x): reply %v, oracle %v", m.name, i, en.key, got, want)
 			}
 		}
 		if st.stats != ost.stats || charged != wantFlops {

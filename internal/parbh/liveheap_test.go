@@ -23,7 +23,16 @@ import (
 // own high-water mark. With one top tree per process it read ≈ 58 MB, of
 // which ≈ 9 MB were every rank's own flattened copy of that tree. With one
 // flattened main region per process, which every rank's flat tree only
-// references, it reads ≈ 46.7 MB; the bound is that plus 10 %.
+// references, it read 46.7–48.0 MB. With requests that carry a particle
+// once per owner and then its branch keys, and replies that carry only
+// values, it reads 32.0–32.1 MB (GOMAXPROCS 1 to 4), 6.4 KB a particle;
+// the bound is that plus 10 %.
+//
+// p16-func is the shape of the ledger's dpda_func_p16: DPDA with function
+// shipping on 16 ranks, 20 000 particles, α = 0.67, force mode. It read
+// 26.1 MB while a request held a 40 B entry per (particle, branch) pair
+// and the requester a ship record and a slot value beside it; it reads
+// 20.6–20.7 MB (GOMAXPROCS 1 to 4); the bound is that plus 10 %.
 //
 // p8-let is the shape of the ledger's service_frames_tail: DPDA with LET
 // on 8 ranks, 40 000 particles, α = 1, force mode, where each rank's
@@ -40,7 +49,9 @@ func TestEngineLiveHeap(t *testing.T) {
 		boundMB float64
 	}{
 		{"p64-potential", dist.MustNamed("g", 5000, 7), 64,
-			Config{Scheme: DPDA, Mode: PotentialMode, Degree: 4, Alpha: 0.67}, 51.5},
+			Config{Scheme: DPDA, Mode: PotentialMode, Degree: 4, Alpha: 0.67}, 35.3},
+		{"p16-func", dist.MustNamed("g", 20000, 1994), 16,
+			Config{Scheme: DPDA, Mode: ForceMode, Alpha: 0.67, Eps: 0.01}, 22.8},
 		{"p8-let", dist.MustNamed("g", 40000, 1994), 8,
 			Config{Scheme: DPDA, Mode: ForceMode, Alpha: 1, Eps: 0.01, Shipping: LETShipping}, 27.5},
 	} {

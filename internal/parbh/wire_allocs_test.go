@@ -16,16 +16,19 @@ func TestWireRoundTripAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const n = 128
-	req := reqBin{Entries: make([]reqEntry, n), More: true}
-	rep := repBin{Slots: make([]int32, n), F: make([]vec.V3, n)}
+	req := reqBin{Parts: make([]reqPart, n/4), Keys: make([]uint64, n), More: true}
+	for i := range req.Parts {
+		req.Parts[i].N = 4
+	}
+	rep := repBin{F: make([]vec.V3, n)}
 	parts := make([]wireParticle, n)
 	cases := []struct {
 		name string
 		v    any
 		max  float64
 	}{
-		{"reqBin", req, 17},
-		{"repBin", rep, 17},
+		{"reqBin", req, 16},
+		{"repBin", rep, 16},
 		{"wireParticles", parts, 19},
 	}
 	for _, tc := range cases {
@@ -38,6 +41,7 @@ func TestWireRoundTripAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+		t.Logf("%s: %.0f allocs per round trip", tc.name, got)
 		if got > tc.max {
 			t.Errorf("%s: %.0f allocs per round trip, at most %.0f before", tc.name, got, tc.max)
 		}
