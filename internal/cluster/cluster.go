@@ -329,9 +329,6 @@ func (c *Coordinator) runStep(eng *parbh.Engine) (*parbh.Result, error) {
 // rebuilding; Shutdown remains the graceful path.
 func (c *Coordinator) Abort(err error) { c.link.Abort(err) }
 
-// Epoch returns the last job epoch issued by this coordinator.
-func (c *Coordinator) Epoch() uint32 { return c.epoch }
-
 // Shutdown releases the worker processes (they exit Serve) and closes
 // the coordinator's link.
 func (c *Coordinator) Shutdown() error {

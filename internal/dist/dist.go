@@ -57,13 +57,6 @@ func (s *Set) CenterOfMass() vec.V3 {
 	return com.Scale(1 / m)
 }
 
-// Clone returns a deep copy of the set.
-func (s *Set) Clone() *Set {
-	c := &Set{Domain: s.Domain, Particles: make([]Particle, len(s.Particles))}
-	copy(c.Particles, s.Particles)
-	return c
-}
-
 // Positions returns the particle positions as a fresh slice.
 func (s *Set) Positions() []vec.V3 {
 	ps := make([]vec.V3, len(s.Particles))

@@ -182,15 +182,6 @@ func TestIrregularityOrdering(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	s := Uniform(10, vec.NewBox(vec.V3{}, vec.V3{X: 1, Y: 1, Z: 1}), 0)
-	c := s.Clone()
-	c.Particles[0].Pos = vec.V3{X: 99}
-	if s.Particles[0].Pos == c.Particles[0].Pos {
-		t.Fatal("Clone shares particle storage")
-	}
-}
-
 func TestMustNamedPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

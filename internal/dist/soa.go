@@ -57,11 +57,6 @@ func (c *Particles) At(i int) Particle {
 	}
 }
 
-// Pos reconstructs the position at index i.
-func (c *Particles) Pos(i int) vec.V3 {
-	return vec.V3{X: c.PosX[i], Y: c.PosY[i], Z: c.PosZ[i]}
-}
-
 // Scatter transposes the columns back into out, which must have length
 // Len().
 func (c *Particles) Scatter(out []Particle) {

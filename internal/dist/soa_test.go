@@ -26,9 +26,6 @@ func TestParticlesRoundTrip(t *testing.T) {
 		if c.At(i) != ps[i] {
 			t.Fatalf("At(%d) = %+v, want %+v", i, c.At(i), ps[i])
 		}
-		if c.Pos(i) != ps[i].Pos {
-			t.Fatalf("Pos(%d) = %v, want %v", i, c.Pos(i), ps[i].Pos)
-		}
 	}
 	out := make([]Particle, len(ps))
 	c.Scatter(out)

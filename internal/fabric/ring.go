@@ -49,15 +49,6 @@ func NewRing(shards map[int]string) *Ring {
 	return r
 }
 
-// Len returns the number of distinct shards on the ring.
-func (r *Ring) Len() int {
-	seen := map[int]bool{}
-	for _, p := range r.points {
-		seen[p.shard] = true
-	}
-	return len(seen)
-}
-
 // Successors returns up to max distinct shard IDs clockwise from h: the
 // key's owner first, then its failover order. An empty ring returns nil.
 func (r *Ring) Successors(h uint64, max int) []int {
@@ -75,15 +66,6 @@ func (r *Ring) Successors(h uint64, max int) []int {
 		}
 	}
 	return out
-}
-
-// Owner returns the shard owning h, or -1 on an empty ring.
-func (r *Ring) Owner(h uint64) int {
-	s := r.Successors(h, 1)
-	if len(s) == 0 {
-		return -1
-	}
-	return s[0]
 }
 
 // hashKey maps a string key onto the ring: FNV-1a followed by a 64-bit

@@ -5,13 +5,22 @@ import (
 	"testing"
 )
 
+// owner is the shard the gateway routes h to: the first successor, or -1
+// on an empty ring.
+func owner(r *Ring, h uint64) int {
+	if s := r.Successors(h, 1); len(s) > 0 {
+		return s[0]
+	}
+	return -1
+}
+
 func TestRingDeterministic(t *testing.T) {
 	shards := map[int]string{0: "a", 1: "b", 2: "c"}
 	r1 := NewRing(shards)
 	r2 := NewRing(shards)
 	for i := 0; i < 100; i++ {
 		h := hashKey(fmt.Sprintf("key-%d", i))
-		if r1.Owner(h) != r2.Owner(h) {
+		if owner(r1, h) != owner(r2, h) {
 			t.Fatalf("key %d: owners differ between identical rings", i)
 		}
 	}
@@ -22,7 +31,7 @@ func TestRingSpread(t *testing.T) {
 	counts := map[int]int{}
 	const keys = 3000
 	for i := 0; i < keys; i++ {
-		counts[r.Owner(hashKey(fmt.Sprintf("key-%d", i)))]++
+		counts[owner(r, hashKey(fmt.Sprintf("key-%d", i)))]++
 	}
 	for id, c := range counts {
 		frac := float64(c) / keys
@@ -63,8 +72,8 @@ func TestRingStabilityUnderRemoval(t *testing.T) {
 	const keys = 2000
 	for i := 0; i < keys; i++ {
 		h := hashKey(fmt.Sprintf("key-%d", i))
-		before := full.Owner(h)
-		after := reduced.Owner(h)
+		before := owner(full, h)
+		after := owner(reduced, h)
 		if before != 1 && before != after {
 			t.Fatalf("key %d moved from surviving shard %d to %d", i, before, after)
 		}
@@ -87,7 +96,7 @@ func TestRingIdentityIsName(t *testing.T) {
 	after := NewRing(map[int]string{0: "a", 7: "b", 2: "c"}) // "b" reconnected as session 7
 	for i := 0; i < 500; i++ {
 		h := hashKey(fmt.Sprintf("key-%d", i))
-		b, a := before.Owner(h), after.Owner(h)
+		b, a := owner(before, h), owner(after, h)
 		if b == 1 {
 			if a != 7 {
 				t.Fatalf("key %d: owner was b(1), now %d; want b(7)", i, a)
@@ -102,7 +111,7 @@ func TestRingIdentityIsName(t *testing.T) {
 
 func TestRingEmpty(t *testing.T) {
 	r := NewRing(nil)
-	if got := r.Owner(42); got != -1 {
+	if got := owner(r, 42); got != -1 {
 		t.Fatalf("empty ring owner = %d, want -1", got)
 	}
 	if s := r.Successors(42, 3); s != nil {

@@ -95,7 +95,7 @@ func TestFMMLinearity(t *testing.T) {
 	// Doubling every mass doubles every potential.
 	set := dist.MustNamed("g", 800, 5)
 	got1, _ := Potentials(set.Particles, set.Domain, Config{Degree: 4})
-	heavy := set.Clone()
+	heavy := &dist.Set{Domain: set.Domain, Particles: append([]dist.Particle(nil), set.Particles...)}
 	for i := range heavy.Particles {
 		heavy.Particles[i].Mass *= 2
 	}

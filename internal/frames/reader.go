@@ -68,11 +68,6 @@ func (r *Reader) Close() error { return r.f.Close() }
 // clean-close marker (index record) rather than a live or torn tail.
 func (r *Reader) CleanEOF() bool { return r.clean }
 
-// Offset is the byte offset of the next unread record — after a scan to
-// io.EOF it is the exact end of the valid chain, which is where
-// OpenAppend truncates and resumes.
-func (r *Reader) Offset() int64 { return r.off }
-
 // loadTrailerIndex opportunistically loads the clean-close index. Any
 // validation failure leaves the reader in scan-fallback mode; a crashed
 // or truncated file is normal, not an error.
@@ -161,15 +156,6 @@ func (r *Reader) Next(f *Frame) error {
 	copyFrame(r.prev, f)
 	r.off += recLen
 	return nil
-}
-
-// Index returns the sparse keyframe index (step, offset) in file order,
-// building it with a header scan if the file lacks a clean trailer.
-func (r *Reader) Index() ([]IndexEntry, error) {
-	if err := r.ensureIndex(); err != nil {
-		return nil, err
-	}
-	return append([]IndexEntry(nil), r.index...), nil
 }
 
 // ensureIndex builds the keyframe index by scanning record headers.

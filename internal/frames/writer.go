@@ -137,9 +137,6 @@ func (w *Writer) Sync() error { return w.f.Sync() }
 // fsynced.
 func (w *Writer) Size() int64 { return w.size }
 
-// Steps is the number of keyframes currently indexed.
-func (w *Writer) Keyframes() int { return len(w.index) }
-
 // KeyframeRecord returns the raw bytes (header, body, CRC) of the record
 // the last Append wrote if it was a keyframe, else nil. The slice is the
 // writer's append buffer, valid until the next Append or Close; callers

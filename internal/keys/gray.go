@@ -8,24 +8,6 @@ import "fmt"
 // subdomains mapped to neighbouring processors.
 func Gray(i uint) uint { return i ^ (i >> 1) }
 
-// GrayInverse returns the index whose gray code is g.
-func GrayInverse(g uint) uint {
-	i := g
-	for shift := uint(1); shift < 64; shift <<= 1 {
-		i ^= i >> shift
-	}
-	return i
-}
-
-// GrayBits returns the p-th entry of the gray-code table formed from q
-// bits — the paper's gray(p, q). It panics when p does not fit in q bits.
-func GrayBits(p, q uint) uint {
-	if q < 64 && p >= 1<<q {
-		panic(fmt.Sprintf("keys: gray(%d, %d): index out of range", p, q))
-	}
-	return Gray(p)
-}
-
 // ScatterMap implements the SPSA scheme's modular (scatter) assignment of
 // an r = rx × ry × rz grid of subdomains onto a hypercube of 2^d
 // processors: subdomain (i, j) goes to processor
@@ -34,10 +16,9 @@ func GrayBits(p, q uint) uint {
 // neighbouring processors, and each processor receives an equal number of
 // subdomains scattered across the domain.
 type ScatterMap struct {
-	dims    [3]uint // grid size per dimension (power of two)
-	bits    [3]uint // log2 of dims
-	pbits   [3]uint // processor address bits consumed per dimension
-	numProc int
+	dims  [3]uint // grid size per dimension (power of two)
+	bits  [3]uint // log2 of dims
+	pbits [3]uint // processor address bits consumed per dimension
 }
 
 // NewScatterMap builds a scatter map for an rx × ry × rz grid of
@@ -46,7 +27,7 @@ type ScatterMap struct {
 // processor address bits are split across the dimensions as evenly as the
 // grid allows (the paper's d/2 split generalized).
 func NewScatterMap(rx, ry, rz, p int) (*ScatterMap, error) {
-	m := &ScatterMap{numProc: p}
+	m := &ScatterMap{}
 	for i, r := range []int{rx, ry, rz} {
 		if r <= 0 || r&(r-1) != 0 {
 			return nil, fmt.Errorf("keys: grid dimension %d is not a positive power of two", r)
@@ -112,18 +93,4 @@ func (m *ScatterMap) Proc(i, j, k int) int {
 		shift += pb
 	}
 	return int(proc)
-}
-
-// NumProcs returns the processor count of the map.
-func (m *ScatterMap) NumProcs() int { return m.numProc }
-
-// Dims returns the subdomain grid size.
-func (m *ScatterMap) Dims() (rx, ry, rz int) {
-	return int(m.dims[0]), int(m.dims[1]), int(m.dims[2])
-}
-
-// PerProc returns the number of subdomains assigned to each processor
-// (k = r/p in the paper).
-func (m *ScatterMap) PerProc() int {
-	return int(m.dims[0]*m.dims[1]*m.dims[2]) / m.numProc
 }

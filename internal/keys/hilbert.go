@@ -6,8 +6,8 @@ package keys
 // Both are provided so the orderings can be compared as an ablation.
 //
 // The implementation is Skilling's transpose algorithm (AIP Conf. Proc.
-// 707, 2004): it converts between an n-dimensional coordinate tuple and
-// the Hilbert index in place, using only bit operations.
+// 707, 2004): it turns an n-dimensional coordinate tuple into the
+// Hilbert index in place, using only bit operations.
 
 // hilbertAxesToTranspose converts coordinates (in place) into the
 // "transposed" Hilbert index: bit b of the index is spread across the
@@ -43,32 +43,6 @@ func hilbertAxesToTranspose(x []uint32, bits uint) {
 	}
 }
 
-// hilbertTransposeToAxes is the inverse of hilbertAxesToTranspose.
-func hilbertTransposeToAxes(x []uint32, bits uint) {
-	n := uint(len(x))
-	m := uint32(2) << (bits - 1)
-	// Gray decode by H ^ (H/2).
-	t := x[n-1] >> 1
-	for i := n - 1; i > 0; i-- {
-		x[i] ^= x[i-1]
-	}
-	x[0] ^= t
-	// Undo excess work.
-	for q := uint32(2); q != m; q <<= 1 {
-		p := q - 1
-		for i := n; i > 0; i-- {
-			j := i - 1
-			if x[j]&q != 0 {
-				x[0] ^= p
-			} else {
-				tt := (x[0] ^ x[j]) & p
-				x[0] ^= tt
-				x[j] ^= tt
-			}
-		}
-	}
-}
-
 // HilbertEncode3 returns the Hilbert index of the 3-D lattice point
 // (x, y, z) on a curve with `bits` bits per dimension (bits ≤ 21).
 func HilbertEncode3(x, y, z uint32, bits uint) uint64 {
@@ -89,22 +63,6 @@ func HilbertEncode3(x, y, z uint32, bits uint) uint64 {
 	return h
 }
 
-// HilbertDecode3 is the inverse of HilbertEncode3.
-func HilbertDecode3(h uint64, bits uint) (x, y, z uint32) {
-	if bits == 0 || bits > MaxBits3D {
-		panic("keys: HilbertDecode3 bits out of range")
-	}
-	ax := make([]uint32, 3)
-	for b := 0; b < int(bits); b++ {
-		for i := 2; i >= 0; i-- {
-			ax[i] |= uint32(h&1) << uint(b)
-			h >>= 1
-		}
-	}
-	hilbertTransposeToAxes(ax, bits)
-	return ax[0], ax[1], ax[2]
-}
-
 // HilbertEncode2 returns the Hilbert index of a 2-D lattice point on a
 // curve with `bits` bits per dimension (bits ≤ 31).
 func HilbertEncode2(x, y uint32, bits uint) uint64 {
@@ -120,20 +78,4 @@ func HilbertEncode2(x, y uint32, bits uint) uint64 {
 		}
 	}
 	return h
-}
-
-// HilbertDecode2 is the inverse of HilbertEncode2.
-func HilbertDecode2(h uint64, bits uint) (x, y uint32) {
-	if bits == 0 || bits > MaxBits2D {
-		panic("keys: HilbertDecode2 bits out of range")
-	}
-	ax := make([]uint32, 2)
-	for b := 0; b < int(bits); b++ {
-		for i := 1; i >= 0; i-- {
-			ax[i] |= uint32(h&1) << uint(b)
-			h >>= 1
-		}
-	}
-	hilbertTransposeToAxes(ax, bits)
-	return ax[0], ax[1]
 }

@@ -1,6 +1,7 @@
 package keys
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -22,15 +23,21 @@ func TestMorton3RoundTrip(t *testing.T) {
 	}
 }
 
+// TestMorton2RoundTrip checks that Encode2 can be inverted: it maps a
+// full 2^b × 2^b grid one to one onto [0, 4^b).
 func TestMorton2RoundTrip(t *testing.T) {
-	f := func(x, y uint32) bool {
-		x &= 1<<MaxBits2D - 1
-		y &= 1<<MaxBits2D - 1
-		gx, gy := Decode2(Encode2(x, y))
-		return gx == x && gy == y
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
+	for _, bits := range []uint{1, 3, 7} {
+		side := uint32(1) << bits
+		seen := make([]bool, side*side)
+		for x := uint32(0); x < side; x++ {
+			for y := uint32(0); y < side; y++ {
+				m := Encode2(x, y)
+				if m >= Morton(len(seen)) || seen[m] {
+					t.Fatalf("bits=%d: Encode2(%d, %d) = %d is out of range or taken", bits, x, y, m)
+				}
+				seen[m] = true
+			}
+		}
 	}
 }
 
@@ -106,8 +113,8 @@ func TestCellKeyChildParent(t *testing.T) {
 	if p.Octant() != 2 || p.Level != 2 {
 		t.Fatalf("parent = %+v", p)
 	}
-	if !root.Contains(c) || !p.Contains(c) || c.Contains(p) {
-		t.Fatal("Contains relation wrong")
+	if p.Parent().Parent() != root {
+		t.Fatalf("grandparent of %+v = %+v", p, p.Parent().Parent())
 	}
 	defer func() {
 		if recover() == nil {
@@ -209,24 +216,15 @@ func TestGrayCode(t *testing.T) {
 			t.Fatalf("Gray(%d)^Gray(%d) = %b", i, i-1, diff)
 		}
 	}
-	// GrayInverse inverts Gray.
+	// Gray permutes [0, 2^b), so every code has exactly one position.
+	seen := make([]bool, 4096)
 	for i := uint(0); i < 4096; i++ {
-		if GrayInverse(Gray(i)) != i {
-			t.Fatalf("GrayInverse(Gray(%d)) = %d", i, GrayInverse(Gray(i)))
+		g := Gray(i)
+		if g >= 4096 || seen[g] {
+			t.Fatalf("Gray(%d) = %d is out of range or taken", i, g)
 		}
+		seen[g] = true
 	}
-}
-
-func TestGrayBitsRange(t *testing.T) {
-	if GrayBits(3, 2) != Gray(3) {
-		t.Fatal("GrayBits mismatch")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("GrayBits out of range did not panic")
-		}
-	}()
-	GrayBits(4, 2)
 }
 
 func TestScatterMapBalance(t *testing.T) {
@@ -247,10 +245,7 @@ func TestScatterMapBalance(t *testing.T) {
 			}
 		}
 	}
-	want := m.PerProc()
-	if want != 8 {
-		t.Fatalf("PerProc = %d", want)
-	}
+	const want = 8 * 8 * 8 / 64
 	for p, c := range counts {
 		if c != want {
 			t.Fatalf("proc %d got %d subdomains, want %d", p, c, want)
@@ -289,71 +284,109 @@ func TestScatterMapErrors(t *testing.T) {
 	}
 }
 
+// hilbertCells3 lists the cells of the full 2^bits lattice in Hilbert
+// order. It fails unless HilbertEncode3 maps the lattice one to one onto
+// [0, 8^bits), which is what makes the index decodable.
+func hilbertCells3(t *testing.T, bits uint) [][3]uint32 {
+	t.Helper()
+	side := uint32(1) << bits
+	cells := make([][3]uint32, side*side*side)
+	seen := make([]bool, len(cells))
+	for x := uint32(0); x < side; x++ {
+		for y := uint32(0); y < side; y++ {
+			for z := uint32(0); z < side; z++ {
+				h := HilbertEncode3(x, y, z, bits)
+				if h >= uint64(len(cells)) || seen[h] {
+					t.Fatalf("bits=%d: HilbertEncode3(%d, %d, %d) = %d is out of range or taken", bits, x, y, z, h)
+				}
+				seen[h] = true
+				cells[h] = [3]uint32{x, y, z}
+			}
+		}
+	}
+	return cells
+}
+
+// hilbertCells2 is hilbertCells3 for HilbertEncode2.
+func hilbertCells2(t *testing.T, bits uint) [][2]uint32 {
+	t.Helper()
+	side := uint32(1) << bits
+	cells := make([][2]uint32, side*side)
+	seen := make([]bool, len(cells))
+	for x := uint32(0); x < side; x++ {
+		for y := uint32(0); y < side; y++ {
+			h := HilbertEncode2(x, y, bits)
+			if h >= uint64(len(cells)) || seen[h] {
+				t.Fatalf("bits=%d: HilbertEncode2(%d, %d) = %d is out of range or taken", bits, x, y, h)
+			}
+			seen[h] = true
+			cells[h] = [2]uint32{x, y}
+		}
+	}
+	return cells
+}
+
+// TestHilbert3RoundTrip checks that HilbertEncode3 can be inverted: over
+// full lattices it is one to one onto its index range.
 func TestHilbert3RoundTrip(t *testing.T) {
-	for _, bits := range []uint{1, 2, 5, 10, 21} {
-		mask := uint32(1)<<bits - 1
-		f := func(x, y, z uint32) bool {
-			x &= mask
-			y &= mask
-			z &= mask
-			gx, gy, gz := HilbertDecode3(HilbertEncode3(x, y, z, bits), bits)
-			return gx == x && gy == y && gz == z
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-			t.Fatalf("bits=%d: %v", bits, err)
-		}
+	for bits := uint(1); bits <= 5; bits++ {
+		hilbertCells3(t, bits)
 	}
 }
 
+// TestHilbert2RoundTrip is TestHilbert3RoundTrip for HilbertEncode2.
 func TestHilbert2RoundTrip(t *testing.T) {
-	for _, bits := range []uint{1, 4, 16, 31} {
-		mask := uint32(1)<<bits - 1
-		f := func(x, y uint32) bool {
-			x &= mask
-			y &= mask
-			gx, gy := HilbertDecode2(HilbertEncode2(x, y, bits), bits)
-			return gx == x && gy == y
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-			t.Fatalf("bits=%d: %v", bits, err)
-		}
+	for bits := uint(1); bits <= 7; bits++ {
+		hilbertCells2(t, bits)
 	}
 }
 
 func TestHilbertIsBijection(t *testing.T) {
-	// On a small lattice, all indices are distinct and cover 0..n³-1.
-	const bits = 3
-	seen := make(map[uint64]bool)
-	for x := uint32(0); x < 8; x++ {
-		for y := uint32(0); y < 8; y++ {
-			for z := uint32(0); z < 8; z++ {
-				h := HilbertEncode3(x, y, z, bits)
-				if h >= 512 {
-					t.Fatalf("index %d out of range", h)
-				}
-				if seen[h] {
-					t.Fatalf("duplicate index %d", h)
-				}
-				seen[h] = true
+	// On the 8³ lattice, all indices are distinct and cover 0..511.
+	if cells := hilbertCells3(t, 3); len(cells) != 512 {
+		t.Fatalf("%d cells", len(cells))
+	}
+}
+
+func TestHilbertContinuity(t *testing.T) {
+	// Consecutive Hilbert indices are face-adjacent lattice points
+	// (Manhattan distance exactly 1): the property Morton lacks.
+	for bits := uint(1); bits <= 4; bits++ {
+		cells := hilbertCells3(t, bits)
+		for h := 1; h < len(cells); h++ {
+			a, b := cells[h-1], cells[h]
+			if d := absDiff(a[0], b[0]) + absDiff(a[1], b[1]) + absDiff(a[2], b[2]); d != 1 {
+				t.Fatalf("bits=%d: 3-D indices %d and %d are %d apart", bits, h-1, h, d)
+			}
+		}
+	}
+	for bits := uint(1); bits <= 6; bits++ {
+		cells := hilbertCells2(t, bits)
+		for h := 1; h < len(cells); h++ {
+			a, b := cells[h-1], cells[h]
+			if d := absDiff(a[0], b[0]) + absDiff(a[1], b[1]); d != 1 {
+				t.Fatalf("bits=%d: 2-D indices %d and %d are %d apart", bits, h-1, h, d)
 			}
 		}
 	}
 }
 
-func TestHilbertContinuity(t *testing.T) {
-	// Consecutive Hilbert indices are adjacent lattice points (Manhattan
-	// distance exactly 1) — the property Morton lacks and the reason
-	// costzones prefers it.
-	const bits = 4
-	n := uint64(1) << (3 * bits)
-	px, py, pz := HilbertDecode3(0, bits)
-	for h := uint64(1); h < n; h++ {
-		x, y, z := HilbertDecode3(h, bits)
-		d := absDiff(x, px) + absDiff(y, py) + absDiff(z, pz)
-		if d != 1 {
-			t.Fatalf("indices %d and %d are %d apart", h-1, h, d)
+// TestHilbertKnownValues pins the curve's orientation, which adjacency
+// alone does not: a curve with two axes swapped is still a Hilbert curve.
+// partition.HilbertOrder and the Fig. 5 drawing of examples/figures
+// follow this one.
+func TestHilbertKnownValues(t *testing.T) {
+	want3 := [][3]uint32{{0, 0, 0}, {0, 0, 1}, {0, 1, 1}, {0, 1, 0}, {1, 1, 0}, {1, 1, 1}, {1, 0, 1}, {1, 0, 0}}
+	if got := hilbertCells3(t, 1); fmt.Sprint(got) != fmt.Sprint(want3) {
+		t.Errorf("3-D order of the unit cube's corners = %v, want %v", got, want3)
+	}
+	want2 := [4][4]uint64{{0, 1, 14, 15}, {3, 2, 13, 12}, {4, 7, 8, 11}, {5, 6, 9, 10}}
+	for y := range want2 {
+		for x, w := range want2[y] {
+			if h := HilbertEncode2(uint32(x), uint32(y), 2); h != w {
+				t.Errorf("HilbertEncode2(%d, %d, 2) = %d, want %d", x, y, h, w)
+			}
 		}
-		px, py, pz = x, y, z
 	}
 }
 

@@ -58,17 +58,6 @@ func spread2(x uint64) uint64 {
 	return x
 }
 
-// compact2 is the inverse of spread2.
-func compact2(x uint64) uint64 {
-	x &= 0x5555555555555555
-	x = (x | x>>1) & 0x3333333333333333
-	x = (x | x>>2) & 0x0f0f0f0f0f0f0f0f
-	x = (x | x>>4) & 0x00ff00ff00ff00ff
-	x = (x | x>>8) & 0x0000ffff0000ffff
-	x = (x | x>>16) & 0x7fffffff
-	return x
-}
-
 // Encode3 interleaves three 21-bit integer coordinates into a Morton key.
 func Encode3(x, y, z uint32) Morton {
 	return Morton(spread3(uint64(x)) | spread3(uint64(y))<<1 | spread3(uint64(z))<<2)
@@ -82,11 +71,6 @@ func Decode3(m Morton) (x, y, z uint32) {
 // Encode2 interleaves two 31-bit integer coordinates into a Morton key.
 func Encode2(x, y uint32) Morton {
 	return Morton(spread2(uint64(x)) | spread2(uint64(y))<<1)
-}
-
-// Decode2 recovers the integer coordinates from a 2-D Morton key.
-func Decode2(m Morton) (x, y uint32) {
-	return uint32(compact2(uint64(m))), uint32(compact2(uint64(m) >> 1))
 }
 
 // Quantize maps a point inside box to integer lattice coordinates with
@@ -180,14 +164,6 @@ func (c CellKey) Less(o CellKey) bool {
 	// One is an ancestor of the other (or they are equal); the shallower
 	// cell comes first.
 	return c.Level < o.Level
-}
-
-// Contains reports whether cell c is an ancestor of (or equal to) cell o.
-func (c CellKey) Contains(o CellKey) bool {
-	if o.Level < c.Level {
-		return false
-	}
-	return o.Key>>(3*uint(o.Level-c.Level)) == c.Key
 }
 
 // Range returns the half-open interval of full-resolution Morton keys

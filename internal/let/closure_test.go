@@ -44,7 +44,8 @@ func clustered(ps []dist.Particle, domain vec.Box, p int, grid *partition.Grid, 
 		ck := keys.CellKey{Level: level, Key: keys.Encode3(uint32(i), uint32(j), uint32(k))}
 		r := owner[c]
 		d.parts[r] = append(d.parts[r], cps...)
-		d.branches[r] = append(d.branches[r], branch{tree.BuildSubtreeKeyed(cps, domain, ck, closureLeafCap), 0})
+		sub := tree.NewForest(domain, closureLeafCap)
+		d.branches[r] = append(d.branches[r], branch{sub, sub.AddSubtreeKeyed(cps, ck)})
 	}
 	d.cells = replicatedCells(domain, p, d.branches)
 	return d
@@ -130,9 +131,9 @@ func onFaces(domain vec.Box, rng *rand.Rand, n, firstID int, near []dist.Particl
 		for k := range 3 {
 			switch rng.Intn(3) {
 			case 0:
-				pos = pos.WithComponent(k, b.Min.Component(k))
+				pos = withComp(pos, k, comp(b.Min, k))
 			case 1:
-				pos = pos.WithComponent(k, b.Max.Component(k))
+				pos = withComp(pos, k, comp(b.Max, k))
 			}
 		}
 		add(pos)
@@ -140,7 +141,7 @@ func onFaces(domain vec.Box, rng *rand.Rand, n, firstID int, near []dist.Particl
 	size := domain.Size()
 	for range n / 8 {
 		pos, k := near[rng.Intn(len(near))].Pos, rng.Intn(3)
-		pos = pos.WithComponent(k, outside(domain, k, rng.Intn(2), 0.05*rng.Float64()))
+		pos = withComp(pos, k, outside(domain, k, rng.Intn(2), 0.05*rng.Float64()))
 		add(pos)
 	}
 	// Groups of 24 a twentieth of the domain outside it, twelve either side of
@@ -149,11 +150,11 @@ func onFaces(domain vec.Box, rng *rand.Rand, n, firstID int, near []dist.Particl
 	for range 6 {
 		k, j := rng.Intn(3), rng.Intn(2)
 		in := (k + 1 + j) % 3
-		face := domain.Min.Component(in) + size.Component(in)*float64(1+rng.Intn(7))/8
-		base := near[rng.Intn(len(near))].Pos.WithComponent(k, outside(domain, k, rng.Intn(2), 0.05))
+		face := comp(domain.Min, in) + comp(size, in)*float64(1+rng.Intn(7))/8
+		base := withComp(near[rng.Intn(len(near))].Pos, k, outside(domain, k, rng.Intn(2), 0.05))
 		for i := range 24 {
 			side := float64(2*(i%2) - 1)
-			add(base.WithComponent(in, face+side*size.Component(in)*(0.0005+0.001*float64(i/2))))
+			add(withComp(base, in, face+side*comp(size, in)*(0.0005+0.001*float64(i/2))))
 		}
 	}
 	return ps
@@ -163,9 +164,9 @@ func onFaces(domain vec.Box, rng *rand.Rand, n, firstID int, near []dist.Particl
 // (hi = 0) or high face along axis k.
 func outside(domain vec.Box, k, hi int, frac float64) float64 {
 	if hi == 0 {
-		return domain.Min.Component(k) - domain.Size().Component(k)*frac
+		return comp(domain.Min, k) - comp(domain.Size(), k)*frac
 	}
-	return domain.Max.Component(k) + domain.Size().Component(k)*frac
+	return comp(domain.Max, k) + comp(domain.Size(), k)*frac
 }
 
 // TestCellPadCoversKeying pins the slack Cells pads cell boxes by: points
@@ -184,18 +185,18 @@ func TestCellPadCoversKeying(t *testing.T) {
 			b := keys.CellBox(domain, keys.CellKey{Level: uint8(lvl), Key: keys.Morton(rng.Int63n(1 << (3 * min(lvl, 20))))})
 			var pos vec.V3
 			for k := range 3 {
-				v := b.Min.Component(k)
+				v := comp(b.Min, k)
 				if rng.Intn(2) == 0 {
-					v = b.Max.Component(k)
+					v = comp(b.Max, k)
 				}
 				for range rng.Intn(3) {
 					v = math.Nextafter(v, math.Inf(2*rng.Intn(2)-1))
 				}
-				pos = pos.WithComponent(k, v)
+				pos = withComp(pos, k, v)
 			}
 			kb := keys.CellBox(domain, keys.CellKey{Level: uint8(lvl), Key: keys.PointKey3(pos, domain, uint(lvl))})
 			for k := range 3 {
-				x, lo, hi := pos.Component(k), kb.Min.Component(k), kb.Max.Component(k)
+				x, lo, hi := comp(pos, k), comp(kb.Min, k), comp(kb.Max, k)
 				if x < lo || x > hi {
 					missed++
 				}
@@ -252,9 +253,9 @@ func randomBoxClosure(t *testing.T) {
 		alpha := 0.2 + 1.3*rng.Float64()
 		var lo, hi vec.V3
 		for k := range 3 {
-			c := s.Domain.Min.Component(k) + size.Component(k)*(3*rng.Float64()-1)
-			w := size.Component(k) * 0.5 * rng.Float64() * float64(rng.Intn(2))
-			lo, hi = lo.WithComponent(k, c), hi.WithComponent(k, c+w)
+			c := comp(s.Domain.Min, k) + comp(size, k)*(3*rng.Float64()-1)
+			w := comp(size, k) * 0.5 * rng.Float64() * float64(rng.Intn(2))
+			lo, hi = withComp(lo, k, c), withComp(hi, k, c+w)
 		}
 		where := fmt.Sprintf("trial %d α=%v box %v..%v", trial, alpha, lo, hi)
 		var probes []dist.Particle
@@ -506,4 +507,14 @@ func sweepGraft(t *testing.T, where string, br branch, sec *Section, peer []dist
 		}
 	}()
 	fl.ForceAll(peer, alpha, 0.01, testExAdd, make([]vec.V3, len(peer)), nil)
+}
+
+// comp returns v's coordinate along axis k.
+func comp(v vec.V3, k int) float64 { return [3]float64{v.X, v.Y, v.Z}[k] }
+
+// withComp returns v with its coordinate along axis k set to x.
+func withComp(v vec.V3, k int, x float64) vec.V3 {
+	a := [3]float64{v.X, v.Y, v.Z}
+	a[k] = x
+	return vec.V3{X: a[0], Y: a[1], Z: a[2]}
 }

@@ -232,24 +232,6 @@ func (p *Proc) MaxF64(x []float64) []float64 {
 	})
 }
 
-// Gather collects every processor's payload at root (rank order). Only
-// root receives the full slice; others get nil.
-func (p *Proc) Gather(root int, payload any, words int) []any {
-	tag := p.nextCollTag()
-	n := p.m.P
-	if p.id != root {
-		p.Send(root, tag, payload, words)
-		return nil
-	}
-	out := make([]any, n)
-	out[root] = payload
-	for i := 0; i < n-1; i++ {
-		data, from := p.Recv(AnySource, tag)
-		out[from] = data
-	}
-	return out
-}
-
 // GlobalMaxTime synchronizes all clocks to the global maximum and returns
 // it. Used by the engines to delimit phases the way the paper times them.
 func (p *Proc) GlobalMaxTime() float64 {

@@ -447,9 +447,6 @@ func (p *Proc) ID() int { return p.id }
 // NumProcs returns the machine size.
 func (p *Proc) NumProcs() int { return p.m.P }
 
-// Machine returns the owning machine.
-func (p *Proc) Machine() *Machine { return p.m }
-
 // Now returns the processor's simulated clock in seconds.
 func (p *Proc) Now() float64 { return p.now }
 
@@ -465,13 +462,6 @@ func (p *Proc) Compute(flops float64) {
 	dt := flops / p.m.Profile.FlopRate
 	p.now += dt
 	p.stats.ComputeTime += dt
-}
-
-// Sleep advances the clock without charging compute (models fixed
-// per-phase software overheads).
-func (p *Proc) Sleep(seconds float64) {
-	p.now += seconds
-	p.stats.CommTime += seconds
 }
 
 // Send transmits payload to processor dst with the given tag. words is

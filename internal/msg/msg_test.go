@@ -163,23 +163,6 @@ func TestAllReduceSumAndMax(t *testing.T) {
 	}
 }
 
-func TestGather(t *testing.T) {
-	run(t, 6, func(p *Proc) {
-		got := p.Gather(2, p.ID()*p.ID(), 1)
-		if p.ID() != 2 {
-			if got != nil {
-				t.Errorf("non-root received %v", got)
-			}
-			return
-		}
-		for r, v := range got {
-			if v.(int) != r*r {
-				t.Errorf("rank %d item = %v", r, v)
-			}
-		}
-	})
-}
-
 func TestCollectivesBackToBack(t *testing.T) {
 	// Sequenced tags keep consecutive collectives from stealing each
 	// other's messages even when processors race ahead.

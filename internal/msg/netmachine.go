@@ -134,14 +134,6 @@ func (p *Proc) Fail(err error) {
 	panic(stopPanic{p.m.stopErr()})
 }
 
-// Err returns the failure that poisoned the machine, if any.
-func (m *Machine) Err() error {
-	if c := m.failure.Load(); c != nil {
-		return c.err
-	}
-	return nil
-}
-
 // stopErr renders the failure behind a Recv interrupted by stop.
 func (m *Machine) stopErr() error {
 	if c := m.failure.Load(); c != nil {

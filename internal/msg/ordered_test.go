@@ -191,8 +191,8 @@ func TestOrderedDeadlockNamesRanks(t *testing.T) {
 	if unwound != 3 {
 		t.Errorf("%d of 3 ranks unwound", unwound)
 	}
-	if m.Err() != nil {
-		t.Errorf("a deadlocked section poisoned the machine: %v", m.Err())
+	if c := m.failure.Load(); c != nil {
+		t.Errorf("a deadlocked section poisoned the machine: %v", c.err)
 	}
 }
 

@@ -27,9 +27,6 @@ func WrapLink(l transport.Link, tr *Tracer) transport.Link {
 	return &TraceLink{inner: l, tr: tr}
 }
 
-// Unwrap returns the wrapped link.
-func (t *TraceLink) Unwrap() transport.Link { return t.inner }
-
 // ProcID returns the wrapped link's process index.
 func (t *TraceLink) ProcID() int { return t.inner.ProcID() }
 

@@ -133,9 +133,6 @@ func New(machine *msg.Machine, set *dist.Set, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Config returns the engine's effective configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // Domain returns the cubic root cell the decomposition is anchored to.
 func (e *Engine) Domain() vec.Box { return e.domain }
 
@@ -213,8 +210,8 @@ const (
 	tagReply
 	tagDoneUp
 	tagDoneDown
-	tagFetchReq
-	tagFetchRep
+	_ // was tagFetchReq: kept so later tags keep their values
+	_ // was tagFetchRep
 	tagShipLog
 	tagShipClock
 	tagBranchUp // plus the level of the cell a summary is sent up to: keep last
@@ -1007,8 +1004,8 @@ func (e *Engine) balanceDPDA(pr *msg.Proc, st *localState) []uint64 {
 
 // collectShares walks the subtree under node n of t in Morton order
 // appending one load share per particle in flop units, spreading internal
-// nodes' own interaction counts over their subtrees (as in
-// partition.Costzones, but local). Loads are converted to flops — leaf
+// nodes' own interaction counts over their subtrees: the costzones walk
+// of §3.3.3 over one rank's branches. Loads are converted to flops — leaf
 // counters record particle–particle work, internal counters
 // particle–cluster work — so that balancing the shares balances modelled
 // compute time.

@@ -75,12 +75,6 @@ type Result struct {
 	Stats Stats
 }
 
-// message tags.
-const (
-	tagGhostReq = 1
-	tagGhostRep = 2
-)
-
 // branchSummary is the broadcast record: cell identity plus the
 // multipole expansion about the cell centre.
 type branchSummary struct {

@@ -5,8 +5,8 @@
 //     (modular) assignment — the SPSA scheme;
 //   - Morton ordering of the clusters plus load-proportional contiguous
 //     runs — the SPDA scheme's dynamic assignment;
-//   - costzones over the Barnes–Hut tree's per-node interaction counts —
-//     the DPDA scheme's dynamic partitioning.
+//   - equal-count cuts of the Morton key order — the DPDA scheme's first
+//     zones, before parbh's costzones walk has loads to cut by.
 package partition
 
 import (
@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/keys"
-	"repro/internal/tree"
 	"repro/internal/vec"
 )
 
@@ -70,21 +69,6 @@ func (g *Grid) ClusterOf(p vec.V3) int {
 		cl(p.Y, g.Domain.Min.Y, size.Y, g.RY),
 		cl(p.Z, g.Domain.Min.Z, size.Z, g.RZ),
 	)
-}
-
-// BoxOf returns the spatial extent of a cluster.
-func (g *Grid) BoxOf(idx int) vec.Box {
-	i, j, k := g.Coords(idx)
-	size := g.Domain.Size()
-	dx := size.X / float64(g.RX)
-	dy := size.Y / float64(g.RY)
-	dz := size.Z / float64(g.RZ)
-	min := vec.V3{
-		X: g.Domain.Min.X + float64(i)*dx,
-		Y: g.Domain.Min.Y + float64(j)*dy,
-		Z: g.Domain.Min.Z + float64(k)*dz,
-	}
-	return vec.Box{Min: min, Max: min.Add(vec.V3{X: dx, Y: dy, Z: dz})}
 }
 
 // Bucket distributes particles into per-cluster slices.
@@ -268,65 +252,4 @@ func EqualCountZones(ks []uint64, p int) (starts []int, bounds []uint64) {
 	}
 	starts[p] = n
 	return starts, bounds
-}
-
-// Costzones partitions the particles of a Barnes–Hut tree into p zones of
-// near-equal interaction load by an in-order (Morton) walk of the tree
-// (Section 3.3.3). Each node's Load counter must hold the number of
-// interactions computed *at that node* during the last force phase (i.e.
-// raw counters, before any SumLoads aggregation): under function shipping
-// the load lives at the tree nodes, so an internal node's own load is
-// spread over the particles of its subtree while walking down. When no
-// load has been recorded (first time-step) particle counts are used. The
-// return value is one particle slice per processor; concatenated they
-// follow the leaves' Morton order, so zones are spatially contiguous.
-func Costzones(t *tree.Tree, p int) [][]dist.Particle {
-	var w float64
-	for _, l := range t.Load {
-		w += float64(l)
-	}
-	zones := make([][]dist.Particle, p)
-	useCounts := w <= 0
-	if useCounts {
-		w = float64(t.Count(0))
-	}
-	if w == 0 {
-		return zones
-	}
-	acc := 0.0
-	var rec func(n int32, extraPerParticle float64)
-	rec = func(n int32, extraPerParticle float64) {
-		count := t.Count(n)
-		if count == 0 {
-			return
-		}
-		if t.IsLeaf(n) {
-			var leafLoad float64
-			if useCounts {
-				leafLoad = float64(count)
-			} else {
-				leafLoad = float64(t.Load[n]) + extraPerParticle*float64(count)
-			}
-			share := leafLoad / float64(count)
-			for _, q := range t.Particles(n) {
-				// Zone of the load midpoint of this particle's share.
-				zone := int((acc + share/2) / w * float64(p))
-				if zone >= p {
-					zone = p - 1
-				}
-				zones[zone] = append(zones[zone], q)
-				acc += share
-			}
-			return
-		}
-		childExtra := extraPerParticle
-		if !useCounts {
-			childExtra += float64(t.Load[n]) / float64(count)
-		}
-		for c := n + 1; c < t.Skip[n]; c = t.Skip[c] {
-			rec(c, childExtra)
-		}
-	}
-	rec(0, 0)
-	return zones
 }

@@ -5,8 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/dist"
-	"repro/internal/tree"
 	"repro/internal/vec"
 )
 
@@ -89,36 +87,6 @@ func TestRunsByLoadBoundOnImbalance(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCostzonesConservesParticles(t *testing.T) {
-	f := func(seed int64, pRaw uint8) bool {
-		p := 1 + int(pRaw%12)
-		n := 200 + int(uint16(seed)%800)
-		s := dist.Uniform(n, vec.NewBox(vec.V3{}, vec.V3{X: 1, Y: 1, Z: 1}), seed)
-		tr := tree.Build(s.Particles, tree.Options{LeafCap: 8, Domain: s.Domain})
-		// Randomly record some loads.
-		for i := 0; i < n/4; i++ {
-			tr.AccelAt(s.Particles[i].Pos, s.Particles[i].ID, 0.7, 0.01, nil)
-		}
-		zones := Costzones(tr, p)
-		if len(zones) != p {
-			return false
-		}
-		seen := make(map[int]bool)
-		for _, z := range zones {
-			for _, q := range z {
-				if seen[q.ID] {
-					return false // duplicated
-				}
-				seen[q.ID] = true
-			}
-		}
-		return len(seen) == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -9,12 +9,8 @@ import (
 // Force evaluation from expansions. The paper computes potentials with
 // multipole series and notes that "force is equal to the gradient of
 // potential, and therefore can be easily computed from the latter"
-// (Section 2). These methods do exactly that, analytically, using the
-// differentiation identities of the scaled solid harmonics:
-//
-//	∂z S_l^m          = -S_{l+1}^m
-//	(∂x + i∂y) S_l^m  =  S_{l+1}^{m+1}
-//	(∂x - i∂y) S_l^m  = -S_{l+1}^{m-1}
+// (Section 2). Local.EvalAccel does exactly that, analytically, using the
+// differentiation identities of the scaled regular solid harmonics:
 //
 //	∂z R_l^m          =  R_{l-1}^m
 //	(∂x + i∂y) R_l^m  =  R_{l-1}^{m+1}
@@ -36,36 +32,6 @@ func harmAt(tab []complex128, l, m int) complex128 {
 		return -c
 	}
 	return c
-}
-
-// EvalAccel returns the gravitational acceleration a = -∇Φ implied by the
-// truncated multipole expansion at pos:
-//
-//	a = G Σ_{l,m} M_l^m · conj(∇S_l^m(pos - centre)).
-func (e *Expansion) EvalAccel(pos vec.V3) vec.V3 {
-	d := pos.Sub(e.Center)
-	k := e.Degree
-	// Irregular harmonics one degree higher carry the gradients.
-	irr := make([]complex128, coeffLen(k+1))
-	irregular(d, k+1, irr)
-	var ax, ay, az complex128
-	for l := 0; l <= k; l++ {
-		for m := -l; m <= l; m++ {
-			M := e.at(l, m)
-			if M == 0 {
-				continue
-			}
-			plus := harmAt(irr, l+1, m+1)   // (∂x+i∂y) S
-			minus := -harmAt(irr, l+1, m-1) // (∂x-i∂y) S
-			dz := -harmAt(irr, l+1, m)
-			dx := (plus + minus) / 2
-			dy := (plus - minus) / complex(0, 2)
-			ax += M * cmplx.Conj(dx)
-			ay += M * cmplx.Conj(dy)
-			az += M * cmplx.Conj(dz)
-		}
-	}
-	return vec.V3{X: G * real(ax), Y: G * real(ay), Z: G * real(az)}
 }
 
 // EvalAccel returns a = -∇Φ implied by the local expansion at pos:

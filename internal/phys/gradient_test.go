@@ -18,53 +18,6 @@ func numGrad(phi func(vec.V3) float64, at vec.V3) vec.V3 {
 	}
 }
 
-func TestExpansionEvalAccelMatchesNumericalGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	ms, ps := randomCluster(rng, 30, 0.5)
-	e := NewExpansion(6, vec.V3{})
-	e.AddParticles(ms, ps)
-	for trial := 0; trial < 10; trial++ {
-		at := vec.V3{
-			X: 2 + rng.Float64(),
-			Y: -1 - rng.Float64(),
-			Z: 1 + rng.Float64(),
-		}
-		want := numGrad(e.EvalPotential, at)
-		got := e.EvalAccel(at)
-		if got.Sub(want).Norm() > 1e-5*(1+want.Norm()) {
-			t.Fatalf("trial %d: analytic %v vs numeric %v", trial, got, want)
-		}
-	}
-}
-
-func TestExpansionEvalAccelMatchesDirectForce(t *testing.T) {
-	// At high degree the expansion acceleration equals the exact direct
-	// sum of softening-free point forces.
-	rng := rand.New(rand.NewSource(2))
-	ms, ps := randomCluster(rng, 25, 0.4)
-	e := NewExpansion(10, vec.V3{})
-	e.AddParticles(ms, ps)
-	at := vec.V3{X: 3, Y: 1, Z: -2}
-	var want vec.V3
-	for i := range ms {
-		want = want.Add(Accel(at, ps[i], ms[i], 0))
-	}
-	got := e.EvalAccel(at)
-	if got.Sub(want).Norm() > 1e-8*want.Norm() {
-		t.Fatalf("expansion accel %v, direct %v", got, want)
-	}
-}
-
-func TestMonopoleEvalAccel(t *testing.T) {
-	e := NewExpansion(0, vec.V3{})
-	e.AddParticle(2, vec.V3{})
-	got := e.EvalAccel(vec.V3{X: 2})
-	want := Accel(vec.V3{X: 2}, vec.V3{}, 2, 0)
-	if got.Sub(want).Norm() > 1e-14 {
-		t.Fatalf("monopole accel %v, want %v", got, want)
-	}
-}
-
 func TestLocalEvalAccelMatchesNumericalGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ms, ps := randomCluster(rng, 20, 0.4)
@@ -125,15 +78,15 @@ func TestEvalAccelConsistencyAcrossTranslation(t *testing.T) {
 
 func TestAccelConservativeProperty(t *testing.T) {
 	// The curl of a gradient field vanishes: check one off-diagonal pair
-	// of numerical derivatives of the expansion acceleration.
+	// of numerical derivatives of a local expansion's acceleration.
 	rng := rand.New(rand.NewSource(5))
-	ms, ps := randomCluster(rng, 20, 0.5)
-	e := NewExpansion(5, vec.V3{})
-	e.AddParticles(ms, ps)
-	at := vec.V3{X: 2.5, Y: 1, Z: -1.5}
+	_, _, m := wellSeparatedSetup(rng, 20, 0.5, vec.V3{X: -5}, 6)
+	lo := NewLocal(6, vec.V3{X: 2})
+	lo.AddMultipole(m)
+	at := vec.V3{X: 2.2, Y: 0.3, Z: -0.1}
 	const h = 1e-5
-	dAxDy := (e.EvalAccel(at.Add(vec.V3{Y: h})).X - e.EvalAccel(at.Sub(vec.V3{Y: h})).X) / (2 * h)
-	dAyDx := (e.EvalAccel(at.Add(vec.V3{X: h})).Y - e.EvalAccel(at.Sub(vec.V3{X: h})).Y) / (2 * h)
+	dAxDy := (lo.EvalAccel(at.Add(vec.V3{Y: h})).X - lo.EvalAccel(at.Sub(vec.V3{Y: h})).X) / (2 * h)
+	dAyDx := (lo.EvalAccel(at.Add(vec.V3{X: h})).Y - lo.EvalAccel(at.Sub(vec.V3{X: h})).Y) / (2 * h)
 	if math.Abs(dAxDy-dAyDx) > 1e-4*(1+math.Abs(dAxDy)) {
 		t.Fatalf("curl component %v vs %v", dAxDy, dAyDx)
 	}

@@ -3,7 +3,6 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"strconv"
 	"strings"
 )
@@ -99,13 +98,4 @@ func (s JobSpec) CacheKey() string {
 
 	sum := sha256.Sum256([]byte(b.String()))
 	return hex.EncodeToString(sum[:])
-}
-
-// CacheKeyString is a debugging aid: the short prefix form used in logs
-// and the fleet view.
-func CacheKeyShort(key string) string {
-	if len(key) <= 12 {
-		return key
-	}
-	return fmt.Sprintf("%s…", key[:12])
 }

@@ -491,13 +491,6 @@ func (j *Job) Status() Status {
 	}
 }
 
-// State returns the current lifecycle state.
-func (j *Job) State() State {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
-
 // Cancel requests cancellation. It reports whether the request took
 // effect (false when the job is already terminal).
 func (j *Job) Cancel() bool {

@@ -63,8 +63,8 @@ func TestJobSpecBuildsSimulation(t *testing.T) {
 
 func TestJobCancelAndTerminalStates(t *testing.T) {
 	j := newJob("j1", JobSpec{Steps: 3}, time.Unix(0, 0))
-	if j.State() != StateQueued {
-		t.Fatalf("new job state %v", j.State())
+	if j.Status().State != StateQueued {
+		t.Fatalf("new job state %v", j.Status().State)
 	}
 	if !j.Cancel() {
 		t.Fatal("first cancel should take effect")

@@ -103,14 +103,6 @@ func (m *Metrics) AddMachineTime(sec float64) {
 	m.machineMicros.Add(int64(sec * 1e6))
 }
 
-// SetTransport attaches a fixed transport Metrics to the exposition.
-// Prefer SetTransportFunc when the transport can be rebuilt (supervised
-// cluster coordinators replace their link — and its counters — on every
-// recovery).
-func (m *Metrics) SetTransport(t *transport.Metrics) {
-	m.SetTransportFunc(func() *transport.Metrics { return t })
-}
-
 // SetTransportFunc attaches a getter for the live cluster transport's
 // counters; it is consulted at render time so rebuilt generations are
 // always the ones exposed. The getter may return nil (no live

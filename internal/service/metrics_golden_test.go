@@ -37,7 +37,7 @@ func TestMetricsGoldenText(t *testing.T) {
 	tm.ConnsOpen.Add(2)
 	tm.ObserveRTT(0.00025)
 	tm.ObserveRTT(0.004)
-	m.SetTransport(&tm)
+	m.SetTransportFunc(func() *transport.Metrics { return &tm })
 	clock.Advance(10 * time.Second)
 	wiregolden.File(t, "testdata/metrics.golden", []byte(m.Render()))
 }

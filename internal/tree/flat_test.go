@@ -51,7 +51,7 @@ func flatVsPointerQuery(t *testing.T, ps, query []dist.Particle, domain vec.Box,
 func flatVsPointerPotential(t *testing.T, flatTree, ptrTree *Tree, query []dist.Particle, alpha float64, degree int) {
 	t.Helper()
 	for _, tr := range []*Tree{flatTree, ptrTree} {
-		tr.ResetLoads()
+		clear(tr.Load)
 		tr.BuildExpansions(degree)
 	}
 	wantPot, wantStats := ptrTree.PotentialAll(query, alpha)

@@ -32,7 +32,8 @@ func checkMembership(t *testing.T, name string, tr *Tree, n int32, rootBox vec.B
 		}
 	}
 	for c := n + 1; c < tr.Skip[n]; c = tr.Skip[c] {
-		if !key.Contains(tr.Cell(c)) {
+		lo, hi := key.Range()
+		if clo, chi := tr.Cell(c).Range(); tr.Cell(c).Level <= key.Level || clo < lo || chi > hi {
 			t.Fatalf("%s: child %v outside parent %v", name, tr.Cell(c), key)
 		}
 		checkMembership(t, name, tr, c, rootBox)
@@ -68,7 +69,7 @@ func TestKeyedCellMembershipConsistentWithKeys(t *testing.T) {
 	}{
 		{"Build", Build(s.Particles, Options{LeafCap: 8, Domain: s.Domain}), s.N()},
 		{"BuildKeyed", BuildKeyed(s.Particles, s.Domain, 8), s.N()},
-		{"BuildSubtreeKeyed", BuildSubtreeKeyed(inCell, rootBox, cell, 8), len(inCell)},
+		{"AddSubtreeKeyed", subtree(inCell, rootBox, cell, 8), len(inCell)},
 		{"Builder.Step", warm.Step(s.Particles), s.N()},
 		{"Builder.Step, migrated", migrated.Step(grown), s.N()},
 	}
@@ -214,7 +215,7 @@ func TestKeyedSubtreeMatchesSubrange(t *testing.T) {
 			sub = append(sub, q)
 		}
 	}
-	re := BuildSubtreeKeyed(sub, rootBox, full.Cell(child), 8)
+	re := subtree(sub, rootBox, full.Cell(child), 8)
 	if err := diffSubtrees(re, 0, full, child); err != nil {
 		t.Fatalf("oct %d: %v", oct, err)
 	}
@@ -263,28 +264,5 @@ func TestAccelFromEqualsSubtreeTraversal(t *testing.T) {
 		if s1 != s2 {
 			t.Fatalf("stats differ: %+v vs %+v", s1, s2)
 		}
-	}
-}
-
-func TestSumLoadsNode(t *testing.T) {
-	s := dist.MustNamed("uniform", 400, 37)
-	tr := Build(s.Particles, Options{LeafCap: 8, Domain: s.Domain})
-	for _, q := range s.Particles {
-		tr.AccelAt(q.Pos, q.ID, 0.7, 0.01, nil)
-	}
-	// SumLoadsAt aggregates destructively: after one call, each child's
-	// Load holds its subtree total and the root total is its own load
-	// plus the children's totals.
-	rootOwn := tr.Load[0]
-	total := tr.SumLoadsAt(0)
-	var childSum int64
-	for c := int32(1); c < tr.Skip[0]; c = tr.Skip[c] {
-		childSum += tr.Load[c]
-	}
-	if total != rootOwn+childSum {
-		t.Fatalf("SumLoadsAt inconsistent: %d vs %d+%d", total, rootOwn, childSum)
-	}
-	if total <= 0 {
-		t.Fatal("no load recorded")
 	}
 }

@@ -137,8 +137,8 @@ func TestNodeStorageExactSubtreeAndPushDown(t *testing.T) {
 		inRegime(t, r, func() {
 			reg := workerRegimes[r].name
 			for c := int32(1); c < whole.Skip[0]; c = whole.Skip[c] {
-				sub := BuildSubtreeKeyed(whole.Particles(c), rootBox, whole.Cell(c), 8)
-				checkColumns(t, fmt.Sprintf("%s BuildSubtreeKeyed %v", reg, whole.Cell(c)), sub)
+				sub := subtree(whole.Particles(c), rootBox, whole.Cell(c), 8)
+				checkColumns(t, fmt.Sprintf("%s AddSubtreeKeyed %v", reg, whole.Cell(c)), sub)
 				if err := diffSubtrees(sub, 0, whole, c); err != nil {
 					t.Fatalf("%s %v: %v", reg, whole.Cell(c), err)
 				}

@@ -370,16 +370,6 @@ func BuildKeyed(particles []dist.Particle, domain vec.Box, leafCap int) *Tree {
 	return NewBuilder(domain, leafCap).Step(particles)
 }
 
-// BuildSubtreeKeyed is BuildKeyed for the subtree of cell key alone, whose
-// root is node 0; rootBox is the global root cell the particle keys are
-// quantized against and the cell boxes halved from. Tests build single
-// subtrees with it.
-func BuildSubtreeKeyed(particles []dist.Particle, rootBox vec.Box, key keys.CellKey, leafCap int) *Tree {
-	t := newTree(rootBox, leafCap)
-	t.AddSubtreeKeyed(particles, key)
-	return t
-}
-
 // NewForest returns an empty tree that AddSubtreeKeyed fills with the
 // subtrees of cells of rootBox, one after another.
 func NewForest(rootBox vec.Box, leafCap int) *Tree { return newTree(rootBox, leafCap) }
@@ -629,23 +619,6 @@ func (t *Tree) BuildExpansionsAt(i int32, degree int) {
 	t.Exp[i] = e
 }
 
-// ResetLoads zeroes the interaction counters throughout the tree.
-func (t *Tree) ResetLoads() { clear(t.Load) }
-
-// SumLoads propagates leaf/interior interaction counts up the tree so
-// that each node's Load is the total for its subtree, and returns the
-// root total W (Section 3.3.3: "After the force computation phase, this
-// variable is summed up along the tree").
-func (t *Tree) SumLoads() int64 { return t.SumLoadsAt(0) }
-
-// SumLoadsAt is SumLoads for the subtree under node i.
-func (t *Tree) SumLoadsAt(i int32) int64 {
-	for c := i + 1; c < t.Skip[i]; c = t.Skip[c] {
-		t.Load[i] += t.SumLoadsAt(c)
-	}
-	return t.Load[i]
-}
-
 // Stats summarizes a traversal's work in the units of the paper's cost
 // model.
 type Stats struct {
@@ -866,28 +839,6 @@ func (t *Tree) all(n int, one func(i int, s *Stats, loads []int64)) Stats {
 		}
 	}
 	return s
-}
-
-// WalkLeaves visits the non-empty leaves in Morton (left-to-right) order,
-// the traversal the DPDA costzones partitioning uses. The visitor returns
-// false to stop the walk early.
-func (t *Tree) WalkLeaves(visit func(i int32) bool) {
-	for i := int32(0); i < t.Skip[0]; i++ {
-		if t.IsLeaf(i) && t.Count(i) > 0 && !visit(i) {
-			return
-		}
-	}
-}
-
-// Depth returns the maximum depth of the tree (root = 0).
-func (t *Tree) Depth() int { return t.depth(0) }
-
-func (t *Tree) depth(i int32) int {
-	d := 0
-	for c := i + 1; c < t.Skip[i]; c = t.Skip[c] {
-		d = max(d, t.depth(c)+1)
-	}
-	return d
 }
 
 // Validate checks structural invariants: particle ranges nest, counts and

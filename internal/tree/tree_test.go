@@ -263,16 +263,14 @@ func TestLoadAccounting(t *testing.T) {
 	for _, p := range s.Particles {
 		tr.AccelAt(p.Pos, p.ID, 0.7, 0.01, &stats)
 	}
-	w := tr.SumLoads()
-	// Root load after SumLoads equals total interactions recorded. Leaf
-	// loads count every particle in the leaf (including a self-skip), so
-	// W ≥ interactions.
+	// The nodes' loads sum to at least the interactions recorded: leaf
+	// loads count every particle in the leaf (including a self-skip).
+	var w int64
+	for _, l := range tr.Load {
+		w += l
+	}
 	if w < stats.Interactions() {
 		t.Fatalf("summed load %d < interactions %d", w, stats.Interactions())
-	}
-	tr.ResetLoads()
-	if tr.SumLoads() != 0 {
-		t.Fatal("ResetLoads left residue")
 	}
 }
 

@@ -14,9 +14,6 @@ type V3 struct {
 	X, Y, Z float64
 }
 
-// Zero is the additive identity.
-var Zero = V3{}
-
 // Add returns v + w.
 func (v V3) Add(w V3) V3 { return V3{v.X + w.X, v.Y + w.Y, v.Z + w.Z} }
 
@@ -28,15 +25,6 @@ func (v V3) Scale(s float64) V3 { return V3{s * v.X, s * v.Y, s * v.Z} }
 
 // Dot returns the inner product of v and w.
 func (v V3) Dot(w V3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
-
-// Cross returns the cross product v × w.
-func (v V3) Cross(w V3) V3 {
-	return V3{
-		v.Y*w.Z - v.Z*w.Y,
-		v.Z*w.X - v.X*w.Z,
-		v.X*w.Y - v.Y*w.X,
-	}
-}
 
 // Norm2 returns the squared Euclidean norm.
 func (v V3) Norm2() float64 { return v.Dot(v) }
@@ -62,44 +50,6 @@ func (v V3) Max(w V3) V3 {
 
 // MaxComponent returns the largest component of v.
 func (v V3) MaxComponent() float64 { return math.Max(v.X, math.Max(v.Y, v.Z)) }
-
-// Abs returns the componentwise absolute value.
-func (v V3) Abs() V3 { return V3{math.Abs(v.X), math.Abs(v.Y), math.Abs(v.Z)} }
-
-// Component returns component i (0=X, 1=Y, 2=Z). It panics for other i.
-func (v V3) Component(i int) float64 {
-	switch i {
-	case 0:
-		return v.X
-	case 1:
-		return v.Y
-	case 2:
-		return v.Z
-	}
-	panic(fmt.Sprintf("vec: invalid component index %d", i))
-}
-
-// WithComponent returns a copy of v with component i set to x.
-func (v V3) WithComponent(i int, x float64) V3 {
-	switch i {
-	case 0:
-		v.X = x
-	case 1:
-		v.Y = x
-	case 2:
-		v.Z = x
-	default:
-		panic(fmt.Sprintf("vec: invalid component index %d", i))
-	}
-	return v
-}
-
-// IsFinite reports whether all components are finite numbers.
-func (v V3) IsFinite() bool {
-	return !math.IsNaN(v.X) && !math.IsInf(v.X, 0) &&
-		!math.IsNaN(v.Y) && !math.IsInf(v.Y, 0) &&
-		!math.IsNaN(v.Z) && !math.IsInf(v.Z, 0)
-}
 
 // String implements fmt.Stringer.
 func (v V3) String() string { return fmt.Sprintf("(%.6g, %.6g, %.6g)", v.X, v.Y, v.Z) }
@@ -193,11 +143,6 @@ func (b Box) OctantOf(p V3) int {
 		oct |= 4
 	}
 	return oct
-}
-
-// Union returns the smallest box containing both boxes.
-func (b Box) Union(o Box) Box {
-	return Box{Min: b.Min.Min(o.Min), Max: b.Max.Max(o.Max)}
 }
 
 // Expand grows the box by pad on every side.
