@@ -1,6 +1,10 @@
 package dist
 
-import "repro/internal/vec"
+import (
+	"slices"
+
+	"repro/internal/vec"
+)
 
 // Particles is a structure-of-arrays view of a particle list: one column
 // per field, all the same length. Hot kernels iterate single columns
@@ -25,8 +29,19 @@ func (c *Particles) Reset() {
 	c.VelX, c.VelY, c.VelZ = c.VelX[:0], c.VelY[:0], c.VelZ[:0]
 }
 
-// Append transposes ps onto the end of the columns.
+// Grow makes room for n more particles in every column, so appending
+// them allocates each column at most once.
+func (c *Particles) Grow(n int) {
+	c.ID = slices.Grow(c.ID, n)
+	c.Mass = slices.Grow(c.Mass, n)
+	c.PosX, c.PosY, c.PosZ = slices.Grow(c.PosX, n), slices.Grow(c.PosY, n), slices.Grow(c.PosZ, n)
+	c.VelX, c.VelY, c.VelZ = slices.Grow(c.VelX, n), slices.Grow(c.VelY, n), slices.Grow(c.VelZ, n)
+}
+
+// Append transposes ps onto the end of the columns, sizing each column
+// once.
 func (c *Particles) Append(ps []Particle) {
+	c.Grow(len(ps))
 	for i := range ps {
 		p := &ps[i]
 		c.ID = append(c.ID, int32(p.ID))

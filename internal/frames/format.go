@@ -137,11 +137,11 @@ func beginFrameRecord(b []byte, f *Frame) recio.Writer {
 	return c.W
 }
 
-// readFrameHeader decodes what beginFrameRecord wrote and returns the
-// reader, positioned at the columns, with the particle count.
-func readFrameHeader(body []byte, f *Frame, what string) (recio.Reader, int, error) {
+// readFrameHeader decodes what beginFrameRecord wrote into m and returns
+// the reader, positioned at the columns, with the particle count.
+func readFrameHeader(body []byte, m *Meta, what string) (recio.Reader, int, error) {
 	c := *recio.Decoder(body)
-	codeMeta(&c, &f.Meta)
+	codeMeta(&c, m)
 	n := int(c.R.U32())
 	if c.Err() != nil {
 		return c.R, 0, fmt.Errorf("%w: truncated %s header", ErrCorrupt, what)
@@ -235,11 +235,11 @@ func significantBytes(x uint64) int {
 }
 
 // decodeKeyframe decodes a keyframe body into f, reusing f's column
-// capacity. Every length is validated against the body before columns
-// are sized, so a hostile body cannot force an allocation beyond its
-// own size.
+// capacity. Every length is validated against the body before the
+// columns are sized, once each, so a hostile body cannot force an
+// allocation beyond its own size.
 func decodeKeyframe(body []byte, f *Frame) error {
-	c, n, err := readFrameHeader(body, f, "keyframe")
+	c, n, err := readFrameHeader(body, &f.Meta, "keyframe")
 	if err != nil {
 		return err
 	}
@@ -247,6 +247,7 @@ func decodeKeyframe(body []byte, f *Frame) error {
 		return fmt.Errorf("%w: keyframe body is %d bytes for %d particles (want %d)", ErrCorrupt, c.Remaining(), n, want)
 	}
 	f.Parts.Reset()
+	f.Parts.Grow(n)
 	ids := c.Take(n * 4)
 	for i := 0; i < n; i++ {
 		f.Parts.ID = append(f.Parts.ID, int32(binary.LittleEndian.Uint32(ids[i*4:])))
@@ -260,39 +261,37 @@ func decodeKeyframe(body []byte, f *Frame) error {
 	return nil
 }
 
-// decodeDelta decodes a delta body into f by applying the XOR image to
-// prev, which must be the immediately preceding frame of the chain.
-func decodeDelta(body []byte, f, prev *Frame) error {
-	c, n, err := readFrameHeader(body, f, "delta")
+// decodeDelta applies a delta body to f in place. f must hold the
+// immediately preceding frame of the chain; on an error it holds a mix of
+// the two and must not be used as a base again.
+func decodeDelta(body []byte, f *Frame) error {
+	var m Meta
+	c, n, err := readFrameHeader(body, &m, "delta")
 	if err != nil {
 		return err
 	}
-	if prev == nil || prev.Parts.Len() != n {
+	if f.Parts.Len() != n {
 		return fmt.Errorf("%w: delta for %d particles without a matching predecessor", ErrCorrupt, n)
 	}
-	f.Parts.Reset()
+	f.Meta = m
 	switch c.U8() {
 	case colSame:
-		f.Parts.ID = append(f.Parts.ID, prev.Parts.ID...)
 	case colPacked:
 		ids := c.Take(n * 4)
 		if c.Err() != nil {
 			return fmt.Errorf("%w: truncated delta id column", ErrCorrupt)
 		}
-		for i := 0; i < n; i++ {
-			f.Parts.ID = append(f.Parts.ID, int32(binary.LittleEndian.Uint32(ids[i*4:])))
+		for i := range f.Parts.ID {
+			f.Parts.ID[i] = int32(binary.LittleEndian.Uint32(ids[i*4:]))
 		}
 	default:
 		return fmt.Errorf("%w: unknown delta id tag", ErrCorrupt)
 	}
-	prevCols := prev.cols()
-	for ci, col := range f.cols() {
-		old := *prevCols[ci]
+	for _, col := range f.cols() {
 		switch c.U8() {
 		case colSame:
-			*col = append(*col, old...)
 		case colPacked:
-			for i := 0; i < n; i++ {
+			for i, v := range *col {
 				nb := int(c.U8())
 				if nb > 8 {
 					return fmt.Errorf("%w: delta byte count %d", ErrCorrupt, nb)
@@ -305,7 +304,7 @@ func decodeDelta(body []byte, f, prev *Frame) error {
 				for k := 0; k < nb; k++ {
 					x |= uint64(raw[k]) << (8 * k)
 				}
-				*col = append(*col, math.Float64frombits(math.Float64bits(old[i])^x))
+				(*col)[i] = math.Float64frombits(math.Float64bits(v) ^ x)
 			}
 		default:
 			return fmt.Errorf("%w: unknown delta column tag", ErrCorrupt)
@@ -352,9 +351,8 @@ func decodeIndex(body []byte) ([]IndexEntry, error) {
 	return idx, nil
 }
 
-// copyFrame deep-copies src into dst, reusing dst's column capacity.
-// The writer and reader both keep their delta-chain predecessor
-// separate from caller-owned frames.
+// copyFrame deep-copies src into dst, reusing dst's column capacity: the
+// writer keeps its delta predecessor separate from the caller's frame.
 func copyFrame(dst, src *Frame) {
 	dst.Meta = src.Meta
 	dst.Parts.Reset()

@@ -3,6 +3,7 @@ package frames_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -537,12 +538,38 @@ func TestTail(t *testing.T) {
 	sameBits(t, want[len(want)-1], got)
 }
 
+// readFrames reads up to 64 frames of the chain at path, into one reused
+// frame (every delta applied in place) or into a fresh frame per Next
+// (every delta rebuilt from its keyframe), and returns copies of them with
+// the error that ended the read.
+func readFrames(path string, fresh bool) ([]*frames.Frame, error) {
+	r, err := frames.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	var got []*frames.Frame
+	f := &frames.Frame{}
+	for i := 0; i < 64; i++ {
+		if fresh {
+			f = &frames.Frame{}
+		}
+		if err := r.Next(f); err != nil {
+			return got, err
+		}
+		got = append(got, cloneFrame(f))
+	}
+	return got, nil
+}
+
 // FuzzReadFrame feeds arbitrary bytes to the file reader and the
 // standalone keyframe decoder: they must error on garbage, never panic,
-// and never allocate past the input's own size class. Seeds are kept
-// tiny on purpose — every byte of a CRC-framed input is load-bearing,
-// so the minimizer can rarely shrink an interesting input and its cost
-// scales with seed size (CI also caps it with -fuzzminimizetime).
+// and never allocate past the input's own size class. The chain is read
+// in place and into fresh frames, and the two reads must agree on every
+// frame and on the error that ends them. Seeds are kept tiny on purpose —
+// every byte of a CRC-framed input is load-bearing, so the minimizer can
+// rarely shrink an interesting input and its cost scales with seed size
+// (CI also caps it with -fuzzminimizetime).
 func FuzzReadFrame(f *testing.F) {
 	// One scratch directory per process: fuzz workers are separate
 	// processes (each runs this setup itself) and executions within a
@@ -582,18 +609,18 @@ func FuzzReadFrame(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()
 		}
-		r, err := frames.Open(path)
-		if err == nil {
-			for i := 0; i < 64; i++ {
-				var fr frames.Frame
-				if err := r.Next(&fr); err != nil {
-					break
-				}
-				if fr.Parts.Len() > len(data) {
-					t.Fatalf("decoded %d particles from %d input bytes", fr.Parts.Len(), len(data))
-				}
+		inPlace, err := readFrames(path, false)
+		fresh, ferr := readFrames(path, true)
+		if fmt.Sprint(err) != fmt.Sprint(ferr) || len(inPlace) != len(fresh) {
+			t.Fatalf("in place: %d frames, then %v; fresh frames: %d, then %v", len(inPlace), err, len(fresh), ferr)
+		}
+		for i, fr := range inPlace {
+			if !bytes.Equal(frames.EncodeKeyframe(fr), frames.EncodeKeyframe(fresh[i])) {
+				t.Fatalf("frame %d differs between in-place and fresh reads", i)
 			}
-			r.Close()
+			if fr.Parts.Len() > len(data) {
+				t.Fatalf("decoded %d particles from %d input bytes", fr.Parts.Len(), len(data))
+			}
 		}
 		if fr, err := frames.DecodeKeyframe(data); err == nil {
 			if fr.Parts.Len()*12 > len(data) {

@@ -11,7 +11,9 @@ import (
 )
 
 // Reader walks a frame file in step order, decoding keyframes and
-// applying deltas. It distinguishes three end states:
+// applying deltas. Between calls it holds no frame of its own: a delta is
+// applied onto the caller's frame (see Next). It distinguishes three end
+// states:
 //
 //   - clean close: the index record is reached; Next returns io.EOF and
 //     CleanEOF() reports true — the chain is complete.
@@ -30,12 +32,18 @@ type Reader struct {
 	path        string
 	off         int64
 	size        int64
-	prev        *Frame
 	index       []IndexEntry
 	indexLoaded bool
 	clean       bool
 	sinceKey    int
-	buf         []byte
+	// keyOff is the offset of the keyframe that opens the group being
+	// read (-1 before one). filled is the frame the last Next filled, with
+	// the step and particle count it left there: the delta path applies
+	// onto it in place and rebuilds any other frame from keyOff.
+	keyOff     int64
+	filled     *Frame
+	filledStep int64
+	filledN    int
 }
 
 // Open opens a frame file for reading. If the file was closed cleanly,
@@ -56,7 +64,7 @@ func Open(path string) (*Reader, error) {
 		f.Close()
 		return nil, fmt.Errorf("%w: %s is not a frame file", ErrCorrupt, path)
 	}
-	r := &Reader{f: f, path: path, off: int64(len(magic)), size: st.Size()}
+	r := &Reader{f: f, path: path, off: int64(len(magic)), size: st.Size(), keyOff: -1}
 	r.loadTrailerIndex()
 	return r, nil
 }
@@ -99,8 +107,20 @@ func (r *Reader) loadTrailerIndex() {
 	r.indexLoaded = true
 }
 
-// Next decodes the next frame of the chain into f. It re-stats the file
-// each call so a tail-following reader sees the writer's appends.
+// Next makes f the next frame of the chain. It re-stats the file each
+// call so a tail-following reader sees the writer's appends.
+//
+// The in-place path: when f is the frame the previous successful Next
+// filled, and its step and particle count are what that call left, a
+// delta is applied onto f as it stands — so the caller must not have
+// changed f's columns in between. Any other f (a fresh frame, one filled
+// before a SeekStep, one the caller edited) is rebuilt from its group's
+// keyframe and the deltas up to this one, read from the file again. The
+// record buffer lives for this call only.
+//
+// At a live or torn tail Next returns io.EOF and leaves f untouched, and
+// a retry continues in place. After any other error f's contents are
+// undefined, and no later Next applies a delta onto them.
 func (r *Reader) Next(f *Frame) error {
 	if r.clean {
 		return io.EOF
@@ -110,24 +130,15 @@ func (r *Reader) Next(f *Frame) error {
 		return err
 	}
 	r.size = st.Size()
-	// A record that runs past the current end of file is a writer
-	// mid-append (retry later) or a crash's torn tail (OpenAppend
-	// truncates here), and so is garbage exactly at the tail — under a
-	// live writer that can be a transiently observed partial append,
-	// which the retry reads whole. Retryable in every case.
-	rec, err := recio.ReadAt(r.f, r.off, r.size, &r.buf)
-	switch {
-	case errors.Is(err, recio.ErrTorn):
-		return io.EOF
-	case errors.Is(err, recio.ErrCorrupt):
-		return fmt.Errorf("%w at offset %d: %v", ErrCorrupt, r.off, err)
-	case err != nil:
+	var buf []byte
+	rec, err := r.read(r.off, &buf)
+	if err != nil {
 		return err
 	}
-	body, recLen := rec.Body, int64(rec.Len)
+	recLen := int64(rec.Len)
 	switch rec.Kind {
 	case recIndex:
-		idx, err := decodeIndex(body)
+		idx, err := decodeIndex(rec.Body)
 		if err != nil {
 			return err
 		}
@@ -138,23 +149,70 @@ func (r *Reader) Next(f *Frame) error {
 		r.clean = true
 		return io.EOF
 	case recKeyframe:
-		if err := decodeKeyframe(body, f); err != nil {
-			return err
-		}
-		r.sinceKey = 1
+		err = decodeKeyframe(rec.Body, f)
 	case recDelta:
-		if err := decodeDelta(body, f, r.prev); err != nil {
+		if f == r.filled && f.Meta.Step == r.filledStep && f.Parts.Len() == r.filledN {
+			err = decodeDelta(rec.Body, f)
+		} else {
+			err = r.rebuild(f, r.off+recLen, &buf)
+		}
+	default:
+		err = fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, rec.Kind)
+	}
+	if err != nil {
+		r.filled = nil
+		return err
+	}
+	if rec.Kind == recKeyframe {
+		r.keyOff, r.sinceKey = r.off, 0
+	}
+	r.sinceKey++
+	r.filled, r.filledStep, r.filledN = f, f.Meta.Step, f.Parts.Len()
+	r.off += recLen
+	return nil
+}
+
+// read reads the record at off into *buf. A record that runs past the
+// current end of file is a writer mid-append (retry later) or a crash's
+// torn tail (OpenAppend truncates here), and so is garbage exactly at the
+// tail — under a live writer that can be a transiently observed partial
+// append, which the retry reads whole. Both are io.EOF.
+func (r *Reader) read(off int64, buf *[]byte) (recio.Record, error) {
+	rec, err := recio.ReadAt(r.f, off, r.size, buf)
+	switch {
+	case errors.Is(err, recio.ErrTorn):
+		return rec, io.EOF
+	case errors.Is(err, recio.ErrCorrupt):
+		return rec, fmt.Errorf("%w at offset %d: %v", ErrCorrupt, off, err)
+	}
+	return rec, err
+}
+
+// rebuild decodes into f the group's keyframe at keyOff and every delta
+// after it, up to end: the end of the delta Next is reading.
+func (r *Reader) rebuild(f *Frame, end int64, buf *[]byte) error {
+	if r.keyOff < 0 {
+		return fmt.Errorf("%w: delta at offset %d without a keyframe", ErrCorrupt, r.off)
+	}
+	for off := r.keyOff; off < end; {
+		rec, err := r.read(off, buf)
+		switch {
+		case err == io.EOF:
+			// It was read whole before, so the file shrank under the
+			// reader: f may be overwritten, which io.EOF would deny.
+			return fmt.Errorf("%w: record at offset %d is gone", ErrCorrupt, off)
+		case err != nil:
+			return err
+		case off == r.keyOff:
+			err = decodeKeyframe(rec.Body, f)
+		default:
+			err = decodeDelta(rec.Body, f)
+		}
+		if err != nil {
 			return err
 		}
-		r.sinceKey++
-	default:
-		return fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, rec.Kind)
+		off += int64(rec.Len)
 	}
-	if r.prev == nil {
-		r.prev = &Frame{}
-	}
-	copyFrame(r.prev, f)
-	r.off += recLen
 	return nil
 }
 
@@ -202,7 +260,7 @@ func (r *Reader) SeekStep(step int64) error {
 	if err := r.ensureIndex(); err != nil {
 		return err
 	}
-	r.prev = nil
+	r.filled, r.keyOff = nil, -1
 	r.clean = false
 	r.sinceKey = 0
 	if len(r.index) == 0 {
@@ -218,7 +276,7 @@ func (r *Reader) SeekStep(step int64) error {
 }
 
 // scanState is what a full forward walk of the chain learns: where the
-// valid prefix ends, the last decoded frame, the keyframe cadence
+// valid prefix ends, the last frame, the keyframe cadence
 // position and the keyframe index.
 type scanState struct {
 	end      int64
@@ -227,28 +285,24 @@ type scanState struct {
 	index    []IndexEntry
 }
 
-// scanChain walks r to its end, ignoring any trailer index so the tail
-// is re-validated byte by byte. io.EOF (clean or torn) terminates the
-// scan; ErrCorrupt mid-file propagates.
+// scanChain walks r to its end in one frame, which becomes st.last,
+// ignoring any trailer index so the tail is re-validated byte by byte.
+// io.EOF (clean or torn) terminates the scan; ErrCorrupt mid-file
+// propagates.
 func scanChain(r *Reader) (scanState, error) {
 	var st scanState
-	var f Frame
-	var last *Frame
+	f := &Frame{}
 	for {
-		err := r.Next(&f)
+		err := r.Next(f)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return st, err
 		}
-		if last == nil {
-			last = &Frame{}
-		}
-		copyFrame(last, &f)
+		st.last = f
 	}
 	st.end = r.off
-	st.last = last
 	st.sinceKey = r.sinceKey
 	if err := r.ensureIndex(); err != nil {
 		return st, err

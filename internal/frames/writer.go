@@ -26,16 +26,21 @@ func (o WriterOptions) withDefaults() WriterOptions {
 
 // Writer appends frames to one file. It is not safe for concurrent use;
 // the service serializes appends per job on the owning worker.
+//
+// Between Appends a writer holds one copy of the last frame, the delta
+// predecessor: its columns in prev after a delta, or its record in key
+// after a keyframe — what KeyframeRecord returns — from which the next
+// delta decodes prev.
 type Writer struct {
 	f        *os.File
 	path     string
 	opt      WriterOptions
 	size     int64
-	prev     *Frame // last appended frame, the delta predecessor
+	prev     *Frame // the last frame: its Meta, and its columns unless key holds them
+	prevN    int    // the last frame's particle count
+	key      []byte // the last Append's keyframe record, nil after a delta
 	sinceKey int
 	index    []IndexEntry
-	buf      []byte // the last appended record
-	keyLast  bool   // buf is a keyframe record
 	closed   bool
 }
 
@@ -92,6 +97,9 @@ func OpenAppend(path string, opt WriterOptions) (*Writer, error) {
 		sinceKey: st.sinceKey,
 		index:    st.index,
 	}
+	if st.last != nil {
+		w.prevN = st.last.Parts.Len()
+	}
 	return w, nil
 }
 
@@ -99,34 +107,47 @@ func OpenAppend(path string, opt WriterOptions) (*Writer, error) {
 // keyframe is forced on the first frame, on any particle-count change,
 // and every KeyEvery frames. Reports whether a keyframe was written —
 // the service replicates the keyframe record to the gateway on true.
-// Each record lands in a single Write call so tail-following readers
-// never observe a half-record except at a genuine crash boundary.
+//
+// f stays the caller's: Append copies it, into the keyframe record it
+// keeps or into its predecessor after a delta. Each record is encoded
+// into a buffer of its own and lands in a single Write call, so
+// tail-following readers never observe a half-record except at a genuine
+// crash boundary; a delta's buffer is dropped once written, a keyframe's
+// is kept until the next Append or Close (see KeyframeRecord).
 func (w *Writer) Append(f *Frame) (isKey bool, err error) {
 	if w.closed {
 		return false, fmt.Errorf("frames: append to closed writer")
 	}
-	isKey = w.prev == nil || w.prev.Parts.Len() != f.Parts.Len() || w.sinceKey >= w.opt.KeyEvery
-	w.buf, w.keyLast = w.buf[:0], false
-	if isKey {
-		w.buf = appendKeyframe(w.buf, f)
-	} else {
-		w.buf = appendDelta(w.buf, f, w.prev)
+	isKey = w.prev == nil || w.prevN != f.Parts.Len() || w.sinceKey >= w.opt.KeyEvery
+	if !isKey && w.key != nil {
+		// The predecessor is still its keyframe record: decode the body.
+		if err := decodeKeyframe(w.key[recio.HeaderLen:len(w.key)-recio.CRCLen], w.prev); err != nil {
+			return false, err
+		}
 	}
-	if _, err := w.f.Write(w.buf); err != nil {
+	buf := make([]byte, 0, keyframeLen(f))
+	if isKey {
+		buf = appendKeyframe(buf, f)
+	} else {
+		buf = appendDelta(buf, f, w.prev)
+	}
+	if _, err := w.f.Write(buf); err != nil {
 		return false, err
 	}
-	if isKey {
-		w.index = append(w.index, IndexEntry{Step: f.Meta.Step, Off: w.size})
-		w.keyLast = true
-		w.sinceKey = 1
-	} else {
-		w.sinceKey++
-	}
-	w.size += int64(len(w.buf))
 	if w.prev == nil {
 		w.prev = &Frame{}
 	}
-	copyFrame(w.prev, f)
+	if isKey {
+		w.index = append(w.index, IndexEntry{Step: f.Meta.Step, Off: w.size})
+		w.key, w.sinceKey = buf, 1
+		*w.prev = Frame{Meta: f.Meta}
+	} else {
+		w.key = nil
+		w.sinceKey++
+		copyFrame(w.prev, f)
+	}
+	w.prevN = f.Parts.Len()
+	w.size += int64(len(buf))
 	return isKey, nil
 }
 
@@ -139,14 +160,9 @@ func (w *Writer) Size() int64 { return w.size }
 
 // KeyframeRecord returns the raw bytes (header, body, CRC) of the record
 // the last Append wrote if it was a keyframe, else nil. The slice is the
-// writer's append buffer, valid until the next Append or Close; callers
-// copy it to retain it.
-func (w *Writer) KeyframeRecord() []byte {
-	if !w.keyLast {
-		return nil
-	}
-	return w.buf
-}
+// writer's own copy of the last frame, valid until the next Append or
+// Close; callers copy it to retain it and must not modify it.
+func (w *Writer) KeyframeRecord() []byte { return w.key }
 
 // LastStep returns the step of the last appended (or replayed, after
 // OpenAppend) frame. ok is false on an empty chain. Appending a step at
@@ -166,9 +182,9 @@ func (w *Writer) Close() error {
 	if w.closed {
 		return nil
 	}
-	w.closed, w.keyLast = true, false
+	w.closed, w.key = true, nil
 	indexOff := w.size
-	buf := appendIndexRecord(w.buf[:0], w.index)
+	buf := appendIndexRecord(nil, w.index)
 	buf = appendTrailer(buf, indexOff)
 	if _, err := w.f.Write(buf); err != nil {
 		w.f.Close()

@@ -122,7 +122,6 @@ func (s *Service) runJob(j *Job) {
 		}
 	}()
 
-	var frame frames.Frame
 	for step < spec.Steps {
 		select {
 		case <-s.stopping:
@@ -149,6 +148,7 @@ func (s *Service) runJob(j *Job) {
 		step++
 		machineTime += res.SimTime
 		if fw != nil {
+			var frame frames.Frame // lives for one append: the writer keeps its own copy
 			fillFrame(&frame, sim, step, machineTime)
 			if !s.appendFrame(j, fw, &frame) {
 				fw = nil // chain unusable; the job itself keeps running
