@@ -1,6 +1,8 @@
 package fmm
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -184,5 +186,32 @@ func TestFMMEvaluateBothOutputs(t *testing.T) {
 		if pots[i] != pots2[i] {
 			t.Fatalf("potential %d differs between Evaluate and Potentials", i)
 		}
+	}
+}
+
+// TestFMMGolden pins the serial FMM bit for bit: the FNV-64a hash of
+// Evaluate's potentials and accelerations, and its full Stats.
+func TestFMMGolden(t *testing.T) {
+	set := dist.MustNamed("plummer", 2000, 1)
+	pots, accs, stats := New(set.Particles, set.Domain, Config{Degree: 4, Theta: 0.55, LeafCap: 16}).Evaluate()
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	for _, v := range pots {
+		put(v)
+	}
+	for _, a := range accs {
+		put(a.X)
+		put(a.Y)
+		put(a.Z)
+	}
+	if got := h.Sum64(); got != 0x2e4b2620f170ea4b {
+		t.Errorf("hash %#x, want 0x2e4b2620f170ea4b", got)
+	}
+	if want := (Stats{M2L: 54341, P2P: 1941406, P2M: 2000, M2M: 487, L2L: 487, L2P: 2000}); stats != want {
+		t.Errorf("stats %+v, want %+v", stats, want)
 	}
 }

@@ -164,3 +164,26 @@ func TestParallelFMMEmptySet(t *testing.T) {
 		t.Fatal("empty set produced potentials")
 	}
 }
+
+// TestParallelFMMAtOneRankIsSerialFMM: on one rank the parallel FMM's
+// only branch is the root, so its run is the serial FMM's — every
+// potential bit-equal, and equal M2L and P2P counts.
+func TestParallelFMMAtOneRankIsSerialFMM(t *testing.T) {
+	cfg := Config{Degree: 4, Theta: 0.55, LeafCap: 16}
+	for _, name := range []string{"plummer", "g", "s_10g_b", "uniform"} {
+		set := dist.MustNamed(name, 3000, 1)
+		par := runP(t, set, 1, cfg)
+		ser, st := fmm.Potentials(set.Particles, set.Domain, fmm.Config{Degree: 4, Theta: 0.55, LeafCap: 16})
+		if len(ser) != len(par.Potentials) {
+			t.Fatalf("%s: %d serial potentials, %d parallel", name, len(ser), len(par.Potentials))
+		}
+		for i := range ser {
+			if math.Float64bits(ser[i]) != math.Float64bits(par.Potentials[i]) {
+				t.Fatalf("%s: particle %d: parallel %v, serial %v", name, i, par.Potentials[i], ser[i])
+			}
+		}
+		if par.Stats.M2L != st.M2L || par.Stats.P2P != st.P2P {
+			t.Errorf("%s: parallel M2L/P2P %d/%d, serial %d/%d", name, par.Stats.M2L, par.Stats.P2P, st.M2L, st.P2P)
+		}
+	}
+}
