@@ -95,32 +95,3 @@ func TestHistoryNilResultIgnored(t *testing.T) {
 		t.Fatal("empty summary wrong")
 	}
 }
-
-func TestParallelFMMPublicAPI(t *testing.T) {
-	set := NewPlummer(1200, 1, V3{}, 62)
-	res, err := ParallelFMMPotentials(set, 4, IdealMachine(), ParallelFMMConfig{Degree: 5, Theta: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := DirectPotentials(set, 0)
-	var num, den float64
-	for i := range exact {
-		d := exact[i] - res.Potentials[i]
-		num += d * d
-		den += exact[i] * exact[i]
-	}
-	if num/den > 1e-6 {
-		t.Fatalf("parallel FMM error %v", num/den)
-	}
-	if res.Stats.M2L == 0 {
-		t.Fatal("no far-field work")
-	}
-	// Default profile path.
-	res2, err := ParallelFMMPotentials(set, 2, MachineProfile{}, ParallelFMMConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res2.Potentials) != set.N() {
-		t.Fatal("default-profile run failed")
-	}
-}

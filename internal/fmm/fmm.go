@@ -11,6 +11,11 @@
 // cells interact when their size-to-distance ratio passes an acceptance
 // criterion, otherwise the larger cell is split — an adaptive,
 // list-free way to build the interaction sets.
+//
+// Kernel is the one FMM kernel. The serial FMM (New, Potentials, Accels)
+// runs it from the root of one tree; the parallel FMM (internal/parfmm)
+// runs it under each branch of a rank's tree and keeps for itself only
+// the pairing against remote cells.
 package fmm
 
 import (
@@ -32,7 +37,8 @@ type Config struct {
 	LeafCap int
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with its zero fields set to their defaults.
+func (c Config) WithDefaults() Config {
 	if c.Degree == 0 {
 		c.Degree = 4
 	}
@@ -45,6 +51,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Separated is the cell–cell acceptance criterion: cells of centres ca,
+// cb and radii ra, rb are well separated when (ra + rb) / d < Theta at a
+// distance d > 0 between the centres.
+func (c Config) Separated(ca vec.V3, ra float64, cb vec.V3, rb float64) bool {
+	d := ca.Dist(cb)
+	return d > 0 && (ra+rb)/d < c.Theta
+}
+
 // Stats counts the work of one evaluation.
 type Stats struct {
 	M2L int64 // cell–cell multipole-to-local conversions
@@ -55,69 +69,181 @@ type Stats struct {
 	L2P int64 // local evaluations
 }
 
-// cell augments a tree node with FMM expansions about the box centre.
-type cell struct {
-	n      int32 // the cell's node in the evaluator's tree
-	m      *phys.Expansion
-	l      *phys.Local
-	kids   []*cell
-	radius float64 // half-diagonal of the box
+// Kernel is the FMM over one tree's columns: each node's multipole about
+// its box centre in the tree's Exp column, its local in a column beside
+// it, box centre and radius from one box table. Upward, Interact and
+// Downward are its passes over the subtree of a node, M2L its one
+// conversion.
+type Kernel struct {
+	Stats Stats
+	Pot   []float64 // potentials by particle ID, added into
+	Acc   []vec.V3  // accelerations by particle ID, added into; nil skips them
+
+	cfg    Config
+	t      *tree.Tree
+	boxes  []vec.Box     // per node of t
+	locals []*phys.Local // per node of t
+	charge func(flops float64)
+}
+
+// NewKernel returns the kernel over t. A non-nil charge is called with
+// the flops of each step as the step completes (a rank's simulated
+// clock); the serial FMM passes nil.
+func NewKernel(t *tree.Tree, cfg Config, charge func(flops float64)) *Kernel {
+	return &Kernel{
+		cfg: cfg.WithDefaults(), t: t, boxes: t.Boxes(nil),
+		locals: make([]*phys.Local, t.NumNodes()), charge: charge,
+	}
+}
+
+func (k *Kernel) spend(flops float64) {
+	if k.charge != nil {
+		k.charge(flops)
+	}
+}
+
+// Center returns node n's box centre, about which its expansions are.
+func (k *Kernel) Center(n int32) vec.V3 { return k.boxes[n].Center() }
+
+// Radius returns the half-diagonal of node n's box.
+func (k *Kernel) Radius(n int32) float64 { return k.boxes[n].Size().Norm() / 2 }
+
+// Local returns node n's local expansion (set by Upward).
+func (k *Kernel) Local(n int32) *phys.Local { return k.locals[n] }
+
+// Upward builds the multipole of every node under n (P2M at the leaves,
+// M2M above; a keyed tree has no empty node below its root) and an empty
+// local beside each, then charges the subtree's P2M and M2M flops.
+func (k *Kernel) Upward(n int32) {
+	k.upward(n)
+	d := k.cfg.Degree
+	k.spend(float64(k.t.Count(n))*phys.P2MFlops(d) + float64(k.t.CountNodes(n))*phys.M2MFlops(d))
+}
+
+func (k *Kernel) upward(n int32) {
+	t := k.t
+	if t.Count(n) == 0 {
+		return
+	}
+	m := phys.NewExpansion(k.cfg.Degree, k.Center(n))
+	if t.IsLeaf(n) {
+		ps := t.Particles(n)
+		for i := range ps {
+			m.AddParticle(ps[i].Mass, ps[i].Pos)
+		}
+		k.Stats.P2M += int64(len(ps))
+	} else {
+		for c := n + 1; c < t.Skip[n]; c = t.Skip[c] {
+			k.upward(c)
+			m.Add(t.Exp[c].TranslateTo(m.Center))
+			k.Stats.M2M++
+		}
+	}
+	t.Exp[n] = m
+	k.locals[n] = phys.NewLocal(k.cfg.Degree, m.Center)
+}
+
+// M2L converts multipole m into local l.
+func (k *Kernel) M2L(l *phys.Local, m *phys.Expansion) {
+	l.AddMultipole(m)
+	k.Stats.M2L++
+	k.spend(phys.M2LFlops(k.cfg.Degree))
+}
+
+// Interact is the dual tree traversal of target subtree a against source
+// subtree b: a well-separated pair converts b's multipole into a's local,
+// two leaves interact particle by particle, otherwise the larger cell (or
+// the only splittable one) splits.
+func (k *Kernel) Interact(a, b int32) {
+	t := k.t
+	if t.Count(a) == 0 || t.Count(b) == 0 {
+		return
+	}
+	if a != b && k.cfg.Separated(k.Center(a), k.Radius(a), k.Center(b), k.Radius(b)) {
+		k.M2L(k.locals[a], t.Exp[b])
+		return
+	}
+	aLeaf, bLeaf := t.IsLeaf(a), t.IsLeaf(b)
+	if aLeaf && bLeaf {
+		k.p2p(a, b)
+		return
+	}
+	if bLeaf || (!aLeaf && k.Radius(a) >= k.Radius(b)) {
+		for c := a + 1; c < t.Skip[a]; c = t.Skip[c] {
+			k.Interact(c, b)
+		}
+		return
+	}
+	for c := b + 1; c < t.Skip[b]; c = t.Skip[c] {
+		k.Interact(a, c)
+	}
+}
+
+// p2p accumulates near-field particle–particle potentials (and forces)
+// of source leaf b onto target leaf a.
+func (k *Kernel) p2p(a, b int32) {
+	as, bs := k.t.Particles(a), k.t.Particles(b)
+	for i := range as {
+		ti := &as[i]
+		var phi float64
+		var f vec.V3
+		for j := range bs {
+			sj := &bs[j]
+			if sj.ID == ti.ID {
+				continue
+			}
+			phi += phys.Potential(ti.Pos, sj.Pos, sj.Mass, 0)
+			if k.Acc != nil {
+				f = f.Add(phys.Accel(ti.Pos, sj.Pos, sj.Mass, 0))
+			}
+			k.Stats.P2P++
+		}
+		k.Pot[ti.ID] += phi
+		if k.Acc != nil {
+			k.Acc[ti.ID] = k.Acc[ti.ID].Add(f)
+		}
+	}
+	k.spend(float64(len(as)*len(bs)) * 8)
+}
+
+// Downward pushes the locals under n to the leaves (L2L) and evaluates
+// them at the particles (L2P).
+func (k *Kernel) Downward(n int32) {
+	t := k.t
+	if t.Count(n) == 0 {
+		return
+	}
+	l := k.locals[n]
+	if t.IsLeaf(n) {
+		ps := t.Particles(n)
+		for i := range ps {
+			k.Pot[ps[i].ID] += l.EvalPotential(ps[i].Pos)
+			if k.Acc != nil {
+				k.Acc[ps[i].ID] = k.Acc[ps[i].ID].Add(l.EvalAccel(ps[i].Pos))
+			}
+		}
+		k.Stats.L2P += int64(len(ps))
+		k.spend(float64(len(ps)) * phys.L2PFlops(k.cfg.Degree))
+		return
+	}
+	for c := n + 1; c < t.Skip[n]; c = t.Skip[c] {
+		k.locals[c].Add(l.TranslateTo(k.locals[c].Center))
+		k.Stats.L2L++
+		k.spend(phys.L2LFlops(k.cfg.Degree))
+		k.Downward(c)
+	}
 }
 
 // Evaluator holds the tree and expansions for a particle set.
-type Evaluator struct {
-	cfg   Config
-	tr    *tree.Tree
-	root  *cell
-	stats Stats
-}
+type Evaluator struct{ k *Kernel }
 
 // New builds the octree and runs the upward pass (P2M at the leaves, M2M
 // at internal cells).
 func New(particles []dist.Particle, domain vec.Box, cfg Config) *Evaluator {
-	cfg = cfg.withDefaults()
-	e := &Evaluator{cfg: cfg}
-	e.tr = tree.Build(particles, tree.Options{LeafCap: cfg.LeafCap, Domain: domain})
-	e.root = e.upward(0)
-	return e
-}
-
-// upward builds the cell wrapper and its multipole expansion.
-func (e *Evaluator) upward(n int32) *cell {
-	t := e.tr
-	if t.Count(n) == 0 {
-		return nil
-	}
-	box := t.Box(n)
-	c := &cell{n: n, radius: box.Size().Norm() / 2}
-	c.m = phys.NewExpansion(e.cfg.Degree, box.Center())
-	c.l = phys.NewLocal(e.cfg.Degree, box.Center())
-	if t.IsLeaf(n) {
-		ps := t.Particles(n)
-		for i := range ps {
-			c.m.AddParticle(ps[i].Mass, ps[i].Pos)
-		}
-		e.stats.P2M += int64(len(ps))
-		return c
-	}
-	for ch := n + 1; ch < t.Skip[n]; ch = t.Skip[ch] {
-		if k := e.upward(ch); k != nil {
-			c.kids = append(c.kids, k)
-			c.m.Add(k.m.TranslateTo(c.m.Center))
-			e.stats.M2M++
-		}
-	}
-	return c
-}
-
-// accepted reports whether two cells are well separated under the
-// cell–cell criterion.
-func (e *Evaluator) accepted(a, b *cell) bool {
-	d := a.m.Center.Dist(b.m.Center)
-	if d == 0 {
-		return false
-	}
-	return (a.radius+b.radius)/d < e.cfg.Theta
+	cfg = cfg.WithDefaults()
+	k := NewKernel(tree.Build(particles, tree.Options{LeafCap: cfg.LeafCap, Domain: domain}), cfg, nil)
+	k.Upward(0)
+	return &Evaluator{k}
 }
 
 // Potentials evaluates the potential at every particle (indexed by
@@ -136,98 +262,18 @@ func (e *Evaluator) Evaluate() ([]float64, []vec.V3, Stats) {
 }
 
 func (e *Evaluator) evaluate(withAccel bool) ([]float64, []vec.V3, Stats) {
+	k := e.k
 	maxID := 0
-	for _, q := range e.tr.Particles(0) {
+	for _, q := range k.t.Particles(0) {
 		maxID = max(maxID, q.ID)
 	}
-	out := make([]float64, maxID+1)
-	var acc []vec.V3
+	k.Pot = make([]float64, maxID+1)
 	if withAccel {
-		acc = make([]vec.V3, maxID+1)
+		k.Acc = make([]vec.V3, maxID+1)
 	}
-	if e.root == nil {
-		return out, acc, e.stats
-	}
-	e.interact(e.root, e.root, out, acc)
-	e.downward(e.root, out, acc)
-	return out, acc, e.stats
-}
-
-// interact is the dual tree traversal: a receives, b sources.
-func (e *Evaluator) interact(a, b *cell, out []float64, acc []vec.V3) {
-	if a == nil || b == nil {
-		return
-	}
-	if a != b && e.accepted(a, b) {
-		a.l.AddMultipole(b.m)
-		e.stats.M2L++
-		return
-	}
-	aLeaf := e.tr.IsLeaf(a.n)
-	bLeaf := e.tr.IsLeaf(b.n)
-	if aLeaf && bLeaf {
-		e.p2p(a.n, b.n, out, acc)
-		return
-	}
-	// Split the larger cell (or the only splittable one).
-	if bLeaf || (!aLeaf && a.radius >= b.radius) {
-		for _, k := range a.kids {
-			e.interact(k, b, out, acc)
-		}
-		return
-	}
-	for _, k := range b.kids {
-		e.interact(a, k, out, acc)
-	}
-}
-
-// p2p accumulates near-field particle–particle potentials (and forces)
-// of source leaf b onto target leaf a.
-func (e *Evaluator) p2p(a, b int32, out []float64, acc []vec.V3) {
-	as, bs := e.tr.Particles(a), e.tr.Particles(b)
-	for i := range as {
-		ti := &as[i]
-		var phi float64
-		var f vec.V3
-		for j := range bs {
-			sj := &bs[j]
-			if sj.ID == ti.ID {
-				continue
-			}
-			phi += phys.Potential(ti.Pos, sj.Pos, sj.Mass, 0)
-			if acc != nil {
-				f = f.Add(phys.Accel(ti.Pos, sj.Pos, sj.Mass, 0))
-			}
-			e.stats.P2P++
-		}
-		out[ti.ID] += phi
-		if acc != nil {
-			acc[ti.ID] = acc[ti.ID].Add(f)
-		}
-	}
-}
-
-// downward pushes local expansions to the leaves and evaluates them.
-func (e *Evaluator) downward(c *cell, out []float64, acc []vec.V3) {
-	if c == nil {
-		return
-	}
-	if e.tr.IsLeaf(c.n) {
-		ps := e.tr.Particles(c.n)
-		for i := range ps {
-			out[ps[i].ID] += c.l.EvalPotential(ps[i].Pos)
-			if acc != nil {
-				acc[ps[i].ID] = acc[ps[i].ID].Add(c.l.EvalAccel(ps[i].Pos))
-			}
-		}
-		e.stats.L2P += int64(len(ps))
-		return
-	}
-	for _, k := range c.kids {
-		k.l.Add(c.l.TranslateTo(k.l.Center))
-		e.stats.L2L++
-		e.downward(k, out, acc)
-	}
+	k.Interact(0, 0)
+	k.Downward(0)
+	return k.Pot, k.Acc, k.Stats
 }
 
 // Potentials is a convenience one-shot evaluation.

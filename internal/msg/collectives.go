@@ -201,10 +201,11 @@ func (p *Proc) AllReduceF64(x []float64, op func(a, b float64) float64) []float6
 		}
 		return acc
 	}
-	// Gather at 0, reduce, broadcast.
+	// Gather at 0, reduce in rank order (not arrival order, which is the
+	// host's), broadcast.
 	if p.id == 0 {
 		for i := 1; i < n; i++ {
-			data, _ := p.Recv(AnySource, tag)
+			data, _ := p.Recv(i, tag)
 			other := data.([]float64)
 			for j := range acc {
 				acc[j] = op(acc[j], other[j])

@@ -3,6 +3,7 @@ package msg
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -160,6 +161,32 @@ func TestAllReduceSumAndMax(t *testing.T) {
 				t.Errorf("n=%d: max = %v", n, mx)
 			}
 		})
+	}
+}
+
+// TestAllReduceFoldsInRankOrder: off a power of two, AllReduceF64 gathers
+// at rank 0. Folding the values in host arrival order made a sum of
+// non-integers depend on goroutine scheduling; folded in rank order, the
+// sum and rank 0's clock are one bit pattern whatever the host does.
+func TestAllReduceFoldsInRankOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, n := range []int{3, 5, 7} {
+		seen := map[string]bool{}
+		for run := 0; run < 200; run++ {
+			var sum float64
+			m := NewMachine(n, CM5())
+			stats := m.Run(func(p *Proc) {
+				p.Compute(float64(p.ID()+1) * 1e5)
+				s := p.SumF64([]float64{0.1 * float64(p.ID()+1) / 3})
+				if p.ID() == 0 {
+					sum = s[0]
+				}
+			})
+			seen[fmt.Sprintf("%x %+v", math.Float64bits(sum), stats[0])] = true
+		}
+		if len(seen) != 1 {
+			t.Errorf("p=%d: %d distinct (sum, rank-0 stats) in 200 runs", n, len(seen))
+		}
 	}
 }
 

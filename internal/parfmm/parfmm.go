@@ -17,10 +17,17 @@
 //     its leaves), evaluates, and ships per-particle potentials back;
 //   - the exchange is one all-to-all personalized round (requests are
 //     one-deep, exactly as in the Barnes–Hut engine).
+//
+// Every step that stays on one rank is the serial FMM's fmm.Kernel over
+// the rank's tree, charging the rank's clock; this package keeps what is
+// distributed: the summary all-gather, the replicated top, the pairing
+// against remote cells, and ghost shipping and serving. On one rank the
+// run is the serial FMM's, bit for bit.
 package parfmm
 
 import (
 	"repro/internal/dist"
+	"repro/internal/fmm"
 	"repro/internal/keys"
 	"repro/internal/msg"
 	"repro/internal/partition"
@@ -29,28 +36,8 @@ import (
 	"repro/internal/vec"
 )
 
-// Config parameterizes the parallel FMM.
-type Config struct {
-	// Degree of the multipole/local expansions (default 4).
-	Degree int
-	// Theta is the cell–cell acceptance parameter (default 0.6).
-	Theta float64
-	// LeafCap is the octree leaf capacity (default 16).
-	LeafCap int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Degree == 0 {
-		c.Degree = 4
-	}
-	if c.Theta == 0 {
-		c.Theta = 0.6
-	}
-	if c.LeafCap == 0 {
-		c.LeafCap = 16
-	}
-	return c
-}
+// Config parameterizes the parallel FMM exactly as it does the serial one.
+type Config = fmm.Config
 
 // Stats counts the work of one evaluation across all processors.
 type Stats struct {
@@ -125,7 +112,7 @@ type ghostReply struct {
 
 // Run executes one parallel FMM potential evaluation.
 func Run(machine *msg.Machine, set *dist.Set, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	p := machine.P
 	if set.N() == 0 {
 		return &Result{Potentials: nil}, nil
@@ -150,7 +137,7 @@ func Run(machine *msg.Machine, set *dist.Set, cfg Config) (*Result, error) {
 			hi = bounds[me+1]
 		}
 		st.run(ps[starts[me]:starts[me+1]], lo, hi)
-		procStats[me] = st.stats
+		procStats[me] = Stats{M2L: st.k.Stats.M2L, P2P: st.k.Stats.P2P, Shipped: st.shipped}
 	})
 
 	for _, s := range procStats {
@@ -174,16 +161,15 @@ func Run(machine *msg.Machine, set *dist.Set, cfg Config) (*Result, error) {
 
 // procRun is one processor's working state.
 type procRun struct {
-	cfg    Config
-	pr     *msg.Proc
-	domain vec.Box
-	out    []float64 // shared result array (distinct IDs per proc)
-	stats  Stats
+	cfg     Config
+	pr      *msg.Proc
+	domain  vec.Box
+	out     []float64 // shared result array (distinct IDs per proc)
+	shipped int64     // ghost-leaf requests shipped
 
 	tree     *tree.Tree       // the local tree, pushed-down fragments included
-	boxes    []vec.Box        // per node of tree
+	k        *fmm.Kernel      // the FMM kernel over tree, charging pr's clock
 	branches []int32          // its branch subtree roots
-	locals   []*phys.Local    // per node of tree
 	lookup   map[uint64]int32 // packed key -> branch root
 	top      *fnode
 	reqs     [][]ghostEntry // per destination
@@ -202,17 +188,15 @@ func (st *procRun) run(mine []dist.Particle, lo, hi uint64) {
 		st.branches = append(st.branches, n)
 		st.lookup[local.Key[n]] = n
 	})
-	st.boxes = local.Boxes(nil)
+	st.k = fmm.NewKernel(local, cfg, pr.Compute)
+	st.k.Pot = st.out
 	pr.Compute(float64(local.ParticleLevels(0)) * phys.TreeInsertFlops)
 
 	// 2. Upward pass: multipoles about cell centres per branch subtree.
-	st.locals = make([]*phys.Local, local.NumNodes())
 	var summaries []branchSummary
 	words := 0
 	for _, b := range st.branches {
-		st.buildMultipoles(b)
-		pr.Compute(float64(local.Count(b))*phys.P2MFlops(cfg.Degree) +
-			float64(local.CountNodes(b))*phys.M2MFlops(cfg.Degree))
+		st.k.Upward(b)
 		sum := branchSummary{
 			Key: local.Key[b], Owner: int32(pr.ID()), Count: int32(local.Count(b)),
 			Exp: local.Exp[b].Floats(),
@@ -246,7 +230,7 @@ func (st *procRun) run(mine []dist.Particle, lo, hi uint64) {
 		}
 		payloads[dst] = st.reqs[dst]
 		wordsOut[dst] = w + 1
-		st.stats.Shipped += int64(len(st.reqs[dst]))
+		st.shipped += int64(len(st.reqs[dst]))
 	}
 	recvReq := pr.AllToAll(payloads, wordsOut)
 	repPayloads := make([]any, p)
@@ -275,33 +259,9 @@ func (st *procRun) run(mine []dist.Particle, lo, hi uint64) {
 
 	// 6. Downward pass: L2L to the leaves, L2P per particle.
 	for _, b := range st.branches {
-		st.downward(b)
+		st.k.Downward(b)
 	}
 	pr.Barrier()
-}
-
-// buildMultipoles builds the multipole expansion about the cell centre of
-// every node under n, in the tree's Exp column, and an empty local
-// expansion beside each.
-func (st *procRun) buildMultipoles(n int32) {
-	t, degree := st.tree, st.cfg.Degree
-	if t.Count(n) == 0 {
-		return
-	}
-	center := st.boxes[n].Center()
-	e := phys.NewExpansion(degree, center)
-	if t.IsLeaf(n) {
-		for _, q := range t.Particles(n) {
-			e.AddParticle(q.Mass, q.Pos)
-		}
-	} else {
-		for c := n + 1; c < t.Skip[n]; c = t.Skip[c] {
-			st.buildMultipoles(c)
-			e.Add(t.Exp[c].TranslateTo(e.Center))
-		}
-	}
-	t.Exp[n] = e
-	st.locals[n] = phys.NewLocal(degree, center)
 }
 
 // buildTop assembles the replicated tree with expansions at every node.
@@ -362,56 +322,32 @@ func (st *procRun) buildTop(all []branchSummary) *fnode {
 	return root
 }
 
-// accepted is the cell–cell acceptance criterion.
-func (st *procRun) accepted(tc int32, sc *fnode) bool {
-	box := st.boxes[tc]
-	tr := box.Size().Norm() / 2
-	d := box.Center().Dist(sc.box.Center())
-	if d == 0 {
-		return false
-	}
-	return (tr+sc.radius)/d < st.cfg.Theta
-}
-
-// acceptedLocal is accepted for two local tree nodes.
-func (st *procRun) acceptedLocal(tc, sc int32) bool {
-	tbox, sbox := st.boxes[tc], st.boxes[sc]
-	tr := tbox.Size().Norm() / 2
-	sr := sbox.Size().Norm() / 2
-	d := tbox.Center().Dist(sbox.Center())
-	if d == 0 {
-		return false
-	}
-	return (tr+sr)/d < st.cfg.Theta
-}
-
 // interact runs the dual traversal of a local target subtree against the
-// replicated source tree.
+// replicated source tree; where the source is a branch of this rank's
+// own, it is the kernel's local pairing.
 func (st *procRun) interact(tc int32, sc *fnode) {
-	t := st.tree
+	t, k := st.tree, st.k
 	if t.Count(tc) == 0 || sc == nil || sc.count == 0 {
 		return
 	}
 	// Identical cell (my own branch within the replicated tree): descend
 	// into the purely local pairing.
 	if sc.local == tc {
-		st.interactLocal(tc, tc)
+		k.Interact(tc, tc)
 		return
 	}
-	if st.accepted(tc, sc) {
-		st.locals[tc].AddMultipole(sc.exp)
-		st.stats.M2L++
-		st.pr.Compute(phys.M2LFlops(st.cfg.Degree))
+	if st.cfg.Separated(k.Center(tc), k.Radius(tc), sc.box.Center(), sc.radius) {
+		k.M2L(k.Local(tc), sc.exp)
 		return
 	}
 	if sc.local >= 0 {
 		// Source is one of my own branch subtrees: pure local pairing.
-		st.interactLocal(tc, sc.local)
+		k.Interact(tc, sc.local)
 		return
 	}
 	if sc.hasChildren() {
 		// Prefer splitting the larger side when both can split.
-		if !t.IsLeaf(tc) && st.boxes[tc].Size().Norm()/2 >= sc.radius {
+		if !t.IsLeaf(tc) && k.Radius(tc) >= sc.radius {
 			for c := tc + 1; c < t.Skip[tc]; c = t.Skip[c] {
 				st.interact(c, sc)
 			}
@@ -432,13 +368,8 @@ func (st *procRun) interact(tc int32, sc *fnode) {
 		return
 	}
 	// Ship the target leaf to every owner of the source cell.
-	box := st.boxes[tc]
 	for _, o := range sc.owners {
-		g := ghostEntry{
-			SrcKey: sc.cell.Uint64(),
-			Center: box.Center(),
-			Radius: box.Size().Norm() / 2,
-		}
+		g := ghostEntry{SrcKey: sc.cell.Uint64(), Center: k.Center(tc), Radius: k.Radius(tc)}
 		for _, q := range t.Particles(tc) {
 			g.IDs = append(g.IDs, int32(q.ID))
 			g.Pos = append(g.Pos, q.Pos)
@@ -447,61 +378,13 @@ func (st *procRun) interact(tc int32, sc *fnode) {
 	}
 }
 
-// interactLocal is the dual traversal between two local subtrees.
-func (st *procRun) interactLocal(tc, sc int32) {
-	t := st.tree
-	if t.Count(tc) == 0 || t.Count(sc) == 0 {
-		return
-	}
-	if tc != sc && st.acceptedLocal(tc, sc) {
-		st.locals[tc].AddMultipole(t.Exp[sc])
-		st.stats.M2L++
-		st.pr.Compute(phys.M2LFlops(st.cfg.Degree))
-		return
-	}
-	tLeaf, sLeaf := t.IsLeaf(tc), t.IsLeaf(sc)
-	if tLeaf && sLeaf {
-		st.p2p(tc, sc)
-		return
-	}
-	if sLeaf || (!tLeaf && st.boxes[tc].Size().Norm() >= st.boxes[sc].Size().Norm()) {
-		for c := tc + 1; c < t.Skip[tc]; c = t.Skip[c] {
-			st.interactLocal(c, sc)
-		}
-		return
-	}
-	for c := sc + 1; c < t.Skip[sc]; c = t.Skip[c] {
-		st.interactLocal(tc, c)
-	}
-}
-
-// p2p accumulates near-field potentials of source leaf sc onto target
-// leaf tc's particles.
-func (st *procRun) p2p(tc, sc int32) {
-	tps, sps := st.tree.Particles(tc), st.tree.Particles(sc)
-	for i := range tps {
-		ti := &tps[i]
-		var phi float64
-		for j := range sps {
-			sj := &sps[j]
-			if sj.ID == ti.ID {
-				continue
-			}
-			phi += phys.Potential(ti.Pos, sj.Pos, sj.Mass, 0)
-			st.stats.P2P++
-		}
-		st.out[ti.ID] += phi
-	}
-	st.pr.Compute(float64(len(tps)*len(sps)) * 8)
-}
-
 // serveGhost refines this processor's subtree under the requested cell
 // against a shipped target leaf: M2L contributions are collected in a
 // ghost local expansion, leaf pairs run P2P directly; the reply is the
 // evaluated per-particle potential.
 func (st *procRun) serveGhost(g ghostEntry) ghostReply {
 	rep := ghostReply{Pots: make([]float64, len(g.IDs))}
-	t := st.tree
+	t, k := st.tree, st.k
 	root, ok := st.lookup[g.SrcKey]
 	if !ok {
 		return rep
@@ -512,13 +395,8 @@ func (st *procRun) serveGhost(g ghostEntry) ghostReply {
 		if t.Count(sc) == 0 {
 			return
 		}
-		box := st.boxes[sc]
-		sr := box.Size().Norm() / 2
-		d := g.Center.Dist(box.Center())
-		if d > 0 && (g.Radius+sr)/d < st.cfg.Theta {
-			ghost.AddMultipole(t.Exp[sc])
-			st.stats.M2L++
-			st.pr.Compute(phys.M2LFlops(st.cfg.Degree))
+		if st.cfg.Separated(g.Center, g.Radius, k.Center(sc), k.Radius(sc)) {
+			k.M2L(ghost, t.Exp[sc])
 			return
 		}
 		if t.IsLeaf(sc) {
@@ -530,7 +408,7 @@ func (st *procRun) serveGhost(g ghostEntry) ghostReply {
 						continue
 					}
 					rep.Pots[i] += phys.Potential(g.Pos[i], sj.Pos, sj.Mass, 0)
-					st.stats.P2P++
+					k.Stats.P2P++
 				}
 			}
 			st.pr.Compute(float64(len(sps)*len(g.IDs)) * 8)
@@ -546,26 +424,4 @@ func (st *procRun) serveGhost(g ghostEntry) ghostReply {
 	}
 	st.pr.Compute(float64(len(g.IDs)) * phys.L2PFlops(st.cfg.Degree))
 	return rep
-}
-
-// downward pushes locals to the leaves and evaluates.
-func (st *procRun) downward(n int32) {
-	t := st.tree
-	if t.Count(n) == 0 {
-		return
-	}
-	lo := st.locals[n]
-	if t.IsLeaf(n) {
-		ps := t.Particles(n)
-		for i := range ps {
-			st.out[ps[i].ID] += lo.EvalPotential(ps[i].Pos)
-		}
-		st.pr.Compute(float64(len(ps)) * phys.L2PFlops(st.cfg.Degree))
-		return
-	}
-	for c := n + 1; c < t.Skip[n]; c = t.Skip[c] {
-		st.locals[c].Add(lo.TranslateTo(st.locals[c].Center))
-		st.pr.Compute(phys.L2LFlops(st.cfg.Degree))
-		st.downward(c)
-	}
 }

@@ -3,8 +3,6 @@ package barneshut
 import (
 	"repro/internal/direct"
 	"repro/internal/fmm"
-	"repro/internal/msg"
-	"repro/internal/parfmm"
 	"repro/internal/tree"
 )
 
@@ -61,27 +59,6 @@ func FMMPotentials(set *ParticleSet, cfg FMMConfig) ([]float64, FMMStats) {
 // Results are indexed by particle ID.
 func FMMAccels(set *ParticleSet, cfg FMMConfig) ([]V3, FMMStats) {
 	return fmm.Accels(set.Particles, set.Domain, cfg)
-}
-
-// ParallelFMMConfig parameterizes a parallel FMM evaluation.
-type ParallelFMMConfig = parfmm.Config
-
-// ParallelFMMResult reports a parallel FMM evaluation (potentials,
-// simulated time, efficiency, communication volume, op counts).
-type ParallelFMMResult = parfmm.Result
-
-// ParallelFMMPotentials evaluates gravitational potentials with the
-// parallel fast multipole method on a simulated machine of p processors —
-// the extension of the paper's function-shipping techniques to the FMM
-// its Sections 2 and 6 describe. Far-field cell–cell interactions are
-// computed from replicated branch expansions; near-field work ships
-// target leaves to the data.
-func ParallelFMMPotentials(set *ParticleSet, processors int, profile MachineProfile, cfg ParallelFMMConfig) (*ParallelFMMResult, error) {
-	if profile == (MachineProfile{}) {
-		profile = NCube2()
-	}
-	m := msg.NewMachine(processors, profile)
-	return parfmm.Run(m, set, cfg)
 }
 
 // DirectForces computes exact softened forces by O(n²) summation,
