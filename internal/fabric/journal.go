@@ -2,10 +2,8 @@ package fabric
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"repro/internal/recio"
@@ -21,11 +19,13 @@ import (
 // records — the frame store's format — so a torn tail from a crash
 // mid-append truncates cleanly on reopen, and a flipped bit anywhere
 // else fails the checksum and refuses the open instead of replaying
-// garbage or silently dropping the acknowledged records behind it.
-// Record bodies are JSON: the journal is a recovery log, not a hot
-// path, and debuggability beats density here. Compaction rewrites the
-// file as one snapshot record through a temp file + rename, so a crash
-// mid-compaction leaves the previous journal intact.
+// garbage or silently dropping the acknowledged records behind it; a
+// failed append is rolled back. The file is a recio.File, like the
+// result log and the frame chain. Record bodies are JSON: the journal is
+// a recovery log, not a hot path, and debuggability beats density here.
+// Compaction rewrites the file as one snapshot record through a temp
+// file + rename, so a crash mid-compaction leaves the previous journal
+// intact.
 
 // journalMagic distinguishes a gateway journal from a frame chain (NBF1)
 // at a glance; the version digit bumps on incompatible record changes.
@@ -206,38 +206,11 @@ func (st *JournalState) apply(kind byte, body []byte) error {
 	return nil
 }
 
-// replayJournal scans a journal image (after the magic), applying every
-// record, and reports how many bytes of the image are good. A torn tail
-// — the crash-mid-append case — ends the scan without error and reopen
-// truncates it away. Anything else that does not read back (a checksum
-// failure with records behind it, an absurd length, a record that frames
-// correctly but does not decode) is corruption: it is returned with the
-// offset of the bad record and nothing may be truncated on its account.
-func replayJournal(data []byte) (*JournalState, int, error) {
-	st := newJournalState()
-	off := 0
-	for off < len(data) {
-		rec, err := recio.Parse(data[off:])
-		if errors.Is(err, recio.ErrTorn) {
-			break
-		}
-		if err == nil {
-			err = st.apply(rec.Kind, rec.Body)
-		}
-		if err != nil {
-			return nil, off, err
-		}
-		off += rec.Len
-	}
-	return st, off, nil
-}
-
 // Journal is the gateway's open write-ahead log. All methods are called
 // with the gateway mutex held (appends record transitions of state that
 // same mutex guards), so the Journal itself needs no locking.
 type Journal struct {
-	recordFile
-	path string
+	file *recio.File
 
 	// compactBytes triggers a snapshot+truncate when the file outgrows
 	// it; snapshotting resets the trigger to the snapshot size plus the
@@ -245,124 +218,23 @@ type Journal struct {
 	compactBytes int64
 }
 
-// journalFile is the part of *os.File the journal and the result log
-// write through; the fault-injection tests substitute one that fails
-// mid-write.
-type journalFile interface {
-	io.Writer
-	io.ReaderAt
-	io.Seeker
-	Truncate(size int64) error
-	Sync() error
-	Close() error
-}
-
-// recordFile is an append-only file of recio records, the write half the
-// journal and the result log share. Each record goes out in a single
-// Write call, so a crash leaves at worst one torn record at the tail. A
-// failed or short write (ENOSPC, EIO) is rolled back to the last record
-// boundary: otherwise the partial record's length prefix would make
-// replay swallow the good records appended after it and fail the CRC — a
-// torn tail that truncates them all away, or corruption that refuses the
-// next open.
-type recordFile struct {
-	f    journalFile
-	size int64
-
-	// tornTail is set when a failed append could not be rolled back: the
-	// file may end in a partial record that replay would take, together
-	// with everything written after it, for a torn tail. Appends stop
-	// until the file is replaced.
-	tornTail bool
-}
-
-// errTornTail refuses appends behind a partial record.
-var errTornTail = errors.New("tail unrecoverable after a failed append")
-
-// write appends one framed record.
-func (rf *recordFile) write(rec []byte) error {
-	if rf.tornTail {
-		return errTornTail
-	}
-	if _, err := rf.f.Write(rec); err != nil {
-		if rerr := rf.rollback(); rerr != nil {
-			rf.tornTail = true
-			return fmt.Errorf("%w (rollback: %v)", err, rerr)
-		}
-		return err
-	}
-	rf.size += int64(len(rec))
-	return nil
-}
-
-// rollback drops whatever a failed Write left past the last complete
-// record and repositions the file there.
-func (rf *recordFile) rollback() error {
-	if err := rf.f.Truncate(rf.size); err != nil {
-		return err
-	}
-	_, err := rf.f.Seek(rf.size, io.SeekStart)
-	return err
-}
-
 // journalCompactBytes is the default snapshot+truncate threshold.
 const journalCompactBytes = 4 << 20
 
-// OpenJournal opens (creating if absent) the journal at path, replays
-// it, and truncates any torn tail so the next append lands on a clean
-// record boundary. A corrupt record fails the open and leaves the file
+// OpenJournal opens (creating if absent) the journal at path and replays
+// it under recio's open rule: a torn tail is truncated so the next append
+// lands on a clean record boundary; a corrupt record, or one that frames
+// correctly but does not decode, fails the open and leaves the file
 // untouched. The returned state is nil for a fresh journal.
 func OpenJournal(path string) (*Journal, *JournalState, error) {
-	data, err := os.ReadFile(path)
-	fresh := false
-	switch {
-	case err == nil:
-	case errors.Is(err, os.ErrNotExist):
-		fresh = true
-	default:
-		return nil, nil, fmt.Errorf("fabric: reading journal %s: %w", path, err)
-	}
-
-	jl := &Journal{path: path, compactBytes: journalCompactBytes}
-	if fresh || len(data) == 0 {
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-		if err != nil {
-			return nil, nil, fmt.Errorf("fabric: creating journal %s: %w", path, err)
-		}
-		if _, err := f.Write([]byte(journalMagic)); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("fabric: initializing journal %s: %w", path, err)
-		}
-		jl.f, jl.size = f, int64(len(journalMagic))
-		return jl, nil, nil
-	}
-
-	if len(data) < len(journalMagic) || string(data[:len(journalMagic)]) != journalMagic {
-		return nil, nil, fmt.Errorf("fabric: %s is not a gateway journal (bad magic)", path)
-	}
-	st, good, err := replayJournal(data[len(journalMagic):])
-	end := int64(len(journalMagic) + good)
+	st := newJournalState()
+	f, err := recio.Open(path, journalMagic, func(_ int64, rec recio.Record) error {
+		return st.apply(rec.Kind, rec.Body)
+	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("fabric: journal %s: bad record at offset %d of %d (file left untouched): %w",
-			path, end, len(data), err)
+		return nil, nil, fmt.Errorf("fabric: journal %w", err)
 	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fabric: opening journal %s: %w", path, err)
-	}
-	if end < int64(len(data)) {
-		// Crash mid-append left a torn record; drop it so the replayed
-		// state and the on-disk log agree byte for byte.
-		if err := f.Truncate(end); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("fabric: truncating torn journal tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(end, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("fabric: seeking journal: %w", err)
-	}
-	jl.f, jl.size = f, end
+	jl := &Journal{file: f, compactBytes: journalCompactBytes}
 	if len(st.Jobs) == 0 && len(st.Keyframes) == 0 && len(st.Tenants) == 0 {
 		return jl, nil, nil
 	}
@@ -374,7 +246,7 @@ func (jl *Journal) Size() int64 {
 	if jl == nil {
 		return 0
 	}
-	return jl.size
+	return jl.file.Size()
 }
 
 // append frames one JSON record and writes it; a torn tail waits for the
@@ -387,7 +259,7 @@ func (jl *Journal) append(kind byte, v any) error {
 	if err != nil {
 		return err
 	}
-	if err := jl.write(recio.Append(nil, kind, body)); err != nil {
+	if err := jl.file.Append(recio.Append(nil, kind, body)); err != nil {
 		return fmt.Errorf("fabric: journal append: %w", err)
 	}
 	return nil
@@ -404,11 +276,11 @@ func (jl *Journal) AppendKeyframe(id string, step int64, data []byte) error {
 // ShouldCompact reports whether the log has outgrown its snapshot
 // budget, or has a tail only a rewrite can repair.
 func (jl *Journal) ShouldCompact() bool {
-	return jl != nil && (jl.size > jl.compactBytes || jl.tornTail)
+	return jl != nil && (jl.file.Size() > jl.compactBytes || jl.file.Torn())
 }
 
-// Compact rewrites the journal as a single snapshot record through a
-// temp file + rename: a crash mid-compaction leaves the previous log
+// Compact rewrites the journal as a single snapshot record through
+// recio's atomic rewrite: a crash mid-compaction leaves the previous log
 // untouched, and the rename is the commit point. The snapshot is also
 // the one place the journal fsyncs — steady-state appends survive a
 // process SIGKILL (the kernel holds the pages) and the periodic sync
@@ -421,50 +293,22 @@ func (jl *Journal) Compact(snap *journalSnapshot) error {
 	if err != nil {
 		return err
 	}
-	buf := recio.Append([]byte(journalMagic), jrecSnapshot, body)
-	tmp := jl.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
+	rec := recio.Append(nil, jrecSnapshot, body)
+	if err := jl.file.Rewrite(func(w io.Writer) error {
+		_, err := w.Write(rec)
+		return err
+	}); err != nil {
 		return err
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, jl.path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	old := jl.f
-	nf, err := os.OpenFile(jl.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	old.Close()
-	jl.f = nf
-	jl.tornTail = false
-	jl.size = int64(len(buf))
-	jl.compactBytes = jl.size + journalCompactBytes
+	jl.compactBytes = jl.file.Size() + journalCompactBytes
 	return nil
 }
 
 // Close releases the file handle. The journal needs no trailer: every
 // record is self-validating.
 func (jl *Journal) Close() error {
-	if jl == nil || jl.f == nil {
+	if jl == nil {
 		return nil
 	}
-	err := jl.f.Close()
-	jl.f = nil
-	return err
+	return jl.file.Close()
 }

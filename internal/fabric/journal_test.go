@@ -143,32 +143,6 @@ func TestJournalCrashMidAppendTruncatesTornTail(t *testing.T) {
 	}
 }
 
-// faultyJournalFile passes through to a real file until its failOn-th
-// Write, which lands only partial bytes and reports ENOSPC; with
-// stuck set, Truncate fails too, so the partial record cannot be rolled
-// back.
-type faultyJournalFile struct {
-	*os.File
-	writes, failOn, partial int
-	stuck                   bool
-}
-
-func (f *faultyJournalFile) Write(p []byte) (int, error) {
-	f.writes++
-	if f.writes != f.failOn {
-		return f.File.Write(p)
-	}
-	n, _ := f.File.Write(p[:f.partial])
-	return n, syscall.ENOSPC
-}
-
-func (f *faultyJournalFile) Truncate(size int64) error {
-	if f.stuck {
-		return syscall.EIO
-	}
-	return f.File.Truncate(size)
-}
-
 // A write that fails part-way (ENOSPC, EIO) must not poison the log: the
 // partial record is rolled back, so every record appended before AND
 // after the fault replays. Without the rollback the partial record's
@@ -181,7 +155,7 @@ func TestJournalFailedWriteRollsBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jl.f = &faultyJournalFile{File: jl.f.(*os.File), failOn: 3, partial: partial}
+		jl.file.Inject(&recio.Fault{FailOn: 3, Partial: partial})
 		appendOK := func(id string) {
 			t.Helper()
 			if err := jl.AppendJob(testJournalJob(id, "queued", 0, "")); err != nil {
@@ -222,7 +196,7 @@ func TestJournalUnrecoverableTailForcesCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jl.f = &faultyJournalFile{File: jl.f.(*os.File), failOn: 2, partial: 7, stuck: true}
+	jl.file.Inject(&recio.Fault{FailOn: 2, Partial: 7, Stuck: true})
 	g1, g2 := testJournalJob("g1", "queued", 0, ""), testJournalJob("g2", "queued", 0, "")
 	if err := jl.AppendJob(g1); err != nil {
 		t.Fatal(err)
@@ -250,6 +224,47 @@ func TestJournalUnrecoverableTailForcesCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := []string{"g1", "g2", "g4"}; st == nil || !reflect.DeepEqual(st.Order, want) {
+		t.Fatalf("replayed %+v, want jobs %v", st, want)
+	}
+}
+
+// Compaction replaces the journal at its path: the mode stays what the
+// open gave it, and an append after the rename lands in the file at the
+// path, not in the inode the rename replaced.
+func TestJournalCompactionKeepsModeAndPath(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gw.journal")
+	jl, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g1 := testJournalJob("g1", "queued", 0, "")
+	if err := jl.AppendJob(g1); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.Compact(&journalSnapshot{Order: []string{"g1"}, Jobs: []journalJob{*g1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.AppendJob(testJournalJob("g2", "queued", 0, "")); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Mode() != before.Mode() || after.Size() != jl.Size() {
+		t.Fatalf("after compaction and an append: mode %v (was %v), size at the path %d, journal size %d",
+			after.Mode(), before.Mode(), after.Size(), jl.Size())
+	}
+	jl.Close()
+	_, st, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"g1", "g2"}; st == nil || !reflect.DeepEqual(st.Order, want) {
 		t.Fatalf("replayed %+v, want jobs %v", st, want)
 	}
 }
@@ -401,17 +416,32 @@ func FuzzReadJournalRecord(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 2, 0, 0, 0, 0})
 	f.Add(bytes.Repeat([]byte{0}, recio.HeaderLen+recio.CRCLen))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, good, err := replayJournal(data)
+		_, good, err := replayJournal(t, data)
 		if good > len(data) {
 			t.Fatalf("replay over-reads: good=%d > len=%d", good, len(data))
 		}
 		if err != nil {
 			return
 		}
-		if _, again, err := replayJournal(data[:good]); err != nil || again != good {
+		if _, again, err := replayJournal(t, data[:good]); err != nil || again != good {
 			t.Fatalf("accepted prefix replays to %d bytes, %v; want %d", again, err, good)
 		}
 	})
+}
+
+// replayJournal opens a journal holding the magic and data, and reports
+// its replayed state and how many bytes of data the open kept.
+func replayJournal(t *testing.T, data []byte) (*JournalState, int, error) {
+	path := filepath.Join(t.TempDir(), "gw.journal")
+	if err := os.WriteFile(path, append([]byte(journalMagic), data...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jl, st, err := OpenJournal(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer jl.Close()
+	return st, int(jl.Size()) - len(journalMagic), nil
 }
 
 // Parked results must survive an agent restart via the spool directory

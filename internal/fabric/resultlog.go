@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 
 	"repro/internal/recio"
 )
@@ -19,8 +17,9 @@ import (
 // and the log's key index is the gateway's result cache. Jobs hold a
 // span into the log instead of the bytes, and journal records name no
 // result at all: a done job finds its result by key. The log is only
-// appended; the open rule is the journal's — a torn tail is truncated,
-// anything else that does not read back refuses the open.
+// appended, through the journal's recio.File: a torn tail is truncated,
+// anything else that does not read back refuses the open, and a failed
+// append is rolled back.
 
 // resultLogMagic distinguishes the result log from the journal (NBJ1)
 // and the frame store (NBF1).
@@ -39,7 +38,7 @@ type resultSpan struct {
 // with the gateway mutex held; Read needs no lock, because a span only
 // ever names a record that is complete on disk and never rewritten.
 type ResultLog struct {
-	recordFile
+	file  *recio.File
 	index map[string]resultSpan
 }
 
@@ -48,78 +47,18 @@ type ResultLog struct {
 // file, so a gateway without a journal runs the same code and leaves
 // nothing behind.
 func OpenResultLog(path string) (*ResultLog, error) {
-	var f *os.File
+	rl := &ResultLog{index: make(map[string]resultSpan)}
 	var err error
-	if path == "" {
-		f, err = os.CreateTemp("", "nbodygw-results-*")
+	rl.file, err = recio.Open(path, resultLogMagic, func(off int64, rec recio.Record) error {
+		key, _, err := splitResult(rec)
 		if err == nil {
-			err = os.Remove(f.Name())
+			rl.index[key] = resultSpan{off: off, n: int64(rec.Len)}
 		}
-	} else {
-		f, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	}
+		return err
+	})
 	if err != nil {
-		if f != nil {
-			f.Close()
-		}
-		return nil, fmt.Errorf("fabric: opening result log %s: %w", path, err)
+		return nil, fmt.Errorf("fabric: result log %w", err)
 	}
-	rl, err := indexResultLog(f, path)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return rl, nil
-}
-
-// indexResultLog scans f from the magic on, truncating a torn tail.
-func indexResultLog(f *os.File, path string) (*ResultLog, error) {
-	info, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("fabric: result log %s: %w", path, err)
-	}
-	size := info.Size()
-	rl := &ResultLog{recordFile: recordFile{f: f}, index: make(map[string]resultSpan)}
-	if size == 0 {
-		if _, err := f.Write([]byte(resultLogMagic)); err != nil {
-			return nil, fmt.Errorf("fabric: initializing result log %s: %w", path, err)
-		}
-		rl.size = int64(len(resultLogMagic))
-		return rl, nil
-	}
-	magic := make([]byte, len(resultLogMagic))
-	if _, err := f.ReadAt(magic, 0); err != nil || string(magic) != resultLogMagic {
-		return nil, fmt.Errorf("fabric: %s is not a gateway result log (bad magic)", path)
-	}
-	off := int64(len(resultLogMagic))
-	var buf []byte
-	for off < size {
-		rec, err := recio.ReadAt(f, off, size, &buf)
-		if errors.Is(err, recio.ErrTorn) {
-			break
-		}
-		var key string
-		if err == nil {
-			key, _, err = splitResult(rec)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("fabric: result log %s: bad record at offset %d of %d (file left untouched): %w",
-				path, off, size, err)
-		}
-		rl.index[key] = resultSpan{off: off, n: int64(rec.Len)}
-		off += int64(rec.Len)
-	}
-	if off < size {
-		// Crash mid-append left a torn record; drop it so the next
-		// append lands on a record boundary.
-		if err := f.Truncate(off); err != nil {
-			return nil, fmt.Errorf("fabric: truncating torn result log tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("fabric: seeking result log: %w", err)
-	}
-	rl.size = off
 	return rl, nil
 }
 
@@ -153,8 +92,8 @@ func (rl *ResultLog) Put(key string, result []byte) (resultSpan, error) {
 	buf = binary.AppendUvarint(buf, uint64(len(key)))
 	buf = append(append(buf, key...), result...)
 	buf = recio.Finish(buf, 0, rrecResult)
-	off := rl.size
-	if err := rl.write(buf); err != nil {
+	off := rl.file.Size()
+	if err := rl.file.Append(buf); err != nil {
 		return resultSpan{}, fmt.Errorf("fabric: result log append: %w", err)
 	}
 	sp := resultSpan{off: off, n: int64(len(buf))}
@@ -165,7 +104,7 @@ func (rl *ResultLog) Put(key string, result []byte) (resultSpan, error) {
 // Read returns the result the span names, checksum verified.
 func (rl *ResultLog) Read(sp resultSpan) ([]byte, error) {
 	buf := make([]byte, sp.n)
-	if _, err := rl.f.ReadAt(buf, sp.off); err != nil {
+	if _, err := rl.file.ReadAt(buf, sp.off); err != nil {
 		return nil, fmt.Errorf("fabric: reading result log at offset %d: %w", sp.off, err)
 	}
 	rec, err := recio.Parse(buf)
@@ -180,11 +119,11 @@ func (rl *ResultLog) Read(sp resultSpan) ([]byte, error) {
 }
 
 // Sync flushes the log to stable storage.
-func (rl *ResultLog) Sync() error { return rl.f.Sync() }
+func (rl *ResultLog) Sync() error { return rl.file.Sync() }
 
 // Size reports the log's on-disk size (backs nbodygw_result_log_bytes).
-func (rl *ResultLog) Size() int64 { return rl.size }
+func (rl *ResultLog) Size() int64 { return rl.file.Size() }
 
 // Close releases the file. Reads after Close fail; the field stays set,
 // because Read runs outside the gateway mutex.
-func (rl *ResultLog) Close() error { return rl.f.Close() }
+func (rl *ResultLog) Close() error { return rl.file.Close() }

@@ -389,8 +389,8 @@ func TestResultLogMigratesLegacyInlineResults(t *testing.T) {
 	}
 }
 
-// An append the result log refuses — injected through the journalFile
-// fault seam — keeps that one result in memory and logs it: the job is
+// An append the result log refuses — injected through recio's fault
+// seam — keeps that one result in memory and logs it: the job is
 // served, the log is rolled back, and the next result lands in the log.
 func TestResultLogAppendFailureKeepsResultInMemory(t *testing.T) {
 	var mu sync.Mutex
@@ -406,7 +406,7 @@ func TestResultLogAppendFailureKeepsResultInMemory(t *testing.T) {
 	}
 	defer gw.Close()
 	gw.mu.Lock()
-	gw.results.f = &faultyJournalFile{File: gw.results.f.(*os.File), failOn: 1, partial: 9}
+	gw.results.file.Inject(&recio.Fault{FailOn: 1, Partial: 9})
 	size := gw.results.Size()
 	gw.mu.Unlock()
 

@@ -275,42 +275,6 @@ func (r *Reader) SeekStep(step int64) error {
 	return nil
 }
 
-// scanState is what a full forward walk of the chain learns: where the
-// valid prefix ends, the last frame, the keyframe cadence
-// position and the keyframe index.
-type scanState struct {
-	end      int64
-	last     *Frame
-	sinceKey int
-	index    []IndexEntry
-}
-
-// scanChain walks r to its end in one frame, which becomes st.last,
-// ignoring any trailer index so the tail is re-validated byte by byte.
-// io.EOF (clean or torn) terminates the scan; ErrCorrupt mid-file
-// propagates.
-func scanChain(r *Reader) (scanState, error) {
-	var st scanState
-	f := &Frame{}
-	for {
-		err := r.Next(f)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return st, err
-		}
-		st.last = f
-	}
-	st.end = r.off
-	st.sinceKey = r.sinceKey
-	if err := r.ensureIndex(); err != nil {
-		return st, err
-	}
-	st.index = append(st.index, r.index...)
-	return st, nil
-}
-
 // Tail opens path, walks the chain past any torn tail, and returns the
 // last intact frame (nil if the file holds none). This is the resume
 // probe: the service reads a job's chain and its one-record resume.nbf
@@ -321,9 +285,16 @@ func Tail(path string) (*Frame, error) {
 		return nil, err
 	}
 	defer r.Close()
-	st, err := scanChain(r)
-	if err != nil {
-		return nil, err
+	f := &Frame{}
+	var last *Frame
+	for {
+		err := r.Next(f)
+		if err == io.EOF {
+			return last, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		last = f
 	}
-	return st.last, nil
 }

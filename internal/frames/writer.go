@@ -1,10 +1,9 @@
 package frames
 
 import (
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
+	"io"
 
 	"repro/internal/recio"
 )
@@ -24,18 +23,18 @@ func (o WriterOptions) withDefaults() WriterOptions {
 	return o
 }
 
-// Writer appends frames to one file. It is not safe for concurrent use;
-// the service serializes appends per job on the owning worker.
+// Writer appends frames to one file, a recio.File: a failed append is
+// rolled back, so the chain continues behind it. It is not safe for
+// concurrent use; the service serializes appends per job on the owning
+// worker.
 //
 // Between Appends a writer holds one copy of the last frame, the delta
 // predecessor: its columns in prev after a delta, or its record in key
 // after a keyframe — what KeyframeRecord returns — from which the next
 // delta decodes prev.
 type Writer struct {
-	f        *os.File
-	path     string
+	file     *recio.File
 	opt      WriterOptions
-	size     int64
 	prev     *Frame // the last frame: its Meta, and its columns unless key holds them
 	prevN    int    // the last frame's particle count
 	key      []byte // the last Append's keyframe record, nil after a delta
@@ -46,59 +45,53 @@ type Writer struct {
 
 // Create starts a new frame file at path, truncating any existing one.
 func Create(path string, opt WriterOptions) (*Writer, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := recio.Create(path, magic)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.Write([]byte(magic)); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &Writer{f: f, path: path, opt: opt.withDefaults(), size: int64(len(magic))}, nil
+	return &Writer{file: f, opt: opt.withDefaults()}, nil
 }
 
-// OpenAppend reopens an existing frame file for appending. A torn tail
-// record — one cut short by a crash or failing its CRC at end-of-file —
-// is truncated away, as is any clean-close index/trailer (a fresh one
-// is written on the next Close). The delta predecessor is rebuilt by
-// replaying the last keyframe group, so the chain continues seamlessly.
+// OpenAppend reopens a frame file for appending (an absent one starts
+// empty). A torn tail record — one cut short by a crash or failing its
+// CRC at end-of-file — is truncated away, as is any clean-close
+// index/trailer (a fresh one is written on the next Close); a corrupt
+// record anywhere else refuses the open and leaves the file untouched.
+// The walk decodes every frame into the delta predecessor, so the chain
+// continues seamlessly.
 func OpenAppend(path string, opt WriterOptions) (*Writer, error) {
-	r, err := Open(path)
+	w := &Writer{opt: opt.withDefaults()}
+	last := &Frame{}
+	var err error
+	w.file, err = recio.Open(path, magic, func(off int64, rec recio.Record) error {
+		var err error
+		switch {
+		case rec.Kind == recIndex:
+			return recio.Stop
+		case rec.Kind == recKeyframe:
+			if err = decodeKeyframe(rec.Body, last); err == nil {
+				w.index = append(w.index, IndexEntry{Step: last.Meta.Step, Off: off})
+				w.sinceKey = 0
+			}
+		case rec.Kind != recDelta:
+			err = fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, rec.Kind)
+		case w.prev == nil:
+			err = fmt.Errorf("%w: delta without a keyframe", ErrCorrupt)
+		default:
+			err = decodeDelta(rec.Body, last)
+		}
+		w.prev = last
+		w.sinceKey++
+		return err
+	})
+	if errors.Is(err, recio.ErrCorrupt) {
+		err = fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
 	if err != nil {
 		return nil, err
 	}
-	// Walk the whole chain to find the append point and the last frame.
-	// scanState deliberately ignores the trailer index: OpenAppend must
-	// re-validate the tail even after a clean close, because compaction
-	// or external truncation may have happened since.
-	st, err := scanChain(r)
-	r.Close()
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.Truncate(st.end); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(st.end, 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	w := &Writer{
-		f:        f,
-		path:     path,
-		opt:      opt.withDefaults(),
-		size:     st.end,
-		prev:     st.last,
-		sinceKey: st.sinceKey,
-		index:    st.index,
-	}
-	if st.last != nil {
-		w.prevN = st.last.Parts.Len()
+	if w.prev != nil {
+		w.prevN = last.Parts.Len()
 	}
 	return w, nil
 }
@@ -131,14 +124,15 @@ func (w *Writer) Append(f *Frame) (isKey bool, err error) {
 	} else {
 		buf = appendDelta(buf, f, w.prev)
 	}
-	if _, err := w.f.Write(buf); err != nil {
+	off := w.file.Size()
+	if err := w.file.Append(buf); err != nil {
 		return false, err
 	}
 	if w.prev == nil {
 		w.prev = &Frame{}
 	}
 	if isKey {
-		w.index = append(w.index, IndexEntry{Step: f.Meta.Step, Off: w.size})
+		w.index = append(w.index, IndexEntry{Step: f.Meta.Step, Off: off})
 		w.key, w.sinceKey = buf, 1
 		*w.prev = Frame{Meta: f.Meta}
 	} else {
@@ -147,16 +141,15 @@ func (w *Writer) Append(f *Frame) (isKey bool, err error) {
 		copyFrame(w.prev, f)
 	}
 	w.prevN = f.Parts.Len()
-	w.size += int64(len(buf))
 	return isKey, nil
 }
 
 // Sync flushes appended records to stable storage.
-func (w *Writer) Sync() error { return w.f.Sync() }
+func (w *Writer) Sync() error { return w.file.Sync() }
 
 // Size is the current file size in bytes, including records not yet
 // fsynced.
-func (w *Writer) Size() int64 { return w.size }
+func (w *Writer) Size() int64 { return w.file.Size() }
 
 // KeyframeRecord returns the raw bytes (header, body, CRC) of the record
 // the last Append wrote if it was a keyframe, else nil. The slice is the
@@ -177,24 +170,22 @@ func (w *Writer) LastStep() (step int64, ok bool) {
 
 // Close appends the sparse keyframe index and the fixed trailer, giving
 // readers an O(log n) seek without a forward scan, then closes the
-// file. A file missing these (crash) is still fully readable.
+// file. A file missing these (crash) is still fully readable. Behind a
+// tail a failed append could not roll back, Close writes nothing and
+// returns recio.ErrTornTail: the next OpenAppend truncates that tail.
 func (w *Writer) Close() error {
 	if w.closed {
 		return nil
 	}
 	w.closed, w.key = true, nil
-	indexOff := w.size
-	buf := appendIndexRecord(nil, w.index)
-	buf = appendTrailer(buf, indexOff)
-	if _, err := w.f.Write(buf); err != nil {
-		w.f.Close()
-		return err
+	err := w.file.Append(appendTrailer(appendIndexRecord(nil, w.index), w.file.Size()))
+	if err == nil {
+		err = w.file.Sync()
 	}
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
-		return err
+	if cerr := w.file.Close(); err == nil {
+		err = cerr
 	}
-	return w.f.Close()
+	return err
 }
 
 // appendTrailer encodes the 16-byte clean-close trailer pointing at the
@@ -245,10 +236,7 @@ func (w *Writer) Compact(pol Retention) (int64, error) {
 	}
 	pol = pol.withDefaults()
 	if len(w.index) <= pol.KeepGroups {
-		return w.size, nil
-	}
-	if err := w.f.Sync(); err != nil {
-		return 0, err
+		return w.file.Size(), nil
 	}
 
 	// Partition the keyframes: old (decimated to bare keyframes) and
@@ -261,7 +249,7 @@ func (w *Writer) Compact(pol Retention) (int64, error) {
 	}
 	groups := make([]span, len(w.index))
 	for i, e := range w.index {
-		end := w.size
+		end := w.file.Size()
 		if i+1 < len(w.index) {
 			end = w.index[i+1].Off
 		}
@@ -298,119 +286,54 @@ func (w *Writer) Compact(pol Retention) (int64, error) {
 		}
 	}
 
-	// Rewrite via temp file + rename, the same atomicity discipline as
-	// the spool's atomicWrite.
-	tmp, err := os.CreateTemp(filepath.Dir(w.path), ".nbf-compact-*")
-	if err != nil {
-		return 0, err
-	}
-	tmpPath := tmp.Name()
-	fail := func(e error) (int64, error) {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return 0, e
-	}
-	if _, err := tmp.Write([]byte(magic)); err != nil {
-		return fail(err)
-	}
+	// Groups are copied with ReadAt from the old file into its atomic
+	// replacement. prev and sinceKey stay valid: the tail groups are
+	// copied verbatim.
 	newIndex := make([]IndexEntry, 0, len(keep))
-	off := int64(len(magic))
-	for _, s := range keep {
-		n, err := copyRange(tmp, w.f, s.start, s.end)
-		if err != nil {
-			return fail(err)
+	err := w.file.Rewrite(func(dst io.Writer) error {
+		off := int64(len(magic))
+		for _, s := range keep {
+			n, err := io.Copy(dst, io.NewSectionReader(w.file, s.start, s.end-s.start))
+			if err == nil && n < s.end-s.start {
+				err = io.ErrUnexpectedEOF
+			}
+			if err != nil {
+				return err
+			}
+			newIndex = append(newIndex, IndexEntry{Step: s.entry.Step, Off: off})
+			off += n
 		}
-		newIndex = append(newIndex, IndexEntry{Step: s.entry.Step, Off: off})
-		off += n
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fail(err)
-	}
-	if err := os.Rename(tmpPath, w.path); err != nil {
-		os.Remove(tmpPath)
-		return 0, err
-	}
-	// Swap the writer onto the new file. prev and sinceKey are still
-	// valid: the tail groups were copied verbatim.
-	nf, err := os.OpenFile(w.path, os.O_RDWR, 0o644)
+		return nil
+	})
 	if err != nil {
 		return 0, err
 	}
-	if _, err := nf.Seek(off, 0); err != nil {
-		nf.Close()
-		return 0, err
-	}
-	w.f.Close()
-	w.f = nf
-	w.size = off
 	w.index = newIndex
-	sort.Slice(w.index, func(i, j int) bool { return w.index[i].Off < w.index[j].Off })
-	return w.size, nil
+	return w.file.Size(), nil
 }
 
 // recordEnd reads one record header at off and returns the offset just
 // past that record.
 func (w *Writer) recordEnd(off int64) (int64, error) {
-	_, n, err := recio.ReadHeader(w.f, off, w.size)
+	_, n, err := recio.ReadHeader(w.file, off, w.file.Size())
 	return off + n, err
 }
 
-// copyRange copies [start,end) of src to dst using ReadAt, leaving
-// src's file position (the append cursor) untouched.
-func copyRange(dst *os.File, src *os.File, start, end int64) (int64, error) {
-	buf := make([]byte, 256<<10)
-	var copied int64
-	for start+copied < end {
-		n := int64(len(buf))
-		if rem := end - start - copied; rem < n {
-			n = rem
-		}
-		rn, err := src.ReadAt(buf[:n], start+copied)
-		if rn > 0 {
-			if _, werr := dst.Write(buf[:rn]); werr != nil {
-				return copied, werr
-			}
-			copied += int64(rn)
-		}
-		if err != nil {
-			return copied, err
-		}
-	}
-	return copied, nil
-}
-
 // WriteSeed creates a frame file at path containing one replicated
-// keyframe record, via temp + rename. This is how a replacement shard
-// materializes the victim's last keyframe before resuming the job: the
-// file then continues through OpenAppend like any crash-recovered one.
+// keyframe record, through recio's atomic Replace. This is how a
+// replacement shard materializes the victim's last keyframe before
+// resuming the job: the file then continues through OpenAppend like any
+// crash-recovered one.
 func WriteSeed(path string, rec []byte) error {
 	if _, err := DecodeKeyframe(rec); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".nbf-seed-*")
+	f, err := recio.Replace(path, magic, func(w io.Writer) error {
+		_, err := w.Write(rec)
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	tmpPath := tmp.Name()
-	if _, err := tmp.Write([]byte(magic)); err == nil {
-		_, err = tmp.Write(rec)
-	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmpPath)
-		return err
-	}
-	if err := os.Rename(tmpPath, path); err != nil {
-		os.Remove(tmpPath)
-		return err
-	}
-	return nil
+	return f.Close()
 }
