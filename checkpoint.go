@@ -1,48 +1,65 @@
 package barneshut
 
 import (
-	"encoding/gob"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+
+	"repro/internal/frames"
+	"repro/internal/msg"
+	"repro/internal/recio"
 )
 
-// checkpoint is the serialized form of a Simulation: configuration plus
-// authoritative particle state. The engine's internal decomposition is
-// rebuilt on restore (the first step after a restore re-balances, exactly
-// like the first step of a fresh simulation).
-type checkpoint struct {
-	Version int
-	Config  Config
-	Time    float64
-	Steps   int
-	Domain  Box
-	Bodies  []Particle
+// A checkpoint is a Simulation's configuration and authoritative particle
+// state, which is all a resume needs: the formulations rebuild tree and
+// partition from the positions every step. The stream is the magic "NBC1"
+// (its digit is the format's version), one recio record of the Config,
+// and one frames keyframe record of the bodies in ID order whose header
+// holds only Step, Time and the root cell: the record a job's resume.nbf,
+// its frame chain and the gateway journal resume from.
+const (
+	checkpointMagic = "NBC1"
+	recConfig       = 'C'
+)
+
+// codeConfig lists the fields of a checkpointed Config.
+func codeConfig(c *recio.Coder, cfg *Config) {
+	recio.Int32(c, &cfg.Processors)
+	msg.CodeProfile(c, &cfg.Profile)
+	recio.Int32(c, &cfg.Scheme)
+	recio.Int32(c, &cfg.Mode)
+	c.F64(&cfg.Alpha)
+	recio.Int32(c, &cfg.Degree)
+	c.F64(&cfg.Eps)
+	recio.Int32(c, &cfg.LeafCap)
+	recio.Int32(c, &cfg.GridLog2)
+	recio.Int32(c, &cfg.BinSize)
+	c.F64(&cfg.DT)
+	c.Str(&cfg.Integrator)
+	recio.Int32(c, &cfg.Shipping)
+	recio.Int32(c, &cfg.BranchLookup)
+	recio.Int32(c, &cfg.Ordering)
+	recio.Int32(c, &cfg.TreeBuild)
 }
 
-// Checkpoint stream versions. v2 streams written while the job service
-// kept gob checkpoints carry one more field, FrameStep; nothing reads it
-// any more and gob drops a stream field the struct lacks, so v1 and
-// either kind of v2 decode alike. Anything outside
-// [checkpointMinVersion, checkpointVersion] fails with a
-// version-specific error.
-const (
-	checkpointVersion    = 2
-	checkpointMinVersion = 1
-)
+// appendConfigRecord appends cfg's record to b.
+func appendConfigRecord(b []byte, cfg Config) []byte {
+	c := recio.Coder{W: recio.Writer{B: recio.Begin(b)}}
+	codeConfig(&c, &cfg)
+	return recio.Finish(c.W.B, len(b), recConfig)
+}
 
-// WriteCheckpoint serializes the simulation state so it can be resumed
-// later with ReadCheckpoint. The stream is a stdlib gob encoding.
+// WriteCheckpoint writes the simulation's state so that ReadCheckpoint
+// can resume it; the keyframe is streamed, not built in one buffer.
 func (s *Simulation) WriteCheckpoint(w io.Writer) error {
-	cp := checkpoint{
-		Version: checkpointVersion,
-		Config:  s.cfg,
-		Time:    s.time,
-		Steps:   s.steps,
-		Domain:  s.Domain(),
-		Bodies:  s.Bodies(),
+	f := frames.Frame{Meta: frames.Meta{Step: int64(s.steps), Time: s.time, Domain: s.Domain()}}
+	f.Parts.Gather(s.bodies)
+	_, err := w.Write(appendConfigRecord([]byte(checkpointMagic), s.cfg))
+	if err == nil {
+		_, err = frames.WriteKeyframe(w, &f)
 	}
-	if err := gob.NewEncoder(w).Encode(cp); err != nil {
+	if err != nil {
 		return fmt.Errorf("barneshut: writing checkpoint: %w", err)
 	}
 	return nil
@@ -52,44 +69,70 @@ func (s *Simulation) WriteCheckpoint(w io.Writer) error {
 // decomposition anchors to the same cube.
 func (s *Simulation) Domain() Box { return s.engine.Domain() }
 
-// ReadCheckpoint reconstructs a Simulation from a checkpoint stream.
-// It fails with a descriptive error on truncated or corrupt streams, on
-// checkpoints written by a newer version of this package, and on
-// versions older than checkpointMinVersion.
+// ReadCheckpoint reconstructs a Simulation from a checkpoint stream. It
+// refuses with a descriptive error a legacy gob stream, a newer format,
+// and a truncated or corrupt stream — which includes any stream
+// WriteCheckpoint cannot have written, so whatever it accepts writes back
+// byte for byte.
 func ReadCheckpoint(r io.Reader) (*Simulation, error) {
-	var cp checkpoint
-	if err := gob.NewDecoder(r).Decode(&cp); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, fmt.Errorf("barneshut: truncated checkpoint stream: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("barneshut: reading checkpoint: %w", err)
+	}
+	n := len(checkpointMagic)
+	if len(data) < n || string(data[:n]) != checkpointMagic {
+		if len(data) >= n && string(data[:n-1]) == checkpointMagic[:n-1] && data[n-1] > checkpointMagic[n-1] {
+			return nil, fmt.Errorf("barneshut: checkpoint format %q is newer than the supported %q", data[:n], checkpointMagic)
 		}
-		return nil, fmt.Errorf("barneshut: corrupt checkpoint stream: %w", err)
+		return nil, fmt.Errorf("barneshut: not a checkpoint stream: no %q magic (the legacy gob checkpoint format is no longer read)", checkpointMagic)
 	}
-	if cp.Version > checkpointVersion {
-		return nil, fmt.Errorf("barneshut: checkpoint version %d is newer than the supported version %d (written by a newer release?)",
-			cp.Version, checkpointVersion)
+	var cfg Config
+	var f *frames.Frame
+	c, err := recio.Parse(data[n:])
+	if err == nil {
+		// A short or padded body, another kind or another spelling of a
+		// flag all write back differently.
+		codeConfig(recio.Decoder(c.Body), &cfg)
+		if !bytes.Equal(appendConfigRecord(nil, cfg), data[n:n+c.Len]) {
+			err = errors.New("not the configuration record WriteCheckpoint writes")
+		}
 	}
-	if cp.Version < checkpointMinVersion {
-		return nil, fmt.Errorf("barneshut: checkpoint version %d predates the oldest supported version %d",
-			cp.Version, checkpointMinVersion)
+	if err == nil {
+		f, err = frames.DecodeKeyframe(data[n+c.Len:])
 	}
-	set := &ParticleSet{Particles: cp.Bodies, Domain: cp.Domain}
-	return RestoreSimulation(set, cp.Config, cp.Time, cp.Steps)
+	if err == nil && f.Meta != (frames.Meta{Step: f.Meta.Step, Time: f.Meta.Time, Domain: f.Meta.Domain}) {
+		err = errors.New("keyframe header holds more than the clocks and the root cell")
+	}
+	for i := 0; err == nil && i < f.Parts.Len(); i++ {
+		if int(f.Parts.ID[i]) != i {
+			err = fmt.Errorf("body %d has ID %d", i, f.Parts.ID[i])
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("barneshut: truncated or corrupt checkpoint stream: %w", err)
+	}
+	sim, err := RestoreSimulation(f, cfg)
+	if err == nil && sim.cfg != cfg {
+		return nil, errors.New("barneshut: corrupt checkpoint stream: the configuration is not an effective one")
+	}
+	return sim, err
 }
 
-// RestoreSimulation rebuilds a mid-run Simulation from authoritative
-// particle state: the engine re-derives its decomposition from the
-// bodies, and the clocks restart at tm/steps. This is the shared core
-// of ReadCheckpoint and the job service's resume from a frame (a
-// decoded keyframe is exactly such a particle set).
-func RestoreSimulation(set *ParticleSet, cfg Config, tm float64, steps int) (*Simulation, error) {
-	if len(set.Particles) == 0 {
+// RestoreSimulation rebuilds a mid-run Simulation under cfg from a
+// keyframe: the bodies, the clocks (Step, Time) and the root cell
+// (Domain), which the engine takes as it is and re-derives its
+// decomposition in. It is the one frame-to-simulation restore: of
+// ReadCheckpoint, of the job service's spool and of a seeded job.
+func RestoreSimulation(f *frames.Frame, cfg Config) (*Simulation, error) {
+	if f.Parts.Len() == 0 {
 		return nil, errors.New("barneshut: restore from state with no particles")
 	}
-	sim, err := NewSimulation(set, cfg)
+	set := &ParticleSet{Particles: make([]Particle, f.Parts.Len()), Domain: f.Meta.Domain}
+	f.Parts.Scatter(set.Particles)
+	sim, err := newSimulation(set, cfg, set.Domain)
 	if err != nil {
 		return nil, err
 	}
-	sim.time = tm
-	sim.steps = steps
+	sim.time, sim.steps = f.Meta.Time, int(f.Meta.Step)
 	return sim, nil
 }

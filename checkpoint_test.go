@@ -2,10 +2,13 @@ package barneshut
 
 import (
 	"bytes"
-	"encoding/gob"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/frames"
+	"repro/internal/recio"
 )
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -59,9 +62,10 @@ func TestCheckpointRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestCheckpointVersionCheck(t *testing.T) {
-	set := NewPlummer(50, 1, V3{}, 22)
-	sim, err := NewSimulation(set, Config{Profile: IdealMachine()})
+func TestCheckpointRejectsFutureVersion(t *testing.T) {
+	// A structurally valid checkpoint stamped by a "newer release" must
+	// hit the version gate with a clear message.
+	sim, err := NewSimulation(NewPlummer(10, 1, V3{}, 5), Config{Processors: 1, Profile: IdealMachine()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,24 +73,8 @@ func TestCheckpointVersionCheck(t *testing.T) {
 	if err := sim.WriteCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCheckpointRejectsFutureVersion(t *testing.T) {
-	// Hand-encode a structurally valid checkpoint stamped by a "newer
-	// release" and assert the version gate fires with a clear message.
-	cp := checkpoint{
-		Version: checkpointVersion + 7,
-		Config:  Config{Processors: 1, Profile: IdealMachine()},
-		Bodies:  NewPlummer(10, 1, V3{}, 5).Particles,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(cp); err != nil {
-		t.Fatal(err)
-	}
-	_, err := ReadCheckpoint(&buf)
+	buf.Bytes()[len(checkpointMagic)-1] += 7
+	_, err = ReadCheckpoint(&buf)
 	if err == nil {
 		t.Fatal("future-version checkpoint accepted")
 	}
@@ -95,82 +83,64 @@ func TestCheckpointRejectsFutureVersion(t *testing.T) {
 	}
 }
 
-func TestCheckpointRejectsAncientVersion(t *testing.T) {
-	// A structurally valid stream stamped with a version below
-	// checkpointMinVersion must hit the explicit old-version error path,
-	// not decode as if it were current.
-	cp := checkpoint{
-		Version: checkpointMinVersion - 1,
-		Config:  Config{Processors: 1, Profile: IdealMachine()},
-		Bodies:  NewPlummer(10, 1, V3{}, 5).Particles,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(cp); err != nil {
-		t.Fatal(err)
-	}
-	_, err := ReadCheckpoint(&buf)
-	if err == nil {
-		t.Fatal("ancient-version checkpoint accepted")
-	}
-	if !strings.Contains(err.Error(), "predates") {
-		t.Fatalf("old-version error not descriptive: %v", err)
-	}
-}
-
-func TestCheckpointAcceptsV1(t *testing.T) {
-	// v1 streams must keep decoding.
-	cp := checkpoint{
-		Version: 1,
-		Config:  Config{Processors: 2, Profile: IdealMachine(), DT: 0.01},
-		Time:    0.05,
-		Steps:   5,
-		Bodies:  NewPlummer(40, 1, V3{}, 6).Particles,
-	}
-	cp.Domain = NewPlummer(40, 1, V3{}, 6).Domain
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(cp); err != nil {
-		t.Fatal(err)
-	}
-	sim, err := ReadCheckpoint(&buf)
-	if err != nil {
-		t.Fatalf("v1 checkpoint rejected: %v", err)
-	}
-	if sim.Steps() != 5 {
-		t.Fatalf("v1 restore: steps=%d", sim.Steps())
-	}
-}
-
-// TestCheckpointAcceptsV2WithFrameStep decodes a stream recorded at the
-// last commit whose checkpoints carried FrameStep (set to 17 there): the
-// field is dropped and everything else restores as the same run
-// recomputed here.
-func TestCheckpointAcceptsV2WithFrameStep(t *testing.T) {
+// TestCheckpointRefusesLegacyGob reads a gob checkpoint of the format
+// older releases wrote (a run of 12 bodies on 2 processors) and requires
+// a refusal that names the format.
+func TestCheckpointRefusesLegacyGob(t *testing.T) {
 	data, err := os.ReadFile("testdata/checkpoint_v2.gob")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(data, []byte("FrameStep")) {
-		t.Fatal("fixture is not a v2 stream with FrameStep")
+	_, err = ReadCheckpoint(bytes.NewReader(data))
+	if err == nil || !strings.Contains(err.Error(), "gob") {
+		t.Fatalf("legacy gob checkpoint: %v", err)
 	}
-	restored, err := ReadCheckpoint(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("v2 checkpoint rejected: %v", err)
+}
+
+// TestCheckpointResumeBitIdentical checkpoints an SPSA run to a file at
+// step k, resumes it through ReadCheckpoint and requires the bodies of
+// both runs bit-equal at the end: SPSA's clusters are fixed by position,
+// so the resume is exact. The Plummer set's cube is one whose Cube is not
+// itself, so the resumed engine must take the saved root cell as it is.
+func TestCheckpointResumeBitIdentical(t *testing.T) {
+	set := NewPlummer(300, 1, V3{}, 87)
+	if d := set.Domain.Cube(); d.Cube() == d {
+		t.Fatal("the root cell is a fixed point of Cube: the test no longer covers a re-cubed domain")
 	}
-	want, err := NewSimulation(NewPlummer(12, 1, V3{}, 25), Config{Processors: 2, Profile: IdealMachine(), Eps: 0.05})
+	cfg := Config{Processors: 4, Scheme: SPSA, Alpha: 0.6, Eps: 0.05, DT: 0.01, Profile: IdealMachine()}
+	want, err := NewSimulation(set, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want.Run(3)
-	if restored.Steps() != 3 || restored.Time() != want.Time() || restored.Config() != want.Config() {
-		t.Fatalf("v2 restore: steps=%d time=%v config=%+v", restored.Steps(), restored.Time(), restored.Config())
+	want.Run(6)
+	sim, err := NewSimulation(set, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got, ref := restored.Bodies(), want.Bodies()
-	if len(got) != len(ref) {
-		t.Fatalf("v2 restore: %d bodies, want %d", len(got), len(ref))
+	sim.Run(3)
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	if err := recio.WriteFile(path, sim.WriteCheckpoint); err != nil {
+		t.Fatal(err)
 	}
-	for i := range ref {
-		if got[i] != ref[i] {
-			t.Fatalf("body %d: restored %+v, recomputed %+v", i, got[i], ref[i])
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := ReadCheckpoint(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Domain() != sim.Domain() {
+		t.Fatalf("resumed root cell %+v, saved %+v", resumed.Domain(), sim.Domain())
+	}
+	resumed.Run(3)
+	if resumed.Steps() != want.Steps() || resumed.Time() != want.Time() {
+		t.Fatalf("clocks: %d/%v, want %d/%v", resumed.Steps(), resumed.Time(), want.Steps(), want.Time())
+	}
+	for i, b := range want.Bodies() {
+		if got := resumed.Bodies()[i]; got != b {
+			t.Fatalf("body %d: resumed %+v, uninterrupted %+v", i, got, b)
 		}
 	}
 }
@@ -182,8 +152,9 @@ func TestRestoreSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	src.Run(4)
-	state := &ParticleSet{Particles: src.Bodies(), Domain: src.Domain()}
-	restored, err := RestoreSimulation(state, src.Config(), src.Time(), src.Steps())
+	state := &frames.Frame{Meta: frames.Meta{Step: int64(src.Steps()), Time: src.Time(), Domain: src.Domain()}}
+	state.Parts.Gather(src.Bodies())
+	restored, err := RestoreSimulation(state, src.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +168,7 @@ func TestRestoreSimulation(t *testing.T) {
 			t.Fatalf("body %d differs after restore", i)
 		}
 	}
-	if _, err := RestoreSimulation(&ParticleSet{}, src.Config(), 0, 0); err == nil {
+	if _, err := RestoreSimulation(&frames.Frame{}, src.Config()); err == nil {
 		t.Fatal("empty restore accepted")
 	}
 }
@@ -237,7 +208,7 @@ func TestCheckpointRejectsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	// Flip bytes in the middle of the gob stream.
+	// Flip bytes in the middle of the stream.
 	for i := len(data) / 2; i < len(data)/2+16 && i < len(data); i++ {
 		data[i] ^= 0xA5
 	}
@@ -247,15 +218,52 @@ func TestCheckpointRejectsCorrupt(t *testing.T) {
 }
 
 func TestCheckpointRejectsEmptyBodies(t *testing.T) {
-	cp := checkpoint{Version: checkpointVersion, Config: Config{Processors: 1, Profile: IdealMachine()}}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(cp); err != nil {
+	cfg := Config{Processors: 1, Profile: IdealMachine(), DT: 0.01, Integrator: "leapfrog"}
+	buf := bytes.NewBuffer(appendConfigRecord([]byte(checkpointMagic), cfg))
+	if _, err := frames.WriteKeyframe(buf, &frames.Frame{}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := ReadCheckpoint(&buf)
+	_, err := ReadCheckpoint(buf)
 	if err == nil || !strings.Contains(err.Error(), "no particles") {
 		t.Fatalf("empty checkpoint: %v", err)
 	}
+}
+
+// FuzzReadCheckpoint feeds ReadCheckpoint what a -resume file may hold:
+// it must not panic, and any stream it accepts must write back byte for
+// byte.
+func FuzzReadCheckpoint(f *testing.F) {
+	sim, err := NewSimulation(NewPlummer(12, 1, V3{}, 25), Config{Processors: 2, Profile: IdealMachine(), Eps: 0.05})
+	if err != nil {
+		f.Fatal(err)
+	}
+	sim.Run(2)
+	var buf bytes.Buffer
+	if err := sim.WriteCheckpoint(&buf); err != nil {
+		f.Fatal(err)
+	}
+	legacy, err := os.ReadFile("testdata/checkpoint_v2.gob")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{buf.Bytes(), legacy} {
+		for _, n := range []int{len(seed), len(seed) - 1, len(seed) / 2, 40, 4, 0} {
+			f.Add(seed[:n])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sim, err := ReadCheckpoint(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := sim.WriteCheckpoint(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("accepted a %d-byte stream that writes back as %d different bytes", len(data), out.Len())
+		}
+	})
 }
 
 func TestFMMPublicAPI(t *testing.T) {

@@ -21,6 +21,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/obsv"
 	"repro/internal/parbh"
+	"repro/internal/recio"
 	"repro/internal/transport"
 )
 
@@ -131,11 +132,10 @@ func main() {
 	var sim *barneshut.Simulation
 	if *resume != "" {
 		f, err := os.Open(*resume)
-		if err != nil {
-			fatal(err)
+		if err == nil {
+			sim, err = barneshut.ReadCheckpoint(f)
+			f.Close()
 		}
-		sim, err = barneshut.ReadCheckpoint(f)
-		f.Close()
 		if err != nil {
 			fatal(err)
 		}
@@ -183,26 +183,18 @@ func main() {
 		writeTrace(tracer, *tracePath)
 	}
 
+	// Each output file is written atomically: a failed or interrupted
+	// write leaves the old one.
 	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
+		if err := recio.WriteFile(*csvPath, history.WriteCSV); err != nil {
 			fatal(err)
 		}
-		if err := history.WriteCSV(f); err != nil {
-			fatal(err)
-		}
-		f.Close()
 		fmt.Printf("history written to %s\n", *csvPath)
 	}
 	if *ckptPath != "" {
-		f, err := os.Create(*ckptPath)
-		if err != nil {
+		if err := recio.WriteFile(*ckptPath, sim.WriteCheckpoint); err != nil {
 			fatal(err)
 		}
-		if err := sim.WriteCheckpoint(f); err != nil {
-			fatal(err)
-		}
-		f.Close()
 		fmt.Printf("checkpoint written to %s\n", *ckptPath)
 	}
 }
@@ -295,15 +287,7 @@ func runTCP(set *barneshut.ParticleSet, cfg barneshut.Config, distName string, s
 // writeTrace exports the capture as Chrome trace-event JSON (open it at
 // https://ui.perfetto.dev).
 func writeTrace(tr *barneshut.Tracer, path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := tr.WriteChrome(f); err != nil {
-		f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := recio.WriteFile(path, tr.WriteChrome); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("trace written to %s (%d events", path, tr.Len())

@@ -57,7 +57,7 @@ func main() {
 		workers   = flag.Int("workers", 2, "worker pool size")
 		queue     = flag.Int("queue", 16, "queued-job bound beyond running jobs (beyond it: 429)")
 		spool     = flag.String("spool", "", "spool directory for resume across restarts (empty disables)")
-		ckptEvery = flag.Int("checkpoint-every", 10, "steps between checkpoints of jobs without a frame chain: resume.nbf (frames off), meta.json (cluster, potential mode); a framed job's chain is its checkpoint")
+		ckptEvery = flag.Int("checkpoint-every", 10, "steps between checkpoints (resume.nbf) of jobs without a frame chain: frames off, cluster or potential mode; a framed job's chain is its checkpoint")
 		frKey     = flag.Int("frames-key-every", 16, "keyframe cadence of per-job frame chains (needs -spool; negative disables frame capture)")
 		frBytes   = flag.Int64("frames-max-bytes", 64<<20, "per-job frame chain byte budget before compaction thins old deltas (0 = unbounded)")
 		drain     = flag.Duration("drain", 30*time.Second, "max time to wait for workers on shutdown")

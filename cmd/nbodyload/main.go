@@ -49,6 +49,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/recio"
 	"repro/internal/service"
 )
 
@@ -190,11 +191,7 @@ func run() int {
 		report.Shards, report.Accepted, report.Lost, report.GoldenMatch, report.GoldenCached)
 
 	if *out != "" {
-		doc, err := json.MarshalIndent(report, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*out, append(doc, '\n'), 0o644)
-		}
-		if err != nil {
+		if err := writeJSON(*out, report); err != nil {
 			fmt.Fprintf(os.Stderr, "nbodyload: writing %s: %v\n", *out, err)
 			return 1
 		}
@@ -300,11 +297,7 @@ func runGwha(d *driver, jobs, n, minSteps, stride int, out string) int {
 		report.GoldenMatch)
 
 	if out != "" {
-		doc, err := json.MarshalIndent(report, "", "  ")
-		if err == nil {
-			err = os.WriteFile(out, append(doc, '\n'), 0o644)
-		}
-		if err != nil {
+		if err := writeJSON(out, report); err != nil {
 			fmt.Fprintf(os.Stderr, "nbodyload: writing %s: %v\n", out, err)
 			return 1
 		}
@@ -580,6 +573,15 @@ func (d *driver) fetchMetrics() (string, error) {
 	defer resp.Body.Close()
 	payload, err := io.ReadAll(resp.Body)
 	return string(payload), err
+}
+
+// writeJSON writes v to path as indented JSON, atomically.
+func writeJSON(path string, v any) error {
+	return recio.WriteFile(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	})
 }
 
 // metricValue extracts one plain metric row's value.

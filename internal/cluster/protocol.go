@@ -79,16 +79,6 @@ type jobReady struct {
 	Err   string
 }
 
-func codeProfile(c *recio.Coder, p *msg.CostProfile) {
-	c.Str(&p.Name)
-	c.F64(&p.FlopRate)
-	c.F64(&p.TS)
-	c.F64(&p.TW)
-	c.F64(&p.TH)
-	recio.Int32(c, &p.Topology)
-	c.Bool(&p.StoreAndForward)
-}
-
 func codeConfig(c *recio.Coder, cfg *parbh.Config) {
 	recio.Int32(c, &cfg.Scheme)
 	recio.Int32(c, &cfg.Mode)
@@ -110,7 +100,7 @@ func init() {
 		c.Str(&v.Job.Name)
 		recio.Int32(c, &v.Job.Ranks)
 		recio.Int32(c, &v.Job.Steps)
-		codeProfile(c, &v.Job.Profile)
+		msg.CodeProfile(c, &v.Job.Profile)
 		codeConfig(c, &v.Job.Config)
 		c.V3(&v.Job.Domain.Min)
 		c.V3(&v.Job.Domain.Max)

@@ -480,3 +480,37 @@ func TestParkStoreDurableRoundTrip(t *testing.T) {
 		t.Fatalf("after ack, reloaded store has %d entries, want 1", ps3.Len())
 	}
 }
+
+// TestParkStoreRewriteKeepsMode re-parks a result over an entry made
+// private (0600): the mode stays, the new entry reloads, and no temp file
+// is left beside it.
+func TestParkStoreRewriteKeepsMode(t *testing.T) {
+	dir := t.TempDir()
+	ps, err := newParkStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Put(&parkedResult{JobID: "g1", State: "failed", Err: "boom"}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "g1.json")
+	if err := os.Chmod(path, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Put(&parkedResult{JobID: "g1", State: "done", Result: json.RawMessage(`{"steps":3}`)}); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := os.Stat(path); err != nil || info.Mode().Perm() != 0o600 {
+		t.Fatalf("re-parked entry: %v, mode %v, want 0600", err, info.Mode())
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
+		t.Fatalf("park dir holds %v (%v), want only g1.json", ents, err)
+	}
+	ps2, err := newParkStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if list := ps2.List(); len(list) != 1 || list[0].State != "done" || string(list[0].Result) != `{"steps":3}` {
+		t.Fatalf("reloaded park list = %+v", list)
+	}
+}

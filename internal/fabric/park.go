@@ -3,11 +3,14 @@ package fabric
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+
+	"repro/internal/recio"
 )
 
 // parkedResult is one terminal result that completed while the gateway
@@ -21,8 +24,8 @@ type parkedResult struct {
 
 // parkStore holds parked results. With a directory it follows the
 // service-spool discipline — one JSON file per entry under
-// <spool>/parked/, written through a temp file + rename, surviving an
-// agent restart; without one it degrades to in-memory parking, which
+// <spool>/parked/, written through recio.WriteFile (temp file, fsync,
+// rename), surviving an agent restart; without one it degrades to in-memory parking, which
 // survives a gateway outage but not an agent crash.
 type parkStore struct {
 	dir string // "" = memory only
@@ -70,16 +73,9 @@ func (ps *parkStore) Put(p *parkedResult) error {
 	if ps.dir == "" {
 		return nil
 	}
-	data, err := json.Marshal(p)
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(ps.dir, p.JobID+".json")
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return recio.WriteFile(filepath.Join(ps.dir, p.JobID+".json"), func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(p)
+	})
 }
 
 // Remove deletes one entry after the gateway acknowledged it, and

@@ -13,6 +13,20 @@ import (
 	"repro/internal/vec"
 )
 
+// TestSectionWireWords pins the wire model on a section of an internal
+// node over three particles and a leaf holding one of them, with a stride
+// of five expansion floats: 2 header + (6+5) internal + (2+4·1) leaf
+// words. Costing either node as the other kind gives another count.
+func TestSectionWireWords(t *testing.T) {
+	s := Section{ExpStride: 5}
+	s.Kind = []uint8{tree.KindInternal, tree.KindLeaf}
+	s.Lo = []int32{0, 0}
+	s.Hi = []int32{3, 1}
+	if got, want := s.WireWords(), 2+(6+5)+(2+4*1); got != want {
+		t.Fatalf("WireWords = %d, want %d", got, want)
+	}
+}
+
 // realMAC is the acceptance test a receiver replays (tree.Accepts'
 // arithmetic over a shipped summary).
 func realMAC(com vec.V3, side float64, pos vec.V3, alpha float64) bool {

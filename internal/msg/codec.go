@@ -23,6 +23,18 @@ func CodeStats(c *recio.Coder, s *Stats) {
 	c.F64(&s.Flops)
 }
 
+// CodeProfile lists the fields of a CostProfile, for the cluster's job
+// start and the root package's checkpoint.
+func CodeProfile(c *recio.Coder, p *CostProfile) {
+	c.Str(&p.Name)
+	c.F64(&p.FlopRate)
+	c.F64(&p.TS)
+	c.F64(&p.TW)
+	c.F64(&p.TH)
+	recio.Int32(c, &p.Topology)
+	c.Bool(&p.StoreAndForward)
+}
+
 // The collective envelopes carry nested `any` payloads; those inner
 // values resolve through the registry recursively, so anything a
 // collective can forward must itself be registered.

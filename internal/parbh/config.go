@@ -175,6 +175,10 @@ type Config struct {
 	Ordering Ordering
 	// TreeBuild selects the top-tree construction variant.
 	TreeBuild TreeBuild
+	// Root is the root cell; zero gives the cube around the particle
+	// set's domain. A restore passes the root cell of the run it resumes,
+	// which re-cubing could move by an ulp.
+	Root vec.Box
 }
 
 // withDefaults fills unset fields.

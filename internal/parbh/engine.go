@@ -79,7 +79,10 @@ func New(machine *msg.Machine, set *dist.Set, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	p := machine.P
 	e := &Engine{cfg: cfg, machine: machine, n: set.N()}
-	e.domain = set.Domain.Cube()
+	e.domain = cfg.Root
+	if e.domain == (vec.Box{}) {
+		e.domain = set.Domain.Cube()
+	}
 	e.builders = make([]*tree.Builder, p)
 	e.forests = make([]*tree.Tree, p)
 	e.letFlats = make([]*let.Flat, p)

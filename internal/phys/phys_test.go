@@ -106,6 +106,24 @@ func TestCostModel(t *testing.T) {
 	if SeriesFloats(6) != 7*8+3 {
 		t.Fatalf("SeriesFloats(6) = %d", SeriesFloats(6))
 	}
+	// The expansion operators cost per coefficient, c = (k+1)(k+2)/2.
+	for k := 0; k <= 6; k++ {
+		c := float64((k + 1) * (k + 2) / 2)
+		for _, op := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"P2M", P2MFlops(k), 10 * c},
+			{"M2M", M2MFlops(k), 4 * c * c},
+			{"M2L", M2LFlops(k), 6 * c * c},
+			{"L2L", L2LFlops(k), 4 * c * c},
+			{"L2P", L2PFlops(k), 8 * c},
+		} {
+			if op.got != op.want {
+				t.Errorf("%sFlops(%d) = %v, want %v", op.name, k, op.got, op.want)
+			}
+		}
+	}
 }
 
 // randomCluster builds a small cluster near the origin.

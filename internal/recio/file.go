@@ -194,6 +194,16 @@ func Replace(path, magic string, fill func(io.Writer) error) (*File, error) {
 	return &File{h: h, path: path, magic: magic, size: info.Size()}, nil
 }
 
+// WriteFile puts what fill writes at path through Replace, with no magic:
+// the one whole-file writer (job specs, parked results, checkpoints).
+func WriteFile(path string, fill func(io.Writer) error) error {
+	f, err := Replace(path, "", fill)
+	if err == nil {
+		err = f.Close()
+	}
+	return err
+}
+
 // Rewrite replaces the file's records with what fill writes, through
 // Replace; fill may read the old records with ReadAt. A torn tail goes
 // with the old file.

@@ -1,11 +1,11 @@
 // Package recio is the byte layer under every durable file and every
 // wire payload of this repository: the one CRC-framed record format the
-// frame store (NBF1), the gateway journal (NBJ1) and its result log
-// (NBR1) append, with its one rule for what a torn tail is; the one
-// append-only File they open, append, roll back and rewrite through
-// (file.go); and the bounded little-endian Reader and Writer — plus the
-// bidirectional Coder over them — that record bodies and transport wire
-// types are written with.
+// frame store (NBF1), the gateway journal (NBJ1), its result log (NBR1)
+// and the checkpoint (NBC1) hold, with its one rule for what a torn tail
+// is; the one append-only File they go through and the one whole-file
+// writer (file.go); and the bounded little-endian Reader and Writer —
+// plus the bidirectional Coder over them — that record bodies and
+// transport wire types are written with.
 //
 // A record is
 //

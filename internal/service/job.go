@@ -63,9 +63,9 @@ type JobSpec struct {
 	// essential trees).
 	Shipping string `json:"shipping,omitempty"`
 	// CheckpointEvery overrides the service's checkpoint interval in
-	// steps for this job (0 = service default). It paces resume.nbf and
-	// meta.json; a job recording frames checkpoints every step through
-	// its chain and ignores it.
+	// steps for this job (0 = service default). It paces resume.nbf; a
+	// job recording frames checkpoints every step through its chain and
+	// ignores it.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 	// FramesKeyEvery overrides the service's frame-store keyframe
 	// cadence for this job (0 = service default, negative = no frame
@@ -215,7 +215,8 @@ func (s JobSpec) potentialMode() bool {
 // stateless reports whether the job's particles never move: a cluster
 // job only evaluates forces, a potential-mode job only potentials. Such a
 // job records no frames, cannot be seeded from one, and its whole resume
-// point is a step count and the machine time (meta.json).
+// point is a step count and the machine time: the header of a keyframe
+// with no particles.
 func (s JobSpec) stateless() bool { return s.distributed() || s.potentialMode() }
 
 // SimConfig translates the spec into a barneshut.Config. The spec must
@@ -282,21 +283,22 @@ type resumePoint struct {
 
 // resumeFrom is the one frame-to-simulation restore: f's particles under
 // the spec's configuration, with both clocks and the machine-time
-// accumulator read off f's header. Spool recovery hands it the last
+// accumulator read off f's header. A stateless job takes only the header:
+// the spec rebuilds its particles. Spool recovery hands it the last
 // intact frame on disk, SubmitSeeded a replicated keyframe.
 func (s JobSpec) resumeFrom(f *frames.Frame) (resumePoint, error) {
+	rp := resumePoint{step: int(f.Meta.Step), machineTime: f.Meta.MachineTime}
+	if s.stateless() {
+		return rp, nil
+	}
 	cfg, err := s.SimConfig()
+	if err == nil {
+		rp.sim, err = barneshut.RestoreSimulation(f, cfg)
+	}
 	if err != nil {
 		return resumePoint{}, err
 	}
-	bodies := make([]barneshut.Particle, f.Parts.Len())
-	f.Parts.Scatter(bodies)
-	set := &barneshut.ParticleSet{Particles: bodies, Domain: f.Meta.Domain}
-	sim, err := barneshut.RestoreSimulation(set, cfg, f.Meta.Time, int(f.Meta.Step))
-	if err != nil {
-		return resumePoint{}, err
-	}
-	return resumePoint{sim: sim, step: int(f.Meta.Step), machineTime: f.Meta.MachineTime}, nil
+	return rp, nil
 }
 
 // State is a job's lifecycle state.

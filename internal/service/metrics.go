@@ -35,7 +35,7 @@ type Metrics struct {
 	JobsRetried    atomic.Int64 // fault-recovery re-queues
 	Workers        atomic.Int64 // gauge (pool size)
 	StepsTotal     atomic.Int64
-	Checkpoints    atomic.Int64 // resume.nbf and meta.json writes; a frame chain is not counted
+	Checkpoints    atomic.Int64 // resume.nbf writes; a frame chain is not counted
 	CheckpointByte atomic.Int64 // resume.nbf bytes
 	machineMicros  atomic.Int64 // simulated machine time, microseconds
 

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -169,9 +168,9 @@ func TestResumeAfterRestart(t *testing.T) {
 
 // TestRecoveredWithoutCheckpointRestarts covers the demotion path: a
 // spooled spec with no usable particle state restarts from step zero,
-// says so, and still completes. The meta.json claiming step 40 is what
-// an older daemon left beside its gob checkpoint; a step count with no
-// state behind it must not show up as a resume.
+// says so, and still completes. The resume.nbf claiming step 40 holds no
+// particles, as a stateless job's does; a step count with no state
+// behind it must not show up as a resume.
 func TestRecoveredWithoutCheckpointRestarts(t *testing.T) {
 	spool := t.TempDir()
 	sp, err := NewSpool(spool)
@@ -185,7 +184,7 @@ func TestRecoveredWithoutCheckpointRestarts(t *testing.T) {
 	if err := sp.PutSpec("jlost", spec); err != nil {
 		t.Fatal(err)
 	}
-	if err := sp.PutMeta("jlost", 40, 2.5); err != nil {
+	if _, err := sp.PutResume("jlost", &frames.Frame{Meta: frames.Meta{Step: 40, MachineTime: 2.5}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -229,10 +228,11 @@ func TestRecoveredWithoutCheckpointRestarts(t *testing.T) {
 
 // TestLegacyGobCheckpointIgnored leaves three spools as a daemon from
 // before the chain became the checkpoint would: a garbage checkpoint.gob,
-// a valid one, and a valid one beside a frame chain. None is read — the
-// first two jobs restart from zero, the third resumes from its chain's
-// last frame although the gob is further along — each is reported once,
-// and the file goes with the job directory when the job ends.
+// a valid one (the root package's gob fixture), and a valid one beside a
+// frame chain, each with the meta.json of that daemon claiming step 5.
+// None is read — the first two jobs restart from zero, the third resumes
+// from its chain's last frame — each gob is reported once, and the files
+// go with the job directory when the job ends.
 func TestLegacyGobCheckpointIgnored(t *testing.T) {
 	spool := t.TempDir()
 	sp, err := NewSpool(spool)
@@ -263,12 +263,11 @@ func TestLegacyGobCheckpointIgnored(t *testing.T) {
 	if err := chain.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sim.Run(2)
-	var gob bytes.Buffer
-	if err := sim.WriteCheckpoint(&gob); err != nil {
+	gob, err := os.ReadFile("../../testdata/checkpoint_v2.gob")
+	if err != nil {
 		t.Fatal(err)
 	}
-	for id, data := range map[string][]byte{"jgarbage": []byte("garbage"), "jvalid": gob.Bytes(), "jchain": gob.Bytes()} {
+	for id, data := range map[string][]byte{"jgarbage": []byte("garbage"), "jvalid": gob, "jchain": gob} {
 		if err := sp.PutSpec(id, spec); err != nil {
 			t.Fatal(err)
 		}

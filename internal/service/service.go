@@ -48,10 +48,10 @@ type Options struct {
 	SpoolDir string
 	// CheckpointEvery is the default checkpoint interval in completed
 	// steps (default 10; 0 keeps the default, negative disables periodic
-	// checkpoints — shutdown still writes one). It paces resume.nbf, for
-	// force-mode jobs without a frame chain, and meta.json, for cluster
-	// and potential-mode jobs; a job recording frames checkpoints every
-	// step through its chain and writes nothing else.
+	// checkpoints — shutdown still writes one). It paces resume.nbf, the
+	// resume point of a job without a frame chain (cluster and
+	// potential-mode jobs included); a job recording frames checkpoints
+	// every step through its chain and writes nothing else.
 	CheckpointEvery int
 	// Clock substitutes a fake clock in tests (default wall clock).
 	Clock Clock
@@ -259,7 +259,7 @@ func (s *Service) Start() {
 
 // Shutdown stops admission, lets each worker finish (at most) its
 // current step and leave the job's resume point in the spool (a closed
-// frame chain, or resume.nbf/meta.json), and waits for the pool to drain
+// frame chain, or resume.nbf), and waits for the pool to drain
 // or ctx to expire. Queued jobs stay in the spool and are recovered by
 // the next daemon.
 func (s *Service) Shutdown(ctx context.Context) error {

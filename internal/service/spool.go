@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 
 	"repro/internal/frames"
+	"repro/internal/recio"
 )
 
 // Spool persists job state so the daemon can resume in-flight work
@@ -16,11 +18,10 @@ import (
 //
 //	<root>/<jobID>/spec.json   the submitted JobSpec (written once)
 //	<root>/<jobID>/resume.nbf  one keyframe record: the resume point of a
-//	                           force-mode job that has no frame chain to
-//	                           resume from
-//	<root>/<jobID>/meta.json   step count and machine time of a stateless
-//	                           (cluster or potential-mode) job, which has
-//	                           no particle state to save
+//	                           job that has no frame chain to resume from;
+//	                           a stateless (cluster or potential-mode)
+//	                           job's has no particles, only the step count
+//	                           and the machine time in its header
 //
 // Frame chains live beside the job directories, under a reserved name:
 //
@@ -38,8 +39,9 @@ import (
 // left in the spool at startup is, by construction, work interrupted by
 // a crash or shutdown. Frame chains deliberately outlive the job
 // directory: a finished job's replay stream stays servable until its
-// frames are compacted or pruned. Whole-file writes go through a temp
-// file and rename so a crash mid-write never corrupts the previous one.
+// frames are compacted or pruned. Whole-file writes go through
+// recio.WriteFile (temp file, fsync, rename), so a crash mid-write never
+// corrupts the previous one.
 type Spool struct {
 	root string
 }
@@ -61,18 +63,6 @@ func ParkedDir(root string) string {
 		return ""
 	}
 	return filepath.Join(root, parkedDirName)
-}
-
-// spoolMeta is the whole checkpoint of a stateless job: its particles
-// never change, so a step index plus the accumulated simulated machine
-// time is enough to resume (a cluster job bit-identically, by
-// deterministic replay).
-type spoolMeta struct {
-	// Step is the number of completed steps at the last checkpoint.
-	Step int `json:"step"`
-	// MachineTime is the cumulative simulated machine seconds across
-	// those steps.
-	MachineTime float64 `json:"machine_time,omitempty"`
 }
 
 // NewSpool opens (creating if needed) a spool rooted at dir. An empty
@@ -140,32 +130,21 @@ func (sp *Spool) FramesBytes() int64 {
 // PutSpec records a newly admitted job. Called before the job is
 // enqueued so a crash between admission and execution loses nothing.
 func (sp *Spool) PutSpec(id string, spec JobSpec) error {
-	return sp.putJSON(id, "spec.json", spec)
-}
-
-// PutMeta records the resume point of a stateless job: its particles
-// are constant, so the step index and the machine time are all of it.
-func (sp *Spool) PutMeta(id string, step int, machineTime float64) error {
-	return sp.putJSON(id, "meta.json", spoolMeta{Step: step, MachineTime: machineTime})
-}
-
-func (sp *Spool) putJSON(id, name string, v any) error {
 	if sp == nil {
 		return nil
 	}
 	if err := os.MkdirAll(sp.jobDir(id), 0o755); err != nil {
 		return err
 	}
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return atomicWrite(filepath.Join(sp.jobDir(id), name), data)
+	return recio.WriteFile(filepath.Join(sp.jobDir(id), "spec.json"), func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(spec)
+	})
 }
 
 // PutResume records f as the job's resume point, replacing the previous
-// one: a frame file of one keyframe record (fsynced, like any seed). It
-// returns the record size in bytes for metrics.
+// one: a frame file of one keyframe record (fsynced, like any seed); a
+// stateless job's f has no particles. It returns the record size in bytes
+// for metrics.
 func (sp *Spool) PutResume(id string, f *frames.Frame) (int, error) {
 	if sp == nil {
 		return 0, nil
@@ -226,20 +205,11 @@ func (sp *Spool) Scan() (jobs []Recovered, errs []error) {
 			errs = append(errs, fmt.Errorf("spool job %s: ignoring legacy gob checkpoint", id))
 		}
 		rec := Recovered{ID: id, Spec: spec}
-		if spec.stateless() {
-			if meta, err := os.ReadFile(filepath.Join(sp.jobDir(id), "meta.json")); err == nil {
-				var m spoolMeta
-				if json.Unmarshal(meta, &m) == nil {
-					rec.resume = resumePoint{step: m.Step, machineTime: m.MachineTime}
-				}
-			}
-		} else {
-			f, ferrs := sp.newestFrame(id)
-			errs = append(errs, ferrs...)
-			if f != nil {
-				if rec.resume, err = spec.resumeFrom(f); err != nil {
-					errs = append(errs, fmt.Errorf("spool job %s: frame at step %d unusable, restarting from scratch: %w", id, f.Meta.Step, err))
-				}
+		f, ferrs := sp.newestFrame(id)
+		errs = append(errs, ferrs...)
+		if f != nil {
+			if rec.resume, err = spec.resumeFrom(f); err != nil {
+				errs = append(errs, fmt.Errorf("spool job %s: frame at step %d unusable, restarting from scratch: %w", id, f.Meta.Step, err))
 			}
 		}
 		jobs = append(jobs, rec)
@@ -261,14 +231,4 @@ func (sp *Spool) newestFrame(id string) (newest *frames.Frame, errs []error) {
 		}
 	}
 	return newest, errs
-}
-
-// atomicWrite writes data to path through a temp file + rename so
-// readers never observe a partial file.
-func atomicWrite(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }

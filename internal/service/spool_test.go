@@ -24,9 +24,6 @@ func TestNilSpoolIsNoOp(t *testing.T) {
 	if _, err := sp.PutResume("x", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := sp.PutMeta("x", 0, 0); err != nil {
-		t.Fatal(err)
-	}
 	if err := sp.Remove("x"); err != nil {
 		t.Fatal(err)
 	}
@@ -93,6 +90,42 @@ func TestSpoolRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpoolRewriteKeepsMode rewrites a job's spec.json over a file made
+// private (0600): the mode stays, the new spec reads back, and no temp
+// file is left beside it.
+func TestSpoolRewriteKeepsMode(t *testing.T) {
+	dir := t.TempDir()
+	sp, err := NewSpool(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := JobSpec{Dist: "uniform", N: 64, Machine: "ideal", Steps: 9}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.PutSpec("j1", spec); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "j1", "spec.json")
+	if err := os.Chmod(path, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	spec.Steps = 11
+	if err := sp.PutSpec("j1", spec); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := os.Stat(path); err != nil || info.Mode().Perm() != 0o600 {
+		t.Fatalf("rewritten spec.json: %v, mode %v, want 0600", err, info.Mode())
+	}
+	if ents, err := os.ReadDir(filepath.Join(dir, "j1")); err != nil || len(ents) != 1 {
+		t.Fatalf("job dir holds %v (%v), want only spec.json", ents, err)
+	}
+	jobs, errs := sp.Scan()
+	if len(errs) != 0 || len(jobs) != 1 || jobs[0].Spec.Steps != 11 {
+		t.Fatalf("scan after rewrite: %+v, %v", jobs, errs)
+	}
+}
+
 func TestSpoolScanSkipsCorruptEntries(t *testing.T) {
 	dir := t.TempDir()
 	sp, err := NewSpool(dir)
@@ -105,30 +138,31 @@ func TestSpoolScanSkipsCorruptEntries(t *testing.T) {
 	os.MkdirAll(filepath.Join(dir, "badspec"), 0o755)
 	os.WriteFile(filepath.Join(dir, "badspec", "spec.json"), []byte("{nope"), 0o644)
 	// Good specs whose saved state is unusable or absent: each recovered,
-	// each from step zero — a step count with no particles behind it
-	// (meta.json beside a force-mode spec) is not a resume point.
+	// each from step zero — a step count with no particles behind it (a
+	// particle-less resume.nbf beside a force-mode spec) is not a resume
+	// point.
 	spec := JobSpec{Dist: "uniform", N: 64, Machine: "ideal", Steps: 50}
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for id, file := range map[string]string{"jbadresume": "resume.nbf", "jmetaonly": "meta.json"} {
+	metaOnly := &frames.Frame{Meta: frames.Meta{Step: 40, MachineTime: 2.5}}
+	for _, id := range []string{"jbadresume", "jmetaonly"} {
 		if err := sp.PutSpec(id, spec); err != nil {
 			t.Fatal(err)
 		}
-		data := []byte(`{"step":40,"machine_time":2.5}`)
-		if file == "resume.nbf" {
-			data = append(frames.Magic(), "garbage"...)
-		}
-		os.WriteFile(filepath.Join(dir, id, file), data, 0o644)
+	}
+	os.WriteFile(filepath.Join(dir, "jbadresume", "resume.nbf"), append(frames.Magic(), "garbage"...), 0o644)
+	if _, err := sp.PutResume("jmetaonly", metaOnly); err != nil {
+		t.Fatal(err)
 	}
 	// Potential mode has no particle state to save: there the same
-	// meta.json is the whole resume point.
+	// particle-less keyframe is the whole resume point.
 	pot := spec
 	pot.Mode = "potential"
 	if err := sp.PutSpec("jpot", pot); err != nil {
 		t.Fatal(err)
 	}
-	if err := sp.PutMeta("jpot", 40, 2.5); err != nil {
+	if _, err := sp.PutResume("jpot", metaOnly); err != nil {
 		t.Fatal(err)
 	}
 
@@ -143,9 +177,10 @@ func TestSpoolScanSkipsCorruptEntries(t *testing.T) {
 	if len(jobs) != 3 || steps["jbadresume"] != 0 || steps["jmetaonly"] != 0 || steps["jpot"] != 40 {
 		t.Fatalf("recovered steps %v, want jbadresume:0 jmetaonly:0 jpot:40", steps)
 	}
-	// empty, badspec, and the unreadable resume.nbf.
-	if len(errs) != 3 {
-		t.Fatalf("want 3 scan diagnostics, got %v", errs)
+	// empty, badspec, the unreadable resume.nbf, and the particle-less one
+	// beside a force-mode spec.
+	if len(errs) != 4 {
+		t.Fatalf("want 4 scan diagnostics, got %v", errs)
 	}
 }
 

@@ -414,21 +414,17 @@ func fillFrame(f *frames.Frame, sim *barneshut.Simulation, step int, machineTime
 }
 
 // checkpoint persists the resume point of a job that is not writing a
-// frame chain: the meta record for a stateless job (sim is not read), one
-// keyframe record (resume.nbf) otherwise.
+// frame chain: one keyframe record (resume.nbf), without particles for a
+// stateless job (sim is not read).
 func (s *Service) checkpoint(j *Job, sim *barneshut.Simulation, step int, machineTime float64) {
 	if s.spool == nil {
 		return
 	}
-	var n int
-	var err error
-	if j.Spec.stateless() {
-		err = s.spool.PutMeta(j.ID, step, machineTime)
-	} else {
-		var f frames.Frame
+	f := frames.Frame{Meta: frames.Meta{Step: int64(step), MachineTime: machineTime}}
+	if !j.Spec.stateless() {
 		fillFrame(&f, sim, step, machineTime)
-		n, err = s.spool.PutResume(j.ID, &f)
 	}
+	n, err := s.spool.PutResume(j.ID, &f)
 	if err != nil {
 		s.opt.Logf("nbodyd: checkpointing job %s: %v", j.ID, err)
 		return

@@ -85,6 +85,12 @@ type Simulation struct {
 
 // NewSimulation builds a simulation over a copy of the particle set.
 func NewSimulation(set *ParticleSet, cfg Config) (*Simulation, error) {
+	return newSimulation(set, cfg, Box{})
+}
+
+// newSimulation is NewSimulation with the engine's root cell (zero: the
+// cube around the set's domain).
+func newSimulation(set *ParticleSet, cfg Config, root Box) (*Simulation, error) {
 	if cfg.Processors == 0 {
 		cfg.Processors = 1
 	}
@@ -105,7 +111,9 @@ func NewSimulation(set *ParticleSet, cfg Config) (*Simulation, error) {
 		return nil, err
 	}
 	machine := msg.NewMachine(cfg.Processors, cfg.Profile)
-	engine, err := parbh.New(machine, set, cfg.Engine())
+	ecfg := cfg.Engine()
+	ecfg.Root = root
+	engine, err := parbh.New(machine, set, ecfg)
 	if err != nil {
 		return nil, err
 	}
