@@ -84,18 +84,29 @@ func BenchmarkIncrementalStep(b *testing.B) {
 	}
 }
 
+// BenchmarkSerialForce times the force kernel every production traversal
+// runs, the packet sweep (Tree.AccelSweep, multi-core), over all
+// particles and reports interactions/s (PC + PP terms per second of
+// wall). Its reference sub-benchmarks time the recursive traversal the
+// sweep is bit-identical to.
 func BenchmarkSerialForce(b *testing.B) {
 	s := benchSet(b, 10000)
 	tr := tree.Build(s.Particles, tree.Options{LeafCap: 8, Domain: s.Domain})
-	for _, alpha := range []float64{0.5, 0.67, 1.0} {
-		// Full sweep over all particles (AccelAll runs multi-core; the
-		// per-particle AccelAt kernel is covered by the sweep).
-		b.Run(fmt.Sprintf("alpha=%.2f", alpha), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tr.AccelAll(s.Particles, alpha, 0.01)
-			}
-		})
+	kernels := []struct {
+		name  string
+		accel func([]dist.Particle, float64, float64) ([]vec.V3, tree.Stats)
+	}{{"", tr.AccelSweep}, {"reference/", tr.AccelAll}}
+	for _, k := range kernels {
+		for _, alpha := range []float64{0.5, 0.67, 1.0} {
+			b.Run(fmt.Sprintf("%salpha=%.2f", k.name, alpha), func(b *testing.B) {
+				b.ReportAllocs()
+				var st tree.Stats
+				for i := 0; i < b.N; i++ {
+					_, st = k.accel(s.Particles, alpha, 0.01)
+				}
+				b.ReportMetric(float64(st.PC+st.PP)*float64(b.N)/b.Elapsed().Seconds(), "interactions/s")
+			})
+		}
 	}
 }
 

@@ -369,20 +369,13 @@ func keyframeLen(f *Frame) int {
 	return recio.HeaderLen + metaLen + 4 + f.Parts.Len()*(4+numCols*8) + recio.CRCLen
 }
 
-// EncodeKeyframe encodes f as one standalone keyframe record — header,
-// body, and CRC, without the file magic — in one allocation of exactly
-// its size. This is the unit the fabric replicates: a gateway holding the
-// latest keyframe record of a leased job can seed a replacement shard
-// with it.
-func EncodeKeyframe(f *Frame) []byte {
-	return appendKeyframe(make([]byte, 0, keyframeLen(f)), f)
-}
-
-// WriteKeyframe writes to w the bytes EncodeKeyframe returns for f without
-// building them in one buffer: the length is known up front, the body goes
-// out through a small fixed buffer and the checksum is accumulated as it
-// does. It returns the number of bytes written; a failed or short write
-// ends it with an error.
+// WriteKeyframe writes f's keyframe record — header, body and CRC,
+// without the file magic — to w without building it in one buffer: the
+// length is known up front, the body goes out through a small fixed
+// buffer and the checksum is accumulated as it does. It returns the
+// number of bytes written; a failed or short write ends it with an error.
+// A keyframe record is the unit the fabric replicates: a gateway holding
+// the latest one of a leased job can seed a replacement shard with it.
 func WriteKeyframe(w io.Writer, f *Frame) (int64, error) {
 	s := recordStream{w: w, buf: make([]byte, 0, 32<<10)}
 	// The length field goes out alone: the checksum covers what follows.
@@ -452,21 +445,31 @@ func (s *recordStream) write() {
 }
 
 // DecodeKeyframe validates and decodes one standalone keyframe record
-// produced by EncodeKeyframe (or extracted from a frame file).
+// written by WriteKeyframe (or extracted from a frame file).
 func DecodeKeyframe(rec []byte) (*Frame, error) {
-	r, err := recio.Parse(rec)
+	r, err := parseKeyframe(rec)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if r.Len != len(rec) {
-		return nil, fmt.Errorf("%w: %d-byte record in a %d-byte buffer", ErrCorrupt, r.Len, len(rec))
-	}
-	if r.Kind != recKeyframe {
-		return nil, fmt.Errorf("%w: record kind %d is not a keyframe", ErrCorrupt, r.Kind)
+		return nil, err
 	}
 	f := &Frame{}
 	if err := decodeKeyframe(r.Body, f); err != nil {
 		return nil, err
 	}
 	return f, nil
+}
+
+// parseKeyframe checks that rec is one whole keyframe record with an
+// intact checksum, without decoding its body or allocating.
+func parseKeyframe(rec []byte) (recio.Record, error) {
+	r, err := recio.Parse(rec)
+	if err != nil {
+		return r, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if r.Len != len(rec) {
+		return r, fmt.Errorf("%w: %d-byte record in a %d-byte buffer", ErrCorrupt, r.Len, len(rec))
+	}
+	if r.Kind != recKeyframe {
+		return r, fmt.Errorf("%w: record kind %d is not a keyframe", ErrCorrupt, r.Kind)
+	}
+	return r, nil
 }

@@ -319,19 +319,35 @@ func (w *Writer) recordEnd(off int64) (int64, error) {
 	return off + n, err
 }
 
-// WriteSeed creates a frame file at path containing one replicated
-// keyframe record, through recio's atomic Replace. This is how a
-// replacement shard materializes the victim's last keyframe before
-// resuming the job: the file then continues through OpenAppend like any
-// crash-recovered one.
+// WriteSeed creates a frame file at path containing rec, one keyframe
+// record, through recio's atomic Replace. This is how a replacement shard
+// materializes the victim's last keyframe before resuming the job: the
+// file then continues through OpenAppend like any crash-recovered one.
+// WriteSeed checks rec's framing and checksum, not its body, which the
+// caller has decoded (or written with WriteKeyframe).
 func WriteSeed(path string, rec []byte) error {
-	if _, err := DecodeKeyframe(rec); err != nil {
+	if _, err := parseKeyframe(rec); err != nil {
 		return err
 	}
-	f, err := recio.Replace(path, magic, func(w io.Writer) error {
+	return writeSeed(path, func(w io.Writer) error {
 		_, err := w.Write(rec)
 		return err
 	})
+}
+
+// WriteSeedFrame is WriteSeed for f's keyframe record, streamed by
+// WriteKeyframe so no record-sized buffer is built. It returns the
+// record's size in bytes.
+func WriteSeedFrame(path string, f *Frame) (n int64, err error) {
+	err = writeSeed(path, func(w io.Writer) (err error) {
+		n, err = WriteKeyframe(w, f)
+		return err
+	})
+	return n, err
+}
+
+func writeSeed(path string, fill func(io.Writer) error) error {
+	f, err := recio.Replace(path, magic, fill)
 	if err != nil {
 		return err
 	}

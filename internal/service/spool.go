@@ -149,8 +149,8 @@ func (sp *Spool) PutResume(id string, f *frames.Frame) (int, error) {
 	if sp == nil {
 		return 0, nil
 	}
-	rec := frames.EncodeKeyframe(f)
-	return len(rec), frames.WriteSeed(sp.resumeFile(id), rec)
+	n, err := frames.WriteSeedFrame(sp.resumeFile(id), f)
+	return int(n), err
 }
 
 // Remove deletes a job's spool entry (terminal state reached).

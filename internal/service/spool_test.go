@@ -1,12 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/dist"
 	"repro/internal/frames"
 )
 
@@ -29,6 +31,62 @@ func TestNilSpoolIsNoOp(t *testing.T) {
 	}
 	if jobs, errs := sp.Scan(); jobs != nil || errs != nil {
 		t.Fatal("nil spool scan should be empty")
+	}
+}
+
+// TestPutResumeStreamsKeyframe pins resume.nbf's bytes to a seed file of
+// f's keyframe record, written by WriteSeed, and the write itself to a
+// streaming one: at n = 40000 the record is 2.4 MB, and PutResume may
+// allocate no more than a couple of WriteKeyframe's 32 KB buffers for it.
+func TestPutResumeStreamsKeyframe(t *testing.T) {
+	dir := t.TempDir()
+	sp, err := NewSpool(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := dist.MustNamed("plummer", 40000, 3)
+	f := &frames.Frame{Meta: frames.Meta{Step: 7, MachineTime: 1.5, Domain: s.Domain}}
+	f.Parts.Append(s.Particles)
+	if err := os.MkdirAll(sp.jobDir("j"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	n, err := sp.PutResume("j", f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec bytes.Buffer
+	if _, err := frames.WriteKeyframe(&rec, f); err != nil {
+		t.Fatal(err)
+	}
+	if n != rec.Len() {
+		t.Fatalf("PutResume reports %d bytes, the record is %d", n, rec.Len())
+	}
+	want := filepath.Join(dir, "want.nbf")
+	if err := frames.WriteSeed(want, rec.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(sp.resumeFile("j"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBytes, err := os.ReadFile(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, wantBytes) {
+		t.Fatalf("resume.nbf differs from the seeded keyframe record (%d vs %d bytes)", len(got), len(wantBytes))
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := sp.PutResume("j", f); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	t.Logf("PutResume at n = 40000: %d B in %d allocations per call", res.AllocedBytesPerOp(), res.AllocsPerOp())
+	if per := res.AllocedBytesPerOp(); per > 64<<10 {
+		t.Fatalf("PutResume allocates %d B per call at n = 40000, want <= 64 KB", per)
 	}
 }
 

@@ -2,7 +2,9 @@ package tree
 
 import (
 	"math"
+	"math/bits"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/compute"
 	"repro/internal/dist"
@@ -71,18 +73,25 @@ const lanes = 8
 // it and, per lane, the partial sum of what lies below it (potential mode
 // sums in x alone). Closing the frame folds each lane's sum into the
 // enclosing frame, so every lane sees exactly the push/fold reduction tree
-// of a lone traversal.
+// of a lone traversal. The term kernels read the fields by offset
+// (go_asm.h), as they do Packet's.
 type frame struct {
-	laneSet
+	mask    uint8 // the lanes taking part, bit l for lane l
 	end     int32
 	x, y, z [lanes]float64
 }
 
-// laneSet is a compact list of the packet lanes taking part in something.
-type laneSet struct {
-	n    int
-	lane [lanes]uint8
-}
+// lanesIn lists the lanes of each mask in ascending order.
+var lanesIn = func() (t [1 << lanes][]uint8) {
+	for m := range t {
+		for l := uint8(0); l < lanes; l++ {
+			if m>>l&1 != 0 {
+				t[m] = append(t[m], l)
+			}
+		}
+	}
+	return t
+}()
 
 // deferral records that the lanes of the mask opened remote branch node.
 type deferral struct {
@@ -92,7 +101,7 @@ type deferral struct {
 
 func (f *frame) open(end int32, init float64) {
 	f.end = end
-	for _, l := range f.lane[:f.n] {
+	for _, l := range lanesIn[f.mask] {
 		f.x[l], f.y[l], f.z[l] = init, init, init
 	}
 }
@@ -169,7 +178,10 @@ func SecSeg(k int) Seg { return Seg(2 + k) }
 // accumulators, which is why accelerations, potentials, Stats, Load and
 // extra charges are bit-identical to one-particle-at-a-time recursion.
 // The two modes differ in the two term routines alone: what an accepted
-// node adds (mac, macPot) and what a leaf adds (leaf, leafPot).
+// node adds (mac, macPot) and what a leaf adds (leaf, leafPot). Force
+// mode's pair runs as AVX2 assembly where the CPU has it (useAVX2,
+// packet_amd64.s), all eight lanes at once, with the same bits as the Go
+// bodies, which are the generic path.
 //
 // A locally essential tree is read where its parts live, not copied into
 // one set of columns. The main region (Cols) may be shared by every rank
@@ -394,17 +406,10 @@ func (s *Sweep) packet(w *Packet, ps []dist.Particle, idx []int32, root int32, a
 			if k < 0 {
 				panic("tree: essential section missing for deferred branch")
 			}
-			f := &w.frames[0]
-			f.n = 0
-			for l := uint8(0); l < lanes; l++ {
-				if df.lanes>>l&1 != 0 {
-					f.lane[f.n] = l
-					f.n++
-				}
-			}
+			w.frames[0].mask = df.lanes
 			s.below(w, SecSeg(int(k)), 0)
-			f = &w.frames[0]
-			for _, l := range f.lane[:f.n] {
+			f := &w.frames[0]
+			for _, l := range lanesIn[f.mask] {
 				ax[l] += f.x[l]
 				ay[l] += f.y[l]
 				az[l] += f.z[l]
@@ -438,10 +443,8 @@ func (p *Packet) lanesOf(n int, loads [][]int64) {
 		p.frames = make([]frame, 1, MaxDepth+2)
 	}
 	p.loads = loads
-	f := &p.frames[0]
-	f.n = n
+	p.frames[0].mask = uint8(1<<n - 1)
 	for l := 0; l < n; l++ {
-		f.lane[l] = uint8(l)
 		p.extra[l] = 0
 		p.mac[l], p.pc[l], p.pp[l] = 0, 0, 0
 	}
@@ -477,7 +480,7 @@ func (s *Sweep) below(w *Packet, g Seg, base int32) {
 	c := s.seg(g)
 	first := base
 	if c.Kind[base] != KindLeaf {
-		w.loads[g][base] += int64(w.frames[0].n)
+		w.loads[g][base] += int64(bits.OnesCount8(w.frames[0].mask))
 		first++
 	}
 	s.sweep(w, g, first, c.Skip[base], 0)
@@ -503,7 +506,7 @@ func (s *Sweep) sweep(w *Packet, g Seg, first, end int32, init float64) {
 			}
 			d--
 			up := &w.frames[d]
-			for _, l := range f.lane[:f.n] {
+			for _, l := range lanesIn[f.mask] {
 				up.x[l] += f.x[l]
 				up.y[l] += f.y[l]
 				up.z[l] += f.z[l]
@@ -518,7 +521,7 @@ func (s *Sweep) sweep(w *Packet, g Seg, first, end int32, init float64) {
 		kind := c.Kind[i]
 		if kind == KindLeaf {
 			lo, hi := c.Lo[i], c.Hi[i]
-			w.ld[i] += int64(f.n) * int64(hi-lo)
+			w.ld[i] += int64(bits.OnesCount8(f.mask)) * int64(hi-lo)
 			if s.potential {
 				s.leafPot(w, c, f, lo, hi)
 			} else {
@@ -539,16 +542,15 @@ func (s *Sweep) sweep(w *Packet, g Seg, first, end int32, init float64) {
 			f = &w.frames[d]
 		}
 		sub := &w.frames[d+1]
-		sub.n = 0
 		if kind == KindBranchLeaf {
-			sub.n = copy(sub.lane[:], f.lane[:f.n])
+			sub.mask = f.mask
 		} else if summary := kind == KindTop || kind == KindBranch; s.potential {
-			s.macPot(w, c, f, sub, i, summary)
+			sub.mask = s.macPot(w, c, f, i, summary)
 		} else {
-			s.mac(w, c, f, sub, i, summary)
+			sub.mask = s.mac(w, c, f, i, summary)
 		}
 		switch {
-		case sub.n == 0:
+		case sub.mask == 0:
 			i = c.Skip[i]
 		case kind == KindInternal || kind == KindTop:
 			d++
@@ -561,14 +563,12 @@ func (s *Sweep) sweep(w *Packet, g Seg, first, end int32, init float64) {
 			// A deferred branch contributes an explicit zero here (not a
 			// no-op under signed zeros); its sections fold in later. A
 			// stub's lanes are swept again once its children arrive.
-			df := deferral{node: i}
-			for _, l := range sub.lane[:sub.n] {
+			for _, l := range lanesIn[sub.mask] {
 				f.x[l] += 0
 				f.y[l] += 0
 				f.z[l] += 0
-				df.lanes |= 1 << l
 			}
-			w.defers = append(w.defers, df)
+			w.defers = append(w.defers, deferral{node: i, lanes: sub.mask})
 			i = c.Skip[i]
 		}
 	}
@@ -576,21 +576,44 @@ func (s *Sweep) sweep(w *Packet, g Seg, first, end int32, init float64) {
 
 // mac runs node i's acceptance test for the lanes of f: accepted lanes add
 // the cluster term — sharing the MAC's difference vector, whose squares
-// are sign-invariant — and are charged; rejected lanes are listed in sub.
-func (s *Sweep) mac(w *Packet, c *Cols, f, sub *frame, i int32, summary bool) {
-	cx, cy, cz, side := c.ComX[i], c.ComY[i], c.ComZ[i], c.Side[i]
-	s2, gm := macS2(side), phys.G*c.Mass[i]
+// are sign-invariant — and are charged; mac returns the rejected lanes.
+// With useAVX2, macAVX2 runs the prefilter and the accepted lanes' terms
+// for all eight lanes at once; only its sliver lanes, which the prefilter
+// cannot decide, take the exact test in macTest.
+func (s *Sweep) mac(w *Packet, c *Cols, f *frame, i int32, summary bool) uint8 {
 	ex := 0.0
 	if summary {
 		ex = s.exAdd
 	}
-	for _, l := range f.lane[:f.n] {
+	var acc uint8
+	if useAVX2 {
+		var sliver uint8
+		acc, sliver = macAVX2(w, f, &avx, c.ComX[i], c.ComY[i], c.ComZ[i], macS2(c.Side[i]), phys.G*c.Mass[i], s.a2, s.e2, ex)
+		if sliver != 0 {
+			acc |= s.macTest(w, c, f, i, sliver, ex)
+		}
+	} else {
+		for _, l := range lanesIn[f.mask] {
+			w.mac[l]++
+		}
+		acc = s.macTest(w, c, f, i, f.mask, ex)
+	}
+	if !summary {
+		w.ld[i] += int64(bits.OnesCount8(acc))
+	}
+	return f.mask &^ acc
+}
+
+// macTest runs node i's MAC for the lanes of test and adds the cluster
+// term, the extra charge ex and a PC count to each lane it accepts; it
+// returns those lanes.
+func (s *Sweep) macTest(w *Packet, c *Cols, f *frame, i int32, test uint8, ex float64) (acc uint8) {
+	cx, cy, cz, side := c.ComX[i], c.ComY[i], c.ComZ[i], c.Side[i]
+	s2, gm := macS2(side), phys.G*c.Mass[i]
+	for _, l := range lanesIn[test] {
 		dx, dy, dz := cx-w.px[l], cy-w.py[l], cz-w.pz[l]
 		n2 := dx*dx + dy*dy + dz*dz
-		w.mac[l]++
 		if !macAccepts(s2, side, n2, s.a2, s.alpha) {
-			sub.lane[sub.n] = l
-			sub.n++
 			continue
 		}
 		inv := 1 / math.Sqrt(n2+s.e2) // n2 > 0, so never a zero divide
@@ -600,15 +623,14 @@ func (s *Sweep) mac(w *Packet, c *Cols, f, sub *frame, i int32, summary bool) {
 		f.z[l] += g * dz
 		w.extra[l] += ex
 		w.pc[l]++
+		acc |= 1 << l
 	}
-	if !summary {
-		w.ld[i] += int64(f.n - sub.n)
-	}
+	return acc
 }
 
 // macPot is mac in potential mode: an accepted lane adds the node's
 // expansion evaluated at its position.
-func (s *Sweep) macPot(w *Packet, c *Cols, f, sub *frame, i int32, summary bool) {
+func (s *Sweep) macPot(w *Packet, c *Cols, f *frame, i int32, summary bool) uint8 {
 	cx, cy, cz, side := c.ComX[i], c.ComY[i], c.ComZ[i], c.Side[i]
 	s2, e := macS2(side), c.Exp[i]
 	if e != nil && len(w.irr) < len(e.C) {
@@ -618,13 +640,12 @@ func (s *Sweep) macPot(w *Packet, c *Cols, f, sub *frame, i int32, summary bool)
 	if summary {
 		ex = s.exAdd
 	}
-	for _, l := range f.lane[:f.n] {
+	var acc uint8
+	for _, l := range lanesIn[f.mask] {
 		dx, dy, dz := cx-w.px[l], cy-w.py[l], cz-w.pz[l]
 		n2 := dx*dx + dy*dy + dz*dz
 		w.mac[l]++
 		if !macAccepts(s2, side, n2, s.a2, s.alpha) {
-			sub.lane[sub.n] = l
-			sub.n++
 			continue
 		}
 		if e == nil {
@@ -633,19 +654,28 @@ func (s *Sweep) macPot(w *Packet, c *Cols, f, sub *frame, i int32, summary bool)
 		f.x[l] += e.EvalPotentialScratch(vec.V3{X: w.px[l], Y: w.py[l], Z: w.pz[l]}, w.irr)
 		w.extra[l] += ex
 		w.pc[l]++
+		acc |= 1 << l
 	}
 	if !summary {
-		w.ld[i] += int64(f.n - sub.n)
+		w.ld[i] += int64(bits.OnesCount8(acc))
 	}
+	return f.mask &^ acc
 }
 
 // leaf adds, for every lane of f, the direct sum over particle columns
 // [lo, hi) — folded from a zero accumulator in column order, phys.Accel
-// term by term — to the lane's partial sum.
+// term by term — to the lane's partial sum. With useAVX2, leafAVX2 runs
+// the same loop for all eight lanes at once.
 func (s *Sweep) leaf(w *Packet, c *Cols, f *frame, lo, hi int32) {
 	ids, px, py, pz, pm := c.ID[lo:hi], c.PX[lo:hi], c.PY[lo:hi], c.PZ[lo:hi], c.PM[lo:hi]
+	if useAVX2 {
+		n := len(ids)
+		px, py, pz, pm = px[:n], py[:n], pz[:n], pm[:n]
+		leafAVX2(w, f, &avx, unsafe.SliceData(ids), unsafe.SliceData(px), unsafe.SliceData(py), unsafe.SliceData(pz), unsafe.SliceData(pm), n, s.e2)
+		return
+	}
 	e2 := s.e2
-	act := f.lane[:f.n]
+	act := lanesIn[f.mask]
 	var ax, ay, az [lanes]float64
 	for j, id := range ids {
 		x, y, z, gm := px[j], py[j], pz[j], phys.G*pm[j]
@@ -679,7 +709,7 @@ func (s *Sweep) leaf(w *Packet, c *Cols, f *frame, lo, hi int32) {
 // term.
 func (s *Sweep) leafPot(w *Packet, c *Cols, f *frame, lo, hi int32) {
 	ids, px, py, pz, pm := c.ID[lo:hi], c.PX[lo:hi], c.PY[lo:hi], c.PZ[lo:hi], c.PM[lo:hi]
-	act := f.lane[:f.n]
+	act := lanesIn[f.mask]
 	var phi [lanes]float64
 	for j, id := range ids {
 		x, y, z, gm := px[j], py[j], pz[j], -phys.G*pm[j]
