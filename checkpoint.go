@@ -16,8 +16,8 @@ import (
 // partition from the positions every step. The stream is the magic "NBC1"
 // (its digit is the format's version), one recio record of the Config,
 // and one frames keyframe record of the bodies in ID order whose header
-// holds only Step, Time and the root cell: the record a job's resume.nbf,
-// its frame chain and the gateway journal resume from.
+// holds only Step, Time and the root cell: the record a job's frame chain
+// and the gateway journal resume from.
 const (
 	checkpointMagic = "NBC1"
 	recConfig       = 'C'

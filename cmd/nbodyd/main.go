@@ -57,8 +57,7 @@ func main() {
 		workers   = flag.Int("workers", 2, "worker pool size")
 		queue     = flag.Int("queue", 16, "queued-job bound beyond running jobs (beyond it: 429)")
 		spool     = flag.String("spool", "", "spool directory for resume across restarts (empty disables)")
-		ckptEvery = flag.Int("checkpoint-every", 10, "steps between checkpoints (resume.nbf) of jobs without a frame chain: frames off, cluster or potential mode; a framed job's chain is its checkpoint")
-		frKey     = flag.Int("frames-key-every", 16, "keyframe cadence of per-job frame chains (needs -spool; negative disables frame capture)")
+		frKey     = flag.Int("frames-key-every", 16, "keyframe cadence of per-job frame chains, each job's resume point (needs -spool; negative is refused)")
 		frBytes   = flag.Int64("frames-max-bytes", 64<<20, "per-job frame chain byte budget before compaction thins old deltas (0 = unbounded)")
 		drain     = flag.Duration("drain", 30*time.Second, "max time to wait for workers on shutdown")
 		cListen   = flag.String("cluster-listen", "127.0.0.1:0", "cluster coordinator listen address (with -cluster-workers)")
@@ -79,20 +78,23 @@ func main() {
 		os.Exit(1)
 	}
 
+	// The service, the cluster supervisor and the fabric agent speak
+	// printf; route their lines through the structured logger so every
+	// surface ends up in one stream.
+	logf := func(component string) func(format string, args ...any) {
+		return func(format string, args ...any) {
+			logger.Info(fmt.Sprintf(format, args...), "component", component)
+		}
+	}
 	opt := service.Options{
-		Workers:         *workers,
-		QueueDepth:      *queue,
-		SpoolDir:        *spool,
-		CheckpointEvery: *ckptEvery,
-		FramesKeyEvery:  *frKey,
-		FramesMaxBytes:  *frBytes,
-		MaxRetries:      *jRetries,
-		RetryBackoff:    *jBackoff,
-		// The service layer speaks printf; route its lines through the
-		// structured logger so every surface ends up in one stream.
-		Logf: func(format string, args ...any) {
-			logger.Info(fmt.Sprintf(format, args...), "component", "service")
-		},
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		SpoolDir:       *spool,
+		FramesKeyEvery: *frKey,
+		FramesMaxBytes: *frBytes,
+		MaxRetries:     *jRetries,
+		RetryBackoff:   *jBackoff,
+		Logf:           logf("service"),
 	}
 	var sup *cluster.Supervisor
 	if *cWorkers > 0 {
@@ -116,7 +118,7 @@ func main() {
 			logger.Info("cluster assembled", "component", "cluster", "procs", node.NumProcs())
 			return cluster.NewCoordinator(node)
 		})
-		sup.Logger = logger
+		sup.Logf = logf("cluster")
 		sup.StepTimeout = *cStep
 		// The first generation comes up before the daemon serves: a
 		// misconfigured cluster should fail loudly at startup, not on the
@@ -176,9 +178,7 @@ func main() {
 			HTTPAddr: *addr,
 			Capacity: capacity,
 			ParkDir:  parkDir,
-			Logf: func(format string, args ...any) {
-				logger.Info(fmt.Sprintf(format, args...), "component", "fabric")
-			},
+			Logf:     logf("fabric"),
 		}
 		agentStop = make(chan struct{})
 		agentDone = make(chan struct{})
@@ -214,7 +214,8 @@ func main() {
 	}
 
 	// Stop admission first — the fabric agent deregisters so the gateway
-	// re-routes leased jobs — then checkpoint and drain the workers.
+	// re-routes leased jobs — then drain the workers, each leaving its
+	// job's frame chain closed at the last completed step.
 	if agentStop != nil {
 		close(agentStop)
 		<-agentDone

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"log/slog"
 	"time"
 
 	"repro/internal/obsv"
@@ -44,15 +43,9 @@ type Supervisor struct {
 	// supervisor assembles (zero keeps the Coordinator defaults).
 	SetupTimeout time.Duration
 	StepTimeout  time.Duration
-	// Logf, if non-nil, narrates recoveries as formatted lines. It is
-	// the compatibility surface: callers (and tests) that pin log lines
-	// keep getting exactly them.
+	// Logf, if non-nil, narrates recoveries as formatted lines, the
+	// logging shape service.Options and fabric take too.
 	Logf func(format string, args ...any)
-	// Logger, if non-nil, narrates the same events as structured slog
-	// records with typed fields (fault kind, attempt, resume step,
-	// generation). When both are set, Logf keeps its pinned lines and
-	// Logger gets the structured record.
-	Logger *slog.Logger
 	// OnRecovery, if non-nil, observes every recovery event (metrics,
 	// progress streams).
 	OnRecovery func(RecoveryEvent)
@@ -75,28 +68,6 @@ func NewSupervisor(assemble Assembler) *Supervisor {
 func (s *Supervisor) logf(format string, args ...any) {
 	if s.Logf != nil {
 		s.Logf(format, args...)
-	} else if s.Logger != nil {
-		s.Logger.Info(fmt.Sprintf(format, args...), "component", "cluster")
-	}
-}
-
-// narrateRecovery reports one recovery on whichever logging surfaces
-// are configured: the printf shim keeps its line format, the structured
-// logger gets typed fields.
-func (s *Supervisor) narrateRecovery(ev RecoveryEvent) {
-	if s.Logf != nil {
-		s.Logf("cluster: recovering from %s fault (attempt %d/%d, resume step %d): %v",
-			ev.Fault, ev.Attempt, s.MaxRetries, ev.ResumeStep, ev.Err)
-	}
-	if s.Logger != nil {
-		s.Logger.Warn("recovering from transport fault",
-			"component", "cluster",
-			"fault", ev.Fault.String(),
-			"attempt", ev.Attempt,
-			"max_retries", s.MaxRetries,
-			"resume_step", ev.ResumeStep,
-			"generation", s.epochBase,
-			"err", ev.Err)
 	}
 }
 
@@ -192,7 +163,8 @@ func (s *Supervisor) RunFrom(job Job, from int, onStep func(step int, res *parbh
 			return nil, err
 		}
 		ev := RecoveryEvent{Attempt: attempt + 1, Fault: transport.FaultKindOf(err), Err: err, ResumeStep: resume}
-		s.narrateRecovery(ev)
+		s.logf("cluster: recovering from %s fault (attempt %d/%d, resume step %d): %v",
+			ev.Fault, ev.Attempt, s.MaxRetries, ev.ResumeStep, ev.Err)
 		if s.OnRecovery != nil {
 			s.OnRecovery(ev)
 		}

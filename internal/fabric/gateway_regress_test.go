@@ -2,6 +2,9 @@ package fabric
 
 import (
 	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -269,5 +272,41 @@ func TestBacklogRejectionRefundsQuotaAndCancelFreesSlot(t *testing.T) {
 	}
 	if _, err := gw.Submit("t", quickSpec(2, 74)); err != nil {
 		t.Fatalf("third admission rejected (%v); backlog-full rejection burned a quota token", err)
+	}
+}
+
+// Every submit body the gateway refuses before it becomes a job counts
+// in nbodygw_jobs_invalid_total, as nbodyd counts it: one it cannot
+// decode (400), one over the size bound (413), and a decoded spec that
+// fails validation (400).
+func TestGatewayCountsUndecodableSubmits(t *testing.T) {
+	gw, err := NewGateway(Options{ControlAddr: "127.0.0.1:0", Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	ts := httptest.NewServer(gw.Handler())
+	defer ts.Close()
+
+	for _, c := range []struct {
+		body string
+		code int
+	}{
+		{"{nope", http.StatusBadRequest},
+		{`{"bogus_field": 1}`, http.StatusBadRequest},
+		{`{"name": "` + strings.Repeat("x", maxSubmitBytes) + `"}`, http.StatusRequestEntityTooLarge},
+		{`{"n": -1}`, http.StatusBadRequest},
+	} {
+		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.code {
+			t.Fatalf("submit %.40q answered %d, want %d", c.body, resp.StatusCode, c.code)
+		}
+	}
+	if got := gw.Metrics().JobsInvalid.Load(); got != 4 {
+		t.Fatalf("nbodygw_jobs_invalid_total = %d after four refused bodies, want 4", got)
 	}
 }

@@ -22,23 +22,31 @@ func shutdownSvc(t *testing.T, svc *service.Service) {
 	svc.Shutdown(ctx)
 }
 
-// Killing the shard that holds a framed job mid-run must not restart it
-// from step zero: the dead shard has been replicating frame-store
-// keyframes to the gateway, so the replacement shard resumes from the
-// last replicated keyframe, the gateway status reports the resumed
-// step, and the final physics is bit-identical to an undisturbed run.
+// Killing the shard that holds a job mid-run must not restart it from
+// step zero: the dead shard has been replicating frame-store keyframes to
+// the gateway, so the replacement shard resumes from the last replicated
+// keyframe, the gateway status reports the resumed step, and the final
+// result is bit-identical to an undisturbed run. A potential-mode job's
+// keyframes are headers alone, and it resumes from them all the same.
 func TestFleetHandoffResumesFromKeyframe(t *testing.T) {
+	for _, mode := range []string{"force", "potential"} {
+		t.Run(mode, func(t *testing.T) {
+			spec := service.JobSpec{
+				Dist: "plummer", N: 160, Processors: 2, Scheme: "spsa", Mode: mode,
+				Machine: "ideal", Steps: 600, Eps: 0.05, DT: 0.01, Seed: 13,
+			}
+			handoffResumes(t, spec)
+		})
+	}
+}
+
+func handoffResumes(t *testing.T, spec service.JobSpec) {
 	f := startFleetWith(t, 2, Options{LeaseTTL: 5 * time.Second}, 1, func(int) service.Options {
 		return service.Options{
 			Workers: 1, QueueDepth: 16, Logf: t.Logf,
 			SpoolDir: t.TempDir(), FramesKeyEvery: 8,
 		}
 	})
-
-	spec := service.JobSpec{
-		Dist: "plummer", N: 160, Processors: 2, Scheme: "spsa",
-		Machine: "ideal", Steps: 600, Eps: 0.05, DT: 0.01, Seed: 13,
-	}
 
 	// Reference: the same spec run undisturbed on a standalone service.
 	direct, err := service.New(service.Options{Workers: 1, QueueDepth: 4, Logf: t.Logf})

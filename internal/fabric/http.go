@@ -56,13 +56,15 @@ func (g *Gateway) Handler() http.Handler {
 }
 
 // handleSubmit admits one job. Admission refusals are 429 with a
-// Retry-After hint; oversized bodies are 413.
+// Retry-After hint; oversized bodies are 413. Every body that never
+// becomes a spec counts as invalid, as a spec that fails validation does.
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxSubmitBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	var spec service.JobSpec
 	if err := dec.Decode(&spec); err != nil {
+		g.metrics.JobsInvalid.Add(1)
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeErr(w, http.StatusRequestEntityTooLarge,

@@ -277,8 +277,8 @@ func (r *Reader) SeekStep(step int64) error {
 
 // Tail opens path, walks the chain past any torn tail, and returns the
 // last intact frame (nil if the file holds none). This is the resume
-// probe: the service reads a job's chain and its one-record resume.nbf
-// with it and restarts the job from whichever frame is further along.
+// probe: the service restarts an interrupted job from its chain's last
+// intact frame.
 func Tail(path string) (*Frame, error) {
 	r, err := Open(path)
 	if err != nil {

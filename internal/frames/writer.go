@@ -329,25 +329,10 @@ func WriteSeed(path string, rec []byte) error {
 	if _, err := parseKeyframe(rec); err != nil {
 		return err
 	}
-	return writeSeed(path, func(w io.Writer) error {
+	f, err := recio.Replace(path, magic, func(w io.Writer) error {
 		_, err := w.Write(rec)
 		return err
 	})
-}
-
-// WriteSeedFrame is WriteSeed for f's keyframe record, streamed by
-// WriteKeyframe so no record-sized buffer is built. It returns the
-// record's size in bytes.
-func WriteSeedFrame(path string, f *Frame) (n int64, err error) {
-	err = writeSeed(path, func(w io.Writer) (err error) {
-		n, err = WriteKeyframe(w, f)
-		return err
-	})
-	return n, err
-}
-
-func writeSeed(path string, fill func(io.Writer) error) error {
-	f, err := recio.Replace(path, magic, fill)
 	if err != nil {
 		return err
 	}

@@ -14,7 +14,7 @@ import (
 // two-clock rule) — hash to the same key, regardless of JSON field
 // order, enum casing, or whether a field was left to default or spelled
 // out explicitly. Fields that only shape host-side behavior (Name,
-// Trace, CheckpointEvery) are excluded: they cannot change a result
+// Trace, FramesKeyEvery) are excluded: they cannot change a result
 // byte.
 //
 // The receiver is not mutated; normalization happens on a copy.

@@ -1,6 +1,11 @@
 package service
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	barneshut "repro"
+)
 
 // Field order in JSON, explicit defaults, and enum casing are all
 // spelling, not physics: they must map to the same cache key.
@@ -38,7 +43,7 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 		labeled := base
 		labeled.Name = "friday night run"
 		labeled.Trace = true
-		labeled.CheckpointEvery = 2
+		labeled.FramesKeyEvery = 2
 		if got := labeled.CacheKey(); got != key {
 			t.Errorf("host-only fields changed the key:\n base    %s\n labeled %s", key, got)
 		}
@@ -107,5 +112,72 @@ func TestCacheKeyZeroSpec(t *testing.T) {
 		Scheme: "spsa", Machine: "ncube2", Mode: "force", Steps: 10}
 	if zero.CacheKey() != filled.CacheKey() {
 		t.Error("zero spec and spelled-out defaults disagree on the cache key")
+	}
+}
+
+// TestCacheKeyDefaultsMatchEngine runs a spec left to its defaults beside
+// its twin with CacheKey's defaults spelled out (alpha 0.67, dt 0.01,
+// grid_log2 3, bin_size 100, and degree 4 in potential mode) and requires
+// bit-identical bodies and machine time. CacheKey keeps its own copy of
+// the engine's defaults; were one to drift, the result cache would serve
+// one simulation's result for another. Each default is also perturbed, to
+// show the run would notice a drift in it.
+func TestCacheKeyDefaultsMatchEngine(t *testing.T) {
+	run := func(spec JobSpec) ([]barneshut.Particle, float64) {
+		t.Helper()
+		if err := spec.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		sim, err := spec.NewSimulation()
+		if err != nil {
+			t.Fatal(err)
+		}
+		machine := 0.0
+		for i := 0; i < spec.Steps; i++ {
+			if spec.potentialMode() {
+				machine += sim.ComputeForces().SimTime
+			} else {
+				machine += sim.Step().SimTime
+			}
+		}
+		return sim.Bodies(), machine
+	}
+	for _, mode := range []string{"force", "potential"} {
+		t.Run(mode, func(t *testing.T) {
+			zero := JobSpec{Dist: "plummer", N: 300, Seed: 5, Processors: 4,
+				Scheme: "spda", Machine: "ncube2", Mode: mode, Steps: 3, Eps: 0.05}
+			explicit := zero
+			explicit.Alpha, explicit.DT, explicit.GridLog2, explicit.BinSize = 0.67, 0.01, 3, 100
+			perturb := map[string]func(*JobSpec){
+				"alpha":     func(s *JobSpec) { s.Alpha = 0.5 },
+				"grid_log2": func(s *JobSpec) { s.GridLog2 = 2 },
+				"bin_size":  func(s *JobSpec) { s.BinSize = 7 },
+			}
+			if mode == "potential" {
+				explicit.Degree = 4
+				perturb["degree"] = func(s *JobSpec) { s.Degree = 2 }
+			} else {
+				perturb["dt"] = func(s *JobSpec) { s.DT = 0.02 }
+			}
+			if zero.CacheKey() != explicit.CacheKey() {
+				t.Fatal("the zero spec and its spelled-out defaults disagree on the cache key")
+			}
+			zb, zm := run(zero)
+			eb, em := run(explicit)
+			if zm != em {
+				t.Fatalf("machine time %.17g with defaults left zero, %.17g spelled out", zm, em)
+			}
+			if !reflect.DeepEqual(zb, eb) {
+				t.Fatal("bodies differ between the zero spec and its spelled-out defaults")
+			}
+			for name, p := range perturb {
+				s := explicit
+				p(&s)
+				pb, pm := run(s)
+				if pm == zm && reflect.DeepEqual(pb, zb) {
+					t.Errorf("changing %s changes nothing the test compares", name)
+				}
+			}
+		})
 	}
 }

@@ -252,10 +252,11 @@ func queryInt(r *http.Request, key string, def int64) (int64, error) {
 // frame, decodable with frames.DecodeKeyframe. Running jobs are
 // followed: the stream tails the chain as the worker appends and ends
 // when the job reaches a terminal state (finished jobs replay whatever
-// their chain retains after compaction). A job that records frames but
-// has not created its chain yet — still queued, or its worker is between
-// creating the file and writing the magic — is waited for, not refused:
-// 404 "no frames" is for a job that never records, or ended without.
+// their chain retains after compaction). A job that has not created its
+// chain yet — still queued, or its worker is between creating the file
+// and writing the magic — is waited for, not refused: 404 "no frames" is
+// for a job that ended without one. A stateless job's frames carry the
+// header alone (N is 0).
 func (s *Service) handleFrames(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, err := s.Get(id); err != nil {
@@ -396,10 +397,10 @@ func (s *Service) handleFrames(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// awaitFrames opens the job's frame chain for reading. While a job that
-// records frames is not terminal, a chain that is missing or has no magic
-// yet is about to be created by its worker: wait for progress (or a short
-// tick) and retry. The job's state is read before each attempt, so the
+// awaitFrames opens the job's frame chain for reading. While the job is
+// not terminal, a chain that is missing or has no magic yet is about to
+// be created by its worker: wait for progress (or a short tick) and
+// retry. The job's state is read before each attempt, so the
 // attempt that follows a terminal state sees the chain's final form.
 func (s *Service) awaitFrames(ctx context.Context, id, path string, progress <-chan Progress) (*frames.Reader, error) {
 	for {
@@ -409,7 +410,7 @@ func (s *Service) awaitFrames(ctx context.Context, id, path string, progress <-c
 			return rd, nil
 		}
 		pending := errors.Is(err, fs.ErrNotExist) || errors.Is(err, frames.ErrCorrupt)
-		if !pending || gerr != nil || st.State.Terminal() || !s.framesEnabled(st.Spec) {
+		if !pending || gerr != nil || st.State.Terminal() {
 			return nil, err
 		}
 		select {

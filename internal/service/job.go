@@ -1,7 +1,7 @@
 // Package service implements the simulation job service behind the
 // nbodyd daemon: a bounded queue of simulation jobs executed by a worker
-// pool, with checkpoint-backed resume through a spool directory, NDJSON
-// progress streaming, and a plain-text metrics endpoint.
+// pool, with resume from per-job frame chains in a spool directory,
+// NDJSON progress streaming, and a plain-text metrics endpoint.
 //
 // The service schedules whole simulations across host workers the same
 // way the paper's formulations schedule irregular tree work across
@@ -62,14 +62,8 @@ type JobSpec struct {
 	// data, data-naive (uncached data shipping), or let (locally
 	// essential trees).
 	Shipping string `json:"shipping,omitempty"`
-	// CheckpointEvery overrides the service's checkpoint interval in
-	// steps for this job (0 = service default). It paces resume.nbf; a
-	// job recording frames checkpoints every step through its chain and
-	// ignores it.
-	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 	// FramesKeyEvery overrides the service's frame-store keyframe
-	// cadence for this job (0 = service default, negative = no frame
-	// capture for this job).
+	// cadence for this job (0 = service default; negative is invalid).
 	FramesKeyEvery int `json:"frames_key_every,omitempty"`
 	// Transport selects where the simulated machine's ranks live:
 	// inproc (default) runs them in this daemon; tcp spreads them over
@@ -125,8 +119,8 @@ func (s *JobSpec) Validate() error {
 	if s.Steps < 1 {
 		return fmt.Errorf("steps must be positive, got %d", s.Steps)
 	}
-	if s.CheckpointEvery < 0 {
-		return fmt.Errorf("checkpoint_every must be non-negative, got %d", s.CheckpointEvery)
+	if s.FramesKeyEvery < 0 {
+		return fmt.Errorf("frames_key_every must be non-negative, got %d", s.FramesKeyEvery)
 	}
 	if _, err := s.schemeValue(); err != nil {
 		return err
@@ -214,9 +208,8 @@ func (s JobSpec) potentialMode() bool {
 
 // stateless reports whether the job's particles never move: a cluster
 // job only evaluates forces, a potential-mode job only potentials. Such a
-// job records no frames, cannot be seeded from one, and its whole resume
-// point is a step count and the machine time: the header of a keyframe
-// with no particles.
+// job's frames have no particle columns, and its whole resume point is
+// their header: the step count and the machine time.
 func (s JobSpec) stateless() bool { return s.distributed() || s.potentialMode() }
 
 // SimConfig translates the spec into a barneshut.Config. The spec must
@@ -346,8 +339,8 @@ type Progress struct {
 	// Event marks out-of-band lifecycle moments on the progress stream;
 	// "recovery" is published when a cluster job survives a transport
 	// fault and is re-queued to resume from Step, and when a worker
-	// picks up a job restored from a frame (its chain's last, its
-	// resume.nbf, or a replicated keyframe).
+	// picks up a job restored from a frame (its chain's last, or a
+	// replicated keyframe).
 	Event string `json:"event,omitempty"`
 	// Fault names the transport fault kind behind a recovery event.
 	Fault string `json:"fault,omitempty"`

@@ -35,7 +35,7 @@ func TestJobSpecValidateRejects(t *testing.T) {
 		{"bad shipping", JobSpec{Shipping: "tcp"}, "unknown shipping"},
 		{"bad dist", JobSpec{Dist: "lattice"}, "unknown dist"},
 		{"negative steps", JobSpec{Steps: -1}, "steps must be"},
-		{"negative ckpt", JobSpec{CheckpointEvery: -1}, "checkpoint_every"},
+		{"negative frames key every", JobSpec{FramesKeyEvery: -1}, "frames_key_every"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -35,8 +35,7 @@ type Metrics struct {
 	JobsRetried    atomic.Int64 // fault-recovery re-queues
 	Workers        atomic.Int64 // gauge (pool size)
 	StepsTotal     atomic.Int64
-	Checkpoints    atomic.Int64 // resume.nbf writes; a frame chain is not counted
-	CheckpointByte atomic.Int64 // resume.nbf bytes
+	CheckpointByte atomic.Int64 // written by nothing, not rendered: kept while benchmark/framestail.go reads it
 	machineMicros  atomic.Int64 // simulated machine time, microseconds
 
 	// Frame-store counters: frames appended to chains, in-place chain
@@ -143,8 +142,6 @@ func (m *Metrics) Render() string {
 		"nbodyd_worker_utilization":       fmt.Sprintf("%.4f", m.utilization()),
 		"nbodyd_steps_total":              fmt.Sprintf("%d", m.StepsTotal.Load()),
 		"nbodyd_steps_per_second":         fmt.Sprintf("%.4f", stepsPerSec),
-		"nbodyd_checkpoints_total":        fmt.Sprintf("%d", m.Checkpoints.Load()),
-		"nbodyd_checkpoint_bytes_total":   fmt.Sprintf("%d", m.CheckpointByte.Load()),
 		"nbodyd_machine_seconds_total":    fmt.Sprintf("%.6f", float64(m.machineMicros.Load())/1e6),
 		"nbodyd_uptime_seconds":           fmt.Sprintf("%.3f", uptime),
 		"nbodyd_jobs_retried_total":       fmt.Sprintf("%d", m.JobsRetried.Load()),

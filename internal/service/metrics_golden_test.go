@@ -21,8 +21,6 @@ func TestMetricsGoldenText(t *testing.T) {
 	m.JobsRunning.Add(1)
 	m.Workers.Store(2)
 	m.StepsTotal.Add(50)
-	m.Checkpoints.Add(4)
-	m.CheckpointByte.Add(4096)
 	m.AddMachineTime(1.5)
 	m.FramesAppended.Add(50)
 	m.ResultsParked.Add(1)

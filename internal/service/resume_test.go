@@ -13,21 +13,21 @@ import (
 	"testing"
 
 	"repro/internal/frames"
+	"repro/internal/transport"
 )
 
 // TestResumeAfterRestart kills a daemon mid-job (in process), restarts
-// against the same spool directory, and asserts the job picks up at the
-// step it was stopped at and finishes with a particle state and a
+// against the same spool directory, and asserts the job picks up at its
+// chain's last intact frame and finishes with a particle state and a
 // machine-time accumulator bit-identical to an uninterrupted run of the
-// same spec — whichever file its resume point was in:
+// same spec. The chain is the checkpoint: the job directory holds the
+// spec and nothing else, running or stopped.
 //
-//   - frames: the chain is the checkpoint; the job directory holds the
-//     spec and nothing else, running or stopped;
-//   - no frames: resume.nbf, one keyframe record, written at the
-//     CheckpointEvery cadence and at shutdown;
+//   - frames: the chain ends at the step the job was stopped at;
 //   - chain broken mid-run: writes to the chain start failing (disk
-//     full), capture stops, the next cadence point writes resume.nbf, and
-//     recovery prefers it to the shorter chain.
+//     full), capture stops while the job runs on, and the restart resumes
+//     from the shorter chain's last intact frame, re-running the steps
+//     after it.
 //
 // SPSA is used deliberately: its partitioning and assignment are fully
 // determined by the current particle positions, so a resumed run follows
@@ -35,27 +35,21 @@ import (
 // from measured loads, which a restart resets; they resume physically
 // but not bitwise.)
 func TestResumeAfterRestart(t *testing.T) {
-	base := JobSpec{
+	spec := JobSpec{
 		Dist: "plummer", N: 200, Processors: 4, Scheme: "spsa",
 		Machine: "ideal", Steps: 200, Eps: 0.05, DT: 0.01, Seed: 7,
-		CheckpointEvery: 1,
 	}
-	refBodies, refMachine := referenceRun(t, base)
+	refBodies, refMachine := referenceRun(t, spec)
 
 	for _, row := range []struct {
 		name       string
-		keyEvery   int
 		breakChain bool
-		stopped    []string // the job's spool directory after the shutdown
 	}{
-		{"frames", 0, false, []string{"spec.json"}},
-		{"no frames", -1, false, []string{"resume.nbf", "spec.json"}},
-		{"chain broken mid-run", 0, true, []string{"resume.nbf", "spec.json"}},
+		{"frames", false},
+		{"chain broken mid-run", true},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			spool := t.TempDir()
-			spec := base
-			spec.FramesKeyEvery = row.keyEvery
 
 			// Daemon A: submit and let it get partway in.
 			svcA, err := New(Options{Workers: 1, SpoolDir: spool, Logf: t.Logf})
@@ -69,16 +63,14 @@ func TestResumeAfterRestart(t *testing.T) {
 				return getStatus(t, tsA, job.ID).Progress.Step >= 5
 			})
 			chain := svcA.spool.framesFile(job.ID)
-			if row.keyEvery >= 0 {
-				if got := spoolFiles(t, spool, job.ID); len(got) != 1 || got[0] != "spec.json" {
-					t.Fatalf("running framed job's spool directory holds %v, want only spec.json", got)
-				}
+			if got := spoolFiles(t, spool, job.ID); len(got) != 1 || got[0] != "spec.json" {
+				t.Fatalf("running job's spool directory holds %v, want only spec.json", got)
 			}
 			if row.breakChain {
 				failWrites(t, chain)
-				waitUntil(t, "resume.nbf after capture stopped", func() bool {
-					_, err := os.Stat(svcA.spool.resumeFile(job.ID))
-					return err == nil
+				appended := svcA.Metrics().FramesAppended.Load()
+				waitUntil(t, "job running on past the broken chain", func() bool {
+					return int64(getStatus(t, tsA, job.ID).Progress.Step) > appended+2
 				})
 			}
 
@@ -94,18 +86,19 @@ func TestResumeAfterRestart(t *testing.T) {
 			if stoppedAt >= spec.Steps {
 				t.Fatalf("job finished (step %d) before the restart; nothing to resume", stoppedAt)
 			}
-			if got := spoolFiles(t, spool, job.ID); !reflect.DeepEqual(got, row.stopped) {
-				t.Fatalf("stopped job's spool directory holds %v, want %v", got, row.stopped)
+			if got := spoolFiles(t, spool, job.ID); len(got) != 1 || got[0] != "spec.json" {
+				t.Fatalf("stopped job's spool directory holds %v, want only spec.json", got)
 			}
-			switch tail, err := frames.Tail(chain); {
-			case row.keyEvery < 0:
-				if !os.IsNotExist(err) {
-					t.Fatalf("frameless job has a chain (tail error %v)", err)
-				}
-			case err != nil || tail == nil:
+			tail, err := frames.Tail(chain)
+			if err != nil || tail == nil {
 				t.Fatalf("chain unreadable: %v", err)
-			case row.breakChain && int(tail.Meta.Step) >= stoppedAt:
-				t.Fatalf("broken chain reaches step %d, the job step %d: nothing to prefer resume.nbf for", tail.Meta.Step, stoppedAt)
+			}
+			resumeAt := int(tail.Meta.Step)
+			switch {
+			case !row.breakChain && resumeAt != stoppedAt:
+				t.Fatalf("chain ends at step %d, the job stopped at %d", resumeAt, stoppedAt)
+			case row.breakChain && (resumeAt < 1 || resumeAt >= stoppedAt):
+				t.Fatalf("broken chain ends at step %d, the job stopped at %d: want a shorter, non-empty chain", resumeAt, stoppedAt)
 			}
 
 			// Daemon B on the same spool: the job must come back with the
@@ -118,8 +111,8 @@ func TestResumeAfterRestart(t *testing.T) {
 			if err != nil {
 				t.Fatalf("job not recovered from spool: %v", err)
 			}
-			if st.ResumedFrom != stoppedAt || st.Progress.Step != stoppedAt {
-				t.Fatalf("recovered job resumes from step %d (progress %d), stopped at %d", st.ResumedFrom, st.Progress.Step, stoppedAt)
+			if st.ResumedFrom != resumeAt || st.Progress.Step != resumeAt {
+				t.Fatalf("recovered job resumes from step %d (progress %d), its chain ends at %d", st.ResumedFrom, st.Progress.Step, resumeAt)
 			}
 			if got := svcB.Metrics().JobsResumed.Load(); got != 1 {
 				t.Fatalf("resumed counter %d", got)
@@ -166,10 +159,95 @@ func TestResumeAfterRestart(t *testing.T) {
 	}
 }
 
+// TestStatelessJobResumesFromChain stops a potential-mode job, and a tcp
+// job on the in-memory mesh of retry_test.go, mid-run and restarts the
+// daemon on the same spool. Every completed step appended one frame with
+// no particle columns; the restarted job resumes at the last one and
+// ends with the machine time of an uninterrupted run.
+func TestStatelessJobResumesFromChain(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		spec JobSpec
+	}{
+		{"potential", JobSpec{Dist: "plummer", N: 200, Processors: 4, Scheme: "spsa",
+			Machine: "ideal", Mode: "potential", Steps: 300, Eps: 0.05, Seed: 7}},
+		{"tcp", JobSpec{Dist: "uniform", N: 96, Processors: 2, Scheme: "dpda",
+			Machine: "ideal", Steps: 300, Eps: 0.05, Seed: 3, Transport: "tcp"}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			opt := Options{Workers: 1}
+			if row.spec.distributed() {
+				opt.Cluster = chaosCluster(t, transport.FaultPlan{})
+			}
+			// The reference run, then daemons A and B one after the other:
+			// the three share the cluster supervisor.
+			ref := startService(t, opt)
+			st, err := ref.Submit(row.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitUntil(t, "reference job done", func() bool {
+				s, err := ref.Get(st.ID)
+				return err == nil && s.State == StateDone
+			})
+			want, err := ref.Result(st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shutdownService(t, ref)
+
+			spool := t.TempDir()
+			opt.SpoolDir = spool
+			svcA := startService(t, opt)
+			job, err := svcA.Submit(row.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitUntil(t, "job past step 5", func() bool {
+				s, err := svcA.Get(job.ID)
+				return err == nil && s.Progress.Step >= 5
+			})
+			stoppedAt := killMidJob(t, svcA, spool, job.ID)
+			if stoppedAt >= row.spec.Steps {
+				t.Fatalf("job finished (step %d) before the restart; nothing to resume", stoppedAt)
+			}
+			tail, err := frames.Tail(svcA.spool.framesFile(job.ID))
+			if err != nil || tail == nil {
+				t.Fatalf("chain unreadable: %v", err)
+			}
+			if int(tail.Meta.Step) != stoppedAt || tail.Parts.Len() != 0 || tail.Meta.MachineTime == 0 {
+				t.Fatalf("chain ends at step %d with %d particles and machine time %g; want step %d, none, and the clock",
+					tail.Meta.Step, tail.Parts.Len(), tail.Meta.MachineTime, stoppedAt)
+			}
+
+			svcB := startService(t, opt)
+			got, err := svcB.Get(job.ID)
+			if err != nil {
+				t.Fatalf("job not recovered from spool: %v", err)
+			}
+			if got.ResumedFrom != stoppedAt || got.Progress.Step != stoppedAt {
+				t.Fatalf("recovered job resumes from step %d (progress %d), stopped at %d", got.ResumedFrom, got.Progress.Step, stoppedAt)
+			}
+			waitUntil(t, "resumed job done", func() bool {
+				s, err := svcB.Get(job.ID)
+				return err == nil && s.State == StateDone
+			})
+			res, err := svcB.Result(job.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Steps != row.spec.Steps || res.MachineTime != want.MachineTime {
+				t.Fatalf("resumed job: %d steps, machine time %.17g; uninterrupted: %d, %.17g",
+					res.Steps, res.MachineTime, want.Steps, want.MachineTime)
+			}
+		})
+	}
+}
+
 // TestRecoveredWithoutCheckpointRestarts covers the demotion path: a
 // spooled spec with no usable particle state restarts from step zero,
-// says so, and still completes. The resume.nbf claiming step 40 holds no
-// particles, as a stateless job's does; a step count with no state
+// says so, and still completes. The chain's frame claiming step 40 holds
+// no particles, as a stateless job's does; a step count with no state
 // behind it must not show up as a resume.
 func TestRecoveredWithoutCheckpointRestarts(t *testing.T) {
 	spool := t.TempDir()
@@ -184,9 +262,7 @@ func TestRecoveredWithoutCheckpointRestarts(t *testing.T) {
 	if err := sp.PutSpec("jlost", spec); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sp.PutResume("jlost", &frames.Frame{Meta: frames.Meta{Step: 40, MachineTime: 2.5}}); err != nil {
-		t.Fatal(err)
-	}
+	writeChain(t, sp, "jlost", &frames.Frame{Meta: frames.Meta{Step: 40, MachineTime: 2.5}})
 
 	svc, err := New(Options{Workers: 1, SpoolDir: spool, Logf: t.Logf})
 	if err != nil {
@@ -294,7 +370,7 @@ func TestLegacyGobCheckpointIgnored(t *testing.T) {
 		if st.ResumedFrom != want {
 			t.Fatalf("job %s resumed from step %d, want %d", id, st.ResumedFrom, want)
 		}
-		if n := strings.Count(startup, "spool job "+id+": ignoring legacy gob checkpoint"); n != 1 {
+		if n := strings.Count(startup, "spool job "+id+": ignoring legacy "+legacyGob); n != 1 {
 			t.Fatalf("job %s: legacy gob reported %d times, want once:\n%s", id, n, startup)
 		}
 	}

@@ -46,12 +46,9 @@ type Options struct {
 	QueueDepth int
 	// SpoolDir enables resume across restarts when non-empty.
 	SpoolDir string
-	// CheckpointEvery is the default checkpoint interval in completed
-	// steps (default 10; 0 keeps the default, negative disables periodic
-	// checkpoints — shutdown still writes one). It paces resume.nbf, the
-	// resume point of a job without a frame chain (cluster and
-	// potential-mode jobs included); a job recording frames checkpoints
-	// every step through its chain and writes nothing else.
+	// CheckpointEvery is read by nothing: every job's frame chain is its
+	// checkpoint. The field stays only because benchmark/framestail.go
+	// sets it, and goes with that file's next change.
 	CheckpointEvery int
 	// Clock substitutes a fake clock in tests (default wall clock).
 	Clock Clock
@@ -60,9 +57,9 @@ type Options struct {
 	// FramesKeyEvery is the default keyframe cadence of the columnar
 	// frame store: every job step is appended to the job's frame chain,
 	// with a full keyframe every FramesKeyEvery frames and XOR-delta
-	// encoding between (default 16; 0 keeps the default, negative
-	// disables frame capture). Frames require a spool; per-job
-	// JobSpec.FramesKeyEvery overrides this.
+	// encoding between (default 16; 0 keeps the default, negative is an
+	// error). Frames require a spool; per-job JobSpec.FramesKeyEvery
+	// overrides this.
 	FramesKeyEvery int
 	// FramesMaxBytes bounds one job's frame chain: when an appended
 	// keyframe pushes the file past the budget it is compacted in place
@@ -92,9 +89,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 16
-	}
-	if o.CheckpointEvery == 0 {
-		o.CheckpointEvery = 10
 	}
 	if o.FramesKeyEvery == 0 {
 		o.FramesKeyEvery = 16
@@ -179,6 +173,9 @@ func (s *Service) notifyFrame(jobID string, step int64, rec []byte) {
 // New builds a Service, scanning the spool (if configured) and
 // re-queueing every interrupted job ahead of new submissions.
 func New(opt Options) (*Service, error) {
+	if opt.FramesKeyEvery < 0 {
+		return nil, fmt.Errorf("service: FramesKeyEvery must be non-negative, got %d", opt.FramesKeyEvery)
+	}
 	opt = opt.withDefaults()
 	spool, err := NewSpool(opt.SpoolDir)
 	if err != nil {
@@ -216,35 +213,6 @@ func New(opt Options) (*Service, error) {
 	return s, nil
 }
 
-// framesEnabled reports whether the service records frame chains for
-// this spec: a spool must exist and the effective keyframe cadence must
-// be positive. Stateless jobs never record frames (no integrated
-// particle dynamics to snapshot).
-func (s *Service) framesEnabled(spec JobSpec) bool {
-	return s.spool != nil && s.frameKeyEvery(spec) > 0 && !spec.stateless()
-}
-
-// frameKeyEvery resolves the job's keyframe cadence: the spec override
-// when non-zero, else the service default. Negative disables.
-func (s *Service) frameKeyEvery(spec JobSpec) int {
-	if spec.FramesKeyEvery != 0 {
-		return spec.FramesKeyEvery
-	}
-	return s.opt.FramesKeyEvery
-}
-
-// checkpointDue reports whether a job without a frame chain checkpoints
-// after step completed steps: every CheckpointEvery steps (the spec's
-// override when non-zero, else the service default; negative disables),
-// except after the last, when the job is about to leave the spool.
-func (s *Service) checkpointDue(spec JobSpec, step int) bool {
-	every := spec.CheckpointEvery
-	if every == 0 {
-		every = s.opt.CheckpointEvery
-	}
-	return every > 0 && step%every == 0 && step < spec.Steps
-}
-
 // Metrics exposes the service counters (for the HTTP layer and tests).
 func (s *Service) Metrics() *Metrics { return s.metrics }
 
@@ -258,10 +226,9 @@ func (s *Service) Start() {
 }
 
 // Shutdown stops admission, lets each worker finish (at most) its
-// current step and leave the job's resume point in the spool (a closed
-// frame chain, or resume.nbf), and waits for the pool to drain
-// or ctx to expire. Queued jobs stay in the spool and are recovered by
-// the next daemon.
+// current step and close the job's frame chain, its resume point, and
+// waits for the pool to drain or ctx to expire. Queued jobs stay in the
+// spool and are recovered by the next daemon.
 func (s *Service) Shutdown(ctx context.Context) error {
 	s.stopOnce.Do(func() { close(s.stopping) })
 	done := make(chan struct{})
@@ -286,9 +253,9 @@ func (s *Service) Submit(spec JobSpec) (Status, error) {
 // SubmitSeeded is Submit for a job that resumes from a replicated
 // keyframe record (see frames.EncodeKeyframe) instead of starting at step
 // zero: the fabric gateway hands the victim shard's last keyframe to the
-// shard a re-routed job lands on. An empty or unusable record — or a
-// stateless job, which has no integrated particle state to seed —
-// degrades to a run from scratch, never to a rejected job.
+// shard a re-routed job lands on. A stateless job takes only the record's
+// header. An empty or unusable record degrades to a run from scratch,
+// never to a rejected job.
 func (s *Service) SubmitSeeded(spec JobSpec, keyframe []byte) (Status, error) {
 	select {
 	case <-s.stopping:
@@ -304,7 +271,8 @@ func (s *Service) SubmitSeeded(spec JobSpec, keyframe []byte) (Status, error) {
 		return Status{}, fmt.Errorf("invalid job: transport tcp requires the daemon to run a cluster coordinator (-cluster-workers)")
 	}
 	var rp resumePoint
-	if len(keyframe) > 0 && !spec.stateless() {
+	seeded := false
+	if len(keyframe) > 0 {
 		frame, err := frames.DecodeKeyframe(keyframe)
 		if err == nil {
 			rp, err = spec.resumeFrom(frame)
@@ -312,8 +280,8 @@ func (s *Service) SubmitSeeded(spec JobSpec, keyframe []byte) (Status, error) {
 		if err != nil {
 			s.opt.Logf("nbodyd: seeded submit: keyframe unusable, starting from scratch: %v", err)
 		}
+		seeded = err == nil
 	}
-	seeded := rp.sim != nil
 	j := newJob(s.newJobID(), spec, s.opt.Clock.Now())
 	j.startFrom(rp)
 	if err := s.spool.PutSpec(j.ID, spec); err != nil {
@@ -322,7 +290,7 @@ func (s *Service) SubmitSeeded(spec JobSpec, keyframe []byte) (Status, error) {
 	// Seed the job's frame chain with the keyframe so the resumed run's
 	// replay stream is continuous from the resume point even before its
 	// first local append.
-	if seeded && s.framesEnabled(spec) {
+	if seeded {
 		if path := s.spool.FramesPath(j.ID); path != "" {
 			if err := frames.WriteSeed(path, keyframe); err != nil {
 				s.opt.Logf("nbodyd: seeding frame chain for job %s: %v", j.ID, err)

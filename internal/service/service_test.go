@@ -208,3 +208,12 @@ func TestResultBeforeDone(t *testing.T) {
 	}
 	svc.Cancel(j.ID)
 }
+
+// Frame capture cannot be switched off: every job's chain is its resume
+// point, so a negative default keyframe cadence is refused (a spec's is
+// refused by Validate).
+func TestNegativeFramesKeyEveryRefused(t *testing.T) {
+	if _, err := New(Options{FramesKeyEvery: -1}); err == nil {
+		t.Fatal("New accepted FramesKeyEvery -1")
+	}
+}

@@ -17,29 +17,25 @@ import (
 // after a restart. Each job owns one directory under the spool root:
 //
 //	<root>/<jobID>/spec.json   the submitted JobSpec (written once)
-//	<root>/<jobID>/resume.nbf  one keyframe record: the resume point of a
-//	                           job that has no frame chain to resume from;
-//	                           a stateless (cluster or potential-mode)
-//	                           job's has no particles, only the step count
-//	                           and the machine time in its header
 //
 // Frame chains live beside the job directories, under a reserved name:
 //
 //	<root>/frames/<jobID>.nbf  columnar frame chain (see internal/frames)
 //
-// A job that records frames writes nothing but its spec into its
-// directory: the chain holds every step's positions, velocities, clocks
-// and machine-time accumulator bit-exactly, and the formulations derive
-// tree and partition from those each step, so the chain's last intact
-// frame is the job's checkpoint. resume.nbf is the same record for a job
-// without a chain. A legacy gob checkpoint left by an older daemon is
-// not read.
+// Every job appends one frame per completed step to its chain, and the
+// chain's last intact frame is the job's resume point: the formulations
+// derive tree and partition from particle positions each step, so a
+// frame's positions, velocities, clocks and machine-time accumulator are
+// a complete restart state. A stateless (cluster or potential-mode) job's
+// frames carry only the header — step, machine time and the step's
+// simulated-machine measurements — since its spec rebuilds the particles.
+// The resume records of older daemons are reported and not read.
 //
 // Entries are removed when a job reaches a terminal state; whatever is
 // left in the spool at startup is, by construction, work interrupted by
 // a crash or shutdown. Frame chains deliberately outlive the job
 // directory: a finished job's replay stream stays servable until its
-// frames are compacted or pruned. Whole-file writes go through
+// frames are compacted or pruned. spec.json is written through
 // recio.WriteFile (temp file, fsync, rename), so a crash mid-write never
 // corrupts the previous one.
 type Spool struct {
@@ -78,16 +74,21 @@ func NewSpool(dir string) (*Spool, error) {
 	return &Spool{root: dir}, nil
 }
 
+// The resume records an older daemon may have left in a job directory: a
+// gob checkpoint, and the one-keyframe file of a job without a chain.
+const (
+	legacyGob    = "checkpoint.gob"
+	legacyResume = "resume.nbf"
+)
+
 func (sp *Spool) jobDir(id string) string { return filepath.Join(sp.root, id) }
 
 func (sp *Spool) framesFile(id string) string {
 	return filepath.Join(sp.root, framesDirName, id+".nbf")
 }
 
-func (sp *Spool) resumeFile(id string) string { return filepath.Join(sp.jobDir(id), "resume.nbf") }
-
 // FramesPath returns the frame-chain path for a job, creating the
-// frames directory on first use. It returns "" (frames disabled) on a
+// frames directory on first use. It returns "" (no chain) on a
 // nil spool or when the directory cannot be created.
 func (sp *Spool) FramesPath(id string) string {
 	if sp == nil {
@@ -141,18 +142,6 @@ func (sp *Spool) PutSpec(id string, spec JobSpec) error {
 	})
 }
 
-// PutResume records f as the job's resume point, replacing the previous
-// one: a frame file of one keyframe record (fsynced, like any seed); a
-// stateless job's f has no particles. It returns the record size in bytes
-// for metrics.
-func (sp *Spool) PutResume(id string, f *frames.Frame) (int, error) {
-	if sp == nil {
-		return 0, nil
-	}
-	n, err := frames.WriteSeedFrame(sp.resumeFile(id), f)
-	return int(n), err
-}
-
 // Remove deletes a job's spool entry (terminal state reached).
 func (sp *Spool) Remove(id string) error {
 	if sp == nil {
@@ -201,12 +190,16 @@ func (sp *Spool) Scan() (jobs []Recovered, errs []error) {
 			errs = append(errs, fmt.Errorf("spool job %s: invalid spec: %w", id, err))
 			continue
 		}
-		if _, err := os.Stat(filepath.Join(sp.jobDir(id), "checkpoint.gob")); err == nil {
-			errs = append(errs, fmt.Errorf("spool job %s: ignoring legacy gob checkpoint", id))
+		for _, name := range []string{legacyGob, legacyResume} {
+			if _, err := os.Stat(filepath.Join(sp.jobDir(id), name)); err == nil {
+				errs = append(errs, fmt.Errorf("spool job %s: ignoring legacy %s", id, name))
+			}
 		}
 		rec := Recovered{ID: id, Spec: spec}
-		f, ferrs := sp.newestFrame(id)
-		errs = append(errs, ferrs...)
+		f, err := frames.Tail(sp.framesFile(id))
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			errs = append(errs, fmt.Errorf("spool job %s: frame chain unusable for resume: %w", id, err))
+		}
 		if f != nil {
 			if rec.resume, err = spec.resumeFrom(f); err != nil {
 				errs = append(errs, fmt.Errorf("spool job %s: frame at step %d unusable, restarting from scratch: %w", id, f.Meta.Step, err))
@@ -215,20 +208,4 @@ func (sp *Spool) Scan() (jobs []Recovered, errs []error) {
 		jobs = append(jobs, rec)
 	}
 	return jobs, errs
-}
-
-// newestFrame returns the later of the job's two resume candidates — the
-// last intact frame of its chain and its resume.nbf — or nil when it has
-// neither. An unreadable candidate is reported in errs and skipped.
-func (sp *Spool) newestFrame(id string) (newest *frames.Frame, errs []error) {
-	for _, path := range []string{sp.framesFile(id), sp.resumeFile(id)} {
-		f, err := frames.Tail(path)
-		if err != nil && !errors.Is(err, fs.ErrNotExist) {
-			errs = append(errs, fmt.Errorf("spool job %s: %s unusable for resume: %w", id, filepath.Base(path), err))
-		}
-		if f != nil && (newest == nil || f.Meta.Step > newest.Meta.Step) {
-			newest = f
-		}
-	}
-	return newest, errs
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dist"
 	"repro/internal/frames"
 )
 
@@ -23,9 +22,6 @@ func TestNilSpoolIsNoOp(t *testing.T) {
 	if err := sp.PutSpec("x", JobSpec{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sp.PutResume("x", nil); err != nil {
-		t.Fatal(err)
-	}
 	if err := sp.Remove("x"); err != nil {
 		t.Fatal(err)
 	}
@@ -34,59 +30,20 @@ func TestNilSpoolIsNoOp(t *testing.T) {
 	}
 }
 
-// TestPutResumeStreamsKeyframe pins resume.nbf's bytes to a seed file of
-// f's keyframe record, written by WriteSeed, and the write itself to a
-// streaming one: at n = 40000 the record is 2.4 MB, and PutResume may
-// allocate no more than a couple of WriteKeyframe's 32 KB buffers for it.
-func TestPutResumeStreamsKeyframe(t *testing.T) {
-	dir := t.TempDir()
-	sp, err := NewSpool(dir)
+// writeChain writes fs as job id's frame chain, closed clean.
+func writeChain(t *testing.T, sp *Spool, id string, fs ...*frames.Frame) {
+	t.Helper()
+	w, err := frames.Create(sp.FramesPath(id), frames.WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := dist.MustNamed("plummer", 40000, 3)
-	f := &frames.Frame{Meta: frames.Meta{Step: 7, MachineTime: 1.5, Domain: s.Domain}}
-	f.Parts.Append(s.Particles)
-	if err := os.MkdirAll(sp.jobDir("j"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	n, err := sp.PutResume("j", f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec bytes.Buffer
-	if _, err := frames.WriteKeyframe(&rec, f); err != nil {
-		t.Fatal(err)
-	}
-	if n != rec.Len() {
-		t.Fatalf("PutResume reports %d bytes, the record is %d", n, rec.Len())
-	}
-	want := filepath.Join(dir, "want.nbf")
-	if err := frames.WriteSeed(want, rec.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(sp.resumeFile("j"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBytes, err := os.ReadFile(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, wantBytes) {
-		t.Fatalf("resume.nbf differs from the seeded keyframe record (%d vs %d bytes)", len(got), len(wantBytes))
-	}
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sp.PutResume("j", f); err != nil {
-				b.Fatal(err)
-			}
+	for _, f := range fs {
+		if _, err := w.Append(f); err != nil {
+			t.Fatal(err)
 		}
-	})
-	t.Logf("PutResume at n = 40000: %d B in %d allocations per call", res.AllocedBytesPerOp(), res.AllocsPerOp())
-	if per := res.AllocedBytesPerOp(); per > 64<<10 {
-		t.Fatalf("PutResume allocates %d B per call at n = 40000, want <= 64 KB", per)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -109,13 +66,7 @@ func TestSpoolRoundTrip(t *testing.T) {
 	sim.Run(4)
 	var f frames.Frame
 	fillFrame(&f, sim, 4, 1.25)
-	n, err := sp.PutResume("j1", &f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n <= 0 {
-		t.Fatalf("resume record size %d", n)
-	}
+	writeChain(t, sp, "j1", &f)
 
 	jobs, errs := sp.Scan()
 	if len(errs) != 0 {
@@ -197,32 +148,41 @@ func TestSpoolScanSkipsCorruptEntries(t *testing.T) {
 	os.WriteFile(filepath.Join(dir, "badspec", "spec.json"), []byte("{nope"), 0o644)
 	// Good specs whose saved state is unusable or absent: each recovered,
 	// each from step zero — a step count with no particles behind it (a
-	// particle-less resume.nbf beside a force-mode spec) is not a resume
-	// point.
+	// particle-less frame beside a force-mode spec) is not a resume point,
+	// and neither is an older daemon's resume record beside no chain.
 	spec := JobSpec{Dist: "uniform", N: 64, Machine: "ideal", Steps: 50}
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	metaOnly := &frames.Frame{Meta: frames.Meta{Step: 40, MachineTime: 2.5}}
-	for _, id := range []string{"jbadresume", "jmetaonly"} {
+	for _, id := range []string{"jbadchain", "jmetaonly", "jlegacy"} {
 		if err := sp.PutSpec(id, spec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	os.WriteFile(filepath.Join(dir, "jbadresume", "resume.nbf"), append(frames.Magic(), "garbage"...), 0o644)
-	if _, err := sp.PutResume("jmetaonly", metaOnly); err != nil {
+	os.WriteFile(sp.FramesPath("jbadchain"), append(frames.Magic(), "garbage"...), 0o644)
+	writeChain(t, sp, "jmetaonly", metaOnly)
+	sim, err := spec.NewSimulation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var full frames.Frame
+	fillFrame(&full, sim, 40, 2.5)
+	var rec bytes.Buffer
+	if _, err := frames.WriteKeyframe(&rec, &full); err != nil {
+		t.Fatal(err)
+	}
+	if err := frames.WriteSeed(filepath.Join(dir, "jlegacy", legacyResume), rec.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	// Potential mode has no particle state to save: there the same
-	// particle-less keyframe is the whole resume point.
+	// particle-less frame is the whole resume point.
 	pot := spec
 	pot.Mode = "potential"
 	if err := sp.PutSpec("jpot", pot); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sp.PutResume("jpot", metaOnly); err != nil {
-		t.Fatal(err)
-	}
+	writeChain(t, sp, "jpot", metaOnly)
 
 	jobs, errs := sp.Scan()
 	steps := map[string]int{}
@@ -232,13 +192,22 @@ func TestSpoolScanSkipsCorruptEntries(t *testing.T) {
 			t.Errorf("job %s: restored a simulation from nothing", rec.ID)
 		}
 	}
-	if len(jobs) != 3 || steps["jbadresume"] != 0 || steps["jmetaonly"] != 0 || steps["jpot"] != 40 {
-		t.Fatalf("recovered steps %v, want jbadresume:0 jmetaonly:0 jpot:40", steps)
+	if len(jobs) != 4 || steps["jbadchain"] != 0 || steps["jmetaonly"] != 0 || steps["jlegacy"] != 0 || steps["jpot"] != 40 {
+		t.Fatalf("recovered steps %v, want jbadchain:0 jmetaonly:0 jlegacy:0 jpot:40", steps)
 	}
-	// empty, badspec, the unreadable resume.nbf, and the particle-less one
-	// beside a force-mode spec.
-	if len(errs) != 4 {
-		t.Fatalf("want 4 scan diagnostics, got %v", errs)
+	// empty, badspec, the unreadable chain, the particle-less frame beside
+	// a force-mode spec, and the legacy resume record.
+	if len(errs) != 5 {
+		t.Fatalf("want 5 scan diagnostics, got %v", errs)
+	}
+	legacy := 0
+	for _, err := range errs {
+		if strings.Contains(err.Error(), "spool job jlegacy: ignoring legacy "+legacyResume) {
+			legacy++
+		}
+	}
+	if legacy != 1 {
+		t.Fatalf("legacy resume record reported %d times, want once: %v", legacy, errs)
 	}
 }
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"cmp"
 	"os"
 	"time"
 
@@ -27,8 +28,8 @@ func jobTracer(j *Job) *obsv.Tracer {
 }
 
 // worker drains the queue until Shutdown. Each dequeued job runs to a
-// terminal state unless shutdown interrupts it, in which case its resume
-// point is in the spool and the job is left for the next daemon.
+// terminal state unless shutdown interrupts it, in which case its frame
+// chain holds its resume point and the job is left for the next daemon.
 func (s *Service) worker() {
 	defer s.wg.Done()
 	for {
@@ -89,7 +90,8 @@ func (s *Service) runJob(j *Job) {
 			s.fail(j, err)
 			return
 		}
-	} else if step > 0 {
+	}
+	if step > 0 {
 		// Announce the resume point on the progress stream before the
 		// first new step, mirroring the cluster path's recovery events.
 		j.publish(Progress{
@@ -104,33 +106,19 @@ func (s *Service) runJob(j *Job) {
 
 	sim.SetTracer(jobTracer(j))
 
-	// Open the job's frame chain. Every completed step is appended; the
-	// columnar record is gathered from the same bodies the result reports,
-	// so frame capture never perturbs a simulated metric. While
-	// the chain is being written it is the job's checkpoint; a job without
-	// one (frames off, potential mode, capture failed) checkpoints at the
-	// CheckpointEvery cadence and at shutdown instead.
-	var fw *frames.Writer
-	if s.framesEnabled(spec) {
-		fw = s.openFrames(j, int64(step))
-	}
-	defer func() {
-		if fw != nil {
-			if err := fw.Close(); err != nil {
-				s.opt.Logf("nbodyd: closing frame chain for job %s: %v", j.ID, err)
-			}
-		}
-	}()
+	// Open the job's frame chain: its checkpoint. Every completed step is
+	// appended; the columnar record is gathered from the same bodies the
+	// result reports, so frame capture never perturbs a simulated metric.
+	// A potential-mode frame is its header alone.
+	fw := s.openFrames(j, int64(step))
+	defer func() { s.closeFrames(j, fw) }()
 
 	for step < spec.Steps {
 		select {
 		case <-s.stopping:
-			// Graceful shutdown: leave a resume point and walk away
-			// without a terminal transition — the job is still live, just
-			// not in this process.
-			if fw == nil {
-				s.checkpoint(j, sim, step, machineTime)
-			}
+			// Graceful shutdown: the chain already ends at the last
+			// completed step; walk away without a terminal transition —
+			// the job is still live, just not in this process.
 			s.metrics.JobsRunning.Add(-1)
 			return
 		default:
@@ -149,7 +137,11 @@ func (s *Service) runJob(j *Job) {
 		machineTime += res.SimTime
 		if fw != nil {
 			var frame frames.Frame // lives for one append: the writer keeps its own copy
-			fillFrame(&frame, sim, step, machineTime)
+			if potential {
+				headerFrame(&frame, step, machineTime, res)
+			} else {
+				fillFrame(&frame, sim, step, machineTime)
+			}
 			if !s.appendFrame(j, fw, &frame) {
 				fw = nil // chain unusable; the job itself keeps running
 			}
@@ -168,9 +160,6 @@ func (s *Service) runJob(j *Job) {
 			CommWords:   res.CommWords,
 			Load:        loadSnapshot(res.RankForce),
 		})
-		if fw == nil && s.checkpointDue(spec, step) {
-			s.checkpoint(j, sim, step, machineTime)
-		}
 	}
 
 	res := &Result{
@@ -185,12 +174,12 @@ func (s *Service) runJob(j *Job) {
 
 // runClusterJob executes one distributed job through the cluster
 // supervisor: every step is a force evaluation spread across the
-// attached worker processes. Distributed jobs do not integrate, so the
-// checkpoint is just a step index plus the machine-time accumulator —
-// resume replays the earlier steps deterministically (and silently)
-// and picks up reporting where the fault hit. A transport-class fault
-// re-queues the job with capped exponential backoff instead of failing
-// it, up to Options.MaxRetries times.
+// attached worker processes. Distributed jobs do not integrate, so their
+// frames are headers alone: a step index plus the machine-time
+// accumulator. Resume replays the earlier steps deterministically (and
+// silently) and picks up reporting where the fault hit. A
+// transport-class fault re-queues the job with capped exponential
+// backoff instead of failing it, up to Options.MaxRetries times.
 func (s *Service) runClusterJob(j *Job) {
 	spec := j.Spec
 	set, err := barneshut.NewNamed(spec.Dist, spec.N, spec.Seed)
@@ -220,6 +209,10 @@ func (s *Service) runClusterJob(j *Job) {
 
 	s.clusterMu.Lock()
 	defer s.clusterMu.Unlock()
+	// Opened under the cluster lock, so a retry's run cannot reopen the
+	// chain before this one has closed it.
+	fw := s.openFrames(j, int64(from))
+	defer func() { s.closeFrames(j, fw) }()
 	// The cluster supervisor is shared across jobs, so the tracer is
 	// installed only while this job holds the cluster lock.
 	if tr := jobTracer(j); tr != nil {
@@ -240,6 +233,13 @@ func (s *Service) runClusterJob(j *Job) {
 		}
 		step = n + 1
 		machineTime += res.SimTime
+		if fw != nil {
+			var frame frames.Frame
+			headerFrame(&frame, step, machineTime, res)
+			if !s.appendFrame(j, fw, &frame) {
+				fw = nil
+			}
+		}
 		s.metrics.StepsTotal.Add(1)
 		s.metrics.AddMachineTime(res.SimTime)
 		s.metrics.ObserveStep(res.SimTime, res.Imbalance)
@@ -254,9 +254,6 @@ func (s *Service) runClusterJob(j *Job) {
 			Load:        loadSnapshot(res.RankForce),
 			Retries:     retries,
 		})
-		if s.checkpointDue(spec, step) {
-			s.checkpoint(j, nil, step, machineTime)
-		}
 		return true
 	})
 	switch {
@@ -266,10 +263,8 @@ func (s *Service) runClusterJob(j *Job) {
 		}
 		s.fail(j, err)
 	case stopped:
-		// Shutdown mid-job: persist the resume point without a terminal
-		// transition; the spooled spec + meta re-queue the job at this
-		// step in the next daemon.
-		s.checkpoint(j, nil, step, machineTime)
+		// Shutdown mid-job: no terminal transition; the spooled spec and
+		// the chain re-queue the job at this step in the next daemon.
 		s.metrics.JobsRunning.Add(-1)
 	case j.canceled():
 		s.finish(j, StateCanceled, nil, "")
@@ -279,8 +274,8 @@ func (s *Service) runClusterJob(j *Job) {
 }
 
 // retryClusterJob handles a cluster job's failure: when the cause is a
-// transport-class fault and the retry budget allows, it persists the
-// resume point, flips the job back to queued, announces the recovery on
+// transport-class fault and the retry budget allows, it flips the job
+// back to queued at the last completed step, announces the recovery on
 // the progress stream, and re-admits the job after a capped exponential
 // backoff. It reports whether the retry was scheduled; false means the
 // caller should fail the job (non-retryable fault or budget exhausted).
@@ -295,7 +290,6 @@ func (s *Service) retryClusterJob(j *Job, step int, machineTime float64, cause e
 		return false
 	}
 	fault := transport.FaultKindOf(cause)
-	s.checkpoint(j, nil, step, machineTime)
 	delay := s.retryBackoff.Delay(retries)
 	j.mu.Lock()
 	j.retries++
@@ -321,8 +315,8 @@ func (s *Service) retryClusterJob(j *Job, step int, machineTime float64, cause e
 		select {
 		case <-time.After(delay):
 		case <-s.stopping:
-			// Shutdown while backing off: the checkpoint already written
-			// re-queues the job in the next daemon.
+			// Shutdown while backing off: the chain re-queues the job
+			// in the next daemon.
 			return
 		}
 		select {
@@ -336,14 +330,15 @@ func (s *Service) retryClusterJob(j *Job, step int, machineTime float64, cause e
 // openFrames opens (or continues) the job's frame chain for appending.
 // A chain whose tail runs ahead of the resume point would break the
 // index's step ordering, so it is recreated; so is a chain too corrupt
-// to append to. Returns nil when frames cannot be recorded — the job
-// runs regardless.
+// to append to. Returns nil when frames cannot be recorded (no spool, or
+// the chain cannot be created) — the job runs regardless.
 func (s *Service) openFrames(j *Job, resumeStep int64) *frames.Writer {
 	path := s.spool.FramesPath(j.ID)
 	if path == "" {
 		return nil
 	}
-	opt := frames.WriterOptions{KeyEvery: s.frameKeyEvery(j.Spec)}
+	// The spec's keyframe cadence when set, else the service default.
+	opt := frames.WriterOptions{KeyEvery: cmp.Or(j.Spec.FramesKeyEvery, s.opt.FramesKeyEvery)}
 	if _, err := os.Stat(path); err == nil {
 		w, err := frames.OpenAppend(path, opt)
 		if err == nil {
@@ -364,10 +359,22 @@ func (s *Service) openFrames(j *Job, resumeStep int64) *frames.Writer {
 	return w
 }
 
+// closeFrames closes the job's chain writer, if it has one.
+func (s *Service) closeFrames(j *Job, fw *frames.Writer) {
+	if fw == nil {
+		return
+	}
+	if err := fw.Close(); err != nil {
+		s.opt.Logf("nbodyd: closing frame chain for job %s: %v", j.ID, err)
+	}
+}
+
 // appendFrame writes one frame to the job's chain, replicates keyframes
 // through the frame hook, and compacts the chain when a keyframe pushes
 // it past the byte budget. It reports false — after closing the writer —
-// when the chain failed and capture should stop for this run.
+// when the chain failed and capture should stop for this run; the chain
+// then ends at its last intact frame, from which an interrupted job
+// resumes.
 func (s *Service) appendFrame(j *Job, fw *frames.Writer, f *frames.Frame) bool {
 	isKey, err := fw.Append(f)
 	if err != nil {
@@ -413,24 +420,19 @@ func fillFrame(f *frames.Frame, sim *barneshut.Simulation, step int, machineTime
 	f.Parts.Gather(sim.BodiesView())
 }
 
-// checkpoint persists the resume point of a job that is not writing a
-// frame chain: one keyframe record (resume.nbf), without particles for a
-// stateless job (sim is not read).
-func (s *Service) checkpoint(j *Job, sim *barneshut.Simulation, step int, machineTime float64) {
-	if s.spool == nil {
-		return
+// headerFrame makes f a stateless job's frame after step completed steps:
+// the step count, the machine time and the step's simulated-machine
+// measurements, with no particle columns — the spec rebuilds the
+// particles on resume.
+func headerFrame(f *frames.Frame, step int, machineTime float64, res *barneshut.StepResult) {
+	f.Meta = frames.Meta{
+		Step:        int64(step),
+		MachineTime: machineTime,
+		SimTime:     res.SimTime,
+		Efficiency:  res.Efficiency,
+		Imbalance:   res.Imbalance,
+		CommWords:   res.CommWords,
 	}
-	f := frames.Frame{Meta: frames.Meta{Step: int64(step), MachineTime: machineTime}}
-	if !j.Spec.stateless() {
-		fillFrame(&f, sim, step, machineTime)
-	}
-	n, err := s.spool.PutResume(j.ID, &f)
-	if err != nil {
-		s.opt.Logf("nbodyd: checkpointing job %s: %v", j.ID, err)
-		return
-	}
-	s.metrics.Checkpoints.Add(1)
-	s.metrics.CheckpointByte.Add(int64(n))
 }
 
 // fail finalizes a job with an error.
