@@ -58,7 +58,7 @@ func main() {
 		queue     = flag.Int("queue", 16, "queued-job bound beyond running jobs (beyond it: 429)")
 		spool     = flag.String("spool", "", "spool directory for resume across restarts (empty disables)")
 		frKey     = flag.Int("frames-key-every", 16, "keyframe cadence of per-job frame chains, each job's resume point (needs -spool; negative is refused)")
-		frBytes   = flag.Int64("frames-max-bytes", 64<<20, "per-job frame chain byte budget before compaction thins old deltas (0 = unbounded)")
+		frBytes   = flag.Int64("frames-max-bytes", 64<<20, "per-job frame chain byte budget before compaction thins old deltas (0 = the 64 MiB default; negative = unbounded, no compaction)")
 		drain     = flag.Duration("drain", 30*time.Second, "max time to wait for workers on shutdown")
 		cListen   = flag.String("cluster-listen", "127.0.0.1:0", "cluster coordinator listen address (with -cluster-workers)")
 		cWorkers  = flag.Int("cluster-workers", 0, "nbodyworker processes to wait for; 0 disables the tcp transport")
@@ -163,10 +163,10 @@ func main() {
 		if capacity <= 0 {
 			capacity = *workers
 		}
-		// Results that complete while the gateway is down park in the
-		// spool (next to the frame chains) and drain on reconnect; with
-		// no spool they park in memory, surviving a gateway outage but
-		// not a daemon restart.
+		// Every result waits in the agent's outbox until the gateway acks
+		// it: in the spool (next to the frame chains) when there is one,
+		// else in memory, surviving a gateway outage but not a daemon
+		// restart.
 		parkDir := ""
 		if *spool != "" {
 			parkDir = service.ParkedDir(*spool)

@@ -28,10 +28,10 @@
 // lost must be zero even though the gateway died; adopted counts
 // journaled leases the restarted gateway re-bound in place (their step
 // counters must never move backwards — the driver checks every poll);
-// parked counts results that completed during the outage and drained
-// from a shard's park spool. The drill exits nonzero when any invariant
-// fails, including adopted==0 or parked==0 (a kill that interrupted
-// nothing proves nothing).
+// parked counts results that completed during the outage and landed
+// from a shard's outbox on reconnect. The drill exits nonzero when any
+// invariant fails, including adopted==0 or parked==0 (a kill that
+// interrupted nothing proves nothing).
 package main
 
 import (

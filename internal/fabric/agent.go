@@ -19,8 +19,10 @@ import (
 // drops — and, crucially, keeps its leased jobs RUNNING through the
 // outage: the gateway journal remembers them, the reconnect handshake
 // reports them, and the gateway adopts them in place instead of
-// re-executing. Results that complete while the gateway is away are
-// parked (spooled when ParkDir is set) and drained on reconnect.
+// re-executing. Every terminal result goes through one outbox (spooled
+// when ParkDir is set): it is sent, addressed by job ID, at once when a
+// session is live and by each new session's flush otherwise, and leaves
+// the outbox only on the gateway's ack.
 type Agent struct {
 	// Svc is the local job service assignments run on.
 	Svc *service.Service
@@ -35,10 +37,10 @@ type Agent struct {
 	// Capacity is the number of concurrent leases to advertise
 	// (default 1).
 	Capacity int
-	// ParkDir, when set, spools results that complete while the gateway
-	// is unreachable to one JSON file per job (written atomically), so
-	// they survive an agent restart too. Daemons derive it from the
-	// service spool via service.ParkedDir. Empty parks in memory only.
+	// ParkDir, when set, spools the outbox to one JSON file per job
+	// (written atomically), so results the gateway has not acknowledged
+	// survive an agent restart too. Daemons derive it from the service
+	// spool via service.ParkedDir. Empty keeps the outbox in memory only.
 	ParkDir string
 	// Chaos, when set, wraps the gateway connection in a
 	// transport.FaultConn so drills can inject the PR-4 fault taxonomy
@@ -52,7 +54,7 @@ type Agent struct {
 	byLocal  map[string]*agentJob // local job ID → same (frame hook lookup)
 	byLease  map[uint64]*agentJob // current lease → same (cancel lookup)
 	sess     *agentSession        // live gateway session, nil during outages
-	park     *parkStore
+	park     *parkStore           // the outbox
 	bo       *transport.Backoff
 }
 
@@ -63,7 +65,7 @@ type agentJob struct {
 	gwID     string
 	localID  string
 	lease    uint64 // 0 while the gateway is away
-	released bool   // gateway declined the job; don't deliver or park
+	released bool   // gateway declined the job, or the agent is stopping; never reported
 	kfStep   int64
 	kf       []byte // latest frame-store keyframe, re-sent after Adopt
 }
@@ -160,11 +162,14 @@ func (a *Agent) Run(stop <-chan struct{}) {
 }
 
 // cancelLocal cancels every gateway-leased local job: the agent is
-// stopping for good, not riding out an outage.
+// stopping for good, not riding out an outage. Released first, they
+// never report: the gateway re-routes them on the Bye, and a stale
+// canceled report would cancel the re-routed run.
 func (a *Agent) cancelLocal() {
 	a.mu.Lock()
 	locals := make([]string, 0, len(a.inflight))
 	for _, j := range a.inflight {
+		j.released = true
 		locals = append(locals, j.localID)
 	}
 	a.mu.Unlock()
@@ -174,7 +179,7 @@ func (a *Agent) cancelLocal() {
 }
 
 // session runs one registration: Hello/Welcome, the in-flight lease
-// report, the parked-result drain, then the assignment pump until the
+// report, the outbox flush, then the assignment pump until the
 // connection dies or stop closes. The bool reports whether the session
 // got past the handshake (healthy — reset the reconnect backoff).
 func (a *Agent) session(stop <-chan struct{}) (bool, error) {
@@ -224,11 +229,11 @@ func (a *Agent) session(stop <-chan struct{}) (bool, error) {
 	// First business on a fresh session: report every job still running
 	// for the gateway so it adopts them instead of re-routing (an empty
 	// report is still sent — it tells a restarted gateway this shard
-	// holds nothing). Then drain parked results in the background.
+	// holds nothing). Then flush the outbox in the background.
 	if err := s.send(ReportJobs{Jobs: a.reportedJobs()}); err != nil {
 		return false, fmt.Errorf("reporting in-flight jobs: %w", err)
 	}
-	go a.drainParked(s, stop)
+	go a.flush(s, stop)
 
 	// Heartbeats keep the lease alive even when no job traffic flows.
 	go func() {
@@ -312,14 +317,13 @@ func (a *Agent) reportedJobs() []ReportedJob {
 	return out
 }
 
-// drainParked replays spooled terminal results to a fresh session, one
-// Parked frame per job with jittered pacing so a fleet reconnecting in
-// unison does not dump every spool into the gateway at the same
-// instant. Entries are removed on ParkedAck, not here, so a session
-// that dies mid-drain redelivers the remainder next time.
-func (a *Agent) drainParked(s *agentSession, stop <-chan struct{}) {
-	list := a.park.List()
-	for i, p := range list {
+// flush sends the outbox's backlog to a fresh session, one report per
+// job with jittered pacing so a fleet reconnecting in unison does not
+// dump every outbox into the gateway at the same instant. Entries leave
+// on ParkedAck, not here, so a session that dies mid-flush resends the
+// remainder next time.
+func (a *Agent) flush(s *agentSession, stop <-chan struct{}) {
+	for i, p := range a.park.List() {
 		if i > 0 {
 			select {
 			case <-stop:
@@ -329,12 +333,9 @@ func (a *Agent) drainParked(s *agentSession, stop <-chan struct{}) {
 			case <-time.After(a.bo.Jitter(5*time.Millisecond, 40*time.Millisecond)):
 			}
 		}
-		if s.send(Parked{JobID: p.JobID, State: p.State, Err: p.Err, ResultJSON: p.Result}) != nil {
+		if s.send(p.report()) != nil {
 			return
 		}
-	}
-	if len(list) > 0 {
-		a.Logf("fabric agent %s: drained %d parked result(s)", a.Name, len(list))
 	}
 }
 
@@ -354,7 +355,7 @@ func (s *agentSession) handle(v any) {
 	case Release:
 		s.handleRelease(msg)
 	case ParkedAck:
-		s.handleParkedAck(msg)
+		s.handleAck(msg)
 	default:
 		s.agent.Logf("fabric agent %s: unexpected control message %T", s.agent.Name, v)
 	}
@@ -433,8 +434,9 @@ func (s *agentSession) handleAdopt(msg Adopt) {
 	}
 	a.mu.Unlock()
 	if j == nil {
-		// Adopt for a job that finished in the meantime: its result is
-		// parked (or already on the wire); the drain settles it.
+		// Adopt for a job that finished in the meantime: its result is in
+		// the outbox and was sent on this session — by deliver, or by the
+		// flush if it finished before the session went live.
 		return
 	}
 	a.Logf("fabric agent %s: job %s adopted under lease %d", a.Name, msg.JobID, msg.Lease)
@@ -443,8 +445,8 @@ func (s *agentSession) handleAdopt(msg Adopt) {
 	}
 }
 
-// handleCancel cancels the local job behind a lease; the terminal
-// Done(canceled) flows back through the watcher.
+// handleCancel cancels the local job behind a lease; the canceled
+// report flows back through the watcher and the outbox.
 func (s *agentSession) handleCancel(msg Cancel) {
 	a := s.agent
 	a.mu.Lock()
@@ -459,7 +461,7 @@ func (s *agentSession) handleCancel(msg Cancel) {
 // handleRelease drops a job the gateway no longer wants (re-routed
 // elsewhere, canceled, or unknown after a journal loss): the local run
 // is canceled and its eventual terminal state is discarded rather than
-// delivered or parked.
+// put in the outbox.
 func (s *agentSession) handleRelease(msg Release) {
 	a := s.agent
 	a.mu.Lock()
@@ -469,7 +471,7 @@ func (s *agentSession) handleRelease(msg Release) {
 	}
 	a.mu.Unlock()
 	if j == nil {
-		// Never ran here, or already terminal: drop any parked copy too —
+		// Never ran here, or already terminal: drop any outbox entry too —
 		// the gateway has declared it does not want this result.
 		a.park.Remove(msg.JobID)
 		return
@@ -478,16 +480,17 @@ func (s *agentSession) handleRelease(msg Release) {
 	a.Svc.Cancel(j.localID)
 }
 
-// handleParkedAck completes one parked-result delivery.
-func (s *agentSession) handleParkedAck(msg ParkedAck) {
-	if s.agent.park.Remove(msg.JobID) {
+// handleAck takes one acknowledged result out of the outbox; the
+// drain counter moves only for a result that was parked, and only once.
+func (s *agentSession) handleAck(msg ParkedAck) {
+	if p := s.agent.park.Remove(msg.JobID); p != nil && !p.Live {
 		s.agent.Svc.Metrics().ParkedDrained.Add(1)
 	}
 }
 
 // watch streams one local job's progress to whatever gateway session is
-// live, then delivers (or parks) its terminal result. It is spawned
-// once per job and survives any number of session turnovers.
+// live, then delivers its terminal result. It is spawned once per job
+// and survives any number of session turnovers.
 func (a *Agent) watch(j *agentJob) {
 	ch, unsub, err := a.Svc.Subscribe(j.localID)
 	if err == nil {
@@ -537,10 +540,12 @@ func (a *Agent) watch(j *agentJob) {
 	a.deliver(j, state, errMsg, result)
 }
 
-// deliver hands a terminal result to the live session, or parks it for
-// the next one. The job leaves the in-flight set either way: it is
-// finished locally, and redelivery (if needed) flows from the park
-// store, not from re-running.
+// deliver puts a terminal result the gateway still wants in the outbox
+// and sends it at once when a session is live; otherwise the next
+// session's flush sends it. The job leaves the in-flight set either way:
+// it is finished locally, and redelivery flows from the outbox, not from
+// re-running. The session is read after the put, so a session that goes
+// live in between flushes this entry or is seen here.
 func (a *Agent) deliver(j *agentJob, state, errMsg string, result []byte) {
 	a.mu.Lock()
 	delete(a.inflight, j.gwID)
@@ -548,23 +553,25 @@ func (a *Agent) deliver(j *agentJob, state, errMsg string, result []byte) {
 	if j.lease != 0 {
 		delete(a.byLease, j.lease)
 	}
-	released := j.released
-	lease, sess := j.lease, a.sess
+	released, live := j.released, a.sess != nil
 	a.mu.Unlock()
 	if released {
 		return
 	}
-	if sess != nil && lease != 0 {
-		if sess.send(Done{Lease: lease, JobID: j.gwID, State: state, Err: errMsg, ResultJSON: result}) == nil {
-			return
-		}
-	}
-	p := &parkedResult{JobID: j.gwID, State: state, Err: errMsg, Result: result}
+	p := &parkedResult{JobID: j.gwID, State: state, Err: errMsg, Result: result, Live: live}
 	if err := a.park.Put(p); err != nil {
-		a.Logf("fabric agent %s: parking result for job %s: %v", a.Name, j.gwID, err)
+		a.Logf("fabric agent %s: spooling result for job %s: %v", a.Name, j.gwID, err)
 	}
-	a.Svc.Metrics().ResultsParked.Add(1)
-	a.Logf("fabric agent %s: gateway unreachable; parked %s result for job %s", a.Name, state, j.gwID)
+	if !live {
+		a.Svc.Metrics().ResultsParked.Add(1)
+		a.Logf("fabric agent %s: gateway unreachable; parked %s result for job %s", a.Name, state, j.gwID)
+	}
+	a.mu.Lock()
+	sess := a.sess
+	a.mu.Unlock()
+	if sess != nil {
+		sess.send(p.report())
+	}
 }
 
 // send writes one control frame; frames are serialized so concurrent
@@ -586,8 +593,8 @@ func (s *agentSession) send(payload any) error {
 
 // close tears the session down. Local jobs KEEP RUNNING: the gateway
 // (or its restarted successor) adopts them on the next session, and
-// anything that finishes in between parks. Only an agent stop cancels
-// local work.
+// anything that finishes in between waits in the outbox. Only an agent
+// stop cancels local work.
 func (s *agentSession) close() {
 	s.writeMu.Lock()
 	if s.closed {

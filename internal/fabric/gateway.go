@@ -156,8 +156,11 @@ type GwJob struct {
 	recoverBy time.Time
 	leader    *GwJob
 
-	// followers are the jobs whose leader this is.
+	// followers are the jobs whose leader this is; heir is the one that
+	// took this canceled leader's place, and the report of a shard still
+	// running the job under this ID lands on it.
 	followers []*GwJob
+	heir      *GwJob
 	// keyframe is the latest frame-store keyframe streamed back by the
 	// job's shard (KeyframeStep), carried out with the next Assign after
 	// a re-route so the replacement shard resumes mid-run. A terminal job
@@ -759,14 +762,12 @@ func (g *Gateway) handleControl(sc *shardConn, v any) {
 		g.handleAccept(sc, msg)
 	case Update:
 		g.handleUpdate(sc, msg)
-	case Done:
-		g.handleDone(sc, msg)
 	case Keyframe:
 		g.handleKeyframe(sc, msg)
 	case ReportJobs:
 		g.handleReport(sc, msg)
 	case Parked:
-		g.handleParked(sc, msg)
+		g.handleResult(sc, msg)
 	default:
 		g.opt.Logf("nbodygw: unexpected control message %T from shard %s", v, sc.name)
 	}
@@ -836,19 +837,6 @@ func (g *Gateway) handleUpdate(sc *shardConn, msg Update) {
 	}
 }
 
-// handleDone finalizes a leased job: log the result, complete the
-// leader and every coalesced follower, release the lease.
-func (g *Gateway) handleDone(sc *shardConn, msg Done) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	j := sc.leases[msg.Lease]
-	if j == nil {
-		return
-	}
-	g.settleLocked(j, msg.State, msg.ResultJSON, msg.Err)
-	g.dispatchLocked()
-}
-
 // settleLocked lands a shard's terminal report on j and its followers: a
 // done result goes to the result log before the done records are
 // journaled; anything but done or canceled is a failure.
@@ -907,20 +895,28 @@ func (g *Gateway) handleReport(sc *shardConn, msg ReportJobs) {
 	}
 }
 
-// handleParked lands a terminal result that completed while the gateway
-// was unreachable. It is addressed by gateway job ID (no live lease
-// exists) and acknowledged unconditionally so the shard's spooled copy
-// is deleted even on redelivery.
-func (g *Gateway) handleParked(sc *shardConn, msg Parked) {
+// handleResult lands a shard's terminal report, the one way a result
+// reaches the gateway, and always acknowledges it, so the shard's outbox
+// entry goes even on redelivery. A non-terminal job settles when the
+// report is done (a lease another session holds is canceled: this result
+// won), when the sender holds the job's lease, or when no session holds
+// it; a failure or cancel from a session that lost the job to another
+// settles nothing.
+func (g *Gateway) handleResult(sc *shardConn, msg Parked) {
 	g.mu.Lock()
 	j := g.jobs[msg.JobID]
-	if j != nil && !j.State.Terminal() {
-		if j.shard != nil {
-			// A duplicate lease on another shard: this result already won.
-			g.enqueue(j.shard, Cancel{Lease: j.Lease, JobID: j.ID})
+	for j != nil && j.heir != nil {
+		j = j.heir
+	}
+	if j != nil && !j.State.Terminal() &&
+		(j.shard == sc || j.shard == nil || service.State(msg.State) == service.StateDone) {
+		if j.shard != sc {
+			if j.shard != nil {
+				g.enqueue(j.shard, Cancel{Lease: j.Lease, JobID: j.ID})
+			}
+			g.metrics.ParkedResults.Add(1)
 		}
 		g.settleLocked(j, msg.State, msg.ResultJSON, msg.Err)
-		g.metrics.ParkedResults.Add(1)
 		g.finishReconcileLocked()
 		g.dispatchLocked()
 	}
@@ -929,7 +925,7 @@ func (g *Gateway) handleParked(sc *shardConn, msg Parked) {
 }
 
 // finishReconcileLocked records the reconcile_seconds gauge once the
-// restart reconciliation set drains — by adoption, parked delivery, or
+// restart reconciliation set drains — by adoption, a shard's report, or
 // timeout re-queue.
 func (g *Gateway) finishReconcileLocked() {
 	if g.reconciled || len(g.recovering) > 0 {
@@ -1008,11 +1004,12 @@ func (g *Gateway) followLocked(j, leader *GwJob) {
 // promoteLocked makes j's first follower the leader in j's stead, so the
 // other submissions riding on j survive its cancel. The heir takes over
 // everything that describes the run and j's exact place — the queue slot
-// (in the backlog that was charged for it), the lease (the shard's Done
-// lands on the heir) or the hold (same deadline) — and j is left nowhere
-// for the caller to finish.
+// (in the backlog that was charged for it), the lease (the shard's report
+// for j lands on the heir) or the hold (same deadline) — and j is left
+// nowhere for the caller to finish.
 func (g *Gateway) promoteLocked(j *GwJob) {
 	heir := j.followers[0]
+	j.heir = heir
 	g.detachLocked(heir)
 	heir.followers, j.followers = j.followers, nil
 	for _, f := range heir.followers {
@@ -1466,7 +1463,7 @@ func (g *Gateway) Cancel(id string) (GwStatus, error) {
 	if j.place == placeLeased && len(j.followers) == 0 {
 		notify = j.shard
 		cancelMsg = Cancel{Lease: j.Lease, JobID: j.ID}
-		// Terminal state arrives via Done(canceled) from the shard; if
+		// Terminal state arrives in the shard's canceled report; if
 		// the shard dies first, the flag makes requeueLocked finish the
 		// job canceled instead of re-routing it.
 		j.CancelRequested = true

@@ -466,10 +466,10 @@ func TestParkStoreDurableRoundTrip(t *testing.T) {
 	if list[0].Err != "boom" || string(list[1].Result) != `{"steps":3}` {
 		t.Fatalf("reloaded park entries lost fields: %+v", list)
 	}
-	if !ps2.Remove("g1") {
+	if ps2.Remove("g1") == nil {
 		t.Fatal("Remove(g1) found nothing")
 	}
-	if ps2.Remove("g1") {
+	if ps2.Remove("g1") != nil {
 		t.Fatal("second Remove(g1) claimed to remove again")
 	}
 	ps3, err := newParkStore(dir)

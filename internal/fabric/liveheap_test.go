@@ -55,7 +55,7 @@ func startFakeShard(t *testing.T, gw *Gateway, name string, capacity int32, keyf
 			}
 			if !send(Accept{Lease: a.Lease, JobID: a.JobID, LocalID: "local-" + a.JobID}) ||
 				(keyframe != nil && !send(Keyframe{Lease: a.Lease, JobID: a.JobID, Step: 1, Data: keyframe})) ||
-				!send(Done{Lease: a.Lease, JobID: a.JobID, State: string(service.StateDone), ResultJSON: result(a.JobID)}) {
+				!send(Parked{JobID: a.JobID, State: string(service.StateDone), ResultJSON: result(a.JobID)}) {
 				return
 			}
 		}

@@ -36,8 +36,8 @@ type Metrics struct {
 
 	// Crash-safety counters. JobsAdopted counts journaled leases a
 	// reconnecting shard reported and the gateway re-bound in place
-	// instead of re-routing; ParkedResults counts terminal results that
-	// arrived via the parked-result drain rather than a live lease;
+	// instead of re-routing; ParkedResults counts shard reports that
+	// settled a job the sending session held no lease for;
 	// JournalBytes is the on-disk journal size; reconcileMicros is the
 	// host time from gateway start until the reconciliation window
 	// emptied (adoption, drain, or timeout re-queue of every journaled

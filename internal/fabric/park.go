@@ -13,20 +13,27 @@ import (
 	"repro/internal/recio"
 )
 
-// parkedResult is one terminal result that completed while the gateway
-// was unreachable, spooled until a reconnected session drains it.
+// parkedResult is one terminal result in the agent's outbox, kept until
+// the gateway acknowledges it.
 type parkedResult struct {
 	JobID  string          `json:"job_id"`
 	State  string          `json:"state"`
 	Err    string          `json:"error,omitempty"`
 	Result json.RawMessage `json:"result,omitempty"`
+	Live   bool            `json:"live,omitempty"` // a session was live at completion: not parked
 }
 
-// parkStore holds parked results. With a directory it follows the
-// service-spool discipline — one JSON file per entry under
-// <spool>/parked/, written through recio.WriteFile (temp file, fsync,
-// rename), surviving an agent restart; without one it degrades to in-memory parking, which
-// survives a gateway outage but not an agent crash.
+// report is the entry's one terminal message, addressed by job ID.
+func (p *parkedResult) report() Parked {
+	return Parked{JobID: p.JobID, State: p.State, Err: p.Err, ResultJSON: p.Result}
+}
+
+// parkStore is the agent's outbox: every terminal result passes through
+// it. With a directory it follows the service-spool discipline — one
+// JSON file per entry under <spool>/parked/, written through
+// recio.WriteFile (temp file, fsync, rename), surviving an agent
+// restart; without one it is in memory only, which survives a gateway
+// outage but not an agent crash.
 type parkStore struct {
 	dir string // "" = memory only
 
@@ -65,7 +72,7 @@ func newParkStore(dir string) (*parkStore, error) {
 	return ps, nil
 }
 
-// Put parks one result, durably when a directory is configured.
+// Put adds one result, durably when a directory is configured.
 func (ps *parkStore) Put(p *parkedResult) error {
 	ps.mu.Lock()
 	ps.mem[p.JobID] = p
@@ -79,21 +86,21 @@ func (ps *parkStore) Put(p *parkedResult) error {
 }
 
 // Remove deletes one entry after the gateway acknowledged it, and
-// reports whether the entry existed (a redelivered ack removes
+// returns the entry, nil when there was none (a redelivered ack removes
 // nothing, so the drain counter only moves once per result).
-func (ps *parkStore) Remove(jobID string) bool {
+func (ps *parkStore) Remove(jobID string) *parkedResult {
 	ps.mu.Lock()
-	_, had := ps.mem[jobID]
+	p := ps.mem[jobID]
 	delete(ps.mem, jobID)
 	ps.mu.Unlock()
 	if ps.dir != "" {
 		os.Remove(filepath.Join(ps.dir, jobID+".json"))
 	}
-	return had
+	return p
 }
 
-// List snapshots the parked entries in job-ID order (deterministic
-// drain order for tests and logs).
+// List snapshots the entries in job-ID order (deterministic flush order
+// for tests and logs).
 func (ps *parkStore) List() []*parkedResult {
 	ps.mu.Lock()
 	out := make([]*parkedResult, 0, len(ps.mem))
@@ -105,7 +112,7 @@ func (ps *parkStore) List() []*parkedResult {
 	return out
 }
 
-// Len reports how many results await drain.
+// Len reports how many results await an ack.
 func (ps *parkStore) Len() int {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()

@@ -29,14 +29,14 @@ import (
 // Fabric control-plane wire IDs live in the 61–80 block of the codec
 // registry (see the block map in transport/codec.go). They are fixed,
 // process-independent, and must never be reused for a different
-// encoding.
+// encoding. 66 was Done, a terminal report addressed by lease; it is
+// retired, and every terminal report is a Parked.
 const (
 	idHello     uint16 = 61
 	idWelcome   uint16 = 62
 	idAssign    uint16 = 63
 	idAccept    uint16 = 64
 	idUpdate    uint16 = 65
-	idDone      uint16 = 66
 	idPing      uint16 = 67
 	idPong      uint16 = 68
 	idCancel    uint16 = 69
@@ -107,17 +107,6 @@ type Update struct {
 	ProgressJSON []byte
 }
 
-// Done is the terminal report for a leased job. ResultJSON is the
-// shard's service.Result for state "done"; Err carries the failure
-// otherwise.
-type Done struct {
-	Lease      uint64
-	JobID      string
-	State      string
-	Err        string
-	ResultJSON []byte
-}
-
 // Ping renews every lease its sender holds; Pong echoes the timestamp
 // back so the shard can observe gateway RTT.
 type Ping struct{ Nanos int64 }
@@ -163,17 +152,22 @@ type ReportJobs struct {
 
 // Adopt re-binds a reported job to the fresh session under a new lease:
 // the shard keeps running the job exactly where it was — no restart, no
-// re-route — and resumes streaming Updates/Done under the new lease.
+// re-route — and resumes streaming Updates and Keyframes under the new
+// lease.
 type Adopt struct {
 	Lease   uint64
 	JobID   string
 	LocalID string
 }
 
-// Parked delivers a terminal result that completed while the gateway
-// was unreachable and was spooled on the shard. It is addressed by
-// gateway job ID because no live lease exists; the gateway finishes the
-// job (idempotently) and answers ParkedAck.
+// Parked is a shard's one terminal report: every result leaves the
+// shard's outbox as one, sent at completion when a session is live and
+// by each new session's flush until acknowledged. It is addressed by
+// gateway job ID, because a result may outlive the lease it ran under.
+// ResultJSON is the shard's service.Result for state "done"; Err
+// carries the failure otherwise. The gateway settles the job when the
+// report is done, when the sending session holds the job's lease, or
+// when no session holds it, and answers ParkedAck in every case.
 type Parked struct {
 	JobID      string
 	State      string
@@ -181,9 +175,10 @@ type Parked struct {
 	ResultJSON []byte
 }
 
-// ParkedAck confirms a Parked result is journaled gateway-side; the
-// shard deletes its spooled copy. Always sent, even for unknown or
-// already-terminal jobs, so redelivery converges.
+// ParkedAck confirms the gateway has handled a Parked report; the shard
+// takes the result out of its outbox. Always sent, even for unknown or
+// already-terminal jobs or a report that did not settle, so redelivery
+// converges.
 type ParkedAck struct {
 	JobID string
 }
@@ -227,13 +222,6 @@ func init() {
 		c.Str(&v.JobID)
 		c.Str(&v.State)
 		c.Bytes(&v.ProgressJSON)
-	})
-	transport.Register(idDone, func(c *recio.Coder, v *Done) {
-		c.U64(&v.Lease)
-		c.Str(&v.JobID)
-		c.Str(&v.State)
-		c.Str(&v.Err)
-		c.Bytes(&v.ResultJSON)
 	})
 	transport.Register(idPing, func(c *recio.Coder, v *Ping) { c.I64(&v.Nanos) })
 	transport.Register(idPong, func(c *recio.Coder, v *Pong) { c.I64(&v.Nanos) })

@@ -18,8 +18,6 @@ func TestWireGolden(t *testing.T) {
 		Accept{Lease: 43, JobID: "gdef456", Err: "queue full"},
 		Update{Lease: 42, JobID: "gabc123", State: "running", ProgressJSON: []byte(`{"step":2}`)},
 		Update{},
-		Done{Lease: 42, JobID: "gabc123", State: "done", ResultJSON: []byte(`{"steps":3}`)},
-		Done{Lease: 44, JobID: "gfff", State: "failed", Err: "boom"},
 		Ping{Nanos: 123456789},
 		Pong{Nanos: 987654321},
 		Cancel{Lease: 42, JobID: "gabc123"},

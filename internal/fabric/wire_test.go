@@ -18,8 +18,9 @@ func TestWireRoundTrips(t *testing.T) {
 		Accept{Lease: 42, JobID: "gabc123", LocalID: "jdeadbeef"},
 		Accept{Lease: 43, JobID: "gdef456", Err: "queue full"},
 		Update{Lease: 42, JobID: "gabc123", State: "running", ProgressJSON: []byte(`{"step":2}`)},
-		Done{Lease: 42, JobID: "gabc123", State: "done", ResultJSON: []byte(`{"steps":3}`)},
-		Done{Lease: 44, JobID: "gfff", State: "failed", Err: "boom"},
+		Parked{JobID: "gabc123", State: "done", ResultJSON: []byte(`{"steps":3}`)},
+		Parked{JobID: "gfff", State: "failed", Err: "boom"},
+		ParkedAck{JobID: "gabc123"},
 		Ping{Nanos: 123456789},
 		Pong{Nanos: 123456789},
 		Cancel{Lease: 42, JobID: "gabc123"},
@@ -67,7 +68,8 @@ func TestWireControlFraming(t *testing.T) {
 // The fabric block's IDs must stay inside 61–80 and registered.
 func TestWireIDsRegistered(t *testing.T) {
 	for _, v := range []any{
-		Hello{}, Welcome{}, Assign{}, Accept{}, Update{}, Done{}, Ping{}, Pong{}, Cancel{},
+		Hello{}, Welcome{}, Assign{}, Accept{}, Update{}, Ping{}, Pong{}, Cancel{},
+		Keyframe{}, ReportJobs{}, Adopt{}, Parked{}, ParkedAck{}, Release{},
 	} {
 		if !transport.Registered(v) {
 			t.Fatalf("%T not registered with the transport codec", v)

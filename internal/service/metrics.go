@@ -44,10 +44,10 @@ type Metrics struct {
 	FramesCompactions atomic.Int64
 	FramesSeeded      atomic.Int64
 
-	// Parked-result counters (fabric agent): terminal results spooled
-	// because the gateway was unreachable, and spooled results later
-	// drained to a reconnected gateway. Parked − Drained is the backlog
-	// still awaiting delivery.
+	// Parked-result counters (fabric agent): terminal results that
+	// completed with no gateway session live, and the gateway's acks of
+	// those results. Parked − Drained is the parked backlog still
+	// awaiting delivery.
 	ResultsParked atomic.Int64
 	ParkedDrained atomic.Int64
 

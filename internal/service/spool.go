@@ -44,8 +44,8 @@ type Spool struct {
 
 // framesDirName is the reserved spool entry holding frame chains; Scan
 // must never mistake it for a job directory. parkedDirName is likewise
-// reserved for the fabric agent's parked-result store (terminal results
-// spooled while the gateway is unreachable — see internal/fabric).
+// reserved for the fabric agent's result outbox (terminal results
+// spooled until the gateway acknowledges them — see internal/fabric).
 const (
 	framesDirName = "frames"
 	parkedDirName = "parked"

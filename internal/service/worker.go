@@ -112,6 +112,10 @@ func (s *Service) runJob(j *Job) {
 	// A potential-mode frame is its header alone.
 	fw := s.openFrames(j, int64(step))
 	defer func() { s.closeFrames(j, fw) }()
+	framed := sim // whose particles each frame records
+	if potential {
+		framed = nil
+	}
 
 	for step < spec.Steps {
 		select {
@@ -134,32 +138,7 @@ func (s *Service) runJob(j *Job) {
 			res = sim.Step()
 		}
 		step++
-		machineTime += res.SimTime
-		if fw != nil {
-			var frame frames.Frame // lives for one append: the writer keeps its own copy
-			if potential {
-				headerFrame(&frame, step, machineTime, res)
-			} else {
-				fillFrame(&frame, sim, step, machineTime)
-			}
-			if !s.appendFrame(j, fw, &frame) {
-				fw = nil // chain unusable; the job itself keeps running
-			}
-		}
-		s.metrics.StepsTotal.Add(1)
-		s.metrics.AddMachineTime(res.SimTime)
-		s.metrics.ObserveStep(res.SimTime, res.Imbalance)
-		j.publish(Progress{
-			Step:        step,
-			Steps:       spec.Steps,
-			SimTime:     sim.Time(),
-			MachineTime: machineTime,
-			Efficiency:  res.Efficiency,
-			Imbalance:   res.Imbalance,
-			Phases:      res.Phases,
-			CommWords:   res.CommWords,
-			Load:        loadSnapshot(res.RankForce),
-		})
+		fw, machineTime = s.stepDone(j, fw, framed, step, machineTime, res, Progress{SimTime: sim.Time()})
 	}
 
 	res := &Result{
@@ -232,28 +211,7 @@ func (s *Service) runClusterJob(j *Job) {
 			return false
 		}
 		step = n + 1
-		machineTime += res.SimTime
-		if fw != nil {
-			var frame frames.Frame
-			headerFrame(&frame, step, machineTime, res)
-			if !s.appendFrame(j, fw, &frame) {
-				fw = nil
-			}
-		}
-		s.metrics.StepsTotal.Add(1)
-		s.metrics.AddMachineTime(res.SimTime)
-		s.metrics.ObserveStep(res.SimTime, res.Imbalance)
-		j.publish(Progress{
-			Step:        step,
-			Steps:       spec.Steps,
-			MachineTime: machineTime,
-			Efficiency:  res.Efficiency,
-			Imbalance:   res.Imbalance,
-			Phases:      res.Phases,
-			CommWords:   res.CommWords,
-			Load:        loadSnapshot(res.RankForce),
-			Retries:     retries,
-		})
+		fw, machineTime = s.stepDone(j, fw, nil, step, machineTime, res, Progress{Retries: retries})
 		return true
 	})
 	switch {
@@ -395,6 +353,37 @@ func (s *Service) appendFrame(j *Job, fw *frames.Writer, f *frames.Frame) bool {
 		s.metrics.FramesCompactions.Add(1)
 	}
 	return true
+}
+
+// stepDone books completed step step of either run path: it adds the
+// step's simulated seconds to machineTime, appends the step's frame (the
+// particles of framed, or the header alone when framed is nil), bumps
+// the step metrics and publishes p with the step's measurements filled
+// in. p brings what only the caller knows: SimTime in process, Retries
+// on the cluster. It returns the frame writer to go on with (nil once
+// the chain failed; the job itself keeps running) and the machine time.
+func (s *Service) stepDone(j *Job, fw *frames.Writer, framed *barneshut.Simulation, step int, machineTime float64,
+	res *barneshut.StepResult, p Progress) (*frames.Writer, float64) {
+	machineTime += res.SimTime
+	if fw != nil {
+		var frame frames.Frame // lives for one append: the writer keeps its own copy
+		if framed != nil {
+			fillFrame(&frame, framed, step, machineTime)
+		} else {
+			headerFrame(&frame, step, machineTime, res)
+		}
+		if !s.appendFrame(j, fw, &frame) {
+			fw = nil
+		}
+	}
+	s.metrics.StepsTotal.Add(1)
+	s.metrics.AddMachineTime(res.SimTime)
+	s.metrics.ObserveStep(res.SimTime, res.Imbalance)
+	p.Step, p.Steps, p.MachineTime = step, j.Spec.Steps, machineTime
+	p.Efficiency, p.Imbalance, p.Phases, p.CommWords = res.Efficiency, res.Imbalance, res.Phases, res.CommWords
+	p.Load = loadSnapshot(res.RankForce)
+	j.publish(p)
+	return fw, machineTime
 }
 
 // fillFrame makes f the job's state after step completed steps: clocks,
