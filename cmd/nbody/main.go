@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -252,7 +253,7 @@ func runTCP(set *barneshut.ParticleSet, cfg barneshut.Config, distName string, s
 	fmt.Printf("nbody: %s n=%d p=%d scheme=%v mode=%v machine=%s over %d processes\n",
 		distName, set.N(), cfg.Processors, cfg.Scheme, cfg.Mode, cfg.Profile.Name, workers+1)
 	start := time.Now()
-	last, err := sup.Run(job, func(step int, res *parbh.Result) bool {
+	last, err := sup.Run(context.Background(), job, func(step int, res *parbh.Result) bool {
 		fmt.Printf("step %2d: sim %.3fs  eff %.2f  speedup %.1f  imb %.2f  comm %.2f Mwords  F=%d\n",
 			step+1, res.SimTime, res.Efficiency, res.Speedup, res.Imbalance,
 			float64(res.CommWords)/1e6, res.Stats.Interactions())
@@ -262,7 +263,7 @@ func runTCP(set *barneshut.ParticleSet, cfg barneshut.Config, distName string, s
 			}
 		}
 		return true
-	})
+	}, nil)
 	if err != nil {
 		sup.Shutdown()
 		fatal(err)

@@ -64,8 +64,8 @@ func main() {
 		cWorkers  = flag.Int("cluster-workers", 0, "nbodyworker processes to wait for; 0 disables the tcp transport")
 		cWait     = flag.Duration("cluster-wait", 60*time.Second, "how long to wait for cluster workers to join")
 		cStep     = flag.Duration("cluster-step-timeout", 2*time.Minute, "watchdog on one distributed step (0 disables)")
-		jRetries  = flag.Int("job-retries", 3, "re-queues of a cluster job after transport faults before it fails")
-		jBackoff  = flag.Duration("retry-backoff", time.Second, "first re-queue delay, doubling per retry")
+		jRetries  = flag.Int("job-retries", 3, "in-place recoveries of a cluster job from transport faults before it fails (0 = none)")
+		jBackoff  = flag.Duration("retry-backoff", time.Second, "wait before a cluster job's first recovery, doubling per retry up to 30s")
 		gateway   = flag.String("gateway", "", "nbodygw control address to register with as a fleet shard (empty disables)")
 		shardName = flag.String("shard-name", "", "stable shard identity on the gateway hash ring (default: the hostname)")
 		shardCap  = flag.Int("shard-capacity", 0, "concurrent gateway leases to advertise (default: worker pool size)")
@@ -92,8 +92,6 @@ func main() {
 		SpoolDir:       *spool,
 		FramesKeyEvery: *frKey,
 		FramesMaxBytes: *frBytes,
-		MaxRetries:     *jRetries,
-		RetryBackoff:   *jBackoff,
 		Logf:           logf("service"),
 	}
 	var sup *cluster.Supervisor
@@ -120,6 +118,8 @@ func main() {
 		})
 		sup.Logf = logf("cluster")
 		sup.StepTimeout = *cStep
+		sup.MaxRetries = *jRetries
+		sup.BackoffBase, sup.BackoffMax = *jBackoff, 30*time.Second
 		// The first generation comes up before the daemon serves: a
 		// misconfigured cluster should fail loudly at startup, not on the
 		// first job.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"os"
 	"strconv"
@@ -114,8 +115,7 @@ func runSupervised(t *testing.T, h *chaosHarness, job Job, onStep func(step int)
 	t.Helper()
 	results := make([]*parbh.Result, job.Steps)
 	var events []RecoveryEvent
-	h.sup.OnRecovery = func(ev RecoveryEvent) { events = append(events, ev) }
-	_, err := h.sup.Run(job, func(step int, res *parbh.Result) bool {
+	_, err := h.sup.Run(context.Background(), job, func(step int, res *parbh.Result) bool {
 		if step < 0 || step >= job.Steps {
 			t.Errorf("step %d out of range", step)
 			return false
@@ -128,7 +128,7 @@ func runSupervised(t *testing.T, h *chaosHarness, job Job, onStep func(step int)
 			onStep(step)
 		}
 		return true
-	})
+	}, func(ev RecoveryEvent) { events = append(events, ev) })
 	if err != nil {
 		t.Fatalf("supervised run failed: %v", err)
 	}
@@ -299,4 +299,31 @@ func TestGoldenRecoveryFaultGauntlet(t *testing.T) {
 	for i := range want {
 		compareBitIdentical(t, want[i], got[i], i)
 	}
+}
+
+// TestRecoveryBackoffEndsWithContext: a context that ends during the
+// wait between attempts ends the run at once, with the context's error
+// wrapping the fault, and no further generation is assembled.
+func TestRecoveryBackoffEndsWithContext(t *testing.T) {
+	cfg := parbh.Config{Scheme: parbh.DPDA, Mode: parbh.ForceMode, Alpha: 0.67, Eps: 0.01}
+	job, _ := testJob(cfg, 3)
+	h := newChaosHarness(2, func(gen int) []transport.FaultPlan {
+		return []transport.FaultPlan{{}, {Seed: 11 + chaosSeed, PartitionAfter: 40}}
+	})
+	h.sup.BackoffBase, h.sup.BackoffMax = 10*time.Minute, 10*time.Minute
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	begin := time.Now()
+	_, err := h.sup.Run(ctx, job, nil, func(RecoveryEvent) { cancel() })
+	if !errors.Is(err, context.Canceled) || transport.FaultKindOf(err) != transport.FaultPeerLost {
+		t.Fatalf("run ended with %v; want the context's error wrapping the peer_lost fault", err)
+	}
+	if took := time.Since(begin); took > time.Minute {
+		t.Fatalf("run took %v; the canceled context must cut the backoff (at least 5m) short", took)
+	}
+	if g := h.generation(); g != 1 {
+		t.Fatalf("%d generations assembled, want 1", g)
+	}
+	h.sup.Shutdown()
+	h.wg.Wait()
 }

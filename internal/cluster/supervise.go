@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -22,6 +23,7 @@ type RecoveryEvent struct {
 	Fault      transport.FaultKind // classification of the triggering fault
 	Err        error               // the failure that killed the previous generation
 	ResumeStep int                 // first step the retry will report
+	Wait       time.Duration       // backoff before the retry
 }
 
 // Supervisor runs jobs across machine generations: when a run dies of
@@ -30,9 +32,11 @@ type RecoveryEvent struct {
 // the last completed step with capped exponential backoff between
 // attempts. Epochs are threaded across generations so a stale worker's
 // frames from before the fault are fenced off by the rebuilt machine.
+// It is the one recovery loop of a distributed run: nbody -transport
+// tcp, the faults table and nbodyd's tcp jobs all retry through it.
 type Supervisor struct {
-	// MaxRetries caps recovery attempts per RunFrom call (0 = fail on
-	// the first fault; the service layer re-queues instead).
+	// MaxRetries caps recovery attempts per RunFrom call (0 or less =
+	// fail on the first fault).
 	MaxRetries int
 	// BackoffBase is the first inter-attempt delay, doubling up to
 	// BackoffMax, each wait jittered (transport.Backoff). Defaults 200ms
@@ -46,9 +50,6 @@ type Supervisor struct {
 	// Logf, if non-nil, narrates recoveries as formatted lines, the
 	// logging shape service.Options and fabric take too.
 	Logf func(format string, args ...any)
-	// OnRecovery, if non-nil, observes every recovery event (metrics,
-	// progress streams).
-	OnRecovery func(RecoveryEvent)
 	// Tracer, when non-nil, is installed on every coordinator this
 	// supervisor assembles, so traces span machine generations: a fault,
 	// the rebuild, and the replayed steps all land in one capture.
@@ -126,26 +127,33 @@ func (s *Supervisor) Metrics() *transport.Metrics {
 }
 
 // Run executes the job from step 0 under supervision.
-func (s *Supervisor) Run(job Job, onStep func(step int, res *parbh.Result) bool) (*parbh.Result, error) {
-	return s.RunFrom(job, 0, onStep)
+func (s *Supervisor) Run(ctx context.Context, job Job, onStep func(step int, res *parbh.Result) bool, onRecovery func(RecoveryEvent)) (*parbh.Result, error) {
+	return s.RunFrom(ctx, job, 0, onStep, onRecovery)
 }
 
 // RunFrom executes the job from step from under supervision. Any
 // transport-class failure demolishes the machine generation and — up
 // to MaxRetries times — reassembles and resumes after the last step
-// that was reported, replaying earlier steps silently. Non-transport
+// that was reported, replaying earlier steps silently. onRecovery, if
+// non-nil, observes each recovery before its backoff. Non-transport
 // failures (bad job, engine bug) are returned immediately; they would
-// only recur.
-func (s *Supervisor) RunFrom(job Job, from int, onStep func(step int, res *parbh.Result) bool) (*parbh.Result, error) {
+// only recur. ctx ends only the wait between attempts: a done context
+// returns its error (wrapping the fault) instead of another attempt,
+// and a running step is stopped by onStep, not by ctx.
+func (s *Supervisor) RunFrom(ctx context.Context, job Job, from int, onStep func(step int, res *parbh.Result) bool, onRecovery func(RecoveryEvent)) (*parbh.Result, error) {
 	resume := from
 	backoff := transport.NewBackoff(orDefault(s.BackoffBase, 200*time.Millisecond), orDefault(s.BackoffMax, 5*time.Second), "supervisor")
 	for attempt := 0; ; attempt++ {
 		if err := s.Ensure(); err != nil {
+			err = fmt.Errorf("cluster: assembling machine: %w", err)
 			if attempt >= s.MaxRetries {
-				return nil, fmt.Errorf("cluster: assembling machine: %w", err)
+				return nil, err
 			}
-			s.logf("cluster: assembly failed (attempt %d/%d): %v", attempt+1, s.MaxRetries, err)
-			time.Sleep(backoff.Next())
+			wait := backoff.Next()
+			s.logf("cluster: assembly failed (attempt %d/%d, next in %v): %v", attempt+1, s.MaxRetries, wait, err)
+			if err := sleep(ctx, wait, err); err != nil {
+				return nil, err
+			}
 			continue
 		}
 		res, err := s.coord.RunFrom(job, resume, func(step int, r *parbh.Result) bool {
@@ -162,13 +170,28 @@ func (s *Supervisor) RunFrom(job Job, from int, onStep func(step int, res *parbh
 		if !transport.Retryable(err) || attempt >= s.MaxRetries {
 			return nil, err
 		}
-		ev := RecoveryEvent{Attempt: attempt + 1, Fault: transport.FaultKindOf(err), Err: err, ResumeStep: resume}
-		s.logf("cluster: recovering from %s fault (attempt %d/%d, resume step %d): %v",
-			ev.Fault, ev.Attempt, s.MaxRetries, ev.ResumeStep, ev.Err)
-		if s.OnRecovery != nil {
-			s.OnRecovery(ev)
+		ev := RecoveryEvent{Attempt: attempt + 1, Fault: transport.FaultKindOf(err), Err: err, ResumeStep: resume, Wait: backoff.Next()}
+		s.logf("cluster: recovering from %s fault (attempt %d/%d, resume step %d, in %v): %v",
+			ev.Fault, ev.Attempt, s.MaxRetries, ev.ResumeStep, ev.Wait, ev.Err)
+		if onRecovery != nil {
+			onRecovery(ev)
 		}
-		time.Sleep(backoff.Next())
+		if err := sleep(ctx, ev.Wait, err); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// sleep waits d between attempts. When ctx ends first it returns the
+// context's error wrapping cause, the failure the wait followed.
+func sleep(ctx context.Context, d time.Duration, cause error) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("cluster: %w while backing off after: %w", ctx.Err(), cause)
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -148,9 +149,9 @@ func runFaultScenario(job cluster.Job, plan func(gen, proc int) transport.FaultP
 	sup.BackoffMax = 10 * time.Millisecond
 	sup.StepTimeout = 2 * time.Second
 	retries := 0
-	sup.OnRecovery = func(cluster.RecoveryEvent) { retries++ }
 	start := time.Now()
-	last, err := sup.Run(job, func(int, *parbh.Result) bool { return true })
+	last, err := sup.Run(context.Background(), job, func(int, *parbh.Result) bool { return true },
+		func(cluster.RecoveryEvent) { retries++ })
 	wall := time.Since(start)
 	sup.Shutdown()
 	wg.Wait()

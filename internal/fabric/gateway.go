@@ -857,12 +857,14 @@ func (g *Gateway) settleLocked(j *GwJob, state string, resultJSON []byte, errMsg
 // non-terminal, not leased elsewhere — is adopted: re-bound to this
 // session under a fresh lease, exactly where it was running, so a
 // gateway crash or connection blip never re-executes completed steps.
-// Everything else is released: the shard cancels its local copy.
+// Everything else is released: the shard cancels its local copy. A
+// canceled leader's report lands on its heir (see reportedLocked); the
+// Adopt and Release carry the reported ID, the key of the shard's run.
 func (g *Gateway) handleReport(sc *shardConn, msg ReportJobs) {
 	g.mu.Lock()
 	adopted := 0
 	for _, item := range msg.Jobs {
-		j := g.jobs[item.JobID]
+		j := g.reportedLocked(item.JobID)
 		switch {
 		case j == nil || j.State.Terminal():
 			g.enqueue(sc, Release{JobID: item.JobID, LocalID: item.LocalID})
@@ -871,10 +873,10 @@ func (g *Gateway) handleReport(sc *shardConn, msg ReportJobs) {
 		case j.shard != nil:
 			// Already re-routed to another live shard; that copy wins and
 			// this one stops burning cycles.
-			g.enqueue(sc, Release{JobID: j.ID, LocalID: item.LocalID})
+			g.enqueue(sc, Release{JobID: item.JobID, LocalID: item.LocalID})
 		case j.CancelRequested:
 			// A cancel raced the outage; honor it instead of adopting.
-			g.enqueue(sc, Release{JobID: j.ID, LocalID: item.LocalID})
+			g.enqueue(sc, Release{JobID: item.JobID, LocalID: item.LocalID})
 			g.finishLocked(j, service.StateCanceled, "")
 		default:
 			// Held (journaled lease) or re-queued but not yet dispatched:
@@ -884,7 +886,7 @@ func (g *Gateway) handleReport(sc *shardConn, msg ReportJobs) {
 			j.State = service.StateRunning
 			g.metrics.JobsAdopted.Add(1)
 			g.journalJobLocked(j)
-			g.enqueue(sc, Adopt{Lease: j.Lease, JobID: j.ID, LocalID: item.LocalID})
+			g.enqueue(sc, Adopt{Lease: j.Lease, JobID: item.JobID, LocalID: item.LocalID})
 			adopted++
 		}
 	}
@@ -893,6 +895,18 @@ func (g *Gateway) handleReport(sc *shardConn, msg ReportJobs) {
 	if len(msg.Jobs) > 0 {
 		g.opt.Logf("nbodygw: shard %s reported %d in-flight job(s), adopted %d", sc.name, len(msg.Jobs), adopted)
 	}
+}
+
+// reportedLocked resolves the job ID a shard reports, the ID its run was
+// assigned under, to the job that now stands for that run: the job
+// itself, or — when it was a leader canceled after its follower was
+// promoted — its heir. Nil for an unknown ID.
+func (g *Gateway) reportedLocked(id string) *GwJob {
+	j := g.jobs[id]
+	for j != nil && j.heir != nil {
+		j = j.heir
+	}
+	return j
 }
 
 // handleResult lands a shard's terminal report, the one way a result
@@ -904,10 +918,7 @@ func (g *Gateway) handleReport(sc *shardConn, msg ReportJobs) {
 // settles nothing.
 func (g *Gateway) handleResult(sc *shardConn, msg Parked) {
 	g.mu.Lock()
-	j := g.jobs[msg.JobID]
-	for j != nil && j.heir != nil {
-		j = j.heir
-	}
+	j := g.reportedLocked(msg.JobID)
 	if j != nil && !j.State.Terminal() &&
 		(j.shard == sc || j.shard == nil || service.State(msg.State) == service.StateDone) {
 		if j.shard != sc {

@@ -320,6 +320,70 @@ func TestGatewayResultHandler(t *testing.T) {
 	}
 }
 
+// A shard reports an in-flight job under the ID it was assigned. After a
+// leased leader is canceled and its follower promoted, the session drops
+// and the shard reconnects: its report names the canceled leader, and
+// the heir — which took over the lease and then the hold — is adopted
+// under that ID rather than released.
+func TestGatewayReportAdoptsHeir(t *testing.T) {
+	g, err := NewGateway(Options{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	conn, peer := net.Pipe()
+	defer peer.Close()
+	old := &shardConn{conn: conn, sendq: make(chan []byte, 16), leases: make(map[uint64]*GwJob)}
+	fresh := &shardConn{sendq: make(chan []byte, 16), leases: make(map[uint64]*GwJob)}
+	spec := quickSpec(2, 300)
+	leader, err := g.Submit("t", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.mu.Lock()
+	j := g.jobs[leader.ID]
+	g.leaseLocked(j, old, g.nextLease.Add(1))
+	j.State = service.StateRunning
+	g.mu.Unlock()
+	heir, err := g.Submit("t2", spec)
+	if err != nil || !heir.Coalesced {
+		t.Fatalf("second submission did not coalesce: %+v err=%v", heir, err)
+	}
+	if _, err := g.Cancel(leader.ID); err != nil {
+		t.Fatal(err)
+	}
+	g.mu.Lock()
+	g.retireShardLocked(old, nil) // the shard dialed a replacement session
+	g.mu.Unlock()
+
+	g.handleControl(fresh, ReportJobs{Jobs: []ReportedJob{{JobID: leader.ID, LocalID: "j-local", Step: 1}}})
+	var adopts []Adopt
+	for _, m := range drainSendq(t, fresh) {
+		switch m := m.(type) {
+		case Adopt:
+			adopts = append(adopts, m)
+		case Release:
+			t.Fatalf("report of the canceled leader got %+v; its heir must be adopted", m)
+		}
+	}
+	if len(adopts) != 1 || adopts[0].JobID != leader.ID || adopts[0].LocalID != "j-local" {
+		t.Fatalf("adopts %+v, want one for %s (the shard's key for the run)", adopts, leader.ID)
+	}
+	g.mu.Lock()
+	hj := g.jobs[heir.ID]
+	leased := hj.place == placeLeased && hj.shard == fresh && hj.Lease == adopts[0].Lease
+	g.mu.Unlock()
+	if !leased {
+		t.Fatal("heir is not leased to the reporting session under the adopted lease")
+	}
+	if st, _ := g.Get(heir.ID); st.State != service.StateRunning {
+		t.Fatalf("heir is %s after the report, want running", st.State)
+	}
+	if n := g.Metrics().JobsAdopted.Load(); n != 1 {
+		t.Fatalf("nbodygw_jobs_adopted_total = %d, want 1", n)
+	}
+}
+
 // drainSendq decodes every control message queued for a session.
 func drainSendq(t *testing.T, sc *shardConn) []any {
 	t.Helper()

@@ -338,7 +338,7 @@ type Progress struct {
 	Load *LoadSnapshot `json:"load,omitempty"`
 	// Event marks out-of-band lifecycle moments on the progress stream;
 	// "recovery" is published when a cluster job survives a transport
-	// fault and is re-queued to resume from Step, and when a worker
+	// fault and resumes from Step on a rebuilt machine, and when a worker
 	// picks up a job restored from a frame (its chain's last, or a
 	// replicated keyframe).
 	Event string `json:"event,omitempty"`
@@ -404,8 +404,8 @@ type Job struct {
 	started  time.Time
 	finished time.Time
 	retries  int // transport-fault recoveries so far
-	// resume is where the job's next run starts: set at admission (spool
-	// recovery, a seeded submit) and again by each fault retry.
+	// resume is where the job's run starts: set at admission (spool
+	// recovery, a seeded submit).
 	resume   resumePoint
 	progress Progress
 	result   *Result

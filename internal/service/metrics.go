@@ -32,7 +32,7 @@ type Metrics struct {
 	JobsCanceled   atomic.Int64
 	JobsQueued     atomic.Int64 // gauge
 	JobsRunning    atomic.Int64 // gauge
-	JobsRetried    atomic.Int64 // fault-recovery re-queues
+	JobsRetried    atomic.Int64 // in-place fault recoveries of cluster jobs
 	Workers        atomic.Int64 // gauge (pool size)
 	StepsTotal     atomic.Int64
 	CheckpointByte atomic.Int64 // written by nothing, not rendered: kept while benchmark/framestail.go reads it

@@ -9,12 +9,10 @@ import (
 	"log"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/frames"
 	"repro/internal/obsv"
-	"repro/internal/transport"
 )
 
 // Errors reported by the service API layer.
@@ -68,19 +66,10 @@ type Options struct {
 	FramesMaxBytes int64
 	// Cluster, when non-nil, lets jobs with transport "tcp" run their
 	// ranks across the attached worker processes. Jobs requesting tcp
-	// while Cluster is nil are rejected at submission. The supervisor
-	// owns generation rebuilds; the service owns job-level re-queueing,
-	// so the supervisor's own MaxRetries is typically left at zero.
+	// while Cluster is nil are rejected at submission. The supervisor is
+	// a job's one recovery loop: its MaxRetries and backoff set how often
+	// and how patiently a job survives transport faults before it fails.
 	Cluster *cluster.Supervisor
-	// MaxRetries caps automatic re-queues of a cluster job after
-	// transport-class faults before the job fails for good (default 3;
-	// negative disables retries).
-	MaxRetries int
-	// RetryBackoff is the delay before the first re-queue, doubling per
-	// retry up to RetryBackoffMax, each wait jittered (transport.Backoff;
-	// defaults 1s and 30s).
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -98,18 +87,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Clock == nil {
 		o.Clock = realClock{}
-	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 3
-	}
-	if o.MaxRetries < 0 {
-		o.MaxRetries = 0
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = time.Second
-	}
-	if o.RetryBackoffMax <= 0 {
-		o.RetryBackoffMax = 30 * time.Second
 	}
 	if o.Logf == nil {
 		o.Logf = log.Printf
@@ -133,10 +110,6 @@ type Service struct {
 	stopping chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
-
-	// retryBackoff schedules fault-recovery re-queues: a job's k-th
-	// retry waits Delay(k) of RetryBackoff doubling to RetryBackoffMax.
-	retryBackoff *transport.Backoff
 
 	// clusterMu serializes distributed jobs: the coordinator drives one
 	// job across the worker processes at a time.
@@ -187,8 +160,6 @@ func New(opt Options) (*Service, error) {
 		metrics:  newMetrics(opt.Clock),
 		jobs:     make(map[string]*Job),
 		stopping: make(chan struct{}),
-
-		retryBackoff: transport.NewBackoff(opt.RetryBackoff, opt.RetryBackoffMax, "requeue"),
 	}
 	if spool != nil {
 		s.metrics.SetFramesBytesFunc(spool.FramesBytes)

@@ -2,14 +2,13 @@ package service
 
 import (
 	"cmp"
+	"context"
 	"os"
-	"time"
 
 	barneshut "repro"
 	"repro/internal/cluster"
 	"repro/internal/frames"
 	"repro/internal/obsv"
-	"repro/internal/transport"
 )
 
 // jobTracer returns the tracer for a traced job, creating it on the
@@ -155,10 +154,12 @@ func (s *Service) runJob(j *Job) {
 // supervisor: every step is a force evaluation spread across the
 // attached worker processes. Distributed jobs do not integrate, so their
 // frames are headers alone: a step index plus the machine-time
-// accumulator. Resume replays the earlier steps deterministically (and
-// silently) and picks up reporting where the fault hit. A
-// transport-class fault re-queues the job with capped exponential
-// backoff instead of failing it, up to Options.MaxRetries times.
+// accumulator. A transport-class fault is recovered in place by the
+// supervisor, which rebuilds the machine, replays the earlier steps
+// silently and picks up reporting where the fault hit, up to its
+// MaxRetries; the job keeps its worker, its frame chain and the cluster
+// lock throughout. Its context ends on cancel or shutdown, which cuts a
+// recovery's backoff short.
 func (s *Service) runClusterJob(j *Job) {
 	spec := j.Spec
 	set, err := barneshut.NewNamed(spec.Dist, spec.N, spec.Seed)
@@ -181,16 +182,23 @@ func (s *Service) runClusterJob(j *Job) {
 		Parts:   set.Particles,
 	}
 	j.mu.Lock()
-	from := j.resume.step
-	machineTime := j.resume.machineTime
-	retries := j.retries
+	step, machineTime := j.resume.step, j.resume.machineTime
 	j.mu.Unlock()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		select {
+		case <-j.cancelled:
+		case <-s.stopping:
+		case <-ctx.Done():
+		}
+		cancel()
+	}()
 
 	s.clusterMu.Lock()
 	defer s.clusterMu.Unlock()
-	// Opened under the cluster lock, so a retry's run cannot reopen the
-	// chain before this one has closed it.
-	fw := s.openFrames(j, int64(from))
+	fw := s.openFrames(j, int64(step))
 	defer func() { s.closeFrames(j, fw) }()
 	// The cluster supervisor is shared across jobs, so the tracer is
 	// installed only while this job holds the cluster lock.
@@ -198,9 +206,9 @@ func (s *Service) runClusterJob(j *Job) {
 		s.opt.Cluster.SetTracer(tr)
 		defer s.opt.Cluster.SetTracer(nil)
 	}
-	step := from
+	retries := 0
 	stopped := false
-	_, err = s.opt.Cluster.RunFrom(job, from, func(n int, res *barneshut.StepResult) bool {
+	_, err = s.opt.Cluster.RunFrom(ctx, job, step, func(n int, res *barneshut.StepResult) bool {
 		select {
 		case <-s.stopping:
 			stopped = true
@@ -213,76 +221,37 @@ func (s *Service) runClusterJob(j *Job) {
 		step = n + 1
 		fw, machineTime = s.stepDone(j, fw, nil, step, machineTime, res, Progress{Retries: retries})
 		return true
+	}, func(ev cluster.RecoveryEvent) {
+		retries = ev.Attempt
+		j.mu.Lock()
+		j.retries = retries
+		j.mu.Unlock()
+		s.metrics.JobsRetried.Add(1)
+		s.metrics.RecordRecovery(ev.Fault)
+		s.opt.Logf("nbodyd: job %s hit %s fault at step %d (retry %d/%d in %v): %v",
+			j.ID, ev.Fault, step, retries, s.opt.Cluster.MaxRetries, ev.Wait, ev.Err)
+		j.publish(Progress{
+			Step:        step,
+			Steps:       spec.Steps,
+			MachineTime: machineTime,
+			Event:       "recovery",
+			Fault:       ev.Fault.String(),
+			Retries:     retries,
+		})
 	})
 	switch {
-	case err != nil:
-		if s.retryClusterJob(j, step, machineTime, err) {
-			return
-		}
-		s.fail(j, err)
-	case stopped:
-		// Shutdown mid-job: no terminal transition; the spooled spec and
-		// the chain re-queue the job at this step in the next daemon.
+	case stopped || err != nil && ctx.Err() != nil && !j.canceled():
+		// Shutdown mid-job or mid-backoff: no terminal transition; the
+		// spooled spec and the chain re-queue the job at this step in
+		// the next daemon.
 		s.metrics.JobsRunning.Add(-1)
 	case j.canceled():
 		s.finish(j, StateCanceled, nil, "")
+	case err != nil:
+		s.fail(j, err)
 	default:
 		s.finish(j, StateDone, &Result{Steps: step, MachineTime: machineTime, Bodies: set.Particles}, "")
 	}
-}
-
-// retryClusterJob handles a cluster job's failure: when the cause is a
-// transport-class fault and the retry budget allows, it flips the job
-// back to queued at the last completed step, announces the recovery on
-// the progress stream, and re-admits the job after a capped exponential
-// backoff. It reports whether the retry was scheduled; false means the
-// caller should fail the job (non-retryable fault or budget exhausted).
-func (s *Service) retryClusterJob(j *Job, step int, machineTime float64, cause error) bool {
-	if !transport.Retryable(cause) {
-		return false
-	}
-	j.mu.Lock()
-	retries := j.retries
-	j.mu.Unlock()
-	if retries >= s.opt.MaxRetries {
-		return false
-	}
-	fault := transport.FaultKindOf(cause)
-	delay := s.retryBackoff.Delay(retries)
-	j.mu.Lock()
-	j.retries++
-	retries = j.retries
-	j.resume = resumePoint{step: step, machineTime: machineTime}
-	j.state = StateQueued
-	j.mu.Unlock()
-	s.metrics.JobsRunning.Add(-1)
-	s.metrics.JobsQueued.Add(1)
-	s.metrics.JobsRetried.Add(1)
-	s.metrics.RecordRecovery(fault)
-	s.opt.Logf("nbodyd: job %s hit %s fault at step %d (retry %d/%d in %v): %v",
-		j.ID, fault, step, retries, s.opt.MaxRetries, delay, cause)
-	j.publish(Progress{
-		Step:        step,
-		Steps:       j.Spec.Steps,
-		MachineTime: machineTime,
-		Event:       "recovery",
-		Fault:       fault.String(),
-		Retries:     retries,
-	})
-	go func() {
-		select {
-		case <-time.After(delay):
-		case <-s.stopping:
-			// Shutdown while backing off: the chain re-queues the job
-			// in the next daemon.
-			return
-		}
-		select {
-		case s.queue <- j:
-		case <-s.stopping:
-		}
-	}()
-	return true
 }
 
 // openFrames opens (or continues) the job's frame chain for appending.

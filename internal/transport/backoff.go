@@ -8,8 +8,8 @@ import (
 )
 
 // Backoff is the one retry schedule of the repository: jittered, capped
-// exponential delays for peer dials, machine reassembly, worker rejoins,
-// job re-queues, shard-agent reconnects and parked-result drains. Plain
+// exponential delays for peer dials, machine reassembly and recovery,
+// worker rejoins, shard-agent reconnects and parked-result drains. Plain
 // exponential backoff synchronizes a fleet: every agent observes the
 // gateway die at the same instant, so every agent's k-th retry lands at
 // the same instant — a thundering herd straight into the freshly
@@ -40,25 +40,19 @@ func NewBackoffSeeded(base, cap time.Duration, seed int64) *Backoff {
 	return &Backoff{base: base, cap: cap, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Delay returns the jittered wait before retry number attempt (0 is the
-// first): base·2^attempt capped, without advancing the schedule — for
-// callers that count their own retries.
-func (b *Backoff) Delay(attempt int) time.Duration {
-	d := b.base << attempt
-	if d > b.cap || d>>attempt != b.base {
-		d = b.cap
-	}
-	return b.Jitter(d/2, d)
-}
-
-// Next returns the delay before the next attempt and advances the
-// exponential schedule.
+// Next returns the jittered delay before the next attempt and advances
+// the exponential schedule: attempt k (0 is the first) waits in the
+// window of base·2^k, capped — also when the shift overflows.
 func (b *Backoff) Next() time.Duration {
 	b.mu.Lock()
 	attempt := b.attempt
 	b.attempt++
 	b.mu.Unlock()
-	return b.Delay(attempt)
+	d := b.base << attempt
+	if d > b.cap || d>>attempt != b.base {
+		d = b.cap
+	}
+	return b.Jitter(d/2, d)
 }
 
 // Reset restores the schedule after a healthy session, so a later

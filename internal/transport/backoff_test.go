@@ -7,8 +7,7 @@ import (
 
 // The jittered backoff must (a) stay inside [d/2, d) while d doubles
 // from base to cap, (b) decorrelate two users — the thundering-herd
-// regression — and (c) give the same windows to callers that count
-// their own retries.
+// regression — and (c) stay at the cap however long the schedule runs.
 func TestBackoffJitterSpread(t *testing.T) {
 	base, cap := 100*time.Millisecond, 800*time.Millisecond
 	b := NewBackoffSeeded(base, cap, 1)
@@ -56,14 +55,14 @@ func TestBackoffJitterSpread(t *testing.T) {
 		}
 	}
 
-	// Delay(k) is the k-th window of the same schedule and does not
-	// advance it; a shift that overflows lands on the cap.
-	for k, want := range []time.Duration{base, 2 * base, 4 * base, cap, cap} {
-		if d := b1.Delay(k); d < want/2 || d >= want {
-			t.Fatalf("Delay(%d) = %v outside [%v, %v)", k, d, want/2, want)
+	// The k-th draw of a fresh schedule is in the k-th window; a shift
+	// that overflows lands on the cap.
+	b3 := NewBackoffSeeded(base, cap, 7)
+	windows := map[int]time.Duration{0: base, 1: 2 * base, 2: 4 * base, 3: cap, 4: cap, 63: cap, 64: cap, 200: cap}
+	for k := 0; k <= 200; k++ {
+		d := b3.Next()
+		if want, ok := windows[k]; ok && (d < want/2 || d >= want) {
+			t.Fatalf("draw %d = %v outside [%v, %v)", k, d, want/2, want)
 		}
-	}
-	if d := b1.Delay(200); d < cap/2 || d >= cap {
-		t.Fatalf("Delay(200) = %v outside [%v, %v)", d, cap/2, cap)
 	}
 }
