@@ -153,9 +153,9 @@ type hostEvent struct {
 	err     error
 }
 
-// NewCoordinator wraps an assembled link (proc 0). For TCP the link
-// comes from transport.NewCoordinator + WaitWorkers; tests use a
-// transport.MeshNode.
+// NewCoordinator wraps an assembled link (proc 0): a transport.Node
+// from transport.NewCoordinator + WaitWorkers, or proc 0 of a
+// transport.NewMesh machine inside one process.
 func NewCoordinator(link transport.Link) (*Coordinator, error) {
 	if link.ProcID() != 0 {
 		return nil, fmt.Errorf("cluster: coordinator must be proc 0, got %d", link.ProcID())

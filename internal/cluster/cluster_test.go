@@ -46,17 +46,32 @@ func inprocResults(t *testing.T, job Job) []*parbh.Result {
 // payloads passing through the codec exactly as TCP would send them.
 func meshResults(t *testing.T, job Job, procs int) []*parbh.Result {
 	t.Helper()
-	return linkResults(t, job, procs, func(_ int, node *transport.MeshNode) transport.Link { return node })
+	return linkResults(t, job, mesh(t, procs, nil), nil)
 }
 
-// linkResults runs the job on a procs-process in-memory mesh whose
-// endpoints are wrapped by wrap.
-func linkResults(t *testing.T, job Job, procs int, wrap func(proc int, node *transport.MeshNode) transport.Link) []*parbh.Result {
+// mesh builds a procs-process in-memory machine whose procs carry plans
+// (nil: none), closed when the test ends.
+func mesh(t *testing.T, procs int, plans []transport.FaultPlan) []*transport.Node {
+	nodes := transport.NewMesh(procs, plans)
+	t.Cleanup(func() {
+		for _, n := range nodes {
+			n.Close()
+		}
+	})
+	return nodes
+}
+
+// linkResults runs the job on the nodes of a mesh, each wrapped by wrap
+// when it is not nil.
+func linkResults(t *testing.T, job Job, nodes []*transport.Node, wrap func(proc int, node *transport.Node) transport.Link) []*parbh.Result {
 	t.Helper()
-	nodes := transport.NewMesh(procs)
+	procs := len(nodes)
 	links := make([]transport.Link, procs)
 	for i, n := range nodes {
-		links[i] = wrap(i, n)
+		links[i] = n
+		if wrap != nil {
+			links[i] = wrap(i, n)
+		}
 	}
 	var wg sync.WaitGroup
 	for p := 1; p < procs; p++ {

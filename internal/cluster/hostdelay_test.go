@@ -36,13 +36,14 @@ func TestFunctionShippingClockIgnoresHostDelay(t *testing.T) {
 			job, _ := testJob(cfg, 2)
 			want := inprocResults(t, job)
 			for _, delay := range []time.Duration{0, time.Millisecond, 5 * time.Millisecond} {
-				got := linkResults(t, job, 3, func(proc int, node *transport.MeshNode) transport.Link {
-					plan := transport.FaultPlan{Seed: int64(proc) + 1 + chaosSeed}
+				plans := make([]transport.FaultPlan, 3)
+				for proc := range plans {
+					plans[proc] = transport.FaultPlan{Seed: int64(proc) + 1 + chaosSeed}
 					if delay > 0 {
-						plan.DelayProb, plan.Delay = 1, delay
+						plans[proc].DelayProb, plans[proc].Delay = 1, delay
 					}
-					return transport.NewFaultLink(node, plan)
-				})
+				}
+				got := linkResults(t, job, mesh(t, 3, plans), nil)
 				if len(got) != len(want) {
 					t.Fatalf("delay %v: %d steps, want %d", delay, len(got), len(want))
 				}
@@ -56,7 +57,7 @@ func TestFunctionShippingClockIgnoresHostDelay(t *testing.T) {
 
 // lagLink delivers the data frames for one destination process late and
 // asynchronously: SendData returns at once and the frame — a private copy,
-// in order — reaches the peer after lag. FaultLink's own delay stalls the
+// in order — reaches the peer after lag. A FaultPlan's delay stalls the
 // sender instead, which keeps "sent before" meaning "arrived before"; a
 // socket makes no such promise, and neither does this.
 type lagLink struct {
@@ -122,7 +123,7 @@ func TestNonReplicatedBuildWaitsForLateSummaries(t *testing.T) {
 	}
 	job, _ := testJob(cfg, 1)
 	want := inprocResults(t, job)
-	got := linkResults(t, job, 3, func(proc int, node *transport.MeshNode) transport.Link {
+	got := linkResults(t, job, mesh(t, 3, nil), func(proc int, node *transport.Node) transport.Link {
 		if proc == 0 {
 			return newLagLink(node, 2, 30*time.Millisecond)
 		}

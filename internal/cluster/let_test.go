@@ -32,7 +32,7 @@ func TestCrossTransportGoldenLET(t *testing.T) {
 	}
 }
 
-// TestGoldenRecoveryLETCorrupt wires FaultLink chaos through the LET
+// TestGoldenRecoveryLETCorrupt wires conn-level chaos through the LET
 // bulk exchange: a corrupted LET reply surfaces as a retryable transport
 // fault, the Supervisor rebuilds the machine, and the replayed run
 // converges to metrics bit-identical to the fault-free run.
@@ -60,7 +60,7 @@ func TestGoldenRecoveryLETCorrupt(t *testing.T) {
 	if len(events) == 0 {
 		t.Fatal("no recovery events observed")
 	}
-	if n := h.link(0, 1).Metrics().FaultsCorrupted.Load(); n == 0 {
+	if n := h.node(0, 1).Metrics().FaultsCorrupted.Load(); n == 0 {
 		t.Error("corruption plan injected nothing")
 	}
 	for i := range want {

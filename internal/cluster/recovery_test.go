@@ -23,8 +23,8 @@ var chaosSeed = func() int64 {
 }()
 
 // chaosHarness builds a Supervisor whose assembler constructs a fresh
-// in-memory mesh per machine generation, wrapping every endpoint in a
-// FaultLink with the plan chosen by plans(generation). Worker goroutines
+// in-memory mesh per machine generation, every proc's conns faulted by
+// the plan chosen for it by plans(generation). Worker goroutines
 // Serve each generation and unwind when it dies — faulted generations
 // end their Serve with an error, which is the point.
 type chaosHarness struct {
@@ -33,8 +33,7 @@ type chaosHarness struct {
 
 	mu    sync.Mutex
 	gens  int
-	nodes [][]*transport.MeshNode
-	links [][]*transport.FaultLink
+	nodes [][]*transport.Node
 	wg    sync.WaitGroup
 
 	sup *Supervisor
@@ -47,15 +46,9 @@ func newChaosHarness(procs int, plans func(gen int) []transport.FaultPlan) *chao
 		gen := h.gens
 		h.gens++
 		h.mu.Unlock()
-		nodes := transport.NewMesh(procs)
-		pl := plans(gen)
-		links := make([]*transport.FaultLink, procs)
-		for i := range nodes {
-			links[i] = transport.NewFaultLink(nodes[i], pl[i])
-		}
+		nodes := transport.NewMesh(procs, plans(gen))
 		h.mu.Lock()
 		h.nodes = append(h.nodes, nodes)
-		h.links = append(h.links, links)
 		h.mu.Unlock()
 		for p := 1; p < procs; p++ {
 			h.wg.Add(1)
@@ -68,9 +61,9 @@ func newChaosHarness(procs int, plans func(gen int) []transport.FaultPlan) *chao
 				} else {
 					link.Close()
 				}
-			}(links[p])
+			}(nodes[p])
 		}
-		return NewCoordinator(links[0])
+		return NewCoordinator(nodes[0])
 	})
 	h.sup.MaxRetries = 5
 	h.sup.BackoffBase = time.Millisecond
@@ -85,21 +78,18 @@ func (h *chaosHarness) generation() int {
 	return h.gens
 }
 
-// link returns endpoint proc of generation gen.
-func (h *chaosHarness) link(gen, proc int) *transport.FaultLink {
+// node returns endpoint proc of generation gen.
+func (h *chaosHarness) node(gen, proc int) *transport.Node {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.links[gen][proc]
+	return h.nodes[gen][proc]
 }
 
-// kill crashes proc of generation gen: aborting the raw mesh endpoint
-// (below the FaultLink wrapper) is the in-memory equivalent of a
-// SIGKILLed worker process — every peer observes peer loss.
+// kill crashes proc of generation gen: aborting its node is the
+// in-memory equivalent of a SIGKILLed worker process — every peer
+// observes peer loss.
 func (h *chaosHarness) kill(gen, proc int) {
-	h.mu.Lock()
-	node := h.nodes[gen][proc]
-	h.mu.Unlock()
-	node.Abort(errors.New("injected worker crash"))
+	h.node(gen, proc).Abort(errors.New("injected worker crash"))
 }
 
 // noFaults is the all-clean plan for one generation.
@@ -243,7 +233,7 @@ func TestGoldenRecoverySPDACorrupt(t *testing.T) {
 	if len(events) == 0 {
 		t.Fatal("no recovery events observed")
 	}
-	if n := h.link(0, 1).Metrics().FaultsCorrupted.Load(); n == 0 {
+	if n := h.node(0, 1).Metrics().FaultsCorrupted.Load(); n == 0 {
 		t.Error("corruption plan injected nothing")
 	}
 	for i := range want {
@@ -293,7 +283,7 @@ func TestGoldenRecoveryFaultGauntlet(t *testing.T) {
 	if len(events) < 3 {
 		t.Fatalf("observed %d recovery events, want >= 3: %+v", len(events), events)
 	}
-	if n := h.link(1, 0).Metrics().FaultsDropped.Load(); n == 0 {
+	if n := h.node(1, 0).Metrics().FaultsDropped.Load(); n == 0 {
 		t.Error("drop plan injected nothing in generation 1")
 	}
 	for i := range want {

@@ -15,8 +15,8 @@ import (
 
 // FaultsTable measures the supervised cluster runtime under seeded
 // fault injection: for each chaos scenario a distributed DPDA job runs
-// over an in-memory two-process machine whose endpoints are wrapped in
-// FaultLinks, the supervisor demolishes and rebuilds the machine on
+// over an in-memory two-process machine whose conns carry the scenario's
+// fault plans, the supervisor demolishes and rebuilds the machine on
 // every fault, and the row reports retries-to-success plus the
 // host-clock recovery cost against the fault-free run. The final
 // column checks the headline invariant directly: the simulated metrics
@@ -108,8 +108,8 @@ type faultOutcome struct {
 	wall    time.Duration
 }
 
-// runFaultScenario drives one supervised job over a chaos-wrapped mesh.
-// plan may be nil for a fault-free run.
+// runFaultScenario drives one supervised job over a mesh whose procs
+// carry plan(gen, proc). plan may be nil for a fault-free run.
 func runFaultScenario(job cluster.Job, plan func(gen, proc int) transport.FaultPlan) (*faultOutcome, error) {
 	const procs = 2
 	var (
@@ -122,15 +122,14 @@ func runFaultScenario(job cluster.Job, plan func(gen, proc int) transport.FaultP
 		gen := gens
 		gens++
 		mu.Unlock()
-		nodes := transport.NewMesh(procs)
-		links := make([]*transport.FaultLink, procs)
-		for i := range nodes {
-			p := transport.FaultPlan{}
-			if plan != nil {
-				p = plan(gen, i)
+		var plans []transport.FaultPlan
+		if plan != nil {
+			plans = make([]transport.FaultPlan, procs)
+			for i := range plans {
+				plans[i] = plan(gen, i)
 			}
-			links[i] = transport.NewFaultLink(nodes[i], p)
 		}
+		nodes := transport.NewMesh(procs, plans)
 		for p := 1; p < procs; p++ {
 			wg.Add(1)
 			go func(link transport.Link) {
@@ -140,9 +139,9 @@ func runFaultScenario(job cluster.Job, plan func(gen, proc int) transport.FaultP
 				} else {
 					link.Close()
 				}
-			}(links[p])
+			}(nodes[p])
 		}
-		return cluster.NewCoordinator(links[0])
+		return cluster.NewCoordinator(nodes[0])
 	})
 	sup.MaxRetries = 5
 	sup.BackoffBase = time.Millisecond

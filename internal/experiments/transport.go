@@ -9,8 +9,9 @@ import (
 )
 
 // TransportTable benchmarks the point-to-point transport layer with an
-// echo exchange between two link endpoints: the in-process mesh (frame
-// codec without sockets) and a real TCP pair over loopback. Everything
+// echo exchange between two Nodes: over the in-memory pipes of a
+// NewMesh machine (the codec and the node's pumps without sockets) and
+// over a real TCP pair on loopback. Everything
 // here is host-clock measurement — by the two-clock rule the simulated
 // time, interaction counts, and communication volumes of an engine run
 // are bit-identical on every transport, so this table is where the real
@@ -18,18 +19,19 @@ import (
 func TransportTable(opt Options) (Table, error) {
 	t := Table{
 		ID:    "transport",
-		Title: "Transport echo over loopback (host clock, not simulated time)",
+		Title: "Transport echo between two nodes (host clock, not simulated time)",
 		Columns: []string{
 			"transport", "frame B", "round trips", "frames/s", "MB/s", "RTT p50", "RTT p99",
 		},
 		Notes: []string{
-			"the two-clock rule: simulated metrics are transport-independent; only these host-side rates differ between inproc and tcp",
+			"pipe rows run two nodes over in-memory pipes, tcp rows over loopback sockets; the same Node code on both",
+			"the two-clock rule: simulated metrics are transport-independent; only these host-side rates differ between pipe and tcp",
 		},
 	}
 	const iters = 1000
 	for _, words := range []int{64, 4096} {
-		nodes := transport.NewMesh(2)
-		row, err := echoRow("mesh", nodes[0], nodes[1], words, iters)
+		nodes := transport.NewMesh(2, nil)
+		row, err := echoRow("pipe", nodes[0], nodes[1], words, iters)
 		nodes[0].Close()
 		nodes[1].Close()
 		if err != nil {

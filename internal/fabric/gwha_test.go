@@ -427,7 +427,7 @@ func TestReconcileWindowHoldsJournaledLeases(t *testing.T) {
 // sides of the control plane, every submitted job must still complete
 // with physics identical to a clean run. (Drops are excluded by design:
 // a dropped Assign has no retransmit timer at this layer; drop coverage
-// lives in the transport's own FaultLink suite.)
+// lives in the transport's own FaultConn suite.)
 func TestFleetChaosControlPlane(t *testing.T) {
 	// Corruption tears down whole sessions (the decoder cannot trust
 	// anything after a bad frame), so its probability is kept low enough

@@ -266,7 +266,11 @@ func TestExpBuckets(t *testing.T) {
 // delivery instant on the receiver, control instants for the host
 // channel.
 func TestTraceLink(t *testing.T) {
-	nodes := transport.NewMesh(2)
+	nodes := transport.NewMesh(2, nil)
+	t.Cleanup(func() {
+		nodes[0].Close()
+		nodes[1].Close()
+	})
 	tr := New()
 	a := WrapLink(nodes[0], tr)
 	b := WrapLink(nodes[1], tr)

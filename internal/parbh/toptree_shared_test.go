@@ -14,7 +14,7 @@ import (
 // meshNet spreads ranks over the nodes of an in-memory mesh in contiguous
 // runs, the way internal/cluster does, without its job control.
 type meshNet struct {
-	*transport.MeshNode
+	*transport.Node
 	owner []int // rank → process
 }
 
@@ -51,7 +51,8 @@ func (n meshNet) SetHandler(fn func(*transport.Frame)) { n.SetDataHandler(fn) }
 func meshPhases(t *testing.T, set *dist.Set, cfg Config, owner []int, check func(*Engine, *shipWorld)) {
 	t.Helper()
 	var engines []*Engine
-	for _, node := range transport.NewMesh(3) {
+	for _, node := range transport.NewMesh(3, nil) {
+		t.Cleanup(func() { node.Close() })
 		e, err := New(msg.NewNetworkMachine(meshNet{node, owner}, msg.CM5()), set, cfg)
 		if err != nil {
 			t.Fatal(err)

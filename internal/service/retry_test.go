@@ -25,21 +25,17 @@ func meshCluster(t *testing.T, plan func(gen int) transport.FaultPlan) (*cluster
 		gen := gens
 		gens++
 		mu.Unlock()
-		nodes := transport.NewMesh(2)
-		links := []*transport.FaultLink{
-			transport.NewFaultLink(nodes[0], transport.FaultPlan{}),
-			transport.NewFaultLink(nodes[1], plan(gen)),
-		}
+		nodes := transport.NewMesh(2, []transport.FaultPlan{{}, plan(gen)})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := cluster.Serve(links[1], nil); err != nil {
-				links[1].Abort(err)
+			if err := cluster.Serve(nodes[1], nil); err != nil {
+				nodes[1].Abort(err)
 			} else {
-				links[1].Close()
+				nodes[1].Close()
 			}
 		}()
-		return cluster.NewCoordinator(links[0])
+		return cluster.NewCoordinator(nodes[0])
 	})
 	t.Cleanup(func() {
 		sup.Shutdown()

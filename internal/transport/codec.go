@@ -1,9 +1,10 @@
 // Package transport is the point-to-point wire layer under the msg
 // Machine: a typed binary codec for every payload the SPMD formulations
-// exchange, a length-prefixed frame format, and two interchangeable
-// process-to-process links — an in-process mesh (tests, loopback) and a
-// TCP implementation with per-peer connection management (dial retry
-// with exponential backoff, heartbeats, graceful close).
+// exchange, a length-prefixed frame format, and the one
+// process-to-process link, Node, with per-peer connection management
+// (dial retry with exponential backoff, heartbeats, graceful close) over
+// TCP sockets — or over in-memory pipes for a machine inside one process
+// (NewMesh), where FaultConn injects a seeded FaultPlan under its conns.
 //
 // The two-clock rule extends here: everything in this package belongs to
 // the *host* clock. The simulated interconnect (ts + tw·m + th·hops) is

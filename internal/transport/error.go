@@ -21,22 +21,11 @@ const (
 	FaultClosed              // link closed locally
 )
 
+var faultNames = [...]string{"none", "peer_lost", "heartbeat", "corrupt", "partition", "stall", "closed"}
+
 func (k FaultKind) String() string {
-	switch k {
-	case FaultNone:
-		return "none"
-	case FaultPeerLost:
-		return "peer_lost"
-	case FaultHeartbeat:
-		return "heartbeat"
-	case FaultCorrupt:
-		return "corrupt"
-	case FaultPartition:
-		return "partition"
-	case FaultStall:
-		return "stall"
-	case FaultClosed:
-		return "closed"
+	if k >= 0 && int(k) < len(faultNames) {
+		return faultNames[k]
 	}
 	return fmt.Sprintf("fault(%d)", int(k))
 }

@@ -62,9 +62,9 @@ func finishFrame(c *recio.Coder, buf []byte, payload any) ([]byte, error) {
 // timestamp, computed on the sender under the machine's cost model so
 // that the simulated interconnect is independent of the real one.
 // Epoch tags the job incarnation: frames from a previous job on a
-// reused connection are dropped by the receiver. Seq is a per-sender
-// sequence number stamped by fault-injecting links so receivers can
-// drop duplicated deliveries; 0 means unset and is never deduplicated.
+// reused connection are dropped by the receiver. Seq is a per-conn
+// sequence number a FaultConn stamps so the receiving node can drop
+// duplicated deliveries; 0 means unset and is never deduplicated.
 type Frame struct {
 	Epoch   uint32
 	Seq     uint32

@@ -6,7 +6,8 @@ package transport
 // handler installed with SetDataHandler; host messages are an untimed
 // control channel (job setup, result gathers) read via HostRecv.
 //
-// Both implementations — the in-process Mesh and the TCP Node — encode
+// Node is the one implementation, over TCP or over NewMesh's in-memory
+// pipes alike; wrappers such as obsv's tracer delegate to it. It encodes
 // every payload through the codec registry at send time, so a payload
 // that crosses a Link never aliases sender memory.
 type Link interface {

@@ -19,8 +19,8 @@ type Metrics struct {
 	Heartbeats   atomic.Int64
 	ConnsOpen    atomic.Int64
 
-	// Injected-fault counters, bumped by FaultLink. All zero on a link
-	// without a chaos wrapper.
+	// Injected-fault counters, bumped by FaultConn (FaultsDeduped by the
+	// receiving node). All zero on a link without a fault plan.
 	FaultsDropped    atomic.Int64 // outgoing data frames swallowed
 	FaultsDuplicated atomic.Int64 // outgoing data frames sent twice
 	FaultsDelayed    atomic.Int64 // outgoing data frames delayed

@@ -118,8 +118,7 @@ type hostInbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []hostMsg
-	failed error
-	closed bool
+	failed error // the first failure; nothing is queued after it
 }
 
 func newHostInbox() *hostInbox {
@@ -130,7 +129,7 @@ func newHostInbox() *hostInbox {
 
 func (hi *hostInbox) put(m hostMsg) {
 	hi.mu.Lock()
-	if !hi.closed {
+	if hi.failed == nil {
 		hi.queue = append(hi.queue, m)
 	}
 	hi.mu.Unlock()
@@ -142,42 +141,39 @@ func (hi *hostInbox) fail(err error) {
 	if hi.failed == nil {
 		hi.failed = err
 	}
-	hi.closed = true
 	hi.mu.Unlock()
 	hi.cond.Broadcast()
 }
 
-func (hi *hostInbox) get() (hostMsg, error) {
+// get blocks for the next message; once the inbox has failed and is
+// empty, it returns the failure.
+func (hi *hostInbox) get() (int, any, error) {
 	hi.mu.Lock()
 	defer hi.mu.Unlock()
-	for len(hi.queue) == 0 && !hi.closed {
+	for len(hi.queue) == 0 && hi.failed == nil {
 		hi.cond.Wait()
 	}
-	if len(hi.queue) > 0 {
-		m := hi.queue[0]
-		hi.queue = hi.queue[1:]
-		return m, nil
+	if len(hi.queue) == 0 {
+		return -1, nil, hi.failed
 	}
-	if hi.failed != nil {
-		return hostMsg{}, hi.failed
-	}
-	return hostMsg{}, faultErr(FaultClosed, -1, "link closed")
+	m := hi.queue[0]
+	hi.queue = hi.queue[1:]
+	return m.src, m.payload, nil
 }
 
-// peerConn is one TCP connection to a peer, with a write lock (frames
-// must not interleave) and a last-traffic timestamp for liveness.
+// peerConn is one connection to a peer, with a last-traffic timestamp
+// for liveness. It needs no write lock: a net.Conn writes each buffer
+// whole, so frames from concurrent senders never interleave.
 type peerConn struct {
 	peer     int
 	conn     net.Conn
-	wmu      sync.Mutex
 	lastSeen atomic.Int64 // unix nanos of last inbound frame
 	said_bye atomic.Bool  // peer announced graceful close
+	lastSeq  uint32       // last Seq delivered; read and written by the pump only
 }
 
 func (pc *peerConn) writeFrame(n *Node, buf []byte) error {
-	pc.wmu.Lock()
 	_, err := pc.conn.Write(buf)
-	pc.wmu.Unlock()
 	if err == nil {
 		n.metrics.FramesSent.Add(1)
 		n.metrics.BytesSent.Add(int64(len(buf)))
@@ -192,14 +188,16 @@ type dialFuture struct {
 	err  error
 }
 
-// Node is the TCP implementation of Link. Proc 0 creates one with
+// Node is the implementation of Link. Proc 0 creates one with
 // NewCoordinator and admits workers via WaitWorkers; workers create
 // theirs with Join. Connections between peers are dialed lazily on
 // first send, with retry and exponential backoff, and identified by an
 // Ident frame; each connection runs a reader pump that dispatches data
-// frames, host messages, and liveness probes uniformly.
+// frames, host messages, and liveness probes uniformly. The conns are
+// TCP sockets, or the in-memory pipes of a machine built by NewMesh.
 type Node struct {
 	cfg     Config
+	pipes   *pipeNet // where NewMesh's nodes listen and dial; nil: TCP
 	procID  int
 	nprocs  int
 	addrs   []string
@@ -220,9 +218,10 @@ type Node struct {
 	wg      sync.WaitGroup
 }
 
-func newNode(cfg Config) *Node {
+func newNode(cfg Config, pipes *pipeNet) *Node {
 	return &Node{
 		cfg:     cfg.withDefaults(),
+		pipes:   pipes,
 		out:     make(map[int]*peerConn),
 		dialing: make(map[int]*dialFuture),
 		host:    newHostInbox(),
@@ -234,32 +233,34 @@ func newNode(cfg Config) *Node {
 // eventual nprocs-process machine). Call WaitWorkers to admit the
 // remaining procs before any traffic.
 func NewCoordinator(cfg Config, nprocs int) (*Node, error) {
+	return newCoordinator(cfg, nprocs, nil)
+}
+
+func newCoordinator(cfg Config, nprocs int, pipes *pipeNet) (*Node, error) {
 	if nprocs < 1 {
 		return nil, fmt.Errorf("transport: machine needs at least 1 process, got %d", nprocs)
 	}
-	n := newNode(cfg)
+	n := newNode(cfg, pipes)
 	n.procID = 0
 	n.nprocs = nprocs
-	ln, err := net.Listen("tcp", n.cfg.ListenAddr)
+	ln, err := n.listen()
 	if err != nil {
 		return nil, fmt.Errorf("transport: coordinator listen %s: %w", n.cfg.ListenAddr, err)
 	}
 	n.ln = ln
 	n.addrs = make([]string, nprocs)
-	n.addrs[0] = n.advertised()
+	n.addrs[0] = n.Addr()
 	return n, nil
 }
 
-// Addr returns the address peers dial to reach this node.
-func (n *Node) advertised() string {
+// Addr returns the address peers dial to reach this node: its
+// AdvertiseAddr, else its listener's.
+func (n *Node) Addr() string {
 	if n.cfg.AdvertiseAddr != "" {
 		return n.cfg.AdvertiseAddr
 	}
 	return n.ln.Addr().String()
 }
-
-// Addr returns this node's advertised listen address.
-func (n *Node) Addr() string { return n.advertised() }
 
 // WaitWorkers blocks until the other nprocs-1 processes have joined,
 // assigns them proc IDs in arrival order, and distributes the address
@@ -270,10 +271,9 @@ func (n *Node) WaitWorkers(timeout time.Duration) error {
 	}
 	need := n.nprocs - 1
 	conns := make([]*peerConn, 0, need)
-	if timeout > 0 {
-		if tl, ok := n.ln.(*net.TCPListener); ok {
-			tl.SetDeadline(time.Now().Add(timeout))
-		}
+	tl, _ := n.ln.(*net.TCPListener)
+	if tl != nil && timeout > 0 {
+		tl.SetDeadline(time.Now().Add(timeout))
 	}
 	for len(conns) < need {
 		c, err := n.ln.Accept()
@@ -284,25 +284,18 @@ func (n *Node) WaitWorkers(timeout time.Duration) error {
 			return fmt.Errorf("transport: waiting for %d worker(s), have %d: %w",
 				need, len(conns), err)
 		}
-		kind, body, err := ReadRaw(c)
-		if err != nil || kind != KindHello {
-			c.Close()
-			continue
-		}
-		v, err := Unmarshal(body)
+		v, err := n.readControl(c, KindHello)
 		hello, ok := v.(helloBody)
 		if err != nil || !ok {
 			c.Close()
 			continue
 		}
-		n.metrics.BytesRecv.Add(int64(len(body)) + frameHeaderLen)
-		n.metrics.FramesRecv.Add(1)
-		pc := &peerConn{peer: len(conns) + 1, conn: c}
+		pc := &peerConn{peer: len(conns) + 1, conn: n.wrap(c, len(conns)+1)}
 		pc.lastSeen.Store(time.Now().UnixNano())
 		n.addrs[pc.peer] = hello.Addr
 		conns = append(conns, pc)
 	}
-	if tl, ok := n.ln.(*net.TCPListener); ok {
+	if tl != nil {
 		tl.SetDeadline(time.Time{})
 	}
 	// All workers present: complete each handshake, then start pumps.
@@ -334,55 +327,28 @@ func (n *Node) WaitWorkers(timeout time.Duration) error {
 // is fully assembled. The dial itself honors the retry/backoff policy,
 // so a worker may be started before its coordinator.
 func Join(coordAddr string, cfg Config) (*Node, error) {
-	n := newNode(cfg)
-	ln, err := net.Listen("tcp", n.cfg.ListenAddr)
+	return join(coordAddr, cfg, nil)
+}
+
+func join(coordAddr string, cfg Config, pipes *pipeNet) (*Node, error) {
+	n := newNode(cfg, pipes)
+	ln, err := n.listen()
 	if err != nil {
 		return nil, fmt.Errorf("transport: worker listen %s: %w", n.cfg.ListenAddr, err)
 	}
 	n.ln = ln
-	conn, err := n.dialRetry(coordAddr)
+	pc, welcome, err := n.hello(coordAddr)
 	if err != nil {
 		ln.Close()
 		return nil, fmt.Errorf("transport: join %s: %w", coordAddr, err)
 	}
-	buf, err := AppendControl(nil, KindHello, helloBody{Addr: n.advertised()})
-	if err != nil {
-		conn.Close()
-		ln.Close()
-		return nil, err
-	}
-	if _, err := conn.Write(buf); err != nil {
-		conn.Close()
-		ln.Close()
-		return nil, fmt.Errorf("transport: join %s: hello: %w", coordAddr, err)
-	}
-	n.metrics.FramesSent.Add(1)
-	n.metrics.BytesSent.Add(int64(len(buf)))
-	kind, body, err := ReadRaw(conn)
-	if err != nil || kind != KindWelcome {
-		conn.Close()
-		ln.Close()
-		if err == nil {
-			err = fmt.Errorf("unexpected frame kind %d", kind)
-		}
-		return nil, fmt.Errorf("transport: join %s: welcome: %w", coordAddr, err)
-	}
-	v, err := Unmarshal(body)
-	if err != nil {
-		conn.Close()
-		ln.Close()
-		return nil, fmt.Errorf("transport: join %s: welcome: %w", coordAddr, err)
-	}
-	welcome := v.(welcomeBody)
-	n.metrics.FramesRecv.Add(1)
-	n.metrics.BytesRecv.Add(int64(len(body)) + frameHeaderLen)
 	n.procID = int(welcome.ProcID)
 	n.addrs = welcome.Addrs
 	n.nprocs = len(welcome.Addrs)
 	// The join connection doubles as this worker's outbound link to
 	// the coordinator: no second dial, and the coordinator already
 	// pumps its far end.
-	pc := &peerConn{peer: 0, conn: conn}
+	pc.conn = n.wrap(pc.conn, 0)
 	pc.lastSeen.Store(time.Now().UnixNano())
 	n.out[0] = pc
 	n.metrics.ConnsOpen.Add(1)
@@ -390,6 +356,64 @@ func Join(coordAddr string, cfg Config) (*Node, error) {
 	n.startAccepting()
 	n.startHeartbeats()
 	return n, nil
+}
+
+// hello dials the coordinator, says Hello and reads the Welcome.
+func (n *Node) hello(coordAddr string) (*peerConn, welcomeBody, error) {
+	conn, err := n.dialRetry(coordAddr)
+	if err != nil {
+		return nil, welcomeBody{}, err
+	}
+	pc := &peerConn{peer: 0, conn: conn}
+	buf, err := AppendControl(nil, KindHello, helloBody{Addr: n.Addr()})
+	if err == nil {
+		err = pc.writeFrame(n, buf)
+	}
+	var v any
+	if err == nil {
+		v, err = n.readControl(conn, KindWelcome)
+	}
+	welcome, ok := v.(welcomeBody)
+	if err == nil && !ok {
+		err = fmt.Errorf("welcome body is %T", v)
+	}
+	if err != nil {
+		conn.Close()
+	}
+	return pc, welcome, err
+}
+
+// readControl reads the handshake frame of the given kind off c and
+// decodes its body.
+func (n *Node) readControl(c net.Conn, kind uint8) (any, error) {
+	got, body, err := ReadRaw(c)
+	if err == nil && got != kind {
+		err = fmt.Errorf("frame kind %d, want %d", got, kind)
+	}
+	if err != nil {
+		return nil, err
+	}
+	n.metrics.FramesRecv.Add(1)
+	n.metrics.BytesRecv.Add(int64(len(body)) + frameHeaderLen)
+	return Unmarshal(body)
+}
+
+// listen opens the node's listener: a TCP socket at cfg.ListenAddr, or
+// a fresh address of the node's pipes.
+func (n *Node) listen() (net.Listener, error) {
+	if n.pipes != nil {
+		return n.pipes.listen(), nil
+	}
+	return net.Listen("tcp", n.cfg.ListenAddr)
+}
+
+// wrap puts the proc's fault plan, if its mesh has plans, under a conn
+// to peer.
+func (n *Node) wrap(c net.Conn, peer int) net.Conn {
+	if n.pipes == nil || n.pipes.plans == nil {
+		return c
+	}
+	return newFaultConn(c, n.pipes.plans[n.procID], &n.metrics, peer, KindData)
 }
 
 // dialRetry connects to addr under the node's retry/backoff policy.
@@ -413,7 +437,13 @@ func (n *Node) dialRetry(addr string) (net.Conn, error) {
 			}
 		}
 		n.metrics.Dials.Add(1)
-		c, err := net.DialTimeout("tcp", addr, n.cfg.DialTimeout)
+		var c net.Conn
+		var err error
+		if n.pipes != nil {
+			c, err = n.pipes.dial(addr)
+		} else {
+			c, err = net.DialTimeout("tcp", addr, n.cfg.DialTimeout)
+		}
 		if err == nil {
 			return c, nil
 		}
@@ -445,18 +475,29 @@ func (n *Node) SendData(dst int, f *Frame) error {
 	if err != nil {
 		return err
 	}
+	return n.send(dst, buf, "send to")
+}
+
+// send writes one encoded frame to dst.
+func (n *Node) send(dst int, buf []byte, what string) error {
 	pc, err := n.connFor(dst)
 	if err != nil {
 		return err
 	}
 	if err := pc.writeFrame(n, buf); err != nil {
-		// A failed write means the peer's connection is gone — classify
-		// as peer loss so supervisors treat it as retryable, exactly
-		// like a read-side reset.
-		return &TransportError{Kind: FaultPeerLost, Proc: dst,
-			Err: fmt.Errorf("send to proc %d: %w", dst, err)}
+		return connLost(err, dst, what)
 	}
 	return nil
+}
+
+// connLost classifies a failed conn read or write: an injected fault
+// keeps its kind, and anything else means the peer's connection is gone
+// — peer loss, which supervisors treat as retryable.
+func connLost(err error, peer int, what string) error {
+	if FaultKindOf(err) != FaultNone {
+		return err
+	}
+	return faultErr(FaultPeerLost, peer, "%s proc %d: %w", what, peer, err)
 }
 
 // HostSend implements Link.
@@ -467,25 +508,11 @@ func (n *Node) HostSend(dst int, payload any) error {
 	if err != nil {
 		return err
 	}
-	pc, err := n.connFor(dst)
-	if err != nil {
-		return err
-	}
-	if err := pc.writeFrame(n, buf); err != nil {
-		return &TransportError{Kind: FaultPeerLost, Proc: dst,
-			Err: fmt.Errorf("host send to proc %d: %w", dst, err)}
-	}
-	return nil
+	return n.send(dst, buf, "host send to")
 }
 
 // HostRecv implements Link.
-func (n *Node) HostRecv() (int, any, error) {
-	m, err := n.host.get()
-	if err != nil {
-		return -1, nil, err
-	}
-	return m.src, m.payload, nil
-}
+func (n *Node) HostRecv() (int, any, error) { return n.host.get() }
 
 // connFor returns the outbound connection to dst, dialing it (once,
 // even under concurrent senders) if absent.
@@ -527,7 +554,7 @@ func (n *Node) dialPeer(dst int) (*peerConn, error) {
 		return nil, &TransportError{Kind: FaultPeerLost, Proc: dst,
 			Err: fmt.Errorf("proc %d unreachable: %w", dst, err)}
 	}
-	pc := &peerConn{peer: dst, conn: conn}
+	pc := &peerConn{peer: dst, conn: n.wrap(conn, dst)}
 	pc.lastSeen.Store(time.Now().UnixNano())
 	buf, err := AppendControl(nil, KindIdent, identBody{Src: int32(n.procID)})
 	if err != nil {
@@ -536,8 +563,7 @@ func (n *Node) dialPeer(dst int) (*peerConn, error) {
 	}
 	if err := pc.writeFrame(n, buf); err != nil {
 		conn.Close()
-		return nil, &TransportError{Kind: FaultPeerLost, Proc: dst,
-			Err: fmt.Errorf("ident to proc %d: %w", dst, err)}
+		return nil, connLost(err, dst, "ident to")
 	}
 	n.metrics.ConnsOpen.Add(1)
 	n.startPump(pc)
@@ -558,20 +584,13 @@ func (n *Node) startAccepting() {
 			n.wg.Add(1)
 			go func(c net.Conn) {
 				defer n.wg.Done()
-				kind, body, err := ReadRaw(c)
-				if err != nil || kind != KindIdent {
-					c.Close()
-					return
-				}
-				v, err := Unmarshal(body)
+				v, err := n.readControl(c, KindIdent)
 				ident, ok := v.(identBody)
 				if err != nil || !ok {
 					c.Close()
 					return
 				}
-				n.metrics.FramesRecv.Add(1)
-				n.metrics.BytesRecv.Add(int64(len(body)) + frameHeaderLen)
-				pc := &peerConn{peer: int(ident.Src), conn: c}
+				pc := &peerConn{peer: int(ident.Src), conn: n.wrap(c, int(ident.Src))}
 				pc.lastSeen.Store(time.Now().UnixNano())
 				n.mu.Lock()
 				n.in = append(n.in, pc)
@@ -595,15 +614,17 @@ func (n *Node) startPump(pc *peerConn) {
 // pump reads frames from one connection until error or close,
 // dispatching uniformly: the same loop serves inbound and outbound
 // connections, so pongs on a dialed conn and pings on an accepted one
-// both work.
+// both work. A pump that stops closes its conn, so the peer's writes
+// fail instead of waiting on a reader that is gone.
 func (n *Node) pump(pc *peerConn) {
+	defer pc.conn.Close()
 	for {
 		kind, body, err := ReadRaw(pc.conn)
 		if err != nil {
 			if n.closed.Load() || pc.said_bye.Load() {
 				return
 			}
-			n.fail(faultErr(FaultPeerLost, pc.peer, "connection to proc %d lost: %w", pc.peer, err))
+			n.fail(connLost(err, pc.peer, "connection lost to"))
 			return
 		}
 		pc.lastSeen.Store(time.Now().UnixNano())
@@ -615,6 +636,14 @@ func (n *Node) pump(pc *peerConn) {
 			if err != nil {
 				n.fail(faultErr(FaultCorrupt, pc.peer, "bad frame from proc %d: %w", pc.peer, err))
 				return
+			}
+			if f.Seq != 0 {
+				// A faulted conn stamps rising Seqs: a repeat is a duplicate.
+				if f.Seq <= pc.lastSeq {
+					n.metrics.FaultsDeduped.Add(1)
+					continue
+				}
+				pc.lastSeq = f.Seq
 			}
 			fn := n.dataFn.Load()
 			if fn == nil {
@@ -648,7 +677,6 @@ func (n *Node) pump(pc *peerConn) {
 			}
 		case KindBye:
 			pc.said_bye.Store(true)
-			pc.conn.Close()
 			n.metrics.ConnsOpen.Add(-1)
 			return
 		default:
@@ -687,39 +715,36 @@ func (n *Node) startHeartbeats() {
 	if n.cfg.HeartbeatInterval > deadAfter {
 		deadAfter = n.cfg.HeartbeatInterval + n.cfg.HeartbeatTimeout
 	}
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		t := time.NewTicker(n.cfg.HeartbeatInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-n.closeCh:
-				return
-			case <-t.C:
-			}
-			now := time.Now()
-			for _, pc := range n.outConns() {
-				if pc.said_bye.Load() {
-					continue
-				}
-				buf, err := AppendControl(nil, KindPing, pingBody{Nanos: now.UnixNano()})
-				if err == nil && pc.writeFrame(n, buf) == nil {
-					n.metrics.Heartbeats.Add(1)
-				}
-			}
+	n.everyOut(n.cfg.HeartbeatInterval, func(now time.Time, pc *peerConn) bool {
+		buf, err := AppendControl(nil, KindPing, pingBody{Nanos: now.UnixNano()})
+		if err == nil && pc.writeFrame(n, buf) == nil {
+			n.metrics.Heartbeats.Add(1)
 		}
-	}()
+		return true
+	})
 	// Watchdog ticks faster than the deadline so detection latency is a
 	// fraction of the timeout, not up to one full probe interval.
 	tick := deadAfter / 4
 	if tick < 10*time.Millisecond {
 		tick = 10 * time.Millisecond
 	}
+	n.everyOut(tick, func(now time.Time, pc *peerConn) bool {
+		idle := now.Sub(time.Unix(0, pc.lastSeen.Load()))
+		if idle > deadAfter {
+			n.fail(faultErr(FaultHeartbeat, pc.peer, "proc %d silent for %v (heartbeat timeout)", pc.peer, idle.Round(time.Millisecond)))
+			return false
+		}
+		return true
+	})
+}
+
+// everyOut runs fn on every outbound conn whose peer has not said Bye,
+// each d, until the node closes or fn returns false.
+func (n *Node) everyOut(d time.Duration, fn func(now time.Time, pc *peerConn) bool) {
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		t := time.NewTicker(tick)
+		t := time.NewTicker(d)
 		defer t.Stop()
 		for {
 			select {
@@ -729,12 +754,7 @@ func (n *Node) startHeartbeats() {
 			}
 			now := time.Now()
 			for _, pc := range n.outConns() {
-				if pc.said_bye.Load() {
-					continue
-				}
-				idle := now.Sub(time.Unix(0, pc.lastSeen.Load()))
-				if idle > deadAfter {
-					n.fail(faultErr(FaultHeartbeat, pc.peer, "proc %d silent for %v (heartbeat timeout)", pc.peer, idle.Round(time.Millisecond)))
+				if !pc.said_bye.Load() && !fn(now, pc) {
 					return
 				}
 			}
@@ -765,40 +785,10 @@ func (n *Node) fail(err error) {
 	}
 }
 
-// Close implements Link: best-effort Bye to every dialed peer, then
-// tear everything down.
+// Close implements Link: best-effort Bye to every peer, then tear
+// everything down.
 func (n *Node) Close() error {
-	if !n.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	close(n.closeCh)
-	n.mu.Lock()
-	outs := make([]*peerConn, 0, len(n.out))
-	for _, pc := range n.out {
-		outs = append(outs, pc)
-	}
-	ins := append([]*peerConn(nil), n.in...)
-	n.mu.Unlock()
-	if buf, err := AppendControl(nil, KindBye, nil); err == nil {
-		// Bye goes on every live conn, inbound included: a peer that
-		// dialed us still has a pump on that socket, and a bare close
-		// would read as a transport failure there.
-		for _, pc := range append(outs, ins...) {
-			pc.conn.SetWriteDeadline(time.Now().Add(time.Second))
-			pc.writeFrame(n, buf)
-		}
-	}
-	if n.ln != nil {
-		n.ln.Close()
-	}
-	for _, pc := range outs {
-		pc.conn.Close()
-	}
-	for _, pc := range ins {
-		pc.conn.Close()
-	}
-	n.host.fail(faultErr(FaultClosed, -1, "link closed"))
-	n.wg.Wait()
+	n.shutdown(true, faultErr(FaultClosed, -1, "link closed"))
 	return nil
 }
 
@@ -807,11 +797,16 @@ func (n *Node) Close() error {
 // reset and fails its node — exactly the signal a supervisor needs to
 // demolish a faulted machine generation everywhere at once.
 func (n *Node) Abort(err error) {
-	if !n.closed.CompareAndSwap(false, true) {
-		return
-	}
 	if err == nil {
 		err = faultErr(FaultClosed, -1, "link aborted")
+	}
+	n.shutdown(false, err)
+}
+
+// shutdown tears the node down once, failing the host inbox with err.
+func (n *Node) shutdown(bye bool, err error) {
+	if !n.closed.CompareAndSwap(false, true) {
+		return
 	}
 	close(n.closeCh)
 	n.mu.Lock()
@@ -821,6 +816,15 @@ func (n *Node) Abort(err error) {
 	}
 	conns = append(conns, n.in...)
 	n.mu.Unlock()
+	if buf, _ := AppendControl(nil, KindBye, nil); bye {
+		// Bye goes on every live conn, inbound included: a peer that
+		// dialed us still has a pump on that socket, and a bare close
+		// would read as a transport failure there.
+		for _, pc := range conns {
+			pc.conn.SetWriteDeadline(time.Now().Add(time.Second))
+			pc.writeFrame(n, buf)
+		}
+	}
 	if n.ln != nil {
 		n.ln.Close()
 	}
