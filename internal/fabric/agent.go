@@ -56,6 +56,8 @@ type Agent struct {
 	sess     *agentSession        // live gateway session, nil during outages
 	park     *parkStore           // the outbox
 	bo       *transport.Backoff
+	watching sync.WaitGroup // one per job's watch; Run waits for them
+	released chan struct{}  // closed by cancelLocal, once Run stops
 }
 
 // agentJob is one gateway-leased job the agent is running locally. It
@@ -83,7 +85,8 @@ type agentSession struct {
 // Run connects to the gateway and serves assignments until stop
 // closes. Connection failures retry with jittered, capped exponential
 // backoff (reset after every healthy session); Run only returns on
-// stop, cancelling the local jobs it was running for the gateway.
+// stop, cancelling the local jobs it was running for the gateway, once
+// every goroutine watching one of them has ended.
 func (a *Agent) Run(stop <-chan struct{}) {
 	if a.Logf == nil {
 		a.Logf = log.Printf
@@ -110,7 +113,9 @@ func (a *Agent) Run(stop <-chan struct{}) {
 		}
 		a.park = ps
 	}
+	a.released = make(chan struct{})
 	a.mu.Unlock()
+	defer a.watching.Wait()
 
 	// Keyframes stream from worker goroutines for the whole agent
 	// lifetime: each is remembered per job (so an Adopt can re-seed a
@@ -164,7 +169,8 @@ func (a *Agent) Run(stop <-chan struct{}) {
 // cancelLocal cancels every gateway-leased local job: the agent is
 // stopping for good, not riding out an outage. Released first, they
 // never report: the gateway re-routes them on the Bye, and a stale
-// canceled report would cancel the re-routed run.
+// canceled report would cancel the re-routed run. Closing released then
+// ends every job's watch.
 func (a *Agent) cancelLocal() {
 	a.mu.Lock()
 	locals := make([]string, 0, len(a.inflight))
@@ -176,6 +182,7 @@ func (a *Agent) cancelLocal() {
 	for _, id := range locals {
 		a.Svc.Cancel(id)
 	}
+	close(a.released)
 }
 
 // session runs one registration: Hello/Welcome, the in-flight lease
@@ -408,7 +415,8 @@ func (s *agentSession) handleAssign(msg Assign) {
 	a.mu.Unlock()
 	s.send(Accept{Lease: msg.Lease, JobID: msg.JobID, LocalID: st.ID,
 		ResumedStep: int64(st.ResumedFrom)})
-	go a.watch(j)
+	a.watching.Add(1)
+	go a.watch(j, a.released)
 }
 
 // handleAdopt re-binds a running local job to the fresh lease a
@@ -490,11 +498,27 @@ func (s *agentSession) handleAck(msg ParkedAck) {
 
 // watch streams one local job's progress to whatever gateway session is
 // live, then delivers its terminal result. It is spawned once per job
-// and survives any number of session turnovers.
-func (a *Agent) watch(j *agentJob) {
+// and survives any number of session turnovers. It ends early when the
+// stopping agent has released and canceled every job (released closes):
+// the job then only leaves the in-flight set, whether or not a stopped
+// service ever ends it.
+func (a *Agent) watch(j *agentJob, released <-chan struct{}) {
+	defer a.watching.Done()
 	ch, unsub, err := a.Svc.Subscribe(j.localID)
 	if err == nil {
-		for p := range ch {
+		defer unsub()
+		for {
+			var p service.Progress
+			open := false
+			select {
+			case p, open = <-ch:
+			case <-released:
+				a.deliver(j, "", "", nil) // j.released: only leaves the in-flight set
+				return
+			}
+			if !open {
+				break
+			}
 			st, err := a.Svc.Get(j.localID)
 			if err != nil {
 				break
@@ -511,7 +535,6 @@ func (a *Agent) watch(j *agentJob) {
 			}
 			sess.send(Update{Lease: lease, JobID: j.gwID, State: string(st.State), ProgressJSON: pj})
 		}
-		unsub()
 	}
 
 	st, err := a.Svc.Get(j.localID)

@@ -50,6 +50,7 @@ type fleet struct {
 	gw    *Gateway
 	svcs  []*service.Service
 	stops []chan struct{}
+	ran   []chan struct{} // closed when an agent's Run returns
 }
 
 // startFleet wires up a gateway and n shard agents, waiting for every
@@ -74,8 +75,16 @@ func startFleetWith(t *testing.T, n int, opt Options, capacity int, svcOpt func(
 		t.Fatal(err)
 	}
 	f := &fleet{gw: gw}
+	// Agents stop before their services, as in nbodyd: a stopping agent
+	// cancels its jobs, and only a running service ends them.
 	t.Cleanup(func() {
 		f.stopAgents()
+		for _, ran := range f.ran {
+			<-ran
+		}
+		for _, svc := range f.svcs {
+			shutdownSvc(t, svc)
+		}
 		gw.Close()
 	})
 	for i := 0; i < n; i++ {
@@ -85,11 +94,6 @@ func startFleetWith(t *testing.T, n int, opt Options, capacity int, svcOpt func(
 		}
 		svc.Start()
 		f.svcs = append(f.svcs, svc)
-		t.Cleanup(func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			svc.Shutdown(ctx)
-		})
 		// Each shard serves its own HTTP API like a real nbodyd would;
 		// the advertised address is what the gateway's frames proxy
 		// dials.
@@ -103,9 +107,12 @@ func startFleetWith(t *testing.T, n int, opt Options, capacity int, svcOpt func(
 			Capacity: capacity,
 			Logf:     t.Logf,
 		}
-		stop := make(chan struct{})
-		f.stops = append(f.stops, stop)
-		go agent.Run(stop)
+		stop, ran := make(chan struct{}), make(chan struct{})
+		f.stops, f.ran = append(f.stops, stop), append(f.ran, ran)
+		go func() {
+			defer close(ran)
+			agent.Run(stop)
+		}()
 	}
 	waitUntil(t, "all shards registered", func() bool { return len(gw.Shards()) == n })
 	return f

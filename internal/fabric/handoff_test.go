@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -226,5 +228,44 @@ func TestGatewayFramesProxy(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job frames status = %d, want 404", resp2.StatusCode)
+	}
+}
+
+// A leased job belongs to the gateway's journal: its shard spools no
+// spec for it, so a daemon restarted on the shard's spool recovers no
+// job while the gateway re-routes it. The job's frame chain is still
+// written.
+func TestLeasedJobIsNotSpooled(t *testing.T) {
+	spool := t.TempDir()
+	f := startFleetWith(t, 1, Options{}, 1, func(int) service.Options {
+		return service.Options{
+			Workers: 1, QueueDepth: 4, Logf: t.Logf,
+			SpoolDir: spool, FramesKeyEvery: 8,
+		}
+	})
+	if _, err := f.gw.Submit("tenant-a", slowSpec(17)); err != nil {
+		t.Fatal(err)
+	}
+	var local string
+	waitUntil(t, "leased job past step 3", func() bool {
+		for _, st := range f.svcs[0].Jobs() {
+			if st.Progress.Step >= 3 {
+				local = st.ID
+				return true
+			}
+		}
+		return false
+	})
+	restarted, err := service.New(service.Options{Workers: 1, QueueDepth: 4, Logf: t.Logf, SpoolDir: spool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownSvc(t, restarted)
+	if jobs := restarted.Jobs(); len(jobs) != 0 {
+		t.Fatalf("a daemon restarted on the shard's spool recovered %d leased job(s), want none (%s at step %d)",
+			len(jobs), jobs[0].ID, jobs[0].ResumedFrom)
+	}
+	if _, err := os.Stat(filepath.Join(spool, "frames", local+".nbf")); err != nil {
+		t.Fatalf("the leased job's frame chain: %v", err)
 	}
 }

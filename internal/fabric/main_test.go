@@ -1,0 +1,11 @@
+package fabric
+
+import (
+	"testing"
+
+	"repro/internal/leakcheck"
+)
+
+// TestMain fails the package when a goroutine a test started outlives
+// it.
+func TestMain(m *testing.M) { leakcheck.Main(m) }

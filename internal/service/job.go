@@ -403,7 +403,6 @@ type Job struct {
 	created  time.Time
 	started  time.Time
 	finished time.Time
-	retries  int // transport-fault recoveries so far
 	// resume is where the job's run starts: set at admission (spool
 	// recovery, a seeded submit).
 	resume   resumePoint
@@ -481,7 +480,7 @@ func (j *Job) Status() Status {
 		Started:     j.started,
 		Finished:    j.finished,
 		ResumedFrom: j.resume.step,
-		Retries:     j.retries,
+		Retries:     j.progress.Retries,
 		Progress:    j.progress,
 	}
 }

@@ -216,18 +216,27 @@ func (s *Service) Shutdown(ctx context.Context) error {
 }
 
 // Submit validates and admits a job. It returns ErrQueueFull when the
-// queue bound is reached and ErrShuttingDown after Shutdown begins.
+// queue bound is reached and ErrShuttingDown after Shutdown begins. The
+// job's spec is spooled, so a daemon restarted on the spool resumes it.
 func (s *Service) Submit(spec JobSpec) (Status, error) {
-	return s.SubmitSeeded(spec, nil)
+	return s.submit(spec, nil, true)
 }
 
-// SubmitSeeded is Submit for a job that resumes from a replicated
-// keyframe record (see frames.EncodeKeyframe) instead of starting at step
-// zero: the fabric gateway hands the victim shard's last keyframe to the
-// shard a re-routed job lands on. A stateless job takes only the record's
-// header. An empty or unusable record degrades to a run from scratch,
-// never to a rejected job.
+// SubmitSeeded is Submit for a job the fabric gateway leased to this
+// shard, resuming from a replicated keyframe record (see
+// frames.EncodeKeyframe) instead of starting at step zero: the gateway
+// hands the victim shard's last keyframe to the shard a re-routed job
+// lands on. A stateless job takes only the record's header. An empty or
+// unusable record degrades to a run from scratch, never to a rejected
+// job. The gateway's journal owns a leased job, so its spec is not
+// spooled: a daemon restarted on the spool does not run it as its own
+// while the gateway re-routes it. Its frame chain is still written.
 func (s *Service) SubmitSeeded(spec JobSpec, keyframe []byte) (Status, error) {
+	return s.submit(spec, keyframe, false)
+}
+
+// submit admits a job, spooling its spec when spool is set.
+func (s *Service) submit(spec JobSpec, keyframe []byte, spool bool) (Status, error) {
 	select {
 	case <-s.stopping:
 		return Status{}, ErrShuttingDown
@@ -255,8 +264,10 @@ func (s *Service) SubmitSeeded(spec JobSpec, keyframe []byte) (Status, error) {
 	}
 	j := newJob(s.newJobID(), spec, s.opt.Clock.Now())
 	j.startFrom(rp)
-	if err := s.spool.PutSpec(j.ID, spec); err != nil {
-		return Status{}, fmt.Errorf("service: spooling job: %w", err)
+	if spool {
+		if err := s.spool.PutSpec(j.ID, spec); err != nil {
+			return Status{}, fmt.Errorf("service: spooling job: %w", err)
+		}
 	}
 	// Seed the job's frame chain with the keyframe so the resumed run's
 	// replay stream is continuous from the resume point even before its

@@ -14,7 +14,9 @@ import (
 )
 
 // Spool persists job state so the daemon can resume in-flight work
-// after a restart. Each job owns one directory under the spool root:
+// after a restart. Each job submitted with Submit owns one directory
+// under the spool root (a job the fabric gateway leased has none: the
+// gateway's journal holds it):
 //
 //	<root>/<jobID>/spec.json   the submitted JobSpec (written once)
 //

@@ -223,9 +223,6 @@ func (s *Service) runClusterJob(j *Job) {
 		return true
 	}, func(ev cluster.RecoveryEvent) {
 		retries = ev.Attempt
-		j.mu.Lock()
-		j.retries = retries
-		j.mu.Unlock()
 		s.metrics.JobsRetried.Add(1)
 		s.metrics.RecordRecovery(ev.Fault)
 		s.opt.Logf("nbodyd: job %s hit %s fault at step %d (retry %d/%d in %v): %v",

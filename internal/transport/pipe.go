@@ -67,13 +67,15 @@ func (l *pipeListener) Close() error {
 func (l *pipeListener) Addr() net.Addr { return l.addr }
 
 // NewMesh assembles an n-process machine inside this OS process: n
-// Nodes joined by the coordinator handshake over in-memory pipes, proc
-// 0 the coordinator. plans, when not nil, holds one FaultPlan per proc,
-// injected by a FaultConn under each of that proc's conns. Heartbeats
-// are off (a pipe cannot go silent) and a dial is tried once (a pipe
-// dial fails only when the peer is gone). The pipes cannot fail the
-// handshake short of a bug, so NewMesh panics instead of returning an
-// error. Close (or Abort) every node when done.
+// Nodes joined by the coordinator handshake over in-memory pipes, one
+// pipe per pair of nodes, proc 0 the coordinator. The workers join
+// concurrently, since each waits for its higher-numbered peers to dial
+// it. plans, when not nil, holds one FaultPlan per proc, injected by a
+// FaultConn under each of that proc's conns. Heartbeats are off (a pipe
+// cannot go silent) and a dial is tried once (a pipe dial fails only
+// when the peer is gone). The pipes cannot fail the handshake short of
+// a bug, so NewMesh panics instead of returning an error. Close (or
+// Abort) every node when done.
 func NewMesh(n int, plans []FaultPlan) []*Node {
 	if plans != nil && len(plans) != n {
 		panic(fmt.Sprintf("transport: %d fault plans for a %d-process mesh", len(plans), n))

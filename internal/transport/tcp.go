@@ -161,9 +161,8 @@ func (hi *hostInbox) get() (int, any, error) {
 	return m.src, m.payload, nil
 }
 
-// peerConn is one connection to a peer, with a last-traffic timestamp
-// for liveness. It needs no write lock: a net.Conn writes each buffer
-// whole, so frames from concurrent senders never interleave.
+// peerConn is the one connection to a peer, carrying both directions,
+// with a last-traffic timestamp for liveness.
 type peerConn struct {
 	peer     int
 	conn     net.Conn
@@ -172,8 +171,11 @@ type peerConn struct {
 	lastSeq  uint32       // last Seq delivered; read and written by the pump only
 }
 
-func (pc *peerConn) writeFrame(n *Node, buf []byte) error {
-	_, err := pc.conn.Write(buf)
+// write writes one encoded frame on c and counts it. It needs no lock: a
+// net.Conn writes each buffer whole, so frames from concurrent senders
+// never interleave.
+func (n *Node) write(c net.Conn, buf []byte) error {
+	_, err := c.Write(buf)
 	if err == nil {
 		n.metrics.FramesSent.Add(1)
 		n.metrics.BytesSent.Add(int64(len(buf)))
@@ -181,20 +183,16 @@ func (pc *peerConn) writeFrame(n *Node, buf []byte) error {
 	return err
 }
 
-// dialFuture deduplicates concurrent dials to the same peer.
-type dialFuture struct {
-	done chan struct{}
-	pc   *peerConn
-	err  error
-}
-
 // Node is the implementation of Link. Proc 0 creates one with
 // NewCoordinator and admits workers via WaitWorkers; workers create
-// theirs with Join. Connections between peers are dialed lazily on
-// first send, with retry and exponential backoff, and identified by an
-// Ident frame; each connection runs a reader pump that dispatches data
-// frames, host messages, and liveness probes uniformly. The conns are
-// TCP sockets, or the in-memory pipes of a machine built by NewMesh.
+// theirs with Join. Every pair of nodes shares exactly one connection,
+// opened during assembly: the coordinator keeps each worker's join
+// conn, and each worker dials every lower-numbered worker (identified
+// by an Ident frame) and admits every higher-numbered one. Nothing is
+// dialed, accepted or started after assembly. Each end of a conn runs
+// one reader pump that dispatches data frames, host messages and
+// liveness probes, and pings and watches the conn. The conns are TCP
+// sockets, or the in-memory pipes of a machine built by NewMesh.
 type Node struct {
 	cfg     Config
 	pipes   *pipeNet // where NewMesh's nodes listen and dial; nil: TCP
@@ -204,14 +202,10 @@ type Node struct {
 	ln      net.Listener
 	metrics Metrics
 	host    *hostInbox
+	conns   []*peerConn // by peer proc, nil at procID; read-only after assembly
 
 	dataFn atomic.Pointer[func(*Frame)]
 	errFn  atomic.Pointer[func(error)]
-
-	mu      sync.Mutex
-	out     map[int]*peerConn // dialed by us, keyed by peer proc
-	in      []*peerConn       // accepted or handshake conns
-	dialing map[int]*dialFuture
 
 	closed  atomic.Bool
 	closeCh chan struct{}
@@ -222,8 +216,6 @@ func newNode(cfg Config, pipes *pipeNet) *Node {
 	return &Node{
 		cfg:     cfg.withDefaults(),
 		pipes:   pipes,
-		out:     make(map[int]*peerConn),
-		dialing: make(map[int]*dialFuture),
 		host:    newHostInbox(),
 		closeCh: make(chan struct{}),
 	}
@@ -264,68 +256,57 @@ func (n *Node) Addr() string {
 
 // WaitWorkers blocks until the other nprocs-1 processes have joined,
 // assigns them proc IDs in arrival order, and distributes the address
-// table. It must complete before the machine exchanges any frames.
+// table; a timeout of 0 waits without bound. Each join conn becomes the
+// coordinator's conn to that worker, and the listener closes. It must
+// complete before the machine exchanges any frames.
 func (n *Node) WaitWorkers(timeout time.Duration) error {
 	if n.procID != 0 {
 		return fmt.Errorf("transport: WaitWorkers is coordinator-only")
 	}
-	need := n.nprocs - 1
-	conns := make([]*peerConn, 0, need)
-	tl, _ := n.ln.(*net.TCPListener)
-	if tl != nil && timeout > 0 {
-		tl.SetDeadline(time.Now().Add(timeout))
+	var deadline time.Time
+	if timeout > 0 {
+		deadline = time.Now().Add(timeout)
 	}
-	for len(conns) < need {
-		c, err := n.ln.Accept()
-		if err != nil {
-			for _, pc := range conns {
-				pc.conn.Close()
-			}
-			return fmt.Errorf("transport: waiting for %d worker(s), have %d: %w",
-				need, len(conns), err)
-		}
-		v, err := n.readControl(c, KindHello)
+	joined := make([]net.Conn, 0, n.nprocs-1)
+	err := n.admit(n.nprocs-1, deadline, KindHello, func(c net.Conn, v any) bool {
 		hello, ok := v.(helloBody)
-		if err != nil || !ok {
-			c.Close()
-			continue
+		if ok {
+			joined = append(joined, c)
+			n.addrs[len(joined)] = hello.Addr
 		}
-		pc := &peerConn{peer: len(conns) + 1, conn: n.wrap(c, len(conns)+1)}
-		pc.lastSeen.Store(time.Now().UnixNano())
-		n.addrs[pc.peer] = hello.Addr
-		conns = append(conns, pc)
-	}
-	if tl != nil {
-		tl.SetDeadline(time.Time{})
+		return ok
+	})
+	if err != nil {
+		err = fmt.Errorf("transport: waiting for %d worker(s), have %d: %w", n.nprocs-1, len(joined), err)
 	}
 	// All workers present: complete each handshake, then start pumps.
-	for _, pc := range conns {
-		buf, err := AppendControl(nil, KindWelcome, welcomeBody{
-			ProcID: int32(pc.peer),
-			Addrs:  append([]string(nil), n.addrs...),
-		})
+	for i := 0; err == nil && i < len(joined); i++ {
+		var buf []byte
+		if buf, err = AppendControl(nil, KindWelcome, welcomeBody{ProcID: int32(i + 1), Addrs: n.addrs}); err == nil {
+			err = n.write(joined[i], buf)
+		}
 		if err != nil {
-			return err
-		}
-		if err := pc.writeFrame(n, buf); err != nil {
-			return fmt.Errorf("transport: welcome to proc %d: %w", pc.peer, err)
+			err = fmt.Errorf("transport: welcome to proc %d: %w", i+1, err)
 		}
 	}
-	n.mu.Lock()
-	n.in = append(n.in, conns...)
-	n.mu.Unlock()
-	for _, pc := range conns {
-		n.startPump(pc)
+	if err != nil {
+		for _, c := range joined {
+			c.Close()
+		}
+		return err
 	}
-	n.metrics.ConnsOpen.Add(int64(len(conns)))
-	n.startAccepting()
+	n.conns = make([]*peerConn, n.nprocs)
+	for i, c := range joined {
+		n.open(i+1, c)
+	}
 	n.startHeartbeats()
 	return nil
 }
 
 // Join connects to a coordinator at addr and returns once the machine
-// is fully assembled. The dial itself honors the retry/backoff policy,
-// so a worker may be started before its coordinator.
+// is fully assembled: this worker holds a conn to every other proc. The
+// dial itself honors the retry/backoff policy, so a worker may be
+// started before its coordinator.
 func Join(coordAddr string, cfg Config) (*Node, error) {
 	return join(coordAddr, cfg, nil)
 }
@@ -337,7 +318,7 @@ func join(coordAddr string, cfg Config, pipes *pipeNet) (*Node, error) {
 		return nil, fmt.Errorf("transport: worker listen %s: %w", n.cfg.ListenAddr, err)
 	}
 	n.ln = ln
-	pc, welcome, err := n.hello(coordAddr)
+	conn, welcome, err := n.hello(coordAddr)
 	if err != nil {
 		ln.Close()
 		return nil, fmt.Errorf("transport: join %s: %w", coordAddr, err)
@@ -345,29 +326,103 @@ func join(coordAddr string, cfg Config, pipes *pipeNet) (*Node, error) {
 	n.procID = int(welcome.ProcID)
 	n.addrs = welcome.Addrs
 	n.nprocs = len(welcome.Addrs)
-	// The join connection doubles as this worker's outbound link to
-	// the coordinator: no second dial, and the coordinator already
-	// pumps its far end.
-	pc.conn = n.wrap(pc.conn, 0)
-	pc.lastSeen.Store(time.Now().UnixNano())
-	n.out[0] = pc
-	n.metrics.ConnsOpen.Add(1)
-	n.startPump(pc)
-	n.startAccepting()
+	n.conns = make([]*peerConn, n.nprocs)
+	// The join conn is this worker's conn to the coordinator.
+	n.open(0, conn)
+	if err := n.meetPeers(); err != nil {
+		n.Abort(err)
+		return nil, fmt.Errorf("transport: proc %d assembling: %w", n.procID, err)
+	}
 	n.startHeartbeats()
 	return n, nil
 }
 
+// meetPeers opens this worker's conn to every other worker: it dials
+// each lower-numbered one in proc order, sending an Ident, then admits
+// an Ident from each higher-numbered one and closes the listener. A
+// pipe dial waits for its accept; in proc order, the lower procs a
+// worker dials have finished dialing theirs and are accepting. The
+// admission waits as long as the dial policy lets one dial take.
+func (n *Node) meetPeers() error {
+	deadline := time.Now().Add(time.Duration(n.cfg.attempts()) * (n.cfg.DialTimeout + n.cfg.RetryMax))
+	ident, err := AppendControl(nil, KindIdent, identBody{Src: int32(n.procID)})
+	if err != nil {
+		return err
+	}
+	for peer := 1; peer < n.procID; peer++ {
+		c, err := n.dialRetry(n.addrs[peer])
+		if err == nil {
+			err = n.write(n.open(peer, c).conn, ident)
+		}
+		if err != nil {
+			return fmt.Errorf("to proc %d: %w", peer, err)
+		}
+	}
+	return n.admit(n.nprocs-1-n.procID, deadline, KindIdent, func(c net.Conn, v any) bool {
+		ident, ok := v.(identBody)
+		peer := int(ident.Src)
+		if !ok || peer <= n.procID || peer >= n.nprocs || n.conns[peer] != nil {
+			return false
+		}
+		n.open(peer, c)
+		return true
+	})
+}
+
+// admit accepts conns on the node's listener and reads a handshake
+// frame of the given kind off each, until take has kept count of them;
+// a conn take refuses is closed. The listener closes when admit returns
+// (nothing is accepted after assembly) or at the deadline, which fails
+// the wait; a zero deadline waits without bound.
+func (n *Node) admit(count int, deadline time.Time, kind uint8, take func(c net.Conn, v any) bool) error {
+	defer n.ln.Close()
+	if !deadline.IsZero() {
+		defer time.AfterFunc(time.Until(deadline), func() { n.ln.Close() }).Stop()
+	}
+	for kept := 0; kept < count; {
+		c, err := n.ln.Accept()
+		if err != nil {
+			if !deadline.IsZero() && time.Now().After(deadline) {
+				err = fmt.Errorf("timed out: %w", err)
+			}
+			return err
+		}
+		c.SetReadDeadline(deadline)
+		v, err := n.readControl(c, kind)
+		c.SetReadDeadline(time.Time{})
+		if err != nil || !take(c, v) {
+			c.Close()
+			continue
+		}
+		kept++
+	}
+	return nil
+}
+
+// open makes c the node's conn to peer, under the proc's fault plan,
+// and starts its pump.
+func (n *Node) open(peer int, c net.Conn) *peerConn {
+	pc := &peerConn{peer: peer, conn: n.wrap(c, peer)}
+	pc.lastSeen.Store(time.Now().UnixNano())
+	n.conns[peer] = pc
+	n.metrics.ConnsOpen.Add(1)
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		n.pump(pc)
+	}()
+	return pc
+}
+
 // hello dials the coordinator, says Hello and reads the Welcome.
-func (n *Node) hello(coordAddr string) (*peerConn, welcomeBody, error) {
+func (n *Node) hello(coordAddr string) (net.Conn, welcomeBody, error) {
 	conn, err := n.dialRetry(coordAddr)
 	if err != nil {
 		return nil, welcomeBody{}, err
 	}
-	pc := &peerConn{peer: 0, conn: conn}
 	buf, err := AppendControl(nil, KindHello, helloBody{Addr: n.Addr()})
 	if err == nil {
-		err = pc.writeFrame(n, buf)
+		err = n.write(conn, buf)
 	}
 	var v any
 	if err == nil {
@@ -380,7 +435,7 @@ func (n *Node) hello(coordAddr string) (*peerConn, welcomeBody, error) {
 	if err != nil {
 		conn.Close()
 	}
-	return pc, welcome, err
+	return conn, welcome, err
 }
 
 // readControl reads the handshake frame of the given kind off c and
@@ -416,14 +471,19 @@ func (n *Node) wrap(c net.Conn, peer int) net.Conn {
 	return newFaultConn(c, n.pipes.plans[n.procID], &n.metrics, peer, KindData)
 }
 
+// attempts is how many times the dial policy tries one address.
+func (c Config) attempts() int {
+	if c.DialRetries < 0 {
+		return 1
+	}
+	return 1 + c.DialRetries
+}
+
 // dialRetry connects to addr under the node's retry/backoff policy.
 func (n *Node) dialRetry(addr string) (net.Conn, error) {
 	backoff := NewBackoff(n.cfg.RetryBase, n.cfg.RetryMax, addr)
 	var lastErr error
-	attempts := 1 + n.cfg.DialRetries
-	if n.cfg.DialRetries < 0 {
-		attempts = 1
-	}
+	attempts := n.cfg.attempts()
 	for i := 0; i < attempts; i++ {
 		if n.closed.Load() {
 			return nil, fmt.Errorf("node closed")
@@ -469,7 +529,7 @@ func (n *Node) SetDataHandler(fn func(*Frame)) { n.dataFn.Store(&fn) }
 func (n *Node) SetErrorHandler(fn func(error)) { n.errFn.Store(&fn) }
 
 // SendData implements Link: encode now (no aliasing with the sender's
-// buffers), dial the peer if this is the first frame to it, write.
+// buffers) and write on the conn to dst.
 func (n *Node) SendData(dst int, f *Frame) error {
 	buf, err := AppendFrame(nil, f)
 	if err != nil {
@@ -480,11 +540,10 @@ func (n *Node) SendData(dst int, f *Frame) error {
 
 // send writes one encoded frame to dst.
 func (n *Node) send(dst int, buf []byte, what string) error {
-	pc, err := n.connFor(dst)
-	if err != nil {
-		return err
+	if dst == n.procID || dst < 0 || dst >= n.nprocs {
+		return fmt.Errorf("transport: bad destination proc %d (self %d of %d)", dst, n.procID, n.nprocs)
 	}
-	if err := pc.writeFrame(n, buf); err != nil {
+	if err := n.write(n.conns[dst].conn, buf); err != nil {
 		return connLost(err, dst, what)
 	}
 	return nil
@@ -514,107 +573,9 @@ func (n *Node) HostSend(dst int, payload any) error {
 // HostRecv implements Link.
 func (n *Node) HostRecv() (int, any, error) { return n.host.get() }
 
-// connFor returns the outbound connection to dst, dialing it (once,
-// even under concurrent senders) if absent.
-func (n *Node) connFor(dst int) (*peerConn, error) {
-	if dst == n.procID || dst < 0 || dst >= n.nprocs {
-		return nil, fmt.Errorf("transport: bad destination proc %d (self %d of %d)", dst, n.procID, n.nprocs)
-	}
-	n.mu.Lock()
-	if pc := n.out[dst]; pc != nil {
-		n.mu.Unlock()
-		return pc, nil
-	}
-	if f := n.dialing[dst]; f != nil {
-		n.mu.Unlock()
-		<-f.done
-		return f.pc, f.err
-	}
-	fut := &dialFuture{done: make(chan struct{})}
-	n.dialing[dst] = fut
-	n.mu.Unlock()
-
-	pc, err := n.dialPeer(dst)
-	n.mu.Lock()
-	delete(n.dialing, dst)
-	if err == nil {
-		n.out[dst] = pc
-	}
-	n.mu.Unlock()
-	fut.pc, fut.err = pc, err
-	close(fut.done)
-	return pc, err
-}
-
-func (n *Node) dialPeer(dst int) (*peerConn, error) {
-	conn, err := n.dialRetry(n.addrs[dst])
-	if err != nil {
-		// An unreachable peer mid-run is a peer fault (retryable after
-		// a machine rebuild), not an application error.
-		return nil, &TransportError{Kind: FaultPeerLost, Proc: dst,
-			Err: fmt.Errorf("proc %d unreachable: %w", dst, err)}
-	}
-	pc := &peerConn{peer: dst, conn: n.wrap(conn, dst)}
-	pc.lastSeen.Store(time.Now().UnixNano())
-	buf, err := AppendControl(nil, KindIdent, identBody{Src: int32(n.procID)})
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if err := pc.writeFrame(n, buf); err != nil {
-		conn.Close()
-		return nil, connLost(err, dst, "ident to")
-	}
-	n.metrics.ConnsOpen.Add(1)
-	n.startPump(pc)
-	return pc, nil
-}
-
-// startAccepting launches the listener loop for peer-dialed (Ident)
-// connections.
-func (n *Node) startAccepting() {
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		for {
-			c, err := n.ln.Accept()
-			if err != nil {
-				return // listener closed
-			}
-			n.wg.Add(1)
-			go func(c net.Conn) {
-				defer n.wg.Done()
-				v, err := n.readControl(c, KindIdent)
-				ident, ok := v.(identBody)
-				if err != nil || !ok {
-					c.Close()
-					return
-				}
-				pc := &peerConn{peer: int(ident.Src), conn: n.wrap(c, int(ident.Src))}
-				pc.lastSeen.Store(time.Now().UnixNano())
-				n.mu.Lock()
-				n.in = append(n.in, pc)
-				n.mu.Unlock()
-				n.metrics.ConnsOpen.Add(1)
-				n.pump(pc)
-			}(c)
-		}
-	}()
-}
-
-// startPump runs the reader loop for pc on its own goroutine.
-func (n *Node) startPump(pc *peerConn) {
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		n.pump(pc)
-	}()
-}
-
-// pump reads frames from one connection until error or close,
-// dispatching uniformly: the same loop serves inbound and outbound
-// connections, so pongs on a dialed conn and pings on an accepted one
-// both work. A pump that stops closes its conn, so the peer's writes
+// pump reads frames from one end of a conn until error or close: the
+// peer's data frames, host messages and pings, and the pongs to this
+// end's pings. A pump that stops closes its conn, so the peer's writes
 // fail instead of waiting on a reader that is gone.
 func (n *Node) pump(pc *peerConn) {
 	defer pc.conn.Close()
@@ -666,7 +627,7 @@ func (n *Node) pump(pc *peerConn) {
 		case KindPing:
 			reply, err := AppendControl(nil, KindPong, mustUnmarshalPing(body))
 			if err == nil {
-				pc.writeFrame(n, reply)
+				n.write(pc.conn, reply)
 			}
 		case KindPong:
 			if p, ok := mustUnmarshalPing(body).(pingBody); ok {
@@ -696,7 +657,7 @@ func mustUnmarshalPing(body []byte) any {
 }
 
 // startHeartbeats launches the liveness machinery: a probe loop that
-// pings every outbound connection each HeartbeatInterval, and a
+// pings every conn each HeartbeatInterval, and a
 // staleness watchdog that declares a peer dead once its connection has
 // been silent past the liveness deadline. A negative interval disables
 // BOTH: with no probes flowing, an idle healthy peer generates no
@@ -715,9 +676,9 @@ func (n *Node) startHeartbeats() {
 	if n.cfg.HeartbeatInterval > deadAfter {
 		deadAfter = n.cfg.HeartbeatInterval + n.cfg.HeartbeatTimeout
 	}
-	n.everyOut(n.cfg.HeartbeatInterval, func(now time.Time, pc *peerConn) bool {
+	n.every(n.cfg.HeartbeatInterval, func(now time.Time, pc *peerConn) bool {
 		buf, err := AppendControl(nil, KindPing, pingBody{Nanos: now.UnixNano()})
-		if err == nil && pc.writeFrame(n, buf) == nil {
+		if err == nil && n.write(pc.conn, buf) == nil {
 			n.metrics.Heartbeats.Add(1)
 		}
 		return true
@@ -728,7 +689,7 @@ func (n *Node) startHeartbeats() {
 	if tick < 10*time.Millisecond {
 		tick = 10 * time.Millisecond
 	}
-	n.everyOut(tick, func(now time.Time, pc *peerConn) bool {
+	n.every(tick, func(now time.Time, pc *peerConn) bool {
 		idle := now.Sub(time.Unix(0, pc.lastSeen.Load()))
 		if idle > deadAfter {
 			n.fail(faultErr(FaultHeartbeat, pc.peer, "proc %d silent for %v (heartbeat timeout)", pc.peer, idle.Round(time.Millisecond)))
@@ -738,9 +699,9 @@ func (n *Node) startHeartbeats() {
 	})
 }
 
-// everyOut runs fn on every outbound conn whose peer has not said Bye,
-// each d, until the node closes or fn returns false.
-func (n *Node) everyOut(d time.Duration, fn func(now time.Time, pc *peerConn) bool) {
+// every runs fn on every conn whose peer has not said Bye, each d,
+// until the node closes or fn returns false.
+func (n *Node) every(d time.Duration, fn func(now time.Time, pc *peerConn) bool) {
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
@@ -753,24 +714,13 @@ func (n *Node) everyOut(d time.Duration, fn func(now time.Time, pc *peerConn) bo
 			case <-t.C:
 			}
 			now := time.Now()
-			for _, pc := range n.outConns() {
-				if !pc.said_bye.Load() && !fn(now, pc) {
+			for _, pc := range n.conns {
+				if pc != nil && !pc.said_bye.Load() && !fn(now, pc) {
 					return
 				}
 			}
 		}
 	}()
-}
-
-// outConns snapshots the outbound connections under the lock.
-func (n *Node) outConns() []*peerConn {
-	n.mu.Lock()
-	conns := make([]*peerConn, 0, len(n.out))
-	for _, pc := range n.out {
-		conns = append(conns, pc)
-	}
-	n.mu.Unlock()
-	return conns
 }
 
 // fail reports a fatal link error once and poisons the host inbox so
@@ -809,26 +759,16 @@ func (n *Node) shutdown(bye bool, err error) {
 		return
 	}
 	close(n.closeCh)
-	n.mu.Lock()
-	conns := make([]*peerConn, 0, len(n.out)+len(n.in))
-	for _, pc := range n.out {
-		conns = append(conns, pc)
-	}
-	conns = append(conns, n.in...)
-	n.mu.Unlock()
-	if buf, _ := AppendControl(nil, KindBye, nil); bye {
-		// Bye goes on every live conn, inbound included: a peer that
-		// dialed us still has a pump on that socket, and a bare close
-		// would read as a transport failure there.
-		for _, pc := range conns {
-			pc.conn.SetWriteDeadline(time.Now().Add(time.Second))
-			pc.writeFrame(n, buf)
+	buf, _ := AppendControl(nil, KindBye, nil)
+	n.ln.Close()
+	for _, pc := range n.conns {
+		if pc == nil {
+			continue
 		}
-	}
-	if n.ln != nil {
-		n.ln.Close()
-	}
-	for _, pc := range conns {
+		if bye {
+			pc.conn.SetWriteDeadline(time.Now().Add(time.Second))
+			n.write(pc.conn, buf)
+		}
 		pc.conn.Close()
 	}
 	n.host.fail(err)

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -159,5 +160,147 @@ func TestTCPDataFrameDelivery(t *testing.T) {
 	m := coord.Metrics().Snapshot()
 	if m.FramesSent == 0 || m.BytesSent == 0 {
 		t.Errorf("coordinator metrics did not record the send: %+v", m)
+	}
+}
+
+// tcpMachine assembles a p-process machine over loopback TCP, its
+// workers joining concurrently, closed when the test ends.
+func tcpMachine(t *testing.T, p int) []*Node {
+	t.Helper()
+	coord, err := NewCoordinator(Config{}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := make([]*Node, p)
+	nodes[0] = coord
+	joined := make(chan *Node, p-1)
+	errs := make(chan error, p-1)
+	for i := 1; i < p; i++ {
+		go func() {
+			n, err := Join(coord.Addr(), Config{})
+			if err != nil {
+				errs <- err
+				return
+			}
+			joined <- n
+		}()
+	}
+	if err := coord.WaitWorkers(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < p; i++ {
+		select {
+		case n := <-joined:
+			nodes[n.ProcID()] = n
+		case err := <-errs:
+			t.Fatal(err)
+		}
+	}
+	t.Cleanup(func() {
+		for _, n := range nodes {
+			n.Close()
+		}
+	})
+	return nodes
+}
+
+// TestOneConnPerPair: a p-process machine, over TCP and over NewMesh,
+// opens exactly one conn per pair of nodes during assembly — p(p-1)/2
+// dials in all — and opens none once every pair has traded data and
+// host frames both ways.
+func TestOneConnPerPair(t *testing.T) {
+	machines := map[string]func(t *testing.T, p int) []*Node{
+		"tcp": tcpMachine,
+		"mesh": func(t *testing.T, p int) []*Node {
+			nodes := NewMesh(p, nil)
+			t.Cleanup(func() {
+				for _, n := range nodes {
+					n.Close()
+				}
+			})
+			return nodes
+		},
+	}
+	for _, name := range []string{"tcp", "mesh"} {
+		for p := 2; p <= 4; p++ {
+			t.Run(fmt.Sprintf("%s/p%d", name, p), func(t *testing.T) {
+				nodes := machines[name](t, p)
+				conns := func(when string) {
+					t.Helper()
+					var dials int64
+					for _, n := range nodes {
+						m := n.Metrics().Snapshot()
+						if m.ConnsOpen != int64(p-1) {
+							t.Errorf("%s: proc %d has %d conns open, want %d", when, n.ProcID(), m.ConnsOpen, p-1)
+						}
+						dials += m.Dials
+					}
+					if want := int64(p * (p - 1) / 2); dials != want {
+						t.Errorf("%s: the nodes dialed %d times, want %d", when, dials, want)
+					}
+				}
+				conns("after assembly")
+				got := make(chan *Frame, p*p)
+				for _, n := range nodes {
+					n.SetDataHandler(func(f *Frame) { got <- f })
+				}
+				for _, n := range nodes {
+					for dst := range nodes {
+						if dst == n.ProcID() {
+							continue
+						}
+						if err := n.SendData(dst, &Frame{Src: int32(n.ProcID()), Dst: int32(dst), Payload: []float64{1}}); err != nil {
+							t.Fatal(err)
+						}
+						if err := n.HostSend(dst, "hi"); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				for _, n := range nodes {
+					for range p - 1 {
+						if _, payload, err := n.HostRecv(); err != nil || payload != "hi" {
+							t.Fatalf("proc %d HostRecv = %v, %v", n.ProcID(), payload, err)
+						}
+					}
+				}
+				for range p * (p - 1) {
+					select {
+					case <-got:
+					case <-time.After(10 * time.Second):
+						t.Fatal("a data frame was never delivered")
+					}
+				}
+				conns("after traffic")
+			})
+		}
+	}
+}
+
+// TestAbortReachesEveryPeer: every pair of nodes is joined from
+// assembly on, so an aborted node fails every peer's host channel with
+// a peer loss, including peers it never traded a frame with.
+func TestAbortReachesEveryPeer(t *testing.T) {
+	nodes := NewMesh(3, nil)
+	t.Cleanup(func() {
+		for _, n := range nodes {
+			n.Close()
+		}
+	})
+	nodes[2].Abort(nil)
+	for _, n := range nodes[:2] {
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := n.HostRecv()
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if FaultKindOf(err) != FaultPeerLost {
+				t.Fatalf("proc %d HostRecv after proc 2 aborted = %v, want a peer loss", n.ProcID(), err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("proc %d never saw proc 2 abort", n.ProcID())
+		}
 	}
 }
