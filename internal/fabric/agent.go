@@ -75,11 +75,8 @@ type agentJob struct {
 // agentSession is one live gateway connection.
 type agentSession struct {
 	agent *Agent
-	conn  net.Conn
-
-	writeMu sync.Mutex // one frame at a time on the wire
-	closed  bool
-	gone    chan struct{} // closed when the session tears down
+	live  *transport.Live // every frame after the handshake goes through it
+	gone  chan struct{}   // closed when the session tears down
 }
 
 // Run connects to the gateway and serves assignments until stop
@@ -197,17 +194,24 @@ func (a *Agent) session(stop <-chan struct{}) (bool, error) {
 	if a.Chaos != nil {
 		conn = transport.NewFaultConn(conn, *a.Chaos)
 	}
-	s := &agentSession{agent: a, conn: conn, gone: make(chan struct{})}
-	defer s.close()
+	defer conn.Close()
 
-	if err := s.send(Hello{Name: a.Name, HTTPAddr: a.HTTPAddr, Capacity: int32(a.Capacity)}); err != nil {
+	// The handshake has ten seconds, for the Hello's write and the
+	// Welcome's read alike; after it the conn has no deadline, and the
+	// keeper alone decides when a silent gateway is gone.
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	hello, err := encodeControl(Hello{Name: a.Name, HTTPAddr: a.HTTPAddr, Capacity: int32(a.Capacity)})
+	if err == nil {
+		_, err = conn.Write(hello)
+	}
+	if err != nil {
 		return false, fmt.Errorf("hello: %w", err)
 	}
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	kind, body, err := transport.ReadRaw(conn)
 	if err != nil {
 		return false, fmt.Errorf("awaiting welcome: %w", err)
 	}
+	conn.SetDeadline(time.Time{})
 	if kind != transport.KindHost {
 		return false, fmt.Errorf("awaiting welcome: unexpected frame kind %d", kind)
 	}
@@ -227,6 +231,8 @@ func (a *Agent) session(stop <-chan struct{}) (bool, error) {
 	if heartbeat <= 0 {
 		heartbeat = time.Second
 	}
+	s := &agentSession{agent: a, live: transport.NewLive(conn, -1, nil), gone: make(chan struct{})}
+	defer s.close()
 	a.mu.Lock()
 	a.sess = s
 	a.mu.Unlock()
@@ -242,63 +248,29 @@ func (a *Agent) session(stop <-chan struct{}) (bool, error) {
 	}
 	go a.flush(s, stop)
 
-	// Heartbeats keep the lease alive even when no job traffic flows.
+	// The pings keep the lease alive when no job traffic flows; a
+	// gateway silent past three lease TTLs is gone. A stop says Bye.
+	kept := make(chan struct{})
 	go func() {
-		t := time.NewTicker(heartbeat)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.gone:
-				return
-			case <-stop:
-				return
-			case now := <-t.C:
-				if err := s.send(Ping{Nanos: now.UnixNano()}); err != nil {
-					return
-				}
-			}
-		}
+		defer close(kept)
+		s.live.Keep(heartbeat, 3*leaseTTL, stop)
 	}()
-	// A stop request tears the connection down so ReadRaw unblocks.
-	go func() {
-		select {
-		case <-stop:
-			bye, err := transport.AppendControl(nil, transport.KindBye, nil)
-			if err == nil {
-				s.writeMu.Lock()
-				conn.SetWriteDeadline(time.Now().Add(time.Second))
-				conn.Write(bye)
-				s.writeMu.Unlock()
-			}
-			conn.Close()
-		case <-s.gone:
+	defer func() { <-kept }() // the keeper ends once Read has returned
+	err = s.live.Read(func(kind uint8, body []byte) error {
+		if kind != transport.KindHost {
+			return nil
 		}
-	}()
-
-	for {
-		// A gateway silent past three lease TTLs is gone; reconnect.
-		if leaseTTL > 0 {
-			conn.SetReadDeadline(time.Now().Add(3 * leaseTTL))
-		} else {
-			conn.SetReadDeadline(time.Time{})
-		}
-		kind, body, err := transport.ReadRaw(conn)
+		v, err := transport.Unmarshal(body)
 		if err != nil {
-			return true, fmt.Errorf("gateway connection: %w", err)
+			return fmt.Errorf("decoding control frame: %w", err)
 		}
-		switch kind {
-		case transport.KindBye:
-			return true, fmt.Errorf("gateway said goodbye")
-		case transport.KindHost:
-			v, err := transport.Unmarshal(body)
-			if err != nil {
-				return true, fmt.Errorf("decoding control frame: %w", err)
-			}
-			s.handle(v)
-		default:
-			// Skip unknown kinds for forward compatibility.
-		}
+		s.handle(v)
+		return nil
+	})
+	if err == nil {
+		return true, fmt.Errorf("gateway said goodbye")
 	}
+	return true, fmt.Errorf("gateway connection: %w", err)
 }
 
 // reportedJobs snapshots the in-flight set for the reconnect report,
@@ -349,10 +321,6 @@ func (a *Agent) flush(s *agentSession, stop <-chan struct{}) {
 // handle dispatches one gateway message.
 func (s *agentSession) handle(v any) {
 	switch msg := v.(type) {
-	case Ping:
-		s.send(Pong{Nanos: msg.Nanos})
-	case Pong:
-		// Round trip complete; nothing to record.
 	case Assign:
 		s.handleAssign(msg)
 	case Adopt:
@@ -597,21 +565,16 @@ func (a *Agent) deliver(j *agentJob, state, errMsg string, result []byte) {
 	}
 }
 
-// send writes one control frame; frames are serialized so concurrent
-// watchers never interleave bytes.
+// send writes one control frame through the session's Live, the one
+// write path on its conn. A write has no deadline of its own: a gateway
+// that stops reading stops answering pings, and the keeper closes the
+// conn, which fails the write.
 func (s *agentSession) send(payload any) error {
 	buf, err := encodeControl(payload)
 	if err != nil {
 		return err
 	}
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	if s.closed {
-		return fmt.Errorf("session closed")
-	}
-	s.conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-	_, err = s.conn.Write(buf)
-	return err
+	return s.live.Write(buf)
 }
 
 // close tears the session down. Local jobs KEEP RUNNING: the gateway
@@ -619,15 +582,7 @@ func (s *agentSession) send(payload any) error {
 // anything that finishes in between waits in the outbox. Only an agent
 // stop cancels local work.
 func (s *agentSession) close() {
-	s.writeMu.Lock()
-	if s.closed {
-		s.writeMu.Unlock()
-		return
-	}
-	s.closed = true
-	s.writeMu.Unlock()
 	close(s.gone)
-	s.conn.Close()
 	a := s.agent
 	a.mu.Lock()
 	if a.sess == s {

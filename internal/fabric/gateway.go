@@ -215,10 +215,9 @@ type shardConn struct {
 	name     string
 	httpAddr string
 	capacity int
-	conn     net.Conn
+	live     *transport.Live
 	sendq    chan []byte
 	leases   map[uint64]*GwJob
-	lastSeen atomic.Int64 // unix nanos of last inbound frame
 	failed   atomic.Bool
 }
 
@@ -355,7 +354,8 @@ func (g *Gateway) restore(st *JournalState) {
 	for _, id := range st.Order {
 		rec := st.Jobs[id]
 		j := &GwJob{journalJob: *rec}
-		j.Lease, j.Shard, j.LeaderID, j.Recovering = 0, "", "", false // restated by the place
+		// Restated by the place and the heir link.
+		j.Lease, j.Shard, j.LeaderID, j.Recovering, j.HeirID = 0, "", "", false, ""
 		var specErr error
 		if len(j.SpecJSON) > 0 {
 			specErr = json.Unmarshal(j.SpecJSON, &j.Spec)
@@ -403,6 +403,12 @@ func (g *Gateway) restore(st *JournalState) {
 			j.State = service.StateQueued
 			g.enqueueLocked(j, g.tenantFor(j.Tenant), false)
 			queued++
+		}
+	}
+	// An heir was submitted after its leader: both are registered now.
+	for _, id := range st.Order {
+		if heir := g.jobs[st.Jobs[id].HeirID]; heir != nil {
+			g.jobs[id].heir = heir
 		}
 	}
 	// A done record whose result the log lacks (a crash between the two
@@ -479,11 +485,8 @@ func (g *Gateway) Close() error {
 		conns = append(conns, sc)
 	}
 	g.mu.Unlock()
-	bye, _ := transport.AppendControl(nil, transport.KindBye, nil)
 	for _, sc := range conns {
-		sc.conn.SetWriteDeadline(time.Now().Add(time.Second))
-		sc.conn.Write(bye)
-		sc.conn.Close()
+		sc.live.Close(true)
 	}
 	g.wg.Wait()
 	g.mu.Lock()
@@ -537,7 +540,7 @@ func (g *Gateway) journaledLocked(what, id string, err error) {
 }
 
 // record builds the durable form of the job: the embedded record with
-// the three fields that restate its place.
+// the three fields that restate its place, and its heir.
 func (j *GwJob) record() *journalJob {
 	rec := j.journalJob
 	rec.Recovering = j.place == placeHeld
@@ -546,6 +549,9 @@ func (j *GwJob) record() *journalJob {
 	}
 	if j.leader != nil {
 		rec.LeaderID = j.leader.ID
+	}
+	if j.heir != nil {
+		rec.HeirID = j.heir.ID
 	}
 	if len(rec.SpecJSON) == 0 {
 		rec.SpecJSON, _ = json.Marshal(j.Spec)
@@ -622,14 +628,12 @@ func (g *Gateway) serveShard(c net.Conn) {
 		name:     hello.Name,
 		httpAddr: hello.HTTPAddr,
 		capacity: int(hello.Capacity),
-		conn:     c,
 		sendq:    make(chan []byte, 1024),
 		leases:   make(map[uint64]*GwJob),
 	}
 	if sc.capacity < 1 {
 		sc.capacity = 1
 	}
-	sc.lastSeen.Store(time.Now().UnixNano())
 
 	g.mu.Lock()
 	// A reconnecting shard replaces its old session. The stale session's
@@ -647,6 +651,7 @@ func (g *Gateway) serveShard(c net.Conn) {
 	}
 	sc.id = g.nextShard
 	g.nextShard++
+	sc.live = transport.NewLive(c, sc.id, nil)
 	g.shards[sc.id] = sc
 	g.rebuildRingLocked()
 	g.metrics.Shards.Store(int64(len(g.shards)))
@@ -668,7 +673,7 @@ func (g *Gateway) serveShard(c net.Conn) {
 				if !ok {
 					return
 				}
-				if _, err := sc.conn.Write(buf); err != nil {
+				if err := sc.live.Write(buf); err != nil {
 					g.shardFailed(sc, &transport.TransportError{Kind: transport.FaultPeerLost, Proc: sc.id,
 						Err: fmt.Errorf("write to shard %s: %w", sc.name, err)})
 					return
@@ -686,31 +691,30 @@ func (g *Gateway) serveShard(c net.Conn) {
 	g.dispatchLocked()
 	g.mu.Unlock()
 
-	for {
-		kind, body, err := transport.ReadRaw(c)
+	// The shard pings; any frame renews its leases, and a shard silent
+	// past the lease TTL is declared dead with a heartbeat fault.
+	g.wg.Add(1)
+	go func() {
+		defer g.wg.Done()
+		sc.live.Keep(0, g.opt.LeaseTTL, nil)
+	}()
+	err = sc.live.Read(func(kind uint8, body []byte) error {
+		if kind != transport.KindHost {
+			return nil
+		}
+		v, err := transport.Unmarshal(body)
 		if err != nil {
-			g.shardFailed(sc, &transport.TransportError{Kind: transport.FaultPeerLost, Proc: sc.id,
-				Err: fmt.Errorf("read from shard %s: %w", sc.name, err)})
-			return
+			return &transport.TransportError{Kind: transport.FaultCorrupt, Proc: sc.id,
+				Err: fmt.Errorf("bad control frame from shard %s: %w", sc.name, err)}
 		}
-		sc.lastSeen.Store(time.Now().UnixNano())
-		switch kind {
-		case transport.KindBye:
-			g.shardFailed(sc, &transport.TransportError{Kind: transport.FaultClosed, Proc: sc.id,
-				Err: fmt.Errorf("shard %s closed gracefully", sc.name)})
-			return
-		case transport.KindHost:
-			v, err := transport.Unmarshal(body)
-			if err != nil {
-				g.shardFailed(sc, &transport.TransportError{Kind: transport.FaultCorrupt, Proc: sc.id,
-					Err: fmt.Errorf("bad control frame from shard %s: %w", sc.name, err)})
-				return
-			}
-			g.handleControl(sc, v)
-		default:
-			// Unknown kinds are skipped for forward compatibility.
-		}
-	}
+		g.handleControl(sc, v)
+		return nil
+	})
+	// Read ends with a TransportError, or with nil after the shard's Bye.
+	lost := &transport.TransportError{Kind: transport.FaultClosed, Proc: sc.id,
+		Err: fmt.Errorf("shard %s closed gracefully", sc.name)}
+	errors.As(err, &lost)
+	g.shardFailed(sc, lost)
 }
 
 // errSendQueueFull distinguishes a stalled shard (fail the shard) from
@@ -754,10 +758,6 @@ func (g *Gateway) send(sc *shardConn, payload any) bool {
 // handleControl dispatches one inbound shard message.
 func (g *Gateway) handleControl(sc *shardConn, v any) {
 	switch msg := v.(type) {
-	case Ping:
-		g.send(sc, Pong{Nanos: msg.Nanos})
-	case Pong:
-		// Traffic already renewed the lease via lastSeen.
 	case Accept:
 		g.handleAccept(sc, msg)
 	case Update:
@@ -1130,7 +1130,7 @@ func (g *Gateway) retireShardLocked(sc *shardConn, lost *transport.TransportErro
 	if !sc.failed.CompareAndSwap(false, true) {
 		return false
 	}
-	sc.conn.Close()
+	sc.live.Close(false)
 	delete(g.shards, sc.id)
 	g.rebuildRingLocked()
 	g.metrics.Shards.Store(int64(len(g.shards)))
@@ -1171,41 +1171,20 @@ func (g *Gateway) rebuildRingLocked() {
 	g.ring = NewRing(names)
 }
 
-// watchdog expires leases: a shard silent past the TTL is declared dead
-// with a heartbeat fault, exactly as the transport layer classifies a
-// silent peer.
+// watchdog sweeps the reconciliation set four times per lease TTL or
+// reconcile window, whichever is shorter, as it did when it also expired
+// leases, so a held lease's re-queue lags its window by no more.
 func (g *Gateway) watchdog() {
 	defer g.wg.Done()
-	tick := g.opt.LeaseTTL / 4
-	if g.opt.ReconcileWindow/4 < tick {
-		tick = g.opt.ReconcileWindow / 4
-	}
-	if tick < 5*time.Millisecond {
-		tick = 5 * time.Millisecond
-	}
-	t := time.NewTicker(tick)
+	t := time.NewTicker(max(min(g.opt.LeaseTTL, g.opt.ReconcileWindow)/4, 5*time.Millisecond))
 	defer t.Stop()
 	for {
 		select {
 		case <-g.stopping:
 			return
-		case <-t.C:
+		case now := <-t.C:
+			g.sweepRecovering(now)
 		}
-		now := time.Now()
-		g.mu.Lock()
-		var expired []*shardConn
-		for _, sc := range g.shards {
-			if now.Sub(time.Unix(0, sc.lastSeen.Load())) > g.opt.LeaseTTL {
-				expired = append(expired, sc)
-			}
-		}
-		g.mu.Unlock()
-		for _, sc := range expired {
-			idle := now.Sub(time.Unix(0, sc.lastSeen.Load())).Round(time.Millisecond)
-			g.shardFailed(sc, &transport.TransportError{Kind: transport.FaultHeartbeat, Proc: sc.id,
-				Err: fmt.Errorf("shard %s silent for %v (lease TTL %v)", sc.name, idle, g.opt.LeaseTTL)})
-		}
-		g.sweepRecovering(now)
 	}
 }
 

@@ -30,11 +30,10 @@ func TestDispatchToStalledShardDoesNotDeadlock(t *testing.T) {
 	sc := &shardConn{
 		name:     "stalled",
 		capacity: 4,
-		conn:     c1,
+		live:     transport.NewLive(c1, -1, new(transport.Metrics)),
 		sendq:    make(chan []byte, 1),
 		leases:   make(map[uint64]*GwJob),
 	}
-	sc.lastSeen.Store(time.Now().UnixNano())
 	sc.sendq <- []byte("wedge")
 	gw.mu.Lock()
 	sc.id = gw.nextShard
@@ -163,7 +162,7 @@ func startMuteCancelShard(t *testing.T, gw *Gateway, name string, capacity int32
 				}
 				conn.Write(ack)
 			}
-			// Welcome, Pong: nothing to do. Cancel: deliberately ignored.
+			// Welcome: nothing to do. Cancel: deliberately ignored.
 		}
 	}()
 	waitUntil(t, "mute-cancel shard registered", func() bool { return len(gw.Shards()) == 1 })

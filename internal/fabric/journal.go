@@ -53,7 +53,10 @@ type journalJob struct {
 	Cached    bool            `json:"cached,omitempty"`
 	Coalesced bool            `json:"coalesced,omitempty"`
 	LeaderID  string          `json:"leader_id,omitempty"`
-	Retries   int             `json:"retries,omitempty"`
+	// HeirID names the follower promoted in this canceled leader's
+	// place: a shard still running the job under this ID reports to it.
+	HeirID  string `json:"heir_id,omitempty"`
+	Retries int    `json:"retries,omitempty"`
 	// CancelRequested marks a leased job whose Cancel was forwarded to
 	// its shard: if that shard goes away before acknowledging, the job is
 	// finished canceled instead of re-routed, and new submissions must

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -33,6 +34,12 @@ func newFakeGW(t *testing.T) *fakeGW {
 // Welcome with a lease TTL long enough that no heartbeat interleaves.
 func (f *fakeGW) accept() *fakeSession {
 	f.t.Helper()
+	return f.acceptWith(Welcome{ShardID: 1, LeaseTTLMillis: 60_000, HeartbeatMillis: 60_000})
+}
+
+// acceptWith takes the next agent session: it reads Hello and answers w.
+func (f *fakeGW) acceptWith(w Welcome) *fakeSession {
+	f.t.Helper()
 	f.ln.SetDeadline(time.Now().Add(10 * time.Second))
 	conn, err := f.ln.Accept()
 	if err != nil {
@@ -43,7 +50,7 @@ func (f *fakeGW) accept() *fakeSession {
 	if _, ok := s.next().(Hello); !ok {
 		f.t.Fatal("session did not open with Hello")
 	}
-	s.send(Welcome{ShardID: 1, LeaseTTLMillis: 60_000, HeartbeatMillis: 60_000})
+	s.send(w)
 	return s
 }
 
@@ -94,10 +101,10 @@ func (s *fakeSession) report() string {
 	}
 }
 
-// startTestAgent runs an agent against gw on a fresh service; the
-// returned stop function stops it and waits until Run has returned. The
-// service outlives it until the test ends.
-func startTestAgent(t *testing.T, gw *fakeGW, parkDir string, park *parkStore) (*Agent, func()) {
+// startTestAgent runs a, which sets only its outbox and chaos, against
+// gw on a fresh service; the returned stop function stops it and waits
+// until Run has returned. The service outlives it until the test ends.
+func startTestAgent(t *testing.T, gw *fakeGW, a *Agent) (*Agent, func()) {
 	t.Helper()
 	svc, err := service.New(service.Options{Workers: 1, QueueDepth: 4, Logf: t.Logf})
 	if err != nil {
@@ -105,7 +112,7 @@ func startTestAgent(t *testing.T, gw *fakeGW, parkDir string, park *parkStore) (
 	}
 	svc.Start()
 	t.Cleanup(func() { shutdownSvc(t, svc) })
-	a := &Agent{Svc: svc, Gateway: gw.ln.Addr().String(), Name: "outbox", ParkDir: parkDir, park: park, Logf: t.Logf}
+	a.Svc, a.Gateway, a.Name, a.Logf = svc, gw.ln.Addr().String(), "outbox", t.Logf
 	stop, ran := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(ran)
@@ -156,7 +163,7 @@ func TestOutboxReportsJobFinishedBeforeAdopt(t *testing.T) {
 	gw := newFakeGW(t)
 	park, _ := newParkStore("")
 	park.Put(&parkedResult{JobID: "g-pre", State: string(service.StateDone), Result: json.RawMessage(`{"steps":1}`)})
-	a, _ := startTestAgent(t, gw, "", park)
+	a, _ := startTestAgent(t, gw, &Agent{park: park})
 
 	s1 := gw.accept()
 	localID := assignSlow(t, s1, "g-J")
@@ -185,7 +192,7 @@ func TestOutboxReportsJobFinishedBeforeAdopt(t *testing.T) {
 func TestOutboxStopCancelNeverReports(t *testing.T) {
 	gw := newFakeGW(t)
 	dir := t.TempDir()
-	a, stop := startTestAgent(t, gw, dir, nil)
+	a, stop := startTestAgent(t, gw, &Agent{ParkDir: dir})
 	s1 := gw.accept()
 	s1.next() // ReportJobs
 	assignSlow(t, s1, "g-a-job")
@@ -200,7 +207,7 @@ func TestOutboxStopCancelNeverReports(t *testing.T) {
 		t.Fatal(err)
 	}
 	park.Put(&parkedResult{JobID: "g-z-sentinel", State: string(service.StateFailed), Err: "sentinel"})
-	startTestAgent(t, gw, dir, nil)
+	startTestAgent(t, gw, &Agent{ParkDir: dir})
 	s2 := gw.accept()
 	if rep, ok := s2.next().(ReportJobs); !ok || len(rep.Jobs) != 0 {
 		t.Fatalf("fresh agent's first message = %+v, want an empty ReportJobs", rep)
@@ -322,65 +329,85 @@ func TestGatewayResultHandler(t *testing.T) {
 
 // A shard reports an in-flight job under the ID it was assigned. After a
 // leased leader is canceled and its follower promoted, the session drops
-// and the shard reconnects: its report names the canceled leader, and
-// the heir — which took over the lease and then the hold — is adopted
-// under that ID rather than released.
+// and the shard reconnects — to the same gateway, or to one restarted on
+// its journal: its report names the canceled leader, and the heir, which
+// took over the lease and then the hold, is adopted under that ID rather
+// than released. The heir link is journaled, so a restart does not turn
+// the report into a Release that cancels the run the heir is waiting on.
 func TestGatewayReportAdoptsHeir(t *testing.T) {
-	g, err := NewGateway(Options{Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	conn, peer := net.Pipe()
-	defer peer.Close()
-	old := &shardConn{conn: conn, sendq: make(chan []byte, 16), leases: make(map[uint64]*GwJob)}
-	fresh := &shardConn{sendq: make(chan []byte, 16), leases: make(map[uint64]*GwJob)}
-	spec := quickSpec(2, 300)
-	leader, err := g.Submit("t", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.mu.Lock()
-	j := g.jobs[leader.ID]
-	g.leaseLocked(j, old, g.nextLease.Add(1))
-	j.State = service.StateRunning
-	g.mu.Unlock()
-	heir, err := g.Submit("t2", spec)
-	if err != nil || !heir.Coalesced {
-		t.Fatalf("second submission did not coalesce: %+v err=%v", heir, err)
-	}
-	if _, err := g.Cancel(leader.ID); err != nil {
-		t.Fatal(err)
-	}
-	g.mu.Lock()
-	g.retireShardLocked(old, nil) // the shard dialed a replacement session
-	g.mu.Unlock()
+	for _, restart := range []bool{false, true} {
+		t.Run(map[bool]string{false: "session replaced", true: "gateway restarted"}[restart], func(t *testing.T) {
+			opt := Options{JournalPath: filepath.Join(t.TempDir(), "gw.journal"), Logf: t.Logf}
+			open := func() *Gateway {
+				g, err := NewGateway(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { g.Close() })
+				return g
+			}
+			g := open()
+			conn, peer := net.Pipe()
+			defer peer.Close()
+			old := &shardConn{name: "s1", live: transport.NewLive(conn, -1, new(transport.Metrics)),
+				sendq: make(chan []byte, 16), leases: make(map[uint64]*GwJob)}
+			fresh := &shardConn{name: "s1", sendq: make(chan []byte, 16), leases: make(map[uint64]*GwJob)}
+			spec := quickSpec(2, 300)
+			leader, err := g.Submit("t", spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.mu.Lock()
+			j := g.jobs[leader.ID]
+			g.leaseLocked(j, old, g.nextLease.Add(1))
+			j.State = service.StateRunning
+			g.journalJobLocked(j)
+			g.mu.Unlock()
+			heir, err := g.Submit("t2", spec)
+			if err != nil || !heir.Coalesced {
+				t.Fatalf("second submission did not coalesce: %+v err=%v", heir, err)
+			}
+			if _, err := g.Cancel(leader.ID); err != nil {
+				t.Fatal(err)
+			}
+			if restart {
+				if err := g.Close(); err != nil {
+					t.Fatal(err)
+				}
+				g = open()
+			} else {
+				g.mu.Lock()
+				g.retireShardLocked(old, nil) // the shard dialed a replacement session
+				g.mu.Unlock()
+			}
 
-	g.handleControl(fresh, ReportJobs{Jobs: []ReportedJob{{JobID: leader.ID, LocalID: "j-local", Step: 1}}})
-	var adopts []Adopt
-	for _, m := range drainSendq(t, fresh) {
-		switch m := m.(type) {
-		case Adopt:
-			adopts = append(adopts, m)
-		case Release:
-			t.Fatalf("report of the canceled leader got %+v; its heir must be adopted", m)
-		}
-	}
-	if len(adopts) != 1 || adopts[0].JobID != leader.ID || adopts[0].LocalID != "j-local" {
-		t.Fatalf("adopts %+v, want one for %s (the shard's key for the run)", adopts, leader.ID)
-	}
-	g.mu.Lock()
-	hj := g.jobs[heir.ID]
-	leased := hj.place == placeLeased && hj.shard == fresh && hj.Lease == adopts[0].Lease
-	g.mu.Unlock()
-	if !leased {
-		t.Fatal("heir is not leased to the reporting session under the adopted lease")
-	}
-	if st, _ := g.Get(heir.ID); st.State != service.StateRunning {
-		t.Fatalf("heir is %s after the report, want running", st.State)
-	}
-	if n := g.Metrics().JobsAdopted.Load(); n != 1 {
-		t.Fatalf("nbodygw_jobs_adopted_total = %d, want 1", n)
+			g.handleControl(fresh, ReportJobs{Jobs: []ReportedJob{{JobID: leader.ID, LocalID: "j-local", Step: 1}}})
+			var adopts []Adopt
+			for _, m := range drainSendq(t, fresh) {
+				switch m := m.(type) {
+				case Adopt:
+					adopts = append(adopts, m)
+				case Release:
+					t.Fatalf("report of the canceled leader got %+v; its heir must be adopted", m)
+				}
+			}
+			if len(adopts) != 1 || adopts[0].JobID != leader.ID || adopts[0].LocalID != "j-local" {
+				t.Fatalf("adopts %+v, want one for %s (the shard's key for the run)", adopts, leader.ID)
+			}
+			g.mu.Lock()
+			hj := g.jobs[heir.ID]
+			leased := hj.place == placeLeased && hj.shard == fresh && hj.Lease == adopts[0].Lease
+			g.mu.Unlock()
+			if !leased {
+				t.Fatal("heir is not leased to the reporting session under the adopted lease")
+			}
+			if st, _ := g.Get(heir.ID); st.State != service.StateRunning {
+				t.Fatalf("heir is %s after the report, want running", st.State)
+			}
+			if n := g.Metrics().JobsAdopted.Load(); n != 1 {
+				t.Fatalf("nbodygw_jobs_adopted_total = %d, want 1", n)
+			}
+		})
 	}
 }
 

@@ -29,16 +29,16 @@ import (
 // Fabric control-plane wire IDs live in the 61–80 block of the codec
 // registry (see the block map in transport/codec.go). They are fixed,
 // process-independent, and must never be reused for a different
-// encoding. 66 was Done, a terminal report addressed by lease; it is
-// retired, and every terminal report is a Parked.
+// encoding. Three are retired: 66 was Done, a terminal report addressed
+// by lease (every terminal report is a Parked), and 67 and 68 were Ping
+// and Pong (a fabric conn runs the transport's liveness protocol, see
+// transport.Live).
 const (
 	idHello     uint16 = 61
 	idWelcome   uint16 = 62
 	idAssign    uint16 = 63
 	idAccept    uint16 = 64
 	idUpdate    uint16 = 65
-	idPing      uint16 = 67
-	idPong      uint16 = 68
 	idCancel    uint16 = 69
 	idKeyframe  uint16 = 70
 	idReport    uint16 = 71
@@ -61,9 +61,9 @@ type Hello struct {
 }
 
 // Welcome completes a registration: the shard's fleet ID plus the lease
-// discipline — the shard must make traffic (pings, updates) at least
-// every HeartbeatMillis, and the gateway declares it dead after
-// LeaseTTLMillis of silence.
+// discipline — the shard pings every HeartbeatMillis, the gateway
+// declares it dead after LeaseTTLMillis of silence, and the shard drops
+// a gateway silent for three LeaseTTLMillis.
 type Welcome struct {
 	ShardID         int32
 	LeaseTTLMillis  int64
@@ -106,11 +106,6 @@ type Update struct {
 	State        string
 	ProgressJSON []byte
 }
-
-// Ping renews every lease its sender holds; Pong echoes the timestamp
-// back so the shard can observe gateway RTT.
-type Ping struct{ Nanos int64 }
-type Pong struct{ Nanos int64 }
 
 // Cancel asks a shard to cancel a leased job.
 type Cancel struct {
@@ -223,8 +218,6 @@ func init() {
 		c.Str(&v.State)
 		c.Bytes(&v.ProgressJSON)
 	})
-	transport.Register(idPing, func(c *recio.Coder, v *Ping) { c.I64(&v.Nanos) })
-	transport.Register(idPong, func(c *recio.Coder, v *Pong) { c.I64(&v.Nanos) })
 	transport.Register(idCancel, func(c *recio.Coder, v *Cancel) {
 		c.U64(&v.Lease)
 		c.Str(&v.JobID)
@@ -279,8 +272,9 @@ func init() {
 
 // encodeControl frames one fabric control message: a transport host
 // frame whose body is the registered payload. Fabric connections carry
-// only these frames (plus Bye), so the host-frame kind unambiguously
-// means "fabric control" here.
+// only these frames and the transport's liveness frames (ping, pong,
+// Bye), so the host-frame kind unambiguously means "fabric control"
+// here.
 func encodeControl(payload any) ([]byte, error) {
 	return transport.AppendControl(nil, transport.KindHost, payload)
 }

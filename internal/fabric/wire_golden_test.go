@@ -18,8 +18,6 @@ func TestWireGolden(t *testing.T) {
 		Accept{Lease: 43, JobID: "gdef456", Err: "queue full"},
 		Update{Lease: 42, JobID: "gabc123", State: "running", ProgressJSON: []byte(`{"step":2}`)},
 		Update{},
-		Ping{Nanos: 123456789},
-		Pong{Nanos: 987654321},
 		Cancel{Lease: 42, JobID: "gabc123"},
 		Keyframe{Lease: 42, JobID: "gabc123", Step: 16, Data: []byte("NBF-record")},
 		Keyframe{},

@@ -21,8 +21,6 @@ func TestWireRoundTrips(t *testing.T) {
 		Parked{JobID: "gabc123", State: "done", ResultJSON: []byte(`{"steps":3}`)},
 		Parked{JobID: "gfff", State: "failed", Err: "boom"},
 		ParkedAck{JobID: "gabc123"},
-		Ping{Nanos: 123456789},
-		Pong{Nanos: 123456789},
 		Cancel{Lease: 42, JobID: "gabc123"},
 	}
 	for _, in := range msgs {
@@ -68,7 +66,7 @@ func TestWireControlFraming(t *testing.T) {
 // The fabric block's IDs must stay inside 61–80 and registered.
 func TestWireIDsRegistered(t *testing.T) {
 	for _, v := range []any{
-		Hello{}, Welcome{}, Assign{}, Accept{}, Update{}, Ping{}, Pong{}, Cancel{},
+		Hello{}, Welcome{}, Assign{}, Accept{}, Update{}, Cancel{},
 		Keyframe{}, ReportJobs{}, Adopt{}, Parked{}, ParkedAck{}, Release{},
 	} {
 		if !transport.Registered(v) {

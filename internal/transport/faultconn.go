@@ -48,18 +48,24 @@ type FaultPlan struct {
 
 // FaultConn injects a FaultPlan into the frames written on one conn: a
 // fabric control conn (NewFaultConn) or a conn of a NewMesh node. Each
-// Write is one whole frame. A frame of the kind the conn draws for —
-// data on a machine conn, host on a fabric conn — rolls the plan's dice:
-// it may be dropped, delayed (stalling only its sender), written twice,
-// or corrupted (one byte appended and counted by the length prefix, so
-// the stream keeps framing but every decoder refuses the body and the
-// receiver fails with FaultCorrupt); PartitionAfter drawn frames sever
-// the conn, and every later write is refused. Every other frame —
-// liveness (ping, pong, bye), the handshake, host frames on a machine —
-// passes and draws nothing, so the schedule depends only on the seed and
-// the drawn frames, never on wall-clock timing. On a machine conn a data
-// frame also carries the conn's next Seq, which the receiving node's
-// dedup window reads. Faults are counted into the conn's Metrics.
+// Write is one whole frame. A frame of the kind the conn draws for rolls
+// the plan's dice: it may be dropped, delayed (stalling only its
+// sender), written twice, or corrupted (one byte appended and counted by
+// the length prefix, so the stream keeps framing but every decoder
+// refuses the body and the receiver fails with FaultCorrupt);
+// PartitionAfter drawn frames sever the conn, and every later write is
+// refused. Which frames draw depends on the conn:
+//   - on a machine conn, data frames draw; host frames, the handshake
+//     (Hello, Welcome, Ident) and liveness (ping, pong, Bye) pass;
+//   - on a fabric conn, every control message draws, the Hello/Welcome
+//     handshake included, since all of them are host frames; liveness
+//     (ping, pong, Bye) passes.
+//
+// Liveness never draws, so the schedule depends only on the seed and the
+// drawn frames, never on wall-clock timing or the heartbeat rate. On a
+// machine conn a data frame also carries the conn's next Seq, which the
+// receiving node's dedup window reads. Faults are counted into the
+// conn's Metrics.
 type FaultConn struct {
 	net.Conn
 	plan  FaultPlan

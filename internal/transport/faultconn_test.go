@@ -22,7 +22,7 @@ func faultPair(t *testing.T, plan0, plan1 FaultPlan) (*Node, *Node) {
 
 // fence waits until b has handled every data frame a sent it so far: a
 // host message rides the same conn behind them, is never dropped, and
-// b's pump delivers in order.
+// b's reader delivers in order.
 func fence(t *testing.T, a, b *Node) {
 	t.Helper()
 	if err := a.HostSend(1, "fence"); err != nil {

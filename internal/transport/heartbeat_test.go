@@ -7,8 +7,9 @@ import (
 )
 
 // silentCoordinator accepts one worker join, completes the handshake,
-// and then — depending on pong — either answers liveness probes or goes
-// completely silent. It returns the listen address.
+// and then — depending on pong — either answers liveness probes through
+// the shared reader or goes completely silent. It returns the listen
+// address.
 func silentCoordinator(t *testing.T, pong bool) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -36,19 +37,13 @@ func silentCoordinator(t *testing.T, pong bool) string {
 		if _, err := c.Write(buf); err != nil {
 			return
 		}
+		if pong {
+			NewLive(c, 1, new(Metrics)).Read(func(uint8, []byte) error { return nil })
+			return
+		}
 		for {
-			kind, body, err := ReadRaw(c)
-			if err != nil {
+			if _, _, err := ReadRaw(c); err != nil {
 				return
-			}
-			if kind == KindPing && pong {
-				reply, err := AppendControl(nil, KindPong, mustUnmarshalPing(body))
-				if err != nil {
-					return
-				}
-				if _, err := c.Write(reply); err != nil {
-					return
-				}
 			}
 		}
 	}()

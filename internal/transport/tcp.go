@@ -111,7 +111,7 @@ type hostMsg struct {
 	payload any
 }
 
-// hostInbox is an unbounded FIFO: reader pumps must never block on a
+// hostInbox is an unbounded FIFO: conn readers must never block on a
 // slow host-side consumer, or data frames queued behind a host message
 // on the same connection would stall the simulated machine.
 type hostInbox struct {
@@ -161,38 +161,17 @@ func (hi *hostInbox) get() (int, any, error) {
 	return m.src, m.payload, nil
 }
 
-// peerConn is the one connection to a peer, carrying both directions,
-// with a last-traffic timestamp for liveness.
-type peerConn struct {
-	peer     int
-	conn     net.Conn
-	lastSeen atomic.Int64 // unix nanos of last inbound frame
-	said_bye atomic.Bool  // peer announced graceful close
-	lastSeq  uint32       // last Seq delivered; read and written by the pump only
-}
-
-// write writes one encoded frame on c and counts it. It needs no lock: a
-// net.Conn writes each buffer whole, so frames from concurrent senders
-// never interleave.
-func (n *Node) write(c net.Conn, buf []byte) error {
-	_, err := c.Write(buf)
-	if err == nil {
-		n.metrics.FramesSent.Add(1)
-		n.metrics.BytesSent.Add(int64(len(buf)))
-	}
-	return err
-}
-
 // Node is the implementation of Link. Proc 0 creates one with
 // NewCoordinator and admits workers via WaitWorkers; workers create
 // theirs with Join. Every pair of nodes shares exactly one connection,
 // opened during assembly: the coordinator keeps each worker's join
 // conn, and each worker dials every lower-numbered worker (identified
 // by an Ident frame) and admits every higher-numbered one. Nothing is
-// dialed, accepted or started after assembly. Each end of a conn runs
-// one reader pump that dispatches data frames, host messages and
-// liveness probes, and pings and watches the conn. The conns are TCP
-// sockets, or the in-memory pipes of a machine built by NewMesh.
+// dialed, accepted or started after assembly. Each end of a conn is a
+// Live: one reader that delivers data frames and host messages and
+// answers pings, and one keeper that pings and watches the conn. The
+// conns are TCP sockets, or the in-memory pipes of a machine built by
+// NewMesh.
 type Node struct {
 	cfg     Config
 	pipes   *pipeNet // where NewMesh's nodes listen and dial; nil: TCP
@@ -202,7 +181,7 @@ type Node struct {
 	ln      net.Listener
 	metrics Metrics
 	host    *hostInbox
-	conns   []*peerConn // by peer proc, nil at procID; read-only after assembly
+	conns   []*Live // by peer proc, nil at procID; read-only after assembly
 
 	dataFn atomic.Pointer[func(*Frame)]
 	errFn  atomic.Pointer[func(error)]
@@ -279,11 +258,11 @@ func (n *Node) WaitWorkers(timeout time.Duration) error {
 	if err != nil {
 		err = fmt.Errorf("transport: waiting for %d worker(s), have %d: %w", n.nprocs-1, len(joined), err)
 	}
-	// All workers present: complete each handshake, then start pumps.
+	// All workers present: complete each handshake, then start the readers.
 	for i := 0; err == nil && i < len(joined); i++ {
 		var buf []byte
 		if buf, err = AppendControl(nil, KindWelcome, welcomeBody{ProcID: int32(i + 1), Addrs: n.addrs}); err == nil {
-			err = n.write(joined[i], buf)
+			err = writeFrame(joined[i], &n.metrics, buf)
 		}
 		if err != nil {
 			err = fmt.Errorf("transport: welcome to proc %d: %w", i+1, err)
@@ -295,11 +274,10 @@ func (n *Node) WaitWorkers(timeout time.Duration) error {
 		}
 		return err
 	}
-	n.conns = make([]*peerConn, n.nprocs)
+	n.conns = make([]*Live, n.nprocs)
 	for i, c := range joined {
 		n.open(i+1, c)
 	}
-	n.startHeartbeats()
 	return nil
 }
 
@@ -326,19 +304,19 @@ func join(coordAddr string, cfg Config, pipes *pipeNet) (*Node, error) {
 	n.procID = int(welcome.ProcID)
 	n.addrs = welcome.Addrs
 	n.nprocs = len(welcome.Addrs)
-	n.conns = make([]*peerConn, n.nprocs)
+	n.conns = make([]*Live, n.nprocs)
 	// The join conn is this worker's conn to the coordinator.
 	n.open(0, conn)
 	if err := n.meetPeers(); err != nil {
 		n.Abort(err)
 		return nil, fmt.Errorf("transport: proc %d assembling: %w", n.procID, err)
 	}
-	n.startHeartbeats()
 	return n, nil
 }
 
 // meetPeers opens this worker's conn to every other worker: it dials
-// each lower-numbered one in proc order, sending an Ident, then admits
+// each lower-numbered one in proc order and sends an Ident before
+// opening the conn, so no ping can precede it, then admits
 // an Ident from each higher-numbered one and closes the listener. A
 // pipe dial waits for its accept; in proc order, the lower procs a
 // worker dials have finished dialing theirs and are accepting. The
@@ -352,11 +330,14 @@ func (n *Node) meetPeers() error {
 	for peer := 1; peer < n.procID; peer++ {
 		c, err := n.dialRetry(n.addrs[peer])
 		if err == nil {
-			err = n.write(n.open(peer, c).conn, ident)
+			if err = writeFrame(c, &n.metrics, ident); err != nil {
+				c.Close()
+			}
 		}
 		if err != nil {
 			return fmt.Errorf("to proc %d: %w", peer, err)
 		}
+		n.open(peer, c)
 	}
 	return n.admit(n.nprocs-1-n.procID, deadline, KindIdent, func(c net.Conn, v any) bool {
 		ident, ok := v.(identBody)
@@ -400,18 +381,38 @@ func (n *Node) admit(count int, deadline time.Time, kind uint8, take func(c net.
 }
 
 // open makes c the node's conn to peer, under the proc's fault plan,
-// and starts its pump.
-func (n *Node) open(peer int, c net.Conn) *peerConn {
-	pc := &peerConn{peer: peer, conn: n.wrap(c, peer)}
-	pc.lastSeen.Store(time.Now().UnixNano())
-	n.conns[peer] = pc
+// once its handshake frames are written, and starts its reader and, with
+// heartbeats on, its keeper. A negative HeartbeatInterval turns off the
+// deadline with the pings: without probes an idle healthy peer sends
+// nothing, and a lone deadline would declare it dead.
+func (n *Node) open(peer int, c net.Conn) {
+	l := NewLive(n.wrap(c, peer), peer, &n.metrics)
+	n.conns[peer] = l
 	n.metrics.ConnsOpen.Add(1)
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		n.pump(pc)
+		n.read(l)
 	}()
-	return pc
+	if n.cfg.HeartbeatInterval < 0 {
+		return
+	}
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		l.Keep(n.cfg.HeartbeatInterval, n.cfg.deadAfter(), nil)
+	}()
+}
+
+// deadAfter is how long a conn may stay silent. It leaves room for at
+// least one full probe round trip: with probes spaced wider than the
+// configured timeout, a healthy idle peer has had no chance to prove
+// itself alive when the raw timeout expires.
+func (c Config) deadAfter() time.Duration {
+	if c.HeartbeatInterval > c.HeartbeatTimeout {
+		return c.HeartbeatInterval + c.HeartbeatTimeout
+	}
+	return c.HeartbeatTimeout
 }
 
 // hello dials the coordinator, says Hello and reads the Welcome.
@@ -422,7 +423,7 @@ func (n *Node) hello(coordAddr string) (net.Conn, welcomeBody, error) {
 	}
 	buf, err := AppendControl(nil, KindHello, helloBody{Addr: n.Addr()})
 	if err == nil {
-		err = n.write(conn, buf)
+		err = writeFrame(conn, &n.metrics, buf)
 	}
 	var v any
 	if err == nil {
@@ -543,7 +544,7 @@ func (n *Node) send(dst int, buf []byte, what string) error {
 	if dst == n.procID || dst < 0 || dst >= n.nprocs {
 		return fmt.Errorf("transport: bad destination proc %d (self %d of %d)", dst, n.procID, n.nprocs)
 	}
-	if err := n.write(n.conns[dst].conn, buf); err != nil {
+	if err := n.conns[dst].Write(buf); err != nil {
 		return connLost(err, dst, what)
 	}
 	return nil
@@ -573,154 +574,50 @@ func (n *Node) HostSend(dst int, payload any) error {
 // HostRecv implements Link.
 func (n *Node) HostRecv() (int, any, error) { return n.host.get() }
 
-// pump reads frames from one end of a conn until error or close: the
-// peer's data frames, host messages and pings, and the pongs to this
-// end's pings. A pump that stops closes its conn, so the peer's writes
-// fail instead of waiting on a reader that is gone.
-func (n *Node) pump(pc *peerConn) {
-	defer pc.conn.Close()
-	for {
-		kind, body, err := ReadRaw(pc.conn)
-		if err != nil {
-			if n.closed.Load() || pc.said_bye.Load() {
-				return
-			}
-			n.fail(connLost(err, pc.peer, "connection lost to"))
-			return
-		}
-		pc.lastSeen.Store(time.Now().UnixNano())
-		n.metrics.FramesRecv.Add(1)
-		n.metrics.BytesRecv.Add(int64(len(body)) + frameHeaderLen)
-		switch kind {
-		case KindData:
-			f, err := DecodeFrame(body)
-			if err != nil {
-				n.fail(faultErr(FaultCorrupt, pc.peer, "bad frame from proc %d: %w", pc.peer, err))
-				return
-			}
-			if f.Seq != 0 {
-				// A faulted conn stamps rising Seqs: a repeat is a duplicate.
-				if f.Seq <= pc.lastSeq {
-					n.metrics.FaultsDeduped.Add(1)
-					continue
-				}
-				pc.lastSeq = f.Seq
-			}
-			fn := n.dataFn.Load()
-			if fn == nil {
-				// Dropping silently would hang the sender's machine; the
-				// cluster protocol's ready barrier makes this unreachable
-				// in correct use.
-				n.fail(fmt.Errorf("transport: proc %d received a data frame from proc %d before a handler was installed", n.procID, pc.peer))
-				return
-			}
-			(*fn)(f)
-		case KindHost:
+// read runs the reader of the conn l: it delivers the peer's data
+// frames, dropping a repeated Seq, and queues its host messages. A
+// reader that ends on a Bye closes the conn quietly; any other end
+// fails the node.
+func (n *Node) read(l *Live) {
+	var lastSeq uint32 // last Seq delivered
+	err := l.Read(func(kind uint8, body []byte) error {
+		if kind == KindHost {
 			c := recio.Decoder(body)
 			src := int(c.R.I32())
 			v, err := decodeAny(c)
 			if err != nil {
-				n.fail(faultErr(FaultCorrupt, pc.peer, "bad host frame from proc %d: %w", pc.peer, err))
-				return
+				return faultErr(FaultCorrupt, l.peer, "bad host frame from proc %d: %w", l.peer, err)
 			}
 			n.host.put(hostMsg{src: src, payload: v})
-		case KindPing:
-			reply, err := AppendControl(nil, KindPong, mustUnmarshalPing(body))
-			if err == nil {
-				n.write(pc.conn, reply)
-			}
-		case KindPong:
-			if p, ok := mustUnmarshalPing(body).(pingBody); ok {
-				rtt := time.Duration(time.Now().UnixNano() - p.Nanos)
-				if rtt > 0 {
-					n.metrics.ObserveRTT(rtt.Seconds())
-				}
-			}
-		case KindBye:
-			pc.said_bye.Store(true)
-			n.metrics.ConnsOpen.Add(-1)
-			return
-		default:
-			// Unknown kinds are skipped for forward compatibility.
+			return nil
 		}
-	}
-}
-
-// mustUnmarshalPing decodes a ping/pong body, tolerating corruption by
-// returning a zero body (liveness probes are best-effort).
-func mustUnmarshalPing(body []byte) any {
-	v, err := Unmarshal(body)
-	if err != nil {
-		return pingBody{}
-	}
-	return v
-}
-
-// startHeartbeats launches the liveness machinery: a probe loop that
-// pings every conn each HeartbeatInterval, and a
-// staleness watchdog that declares a peer dead once its connection has
-// been silent past the liveness deadline. A negative interval disables
-// BOTH: with no probes flowing, an idle healthy peer generates no
-// inbound traffic at all, so a timeout check on its own would declare
-// it dead — the probe is what manufactures the traffic the watchdog
-// observes.
-func (n *Node) startHeartbeats() {
-	if n.cfg.HeartbeatInterval < 0 {
+		f, err := DecodeFrame(body)
+		if err != nil {
+			return faultErr(FaultCorrupt, l.peer, "bad frame from proc %d: %w", l.peer, err)
+		}
+		if f.Seq != 0 {
+			// A faulted conn stamps rising Seqs: a repeat is a duplicate.
+			if f.Seq <= lastSeq {
+				n.metrics.FaultsDeduped.Add(1)
+				return nil
+			}
+			lastSeq = f.Seq
+		}
+		fn := n.dataFn.Load()
+		if fn == nil {
+			// Dropping silently would hang the sender's machine; the
+			// cluster protocol's ready barrier makes this unreachable
+			// in correct use.
+			return fmt.Errorf("transport: proc %d received a data frame from proc %d before a handler was installed", n.procID, l.peer)
+		}
+		(*fn)(f)
+		return nil
+	})
+	if err == nil {
+		n.metrics.ConnsOpen.Add(-1)
 		return
 	}
-	// The liveness deadline must leave room for at least one full
-	// probe round-trip: with a probe interval longer than the
-	// configured timeout, a healthy-but-idle peer has had no chance to
-	// prove liveness yet when the raw timeout expires.
-	deadAfter := n.cfg.HeartbeatTimeout
-	if n.cfg.HeartbeatInterval > deadAfter {
-		deadAfter = n.cfg.HeartbeatInterval + n.cfg.HeartbeatTimeout
-	}
-	n.every(n.cfg.HeartbeatInterval, func(now time.Time, pc *peerConn) bool {
-		buf, err := AppendControl(nil, KindPing, pingBody{Nanos: now.UnixNano()})
-		if err == nil && n.write(pc.conn, buf) == nil {
-			n.metrics.Heartbeats.Add(1)
-		}
-		return true
-	})
-	// Watchdog ticks faster than the deadline so detection latency is a
-	// fraction of the timeout, not up to one full probe interval.
-	tick := deadAfter / 4
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	n.every(tick, func(now time.Time, pc *peerConn) bool {
-		idle := now.Sub(time.Unix(0, pc.lastSeen.Load()))
-		if idle > deadAfter {
-			n.fail(faultErr(FaultHeartbeat, pc.peer, "proc %d silent for %v (heartbeat timeout)", pc.peer, idle.Round(time.Millisecond)))
-			return false
-		}
-		return true
-	})
-}
-
-// every runs fn on every conn whose peer has not said Bye, each d,
-// until the node closes or fn returns false.
-func (n *Node) every(d time.Duration, fn func(now time.Time, pc *peerConn) bool) {
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		t := time.NewTicker(d)
-		defer t.Stop()
-		for {
-			select {
-			case <-n.closeCh:
-				return
-			case <-t.C:
-			}
-			now := time.Now()
-			for _, pc := range n.conns {
-				if pc != nil && !pc.said_bye.Load() && !fn(now, pc) {
-					return
-				}
-			}
-		}
-	}()
+	n.fail(err)
 }
 
 // fail reports a fatal link error once and poisons the host inbox so
@@ -743,7 +640,7 @@ func (n *Node) Close() error {
 }
 
 // Abort implements Link: tear the node down as if the process had
-// crashed. No Bye is sent, so every peer's pump observes a connection
+// crashed. No Bye is sent, so every peer's reader observes a connection
 // reset and fails its node — exactly the signal a supervisor needs to
 // demolish a faulted machine generation everywhere at once.
 func (n *Node) Abort(err error) {
@@ -759,17 +656,11 @@ func (n *Node) shutdown(bye bool, err error) {
 		return
 	}
 	close(n.closeCh)
-	buf, _ := AppendControl(nil, KindBye, nil)
 	n.ln.Close()
-	for _, pc := range n.conns {
-		if pc == nil {
-			continue
+	for _, l := range n.conns {
+		if l != nil {
+			l.Close(bye)
 		}
-		if bye {
-			pc.conn.SetWriteDeadline(time.Now().Add(time.Second))
-			n.write(pc.conn, buf)
-		}
-		pc.conn.Close()
 	}
 	n.host.fail(err)
 	n.wg.Wait()
