@@ -44,7 +44,8 @@ type Agent struct {
 	ParkDir string
 	// Chaos, when set, wraps the gateway connection in a
 	// transport.FaultConn so drills can inject the PR-4 fault taxonomy
-	// into the shard side of the control plane. Tests only.
+	// into the shard side of the control plane; the k-th session draws
+	// from Chaos.Session(k). Tests only.
 	Chaos *transport.FaultPlan
 	// Logf receives operational log lines (default log.Printf).
 	Logf func(format string, args ...any)
@@ -56,6 +57,7 @@ type Agent struct {
 	sess     *agentSession        // live gateway session, nil during outages
 	park     *parkStore           // the outbox
 	bo       *transport.Backoff
+	dials    int            // gateway conns opened so far: the next session's Chaos.Session index
 	watching sync.WaitGroup // one per job's watch; Run waits for them
 	released chan struct{}  // closed by cancelLocal, once Run stops
 }
@@ -192,8 +194,9 @@ func (a *Agent) session(stop <-chan struct{}) (bool, error) {
 		return false, fmt.Errorf("dial gateway %s: %w", a.Gateway, err)
 	}
 	if a.Chaos != nil {
-		conn = transport.NewFaultConn(conn, *a.Chaos)
+		conn = transport.NewFaultConn(conn, a.Chaos.Session(a.dials))
 	}
+	a.dials++
 	defer conn.Close()
 
 	// The handshake has ten seconds, for the Hello's write and the

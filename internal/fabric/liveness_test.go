@@ -60,6 +60,46 @@ func TestAgentFaultScheduleIgnoresHeartbeatRate(t *testing.T) {
 	}
 }
 
+// An agent's chaos plan draws a new schedule on each session. Seed 2's
+// first draw drops the Hello at DropProb 0.3, so an agent that replayed
+// that schedule on every redial would never register; this one's Hello
+// arrives within a few redials.
+func TestAgentChaosRedialDrawsNewSchedule(t *testing.T) {
+	gw := newFakeGW(t)
+	startTestAgent(t, gw, &Agent{Chaos: &transport.FaultPlan{Seed: 2, DropProb: 0.3},
+		bo: transport.NewBackoffSeeded(time.Millisecond, 10*time.Millisecond, 1)})
+	for k := 0; k < 6; k++ {
+		gw.ln.SetDeadline(time.Now().Add(10 * time.Second))
+		conn, err := gw.ln.Accept()
+		if err != nil {
+			t.Fatalf("awaiting session %d: %v", k, err)
+		}
+		// The agent waits ten seconds for a Welcome; hanging up after half
+		// a second without a Hello makes it dial again.
+		hello := false
+		conn.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
+		for !hello {
+			kind, body, err := transport.ReadRaw(conn)
+			if err != nil {
+				break
+			}
+			if kind == transport.KindHost {
+				v, _ := transport.Unmarshal(body)
+				_, hello = v.(Hello)
+			}
+		}
+		conn.Close()
+		if hello {
+			if k == 0 {
+				t.Fatal("session 0 passed its Hello; seed 2's first draw should drop it")
+			}
+			t.Logf("the Hello of session %d arrived", k)
+			return
+		}
+	}
+	t.Fatal("no Hello in six sessions: each redial replays the schedule that dropped the first one")
+}
+
 // A gateway that welcomes the agent and then says nothing is dropped by
 // the agent once three lease TTLs pass in silence, at most one keeper
 // tick late, and the agent dials again. TestFleetHeartbeatExpiry is the

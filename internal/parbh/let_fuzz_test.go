@@ -124,6 +124,34 @@ func TestLETWireRoundTrip(t *testing.T) {
 	if _, err := transport.Unmarshal(b); err == nil {
 		t.Error("a section node of kind KindTop decoded")
 	}
+	// A section the receiver's sweep could not walk in bounds fails the
+	// decode.
+	for name, spoil := range map[string]func(c *tree.Cols){
+		"short node column":           func(c *tree.Cols) { c.Side = c.Side[:2] },
+		"short particle column":       func(c *tree.Cols) { c.PM = c.PM[:1] },
+		"skip past the section":       func(c *tree.Cols) { c.Skip[0] = 4 },
+		"child skips past its parent": func(c *tree.Cols) { c.Skip[0] = 2 },
+		"skip backwards":              func(c *tree.Cols) { c.Skip[2] = 2 },
+		"leaf past the particles":     func(c *tree.Cols) { c.Hi[2] = 3 },
+		"leaf range reversed":         func(c *tree.Cols) { c.Lo[2] = 2; c.Hi[2] = 1 },
+	} {
+		sec := &let.Section{Cols: tree.Cols{
+			Kind: []uint8{tree.KindInternal, tree.KindClosed, tree.KindLeaf},
+			Skip: []int32{3, 3, 3},
+			ComX: []float64{0.5, 0.25, 0}, ComY: []float64{0.5, 0.25, 0}, ComZ: []float64{0.5, 0.25, 0},
+			Mass: []float64{2, 1, 0}, Side: []float64{1, 0.5, 0},
+			Lo: []int32{-1, -1, 0}, Hi: []int32{-1, -1, 2},
+			ID: []int32{4, 9}, PX: []float64{0.1, 0.2}, PY: []float64{0.3, 0.4}, PZ: []float64{0.5, 0.6}, PM: []float64{1, 1},
+		}}
+		spoil(&sec.Cols)
+		b, err := transport.Marshal(letShipMsg{Secs: []*let.Section{sec}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := transport.Unmarshal(b); err == nil {
+			t.Errorf("%s: the section decoded", name)
+		}
+	}
 }
 
 func negZero() float64 { return math.Copysign(0, -1) }

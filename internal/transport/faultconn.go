@@ -82,6 +82,21 @@ type FaultConn struct {
 	cut  atomic.Bool
 }
 
+// Session is the plan for the k-th conn an endpoint opens with p, counted
+// from 0: session 0 keeps Seed, and each later one is seeded from Seed and
+// k, so a redial does not replay the schedule that ended the conn before
+// it — with DropProb 0.3 and Seed 2, every session would otherwise drop
+// its Hello.
+func (p FaultPlan) Session(k int) FaultPlan {
+	if k != 0 {
+		z := uint64(p.Seed) + uint64(k)*0x9e3779b97f4a7c15
+		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		p.Seed = int64(z ^ z>>31)
+	}
+	return p
+}
+
 // NewFaultConn wraps a fabric control conn with the plan: host frames
 // draw faults.
 func NewFaultConn(conn net.Conn, plan FaultPlan) *FaultConn {

@@ -4,9 +4,11 @@ package tree
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -15,13 +17,13 @@ import (
 	"repro/internal/vec"
 )
 
-// The AVX2 force terms (packet_amd64.s) against the Go bodies of mac and
-// leaf, which every build without AVX2 runs: the same inputs through both
-// must leave the same bits in every lane's sums, extra charge and counts,
-// the same rejected lanes (whose lane list, lanesIn of the mask, is in
-// ascending order on both) and the same Load charge. NaN results compare
-// equal to any NaN: which payload an IEEE operation on two NaNs keeps
-// depends on which register the compiler made its first operand.
+// The fused AVX2 descent (packet_amd64.s) against the Go sweep loop with
+// the Go bodies of mac and leaf, which every build without AVX2 runs: the
+// same sweeps through both must leave the same bits in every lane's sum
+// and extra charge, the same Stats and Deferred lists, the same Load
+// charge on every node of every segment, and the same panic. NaN results
+// compare equal to any NaN: which payload an IEEE operation on two NaNs
+// keeps depends on which register the compiler made its first operand.
 
 func TestAVX2Selected(t *testing.T) {
 	if runtime.GOOS != "linux" {
@@ -47,140 +49,285 @@ func TestAVX2Selected(t *testing.T) {
 	}
 }
 
-// kernelCase is one call of mac and one of leaf on a packet.
-type kernelCase struct {
-	w                 Packet
-	f                 frame
+// sweepCase is one packet's sweeps over a Sweep: Defer from root, Below
+// over every grafted section and over Own's root, and ForceAll of the
+// lanes as a particle set.
+type sweepCase struct {
+	sw                *Sweep
+	root              int32
 	alpha, eps, exAdd float64
-	summary           bool
-	node              Cols // one internal node: the MAC's cell
-	leaf              Cols // the leaf's particle columns
+	lanes             []dist.Particle // one to eight
 }
 
-// kernelVals is the number of float64 operands a kernelCase draws: alpha,
-// eps, exAdd, the node's centre, side and mass, the lanes' positions,
-// sums and extra charges, and 16 leaf particles' positions and masses.
-const kernelVals = 3 + 5 + 3*lanes + 3*lanes + lanes + 4*16
+// laneOut is what one sweep left in one lane; floats as fbits.
+type laneOut struct {
+	x, y, z, extra uint64
+	stats          Stats
+	deferred       []int32
+}
 
-// special are the operands that take the kernels' edge paths.
-var special = []float64{0, math.Copysign(0, -1), 1, -1, 0.5, math.NaN(), math.Inf(1), math.Inf(-1), 0x1p-1074, 0x1p-1022, 0x1p-301, 0x1p301, math.MaxFloat64}
+// sweepOut is what one path left behind: per sweep, each lane's outcome
+// or the panic; ForceAll's accelerations and extra charges; and the
+// loads of every segment.
+type sweepOut struct {
+	sweeps [][]laneOut
+	panics []string
+	acc    [][4]uint64
+	loads  [][]int64
+}
 
-// genKernelCase draws a case with the active lanes of mask and n leaf
-// particles: mostly ordinary values, some special ones, IDs from a small
-// range so lanes meet themselves, leaf particles on lane positions (at eps
-// = 0 as well), and cells whose side sits on the MAC's boundary. raw
-// overrides the first operands with arbitrary bit patterns.
-func genKernelCase(rng *rand.Rand, mask uint8, n int, raw []byte) *kernelCase {
-	v := make([]float64, kernelVals)
-	for i := range v {
-		switch r := rng.Intn(16); {
-		case r == 0:
-			v[i] = special[rng.Intn(len(special))]
-		case r == 1:
-			v[i] = math.Ldexp(rng.NormFloat64(), rng.Intn(80)-40)
-		default:
-			v[i] = rng.NormFloat64()
+// fbits is x's bit pattern, one pattern for every NaN.
+func fbits(x float64) uint64 {
+	if x != x {
+		return 0x7ff8000000000001
+	}
+	return math.Float64bits(x)
+}
+
+// runSweeps runs k with the fused descent on or off.
+func runSweeps(k *sweepCase, avx2 bool) sweepOut {
+	defer func(old bool) { useAVX2 = old }(useAVX2)
+	useAVX2 = avx2
+	sw := k.sw
+	sw.Loads = segLoads(sw)
+	var o sweepOut
+	var p Packet
+	n := len(k.lanes)
+	run := func(sweep func(), packet bool) {
+		err := func() (err any) {
+			defer func() { err = recover() }()
+			for l, q := range k.lanes {
+				p.SetLane(l, int32(q.ID), q.Pos)
+			}
+			sweep()
+			return nil
+		}()
+		var lanes []laneOut
+		if err == nil && packet {
+			for l := 0; l < n; l++ {
+				s := p.Sum(l)
+				lanes = append(lanes, laneOut{fbits(s.X), fbits(s.Y), fbits(s.Z), fbits(p.Extra(l)), p.Stats(l), p.Deferred(l, nil)})
+			}
+		}
+		o.sweeps = append(o.sweeps, lanes)
+		o.panics = append(o.panics, fmt.Sprint(err))
+	}
+	sw.Begin(k.alpha, k.eps, k.exAdd, false)
+	run(func() { sw.Defer(&p, n, k.root) }, true)
+	for g := range sw.Secs {
+		run(func() { sw.Below(&p, n, SecSeg(g), 0) }, true)
+	}
+	if sw.Own != nil && len(sw.Own.Kind) > 0 {
+		run(func() { sw.Below(&p, n, SegOwn, 0) }, true)
+	}
+	acc, extra := make([]vec.V3, n), make([]float64, n)
+	run(func() { sw.ForceAll(k.lanes, k.root, k.alpha, k.eps, k.exAdd, acc, extra) }, false)
+	for i := range acc {
+		o.acc = append(o.acc, [4]uint64{fbits(acc[i].X), fbits(acc[i].Y), fbits(acc[i].Z), fbits(extra[i])})
+	}
+	o.loads = sw.Loads
+	return o
+}
+
+// checkSweeps fails t unless both paths agree on k, and returns how many
+// of k's sweeps ran to the end.
+func checkSweeps(t *testing.T, k *sweepCase) int {
+	t.Helper()
+	got, want := runSweeps(k, true), runSweeps(k, false)
+	where := fmt.Sprintf("%d lanes, %d main nodes, %d sections, alpha %v eps %v exAdd %v", len(k.lanes), len(k.sw.Kind), len(k.sw.Secs), k.alpha, k.eps, k.exAdd)
+	for s := range want.sweeps {
+		if got.panics[s] != want.panics[s] {
+			t.Fatalf("%s: sweep %d: panic %q, generic %q", where, s, got.panics[s], want.panics[s])
+		}
+		for l := range want.sweeps[s] {
+			if g, w := got.sweeps[s][l], want.sweeps[s][l]; !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s: sweep %d lane %d: fused %+v, generic %+v", where, s, l, g, w)
+			}
 		}
 	}
-	for i := 0; i+8 <= len(raw) && i/8 < len(v); i += 8 {
-		v[i/8] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i:]))
+	if !reflect.DeepEqual(got.acc, want.acc) {
+		t.Fatalf("%s: ForceAll: fused %x, generic %x", where, got.acc, want.acc)
 	}
-	next := func() float64 { x := v[0]; v = v[1:]; return x }
-	k := &kernelCase{alpha: math.Abs(next()), eps: next(), exAdd: next(), summary: rng.Intn(2) == 0}
+	for g := range want.loads {
+		if !reflect.DeepEqual(got.loads[g], want.loads[g]) {
+			t.Fatalf("%s: segment %d loads: fused %v, generic %v", where, g, got.loads[g], want.loads[g])
+		}
+	}
+	ran := 0
+	for _, p := range want.panics {
+		if p == "<nil>" {
+			ran++
+		}
+	}
+	return ran
+}
+
+// special are the operands that take the descent's edge paths.
+var special = []float64{0, math.Copysign(0, -1), 1, -1, 0.5, math.NaN(), math.Inf(1), math.Inf(-1), 0x1p-1074, 0x1p-1022, 0x1p-301, 0x1p301, math.MaxFloat64}
+
+// caseGen draws a sweepCase: mostly ordinary operands, some special ones
+// (raw overrides the first ones with arbitrary bit patterns), IDs from a
+// small range so lanes meet themselves, leaf particles on lane positions
+// (at eps = 0 as well), cells whose side sits on some lane's MAC boundary
+// (the prefilter's sliver), closed nodes every lane accepts, and every
+// node kind in the segment where a locally essential tree has it.
+type caseGen struct {
+	rng *rand.Rand
+	raw []byte
+	k   *sweepCase
+}
+
+func (g *caseGen) val() float64 {
+	if len(g.raw) >= 8 {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(g.raw))
+		g.raw = g.raw[8:]
+		return v
+	}
+	switch r := g.rng.Intn(16); {
+	case r == 0:
+		return special[g.rng.Intn(len(special))]
+	case r == 1:
+		return math.Ldexp(g.rng.NormFloat64(), g.rng.Intn(80)-40)
+	}
+	return g.rng.NormFloat64()
+}
+
+// Node kinds each segment of a generated sweep holds.
+var (
+	mainKinds    = []uint8{KindTop, KindTop, KindInternal, KindLeaf, KindClosed, KindBranch, KindBranch, KindBranchLeaf}
+	ownKinds     = []uint8{KindInternal, KindInternal, KindLeaf}
+	sectionKinds = []uint8{KindInternal, KindInternal, KindLeaf, KindClosed, KindStub}
+)
+
+// node appends a random subtree of kinds to c, depth levels down.
+func (g *caseGen) node(c *Cols, kinds []uint8, depth int) {
+	kind := kinds[g.rng.Intn(len(kinds))]
+	if depth >= 5 && kind != KindBranch && kind != KindBranchLeaf {
+		kind = KindLeaf
+	}
+	com := vec.V3{X: g.val(), Y: g.val(), Z: g.val()}
+	mass, side := g.val(), math.Abs(g.val())
+	k := g.k
+	n2 := func(l int) float64 {
+		dx, dy, dz := com.X-k.lanes[l].Pos.X, com.Y-k.lanes[l].Pos.Y, com.Z-k.lanes[l].Pos.Z
+		return dx*dx + dy*dy + dz*dz
+	}
+	if g.rng.Intn(4) == 0 {
+		side = k.alpha * math.Sqrt(n2(g.rng.Intn(len(k.lanes)))) * (1 + float64(g.rng.Intn(5)-2)*1e-13)
+	}
+	if kind == KindClosed && g.rng.Intn(8) != 0 {
+		for l := range k.lanes {
+			if !macAccepts(macS2(side), side, n2(l), macA2(k.alpha), k.alpha) {
+				kind = KindInternal
+			}
+		}
+	}
+	switch kind {
+	case KindLeaf:
+		lo := int32(len(c.ID))
+		m := g.rng.Intn(7)
+		if g.rng.Intn(8) == 0 {
+			m = 8 + g.rng.Intn(24)
+		}
+		for j := 0; j < m; j++ {
+			pos, pm := vec.V3{X: g.val(), Y: g.val(), Z: g.val()}, g.val()
+			if g.rng.Intn(4) == 0 {
+				pos = k.lanes[g.rng.Intn(len(k.lanes))].Pos
+			}
+			c.ID = append(c.ID, int32(g.rng.Intn(12)))
+			c.PX, c.PY, c.PZ, c.PM = append(c.PX, pos.X), append(c.PY, pos.Y), append(c.PZ, pos.Z), append(c.PM, pm)
+		}
+		AppendNode(c, kind, com, mass, side, nil, lo, int32(len(c.ID)))
+	case KindBranch, KindBranchLeaf:
+		AppendNode(c, kind, com, mass, side, nil, g.branch(), -1)
+	default:
+		idx := AppendNode(c, kind, com, mass, side, nil, -1, -1)
+		for ch := g.rng.Intn(4); ch > 0; ch-- {
+			g.node(c, kinds, depth+1)
+		}
+		c.Skip[idx] = int32(len(c.Kind))
+	}
+}
+
+// branch adds a branch ordinal: the rank's own cell, with its subtree in
+// Own, or another rank's, with one or two sections grafted under it.
+func (g *caseGen) branch() int32 {
+	sw := g.k.sw
+	b := int32(len(sw.OwnRoot))
+	if g.rng.Intn(3) == 0 {
+		sw.OwnRoot = append(sw.OwnRoot, int32(len(sw.Own.Kind)))
+		g.node(sw.Own, ownKinds, 2)
+	} else {
+		sw.OwnRoot = append(sw.OwnRoot, -1)
+		for s := 1 + g.rng.Intn(2); s > 0; s-- {
+			sec := new(Cols)
+			sw.Grafts = append(sw.Grafts, int32(len(sw.Secs)))
+			sw.Secs = append(sw.Secs, sec)
+			g.node(sec, sectionKinds, 2)
+		}
+	}
+	sw.GraftLo = append(sw.GraftLo, int32(len(sw.Grafts)))
+	return b
+}
+
+// genSweepCase draws a case with n lanes (1 to 8).
+func genSweepCase(rng *rand.Rand, n int, raw []byte) *sweepCase {
+	g := &caseGen{rng: rng, raw: raw}
+	k := &sweepCase{sw: &Sweep{Own: new(Cols), GraftLo: []int32{0}}}
+	g.k = k
+	k.alpha, k.eps, k.exAdd = math.Abs(g.val()), g.val(), g.val()
 	if rng.Intn(3) == 0 {
 		k.eps = 0
 	}
-	cx, cy, cz, side, mass := next(), next(), next(), math.Abs(next()), next()
-	k.f.mask = mask
+	for l := 0; l < n; l++ {
+		k.lanes = append(k.lanes, dist.Particle{ID: rng.Intn(12), Mass: 1, Pos: vec.V3{X: g.val(), Y: g.val(), Z: g.val()}})
+	}
+	g.node(&k.sw.Cols, mainKinds, 0)
+	return k
+}
+
+// deepChain is a chain of depth internal nodes every lane rejects, around
+// a leaf of the lanes' own particles: deeper than a packet's frame stack
+// starts.
+func deepChain(depth int) *sweepCase {
+	k := &sweepCase{sw: &Sweep{Own: new(Cols)}, alpha: 0.67, eps: 0.01}
 	for l := 0; l < lanes; l++ {
-		k.w.id[l] = int32(rng.Intn(12))
-		k.w.px[l], k.w.py[l], k.w.pz[l] = next(), next(), next()
+		k.lanes = append(k.lanes, dist.Particle{ID: l, Mass: 1, Pos: vec.V3{X: float64(l), Y: 0.5, Z: -0.25}})
 	}
-	for l := 0; l < lanes; l++ {
-		k.f.x[l], k.f.y[l], k.f.z[l] = next(), next(), next()
-		k.w.extra[l] = next()
-		k.w.mac[l], k.w.pc[l], k.w.pp[l] = rng.Int63n(9), rng.Int63n(9), rng.Int63n(9)
+	c := &k.sw.Cols
+	var open []int32
+	for d := 0; d < depth; d++ {
+		open = append(open, AppendNode(c, KindInternal, vec.V3{X: 3.5, Y: 0.25}, 2, 1e6, nil, -1, -1))
 	}
-	if rng.Intn(4) == 0 {
-		// A side on the boundary of the MAC for some lane: the prefilter's
-		// sliver.
-		l := rng.Intn(lanes)
-		dx, dy, dz := cx-k.w.px[l], cy-k.w.py[l], cz-k.w.pz[l]
-		side = k.alpha * math.Sqrt(dx*dx+dy*dy+dz*dz) * (1 + float64(rng.Intn(5)-2)*1e-13)
-	}
-	AppendNode(&k.node, KindInternal, vec.V3{X: cx, Y: cy, Z: cz}, mass, side, nil, -1, -1)
-	for j := 0; j < 16; j++ {
-		x, y, z, m := next(), next(), next(), next()
-		if j >= n {
-			continue
-		}
-		if rng.Intn(4) == 0 {
-			l := rng.Intn(lanes)
-			x, y, z = k.w.px[l], k.w.py[l], k.w.pz[l]
-		}
-		k.leaf.ID = append(k.leaf.ID, int32(rng.Intn(12)))
-		k.leaf.PX = append(k.leaf.PX, x)
-		k.leaf.PY = append(k.leaf.PY, y)
-		k.leaf.PZ = append(k.leaf.PZ, z)
-		k.leaf.PM = append(k.leaf.PM, m)
+	lo, hi := addParticles(c, k.lanes)
+	AppendNode(c, KindLeaf, vec.V3{X: 3.5}, 8, 8, nil, lo, hi)
+	for _, idx := range open {
+		c.Skip[idx] = int32(len(c.Kind))
 	}
 	return k
 }
 
-// kernelOut is what one path left behind.
-type kernelOut struct {
-	w      Packet
-	f      frame
-	reject uint8
-	ld     int64
-}
-
-// runKernels calls mac, then leaf, on a copy of k with the AVX2 terms on
-// or off.
-func runKernels(k *kernelCase, avx2 bool) kernelOut {
-	defer func(old bool) { useAVX2 = old }(useAVX2)
-	useAVX2 = avx2
-	o := kernelOut{w: k.w, f: k.f}
-	var s Sweep
-	s.Begin(k.alpha, k.eps, k.exAdd, false)
-	ld := []int64{0}
-	o.w.ld = ld
-	o.reject = s.mac(&o.w, &k.node, &o.f, 0, k.summary)
-	s.leaf(&o.w, &k.leaf, &o.f, 0, int32(len(k.leaf.ID)))
-	o.ld, o.w.ld = ld[0], nil
-	return o
-}
-
-func sameFloat(a, b float64) bool {
-	return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b
-}
-
-// checkKernels fails t unless both paths agree on k.
-func checkKernels(t *testing.T, k *kernelCase) {
-	t.Helper()
-	got, want := runKernels(k, true), runKernels(k, false)
-	fail := func(what string, l int, g, w any) {
-		t.Helper()
-		t.Fatalf("mask %08b, %d leaf particles, alpha %v eps %v summary %v: %s lane %d: avx2 %v, generic %v",
-			k.f.mask, len(k.leaf.ID), k.alpha, k.eps, k.summary, what, l, g, w)
-	}
-	if got.reject != want.reject {
-		fail("rejected lanes", -1, got.reject, want.reject)
-	}
-	if got.ld != want.ld {
-		fail("Load charge", -1, got.ld, want.ld)
-	}
-	for l := 0; l < lanes; l++ {
-		for _, c := range []struct {
-			what string
-			g, w float64
-		}{{"x", got.f.x[l], want.f.x[l]}, {"y", got.f.y[l], want.f.y[l]}, {"z", got.f.z[l], want.f.z[l]}, {"extra", got.w.extra[l], want.w.extra[l]}} {
-			if !sameFloat(c.g, c.w) {
-				fail(c.what, l, c.g, c.w)
+// closeSections turns every internal node of sw's sections that all of
+// query accepts into KindClosed, and the first other internal child of
+// each section's root into KindStub.
+func closeSections(sw *Sweep, query []dist.Particle, alpha float64) {
+	for _, c := range sw.Secs {
+		stub := false
+		for i := range c.Kind {
+			if c.Kind[i] != KindInternal {
+				continue
 			}
-		}
-		if got.w.Stats(l) != want.w.Stats(l) {
-			fail("stats", l, got.w.Stats(l), want.w.Stats(l))
+			closed := true
+			for _, q := range query {
+				dx, dy, dz := c.ComX[i]-q.Pos.X, c.ComY[i]-q.Pos.Y, c.ComZ[i]-q.Pos.Z
+				closed = closed && macAccepts(macS2(c.Side[i]), c.Side[i], dx*dx+dy*dy+dz*dz, macA2(alpha), alpha)
+			}
+			switch {
+			case closed:
+				c.Kind[i] = KindClosed
+			case i > 0 && !stub:
+				c.Kind[i], stub = KindStub, true
+			}
 		}
 	}
 }
@@ -190,23 +337,42 @@ func TestPacketKernelMatchesGeneric(t *testing.T) {
 		t.Skip("no AVX2 on this CPU")
 	}
 	rng := rand.New(rand.NewSource(42))
-	for n := 0; n <= 16; n++ {
-		for mask := 0; mask < 1<<lanes; mask++ {
-			for rep := 0; rep < 3; rep++ {
-				checkKernels(t, genKernelCase(rng, uint8(mask), n, nil))
-			}
-		}
+	ran := 0
+	for rep := 0; rep < 10000; rep++ {
+		ran += checkSweeps(t, genSweepCase(rng, 1+rep%lanes, nil))
+	}
+	if ran < 10000 {
+		t.Fatalf("only %d generated sweeps ran to the end", ran)
 	}
 	// Poisoned MAC operands send every active lane to the exact test.
 	for _, alpha := range []float64{0.67, 0x1p-260, 0x1p260, math.NaN()} {
 		for _, side := range []float64{1, 0x1p-310, 0x1p310, 0, math.Inf(1)} {
-			k := genKernelCase(rng, 0xff, 8, nil)
-			k.alpha, k.node.Side[0] = alpha, side
-			checkKernels(t, k)
+			k := genSweepCase(rng, lanes, nil)
+			k.alpha = alpha
+			for _, c := range append([]*Cols{&k.sw.Cols, k.sw.Own}, k.sw.Secs...) {
+				for i := range c.Side {
+					c.Side[i] = side
+				}
+			}
+			checkSweeps(t, k)
 		}
 	}
-	// Whole sweeps: clustered particles, coincident ones at eps = 0 and
-	// every leaf size up to 16.
+	// Deeper than the frame stack a packet starts with.
+	checkSweeps(t, deepChain(3*MaxDepth))
+
+	// A locally essential tree of real trees: KindTop, own and remote
+	// KindBranch, KindBranchLeaf, and sections with KindClosed and
+	// KindStub nodes, packet by packet through Defer, Below and ForceAll.
+	sw, main, own := handLET()
+	closeSections(sw, own, 0.67)
+	for k := 0; k < len(own); k += lanes {
+		if ran := checkSweeps(t, &sweepCase{sw: sw, root: main, alpha: 0.67, eps: 0.01, exAdd: 2.5, lanes: own[k:min(k+lanes, len(own))]}); ran != 3+len(sw.Secs) {
+			t.Fatalf("packet %d: %d of %d sweeps ran to the end", k/lanes, ran, 3+len(sw.Secs))
+		}
+	}
+
+	// Whole tree sweeps: clustered particles, coincident ones at eps = 0
+	// (MaxDepth leaves) and every leaf size up to 16.
 	s := dist.MustNamed("g", 1500, 7)
 	ps := append([]dist.Particle(nil), s.Particles...)
 	for i := 0; i < 20; i++ {
@@ -249,14 +415,14 @@ func FuzzPacketKernel(f *testing.F) {
 	if !useAVX2 {
 		f.Skip("no AVX2 on this CPU")
 	}
-	f.Add(int64(1), uint8(0xff), uint8(8), []byte(nil))
-	f.Add(int64(2), uint8(0x5a), uint8(0), []byte(nil))
-	nan := make([]byte, 8*kernelVals)
-	for i := 0; i < kernelVals; i++ {
+	f.Add(int64(1), uint8(8), []byte(nil))
+	f.Add(int64(2), uint8(3), []byte(nil))
+	nan := make([]byte, 8*64)
+	for i := 0; i < 64; i++ {
 		binary.LittleEndian.PutUint64(nan[8*i:], math.Float64bits(math.NaN()))
 	}
-	f.Add(int64(3), uint8(0x81), uint8(16), nan)
-	f.Fuzz(func(t *testing.T, seed int64, mask, n uint8, raw []byte) {
-		checkKernels(t, genKernelCase(rand.New(rand.NewSource(seed)), mask, int(n%17), raw))
+	f.Add(int64(3), uint8(5), nan)
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, raw []byte) {
+		checkSweeps(t, genSweepCase(rand.New(rand.NewSource(seed)), 1+int(n%lanes), raw))
 	})
 }

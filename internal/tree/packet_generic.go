@@ -2,18 +2,15 @@
 
 package tree
 
-// useAVX2 is false off amd64 and under the purego build tag: mac and leaf
-// run their Go bodies, and the kernels below are never called.
+// useAVX2 is false off amd64 and under the purego build tag: sweep runs
+// its Go loop with the Go bodies of mac and leaf, and the descent below
+// is never called.
 const useAVX2 = false
 
 type avxConsts struct{}
 
 var avx avxConsts
 
-func macAVX2(w *Packet, f *frame, k *avxConsts, cx, cy, cz, s2, gm, a2, e2, ex float64) (acc, sliver uint8) {
-	panic("tree: no AVX2 kernel in this build")
-}
-
-func leafAVX2(w *Packet, f *frame, k *avxConsts, ids *int32, px, py, pz, pm *float64, n int, e2 float64) {
-	panic("tree: no AVX2 kernel in this build")
+func descendAVX2(w *Packet, c *Cols, k *avxConsts, i, d, ownD, ownEnd int, alpha, a2, e2, exAdd float64) (ni, nd int) {
+	panic("tree: no AVX2 descent in this build")
 }
