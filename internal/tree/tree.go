@@ -825,11 +825,15 @@ func (t *Tree) all(n int, one func(i int, s *Stats, loads []int64)) Stats {
 	shardStats := make([]Stats, workers)
 	shardLoads := make([][]int64, workers)
 	compute.ParallelBlocks(n, func(w, lo, hi int) {
+		// Each worker counts into a Stats of its own: adjacent entries of
+		// shardStats share a cache line, which a per-interaction count
+		// bounces between the cores.
+		var s Stats
 		loads := make([]int64, len(t.Load))
 		for i := lo; i < hi; i++ {
-			one(i, &shardStats[w], loads)
+			one(i, &s, loads)
 		}
-		shardLoads[w] = loads
+		shardStats[w], shardLoads[w] = s, loads
 	})
 	var s Stats
 	for w := 0; w < workers; w++ {
