@@ -21,6 +21,9 @@
 package barneshut
 
 import (
+	"fmt"
+	"strings"
+
 	"repro/internal/dist"
 	"repro/internal/msg"
 	"repro/internal/obsv"
@@ -154,6 +157,48 @@ func CM5() MachineProfile { return msg.CM5() }
 // IdealMachine returns a profile with free communication, useful for
 // algorithm-only runs and tests.
 func IdealMachine() MachineProfile { return msg.Ideal() }
+
+// ParseScheme returns the scheme whose String is name, ignoring case.
+func ParseScheme(name string) (Scheme, error) {
+	return parseName("scheme", name, Scheme.String, SPSA, SPDA, DPDA)
+}
+
+// ParseMode returns the mode whose String is name, ignoring case.
+func ParseMode(name string) (Mode, error) {
+	return parseName("mode", name, Mode.String, ForceMode, PotentialMode)
+}
+
+// ParseShipping returns the strategy whose String is name, ignoring case;
+// the empty name is the default, FunctionShipping.
+func ParseShipping(name string) (Shipping, error) {
+	if name == "" {
+		return FunctionShipping, nil
+	}
+	return parseName("shipping", name, Shipping.String, FunctionShipping, DataShipping, DataShippingNaive, LETShipping)
+}
+
+// ParseMachine returns the profile whose Name is name, ignoring case.
+func ParseMachine(name string) (MachineProfile, error) {
+	return parseName("machine", name, func(p MachineProfile) string { return p.Name }, NCube2(), CM5(), IdealMachine())
+}
+
+// parseName returns the value of all whose name(v) is s, ignoring case,
+// or an error that lists the lower-case names.
+func parseName[T any](what, s string, name func(T) string, all ...T) (T, error) {
+	names := make([]string, len(all))
+	for i, v := range all {
+		if strings.EqualFold(name(v), s) {
+			return v, nil
+		}
+		names[i] = strings.ToLower(name(v))
+	}
+	list := strings.Join(names, " or ")
+	if len(names) > 2 {
+		list = strings.Join(names[:len(names)-1], ", ") + ", or " + names[len(names)-1]
+	}
+	var zero T
+	return zero, fmt.Errorf("unknown %s %q (want %s)", what, s, list)
+}
 
 // NewPlummer generates an n-particle Plummer sphere in virial equilibrium
 // with scale radius a centred at center (the paper's p_* datasets).

@@ -2,6 +2,7 @@ package barneshut
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/phys"
@@ -178,3 +179,46 @@ func TestInvalidConfigRejected(t *testing.T) {
 		t.Fatal("undersized grid accepted")
 	}
 }
+
+// TestParseNames checks that each parser inverts its type's name in any
+// case and names the accepted values when it refuses one.
+func TestParseNames(t *testing.T) {
+	for _, s := range []Scheme{SPSA, SPDA, DPDA} {
+		if got, err := ParseScheme(strings.ToLower(s.String())); err != nil || got != s {
+			t.Errorf("ParseScheme(%q) = %v, %v", strings.ToLower(s.String()), got, err)
+		}
+	}
+	for _, m := range []Mode{ForceMode, PotentialMode} {
+		if got, err := ParseMode(strings.ToUpper(m.String())); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v", strings.ToUpper(m.String()), got, err)
+		}
+	}
+	for _, s := range []Shipping{FunctionShipping, DataShipping, DataShippingNaive, LETShipping} {
+		if got, err := ParseShipping(s.String()); err != nil || got != s {
+			t.Errorf("ParseShipping(%q) = %v, %v", s.String(), got, err)
+		}
+	}
+	if got, err := ParseShipping(""); err != nil || got != FunctionShipping {
+		t.Errorf(`ParseShipping("") = %v, %v`, got, err)
+	}
+	for _, p := range []MachineProfile{NCube2(), CM5(), IdealMachine()} {
+		if got, err := ParseMachine(strings.ToLower(p.Name)); err != nil || got != p {
+			t.Errorf("ParseMachine(%q) = %v, %v", strings.ToLower(p.Name), got.Name, err)
+		}
+	}
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{second(ParseScheme("mpi")), `unknown scheme "mpi" (want spsa, spda, or dpda)`},
+		{second(ParseMode("energy")), `unknown mode "energy" (want force or potential)`},
+		{second(ParseShipping("tcp")), `unknown shipping "tcp" (want function, data, data-naive, or let)`},
+		{second(ParseMachine("t3d")), `unknown machine "t3d" (want ncube2, cm5, or ideal)`},
+	} {
+		if c.err == nil || c.err.Error() != c.want {
+			t.Errorf("error %v, want %s", c.err, c.want)
+		}
+	}
+}
+
+func second[T any](_ T, err error) error { return err }

@@ -53,8 +53,8 @@ func BenchmarkTreeBuild(b *testing.B) {
 
 // BenchmarkIncrementalStep measures one warm incremental step (persistent
 // builder and the 8-lane packet sweep under Tree.AccelSweep) against the
-// cold path (BuildKeyed + the recursive traversal, one particle at a time)
-// at a small per-step displacement — the temporal-coherence hot path CI
+// cold path (BuildKeyed and the same sweep), so the two differ only in
+// how they build, at a small per-step displacement — the temporal-coherence hot path CI
 // tracks for regressions.
 func BenchmarkIncrementalStep(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
@@ -64,8 +64,7 @@ func BenchmarkIncrementalStep(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tr := tree.BuildKeyed(bodies, s.Domain, 8)
-				tr.AccelAll(bodies, 0.67, 0.01)
+				tree.BuildKeyed(bodies, s.Domain, 8).AccelSweep(bodies, 0.67, 0.01)
 			}
 		})
 		b.Run(fmt.Sprintf("incr/n=%d", n), func(b *testing.B) {

@@ -20,10 +20,8 @@ import (
 
 	barneshut "repro"
 	"repro/internal/cluster"
-	"repro/internal/obsv"
 	"repro/internal/parbh"
 	"repro/internal/recio"
-	"repro/internal/transport"
 )
 
 func main() {
@@ -73,49 +71,21 @@ func main() {
 		DT:         *dt,
 		Integrator: *integr,
 	}
-	switch strings.ToLower(*scheme) {
-	case "spsa":
-		cfg.Scheme = barneshut.SPSA
-	case "spda":
-		cfg.Scheme = barneshut.SPDA
-	case "dpda":
-		cfg.Scheme = barneshut.DPDA
-	default:
-		fatal(fmt.Errorf("unknown scheme %q", *scheme))
+	if cfg.Scheme, err = barneshut.ParseScheme(*scheme); err != nil {
+		fatal(err)
 	}
-	switch strings.ToLower(*mode) {
-	case "force":
-		cfg.Mode = barneshut.ForceMode
-	case "potential":
-		cfg.Mode = barneshut.PotentialMode
-	default:
-		fatal(fmt.Errorf("unknown mode %q", *mode))
+	if cfg.Mode, err = barneshut.ParseMode(*mode); err != nil {
+		fatal(err)
 	}
-	switch strings.ToLower(*machine) {
-	case "ncube2":
-		cfg.Profile = barneshut.NCube2()
-	case "cm5":
-		cfg.Profile = barneshut.CM5()
-	case "ideal":
-		cfg.Profile = barneshut.IdealMachine()
-	default:
-		fatal(fmt.Errorf("unknown machine %q", *machine))
+	if cfg.Profile, err = barneshut.ParseMachine(*machine); err != nil {
+		fatal(err)
 	}
 	ship := *shipping
 	if *strategy != "" {
 		ship = *strategy
 	}
-	switch strings.ToLower(ship) {
-	case "", "function":
-		cfg.Shipping = barneshut.FunctionShipping
-	case "data":
-		cfg.Shipping = barneshut.DataShipping
-	case "data-naive":
-		cfg.Shipping = barneshut.DataShippingNaive
-	case "let":
-		cfg.Shipping = barneshut.LETShipping
-	default:
-		fatal(fmt.Errorf("unknown strategy %q (want function, data, data-naive, or let)", ship))
+	if cfg.Shipping, err = barneshut.ParseShipping(ship); err != nil {
+		fatal(err)
 	}
 
 	switch strings.ToLower(*trans) {
@@ -217,25 +187,7 @@ func runTCP(set *barneshut.ParticleSet, cfg barneshut.Config, distName string, s
 	if tracePath != "" {
 		tracer = barneshut.NewTracer()
 	}
-	// The assembler re-listens on the same resolved address after a
-	// fault so rejoining workers find the rebuilt coordinator.
-	listenAddr := listen
-	sup := cluster.NewSupervisor(func() (*cluster.Coordinator, error) {
-		node, err := transport.NewCoordinator(transport.Config{ListenAddr: listenAddr}, workers+1)
-		if err != nil {
-			return nil, err
-		}
-		listenAddr = node.Addr()
-		fmt.Printf("nbody: coordinator on %s, waiting for %d worker(s)\n", node.Addr(), workers)
-		if err := node.WaitWorkers(wait); err != nil {
-			node.Abort(err)
-			return nil, err
-		}
-		// Tracing wraps the link too, so the capture shows the host-clock
-		// transport activity next to the simulated-clock phase spans.
-		return cluster.NewCoordinator(obsv.WrapLink(node, tracer))
-	})
-	sup.Tracer = tracer
+	sup := cluster.NewTCPSupervisor(listen, workers, wait, tracer)
 	sup.MaxRetries = retries
 	sup.StepTimeout = stepTimeout
 	sup.Logf = func(format string, args ...any) {

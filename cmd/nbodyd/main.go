@@ -46,7 +46,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/service"
-	"repro/internal/transport"
 )
 
 func main() {
@@ -96,26 +95,7 @@ func main() {
 	}
 	var sup *cluster.Supervisor
 	if *cWorkers > 0 {
-		// The assembler builds one machine generation; after a fault the
-		// supervisor demolishes it and calls the assembler again, which
-		// must re-listen on the same resolved address so rejoining
-		// workers find it. Port 0 is pinned after the first listen.
-		listenAddr := *cListen
-		sup = cluster.NewSupervisor(func() (*cluster.Coordinator, error) {
-			node, err := transport.NewCoordinator(transport.Config{ListenAddr: listenAddr}, *cWorkers+1)
-			if err != nil {
-				return nil, err
-			}
-			listenAddr = node.Addr()
-			logger.Info("cluster coordinator listening",
-				"component", "cluster", "addr", node.Addr(), "workers", *cWorkers)
-			if err := node.WaitWorkers(*cWait); err != nil {
-				node.Abort(err)
-				return nil, err
-			}
-			logger.Info("cluster assembled", "component", "cluster", "procs", node.NumProcs())
-			return cluster.NewCoordinator(node)
-		})
+		sup = cluster.NewTCPSupervisor(*cListen, *cWorkers, *cWait, nil)
 		sup.Logf = logf("cluster")
 		sup.StepTimeout = *cStep
 		sup.MaxRetries = *jRetries

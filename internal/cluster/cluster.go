@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dist"
@@ -36,87 +35,6 @@ func assignRanks(ranks, procs int) ([]int32, error) {
 	}
 	return owner, nil
 }
-
-// RankNet implements msg.Network over a transport.Link for one job: it
-// maps ranks to processes, stamps the job epoch on outgoing frames, and
-// drops frames from stale epochs (a straggler from a previous job on a
-// reused connection must never reach a live mailbox).
-type RankNet struct {
-	link    transport.Link
-	owner   []int32
-	local   []int
-	epoch   uint32
-	handler atomic.Pointer[func(*transport.Frame)]
-}
-
-// newRankNet wires a per-job network onto link. The same assignment is
-// computed on every process from (ranks, link.NumProcs()).
-func newRankNet(link transport.Link, ranks int, epoch uint32) (*RankNet, error) {
-	owner, err := assignRanks(ranks, link.NumProcs())
-	if err != nil {
-		return nil, err
-	}
-	rn := &RankNet{link: link, owner: owner, epoch: epoch}
-	me := int32(link.ProcID())
-	for rk, o := range owner {
-		if o == me {
-			rn.local = append(rn.local, rk)
-		}
-	}
-	link.SetDataHandler(rn.onFrame)
-	return rn, nil
-}
-
-func (rn *RankNet) onFrame(f *transport.Frame) {
-	if f.Epoch != rn.epoch {
-		return // stale job incarnation
-	}
-	if fn := rn.handler.Load(); fn != nil {
-		(*fn)(f)
-	}
-}
-
-// Ranks implements msg.Network.
-func (rn *RankNet) Ranks() int { return len(rn.owner) }
-
-// LocalRanks implements msg.Network.
-func (rn *RankNet) LocalRanks() []int { return rn.local }
-
-// Leaders implements msg.Network: assignRanks hands out contiguous runs, so
-// a process's leader is the first rank it owns.
-func (rn *RankNet) Leaders() []int {
-	leaders := make([]int, 0, rn.link.NumProcs())
-	for rk, o := range rn.owner {
-		if int(o) == len(leaders) {
-			leaders = append(leaders, rk)
-		}
-	}
-	return leaders
-}
-
-// ProcID implements msg.Network.
-func (rn *RankNet) ProcID() int { return rn.link.ProcID() }
-
-// NumProcs implements msg.Network.
-func (rn *RankNet) NumProcs() int { return rn.link.NumProcs() }
-
-// SendFrame implements msg.Network.
-func (rn *RankNet) SendFrame(f *transport.Frame) error {
-	f.Epoch = rn.epoch
-	return rn.link.SendData(int(rn.owner[f.Dst]), f)
-}
-
-// SetHandler implements msg.Network.
-func (rn *RankNet) SetHandler(fn func(*transport.Frame)) { rn.handler.Store(&fn) }
-
-// SetErrorHandler implements msg.Network.
-func (rn *RankNet) SetErrorHandler(fn func(error)) { rn.link.SetErrorHandler(fn) }
-
-// HostSend implements msg.Network.
-func (rn *RankNet) HostSend(dst int, payload any) error { return rn.link.HostSend(dst, payload) }
-
-// HostRecv implements msg.Network.
-func (rn *RankNet) HostRecv() (int, any, error) { return rn.link.HostRecv() }
 
 // Coordinator drives jobs from process 0 of an assembled transport.
 // It is not safe for concurrent use: one job at a time.
@@ -345,11 +263,11 @@ func (c *Coordinator) Metrics() *transport.Metrics { return c.link.Metrics() }
 // machine and engine for one job. Deterministic given the job, so
 // every process bootstraps identical ownership state.
 func buildEngine(link transport.Link, epoch uint32, job Job) (*parbh.Engine, error) {
-	rn, err := newRankNet(link, job.Ranks, epoch)
+	owner, err := assignRanks(job.Ranks, link.NumProcs())
 	if err != nil {
 		return nil, err
 	}
-	machine := msg.NewNetworkMachine(rn, job.Profile)
+	machine := msg.NewNetworkMachine(link, owner, epoch, job.Profile)
 	set := &dist.Set{Particles: job.Parts, Domain: job.Domain}
 	return parbh.New(machine, set, job.Config)
 }

@@ -66,6 +66,32 @@ func NewSupervisor(assemble Assembler) *Supervisor {
 	return &Supervisor{assemble: assemble, BackoffBase: 200 * time.Millisecond, BackoffMax: 5 * time.Second}
 }
 
+// NewTCPSupervisor supervises machines whose coordinator listens on
+// listen and admits workers worker processes within wait. The first
+// listen's resolved address is pinned, port 0 included, so that after a
+// fault the rebuilt coordinator listens where the rejoining workers dial.
+// tracer, when not nil, becomes the supervisor's Tracer and wraps every
+// link too, so the capture shows the host-clock transport activity next
+// to the simulated-clock phase spans.
+func NewTCPSupervisor(listen string, workers int, wait time.Duration, tracer *obsv.Tracer) *Supervisor {
+	var s *Supervisor
+	s = NewSupervisor(func() (*Coordinator, error) {
+		node, err := transport.NewCoordinator(transport.Config{ListenAddr: listen}, workers+1)
+		if err != nil {
+			return nil, err
+		}
+		listen = node.Addr()
+		s.logf("coordinator on %s, waiting for %d worker(s)", listen, workers)
+		if err := node.WaitWorkers(wait); err != nil {
+			node.Abort(err)
+			return nil, err
+		}
+		return NewCoordinator(obsv.WrapLink(node, tracer))
+	})
+	s.Tracer = tracer
+	return s
+}
+
 func (s *Supervisor) logf(format string, args ...any) {
 	if s.Logf != nil {
 		s.Logf(format, args...)

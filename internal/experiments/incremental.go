@@ -13,10 +13,11 @@ import (
 )
 
 // IncrementalTable measures the payoff of temporal coherence on the hot
-// step path: per-step host wall-clock of the cold path (from-scratch
-// BuildKeyed + the recursive AccelAll, the pre-incremental code)
-// against the incremental path (tree.Builder + packet sweep), across
-// particle counts and per-step displacement fractions. Both paths are
+// step path: per-step host wall-clock of the cold path (a from-scratch
+// BuildKeyed) against the incremental path (tree.Builder), across
+// particle counts and per-step displacement fractions. Both paths then
+// run the packet sweep that production runs, so they differ only in how
+// they build. Both are
 // bit-identical in every simulated quantity (the golden tests pin this);
 // only the host clock below may differ. CI tracks the speedup column
 // (BENCH_incremental.json) to catch regressions in the coherence
@@ -28,7 +29,7 @@ func IncrementalTable(opt Options) (Table, error) {
 		Title:   "cold vs incremental step path, host wall-clock (real seconds, not simulated)",
 		Columns: []string{"n", "moved_frac", "cold_step_ms", "incr_step_ms", "speedup", "displaced", "refreshed", "rebuilt"},
 		Notes: []string{
-			"cold = BuildKeyed + recursive AccelAll each step; incr = Builder.Step + packet sweep",
+			"cold = BuildKeyed + packet sweep each step; incr = Builder.Step + packet sweep",
 			"moved_frac particles get a small random displacement between steps; results are bit-identical either way",
 			"cold_step_ms and incr_step_ms are each path's fastest step; speedup is the median over rounds of one cold step's time over its round's incremental step's",
 		},
@@ -121,7 +122,7 @@ func (row *incrRow) step(cold bool) time.Duration {
 	runtime.GC()
 	start := time.Now()
 	if cold {
-		tree.BuildKeyed(row.bodies, row.domain, 8).AccelAll(row.bodies, 0.67, 0.01)
+		tree.BuildKeyed(row.bodies, row.domain, 8).AccelSweep(row.bodies, 0.67, 0.01)
 	} else {
 		row.builder.Step(row.bodies).AccelSweep(row.bodies, 0.67, 0.01)
 	}

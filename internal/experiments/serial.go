@@ -49,7 +49,7 @@ func SerialTable(opt Options) (Table, error) {
 		})
 		var stats tree.Stats
 		force := bestOf(3, func() {
-			_, stats = tr.AccelAll(s.Particles, 0.67, 0.01)
+			_, stats = tr.AccelSweep(s.Particles, 0.67, 0.01)
 		})
 
 		// Step-phase breakdown of the incremental hot path: one cold

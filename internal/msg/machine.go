@@ -27,11 +27,17 @@
 // receiver (mailboxes grow as needed), matching the paper's one
 // outstanding-bin flow-control discipline being implemented *above* this
 // layer, not by it.
+//
+// A machine may span OS processes (NewNetworkMachine, netmachine.go): it
+// runs the ranks this process hosts and reaches the rest straight over a
+// transport.Link, routing by its rank→process table and fencing each
+// job's frames by epoch.
 package msg
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -272,16 +278,23 @@ type Stats struct {
 // Machine is a simulated multicomputer. By default all P ranks run as
 // goroutines in this process and payloads pass by reference; a machine
 // built with NewNetworkMachine instead hosts a subset of the ranks and
-// ships frames to the rest through a Network (see netmachine.go).
+// ships frames to the rest over a transport.Link (see netmachine.go).
 type Machine struct {
 	P       int
 	Profile CostProfile
 	boxes   []*mailbox
 
-	// Distributed-machine state; nil/zero for the in-proc default.
-	net        Network
-	localRanks []int  // ranks hosted here (nil means all)
-	isLocal    []bool // indexed by rank (nil means all local)
+	// Where the ranks run: process owner[r] hosts rank r, this process is
+	// me. An in-proc machine is one process, 0, that hosts every rank.
+	owner      []int32
+	me         int32
+	localRanks []int // ranks hosted here, ascending
+	leaders    []int // lowest rank of each process
+
+	// The wire of a distributed machine; nil in-proc. Every frame sent is
+	// stamped with epoch, and a frame delivered with another is dropped.
+	link  transport.Link
+	epoch uint32
 
 	// Wire-semantics switches (see SetCopyOnSend, SetStrictWire).
 	copyOnSend bool
@@ -317,10 +330,33 @@ func NewMachine(p int, profile CostProfile) *Machine {
 	if p <= 0 {
 		panic(fmt.Sprintf("msg: invalid processor count %d", p))
 	}
-	m := &Machine{P: p, Profile: profile}
-	m.boxes = make([]*mailbox, p)
+	return newMachine(make([]int32, p), 0, 1, profile)
+}
+
+// newMachine creates a machine whose rank r runs in process owner[r] of
+// procs, this process being me. Every process must host a rank.
+func newMachine(owner []int32, me int32, procs int, profile CostProfile) *Machine {
+	m := &Machine{P: len(owner), Profile: profile, owner: owner, me: me, leaders: make([]int, procs)}
+	m.boxes = make([]*mailbox, m.P)
 	for i := range m.boxes {
 		m.boxes[i] = newMailbox()
+	}
+	for i := range m.leaders {
+		m.leaders[i] = -1
+	}
+	for r, o := range owner {
+		if o < 0 || int(o) >= procs {
+			panic(fmt.Sprintf("msg: rank %d owned by process %d of %d", r, o, procs))
+		}
+		if m.leaders[o] < 0 {
+			m.leaders[o] = r
+		}
+		if o == me {
+			m.localRanks = append(m.localRanks, r)
+		}
+	}
+	if proc := slices.Index(m.leaders, -1); proc >= 0 {
+		panic(fmt.Sprintf("msg: process %d hosts no ranks", proc))
 	}
 	return m
 }
@@ -525,18 +561,19 @@ func (p *Proc) deliver(dst int, msg message) {
 		panic(fmt.Sprintf("msg: payload type %s sent by proc %d (tag %d) has no transport codec",
 			transport.TypeName(msg.payload), p.id, msg.tag))
 	}
-	if p.m.net != nil && !p.m.isLocal[dst] {
+	if p.m.owner[dst] != p.m.me {
 		f := &transport.Frame{
 			Src:     int32(p.id),
 			Dst:     int32(dst),
 			Tag:     int32(msg.tag),
+			Epoch:   p.m.epoch,
 			Words:   int32(msg.words),
 			Arrival: msg.arrival,
 			Payload: msg.payload,
 		}
-		// The frame is fully encoded before SendFrame returns, so the
+		// The frame is fully encoded before SendData returns, so the
 		// caller may reuse its buffers immediately.
-		if err := p.m.net.SendFrame(f); err != nil {
+		if err := p.m.link.SendData(int(p.m.owner[dst]), f); err != nil {
 			err = fmt.Errorf("msg: proc %d send to %d (tag %d): %w", p.id, dst, msg.tag, err)
 			p.m.fail(err)
 			panic(stopPanic{err})

@@ -3,95 +3,47 @@ package msg
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/transport"
 )
 
-// Network is the seam between a Machine and a real interconnect: a rank
-// ownership map plus a frame pipe. The in-proc Machine has none (every
-// rank is local and payloads pass by reference); a network Machine
-// routes sends to non-local ranks through SendFrame and receives
-// deliveries through the handler it installs with SetHandler.
+// NewNetworkMachine creates a Machine whose len(owner) ranks are spread
+// across the OS processes joined by link: owner[r] is the process that
+// hosts rank r, and each process hosts at least one. Run executes the
+// SPMD body only for this process's ranks; a send to a rank of another
+// process is encoded through the codec registry and shipped as a data
+// frame stamped with epoch. Remote payload types must be registered with
+// internal/transport or Send panics.
 //
-// Implementations sit above transport.Link (see internal/cluster):
-// they translate rank IDs to process IDs, stamp job epochs on outgoing
-// frames, and filter stale ones on the way in. The simulated clock
-// never touches this layer — arrival timestamps are computed on the
-// sender under the machine's CostProfile and travel inside the frame,
-// which is what keeps simulated time bit-identical across transports.
-type Network interface {
-	// Ranks returns the total number of ranks in the machine.
-	Ranks() int
-	// LocalRanks returns the ranks hosted by this process, ascending.
-	LocalRanks() []int
-	// Leaders returns the lowest rank hosted by each process, indexed by
-	// process.
-	Leaders() []int
-	// ProcID returns this process's index (0 = coordinator).
-	ProcID() int
-	// NumProcs returns the number of processes the ranks span.
-	NumProcs() int
-	// SendFrame ships a frame to the process owning f.Dst. The payload
-	// is encoded before SendFrame returns (no aliasing with sender
-	// memory).
-	SendFrame(f *transport.Frame) error
-	// SetHandler installs the delivery callback for incoming frames.
-	SetHandler(fn func(*transport.Frame))
-	// SetErrorHandler installs the callback for fatal transport
-	// errors (peer lost, heartbeat timeout, corrupt frame).
-	SetErrorHandler(fn func(error))
-	// HostSend ships an untimed control message to another process.
-	// Host traffic never touches the simulated clock: it carries job
-	// setup and result gathers, not machine messages.
-	HostSend(dst int, payload any) error
-	// HostRecv blocks for the next control message from any process.
-	HostRecv() (src int, payload any, err error)
-}
-
-// NewNetworkMachine creates a Machine whose ranks are spread across OS
-// processes connected by net. Run executes the SPMD body only for this
-// process's local ranks; sends to remote ranks are encoded through the
-// codec registry and shipped as frames. Remote payload types must be
-// registered with internal/transport or Send panics.
+// The machine installs its own data handler on link: a frame of another
+// epoch (a straggler from an earlier job on the same conns) is dropped
+// before it reaches a mailbox, and a frame for a rank this process does
+// not host fails the machine. The simulated clock never touches the
+// link: arrival stamps are computed on the sender under the machine's
+// CostProfile and travel inside the frame, which is what keeps
+// simulated time bit-identical across transports.
 //
-// If the transport fails mid-run, every local rank blocked in Recv or
-// Send unwinds with the transport error: RunErr returns it, Run panics
-// with it — a clear failure, not a hang, and never a dead process when
-// the caller uses RunErr.
-func NewNetworkMachine(net Network, profile CostProfile) *Machine {
-	p := net.Ranks()
-	if p <= 0 {
-		panic(fmt.Sprintf("msg: invalid rank count %d", p))
-	}
-	local := net.LocalRanks()
-	if len(local) == 0 {
-		panic("msg: network machine with no local ranks")
-	}
-	m := &Machine{P: p, Profile: profile, net: net}
-	m.boxes = make([]*mailbox, p)
-	for i := range m.boxes {
-		m.boxes[i] = newMailbox()
-	}
-	m.localRanks = append([]int(nil), local...)
-	sort.Ints(m.localRanks)
-	m.isLocal = make([]bool, p)
-	for _, r := range m.localRanks {
-		if r < 0 || r >= p {
-			panic(fmt.Sprintf("msg: local rank %d out of range 0..%d", r, p-1))
-		}
-		m.isLocal[r] = true
-	}
-	net.SetHandler(m.deliverFrame)
-	net.SetErrorHandler(m.fail)
+// If the link fails mid-run, every local rank blocked in Recv or Send
+// unwinds with the transport error: RunErr returns it, Run panics with
+// it — a clear failure, not a hang, and never a dead process when the
+// caller uses RunErr.
+func NewNetworkMachine(link transport.Link, owner []int32, epoch uint32, profile CostProfile) *Machine {
+	m := newMachine(owner, int32(link.ProcID()), link.NumProcs(), profile)
+	m.link, m.epoch = link, epoch
+	link.SetDataHandler(m.deliverFrame)
+	link.SetErrorHandler(m.fail)
 	return m
 }
 
-// deliverFrame is the Network handler: queue an incoming frame into the
-// destination rank's mailbox exactly as a local put would.
+// deliverFrame is the link's data handler: drop a frame of another epoch,
+// and queue the rest into the destination rank's mailbox exactly as a
+// local put would.
 func (m *Machine) deliverFrame(f *transport.Frame) {
+	if f.Epoch != m.epoch {
+		return // stale job incarnation
+	}
 	dst := int(f.Dst)
-	if dst < 0 || dst >= m.P || !m.isLocal[dst] {
+	if !m.IsLocal(dst) {
 		m.fail(fmt.Errorf("msg: frame for rank %d misrouted to this process", dst))
 		return
 	}
@@ -143,81 +95,51 @@ func (m *Machine) stopErr() error {
 }
 
 // Distributed reports whether this machine's ranks span processes.
-func (m *Machine) Distributed() bool { return m.net != nil }
+func (m *Machine) Distributed() bool { return m.link != nil }
 
 // ProcID returns this process's index in the distributed machine, or 0
 // for the in-proc default.
-func (m *Machine) ProcID() int {
-	if m.net == nil {
-		return 0
-	}
-	return m.net.ProcID()
-}
+func (m *Machine) ProcID() int { return int(m.me) }
 
 // NumHostProcs returns the number of OS processes the machine's ranks
 // span (1 for the in-proc default).
-func (m *Machine) NumHostProcs() int {
-	if m.net == nil {
-		return 1
-	}
-	return m.net.NumProcs()
-}
+func (m *Machine) NumHostProcs() int { return len(m.leaders) }
 
 // HostSend ships an untimed control message to another process of a
 // distributed machine. It is not valid on an in-proc machine.
 func (m *Machine) HostSend(dst int, payload any) error {
-	if m.net == nil {
+	if m.link == nil {
 		return fmt.Errorf("msg: HostSend on a non-distributed machine")
 	}
-	return m.net.HostSend(dst, payload)
+	return m.link.HostSend(dst, payload)
 }
 
 // HostRecv blocks for the next control message from any process.
 func (m *Machine) HostRecv() (int, any, error) {
-	if m.net == nil {
+	if m.link == nil {
 		return -1, nil, fmt.Errorf("msg: HostRecv on a non-distributed machine")
 	}
-	return m.net.HostRecv()
+	return m.link.HostRecv()
 }
 
 // LocalRanks returns the ranks executed by this process, ascending.
-// For an in-proc machine that is all of 0..P-1.
-func (m *Machine) LocalRanks() []int {
-	if m.localRanks != nil {
-		return m.localRanks
-	}
-	all := make([]int, m.P)
-	for i := range all {
-		all[i] = i
-	}
-	return all
-}
+// For an in-proc machine that is all of 0..P-1. The caller must not
+// modify the slice.
+func (m *Machine) LocalRanks() []int { return m.localRanks }
 
 // IsLocal reports whether rank runs in this process.
 func (m *Machine) IsLocal(rank int) bool {
-	if m.isLocal == nil {
-		return rank >= 0 && rank < m.P
-	}
-	return rank >= 0 && rank < m.P && m.isLocal[rank]
+	return rank >= 0 && rank < m.P && m.owner[rank] == m.me
 }
 
 // Leader returns the lowest rank local to this process: the rank that
 // performs once-per-process duties (recording results, owning maps).
-func (m *Machine) Leader() int {
-	if m.localRanks != nil {
-		return m.localRanks[0]
-	}
-	return 0
-}
+func (m *Machine) Leader() int { return m.localRanks[0] }
 
 // Leaders returns every process's Leader, indexed by process: where to
-// send what each process must hold a copy of.
-func (m *Machine) Leaders() []int {
-	if m.net == nil {
-		return []int{0}
-	}
-	return m.net.Leaders()
-}
+// send what each process must hold a copy of. The caller must not
+// modify the slice.
+func (m *Machine) Leaders() []int { return m.leaders }
 
 // SetCopyOnSend makes every local Send deep-copy its payload through
 // the codec registry, exactly as a remote send would. Off by default

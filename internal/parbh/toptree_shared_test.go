@@ -11,49 +11,17 @@ import (
 	"repro/internal/transport"
 )
 
-// meshNet spreads ranks over the nodes of an in-memory mesh in contiguous
-// runs, the way internal/cluster does, without its job control.
-type meshNet struct {
-	*transport.Node
-	owner []int // rank → process
-}
-
-func (n meshNet) Ranks() int { return len(n.owner) }
-
-func (n meshNet) LocalRanks() (local []int) {
-	for rk, o := range n.owner {
-		if o == n.ProcID() {
-			local = append(local, rk)
-		}
-	}
-	return local
-}
-
-func (n meshNet) Leaders() []int {
-	leaders := make([]int, 0, n.NumProcs())
-	for rk, o := range n.owner {
-		if o == len(leaders) {
-			leaders = append(leaders, rk)
-		}
-	}
-	return leaders
-}
-
-func (n meshNet) SendFrame(f *transport.Frame) error { return n.SendData(n.owner[f.Dst], f) }
-
-func (n meshNet) SetHandler(fn func(*transport.Frame)) { n.SetDataHandler(fn) }
-
 // meshPhases runs phases on one engine per process of a three-process
 // in-memory mesh, ranks dealt to processes by owner, and hands each
 // process's engine and states to check on that process's goroutine. Every
 // process's machine is set up before any of them sends: a frame that
 // reaches a process with no handler installed fails the run.
-func meshPhases(t *testing.T, set *dist.Set, cfg Config, owner []int, check func(*Engine, *shipWorld)) {
+func meshPhases(t *testing.T, set *dist.Set, cfg Config, owner []int32, check func(*Engine, *shipWorld)) {
 	t.Helper()
 	var engines []*Engine
 	for _, node := range transport.NewMesh(3, nil) {
 		t.Cleanup(func() { node.Close() })
-		e, err := New(msg.NewNetworkMachine(meshNet{node, owner}, msg.CM5()), set, cfg)
+		e, err := New(msg.NewNetworkMachine(node, owner, 0, msg.CM5()), set, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +58,7 @@ func TestTopSharedAcrossLocalRanks(t *testing.T) {
 		}
 	}
 
-	owner := []int{0, 0, 0, 1, 1, 1, 2, 2}
+	owner := []int32{0, 0, 0, 1, 1, 1, 2, 2}
 	tops := make([]*pnode, p)
 	meshPhases(t, set, cfg, owner, func(e *Engine, w *shipWorld) {
 		for _, rk := range e.machine.LocalRanks() {
@@ -123,7 +91,7 @@ func TestTopSharedAcrossLocalRanks(t *testing.T) {
 func TestFlatHoldsNoCopies(t *testing.T) {
 	set := dist.MustNamed("g", 1200, 24)
 	const p = 8
-	owner := []int{0, 0, 0, 1, 1, 1, 2, 2}
+	owner := []int32{0, 0, 0, 1, 1, 1, 2, 2}
 	for _, ship := range []Shipping{LETShipping, FunctionShipping} {
 		cfg := Config{Scheme: DPDA, Mode: PotentialMode, Degree: 2, Alpha: 0.67, Shipping: ship}
 		// mains returns the main region each local rank's Flat reads.
@@ -171,7 +139,7 @@ func TestFlatHoldsNoCopies(t *testing.T) {
 			}
 		})
 		for rk := 0; rk < p; rk++ {
-			m, leader := all[rk], all[3*owner[rk]]
+			m, leader := all[rk], all[3*int(owner[rk])]
 			if m == nil || m != leader {
 				t.Errorf("%v: rank %d reads main region %p, its process's leader reads %p", ship, rk, m, leader)
 			}

@@ -122,16 +122,16 @@ func (s *JobSpec) Validate() error {
 	if s.FramesKeyEvery < 0 {
 		return fmt.Errorf("frames_key_every must be non-negative, got %d", s.FramesKeyEvery)
 	}
-	if _, err := s.schemeValue(); err != nil {
+	if _, err := barneshut.ParseScheme(s.Scheme); err != nil {
 		return err
 	}
-	if _, err := s.profileValue(); err != nil {
+	if _, err := barneshut.ParseMachine(s.Machine); err != nil {
 		return err
 	}
-	if _, err := s.modeValue(); err != nil {
+	if _, err := barneshut.ParseMode(s.Mode); err != nil {
 		return err
 	}
-	if _, err := s.shippingValue(); err != nil {
+	if _, err := barneshut.ParseShipping(s.Shipping); err != nil {
 		return err
 	}
 	switch strings.ToLower(s.Transport) {
@@ -144,54 +144,6 @@ func (s *JobSpec) Validate() error {
 		return fmt.Errorf("unknown dist %q", s.Dist)
 	}
 	return nil
-}
-
-func (s *JobSpec) schemeValue() (barneshut.Scheme, error) {
-	switch strings.ToLower(s.Scheme) {
-	case "spsa":
-		return barneshut.SPSA, nil
-	case "spda":
-		return barneshut.SPDA, nil
-	case "dpda":
-		return barneshut.DPDA, nil
-	}
-	return 0, fmt.Errorf("unknown scheme %q (want spsa, spda, or dpda)", s.Scheme)
-}
-
-func (s *JobSpec) profileValue() (barneshut.MachineProfile, error) {
-	switch strings.ToLower(s.Machine) {
-	case "ncube2":
-		return barneshut.NCube2(), nil
-	case "cm5":
-		return barneshut.CM5(), nil
-	case "ideal":
-		return barneshut.IdealMachine(), nil
-	}
-	return barneshut.MachineProfile{}, fmt.Errorf("unknown machine %q (want ncube2, cm5, or ideal)", s.Machine)
-}
-
-func (s *JobSpec) modeValue() (barneshut.Mode, error) {
-	switch strings.ToLower(s.Mode) {
-	case "force":
-		return barneshut.ForceMode, nil
-	case "potential":
-		return barneshut.PotentialMode, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q (want force or potential)", s.Mode)
-}
-
-func (s *JobSpec) shippingValue() (barneshut.Shipping, error) {
-	switch strings.ToLower(s.Shipping) {
-	case "", "function":
-		return barneshut.FunctionShipping, nil
-	case "data":
-		return barneshut.DataShipping, nil
-	case "data-naive":
-		return barneshut.DataShippingNaive, nil
-	case "let":
-		return barneshut.LETShipping, nil
-	}
-	return 0, fmt.Errorf("unknown shipping %q (want function, data, data-naive, or let)", s.Shipping)
 }
 
 // distributed reports whether the spec asks for the TCP cluster
@@ -215,19 +167,19 @@ func (s JobSpec) stateless() bool { return s.distributed() || s.potentialMode() 
 // SimConfig translates the spec into a barneshut.Config. The spec must
 // have been validated.
 func (s JobSpec) SimConfig() (barneshut.Config, error) {
-	scheme, err := s.schemeValue()
+	scheme, err := barneshut.ParseScheme(s.Scheme)
 	if err != nil {
 		return barneshut.Config{}, err
 	}
-	profile, err := s.profileValue()
+	profile, err := barneshut.ParseMachine(s.Machine)
 	if err != nil {
 		return barneshut.Config{}, err
 	}
-	mode, err := s.modeValue()
+	mode, err := barneshut.ParseMode(s.Mode)
 	if err != nil {
 		return barneshut.Config{}, err
 	}
-	shipping, err := s.shippingValue()
+	shipping, err := barneshut.ParseShipping(s.Shipping)
 	if err != nil {
 		return barneshut.Config{}, err
 	}

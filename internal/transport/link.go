@@ -6,6 +6,11 @@ package transport
 // handler installed with SetDataHandler; host messages are an untimed
 // control channel (job setup, result gathers) read via HostRecv.
 //
+// A Link knows processes, not ranks: it is the one seam between a
+// simulated machine and the wire. msg.NewNetworkMachine sits on it
+// directly, maps each rank to the process that hosts it, stamps its
+// job's epoch on every data frame and drops frames of other epochs.
+//
 // Node is the one implementation, over TCP or over NewMesh's in-memory
 // pipes alike; wrappers such as obsv's tracer delegate to it. It encodes
 // every payload through the codec registry at send time, so a payload
