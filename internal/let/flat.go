@@ -131,6 +131,16 @@ func (f *Flat) Main() *Main { return f.main }
 // node root's of the own tree.
 func (f *Flat) SetOwn(b, root int32) { f.s.OwnRoot[b] = root }
 
+// OwnRoot returns the root in the own tree of branch ordinal b's subtree,
+// -1 when the cell is another rank's or b names no branch cell: the owner
+// side of function shipping resolves a request it read off the wire by it.
+func (f *Flat) OwnRoot(b uint64) int32 {
+	if b >= uint64(len(f.s.OwnRoot)) {
+		return -1
+	}
+	return f.s.OwnRoot[b]
+}
+
 // AddSection grafts sec, which owner shipped for branch ordinal b, the
 // slot-th of the cell's owners, and returns its section index. In
 // potential mode sec.Exp must hold its expansions. The Flat reads sec in

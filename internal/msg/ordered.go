@@ -66,6 +66,10 @@ type ordered struct {
 	ranks []vrank
 	keys  []float64 // per rank: the key it is parked at; +Inf once it returned
 	seq   uint64    // sends so far: the last tie-breaker of delivery order
+	// next is the rank the last rank to park found first among the others,
+	// which is first of all: it parked because its own key was no smaller.
+	// -1 when the last resume did not end in a park.
+	next int
 }
 
 // vrank is one virtual processor: its Proc, its inbox sorted by
@@ -118,7 +122,7 @@ func (m *Machine) RunOrdered(start []float64, body func(*Proc)) ([]Replayed, err
 	if len(start) != m.P {
 		panic(fmt.Sprintf("msg: RunOrdered needs %d start clocks, got %d", m.P, len(start)))
 	}
-	o := &ordered{m: m, ranks: make([]vrank, m.P), keys: make([]float64, m.P)}
+	o := &ordered{m: m, ranks: make([]vrank, m.P), keys: make([]float64, m.P), next: -1}
 	var panicked any
 	for i := range o.ranks {
 		v := &o.ranks[i]
@@ -150,13 +154,17 @@ func (m *Machine) RunOrdered(start []float64, body func(*Proc)) ([]Replayed, err
 		if c := m.failure.Load(); c != nil {
 			return nil, fmt.Errorf("msg: machine stopped: %w", c.err)
 		}
-		next := o.first(-1)
+		next := o.next
+		if next < 0 {
+			next = o.first(-1)
+		}
 		if next < 0 {
 			break
 		}
 		if math.IsInf(o.keys[next], 1) {
 			return nil, o.deadlock()
 		}
+		o.next = -1
 		o.ranks[next].resume()
 	}
 	if panicked != nil {
@@ -218,6 +226,7 @@ func (o *ordered) receive(p *Proc, w *want, block bool) (message, bool) {
 	// for a sender — or for the scheduler to call the deadlock.)
 	q := o.first(p.id)
 	if math.IsInf(key, 1) || q >= 0 && (o.keys[q] < key || o.keys[q] == key && q < p.id) {
+		o.next = q
 		if !v.yield(struct{}{}) {
 			panic(stopPanic{errUnwound})
 		}

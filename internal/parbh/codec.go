@@ -110,8 +110,8 @@ const sectionSize = 72
 const reqPartSize = 32
 
 // checkReqBin fails the decode of a request bin whose particles do not
-// account for its keys exactly: the owner's service would index past
-// them.
+// account for its branch ordinals exactly: the owner's service would index
+// past them. An ordinal itself is checked where it is served.
 func checkReqBin(c *recio.Coder, v *reqBin) {
 	var sum int64
 	for i, q := range v.Parts {
@@ -121,8 +121,8 @@ func checkReqBin(c *recio.Coder, v *reqBin) {
 		}
 		sum += int64(q.N)
 	}
-	if sum != int64(len(v.Keys)) {
-		c.R.Fail("parbh: request particles hold %d entries, the bin %d keys", sum, len(v.Keys))
+	if sum != int64(len(v.Branches)) {
+		c.R.Fail("parbh: request particles hold %d entries, the bin %d branches", sum, len(v.Branches))
 	}
 }
 
@@ -136,7 +136,7 @@ func init() {
 			c.I32(&q.Self)
 			c.I32(&q.N)
 		})
-		recio.Slice(c, &v.Keys, 8, (*recio.Coder).U64)
+		recio.Slice(c, &v.Branches, 8, (*recio.Coder).U64)
 		c.Bool(&v.More)
 		if c.Decoding {
 			checkReqBin(c, v)

@@ -87,12 +87,11 @@ type dataRun struct {
 func (e *Engine) dataShipPhase(pr *msg.Proc, st *localState, res *Result) {
 	t0 := pr.Stats().ComputeTime
 	r := &shipRun{e: e, pr: pr, st: st, sh: &e.ship[st.me]}
-	st.extraLoad = e.scratch[st.me].extraLoad
-	clear(st.extraLoad)
+	e.startExtraLoad(st)
 	st.letSent = make(map[letPair][]int32)
 	r.flatten()
 	log := r.start()
-	r.sweep(st.parts)
+	r.sweep(st.parts, st.extraLoad)
 	var flops float64
 	for _, f := range log.Flops {
 		flops += f
@@ -104,7 +103,7 @@ func (e *Engine) dataShipPhase(pr *msg.Proc, st *localState, res *Result) {
 		got: make(map[letPair][]fetchedChild), exps: make(map[letPair]*phys.Expansion), asked: make(map[letPair]bool),
 		asks: make([][]uint64, p), askSec: make([][]*fetchSection, p)}
 	for o, bin := range r.sh.bins {
-		d.prev[o] = make([]tree.Stats, len(bin.Keys))
+		d.prev[o] = make([]tree.Stats, len(bin.Branches))
 	}
 	// The slots in slot order, read with one cursor per owner as fold
 	// reads the replies.
@@ -115,10 +114,11 @@ func (e *Engine) dataShipPhase(pr *msg.Proc, st *localState, res *Result) {
 		for _, o := range owners[:n] {
 			sl := dataSlot{part: int32(i), at: r.sh.at[o]}
 			r.sh.at[o]++
-			pair := letPair{peer: int(o), key: r.sh.bins[o].Keys[sl.at]}
+			b := int32(r.sh.bins[o].Branches[sl.at])
+			pair := letPair{peer: int(o), key: st.flat.keys[b]}
 			s := of[pair]
 			if s == nil {
-				s = &fetchSection{owner: pair.peer, branch: st.flat.ordOf[pair.key], si: -1}
+				s = &fetchSection{owner: pair.peer, branch: b, si: -1}
 				s.BranchKey = pair.key
 				of[pair] = s
 				d.secs = append(d.secs, s)
@@ -250,8 +250,7 @@ func (d *dataRun) emitGrown() {
 		s.grown = false
 		d.emit(s)
 		if s.si < 0 {
-			slot := slices.Index(d.st.flat.branches[s.branch].owners, s.owner)
-			s.si = d.fl.AddSection(s.owner, &s.Section, s.branch, slot)
+			s.si = d.fl.AddSection(s.owner, &s.Section, s.branch, d.st.flat.slot(s.branch, s.owner))
 		}
 	}
 	d.fl.Seal()
@@ -341,9 +340,9 @@ func (d *dataRun) final() {
 	force := d.e.cfg.Mode == ForceMode
 	for o, bin := range d.sh.bins {
 		if force {
-			d.sh.reps[o].F = make([]vec.V3, len(bin.Keys))
+			d.sh.reps[o].F = make([]vec.V3, len(bin.Branches))
 		} else {
-			d.sh.reps[o].P = make([]float64, len(bin.Keys))
+			d.sh.reps[o].P = make([]float64, len(bin.Branches))
 		}
 	}
 	for _, s := range d.secs {

@@ -90,7 +90,7 @@ func New(machine *msg.Machine, set *dist.Set, cfg Config) (*Engine, error) {
 	e.scratch = make([]rankScratch, p)
 	for _, rk := range machine.LocalRanks() {
 		e.scratch[rk] = rankScratch{buckets: make([][]dist.Particle, p), payloads: make([]any, p),
-			words: make([]int, p), extraLoad: make(map[int]float64)}
+			words: make([]int, p)}
 	}
 
 	switch cfg.Scheme {
@@ -176,7 +176,7 @@ type localState struct {
 	tree     *tree.Tree       // the rank's subtrees: its builder's tree or its forest
 	branches []int32          // local branch subtree roots in tree, Morton order
 	rootsMap map[uint64]int32 // packed key -> branch root
-	lookup   branchLookup     // request-serving lookup structure
+	lookup   branchLookup     // the modelled request lookup; data shipping's cell finder
 	top      *pnode           // replicated global tree, shared with this process's other ranks: read-only
 	cells    *let.Cells       // top's geometry for LET's essential-set test, shared and read-only like it
 	flat     *topFlat         // top's main region for the sweep, shared and read-only like it
@@ -187,8 +187,9 @@ type localState struct {
 	// extraLoad attributes interactions computed against replicated top
 	// and remote summaries (which no tree node records) to the traversing
 	// particle, so the load-balancing schemes see the whole force cost of
-	// a region, not just its subtree-resident share.
-	extraLoad map[int]float64
+	// a region, not just its subtree-resident share. It is aligned with
+	// parts, which the force phase and the load balance read alike.
+	extraLoad []float64
 
 	// LET's per-step state; data shipping fills letSent as it serves.
 	letFlat *let.Flat           // grafted flat essential tree
@@ -202,9 +203,17 @@ type rankScratch struct {
 	buckets   [][]dist.Particle // per destination: the particles leaving for it; empty between exchanges
 	payloads  []any             // per destination, for AllToAll
 	words     []int
-	shares    []float64       // balanceDPDA: per-particle load, local Morton order
-	extraLoad map[int]float64 // behind localState.extraLoad, cleared by the force phase
-	section   let.Scratch     // LET: the columns every section is built in, then copied out
+	shares    []float64   // balanceDPDA: per-particle load, local Morton order
+	extraLoad []float64   // behind localState.extraLoad, zeroed by the force phase
+	section   let.Scratch // LET: the columns every section is built in, then copied out
+}
+
+// startExtraLoad points st.extraLoad at the rank's scratch, one zero per
+// particle, for the force phase to fill.
+func (e *Engine) startExtraLoad(st *localState) {
+	sc := &e.scratch[st.me]
+	sc.extraLoad = append(sc.extraLoad[:0], make([]float64, len(st.parts))...)
+	st.extraLoad = sc.extraLoad
 }
 
 // message tags of the engine protocols (collectives use their own space).
@@ -881,8 +890,8 @@ func (e *Engine) balanceSPDA(pr *msg.Proc, st *localState) []int {
 		c := e.grid.Index(int(x), int(y), int(z))
 		loads[c] = flopLoad(st.tree, b, deg)
 	}
-	for _, q := range st.parts {
-		loads[e.grid.ClusterOf(q.Pos)] += st.extraLoad[q.ID]
+	for i, q := range st.parts {
+		loads[e.grid.ClusterOf(q.Pos)] += st.extraLoad[i]
 	}
 	pr.Compute(float64(len(st.branches))*20 + float64(len(st.parts))*2)
 	total := pr.SumF64(loads)
@@ -920,7 +929,7 @@ func (e *Engine) balanceDPDA(pr *msg.Proc, st *localState) []uint64 {
 		panic(fmt.Sprintf("parbh: rank %d: %d load shares for %d particles", st.me, len(shares), len(order)))
 	}
 	for i := range order {
-		shares[i] += st.extraLoad[order[i].ID]
+		shares[i] += st.extraLoad[i]
 	}
 	pr.Compute(float64(len(shares)) * 10)
 	var myLoad float64

@@ -1,6 +1,8 @@
 package parbh
 
 import (
+	"slices"
+
 	"repro/internal/dist"
 	"repro/internal/let"
 	"repro/internal/msg"
@@ -46,18 +48,18 @@ type reqPart struct {
 const reqEntryWords = 4
 
 // reqBin is one round's shipped particles for one destination: each
-// particle once, in particle order, followed in Keys by the branch keys of
-// its N entries in ship order. More is set while the sender has further
-// rounds to come; a destination is done serving a peer once it has
-// answered the bin that clears it.
+// particle once, in particle order, followed in Branches by the branch
+// ordinals (topFlat) of its N entries in ship order. More is set while the
+// sender has further rounds to come; a destination is done serving a peer
+// once it has answered the bin that clears it.
 type reqBin struct {
-	Parts []reqPart
-	Keys  []uint64
-	More  bool
+	Parts    []reqPart
+	Branches []uint64
+	More     bool
 }
 
-// repBin carries the computed contributions back, one per key in request
-// order. Exactly one of F or P is set depending on the mode.
+// repBin carries the computed contributions back, one per entry in
+// request order. Exactly one of F or P is set depending on the mode.
 type repBin struct {
 	F []vec.V3
 	P []float64
@@ -86,8 +88,7 @@ func (e *Engine) forcePhase(pr *msg.Proc, st *localState, res *Result) {
 		return
 	}
 	r := &shipRun{e: e, pr: pr, st: st, sh: &e.ship[st.me]}
-	st.extraLoad = e.scratch[st.me].extraLoad
-	clear(st.extraLoad)
+	e.startExtraLoad(st)
 	r.flatten()
 	r.exchange(res)
 	r.fl.Release()
@@ -126,6 +127,10 @@ type shipScratch struct {
 	at     []int32
 
 	servedFrom []int // per requester: entries served so far this step
+	// Per requester: the reply this rank last filled for it. The requester
+	// has folded it by the time its next bin arrives, so that bin's reply
+	// reuses it; the phase's end drops them.
+	repTo []repBin
 
 	// Grouping of one served bin by branch.
 	part    []int32   // per entry: its particle's index in the bin's Parts
@@ -160,8 +165,9 @@ func (r *shipRun) exchange(res *Result) {
 	log := r.start()
 	if len(log.Served) != p {
 		log.Served = make([][]float64, p)
-		r.sh.servedFrom = make([]int, p)
+		r.sh.servedFrom, r.sh.repTo = make([]int, p), make([]repBin, p)
 	}
+	defer clear(r.sh.repTo)
 	for q := range log.Served {
 		log.Served[q] = log.Served[q][:0]
 	}
@@ -174,15 +180,15 @@ func (r *shipRun) exchange(res *Result) {
 		// which is done with it once its reply is back: the round is over,
 		// and the next one's sweep may overwrite the bin.
 		ships, owners := len(log.Ships), len(log.Owners)
-		r.sweep(parts[lo:hi])
+		r.sweep(parts[lo:hi], r.st.extraLoad[lo:hi])
 		more, replies := hi < len(parts), 0
 		for d := 1; d < p; d++ {
 			o := (me + d) % p
 			bin := r.sh.bins[o]
-			if len(bin.Keys) == 0 && more {
+			if len(bin.Branches) == 0 && more {
 				continue // nothing to ask and nothing to announce
 			}
-			if len(bin.Keys) > 0 {
+			if len(bin.Branches) > 0 {
 				replies++
 			}
 			bin.More = more
@@ -222,17 +228,19 @@ func (r *shipRun) start() *shipLog {
 
 // sweep runs the traversal of one round of the rank's own particles, eight
 // at a time in particle order, then reads the packet back one lane — one
-// particle — at a time: its charge is logged, and the branches it opened
-// are shipped in the order its lone traversal would have met them. The
-// ship sequence is therefore exactly that of a one-particle-at-a-time
-// traversal. Each shipment goes to its owner's request, which takes the
-// particle once and then the branch keys of its entries, in ship order.
-func (r *shipRun) sweep(round []dist.Particle) {
+// particle — at a time: its charge is logged, its extra load goes to extra
+// (aligned with round), and the branches it opened are shipped in the
+// order its lone traversal would have met them. The ship sequence is
+// therefore exactly that of a one-particle-at-a-time traversal. Each
+// shipment goes to its owner's request, which takes the particle once and
+// then the branch ordinals of its entries, in ship order.
+func (r *shipRun) sweep(round []dist.Particle, extra []float64) {
 	sh, st, log := r.sh, r.st, &r.sh.log
 	force, deg := r.e.cfg.Mode == ForceMode, r.e.cfg.degreeOrMonopole()
+	tf := st.flat
 	sh.localF, sh.localP = sh.localF[:0], sh.localP[:0]
 	for o := range sh.bins {
-		sh.bins[o].Parts, sh.bins[o].Keys = sh.bins[o].Parts[:0], sh.bins[o].Keys[:0]
+		sh.bins[o].Parts, sh.bins[o].Branches = sh.bins[o].Parts[:0], sh.bins[o].Branches[:0]
 	}
 	pk := &sh.own
 	for k := 0; k < len(round); k += 8 {
@@ -246,9 +254,7 @@ func (r *shipRun) sweep(round []dist.Particle) {
 			s := pk.Stats(l)
 			st.stats.Add(s)
 			log.Flops = append(log.Flops, s.Flops(deg))
-			if ex := pk.Extra(l); ex != 0 {
-				st.extraLoad[q.ID] = ex
-			}
+			extra[k+l] = pk.Extra(l)
 			if force {
 				sh.localF = append(sh.localF, pk.Sum(l))
 			} else {
@@ -257,16 +263,15 @@ func (r *shipRun) sweep(round []dist.Particle) {
 			sh.deferred = pk.Deferred(l, sh.deferred[:0])
 			ships := 0
 			for _, node := range sh.deferred {
-				b := st.flat.branches[st.flat.main.Branch(node)]
-				key := b.cell.Uint64()
-				for _, o := range b.owners {
+				b := tf.main.Branch(node)
+				for _, o := range tf.ownersOf(b) {
 					bin := &sh.bins[o]
 					if last := len(bin.Parts) - 1; last < 0 || bin.Parts[last].Self != int32(q.ID) {
 						bin.Parts = append(bin.Parts, reqPart{Pos: q.Pos, Self: int32(q.ID)})
 					}
 					bin.Parts[len(bin.Parts)-1].N++
-					bin.Keys = append(bin.Keys, key)
-					log.Owners = append(log.Owners, uint16(o))
+					bin.Branches = append(bin.Branches, uint64(b))
+					log.Owners = append(log.Owners, o)
 					ships++
 				}
 			}
@@ -311,26 +316,30 @@ func (r *shipRun) fold(round []dist.Particle, ships []int32, owners []uint16, re
 // results back: the essence of function shipping — the computation runs
 // where the data is. It returns 1 if the bin was the requester's last.
 func (r *shipRun) serve(bin reqBin, from int) int {
-	if n := len(bin.Keys); n > 0 {
-		var rep repBin
+	if n := len(bin.Branches); n > 0 {
+		rep := &r.sh.repTo[from]
 		if r.e.cfg.Mode == ForceMode {
-			rep.F = make([]vec.V3, n)
+			rep.F = slices.Grow(rep.F[:0], n)[:n]
 		} else {
-			rep.P = make([]float64, n)
+			rep.P = slices.Grow(rep.P[:0], n)[:n]
 		}
-		r.servePackets(bin, &rep)
+		r.servePackets(bin, rep)
 		// Whatever rounds the entries came in, the protocol serves them in
 		// bins: the k-th BinSize of them is one message, charged at once.
-		bins := r.sh.log.Served[from]
+		bins, size := r.sh.log.Served[from], r.e.cfg.BinSize
+		at := r.sh.servedFrom[from] % size // entries of the open bin
 		for _, flops := range r.sh.flops[:n] {
-			if r.sh.servedFrom[from]%r.e.cfg.BinSize == 0 {
+			if at == 0 {
 				bins = append(bins, 0)
 			}
 			bins[len(bins)-1] += flops
-			r.sh.servedFrom[from]++
+			if at++; at == size {
+				at = 0
+			}
 		}
 		r.sh.log.Served[from] = bins
-		r.pr.SendOffClock(from, tagReply, rep)
+		r.sh.servedFrom[from] += n
+		r.pr.SendOffClock(from, tagReply, *rep)
 	}
 	if bin.More {
 		return 0
@@ -345,17 +354,18 @@ func (r *shipRun) serve(bin reqBin, from int) int {
 // particles of a leaf branch), mirroring what a serial traversal does after
 // rejecting the node. Entries asking for the same branch are swept
 // together, up to eight to a packet, from the branch's root in this rank's
-// tree; every lane is still its entry's lone traversal.
+// tree, which the rank's Flat names by the branch's ordinal; every lane is
+// still its entry's lone traversal. An ordinal that names no cell of this
+// rank's — none at all, when the request is corrupt — gets the lookup
+// charge and an explicit zero.
 func (r *shipRun) servePackets(bin reqBin, rep *repBin) {
 	sh := r.sh
 	sh.part, sh.base, sh.touched = sh.part[:0], sh.base[:0], sh.touched[:0]
-	keys := bin.Keys
+	branches := bin.Branches
 	for j, q := range bin.Parts {
-		for _, key := range keys[:q.N] {
-			b, ok := r.st.rootsMap[key]
-			if !ok {
-				b = -1
-			} else {
+		for _, ord := range branches[:q.N] {
+			b := r.fl.OwnRoot(ord)
+			if b >= 0 {
 				if sh.fill[b] == 0 {
 					sh.touched = append(sh.touched, b)
 				}
@@ -364,7 +374,7 @@ func (r *shipRun) servePackets(bin reqBin, rep *repBin) {
 			sh.part = append(sh.part, int32(j))
 			sh.base = append(sh.base, b)
 		}
-		keys = keys[q.N:]
+		branches = branches[q.N:]
 	}
 	// Counting sort by branch: fill turns from counts into write cursors,
 	// which end up at each group's end.
@@ -372,17 +382,27 @@ func (r *shipRun) servePackets(bin reqBin, rep *repBin) {
 	for _, b := range sh.touched {
 		off, sh.fill[b] = off+sh.fill[b], off
 	}
-	if n := len(bin.Keys); len(sh.order) < n {
+	if n := len(bin.Branches); len(sh.order) < n {
 		sh.order = make([]int32, n)
 		sh.flops = make([]float64, n)
 	}
+	force, deg := r.e.cfg.Mode == ForceMode, r.e.cfg.degreeOrMonopole()
+	lookup := r.st.lookup.cost()
 	for i, b := range sh.base {
 		if b >= 0 {
 			sh.order[sh.fill[b]] = int32(i)
 			sh.fill[b]++
+			continue
+		}
+		// No cell of this rank's: only the lookup is charged, and the reply
+		// is an explicit zero whatever rep held.
+		sh.flops[i] = lookup
+		if force {
+			rep.F[i] = vec.V3{}
+		} else {
+			rep.P[i] = 0
 		}
 	}
-	force, deg := r.e.cfg.Mode == ForceMode, r.e.cfg.degreeOrMonopole()
 	pk := &sh.served
 	lo := int32(0)
 	for _, b := range sh.touched {
@@ -398,7 +418,7 @@ func (r *shipRun) servePackets(bin reqBin, rep *repBin) {
 			for l, i := range group {
 				s := pk.Stats(l)
 				r.st.stats.Add(s)
-				sh.flops[i] = s.Flops(deg)
+				sh.flops[i] = s.Flops(deg) + lookup
 				if force {
 					rep.F[i] = pk.Sum(l)
 				} else {
@@ -407,21 +427,6 @@ func (r *shipRun) servePackets(bin reqBin, rep *repBin) {
 			}
 		}
 		lo = hi
-	}
-	lookup := r.st.lookup.cost()
-	for i, b := range sh.base {
-		if b >= 0 {
-			sh.flops[i] += lookup
-			continue
-		}
-		// Empty branch (race with zero-count summaries): only the lookup is
-		// charged, and the reply is an explicit zero whatever rep held.
-		sh.flops[i] = lookup
-		if force {
-			rep.F[i] = vec.V3{}
-		} else {
-			rep.P[i] = 0
-		}
 	}
 }
 

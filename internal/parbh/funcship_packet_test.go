@@ -183,9 +183,10 @@ func (r *shipOracle) traversePot(n *pnode, pos vec.V3, self, localIdx int) float
 type shipWorld struct {
 	cfg    Config
 	states []*localState
-	accels []vec.V3  // force mode
-	pots   []float64 // potential mode
-	words  int64     // force-phase communication, all ranks
+	extra  []map[int]float64 // the oracle's extra-load accounts, per rank by particle ID
+	accels []vec.V3          // force mode
+	pots   []float64         // potential mode
+	words  int64             // force-phase communication, all ranks
 	msgs   int64
 	comm   float64 // force-phase communication and compute time, summed over ranks
 	comp   float64
@@ -222,8 +223,6 @@ func runPhases(e *Engine, force bool) (*shipWorld, error) {
 		before := pr.Stats()
 		if force {
 			e.forcePhase(pr, st, res)
-		} else {
-			st.extraLoad = map[int]float64{}
 		}
 		after := pr.Stats()
 		spent[st.me] = msg.Stats{Words: after.Words - before.Words, Messages: after.Messages - before.Messages,
@@ -250,9 +249,11 @@ func newShipWorld(cfg Config, states []*localState, n int) *shipWorld {
 func (w *shipWorld) runOracle() [][]int {
 	p := len(w.states)
 	entries := make([][]int, p)
+	w.extra = make([]map[int]float64, p)
 	for me, st := range w.states {
 		entries[me] = make([]int, p)
-		r := &shipOracle{cfg: w.cfg, st: st, extraLoad: st.extraLoad}
+		r := &shipOracle{cfg: w.cfg, st: st, extraLoad: map[int]float64{}}
+		w.extra[me] = r.extraLoad
 		pot := w.cfg.Mode == PotentialMode
 		localF, localP := make([]vec.V3, len(st.parts)), make([]float64, len(st.parts))
 		for i := range st.parts {
@@ -337,11 +338,12 @@ func compareWorlds(t *testing.T, want, got *shipWorld) {
 		if perRank && gs.stats != ws.stats {
 			t.Errorf("rank %d: stats %+v, oracle %+v", me, gs.stats, ws.stats)
 		}
-		if len(gs.extraLoad) != len(ws.extraLoad) {
-			t.Errorf("rank %d: %d extra-load entries, oracle %d", me, len(gs.extraLoad), len(ws.extraLoad))
+		we, ge := want.extraLoad(me), got.extraLoad(me)
+		if len(ge) != len(we) {
+			t.Errorf("rank %d: %d extra-load entries, oracle %d", me, len(ge), len(we))
 		}
-		for id, v := range ws.extraLoad {
-			if gv, ok := gs.extraLoad[id]; !ok || gv != v {
+		for id, v := range we {
+			if gv, ok := ge[id]; !ok || gv != v {
 				t.Fatalf("rank %d: extraLoad[%d] = %v (present %v), oracle %v", me, id, gv, ok, v)
 			}
 		}
@@ -363,6 +365,26 @@ func compareWorlds(t *testing.T, want, got *shipWorld) {
 }
 
 func isData(s Shipping) bool { return s == DataShipping || s == DataShippingNaive }
+
+// extraLoad returns rank me's nonzero extra-load charges by particle ID:
+// the oracle's account, or the one the force phase left aligned with the
+// rank's particles.
+func (w *shipWorld) extraLoad(me int) map[int]float64 {
+	if w.extra != nil {
+		return w.extra[me]
+	}
+	st := w.states[me]
+	if len(st.extraLoad) != len(st.parts) {
+		panic(fmt.Sprintf("rank %d: %d extra-load charges for %d particles", me, len(st.extraLoad), len(st.parts)))
+	}
+	m := map[int]float64{}
+	for i, v := range st.extraLoad {
+		if v != 0 {
+			m[st.parts[i].ID] = v
+		}
+	}
+	return m
+}
 
 // nodeLoads returns the Load of every node under n of st's tree.
 func nodeLoads(st *localState, n int32) []int64 {
@@ -533,9 +555,6 @@ func handWorld(t *testing.T, set *dist.Set, p int, cfg Config) (*Engine, []*loca
 	}
 	e := &Engine{cfg: cfg, machine: msg.NewMachine(p, msg.CM5()), domain: domain, n: set.N(),
 		ship: make([]shipScratch, p), scratch: make([]rankScratch, p), letFlats: make([]*let.Flat, p)}
-	for i := range e.scratch {
-		e.scratch[i].extraLoad = map[int]float64{}
-	}
 	return e, states
 }
 
@@ -569,9 +588,6 @@ func handForcePhase(t *testing.T, set *dist.Set, p int, cfg Config) (want, got *
 	t.Helper()
 	_, oracleStates := handWorld(t, set, p, cfg)
 	want = newShipWorld(cfg.withDefaults(), oracleStates, set.N())
-	for _, st := range want.states {
-		st.extraLoad = map[int]float64{}
-	}
 	entries = want.runOracle()
 	e, states := handWorld(t, set, p, cfg)
 	got = newShipWorld(e.cfg, states, set.N())
@@ -622,16 +638,18 @@ func interleavedParticles(log *shipLog) int {
 
 // TestFuncShipServeGroupsAndEmptyBranch calls the owner-side service
 // directly with one bin whose entries — interleaved, as a requester's
-// particles interleave them, one to four of them a particle — form key
+// particles interleave them, one to four of them a particle — form branch
 // groups of 1, 8 and 9 (a lone lane, exactly one full packet, a full packet
-// plus one), plus requests for a branch this rank does not have, into a
-// reply buffer full of stale values.
+// plus one), plus requests for a branch this rank does not own and for
+// ordinals that name no branch at all (one past the last, and the largest
+// a request read off the wire can carry), into a reply buffer full of
+// stale values. The oracle resolves each entry by its cell's key.
 func TestFuncShipServeGroupsAndEmptyBranch(t *testing.T) {
 	set := dist.MustNamed("uniform", 600, 5)
 	for _, m := range shipModes {
 		cfg := Config{Scheme: SPSA, Mode: m.mode, Degree: m.degree, Alpha: 0.67, Eps: 0.01, LeafCap: 4}
-		e, states := handWorld(t, set, 1, cfg)
-		_, oracleStates := handWorld(t, set, 1, cfg)
+		e, states := handWorld(t, set, 2, cfg)
+		_, oracleStates := handWorld(t, set, 2, cfg)
 		st, ost := states[0], oracleStates[0]
 		if len(st.branches) < 3 {
 			t.Fatalf("only %d branches", len(st.branches))
@@ -642,28 +660,41 @@ func TestFuncShipServeGroupsAndEmptyBranch(t *testing.T) {
 		}
 		var entries []entry
 		var bin reqBin
-		add := func(key uint64, i int) {
+		add := func(key, ord uint64, i int) {
 			q := set.Particles[(37*i+11)%set.N()]
 			entries = append(entries, entry{key, q})
 			if last := len(bin.Parts) - 1; last < 0 || bin.Parts[last].Self != int32(q.ID) {
 				bin.Parts = append(bin.Parts, reqPart{Pos: q.Pos, Self: int32(q.ID)})
 			}
 			bin.Parts[len(bin.Parts)-1].N++
-			bin.Keys = append(bin.Keys, key)
+			bin.Branches = append(bin.Branches, ord)
 		}
-		const missing = ^uint64(0)
-		ka, kb, kc := st.tree.Key[st.branches[0]], st.tree.Key[st.branches[1]], st.tree.Key[st.branches[2]]
+		branch := func(st *localState, i int) (key, ord uint64) {
+			key = st.tree.Key[st.branches[i]]
+			b, ok := st.flat.ordOf[key]
+			if !ok {
+				t.Fatalf("rank %d's branch %x has no ordinal", st.me, key)
+			}
+			return key, uint64(b)
+		}
+		const missing = ^uint64(0) // no cell's key
+		ka, oa := branch(st, 0)
+		kb, ob := branch(st, 1)
+		kc, oc := branch(st, 2)
+		kr, or := branch(states[1], 0) // rank 1's
+		past := uint64(len(st.flat.keys))
 		for i := 0; i < 9; i++ {
-			add(kc, i)
+			add(kc, oc, i)
 			if i < 8 {
-				add(kb, i)
+				add(kb, ob, i)
 			}
 			if i == 4 {
-				add(ka, i)
-				add(missing, i)
+				add(ka, oa, i)
+				add(kr, or, i)
+				add(missing, past, i)
 			}
 		}
-		add(missing, 301)
+		add(missing, ^uint64(0), 301)
 		if len(bin.Parts) != 10 {
 			t.Fatalf("%d request particles, want 10", len(bin.Parts))
 		}

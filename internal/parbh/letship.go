@@ -2,7 +2,6 @@ package parbh
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/let"
 	"repro/internal/msg"
@@ -135,7 +134,7 @@ func (e *Engine) letExchange(pr *msg.Proc, st *localState) {
 			b, ok := st.flat.ordOf[sec.BranchKey]
 			slot := -1
 			if ok {
-				slot = slices.Index(st.flat.branches[b].owners, owner)
+				slot = st.flat.slot(b, owner)
 			}
 			if slot < 0 {
 				panic(fmt.Sprintf("parbh: LET section from rank %d for branch %x, which it does not own", owner, sec.BranchKey))
@@ -164,13 +163,11 @@ func (e *Engine) letForcePhase(pr *msg.Proc, st *localState, res *Result) {
 	// The per-interaction extra-load addend: interactions against
 	// replicated summaries have no local tree node to charge.
 	exAdd := phys.InteractionFlops(deg) + phys.MACFlops
-	extra := make([]float64, n)
-	st.extraLoad = e.scratch[st.me].extraLoad
-	clear(st.extraLoad)
+	e.startExtraLoad(st)
 
 	if cfg.Mode == ForceMode {
 		out := make([]vec.V3, n)
-		s := fl.ForceAll(st.parts, cfg.Alpha, cfg.Eps, exAdd, out, extra)
+		s := fl.ForceAll(st.parts, cfg.Alpha, cfg.Eps, exAdd, out, st.extraLoad)
 		st.stats.Add(s)
 		pr.Compute(s.Flops(deg))
 		for i := range st.parts {
@@ -178,16 +175,11 @@ func (e *Engine) letForcePhase(pr *msg.Proc, st *localState, res *Result) {
 		}
 	} else {
 		out := make([]float64, n)
-		s := fl.PotentialAll(st.parts, cfg.Alpha, exAdd, out, extra)
+		s := fl.PotentialAll(st.parts, cfg.Alpha, exAdd, out, st.extraLoad)
 		st.stats.Add(s)
 		pr.Compute(s.Flops(deg))
 		for i := range st.parts {
 			res.Potentials[st.parts[i].ID] = out[i]
-		}
-	}
-	for i := range st.parts {
-		if extra[i] != 0 {
-			st.extraLoad[st.parts[i].ID] = extra[i]
 		}
 	}
 	e.letReturnLoads(pr, st, fl)

@@ -31,15 +31,17 @@ import (
 // p16-func is the shape of the ledger's dpda_func_p16: DPDA with function
 // shipping on 16 ranks, 20 000 particles, α = 0.67, force mode. It read
 // 26.1 MB while a request held a 40 B entry per (particle, branch) pair
-// and the requester a ship record and a slot value beside it; it reads
-// 20.6–20.7 MB (GOMAXPROCS 1 to 4); the bound is that plus 10 %.
+// and the requester a ship record and a slot value beside it; it read
+// 20.6–20.7 MB while each rank kept its extra-load account in a map keyed
+// by particle ID; with a slice beside the particles it reads 20.1–20.2 MB
+// (GOMAXPROCS 1 to 4). The bound is the earlier reading plus 10 %.
 //
 // p8-let is the shape of the ledger's service_frames_tail: DPDA with LET
 // on 8 ranks, 40 000 particles, α = 1, force mode, where each rank's
 // local tree and particle arrays are most of the memory. It read ≈ 32 MB
 // while every rank's flat tree held a copy of its own subtrees and of
-// every section it received; read where they live, it reads 23.3–24.9 MB
-// (GOMAXPROCS 1 to 4); the bound is that plus 10 %.
+// every section it received; read where they live, it reads 23.3–25.1 MB
+// (GOMAXPROCS 1 to 4); the bound is 23.3–24.9 MB plus 10 %.
 func TestEngineLiveHeap(t *testing.T) {
 	for _, tc := range []struct {
 		name    string

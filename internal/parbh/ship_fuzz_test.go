@@ -14,7 +14,7 @@ func fuzzShipSeeds(t testing.TB) [][]byte {
 	var out [][]byte
 	for _, v := range []any{
 		reqBin{Parts: []reqPart{{Pos: vec.V3{X: 0.1, Y: 0.2, Z: 0.3}, Self: 4, N: 2}, {Pos: vec.V3{X: 1}, Self: 9, N: 1}},
-			Keys: []uint64{0x51, 0x52, 0x51}, More: true},
+			Branches: []uint64{0x51, 0x52, 0x51}, More: true},
 		reqBin{},
 		repBin{F: []vec.V3{{X: 1, Y: 2, Z: 3}, {X: 4, Y: 5, Z: 6}}},
 		repBin{P: []float64{-0.75}},
@@ -53,8 +53,8 @@ func FuzzDecodeShipWire(f *testing.F) {
 				}
 				keys += int(q.N)
 			}
-			if keys != len(bin.Keys) {
-				t.Fatalf("decoded request particles hold %d entries, the bin %d keys", keys, len(bin.Keys))
+			if keys != len(bin.Branches) {
+				t.Fatalf("decoded request particles hold %d entries, the bin %d keys", keys, len(bin.Branches))
 			}
 		}
 		if _, rerr := transport.Marshal(v); rerr != nil {
@@ -71,9 +71,9 @@ func TestShipWireRejectsBadCounts(t *testing.T) {
 		name string
 		bin  reqBin
 	}{
-		{"negative", reqBin{Parts: []reqPart{{N: 3}, {N: -1}}, Keys: []uint64{1, 2}}},
-		{"short", reqBin{Parts: []reqPart{{N: 1}}, Keys: []uint64{1, 2}}},
-		{"long", reqBin{Parts: []reqPart{{N: 2}, {N: 1}}, Keys: []uint64{1, 2}}},
+		{"negative", reqBin{Parts: []reqPart{{N: 3}, {N: -1}}, Branches: []uint64{1, 2}}},
+		{"short", reqBin{Parts: []reqPart{{N: 1}}, Branches: []uint64{1, 2}}},
+		{"long", reqBin{Parts: []reqPart{{N: 2}, {N: 1}}, Branches: []uint64{1, 2}}},
 		{"no keys", reqBin{Parts: []reqPart{{N: 1}}}},
 	} {
 		b, err := transport.Marshal(tc.bin)
@@ -81,7 +81,7 @@ func TestShipWireRejectsBadCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := transport.Unmarshal(b); err == nil {
-			t.Errorf("%s: request with counts %v over %d keys decoded", tc.name, tc.bin.Parts, len(tc.bin.Keys))
+			t.Errorf("%s: request with counts %v over %d keys decoded", tc.name, tc.bin.Parts, len(tc.bin.Branches))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package parbh
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/keys"
@@ -46,7 +47,8 @@ func summaryOf(t *tree.Tree, n int32, owner int, withExp bool) BranchSummary {
 // pnode is a node of the processor-replicated global tree: the top tree
 // plus one node per branch cell, which records its owners. One tree serves
 // every rank of a process and is immutable once built; a rank finds the
-// subtree under a branch cell of its own by key, in localState.rootsMap.
+// subtree under a branch cell of its own by the cell's ordinal, in its
+// let.Flat's OwnRoot (topFlat.reset).
 type pnode struct {
 	cell  keys.CellKey
 	box   vec.Box
@@ -166,26 +168,36 @@ func buildTop(rootBox vec.Box, summaries []BranchSummary, degree, leafCap int) (
 
 // topFlat is the replicated tree in packet-kernel form: the main region
 // every rank's let.Flat reads, built once per process per step beside the
-// tree it linearizes and read-only like it. branches lists the branch
-// cells by ordinal, ordOf their ordinals by packed key.
+// tree it linearizes and read-only like it. A branch cell is named by its
+// ordinal, the order flattenTop meets it in — the same on every rank and
+// every process, so a function-shipping request names its branch by it.
+// keys holds each ordinal's packed cell key, owners its owners, in the
+// range ownerLo[b]:ownerLo[b+1], and ordOf the ordinal of a packed key.
 type topFlat struct {
-	main     *let.Main
-	branches []*pnode
-	ordOf    map[uint64]int32
+	main    *let.Main
+	keys    []uint64
+	ownerLo []int32
+	owners  []uint16
+	ordOf   map[uint64]int32
 }
 
 // flattenTop linearizes the replicated tree under root: top nodes, an
 // empty leaf for each empty child, one branch node per branch cell.
 func flattenTop(root *pnode) *topFlat {
-	tf := &topFlat{main: &let.Main{}, ordOf: make(map[uint64]int32)}
+	tf := &topFlat{main: &let.Main{}, ownerLo: []int32{0}, ordOf: make(map[uint64]int32)}
 	tf.add(root)
 	return tf
 }
 
 func (tf *topFlat) add(n *pnode) {
 	if n.isBranch {
-		tf.ordOf[n.cell.Uint64()] = tf.main.AddBranch(n.leafCell, n.com, n.mass, n.side, n.exp, len(n.owners))
-		tf.branches = append(tf.branches, n)
+		key := n.cell.Uint64()
+		tf.ordOf[key] = tf.main.AddBranch(n.leafCell, n.com, n.mass, n.side, n.exp, len(n.owners))
+		tf.keys = append(tf.keys, key)
+		for _, o := range n.owners {
+			tf.owners = append(tf.owners, uint16(o))
+		}
+		tf.ownerLo = append(tf.ownerLo, int32(len(tf.owners)))
 		return
 	}
 	idx := tf.main.AddTop(n.com, n.mass, n.side, n.exp)
@@ -202,6 +214,15 @@ func (tf *topFlat) add(n *pnode) {
 		tf.add(c)
 	}
 	tf.main.CloseInternal(idx)
+}
+
+// ownersOf returns the owners of branch ordinal b, in owner order.
+func (tf *topFlat) ownersOf(b int32) []uint16 { return tf.owners[tf.ownerLo[b]:tf.ownerLo[b+1]] }
+
+// slot returns owner's place among the owners of branch ordinal b, -1 if
+// it is none of them.
+func (tf *topFlat) slot(b int32, owner int) int {
+	return slices.Index(tf.ownersOf(b), uint16(owner))
 }
 
 // reset readies fl to sweep the main region for st's rank: each branch
@@ -235,7 +256,10 @@ func topCells(c *let.Cells, n *pnode) {
 // for none) — the structure a processor uses to locate the target of an incoming
 // function-shipping request (Section 4.2.3). Two implementations exist:
 // a hash table and a sorted table with binary search; the paper measured
-// both and found the difference masked by computation.
+// both and found the difference masked by computation. The simulated
+// machine charges every request its cost; the host resolves a function-
+// shipping request by branch ordinal instead, and finds data shipping's
+// fetched cells through find.
 type branchLookup interface {
 	find(key uint64) int32
 	// cost returns the modelled flop cost of one lookup.

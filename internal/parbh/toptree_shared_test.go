@@ -2,6 +2,7 @@ package parbh
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -46,6 +47,9 @@ func meshPhases(t *testing.T, set *dist.Set, cfg Config, owner []int32, check fu
 // TestTopSharedAcrossLocalRanks checks that the host merges the replicated
 // tree once per process: every rank of an in-process machine reads one
 // tree, and on three processes each process's ranks read their process's.
+// Every process flattens the same table from branch ordinal to cell and
+// owners, the in-process machine's: a function-shipping request names its
+// branch by ordinal.
 func TestTopSharedAcrossLocalRanks(t *testing.T) {
 	set := dist.MustNamed("g", 1200, 24)
 	cfg := Config{Scheme: DPDA, Mode: PotentialMode, Degree: 2, Alpha: 0.67}
@@ -58,13 +62,24 @@ func TestTopSharedAcrossLocalRanks(t *testing.T) {
 		}
 	}
 
+	want := w.states[0].flat
+	if len(want.keys) == 0 || len(want.keys) != want.main.NumBranches() {
+		t.Fatalf("%d branch ordinals for %d branch cells", len(want.keys), want.main.NumBranches())
+	}
+
 	owner := []int32{0, 0, 0, 1, 1, 1, 2, 2}
 	tops := make([]*pnode, p)
+	flats := make([]*topFlat, p)
 	meshPhases(t, set, cfg, owner, func(e *Engine, w *shipWorld) {
 		for _, rk := range e.machine.LocalRanks() {
-			tops[rk] = w.states[rk].top
+			tops[rk], flats[rk] = w.states[rk].top, w.states[rk].flat
 		}
 	})
+	for rk, tf := range flats {
+		if tf == nil || !slices.Equal(tf.keys, want.keys) || !slices.Equal(tf.ownerLo, want.ownerLo) || !slices.Equal(tf.owners, want.owners) {
+			t.Fatalf("rank %d's process flattened another table from ordinal to cell and owners than the in-process machine", rk)
+		}
+	}
 	for rk, top := range tops {
 		if top == nil {
 			t.Fatalf("rank %d has no tree", rk)

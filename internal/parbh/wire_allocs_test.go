@@ -16,7 +16,7 @@ func TestWireRoundTripAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const n = 128
-	req := reqBin{Parts: make([]reqPart, n/4), Keys: make([]uint64, n), More: true}
+	req := reqBin{Parts: make([]reqPart, n/4), Branches: make([]uint64, n), More: true}
 	for i := range req.Parts {
 		req.Parts[i].N = 4
 	}

@@ -44,8 +44,8 @@ func TestWireGolden(t *testing.T) {
 	wiregolden.Check(t, "testdata/wire.golden", 31, 50,
 		particles, []wireParticle(nil), []wireParticle{},
 		reqBin{Parts: []reqPart{{Pos: vec.V3{X: 0.1, Y: 0.2, Z: 0.3}, Self: 4, N: 2}, {Pos: vec.V3{X: 1}, Self: -1, N: 1}},
-			Keys: []uint64{0x51, 0x52, 0x51}, More: true},
-		reqBin{}, reqBin{Parts: []reqPart{}, Keys: []uint64{}},
+			Branches: []uint64{0x51, 0x52, 0x51}, More: true},
+		reqBin{}, reqBin{Parts: []reqPart{}, Branches: []uint64{}},
 		repBin{F: []vec.V3{{X: 1, Y: 2, Z: 3}, {X: 4, Y: 5, Z: 6}}},
 		repBin{P: []float64{-0.75}},
 		repBin{}, repBin{F: []vec.V3{}, P: []float64{}},

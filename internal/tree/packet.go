@@ -74,7 +74,12 @@ func (c *Cols) Reset() {
 // node's Skip lies past it and within its parent's; each leaf's [Lo, Hi)
 // lies within the particles; and nodes nest at most MaxDepth+2 deep, the
 // frames a packet starts with. Node sets built by this package hold all of
-// these; a receiver checks a node set it decoded.
+// these; a receiver checks a node set it decoded. A branch kind's Lo
+// indexes the sweep's OwnRoot (and GraftLo), which CheckWalk does not see:
+// the fused descent hands an ordinal outside OwnRoot to the Go loop, and
+// only a main region, built on the host, holds branch kinds — a received
+// section cannot, since its wire codes name internal, closed and leaf
+// nodes alone.
 func (c *Cols) CheckWalk() error {
 	n, m := len(c.Kind), len(c.ID)
 	for _, l := range [...]int{len(c.Skip), len(c.ComX), len(c.ComY), len(c.ComZ), len(c.Mass), len(c.Side), len(c.Lo), len(c.Hi)} {
@@ -228,9 +233,10 @@ func SecSeg(k int) Seg { return Seg(2 + k) }
 // The two modes differ in the two term routines alone: what an accepted
 // node adds (mac, macPot) and what a leaf adds (leaf, leafPot). Where the
 // CPU has AVX2 (useAVX2), force mode's descent runs as one assembly
-// routine per packet (descendAVX2, packet_amd64.s) that walks the internal
-// and leaf nodes, all eight lanes at once, with the same bits as the Go
-// loop and term bodies, which are the generic path.
+// routine per packet (descendAVX2, packet_amd64.s) that walks the internal,
+// leaf and summary nodes and other ranks' branch cells, all eight lanes at
+// once, with the same bits as the Go loop and term bodies, which are the
+// generic path.
 //
 // A locally essential tree is read where its parts live, not copied into
 // one set of columns. The main region (Cols) may be shared by every rank
@@ -548,8 +554,9 @@ func (s *Sweep) below(w *Packet, g Seg, base int32) {
 // subtree's end (ownEnd) when the stack is back at the depth it was
 // entered at (ownD), and the walk resumes in the main region. In force
 // mode with useAVX2, descendAVX2 runs the loop below for as long as it
-// meets internal, leaf, top and closed nodes; the loop's own body then
-// takes the one node or segment switch it stopped at.
+// meets internal, leaf, top and closed nodes and other ranks' branch cells
+// while the defers have room; the loop's own body then takes the one node
+// or segment switch it stopped at.
 func (s *Sweep) sweep(w *Packet, g Seg, first, end int32, init float64) {
 	c := s.seg(g)
 	w.ld = w.loads[g]
@@ -560,7 +567,7 @@ func (s *Sweep) sweep(w *Packet, g Seg, first, end int32, init float64) {
 	fused := useAVX2 && !s.potential
 	for i := first; ; {
 		if fused {
-			ni, nd := descendAVX2(w, c, &avx, int(i), d, ownD, int(ownEnd), s.alpha, s.a2, s.e2, s.exAdd)
+			ni, nd := descendAVX2(w, c, &avx, s.OwnRoot, int(i), d, ownD, int(ownEnd), s.alpha, s.a2, s.e2, s.exAdd)
 			if nd < 0 {
 				panic(closedRejected)
 			}

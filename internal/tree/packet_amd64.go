@@ -41,12 +41,15 @@ func hasAVX2() bool
 
 // descendAVX2 is Sweep.sweep's loop over nodes of c from node i with the
 // frame at depth d open, for the lanes of w.frames[0] under the sweep's
-// parameters, in force mode. It closes the frames that end (down to depth
-// ownD), tests and opens KindInternal and KindTop nodes, tests KindClosed
-// nodes and sums KindLeaf nodes, and returns the node and depth it
-// stopped at: the end of the walk (depth 0 at its end), ownEnd, a node of
+// parameters, in force mode; own is the sweep's OwnRoot. It closes the
+// frames that end (down to depth ownD), tests and opens KindInternal and
+// KindTop nodes, tests KindClosed nodes, sums KindLeaf nodes, and tests
+// and defers another rank's KindBranch and KindBranchLeaf nodes (appending
+// to w.defers while its capacity lasts), and returns the node and depth it
+// stopped at: the end of the walk (depth 0 at its end), ownEnd, a branch
+// cell of the rank's own, one that w.defers has no room for, a node of
 // another kind, or a node that needs a frame beyond len(w.frames). A
 // KindClosed node that some lane rejects returns depth -1.
 //
 //go:noescape
-func descendAVX2(w *Packet, c *Cols, k *avxConsts, i, d, ownD, ownEnd int, alpha, a2, e2, exAdd float64) (ni, nd int)
+func descendAVX2(w *Packet, c *Cols, k *avxConsts, own []int32, i, d, ownD, ownEnd int, alpha, a2, e2, exAdd float64) (ni, nd int)

@@ -12,10 +12,11 @@
 // body; nothing here may fuse a multiply and an add. A skipped leaf term
 // is masked to +0, which its accumulator (begun at +0, so never −0)
 // absorbs unchanged; what reaches a frame, which may hold −0, is blended,
-// never added as a zero. Only VEX-encoded instructions are used: one
+// never added as a zero, but for the explicit zero the Go loop adds where
+// a lane defers a branch. Only VEX-encoded instructions are used: one
 // legacy SSE instruction with the YMM upper halves dirty costs a state
-// transition. Packet, frame and Cols fields are read at their go_asm.h
-// offsets.
+// transition. Packet, frame, deferral and Cols fields are read at their
+// go_asm.h offsets.
 //
 // Registers across the walk: DI the Packet, R15 the Cols, R12 the
 // constants, R13 the node i, R14 the depth d, DX the open frame
@@ -23,9 +24,13 @@
 // dynamic linking a global's address is loaded through it.
 
 // ACTMASK sets LO and HI to the lane masks (all ones per active lane) of
-// the frame mask byte at m.
+// the frame mask byte at m, which it leaves in AX; LANEMASK of the mask in
+// AX.
 #define ACTMASK(m, LO, HI) \
 	MOVBQZX m, AX; \
+	LANEMASK(LO, HI)
+
+#define LANEMASK(LO, HI) \
 	VMOVQ AX, X0; \
 	VPBROADCASTQ X0, Y0; \
 	VPAND avxConsts_bit(R12), Y0, LO; \
@@ -68,7 +73,7 @@
 	VPAND Y7, Y4, Y4; \
 	VBROADCASTSD (BX)(R13*8), Y7; \
 	VDIVPD Y6, Y7, Y7; \
-	VBROADCASTSD alpha+56(FP), Y6; \
+	VBROADCASTSD alpha+80(FP), Y6; \
 	VCMPPD $1, Y6, Y7, Y7; \
 	VPAND Y7, Y4, Y4; \
 	VPOR Y4, Y5, Y5; \
@@ -76,7 +81,7 @@ DECIDED: \
 	VMOVMSKPD Y5, ACC; \
 	TESTQ ACC, ACC; \
 	JZ SKIP; \
-	VBROADCASTSD e2+72(FP), Y6; \
+	VBROADCASTSD e2+96(FP), Y6; \
 	VADDPD Y6, Y3, Y3; \
 	VSQRTPD Y3, Y3; \
 	VMOVUPD avxConsts_one(R12), Y6; \
@@ -129,7 +134,7 @@ SKIP:
 	VADDPD Y4, Y3, Y3; \
 	VMULPD Y2, Y2, Y4; \
 	VADDPD Y4, Y3, Y3; \
-	VBROADCASTSD e2+72(FP), Y4; \
+	VBROADCASTSD e2+96(FP), Y4; \
 	VADDPD Y4, Y3, Y3; \
 	VXORPD Y4, Y4, Y4; \
 	VCMPPD $4, Y4, Y3, Y4; \
@@ -173,13 +178,13 @@ SKIP:
 	VBLENDVPD M, Y4, Y3, Y3; \
 	VMOVUPD Y3, col(BX)
 
-// func descendAVX2(w *Packet, c *Cols, k *avxConsts, i, d, ownD, ownEnd int, alpha, a2, e2, exAdd float64) (ni, nd int)
-TEXT ·descendAVX2(SB), NOSPLIT, $0-104
+// func descendAVX2(w *Packet, c *Cols, k *avxConsts, own []int32, i, d, ownD, ownEnd int, alpha, a2, e2, exAdd float64) (ni, nd int)
+TEXT ·descendAVX2(SB), NOSPLIT, $0-128
 	MOVQ w+0(FP), DI
 	MOVQ c+8(FP), R15
 	MOVQ k+16(FP), R12
-	MOVQ i+24(FP), R13
-	MOVQ d+32(FP), R14
+	MOVQ i+48(FP), R13
+	MOVQ d+56(FP), R14
 	IMUL3Q $frame__size, R14, DX
 	ADDQ Packet_frames(DI), DX
 
@@ -189,7 +194,7 @@ next:
 	MOVLQSX frame_end(DX), AX
 	CMPQ R13, AX
 	JNE  visit
-	CMPQ R14, ownD+40(FP)
+	CMPQ R14, ownD+64(FP)
 	JLE  visit
 	TESTQ R14, R14
 	JZ   stop
@@ -207,7 +212,7 @@ next:
 	JMP  next
 
 visit:
-	CMPQ R13, ownEnd+48(FP)
+	CMPQ R13, ownEnd+72(FP)
 	JEQ  stop
 	MOVQ Cols_Kind(R15), AX
 	MOVBQZX (AX)(R13*1), AX
@@ -216,19 +221,50 @@ visit:
 	CMPQ AX, $const_KindClosed
 	JEQ  mac
 	CMPQ AX, $const_KindTop
+	JLE  mac
+	CMPQ AX, $const_KindBranchLeaf
 	JGT  stop
+	// A branch cell: the rank's own (an ordinal own does not hold is
+	// Go's to report) is walked in Own, which Go switches to, and so is
+	// any other once the defers are full; any other is a summary.
+	MOVQ Cols_Lo(R15), BX
+	MOVLQSX (BX)(R13*4), BX
+	CMPQ BX, own_len+32(FP)
+	JAE  stop
+	MOVQ own_base+24(FP), CX
+	MOVL (CX)(BX*4), CX
+	TESTL CX, CX
+	JGE  stop
+	MOVQ (Packet_defers+8)(DI), CX
+	CMPQ CX, (Packet_defers+16)(DI)
+	JGE  stop
+	CMPQ AX, $const_KindBranch
+	JEQ  mac
+	// Another rank's KindBranchLeaf: every lane defers it, untested.
+	MOVQ Cols_Skip(R15), BX
+	MOVLQSX (BX)(R13*4), BX
+	MOVBQZX frame_mask(DX), AX
+	TESTQ AX, AX
+	JNZ  branchdefer
+	MOVQ BX, R13
+	JMP  next
 
 mac:
-	// A KindInternal, KindTop or KindClosed node: mac for both halves,
-	// with the frame its rejecting lanes open at depth d+1.
+	// A KindInternal, KindTop, KindClosed or remote KindBranch node: mac
+	// for both halves, with the frame its rejecting lanes open at depth
+	// d+1 or, at a branch, the deferral they make.
 	LEAQ 2(R14), BX
 	CMPQ BX, (Packet_frames+8)(DI)
 	JGT  stop
 	MOVQ AX, SI
 	XORQ CX, CX
 	CMPQ SI, $const_KindTop
+	JEQ  macsummary
+	CMPQ SI, $const_KindBranch
 	JNE  macnode
-	MOVQ exAdd+80(FP), CX
+
+macsummary:
+	MOVQ exAdd+104(FP), CX
 
 macnode:
 	MOVQ Cols_ComX(R15), AX
@@ -249,14 +285,17 @@ macnode:
 	VPAND Y2, Y1, Y1
 	VMOVUPD avxConsts_nan(R12), Y2
 	VBLENDVPD Y1, Y11, Y2, Y11
-	VBROADCASTSD a2+64(FP), Y12
+	VBROADCASTSD a2+88(FP), Y12
 	ACTMASK(frame_mask(DX), Y14, Y15)
 	MACHALF(0, Y14, R8, maclodecided, maclodone)
 	MACHALF(32, Y15, R10, machidecided, machidone)
 	SHLQ $4, R10
 	ORQ  R10, R8
-	// A summary (KindTop) is not charged; the others are, per accepting lane.
+	// A summary (KindTop, KindBranch) is not charged; the others are, per
+	// accepting lane.
 	CMPQ SI, $const_KindTop
+	JEQ  macrejected
+	CMPQ SI, $const_KindBranch
 	JEQ  macrejected
 	POPCNTQ R8, AX
 	MOVQ Packet_ld(DI), BX
@@ -276,6 +315,8 @@ macrejected:
 macopen:
 	CMPQ SI, $const_KindClosed
 	JEQ  closedrejected
+	CMPQ SI, $const_KindBranch
+	JEQ  branchdefer
 	ADDQ $frame__size, DX
 	INCQ R14
 	MOVB AX, frame_mask(DX)
@@ -293,6 +334,28 @@ macopen:
 closedrejected:
 	MOVQ $-1, R14
 	JMP  stop
+
+branchdefer:
+	// The lanes in AX defer branch node i: each adds an explicit zero to
+	// its sum (not a no-op under signed zeros) and the node joins the
+	// defers with their mask; the walk goes on at Skip[i], in BX.
+	LANEMASK(Y1, Y2)
+	VXORPD Y8, Y8, Y8
+	FOLD(frame_x, Y8, Y1)
+	FOLD(frame_x+32, Y8, Y2)
+	FOLD(frame_y, Y8, Y1)
+	FOLD(frame_y+32, Y8, Y2)
+	FOLD(frame_z, Y8, Y1)
+	FOLD(frame_z+32, Y8, Y2)
+	MOVQ (Packet_defers+8)(DI), CX
+	IMUL3Q $deferral__size, CX, R8
+	ADDQ Packet_defers(DI), R8
+	MOVL R13, deferral_node(R8)
+	MOVB AX, deferral_lanes(R8)
+	INCQ CX
+	MOVQ CX, (Packet_defers+8)(DI)
+	MOVQ BX, R13
+	JMP  next
 
 leaf:
 	// The leaf's particles [lo, hi), charged one visit per lane and
@@ -361,8 +424,8 @@ leafdone:
 	JMP  next
 
 stop:
-	MOVQ R13, ni+88(FP)
-	MOVQ R14, nd+96(FP)
+	MOVQ R13, ni+112(FP)
+	MOVQ R14, nd+120(FP)
 	VZEROUPPER
 	RET
 

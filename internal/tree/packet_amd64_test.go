@@ -57,6 +57,10 @@ type sweepCase struct {
 	root              int32
 	alpha, eps, exAdd float64
 	lanes             []dist.Particle // one to eight
+	// defersCap, when positive, is the capacity the packet's defers start
+	// each Defer and Below with: a walk that defers more fills them and
+	// the fused descent hands the next branch to the Go loop mid-walk.
+	defersCap int
 }
 
 // laneOut is what one sweep left in one lane; floats as fbits.
@@ -98,6 +102,9 @@ func runSweeps(k *sweepCase, avx2 bool) sweepOut {
 			defer func() { err = recover() }()
 			for l, q := range k.lanes {
 				p.SetLane(l, int32(q.ID), q.Pos)
+			}
+			if k.defersCap > 0 {
+				p.defers = make([]deferral, 0, k.defersCap)
 			}
 			sweep()
 			return nil
@@ -283,6 +290,69 @@ func genSweepCase(rng *rand.Rand, n int, raw []byte) *sweepCase {
 		k.lanes = append(k.lanes, dist.Particle{ID: rng.Intn(12), Mass: 1, Pos: vec.V3{X: g.val(), Y: g.val(), Z: g.val()}})
 	}
 	g.node(&k.sw.Cols, mainKinds, 0)
+	if rng.Intn(4) == 0 {
+		k.defersCap = 1 + rng.Intn(3)
+	}
+	return k
+}
+
+// branchRow is a main region of other ranks' branch cells under one
+// KindTop root every lane rejects: n cells, KindBranch and KindBranchLeaf
+// alternating, each with a leaf section grafted under it, among own cells
+// whose subtree is a leaf of the lanes' own particles every eighth. Each
+// KindBranch's side puts the MAC boundary between the lanes, so some
+// accept its summary and the others defer it.
+func branchRow(n int) *sweepCase {
+	k := &sweepCase{sw: &Sweep{Own: new(Cols), GraftLo: []int32{0}}, alpha: 0.67, eps: 0.01, exAdd: 2.5}
+	for l := 0; l < lanes; l++ {
+		k.lanes = append(k.lanes, dist.Particle{ID: l, Mass: 1, Pos: vec.V3{X: float64(l), Y: 0.5, Z: -0.25}})
+	}
+	sw := k.sw
+	c := &sw.Cols
+	root := AppendNode(c, KindTop, vec.V3{X: 3.5}, 8, 1e6, nil, -1, -1)
+	for j := 0; j < n; j++ {
+		b := int32(len(sw.OwnRoot))
+		com := vec.V3{X: float64(j % 11), Y: 4 + float64(j%3), Z: 1}
+		if j%8 == 7 {
+			sw.OwnRoot = append(sw.OwnRoot, int32(len(sw.Own.Kind)))
+			lo, hi := addParticles(sw.Own, k.lanes)
+			AppendNode(sw.Own, KindLeaf, com, 8, 8, nil, lo, hi)
+		} else {
+			sw.OwnRoot = append(sw.OwnRoot, -1)
+			sec := new(Cols)
+			lo, hi := addParticles(sec, k.lanes[j%lanes:])
+			AppendNode(sec, KindLeaf, com, 1, 1, nil, lo, hi)
+			sw.Grafts = append(sw.Grafts, int32(len(sw.Secs)))
+			sw.Secs = append(sw.Secs, sec)
+		}
+		sw.GraftLo = append(sw.GraftLo, int32(len(sw.Grafts)))
+		kind := KindBranch
+		if j%2 == 1 {
+			kind = KindBranchLeaf
+		}
+		// Lanes nearer than lane j%8 reject the cell, the others accept it.
+		dx, dy, dz := com.X-k.lanes[j%lanes].Pos.X, com.Y-k.lanes[j%lanes].Pos.Y, com.Z-k.lanes[j%lanes].Pos.Z
+		side := k.alpha * math.Sqrt(dx*dx+dy*dy+dz*dz)
+		AppendNode(c, kind, com, 2, side, nil, b, -1)
+	}
+	c.Skip[root] = int32(len(c.Kind))
+	return k
+}
+
+// rootBranch is a main region of one branch cell of another rank's, which
+// every lane defers: Defer begins each lane's sum at −0, and the deferral's
+// explicit zero must leave +0 there.
+func rootBranch(kind uint8) *sweepCase {
+	k := branchRow(0)
+	k.sw.Cols = Cols{}
+	k.sw.OwnRoot = append(k.sw.OwnRoot, -1)
+	sec := new(Cols)
+	lo, hi := addParticles(sec, k.lanes)
+	AppendNode(sec, KindLeaf, vec.V3{}, 1, 1, nil, lo, hi)
+	k.sw.Grafts = append(k.sw.Grafts, 0)
+	k.sw.Secs = append(k.sw.Secs, sec)
+	k.sw.GraftLo = append(k.sw.GraftLo, 1)
+	AppendNode(&k.sw.Cols, kind, vec.V3{X: 3.5}, 8, 1e6, nil, 0, -1)
 	return k
 }
 
@@ -359,6 +429,30 @@ func TestPacketKernelMatchesGeneric(t *testing.T) {
 	}
 	// Deeper than the frame stack a packet starts with.
 	checkSweeps(t, deepChain(3*MaxDepth))
+
+	// Other ranks' branch cells among own ones, deferred by lanes that
+	// reject them, into defers with room for all of them and into defers
+	// that fill mid-walk; and a root cell every lane defers, whose −0 the
+	// explicit zero turns to +0.
+	for _, defersCap := range []int{0, 1, 3, 64} {
+		k := branchRow(40)
+		k.defersCap = defersCap
+		if ran := checkSweeps(t, k); ran != 3+len(k.sw.Secs) {
+			t.Fatalf("branch row, defers of %d: %d of %d sweeps ran to the end", defersCap, ran, 3+len(k.sw.Secs))
+		}
+	}
+	for _, kind := range []uint8{KindBranch, KindBranchLeaf} {
+		k := rootBranch(kind)
+		checkSweeps(t, k)
+		var p Packet
+		p.SetLane(0, 0, k.lanes[0].Pos)
+		k.sw.Begin(k.alpha, k.eps, k.exAdd, false)
+		k.sw.Loads = segLoads(k.sw)
+		k.sw.Defer(&p, 1, 0)
+		if s := p.Sum(0); math.Signbit(s.X) || math.Signbit(s.Y) || math.Signbit(s.Z) || len(p.Deferred(0, nil)) != 1 {
+			t.Fatalf("root cell of kind %d: sum %v, deferred %v; want +0 and the cell", kind, s, p.Deferred(0, nil))
+		}
+	}
 
 	// A locally essential tree of real trees: KindTop, own and remote
 	// KindBranch, KindBranchLeaf, and sections with KindClosed and

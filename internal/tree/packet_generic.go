@@ -11,6 +11,6 @@ type avxConsts struct{}
 
 var avx avxConsts
 
-func descendAVX2(w *Packet, c *Cols, k *avxConsts, i, d, ownD, ownEnd int, alpha, a2, e2, exAdd float64) (ni, nd int) {
+func descendAVX2(w *Packet, c *Cols, k *avxConsts, own []int32, i, d, ownD, ownEnd int, alpha, a2, e2, exAdd float64) (ni, nd int) {
 	panic("tree: no AVX2 descent in this build")
 }
