@@ -13,7 +13,6 @@
 // let (communication strategies incl. locally essential trees),
 // binsize, lookup, ordering, treebuild (ablations), serial (host
 // wall-clock of the serial kernels — real seconds, not simulated),
-// incremental (cold vs incremental step path, also host wall-clock),
 // frames (columnar frame-store append/replay/compact, host wall-clock).
 //
 // -cpuprofile/-memprofile write pprof profiles of the host process, for

@@ -281,7 +281,6 @@ func All(opt Options) ([]Table, error) {
 		{"treebuild", TreeBuildTable},
 		{"fmm", FMMTable},
 		{"serial", SerialTable},
-		{"incremental", IncrementalTable},
 		{"frames", FramesTable},
 		{"transport", TransportTable},
 		{"faults", FaultsTable},
@@ -319,7 +318,6 @@ func ByID(id string) (func(Options) (Table, error), bool) {
 		"treebuild":   TreeBuildTable,
 		"fmm":         FMMTable,
 		"serial":      SerialTable,
-		"incremental": IncrementalTable,
 		"frames":      FramesTable,
 		"transport":   TransportTable,
 		"faults":      FaultsTable,

@@ -18,7 +18,7 @@ import (
 // its size. The delta ratio column is the payoff of temporal coherence
 // in the storage layer — consecutive frames share most of their
 // position bits, so deltas shrink with step size exactly as the
-// incremental tree build shrinks with displacement.
+// builder's adaptive re-sort shrinks with displacement.
 func FramesTable(opt Options) (Table, error) {
 	opt = opt.withDefaults()
 	tab := Table{

@@ -28,7 +28,7 @@ func SerialTable(opt Options) (Table, error) {
 		Notes: []string{
 			"build/force are best-of-3 wall times on this host; all other tables report simulated machine times",
 			"build_ms is the cold tree.Builder entry every one-shot build takes (key sort + range build)",
-			"step_* columns break one incremental SerialSim time-step (warm, after a cold first build) into phases",
+			"step_* columns break one SerialSim time-step (warm: after a cold first sort, re-sorting the last step's order) into phases",
 		},
 	}
 	// Fixed host-benchmark sizes, scaled like the paper datasets so the
@@ -52,7 +52,7 @@ func SerialTable(opt Options) (Table, error) {
 			_, stats = tr.AccelSweep(s.Particles, 0.67, 0.01)
 		})
 
-		// Step-phase breakdown of the incremental hot path: one cold
+		// Step-phase breakdown of the SerialSim hot path: one cold
 		// warmup step, then the average over warm steps.
 		stepWall, phases, err := stepPhaseBreakdown(s, 3)
 		if err != nil {
@@ -78,7 +78,7 @@ func SerialTable(opt Options) (Table, error) {
 	return tab, nil
 }
 
-// stepPhaseBreakdown drives the incremental hot path (tree.Builder +
+// stepPhaseBreakdown drives the SerialSim hot path (tree.Builder +
 // packet sweep under a leapfrog integrator — the same loop as the
 // root package's SerialSim) for one cold warmup step plus `steps` warm
 // steps, and returns the per-step wall time and the per-step averages of

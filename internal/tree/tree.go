@@ -10,7 +10,6 @@ package tree
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sync"
 
 	"repro/internal/compute"
@@ -81,9 +80,6 @@ func (t *Tree) Count(i int32) int { return int(t.Hi[i] - t.Lo[i]) }
 // Cell returns node i's hierarchical cell identity.
 func (t *Tree) Cell(i int32) keys.CellKey { return keys.CellKeyFromUint64(t.Key[i]) }
 
-// level returns node i's depth in the cell hierarchy.
-func (t *Tree) level(i int32) int { return (bits.Len64(t.Key[i]) - 1) / 3 }
-
 // COM returns node i's centre of mass.
 func (t *Tree) COM(i int32) vec.V3 { return vec.V3{X: t.ComX[i], Y: t.ComY[i], Z: t.ComZ[i]} }
 
@@ -138,30 +134,6 @@ func (t *Tree) growNodes(n int) {
 	t.Skip, t.Lo, t.Hi = grow(t.Skip, n), grow(t.Lo, n), grow(t.Hi, n)
 	t.Key, t.Load = grow(t.Key, n), grow(t.Load, n)
 }
-
-// moveNodes moves the n nodes from slot from on by d slots, their Skip
-// with them.
-func (t *Tree) moveNodes(from, n, d int32) {
-	to := from + d
-	shift(t.Kind, from, to, n)
-	shift(t.ComX, from, to, n)
-	shift(t.ComY, from, to, n)
-	shift(t.ComZ, from, to, n)
-	shift(t.Mass, from, to, n)
-	shift(t.Side, from, to, n)
-	shift(t.Exp, from, to, n)
-	shift(t.Skip, from, to, n)
-	shift(t.Lo, from, to, n)
-	shift(t.Hi, from, to, n)
-	shift(t.Key, from, to, n)
-	shift(t.Load, from, to, n)
-	for j := to; j < to+n; j++ {
-		t.Skip[j] += d
-	}
-}
-
-// shift copies s[from:from+n] to s[to:to+n].
-func shift[T any](s []T, from, to, n int32) { copy(s[to:to+n], s[from:from+n]) }
 
 // growParticles sets the particle count to n, keeping the first ones.
 func (t *Tree) growParticles(n int) {

@@ -28,16 +28,17 @@ type SerialConfig struct {
 // StepPhases is the cumulative host-clock breakdown of the hot step
 // path. Host time only — no simulated metric is derived from it.
 type StepPhases struct {
-	Build     time.Duration // octree construction (key recompute + diff/refresh/rebuild)
+	Build     time.Duration // octree construction (gather and build over the sorted snapshot)
 	Sort      time.Duration // adaptive Morton re-sort
 	Force     time.Duration // force sweep
 	Integrate time.Duration // integrator arithmetic and bookkeeping
 }
 
 // SerialSim advances a particle system with the serial Barnes–Hut method
-// on the host: incremental octree rebuilds (tree.Builder) feeding the
-// packet sweep over the tree's columns (Tree.AccelSweep), under a
-// symplectic integrator. It is the single-machine hot path: the same
+// on the host: an octree built every step by tree.Builder, which re-sorts
+// the previous step's (key, ID) permutation instead of sorting cold,
+// feeding the packet sweep over the tree's columns (Tree.AccelSweep),
+// under a symplectic integrator. It is the single-machine hot path: the same
 // physics as Simulation with Processors=1, without the simulated-machine
 // scaffolding.
 type SerialSim struct {
@@ -125,8 +126,8 @@ func (s *SerialSim) LastBuild() tree.BuildReport { return s.builder.Last() }
 // Phases returns the cumulative host-clock phase breakdown.
 func (s *SerialSim) Phases() StepPhases { return s.phases }
 
-// evalForces is the integrator's acceleration callback: incremental
-// build, then the packet sweep.
+// evalForces is the integrator's acceleration callback: the builder's
+// step, then the packet sweep.
 func (s *SerialSim) evalForces(ps []dist.Particle, buildDur, sortDur, forceDur *time.Duration) []vec.V3 {
 	tb := time.Now()
 	tr := s.builder.Step(ps)

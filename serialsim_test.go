@@ -10,7 +10,7 @@ import (
 	"repro/internal/tree"
 )
 
-// The incremental step path (tree.Builder + packet sweep) must produce
+// The warm step path (tree.Builder + packet sweep) must produce
 // trajectories and interaction statistics bit-identical to the reference
 // kept here: the same integrator over a from-scratch BuildKeyed and the
 // recursive traversal every evaluation. The two-clock
@@ -80,7 +80,7 @@ func TestSerialForcesEqualSerialSimFirstEvaluation(t *testing.T) {
 	}
 }
 
-// Host parallelism must not perturb the incremental path either: the
+// Host parallelism must not perturb the warm step path either: the
 // trajectory under a multi-worker sweep is bit-identical to the
 // single-worker run.
 func TestSerialSimInvariantUnderHostParallelism(t *testing.T) {
