@@ -104,7 +104,9 @@ func init() {
 		codeConfig(c, &v.Job.Config)
 		c.V3(&v.Job.Domain.Min)
 		c.V3(&v.Job.Domain.Max)
-		recio.Slice(c, &v.Job.Parts, 8*8, func(c *recio.Coder, q *dist.Particle) {
+		// On a 64-bit little-endian host a particle's memory is its
+		// encoding, and the job's particles travel as one copy.
+		recio.Column(c, &v.Job.Parts, 8*8, func(c *recio.Coder, q *dist.Particle) {
 			recio.Int64(c, &q.ID)
 			c.F64(&q.Mass)
 			c.V3(&q.Pos)

@@ -70,6 +70,11 @@ type ordered struct {
 	// which is first of all: it parked because its own key was no smaller.
 	// -1 when the last resume did not end in a park.
 	next int
+	// other is the running rank's first other unfinished rank, or -1:
+	// found once per resume, since the parked ranks' keys stay put while
+	// one rank runs except where post pulls one forward, and post keeps
+	// it up to date then.
+	other int
 }
 
 // vrank is one virtual processor: its Proc, its inbox sorted by
@@ -122,7 +127,7 @@ func (m *Machine) RunOrdered(start []float64, body func(*Proc)) ([]Replayed, err
 	if len(start) != m.P {
 		panic(fmt.Sprintf("msg: RunOrdered needs %d start clocks, got %d", m.P, len(start)))
 	}
-	o := &ordered{m: m, ranks: make([]vrank, m.P), keys: make([]float64, m.P), next: -1}
+	o := &ordered{m: m, ranks: make([]vrank, m.P), keys: make([]float64, m.P), next: -1, other: -1}
 	var panicked any
 	for i := range o.ranks {
 		v := &o.ranks[i]
@@ -164,7 +169,7 @@ func (m *Machine) RunOrdered(start []float64, body func(*Proc)) ([]Replayed, err
 		if math.IsInf(o.keys[next], 1) {
 			return nil, o.deadlock()
 		}
-		o.next = -1
+		o.next, o.other = -1, o.first(next)
 		o.ranks[next].resume()
 	}
 	if panicked != nil {
@@ -201,6 +206,9 @@ func (o *ordered) post(dst int, msg message) {
 	v.inbox[at] = s
 	if v.block && v.parked.matches(&s.message) {
 		o.keys[dst] = math.Min(o.keys[dst], math.Max(v.proc.now, s.arrival))
+		if q := o.other; q < 0 || o.keys[dst] < o.keys[q] || o.keys[dst] == o.keys[q] && dst < q {
+			o.other = dst
+		}
 	}
 }
 
@@ -224,7 +232,7 @@ func (o *ordered) receive(p *Proc, w *want, block bool) (message, bool) {
 	// Park unless the rank is first already: nothing another rank can
 	// still do reaches back before this key. (Blocked on nothing, it parks
 	// for a sender — or for the scheduler to call the deadlock.)
-	q := o.first(p.id)
+	q := o.other
 	if math.IsInf(key, 1) || q >= 0 && (o.keys[q] < key || o.keys[q] == key && q < p.id) {
 		o.next = q
 		if !v.yield(struct{}{}) {

@@ -106,8 +106,15 @@ func codeSectionKind(c *recio.Coder, k *uint8) {
 const sectionSize = 72
 
 // reqPartSize is one encoded request particle: a V3, its ID and its
-// entry count.
+// entry count, in declaration order and without padding, so a bin's
+// particles travel as one copy (recio.Column).
 const reqPartSize = 32
+
+func codeReqPart(c *recio.Coder, q *reqPart) {
+	c.V3(&q.Pos)
+	c.I32(&q.Self)
+	c.I32(&q.N)
+}
 
 // checkReqBin fails the decode of a request bin whose particles do not
 // account for its branch ordinals exactly: the owner's service would index
@@ -131,12 +138,8 @@ func init() {
 		recio.Slice(c, v, particleSize, codeParticle)
 	})
 	transport.Register(idReqBin, func(c *recio.Coder, v *reqBin) {
-		recio.Slice(c, &v.Parts, reqPartSize, func(c *recio.Coder, q *reqPart) {
-			c.V3(&q.Pos)
-			c.I32(&q.Self)
-			c.I32(&q.N)
-		})
-		recio.Slice(c, &v.Branches, 8, (*recio.Coder).U64)
+		recio.Column(c, &v.Parts, reqPartSize, codeReqPart)
+		c.U64s(&v.Branches)
 		c.Bool(&v.More)
 		if c.Decoding {
 			checkReqBin(c, v)
@@ -146,12 +149,12 @@ func init() {
 		c.F64(&v.Start)
 		c.F64s(&v.Flops)
 		c.I32s(&v.Ships)
-		recio.Slice(c, &v.Owners, 2, (*recio.Coder).U16)
+		c.U16s(&v.Owners)
 		recio.Slice(c, &v.Served, 4, (*recio.Coder).F64s)
 	})
 	transport.Register(idRepBin, func(c *recio.Coder, v *repBin) {
-		recio.Slice(c, &v.F, 24, (*recio.Coder).V3)
-		recio.Slice(c, &v.P, 8, (*recio.Coder).F64)
+		c.V3s(&v.F)
+		c.F64s(&v.P)
 	})
 	transport.Register(idSummary, codeSummary)
 	transport.Register(idSummaries, func(c *recio.Coder, v *[]BranchSummary) {
@@ -176,7 +179,7 @@ func init() {
 		c.F64(&v.ForceT)
 		c.I32(&v.Branches)
 		c.I32s(&v.IDs)
-		recio.Slice(c, &v.F, 24, (*recio.Coder).V3)
+		c.V3s(&v.F)
 		c.F64s(&v.P)
 	})
 	transport.Register(idLETBounds, func(c *recio.Coder, v *let.Bounds) {
@@ -188,9 +191,9 @@ func init() {
 		recio.Slice(c, &v.Secs, sectionSize, codeSection)
 	})
 	transport.Register(idLETLoad, func(c *recio.Coder, v *letLoadMsg) {
-		recio.Slice(c, &v.Keys, 8, (*recio.Coder).U64)
+		c.U64s(&v.Keys)
 		c.I32s(&v.Nodes)
-		recio.Slice(c, &v.Deltas, 8, (*recio.Coder).I64)
+		c.I64s(&v.Deltas)
 	})
 	transport.Register(idStepOutputs, func(c *recio.Coder, v *stepOutputs) {
 		recio.Int64(c, &v.Step)

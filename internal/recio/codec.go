@@ -305,7 +305,3 @@ func Slice[T any](c *Coder, s *[]T, minSize int, elem func(*Coder, *T)) {
 		elem(c, &(*s)[i])
 	}
 }
-
-func (c *Coder) U8s(s *[]uint8)    { Slice(c, s, 1, (*Coder).U8) }
-func (c *Coder) I32s(s *[]int32)   { Slice(c, s, 4, (*Coder).I32) }
-func (c *Coder) F64s(s *[]float64) { Slice(c, s, 8, (*Coder).F64) }

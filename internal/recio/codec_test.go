@@ -55,7 +55,7 @@ func codeSample(c *Coder, v *sample) {
 		c.I64(&it.ID)
 		c.Str(&it.Tag)
 	})
-	c.U8s(&v.U8s)
+	Column(c, &v.U8s, 1, (*Coder).U8)
 	c.I32s(&v.I32s)
 	c.F64s(&v.F64s)
 }

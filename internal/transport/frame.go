@@ -33,28 +33,31 @@ const MaxFrame = recio.MaxBody
 // header is not a recio record.
 const frameHeaderLen = 5
 
-// beginFrame starts a frame of the given kind at the end of buf; the
-// caller encodes any fixed fields and hands the coder to finishFrame.
-func beginFrame(buf []byte, kind uint8) *recio.Coder {
-	c := &recio.Coder{W: recio.Writer{B: buf}}
+// beginFrame starts a frame of the given kind at the end of what c has
+// encoded and returns where it starts; the caller encodes any fixed
+// fields and hands the coder to finishFrame.
+func beginFrame(c *recio.Coder, kind uint8) int {
+	start := len(c.W.B)
 	c.W.U32(0) // body length, patched by finishFrame
 	c.W.U8(kind)
-	return c
+	return start
 }
 
 // finishFrame encodes payload behind what c already holds of the frame
-// begun at the end of buf, patches the body length, and returns the
-// finished buffer — or buf untouched and the reason.
-func finishFrame(c *recio.Coder, buf []byte, payload any) ([]byte, error) {
-	if err := encodeAny(c, payload); err != nil {
-		return buf, err
+// begun at start and patches the body length. On failure it cuts the
+// frame off again and returns the reason.
+func finishFrame(c *recio.Coder, start int, payload any) error {
+	err := encodeAny(c, payload)
+	body := len(c.W.B) - start - frameHeaderLen
+	if err == nil && body > MaxFrame {
+		err = fmt.Errorf("transport: frame body %d exceeds MaxFrame %d", body, MaxFrame)
 	}
-	body := len(c.W.B) - len(buf) - frameHeaderLen
-	if body > MaxFrame {
-		return buf, fmt.Errorf("transport: frame body %d exceeds MaxFrame %d", body, MaxFrame)
+	if err != nil {
+		c.W.B = c.W.B[:start]
+		return err
 	}
-	binary.LittleEndian.PutUint32(c.W.B[len(buf):], uint32(body))
-	return c.W.B, nil
+	binary.LittleEndian.PutUint32(c.W.B[start:], uint32(body))
+	return nil
 }
 
 // Frame is one simulated-machine message in flight between processes.
@@ -90,9 +93,18 @@ func codeFrameHeader(c *recio.Coder, f *Frame) {
 
 // AppendFrame encodes f as a length-prefixed data frame onto buf.
 func AppendFrame(buf []byte, f *Frame) ([]byte, error) {
-	c := beginFrame(buf, KindData)
+	c := &recio.Coder{W: recio.Writer{B: buf}}
+	if err := encodeFrame(c, f); err != nil {
+		return buf, err
+	}
+	return c.W.B, nil
+}
+
+// encodeFrame encodes f as a data frame behind what c has encoded.
+func encodeFrame(c *recio.Coder, f *Frame) error {
+	start := beginFrame(c, KindData)
 	codeFrameHeader(c, f)
-	return finishFrame(c, buf, f.Payload)
+	return finishFrame(c, start, f.Payload)
 }
 
 // DecodeFrame parses a data-frame body produced by AppendFrame (the
@@ -123,15 +135,28 @@ func DecodeFrame(body []byte) (*Frame, error) {
 // registered payload (host messages, hello/welcome bodies) or raw bytes
 // (ping/pong timestamps).
 func AppendControl(buf []byte, kind uint8, payload any) ([]byte, error) {
-	return finishFrame(beginFrame(buf, kind), buf, payload)
+	c := &recio.Coder{W: recio.Writer{B: buf}}
+	if err := finishFrame(c, beginFrame(c, kind), payload); err != nil {
+		return buf, err
+	}
+	return c.W.B, nil
 }
 
 // ReadRaw reads one length-prefixed frame from r, returning its kind
 // and body bytes. Lengths beyond MaxFrame are rejected before any
 // allocation.
-func ReadRaw(r io.Reader) (kind uint8, body []byte, err error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func ReadRaw(r io.Reader) (kind uint8, body []byte, err error) { return readFrame(r, nil) }
+
+// readFrame reads one frame from r like ReadRaw, into buf when the frame
+// fits there: the body it returns aliases buf or, when buf is too small,
+// a buffer of its own, at least twice buf's size up to keepBuf, so a
+// reader whose frames grow reallocates a few times, not once a frame.
+func readFrame(r io.Reader, buf []byte) (kind uint8, body []byte, err error) {
+	if cap(buf) < frameHeaderLen {
+		buf = make([]byte, frameHeaderLen)
+	}
+	hdr := buf[:frameHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:4])
@@ -139,7 +164,10 @@ func ReadRaw(r io.Reader) (kind uint8, body []byte, err error) {
 	if n > MaxFrame {
 		return 0, nil, fmt.Errorf("transport: incoming frame length %d exceeds MaxFrame %d", n, MaxFrame)
 	}
-	body = make([]byte, n)
+	if int(n) > cap(buf) {
+		buf = make([]byte, n, max(int(n), min(2*cap(buf), keepBuf)))
+	}
+	body = buf[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
 		return 0, nil, err
 	}

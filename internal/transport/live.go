@@ -1,9 +1,27 @@
 package transport
 
 import (
+	"bufio"
 	"net"
+	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/recio"
+)
+
+// Buffers a conn keeps between frames. A frame is encoded into, and a
+// frame body read into, a buffer the conn reuses; one that a frame
+// larger than keepBuf grew is dropped after that frame, so a conn never
+// pins the largest frame it ever carried. Most function-shipping frames
+// fit in 32 KiB; a 64 KiB cap kept a fleet gateway's ≈ 50 KB result
+// frames too and raised its peak RSS by ≈ 0.5 MB. The reader reads
+// through readBuf bytes of buffering: a frame's header and a small body
+// cost no read of their own, and a larger body is read straight into
+// its buffer.
+const (
+	keepBuf = 32 << 10
+	readBuf = 8 << 10
 )
 
 // Live is one end of a frame conn under the one liveness protocol every
@@ -22,6 +40,9 @@ type Live struct {
 	last   atomic.Int64 // unix nanos of the last inbound frame
 	silent atomic.Pointer[TransportError]
 	done   chan struct{} // closed when Read returns
+
+	wmu sync.Mutex
+	enc recio.Coder // writeData's encode buffer, under wmu
 }
 
 // NewLive puts conn to peer under the liveness protocol, counting its
@@ -37,6 +58,24 @@ func NewLive(conn net.Conn, peer int, m *Metrics) *Live {
 // net.Conn writes each buffer whole, so frames from concurrent writers
 // never interleave.
 func (l *Live) Write(buf []byte) error { return writeFrame(l.conn, l.m, buf) }
+
+// writeData encodes f as a data frame into the conn's encode buffer and
+// writes it.
+func (l *Live) writeData(f *Frame) error {
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	l.enc.W.B = l.enc.W.B[:0]
+	err := encodeFrame(&l.enc, f)
+	if err == nil {
+		if err = l.Write(l.enc.W.B); err != nil {
+			err = connLost(err, l.peer, "send to")
+		}
+	}
+	if cap(l.enc.W.B) > keepBuf {
+		l.enc.W.B = nil
+	}
+	return err
+}
 
 // writeFrame writes one encoded frame on c and counts it into m, if any.
 func writeFrame(c net.Conn, m *Metrics, buf []byte) error {
@@ -63,17 +102,24 @@ func (l *Live) Close(bye bool) {
 
 // Read reads the conn until it fails or the far end says Bye, handing
 // each data and host frame to deliver and skipping unknown kinds, for
-// forward compatibility. It then closes the conn, so the far end's
-// writes fail instead of waiting on a reader that is gone. It returns
-// nil after a Bye and deliver's error when deliver fails; otherwise a
-// TransportError: a heartbeat fault when the keeper found the conn
-// silent, an injected fault as injected, and peer loss for anything
-// else.
+// forward compatibility. The body deliver is handed is the reader's
+// buffer and is overwritten by the next frame: deliver decodes it, and
+// every decoder copies what it keeps. Read then closes the conn, so the
+// far end's writes fail instead of waiting on a reader that is gone. It
+// returns nil after a Bye and deliver's error when deliver fails;
+// otherwise a TransportError: a heartbeat fault when the keeper found
+// the conn silent, an injected fault as injected, and peer loss for
+// anything else.
 func (l *Live) Read(deliver func(kind uint8, body []byte) error) error {
 	defer close(l.done)
 	defer l.conn.Close()
+	r := bufio.NewReaderSize(l.conn, readBuf)
+	var buf []byte
 	for {
-		kind, body, err := ReadRaw(l.conn)
+		kind, body, err := readFrame(r, buf)
+		if cap(body) <= keepBuf {
+			buf = body
+		}
 		if err != nil {
 			if silent := l.silent.Load(); silent != nil {
 				return silent

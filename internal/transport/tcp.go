@@ -529,25 +529,22 @@ func (n *Node) SetDataHandler(fn func(*Frame)) { n.dataFn.Store(&fn) }
 // SetErrorHandler implements Link.
 func (n *Node) SetErrorHandler(fn func(error)) { n.errFn.Store(&fn) }
 
-// SendData implements Link: encode now (no aliasing with the sender's
-// buffers) and write on the conn to dst.
+// SendData implements Link: encode now, into the conn's encode buffer
+// (no aliasing with the sender's buffers), and write on the conn to dst.
 func (n *Node) SendData(dst int, f *Frame) error {
-	buf, err := AppendFrame(nil, f)
+	l, err := n.conn(dst)
 	if err != nil {
 		return err
 	}
-	return n.send(dst, buf, "send to")
+	return l.writeData(f)
 }
 
-// send writes one encoded frame to dst.
-func (n *Node) send(dst int, buf []byte, what string) error {
+// conn returns the conn to dst.
+func (n *Node) conn(dst int) (*Live, error) {
 	if dst == n.procID || dst < 0 || dst >= n.nprocs {
-		return fmt.Errorf("transport: bad destination proc %d (self %d of %d)", dst, n.procID, n.nprocs)
+		return nil, fmt.Errorf("transport: bad destination proc %d (self %d of %d)", dst, n.procID, n.nprocs)
 	}
-	if err := n.conns[dst].Write(buf); err != nil {
-		return connLost(err, dst, what)
-	}
-	return nil
+	return n.conns[dst], nil
 }
 
 // connLost classifies a failed conn read or write: an injected fault
@@ -562,13 +559,20 @@ func connLost(err error, peer int, what string) error {
 
 // HostSend implements Link.
 func (n *Node) HostSend(dst int, payload any) error {
-	c := beginFrame(nil, KindHost)
-	c.W.I32(int32(n.procID))
-	buf, err := finishFrame(c, nil, payload)
+	l, err := n.conn(dst)
 	if err != nil {
 		return err
 	}
-	return n.send(dst, buf, "host send to")
+	c := &recio.Coder{}
+	start := beginFrame(c, KindHost)
+	c.W.I32(int32(n.procID))
+	if err := finishFrame(c, start, payload); err != nil {
+		return err
+	}
+	if err := l.Write(c.W.B); err != nil {
+		return connLost(err, dst, "host send to")
+	}
+	return nil
 }
 
 // HostRecv implements Link.

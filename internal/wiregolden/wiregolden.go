@@ -49,7 +49,8 @@ func File(t *testing.T, path string, got []byte) {
 // Check marshals every sample, compares the bytes with the lines of the
 // golden file at path (one "<id> <type> <hex>" line per sample, in
 // sample order), decodes the recorded bytes back to a value deep-equal
-// to the sample, and requires a sample for every wire ID registered in
+// to the sample that still equals a fresh decode after its input bytes
+// are overwritten, and requires a sample for every wire ID registered in
 // [lo, hi] — the ID block of the package under test. With UPDATE_GOLDEN
 // set in the environment it rewrites the file instead.
 func Check(t *testing.T, path string, lo, hi uint16, samples ...any) {
@@ -91,8 +92,18 @@ func Check(t *testing.T, path string, lo, hi uint16, samples ...any) {
 		got, err := transport.Unmarshal(raw)
 		if err != nil {
 			t.Errorf("sample %d (%T): decoding the recorded bytes: %v", i, v, err)
+			continue
 		} else if !reflect.DeepEqual(got, v) {
 			t.Errorf("sample %d: recorded bytes decode to %#v, want %#v", i, got, v)
+		}
+		// A conn's reader reuses the buffer it decodes from, so a decoded
+		// value must keep nothing of its input.
+		fresh, _ := transport.Unmarshal(bytes.Clone(raw))
+		for j := range raw {
+			raw[j] = 0xAA
+		}
+		if !reflect.DeepEqual(got, fresh) {
+			t.Errorf("sample %d (%T) aliases its input: after overwriting the bytes it reads %#v, want %#v", i, v, got, fresh)
 		}
 	}
 }
