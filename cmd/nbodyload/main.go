@@ -3,7 +3,7 @@
 // of simulation jobs across several tenants, submitted concurrently,
 // retried on 429 admission pushback, and polled to terminal state.
 //
-// At the end it prints a GOLDEN line the CI fleet drill pins:
+// At the end it prints a GOLDEN line TestFleetShardKillDrill pins:
 //
 //	GOLDEN fabric shards=3 accepted=60 lost=0 match=true cached=true
 //
@@ -19,8 +19,8 @@
 //
 // With -mode gwha the driver runs the gateway crash drill instead: it
 // submits jobs of graduated lengths, keeps polling straight through a
-// gateway SIGKILL + journal restart that an outside harness (the CI
-// gwha job, or a human following the README walkthrough) performs, and
+// gateway SIGKILL + journal restart that an outside harness
+// (TestGatewaySIGKILLDrill, or a human following the README) performs, and
 // pins the recovery invariants:
 //
 //	GOLDEN gwha shards=3 accepted=12 lost=0 adopted=2 parked=1 match=true

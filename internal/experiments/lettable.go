@@ -16,8 +16,8 @@ import (
 // pins every strategy's line against function shipping's). The table
 // shows what each pays in words, messages, and balance on the third step
 // (two steps settle the load balancing first).
-// CI gates BENCH_let.json on exact equality and on LET words staying
-// strictly below naive data shipping at p ≥ 4.
+// TestLETTableGate (ci_test.go) holds it equal to BENCH_let.json and LET
+// words strictly below naive data shipping at p ≥ 4.
 func LETTable(opt Options) (Table, error) {
 	opt = opt.withDefaults()
 	set, err := Dataset("g_160535", opt)

@@ -180,8 +180,8 @@ func TestGatewayCrashRestartAdoptsAndDrainsParked(t *testing.T) {
 	}
 	stepBefore := gwStep(stLong)
 
-	// Crash. (In-process Close is the SIGKILL stand-in — the CI gwha job
-	// drives the real signal; what matters here is that the journal is
+	// Crash. (In-process Close is the SIGKILL stand-in —
+	// TestGatewaySIGKILLDrill drives the real signal; what matters here is that the journal is
 	// all the next gateway gets.)
 	if err := gw1.Close(); err != nil {
 		t.Fatalf("closing first gateway: %v", err)
